@@ -358,6 +358,20 @@ pub struct RelativeThroughput {
     pub relative: Stats,
 }
 
+impl RelativeThroughput {
+    fn from_solves(absolute: f64, random_graph_samples: Vec<f64>) -> Self {
+        let ratios: Vec<f64> = random_graph_samples
+            .iter()
+            .map(|&r| if r > 0.0 { absolute / r } else { f64::INFINITY })
+            .collect();
+        RelativeThroughput {
+            absolute,
+            relative: Stats::from_samples(&ratios),
+            random_graph_samples,
+        }
+    }
+}
+
 /// Computes the paper's headline metric (§IV): the topology's throughput
 /// divided by the throughput of a random graph built with *exactly the same
 /// equipment*, averaged over `cfg.random_graph_iterations` random graphs.
@@ -379,29 +393,24 @@ pub fn relative_throughput(topo: &Topology, spec: &TmSpec, cfg: &EvalConfig) -> 
     if cfg.warm {
         return relative_throughput_warm(topo, spec, cfg, None).0;
     }
-    let tm = spec.generate(topo, cfg.seed);
-    let absolute = evaluate_throughput(topo, &tm, cfg).value();
-
+    // One fan-out over the cell's 1 + k independent solves, index 0 being the
+    // topology's own, so the pool can share all of them between threads.
     let iters = cfg.random_graph_iterations.max(1);
-    let samples: Vec<f64> = (0..iters)
+    let mut solves: Vec<f64> = (0..iters + 1)
         .into_par_iter()
         .map_init(SolverWorkspace::new, |ws, i| {
-            let seed = cfg.seed.wrapping_add(1000).wrapping_add(i as u64);
+            if i == 0 {
+                let tm = spec.generate(topo, cfg.seed);
+                return evaluate_throughput_with(topo, &tm, cfg, ws).value();
+            }
+            let seed = cfg.seed.wrapping_add(1000).wrapping_add(i as u64 - 1);
             let rnd = same_equipment(topo, seed);
             let rnd_tm = spec.generate(&rnd, seed);
             evaluate_throughput_with(&rnd, &rnd_tm, cfg, ws).value()
         })
         .collect();
-
-    let ratios: Vec<f64> = samples
-        .iter()
-        .map(|&r| if r > 0.0 { absolute / r } else { f64::INFINITY })
-        .collect();
-    RelativeThroughput {
-        absolute,
-        random_graph_samples: samples,
-        relative: Stats::from_samples(&ratios),
-    }
+    let absolute = solves.remove(0);
+    RelativeThroughput::from_solves(absolute, solves)
 }
 
 /// The warm-chained form of [`relative_throughput`]: the absolute solve is
@@ -443,16 +452,8 @@ pub fn relative_throughput_warm(
         samples.push(b.value());
         chain = if WARM_SAMPLE_SEEDING { w } else { None };
     }
-    let ratios: Vec<f64> = samples
-        .iter()
-        .map(|&r| if r > 0.0 { absolute / r } else { f64::INFINITY })
-        .collect();
     (
-        RelativeThroughput {
-            absolute,
-            random_graph_samples: samples,
-            relative: Stats::from_samples(&ratios),
-        },
+        RelativeThroughput::from_solves(absolute, samples),
         abs_warm,
         abs_stats.warm_gate,
     )
@@ -469,25 +470,21 @@ pub fn relative_throughput_fixed_tm(
     if cfg.warm {
         return relative_throughput_fixed_tm_warm(topo, tm, cfg, None).0;
     }
-    let absolute = evaluate_throughput(topo, tm, cfg).value();
+    // Same 1 + k fan-out as `relative_throughput`, index 0 the topology's own.
     let iters = cfg.random_graph_iterations.max(1);
-    let samples: Vec<f64> = (0..iters)
+    let mut solves: Vec<f64> = (0..iters + 1)
         .into_par_iter()
         .map_init(SolverWorkspace::new, |ws, i| {
-            let seed = cfg.seed.wrapping_add(2000).wrapping_add(i as u64);
+            if i == 0 {
+                return evaluate_throughput_with(topo, tm, cfg, ws).value();
+            }
+            let seed = cfg.seed.wrapping_add(2000).wrapping_add(i as u64 - 1);
             let rnd = same_equipment(topo, seed);
             evaluate_throughput_with(&rnd, tm, cfg, ws).value()
         })
         .collect();
-    let ratios: Vec<f64> = samples
-        .iter()
-        .map(|&r| if r > 0.0 { absolute / r } else { f64::INFINITY })
-        .collect();
-    RelativeThroughput {
-        absolute,
-        random_graph_samples: samples,
-        relative: Stats::from_samples(&ratios),
-    }
+    let absolute = solves.remove(0);
+    RelativeThroughput::from_solves(absolute, solves)
 }
 
 /// The warm-chained form of [`relative_throughput_fixed_tm`]: same serial
@@ -517,16 +514,8 @@ pub fn relative_throughput_fixed_tm_warm(
         samples.push(b.value());
         chain = if WARM_SAMPLE_SEEDING { w } else { None };
     }
-    let ratios: Vec<f64> = samples
-        .iter()
-        .map(|&r| if r > 0.0 { absolute / r } else { f64::INFINITY })
-        .collect();
     (
-        RelativeThroughput {
-            absolute,
-            random_graph_samples: samples,
-            relative: Stats::from_samples(&ratios),
-        },
+        RelativeThroughput::from_solves(absolute, samples),
         abs_warm,
         abs_stats.warm_gate,
     )

@@ -8,8 +8,8 @@
 //! * expands a [`Scenario`] into [`SweepCell`]s (all seeds pinned at
 //!   expansion time, derived from the base seed — never from execution
 //!   order),
-//! * executes unique cells in parallel with per-worker
-//!   [`SolverWorkspace`](tb_flow::SolverWorkspace) reuse ([`run_cells`]),
+//! * executes unique cells in parallel, one pool job per cell with the
+//!   solves a cell fans out shared between threads ([`run_cells`]),
 //!   bit-identical to a serial run,
 //! * serves repeat computations from a content-keyed on-disk cache
 //!   ([`ResultCache`], default `results/cache/`), so re-runs and interrupted
@@ -41,6 +41,10 @@ pub use diff::{
     diff_artifacts, diff_dirs, diff_files, ArtifactDiff, CellChange, ChangeKind, DiffOptions,
     DirDiff,
 };
+/// The worker pool's cumulative scheduling counters (jobs run, jobs run by a
+/// thread other than the one that queued them, per-thread time in jobs), for
+/// drivers that report how a run was scheduled.
+pub use rayon::pool::{stats as pool_stats, Stats as PoolStats};
 pub use runner::{cell_key, run_cells, CellOutcome, CellSet, SweepOptions, SweepReport};
 pub use table::{f3, Table};
 pub use topo::TopoSpec;

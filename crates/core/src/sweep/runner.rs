@@ -1,12 +1,14 @@
 //! The sweep runner: expands, deduplicates, caches and executes cells.
 //!
 //! Execution is embarrassingly parallel over *unique* cell computations
-//! (cells with identical cache keys are computed once and share the result).
-//! Each worker reuses one [`SolverWorkspace`] across the cells it executes;
-//! workspace reuse is result-identical to fresh workspaces (asserted by the
-//! solver's determinism tests), and every random seed is pinned inside the
-//! cell spec, so results are bit-identical regardless of thread count or
-//! execution order.
+//! (cells with identical cache keys are computed once and share the result):
+//! each is one job on the pool's shared queue, and the solves a cell fans out
+//! are shared between threads the same way. A [`SolverWorkspace`] is reused
+//! across the cells of one block (all of them when run serially); workspace
+//! reuse is result-identical to fresh workspaces (asserted by the solver's
+//! determinism tests), and every random seed is pinned inside the cell spec,
+//! so results are bit-identical regardless of thread count or execution
+//! order.
 
 use crate::eval::EvalConfig;
 use crate::sweep::cache::ResultCache;
@@ -24,10 +26,11 @@ pub struct SweepOptions {
     pub full: bool,
     /// Base RNG seed; scenario expansion derives every cell seed from it.
     pub seed: u64,
-    /// `Some(1)` forces fully serial in-thread execution; any other value
-    /// uses the process-wide worker pool. (The pool's size is fixed at first
-    /// use from `RAYON_NUM_THREADS`; the `sweep` binary's `--jobs` flag sets
-    /// that variable before the pool spins up.)
+    /// `Some(1)` runs the cells one after another on the calling thread; any
+    /// other value makes each cell a job of the process-wide pool. (The
+    /// pool's size — computing threads, the caller included — is fixed at
+    /// first use from `RAYON_NUM_THREADS`; the `sweep` binary's `--jobs` flag
+    /// sets that variable before the pool spins up.)
     pub jobs: Option<usize>,
     /// Consult and populate the on-disk result cache.
     pub use_cache: bool,
@@ -240,6 +243,26 @@ fn compute_isolated_warm(
     }
 }
 
+/// Runs `f` over the units of work of a sweep (cells, or warm chains), in
+/// order: one after another on the calling thread with `jobs == Some(1)`,
+/// otherwise as one pool job each. A [`SolverWorkspace`] is handed along the
+/// units that run together.
+fn map_units<T: Send, U: Send>(
+    opts: &SweepOptions,
+    units: Vec<T>,
+    f: impl Fn(&mut SolverWorkspace, T) -> U + Sync,
+) -> Vec<U> {
+    if opts.jobs == Some(1) {
+        let mut ws = SolverWorkspace::new();
+        units.into_iter().map(|unit| f(&mut ws, unit)).collect()
+    } else {
+        units
+            .into_par_iter()
+            .map_init(SolverWorkspace::new, f)
+            .collect()
+    }
+}
+
 /// Runs `cells` under `opts`, returning per-cell outcomes in input order.
 pub fn run_cells(opts: &SweepOptions, cells: Vec<SweepCell>) -> SweepReport {
     let cfg = opts.eval_config();
@@ -275,7 +298,7 @@ pub fn run_cells(opts: &SweepOptions, cells: Vec<SweepCell>) -> SweepReport {
         }
     }
 
-    // Compute the misses, each worker reusing one solver workspace. Each
+    // Compute the misses, one pool job per cell (or chain unit). Each
     // cell runs under fault isolation (`compute_isolated`): a panicking cell
     // is retried once and then marked failed, never cached, never fatal.
     let missing: Vec<usize> = results
@@ -357,46 +380,20 @@ pub fn run_cells(opts: &SweepOptions, cells: Vec<SweepCell>) -> SweepReport {
             }
             done
         };
-        if opts.jobs == Some(1) {
-            let mut ws = SolverWorkspace::new();
-            units
-                .iter()
-                .flat_map(|unit| run_unit(&mut ws, unit))
-                .collect()
-        } else {
-            let nested: Vec<Vec<_>> = units
-                .par_iter()
-                .map_init(SolverWorkspace::new, |ws, unit| run_unit(ws, unit))
-                .collect();
-            nested.into_iter().flatten().collect()
-        }
-    } else if opts.jobs == Some(1) {
-        let mut ws = SolverWorkspace::new();
-        missing
-            .iter()
-            .map(|&u| {
-                let cell_idx = unique_indices[u];
-                let (values, error) = compute_isolated(&cells[cell_idx], &cfg, &mut ws);
-                if opts.use_cache && error.is_none() {
-                    cache.store(&keys[cell_idx], &values);
-                }
-                (u, values, error)
-            })
-            .collect()
+        let done = map_units(opts, units, |ws, unit| run_unit(ws, &unit));
+        done.into_iter().flatten().collect()
     } else {
-        missing
-            .into_par_iter()
-            .map_init(SolverWorkspace::new, |ws, u| {
-                let cell_idx = unique_indices[u];
-                let (values, error) = compute_isolated(&cells[cell_idx], &cfg, ws);
-                if opts.use_cache && error.is_none() {
-                    // Stored as each cell finishes so interrupted runs
-                    // resume from whatever completed.
-                    cache.store(&keys[cell_idx], &values);
-                }
-                (u, values, error)
-            })
-            .collect()
+        let run_cell = |ws: &mut SolverWorkspace, u: usize| {
+            let cell_idx = unique_indices[u];
+            let (values, error) = compute_isolated(&cells[cell_idx], &cfg, ws);
+            if opts.use_cache && error.is_none() {
+                // Stored as each cell finishes so interrupted runs
+                // resume from whatever completed.
+                cache.store(&keys[cell_idx], &values);
+            }
+            (u, values, error)
+        };
+        map_units(opts, missing, run_cell)
     };
     for (u, values, error) in computed {
         results[u] = Some((values, false, error));

@@ -21,7 +21,11 @@
 //! Unlike the per-figure binaries, `sweep` always writes (and validates) the
 //! JSON artifact `results/<scenario>.json` (filtered runs:
 //! `results/<scenario>.partial.json`, marked `"partial": true`) and prints a
-//! cache/solver/build summary per scenario. `--expect-cache-hot` turns a
+//! cache/solver/build summary per scenario (after a run that queued pool
+//! jobs also a `[sweep] schedule:` line on standard error: threads, jobs run,
+//! jobs run by a thread other than the one that queued them, and each
+//! thread's share of the run's wall time spent in jobs, the caller first).
+//! `--expect-cache-hot` turns a
 //! warm cache into an assertion: the run fails unless every cell came from
 //! the cache with zero solver invocations **and zero topology
 //! constructions** — CI uses this to prove that both the cache and the
@@ -37,7 +41,7 @@
 //! spec and the evidence re-verified bit for bit (same exit convention).
 
 use experiments::{find_scenario, registry, run_and_emit, ExtraFlag, RunOptions};
-use topobench::sweep::{diff_dirs, diff_files, DiffOptions};
+use topobench::sweep::{diff_dirs, diff_files, pool_stats, DiffOptions, PoolStats};
 
 const EXTRA_FLAGS: [ExtraFlag; 4] = [
     ExtraFlag {
@@ -251,6 +255,28 @@ fn run_verify(args: &[String]) -> i32 {
     }
 }
 
+/// The `[sweep] schedule:` line for the pool activity since `before`, taken
+/// `wall` ago; `None` when nothing was queued (always so on one thread).
+fn schedule_line(before: &PoolStats, wall: std::time::Duration) -> Option<String> {
+    let now = pool_stats();
+    if now.jobs == before.jobs {
+        return None;
+    }
+    // `before` has no per-thread entries if the pool had not started yet.
+    let busy_before = before.busy_ns.iter().chain(std::iter::repeat(&0));
+    let busy: Vec<String> = (now.busy_ns.iter().zip(busy_before))
+        .map(|(now, before)| (now - before) as f64 / wall.as_nanos() as f64)
+        .map(|share| format!("{:.0}%", 100.0 * share.min(1.0)))
+        .collect();
+    Some(format!(
+        "[sweep] schedule: threads={} jobs={} helped={} busy={}",
+        busy.len(),
+        now.jobs - before.jobs,
+        now.helped - before.helped,
+        busy.join(",")
+    ))
+}
+
 fn main() {
     // `sweep diff` / `sweep verify` are subcommands with their own argument
     // grammar; dispatch before the shared strict option parser sees the args.
@@ -310,7 +336,9 @@ fn main() {
 
     let mut cache_cold = false;
     for scenario in &scenarios {
+        let (pool_before, started) = (pool_stats(), std::time::Instant::now());
         let (report, render, written) = run_and_emit(scenario, &opts);
+        let schedule = schedule_line(&pool_before, started.elapsed());
         // The per-figure binaries only write the artifact with --csv; the
         // sweep driver always writes (and validates) it. Filtered runs land
         // in results/<name>.partial.json via the artifact writer.
@@ -338,6 +366,9 @@ fn main() {
             report.solver_calls,
             report.topo_builds
         );
+        if let Some(line) = schedule {
+            eprintln!("{line}");
+        }
         if report.failed_cells > 0 {
             // Failed cells are isolated, not fatal: the artifact records them
             // with "status": "failed" and `sweep diff` flags the change.

@@ -15,15 +15,17 @@
 //! * `--seed N`   — change the base RNG seed,
 //! * `--csv`      — additionally write `results/<figure>.csv` per table and
 //!   the unified JSON artifact `results/<scenario>.json`,
-//! * `--jobs N`   — worker threads for cell execution (`1` forces a fully
-//!   serial run; results are bit-identical either way),
+//! * `--jobs N`   — computing threads, the calling one included (`1` forces
+//!   a fully serial run and spawns nothing). Every cell is one job of a
+//!   shared queue, and the 1+k solves of a relative cell are shared between
+//!   the threads too; results are bit-identical for any `N`,
 //! * `--solver-jobs N` — solver-level parallelism (defaults to
 //!   `TB_SOLVER_JOBS`, else 1): with `N > 1` each FPTAS solve runs
-//!   batch-parallel MWU phases. **Orthogonal to `--jobs`**: `--jobs` splits
-//!   *cells* across workers, `--solver-jobs` splits *one solve* — the knob
-//!   for runs dominated by a few huge cells. With `--jobs > 1` the cell pool
-//!   takes precedence (intra-solve fan-out runs inline on the cell worker;
-//!   results are identical either way, only the parallel axis changes).
+//!   batch-parallel MWU phases. **Orthogonal to `--jobs`**: `--jobs` sizes
+//!   the pool and spreads *cells* over it, `--solver-jobs` splits *one
+//!   solve* — the knob for runs dominated by a few huge cells. Its batches
+//!   go to the same pool; with `--jobs 1` the pool is sized by this flag and
+//!   cells run one at a time (results are identical either way).
 //!   Unlike `--jobs`, turning this on switches to a different (equally
 //!   valid) solver trajectory, so it keys new cache entries — one set for
 //!   all `N > 1`, since only the on/off decision affects values — and is
@@ -110,10 +112,15 @@ const COMMON_HELP: &str =
     "  --full           run the paper-scale instance ladder (slow; default: reduced)
   --seed <N>       base RNG seed (default 1)
   --csv            also write results/<figure>.csv and results/<scenario>.json
-  --jobs <N>       worker threads for sweep cells (1 = fully serial; default: all cores)
+  --jobs <N>       computing threads, the calling one included (1 = fully serial,
+                   no thread spawned; default: all cores). Every cell is one job
+                   of a shared queue and the 1+k solves of a relative cell are
+                   shared between the threads too; results do not depend on N
   --solver-jobs <N>  parallelism inside each solver call (batch-parallel MWU;
                    default: TB_SOLVER_JOBS, else 1). Orthogonal to --jobs:
-                   --jobs splits cells, --solver-jobs splits one solve
+                   --jobs sizes the pool and spreads cells over it, --solver-jobs
+                   splits one solve (its batches go to the same pool; with
+                   --jobs 1 the pool has N threads and cells run one at a time)
   --filter <S>     only run cells whose id contains S (prints a raw cell dump)
   --no-cache       do not read or write results/cache/
   --certify        attach optimality certificates to throughput cells (for
@@ -144,20 +151,11 @@ impl RunOptions {
                     parsed.0.solver_jobs = solver_jobs_from_env();
                 }
                 let solver_jobs = parsed.0.solver_jobs.unwrap_or(1);
-                // The worker pool reads RAYON_NUM_THREADS once at first use;
-                // parsing happens before any parallel work, so it takes
-                // effect. --jobs owns the pool; a fully serial cell run
-                // (--jobs 1 executes cells in the caller thread, off the
-                // pool) hands the pool to the intra-solver fan-out instead.
-                if solver_jobs > 1 && parsed.0.jobs != Some(1) {
-                    // Nested parallelism runs inline on the cell workers, so
-                    // without --jobs 1 the batched schedule pays its extra
-                    // pricing work with no intra-solve fan-out to show for it.
-                    eprintln!(
-                        "note: --solver-jobs parallelizes inside a solve only when cells run \
-                         serially; pass --jobs 1 to hand the worker pool to the solver"
-                    );
-                }
+                // The pool reads RAYON_NUM_THREADS once at first use; parsing
+                // happens before any parallel work, so it takes effect.
+                // --jobs owns the pool size; a serial cell run (--jobs 1
+                // executes cells one at a time in the caller thread) sizes
+                // it for the intra-solver fan-out instead.
                 if let Some(jobs) = parsed.0.jobs {
                     let pool = if jobs == 1 { solver_jobs } else { jobs };
                     std::env::set_var("RAYON_NUM_THREADS", pool.to_string());

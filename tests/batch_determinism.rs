@@ -4,9 +4,9 @@
 //! rayon workers and merges the per-source loads in batch-index order, so for
 //! a fixed batch size the results must be **bit-identical for any worker
 //! count**. In-process, the strongest check is parallel-fan-out vs
-//! forced-inline-fan-out: running a solve *inside* a pool worker makes every
-//! nested parallel region execute inline (the vendored rayon's reentrancy
-//! rule), i.e. the serial execution of the exact same batched schedule. CI
+//! forced-inline-fan-out: running a solve inside `rayon::serial` makes every
+//! parallel region execute inline and in order on the calling thread, i.e.
+//! the serial execution of the exact same batched schedule. CI
 //! additionally runs this whole test binary under `RAYON_NUM_THREADS=1`, `2`
 //! and `8`, so the asserted values themselves are produced under three
 //! different pool widths.
@@ -18,7 +18,6 @@
 //! convergence guard's phase-count promise is asserted against
 //! actually-measured serial phase counts.
 
-use rayon::prelude::*;
 use tb_flow::{
     FleischerConfig, FleischerSolver, PricingMode, SolveStats, SolverWorkspace, ThroughputBounds,
 };
@@ -86,17 +85,12 @@ fn batched(cfg: FleischerConfig, b: usize) -> FleischerConfig {
     }
 }
 
-/// Solves on a pool worker: with a pool of >= 2 workers the job is dispatched
-/// to one, and every nested parallel region inside the solve then runs
-/// inline — the serial execution of the same batched schedule. (Two jobs are
-/// submitted because a single-item fan-out short-circuits to the caller
-/// thread; with a 1-wide pool everything is inline anyway.)
-fn solve_on_worker(solver: &FleischerSolver, g: &Graph, tm: &TrafficMatrix) -> ThroughputBounds {
-    let results: Vec<Option<ThroughputBounds>> = (0..2usize)
-        .into_par_iter()
-        .map(|i| (i == 0).then(|| solver.solve(g, tm)))
-        .collect();
-    results[0].expect("job 0 computes the solve")
+/// Solves inside a serial section of the pool: every parallel region inside
+/// the solve then runs inline and in order on this thread — the serial
+/// execution of the same batched schedule (`current_num_threads()` is
+/// unchanged inside, so the solver still takes its parallel code paths).
+fn solve_inline(solver: &FleischerSolver, g: &Graph, tm: &TrafficMatrix) -> ThroughputBounds {
+    rayon::serial(|| solver.solve(g, tm))
 }
 
 fn stats_of(cfg: FleischerConfig, g: &Graph, tm: &TrafficMatrix) -> (ThroughputBounds, SolveStats) {
@@ -115,7 +109,7 @@ fn batched_solves_bit_identical_parallel_vs_inline_fanout() {
         for b in [2usize, 3] {
             let solver = FleischerSolver::new(batched(base, b));
             let direct = solver.solve(&g, &tm);
-            let inline = solve_on_worker(&solver, &g, &tm);
+            let inline = solve_inline(&solver, &g, &tm);
             assert_eq!(
                 (direct.lower.to_bits(), direct.upper.to_bits()),
                 (inline.lower.to_bits(), inline.upper.to_bits()),
@@ -127,7 +121,7 @@ fn batched_solves_bit_identical_parallel_vs_inline_fanout() {
         let cfg = batched(base.with_auto_aggregation(g.num_nodes()), 32);
         let solver = FleischerSolver::new(cfg);
         let direct = solver.solve(&g, &tm);
-        let inline = solve_on_worker(&solver, &g, &tm);
+        let inline = solve_inline(&solver, &g, &tm);
         assert_eq!(
             (direct.lower.to_bits(), direct.upper.to_bits()),
             (inline.lower.to_bits(), inline.upper.to_bits()),
@@ -176,7 +170,7 @@ fn steal_variants_bit_identical_parallel_vs_inline_fanout() {
         for (label, c) in [("steal", cfg), ("async4", asy)] {
             let solver = FleischerSolver::new(c);
             let direct = solver.solve(&g, &tm);
-            let inline = solve_on_worker(&solver, &g, &tm);
+            let inline = solve_inline(&solver, &g, &tm);
             assert_eq!(
                 (direct.lower.to_bits(), direct.upper.to_bits()),
                 (inline.lower.to_bits(), inline.upper.to_bits()),
@@ -247,7 +241,7 @@ fn rounds_mode_remains_bit_identical_and_within_quality() {
         };
         let solver = FleischerSolver::new(cfg);
         let direct = solver.solve(&g, &tm);
-        let inline = solve_on_worker(&solver, &g, &tm);
+        let inline = solve_inline(&solver, &g, &tm);
         assert_eq!(
             (direct.lower.to_bits(), direct.upper.to_bits()),
             (inline.lower.to_bits(), inline.upper.to_bits()),

@@ -17,7 +17,6 @@
 //! a poisoned artifact ends bit-identical to cold with the reset reported in
 //! `SolveStats`.
 
-use rayon::prelude::*;
 use tb_flow::{
     FleischerConfig, FleischerSolver, SolveStats, SolverWorkspace, ThroughputBounds, WarmGate,
     WarmStart,
@@ -67,16 +66,11 @@ fn run_chain(cfg: FleischerConfig, topo: &Topology, ws: &mut SolverWorkspace) ->
     out
 }
 
-/// Runs the full warm chain inside a pool worker, where every nested
-/// parallel region executes inline (the vendored rayon's reentrancy rule) —
-/// the serial execution of the exact same schedule. (Two jobs are submitted
-/// because a single-item fan-out short-circuits to the caller thread.)
-fn run_chain_on_worker(cfg: FleischerConfig, topo: &Topology) -> Vec<ChainLink> {
-    let results: Vec<Option<Vec<ChainLink>>> = (0..2usize)
-        .into_par_iter()
-        .map(|i| (i == 0).then(|| run_chain(cfg, topo, &mut SolverWorkspace::new())))
-        .collect();
-    results[0].clone().expect("job 0 runs the chain")
+/// Runs the full warm chain inside a serial section of the pool, where every
+/// nested parallel region executes inline and in order — the serial execution
+/// of the exact same schedule.
+fn run_chain_inline(cfg: FleischerConfig, topo: &Topology) -> Vec<ChainLink> {
+    rayon::serial(|| run_chain(cfg, topo, &mut SolverWorkspace::new()))
 }
 
 fn assert_links_bit_identical(name: &str, a: &[ChainLink], b: &[ChainLink]) {
@@ -140,13 +134,13 @@ fn warm_chain_quality_matches_cold_on_fraction_ladders() {
 fn warm_chains_bit_identical_parallel_vs_inline_fanout() {
     // The chain (bounds, gates, phase counts and the handed-along artifact
     // itself) must be bit-identical between the direct execution and the
-    // forced-inline execution on a pool worker. CI re-runs this binary at
+    // forced-inline execution in a serial section. CI re-runs this binary at
     // pool widths {1, 2, 8}, so the asserted bits are produced under three
     // different thread counts.
     let cfg = FleischerConfig::fast();
     for (name, topo) in ladder_instances() {
         let direct = run_chain(cfg, &topo, &mut SolverWorkspace::new());
-        let inline = run_chain_on_worker(cfg, &topo);
+        let inline = run_chain_inline(cfg, &topo);
         assert_links_bit_identical(&name, &direct, &inline);
     }
 }
