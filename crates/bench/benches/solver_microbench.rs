@@ -20,14 +20,6 @@
 //!   bottom-up tree routing loads each tree arc once per iteration instead
 //!   of walking every destination's path, on top of the shared kernel wins
 //!   — the dense-TM shapes the PR 1 kernel left at parity;
-//! * the **batch-parallel MWU schedules**: `fptas_batch_*` pins PR 5's
-//!   fixed pricing rounds (the measured baseline), `fptas_steal_*` runs the
-//!   work-stealing scheduler in the exact skew-tuned configuration
-//!   `with_auto_batching` ships (what `--solver-jobs > 1` uses). The
-//!   per-phase pricing fans out across `RAYON_NUM_THREADS` workers, so
-//!   these entries measure the solver-level parallelism on this machine (on
-//!   a single core they show the schedule's serial overhead instead —
-//!   record which when comparing);
 //! * the Facebook frontend fixed TM (`tm_f`, the Figs 13–14 workload) on a
 //!   64-switch jellyfish — the skewed dense shape the sweeps spend real time
 //!   on;
@@ -38,15 +30,13 @@
 //!   cold. Criterion interleaves the paired entries, so the committed
 //!   min-of-10 comparison sees the same machine state. `rel_warm_*` /
 //!   `rel_cold_*` do the same for one relative-throughput cell's
-//!   sample path (absolute solve + serially chained same-equipment
-//!   samples vs the cold parallel fan-out).
+//!   sample path (absolute solve + serial cold same-equipment samples vs
+//!   the cold parallel fan-out).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tb_bench::{assert_quality_within_target, assert_same_quality, legacy};
-use tb_flow::fleischer::auto_batch_size;
 use tb_flow::{
-    ExactLpSolver, FleischerConfig, FleischerSolver, PricingMode, SolverWorkspace, WarmGate,
-    WarmStart,
+    ExactLpSolver, FleischerConfig, FleischerSolver, SolverWorkspace, WarmGate, WarmStart,
 };
 use tb_graph::matching::max_weight_assignment;
 use tb_graph::shortest_path::apsp_unweighted;
@@ -149,57 +139,6 @@ fn versus_legacy(
     });
 }
 
-/// Benches the PR 5 fixed-rounds schedule at the auto-picked batch size
-/// (pinned to [`PricingMode::Rounds`] so these entries stay the measured
-/// baseline the stealing scheduler is judged against), asserting its bounds
-/// against the serial trajectory with the shared target-gap contract first.
-fn batched(
-    group: &mut criterion::BenchmarkGroup<'_>,
-    name: &str,
-    cfg: FleischerConfig,
-    g: &Graph,
-    tm: &TrafficMatrix,
-) {
-    let bat_cfg = FleischerConfig {
-        batch_size: Some(auto_batch_size(g.num_nodes())),
-        pricing: PricingMode::Rounds,
-        ..cfg
-    };
-    let serial = FleischerSolver::new(cfg).solve(g, tm);
-    let bat = FleischerSolver::new(bat_cfg).solve(g, tm);
-    assert_quality_within_target(&format!("{name}/batched"), &cfg, bat, serial);
-    group.bench_function(format!("fptas_batch_{name}"), |b| {
-        b.iter(|| FleischerSolver::new(bat_cfg).solve(g, tm))
-    });
-}
-
-/// Benches the work-stealing schedule in the exact configuration
-/// `with_auto_batching` ships for the instance (skewed TMs get the
-/// quarter-size batch plus the serial-tail drain), with the same quality
-/// gate. These are the PR 7 acceptance entries: at one worker they must sit
-/// near serial (TM-F <= 1.15x, sparse LM <= 1.25x); at more workers they
-/// measure the solver-level speedup.
-fn stealing(
-    group: &mut criterion::BenchmarkGroup<'_>,
-    name: &str,
-    cfg: FleischerConfig,
-    g: &Graph,
-    tm: &TrafficMatrix,
-) {
-    let steal_cfg = cfg.with_auto_batching(tm, 2);
-    assert!(
-        steal_cfg.batch_size.is_some(),
-        "{name}: auto-batching gated off ({:?}) — pick a shape that engages",
-        steal_cfg.batch_gate
-    );
-    let serial = FleischerSolver::new(cfg).solve(g, tm);
-    let st = FleischerSolver::new(steal_cfg).solve(g, tm);
-    assert_quality_within_target(&format!("{name}/stealing"), &cfg, st, serial);
-    group.bench_function(format!("fptas_steal_{name}"), |b| {
-        b.iter(|| FleischerSolver::new(steal_cfg).solve(g, tm))
-    });
-}
-
 fn bench(c: &mut Criterion) {
     let cfg_fast = FleischerConfig::fast();
 
@@ -255,56 +194,12 @@ fn bench(c: &mut Criterion) {
         &all_to_all(&jelly.servers),
     );
 
-    // Batch-parallel MWU entries (dense shapes + the Facebook frontend TM);
-    // the matching serial entries above / below are the baselines.
-    let cfg_h6 = cfg_fast.with_auto_aggregation(medium.graph.num_nodes());
-    let cfg_j64 = cfg_fast.with_auto_aggregation(jelly.graph.num_nodes());
-    batched(
-        &mut group,
-        "hypercube_d6_a2a",
-        cfg_h6,
-        &medium.graph,
-        &all_to_all(&medium.servers),
-    );
-    batched(
-        &mut group,
-        "jellyfish64_a2a",
-        cfg_j64,
-        &jelly.graph,
-        &all_to_all(&jelly.servers),
-    );
-    let fb = tm_f(64, 7);
     versus_legacy(
         &mut group,
         "facebook_tmf_jellyfish64",
         cfg_fast,
         &jelly.graph,
-        &fb,
-    );
-    batched(
-        &mut group,
-        "facebook_tmf_jellyfish64",
-        cfg_j64,
-        &jelly.graph,
-        &fb,
-    );
-    // Work-stealing acceptance entries: the skewed dense shape (TM-F, where
-    // the fixed rounds measured ~2.3x serial) and the sparse matching shape
-    // (where they measured ~30x) — the two losses the stealing scheduler
-    // was built to close.
-    stealing(
-        &mut group,
-        "facebook_tmf_jellyfish64",
-        cfg_j64,
-        &jelly.graph,
-        &fb,
-    );
-    stealing(
-        &mut group,
-        "jellyfish64_lm",
-        cfg_j64,
-        &jelly.graph,
-        &longest_matching(&jelly.graph, &jelly.servers, true),
+        &tm_f(64, 7),
     );
 
     // Cross-instance warm-start chains on the fine skew-fraction ladder:
@@ -312,6 +207,8 @@ fn bench(c: &mut Criterion) {
     // wins only where adjacent rungs are near-duplicates, the jellyfish is
     // the honest small win — same knobs and break-on-reset policy the sweep
     // runner ships under `--warm`.
+    let cfg_h6 = cfg_fast.with_auto_aggregation(medium.graph.num_nodes());
+    let cfg_j64 = cfg_fast.with_auto_aggregation(jelly.graph.num_nodes());
     let ft6 = fat_tree(6);
     let ft8 = fat_tree(8);
     warm_chain(
@@ -330,8 +227,8 @@ fn bench(c: &mut Criterion) {
     warm_chain(&mut group, "jellyfish64", cfg_j64, &jelly);
 
     // One relative-throughput cell's sample path, warm vs cold: the warm
-    // form seeds the absolute solve's artifact through the same-equipment
-    // samples serially; the cold form is the parallel fan-out. Same seeds,
+    // form runs the absolute solve and then the same-equipment samples
+    // serially; the cold form is the parallel fan-out. Same seeds,
     // same instances — the means must agree within the solver tolerances.
     let rel_cold_cfg = EvalConfig::fast();
     let rel_warm_cfg = EvalConfig {
@@ -385,21 +282,13 @@ fn bench(c: &mut Criterion) {
         &jelly256.graph,
         &longest_matching(&jelly256.graph, &jelly256.servers, true),
     );
-    // The paper-scale dense shape for the batch-parallel schedule.
-    let tm256_a2a = all_to_all(&jelly256.servers);
+    // The paper-scale dense shape.
     versus_legacy(
         &mut large,
         "jellyfish256_a2a",
         cfg_fast,
         &jelly256.graph,
-        &tm256_a2a,
-    );
-    batched(
-        &mut large,
-        "jellyfish256_a2a",
-        cfg_fast.with_auto_aggregation(jelly256.graph.num_nodes()),
-        &jelly256.graph,
-        &tm256_a2a,
+        &all_to_all(&jelly256.servers),
     );
     large.finish();
 }

@@ -4,12 +4,7 @@
 //! Every pair also asserts the bounds stayed equal-quality, so this doubles
 //! as the kernel-equivalence check: `--quick` runs a reduced shape set (a few
 //! seconds, including the skewed Facebook TM-F) and is wired into CI to catch
-//! drift between the kernels on every PR. Each shape additionally runs the
-//! **work-stealing** schedule in the exact configuration `with_auto_batching`
-//! ships (i.e. what `--solver-jobs > 1` would use — skewed TMs get the
-//! quarter-size batch plus the serial-tail drain) and asserts its bounds
-//! against the serial path with the shared target-gap contract, so the
-//! stealing trajectory's quality is CI-checked on every PR too.
+//! drift between the kernels on every PR.
 //!
 //! Every solve additionally emits its [`ThroughputCertificate`] and re-checks
 //! it on the spot (`verify_certificate` re-derives feasibility and the dual
@@ -22,11 +17,10 @@
 //! by both FPTAS kernels.
 //!
 //! Run: `cargo run --release -p tb_bench --example compare_kernels [-- --quick]
-//! [-- --exact-spot-check]` (the stealing column parallelizes its pricing
-//! fan-out across `RAYON_NUM_THREADS` workers).
+//! [-- --exact-spot-check]`.
 
 use std::time::Instant;
-use tb_bench::{assert_quality_within_target, assert_same_quality, legacy};
+use tb_bench::{assert_same_quality, legacy};
 use tb_flow::{
     verify_certificate, ExactLpSolver, FleischerConfig, FleischerSolver, SolverWorkspace,
 };
@@ -67,27 +61,6 @@ fn compare(name: &str, g: &Graph, tm: &TrafficMatrix, reps: usize) {
     .unwrap_or_else(|e| panic!("{name}: FPTAS certificate failed verification: {e}"));
     let old_b = legacy::solve(&cfg, g, tm);
     assert_same_quality(name, &cfg, new_b, old_b);
-    // The work-stealing schedule in the exact configuration the auto pick
-    // ships (what --solver-jobs > 1 runs; skewed TMs get the quarter-size
-    // batch plus the serial-tail drain): a different, equally valid
-    // trajectory — quality held to the configured target gap against the
-    // serial path. The auto-pick is TM-aware: degenerate shapes (one
-    // dominant commodity, too few flows) stay serial and report no
-    // stealing column.
-    let bat_cfg = cfg.with_auto_batching(tm, 2);
-    let batched = bat_cfg.batch_size.map(|bsz| {
-        let bat_solver = FleischerSolver::new(bat_cfg);
-        let mut ws_bat = SolverWorkspace::new();
-        let bat_b = bat_solver.solve_with(g, tm, &mut ws_bat);
-        assert_quality_within_target(&format!("{name}/stealing"), &cfg, bat_b, new_b);
-        let t_bat = time(
-            || {
-                let _ = bat_solver.solve_with(g, tm, &mut ws_bat);
-            },
-            reps,
-        );
-        (bsz, t_bat)
-    });
     let t_new = time(
         || {
             let _ = solver.solve_with(g, tm, &mut ws);
@@ -100,12 +73,8 @@ fn compare(name: &str, g: &Graph, tm: &TrafficMatrix, reps: usize) {
         },
         reps,
     );
-    let bat_col = match batched {
-        Some((bsz, t_bat)) => format!("steal(B={bsz:2}) {t_bat:9.3} ms"),
-        None => format!("steal     (serial: {:?})", bat_cfg.batch_gate),
-    };
     println!(
-        "{name:<28} new {t_new:9.3} ms  legacy {t_old:9.3} ms  speedup {:5.2}x  {bat_col}  bounds new=({:.4},{:.4}) old=({:.4},{:.4})",
+        "{name:<28} new {t_new:9.3} ms  legacy {t_old:9.3} ms  speedup {:5.2}x  bounds new=({:.4},{:.4}) old=({:.4},{:.4})",
         t_old / t_new,
         new_b.lower,
         new_b.upper,
@@ -164,10 +133,7 @@ fn main() {
         &all_to_all(&j64.servers),
         3,
     );
-    // The skewed dense shape (Facebook frontend TM-F): its stealing column
-    // runs the skew-tuned pick (quarter-size batch + serial-tail drain), so
-    // CI's --quick run asserts the stealing-vs-serial quality contract on
-    // exactly the shape the scheduler was built for.
+    // The skewed dense shape (Facebook frontend TM-F).
     compare(
         "jellyfish64x6/tmf",
         &j64.graph,

@@ -1,9 +1,8 @@
 //! Shared helpers for the Criterion benchmarks.
 //!
-//! Each bench target corresponds to one table or figure of the paper and runs
-//! a scaled-down version of the corresponding experiment kernel (the full
-//! regeneration lives in the `experiments` binaries); in addition,
-//! `solver_microbench` tracks the raw performance of the throughput solvers.
+//! `solver_microbench` tracks the raw performance of the throughput solvers
+//! (committed as `BENCH_solver.json`) and `sweep_engine` the scenario engine's
+//! own overhead; end-to-end sweep performance is measured by `benchmark/`.
 
 pub mod legacy;
 
@@ -50,8 +49,8 @@ pub fn assert_same_quality(
     );
 }
 
-/// The quality contract between *different solver trajectories* (e.g. the
-/// batch-parallel schedule vs the serial one): both are equally valid FPTAS
+/// The quality contract between *different solver trajectories* (e.g. a
+/// warm-started solve vs the cold one): both are equally valid FPTAS
 /// runs, so each only promises the *configured* gap — unlike
 /// [`assert_same_quality`], the baseline happening to land an (essentially)
 /// exact result must not tighten the requirement on the other trajectory.

@@ -26,20 +26,6 @@ pub struct EvalConfig {
     pub random_graph_iterations: usize,
     /// Base RNG seed; every randomized step derives from it deterministically.
     pub seed: u64,
-    /// Solver-level parallelism: with `> 1`, a single FPTAS solve runs
-    /// batch-parallel MWU phases (sources sharded into fixed-order batches
-    /// that route concurrently against per-epoch length snapshots; see
-    /// `tb_flow::fleischer`). **Orthogonal to the sweep engine's cell-level
-    /// `--jobs`**: that knob splits *cells* across workers, this one splits
-    /// *one solve*. Only the on/off decision affects values (the batch size
-    /// is auto-picked from the instance; the worker count never changes
-    /// results — bit-identity is test-enforced), but turning batching on
-    /// switches to a different `(1+eps)`-sound trajectory, so this field is
-    /// part of the cell cache key — keep it normalized (1 = serial,
-    /// anything-else = batched; `SweepOptions::eval_config` normalizes to 2)
-    /// or distinct values will recompute byte-identical cells. Default 1 =
-    /// the classical serial trajectory.
-    pub solver_jobs: usize,
     /// Emit optimality certificates for throughput cells (see
     /// [`evaluate_throughput_certified_with`]). Capture is
     /// trajectory-neutral — the solved values are bit-identical either way —
@@ -64,7 +50,6 @@ impl Default for EvalConfig {
             exact_switch_limit: 16,
             random_graph_iterations: 3,
             seed: 1,
-            solver_jobs: 1,
             certify: false,
             warm: false,
         }
@@ -125,16 +110,9 @@ pub fn evaluate_throughput_with(
             return guard_finite(exact, topo);
         }
     }
-    // Auto-pick the dense-TM aggregation threshold from the graph size and
-    // (when solver-level jobs were requested) the work-stealing MWU batch
-    // configuration from the TM shape — skewed TMs get the quarter-size
-    // batch plus the serial-tail drain; explicit overrides in `cfg.solver`
-    // win for both. Only degenerate TMs (too few flows, or one commodity
-    // carrying most of the volume) stay serial (see `with_auto_batching`).
-    let solver_cfg = cfg
-        .solver
-        .with_auto_aggregation(topo.num_switches())
-        .with_auto_batching(tm, cfg.solver_jobs);
+    // Auto-pick the dense-TM aggregation threshold from the graph size; an
+    // explicit override in `cfg.solver` wins.
+    let solver_cfg = cfg.solver.with_auto_aggregation(topo.num_switches());
     guard_finite(
         FleischerSolver::new(solver_cfg).solve_with(&topo.graph, tm, ws),
         topo,
@@ -177,10 +155,7 @@ pub fn evaluate_throughput_warm_with(
             return (guard_finite(exact, topo), None, trivial_stats);
         }
     }
-    let solver_cfg = cfg
-        .solver
-        .with_auto_aggregation(topo.num_switches())
-        .with_auto_batching(tm, cfg.solver_jobs);
+    let solver_cfg = cfg.solver.with_auto_aggregation(topo.num_switches());
     let (bounds, stats, warm_out) =
         FleischerSolver::new(solver_cfg).solve_warm_with_stats(&topo.graph, tm, ws, warm);
     (guard_finite(bounds, topo), Some(warm_out), stats)
@@ -216,10 +191,7 @@ pub fn evaluate_throughput_certified_with(
             return (guard_finite(exact, topo), SolveStatus::Converged, cert);
         }
     }
-    let solver_cfg = cfg
-        .solver
-        .with_auto_aggregation(topo.num_switches())
-        .with_auto_batching(tm, cfg.solver_jobs);
+    let solver_cfg = cfg.solver.with_auto_aggregation(topo.num_switches());
     let (bounds, stats, cert) =
         FleischerSolver::new(solver_cfg).solve_with_certificate(&topo.graph, tm, ws, true);
     let status = if stats.converged {
@@ -304,10 +276,7 @@ pub fn evaluate_throughput_status_with(
             );
         }
     }
-    let solver_cfg = cfg
-        .solver
-        .with_auto_aggregation(topo.num_switches())
-        .with_auto_batching(&kept_tm, cfg.solver_jobs);
+    let solver_cfg = cfg.solver.with_auto_aggregation(topo.num_switches());
     let outcome = FleischerSolver::new(solver_cfg).solve_outcome_with(&topo.graph, &kept_tm, ws);
     // Dropped demands take precedence in the reported status (the outcome's
     // own drop count is zero — `kept_tm` is connectivity-filtered already);
@@ -378,17 +347,6 @@ impl RelativeThroughput {
 ///
 /// The TM is re-generated for each graph from `spec` (near-worst-case traffic
 /// is worst-case *for that graph*); pass [`TmSpec::AllToAll`] etc. as needed.
-/// Auto-pick for seeding the same-equipment *samples* of a warm
-/// relative-throughput path from the chain. Measured a loss and kept off:
-/// each sample is a different random graph, and cross-graph transfer fails
-/// its gates often enough that the bounded reset overhead dominates —
-/// `rel_warm_jellyfish64_lm` vs `rel_cold_jellyfish64_lm` in
-/// `BENCH_solver.json` read 601 ms vs 417 ms (interleaved min-of-10) with
-/// seeding on. The serial sample order and the chain plumbing stay, so
-/// flipping this re-measures in one line; the absolute solve's rung-to-rung
-/// seeding (same graph, measured winner) is unaffected.
-const WARM_SAMPLE_SEEDING: bool = false;
-
 pub fn relative_throughput(topo: &Topology, spec: &TmSpec, cfg: &EvalConfig) -> RelativeThroughput {
     if cfg.warm {
         return relative_throughput_warm(topo, spec, cfg, None).0;
@@ -415,17 +373,15 @@ pub fn relative_throughput(topo: &Topology, spec: &TmSpec, cfg: &EvalConfig) -> 
 
 /// The warm-chained form of [`relative_throughput`]: the absolute solve is
 /// seeded from `warm` (the previous ladder rung's artifact, if any), and the
-/// same-equipment samples then run **serially in index order** — the serial
-/// order keeps the path bit-identical at any worker count by construction.
-/// Same seeds, same instances as the cold path. Returns the *absolute*
-/// solve's artifact for the next rung of the ladder (the family instance,
-/// not a random-graph sample, is what the next rung resembles) and the
-/// absolute solve's [`WarmGate`] so chain runners can see whether the seed
-/// engaged or was reset (and stop warming a losing chain).
-///
-/// Whether the samples themselves are *seeded* along the chain is the
-/// [`WARM_SAMPLE_SEEDING`] auto-pick (measured off): each sample is a
-/// different random graph, and cross-graph transfer measured a loss.
+/// same-equipment samples then solve **cold, serially in index order** — the
+/// serial order keeps the path bit-identical at any worker count by
+/// construction, and seeding a sample from a different random graph's shape
+/// measured a loss (601 ms vs 417 ms cold on `rel_warm_jellyfish64_lm`;
+/// CHANGES.md, PR 14). Same seeds, same instances as the cold path. Returns
+/// the *absolute* solve's artifact for the next rung of the ladder (the
+/// family instance, not a random-graph sample, is what the next rung
+/// resembles) and the absolute solve's [`WarmGate`] so chain runners can see
+/// whether the seed engaged or was reset (and stop warming a losing chain).
 pub fn relative_throughput_warm(
     topo: &Topology,
     spec: &TmSpec,
@@ -438,19 +394,12 @@ pub fn relative_throughput_warm(
         evaluate_throughput_warm_with(topo, &tm, cfg, &mut ws, warm);
     let absolute = abs_bounds.value();
     let iters = cfg.random_graph_iterations.max(1);
-    let mut chain = if WARM_SAMPLE_SEEDING {
-        abs_warm.clone()
-    } else {
-        None
-    };
     let mut samples = Vec::with_capacity(iters);
     for i in 0..iters {
         let seed = cfg.seed.wrapping_add(1000).wrapping_add(i as u64);
         let rnd = same_equipment(topo, seed);
         let rnd_tm = spec.generate(&rnd, seed);
-        let (b, w, _) = evaluate_throughput_warm_with(&rnd, &rnd_tm, cfg, &mut ws, chain.as_ref());
-        samples.push(b.value());
-        chain = if WARM_SAMPLE_SEEDING { w } else { None };
+        samples.push(evaluate_throughput_with(&rnd, &rnd_tm, cfg, &mut ws).value());
     }
     (
         RelativeThroughput::from_solves(absolute, samples),
@@ -487,8 +436,8 @@ pub fn relative_throughput_fixed_tm(
     RelativeThroughput::from_solves(absolute, solves)
 }
 
-/// The warm-chained form of [`relative_throughput_fixed_tm`]: same serial
-/// sample chain as [`relative_throughput_warm`], same seeds and instances as
+/// The warm-chained form of [`relative_throughput_fixed_tm`]: same cold serial
+/// samples as [`relative_throughput_warm`], same seeds and instances as
 /// the cold path, same `(result, artifact, absolute-solve gate)` contract.
 pub fn relative_throughput_fixed_tm_warm(
     topo: &Topology,
@@ -501,18 +450,11 @@ pub fn relative_throughput_fixed_tm_warm(
         evaluate_throughput_warm_with(topo, tm, cfg, &mut ws, warm);
     let absolute = abs_bounds.value();
     let iters = cfg.random_graph_iterations.max(1);
-    let mut chain = if WARM_SAMPLE_SEEDING {
-        abs_warm.clone()
-    } else {
-        None
-    };
     let mut samples = Vec::with_capacity(iters);
     for i in 0..iters {
         let seed = cfg.seed.wrapping_add(2000).wrapping_add(i as u64);
         let rnd = same_equipment(topo, seed);
-        let (b, w, _) = evaluate_throughput_warm_with(&rnd, tm, cfg, &mut ws, chain.as_ref());
-        samples.push(b.value());
-        chain = if WARM_SAMPLE_SEEDING { w } else { None };
+        samples.push(evaluate_throughput_with(&rnd, tm, cfg, &mut ws).value());
     }
     (
         RelativeThroughput::from_solves(absolute, samples),

@@ -618,7 +618,7 @@ impl CellSpec {
     ///    stays exercised and re-measurable, but the runner's same-graph
     ///    auto-pick (see [`CellSpec::warm_topo`]) runs every rung cold:
     ///    cross-size projection measured a loss on all ten families
-    ///    (`batch_probe`'s ladder-chain sweep; ROADMAP records the numbers).
+    ///    (CHANGES.md, PR 10, records the numbers).
     pub fn warm_chain_key(&self) -> Option<(String, usize)> {
         let (topo, tm, tag) = match self {
             CellSpec::Throughput { topo, tm, tm_seed } => (topo, tm, format!("tput|{tm_seed}")),
@@ -646,8 +646,8 @@ impl CellSpec {
     /// same-graph auto-pick: an artifact only seeds the next chain member
     /// when both cells build the *same* graph. Same-graph pairs (the
     /// skew-fraction ladders) are the measured winners; cross-size projection
-    /// lost on every family probed (`batch_probe`'s ladder-chain sweep), so
-    /// donors from a different spec are dropped and the member runs cold.
+    /// lost on every family probed (CHANGES.md, PR 10), so donors from a
+    /// different spec are dropped and the member runs cold.
     pub fn warm_topo(&self) -> Option<&TopoSpec> {
         match self {
             CellSpec::Throughput { topo, .. } | CellSpec::Relative { topo, .. } => Some(topo),

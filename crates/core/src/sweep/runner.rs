@@ -38,14 +38,6 @@ pub struct SweepOptions {
     pub cache_dir: PathBuf,
     /// If set, only run cells whose id contains this substring.
     pub filter: Option<String>,
-    /// Solver-level parallelism (`EvalConfig::solver_jobs`): `Some(n > 1)`
-    /// makes each FPTAS solve run batch-parallel MWU phases. Orthogonal to
-    /// [`jobs`](SweepOptions::jobs), which splits *cells* across workers —
-    /// this splits *one solve*. The batched trajectory's values differ from
-    /// serial, so the on/off decision keys the cache
-    /// ([`eval_config`](SweepOptions::eval_config) normalizes the count —
-    /// all `n > 1` share one key). `None` defaults to 1 (serial).
-    pub solver_jobs: Option<usize>,
     /// Emit optimality certificates for throughput cells (`--certify`).
     /// Values are bit-identical either way; certified cells additionally
     /// carry the evidence block through the cache and artifacts (and key
@@ -72,7 +64,6 @@ impl SweepOptions {
             use_cache: true,
             cache_dir: PathBuf::from("results/cache"),
             filter: None,
-            solver_jobs: None,
             certify: false,
             warm: false,
         }
@@ -95,22 +86,6 @@ impl SweepOptions {
             EvalConfig::fast()
         };
         cfg.seed = self.seed;
-        // Normalized to the trajectory decision (1 = serial, 2 = batched):
-        // cell values depend only on *whether* solver-level parallelism is
-        // on (the auto batch size comes from the instance, the worker count
-        // never affects values), so keying the cache on the raw job count
-        // would recompute byte-identical results for every distinct value.
-        // Deliberate coarseness: cells whose TM never auto-batches
-        // (degenerate shapes the gate keeps serial) still re-key on the
-        // first batched run even though their values are bit-identical to
-        // the serial entries — keying on the per-cell effective decision
-        // would require materializing each TM at key time, which the
-        // expansion-time key derivation cannot do.
-        cfg.solver_jobs = if self.solver_jobs.unwrap_or(1) > 1 {
-            2
-        } else {
-            1
-        };
         cfg.certify = self.certify;
         cfg.warm = self.warm;
         cfg
@@ -356,9 +331,9 @@ pub fn run_cells(opts: &SweepOptions, cells: Vec<SweepCell>) -> SweepReport {
                 let cell_idx = unique_indices[u];
                 // Same-graph auto-pick: a donor artifact only seeds a member
                 // built on the same topology spec. Cross-size projection
-                // measured a loss on every family (`batch_probe`'s
-                // ladder-chain sweep), so topo-ladder chains run cold while
-                // the chain grouping stays in place for re-measurement.
+                // measured a loss on every family (CHANGES.md, PR 10), so
+                // topo-ladder chains run cold while the chain grouping stays
+                // in place for re-measurement.
                 let same_graph = donor
                     .is_some_and(|d| cells[d].spec.warm_topo() == cells[cell_idx].spec.warm_topo());
                 let seed = if broken || !same_graph {

@@ -18,18 +18,10 @@
 //! * `--jobs N`   — computing threads, the calling one included (`1` forces
 //!   a fully serial run and spawns nothing). Every cell is one job of a
 //!   shared queue, and the 1+k solves of a relative cell are shared between
-//!   the threads too; results are bit-identical for any `N`,
-//! * `--solver-jobs N` — solver-level parallelism (defaults to
-//!   `TB_SOLVER_JOBS`, else 1): with `N > 1` each FPTAS solve runs
-//!   batch-parallel MWU phases. **Orthogonal to `--jobs`**: `--jobs` sizes
-//!   the pool and spreads *cells* over it, `--solver-jobs` splits *one
-//!   solve* — the knob for runs dominated by a few huge cells. Its batches
-//!   go to the same pool; with `--jobs 1` the pool is sized by this flag and
-//!   cells run one at a time (results are identical either way).
-//!   Unlike `--jobs`, turning this on switches to a different (equally
-//!   valid) solver trajectory, so it keys new cache entries — one set for
-//!   all `N > 1`, since only the on/off decision affects values — and is
-//!   not for golden runs (`--write-golden` rejects it),
+//!   the threads too; results are bit-identical for any `N`. This is the
+//!   only parallelism knob: inside a solve only the read-only bound sweeps
+//!   fan out (on the same pool), and splitting the routing of one solve
+//!   across workers was measured slower than serial and removed,
 //! * `--filter S` — run only cells whose id contains `S` (prints a raw cell
 //!   dump instead of the figure tables; artifacts land in
 //!   `results/<scenario>.partial.json`, marked `"partial": true`),
@@ -62,10 +54,6 @@ pub struct RunOptions {
     pub csv: bool,
     /// Worker threads for cell execution (None = all cores).
     pub jobs: Option<usize>,
-    /// Solver-level parallelism (None = `TB_SOLVER_JOBS` env, else 1): with
-    /// more than one solver job, each FPTAS solve runs batch-parallel MWU
-    /// phases. Orthogonal to [`jobs`](RunOptions::jobs) (cells vs one solve).
-    pub solver_jobs: Option<usize>,
     /// Only run cells whose id contains this substring.
     pub filter: Option<String>,
     /// Bypass the on-disk result cache.
@@ -88,7 +76,6 @@ impl Default for RunOptions {
             seed: 1,
             csv: false,
             jobs: None,
-            solver_jobs: None,
             filter: None,
             no_cache: false,
             certify: false,
@@ -116,11 +103,6 @@ const COMMON_HELP: &str =
                    no thread spawned; default: all cores). Every cell is one job
                    of a shared queue and the 1+k solves of a relative cell are
                    shared between the threads too; results do not depend on N
-  --solver-jobs <N>  parallelism inside each solver call (batch-parallel MWU;
-                   default: TB_SOLVER_JOBS, else 1). Orthogonal to --jobs:
-                   --jobs sizes the pool and spreads cells over it, --solver-jobs
-                   splits one solve (its batches go to the same pool; with
-                   --jobs 1 the pool has N threads and cells run one at a time)
   --filter <S>     only run cells whose id contains S (prints a raw cell dump)
   --no-cache       do not read or write results/cache/
   --certify        attach optimality certificates to throughput cells (for
@@ -144,32 +126,11 @@ impl RunOptions {
     pub fn from_args_with(extra: &[ExtraFlag]) -> (Self, Vec<(String, String)>) {
         let args: Vec<String> = std::env::args().skip(1).collect();
         match Self::try_parse(&args, extra) {
-            Ok(mut parsed) => {
-                // --solver-jobs defaults to the TB_SOLVER_JOBS environment
-                // variable (a hard usage error when set to garbage).
-                if parsed.0.solver_jobs.is_none() {
-                    parsed.0.solver_jobs = solver_jobs_from_env();
-                }
-                let solver_jobs = parsed.0.solver_jobs.unwrap_or(1);
+            Ok(parsed) => {
                 // The pool reads RAYON_NUM_THREADS once at first use; parsing
                 // happens before any parallel work, so it takes effect.
-                // --jobs owns the pool size; a serial cell run (--jobs 1
-                // executes cells one at a time in the caller thread) sizes
-                // it for the intra-solver fan-out instead.
                 if let Some(jobs) = parsed.0.jobs {
-                    let pool = if jobs == 1 { solver_jobs } else { jobs };
-                    std::env::set_var("RAYON_NUM_THREADS", pool.to_string());
-                } else if solver_jobs > 1 && std::env::var_os("RAYON_NUM_THREADS").is_none() {
-                    // Default pool = all cores; widen it when the requested
-                    // solver fan-out is larger than the machine. An explicit
-                    // RAYON_NUM_THREADS pin in the environment always wins
-                    // (it is the documented way to force a pool size).
-                    let cores = std::thread::available_parallelism()
-                        .map(std::num::NonZeroUsize::get)
-                        .unwrap_or(1);
-                    if solver_jobs > cores {
-                        std::env::set_var("RAYON_NUM_THREADS", solver_jobs.to_string());
-                    }
+                    std::env::set_var("RAYON_NUM_THREADS", jobs.to_string());
                 }
                 parsed
             }
@@ -235,16 +196,6 @@ impl RunOptions {
                     }
                     opts.jobs = Some(jobs);
                 }
-                "--solver-jobs" => {
-                    let v = value_of(&mut i, "--solver-jobs")?;
-                    let jobs: usize = v.parse().map_err(|_| {
-                        ParseAbort::Usage(format!("--solver-jobs requires an integer, got '{v}'"))
-                    })?;
-                    if jobs == 0 {
-                        return Err(ParseAbort::Usage("--solver-jobs must be at least 1".into()));
-                    }
-                    opts.solver_jobs = Some(jobs);
-                }
                 "--filter" => {
                     let v = value_of(&mut i, "--filter")?;
                     opts.filter = Some(v);
@@ -283,28 +234,9 @@ impl RunOptions {
         s.jobs = self.jobs;
         s.use_cache = !self.no_cache;
         s.filter = self.filter.clone();
-        s.solver_jobs = self.solver_jobs;
         s.certify = self.certify;
         s.warm = self.warm;
         s
-    }
-}
-
-/// The `TB_SOLVER_JOBS` environment default for `--solver-jobs`. Unset or
-/// empty means "no default"; anything else must parse as a positive integer
-/// (hard usage error otherwise, matching the strict flag parser).
-fn solver_jobs_from_env() -> Option<usize> {
-    let v = std::env::var("TB_SOLVER_JOBS").ok()?;
-    let trimmed = v.trim();
-    if trimmed.is_empty() {
-        return None;
-    }
-    match trimmed.parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => {
-            eprintln!("error: TB_SOLVER_JOBS must be a positive integer, got '{v}'");
-            std::process::exit(2);
-        }
     }
 }
 
@@ -443,8 +375,6 @@ mod tests {
             "9",
             "--jobs",
             "2",
-            "--solver-jobs",
-            "4",
             "--filter",
             "A2A",
             "--no-cache",
@@ -458,22 +388,9 @@ mod tests {
         assert!(o.sweep_options().eval_config().warm);
         assert_eq!(o.seed, 9);
         assert_eq!(o.jobs, Some(2));
-        assert_eq!(o.solver_jobs, Some(4));
         assert_eq!(o.filter.as_deref(), Some("A2A"));
         assert!(!o.sweep_options().use_cache);
-        // Both knobs reach the engine options; the eval config normalizes
-        // the job count to the trajectory decision (2 = batched) so the
-        // cell cache is keyed on what actually changes values.
-        let s = o.sweep_options();
-        assert_eq!(s.solver_jobs, Some(4));
-        assert_eq!(s.eval_config().solver_jobs, 2);
-        let mut s8 = o.sweep_options();
-        s8.solver_jobs = Some(8);
-        assert_eq!(
-            format!("{:?}", s8.eval_config()),
-            format!("{:?}", s.eval_config()),
-            "distinct job counts must share one cache key"
-        );
+        assert_eq!(o.sweep_options().jobs, Some(2));
     }
 
     #[test]
@@ -487,17 +404,27 @@ mod tests {
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--seed", "xyz"]).is_err());
         assert!(parse(&["--jobs", "0"]).is_err());
-        assert!(parse(&["--solver-jobs", "0"]).is_err());
-        assert!(parse(&["--solver-jobs"]).is_err());
-        assert!(parse(&["--solver-jobs", "x"]).is_err());
     }
 
     #[test]
-    fn solver_jobs_defaults_to_serial() {
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.solver_jobs, None);
-        // Unset means serial in the eval config (batching off, goldens safe).
-        assert_eq!(o.sweep_options().eval_config().solver_jobs, 1);
+    fn solver_jobs_flag_is_rejected() {
+        // Removed with the batch layer, not kept as a no-op: the benchmark
+        // harness keys its "knob not available" path on this usage error.
+        assert_eq!(
+            parse(&["--solver-jobs", "2"]).unwrap_err(),
+            "unknown argument: --solver-jobs"
+        );
+    }
+
+    #[test]
+    fn worker_counts_never_key_the_cache() {
+        let serial = parse(&["--jobs", "1"]).unwrap().sweep_options();
+        let wide = parse(&["--jobs", "8"]).unwrap().sweep_options();
+        let cells = (find_scenario("fig02").unwrap().build)(&serial);
+        assert_eq!(
+            topobench::sweep::cell_key(&cells[0], &serial.eval_config()),
+            topobench::sweep::cell_key(&cells[0], &wide.eval_config()),
+        );
     }
 
     #[test]

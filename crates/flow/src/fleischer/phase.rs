@@ -1,32 +1,15 @@
-//! The phase scheduler: owns the multiplicative-weights loop.
+//! The phase loop: owns the multiplicative-weights trajectory.
 //!
-//! A *phase* routes every source's full (pre-scaled) demand once. The
-//! scheduler runs phases until the classical termination `D(l) >= 1`, the
+//! A *phase* routes every source's full (pre-scaled) demand once, source by
+//! source, lengths updated in place — the classical Fleischer trajectory.
+//! The loop runs phases until the classical termination `D(l) >= 1`, the
 //! bound gap closes, or the phase cap is hit, interleaving the goal-direction
-//! potential refreshes and the periodic bound evaluations.
-//!
-//! With batching off (the default), every phase is a **serial phase**: the
-//! classical Fleischer trajectory, source by source, lengths updated in
-//! place — bit-identical to the pre-split solver. With
-//! [`FleischerConfig::batch_size`]` = B >= 2`, phases after the first are
-//! **batched**: sources are partitioned into fixed-order shards of `B`, each
-//! shard routes in epochs against a frozen [`LengthSnapshot`] (in parallel
-//! across workers), and each epoch ends with one deterministic merged length
-//! update (see [`super::merge`] for the step-size argument).
-//!
-//! Phase 0 always runs serially and doubles as the **convergence-guard
-//! yardstick**: `ln D(l)` grows roughly linearly per phase in this scheme, so
-//! the scheduler extrapolates the serial phase count from phase 0's progress
-//! and, if a batched run exceeds `guard_factor ×` that estimate without
-//! converging, permanently degenerates to the serial trajectory — the
-//! safeguard the two reverted stale-length designs lacked (recorded in
-//! ROADMAP.md; both slowed convergence with nothing to catch it).
+//! potential refreshes and the periodic bound evaluations. The only parallel
+//! regions are those two read-only sweeps (see [`PAR_MIN_SWEEP_WORK`]); their
+//! results do not depend on the thread count.
 
 use super::route::{self, RouteCtx, RouteState, SerialState};
-use super::{
-    steal, BatchGate, FleischerConfig, PricingMode, SolveStats, SolverWorkspace, WarmGate,
-    PAR_MIN_BATCH_WORK, PAR_MIN_SWEEP_WORK,
-};
+use super::{FleischerConfig, SolveStats, SolverWorkspace, WarmGate, PAR_MIN_SWEEP_WORK};
 use crate::certificate::{CertCapture, ThroughputCertificate};
 use crate::instance::FlowProblem;
 use crate::lengths::{MwuLengths, WarmStart};
@@ -36,13 +19,6 @@ use tb_graph::{Graph, SsspPool, SsspWorkspace};
 
 /// Runs the full solve: setup, the phase loop, and the closing bound
 /// evaluation. See the module docs of [`super`] for the algorithm.
-///
-/// Re-pricing after **every** merged update is load-bearing for MWU
-/// convergence (measured on the dense microbench shapes): allowing even one
-/// extra theta-limited commit on a round's own trees inflates hypercube-64
-/// A2A from 12 to 40 phases, and draining a round to completion reproduces
-/// the reverted phase-blocked design's blowup (12 → 380 phases). The
-/// scheduler therefore prices → merges → applies exactly once per round.
 ///
 /// `warm` seeds the MWU lengths from a previous solve's [`WarmStart`] (see
 /// [`WarmGate`] for the admission/reset rules); with `warm: None` every code
@@ -182,10 +158,7 @@ pub(super) fn solve_problem(
         rev_lens,
         subtree,
         cur_len,
-        merge: epoch_merge,
         sweep_pool,
-        route_pool,
-        steal: steal_state,
     } = ws;
     // Sources at or above the aggregation threshold route all their
     // remaining demands in one bottom-up pass over the tree's settle
@@ -223,30 +196,10 @@ pub(super) fn solve_problem(
         pot_rows: &pot_rows,
         num_single,
         goal_enabled,
-        agg_min_dests,
         reuse_slack,
     };
 
-    // Batch-parallel configuration: `None`/`Some(1)` is the serial
-    // trajectory; `B >= 2` shards phases after the serial yardstick phase 0.
-    let batch = cfg.batch_size.unwrap_or(1).max(1);
-    let batching = batch >= 2 && num_sources >= 2;
-    let mut stats = SolveStats {
-        batch_size: if batching { batch } else { 1 },
-        // An explicit batch size that never went through the auto-pick
-        // still reports a meaningful gate.
-        gate: if cfg.batch_gate == BatchGate::Unset && batching {
-            BatchGate::Explicit
-        } else {
-            cfg.batch_gate
-        },
-        ..Default::default()
-    };
-    let mut batch_remaining: Vec<Vec<f64>> = if batching {
-        vec![Vec::new(); batch.min(num_sources)]
-    } else {
-        Vec::new()
-    };
+    let mut stats = SolveStats::default();
 
     // The optional wall-clock budget; checked on the bound-evaluation
     // cadence so the deterministic trajectory is untouched when unset.
@@ -285,9 +238,8 @@ pub(super) fn solve_problem(
         // delta init otherwise (`reset_warm` falls back to the cold init on
         // rejection, so a rejected shape leaves no trace in the state).
         let attempt_warm = if warm_active
-            && warm.is_some_and(|w| {
-                w.is_usable() && mwu.reset_warm(eps, prob.arc_caps(), &w.lens, cfg.warm_rescale)
-            }) {
+            && warm.is_some_and(|w| w.is_usable() && mwu.reset_warm(eps, prob.arc_caps(), &w.lens))
+        {
             stats.warm_gate = if warm.map_or(0, |w| w.lens.len()) == m {
                 WarmGate::Engaged
             } else {
@@ -321,8 +273,6 @@ pub(super) fn solve_problem(
             cur_len.resize(n, 0.0);
         }
 
-        let mut batch_active = batching;
-        let mut guard_limit = usize::MAX;
         let mut warm_guard_limit = usize::MAX;
         let mut phase = 0usize;
         let mut state_evaluated = false;
@@ -330,228 +280,58 @@ pub(super) fn solve_problem(
             if goal_enabled && phase.is_multiple_of(pot_refresh) {
                 route::refresh_potentials(&ctx, mwu.lens(), rev_lens, potentials, sssp, sweep_pool);
             }
-            // Phase 0 is always serial: it is both the exact classical
-            // trajectory and the convergence guard's yardstick.
-            if !batch_active || phase == 0 {
-                let d_before = mwu.d_l();
-                for si in 0..num_sources {
-                    if mwu.saturated() {
-                        break 'phases;
-                    }
-                    remaining.clear();
-                    remaining.extend_from_slice(&demands[si]);
-                    // Compute this source's tree at the current lengths, goal-
-                    // directed when it has a single destination.
-                    route::compute_tree(&ctx, si, potentials, mwu.lens(), sssp);
-                    let dense = prob.sources()[si].dests.len() >= agg_min_dests;
-                    let mut state = SerialState {
-                        mwu: &mut *mwu,
-                        st: &mut arc_state[..],
-                        flow_arc: &mut flow_arc,
-                        remaining: &mut *remaining,
-                        touched: &mut *touched,
-                        path: &mut *path,
-                        subtree: &mut subtree[..],
-                        cur_len: &mut cur_len[..],
-                        sssp: &mut *sssp,
-                    };
-                    let ok = if dense {
-                        route::route_source_tree(&ctx, si, potentials, &mut state, &mut routed[si])
-                    } else {
-                        route::route_source_walk(
-                            &ctx,
-                            si,
-                            potentials,
-                            &mut state,
-                            &mut routed[si],
-                            true,
-                        )
-                    };
-                    if !ok {
-                        break 'phases;
-                    }
-                }
-                if (batching || attempt_warm) && phase == 0 {
-                    stats.serial_estimate = estimate_serial_phases(d_before, mwu.d_l());
-                    if batching {
-                        guard_limit = ((cfg.guard_factor * stats.serial_estimate as f64).ceil()
-                            as usize)
-                            .max(1);
-                        stats.guard_limit = guard_limit;
-                    }
-                    if attempt_warm {
-                        // The warm admissibility budget: how many phases the warm
-                        // trajectory may spend before it must have converged.
-                        // Prefer the donor's measured phase count as the yardstick
-                        // — chains hand near-identical problems along, so it
-                        // approximates this instance's *cold* cost, which the
-                        // saturation extrapolation wildly overestimates (gap exits
-                        // fire long before `D(l) ≥ 1`). A floor of two
-                        // bound-evaluation windows keeps a trivially-cheap donor
-                        // from starving a recipient that needs a few real phases;
-                        // `phases == 0` falls back to the extrapolation.
-                        let yardstick = match warm.map_or(0, |w| w.phases) {
-                            0 => stats.serial_estimate,
-                            d => d.max(2 * check_interval),
-                        };
-                        warm_guard_limit = ((cfg.warm_guard_factor.unwrap_or(cfg.guard_factor)
-                            * yardstick as f64)
-                            .ceil() as usize)
-                            .max(1);
-                    }
-                }
-            } else if cfg.pricing == PricingMode::Stealing {
-                // Batched phase, work-stealing scheduler: cached per-source
-                // trees, destination chunks on a claim queue, price-ahead fold
-                // (see `steal` module docs). Same shard order and merge math as
-                // the fixed rounds below; different pricing-work production.
-                if !steal::run_phase(
-                    cfg,
-                    &ctx,
-                    potentials,
-                    batch,
-                    &mut batch_remaining,
-                    &mut routed,
-                    mwu,
-                    &mut arc_state[..],
-                    &mut flow_arc,
-                    epoch_merge,
-                    route_pool,
-                    steal::SerialScratch {
-                        touched: &mut *touched,
-                        path: &mut *path,
-                        subtree: &mut *subtree,
-                        cur_len: &mut *cur_len,
-                    },
-                    steal_state,
-                    &mut stats,
-                ) {
+            let d_before = mwu.d_l();
+            for si in 0..num_sources {
+                if mwu.saturated() {
                     break 'phases;
                 }
-            } else {
-                // Batched phase: fixed-order shards of `batch` sources. A shard
-                // routes in *pricing rounds*: every source with remaining demand
-                // prices its tree read-only against a frozen snapshot (the
-                // parallel fan-out), the per-source loads are self-capped and
-                // merged in batch-index order, and one batched ≤(1+eps) update
-                // commits the round (see `merge` for the step-size argument and
-                // the measured-worse alternatives).
-                let mut start = 0usize;
-                while start < num_sources {
-                    let end = (start + batch).min(num_sources);
-                    let bs = end - start;
-                    // Form the shard: reset its remaining demands and commit
-                    // self-demands up front (they consume no capacity, so they
-                    // never wait on a theta-rescaled drain step).
-                    for (k, si) in (start..end).enumerate() {
-                        let rem = &mut batch_remaining[k];
-                        rem.clone_from(&demands[si]);
-                        let s = &prob.sources()[si];
-                        for (j, &(dst, _)) in s.dests.iter().enumerate() {
-                            if dst == s.src && rem[j] > 0.0 {
-                                routed[si][j] += rem[j];
-                                rem[j] = 0.0;
-                            }
-                        }
-                    }
-                    loop {
-                        if mwu.saturated() {
-                            break 'phases;
-                        }
-                        let active: Vec<usize> = (0..bs)
-                            .filter(|&k| batch_remaining[k].iter().any(|&r| r > 1e-15))
-                            .collect();
-                        if active.is_empty() {
-                            break;
-                        }
-                        // Price the shard read-only against one frozen snapshot,
-                        // leasing per-worker scratch from the pool. Parallel or
-                        // not, per-source loads are pure functions of (snapshot,
-                        // source) and the merge below folds them in batch-index
-                        // order, so the round is bit-identical for any worker
-                        // count.
-                        let loads: Vec<Vec<(u32, f64)>> = {
-                            let snap = mwu.snapshot();
-                            let jobs: Vec<(usize, &[f64])> = active
-                                .iter()
-                                .map(|&k| (start + k, batch_remaining[k].as_slice()))
-                                .collect();
-                            if jobs.len() > 1
-                                && jobs.len() * m >= PAR_MIN_BATCH_WORK
-                                && rayon::current_num_threads() > 1
-                            {
-                                jobs.into_par_iter()
-                                    .map_init(
-                                        || route_pool.lease(),
-                                        |sc, (si, rem)| {
-                                            route::route_source_snapshot(
-                                                &ctx, si, potentials, snap, rem, sc,
-                                            )
-                                        },
-                                    )
-                                    .collect()
-                            } else {
-                                let mut sc = route_pool.lease();
-                                jobs.into_iter()
-                                    .map(|(si, rem)| {
-                                        route::route_source_snapshot(
-                                            &ctx, si, potentials, snap, rem, &mut sc,
-                                        )
-                                    })
-                                    .collect()
-                            }
-                        };
-                        // Deterministic merge (each source self-capped against
-                        // raw capacities, exactly the serial per-iteration
-                        // bottleneck rule) + one batched ≤(1+eps) update.
-                        epoch_merge.begin(m);
-                        let self_caps: Vec<f64> = loads
-                            .iter()
-                            .map(|source_loads| {
-                                epoch_merge.accumulate_capped(source_loads, arc_state)
-                            })
-                            .collect();
-                        let theta = epoch_merge.theta(arc_state);
-                        epoch_merge.apply(theta, mwu, &mut flow_arc);
-                        stats.epochs += 1;
-                        // Commit each source's theta·theta_k fraction; what
-                        // remains re-prices against a fresh snapshot next round.
-                        for (&k, &theta_k) in active.iter().zip(&self_caps) {
-                            let f = theta * theta_k;
-                            if f <= 0.0 {
-                                continue;
-                            }
-                            let si = start + k;
-                            for (j, r) in batch_remaining[k].iter_mut().enumerate() {
-                                if *r > 1e-15 {
-                                    let commit = f * *r;
-                                    routed[si][j] += commit;
-                                    *r -= commit;
-                                }
-                            }
-                        }
-                    }
-                    start = end;
+                remaining.clear();
+                remaining.extend_from_slice(&demands[si]);
+                // Compute this source's tree at the current lengths, goal-
+                // directed when it has a single destination.
+                route::compute_tree(&ctx, si, potentials, mwu.lens(), sssp);
+                let dense = prob.sources()[si].dests.len() >= agg_min_dests;
+                let mut state = SerialState {
+                    mwu: &mut *mwu,
+                    st: &mut arc_state[..],
+                    flow_arc: &mut flow_arc,
+                    remaining: &mut *remaining,
+                    touched: &mut *touched,
+                    path: &mut *path,
+                    subtree: &mut subtree[..],
+                    cur_len: &mut cur_len[..],
+                    sssp: &mut *sssp,
+                };
+                let ok = if dense {
+                    route::route_source_tree(&ctx, si, potentials, &mut state, &mut routed[si])
+                } else {
+                    route::route_source_walk(&ctx, si, potentials, &mut state, &mut routed[si])
+                };
+                if !ok {
+                    break 'phases;
                 }
             }
-            phase += 1;
-            // Convergence guard: past the phase budget, fall back to the exact
-            // serial trajectory for the remainder of the solve.
-            if batch_active && phase >= guard_limit {
-                batch_active = false;
-                stats.guard_triggered = true;
+            if attempt_warm && phase == 0 {
+                stats.serial_estimate = estimate_serial_phases(d_before, mwu.d_l());
+                // The warm admissibility budget: how many phases the warm
+                // trajectory may spend before it must have converged.
+                // Prefer the donor's measured phase count as the yardstick
+                // — chains hand near-identical problems along, so it
+                // approximates this instance's *cold* cost, which the
+                // saturation extrapolation wildly overestimates (gap exits
+                // fire long before `D(l) ≥ 1`). A floor of two
+                // bound-evaluation windows keeps a trivially-cheap donor
+                // from starving a recipient that needs a few real phases;
+                // `phases == 0` falls back to the extrapolation.
+                let yardstick = match warm.map_or(0, |w| w.phases) {
+                    0 => stats.serial_estimate,
+                    d => d.max(2 * check_interval),
+                };
+                warm_guard_limit =
+                    ((cfg.warm_guard_factor * yardstick as f64).ceil() as usize).max(1);
             }
-            // In a batched solve the serial phase-0 yardstick doubles as a
-            // convergence probe: evaluate once right after it, so instances the
-            // single serial sweep already solves to the target gap (integral
-            // optima hit exactly, e.g. unit-capacity matchings on the hypercube
-            // — measured gap 0.0 after one phase vs >= 0.16 on every shape that
-            // benefits from batching) terminate before any batched epoch runs.
-            // The phase-count guard cannot catch these: its estimate
-            // extrapolates the classical `D(l) >= 1` termination and is blind
-            // to gap-based early exits (measured 45x wall-clock on the
-            // hypercube longest-matching without this check).
-            if phase.is_multiple_of(check_interval) || (batching && phase == 1) {
+            phase += 1;
+            if phase.is_multiple_of(check_interval) {
                 let (lo, up, mu) = evaluate_bounds(
                     &ctx, potentials, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool,
                 );
@@ -593,32 +373,23 @@ pub(super) fn solve_problem(
                 stats.warm_phases_discarded += phase;
                 total_phases += phase;
                 warm_active = false;
-                epoch_merge.reset();
                 continue 'attempt;
             }
         }
         stats.phases = total_phases + phase;
-        // A solve that saturated mid-drain leaves partially-drained loads in the
-        // merge accumulator; clear them so the workspace's next solve starts on
-        // the documented invariant.
-        epoch_merge.reset();
 
         if trace {
             eprintln!(
-            "TB_SOLVER_TRACE phases={phase} trees={} pot_refreshes={} d_l={:.4} batch={} epochs={} guard_limit={} guard_triggered={} warm_gate={:?}",
-            route::TREE_COUNT
-                .load(std::sync::atomic::Ordering::Relaxed)
-                .wrapping_sub(trace_start.0),
-            route::POT_COUNT
-                .load(std::sync::atomic::Ordering::Relaxed)
-                .wrapping_sub(trace_start.1),
-            mwu.d_l(),
-            stats.batch_size,
-            stats.epochs,
-            stats.guard_limit,
-            stats.guard_triggered,
-            stats.warm_gate,
-        );
+                "TB_SOLVER_TRACE phases={phase} trees={} pot_refreshes={} d_l={:.4} warm_gate={:?}",
+                route::TREE_COUNT
+                    .load(std::sync::atomic::Ordering::Relaxed)
+                    .wrapping_sub(trace_start.0),
+                route::POT_COUNT
+                    .load(std::sync::atomic::Ordering::Relaxed)
+                    .wrapping_sub(trace_start.1),
+                mwu.d_l(),
+                stats.warm_gate,
+            );
         }
 
         // Final bound evaluation (unless the state was already evaluated by

@@ -2,29 +2,19 @@
 //!
 //! Three kernels serve the three TM shapes (see the module docs on
 //! [`super`]): the goal-directed single-destination search, the
-//! per-destination parent walk, and the aggregated bottom-up tree fold for
-//! dense destination sets. Each exists in two forms:
-//!
-//! * the **serial in-place** form ([`route_source_walk`],
-//!   [`route_source_tree`]) — routes a source's full demand, updating lengths
-//!   through [`merge::apply_update`] between capacity-limited tree
-//!   iterations. This is the classical Fleischer trajectory; the default
-//!   (`batch_size` unset) solve runs exclusively through it, bit-identical to
-//!   the pre-split solver.
-//! * the **snapshot** form ([`route_source_snapshot`]) — prices one tree
-//!   against a frozen [`LengthSnapshot`] and returns the arc loads the
-//!   source's remaining demands would place, touching no shared state. The
-//!   batch-parallel epochs fan these out across workers; capacity handling
-//!   moves to the deterministic merge ([`merge::EpochMerge`]).
+//! per-destination parent walk ([`route_source_walk`]), and the aggregated
+//! bottom-up tree fold for dense destination sets ([`route_source_tree`]).
+//! Each routes a source's full demand in place, updating lengths through
+//! [`apply_update`] between capacity-limited tree iterations — the classical
+//! Fleischer trajectory.
 //!
 //! Tree computation ([`compute_tree`]) and the goal-direction potential
-//! refresh ([`refresh_potentials`]) are shared by both forms and by the dual
-//! bound evaluation in [`super::phase`].
+//! refresh ([`refresh_potentials`]) are shared with the dual bound evaluation
+//! in [`super::phase`].
 
-use super::merge;
 use super::PAR_MIN_SWEEP_WORK;
 use crate::instance::FlowProblem;
-use crate::lengths::{ArcLengths, LengthSnapshot, MwuLengths};
+use crate::lengths::{ArcLengths, MwuLengths};
 use rayon::prelude::*;
 use tb_graph::{sssp_csr, sssp_csr_goal, SsspPool, SsspWorkspace};
 
@@ -61,13 +51,11 @@ pub(super) struct RouteCtx<'a> {
     pub num_single: usize,
     /// Whether goal-directed routing is active for this solve.
     pub goal_enabled: bool,
-    /// Destination-count threshold for the aggregated tree kernel.
-    pub agg_min_dests: usize,
     /// Tree-reuse slack of the serial kernels (`1 + eps/4`).
     pub reuse_slack: f64,
 }
 
-/// The mutable solver state threaded through the serial kernels: lengths,
+/// The mutable solver state threaded through the routing kernels: lengths,
 /// per-arc routing state, accumulated flow, and the scratch buffers. All
 /// fields borrow distinct pieces of the [`super::SolverWorkspace`] (or
 /// per-solve locals), so the kernels can hold several at once.
@@ -93,9 +81,7 @@ pub(super) static POT_COUNT: std::sync::atomic::AtomicU64 = std::sync::atomic::A
 
 /// Computes the routing tree for source `si` at the lengths `len`: the
 /// goal-directed kernel when the source has one destination and a finite
-/// potential row, the early-exit Dijkstra otherwise. Read-only over `len`,
-/// so both the serial kernels (current lengths) and the snapshot kernels
-/// (epoch snapshot) drive it.
+/// potential row, the early-exit Dijkstra otherwise. Read-only over `len`.
 pub(super) fn compute_tree(
     ctx: &RouteCtx<'_>,
     si: usize,
@@ -185,26 +171,32 @@ pub(super) fn refresh_potentials(
     }
 }
 
-/// Serial in-place routing of one sparse source (per-destination parent walk
-/// with optimistic single-pass application and tree reuse under the staleness
-/// slack — the classical trajectory). The tree for the source must already be
-/// in `state.sssp`; `state.remaining` must hold the source's remaining
-/// demands. `exact_entry` says whether that tree was computed at the current
-/// lengths (the phase scheduler always passes `true`; the work-stealing
-/// scheduler's single-active fast path hands over a cached tree and passes
-/// its slot's exactness, so the first pass re-checks the slack). Returns
-/// `false` when `D(l)` saturated mid-source (the caller breaks the phase
-/// loop).
+/// The multiplicative-weights update for routing `u` units over arc `aid`:
+/// accumulate the flow and grow the arc's length through
+/// [`MwuLengths::apply`] (which maintains `D(l)` incrementally). One
+/// definition serves both routing kernels, keeping them arithmetically
+/// identical.
+#[inline]
+fn apply_update(mwu: &mut MwuLengths, flow_arc: &mut [f64], aid: usize, u: f64) {
+    flow_arc[aid] += u;
+    mwu.apply(aid, u);
+}
+
+/// In-place routing of one sparse source (per-destination parent walk with
+/// optimistic single-pass application and tree reuse under the staleness
+/// slack — the classical trajectory). The tree for the source, computed at
+/// the current lengths, must already be in `state.sssp`; `state.remaining`
+/// must hold the source's remaining demands. Returns `false` when `D(l)`
+/// saturated mid-source (the caller breaks the phase loop).
 pub(super) fn route_source_walk(
     ctx: &RouteCtx<'_>,
     si: usize,
     potentials: &[f64],
     state: &mut SerialState<'_>,
     routed_si: &mut [f64],
-    exact_entry: bool,
 ) -> bool {
     let s = &ctx.prob.sources()[si];
-    let mut tree_exact = exact_entry;
+    let mut tree_exact = true;
     loop {
         if state.mwu.saturated() {
             return false;
@@ -296,7 +288,7 @@ pub(super) fn route_source_walk(
         // Apply multiplicative length updates for the arcs used in this tree
         // iteration and restore the scratch buffers.
         for &aid in state.touched.iter() {
-            merge::apply_update(state.mwu, state.flow_arc, aid, state.st[aid].used);
+            apply_update(state.mwu, state.flow_arc, aid, state.st[aid].used);
             let a = &mut state.st[aid];
             a.used = 0.0;
             a.avail = a.cap;
@@ -316,7 +308,7 @@ pub(super) fn route_source_walk(
     }
 }
 
-/// Serial in-place routing of one dense source (aggregated bottom-up tree):
+/// In-place routing of one dense source (aggregated bottom-up tree):
 /// instead of chasing parents once per destination (O(sum of path lengths)
 /// per tree iteration), fold each node's remaining subtree demand over the
 /// settle order in reverse and load every tree arc exactly once. When some
@@ -328,8 +320,7 @@ pub(super) fn route_source_walk(
 /// and reverted: a phase's average arc utilization is ~1, so lengths drift
 /// enough per phase that any slack loose enough to admit reuse measurably
 /// slowed the multiplicative-weights convergence — the same trade the
-/// phase-blocked stale-tree experiment hit. The batch-parallel epochs stay
-/// inside a phase for exactly that reason; see the module docs.)
+/// phase-blocked stale-tree experiment hit.)
 /// Returns `false` when `D(l)` saturated mid-source.
 pub(super) fn route_source_tree(
     ctx: &RouteCtx<'_>,
@@ -339,11 +330,9 @@ pub(super) fn route_source_tree(
     routed_si: &mut [f64],
 ) -> bool {
     let s = &ctx.prob.sources()[si];
-    // The caller guarantees the tree in `state.sssp` is within the reuse
-    // slack at the current lengths (freshly computed, or a cached tree that
-    // passed the staleness check); the first batch may route on a
-    // within-slack tree exactly as any revalidated iteration would, and the
-    // apply pass rebuilds `cur_len` top-down before the next check needs it.
+    // The caller hands over a tree freshly computed at the current lengths;
+    // the apply pass rebuilds `cur_len` top-down before the first staleness
+    // check needs it.
     let mut revalidate = false;
     loop {
         if state.mwu.saturated() {
@@ -427,7 +416,7 @@ pub(super) fn route_source_tree(
             let (p, aid) = state.sssp.parent_unchecked(v);
             let load = state.subtree[v];
             if load > 0.0 {
-                merge::apply_update(state.mwu, state.flow_arc, aid, theta * load);
+                apply_update(state.mwu, state.flow_arc, aid, theta * load);
             }
             state.cur_len[v] = state.cur_len[p] + state.mwu.len_of(aid);
         }
@@ -446,247 +435,4 @@ pub(super) fn route_source_tree(
         // reuse.
         revalidate = true;
     }
-}
-
-/// Per-worker scratch for the snapshot routing kernel: an SSSP workspace,
-/// the subtree fold buffer, and the dense per-arc accumulator of the walk
-/// form. The batch-parallel pricing fan-out leases one per worker from the
-/// solver workspace's pool, so repeated shards allocate nothing.
-#[derive(Debug, Default)]
-pub(super) struct RouteScratch {
-    pub(super) sssp: SsspWorkspace,
-    pub(super) subtree: Vec<f64>,
-    pub(super) arc_load: Vec<f64>,
-}
-
-/// Snapshot routing of one source: prices the source's tree against the
-/// frozen shard snapshot and returns the `(arc id, load)` list its remaining
-/// demands would place — **read-only** over all shared state, so any number
-/// of sources can run concurrently against the same snapshot. Capacity
-/// handling (the `theta` rescale) happens in the deterministic merge.
-///
-/// Every arc appears **at most once** in the returned list, carrying the
-/// source's full aggregate load on it — the contract
-/// [`merge::EpochMerge::accumulate_capped`]'s per-source self-cap
-/// `θ_k = min(1, min_a cap_a/u_{k,a})` depends on (the aggregated fold
-/// yields it naturally; the walk form folds destinations sharing path arcs
-/// through a dense accumulator first).
-///
-/// Self-demands (`dst == src`) are the caller's job (the scheduler commits
-/// them when the shard is formed — they consume no capacity), and entries are
-/// appended in a canonical order (reverse settle order for the aggregated
-/// fold, first-touch order over the fixed destination-then-path walk
-/// otherwise), so the merge's accumulation order — and with it every
-/// downstream float — is a pure function of the shard, not of worker
-/// scheduling.
-pub(super) fn route_source_snapshot(
-    ctx: &RouteCtx<'_>,
-    si: usize,
-    potentials: &[f64],
-    snap: LengthSnapshot<'_>,
-    remaining: &[f64],
-    scratch: &mut RouteScratch,
-) -> Vec<(u32, f64)> {
-    let s = &ctx.prob.sources()[si];
-    let n = ctx.prob.num_nodes();
-    compute_tree(ctx, si, potentials, snap.as_slice(), &mut scratch.sssp);
-    let mut loads: Vec<(u32, f64)> = Vec::new();
-    if s.dests.len() >= ctx.agg_min_dests {
-        // Aggregated bottom-up fold over the settle order, as in the serial
-        // tree kernel, but recording loads instead of applying them. Each
-        // tree arc is visited exactly once, with its full subtree aggregate.
-        if scratch.subtree.len() < n {
-            scratch.subtree.resize(n, 0.0);
-        }
-        for &v in scratch.sssp.settle_order() {
-            scratch.subtree[v as usize] = 0.0;
-        }
-        let mut pending = false;
-        for (j, &(dst, _)) in s.dests.iter().enumerate() {
-            if remaining[j] <= 1e-15 || dst == s.src {
-                continue;
-            }
-            debug_assert!(scratch.sssp.dist(dst).is_finite());
-            scratch.subtree[dst] += remaining[j];
-            pending = true;
-        }
-        if pending {
-            for &v in scratch.sssp.settle_order().iter().rev() {
-                let v = v as usize;
-                if v == s.src {
-                    continue;
-                }
-                let load = scratch.subtree[v];
-                if load <= 0.0 {
-                    continue;
-                }
-                let (p, aid) = scratch.sssp.parent_unchecked(v);
-                scratch.subtree[p] += load;
-                loads.push((aid as u32, load));
-            }
-        }
-    } else {
-        // Per-destination parent walk, load-recording form. Destinations of
-        // one source share path arcs near it, so the walk folds into a dense
-        // per-arc accumulator first — emitting one entry per arc keeps the
-        // self-cap honest (per-entry loads would under-read the aggregate).
-        let m = ctx.prob.num_arcs();
-        if scratch.arc_load.len() < m {
-            scratch.arc_load.resize(m, 0.0);
-        }
-        for (j, &(dst, _)) in s.dests.iter().enumerate() {
-            let r = remaining[j];
-            if r <= 1e-15 || dst == s.src {
-                continue;
-            }
-            debug_assert!(scratch.sssp.dist(dst).is_finite());
-            let mut cur = dst;
-            while cur != s.src {
-                let (p, aid) = scratch.sssp.parent_unchecked(cur);
-                if scratch.arc_load[aid] == 0.0 {
-                    loads.push((aid as u32, 0.0));
-                }
-                scratch.arc_load[aid] += r;
-                cur = p;
-            }
-        }
-        for (aid, load) in loads.iter_mut() {
-            *load = scratch.arc_load[*aid as usize];
-            scratch.arc_load[*aid as usize] = 0.0;
-        }
-    }
-    loads
-}
-
-/// Chunk pricing over a **cached** tree: the aggregated bottom-up fold of
-/// [`route_source_snapshot`], restricted to the destination range `lo..hi`
-/// of source `si` and driven by a shared (read-only) tree slot instead of a
-/// freshly computed one — the work-stealing scheduler's dense-source task.
-/// Several chunks of one source price concurrently against the same tree;
-/// each returns its own one-entry-per-arc load list, so the merge self-caps
-/// each chunk exactly as it self-caps a whole source (the per-chunk
-/// step-size argument in [`merge`]). Entries appear in reverse settle order,
-/// a pure function of (tree, chunk) — never of worker scheduling.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn price_chunk_snapshot(
-    ctx: &RouteCtx<'_>,
-    si: usize,
-    lo: usize,
-    hi: usize,
-    remaining: &[f64],
-    sssp: &SsspWorkspace,
-    subtree: &mut Vec<f64>,
-    loads: &mut Vec<(u32, f64)>,
-) {
-    let s = &ctx.prob.sources()[si];
-    let n = ctx.prob.num_nodes();
-    if subtree.len() < n {
-        subtree.resize(n, 0.0);
-    }
-    for &v in sssp.settle_order() {
-        subtree[v as usize] = 0.0;
-    }
-    let mut pending = false;
-    for (&(dst, _), &rem) in s.dests[lo..hi].iter().zip(&remaining[lo..hi]) {
-        if rem <= 1e-15 || dst == s.src {
-            continue;
-        }
-        debug_assert!(sssp.dist(dst).is_finite());
-        subtree[dst] += rem;
-        pending = true;
-    }
-    loads.clear();
-    if pending {
-        for &v in sssp.settle_order().iter().rev() {
-            let v = v as usize;
-            if v == s.src {
-                continue;
-            }
-            let load = subtree[v];
-            if load <= 0.0 {
-                continue;
-            }
-            let (p, aid) = sssp.parent_unchecked(v);
-            subtree[p] += load;
-            loads.push((aid as u32, load));
-        }
-    }
-}
-
-/// Walk pricing over a **cached** tree with inline staleness repair: the
-/// per-destination load-recording walk of [`route_source_snapshot`], but
-/// reusing the tree in `sssp` across the shard's pricing rounds under the
-/// serial reuse rule — recorded distances lower-bound current ones (lengths
-/// are monotone), so a path whose current length stays within `slack ×` the
-/// recorded distance is still approximately shortest (the stealing
-/// scheduler passes a full-ε slack; see its module docs).
-/// When a destination drifts past the slack, the accumulated loads are
-/// rolled back, the tree is rebuilt at the round's pricing lengths `lens`
-/// (setting `exact`, which skips further checks this round), and the source
-/// restarts from scratch. This is what eliminates the fixed-rounds
-/// scheduler's per-round Dijkstra on sparse TMs (the measured ~30× loss).
-/// Fills `loads` (cleared first); returns `(trees built, settle count of
-/// those builds)`.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn price_walk_cached(
-    ctx: &RouteCtx<'_>,
-    si: usize,
-    potentials: &[f64],
-    lens: &[f64],
-    remaining: &[f64],
-    slack: f64,
-    sssp: &mut SsspWorkspace,
-    exact: &mut bool,
-    arc_load: &mut Vec<f64>,
-    loads: &mut Vec<(u32, f64)>,
-) -> (usize, usize) {
-    let s = &ctx.prob.sources()[si];
-    let m = ctx.prob.num_arcs();
-    if arc_load.len() < m {
-        arc_load.resize(m, 0.0);
-    }
-    let mut built = 0usize;
-    let mut settled = 0usize;
-    loads.clear();
-    'retry: loop {
-        for (j, &(dst, _)) in s.dests.iter().enumerate() {
-            let r = remaining[j];
-            if r <= 1e-15 || dst == s.src {
-                continue;
-            }
-            debug_assert!(sssp.dist(dst).is_finite());
-            let mut path_len = 0.0;
-            let mut cur = dst;
-            while cur != s.src {
-                let (p, aid) = sssp.parent_unchecked(cur);
-                if !*exact {
-                    path_len += lens[aid];
-                }
-                if arc_load[aid] == 0.0 {
-                    loads.push((aid as u32, 0.0));
-                }
-                arc_load[aid] += r;
-                cur = p;
-            }
-            if !*exact && path_len > slack * sssp.dist(dst) {
-                // Stale: roll the accumulator back (every touched arc has a
-                // first-touch entry in `loads`), rebuild, restart the source.
-                for &(aid, _) in loads.iter() {
-                    arc_load[aid as usize] = 0.0;
-                }
-                loads.clear();
-                compute_tree(ctx, si, potentials, lens, sssp);
-                *exact = true;
-                built += 1;
-                settled += sssp.settled_count();
-                continue 'retry;
-            }
-        }
-        break;
-    }
-    for (aid, load) in loads.iter_mut() {
-        *load = arc_load[*aid as usize];
-        arc_load[*aid as usize] = 0.0;
-    }
-    (built, settled)
 }

@@ -31,11 +31,10 @@ pub mod restricted;
 pub use certificate::{verify_certificate, CertificateError, ThroughputCertificate};
 pub use exact::ExactLpSolver;
 pub use fleischer::{
-    auto_steal_chunk, BatchGate, FleischerConfig, FleischerSolver, PricingMode, SolveOutcome,
-    SolveStats, SolverWorkspace, WarmGate,
+    FleischerConfig, FleischerSolver, SolveOutcome, SolveStats, SolverWorkspace, WarmGate,
 };
 pub use instance::FlowProblem;
-pub use lengths::{ArcLengths, LengthSnapshot, MwuLengths, StaleLengths, WarmRescale, WarmStart};
+pub use lengths::{ArcLengths, MwuLengths, WarmStart};
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};

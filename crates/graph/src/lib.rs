@@ -41,7 +41,7 @@ pub mod spectral;
 pub use csr::CsrGraph;
 pub use graph::{Edge, Graph};
 pub use maxflow::{max_flow_value, min_st_cut, MaxFlow};
-pub use pool::{ClaimQueue, PooledWorkspace, SsspPool, WorkspacePool};
+pub use pool::{PooledWorkspace, SsspPool, WorkspacePool};
 pub use shortest_path::{
     apsp_unweighted, bfs_distances, dijkstra, sssp_csr, sssp_csr_by, sssp_csr_goal,
     sssp_csr_goal_by, ShortestPathTree, SsspWorkspace,

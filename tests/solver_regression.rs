@@ -10,9 +10,12 @@
 //! * repeated solves through one reused [`SolverWorkspace`] must reproduce
 //!   fresh-workspace results bit-for-bit, in any interleaving order;
 //! * the aggregated dense-TM routing kernel must match the per-destination
-//!   walk within the FPTAS gap on every dense instance of the grid.
+//!   walk within the FPTAS gap on every dense instance of the grid;
+//! * the pooled dual-bound sweep and potential refresh must reproduce their
+//!   inline execution bit-for-bit on an instance large enough to fan out.
 
-use tb_flow::{ExactLpSolver, FleischerConfig, FleischerSolver, SolverWorkspace};
+use tb_flow::fleischer::PAR_MIN_SWEEP_WORK;
+use tb_flow::{ExactLpSolver, FleischerConfig, FleischerSolver, FlowProblem, SolverWorkspace};
 use tb_topology::hypercube::hypercube;
 use tb_topology::jellyfish::jellyfish;
 use tb_topology::Topology;
@@ -161,4 +164,65 @@ fn sparse_and_dense_tms_agree_with_exact_on_jellyfish() {
         "lower {} vs exact {exact}",
         b.lower
     );
+}
+
+#[test]
+fn pooled_sweeps_match_inline_execution_bit_for_bit() {
+    // The only parallel regions inside a solve are the dual-bound sweep (one
+    // SSSP per source) and the goal-direction potential refresh (one reverse
+    // SSSP per single-destination source); both fan out once
+    // `sources × arcs >= PAR_MIN_SWEEP_WORK` and the pool is wider than one
+    // thread. Inside `rayon::serial` the same regions run inline and in order
+    // on the calling thread, so direct == serial pins the pooled execution to
+    // the inline one. Run at RAYON_NUM_THREADS=1/2/8 in CI.
+    //
+    // Threshold arithmetic: 160 switches of degree 8 are 640 links = 1,280
+    // arcs; longest matching and all-to-all both have all 160 switches as
+    // sources (one destination each under LM, so every source also owns a
+    // potential row), giving 160 × 1,280 = 204,800 >= 2^17 = 131,072.
+    let topo = jellyfish(160, 8, 1, 42);
+    let cfg = FleischerConfig::fast().with_auto_aggregation(topo.num_switches());
+    let solver = FleischerSolver::new(cfg);
+    for (name, tm) in [
+        (
+            "longest_matching",
+            longest_matching(&topo.graph, &topo.servers, true),
+        ),
+        ("a2a", all_to_all(&topo.servers)),
+    ] {
+        // The solver's own view of the instance, gated exactly as it gates.
+        let prob = FlowProblem::new(&topo.graph, &tm);
+        assert!(
+            prob.sources().len() * prob.num_arcs() >= PAR_MIN_SWEEP_WORK,
+            "{name}: {} sources × {} arcs no longer reaches the pooled branch \
+             (PAR_MIN_SWEEP_WORK = {PAR_MIN_SWEEP_WORK}); grow the instance",
+            prob.sources().len(),
+            prob.num_arcs()
+        );
+        let queued_before = rayon::pool::stats().jobs;
+        let direct = solver.solve_with_stats(&topo.graph, &tm, &mut SolverWorkspace::new());
+        // No other test in this binary is large enough to queue pool jobs,
+        // so growth here is this solve's sweeps going through the pool.
+        assert!(
+            rayon::current_num_threads() == 1 || rayon::pool::stats().jobs > queued_before,
+            "{name}: the solve queued no pool job at width {}",
+            rayon::current_num_threads()
+        );
+        let inline = rayon::serial(|| {
+            solver.solve_with_stats(&topo.graph, &tm, &mut SolverWorkspace::new())
+        });
+        assert_eq!(
+            (direct.0.lower.to_bits(), direct.0.upper.to_bits()),
+            (inline.0.lower.to_bits(), inline.0.upper.to_bits()),
+            "{name}: pooled {:?} vs inline {:?}",
+            direct.0,
+            inline.0
+        );
+        assert_eq!(direct.1, inline.1, "{name}: solve stats diverged");
+        assert!(
+            direct.1.converged && direct.1.phases > 0,
+            "{name}: {:?}",
+            direct.1
+        );
+    }
 }

@@ -183,7 +183,7 @@ fn poisoned_warm_start_resets_to_cold_and_reports() {
     let mut poison = donor.clone();
     poison.lens.reverse();
     let strict = FleischerConfig {
-        warm_guard_factor: Some(1e-9),
+        warm_guard_factor: 1e-9,
         ..cfg
     };
     let (bounds, stats, _) = FleischerSolver::new(strict).solve_warm_with_stats(
