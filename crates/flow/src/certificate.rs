@@ -2,7 +2,9 @@
 //!
 //! A [`ThroughputCertificate`] is a compact, self-contained record of *why*
 //! a solve's bracketing bounds are correct: the rescaled feasible flow behind
-//! the lower bound (per-arc aggregate + per-commodity delivered amounts) and
+//! the lower bound (per-arc aggregate + per-commodity delivered amounts; the
+//! FPTAS stores whichever flow set its best bound — everything routed since
+//! phase 0 or a suffix window of it, both checked the same way) and
 //! the dual length function behind the upper bound (`upper = D(l)/alpha(l)`,
 //! valid for **any** non-negative lengths by LP duality). Everything needed
 //! to re-check the claim is stored in the certificate itself, so
@@ -420,50 +422,78 @@ pub fn verify_certificate(
     Ok(())
 }
 
+/// A copy of the solver's flow accumulators — per-arc flow and per-commodity
+/// routed amounts, in the solver-internal scaled demand space — or the
+/// difference of two such copies. The phase loop keeps them as the bases of
+/// its suffix windows; [`CertCapture`] keeps the one behind the best lower
+/// bound.
+#[derive(Debug, Default)]
+pub(crate) struct FlowSnapshot {
+    /// Per-arc flow.
+    pub flow: Vec<f64>,
+    /// Per-commodity routed amounts, source-major (the solver's per-source
+    /// rows flattened — the layout of [`ThroughputCertificate::served`]).
+    pub served: Vec<f64>,
+}
+
+impl FlowSnapshot {
+    /// Overwrites `self` with the accumulators `flow` / `routed` minus `base`
+    /// (the accumulators themselves when `base` is `None`), reusing the
+    /// allocations. Subtracting an earlier snapshot of the same accumulators
+    /// yields the flow routed since it was taken: deposits are non-negative,
+    /// so every entry stays `>= 0`.
+    pub fn assign(&mut self, flow: &[f64], routed: &[Vec<f64>], base: Option<&FlowSnapshot>) {
+        self.flow.clear();
+        self.served.clear();
+        let served = routed.iter().flatten();
+        match base {
+            None => {
+                self.flow.extend_from_slice(flow);
+                self.served.extend(served);
+            }
+            Some(base) => {
+                let minus = |(x, b): (&f64, &f64)| x - b;
+                self.flow.extend(flow.iter().zip(&base.flow).map(minus));
+                self.served.extend(served.zip(&base.served).map(minus));
+            }
+        }
+    }
+}
+
 /// Snapshot capture used by the solver's phase loop: copies of the length
-/// function at the best-upper evaluation and of the accumulated flow at the
-/// best-lower evaluation. Copies are trajectory-neutral (no arithmetic on
-/// solver state), so enabling capture cannot change any solved number.
+/// function at the best-upper evaluation and of the flow behind the best
+/// lower bound (the accumulated flow, or a suffix window of it). Copies are
+/// trajectory-neutral (no arithmetic feeds back into solver state), so
+/// enabling capture cannot change any solved number.
 #[derive(Debug, Default)]
 pub(crate) struct CertCapture {
     /// Lengths at the evaluation that achieved the best upper bound.
     pub lens: Vec<f64>,
-    /// Accumulated per-arc flow at the evaluation that achieved the best
-    /// lower bound (solver-internal scaled demand space).
-    pub flow: Vec<f64>,
-    /// Per-source routed amounts at that same evaluation.
-    pub routed: Vec<Vec<f64>>,
-    /// The capacity-rescale factor `mu` of that evaluation.
+    /// The flow behind the best lower bound: the accumulators at that
+    /// evaluation, minus the window base when a suffix window set the bound.
+    pub primal: FlowSnapshot,
+    /// The capacity-rescale factor `mu` of that flow.
     pub mu: f64,
 }
 
 impl CertCapture {
-    /// Records the snapshots behind a new best bound. Must be called with
-    /// the *pre-update* `best_lower`/`best_upper` so strict improvement is
-    /// detectable.
-    #[allow(clippy::too_many_arguments)]
-    pub fn observe(
+    /// Records the lengths behind a new best upper bound.
+    pub fn observe_dual(&mut self, lens: &[f64]) {
+        self.lens.clear();
+        self.lens.extend_from_slice(lens);
+    }
+
+    /// Records the flow behind a new best lower bound: the accumulators minus
+    /// `base` (see [`FlowSnapshot::assign`]) and its rescale factor `mu`.
+    pub fn observe_primal(
         &mut self,
-        lo: f64,
-        up: f64,
-        mu: f64,
-        best_lower: f64,
-        best_upper: f64,
-        lens: &[f64],
         flow_arc: &[f64],
         routed: &[Vec<f64>],
+        base: Option<&FlowSnapshot>,
+        mu: f64,
     ) {
-        if up < best_upper {
-            self.lens.clear();
-            self.lens.extend_from_slice(lens);
-        }
-        if lo > best_lower || (self.flow.is_empty() && lo > 0.0) {
-            self.flow.clear();
-            self.flow.extend_from_slice(flow_arc);
-            self.routed.clear();
-            self.routed.extend(routed.iter().cloned());
-            self.mu = mu;
-        }
+        self.primal.assign(flow_arc, routed, base);
+        self.mu = mu;
     }
 
     /// Assembles the final certificate: converts the snapshots to original
@@ -479,19 +509,15 @@ impl CertCapture {
         } else {
             1.0
         };
-        let flow = if self.flow.is_empty() {
+        let flow = if self.primal.flow.is_empty() {
             vec![0.0; m]
         } else {
-            self.flow.iter().map(|f| f * mu).collect()
+            self.primal.flow.iter().map(|f| f * mu).collect()
         };
-        let served = if self.routed.is_empty() {
+        let served = if self.primal.served.is_empty() {
             vec![0.0; commodities]
         } else {
-            let mut out = Vec::with_capacity(commodities);
-            for r in &self.routed {
-                out.extend(r.iter().map(|x| x * mu));
-            }
-            out
+            self.primal.served.iter().map(|x| x * mu).collect()
         };
         let lengths = if self.lens.is_empty() {
             vec![1.0; m]
@@ -604,6 +630,22 @@ mod tests {
             verify_certificate(&g, &tm, &rebuilt, f64::INFINITY),
             Err(CertificateError::ConservationViolated { .. })
         ));
+    }
+
+    #[test]
+    fn flow_snapshot_assign_copies_or_differences_in_place() {
+        let mut snap = FlowSnapshot::default();
+        snap.assign(&[1.0, 2.0], &[vec![3.0], vec![4.0, 5.0]], None);
+        assert_eq!(snap.flow, [1.0, 2.0]);
+        assert_eq!(snap.served, [3.0, 4.0, 5.0]);
+        let mut window = FlowSnapshot::default();
+        window.assign(&[4.0, 2.0], &[vec![5.0], vec![4.0, 9.0]], Some(&snap));
+        assert_eq!(window.flow, [3.0, 0.0]);
+        assert_eq!(window.served, [2.0, 0.0, 4.0]);
+        // Re-assigning overwrites rather than appends.
+        window.assign(&[7.0, 8.0], &[vec![1.0], vec![2.0, 3.0]], None);
+        assert_eq!(window.flow, [7.0, 8.0]);
+        assert_eq!(window.served, [1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -7,15 +7,54 @@
 //! potential refreshes and the periodic bound evaluations. The only parallel
 //! regions are those two read-only sweeps (see [`PAR_MIN_SWEEP_WORK`]); their
 //! results do not depend on the thread count.
+//!
+//! ## The feasible lower bound and its suffix windows
+//!
+//! Rescaling a multicommodity flow by `mu = min cap/flow` makes it capacity
+//! feasible, and its worst-served commodity is then a valid concurrent
+//! throughput ([`primal_bound`]). The classical analysis rescales the flow
+//! accumulated **since phase 0**, and that bound stays — the `D(l) >= 1`
+//! guarantee is stated for it. But the first phases route on near-uniform
+//! lengths and pile congestion on a few arcs that the running average never
+//! forgets, so the cumulative bound crawls up like `p/(p + c)` long after the
+//! dual bound has settled. A **suffix window** drops that cold start: the
+//! difference of the accumulators at two bound evaluations is itself a
+//! multicommodity flow (every path deposit adds the same amount to its arcs
+//! and to its commodity's routed total, so conservation holds for any
+//! difference, and served amounts are absolute), hence feasible after the
+//! same `mu` rescale. Every evaluation — periodic and closing — takes the
+//! maximum of the cumulative bound and the window bounds.
+//!
+//! The schedule is fixed: the accumulators are snapshotted at the evaluations
+//! whose index `phase / check_interval` is a power of two, and the latest two
+//! snapshots are kept, so the older window always spans at least half the
+//! run. Memory cost: `2 · (arcs + commodities)` f64 per solve. Windows only
+//! read the accumulators — the routing trajectory, the lengths and the dual
+//! bound are untouched; a solve merely meets its `target_gap` earlier.
 
 use super::route::{self, RouteCtx, RouteState, SerialState};
 use super::{FleischerConfig, SolveStats, SolverWorkspace, WarmGate, PAR_MIN_SWEEP_WORK};
-use crate::certificate::{CertCapture, ThroughputCertificate};
+use crate::certificate::{CertCapture, FlowSnapshot, ThroughputCertificate};
 use crate::instance::FlowProblem;
 use crate::lengths::{MwuLengths, WarmStart};
 use crate::ThroughputBounds;
 use rayon::prelude::*;
 use tb_graph::{Graph, SsspPool, SsspWorkspace};
+
+/// What [`solve_problem`] hands back to the public entry points.
+pub(super) struct Solved {
+    pub bounds: ThroughputBounds,
+    pub stats: SolveStats,
+    /// Present iff a certificate was requested.
+    pub cert: Option<ThroughputCertificate>,
+    /// Present iff a warm artifact was requested.
+    pub warm: Option<WarmStart>,
+    /// Whether a suffix window (rather than the cumulative flow) set the
+    /// reported lower bound; the trace line prints it per attempt, only the
+    /// unit tests read it from here.
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub lower_from_window: bool,
+}
 
 /// Runs the full solve: setup, the phase loop, and the closing bound
 /// evaluation. See the module docs of [`super`] for the algorithm.
@@ -38,45 +77,32 @@ pub(super) fn solve_problem(
     want_cert: bool,
     warm: Option<&WarmStart>,
     want_warm: bool,
-) -> (
-    ThroughputBounds,
-    SolveStats,
-    Option<ThroughputCertificate>,
-    Option<WarmStart>,
-) {
+) -> Solved {
     let n = prob.num_nodes();
     let m = prob.num_arcs();
     let eps = cfg.epsilon;
     assert!(eps > 0.0 && eps < 0.5, "epsilon must be in (0, 0.5)");
-    let trivial_stats = SolveStats {
-        converged: true,
-        ..SolveStats::default()
-    };
     // Trivial exits certify their zero with empty evidence at the
     // instance's real dimensions: zero flow, zero served amounts, unit
     // lengths (under which a disconnected pair drives the dual bound to an
-    // exact zero).
-    let trivial_cert = |prob: &FlowProblem| {
-        want_cert.then(|| {
+    // exact zero). They also emit an empty (never-engaged) warm artifact: the
+    // next solve in a chain then starts cold rather than inheriting a stale
+    // shape.
+    let trivial = || Solved {
+        bounds: ThroughputBounds::exact(0.0),
+        stats: SolveStats {
+            converged: true,
+            ..SolveStats::default()
+        },
+        cert: want_cert.then(|| {
             let commodities = prob.sources().iter().map(|s| s.dests.len()).sum();
-            ThroughputCertificate::build(
-                prob,
-                vec![0.0; prob.num_arcs()],
-                vec![0.0; commodities],
-                vec![1.0; prob.num_arcs()],
-            )
-        })
+            ThroughputCertificate::build(prob, vec![0.0; m], vec![0.0; commodities], vec![1.0; m])
+        }),
+        warm: want_warm.then(WarmStart::default),
+        lower_from_window: false,
     };
-    // Trivial exits emit an empty (never-engaged) warm artifact: the next
-    // solve in a chain then starts cold rather than inheriting a stale shape.
-    let trivial_warm = || want_warm.then(WarmStart::default);
     if m == 0 {
-        return (
-            ThroughputBounds::exact(0.0),
-            trivial_stats,
-            trivial_cert(prob),
-            trivial_warm(),
-        );
+        return trivial();
     }
     // Set TB_SOLVER_TRACE=1 to print per-solve convergence counters when
     // tuning the kernel. The global counters are process-cumulative, so
@@ -99,12 +125,7 @@ pub(super) fn solve_problem(
     // instead of the former two.
     let est = prob.volumetric_estimate(graph);
     if est <= 0.0 {
-        return (
-            ThroughputBounds::exact(0.0),
-            trivial_stats,
-            trivial_cert(prob),
-            trivial_warm(),
-        );
+        return trivial();
     }
     let scale = est.max(1e-12);
     let demands: Vec<Vec<f64>> = prob
@@ -223,16 +244,12 @@ pub(super) fn solve_problem(
     // below fire, so its arithmetic is untouched. A warm solve may restart
     // once: warm attempt, then (if a gate fires) a clean cold attempt whose
     // bounds/flow/certificate do not inherit anything from the discarded one.
-    let (best_lower, best_upper, capture) = 'attempt: loop {
+    let best = 'attempt: loop {
         let mut flow_arc = vec![0.0f64; m];
         let mut routed: Vec<Vec<f64>> = demands.iter().map(|d| vec![0.0; d.len()]).collect();
-
-        let mut best_lower = 0.0f64;
-        let mut best_upper = f64::INFINITY;
-        // Certificate capture: pure snapshots of the state behind each best
-        // bound, never arithmetic on solver state — the trajectory is
-        // identical with capture on or off.
-        let mut capture = want_cert.then(CertCapture::default);
+        // Best bracket, window snapshots and certificate capture of this
+        // attempt; a restarted attempt inherits none of them.
+        let mut best = AttemptBounds::new(want_cert);
 
         // Lengths: the warm projection when one is admitted, the classical
         // delta init otherwise (`reset_warm` falls back to the cold init on
@@ -275,7 +292,9 @@ pub(super) fn solve_problem(
 
         let mut warm_guard_limit = usize::MAX;
         let mut phase = 0usize;
-        let mut state_evaluated = false;
+        // Set by the two exits taken right after a bound evaluation (so the
+        // closing evaluation below would recompute the same bounds).
+        let mut early_exit: Option<&'static str> = None;
         'phases: while phase < cfg.max_phases && !mwu.saturated() {
             if goal_enabled && phase.is_multiple_of(pot_refresh) {
                 route::refresh_potentials(&ctx, mwu.lens(), rev_lens, potentials, sssp, sweep_pool);
@@ -320,7 +339,7 @@ pub(super) fn solve_problem(
                 // approximates this instance's *cold* cost, which the
                 // saturation extrapolation wildly overestimates (gap exits
                 // fire long before `D(l) ≥ 1`). A floor of two
-                // bound-evaluation windows keeps a trivially-cheap donor
+                // bound-evaluation intervals keeps a trivially-cheap donor
                 // from starving a recipient that needs a few real phases;
                 // `phases == 0` falls back to the extrapolation.
                 let yardstick = match warm.map_or(0, |w| w.phases) {
@@ -332,37 +351,21 @@ pub(super) fn solve_problem(
             }
             phase += 1;
             if phase.is_multiple_of(check_interval) {
-                let (lo, up, mu) = evaluate_bounds(
+                best.evaluate(
                     &ctx, potentials, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool,
                 );
-                if let Some(cap) = capture.as_mut() {
-                    cap.observe(
-                        lo,
-                        up,
-                        mu,
-                        best_lower,
-                        best_upper,
-                        mwu.lens(),
-                        &flow_arc,
-                        &routed,
-                    );
-                }
-                best_lower = best_lower.max(lo);
-                best_upper = best_upper.min(up);
-                if best_upper.is_finite()
-                    && (best_upper - best_lower) / best_upper <= cfg.target_gap
-                {
-                    // No routing has happened since this evaluation, so the
-                    // closing sweep below would recompute the same bounds;
-                    // skip it.
-                    state_evaluated = true;
+                if best.upper.is_finite() && best.gap() <= cfg.target_gap {
+                    early_exit = Some("gap");
                     break 'phases;
                 }
                 if let (Some(budget_ms), Some(start)) = (cfg.time_budget_ms, solve_start) {
                     if start.elapsed().as_millis() >= u128::from(budget_ms) {
-                        state_evaluated = true;
+                        early_exit = Some("time-budget");
                         break 'phases;
                     }
+                }
+                if (phase / check_interval).is_power_of_two() {
+                    best.snapshot(&flow_arc, &routed);
                 }
             }
             // Warm admissibility gate (the lagging reset): past the warm phase
@@ -378,9 +381,19 @@ pub(super) fn solve_problem(
         }
         stats.phases = total_phases + phase;
 
+        // Closing bound evaluation (unless the exit was taken right after one).
+        if early_exit.is_none() {
+            best.evaluate(
+                &ctx, potentials, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool,
+            );
+        }
+        if !best.upper.is_finite() {
+            best.upper = best.lower;
+        }
+
         if trace {
             eprintln!(
-                "TB_SOLVER_TRACE phases={phase} trees={} pot_refreshes={} d_l={:.4} warm_gate={:?}",
+                "TB_SOLVER_TRACE phases={phase} trees={} pot_refreshes={} d_l={:.4} exit={} lower={} warm_gate={:?}",
                 route::TREE_COUNT
                     .load(std::sync::atomic::Ordering::Relaxed)
                     .wrapping_sub(trace_start.0),
@@ -388,33 +401,18 @@ pub(super) fn solve_problem(
                     .load(std::sync::atomic::Ordering::Relaxed)
                     .wrapping_sub(trace_start.1),
                 mwu.d_l(),
+                early_exit.unwrap_or(if mwu.saturated() {
+                    "saturated"
+                } else {
+                    "phase-budget"
+                }),
+                if best.lower_from_window {
+                    "window"
+                } else {
+                    "prefix"
+                },
                 stats.warm_gate,
             );
-        }
-
-        // Final bound evaluation (unless the state was already evaluated by
-        // the gap check that ended the run).
-        if !state_evaluated {
-            let (lo, up, mu) = evaluate_bounds(
-                &ctx, potentials, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool,
-            );
-            if let Some(cap) = capture.as_mut() {
-                cap.observe(
-                    lo,
-                    up,
-                    mu,
-                    best_lower,
-                    best_upper,
-                    mwu.lens(),
-                    &flow_arc,
-                    &routed,
-                );
-            }
-            best_lower = best_lower.max(lo);
-            best_upper = best_upper.min(up);
-        }
-        if !best_upper.is_finite() {
-            best_upper = best_lower;
         }
         // Warm quality gate: a cold saturation carries the classical `(1+ε)`
         // guarantee by the delta-init argument; a warm trajectory does not, so
@@ -424,11 +422,7 @@ pub(super) fn solve_problem(
         // are valid for any positive lengths by LP duality — the gate protects
         // accuracy parity with cold, not soundness.
         if attempt_warm {
-            let gap = if best_upper > 0.0 {
-                (best_upper - best_lower) / best_upper
-            } else {
-                0.0
-            };
+            let gap = if best.upper > 0.0 { best.gap() } else { 0.0 };
             if gap > warm_quality_gap {
                 stats.warm_gate = WarmGate::ResetQuality;
                 stats.warm_phases_discarded += phase;
@@ -437,7 +431,7 @@ pub(super) fn solve_problem(
                 continue 'attempt;
             }
         }
-        break 'attempt (best_lower, best_upper, capture);
+        break 'attempt best;
     };
 
     // Converged = the accuracy contract held when the loop ended: either the
@@ -445,15 +439,13 @@ pub(super) fn solve_problem(
     // target bound gap. A solve that merely ran out of its phase or time
     // budget reports `converged: false`, which the outcome layer maps to
     // `SolveStatus::BudgetExhausted`.
-    stats.converged = mwu.saturated()
-        || best_upper <= 0.0
-        || (best_upper - best_lower) / best_upper <= cfg.target_gap;
+    stats.converged = mwu.saturated() || best.upper <= 0.0 || best.gap() <= cfg.target_gap;
     // Extract the warm artifact for the next solve in a chain: the final
     // length shape plus the dual bound in unscaled units. Read-only — the
     // trajectory is identical with extraction on or off.
     let warm_out = want_warm.then(|| WarmStart {
         lens: mwu.lens().to_vec(),
-        dual_bound: best_upper * scale,
+        dual_bound: best.upper * scale,
         epsilon: eps,
         phases: stats.phases,
     });
@@ -461,16 +453,16 @@ pub(super) fn solve_problem(
     // 1/scale times the bounds for d. The certificate needs no scale field:
     // its flow and served amounts are absolute, so the canonical claims come
     // out in original demand units directly.
-    let cert = capture.map(|cap| cap.into_certificate(prob));
-    (
-        ThroughputBounds {
-            lower: best_lower * scale,
-            upper: best_upper * scale,
+    Solved {
+        bounds: ThroughputBounds {
+            lower: best.lower * scale,
+            upper: best.upper * scale,
         },
         stats,
-        cert,
-        warm_out,
-    )
+        cert: best.capture.map(|cap| cap.into_certificate(prob)),
+        warm: warm_out,
+        lower_from_window: best.lower_from_window,
+    }
 }
 
 /// Extrapolates the serial phase count from one serial phase's `D(l)`
@@ -495,55 +487,163 @@ fn estimate_serial_phases(d_before: f64, d_after: f64) -> usize {
     1 + ((-d_after.ln()) / per_phase).ceil() as usize
 }
 
-/// Evaluates the practical feasible lower bound and the dual upper bound
-/// for the current state, returning `(lower, upper, mu)` where `mu` is the
-/// capacity-rescale factor behind the lower bound (the certificate capture
-/// stores it alongside the flow snapshot). Bounds are in the *scaled*
-/// demand space.
-///
-/// The dual bound needs one shortest-path computation per source under the
-/// current lengths (goal-directed where a potential row exists); the sweep is
-/// read-only over the lengths, so for larger instances it fans out across
-/// threads (each worker leasing its own SSSP workspace from `pool`), with a
-/// fixed summation order keeping the result independent of thread count.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_bounds(
-    ctx: &RouteCtx<'_>,
-    potentials: &[f64],
-    routed: &[Vec<f64>],
-    flow_arc: &[f64],
-    mwu: &MwuLengths,
-    st: &[RouteState],
-    sssp: &mut SsspWorkspace,
-    pool: &SsspPool,
-) -> (f64, f64, f64) {
-    // Feasible lower bound: scale the accumulated flow down so that no arc
-    // exceeds its capacity, then the worst-served commodity determines the
-    // concurrent throughput.
-    let mut mu = f64::INFINITY;
-    for (f, a) in flow_arc.iter().zip(st) {
-        if *f > 1e-15 {
-            mu = mu.min(a.cap / f);
+/// One attempt's bound bookkeeping: the best bracket so far (in the *scaled*
+/// demand space), the suffix-window snapshots, and the certificate capture.
+struct AttemptBounds {
+    lower: f64,
+    upper: f64,
+    /// Whether a suffix window (rather than the cumulative flow) set `lower`.
+    lower_from_window: bool,
+    /// The latest two accumulator snapshots, older first: the bases of the
+    /// suffix windows (see the module docs).
+    bases: Vec<FlowSnapshot>,
+    /// Certificate capture: pure copies of the state behind each best bound,
+    /// never arithmetic on solver state — the trajectory is identical with
+    /// capture on or off.
+    capture: Option<CertCapture>,
+}
+
+impl AttemptBounds {
+    fn new(want_cert: bool) -> Self {
+        AttemptBounds {
+            lower: 0.0,
+            upper: f64::INFINITY,
+            lower_from_window: false,
+            bases: Vec::with_capacity(2),
+            capture: want_cert.then(CertCapture::default),
         }
     }
-    let lower = if mu.is_finite() {
-        let mut worst = f64::INFINITY;
-        for (r, d) in routed.iter().zip(ctx.demands) {
-            for (rj, dj) in r.iter().zip(d) {
-                worst = worst.min(rj / dj);
+
+    /// Relative gap of the best bracket (meaningful once `upper` is finite
+    /// and positive).
+    fn gap(&self) -> f64 {
+        (self.upper - self.lower) / self.upper
+    }
+
+    /// Evaluates both bounds on the current state and folds them into the
+    /// best bracket: the dual bound under the current lengths, and the
+    /// feasible bound of the cumulative flow and of each suffix window.
+    #[allow(clippy::too_many_arguments)]
+    fn evaluate(
+        &mut self,
+        ctx: &RouteCtx<'_>,
+        potentials: &[f64],
+        routed: &[Vec<f64>],
+        flow_arc: &[f64],
+        mwu: &MwuLengths,
+        st: &[RouteState],
+        sssp: &mut SsspWorkspace,
+        pool: &SsspPool,
+    ) {
+        let up = dual_bound(ctx, potentials, mwu, sssp, pool);
+        if up < self.upper {
+            self.upper = up;
+            if let Some(cap) = self.capture.as_mut() {
+                cap.observe_dual(mwu.lens());
             }
         }
-        if worst.is_finite() {
-            worst * mu
-        } else {
-            0.0
+        // Pick the best candidate first so a capture copies at most once.
+        let mut base = None;
+        let (mut lo, mut mu) = primal_bound(ctx, st, flow_arc, routed, None);
+        for b in &self.bases {
+            let (w_lo, w_mu) = primal_bound(ctx, st, flow_arc, routed, Some(b));
+            if w_lo > lo {
+                (lo, mu, base) = (w_lo, w_mu, Some(b));
+            }
         }
-    } else {
-        0.0
-    };
+        if lo > self.lower {
+            self.lower = lo;
+            self.lower_from_window = base.is_some();
+            if let Some(cap) = self.capture.as_mut() {
+                cap.observe_primal(flow_arc, routed, base, mu);
+            }
+        }
+    }
 
-    // Dual upper bound: D(l) / alpha(l) with alpha(l) the demand-weighted
-    // shortest-path distances under the current lengths.
+    /// Makes the current accumulators the newest window base, dropping the
+    /// oldest once two are held.
+    fn snapshot(&mut self, flow_arc: &[f64], routed: &[Vec<f64>]) {
+        if self.bases.len() == 2 {
+            self.bases.rotate_left(1);
+        } else {
+            self.bases.push(FlowSnapshot::default());
+        }
+        if let Some(newest) = self.bases.last_mut() {
+            newest.assign(flow_arc, routed, None);
+        }
+    }
+}
+
+/// The feasible lower bound of the flow `flow - base` (the cumulative flow
+/// when `base` is `None`, a suffix window otherwise; see the module docs).
+/// Returns `(lower, mu)` in the *scaled* demand space; the differences are
+/// formed on the fly, never materialised.
+fn primal_bound(
+    ctx: &RouteCtx<'_>,
+    st: &[RouteState],
+    flow_arc: &[f64],
+    routed: &[Vec<f64>],
+    base: Option<&FlowSnapshot>,
+) -> (f64, f64) {
+    let flow = flow_arc.iter().copied();
+    let served = routed.iter().flatten().copied();
+    match base {
+        None => rescaled_bound(ctx, st, flow, served),
+        Some(b) => rescaled_bound(
+            ctx,
+            st,
+            flow.zip(&b.flow).map(|(f, b)| f - b),
+            served.zip(&b.served).map(|(r, b)| r - b),
+        ),
+    }
+}
+
+/// Scales a flow (per-arc amounts `flow`, per-commodity served amounts
+/// `served`, source-major) down by `mu = min cap/flow` so that no arc exceeds
+/// its capacity; the worst-served commodity then determines the concurrent
+/// throughput. Returns `(lower, mu)`.
+fn rescaled_bound(
+    ctx: &RouteCtx<'_>,
+    st: &[RouteState],
+    flow: impl Iterator<Item = f64>,
+    served: impl Iterator<Item = f64>,
+) -> (f64, f64) {
+    let mut mu = f64::INFINITY;
+    for (f, arc) in flow.zip(st) {
+        if f > 1e-15 {
+            mu = mu.min(arc.cap / f);
+        }
+    }
+    if !mu.is_finite() {
+        return (0.0, mu);
+    }
+    let mut worst = f64::INFINITY;
+    for (r, d) in served.zip(ctx.demands.iter().flatten()) {
+        worst = worst.min(r / d);
+    }
+    if worst.is_finite() {
+        (worst * mu, mu)
+    } else {
+        (0.0, mu)
+    }
+}
+
+/// The dual upper bound `D(l) / alpha(l)` with `alpha(l)` the demand-weighted
+/// shortest-path distances under the current lengths, in the *scaled* demand
+/// space.
+///
+/// It needs one shortest-path computation per source (goal-directed where a
+/// potential row exists); the sweep is read-only over the lengths, so for
+/// larger instances it fans out across threads (each worker leasing its own
+/// SSSP workspace from `pool`), with a fixed summation order keeping the
+/// result independent of thread count.
+fn dual_bound(
+    ctx: &RouteCtx<'_>,
+    potentials: &[f64],
+    mwu: &MwuLengths,
+    sssp: &mut SsspWorkspace,
+    pool: &SsspPool,
+) -> f64 {
     let alpha_of = |sw: &mut SsspWorkspace, si: usize| -> f64 {
         let s = &ctx.prob.sources()[si];
         route::compute_tree(ctx, si, potentials, mwu.lens(), sw);
@@ -569,5 +669,22 @@ fn evaluate_bounds(
     } else {
         (0..num_sources).map(|si| alpha_of(sssp, si)).sum()
     };
-    (lower, mwu.dual_bound(alpha), mu)
+    mwu.dual_bound(alpha)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn snapshots_keep_the_latest_two_older_first() {
+        let mut best = AttemptBounds::new(false);
+        for k in 1..=4 {
+            best.snapshot(&[k as f64], &[vec![10.0 * k as f64]]);
+            let held: Vec<f64> = best.bases.iter().map(|b| b.flow[0]).collect();
+            let expect: Vec<f64> = (k.max(2) - 1..=k).map(|x| x as f64).collect();
+            assert_eq!(held, expect);
+            assert_eq!(best.bases.last().unwrap().served, [10.0 * k as f64]);
+        }
+    }
 }

@@ -12,15 +12,22 @@
 //! * the aggregated dense-TM routing kernel must match the per-destination
 //!   walk within the FPTAS gap on every dense instance of the grid;
 //! * the pooled dual-bound sweep and potential refresh must reproduce their
-//!   inline execution bit-for-bit on an instance large enough to fan out.
+//!   inline execution bit-for-bit on an instance large enough to fan out;
+//! * the suffix-window lower bound must cut the phase count of a dense
+//!   gap-exit solve (a deterministic counter) and must leave a saturating
+//!   sparse solve's trajectory — and with it its phase count — alone (that it
+//!   never overshoots the optimum is the first bullet, at all three stock
+//!   configurations).
 
 use tb_flow::fleischer::PAR_MIN_SWEEP_WORK;
 use tb_flow::{ExactLpSolver, FleischerConfig, FleischerSolver, FlowProblem, SolverWorkspace};
+use tb_topology::families::Scale;
 use tb_topology::hypercube::hypercube;
 use tb_topology::jellyfish::jellyfish;
-use tb_topology::Topology;
+use tb_topology::{Family, Topology};
 use tb_traffic::synthetic::{all_to_all, longest_matching, random_permutation};
 use tb_traffic::TrafficMatrix;
+use topobench::{EvalConfig, TmSpec};
 
 /// The small instance grid: every (topology, TM family) pair exercised by the
 /// regression. Kept small enough for the exact LP.
@@ -50,38 +57,90 @@ fn instances() -> Vec<(String, Topology, TrafficMatrix)> {
 
 #[test]
 fn fptas_stays_within_target_gap_of_exact_lp() {
-    let cfg = FleischerConfig::precise();
-    let solver = FleischerSolver::new(cfg);
+    // Every instance of the mix has at most 16 switches, so the exact LP is
+    // the referee — at every stock configuration: each has its own bound
+    // evaluation cadence and therefore its own suffix-window schedule, and a
+    // window bound that overshoots the optimum is the failure that feature
+    // could introduce.
     for (name, topo, tm) in instances() {
         let exact = ExactLpSolver::new()
             .solve(&topo.graph, &tm)
             .unwrap_or_else(|e| panic!("{name}: exact LP failed: {e:?}"))
             .lower;
         assert!(exact > 0.0, "{name}: exact throughput not positive");
-        let b = solver.solve(&topo.graph, &tm);
-        // The bracket must contain the exact optimum...
-        assert!(
-            b.lower <= exact * (1.0 + 1e-6),
-            "{name}: feasible bound {} exceeds exact optimum {exact}",
-            b.lower
-        );
-        assert!(
-            b.upper >= exact * (1.0 - 1e-6),
-            "{name}: dual bound {} below exact optimum {exact}",
-            b.upper
-        );
-        // ...and the feasible value must be within the configured gap of it
-        // (small slack for the gap being measured against `upper`, not
-        // `exact`).
-        let rel_err = (exact - b.lower) / exact;
-        assert!(
-            rel_err <= cfg.target_gap + 0.005,
-            "{name}: FPTAS lower bound {} misses exact {exact} by {rel_err:.4} \
-             (target_gap {})",
-            b.lower,
-            cfg.target_gap
-        );
+        for cfg in [
+            FleischerConfig::fast(),
+            FleischerConfig::default(),
+            FleischerConfig::precise(),
+        ] {
+            let b = FleischerSolver::new(cfg).solve(&topo.graph, &tm);
+            // The bracket must contain the exact optimum...
+            assert!(
+                b.lower <= exact * (1.0 + 1e-9),
+                "{name}: feasible bound {} exceeds exact optimum {exact} (eps {})",
+                b.lower,
+                cfg.epsilon
+            );
+            assert!(
+                b.upper >= exact * (1.0 - 1e-6),
+                "{name}: dual bound {} below exact optimum {exact}",
+                b.upper
+            );
+            // ...and the feasible value must be within the configured gap of
+            // it (small slack for the gap being measured against `upper`, not
+            // `exact`).
+            let rel_err = (exact - b.lower) / exact;
+            assert!(
+                rel_err <= cfg.target_gap + 0.005,
+                "{name}: FPTAS lower bound {} misses exact {exact} by {rel_err:.4} \
+                 (target_gap {})",
+                b.lower,
+                cfg.target_gap
+            );
+        }
     }
+}
+
+/// The solve the sweep engine runs for a ladder rung's FPTAS cell at seed 1:
+/// `EvalConfig::fast()` with the auto-picked aggregation threshold.
+fn ladder_solve(
+    family: Family,
+    rung: usize,
+    tm: TmSpec,
+) -> (tb_flow::ThroughputBounds, tb_flow::SolveStats) {
+    let topo = family
+        .ladder_instance(Scale::Small, 1, rung)
+        .expect("ladder rung builds");
+    let tm = tm.generate(&topo, 1);
+    let cfg = EvalConfig::fast()
+        .solver
+        .with_auto_aggregation(topo.num_switches());
+    FleischerSolver::new(cfg).solve_with_stats(&topo.graph, &tm, &mut SolverWorkspace::new())
+}
+
+#[test]
+fn suffix_windows_halve_the_phases_of_a_dense_gap_exit_solve() {
+    // DCell rung 3 (208 nodes, 156 sources) under all-to-all was the
+    // straggler of the dense pass: 124 phases on the cumulative bound alone,
+    // 68 with suffix windows. Phase counts are machine-independent.
+    let (b, stats) = ladder_solve(Family::DCell, 3, TmSpec::AllToAll);
+    assert!(stats.converged, "{stats:?}");
+    assert!(stats.phases <= 80, "{stats:?}");
+    assert!(
+        0.0 < b.lower && b.lower <= b.upper && b.gap() <= FleischerConfig::fast().target_gap,
+        "{b:?}"
+    );
+}
+
+#[test]
+fn suffix_windows_leave_a_saturating_trajectory_alone() {
+    // HyperX rung 1 under longest matching ends by `D(l) >= 1`, not by the
+    // gap: windows only read the accumulators, so the trajectory — and the
+    // phase at which it saturates — is exactly the pre-window one.
+    let (b, stats) = ladder_solve(Family::HyperX, 1, TmSpec::LongestMatching);
+    assert!(stats.converged, "{stats:?}");
+    assert_eq!(stats.phases, 260, "{stats:?}");
+    assert!(0.0 < b.lower && b.lower <= b.upper, "{b:?}");
 }
 
 #[test]
