@@ -170,10 +170,10 @@ fn run_verify(args: &[String]) -> i32 {
                      rebuilt from its spec and the stored evidence is re-verified against it,\n\
                      bit for bit. Failed and budget-exhausted cells are reported as\n\
                      unverifiable, never certified. With --all, every *.json artifact in the\n\
-                     directory is verified and at least one certificate must be present\n\
-                     overall (an accidentally uncertified tree must not read as clean).\n\
-                     Exit status: 0 verified clean, 1 bad certificate (or nothing certified\n\
-                     with --all), 2 usage/IO errors."
+                     directory is verified. At least one certificate must be present overall\n\
+                     (an accidentally uncertified artifact or tree must not read as clean).\n\
+                     Exit status: 0 verified clean, 1 bad certificate or nothing certified,\n\
+                     2 usage/IO errors."
                 );
                 return 0;
             }
@@ -188,71 +188,57 @@ fn run_verify(args: &[String]) -> i32 {
         eprintln!("error: sweep verify requires exactly one path; see sweep verify --help");
         return 2;
     };
-    if all {
-        let results = match experiments::verify::verify_artifact_dir(path.as_ref()) {
+    // One artifact is a tree of one: the same rules and messages apply.
+    let results = if all {
+        match experiments::verify::verify_artifact_dir(path.as_ref()) {
             Ok(results) => results,
             Err(e) => {
                 eprintln!("error: {e}");
                 return 2;
             }
-        };
-        let mut certified = 0usize;
-        let mut bad = 0usize;
-        let mut io_errors = 0usize;
-        for (name, result) in &results {
-            match result {
-                Ok(report) => {
-                    print!("{}", report.render());
-                    certified += report.certified;
-                    bad += report.bad.len();
-                }
-                Err(e) => {
-                    eprintln!("error: {name}: {e}");
-                    io_errors += 1;
-                }
-            }
         }
-        if io_errors > 0 {
-            return 2;
-        }
-        if bad > 0 {
-            eprintln!("[sweep verify] FAILED: {bad} bad certificate(s)");
-            return 1;
-        }
-        if certified == 0 {
-            // A tree with zero certificates verifies nothing; succeeding here
-            // would let an accidentally uncertified golden refresh pass CI.
-            eprintln!(
-                "[sweep verify] FAILED: no certificates found in {path} \
-                 (regenerate the artifacts with --certify)"
-            );
-            return 1;
-        }
-        println!(
-            "[sweep verify] OK: {certified} certificate(s) verified across {} artifact(s)",
-            results.len()
-        );
-        0
     } else {
-        match experiments::verify::verify_artifact_file(path.as_ref()) {
+        let report = experiments::verify::verify_artifact_file(path.as_ref());
+        vec![(path.to_string(), report)]
+    };
+    let mut certified = 0usize;
+    let mut bad = 0usize;
+    let mut io_errors = 0usize;
+    for (_, result) in &results {
+        match result {
             Ok(report) => {
                 print!("{}", report.render());
-                if report.is_clean() {
-                    0
-                } else {
-                    eprintln!(
-                        "[sweep verify] FAILED: {} bad certificate(s)",
-                        report.bad.len()
-                    );
-                    1
-                }
+                certified += report.certified;
+                bad += report.bad.len();
             }
             Err(e) => {
+                // Every such error names the file it is about.
                 eprintln!("error: {e}");
-                2
+                io_errors += 1;
             }
         }
     }
+    if io_errors > 0 {
+        return 2;
+    }
+    if bad > 0 {
+        eprintln!("[sweep verify] FAILED: {bad} bad certificate(s)");
+        return 1;
+    }
+    if certified == 0 {
+        // Zero certificates verify nothing; succeeding here would let an
+        // accidentally uncertified artifact or golden refresh pass CI.
+        eprintln!(
+            "[sweep verify] FAILED: no certificates found in {path} \
+             (regenerate the artifacts with --certify)"
+        );
+        return 1;
+    }
+    println!(
+        "[sweep verify] OK: {certified} certificate(s) verified across {} artifact(s)",
+        results.len()
+    );
+    0
 }
 
 /// The `[sweep] schedule:` line for the pool activity since `before`, taken

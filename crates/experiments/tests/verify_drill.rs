@@ -82,12 +82,13 @@ fn uncertified_tree_is_vacuous_under_verify_all() {
         "plain runs must not store certificates"
     );
 
-    // A single uncertified artifact verifies trivially clean (nothing to
-    // check, nothing wrong) — but a whole tree with zero certificates is a
-    // vacuous success and must fail, so an accidentally uncertified golden
-    // refresh cannot pass CI.
-    let (code, _, _) = sweep(&dir, &["verify", artifact.to_str().unwrap()]);
-    assert_eq!(code, 0);
+    // Zero certificates is a vacuous success and must fail — for one
+    // artifact exactly as for a whole tree — so an accidentally uncertified
+    // run or golden refresh cannot pass CI.
+    let (code, out, err) = sweep(&dir, &["verify", artifact.to_str().unwrap()]);
+    assert!(out.contains("0 certified"), "{out}");
+    assert_eq!(code, 1, "zero certificates must not read as verified");
+    assert!(err.contains("no certificates"), "{err}");
     let results = dir.join("results");
     let (code, _, err) = sweep(&dir, &["verify", "--all", results.to_str().unwrap()]);
     assert_eq!(code, 1, "zero certificates must not read as verified");

@@ -22,9 +22,9 @@
 //! * [`phase`] — the phase loop: owns the multiplicative-weights length
 //!   state ([`crate::MwuLengths`]), routes every source once per phase, runs
 //!   the bound-evaluation cadence and the warm-start attempt loop;
-//! * [`route`] — the per-source routing kernels (goal-directed single
-//!   destination, per-destination walk, aggregated bottom-up tree), the
-//!   shared tree computation and the potential refresh.
+//! * [`route`] — the per-source routing kernels (known-path loop for a
+//!   single destination, per-destination walk, aggregated bottom-up tree),
+//!   the tree computation and the potential refresh.
 //!
 //! Every solve runs **one serial trajectory**: source by source, lengths
 //! updated in place. Parallelism lives one layer up (the sweep engine spreads
@@ -36,40 +36,70 @@
 //!
 //! ## Hot-path machinery
 //!
-//! The inner loop is a shortest-path computation per source per iteration, so
-//! the solver is built around the shared `tb_graph` SSSP kernel:
+//! The inner loop is a shortest-path computation per source per routing
+//! step, so the solver is built around the shared `tb_graph` SSSP kernel and
+//! around not calling it:
 //!
 //! * arcs live in a CSR view ([`FlowProblem::csr`]); no nested adjacency
 //!   vectors are chased,
 //! * all per-iteration state (Dijkstra arrays and heap, remaining demand,
-//!   availability bookkeeping, the recorded routing path) lives in a
-//!   [`SolverWorkspace`] that is allocated once and reset in O(1) via
-//!   generation counters; parallel regions lease per-worker scratch from the
+//!   availability bookkeeping, the recorded routing path, the known paths)
+//!   lives in a [`SolverWorkspace`] that is allocated once and reset in O(1)
+//!   via generation counters (the known paths in O(sources), at the start of
+//!   every attempt); parallel regions lease per-worker scratch from the
 //!   workspace's [`tb_graph::SsspPool`] instead of allocating,
 //! * every SSSP call passes the source's destination set, so Dijkstra stops
 //!   as soon as the last relevant node is settled,
-//! * a tree is **reused** across a source's capacity-limited iterations while
-//!   the walked path stays within a small factor of the tree's recorded
-//!   distance (sound because arc lengths only ever grow, so the recorded
-//!   distance lower-bounds the current one — the classical Fleischer
-//!   argument),
-//! * the dual bound's per-source SSSP sweep is read-only over the length
-//!   function and fans out with rayon once the instance is large enough to
-//!   amortize the pool.
+//! * **reuse under the slack**: after a capacity-limited step a source routes
+//!   again on what it already has — the last tree (multi-destination
+//!   sources) or any path its searches have returned so far
+//!   (single-destination sources, next section) — while the current length
+//!   of that path stays within `1 + eps/4` of the distance its latest search
+//!   returned. Sound because arc lengths only ever grow, so that distance
+//!   lower-bounds the current one and the path is `(1 + eps/4)`-shortest —
+//!   the classical Fleischer argument,
+//! * **one sweep per bound evaluation**: the dual bound needs every
+//!   commodity's distance at the current lengths and the goal-directed
+//!   searches need fresh potentials at the same lengths. One reverse Dijkstra
+//!   per single-destination source's target serves both (the refreshed row is
+//!   the potential, and its entry at the source is the distance); only
+//!   multi-destination sources run a forward tree for the bound. Both sweeps
+//!   are read-only over the length function and fan out with rayon once the
+//!   instance is large enough to amortize the pool.
 //!
-//! ## Goal-directed routing for sparse TMs
+//! [`SolveStats::searches`] and [`SolveStats::path_reuses`] count, per solve,
+//! how often a step searched and how often it did not.
+//!
+//! ## Goal-directed routing and known paths for sparse TMs
 //!
 //! Monotone lengths yield one more structural win: shortest-path distances
 //! *to* a node, computed under any earlier (pointwise smaller) length
 //! function, form a **consistent A\* potential** for the current lengths.
 //! For every source with a single destination — the shape of matching-style
 //! near-worst-case TMs, where each switch talks to one peer — the solver
-//! caches reverse distances to that destination (refreshed on a fixed phase
-//! cadence, in parallel for large instances) and runs the goal-directed
-//! kernel [`tb_graph::sssp_csr_goal`] instead of a full Dijkstra. Distances
-//! and routed paths remain *exact*; once the length function differentiates,
-//! the search expands little beyond the shortest path itself, instead of
-//! settling the whole graph per iteration.
+//! keeps reverse distances to that destination (refreshed by every bound
+//! evaluation, in parallel for large instances) and searches with the
+//! goal-directed kernel [`tb_graph::sssp_csr_goal`] instead of a full
+//! Dijkstra. Distances and routed paths remain *exact*; once the length
+//! function differentiates, the search expands little beyond the shortest
+//! path itself, instead of settling the whole graph per iteration.
+//!
+//! On short-diameter graphs that pruning fades — most of the graph lies
+//! within the pair's distance — while a source's turn needs many steps: each
+//! capacity-limited step multiplies its bottleneck arc by `1 + eps`, which
+//! puts the path just routed past the slack. So such a source routes with
+//! its own loop (`route::route_source_single`): it keeps the last 16 distinct
+//! paths its searches returned (a fixed, measured capacity; least recently
+//! routed evicted; kept across phases, emptied per attempt), and after a
+//! capacity-limited step routes along the shortest of them under the current
+//! lengths if that is within the slack of the turn's latest search distance
+//! `D`. Only when none qualifies does it search again, which raises `D` and
+//! records the path. The turn's first step always searches: across phases
+//! lengths grow by about `1 + eps`, so no old distance is a useful bound.
+//! One path per step also means no per-arc availability bookkeeping. On the
+//! `/1/LM` pass of `fig05_06` this answers 64 % of the in-turn re-searches
+//! (searches 922,860 → 453,471; `HyperX/1/LM` 120,753 → 54,422 at an
+//! unchanged 260 phases).
 //!
 //! ## Aggregated tree routing for dense TMs
 //!
@@ -85,10 +115,10 @@
 //! aggregate load exceeds its capacity, the whole batch is scaled by the
 //! binding `cap/load` ratio and the tree iteration repeats, so the
 //! per-iteration length-update factor stays within `1 + eps` exactly as in
-//! the per-destination walk. Sparse TMs keep the per-destination walk, where
-//! goal direction wins; `tb_core`'s evaluation plumbing auto-picks the
-//! threshold from the graph size via
-//! [`FleischerConfig::with_auto_aggregation`].
+//! the per-destination walk. Sources below the threshold keep the
+//! per-destination walk (several destinations) or the known-path loop (one);
+//! `tb_core`'s evaluation plumbing auto-picks the threshold from the graph
+//! size via [`FleischerConfig::with_auto_aggregation`].
 
 mod phase;
 mod route;
@@ -109,8 +139,8 @@ pub struct FleischerConfig {
     pub target_gap: f64,
     /// Hard cap on the number of phases (safety valve).
     pub max_phases: usize,
-    /// How many phases to run between bound evaluations (also the refresh
-    /// cadence of the goal-direction potentials).
+    /// How many phases to run between bound evaluations (each of which also
+    /// refreshes the goal-direction potentials).
     pub check_interval: usize,
     /// Route a source's demands with the aggregated bottom-up tree kernel
     /// (one pass over the settle order per tree iteration instead of one
@@ -234,12 +264,22 @@ pub fn auto_aggregate_min_dests(num_switches: usize) -> usize {
 }
 
 /// Convergence counters of one solve, reported by
-/// [`FleischerSolver::solve_with_stats`]. The determinism and warm-gate
-/// tests read these; the bench harness prints them.
+/// [`FleischerSolver::solve_with_stats`]. The determinism, warm-gate and
+/// search-count tests read these; the bench harness and `TB_SOLVER_TRACE`
+/// print them. `phases`, `searches` and `path_reuses` are totals over a warm
+/// solve's attempts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Phases executed (each phase routes every source's full demand once).
     pub phases: usize,
+    /// Forward shortest-path searches run: by the routing kernels, and by the
+    /// dual bound for multi-destination sources. The potential refresh's
+    /// reverse Dijkstras are not counted — one per single-destination source
+    /// per bound evaluation, plus one at phase 0 of each attempt.
+    pub searches: usize,
+    /// Routing steps of single-destination sources that went along a known
+    /// path instead of searching (see the module docs).
+    pub path_reuses: usize,
     /// The cold phase count extrapolated from phase 0 of a warm attempt — the
     /// warm guard's fallback yardstick (0 for cold solves).
     pub serial_estimate: usize,
@@ -289,6 +329,9 @@ pub struct SolverWorkspace {
     /// Per-node current tree-path length, re-derived top-down over the settle
     /// order when the aggregated kernel revalidates a reused tree.
     cur_len: Vec<f64>,
+    /// Paths the single-destination sources' searches have returned, emptied
+    /// at the start of every attempt.
+    known_paths: route::KnownPaths,
     /// Per-worker SSSP workspaces leased by the parallel bound sweeps and
     /// potential refreshes.
     sweep_pool: SsspPool,

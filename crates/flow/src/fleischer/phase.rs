@@ -3,10 +3,24 @@
 //! A *phase* routes every source's full (pre-scaled) demand once, source by
 //! source, lengths updated in place — the classical Fleischer trajectory.
 //! The loop runs phases until the classical termination `D(l) >= 1`, the
-//! bound gap closes, or the phase cap is hit, interleaving the goal-direction
-//! potential refreshes and the periodic bound evaluations. The only parallel
-//! regions are those two read-only sweeps (see [`PAR_MIN_SWEEP_WORK`]); their
-//! results do not depend on the thread count.
+//! bound gap closes, or the phase cap is hit, with a bound evaluation every
+//! `check_interval` phases. Each source is routed by the kernel its
+//! destination count selects: the known-path loop for one destination, the
+//! aggregated tree at or above the aggregation threshold, the per-destination
+//! walk in between.
+//!
+//! ## One sweep per bound evaluation
+//!
+//! The dual bound wants every commodity's distance at the current lengths;
+//! the goal-directed searches of the following phases want potentials —
+//! reverse distances to each single-destination source's target — at those
+//! same lengths. [`dual_bound`] therefore refreshes the potential rows first
+//! and reads each single-destination term of `alpha(l)` off its row
+//! (`demand × row[src]` is the exact distance); only multi-destination
+//! sources run a forward tree. The rows are computed once more at the start
+//! of every attempt, for the phases before the first evaluation. The refresh
+//! and the multi-destination sweep are the only parallel regions (see
+//! [`PAR_MIN_SWEEP_WORK`]); their results do not depend on the thread count.
 //!
 //! ## The feasible lower bound and its suffix windows
 //!
@@ -104,19 +118,9 @@ pub(super) fn solve_problem(
     if m == 0 {
         return trivial();
     }
-    // Set TB_SOLVER_TRACE=1 to print per-solve convergence counters when
-    // tuning the kernel. The global counters are process-cumulative, so
-    // snapshot them here and print deltas: the trace line then pairs
-    // tree/potential counts with the per-solve `phases=`/`d_l=` values.
+    // Set TB_SOLVER_TRACE=1 to print per-attempt convergence counters when
+    // tuning the kernel.
     let trace = std::env::var_os("TB_SOLVER_TRACE").is_some();
-    let trace_start = if trace {
-        (
-            route::TREE_COUNT.load(std::sync::atomic::Ordering::Relaxed),
-            route::POT_COUNT.load(std::sync::atomic::Ordering::Relaxed),
-        )
-    } else {
-        (0, 0)
-    };
 
     // Pre-scale demands so the scaled optimum is near 1; this keeps the
     // phase count predictable regardless of the raw demand magnitudes.
@@ -128,45 +132,13 @@ pub(super) fn solve_problem(
         return trivial();
     }
     let scale = est.max(1e-12);
-    let demands: Vec<Vec<f64>> = prob
-        .sources()
-        .iter()
-        .map(|s| s.dests.iter().map(|&(_, d)| d * scale).collect())
-        .collect();
-    // Destination node list per source, for early-exit SSSP.
-    let targets: Vec<Vec<usize>> = prob
-        .sources()
-        .iter()
-        .map(|s| s.dests.iter().map(|&(dst, _)| dst).collect())
-        .collect();
-    // Goal-direction bookkeeping: sources with exactly one destination
-    // get an A* potential row (see module docs).
-    let single_dest: Vec<Option<usize>> = prob
-        .sources()
-        .iter()
-        .map(|s| {
-            if s.dests.len() == 1 {
-                Some(s.dests[0].0)
-            } else {
-                None
-            }
-        })
-        .collect();
-    let pot_rows: Vec<usize> = {
-        let mut next = 0usize;
-        single_dest
-            .iter()
-            .map(|d| {
-                if d.is_some() {
-                    next += 1;
-                    next - 1
-                } else {
-                    usize::MAX
-                }
-            })
-            .collect()
-    };
-    let num_single = single_dest.iter().filter(|d| d.is_some()).count();
+    // Reuse a tree or known path across a source's capacity-limited steps
+    // while its current length is within this factor of a lower bound on the
+    // current distance; a quarter step keeps routed paths well inside the
+    // slack the analysis absorbs.
+    let reuse_slack = 1.0 + 0.25 * eps;
+    let tables = DemandTables::new(prob, scale);
+    let ctx = tables.ctx(prob, reuse_slack);
 
     let SolverWorkspace {
         sssp,
@@ -179,6 +151,7 @@ pub(super) fn solve_problem(
         rev_lens,
         subtree,
         cur_len,
+        known_paths,
         sweep_pool,
     } = ws;
     // Sources at or above the aggregation threshold route all their
@@ -193,32 +166,9 @@ pub(super) fn solve_problem(
         .iter()
         .any(|s| s.dests.len() >= agg_min_dests);
 
-    // Reuse a tree across a source's capacity-limited iterations while
-    // the walked path is within this factor of the tree's recorded
-    // distance; a quarter step keeps routed paths well inside the slack
-    // the analysis absorbs.
-    let reuse_slack = 1.0 + 0.25 * eps;
     // A zero `check_interval` would otherwise silently disable every
     // mid-run bound evaluation (and with it early termination).
     let check_interval = cfg.check_interval.max(1);
-    let pot_refresh = check_interval;
-    // Goal direction is kept on for the whole solve whenever any source
-    // qualifies: switching kernels mid-solve was tried and reverted — it
-    // changes tie-breaking, and with it the routing trajectory, enough to
-    // slow convergence on some topologies.
-    let goal_enabled = num_single > 0;
-
-    let num_sources = prob.sources().len();
-    let ctx = RouteCtx {
-        prob,
-        demands: &demands,
-        targets: &targets,
-        single_dest: &single_dest,
-        pot_rows: &pot_rows,
-        num_single,
-        goal_enabled,
-        reuse_slack,
-    };
 
     let mut stats = SolveStats::default();
 
@@ -246,7 +196,7 @@ pub(super) fn solve_problem(
     // bounds/flow/certificate do not inherit anything from the discarded one.
     let best = 'attempt: loop {
         let mut flow_arc = vec![0.0f64; m];
-        let mut routed: Vec<Vec<f64>> = demands.iter().map(|d| vec![0.0; d.len()]).collect();
+        let mut routed: Vec<Vec<f64>> = ctx.demands.iter().map(|d| vec![0.0; d.len()]).collect();
         // Best bracket, window snapshots and certificate capture of this
         // attempt; a restarted attempt inherits none of them.
         let mut best = AttemptBounds::new(want_cert);
@@ -279,10 +229,12 @@ pub(super) fn solve_problem(
             cap: a.cap,
         }));
         touched.clear();
-        if num_single > 0 {
-            potentials.clear();
-            potentials.resize(num_single * n, f64::INFINITY);
-        }
+        known_paths.reset(ctx.num_single);
+        // The rows every search of the first `check_interval` phases is
+        // directed by; each bound evaluation refreshes them from then on.
+        potentials.clear();
+        potentials.resize(ctx.num_single * n, f64::INFINITY);
+        route::refresh_potentials(&ctx, mwu.lens(), rev_lens, potentials, sssp, sweep_pool);
         if any_dense {
             subtree.clear();
             subtree.resize(n, 0.0);
@@ -296,20 +248,13 @@ pub(super) fn solve_problem(
         // closing evaluation below would recompute the same bounds).
         let mut early_exit: Option<&'static str> = None;
         'phases: while phase < cfg.max_phases && !mwu.saturated() {
-            if goal_enabled && phase.is_multiple_of(pot_refresh) {
-                route::refresh_potentials(&ctx, mwu.lens(), rev_lens, potentials, sssp, sweep_pool);
-            }
             let d_before = mwu.d_l();
-            for si in 0..num_sources {
+            for (si, routed_si) in routed.iter_mut().enumerate() {
                 if mwu.saturated() {
                     break 'phases;
                 }
                 remaining.clear();
-                remaining.extend_from_slice(&demands[si]);
-                // Compute this source's tree at the current lengths, goal-
-                // directed when it has a single destination.
-                route::compute_tree(&ctx, si, potentials, mwu.lens(), sssp);
-                let dense = prob.sources()[si].dests.len() >= agg_min_dests;
+                remaining.extend_from_slice(&ctx.demands[si]);
                 let mut state = SerialState {
                     mwu: &mut *mwu,
                     st: &mut arc_state[..],
@@ -320,11 +265,16 @@ pub(super) fn solve_problem(
                     subtree: &mut subtree[..],
                     cur_len: &mut cur_len[..],
                     sssp: &mut *sssp,
+                    known: &mut *known_paths,
+                    stats: &mut stats,
                 };
-                let ok = if dense {
-                    route::route_source_tree(&ctx, si, potentials, &mut state, &mut routed[si])
+                // The kernel follows from the source's destination count.
+                let ok = if ctx.single_dest[si].is_some() {
+                    route::route_source_single(&ctx, si, potentials, &mut state, routed_si)
+                } else if prob.sources()[si].dests.len() >= agg_min_dests {
+                    route::route_source_tree(&ctx, si, &mut state, routed_si)
                 } else {
-                    route::route_source_walk(&ctx, si, potentials, &mut state, &mut routed[si])
+                    route::route_source_walk(&ctx, si, &mut state, routed_si)
                 };
                 if !ok {
                     break 'phases;
@@ -352,7 +302,8 @@ pub(super) fn solve_problem(
             phase += 1;
             if phase.is_multiple_of(check_interval) {
                 best.evaluate(
-                    &ctx, potentials, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool,
+                    &ctx, potentials, rev_lens, &routed, &flow_arc, mwu, arc_state, sssp,
+                    sweep_pool, &mut stats,
                 );
                 if best.upper.is_finite() && best.gap() <= cfg.target_gap {
                     early_exit = Some("gap");
@@ -384,7 +335,8 @@ pub(super) fn solve_problem(
         // Closing bound evaluation (unless the exit was taken right after one).
         if early_exit.is_none() {
             best.evaluate(
-                &ctx, potentials, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool,
+                &ctx, potentials, rev_lens, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool,
+                &mut stats,
             );
         }
         if !best.upper.is_finite() {
@@ -393,13 +345,9 @@ pub(super) fn solve_problem(
 
         if trace {
             eprintln!(
-                "TB_SOLVER_TRACE phases={phase} trees={} pot_refreshes={} d_l={:.4} exit={} lower={} warm_gate={:?}",
-                route::TREE_COUNT
-                    .load(std::sync::atomic::Ordering::Relaxed)
-                    .wrapping_sub(trace_start.0),
-                route::POT_COUNT
-                    .load(std::sync::atomic::Ordering::Relaxed)
-                    .wrapping_sub(trace_start.1),
+                "TB_SOLVER_TRACE phases={phase} searches={} path_reuses={} d_l={:.4} exit={} lower={} warm_gate={:?}",
+                stats.searches,
+                stats.path_reuses,
                 mwu.d_l(),
                 early_exit.unwrap_or(if mwu.saturated() {
                     "saturated"
@@ -465,6 +413,68 @@ pub(super) fn solve_problem(
     }
 }
 
+/// The per-solve tables a [`RouteCtx`] borrows.
+struct DemandTables {
+    demands: Vec<Vec<f64>>,
+    targets: Vec<Vec<usize>>,
+    single_dest: Vec<Option<usize>>,
+    pot_rows: Vec<usize>,
+    num_single: usize,
+}
+
+impl DemandTables {
+    /// Builds the tables for `prob` with every demand multiplied by `scale`.
+    fn new(prob: &FlowProblem, scale: f64) -> Self {
+        let sources = prob.sources();
+        // Goal-direction bookkeeping: sources with exactly one destination
+        // get an A* potential row (see module docs), numbered in source order.
+        let single_dest: Vec<Option<usize>> = sources
+            .iter()
+            .map(|s| match s.dests[..] {
+                [(dst, _)] => Some(dst),
+                _ => None,
+            })
+            .collect();
+        let mut num_single = 0usize;
+        let pot_rows = single_dest
+            .iter()
+            .map(|d| {
+                if d.is_some() {
+                    num_single += 1;
+                    num_single - 1
+                } else {
+                    usize::MAX
+                }
+            })
+            .collect();
+        DemandTables {
+            demands: sources
+                .iter()
+                .map(|s| s.dests.iter().map(|&(_, d)| d * scale).collect())
+                .collect(),
+            targets: sources
+                .iter()
+                .map(|s| s.dests.iter().map(|&(dst, _)| dst).collect())
+                .collect(),
+            single_dest,
+            pot_rows,
+            num_single,
+        }
+    }
+
+    fn ctx<'a>(&'a self, prob: &'a FlowProblem, reuse_slack: f64) -> RouteCtx<'a> {
+        RouteCtx {
+            prob,
+            demands: &self.demands,
+            targets: &self.targets,
+            single_dest: &self.single_dest,
+            pot_rows: &self.pot_rows,
+            num_single: self.num_single,
+            reuse_slack,
+        }
+    }
+}
+
 /// Extrapolates the serial phase count from one serial phase's `D(l)`
 /// progress: `ln D(l)` grows roughly linearly per phase (each phase routes
 /// the full demand once, multiplying lengths by ~`(1+eps)^loads`), so the
@@ -527,15 +537,18 @@ impl AttemptBounds {
     fn evaluate(
         &mut self,
         ctx: &RouteCtx<'_>,
-        potentials: &[f64],
+        potentials: &mut [f64],
+        rev_lens: &mut Vec<f64>,
         routed: &[Vec<f64>],
         flow_arc: &[f64],
         mwu: &MwuLengths,
         st: &[RouteState],
         sssp: &mut SsspWorkspace,
         pool: &SsspPool,
+        stats: &mut SolveStats,
     ) {
-        let up = dual_bound(ctx, potentials, mwu, sssp, pool);
+        let up = dual_bound(ctx, potentials, rev_lens, mwu, sssp, pool);
+        stats.searches += ctx.prob.sources().len() - ctx.num_single;
         if up < self.upper {
             self.upper = up;
             if let Some(cap) = self.capture.as_mut() {
@@ -632,21 +645,32 @@ fn rescaled_bound(
 /// shortest-path distances under the current lengths, in the *scaled* demand
 /// space.
 ///
-/// It needs one shortest-path computation per source (goal-directed where a
-/// potential row exists); the sweep is read-only over the lengths, so for
-/// larger instances it fans out across threads (each worker leasing its own
-/// SSSP workspace from `pool`), with a fixed summation order keeping the
-/// result independent of thread count.
+/// The potential rows are refreshed first — one reverse Dijkstra per
+/// single-destination source's target, at the current lengths — and the next
+/// `check_interval` phases search under them. A refreshed row holds exact
+/// distances *to* its destination, so a single-destination source's term of
+/// `alpha(l)` is `demand × row[src]`, read off with no search of its own.
+/// Only multi-destination sources need a shortest-path tree; that sweep is
+/// read-only over the lengths, so for larger instances it fans out across
+/// threads (each worker leasing its own SSSP workspace from `pool`), with a
+/// fixed summation order keeping the result independent of thread count.
 fn dual_bound(
     ctx: &RouteCtx<'_>,
-    potentials: &[f64],
+    potentials: &mut [f64],
+    rev_lens: &mut Vec<f64>,
     mwu: &MwuLengths,
     sssp: &mut SsspWorkspace,
     pool: &SsspPool,
 ) -> f64 {
+    let n = ctx.prob.num_nodes();
+    route::refresh_potentials(ctx, mwu.lens(), rev_lens, potentials, sssp, pool);
+    let potentials = &*potentials;
     let alpha_of = |sw: &mut SsspWorkspace, si: usize| -> f64 {
         let s = &ctx.prob.sources()[si];
-        route::compute_tree(ctx, si, potentials, mwu.lens(), sw);
+        if ctx.single_dest[si].is_some() {
+            return ctx.demands[si][0] * potentials[ctx.pot_rows[si] * n + s.src];
+        }
+        route::compute_tree(ctx, si, mwu.lens(), sw);
         s.dests
             .iter()
             .enumerate()
@@ -654,7 +678,7 @@ fn dual_bound(
             .sum()
     };
     let num_sources = ctx.prob.sources().len();
-    let alpha: f64 = if num_sources * ctx.prob.num_arcs() >= PAR_MIN_SWEEP_WORK
+    let alpha: f64 = if (num_sources - ctx.num_single) * ctx.prob.num_arcs() >= PAR_MIN_SWEEP_WORK
         && rayon::current_num_threads() > 1
     {
         // Materialize per-source alphas, then sum sequentially in source
@@ -675,6 +699,58 @@ fn dual_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dual_bound_read_off_the_refreshed_rows_equals_the_forward_searches() {
+        // The instance of `pooled_sweeps_match_inline_execution_bit_for_bit`
+        // (160 single-destination sources × 1,280 arcs, past the fan-out
+        // threshold, so the refresh below is pooled at any width above one),
+        // at the differentiated lengths six phases of a real solve leave in
+        // the workspace.
+        let topo = tb_topology::jellyfish::jellyfish(160, 8, 1, 42);
+        let tm = tb_traffic::synthetic::longest_matching(&topo.graph, &topo.servers, true);
+        let prob = FlowProblem::new(&topo.graph, &tm);
+        assert!(prob.sources().len() * prob.num_arcs() >= PAR_MIN_SWEEP_WORK);
+        let cfg = FleischerConfig {
+            max_phases: 6,
+            ..FleischerConfig::fast()
+        };
+        let mut ws = SolverWorkspace::new();
+        solve_problem(&cfg, &topo.graph, &prob, &mut ws, false, None, false);
+        let tables = DemandTables::new(&prob, 1.0);
+        let ctx = tables.ctx(&prob, 1.0);
+        assert_eq!(ctx.num_single, 160);
+        let SolverWorkspace {
+            mwu,
+            potentials,
+            rev_lens,
+            sssp,
+            sweep_pool,
+            ..
+        } = &mut ws;
+        assert!(mwu.lens().iter().any(|&l| l != mwu.lens()[0]));
+
+        // alpha(l) the way the previous sweep computed it: one forward
+        // search per source.
+        let mut alpha = 0.0;
+        for (s, demands) in prob.sources().iter().zip(ctx.demands) {
+            let dst = s.dests[0].0;
+            tb_graph::sssp_csr(prob.csr(), s.src, mwu.lens(), Some(&[dst]), sssp);
+            alpha += demands[0] * sssp.dist(dst);
+        }
+        let forward = mwu.dual_bound(alpha);
+
+        let queued_before = rayon::pool::stats().jobs;
+        let pooled = dual_bound(&ctx, potentials, rev_lens, mwu, sssp, sweep_pool);
+        assert!(rayon::current_num_threads() == 1 || rayon::pool::stats().jobs > queued_before);
+        let inline =
+            rayon::serial(|| dual_bound(&ctx, potentials, rev_lens, mwu, sssp, sweep_pool));
+        assert_eq!(pooled.to_bits(), inline.to_bits());
+        assert!(
+            forward.is_finite() && (pooled - forward).abs() <= 1e-12 * forward,
+            "rows {pooled} vs forward searches {forward}"
+        );
+    }
 
     #[test]
     fn snapshots_keep_the_latest_two_older_first() {

@@ -1,18 +1,19 @@
 //! The per-source routing kernels.
 //!
 //! Three kernels serve the three TM shapes (see the module docs on
-//! [`super`]): the goal-directed single-destination search, the
-//! per-destination parent walk ([`route_source_walk`]), and the aggregated
-//! bottom-up tree fold for dense destination sets ([`route_source_tree`]).
-//! Each routes a source's full demand in place, updating lengths through
-//! [`apply_update`] between capacity-limited tree iterations — the classical
-//! Fleischer trajectory.
+//! [`super`]): the known-path loop over goal-directed searches for a source
+//! with one destination ([`route_source_single`]), the per-destination
+//! parent walk ([`route_source_walk`]), and the aggregated bottom-up tree
+//! fold for dense destination sets ([`route_source_tree`]). Each routes a
+//! source's full demand in place, running its own searches and updating
+//! lengths through [`apply_update`] between capacity-limited steps — the
+//! classical Fleischer trajectory.
 //!
 //! Tree computation ([`compute_tree`]) and the goal-direction potential
 //! refresh ([`refresh_potentials`]) are shared with the dual bound evaluation
 //! in [`super::phase`].
 
-use super::PAR_MIN_SWEEP_WORK;
+use super::{SolveStats, PAR_MIN_SWEEP_WORK};
 use crate::instance::FlowProblem;
 use crate::lengths::{ArcLengths, MwuLengths};
 use rayon::prelude::*;
@@ -49,9 +50,9 @@ pub(super) struct RouteCtx<'a> {
     pub pot_rows: &'a [usize],
     /// Number of single-destination sources (= potential rows).
     pub num_single: usize,
-    /// Whether goal-directed routing is active for this solve.
-    pub goal_enabled: bool,
-    /// Tree-reuse slack of the serial kernels (`1 + eps/4`).
+    /// Reuse slack of the kernels (`1 + eps/4`): a tree or known path is
+    /// routed on again while its current length stays within this factor of
+    /// a lower bound on the current distance.
     pub reuse_slack: f64,
 }
 
@@ -69,44 +70,115 @@ pub(super) struct SerialState<'a> {
     pub subtree: &'a mut [f64],
     pub cur_len: &'a mut [f64],
     pub sssp: &'a mut SsspWorkspace,
+    pub known: &'a mut KnownPaths,
+    /// The solve's counters; the kernels count their searches and reuses.
+    pub stats: &'a mut SolveStats,
 }
 
-/// Process-cumulative counters behind `TB_SOLVER_TRACE` (diagnostics only;
-/// relaxed increments cost nothing measurable on the hot path). Each solve
-/// snapshots them on entry and prints the per-solve delta; concurrent solves
-/// in one process can still bleed counts into each other's deltas, which the
-/// single-threaded tuning workflow the trace exists for never does.
-pub(super) static TREE_COUNT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-pub(super) static POT_COUNT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+/// Paths kept per single-destination source. Measured on the `/1/LM` pass of
+/// `fig05_06`: 8 slots answer 50 % of the in-turn re-searches, 16 answer
+/// 64 %, 64 no more.
+const KNOWN_PATHS: usize = 16;
 
-/// Computes the routing tree for source `si` at the lengths `len`: the
-/// goal-directed kernel when the source has one destination and a finite
-/// potential row, the early-exit Dijkstra otherwise. Read-only over `len`.
-pub(super) fn compute_tree(
-    ctx: &RouteCtx<'_>,
-    si: usize,
-    potentials: &[f64],
-    len: &[f64],
-    sssp: &mut SsspWorkspace,
-) {
-    let n = ctx.prob.num_nodes();
-    let s = &ctx.prob.sources()[si];
-    TREE_COUNT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    if let (true, Some(dst)) = (ctx.goal_enabled, ctx.single_dest[si]) {
-        let row = &potentials[ctx.pot_rows[si] * n..(ctx.pot_rows[si] + 1) * n];
-        sssp_csr_goal(ctx.prob.csr(), s.src, len, dst, row, sssp);
-    } else {
-        // Target bookkeeping only pays when the destination set is a small
-        // fraction of the graph; dense sets (all-to-all) settle everything
-        // anyway.
-        let ts = &ctx.targets[si];
-        let early = if ts.len() * 2 < n {
-            Some(ts.as_slice())
-        } else {
-            None
-        };
-        sssp_csr(ctx.prob.csr(), s.src, len, early, sssp);
+/// The paths each single-destination source's own searches have returned
+/// (arc-id lists, dst-to-src order; arc ids fit `u32`, which building the
+/// problem's `CsrGraph` asserts), at most [`KNOWN_PATHS`] per source,
+/// least recently routed evicted first. Kept across the phases of one
+/// attempt; [`KnownPaths::reset`] empties it in O(sources), keeping the
+/// allocations.
+#[derive(Debug, Clone, Default)]
+pub(super) struct KnownPaths {
+    /// `KNOWN_PATHS` slots per potential row, most recently routed first.
+    slots: Vec<Vec<u32>>,
+    /// Filled slots per potential row.
+    filled: Vec<usize>,
+    /// The path of the search being recorded, before it is known to be new.
+    walked: Vec<u32>,
+}
+
+impl KnownPaths {
+    /// Forgets every path and makes room for `rows` sources.
+    pub(super) fn reset(&mut self, rows: usize) {
+        self.filled.clear();
+        self.filled.resize(rows, 0);
+        if self.slots.len() < rows * KNOWN_PATHS {
+            self.slots.resize_with(rows * KNOWN_PATHS, Vec::new);
+        }
     }
+
+    /// The filled slots of `row`, most recently routed first.
+    fn paths(&self, row: usize) -> &[Vec<u32>] {
+        &self.slots[row * KNOWN_PATHS..row * KNOWN_PATHS + self.filled[row]]
+    }
+
+    /// Moves slot `k` of `row` to the front and returns its path.
+    fn promote(&mut self, row: usize, k: usize) -> &[u32] {
+        let base = row * KNOWN_PATHS;
+        self.slots[base..=base + k].rotate_right(1);
+        &self.slots[base]
+    }
+
+    /// The shortest known path of `row` under `len` if it is no longer than
+    /// `bound`, moved to the front; the earlier slot wins a tie.
+    fn shortest_within(&mut self, row: usize, len: &[f64], bound: f64) -> Option<&[u32]> {
+        let mut best = (f64::INFINITY, 0);
+        for (k, path) in self.paths(row).iter().enumerate() {
+            let l: f64 = path.iter().map(|&aid| len[aid as usize]).sum();
+            if l < best.0 {
+                best = (l, k);
+            }
+        }
+        (best.0 <= bound).then(|| self.promote(row, best.1))
+    }
+
+    /// Records the `src -> dst` path of the search in `sssp` as `row`'s most
+    /// recently routed path (evicting the least recent one when `row` is
+    /// full and the path is new) and returns it.
+    fn record(&mut self, row: usize, sssp: &SsspWorkspace, src: usize, dst: usize) -> &[u32] {
+        self.walked.clear();
+        let mut cur = dst;
+        while cur != src {
+            let (p, aid) = sssp.parent_unchecked(cur);
+            self.walked.push(aid as u32);
+            cur = p;
+        }
+        let k = match self.paths(row).iter().position(|p| *p == self.walked) {
+            Some(k) => k,
+            None => {
+                let k = self.filled[row].min(KNOWN_PATHS - 1);
+                self.filled[row] = k + 1;
+                std::mem::swap(&mut self.slots[row * KNOWN_PATHS + k], &mut self.walked);
+                k
+            }
+        };
+        self.promote(row, k)
+    }
+}
+
+/// Computes the routing tree of the multi-destination source `si` at the
+/// lengths `len` (early-exit Dijkstra over its destination set). Read-only
+/// over `len`; single-destination sources search inside
+/// [`route_source_single`] and read their dual-bound term off the potential
+/// rows.
+pub(super) fn compute_tree(ctx: &RouteCtx<'_>, si: usize, len: &[f64], sssp: &mut SsspWorkspace) {
+    let n = ctx.prob.num_nodes();
+    // Target bookkeeping only pays when the destination set is a small
+    // fraction of the graph; dense sets (all-to-all) settle everything
+    // anyway.
+    let ts = &ctx.targets[si];
+    let early = if ts.len() * 2 < n {
+        Some(ts.as_slice())
+    } else {
+        None
+    };
+    sssp_csr(ctx.prob.csr(), ctx.prob.sources()[si].src, len, early, sssp);
+}
+
+/// [`compute_tree`] at the current lengths into the routing workspace,
+/// counted.
+fn search_tree(ctx: &RouteCtx<'_>, si: usize, state: &mut SerialState<'_>) {
+    state.stats.searches += 1;
+    compute_tree(ctx, si, state.mwu.lens(), state.sssp);
 }
 
 /// Refreshes the goal-direction potential rows: one full reverse SSSP per
@@ -114,7 +186,7 @@ pub(super) fn compute_tree(
 /// Row values are exact reverse distances at refresh time and remain
 /// consistent (admissible) as lengths grow. Fans out to the pool for large
 /// instances, each worker leasing an SSSP workspace from `pool`; row contents
-/// do not depend on the thread count.
+/// do not depend on the thread count. A no-op without such sources.
 pub(super) fn refresh_potentials(
     ctx: &RouteCtx<'_>,
     len: &[f64],
@@ -123,9 +195,11 @@ pub(super) fn refresh_potentials(
     sssp: &mut SsspWorkspace,
     pool: &SsspPool,
 ) {
+    if ctx.num_single == 0 {
+        return;
+    }
     let n = ctx.prob.num_nodes();
     let m = ctx.prob.num_arcs();
-    POT_COUNT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     // Reverse view: arcs are created in (forward, backward) pairs, so the
     // partner of arc `aid` is `aid ^ 1` and reverse-graph distances are plain
     // distances under the partner's length.
@@ -182,20 +256,89 @@ fn apply_update(mwu: &mut MwuLengths, flow_arc: &mut [f64], aid: usize, u: f64) 
     mwu.apply(aid, u);
 }
 
-/// In-place routing of one sparse source (per-destination parent walk with
-/// optimistic single-pass application and tree reuse under the staleness
-/// slack — the classical trajectory). The tree for the source, computed at
-/// the current lengths, must already be in `state.sssp`; `state.remaining`
-/// must hold the source's remaining demands. Returns `false` when `D(l)`
-/// saturated mid-source (the caller breaks the phase loop).
-pub(super) fn route_source_walk(
+/// In-place routing of one single-destination source: one path per step, so
+/// a step needs no `touched`/`avail` bookkeeping — it routes
+/// `min(remaining, bottleneck capacity)` and every length-update factor stays
+/// <= 1 + eps. The turn's first step searches (goal-directed, exact). After a
+/// capacity-limited step the source's known paths are summed under the
+/// current lengths, and the shortest is routed on if it is within
+/// `reuse_slack` of `D`, the distance the turn's latest search returned:
+/// lengths are monotone, so `D` lower-bounds the current distance and the
+/// path is `(1 + eps/4)`-shortest — the reuse argument of the tree kernels,
+/// applied to every path this source's searches have found rather than the
+/// last tree's. Only when no known path qualifies does the kernel search
+/// again, which raises `D` and records the new path. Returns `false` when
+/// `D(l)` saturated mid-source (the caller breaks the phase loop).
+pub(super) fn route_source_single(
     ctx: &RouteCtx<'_>,
     si: usize,
     potentials: &[f64],
     state: &mut SerialState<'_>,
     routed_si: &mut [f64],
 ) -> bool {
+    let n = ctx.prob.num_nodes();
     let s = &ctx.prob.sources()[si];
+    let dst = s.dests[0].0;
+    let mut remaining = ctx.demands[si][0];
+    if dst == s.src {
+        // A self-demand consumes no capacity.
+        routed_si[0] += remaining;
+        return true;
+    }
+    let row = ctx.pot_rows[si];
+    let potential = &potentials[row * n..(row + 1) * n];
+    // `reuse_slack × D`; nothing is reusable before the turn's first search.
+    let mut reuse_bound = f64::NEG_INFINITY;
+    while remaining > 1e-15 {
+        if state.mwu.saturated() {
+            return false;
+        }
+        let len = state.mwu.lens();
+        let path = match state.known.shortest_within(row, len, reuse_bound) {
+            Some(path) => {
+                state.stats.path_reuses += 1;
+                path
+            }
+            None => {
+                state.stats.searches += 1;
+                sssp_csr_goal(ctx.prob.csr(), s.src, len, dst, potential, state.sssp);
+                debug_assert!(state.sssp.dist(dst).is_finite());
+                reuse_bound = ctx.reuse_slack * state.sssp.dist(dst);
+                state.known.record(row, state.sssp, s.src, dst)
+            }
+        };
+        #[cfg(test)]
+        tests::audit_routed_path(ctx, si, len, path);
+        let bottleneck = path
+            .iter()
+            .map(|&aid| state.st[aid as usize].cap)
+            .fold(f64::INFINITY, f64::min);
+        let f = remaining.min(bottleneck);
+        if f <= 1e-15 {
+            return true; // negligible amounts are not routed
+        }
+        for &aid in path {
+            apply_update(state.mwu, state.flow_arc, aid as usize, f);
+        }
+        remaining -= f;
+        routed_si[0] += f;
+    }
+    true
+}
+
+/// In-place routing of one sparse multi-destination source (per-destination
+/// parent walk with optimistic single-pass application and tree reuse under
+/// the staleness slack — the classical trajectory). `state.remaining` must
+/// hold the source's remaining demands. Returns `false` when `D(l)`
+/// saturated mid-source (the caller breaks the phase loop).
+pub(super) fn route_source_walk(
+    ctx: &RouteCtx<'_>,
+    si: usize,
+    state: &mut SerialState<'_>,
+    routed_si: &mut [f64],
+) -> bool {
+    let s = &ctx.prob.sources()[si];
+    search_tree(ctx, si, state);
     let mut tree_exact = true;
     loop {
         if state.mwu.saturated() {
@@ -295,7 +438,7 @@ pub(super) fn route_source_walk(
         }
         state.touched.clear();
         if need_fresh {
-            compute_tree(ctx, si, potentials, state.mwu.lens(), state.sssp);
+            search_tree(ctx, si, state);
             tree_exact = true;
             continue;
         }
@@ -325,14 +468,14 @@ pub(super) fn route_source_walk(
 pub(super) fn route_source_tree(
     ctx: &RouteCtx<'_>,
     si: usize,
-    potentials: &[f64],
     state: &mut SerialState<'_>,
     routed_si: &mut [f64],
 ) -> bool {
     let s = &ctx.prob.sources()[si];
-    // The caller hands over a tree freshly computed at the current lengths;
-    // the apply pass rebuilds `cur_len` top-down before the first staleness
-    // check needs it.
+    // The first batch routes on a tree computed at the current lengths; its
+    // apply pass rebuilds `cur_len` top-down before the first staleness check
+    // needs it.
+    search_tree(ctx, si, state);
     let mut revalidate = false;
     loop {
         if state.mwu.saturated() {
@@ -352,7 +495,7 @@ pub(super) fn route_source_tree(
                     && state.cur_len[dst] > ctx.reuse_slack * state.sssp.dist(dst)
             });
             if stale {
-                compute_tree(ctx, si, potentials, state.mwu.lens(), state.sssp);
+                search_tree(ctx, si, state);
             }
         }
         // Deposit remaining demands at their destinations.
@@ -434,5 +577,136 @@ pub(super) fn route_source_tree(
         // by the full 1 + eps factor); revalidate the tree before further
         // reuse.
         revalidate = true;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fleischer::{FleischerConfig, FleischerSolver, SolverWorkspace};
+    use std::cell::{Cell, RefCell};
+    use tb_topology::families::Scale;
+    use tb_topology::{hypercube::hypercube, jellyfish::jellyfish, Family};
+    use tb_traffic::synthetic::{longest_matching, random_permutation};
+    use tb_traffic::TrafficMatrix;
+
+    thread_local! {
+        static AUDIT_SSSP: RefCell<SsspWorkspace> = RefCell::default();
+        static AUDITED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The test-build hook of [`route_source_single`]: `path` is about to be
+    /// routed under `len`. It must be a `src -> dst` path of source `si`
+    /// within `reuse_slack` of the true distance, which an independent plain
+    /// Dijkstra (no potentials, its own workspace) supplies.
+    pub(super) fn audit_routed_path(ctx: &RouteCtx<'_>, si: usize, len: &[f64], path: &[u32]) {
+        let s = &ctx.prob.sources()[si];
+        let dst = s.dests[0].0;
+        let mut cur = dst;
+        for &aid in path {
+            let arc = ctx.prob.arcs()[aid as usize];
+            assert_eq!(
+                arc.to, cur,
+                "source {si}: arc {aid} does not continue the path"
+            );
+            cur = arc.from;
+        }
+        assert_eq!(
+            cur, s.src,
+            "source {si}: the path does not start at the source"
+        );
+        let routed: f64 = path.iter().map(|&aid| len[aid as usize]).sum();
+        let exact = AUDIT_SSSP.with_borrow_mut(|ws| {
+            sssp_csr(ctx.prob.csr(), s.src, len, Some(&[dst]), ws);
+            ws.dist(dst)
+        });
+        assert!(
+            routed <= ctx.reuse_slack * exact * (1.0 + 1e-12),
+            "source {si}: routed on a path of length {routed}, shortest is {exact} (slack {})",
+            ctx.reuse_slack
+        );
+        AUDITED.set(AUDITED.get() + 1);
+    }
+
+    #[test]
+    fn every_routed_path_is_within_the_reuse_slack_of_the_true_distance() {
+        // The single-destination instances of `tests/solver_regression.rs`'s
+        // mix at the three stock configurations, plus the cell the known-path
+        // store was sized on, `HyperX/1/LM` as the sweep solves it. The check
+        // itself is `audit_routed_path`, called on every step of every solve
+        // of this crate's unit tests; here it must have seen reused paths.
+        let mut reuses = 0;
+        let mut solve = |cfg: FleischerConfig, topo: &tb_topology::Topology, tm: &TrafficMatrix| {
+            let cfg = cfg.with_auto_aggregation(topo.num_switches());
+            let (_, stats) = FleischerSolver::new(cfg).solve_with_stats(
+                &topo.graph,
+                tm,
+                &mut SolverWorkspace::new(),
+            );
+            assert!(stats.converged, "{stats:?}");
+            reuses += stats.path_reuses;
+        };
+        for topo in [
+            hypercube(3, 1),
+            hypercube(4, 1),
+            jellyfish(10, 3, 1, 7),
+            jellyfish(12, 4, 1, 11),
+        ] {
+            for tm in [
+                longest_matching(&topo.graph, &topo.servers, true),
+                random_permutation(&topo.servers, 3),
+            ] {
+                for cfg in [
+                    FleischerConfig::fast(),
+                    FleischerConfig::default(),
+                    FleischerConfig::precise(),
+                ] {
+                    solve(cfg, &topo, &tm);
+                }
+            }
+        }
+        let hyperx = Family::HyperX
+            .ladder_instance(Scale::Small, 1, 1)
+            .expect("ladder rung builds");
+        let tm = longest_matching(&hyperx.graph, &hyperx.servers, true);
+        solve(FleischerConfig::fast(), &hyperx, &tm);
+        assert!(reuses > 0, "no step reused a known path");
+        assert!(AUDITED.get() > reuses, "the audit hook did not run");
+    }
+
+    #[test]
+    fn known_paths_evict_the_least_recently_routed() {
+        // A two-node graph with KNOWN_PATHS + 1 parallel arcs: each search
+        // under lengths that favour a different arc returns a new path.
+        let arcs = KNOWN_PATHS + 1;
+        let csr = tb_graph::CsrGraph::from_directed_arcs(2, (0..arcs).map(|aid| (0, 1, aid)));
+        let mut sssp = SsspWorkspace::new();
+        let mut known = KnownPaths::default();
+        known.reset(1);
+        let mut search = |known: &mut KnownPaths, favoured: usize| {
+            let len: Vec<f64> = (0..arcs)
+                .map(|a| if a == favoured { 1.0 } else { 2.0 })
+                .collect();
+            sssp_csr(&csr, 0, &len, Some(&[1]), &mut sssp);
+            known.record(0, &sssp, 0, 1).to_vec()
+        };
+        for aid in 0..KNOWN_PATHS {
+            assert_eq!(search(&mut known, aid), [aid as u32]);
+        }
+        // Searching a known path again stores no duplicate; it only becomes
+        // the most recent one.
+        assert_eq!(search(&mut known, 0), [0]);
+        assert_eq!(known.paths(0).len(), KNOWN_PATHS);
+        assert_eq!(known.paths(0)[0], [0]);
+        // A new path evicts arc 1's, now the least recently routed.
+        assert_eq!(search(&mut known, KNOWN_PATHS), [KNOWN_PATHS as u32]);
+        assert_eq!(known.paths(0).len(), KNOWN_PATHS);
+        assert!(known.paths(0).iter().all(|p| *p != [1]));
+        // The shortest known path is picked only within the bound.
+        let len: Vec<f64> = (0..arcs).map(|a| 3.0 + a as f64).collect();
+        assert_eq!(known.shortest_within(0, &len, 2.9), None);
+        assert_eq!(known.shortest_within(0, &len, 3.0), Some(&[0u32][..]));
+        known.reset(1);
+        assert!(known.paths(0).is_empty());
     }
 }

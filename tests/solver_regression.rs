@@ -17,7 +17,10 @@
 //!   gap-exit solve (a deterministic counter) and must leave a saturating
 //!   sparse solve's trajectory — and with it its phase count — alone (that it
 //!   never overshoots the optimum is the first bullet, at all three stock
-//!   configurations).
+//!   configurations);
+//! * the known-path store must keep the search count of the short-diameter
+//!   straggler (`HyperX/1/LM`) under its pin without changing how or when the
+//!   solve ends, and must stay out of multi-destination sources' way.
 
 use tb_flow::fleischer::PAR_MIN_SWEEP_WORK;
 use tb_flow::{ExactLpSolver, FleischerConfig, FleischerSolver, FlowProblem, SolverWorkspace};
@@ -141,6 +144,33 @@ fn suffix_windows_leave_a_saturating_trajectory_alone() {
     assert!(stats.converged, "{stats:?}");
     assert_eq!(stats.phases, 260, "{stats:?}");
     assert!(0.0 < b.lower && b.lower <= b.upper, "{b:?}");
+}
+
+#[test]
+fn known_paths_halve_the_searches_of_the_short_diameter_straggler() {
+    // The same solve, counted: 64 single-destination sources on a graph of
+    // ~3.4-hop paths. Searching after every capacity-limited step cost
+    // 120,753 searches (the dual sweeps' forward searches included); routing
+    // on a known path that is still within the reuse slack, and reading the
+    // dual bound off the refreshed potential rows, leaves 54,422. The
+    // trajectory still ends by saturation, in as many phases.
+    let (b, stats) = ladder_solve(Family::HyperX, 1, TmSpec::LongestMatching);
+    assert!(stats.searches <= 65_000, "{stats:?}");
+    assert!(stats.path_reuses > stats.searches / 3, "{stats:?}");
+    assert!(stats.converged && stats.phases <= 275, "{stats:?}");
+    // Converged with the gap still open: saturation ended it.
+    assert!(b.gap() > FleischerConfig::fast().target_gap, "{b:?}");
+}
+
+#[test]
+fn sources_with_several_destinations_never_touch_the_known_paths() {
+    // All-to-all has no single-destination source: every search is a tree
+    // (one per source per phase at least, plus the dual sweeps), nothing is
+    // reused by path, and the bounds are those of the pre-store kernel (the
+    // committed `/A2A` goldens are bit-identical across that change).
+    let (_, stats) = ladder_solve(Family::DCell, 3, TmSpec::AllToAll);
+    assert_eq!(stats.path_reuses, 0, "{stats:?}");
+    assert!(stats.searches >= 156 * stats.phases, "{stats:?}");
 }
 
 #[test]
