@@ -6,8 +6,8 @@ use crate::stats::Stats;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use tb_flow::{
-    drop_disconnected_demands, ExactLpSolver, FleischerConfig, FleischerSolver, SolveStats,
-    SolveStatus, SolverWorkspace, ThroughputBounds, ThroughputCertificate, WarmGate, WarmStart,
+    drop_disconnected_demands, ExactLpSolver, FleischerConfig, FleischerSolver, SolveStatus,
+    SolverWorkspace, ThroughputBounds, ThroughputCertificate,
 };
 use tb_topology::jellyfish::same_equipment;
 use tb_topology::Topology;
@@ -33,14 +33,6 @@ pub struct EvalConfig {
     /// and artifacts, so the flag is part of the cell cache key. Default off:
     /// committed goldens stay byte-identical.
     pub certify: bool,
-    /// Warm-start chaining (`--warm`, opt-in): thread `tb_flow::WarmStart`
-    /// artifacts through relative-throughput samples and ladder-adjacent
-    /// cells, so near-identical solves reuse the previous MWU length shape
-    /// instead of the cold delta init. Warm solves run a **different
-    /// (gate-checked) trajectory**, so this flag is part of the cell cache
-    /// key — warm and cold cells never alias — and `--write-golden` rejects
-    /// it. Default off: committed goldens stay byte-identical.
-    pub warm: bool,
 }
 
 impl Default for EvalConfig {
@@ -51,7 +43,6 @@ impl Default for EvalConfig {
             random_graph_iterations: 3,
             seed: 1,
             certify: false,
-            warm: false,
         }
     }
 }
@@ -98,67 +89,7 @@ pub fn evaluate_throughput_with(
     cfg: &EvalConfig,
     ws: &mut SolverWorkspace,
 ) -> ThroughputBounds {
-    // Degenerate TMs (all demands removed, e.g. after heavy fault injection)
-    // have zero throughput by definition; short-circuit before the solvers,
-    // whose problem construction assumes at least one flow.
-    if tm.num_flows() == 0 {
-        return guard_finite(ThroughputBounds::exact(0.0), topo);
-    }
-    let small = topo.num_switches() <= cfg.exact_switch_limit && tm.num_flows() <= 64;
-    if small {
-        if let Ok(exact) = ExactLpSolver::new().solve(&topo.graph, tm) {
-            return guard_finite(exact, topo);
-        }
-    }
-    // Auto-pick the dense-TM aggregation threshold from the graph size; an
-    // explicit override in `cfg.solver` wins.
-    let solver_cfg = cfg.solver.with_auto_aggregation(topo.num_switches());
-    guard_finite(
-        FleischerSolver::new(solver_cfg).solve_with(&topo.graph, tm, ws),
-        topo,
-    )
-}
-
-/// [`evaluate_throughput_with`] with cross-instance warm starts: seeds the
-/// FPTAS from `warm` (a previous solve's length shape, see
-/// `tb_flow::WarmStart`) and returns the artifact extracted from this solve
-/// for the next link of the chain, plus the solve stats whose
-/// [`tb_flow::WarmGate`] records what happened to the seed. `None` is
-/// returned in place of an artifact when the instance took the exact-LP or
-/// trivial path (no MWU state to chain) — the next solve then starts cold.
-///
-/// With `warm: None` the solved bounds are bit-identical to
-/// [`evaluate_throughput_with`]; with a seed the solve runs a different —
-/// still gate-checked, still correctly bracketing — trajectory, which is why
-/// [`EvalConfig::warm`] participates in the cell cache key.
-pub fn evaluate_throughput_warm_with(
-    topo: &Topology,
-    tm: &TrafficMatrix,
-    cfg: &EvalConfig,
-    ws: &mut SolverWorkspace,
-    warm: Option<&WarmStart>,
-) -> (ThroughputBounds, Option<WarmStart>, SolveStats) {
-    let trivial_stats = SolveStats {
-        converged: true,
-        ..SolveStats::default()
-    };
-    if tm.num_flows() == 0 {
-        return (
-            guard_finite(ThroughputBounds::exact(0.0), topo),
-            None,
-            trivial_stats,
-        );
-    }
-    let small = topo.num_switches() <= cfg.exact_switch_limit && tm.num_flows() <= 64;
-    if small {
-        if let Ok(exact) = ExactLpSolver::new().solve(&topo.graph, tm) {
-            return (guard_finite(exact, topo), None, trivial_stats);
-        }
-    }
-    let solver_cfg = cfg.solver.with_auto_aggregation(topo.num_switches());
-    let (bounds, stats, warm_out) =
-        FleischerSolver::new(solver_cfg).solve_warm_with_stats(&topo.graph, tm, ws, warm);
-    (guard_finite(bounds, topo), Some(warm_out), stats)
+    evaluate_strict(topo, tm, cfg, ws, false).bounds
 }
 
 /// [`evaluate_throughput_with`] with full evidence: additionally returns the
@@ -178,32 +109,64 @@ pub fn evaluate_throughput_certified_with(
     cfg: &EvalConfig,
     ws: &mut SolverWorkspace,
 ) -> (ThroughputBounds, SolveStatus, ThroughputCertificate) {
+    let e = evaluate_strict(topo, tm, cfg, ws, true);
+    (
+        e.bounds,
+        e.status,
+        e.certificate.expect("certificate requested"),
+    )
+}
+
+/// What [`evaluate_strict`] returns; the public evaluators are views of it.
+struct Evaluated {
+    bounds: ThroughputBounds,
+    status: SolveStatus,
+    /// Present whenever requested (the exact LP and the trivial zero produce
+    /// one either way).
+    certificate: Option<ThroughputCertificate>,
+}
+
+/// The one place the solver is chosen. An empty TM (all demands removed, e.g.
+/// after heavy fault injection) has zero throughput by definition and stops
+/// before the solvers, whose problem construction assumes at least one flow;
+/// small instances go to the exact LP, everything else (and an LP failure) to
+/// the FPTAS with the dense-TM aggregation threshold auto-picked from the
+/// graph size (an explicit override in `cfg.solver` wins). Strict semantics:
+/// a disconnected demand pins the result to zero.
+fn evaluate_strict(
+    topo: &Topology,
+    tm: &TrafficMatrix,
+    cfg: &EvalConfig,
+    ws: &mut SolverWorkspace,
+    want_cert: bool,
+) -> Evaluated {
+    let done = |bounds, status, certificate| Evaluated {
+        bounds: guard_finite(bounds, topo),
+        status,
+        certificate,
+    };
     if tm.num_flows() == 0 {
-        return (
-            guard_finite(ThroughputBounds::exact(0.0), topo),
+        return done(
+            ThroughputBounds::exact(0.0),
             SolveStatus::Converged,
-            ThroughputCertificate::trivial_zero(),
+            Some(ThroughputCertificate::trivial_zero()),
         );
     }
     let small = topo.num_switches() <= cfg.exact_switch_limit && tm.num_flows() <= 64;
     if small {
         if let Ok((exact, cert)) = ExactLpSolver::new().solve_certified(&topo.graph, tm) {
-            return (guard_finite(exact, topo), SolveStatus::Converged, cert);
+            return done(exact, SolveStatus::Converged, Some(cert));
         }
     }
     let solver_cfg = cfg.solver.with_auto_aggregation(topo.num_switches());
     let (bounds, stats, cert) =
-        FleischerSolver::new(solver_cfg).solve_with_certificate(&topo.graph, tm, ws, true);
+        FleischerSolver::new(solver_cfg).solve_with_certificate(&topo.graph, tm, ws, want_cert);
     let status = if stats.converged {
         SolveStatus::Converged
     } else {
         SolveStatus::BudgetExhausted
     };
-    (
-        guard_finite(bounds, topo),
-        status,
-        cert.expect("certificate requested"),
-    )
+    done(bounds, status, cert)
 }
 
 /// The widest duality gap a *converged* solve under `cfg` may legitimately
@@ -246,45 +209,21 @@ pub fn evaluate_throughput_status_with(
     cfg: &EvalConfig,
     ws: &mut SolverWorkspace,
 ) -> (ThroughputBounds, SolveStatus) {
-    if tm.num_flows() == 0 {
-        return (
-            guard_finite(ThroughputBounds::exact(0.0), topo),
-            SolveStatus::Converged,
-        );
-    }
     let (kept_tm, dropped) = drop_disconnected_demands(&topo.graph, tm);
-    let kept = kept_tm.num_flows();
-    if kept == 0 {
-        return (
-            guard_finite(ThroughputBounds::exact(0.0), topo),
-            SolveStatus::DisconnectedDemandsDropped { dropped, kept: 0 },
-        );
-    }
-    let demand_status = || {
-        if dropped > 0 {
-            Some(SolveStatus::DisconnectedDemandsDropped { dropped, kept })
-        } else {
-            None
+    // A TM with no surviving demand is empty: the strict evaluator's exact
+    // zero, no solver call.
+    let e = evaluate_strict(topo, &kept_tm, cfg, ws, false);
+    // Dropped demands take precedence in the reported status; convergence of
+    // the residual solve is still visible in the bounds gap.
+    let status = if dropped > 0 {
+        SolveStatus::DisconnectedDemandsDropped {
+            dropped,
+            kept: kept_tm.num_flows(),
         }
+    } else {
+        e.status
     };
-    let small = topo.num_switches() <= cfg.exact_switch_limit && kept <= 64;
-    if small {
-        if let Ok(exact) = ExactLpSolver::new().solve(&topo.graph, &kept_tm) {
-            return (
-                guard_finite(exact, topo),
-                demand_status().unwrap_or(SolveStatus::Converged),
-            );
-        }
-    }
-    let solver_cfg = cfg.solver.with_auto_aggregation(topo.num_switches());
-    let outcome = FleischerSolver::new(solver_cfg).solve_outcome_with(&topo.graph, &kept_tm, ws);
-    // Dropped demands take precedence in the reported status (the outcome's
-    // own drop count is zero — `kept_tm` is connectivity-filtered already);
-    // convergence of the residual solve is still visible in the bounds gap.
-    (
-        guard_finite(outcome.bounds, topo),
-        demand_status().unwrap_or(outcome.status),
-    )
+    (e.bounds, status)
 }
 
 /// [`evaluate_throughput_status_with`] with a fresh solver workspace.
@@ -348,9 +287,6 @@ impl RelativeThroughput {
 /// The TM is re-generated for each graph from `spec` (near-worst-case traffic
 /// is worst-case *for that graph*); pass [`TmSpec::AllToAll`] etc. as needed.
 pub fn relative_throughput(topo: &Topology, spec: &TmSpec, cfg: &EvalConfig) -> RelativeThroughput {
-    if cfg.warm {
-        return relative_throughput_warm(topo, spec, cfg, None).0;
-    }
     // One fan-out over the cell's 1 + k independent solves, index 0 being the
     // topology's own, so the pool can share all of them between threads.
     let iters = cfg.random_graph_iterations.max(1);
@@ -371,43 +307,6 @@ pub fn relative_throughput(topo: &Topology, spec: &TmSpec, cfg: &EvalConfig) -> 
     RelativeThroughput::from_solves(absolute, solves)
 }
 
-/// The warm-chained form of [`relative_throughput`]: the absolute solve is
-/// seeded from `warm` (the previous ladder rung's artifact, if any), and the
-/// same-equipment samples then solve **cold, serially in index order** — the
-/// serial order keeps the path bit-identical at any worker count by
-/// construction, and seeding a sample from a different random graph's shape
-/// measured a loss (601 ms vs 417 ms cold on `rel_warm_jellyfish64_lm`;
-/// CHANGES.md, PR 14). Same seeds, same instances as the cold path. Returns
-/// the *absolute* solve's artifact for the next rung of the ladder (the
-/// family instance, not a random-graph sample, is what the next rung
-/// resembles) and the absolute solve's [`WarmGate`] so chain runners can see
-/// whether the seed engaged or was reset (and stop warming a losing chain).
-pub fn relative_throughput_warm(
-    topo: &Topology,
-    spec: &TmSpec,
-    cfg: &EvalConfig,
-    warm: Option<&WarmStart>,
-) -> (RelativeThroughput, Option<WarmStart>, WarmGate) {
-    let tm = spec.generate(topo, cfg.seed);
-    let mut ws = SolverWorkspace::new();
-    let (abs_bounds, abs_warm, abs_stats) =
-        evaluate_throughput_warm_with(topo, &tm, cfg, &mut ws, warm);
-    let absolute = abs_bounds.value();
-    let iters = cfg.random_graph_iterations.max(1);
-    let mut samples = Vec::with_capacity(iters);
-    for i in 0..iters {
-        let seed = cfg.seed.wrapping_add(1000).wrapping_add(i as u64);
-        let rnd = same_equipment(topo, seed);
-        let rnd_tm = spec.generate(&rnd, seed);
-        samples.push(evaluate_throughput_with(&rnd, &rnd_tm, cfg, &mut ws).value());
-    }
-    (
-        RelativeThroughput::from_solves(absolute, samples),
-        abs_warm,
-        abs_stats.warm_gate,
-    )
-}
-
 /// Computes relative throughput for a *fixed* TM (real-world workloads of
 /// Figs 13–14): the same matrix is applied to the topology and to every
 /// same-equipment random graph.
@@ -416,9 +315,6 @@ pub fn relative_throughput_fixed_tm(
     tm: &TrafficMatrix,
     cfg: &EvalConfig,
 ) -> RelativeThroughput {
-    if cfg.warm {
-        return relative_throughput_fixed_tm_warm(topo, tm, cfg, None).0;
-    }
     // Same 1 + k fan-out as `relative_throughput`, index 0 the topology's own.
     let iters = cfg.random_graph_iterations.max(1);
     let mut solves: Vec<f64> = (0..iters + 1)
@@ -434,33 +330,6 @@ pub fn relative_throughput_fixed_tm(
         .collect();
     let absolute = solves.remove(0);
     RelativeThroughput::from_solves(absolute, solves)
-}
-
-/// The warm-chained form of [`relative_throughput_fixed_tm`]: same cold serial
-/// samples as [`relative_throughput_warm`], same seeds and instances as
-/// the cold path, same `(result, artifact, absolute-solve gate)` contract.
-pub fn relative_throughput_fixed_tm_warm(
-    topo: &Topology,
-    tm: &TrafficMatrix,
-    cfg: &EvalConfig,
-    warm: Option<&WarmStart>,
-) -> (RelativeThroughput, Option<WarmStart>, WarmGate) {
-    let mut ws = SolverWorkspace::new();
-    let (abs_bounds, abs_warm, abs_stats) =
-        evaluate_throughput_warm_with(topo, tm, cfg, &mut ws, warm);
-    let absolute = abs_bounds.value();
-    let iters = cfg.random_graph_iterations.max(1);
-    let mut samples = Vec::with_capacity(iters);
-    for i in 0..iters {
-        let seed = cfg.seed.wrapping_add(2000).wrapping_add(i as u64);
-        let rnd = same_equipment(topo, seed);
-        samples.push(evaluate_throughput_with(&rnd, tm, cfg, &mut ws).value());
-    }
-    (
-        RelativeThroughput::from_solves(absolute, samples),
-        abs_warm,
-        abs_stats.warm_gate,
-    )
 }
 
 #[cfg(test)]
@@ -591,15 +460,24 @@ mod tests {
     #[test]
     fn status_eval_matches_plain_eval_on_clean_instances() {
         let c = cfg();
-        // Exact-LP path (small) and FPTAS path (large) both stay bit-identical
-        // to the strict evaluator when nothing is degraded.
+        // Exact-LP path (small) and FPTAS path (large): the plain, certified
+        // and status evaluators are views of one dispatch, so when nothing is
+        // degraded all three report the same bits.
         for topo in [hypercube(3, 1), hypercube(5, 1)] {
             let tm = TmSpec::AllToAll.generate(&topo, 1);
             let plain = evaluate_throughput(&topo, &tm, &c);
+            let mut ws = SolverWorkspace::new();
+            let (certified, cert_status, cert) =
+                evaluate_throughput_certified_with(&topo, &tm, &c, &mut ws);
             let (b, status) = evaluate_throughput_status(&topo, &tm, &c);
-            assert_eq!(plain.lower.to_bits(), b.lower.to_bits());
-            assert_eq!(plain.upper.to_bits(), b.upper.to_bits());
+            for view in [certified, b] {
+                assert_eq!(plain.lower.to_bits(), view.lower.to_bits());
+                assert_eq!(plain.upper.to_bits(), view.upper.to_bits());
+            }
             assert_eq!(status, SolveStatus::Converged);
+            assert_eq!(cert_status, SolveStatus::Converged);
+            tb_flow::verify_certificate(&topo.graph, &tm, &cert, acceptable_certificate_gap(&c))
+                .unwrap_or_else(|e| panic!("{}: certificate failed: {e}", topo.name));
         }
     }
 

@@ -43,9 +43,8 @@ pub mod stats;
 pub mod sweep;
 
 pub use eval::{
-    evaluate_throughput, evaluate_throughput_warm_with, evaluate_throughput_with, lower_bound,
-    lower_bound_from, relative_throughput, relative_throughput_fixed_tm,
-    relative_throughput_fixed_tm_warm, relative_throughput_warm, EvalConfig, RelativeThroughput,
+    evaluate_throughput, evaluate_throughput_with, lower_bound, lower_bound_from,
+    relative_throughput, relative_throughput_fixed_tm, EvalConfig, RelativeThroughput,
 };
 pub use spec::TmSpec;
 pub use stats::Stats;

@@ -16,7 +16,7 @@ use crate::sweep::cell::{CellValues, SweepCell};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use tb_flow::{SolverWorkspace, WarmGate, WarmStart};
+use tb_flow::SolverWorkspace;
 use tb_topology::families::Scale;
 
 /// Options shared by every cell of a sweep run.
@@ -44,14 +44,6 @@ pub struct SweepOptions {
     /// separate cache entries, since the stored payload differs). Off by
     /// default so committed goldens stay byte-identical.
     pub certify: bool,
-    /// Warm-start chaining (`--warm`): ladder-rung cells of one family run
-    /// serially in rung order, each solve seeded from the previous rung's
-    /// warm artifact, and relative-throughput samples chain within a cell.
-    /// Warm trajectories differ from cold ones (guarded by the solver's
-    /// warm-quality gate), so the flag keys the cache
-    /// ([`EvalConfig::warm`]) — warm and cold results never share an entry —
-    /// and committed goldens stay cold.
-    pub warm: bool,
 }
 
 impl SweepOptions {
@@ -65,7 +57,6 @@ impl SweepOptions {
             cache_dir: PathBuf::from("results/cache"),
             filter: None,
             certify: false,
-            warm: false,
         }
     }
 
@@ -87,7 +78,6 @@ impl SweepOptions {
         };
         cfg.seed = self.seed;
         cfg.certify = self.certify;
-        cfg.warm = self.warm;
         cfg
     }
 }
@@ -183,42 +173,7 @@ fn compute_isolated(
     }
 }
 
-/// Warm-chained variant of [`compute_isolated`]: threads the previous chain
-/// member's warm artifact in and this cell's artifact out, plus the solve's
-/// [`WarmGate`] for the chain runner's break-on-reset policy. The retry after
-/// a panic reuses the same warm input (panics are deterministic functions of
-/// the cell, not of the warm seed, and keeping the input keeps the retry
-/// result identical to an unretried run). A permanently failed cell returns
-/// no artifact, so the next chain member restarts cold.
-fn compute_isolated_warm(
-    cell: &SweepCell,
-    cfg: &EvalConfig,
-    ws: &mut SolverWorkspace,
-    warm: Option<&WarmStart>,
-) -> (CellValues, Option<WarmStart>, WarmGate, Option<String>) {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    match catch_unwind(AssertUnwindSafe(|| {
-        cell.spec.compute_attempt_warm(cfg, ws, 0, warm)
-    })) {
-        Ok((values, warm_out, gate)) => (values, warm_out, gate, None),
-        Err(_) => {
-            *ws = SolverWorkspace::new();
-            eprintln!("warning: cell '{}' panicked; retrying once", cell.id);
-            match catch_unwind(AssertUnwindSafe(|| {
-                cell.spec.compute_attempt_warm(cfg, ws, 1, warm)
-            })) {
-                Ok((values, warm_out, gate)) => (values, warm_out, gate, None),
-                Err(payload) => {
-                    let error = panic_text(payload.as_ref());
-                    eprintln!("warning: cell '{}' failed permanently: {error}", cell.id);
-                    (CellValues::default(), None, WarmGate::Unset, Some(error))
-                }
-            }
-        }
-    }
-}
-
-/// Runs `f` over the units of work of a sweep (cells, or warm chains), in
+/// Runs `f` over the units of work of a sweep (its uncached cells), in
 /// order: one after another on the calling thread with `jobs == Some(1)`,
 /// otherwise as one pool job each. A [`SolverWorkspace`] is handed along the
 /// units that run together.
@@ -273,103 +228,25 @@ pub fn run_cells(opts: &SweepOptions, cells: Vec<SweepCell>) -> SweepReport {
         }
     }
 
-    // Compute the misses, one pool job per cell (or chain unit). Each
-    // cell runs under fault isolation (`compute_isolated`): a panicking cell
-    // is retried once and then marked failed, never cached, never fatal.
+    // Compute the misses, one pool job per cell. Each cell runs under fault
+    // isolation (`compute_isolated`): a panicking cell is retried once and
+    // then marked failed, never cached, never fatal.
     let missing: Vec<usize> = results
         .iter()
         .enumerate()
         .filter_map(|(u, r)| r.is_none().then_some(u))
         .collect();
-    let computed: Vec<(usize, CellValues, Option<String>)> = if cfg.warm {
-        // Warm mode: cells sharing a `warm_chain_key` form one serial unit,
-        // executed in rung order with each solve seeded from the previous
-        // rung's warm artifact; units run in parallel across workers. A chain
-        // with *any* uncached member recomputes in full from rung 0 — warm
-        // artifacts are never cached, so a partial replay would change which
-        // artifact seeds the first missing rung and break the contract that
-        // results are independent of cache state.
-        let mut chain_of_key: HashMap<String, usize> = HashMap::new();
-        let mut chains: Vec<Vec<(usize, usize)>> = Vec::new(); // (rung, u)
-        let mut singles: Vec<usize> = Vec::new();
-        for (u, &cell_idx) in unique_indices.iter().enumerate() {
-            match cells[cell_idx].spec.warm_chain_key() {
-                Some((key, rung)) => {
-                    let next = chains.len();
-                    let c = *chain_of_key.entry(key).or_insert(next);
-                    if c == next {
-                        chains.push(Vec::new());
-                    }
-                    chains[c].push((rung, u));
-                }
-                None => singles.push(u),
-            }
+    let run_cell = |ws: &mut SolverWorkspace, u: usize| {
+        let cell_idx = unique_indices[u];
+        let (values, error) = compute_isolated(&cells[cell_idx], &cfg, ws);
+        if opts.use_cache && error.is_none() {
+            // Stored as each cell finishes so interrupted runs
+            // resume from whatever completed.
+            cache.store(&keys[cell_idx], &values);
         }
-        let mut units: Vec<Vec<usize>> = Vec::new();
-        for mut chain in chains {
-            if chain.iter().any(|&(_, u)| results[u].is_none()) {
-                chain.sort();
-                units.push(chain.into_iter().map(|(_, u)| u).collect());
-            }
-        }
-        units.extend(
-            singles
-                .into_iter()
-                .filter(|&u| results[u].is_none())
-                .map(|u| vec![u]),
-        );
-        let run_unit = |ws: &mut SolverWorkspace, unit: &[usize]| {
-            let mut warm: Option<WarmStart> = None;
-            let mut donor: Option<usize> = None;
-            // Break-on-reset: the first gate reset in a chain is evidence the
-            // donor shape does not transfer on this problem sequence, so the
-            // remaining members run cold instead of paying the (bounded but
-            // real) reset overhead once per rung. Auto-pick keeps losers cold.
-            let mut broken = false;
-            let mut done = Vec::with_capacity(unit.len());
-            for &u in unit {
-                let cell_idx = unique_indices[u];
-                // Same-graph auto-pick: a donor artifact only seeds a member
-                // built on the same topology spec. Cross-size projection
-                // measured a loss on every family (CHANGES.md, PR 10), so
-                // topo-ladder chains run cold while the chain grouping stays
-                // in place for re-measurement.
-                let same_graph = donor
-                    .is_some_and(|d| cells[d].spec.warm_topo() == cells[cell_idx].spec.warm_topo());
-                let seed = if broken || !same_graph {
-                    None
-                } else {
-                    warm.as_ref()
-                };
-                let (values, warm_out, gate, error) =
-                    compute_isolated_warm(&cells[cell_idx], &cfg, ws, seed);
-                if matches!(gate, WarmGate::ResetLagging | WarmGate::ResetQuality) {
-                    broken = true;
-                }
-                warm = warm_out;
-                donor = Some(cell_idx);
-                if opts.use_cache && error.is_none() {
-                    cache.store(&keys[cell_idx], &values);
-                }
-                done.push((u, values, error));
-            }
-            done
-        };
-        let done = map_units(opts, units, |ws, unit| run_unit(ws, &unit));
-        done.into_iter().flatten().collect()
-    } else {
-        let run_cell = |ws: &mut SolverWorkspace, u: usize| {
-            let cell_idx = unique_indices[u];
-            let (values, error) = compute_isolated(&cells[cell_idx], &cfg, ws);
-            if opts.use_cache && error.is_none() {
-                // Stored as each cell finishes so interrupted runs
-                // resume from whatever completed.
-                cache.store(&keys[cell_idx], &values);
-            }
-            (u, values, error)
-        };
-        map_units(opts, missing, run_cell)
+        (u, values, error)
     };
+    let computed = map_units(opts, missing, run_cell);
     for (u, values, error) in computed {
         results[u] = Some((values, false, error));
     }

@@ -287,15 +287,23 @@ fn main() {
     };
     let expect_cache_hot = flag("--expect-cache-hot").is_some();
     let write_golden = flag("--write-golden").is_some();
-    if write_golden && opts.filter.is_some() {
-        eprintln!("error: --write-golden cannot be combined with --filter (partial artifacts are not golden)");
-        std::process::exit(2);
-    }
-    if write_golden && opts.warm {
-        // Golden artifacts pin the cold solver trajectory; warm chains take
-        // a different (gate-guarded, equally valid) one.
-        eprintln!("error: --write-golden requires cold solves (drop --warm)");
-        std::process::exit(2);
+    if write_golden {
+        // The committed goldens are complete reduced-scale seed-1 artifacts
+        // (`golden_artifacts` / `engine_golden` pin them as such); anything
+        // else would silently overwrite them with a different spec.
+        let refused = if opts.filter.is_some() {
+            Some("--filter (partial artifacts are not golden)")
+        } else if opts.full {
+            Some("--full (goldens are reduced-scale)")
+        } else if opts.seed != 1 {
+            Some("a --seed other than 1 (goldens are seed 1)")
+        } else {
+            None
+        };
+        if let Some(why) = refused {
+            eprintln!("error: --write-golden cannot be combined with {why}");
+            std::process::exit(2);
+        }
     }
 
     let scenarios = if target == "all" {

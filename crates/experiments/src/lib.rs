@@ -61,12 +61,6 @@ pub struct RunOptions {
     /// Attach optimality certificates to throughput cells (keys new cache
     /// entries; values stay bit-identical to uncertified runs).
     pub certify: bool,
-    /// Warm-start chaining: ladder-rung solves of one family are chained,
-    /// each seeded from the previous rung's final MWU lengths, and
-    /// relative-throughput samples chain within a cell. Keys new cache
-    /// entries (warm trajectories differ from cold ones); not for golden
-    /// runs (`--write-golden` rejects it).
-    pub warm: bool,
 }
 
 impl Default for RunOptions {
@@ -79,7 +73,6 @@ impl Default for RunOptions {
             filter: None,
             no_cache: false,
             certify: false,
-            warm: false,
         }
     }
 }
@@ -107,10 +100,6 @@ const COMMON_HELP: &str =
   --no-cache       do not read or write results/cache/
   --certify        attach optimality certificates to throughput cells (for
                    `sweep verify`; values stay bit-identical, cache keys change)
-  --warm           warm-start chaining: ladder-rung solves of one family are
-                   seeded from the previous rung's MWU lengths (guarded by the
-                   solver's warm-quality gate; keys new cache entries, not for
-                   golden runs)
   --help           print this help";
 
 impl RunOptions {
@@ -179,7 +168,6 @@ impl RunOptions {
                 "--csv" => opts.csv = true,
                 "--no-cache" => opts.no_cache = true,
                 "--certify" => opts.certify = true,
-                "--warm" => opts.warm = true,
                 "--seed" => {
                     let v = value_of(&mut i, "--seed")?;
                     opts.seed = v.parse().map_err(|_| {
@@ -235,7 +223,6 @@ impl RunOptions {
         s.use_cache = !self.no_cache;
         s.filter = self.filter.clone();
         s.certify = self.certify;
-        s.warm = self.warm;
         s
     }
 }
@@ -379,13 +366,10 @@ mod tests {
             "A2A",
             "--no-cache",
             "--certify",
-            "--warm",
         ])
         .unwrap();
         assert!(o.full && o.csv && o.no_cache);
         assert!(o.certify && o.sweep_options().certify);
-        assert!(o.warm && o.sweep_options().warm);
-        assert!(o.sweep_options().eval_config().warm);
         assert_eq!(o.seed, 9);
         assert_eq!(o.jobs, Some(2));
         assert_eq!(o.filter.as_deref(), Some("A2A"));
@@ -414,6 +398,12 @@ mod tests {
             parse(&["--solver-jobs", "2"]).unwrap_err(),
             "unknown argument: --solver-jobs"
         );
+    }
+
+    #[test]
+    fn warm_flag_is_rejected() {
+        // Removed with the warm-start feature, not kept as a no-op.
+        assert_eq!(parse(&["--warm"]).unwrap_err(), "unknown argument: --warm");
     }
 
     #[test]

@@ -1746,8 +1746,7 @@ fn search_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
             "Expected shape: each climb ends at a design whose throughput-per-cost is at least\n\
                 its start's (a zero-step climb means the start was already locally optimal). The\n\
                 Jellyfish and Long Hop climbs trade server/network ports and long-hop generators\n\
-                against link cost; with --warm every candidate solve is seeded from the\n\
-                incumbent's MWU lengths (same moves unless the warm gate resets a solve)."
+                against link cost."
                 .into(),
     }
 }

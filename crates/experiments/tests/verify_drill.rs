@@ -113,3 +113,19 @@ fn verify_usage_errors_exit_2() {
     assert_eq!(code, 2, "missing directory is an IO error");
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn write_golden_refuses_anything_but_a_complete_reduced_seed_1_run() {
+    // The committed goldens are pinned to that spec; each refusal must come
+    // before any cell runs and before `results/golden` is touched.
+    let dir = temp_dir("golden-refusals");
+    for extra in [&["--filter", "LM"][..], &["--full"], &["--seed", "7"]] {
+        let mut args = vec!["--scenario", "fig02", "--write-golden"];
+        args.extend_from_slice(extra);
+        let (code, _, err) = sweep(&dir, &args);
+        assert_eq!(code, 2, "{extra:?} must be a usage error: {err}");
+        assert!(err.contains("--write-golden cannot be combined"), "{err}");
+        assert!(!dir.join("results").join("golden").exists(), "{extra:?}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -20,8 +20,8 @@
 //! ## Layout
 //!
 //! * [`phase`] — the phase loop: owns the multiplicative-weights length
-//!   state ([`crate::MwuLengths`]), routes every source once per phase, runs
-//!   the bound-evaluation cadence and the warm-start attempt loop;
+//!   state ([`crate::MwuLengths`]), routes every source once per phase and
+//!   runs the bound-evaluation cadence;
 //! * [`route`] — the per-source routing kernels (known-path loop for a
 //!   single destination, per-destination walk, aggregated bottom-up tree),
 //!   the tree computation and the potential refresh.
@@ -46,7 +46,7 @@
 //!   availability bookkeeping, the recorded routing path, the known paths)
 //!   lives in a [`SolverWorkspace`] that is allocated once and reset in O(1)
 //!   via generation counters (the known paths in O(sources), at the start of
-//!   every attempt); parallel regions lease per-worker scratch from the
+//!   every solve); parallel regions lease per-worker scratch from the
 //!   workspace's [`tb_graph::SsspPool`] instead of allocating,
 //! * every SSSP call passes the source's destination set, so Dijkstra stops
 //!   as soon as the last relevant node is settled,
@@ -90,7 +90,7 @@
 //! puts the path just routed past the slack. So such a source routes with
 //! its own loop (`route::route_source_single`): it keeps the last 16 distinct
 //! paths its searches returned (a fixed, measured capacity; least recently
-//! routed evicted; kept across phases, emptied per attempt), and after a
+//! routed evicted; kept across phases, emptied per solve), and after a
 //! capacity-limited step routes along the shortest of them under the current
 //! lengths if that is within the slack of the turn's latest search distance
 //! `D`. Only when none qualifies does it search again, which raises `D` and
@@ -124,7 +124,7 @@ mod phase;
 mod route;
 
 use crate::instance::FlowProblem;
-use crate::lengths::{MwuLengths, WarmStart};
+use crate::lengths::MwuLengths;
 use crate::ThroughputBounds;
 use tb_graph::{Graph, SsspPool, SsspWorkspace};
 use tb_traffic::TrafficMatrix;
@@ -151,12 +151,6 @@ pub struct FleischerConfig {
     /// graph-size-aware value. `Some(usize::MAX)` disables aggregation, and
     /// any explicit `Some` survives the auto-pick.
     pub aggregate_min_dests: Option<usize>,
-    /// Admissibility slack of the warm-start convergence guard: a warm solve
-    /// may spend up to `warm_guard_factor ×` its phase yardstick (the donor's
-    /// phase count, else the phase-0 serial extrapolation) before it resets
-    /// to the cold trajectory (default 2). Only read when a [`WarmStart`] is
-    /// passed to [`FleischerSolver::solve_warm_with_stats`].
-    pub warm_guard_factor: f64,
     /// Optional wall-clock budget in milliseconds, checked on the bound
     /// evaluation cadence. A solve that exhausts it stops and reports
     /// [`SolveStatus::BudgetExhausted`](crate::SolveStatus) with the best
@@ -172,37 +166,6 @@ pub struct FleischerConfig {
 /// per-destination walks re-touch the same arcs many times over).
 pub const DEFAULT_AGGREGATE_MIN_DESTS: usize = 32;
 
-/// What happened to the [`WarmStart`] a solve was handed, recorded in
-/// [`SolveStats::warm_gate`]. Every warm decision is observable: a rejected
-/// or reset warm start is distinguishable from a cold run, and the sweep
-/// layer's auto-pick reads these to keep losing families cold.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum WarmGate {
-    /// No warm start was supplied (the ordinary cold solve).
-    #[default]
-    Unset,
-    /// The warm shape was accepted with matching arc counts (no projection
-    /// resampling needed).
-    Engaged,
-    /// The warm shape was accepted after nearest-index projection onto a
-    /// different arc count (adjacent ladder rungs).
-    EngagedProjected,
-    /// The artifact was unusable (empty, non-finite or non-positive shape);
-    /// the solve ran cold from phase 0.
-    RejectedShape,
-    /// The warm trajectory fell behind the cold extrapolation — the phase
-    /// count exceeded the warm guard budget without converging — and the
-    /// solve restarted cold ([`SolveStats::warm_phases_discarded`] counts the
-    /// abandoned phases).
-    ResetLagging,
-    /// The warm trajectory saturated (`D(l) ≥ 1`) but the measured bound gap
-    /// exceeded the classical `(1+ε)` guarantee it was supposed to inherit;
-    /// the solve restarted cold. This is the gate that makes warm bounds
-    /// trustworthy: the classical saturation argument assumes the delta
-    /// init, so a warm solve must *measure* the gap it claims.
-    ResetQuality,
-}
-
 impl Default for FleischerConfig {
     fn default() -> Self {
         FleischerConfig {
@@ -211,7 +174,6 @@ impl Default for FleischerConfig {
             max_phases: 20_000,
             check_interval: 8,
             aggregate_min_dests: None,
-            warm_guard_factor: 2.0,
             time_budget_ms: None,
         }
     }
@@ -264,10 +226,8 @@ pub fn auto_aggregate_min_dests(num_switches: usize) -> usize {
 }
 
 /// Convergence counters of one solve, reported by
-/// [`FleischerSolver::solve_with_stats`]. The determinism, warm-gate and
-/// search-count tests read these; the bench harness and `TB_SOLVER_TRACE`
-/// print them. `phases`, `searches` and `path_reuses` are totals over a warm
-/// solve's attempts.
+/// [`FleischerSolver::solve_with_stats`]. The determinism and search-count
+/// tests read these; the bench harness and `TB_SOLVER_TRACE` print them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Phases executed (each phase routes every source's full demand once).
@@ -275,25 +235,14 @@ pub struct SolveStats {
     /// Forward shortest-path searches run: by the routing kernels, and by the
     /// dual bound for multi-destination sources. The potential refresh's
     /// reverse Dijkstras are not counted — one per single-destination source
-    /// per bound evaluation, plus one at phase 0 of each attempt.
+    /// per bound evaluation, plus one at phase 0.
     pub searches: usize,
     /// Routing steps of single-destination sources that went along a known
     /// path instead of searching (see the module docs).
     pub path_reuses: usize,
-    /// The cold phase count extrapolated from phase 0 of a warm attempt — the
-    /// warm guard's fallback yardstick (0 for cold solves).
-    pub serial_estimate: usize,
     /// Whether the solve met its accuracy contract (classical FPTAS
     /// termination or the target bound gap) before any budget ran out.
     pub converged: bool,
-    /// What happened to the warm start this solve was handed
-    /// ([`WarmGate::Unset`] for ordinary cold solves).
-    pub warm_gate: WarmGate,
-    /// Phases spent on a warm trajectory that was later abandoned by the
-    /// lagging or quality gate (0 unless a reset fired). Counted separately
-    /// so [`phases`](SolveStats::phases) stays the honest total across
-    /// attempts while the wasted share remains visible.
-    pub warm_phases_discarded: usize,
 }
 
 /// Reusable scratch state for [`FleischerSolver`]: the SSSP workspace, the
@@ -330,7 +279,7 @@ pub struct SolverWorkspace {
     /// order when the aggregated kernel revalidates a reused tree.
     cur_len: Vec<f64>,
     /// Paths the single-destination sources' searches have returned, emptied
-    /// at the start of every attempt.
+    /// at the start of every solve.
     known_paths: route::KnownPaths,
     /// Per-worker SSSP workspaces leased by the parallel bound sweeps and
     /// potential refreshes.
@@ -408,7 +357,7 @@ impl FleischerSolver {
     }
 
     /// Like [`solve_with`](Self::solve_with), additionally reporting the
-    /// solve's convergence counters (phases, warm-gate state).
+    /// solve's convergence counters.
     pub fn solve_with_stats(
         &self,
         graph: &Graph,
@@ -437,35 +386,8 @@ impl FleischerSolver {
     ) {
         crate::record_solver_invocation();
         let prob = FlowProblem::new(graph, tm);
-        let solved = phase::solve_problem(&self.config, graph, &prob, ws, want_cert, None, false);
+        let solved = phase::solve_problem(&self.config, graph, &prob, ws, want_cert);
         (solved.bounds, solved.stats, solved.cert)
-    }
-
-    /// The cross-instance warm-start entry point: seeds the MWU lengths from
-    /// `warm` (when provided and admissible — see [`WarmGate`]) and extracts
-    /// a fresh [`WarmStart`] from the finished solve for the next instance in
-    /// a chain. With `warm: None` the trajectory, bounds and stats are
-    /// **bit-identical** to [`solve_with_stats`](Self::solve_with_stats)
-    /// (apart from the extraction, which is read-only); the returned artifact
-    /// carries the final length shape and the certified dual bound.
-    ///
-    /// Warm solves keep both accuracy contracts: the reported bounds are
-    /// valid for any positive lengths by LP duality, and the `(1+ε)`
-    /// saturation guarantee is re-checked by measurement — a warm trajectory
-    /// that saturates with a wide gap, or that falls behind the cold phase
-    /// extrapolation, is abandoned and the solve restarts cold
-    /// ([`SolveStats::warm_gate`] records the decision).
-    pub fn solve_warm_with_stats(
-        &self,
-        graph: &Graph,
-        tm: &TrafficMatrix,
-        ws: &mut SolverWorkspace,
-        warm: Option<&WarmStart>,
-    ) -> (ThroughputBounds, SolveStats, WarmStart) {
-        crate::record_solver_invocation();
-        let prob = FlowProblem::new(graph, tm);
-        let solved = phase::solve_problem(&self.config, graph, &prob, ws, false, warm, true);
-        (solved.bounds, solved.stats, solved.warm.unwrap_or_default())
     }
 
     /// Degradation-aware solve: drops demands whose endpoints are
@@ -738,7 +660,7 @@ mod tests {
         let prob = FlowProblem::new(&g, &tm);
         let cfg = FleischerConfig::default();
         let mut ws = SolverWorkspace::new();
-        let solved = phase::solve_problem(&cfg, &g, &prob, &mut ws, true, None, false);
+        let solved = phase::solve_problem(&cfg, &g, &prob, &mut ws, true);
         assert!(solved.lower_from_window, "{:?}", solved.stats);
         assert!(solved.stats.converged);
         assert!(solved.bounds.gap() <= cfg.target_gap, "{:?}", solved.bounds);
@@ -754,7 +676,7 @@ mod tests {
             "{b:?} vs exact {exact}"
         );
         // Capture stays trajectory-neutral when it copies a window.
-        let plain = phase::solve_problem(&cfg, &g, &prob, &mut ws, false, None, false);
+        let plain = phase::solve_problem(&cfg, &g, &prob, &mut ws, false);
         assert_eq!(plain.bounds.lower.to_bits(), b.lower.to_bits());
         assert_eq!(plain.bounds.upper.to_bits(), b.upper.to_bits());
         assert_eq!(plain.stats, solved.stats);
@@ -926,170 +848,6 @@ mod tests {
                 && (agg.upper - walk.upper).abs() <= 1e-12 * walk.upper,
             "aggregated {agg:?} vs per-destination {walk:?}"
         );
-    }
-
-    #[test]
-    fn warm_entry_point_cold_start_is_bit_identical() {
-        // With no warm start supplied, solve_warm_with_stats must reproduce
-        // the plain solve bit for bit (the extraction is read-only).
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let tm = tb_traffic::synthetic::all_to_all(&[1usize; 6]);
-        let s = solver();
-        let mut ws = SolverWorkspace::new();
-        let (plain, plain_stats) = s.solve_with_stats(&g, &tm, &mut ws);
-        let mut ws2 = SolverWorkspace::new();
-        let (cold, cold_stats, warm_out) = s.solve_warm_with_stats(&g, &tm, &mut ws2, None);
-        assert_eq!(plain.lower.to_bits(), cold.lower.to_bits());
-        assert_eq!(plain.upper.to_bits(), cold.upper.to_bits());
-        assert_eq!(plain_stats, cold_stats);
-        assert_eq!(cold_stats.warm_gate, WarmGate::Unset);
-        assert_eq!(cold_stats.warm_phases_discarded, 0);
-        // The extracted artifact is usable and carries the dual bound.
-        assert!(warm_out.is_usable());
-        assert_eq!(warm_out.lens.len(), 2 * g.num_edges());
-        assert!((warm_out.dual_bound - cold.upper).abs() <= 1e-12 * cold.upper);
-    }
-
-    #[test]
-    fn warm_chain_keeps_quality_and_engages() {
-        // Solve, re-solve the same instance warm-seeded: the warm solve must
-        // engage without projection and keep the bounds inside the target
-        // gap around the cold answer.
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let tm = tb_traffic::synthetic::all_to_all(&[1usize; 6]);
-        let s = solver();
-        let mut ws = SolverWorkspace::new();
-        let (cold, _, seed) = s.solve_warm_with_stats(&g, &tm, &mut ws, None);
-        let (warm, warm_stats, next) = s.solve_warm_with_stats(&g, &tm, &mut ws, Some(&seed));
-        assert!(matches!(
-            warm_stats.warm_gate,
-            WarmGate::Engaged | WarmGate::ResetLagging | WarmGate::ResetQuality
-        ));
-        assert!(warm_stats.converged);
-        // Same instance, same accuracy contract: the intervals overlap and
-        // both meet the configured gap.
-        assert!(warm.lower <= cold.upper * (1.0 + 1e-9));
-        assert!(cold.lower <= warm.upper * (1.0 + 1e-9));
-        assert!(warm.gap() <= FleischerConfig::precise().target_gap + 1e-12);
-        assert!(next.is_usable());
-    }
-
-    #[test]
-    fn warm_chain_projects_across_instance_sizes() {
-        // Chain a 6-ring solve into an 8-ring solve: different arc counts,
-        // so engagement must go through the projection path (or reset cold) —
-        // and the bounds must stay correct either way.
-        let g6 = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let tm6 = tb_traffic::synthetic::all_to_all(&[1usize; 6]);
-        let g8 = Graph::from_edges(
-            8,
-            &[
-                (0, 1),
-                (1, 2),
-                (2, 3),
-                (3, 4),
-                (4, 5),
-                (5, 6),
-                (6, 7),
-                (7, 0),
-            ],
-        );
-        let tm8 = tb_traffic::synthetic::all_to_all(&[1usize; 8]);
-        let s = solver();
-        let mut ws = SolverWorkspace::new();
-        let (_, _, seed) = s.solve_warm_with_stats(&g6, &tm6, &mut ws, None);
-        let (warm, warm_stats, _) = s.solve_warm_with_stats(&g8, &tm8, &mut ws, Some(&seed));
-        assert!(matches!(
-            warm_stats.warm_gate,
-            WarmGate::EngagedProjected | WarmGate::ResetLagging | WarmGate::ResetQuality
-        ));
-        let (cold, _) = s.solve_with_stats(&g8, &tm8, &mut SolverWorkspace::new());
-        assert!(warm_stats.converged);
-        assert!(warm.lower <= cold.upper * (1.0 + 1e-9));
-        assert!(cold.lower <= warm.upper * (1.0 + 1e-9));
-    }
-
-    #[test]
-    fn poisoned_warm_start_resets_to_cold_and_reports_it() {
-        // The gate-degrade drill: a warm guard factor of ~0 makes the warm
-        // budget one phase, so any engaged warm trajectory that needs more
-        // than one phase must reset to cold — and the final bounds must be
-        // bit-identical to a never-warmed solve (the restart is a clean cold
-        // attempt, not a salvage).
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let tm = tb_traffic::synthetic::all_to_all(&[1usize; 6]);
-        let cfg = FleischerConfig {
-            warm_guard_factor: 1e-9,
-            ..FleischerConfig::precise()
-        };
-        let s = FleischerSolver::new(cfg);
-        let mut ws = SolverWorkspace::new();
-        let (cold, cold_stats, seed) = s.solve_warm_with_stats(&g, &tm, &mut ws, None);
-        assert!(cold_stats.phases > 1, "need a multi-phase instance");
-        let (warm, warm_stats, _) = s.solve_warm_with_stats(&g, &tm, &mut ws, Some(&seed));
-        assert_eq!(
-            warm_stats.warm_gate,
-            WarmGate::ResetLagging,
-            "{warm_stats:?}"
-        );
-        assert!(warm_stats.warm_phases_discarded >= 1);
-        assert_eq!(warm.lower.to_bits(), cold.lower.to_bits());
-        assert_eq!(warm.upper.to_bits(), cold.upper.to_bits());
-        // The honest phase total includes the discarded warm phases.
-        assert_eq!(
-            warm_stats.phases,
-            cold_stats.phases + warm_stats.warm_phases_discarded
-        );
-    }
-
-    #[test]
-    fn unusable_warm_shape_is_rejected_not_crashed() {
-        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
-        let tm = TrafficMatrix::new(3, vec![demand(0, 2, 1.0), demand(1, 2, 1.0)]);
-        let s = solver();
-        let mut ws = SolverWorkspace::new();
-        let (cold, _) = s.solve_with_stats(&g, &tm, &mut SolverWorkspace::new());
-        for bad in [
-            WarmStart::default(),
-            WarmStart {
-                lens: vec![f64::NAN; 4],
-                dual_bound: 1.0,
-                epsilon: 0.03,
-                phases: 8,
-            },
-            WarmStart {
-                lens: vec![0.0; 4],
-                dual_bound: 1.0,
-                epsilon: 0.03,
-                phases: 8,
-            },
-        ] {
-            let (b, stats, _) = s.solve_warm_with_stats(&g, &tm, &mut ws, Some(&bad));
-            assert_eq!(stats.warm_gate, WarmGate::RejectedShape, "{bad:?}");
-            assert_eq!(b.lower.to_bits(), cold.lower.to_bits());
-            assert_eq!(b.upper.to_bits(), cold.upper.to_bits());
-        }
-    }
-
-    #[test]
-    fn warm_solve_on_trivial_instances_returns_empty_artifact() {
-        let s = solver();
-        let mut ws = SolverWorkspace::new();
-        // Disconnected demand: trivial zero, empty warm artifact.
-        let mut g = Graph::new(4);
-        g.add_unit_edge(0, 1);
-        g.add_unit_edge(2, 3);
-        let tm = TrafficMatrix::new(4, vec![demand(0, 3, 1.0)]);
-        let seed = WarmStart {
-            lens: vec![1.0; 4],
-            dual_bound: 1.0,
-            epsilon: 0.03,
-            phases: 8,
-        };
-        let (b, stats, warm_out) = s.solve_warm_with_stats(&g, &tm, &mut ws, Some(&seed));
-        assert_eq!(b, ThroughputBounds::exact(0.0));
-        assert!(stats.converged);
-        assert!(!warm_out.is_usable());
     }
 
     #[test]

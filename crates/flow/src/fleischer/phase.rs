@@ -18,7 +18,7 @@
 //! and reads each single-destination term of `alpha(l)` off its row
 //! (`demand × row[src]` is the exact distance); only multi-destination
 //! sources run a forward tree. The rows are computed once more at the start
-//! of every attempt, for the phases before the first evaluation. The refresh
+//! of the solve, for the phases before the first evaluation. The refresh
 //! and the multi-destination sweep are the only parallel regions (see
 //! [`PAR_MIN_SWEEP_WORK`]); their results do not depend on the thread count.
 //!
@@ -47,10 +47,10 @@
 //! bound are untouched; a solve merely meets its `target_gap` earlier.
 
 use super::route::{self, RouteCtx, RouteState, SerialState};
-use super::{FleischerConfig, SolveStats, SolverWorkspace, WarmGate, PAR_MIN_SWEEP_WORK};
+use super::{FleischerConfig, SolveStats, SolverWorkspace, PAR_MIN_SWEEP_WORK};
 use crate::certificate::{CertCapture, FlowSnapshot, ThroughputCertificate};
 use crate::instance::FlowProblem;
-use crate::lengths::{MwuLengths, WarmStart};
+use crate::lengths::MwuLengths;
 use crate::ThroughputBounds;
 use rayon::prelude::*;
 use tb_graph::{Graph, SsspPool, SsspWorkspace};
@@ -61,36 +61,21 @@ pub(super) struct Solved {
     pub stats: SolveStats,
     /// Present iff a certificate was requested.
     pub cert: Option<ThroughputCertificate>,
-    /// Present iff a warm artifact was requested.
-    pub warm: Option<WarmStart>,
     /// Whether a suffix window (rather than the cumulative flow) set the
-    /// reported lower bound; the trace line prints it per attempt, only the
-    /// unit tests read it from here.
+    /// reported lower bound; the trace line prints it, only the unit tests
+    /// read it from here.
     #[cfg_attr(not(test), allow(dead_code))]
     pub lower_from_window: bool,
 }
 
 /// Runs the full solve: setup, the phase loop, and the closing bound
 /// evaluation. See the module docs of [`super`] for the algorithm.
-///
-/// `warm` seeds the MWU lengths from a previous solve's [`WarmStart`] (see
-/// [`WarmGate`] for the admission/reset rules); with `warm: None` every code
-/// path below is arithmetically identical to the pre-warm scheduler, so the
-/// cold trajectory — and with it every golden artifact — is untouched. The
-/// warm machinery is an **attempt loop**: a warm trajectory that falls
-/// behind the cold phase extrapolation, or saturates with a bound gap wider
-/// than the classical guarantee, discards its attempt entirely (bounds,
-/// flow, certificate capture) and re-runs as a clean cold solve.
-/// `want_warm` additionally extracts a fresh artifact from the final length
-/// state (read-only — it never alters the trajectory).
 pub(super) fn solve_problem(
     cfg: &FleischerConfig,
     graph: &Graph,
     prob: &FlowProblem,
     ws: &mut SolverWorkspace,
     want_cert: bool,
-    warm: Option<&WarmStart>,
-    want_warm: bool,
 ) -> Solved {
     let n = prob.num_nodes();
     let m = prob.num_arcs();
@@ -99,9 +84,7 @@ pub(super) fn solve_problem(
     // Trivial exits certify their zero with empty evidence at the
     // instance's real dimensions: zero flow, zero served amounts, unit
     // lengths (under which a disconnected pair drives the dual bound to an
-    // exact zero). They also emit an empty (never-engaged) warm artifact: the
-    // next solve in a chain then starts cold rather than inheriting a stale
-    // shape.
+    // exact zero).
     let trivial = || Solved {
         bounds: ThroughputBounds::exact(0.0),
         stats: SolveStats {
@@ -112,13 +95,12 @@ pub(super) fn solve_problem(
             let commodities = prob.sources().iter().map(|s| s.dests.len()).sum();
             ThroughputCertificate::build(prob, vec![0.0; m], vec![0.0; commodities], vec![1.0; m])
         }),
-        warm: want_warm.then(WarmStart::default),
         lower_from_window: false,
     };
     if m == 0 {
         return trivial();
     }
-    // Set TB_SOLVER_TRACE=1 to print per-attempt convergence counters when
+    // Set TB_SOLVER_TRACE=1 to print per-solve convergence counters when
     // tuning the kernel.
     let trace = std::env::var_os("TB_SOLVER_TRACE").is_some();
 
@@ -174,213 +156,122 @@ pub(super) fn solve_problem(
 
     // The optional wall-clock budget; checked on the bound-evaluation
     // cadence so the deterministic trajectory is untouched when unset.
-    // Spans all warm attempts: a restarted solve does not get a fresh budget.
     let solve_start = cfg.time_budget_ms.map(|_| std::time::Instant::now());
 
-    // The warm quality gate: a surviving warm trajectory must *measure* its
-    // way under the configured target gap — the same bar the cold gap-exit
-    // uses. A cold saturation is additionally allowed the classical `(1+ε)`
-    // slack because the delta-init argument earns it; a warm saturation has
-    // no such argument, so anything wider than the target is discarded and
-    // the solve restarts cold. This is what keeps every warm exit inside the
-    // cold path's `assert_quality_within_target` contract. Cold solves never
-    // consult this gate.
-    let warm_quality_gap = cfg.target_gap;
-    let mut warm_active = warm.is_some();
-    let mut total_phases = 0usize;
+    let mut flow_arc = vec![0.0f64; m];
+    let mut routed: Vec<Vec<f64>> = ctx.demands.iter().map(|d| vec![0.0; d.len()]).collect();
+    // Best bracket, window snapshots and certificate capture.
+    let mut best = BestBounds::new(want_cert);
 
-    // The attempt loop: one iteration per trajectory attempt. A cold solve
-    // (warm: None) runs exactly one attempt — none of the warm branches
-    // below fire, so its arithmetic is untouched. A warm solve may restart
-    // once: warm attempt, then (if a gate fires) a clean cold attempt whose
-    // bounds/flow/certificate do not inherit anything from the discarded one.
-    let best = 'attempt: loop {
-        let mut flow_arc = vec![0.0f64; m];
-        let mut routed: Vec<Vec<f64>> = ctx.demands.iter().map(|d| vec![0.0; d.len()]).collect();
-        // Best bracket, window snapshots and certificate capture of this
-        // attempt; a restarted attempt inherits none of them.
-        let mut best = AttemptBounds::new(want_cert);
+    mwu.reset(eps, prob.arc_caps());
+    arc_state.clear();
+    arc_state.extend(prob.arcs().iter().map(|a| RouteState {
+        avail: a.cap,
+        used: 0.0,
+        cap: a.cap,
+    }));
+    touched.clear();
+    known_paths.reset(ctx.num_single);
+    // The rows every search of the first `check_interval` phases is
+    // directed by; each bound evaluation refreshes them from then on.
+    potentials.clear();
+    potentials.resize(ctx.num_single * n, f64::INFINITY);
+    route::refresh_potentials(&ctx, mwu.lens(), rev_lens, potentials, sssp, sweep_pool);
+    if any_dense {
+        subtree.clear();
+        subtree.resize(n, 0.0);
+        cur_len.clear();
+        cur_len.resize(n, 0.0);
+    }
 
-        // Lengths: the warm projection when one is admitted, the classical
-        // delta init otherwise (`reset_warm` falls back to the cold init on
-        // rejection, so a rejected shape leaves no trace in the state).
-        let attempt_warm = if warm_active
-            && warm.is_some_and(|w| w.is_usable() && mwu.reset_warm(eps, prob.arc_caps(), &w.lens))
-        {
-            stats.warm_gate = if warm.map_or(0, |w| w.lens.len()) == m {
-                WarmGate::Engaged
-            } else {
-                WarmGate::EngagedProjected
+    let mut phase = 0usize;
+    // Set by the two exits taken right after a bound evaluation (so the
+    // closing evaluation below would recompute the same bounds).
+    let mut early_exit: Option<&'static str> = None;
+    'phases: while phase < cfg.max_phases && !mwu.saturated() {
+        for (si, routed_si) in routed.iter_mut().enumerate() {
+            if mwu.saturated() {
+                break 'phases;
+            }
+            remaining.clear();
+            remaining.extend_from_slice(&ctx.demands[si]);
+            let mut state = SerialState {
+                mwu: &mut *mwu,
+                st: &mut arc_state[..],
+                flow_arc: &mut flow_arc,
+                remaining: &mut *remaining,
+                touched: &mut *touched,
+                path: &mut *path,
+                subtree: &mut subtree[..],
+                cur_len: &mut cur_len[..],
+                sssp: &mut *sssp,
+                known: &mut *known_paths,
+                stats: &mut stats,
             };
-            true
-        } else {
-            mwu.reset(eps, prob.arc_caps());
-            if warm_active {
-                // A rejected shape runs this attempt cold from phase 0; no
-                // gate below can fire on a cold attempt, so this is final.
-                stats.warm_gate = WarmGate::RejectedShape;
-            }
-            false
-        };
-        arc_state.clear();
-        arc_state.extend(prob.arcs().iter().map(|a| RouteState {
-            avail: a.cap,
-            used: 0.0,
-            cap: a.cap,
-        }));
-        touched.clear();
-        known_paths.reset(ctx.num_single);
-        // The rows every search of the first `check_interval` phases is
-        // directed by; each bound evaluation refreshes them from then on.
-        potentials.clear();
-        potentials.resize(ctx.num_single * n, f64::INFINITY);
-        route::refresh_potentials(&ctx, mwu.lens(), rev_lens, potentials, sssp, sweep_pool);
-        if any_dense {
-            subtree.clear();
-            subtree.resize(n, 0.0);
-            cur_len.clear();
-            cur_len.resize(n, 0.0);
-        }
-
-        let mut warm_guard_limit = usize::MAX;
-        let mut phase = 0usize;
-        // Set by the two exits taken right after a bound evaluation (so the
-        // closing evaluation below would recompute the same bounds).
-        let mut early_exit: Option<&'static str> = None;
-        'phases: while phase < cfg.max_phases && !mwu.saturated() {
-            let d_before = mwu.d_l();
-            for (si, routed_si) in routed.iter_mut().enumerate() {
-                if mwu.saturated() {
-                    break 'phases;
-                }
-                remaining.clear();
-                remaining.extend_from_slice(&ctx.demands[si]);
-                let mut state = SerialState {
-                    mwu: &mut *mwu,
-                    st: &mut arc_state[..],
-                    flow_arc: &mut flow_arc,
-                    remaining: &mut *remaining,
-                    touched: &mut *touched,
-                    path: &mut *path,
-                    subtree: &mut subtree[..],
-                    cur_len: &mut cur_len[..],
-                    sssp: &mut *sssp,
-                    known: &mut *known_paths,
-                    stats: &mut stats,
-                };
-                // The kernel follows from the source's destination count.
-                let ok = if ctx.single_dest[si].is_some() {
-                    route::route_source_single(&ctx, si, potentials, &mut state, routed_si)
-                } else if prob.sources()[si].dests.len() >= agg_min_dests {
-                    route::route_source_tree(&ctx, si, &mut state, routed_si)
-                } else {
-                    route::route_source_walk(&ctx, si, &mut state, routed_si)
-                };
-                if !ok {
-                    break 'phases;
-                }
-            }
-            if attempt_warm && phase == 0 {
-                stats.serial_estimate = estimate_serial_phases(d_before, mwu.d_l());
-                // The warm admissibility budget: how many phases the warm
-                // trajectory may spend before it must have converged.
-                // Prefer the donor's measured phase count as the yardstick
-                // — chains hand near-identical problems along, so it
-                // approximates this instance's *cold* cost, which the
-                // saturation extrapolation wildly overestimates (gap exits
-                // fire long before `D(l) ≥ 1`). A floor of two
-                // bound-evaluation intervals keeps a trivially-cheap donor
-                // from starving a recipient that needs a few real phases;
-                // `phases == 0` falls back to the extrapolation.
-                let yardstick = match warm.map_or(0, |w| w.phases) {
-                    0 => stats.serial_estimate,
-                    d => d.max(2 * check_interval),
-                };
-                warm_guard_limit =
-                    ((cfg.warm_guard_factor * yardstick as f64).ceil() as usize).max(1);
-            }
-            phase += 1;
-            if phase.is_multiple_of(check_interval) {
-                best.evaluate(
-                    &ctx, potentials, rev_lens, &routed, &flow_arc, mwu, arc_state, sssp,
-                    sweep_pool, &mut stats,
-                );
-                if best.upper.is_finite() && best.gap() <= cfg.target_gap {
-                    early_exit = Some("gap");
-                    break 'phases;
-                }
-                if let (Some(budget_ms), Some(start)) = (cfg.time_budget_ms, solve_start) {
-                    if start.elapsed().as_millis() >= u128::from(budget_ms) {
-                        early_exit = Some("time-budget");
-                        break 'phases;
-                    }
-                }
-                if (phase / check_interval).is_power_of_two() {
-                    best.snapshot(&flow_arc, &routed);
-                }
-            }
-            // Warm admissibility gate (the lagging reset): past the warm phase
-            // budget without converging, the warm trajectory has fallen behind
-            // the cold extrapolation — discard this attempt and restart cold.
-            if attempt_warm && phase >= warm_guard_limit && !mwu.saturated() {
-                stats.warm_gate = WarmGate::ResetLagging;
-                stats.warm_phases_discarded += phase;
-                total_phases += phase;
-                warm_active = false;
-                continue 'attempt;
+            // The kernel follows from the source's destination count.
+            let ok = if ctx.single_dest[si].is_some() {
+                route::route_source_single(&ctx, si, potentials, &mut state, routed_si)
+            } else if prob.sources()[si].dests.len() >= agg_min_dests {
+                route::route_source_tree(&ctx, si, &mut state, routed_si)
+            } else {
+                route::route_source_walk(&ctx, si, &mut state, routed_si)
+            };
+            if !ok {
+                break 'phases;
             }
         }
-        stats.phases = total_phases + phase;
-
-        // Closing bound evaluation (unless the exit was taken right after one).
-        if early_exit.is_none() {
+        phase += 1;
+        if phase.is_multiple_of(check_interval) {
             best.evaluate(
                 &ctx, potentials, rev_lens, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool,
                 &mut stats,
             );
-        }
-        if !best.upper.is_finite() {
-            best.upper = best.lower;
-        }
-
-        if trace {
-            eprintln!(
-                "TB_SOLVER_TRACE phases={phase} searches={} path_reuses={} d_l={:.4} exit={} lower={} warm_gate={:?}",
-                stats.searches,
-                stats.path_reuses,
-                mwu.d_l(),
-                early_exit.unwrap_or(if mwu.saturated() {
-                    "saturated"
-                } else {
-                    "phase-budget"
-                }),
-                if best.lower_from_window {
-                    "window"
-                } else {
-                    "prefix"
-                },
-                stats.warm_gate,
-            );
-        }
-        // Warm quality gate: a cold saturation carries the classical `(1+ε)`
-        // guarantee by the delta-init argument; a warm trajectory does not, so
-        // any warm exit that did not *measure* its way under the practical bar
-        // (saturation with a wide gap, or a budget exit a cold run might have
-        // closed) discards the attempt and restarts cold. The bounds themselves
-        // are valid for any positive lengths by LP duality — the gate protects
-        // accuracy parity with cold, not soundness.
-        if attempt_warm {
-            let gap = if best.upper > 0.0 { best.gap() } else { 0.0 };
-            if gap > warm_quality_gap {
-                stats.warm_gate = WarmGate::ResetQuality;
-                stats.warm_phases_discarded += phase;
-                total_phases += phase;
-                warm_active = false;
-                continue 'attempt;
+            if best.upper.is_finite() && best.gap() <= cfg.target_gap {
+                early_exit = Some("gap");
+                break 'phases;
+            }
+            if let (Some(budget_ms), Some(start)) = (cfg.time_budget_ms, solve_start) {
+                if start.elapsed().as_millis() >= u128::from(budget_ms) {
+                    early_exit = Some("time-budget");
+                    break 'phases;
+                }
+            }
+            if (phase / check_interval).is_power_of_two() {
+                best.snapshot(&flow_arc, &routed);
             }
         }
-        break 'attempt best;
-    };
+    }
+    stats.phases = phase;
+
+    // Closing bound evaluation (unless the exit was taken right after one).
+    if early_exit.is_none() {
+        best.evaluate(
+            &ctx, potentials, rev_lens, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool,
+            &mut stats,
+        );
+    }
+    if !best.upper.is_finite() {
+        best.upper = best.lower;
+    }
+
+    if trace {
+        eprintln!(
+            "TB_SOLVER_TRACE phases={phase} searches={} path_reuses={} d_l={:.4} exit={} lower={}",
+            stats.searches,
+            stats.path_reuses,
+            mwu.d_l(),
+            early_exit.unwrap_or(if mwu.saturated() {
+                "saturated"
+            } else {
+                "phase-budget"
+            }),
+            if best.lower_from_window {
+                "window"
+            } else {
+                "prefix"
+            },
+        );
+    }
 
     // Converged = the accuracy contract held when the loop ended: either the
     // classical FPTAS termination (`D(l) >= 1`, the (1±ε) guarantee) or the
@@ -388,15 +279,6 @@ pub(super) fn solve_problem(
     // budget reports `converged: false`, which the outcome layer maps to
     // `SolveStatus::BudgetExhausted`.
     stats.converged = mwu.saturated() || best.upper <= 0.0 || best.gap() <= cfg.target_gap;
-    // Extract the warm artifact for the next solve in a chain: the final
-    // length shape plus the dual bound in unscaled units. Read-only — the
-    // trajectory is identical with extraction on or off.
-    let warm_out = want_warm.then(|| WarmStart {
-        lens: mwu.lens().to_vec(),
-        dual_bound: best.upper * scale,
-        epsilon: eps,
-        phases: stats.phases,
-    });
     // Undo the demand pre-scaling: bounds computed for demands d*scale are
     // 1/scale times the bounds for d. The certificate needs no scale field:
     // its flow and served amounts are absolute, so the canonical claims come
@@ -408,7 +290,6 @@ pub(super) fn solve_problem(
         },
         stats,
         cert: best.capture.map(|cap| cap.into_certificate(prob)),
-        warm: warm_out,
         lower_from_window: best.lower_from_window,
     }
 }
@@ -475,31 +356,9 @@ impl DemandTables {
     }
 }
 
-/// Extrapolates the serial phase count from one serial phase's `D(l)`
-/// progress: `ln D(l)` grows roughly linearly per phase (each phase routes
-/// the full demand once, multiplying lengths by ~`(1+eps)^loads`), so the
-/// phases left to the classical `D(l) >= 1` termination are
-/// `-ln d_after / (ln d_after - ln d_before)`. The estimate is a guard
-/// yardstick, not a bound: gap-based early termination usually fires first,
-/// making the estimate conservative (an upper-ish estimate of serial work),
-/// which only loosens the guard.
-fn estimate_serial_phases(d_before: f64, d_after: f64) -> usize {
-    if !(d_after.is_finite() && d_before > 0.0 && d_after > d_before) {
-        return 1;
-    }
-    if d_after >= 1.0 {
-        return 1;
-    }
-    let per_phase = d_after.ln() - d_before.ln();
-    if per_phase <= 0.0 {
-        return 1;
-    }
-    1 + ((-d_after.ln()) / per_phase).ceil() as usize
-}
-
-/// One attempt's bound bookkeeping: the best bracket so far (in the *scaled*
+/// A solve's bound bookkeeping: the best bracket so far (in the *scaled*
 /// demand space), the suffix-window snapshots, and the certificate capture.
-struct AttemptBounds {
+struct BestBounds {
     lower: f64,
     upper: f64,
     /// Whether a suffix window (rather than the cumulative flow) set `lower`.
@@ -513,9 +372,9 @@ struct AttemptBounds {
     capture: Option<CertCapture>,
 }
 
-impl AttemptBounds {
+impl BestBounds {
     fn new(want_cert: bool) -> Self {
-        AttemptBounds {
+        BestBounds {
             lower: 0.0,
             upper: f64::INFINITY,
             lower_from_window: false,
@@ -716,7 +575,7 @@ mod tests {
             ..FleischerConfig::fast()
         };
         let mut ws = SolverWorkspace::new();
-        solve_problem(&cfg, &topo.graph, &prob, &mut ws, false, None, false);
+        solve_problem(&cfg, &topo.graph, &prob, &mut ws, false);
         let tables = DemandTables::new(&prob, 1.0);
         let ctx = tables.ctx(&prob, 1.0);
         assert_eq!(ctx.num_single, 160);
@@ -754,7 +613,7 @@ mod tests {
 
     #[test]
     fn snapshots_keep_the_latest_two_older_first() {
-        let mut best = AttemptBounds::new(false);
+        let mut best = BestBounds::new(false);
         for k in 1..=4 {
             best.snapshot(&[k as f64], &[vec![10.0 * k as f64]]);
             let held: Vec<f64> = best.bases.iter().map(|b| b.flow[0]).collect();

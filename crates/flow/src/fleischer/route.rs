@@ -84,7 +84,7 @@ const KNOWN_PATHS: usize = 16;
 /// (arc-id lists, dst-to-src order; arc ids fit `u32`, which building the
 /// problem's `CsrGraph` asserts), at most [`KNOWN_PATHS`] per source,
 /// least recently routed evicted first. Kept across the phases of one
-/// attempt; [`KnownPaths::reset`] empties it in O(sources), keeping the
+/// solve; [`KnownPaths::reset`] empties it in O(sources), keeping the
 /// allocations.
 #[derive(Debug, Clone, Default)]
 pub(super) struct KnownPaths {

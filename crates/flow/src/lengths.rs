@@ -87,67 +87,6 @@ impl MwuLengths {
             .sum();
     }
 
-    /// Warm (re-)initialization: project a donor length *shape* onto this
-    /// instance's arcs and rescale it to the delta-init potential scale.
-    /// Returns `true` if the warm shape was accepted; on `false` the state is
-    /// left at the plain cold init (the method always runs
-    /// [`reset`](MwuLengths::reset) first, so rejection is never a partial
-    /// state).
-    ///
-    /// Projection: arc `a` of this instance samples `shape[a · k / m]` where
-    /// `k = shape.len()` — nearest-index resampling, exact when the arc counts
-    /// match (adjacent ladder rungs differ slightly). Rescaling maps the
-    /// sampled shape down to the `delta` scale so that the total potential
-    /// matches the cold init exactly, `D_0 = m · delta`, and saturation at
-    /// `D(l) ≥ 1` keeps its meaning with full headroom. Arcs the donor priced
-    /// up start *above* `delta/cap`, quiet arcs start below; undercutting the
-    /// classical per-arc floor is safe because the returned bounds are
-    /// measured (the primal lower bound self-normalizes by actual congestion,
-    /// the dual holds for any positive lengths) and the solver's quality gate
-    /// enforces accuracy parity. A shape is rejected when any sampled
-    /// potential `s_a · cap_a` is non-finite or non-positive.
-    ///
-    /// # Panics
-    /// Panics if `eps` is outside `(0, 0.5)` (same contract as `reset`).
-    pub fn reset_warm<I: IntoIterator<Item = f64>>(
-        &mut self,
-        eps: f64,
-        caps: I,
-        shape: &[f64],
-    ) -> bool {
-        self.reset(eps, caps);
-        let m = self.caps.len();
-        let k = shape.len();
-        if m == 0 || k == 0 {
-            return false;
-        }
-        let delta = (m as f64 / (1.0 - eps)).powf(-1.0 / eps);
-        // Per-arc potentials of the projected shape: pot_a = shape[a·k/m] · cap_a.
-        let mut sum_pot = 0.0f64;
-        for a in 0..m {
-            let s = shape[a * k / m];
-            let pot = s * self.caps[a];
-            if !pot.is_finite() || pot <= 0.0 {
-                return false;
-            }
-            sum_pot += pot;
-        }
-        let t = m as f64 * delta / sum_pot;
-        if !t.is_finite() || t <= 0.0 {
-            return false;
-        }
-        for a in 0..m {
-            self.lens[a] = t * shape[a * k / m];
-        }
-        self.d_l = self
-            .lens
-            .iter()
-            .zip(self.caps.iter())
-            .map(|(l, c)| l * c)
-            .sum();
-        true
-    }
-
     /// Number of arcs/links the state covers.
     pub fn num_arcs(&self) -> usize {
         self.caps.len()
@@ -227,46 +166,6 @@ impl ArcLengths for MwuLengths {
     }
 }
 
-/// A portable warm-start artifact extracted from a completed solve: the final
-/// MWU length *shape* plus the certified dual bound it reached.
-///
-/// The raw lengths are useless across instances — they sit at the saturation
-/// scale `D(l) ≈ 1` of the *previous* solve, and adjacent ladder rungs have
-/// different arc counts. What transfers is the **shape**: which arcs the MWU
-/// dynamics priced up (bottlenecks) relative to the rest.
-/// [`MwuLengths::reset_warm`] projects the shape onto the new arc set and
-/// rescales it back down to the delta-init potential scale, so the classical
-/// machinery (saturation at `D(l) ≥ 1`, the dual bound `D(l)/α`) runs
-/// unchanged. Both throughput bounds the solver reports — the `μ`-rescaled
-/// primal and `D(l)/α` dual — are valid for *any* positive length function by
-/// LP duality, so a warm shape can never produce a wrong bound; only the
-/// classical saturation-implies-`(1+ε)` argument assumes the delta init, and
-/// the solver re-checks that with a measured-gap gate (see `WarmGate`).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WarmStart {
-    /// Final per-arc lengths of the donor solve (the shape to project).
-    pub lens: Vec<f64>,
-    /// The donor's certified dual (upper) bound, in unscaled throughput units.
-    pub dual_bound: f64,
-    /// The step size the donor ran with (recorded for diagnostics; the
-    /// recipient rescales to its own `eps`/`delta`).
-    pub epsilon: f64,
-    /// The donor's total phase count. Warm chains hand near-identical
-    /// problems along, so this approximates the recipient's *cold* cost and
-    /// calibrates the warm admissibility budget far better than the
-    /// saturation extrapolation (gap exits fire long before saturation).
-    /// `0` (an artifact predating the field, or a donor that solved
-    /// trivially) falls back to the phase-0 extrapolation.
-    pub phases: usize,
-}
-
-impl WarmStart {
-    /// Whether the artifact carries a usable shape.
-    pub fn is_usable(&self) -> bool {
-        !self.lens.is_empty() && self.lens.iter().all(|l| l.is_finite() && *l > 0.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,64 +226,5 @@ mod tests {
     #[should_panic]
     fn bad_epsilon_rejected() {
         MwuLengths::new().reset(0.7, [1.0]);
-    }
-
-    #[test]
-    fn warm_reset_mean_matches_cold_total_potential() {
-        let shape = [1.0, 4.0, 1.0, 2.0];
-        let mut warm = MwuLengths::new();
-        assert!(warm.reset_warm(0.1, [1.0, 1.0, 2.0, 2.0], &shape));
-        let mut cold = MwuLengths::new();
-        cold.reset(0.1, [1.0, 1.0, 2.0, 2.0]);
-        assert!((warm.d_l() - cold.d_l()).abs() <= 1e-12 * cold.d_l());
-    }
-
-    #[test]
-    fn warm_reset_projects_across_arc_counts() {
-        // Donor had 2 arcs, recipient has 4: nearest-index resampling maps
-        // arcs {0,1} -> shape[0] and {2,3} -> shape[1].
-        let shape = [1.0, 3.0];
-        let mut warm = MwuLengths::new();
-        assert!(warm.reset_warm(0.1, [1.0; 4], &shape));
-        assert_eq!(warm.len_of(0).to_bits(), warm.len_of(1).to_bits());
-        assert_eq!(warm.len_of(2).to_bits(), warm.len_of(3).to_bits());
-        assert!((warm.len_of(2) / warm.len_of(0) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn warm_reset_rejects_garbage_and_falls_back_cold() {
-        let mut cold = MwuLengths::new();
-        cold.reset(0.1, [1.0, 2.0]);
-        for bad in [
-            vec![],                   // empty shape
-            vec![0.0, 1.0],           // non-positive entry
-            vec![-1.0, 1.0],          // negative entry
-            vec![f64::NAN, 1.0],      // non-finite entry
-            vec![f64::INFINITY, 1.0], // non-finite entry
-        ] {
-            let mut warm = MwuLengths::new();
-            let ok = warm.reset_warm(0.1, [1.0, 2.0], &bad);
-            assert!(!ok, "shape {bad:?} should be rejected");
-            // Rejection leaves the plain cold init, bit for bit.
-            assert_eq!(warm.lens(), cold.lens());
-            assert_eq!(warm.d_l().to_bits(), cold.d_l().to_bits());
-        }
-    }
-
-    #[test]
-    fn warm_start_usability() {
-        assert!(!WarmStart::default().is_usable());
-        let ws = WarmStart {
-            lens: vec![1.0, 2.0],
-            dual_bound: 1.5,
-            epsilon: 0.1,
-            phases: 8,
-        };
-        assert!(ws.is_usable());
-        let bad = WarmStart {
-            lens: vec![1.0, f64::NAN],
-            ..ws
-        };
-        assert!(!bad.is_usable());
     }
 }

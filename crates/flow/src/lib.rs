@@ -30,11 +30,9 @@ pub mod restricted;
 
 pub use certificate::{verify_certificate, CertificateError, ThroughputCertificate};
 pub use exact::ExactLpSolver;
-pub use fleischer::{
-    FleischerConfig, FleischerSolver, SolveOutcome, SolveStats, SolverWorkspace, WarmGate,
-};
+pub use fleischer::{FleischerConfig, FleischerSolver, SolveOutcome, SolveStats, SolverWorkspace};
 pub use instance::FlowProblem;
-pub use lengths::{ArcLengths, MwuLengths, WarmStart};
+pub use lengths::{ArcLengths, MwuLengths};
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
