@@ -6,7 +6,9 @@
 //! FPTAS stores whichever flow set its best bound — everything routed since
 //! phase 0 or a suffix window of it, both checked the same way) and
 //! the dual length function behind the upper bound (`upper = D(l)/alpha(l)`,
-//! valid for **any** non-negative lengths by LP duality). Everything needed
+//! valid for **any** non-negative lengths by LP duality; the FPTAS stores the
+//! lengths of the evaluation that set its best bound, or the window average
+//! of its normalised iterates when that did). Everything needed
 //! to re-check the claim is stored in the certificate itself, so
 //! [`verify_certificate`] re-derives both sides from scratch — shortest
 //! paths under the stored lengths, capacity and conservation residuals of
@@ -73,7 +75,8 @@ pub struct ThroughputCertificate {
     pub served: Vec<f64>,
     /// The dual length function behind the upper bound (non-negative,
     /// finite). Any such function yields a valid bound; this one is the
-    /// snapshot at which the solver's best upper bound was achieved.
+    /// function at which the solver's best upper bound was achieved — an
+    /// iterate of its trajectory, or an average of normalised iterates.
     pub lengths: Vec<f64>,
     /// `D(l) = sum_a cap[a] * lengths[a]`, canonically derived.
     pub d_l: f64,
@@ -461,13 +464,14 @@ impl FlowSnapshot {
 }
 
 /// Snapshot capture used by the solver's phase loop: copies of the length
-/// function at the best-upper evaluation and of the flow behind the best
-/// lower bound (the accumulated flow, or a suffix window of it). Copies are
+/// function behind the best upper bound (the lengths at that evaluation, or
+/// the window average of the normalised lengths) and of the flow behind the
+/// best lower bound (the accumulated flow, or a suffix window of it). Copies are
 /// trajectory-neutral (no arithmetic feeds back into solver state), so
 /// enabling capture cannot change any solved number.
 #[derive(Debug, Default)]
 pub(crate) struct CertCapture {
-    /// Lengths at the evaluation that achieved the best upper bound.
+    /// The length function that achieved the best upper bound.
     pub lens: Vec<f64>,
     /// The flow behind the best lower bound: the accumulators at that
     /// evaluation, minus the window base when a suffix window set the bound.

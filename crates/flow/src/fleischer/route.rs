@@ -155,11 +155,12 @@ impl KnownPaths {
     }
 }
 
-/// Computes the routing tree of the multi-destination source `si` at the
-/// lengths `len` (early-exit Dijkstra over its destination set). Read-only
-/// over `len`; single-destination sources search inside
-/// [`route_source_single`] and read their dual-bound term off the potential
-/// rows.
+/// Computes the shortest-path tree of source `si` at the lengths `len`
+/// (early-exit Dijkstra over its destination set). Read-only over `len`.
+/// Multi-destination sources route on it and take their dual-bound term from
+/// it; single-destination sources search inside [`route_source_single`] and
+/// read their last-iterate dual-bound term off the potential rows, so they
+/// come here only for the averaged dual bound, where no rows exist.
 pub(super) fn compute_tree(ctx: &RouteCtx<'_>, si: usize, len: &[f64], sssp: &mut SsspWorkspace) {
     let n = ctx.prob.num_nodes();
     // Target bookkeeping only pays when the destination set is a small

@@ -14,14 +14,16 @@
 //!   reciprocals), the step size and the incrementally-maintained
 //!   `D(l) = Σ_a len_a · cap_a`. [`reset`](MwuLengths::reset) re-initializes
 //!   in place so a solver workspace reuses the buffers across solves.
+//! * `LengthAverage` (crate-internal) — the running sum of the *normalised*
+//!   length function `l / D(l)`, sampled along a multiplicative-weights
+//!   trajectory. The regret analysis behind the Garg–Könemann / Fleischer
+//!   guarantee converges in the average of those iterates, not in the last
+//!   one; the Fleischer phase loop bounds from a suffix window of this sum
+//!   when the last iterate stops improving (see `fleischer::phase`).
 //!
-//! Two update flavors exist for bit-compatibility with the committed golden
-//! artifacts: [`apply`](MwuLengths::apply) multiplies by the cached reciprocal
-//! capacity (the Fleischer hot path, where a multiply measurably beats a
-//! divide), while [`apply_quotient`](MwuLengths::apply_quotient) divides by
-//! the capacity — the arithmetic the path-restricted solver has always used.
-//! The two differ by at most one rounding step per update, but the golden
-//! suite pins results bit-for-bit, so each solver keeps its historical form.
+//! There is one update form, [`apply`](MwuLengths::apply): it multiplies by
+//! the cached reciprocal capacity, because the update loops run once per
+//! loaded arc and a multiply measurably beats a divide there.
 
 /// Read access to a per-arc (or per-link) length function.
 pub trait ArcLengths {
@@ -125,24 +127,12 @@ impl MwuLengths {
     /// The multiplicative update for routing `load` over arc `id`:
     /// `len *= 1 + eps · load / cap` in the reciprocal form
     /// (`eps · load · (1/cap)`), maintaining `D(l)` incrementally. One
-    /// definition serves both Fleischer routing kernels — per-destination
-    /// walk and aggregated tree — keeping them arithmetically identical.
+    /// definition serves every solver — the Fleischer routing kernels and
+    /// the path-restricted loop — keeping them arithmetically identical.
     #[inline]
     pub fn apply(&mut self, id: usize, load: f64) {
         let old = self.lens[id];
         let new = old * (1.0 + self.eps * load * self.inv_caps[id]);
-        self.d_l += (new - old) * self.caps[id];
-        self.lens[id] = new;
-    }
-
-    /// The same update in quotient form (`eps · load / cap`): the arithmetic
-    /// the path-restricted solver has always used, preserved because the
-    /// committed golden artifacts pin its results bit-for-bit. Differs from
-    /// [`apply`](MwuLengths::apply) by at most one rounding step per update.
-    #[inline]
-    pub fn apply_quotient(&mut self, id: usize, load: f64) {
-        let old = self.lens[id];
-        let new = old * (1.0 + self.eps * load / self.caps[id]);
         self.d_l += (new - old) * self.caps[id];
         self.lens[id] = new;
     }
@@ -166,6 +156,49 @@ impl ArcLengths for MwuLengths {
     }
 }
 
+/// Running sum of the normalised length function `l / D(l)` over the samples
+/// taken along one solve (each sample has `D = 1`, so every iterate weighs
+/// the same). Any difference of two states of the sum is a non-negative
+/// length function, hence a valid dual certificate; the caller keeps copies
+/// of [`sum`](LengthAverage::sum) as window bases.
+#[derive(Debug, Clone)]
+pub(crate) struct LengthAverage {
+    sum: Vec<f64>,
+}
+
+impl LengthAverage {
+    /// An empty sum over `num_arcs` arcs.
+    pub fn new(num_arcs: usize) -> Self {
+        LengthAverage {
+            sum: vec![0.0; num_arcs],
+        }
+    }
+
+    /// Adds the current `l / D(l)` of `mwu`. O(arcs).
+    pub fn sample(&mut self, mwu: &MwuLengths) {
+        let inv_d = 1.0 / mwu.d_l();
+        for (s, l) in self.sum.iter_mut().zip(mwu.lens()) {
+            *s += l * inv_d;
+        }
+    }
+
+    /// The sum over every sample so far.
+    pub fn sum(&self) -> &[f64] {
+        &self.sum
+    }
+
+    /// Writes the window `sum - base` (the whole sum when `base` is `None`)
+    /// into `out`. Samples are positive and floating-point addition of a
+    /// non-negative term never decreases a sum, so every entry is `>= 0`.
+    pub fn window(&self, base: Option<&[f64]>, out: &mut Vec<f64>) {
+        out.clear();
+        match base {
+            None => out.extend_from_slice(&self.sum),
+            Some(base) => out.extend(self.sum.iter().zip(base).map(|(s, b)| s - b)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,19 +217,40 @@ mod tests {
     }
 
     #[test]
-    fn apply_forms_agree_on_unit_caps_and_track_d_l() {
-        let mut a = MwuLengths::new();
-        let mut b = MwuLengths::new();
-        a.reset(0.2, [1.0, 1.0]);
-        b.reset(0.2, [1.0, 1.0]);
-        a.apply(0, 0.5);
-        b.apply_quotient(0, 0.5);
-        // Unit capacity: reciprocal and quotient forms are bit-identical.
-        assert_eq!(a.len_of(0).to_bits(), b.len_of(0).to_bits());
-        assert_eq!(a.d_l().to_bits(), b.d_l().to_bits());
-        // d_l maintained incrementally equals a fresh sum.
-        let direct: f64 = a.lens().iter().zip(a.caps()).map(|(l, c)| l * c).sum();
-        assert!((a.d_l() - direct).abs() < 1e-15);
+    fn apply_tracks_d_l_incrementally() {
+        let mut mwu = MwuLengths::new();
+        mwu.reset(0.2, [1.0, 2.0]);
+        mwu.apply(0, 0.5);
+        mwu.apply(1, 0.25);
+        let direct: f64 = mwu.lens().iter().zip(mwu.caps()).map(|(l, c)| l * c).sum();
+        assert!((mwu.d_l() - direct).abs() < 1e-15);
+    }
+
+    #[test]
+    fn length_average_sums_normalised_samples_and_differences_windows() {
+        let mut mwu = MwuLengths::new();
+        mwu.reset(0.2, [1.0, 2.0]);
+        let mut avg = LengthAverage::new(2);
+        assert_eq!(avg.sum(), [0.0, 0.0]);
+        avg.sample(&mwu);
+        let base = avg.sum().to_vec();
+        // Every sample has D = 1: cap-weighted, the sum counts the samples.
+        let d = |l: &[f64]| l[0] * 1.0 + l[1] * 2.0;
+        assert!((d(&base) - 1.0).abs() < 1e-15);
+        mwu.apply(0, 1.0);
+        avg.sample(&mwu);
+        mwu.apply(1, 2.0);
+        avg.sample(&mwu);
+        let mut out = Vec::new();
+        avg.window(None, &mut out);
+        assert_eq!(out, avg.sum());
+        assert!((d(&out) - 3.0).abs() < 1e-14);
+        avg.window(Some(&base), &mut out);
+        assert!((d(&out) - 2.0).abs() < 1e-14);
+        assert!(out.iter().all(|&l| l > 0.0));
+        // The window weighs arc 0 more than the first sample did: it was
+        // loaded first and stayed long for both later samples.
+        assert!(out[0] / out[1] > base[0] / base[1]);
     }
 
     #[test]

@@ -245,7 +245,7 @@ impl PathRestrictedSolver {
                     }
                     for &i in best_path {
                         flow_link[i] += f;
-                        mwu.apply_quotient(i, f);
+                        mwu.apply(i, f);
                     }
                     routed[ci] += f;
                     remaining -= f;
