@@ -1,6 +1,7 @@
 //! Microbenchmarks of the solver stack: the current Fleischer kernel against
 //! a frozen copy of the pre-refactor kernel, the exact LP at the crossover
-//! sizes, the Hungarian assignment used by the longest-matching TM, and the
+//! sizes (and at the two most degenerate instances the sweeps send to it),
+//! the Hungarian assignment used by the longest-matching TM, and the
 //! same-equipment random-graph constructor.
 //!
 //! Run with `TB_BENCH_JSON=BENCH_solver.json cargo bench --bench
@@ -33,7 +34,10 @@ use tb_flow::{ExactLpSolver, FleischerConfig, FleischerSolver};
 use tb_graph::matching::max_weight_assignment;
 use tb_graph::shortest_path::apsp_unweighted;
 use tb_graph::Graph;
-use tb_topology::{hypercube::hypercube, jellyfish::jellyfish, jellyfish::same_equipment};
+use tb_topology::families::{Family, Scale};
+use tb_topology::{
+    hypercube::hypercube, hyperx::hyperx, jellyfish::jellyfish, jellyfish::same_equipment,
+};
 use tb_traffic::facebook::tm_f;
 use tb_traffic::synthetic::{all_to_all, longest_matching, random_permutation};
 use tb_traffic::TrafficMatrix;
@@ -68,6 +72,22 @@ fn bench(c: &mut Criterion) {
     group.bench_function("exact_lp_hypercube_d3", |b| {
         b.iter(|| ExactLpSolver::new().solve(&small.graph, &small_tm).unwrap())
     });
+    // The exact path at the sizes the sweep's gate still sends to it: rung 1
+    // of the flattened-butterfly ladder (16 switches, a 336-row arc LP) and
+    // fig07's 12-switch HyperX (K12, 264 rows), both heavily degenerate.
+    let bf16 = Family::FlattenedButterfly
+        .ladder_instance(Scale::Small, 1, 1)
+        .expect("rung 1 exists");
+    let k12 = hyperx(1, 12, 1, 11);
+    for (name, topo) in [
+        ("exact_lp_flattened_bf16_lm", &bf16),
+        ("exact_lp_hyperx_k12_lm", &k12),
+    ] {
+        let tm = longest_matching(&topo.graph, &topo.servers, true);
+        group.bench_function(name, |b| {
+            b.iter(|| ExactLpSolver::new().solve(&topo.graph, &tm).unwrap())
+        });
+    }
     group.bench_function("fptas_hypercube_d3", |b| {
         b.iter(|| FleischerSolver::new(FleischerConfig::default()).solve(&small.graph, &small_tm))
     });

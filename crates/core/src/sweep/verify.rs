@@ -313,7 +313,12 @@ mod tests {
         let at = text.find(tag).expect("lower metric present") + tag.len();
         let hex = &text[at..at + 16];
         let other = format!("{:016x}", 2.5f64.to_bits());
-        let mutated = text.replace(hex, &other);
+        // Only the metric form `{"bits":"…"`: an exact solve's certificate can
+        // claim the very same bits, and mutating the evidence too would test
+        // the digest instead.
+        let metric = |bits: &str| format!("{{\"bits\":\"{bits}\"");
+        let mutated = text.replace(&metric(hex), &metric(&other));
+        assert_ne!(text, mutated);
         let report = verify_artifact_cells(&mutated, &specs, &cfg).unwrap();
         assert!(
             report.bad.iter().any(|(_, why)| why.contains("lower")),

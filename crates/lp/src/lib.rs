@@ -4,10 +4,12 @@
 //!
 //! The paper computes throughput with Gurobi; this repository replaces it with
 //! two components: a combinatorial FPTAS (in `tb-flow`) for large instances and
-//! this exact **two-phase revised primal simplex** (sparse columns, product-form
-//! inverse) used to validate the FPTAS in tests, to solve the Kodialam
-//! traffic-matrix LP on small networks, to certify bench shapes against the
-//! true LP optimum, and for the sparsest-cut LP relaxation experiments.
+//! this exact **two-phase revised primal simplex**. Its one caller is
+//! `tb_flow::exact`, which builds the two throughput LPs it solves — the
+//! destination-aggregated arc LP of every instance small enough for the
+//! sweep's exact path, and the restricted masters of path column generation
+//! that certify 64-switch bench shapes against the true optimum — and
+//! through it the tests that validate the FPTAS.
 //!
 //! The solver handles problems of the form
 //!
@@ -17,11 +19,12 @@
 //!               x >= 0
 //! ```
 //!
-//! It is a sparse revised-simplex implementation with Bland's anti-cycling
-//! rule engaged after a run of degenerate pivots, periodic eta-file
-//! refactorization, optional warm starts ([`solve_with_hint`]), and dual
-//! values on every solution; it handles instances with tens of thousands of
-//! variables and a few thousand constraints.
+//! The basis is kept as a sparse LU factorization with product-form updates,
+//! entering columns are chosen by Devex pricing, and degeneracy is handled by
+//! a deterministic bound perturbation that is removed before the optimum is
+//! reported (see the `simplex` module's documentation). A solve can start from
+//! a caller's guess of the solution ([`solve_with_hint`]) and reports dual
+//! values and its own pivot counters on every [`Solution`].
 
 mod simplex;
 

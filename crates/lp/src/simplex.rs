@@ -1,12 +1,45 @@
-//! Sparse two-phase revised primal simplex with a product-form inverse.
+//! Sparse two-phase revised primal simplex: an LU-factorized basis, Devex
+//! pricing, and a deterministic perturbation against degeneracy.
 //!
-//! The constraint matrix is stored column-wise in sparse form and the basis
-//! inverse is maintained as an eta file (product-form inverse, PFI): each
-//! pivot appends one elementary eta matrix, and the file is rebuilt from
-//! scratch every [`REFACTOR_EVERY`] pivots to bound both fill-in and numeric
-//! drift. `FTRAN`/`BTRAN` apply the file forward/transposed-backward, so the
-//! per-iteration cost scales with the number of nonzeros rather than with
-//! `rows × cols` as in the dense tableau this module replaces.
+//! **Factorization.** The basis is held as `B = L U E_1 … E_k`. `L U` comes
+//! from [`Factor::factorize`]: column and row singletons are peeled off first
+//! (a permuted triangular part that costs no arithmetic and no fill-in — on the
+//! flow LPs this crate serves, whose columns have at most three nonzeros, that
+//! is most of the basis), and the remaining nucleus is eliminated
+//! left-looking with threshold partial pivoting that prefers sparse rows. Each
+//! pivot then appends one product-form eta `E_i`, and the basis is factorized
+//! afresh every [`REFACTOR_EVERY`] pivots, which bounds both the eta file and
+//! the numeric drift. `FTRAN`/`BTRAN` skip every elimination step whose
+//! multiplier is zero, and `U` is kept by rows as well so that the transposed
+//! solve scatters instead of gathering.
+//!
+//! **Pricing.** Reduced costs are kept for every structural and slack column
+//! and updated after each pivot from one row of the tableau
+//! (`e_r' B^{-1} A`, computed through the row-wise copy of `A` along the
+//! nonzeros of `B^{-T} e_r`); the same row updates the Devex reference
+//! weights, and the entering column maximizes `d_j^2 / w_j`. The reduced cost
+//! of the chosen column is recomputed from its `FTRAN`ed column before it is
+//! used, all of them are recomputed at every refactorization, and optimality
+//! is only declared on freshly computed ones. Artificial columns never
+//! re-enter, so they are not priced at all.
+//!
+//! **Degeneracy.** Each phase runs on a perturbed problem (see
+//! [`Solver::optimize`]): the variable basic at row `r` when the phase starts
+//! may go down to `-delta_r` instead of zero, with `delta_r` a fixed function
+//! of `r` — no random numbers, so a solve is reproducible bit for bit. In
+//! terms of the equations that moves the right-hand side by
+//! `sum_r delta_r B_r`, a generic direction, which splits every degenerate
+//! vertex into distinct nearby ones: ratio tests stop tying and the method
+//! cannot cycle. The perturbation relaxes bounds only, so a feasible problem
+//! stays feasible, and it does not touch the costs, so the reduced costs of
+//! the basis the perturbed run ends at are those of the true problem. When
+//! the run ends the true right-hand side is put back, the basic values are
+//! recomputed from a fresh factorization, and if one of them comes out
+//! negative — only possible when two vertices of the true problem are closer
+//! than the perturbation — dual simplex steps restore primal feasibility
+//! without giving up the sign of any reduced cost. What is returned is
+//! therefore a basis that is primal and dual feasible for the unperturbed
+//! problem: its optimum, not an approximation of it.
 
 /// Comparison operator of a linear constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,6 +118,15 @@ pub struct Solution {
     /// were normalized internally (negative right-hand sides) are reported in
     /// the caller's original orientation.
     pub duals: Vec<f64>,
+    /// Simplex pivots the solve took, both phases.
+    pub pivots: usize,
+    /// Pivots among them whose step was no longer than the perturbation
+    /// accounts for: the vertex they left was degenerate.
+    pub degenerate_pivots: usize,
+    /// Basis refactorizations after the initial one.
+    pub refactorizations: usize,
+    /// Nonzeros of the `L` and `U` factors at the last refactorization.
+    pub factor_nonzeros: usize,
 }
 
 /// Solver failure modes.
@@ -113,56 +155,44 @@ impl std::error::Error for LpError {}
 /// Result alias for LP solves.
 pub type LpResult = Result<Solution, LpError>;
 
+/// A reduced cost must exceed this for its column to enter.
 const EPS: f64 = 1e-9;
-/// Rebuild the eta file from the basis every this many pivots.
-const REFACTOR_EVERY: usize = 64;
-/// Switch from Dantzig to Bland pricing after this many degenerate pivots.
-const BLAND_TRIGGER: usize = 50;
+/// Smallest pivot magnitude the ratio tests accept.
+const PIVOT_TOL: f64 = 1e-7;
+/// Primal feasibility tolerance (also the Harris ratio-test relaxation).
+const FEAS_TOL: f64 = 1e-9;
+/// Refactorize after this many product-form updates.
+const REFACTOR_EVERY: usize = 50;
 /// Minimum pivot magnitude accepted when forcing a basic artificial out.
 const ART_PIVOT_TOL: f64 = 1e-7;
+/// Bound perturbation, relative to the largest right-hand side: the basic
+/// variable at row `r` is allowed down to `-PERTURB * (1 + frac(r * phi))`.
+const PERTURB: f64 = 1e-7;
+/// A step this short (relative to the largest right-hand side) is one the
+/// perturbation alone accounts for; it is counted as a degenerate pivot.
+const DEGENERATE_STEP: f64 = 100.0 * PERTURB;
+/// Threshold partial pivoting: an LU pivot must reach this share of the
+/// largest eligible entry of its column.
+const LU_THRESHOLD: f64 = 0.1;
+/// Below this a column has no usable pivot: the basis is singular.
+const SINGULAR_TOL: f64 = 1e-10;
+/// Devex reference weights restart from 1 once one grows past this.
+const DEVEX_RESET: f64 = 1e6;
+/// `frac(r * GOLDEN)` spreads the per-row perturbation sizes evenly over
+/// `[0, 1)` with no two rows alike.
+const GOLDEN: f64 = 0.618_033_988_749_895;
 
-/// One elementary pivot matrix. Applying it to `v` replaces
-/// `v[row] <- diag * v[row]` and adds `others[i] * v_row_old` elsewhere.
-struct Eta {
-    row: usize,
-    diag: f64,
-    others: Vec<(usize, f64)>,
-}
-
-/// `v <- B^{-1} v` via the eta file, tracking the nonzero pattern in `nz`
-/// (`nz` may retain indices whose value cancelled back to exactly zero; an
-/// index appears at most once while its value is nonzero).
-fn ftran(etas: &[Eta], v: &mut [f64], nz: &mut Vec<usize>) {
-    for e in etas {
-        let vr = v[e.row];
-        if vr == 0.0 {
-            continue;
-        }
-        v[e.row] = e.diag * vr;
-        for &(i, x) in &e.others {
-            if v[i] == 0.0 {
-                nz.push(i);
-            }
-            v[i] += x * vr;
-        }
-    }
-}
-
-/// `v <- B^{-T} v` via the eta file (transposed etas, reverse order).
-fn btran(etas: &[Eta], v: &mut [f64]) {
-    for e in etas.iter().rev() {
-        let mut s = e.diag * v[e.row];
-        for &(i, x) in &e.others {
-            s += x * v[i];
-        }
-        v[e.row] = s;
-    }
-}
+/// Pivot budget: this many per row, plus one per column and a constant. The
+/// most any solve of the sweep suite took (75 LPs at seed 1, 375 more over 125
+/// other seeds of `fig05_06 /1/LM`) is 5.3 per row; a 336-row LP that ran into
+/// the budget would have spent 12,700 pivots, about 0.3 s.
+const MAX_PIVOTS_PER_ROW: usize = 30;
 
 const NONE: usize = usize::MAX;
 
-/// The LP in standard form: `A x = b`, `b >= 0`, `x >= 0`, columns stored
-/// sparsely. Slack and artificial columns are singletons and kept implicit.
+/// The LP in standard form: `A x = b`, `b >= 0`, `x >= 0`. The structural
+/// columns are stored both column- and row-wise; slack and artificial
+/// columns are singletons and kept implicit.
 struct StdLp {
     n: usize,
     m: usize,
@@ -171,11 +201,20 @@ struct StdLp {
     col_ptr: Vec<usize>,
     row_idx: Vec<usize>,
     vals: Vec<f64>,
+    /// The same matrix row-wise (CSR), for tableau rows.
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    row_vals: Vec<f64>,
     rhs: Vec<f64>,
     /// Per slack column: (row, ±1).
     slack: Vec<(usize, f64)>,
     /// Per artificial column: its row.
     art: Vec<usize>,
+    /// Per row: its slack column, or `NONE` on an equality row.
+    row_slack: Vec<usize>,
+    /// Per row: the column basic in the all-logical start (the slack of a
+    /// `<=` row, the artificial of any other).
+    row_logical: Vec<usize>,
     /// Rows whose sign was flipped during normalization (dual sign restore).
     row_negated: Vec<bool>,
     slack_base: usize,
@@ -209,54 +248,56 @@ impl StdLp {
             rhs.push(b);
         }
 
-        // Column-major structural matrix. Duplicate (row, var) coefficients
-        // are summed, matching the dense implementation's semantics.
-        let mut col_nnz = vec![0usize; n];
-        for c in &lp.constraints {
-            for &(v, _) in &c.coeffs {
-                col_nnz[v] += 1;
-            }
-        }
-        let mut col_ptr = vec![0usize; n + 1];
-        for j in 0..n {
-            col_ptr[j + 1] = col_ptr[j] + col_nnz[j];
-        }
-        let nnz = col_ptr[n];
-        let mut row_idx = vec![0usize; nnz];
-        let mut vals = vec![0.0f64; nnz];
-        let mut cursor = col_ptr.clone();
+        // Row-major structural matrix: each row sorted by column, duplicate
+        // (row, var) coefficients summed, exact zeros dropped.
+        let mut row_ptr = vec![0usize; m + 1];
+        let mut col_idx = Vec::new();
+        let mut row_vals = Vec::new();
         for (r, c) in lp.constraints.iter().enumerate() {
             let sign = if row_negated[r] { -1.0 } else { 1.0 };
-            for &(v, coef) in &c.coeffs {
-                let k = cursor[v];
-                row_idx[k] = r;
-                vals[k] = coef * sign;
-                cursor[v] += 1;
-            }
-        }
-        // Merge duplicates so each row index appears once per column (the
-        // nonzero tracking in FTRAN relies on that).
-        let mut write = 0usize;
-        let mut new_ptr = vec![0usize; n + 1];
-        for j in 0..n {
-            let start = write;
-            let mut entries: Vec<(usize, f64)> = (col_ptr[j]..col_ptr[j + 1])
-                .map(|k| (row_idx[k], vals[k]))
-                .collect();
-            entries.sort_unstable_by_key(|&(r, _)| r);
-            for (r, v) in entries {
-                if write > start && row_idx[write - 1] == r {
-                    vals[write - 1] += v;
+            let mut entries: Vec<(usize, f64)> =
+                c.coeffs.iter().map(|&(v, a)| (v, a * sign)).collect();
+            entries.sort_by_key(|&(v, _)| v);
+            let start = col_idx.len();
+            for (v, a) in entries {
+                if col_idx.len() > start && *col_idx.last().expect("nonempty") == v {
+                    *row_vals.last_mut().expect("nonempty") += a;
                 } else {
-                    row_idx[write] = r;
-                    vals[write] = v;
+                    col_idx.push(v);
+                    row_vals.push(a);
+                }
+            }
+            let mut write = start;
+            for k in start..col_idx.len() {
+                if row_vals[k] != 0.0 {
+                    col_idx[write] = col_idx[k];
+                    row_vals[write] = row_vals[k];
                     write += 1;
                 }
             }
-            new_ptr[j + 1] = write;
+            col_idx.truncate(write);
+            row_vals.truncate(write);
+            row_ptr[r + 1] = write;
         }
-        row_idx.truncate(write);
-        vals.truncate(write);
+        // Its transpose, column-major.
+        let mut col_ptr = vec![0usize; n + 1];
+        for &v in &col_idx {
+            col_ptr[v + 1] += 1;
+        }
+        for j in 0..n {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let mut row_idx = vec![0usize; col_idx.len()];
+        let mut vals = vec![0.0f64; col_idx.len()];
+        let mut cursor = col_ptr.clone();
+        for r in 0..m {
+            for k in row_ptr[r]..row_ptr[r + 1] {
+                let slot = &mut cursor[col_idx[k]];
+                row_idx[*slot] = r;
+                vals[*slot] = row_vals[k];
+                *slot += 1;
+            }
+        }
 
         let mut slack = Vec::new();
         let mut art = Vec::new();
@@ -272,380 +313,956 @@ impl StdLp {
         }
         let slack_base = n;
         let art_base = n + slack.len();
-        let total_cols = art_base + art.len();
+        let mut row_slack = vec![NONE; m];
+        let mut row_logical = vec![NONE; m];
+        for (k, &(r, sign)) in slack.iter().enumerate() {
+            row_slack[r] = slack_base + k;
+            if sign > 0.0 {
+                row_logical[r] = slack_base + k;
+            }
+        }
+        for (k, &r) in art.iter().enumerate() {
+            row_logical[r] = art_base + k;
+        }
         StdLp {
             n,
             m,
-            col_ptr: new_ptr,
+            col_ptr,
             row_idx,
             vals,
+            row_ptr,
+            col_idx,
+            row_vals,
             rhs,
+            total_cols: art_base + art.len(),
             slack,
             art,
+            row_slack,
+            row_logical,
             row_negated,
             slack_base,
             art_base,
-            total_cols,
             objective: lp.objective.clone(),
         }
     }
 
-    /// Scatters column `j` into the dense scratch `w`, recording nonzeros.
-    fn scatter_col(&self, j: usize, w: &mut [f64], nz: &mut Vec<usize>) {
+    /// Calls `f(row, value)` for every nonzero of column `j`.
+    fn for_col(&self, j: usize, mut f: impl FnMut(usize, f64)) {
         if j < self.n {
             for k in self.col_ptr[j]..self.col_ptr[j + 1] {
-                if self.vals[k] != 0.0 {
-                    w[self.row_idx[k]] = self.vals[k];
-                    nz.push(self.row_idx[k]);
-                }
+                f(self.row_idx[k], self.vals[k]);
             }
         } else if j < self.art_base {
             let (r, s) = self.slack[j - self.slack_base];
-            w[r] = s;
-            nz.push(r);
+            f(r, s);
         } else {
-            let r = self.art[j - self.art_base];
-            w[r] = 1.0;
-            nz.push(r);
+            f(self.art[j - self.art_base], 1.0);
         }
     }
 
-    /// `y · A_j` for pricing.
+    /// `v += scale * A_j`.
+    fn add_col(&self, j: usize, scale: f64, v: &mut [f64]) {
+        self.for_col(j, |r, a| v[r] += scale * a);
+    }
+
+    /// `y · A_j`.
     fn dot_col(&self, j: usize, y: &[f64]) -> f64 {
-        if j < self.n {
-            let mut s = 0.0;
-            for k in self.col_ptr[j]..self.col_ptr[j + 1] {
-                s += y[self.row_idx[k]] * self.vals[k];
+        let mut s = 0.0;
+        self.for_col(j, |r, a| s += y[r] * a);
+        s
+    }
+}
+
+/// A sparse matrix stored as a run of index/value lists.
+#[derive(Default)]
+struct Lists {
+    ptr: Vec<usize>,
+    idx: Vec<usize>,
+    val: Vec<f64>,
+}
+
+impl Lists {
+    fn clear(&mut self) {
+        self.ptr.clear();
+        self.ptr.push(0);
+        self.idx.clear();
+        self.val.clear();
+    }
+
+    fn push(&mut self, i: usize, v: f64) {
+        self.idx.push(i);
+        self.val.push(v);
+    }
+
+    /// Closes the list opened by the `push` calls since the last `end`.
+    fn end(&mut self) {
+        self.ptr.push(self.idx.len());
+    }
+
+    fn list(&self, k: usize) -> (&[usize], &[f64]) {
+        let span = self.ptr[k]..self.ptr[k + 1];
+        (&self.idx[span.clone()], &self.val[span])
+    }
+}
+
+/// The basis inverse: `B0 = L U` from the last refactorization (rows permuted
+/// by the pivot choice, which is also how basis positions are labelled: the
+/// column eliminated on row `r` is basic *at* `r`), times one product-form
+/// eta per pivot since.
+#[derive(Default)]
+struct Factor {
+    /// `L` as column etas in elimination order; eta `e` subtracts
+    /// `l * v[l_piv[e]]` from the listed rows. Steps with an empty column
+    /// (the triangular part of the basis) store none.
+    l_piv: Vec<usize>,
+    l: Lists,
+    /// `U` by elimination step: pivot row, pivot value, and the entries in
+    /// rows pivoted earlier (`u`, by column) / in steps taken later (`ut`,
+    /// by row, holding the later step's pivot row).
+    piv_row: Vec<usize>,
+    diag: Vec<f64>,
+    u: Lists,
+    ut: Lists,
+    /// Product-form updates: eta `e` replaces `v[e_row[e]]` by
+    /// `e_diag[e] * v[e_row[e]]` and adds `x * v_row_old` to the listed rows.
+    e_row: Vec<usize>,
+    e_diag: Vec<f64>,
+    e: Lists,
+    /// Nonzeros of `L` and `U` at the last refactorization.
+    nnz: usize,
+}
+
+impl Factor {
+    /// Factorizes the matrix of the columns `cols` and returns which column
+    /// is basic at each row.
+    ///
+    /// Ordering: column and row singletons are peeled off first (a permuted
+    /// triangular part, no arithmetic and no fill-in — on the flow LPs that
+    /// is nearly the whole basis); the remaining nucleus is eliminated
+    /// left-looking, columns in ascending count order, with threshold partial
+    /// pivoting that prefers the sparsest eligible row (Markowitz's rule with
+    /// static counts).
+    ///
+    /// With `repair`, `cols` is a proposal: a column with no usable pivot is
+    /// dropped and a row left without one takes its logical column, so the
+    /// result is always a basis. Without it either event is an error.
+    fn factorize(
+        &mut self,
+        std: &StdLp,
+        cols: &[usize],
+        repair: bool,
+    ) -> Result<Vec<usize>, LpError> {
+        let m = std.m;
+        self.l_piv.clear();
+        self.piv_row.clear();
+        self.diag.clear();
+        self.e_row.clear();
+        self.e_diag.clear();
+        for lists in [&mut self.l, &mut self.u, &mut self.ut, &mut self.e] {
+            lists.clear();
+        }
+
+        // The proposed columns, column-wise, and the pattern row-wise.
+        let mut by_col = Lists::default();
+        by_col.clear();
+        for &j in cols {
+            std.for_col(j, |r, a| by_col.push(r, a));
+            by_col.end();
+        }
+        let mut row_ptr = vec![0usize; m + 1];
+        for &r in &by_col.idx {
+            row_ptr[r + 1] += 1;
+        }
+        for r in 0..m {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        let mut row_cols = vec![0usize; by_col.idx.len()];
+        let mut cursor = row_ptr.clone();
+        for c in 0..cols.len() {
+            for &r in by_col.list(c).0 {
+                row_cols[cursor[r]] = c;
+                cursor[r] += 1;
             }
-            s
-        } else if j < self.art_base {
-            let (r, sign) = self.slack[j - self.slack_base];
-            y[r] * sign
-        } else {
-            y[self.art[j - self.art_base]]
+        }
+        // Active counts: entries of a column in rows without a pivot, entries
+        // of a row in columns not yet eliminated.
+        let mut col_count: Vec<usize> = (0..cols.len()).map(|c| by_col.list(c).0.len()).collect();
+        let mut row_count: Vec<usize> = (0..m).map(|r| row_ptr[r + 1] - row_ptr[r]).collect();
+        let mut col_done = vec![false; cols.len()];
+        let mut basis = vec![NONE; m];
+        let mut x = vec![0.0f64; m];
+        let mut nz: Vec<usize> = Vec::new();
+
+        // Singleton peeling. Queues are first-in first-out so the columns
+        // that start as singletons (the logicals) keep their own rows.
+        let mut col_queue: Vec<usize> = (0..cols.len()).filter(|&c| col_count[c] == 1).collect();
+        let mut row_queue: Vec<usize> = (0..m).filter(|&r| row_count[r] == 1).collect();
+        let (mut col_head, mut row_head) = (0usize, 0usize);
+        loop {
+            let (c, r) = if col_head < col_queue.len() {
+                let c = col_queue[col_head];
+                col_head += 1;
+                if col_done[c] || col_count[c] != 1 {
+                    continue;
+                }
+                let (rows, vals) = by_col.list(c);
+                let k = (0..rows.len())
+                    .find(|&k| basis[rows[k]] == NONE)
+                    .expect("a column with one active entry");
+                if vals[k].abs() < SINGULAR_TOL {
+                    continue;
+                }
+                (c, rows[k])
+            } else if row_head < row_queue.len() {
+                let r = row_queue[row_head];
+                row_head += 1;
+                if basis[r] != NONE || row_count[r] != 1 {
+                    continue;
+                }
+                let c = *row_cols[row_ptr[r]..row_ptr[r + 1]]
+                    .iter()
+                    .find(|&&c| !col_done[c])
+                    .expect("a row with one active entry");
+                // Stability: leave a relatively small pivot to the nucleus.
+                let (rows, vals) = by_col.list(c);
+                let (mut pivot, mut largest) = (0.0f64, 0.0f64);
+                for (&i, &a) in rows.iter().zip(vals) {
+                    if i == r {
+                        pivot = a.abs();
+                    }
+                    if basis[i] == NONE {
+                        largest = largest.max(a.abs());
+                    }
+                }
+                if pivot < SINGULAR_TOL || pivot < LU_THRESHOLD * largest {
+                    continue;
+                }
+                (c, r)
+            } else {
+                break;
+            };
+            let (rows, vals) = by_col.list(c);
+            for (&i, &a) in rows.iter().zip(vals) {
+                x[i] = a;
+                if i != r && basis[i] == NONE {
+                    row_count[i] -= 1;
+                    if row_count[i] == 1 {
+                        row_queue.push(i);
+                    }
+                }
+            }
+            self.eliminate(&mut x, rows, r, &basis);
+            basis[r] = cols[c];
+            col_done[c] = true;
+            for &c2 in &row_cols[row_ptr[r]..row_ptr[r + 1]] {
+                if !col_done[c2] {
+                    col_count[c2] -= 1;
+                    if col_count[c2] == 1 {
+                        col_queue.push(c2);
+                    }
+                }
+            }
+        }
+
+        // The nucleus, left-looking. No eta of the triangular part can fire
+        // on a column still active when it was built, so only the nucleus's
+        // own etas are applied.
+        let nucleus_etas = self.l_piv.len();
+        let mut rest: Vec<usize> = (0..cols.len()).filter(|&c| !col_done[c]).collect();
+        rest.sort_by_key(|&c| col_count[c]);
+        let mut listed = vec![false; m];
+        for c in rest {
+            nz.clear();
+            let (rows, vals) = by_col.list(c);
+            for (&i, &a) in rows.iter().zip(vals) {
+                x[i] = a;
+                listed[i] = true;
+                nz.push(i);
+            }
+            for e in nucleus_etas..self.l_piv.len() {
+                let xp = x[self.l_piv[e]];
+                if xp == 0.0 {
+                    continue;
+                }
+                let (rows, vals) = self.l.list(e);
+                for (&i, &l) in rows.iter().zip(vals) {
+                    if !listed[i] {
+                        listed[i] = true;
+                        nz.push(i);
+                    }
+                    x[i] -= l * xp;
+                }
+            }
+            let mut largest = 0.0f64;
+            for &i in &nz {
+                listed[i] = false;
+                if basis[i] == NONE {
+                    largest = largest.max(x[i].abs());
+                }
+            }
+            if largest < SINGULAR_TOL {
+                if !repair {
+                    return Err(LpError::IterationLimit);
+                }
+                for &i in &nz {
+                    x[i] = 0.0;
+                }
+                continue;
+            }
+            let mut r = NONE;
+            for &i in &nz {
+                if basis[i] != NONE || x[i].abs() < LU_THRESHOLD * largest {
+                    continue;
+                }
+                if r == NONE
+                    || (row_count[i], -x[i].abs(), i)
+                        .partial_cmp(&(row_count[r], -x[r].abs(), r))
+                        .expect("finite")
+                        .is_lt()
+                {
+                    r = i;
+                }
+            }
+            self.eliminate(&mut x, &nz, r, &basis);
+            basis[r] = cols[c];
+        }
+
+        // Rows without a pivot take their logical column (a unit step).
+        for r in 0..m {
+            if basis[r] != NONE {
+                continue;
+            }
+            if !repair {
+                return Err(LpError::IterationLimit);
+            }
+            basis[r] = std.row_logical[r];
+            std.for_col(basis[r], |i, a| x[i] = a);
+            self.eliminate(&mut x, &[r], r, &basis);
+        }
+
+        // `U` row-wise, for the transposed solve.
+        let mut step_of_row = vec![0usize; m];
+        for (k, &r) in self.piv_row.iter().enumerate() {
+            step_of_row[r] = k;
+        }
+        let mut count = vec![0usize; m + 1];
+        for &i in &self.u.idx {
+            count[step_of_row[i] + 1] += 1;
+        }
+        for k in 0..m {
+            count[k + 1] += count[k];
+        }
+        self.ut.ptr.clone_from(&count);
+        self.ut.idx.resize(self.u.idx.len(), 0);
+        self.ut.val.resize(self.u.idx.len(), 0.0);
+        for k in 0..m {
+            let (rows, vals) = self.u.list(k);
+            for (&i, &a) in rows.iter().zip(vals) {
+                let slot = &mut count[step_of_row[i]];
+                self.ut.idx[*slot] = self.piv_row[k];
+                self.ut.val[*slot] = a;
+                *slot += 1;
+            }
+        }
+        self.nnz = self.l.idx.len() + self.u.idx.len() + m;
+        Ok(basis)
+    }
+
+    /// Records the elimination step that pivots the column held in `x`
+    /// (pattern `nz`) on row `r`: entries in rows pivoted earlier go to `U`,
+    /// the others, divided by the pivot, to a new `L` eta. Zeroes `x`.
+    fn eliminate(&mut self, x: &mut [f64], nz: &[usize], r: usize, basis: &[usize]) {
+        let pivot = x[r];
+        for &i in nz {
+            let a = x[i];
+            x[i] = 0.0;
+            if i == r || a == 0.0 {
+                continue;
+            }
+            if basis[i] != NONE {
+                self.u.push(i, a);
+            } else {
+                self.l.push(i, a / pivot);
+            }
+        }
+        self.u.end();
+        if self.l.idx.len() > *self.l.ptr.last().expect("never empty") {
+            self.l.end();
+            self.l_piv.push(r);
+        }
+        self.piv_row.push(r);
+        self.diag.push(pivot);
+    }
+
+    /// `v <- B^{-1} v`; entries that are zero cost nothing beyond a test.
+    fn ftran(&self, v: &mut [f64]) {
+        for (e, &p) in self.l_piv.iter().enumerate() {
+            let vp = v[p];
+            if vp != 0.0 {
+                let (rows, vals) = self.l.list(e);
+                for (&i, &l) in rows.iter().zip(vals) {
+                    v[i] -= l * vp;
+                }
+            }
+        }
+        for k in (0..self.piv_row.len()).rev() {
+            let p = self.piv_row[k];
+            if v[p] != 0.0 {
+                let vp = v[p] / self.diag[k];
+                v[p] = vp;
+                let (rows, vals) = self.u.list(k);
+                for (&i, &a) in rows.iter().zip(vals) {
+                    v[i] -= a * vp;
+                }
+            }
+        }
+        for (e, &p) in self.e_row.iter().enumerate() {
+            let vp = v[p];
+            if vp != 0.0 {
+                v[p] = self.e_diag[e] * vp;
+                let (rows, vals) = self.e.list(e);
+                for (&i, &a) in rows.iter().zip(vals) {
+                    v[i] += a * vp;
+                }
+            }
         }
     }
 
-    fn col_nnz(&self, j: usize) -> usize {
-        if j < self.n {
-            self.col_ptr[j + 1] - self.col_ptr[j]
-        } else {
-            1
+    /// `v <- B^{-T} v`.
+    fn btran(&self, v: &mut [f64]) {
+        for (e, &p) in self.e_row.iter().enumerate().rev() {
+            let (rows, vals) = self.e.list(e);
+            let mut s = self.e_diag[e] * v[p];
+            for (&i, &a) in rows.iter().zip(vals) {
+                s += a * v[i];
+            }
+            v[p] = s;
         }
+        for (k, &p) in self.piv_row.iter().enumerate() {
+            if v[p] != 0.0 {
+                let vp = v[p] / self.diag[k];
+                v[p] = vp;
+                let (rows, vals) = self.ut.list(k);
+                for (&i, &a) in rows.iter().zip(vals) {
+                    v[i] -= a * vp;
+                }
+            }
+        }
+        for (e, &p) in self.l_piv.iter().enumerate().rev() {
+            let (rows, vals) = self.l.list(e);
+            let mut s = 0.0;
+            for (&i, &l) in rows.iter().zip(vals) {
+                s += l * v[i];
+            }
+            v[p] -= s;
+        }
+    }
+
+    /// Appends the eta of a pivot on `w[r]`, where `w = B^{-1} A_enter` with
+    /// pattern `nz`. Zeroes `w` and empties `nz`.
+    fn push_eta(&mut self, w: &mut [f64], nz: &mut Vec<usize>, r: usize) {
+        let inv = 1.0 / w[r];
+        for &i in nz.iter() {
+            if i != r {
+                self.e.push(i, -w[i] * inv);
+            }
+            w[i] = 0.0;
+        }
+        nz.clear();
+        self.e.end();
+        self.e_row.push(r);
+        self.e_diag.push(inv);
     }
 }
 
-/// Builds the eta matrix for a pivot on `w[pivot_row]`, consuming (zeroing)
-/// the scratch vector and its nonzero list so both can be reused.
-fn build_eta(w: &mut [f64], nz: &mut Vec<usize>, pivot_row: usize) -> Eta {
-    let piv = w[pivot_row];
-    debug_assert!(piv != 0.0);
-    let inv = 1.0 / piv;
-    let mut others = Vec::with_capacity(nz.len().saturating_sub(1));
-    for &i in nz.iter() {
-        let v = w[i];
-        w[i] = 0.0;
-        if i == pivot_row || v == 0.0 {
-            continue;
-        }
-        others.push((i, -v * inv));
-    }
-    nz.clear();
-    Eta {
-        row: pivot_row,
-        diag: inv,
-        others,
-    }
-}
-
-/// Revised-simplex state: the basis, its values, and the eta file.
+/// Revised-simplex state: the basis, its factorization, the basic values and
+/// the pricing state (reduced costs and Devex weights of every structural and
+/// slack column; artificial columns never re-enter and are not priced).
 struct Solver<'a> {
     std: &'a StdLp,
-    /// Column basic at each basis position.
+    /// Column basic at each row.
     basis: Vec<usize>,
     in_basis: Vec<bool>,
-    /// Values of the basic variables, by basis position; kept >= 0.
+    /// Values of the basic variables, by row.
     xb: Vec<f64>,
-    etas: Vec<Eta>,
-    pivots_since_refactor: usize,
-    /// Dense scratch vector (length m), zero between uses.
-    scratch: Vec<f64>,
+    /// The right-hand side in force: `std.rhs`, plus the perturbation while
+    /// a phase runs.
+    rhs: Vec<f64>,
+    factor: Factor,
+    /// Reduced costs `c_j - y · A_j`; zero on basic columns.
+    d: Vec<f64>,
+    /// Devex reference weights.
+    weight: Vec<f64>,
+    /// Dense scratch (length m, zero between uses) for the entering column
+    /// and its nonzero rows.
+    col: Vec<f64>,
+    nz: Vec<usize>,
+    /// Dense scratch (length m, zero between uses) for `B^{-T}` solves.
+    rho: Vec<f64>,
+    /// Row `r` of the tableau over the priced columns: dense values (zero
+    /// between uses) and the columns touched.
+    alpha: Vec<f64>,
+    touched: Vec<usize>,
+    /// Steps up to this length count as degenerate.
+    degenerate_step: f64,
+    max_pivots: usize,
+    pivots: usize,
+    degenerate_pivots: usize,
+    refactorizations: usize,
 }
 
 impl<'a> Solver<'a> {
-    /// All-logical start: slacks basic on `<=` rows, artificials elsewhere.
-    fn initial(std: &'a StdLp) -> Solver<'a> {
-        let m = std.m;
-        let mut basis = vec![NONE; m];
+    /// Starts from the basis proposed by `candidates` (completed with logical
+    /// columns; none proposed is the all-logical start), or `None` when that
+    /// basis is not primal feasible.
+    fn start(std: &'a StdLp, candidates: &[usize]) -> Option<Solver<'a>> {
+        let mut factor = Factor::default();
+        let basis = factor.factorize(std, candidates, true).ok()?;
         let mut in_basis = vec![false; std.total_cols];
-        for (k, &(r, sign)) in std.slack.iter().enumerate() {
-            if sign > 0.0 {
-                basis[r] = std.slack_base + k;
-            }
-        }
-        for (k, &r) in std.art.iter().enumerate() {
-            basis[r] = std.art_base + k;
-        }
         for &b in &basis {
             in_basis[b] = true;
         }
-        Solver {
+        let mut solver = Solver {
             std,
             basis,
             in_basis,
-            xb: std.rhs.clone(),
-            etas: Vec::new(),
-            pivots_since_refactor: 0,
-            scratch: vec![0.0; m],
+            xb: vec![0.0; std.m],
+            rhs: std.rhs.clone(),
+            factor,
+            d: vec![0.0; std.art_base],
+            weight: vec![1.0; std.art_base],
+            col: vec![0.0; std.m],
+            nz: Vec::new(),
+            rho: vec![0.0; std.m],
+            alpha: vec![0.0; std.art_base],
+            touched: Vec::new(),
+            degenerate_step: 0.0,
+            max_pivots: MAX_PIVOTS_PER_ROW * std.m + std.art_base + 1000,
+            pivots: 0,
+            degenerate_pivots: 0,
+            refactorizations: 0,
+        };
+        solver.recompute_xb();
+        if solver.xb.iter().any(|&x| x < -1e-7) {
+            return None;
+        }
+        solver.clamp_xb();
+        Some(solver)
+    }
+
+    /// The start a caller's guess of the variable values implies: every
+    /// structural column with a positive guess and every slack the guess
+    /// leaves positive is proposed as basic.
+    fn crash(std: &'a StdLp, hint: &[f64]) -> Option<Solver<'a>> {
+        if hint.len() != std.n {
+            return None;
+        }
+        let mut candidates: Vec<usize> = (0..std.n)
+            .filter(|&j| hint[j].is_finite() && hint[j] > 0.0)
+            .collect();
+        let mut activity = vec![0.0; std.m];
+        for &j in &candidates {
+            std.add_col(j, hint[j], &mut activity);
+        }
+        for (k, &(r, sign)) in std.slack.iter().enumerate() {
+            if sign * (std.rhs[r] - activity[r]) > EPS * (1.0 + std.rhs[r]) {
+                candidates.push(std.slack_base + k);
+            }
+        }
+        Solver::start(std, &candidates)
+    }
+
+    /// `xb = B^{-1} rhs` under the current factorization.
+    fn recompute_xb(&mut self) {
+        self.xb.copy_from_slice(&self.rhs);
+        self.factor.ftran(&mut self.xb);
+    }
+
+    fn clamp_xb(&mut self) {
+        for x in &mut self.xb {
+            *x = x.max(0.0);
         }
     }
 
-    /// Rebuilds the eta file from the current basis by sparse Gauss-Jordan
-    /// elimination (columns in ascending-nonzero order to limit fill-in) and
-    /// recomputes the basic values from the original right-hand side. Basis
-    /// positions are relabelled by their elimination pivot row, a pure
-    /// permutation of the same basic set.
+    /// Refactorizes the current basis (which relabels the rows its columns
+    /// are basic at) and recomputes the basic values.
     fn refactorize(&mut self) -> Result<(), LpError> {
-        let std = self.std;
-        let m = std.m;
-        let mut order: Vec<usize> = (0..m).collect();
-        order.sort_by_key(|&r| std.col_nnz(self.basis[r]));
-
-        let mut etas = Vec::with_capacity(m);
-        let mut new_basis = vec![NONE; m];
-        let mut assigned = vec![false; m];
-        let mut nz = Vec::new();
-        for &pos in &order {
-            let j = self.basis[pos];
-            nz.clear();
-            std.scatter_col(j, &mut self.scratch, &mut nz);
-            ftran(&etas, &mut self.scratch, &mut nz);
-            // Pivot on the largest remaining entry for stability.
-            let mut best = 0.0f64;
-            let mut pr = NONE;
-            for &i in &nz {
-                let a = self.scratch[i].abs();
-                if !assigned[i] && a > best {
-                    best = a;
-                    pr = i;
-                }
-            }
-            if pr == NONE || best < 1e-10 {
-                // The basis went numerically singular.
-                for &i in &nz {
-                    self.scratch[i] = 0.0;
-                }
-                return Err(LpError::IterationLimit);
-            }
-            etas.push(build_eta(&mut self.scratch, &mut nz, pr));
-            new_basis[pr] = j;
-            assigned[pr] = true;
-        }
-
-        self.basis = new_basis;
-        self.etas = etas;
-        self.pivots_since_refactor = 0;
-        // Fresh basic values: xb = B^{-1} b, clamped to the positive orthant.
-        nz.clear();
-        for r in 0..m {
-            if std.rhs[r] != 0.0 {
-                self.scratch[r] = std.rhs[r];
-                nz.push(r);
-            }
-        }
-        ftran(&self.etas, &mut self.scratch, &mut nz);
-        nz.sort_unstable();
-        nz.dedup();
-        for x in self.xb.iter_mut() {
-            *x = 0.0;
-        }
-        for &i in &nz {
-            self.xb[i] = self.scratch[i].max(0.0);
-            self.scratch[i] = 0.0;
-        }
+        let cols = std::mem::take(&mut self.basis);
+        self.basis = self.factor.factorize(self.std, &cols, false)?;
+        self.refactorizations += 1;
+        self.recompute_xb();
         Ok(())
     }
 
-    /// Dual prices `y = B^{-T} c_B` for the given full-length cost vector.
-    fn prices(&self, c: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.std.m];
-        for r in 0..self.std.m {
-            y[r] = c[self.basis[r]];
+    /// Recomputes every reduced cost from `y = B^{-T} c_B`.
+    fn reprice(&mut self, c: &[f64]) {
+        for (y, &b) in self.rho.iter_mut().zip(&self.basis) {
+            *y = c[b];
         }
-        btran(&self.etas, &mut y);
-        y
+        self.factor.btran(&mut self.rho);
+        for (j, dj) in self.d.iter_mut().enumerate() {
+            *dj = if self.in_basis[j] {
+                0.0
+            } else {
+                c[j] - self.std.dot_col(j, &self.rho)
+            };
+        }
+        self.rho.fill(0.0);
     }
 
-    /// Picks an entering column with positive reduced cost, or `None` at
-    /// optimality. `allow_art` admits artificial columns (phase 1 only).
-    fn price(&self, y: &[f64], c: &[f64], allow_art: bool, use_bland: bool) -> Option<usize> {
-        let limit = if allow_art {
-            self.std.total_cols
-        } else {
-            self.std.art_base
-        };
-        let mut best_j = None;
-        let mut best_d = EPS;
-        for (j, &cj) in c.iter().enumerate().take(limit) {
-            if self.in_basis[j] {
+    /// Loads `col = B^{-1} A_j` and its nonzero rows `nz`.
+    fn load_column(&mut self, j: usize) {
+        self.std.add_col(j, 1.0, &mut self.col);
+        self.factor.ftran(&mut self.col);
+        self.nz.clear();
+        self.nz
+            .extend((0..self.std.m).filter(|&r| self.col[r] != 0.0));
+    }
+
+    fn unload_column(&mut self) {
+        for &r in &self.nz {
+            self.col[r] = 0.0;
+        }
+        self.nz.clear();
+    }
+
+    /// Loads row `r` of the tableau, `alpha_j = e_r' B^{-1} A_j` over the
+    /// priced columns, following the nonzeros of `B^{-T} e_r` through the
+    /// row-wise matrix.
+    fn load_row(&mut self, r: usize) {
+        let std = self.std;
+        self.rho[r] = 1.0;
+        self.factor.btran(&mut self.rho);
+        for i in 0..std.m {
+            let p = self.rho[i];
+            if p == 0.0 {
                 continue;
             }
-            let d = cj - self.std.dot_col(j, y);
-            if use_bland {
-                if d > EPS {
-                    return Some(j);
-                }
-            } else if d > best_d {
-                best_d = d;
-                best_j = Some(j);
+            self.rho[i] = 0.0;
+            let row = std.row_ptr[i]..std.row_ptr[i + 1];
+            for (&j, &a) in std.col_idx[row.clone()].iter().zip(&std.row_vals[row]) {
+                self.add_to_row(j, p * a);
+            }
+            let slack = std.row_slack[i];
+            if slack != NONE {
+                self.add_to_row(slack, p * std.slack[slack - std.slack_base].1);
             }
         }
-        best_j
     }
 
-    /// Runs primal simplex iterations until the reduced costs admit no
-    /// entering column. `allow_art` is true only in phase 1; in phase 2 any
-    /// basic artificial touched by an entering column is forced out through a
-    /// degenerate pivot so it can never drift off zero.
-    fn optimize(&mut self, c: &[f64], allow_art: bool, max_iters: usize) -> Result<(), LpError> {
-        let std = self.std;
-        let mut degenerate_run = 0usize;
-        let mut nz: Vec<usize> = Vec::new();
-        for _ in 0..max_iters {
-            if self.pivots_since_refactor >= REFACTOR_EVERY {
-                self.refactorize()?;
-            }
-            let y = self.prices(c);
-            let enter = match self.price(&y, c, allow_art, degenerate_run > BLAND_TRIGGER) {
-                Some(j) => j,
-                None => return Ok(()),
-            };
-            // w = B^{-1} A_enter.
-            nz.clear();
-            std.scatter_col(enter, &mut self.scratch, &mut nz);
-            ftran(&self.etas, &mut self.scratch, &mut nz);
-            // FTRAN may re-add a cancelled index; the xb update below must
-            // see each row exactly once.
-            nz.sort_unstable();
-            nz.dedup();
+    /// `alpha_j += v`, listing `j` as touched. A column whose entry cancels
+    /// to exactly zero and fills again is listed twice, which is harmless:
+    /// the price update takes each value and leaves zero behind, so the
+    /// second visit changes nothing.
+    #[inline]
+    fn add_to_row(&mut self, j: usize, v: f64) {
+        if self.alpha[j] == 0.0 {
+            self.touched.push(j);
+        }
+        self.alpha[j] += v;
+    }
 
-            // Ratio test (smallest-basic-index tie-break, as in the dense
-            // implementation), plus the phase-2 artificial guard.
-            let mut leave = NONE;
-            let mut best_ratio = f64::INFINITY;
-            let mut art_leave = NONE;
-            for &r in &nz {
-                let wr = self.scratch[r];
-                if wr == 0.0 {
-                    continue;
+    /// Reduced-cost and Devex updates for the pivot that brings `q` (reduced
+    /// cost `dq`, column loaded) in at row `r` (tableau row loaded, which
+    /// this consumes).
+    fn update_prices(&mut self, q: usize, r: usize, dq: f64) {
+        let pivot = self.col[r];
+        let ratio = dq / pivot;
+        let wq = self.weight[q];
+        let mut largest = 0.0f64;
+        for &j in &self.touched {
+            let a = std::mem::take(&mut self.alpha[j]);
+            if self.in_basis[j] || j == q {
+                continue;
+            }
+            self.d[j] -= ratio * a;
+            let g = a / pivot;
+            self.weight[j] = self.weight[j].max(g * g * wq);
+            largest = largest.max(self.weight[j]);
+        }
+        self.touched.clear();
+        let leaving = self.basis[r];
+        if leaving < self.std.art_base {
+            self.d[leaving] = -ratio;
+            self.weight[leaving] = (wq / (pivot * pivot)).max(1.0);
+            largest = largest.max(self.weight[leaving]);
+        }
+        self.d[q] = 0.0;
+        if largest > DEVEX_RESET {
+            self.weight.fill(1.0);
+        }
+    }
+
+    /// Steps the basic values by `theta` along the loaded column and swaps
+    /// `q` in at row `r`, absorbing the column into a new eta.
+    fn update_basis(&mut self, q: usize, r: usize, theta: f64, clamp: bool) {
+        for &i in &self.nz {
+            let x = self.xb[i] - theta * self.col[i];
+            self.xb[i] = if clamp { x.max(0.0) } else { x };
+        }
+        self.xb[r] = theta;
+        self.factor.push_eta(&mut self.col, &mut self.nz, r);
+        self.in_basis[self.basis[r]] = false;
+        self.in_basis[q] = true;
+        self.basis[r] = q;
+        self.pivots += 1;
+    }
+
+    /// Primal simplex under the costs `c` until no priced column has a
+    /// positive reduced cost. Devex pricing; bounded (Harris) ratio test that
+    /// takes the largest pivot among the rows within tolerance of the
+    /// minimum ratio. Outside phase 1 a basic artificial touched by the
+    /// entering column leaves first, through a zero-length step, so it can
+    /// never drift off zero.
+    fn primal(&mut self, c: &[f64], phase1: bool) -> Result<(), LpError> {
+        let art_base = self.std.art_base;
+        self.reprice(c);
+        let mut fresh = true;
+        loop {
+            if self.factor.e_row.len() >= REFACTOR_EVERY {
+                self.refactorize()?;
+                self.clamp_xb();
+                self.reprice(c);
+                fresh = true;
+            }
+            let mut enter = NONE;
+            let mut best = 0.0f64;
+            for (j, (&dj, &wj)) in self.d.iter().zip(&self.weight).enumerate() {
+                // Written so the common case (not attractive, or not the
+                // best so far) is one predictable branch.
+                let gain = if dj > EPS { dj * dj } else { 0.0 };
+                if gain > best * wj {
+                    best = gain / wj;
+                    enter = j;
                 }
-                let basic = self.basis[r];
-                if !allow_art && basic >= std.art_base && wr.abs() > ART_PIVOT_TOL {
-                    if art_leave == NONE || basic < self.basis[art_leave] {
+            }
+            if enter == NONE {
+                if fresh {
+                    return Ok(());
+                }
+                // Optimal under updated reduced costs: confirm on fresh ones.
+                self.reprice(c);
+                fresh = true;
+                continue;
+            }
+            if self.pivots >= self.max_pivots {
+                return Err(LpError::IterationLimit);
+            }
+            self.load_column(enter);
+            // The reduced cost read off the column itself; the updated value
+            // only chose the candidate.
+            let mut dq = c[enter];
+            for &r in &self.nz {
+                dq -= c[self.basis[r]] * self.col[r];
+            }
+            if dq <= EPS {
+                self.d[enter] = dq;
+                self.unload_column();
+                continue;
+            }
+
+            let pinned = |basic: usize| !phase1 && basic >= art_base;
+            let mut art_leave = NONE;
+            let mut bound = f64::INFINITY;
+            for &r in &self.nz {
+                let w = self.col[r];
+                if pinned(self.basis[r]) {
+                    if w.abs() > ART_PIVOT_TOL
+                        && (art_leave == NONE || w.abs() > self.col[art_leave].abs())
+                    {
                         art_leave = r;
                     }
-                    continue;
+                } else if w > PIVOT_TOL {
+                    bound = bound.min((self.xb[r] + FEAS_TOL) / w);
                 }
-                if wr > EPS {
-                    let ratio = self.xb[r] / wr;
-                    if ratio < best_ratio - EPS
-                        || (ratio < best_ratio + EPS
-                            && (leave == NONE || basic < self.basis[leave]))
-                    {
-                        best_ratio = ratio;
+            }
+            let mut leave = art_leave;
+            if leave == NONE {
+                let mut largest = PIVOT_TOL;
+                for &r in &self.nz {
+                    let w = self.col[r];
+                    if w > largest && !pinned(self.basis[r]) && self.xb[r] / w <= bound {
+                        largest = w;
                         leave = r;
                     }
                 }
             }
-            let leave = if art_leave != NONE { art_leave } else { leave };
             if leave == NONE {
-                for &i in &nz {
-                    self.scratch[i] = 0.0;
-                }
+                self.unload_column();
                 return Err(LpError::Unbounded);
             }
 
-            let wr = self.scratch[leave];
-            let theta = (self.xb[leave] / wr).max(0.0);
-            if theta < EPS {
-                degenerate_run += 1;
-            } else {
-                degenerate_run = 0;
+            let theta = (self.xb[leave] / self.col[leave]).max(0.0);
+            if theta <= self.degenerate_step {
+                self.degenerate_pivots += 1;
             }
-            // Step the basic values along the direction, then absorb the
-            // pivot column into a fresh eta (consuming the scratch vector).
-            for &i in &nz {
-                if i != leave && self.scratch[i] != 0.0 {
-                    let v = self.xb[i] - theta * self.scratch[i];
-                    self.xb[i] = if v < 0.0 { 0.0 } else { v };
+            self.load_row(leave);
+            self.update_prices(enter, leave, dq);
+            // Harris's relaxation lets a basic value dip below zero by at
+            // most the tolerance; the update puts it back on its bound.
+            self.update_basis(enter, leave, theta, true);
+            fresh = false;
+        }
+    }
+}
+
+impl Solver<'_> {
+    /// Dual simplex under the costs `c`, from a basis whose reduced costs
+    /// admit no entering column but whose basic values may be negative — the
+    /// state removing the perturbation can leave. Each step takes the most
+    /// negative basic variable out; the entering column is the one whose
+    /// reduced cost reaches zero first, so the others keep their sign.
+    fn dual(&mut self, c: &[f64]) -> Result<(), LpError> {
+        let most_negative = |xb: &[f64]| {
+            let mut r = NONE;
+            let mut least = -FEAS_TOL;
+            for (i, &x) in xb.iter().enumerate() {
+                if x < least {
+                    least = x;
+                    r = i;
                 }
             }
-            self.xb[leave] = theta;
-            let eta = build_eta(&mut self.scratch, &mut nz, leave);
-            self.etas.push(eta);
-            self.pivots_since_refactor += 1;
-            self.in_basis[self.basis[leave]] = false;
-            self.in_basis[enter] = true;
-            self.basis[leave] = enter;
+            r
+        };
+        if most_negative(&self.xb) == NONE {
+            return Ok(());
         }
-        Err(LpError::IterationLimit)
+        self.reprice(c);
+        loop {
+            let leave = most_negative(&self.xb);
+            if leave == NONE {
+                return Ok(());
+            }
+            if self.pivots >= self.max_pivots {
+                return Err(LpError::IterationLimit);
+            }
+            self.load_row(leave);
+            let mut enter = NONE;
+            let mut best = (f64::INFINITY, 0.0f64);
+            for &j in &self.touched {
+                let a = self.alpha[j];
+                if self.in_basis[j] || a >= -PIVOT_TOL {
+                    continue;
+                }
+                let ratio = (-self.d[j]).max(0.0) / -a;
+                if ratio < best.0 || (ratio == best.0 && -a > best.1) {
+                    best = (ratio, -a);
+                    enter = j;
+                }
+            }
+            if enter == NONE {
+                // The row proves no point satisfies it with x >= 0.
+                for &j in &self.touched {
+                    self.alpha[j] = 0.0;
+                }
+                self.touched.clear();
+                return Err(LpError::Infeasible);
+            }
+            self.load_column(enter);
+            let theta = self.xb[leave] / self.col[leave];
+            self.update_prices(enter, leave, self.d[enter]);
+            self.update_basis(enter, leave, theta, false);
+            if self.factor.e_row.len() >= REFACTOR_EVERY {
+                self.refactorize()?;
+                self.reprice(c);
+            }
+        }
+    }
+
+    /// Optimizes the costs `c` from the current (primal feasible) basis.
+    ///
+    /// The phase runs on a perturbed problem: the variable basic at row `r`
+    /// may go down to `-delta_r` instead of zero, `delta_r` a fixed function
+    /// of `r`, which is the same as moving the right-hand side by
+    /// `sum_r delta_r B_r`. That only enlarges the feasible region, splits
+    /// every degenerate vertex into distinct ones, and leaves the reduced
+    /// costs — which do not depend on the right-hand side — alone. So the
+    /// basis the perturbed run ends at prices out on the true problem too;
+    /// the basic values are then recomputed from the true right-hand side
+    /// and, should one come out negative, the dual simplex restores it
+    /// without giving up the sign of any reduced cost. The result is a
+    /// basis both primal and dual feasible for the unperturbed problem.
+    /// Artificials outside phase 1 are pinned at zero and not perturbed.
+    fn optimize(&mut self, c: &[f64], phase1: bool) -> Result<(), LpError> {
+        let std = self.std;
+        let largest = std.rhs.iter().fold(0.0f64, |a, &b| a.max(b));
+        let scale = if largest > 0.0 { largest } else { 1.0 };
+        self.degenerate_step = DEGENERATE_STEP * scale;
+        for r in 0..std.m {
+            if !phase1 && self.basis[r] >= std.art_base {
+                continue;
+            }
+            let delta = PERTURB * scale * (1.0 + ((r + 1) as f64 * GOLDEN).fract());
+            self.xb[r] += delta;
+            std.add_col(self.basis[r], delta, &mut self.rhs);
+        }
+        self.weight.fill(1.0);
+        self.primal(c, phase1)?;
+
+        self.rhs.copy_from_slice(&std.rhs);
+        self.refactorize()?;
+        self.dual(c)?;
+        self.clamp_xb();
+        Ok(())
     }
 
     /// Total value currently sitting on basic artificial variables.
     fn artificial_mass(&self) -> f64 {
-        let mut s = 0.0;
-        for r in 0..self.std.m {
-            if self.basis[r] >= self.std.art_base {
-                s += self.xb[r];
-            }
-        }
-        s
-    }
-
-    fn has_basic_artificial(&self) -> bool {
-        self.basis.iter().any(|&b| b >= self.std.art_base)
+        let art_base = self.std.art_base;
+        let on_artificials = self
+            .basis
+            .iter()
+            .zip(&self.xb)
+            .filter(|(&b, _)| b >= art_base);
+        on_artificials.map(|(_, &x)| x).sum()
     }
 }
 
 /// Extracts the primal/dual solution from an optimal phase-2 state.
 fn extract(lp: &LinearProgram, std: &StdLp, solver: &Solver<'_>) -> Solution {
     let mut values = vec![0.0; std.n];
-    for r in 0..std.m {
-        if solver.basis[r] < std.n {
-            values[solver.basis[r]] = solver.xb[r];
+    for (&b, &x) in solver.basis.iter().zip(&solver.xb) {
+        if b < std.n {
+            values[b] = x;
         }
     }
     let objective = lp.objective.iter().zip(&values).map(|(c, x)| c * x).sum();
 
     // Duals of the normalized rows, restored to the caller's orientation.
-    let mut c2 = vec![0.0; std.total_cols];
-    c2[..std.n].copy_from_slice(&std.objective);
-    let y = solver.prices(&c2);
-    let duals = (0..std.m)
-        .map(|r| if std.row_negated[r] { -y[r] } else { y[r] })
+    let mut y: Vec<f64> = solver
+        .basis
+        .iter()
+        .map(|&b| if b < std.n { std.objective[b] } else { 0.0 })
         .collect();
+    solver.factor.btran(&mut y);
+    for (dual, &negated) in y.iter_mut().zip(&std.row_negated) {
+        if negated {
+            *dual = -*dual;
+        }
+    }
     Solution {
         objective,
         values,
-        duals,
+        duals: y,
+        pivots: solver.pivots,
+        degenerate_pivots: solver.degenerate_pivots,
+        refactorizations: solver.refactorizations,
+        factor_nonzeros: solver.factor.nnz,
     }
 }
 
 fn run(lp: &LinearProgram, hint: Option<&[f64]>) -> LpResult {
     let std = StdLp::build(lp);
-    let max_iters = 50 * (std.m + std.total_cols) + 5000;
-
     let mut solver = hint
-        .and_then(|h| crash_basis(&std, h))
-        .unwrap_or_else(|| Solver::initial(&std));
+        .and_then(|h| Solver::crash(&std, h))
+        .or_else(|| Solver::start(&std, &[]))
+        .expect("the all-logical basis is the identity and feasible");
 
     // Phase 1: drive the artificial mass to zero (maximize its negation).
-    if solver.has_basic_artificial() && solver.artificial_mass() > 1e-9 {
+    if solver.artificial_mass() > 1e-9 {
         let mut c1 = vec![0.0; std.total_cols];
-        for slot in &mut c1[std.art_base..] {
-            *slot = -1.0;
-        }
-        solver.optimize(&c1, true, max_iters)?;
+        c1[std.art_base..].fill(-1.0);
+        solver.optimize(&c1, true)?;
         if solver.artificial_mass() > 1e-6 {
             return Err(LpError::Infeasible);
         }
@@ -654,137 +1271,9 @@ fn run(lp: &LinearProgram, hint: Option<&[f64]>) -> LpResult {
     // Phase 2: the real objective; artificials may neither enter nor move.
     let mut c2 = vec![0.0; std.total_cols];
     c2[..std.n].copy_from_slice(&std.objective);
-    solver.optimize(&c2, false, max_iters)?;
+    solver.optimize(&c2, false)?;
 
     Ok(extract(lp, &std, &solver))
-}
-
-/// Builds a starting basis from a caller-supplied guess of the variable
-/// values (e.g. an FPTAS flow): structural columns are admitted greedily in
-/// descending hint order, remaining rows are covered by their logical column.
-/// The crash is kept only when the implied basic point is feasible
-/// (non-negative); otherwise the caller falls back to the all-logical start,
-/// so a bad hint costs one failed attempt and changes nothing else.
-fn crash_basis<'a>(std: &'a StdLp, hint: &[f64]) -> Option<Solver<'a>> {
-    if hint.len() != std.n || std.m == 0 {
-        return None;
-    }
-    let mut candidates: Vec<usize> = (0..std.n)
-        .filter(|&j| hint[j].is_finite() && hint[j] > EPS)
-        .collect();
-    candidates.sort_by(|&a, &b| {
-        hint[b]
-            .partial_cmp(&hint[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-
-    let m = std.m;
-    let mut etas: Vec<Eta> = Vec::new();
-    let mut assigned = vec![false; m];
-    let mut basis = vec![NONE; m];
-    let mut scratch = vec![0.0; m];
-    let mut nz = Vec::new();
-    let mut placed = 0usize;
-    // Greedy structural placement with a conservative pivot threshold: a
-    // marginal pivot here buys a badly conditioned start.
-    for &j in &candidates {
-        if placed == m {
-            break;
-        }
-        nz.clear();
-        std.scatter_col(j, &mut scratch, &mut nz);
-        ftran(&etas, &mut scratch, &mut nz);
-        let mut best = 0.0f64;
-        let mut pr = NONE;
-        for &i in &nz {
-            let a = scratch[i].abs();
-            if !assigned[i] && a > best {
-                best = a;
-                pr = i;
-            }
-        }
-        if pr == NONE || best < 0.01 {
-            for &i in &nz {
-                scratch[i] = 0.0;
-            }
-            continue;
-        }
-        etas.push(build_eta(&mut scratch, &mut nz, pr));
-        assigned[pr] = true;
-        basis[pr] = j;
-        placed += 1;
-    }
-    // Cover leftover rows with their slack, then artificial, column. The
-    // FTRAN check keeps the basis exactly nonsingular even when structural
-    // etas already touched the row.
-    let logicals = std
-        .slack
-        .iter()
-        .enumerate()
-        .map(|(k, &(r, _))| (std.slack_base + k, r))
-        .chain(
-            std.art
-                .iter()
-                .enumerate()
-                .map(|(k, &r)| (std.art_base + k, r)),
-        );
-    for (col, r) in logicals {
-        if assigned[r] {
-            continue;
-        }
-        nz.clear();
-        std.scatter_col(col, &mut scratch, &mut nz);
-        ftran(&etas, &mut scratch, &mut nz);
-        if scratch[r].abs() > 0.01 {
-            etas.push(build_eta(&mut scratch, &mut nz, r));
-            assigned[r] = true;
-            basis[r] = col;
-        } else {
-            for &i in &nz {
-                scratch[i] = 0.0;
-            }
-        }
-    }
-    if assigned.iter().any(|&a| !a) {
-        return None;
-    }
-
-    // The crash point must be primal feasible or the start is useless.
-    nz.clear();
-    for (r, (slot, &rhs)) in scratch.iter_mut().zip(&std.rhs).enumerate().take(m) {
-        if rhs != 0.0 {
-            *slot = rhs;
-            nz.push(r);
-        }
-    }
-    ftran(&etas, &mut scratch, &mut nz);
-    nz.sort_unstable();
-    nz.dedup();
-    let mut xb = vec![0.0; m];
-    let mut feasible = true;
-    for &i in &nz {
-        if scratch[i] < -1e-7 {
-            feasible = false;
-        }
-        xb[i] = scratch[i].max(0.0);
-        scratch[i] = 0.0;
-    }
-    if !feasible {
-        return None;
-    }
-    let mut in_basis = vec![false; std.total_cols];
-    for &b in &basis {
-        in_basis[b] = true;
-    }
-    Some(Solver {
-        std,
-        basis,
-        in_basis,
-        xb,
-        etas,
-        pivots_since_refactor: 0,
-        scratch,
-    })
 }
 
 /// Solves the linear program with the two-phase revised simplex method.
@@ -792,11 +1281,14 @@ pub fn solve(lp: &LinearProgram) -> LpResult {
     run(lp, None)
 }
 
-/// Like [`solve`], but warm-starts from `hint`, a guess of the optimal
-/// variable values (length `num_vars`, e.g. a rescaled FPTAS flow). The hint
-/// seeds a crash basis; if the implied starting point is infeasible the
-/// solver silently falls back to the cold start, so the result is identical
-/// either way — only the iteration count changes.
+/// Like [`solve`], but starts from the basis `hint` implies. `hint` is a
+/// guess of the variable values (length `num_vars`): every variable with a
+/// positive entry, and every slack the guess leaves positive, is proposed as
+/// basic — to propose a variable that is basic at level zero, give it any
+/// positive value. Dependent proposals are dropped and rows left uncovered
+/// take their logical column. If the resulting vertex is infeasible the solver
+/// falls back to the cold start, so the optimum is the same either way — only
+/// the iteration count changes.
 pub fn solve_with_hint(lp: &LinearProgram, hint: &[f64]) -> LpResult {
     run(lp, Some(hint))
 }
@@ -1060,5 +1552,225 @@ mod tests {
         // Strong duality across all 80 unit-rhs rows.
         let dual_obj: f64 = s.duals.iter().sum();
         assert_close(dual_obj, s.objective);
+    }
+
+    #[test]
+    fn vertices_closer_than_the_perturbation_are_told_apart_on_the_true_rhs() {
+        // Two parallel bounds 2e-8 apart, less than the perturbation moves
+        // them: the perturbed run ends on the looser one (row 1's slack is
+        // allowed less room than row 0's), where the true right-hand side
+        // leaves row 0 violated. The dual clean-up must move to the tight
+        // one; without it the answer is 1 + 2e-8 and infeasible.
+        let mut lp = LinearProgram::new(2);
+        lp.set_objective(0, 1.0);
+        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Le, 1.0);
+        lp.add_constraint(vec![(0, 1.0)], ConstraintOp::Le, 1.0 + 2e-8);
+        lp.add_constraint(vec![(0, 1.0), (1, 1.0)], ConstraintOp::Eq, 3.0);
+        let s = solve(&lp).unwrap();
+        assert!((s.objective - 1.0).abs() < 1e-12, "{}", s.objective);
+        assert!((s.values[1] - 2.0).abs() < 1e-12);
+        assert!((s.duals[0] - 1.0).abs() < 1e-12 && s.duals[1].abs() < 1e-12);
+    }
+
+    /// Test-only reference: a dense two-phase tableau simplex under Bland's
+    /// rule (smallest-index entering column, smallest-index tie-break on the
+    /// leaving row), which cannot cycle. Returns the optimal objective.
+    fn bland_tableau(lp: &LinearProgram) -> Result<f64, LpError> {
+        let (n, m) = (lp.num_vars, lp.constraints.len());
+        // Columns: n structural, one slack slot and one artificial slot per row.
+        let width = n + 2 * m;
+        let mut rows = vec![vec![0.0; width]; m];
+        let mut rhs = vec![0.0; m];
+        let mut basis = vec![0usize; m];
+        for (r, c) in lp.constraints.iter().enumerate() {
+            let sign = if c.rhs < 0.0 { -1.0 } else { 1.0 };
+            for &(v, a) in &c.coeffs {
+                rows[r][v] += sign * a;
+            }
+            rhs[r] = sign * c.rhs;
+            let slack = match c.op {
+                ConstraintOp::Le => sign,
+                ConstraintOp::Ge => -sign,
+                ConstraintOp::Eq => 0.0,
+            };
+            rows[r][n + r] = slack;
+            rows[r][n + m + r] = 1.0;
+            basis[r] = if slack > 0.0 { n + r } else { n + m + r };
+        }
+        fn pivot(rows: &mut [Vec<f64>], rhs: &mut [f64], r: usize, j: usize) {
+            let p = rows[r][j];
+            rows[r].iter_mut().for_each(|x| *x /= p);
+            rhs[r] /= p;
+            let (pivot_row, pivot_rhs) = (rows[r].clone(), rhs[r]);
+            for i in (0..rows.len()).filter(|&i| i != r) {
+                let f = rows[i][j];
+                if f != 0.0 {
+                    rows[i]
+                        .iter_mut()
+                        .zip(&pivot_row)
+                        .for_each(|(x, p)| *x -= f * p);
+                    rhs[i] -= f * pivot_rhs;
+                }
+            }
+        }
+        // Maximizes `cost` over the columns below `n + m` (artificials never enter).
+        let optimize = |rows: &mut Vec<Vec<f64>>,
+                        rhs: &mut Vec<f64>,
+                        basis: &mut Vec<usize>,
+                        cost: &[f64]|
+         -> Result<(), LpError> {
+            loop {
+                let reduced =
+                    |j: usize| cost[j] - (0..m).map(|r| cost[basis[r]] * rows[r][j]).sum::<f64>();
+                let Some(j) = (0..n + m).find(|&j| !basis.contains(&j) && reduced(j) > 1e-9) else {
+                    return Ok(());
+                };
+                let mut leave: Option<usize> = None;
+                for r in (0..m).filter(|&r| rows[r][j] > 1e-9) {
+                    let ratio = rhs[r] / rows[r][j];
+                    let better = leave.is_none_or(|l| {
+                        let best = rhs[l] / rows[l][j];
+                        ratio < best - 1e-12 || (ratio <= best + 1e-12 && basis[r] < basis[l])
+                    });
+                    if better {
+                        leave = Some(r);
+                    }
+                }
+                let r = leave.ok_or(LpError::Unbounded)?;
+                pivot(rows, rhs, r, j);
+                basis[r] = j;
+            }
+        };
+        let mut phase1 = vec![0.0; width];
+        phase1[n + m..].fill(-1.0);
+        optimize(&mut rows, &mut rhs, &mut basis, &phase1)?;
+        if (0..m).any(|r| basis[r] >= n + m && rhs[r] > 1e-7) {
+            return Err(LpError::Infeasible);
+        }
+        // Artificials left basic at zero leave where a column can replace
+        // them; a row that offers none is redundant and stays inert.
+        for r in 0..m {
+            if basis[r] >= n + m {
+                if let Some(j) = (0..n + m).find(|&j| rows[r][j].abs() > 1e-9) {
+                    pivot(&mut rows, &mut rhs, r, j);
+                    basis[r] = j;
+                }
+            }
+        }
+        let mut phase2 = vec![0.0; width];
+        phase2[..n].copy_from_slice(&lp.objective);
+        optimize(&mut rows, &mut rhs, &mut basis, &phase2)?;
+        Ok((0..m).map(|r| phase2[basis[r]] * rhs[r]).sum())
+    }
+
+    /// Small seeded programs with everything that makes a simplex stumble:
+    /// zero right-hand sides, duplicated and scaled rows, mixed operators,
+    /// negative right-hand sides, infeasible and unbounded instances.
+    fn random_program(seed: u64) -> LinearProgram {
+        // SplitMix64: no RNG crate in this package's tests.
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        let n = 1 + next(8) as usize;
+        let m = 1 + next(6) as usize;
+        let mut lp = LinearProgram::new(n);
+        for v in 0..n {
+            lp.set_objective(v, next(7) as f64 - 3.0);
+        }
+        // Most instances get a box so that optimal outcomes dominate.
+        if next(4) > 0 {
+            lp.add_constraint((0..n).map(|v| (v, 1.0)).collect(), ConstraintOp::Le, 4.0);
+        }
+        while lp.constraints.len() < m {
+            if !lp.constraints.is_empty() && next(5) == 0 {
+                // A copy of an earlier row, scaled.
+                let k = next(lp.constraints.len() as u64) as usize;
+                let scale = 1.0 + next(2) as f64;
+                let c = lp.constraints[k].clone();
+                let coeffs = c.coeffs.iter().map(|&(v, a)| (v, a * scale)).collect();
+                lp.add_constraint(coeffs, c.op, c.rhs * scale);
+                continue;
+            }
+            let mut coeffs: Vec<(usize, f64)> = Vec::new();
+            for v in 0..n {
+                if next(2) == 0 {
+                    coeffs.push((v, next(7) as f64 - 3.0));
+                }
+            }
+            let op = [
+                ConstraintOp::Le,
+                ConstraintOp::Le,
+                ConstraintOp::Eq,
+                ConstraintOp::Ge,
+            ][next(4) as usize];
+            let rhs = [0.0, 0.0, 1.0, 2.0, 3.0, -1.0][next(6) as usize];
+            lp.add_constraint(coeffs, op, rhs);
+        }
+        lp
+    }
+
+    #[test]
+    fn agrees_with_the_bland_tableau_on_seeded_small_programs() {
+        let (mut optimal, mut infeasible, mut unbounded) = (0, 0, 0);
+        for seed in 0..3000u64 {
+            let lp = random_program(seed);
+            let reference = bland_tableau(&lp);
+            let hinted = solve_with_hint(&lp, &vec![1.0; lp.num_vars]);
+            let got = solve(&lp);
+            match (&reference, &got) {
+                (Err(e), Err(g)) => {
+                    assert_eq!(e, g, "seed {seed}");
+                    assert_eq!(hinted.as_ref().err(), Some(e), "seed {seed} (hinted)");
+                    match e {
+                        LpError::Infeasible => infeasible += 1,
+                        _ => unbounded += 1,
+                    }
+                }
+                (Ok(want), Ok(s)) => {
+                    optimal += 1;
+                    let tol = 1e-9 * (1.0 + want.abs());
+                    assert!(
+                        (s.objective - want).abs() <= tol,
+                        "seed {seed}: {s:?} vs {want}"
+                    );
+                    let hinted = hinted.unwrap_or_else(|e| panic!("seed {seed} (hinted): {e}"));
+                    assert!(
+                        (hinted.objective - want).abs() <= tol,
+                        "seed {seed} (hinted)"
+                    );
+                    // The point is feasible, the duals price it out, and
+                    // their signs follow the documented convention.
+                    assert!(s.values.iter().all(|&x| x >= 0.0), "seed {seed}");
+                    let mut dual_objective = 0.0;
+                    for (c, &y) in lp.constraints.iter().zip(&s.duals) {
+                        let lhs: f64 = c.coeffs.iter().map(|&(v, a)| a * s.values[v]).sum();
+                        let (slack, sign_ok) = match c.op {
+                            ConstraintOp::Le => (c.rhs - lhs, y >= -1e-9),
+                            ConstraintOp::Ge => (lhs - c.rhs, y <= 1e-9),
+                            ConstraintOp::Eq => (-(lhs - c.rhs).abs(), true),
+                        };
+                        assert!(slack >= -1e-7, "seed {seed}: row violated by {slack}");
+                        assert!(sign_ok, "seed {seed}: dual {y} has the wrong sign");
+                        dual_objective += y * c.rhs;
+                    }
+                    assert!(
+                        (dual_objective - s.objective).abs() <= 1e-7 * (1.0 + want.abs()),
+                        "seed {seed}: duals give {dual_objective}, primal {}",
+                        s.objective
+                    );
+                }
+                _ => panic!("seed {seed}: reference {reference:?}, solver {got:?}"),
+            }
+        }
+        // The generator must keep producing all three outcomes.
+        assert!(
+            optimal > 1500 && infeasible > 100 && unbounded > 50,
+            "{optimal} {infeasible} {unbounded}"
+        );
     }
 }
