@@ -25,9 +25,9 @@ use tb_flow::{
     verify_certificate, ExactLpSolver, FleischerConfig, FleischerSolver, SolverWorkspace,
 };
 use tb_graph::Graph;
+use tb_topology::expander::subdivided_expander;
 use tb_topology::hypercube::hypercube;
 use tb_topology::jellyfish::jellyfish;
-use tb_topology::torus::torus;
 use tb_traffic::synthetic::{all_to_all, longest_matching, random_permutation};
 use tb_traffic::TrafficMatrix;
 
@@ -45,8 +45,7 @@ fn compare(name: &str, g: &Graph, tm: &TrafficMatrix, reps: usize) {
     // the graph size, so dense TMs exercise the aggregated tree kernel.
     let cfg = FleischerConfig::fast().with_auto_aggregation(g.num_nodes());
     let solver = FleischerSolver::new(cfg);
-    let mut ws = SolverWorkspace::new();
-    let outcome = solver.solve_outcome_with(g, tm, &mut ws);
+    let outcome = solver.solve_outcome(g, tm);
     let new_b = outcome.bounds;
     // The certificate this solve would ship in a `--certify` sweep must
     // independently re-verify right here, at the same acceptable gap the
@@ -61,9 +60,10 @@ fn compare(name: &str, g: &Graph, tm: &TrafficMatrix, reps: usize) {
     .unwrap_or_else(|e| panic!("{name}: FPTAS certificate failed verification: {e}"));
     let old_b = legacy::solve(&cfg, g, tm);
     assert_same_quality(name, &cfg, new_b, old_b);
+    let mut ws = SolverWorkspace::new();
     let t_new = time(
         || {
-            let _ = solver.solve_with(g, tm, &mut ws);
+            let _ = solver.solve_in(g, tm, &mut ws, false);
         },
         reps,
     );
@@ -91,8 +91,7 @@ fn compare(name: &str, g: &Graph, tm: &TrafficMatrix, reps: usize) {
 /// share a bug, the LP optimum is an independent ground truth.
 fn exact_spot_check(name: &str, g: &Graph, tm: &TrafficMatrix) {
     let fptas = FleischerSolver::new(FleischerConfig::precise());
-    let mut ws = SolverWorkspace::new();
-    let outcome = fptas.solve_outcome_with(g, tm, &mut ws);
+    let outcome = fptas.solve_outcome(g, tm);
     let t0 = Instant::now();
     let (b, cert) = ExactLpSolver::new()
         .solve_certified_with_hint(g, tm, Some(&outcome.certificate))
@@ -194,17 +193,19 @@ fn main() {
         2,
     );
 
-    let t256 = torus(2, 16, 1);
+    // Long paths: Theorem 1's graph B, a 6-regular random graph on 64
+    // endpoints with every edge subdivided in two (256 nodes).
+    let b256 = subdivided_expander(64, 3, 2, 42);
     compare(
-        "torus16x16/lm",
-        &t256.graph,
-        &longest_matching(&t256.graph, &t256.servers, true),
+        "subdivided256/lm",
+        &b256.graph,
+        &longest_matching(&b256.graph, &b256.servers, true),
         3,
     );
     compare(
-        "torus16x16/perm",
-        &t256.graph,
-        &random_permutation(&t256.servers, 3),
+        "subdivided256/perm",
+        &b256.graph,
+        &random_permutation(&b256.servers, 3),
         3,
     );
 }

@@ -27,7 +27,7 @@ pub struct EvalConfig {
     /// Base RNG seed; every randomized step derives from it deterministically.
     pub seed: u64,
     /// Emit optimality certificates for throughput cells (see
-    /// [`evaluate_throughput_certified_with`]). Capture is
+    /// [`Evaluated::certificate`]). Capture is
     /// trajectory-neutral — the solved values are bit-identical either way —
     /// but certified cells carry the extra evidence block through the cache
     /// and artifacts, so the flag is part of the cell cache key. Default off:
@@ -71,80 +71,51 @@ impl EvalConfig {
 
 /// Computes the throughput of `tm` on `topo` (§II-A): the maximum `t` such
 /// that `tm · t` is feasible. Small instances use the exact LP; larger ones
-/// the FPTAS with bracketing bounds.
+/// the FPTAS with bracketing bounds. The bounds of [`evaluate`] in a fresh
+/// workspace.
 pub fn evaluate_throughput(
     topo: &Topology,
     tm: &TrafficMatrix,
     cfg: &EvalConfig,
 ) -> ThroughputBounds {
-    let mut ws = SolverWorkspace::new();
-    evaluate_throughput_with(topo, tm, cfg, &mut ws)
+    evaluate(topo, tm, cfg, &mut SolverWorkspace::new()).bounds
 }
 
-/// [`evaluate_throughput`] with a caller-provided FPTAS workspace, so sweeps
-/// that evaluate many instances amortize the solver's scratch allocations.
-pub fn evaluate_throughput_with(
-    topo: &Topology,
-    tm: &TrafficMatrix,
-    cfg: &EvalConfig,
-    ws: &mut SolverWorkspace,
-) -> ThroughputBounds {
-    evaluate_strict(topo, tm, cfg, ws, false).bounds
+/// What [`evaluate`] returns.
+#[derive(Debug, Clone)]
+pub struct Evaluated {
+    /// The bracketing interval (always finite, `0 <= lower <= upper`).
+    pub bounds: ThroughputBounds,
+    /// Converged, or budget-exhausted with the best bounds so far.
+    pub status: SolveStatus,
+    /// The optimality certificate (see `tb_flow::certificate`), present iff
+    /// [`EvalConfig::certify`]. It describes the full instance.
+    pub certificate: Option<ThroughputCertificate>,
 }
 
-/// [`evaluate_throughput_with`] with full evidence: additionally returns the
-/// solve's [`SolveStatus`] and its [`ThroughputCertificate`] (see
-/// `tb_flow::certificate`). The solved bounds are bit-identical to the
-/// uncertified path — the exact LP derives its certificate from the same
-/// optimal basis, and the FPTAS capture is trajectory-neutral — so turning
-/// certification on can never change a reported number.
+/// The one place the solver is chosen; `ws` amortizes the FPTAS's scratch
+/// allocations across the instances a sweep evaluates. An empty TM (all
+/// demands removed, e.g. after heavy fault injection) has zero throughput by
+/// definition and stops before the solvers, whose problem construction
+/// assumes at least one flow; small instances go to the exact LP, everything
+/// else (and, with a `warning:` line on stderr, an LP failure) to the FPTAS
+/// with the dense-TM aggregation threshold auto-picked from the graph size
+/// (an explicit override in `cfg.solver` wins). Strict semantics: a
+/// disconnected demand is not dropped, it pins the result to zero.
 ///
-/// Semantics are *strict* (matching [`evaluate_throughput_with`], not the
-/// degradation-aware status evaluator): disconnected demands are not dropped,
-/// they pin the concurrent flow to zero, and the certificate describes the
-/// full instance.
-pub fn evaluate_throughput_certified_with(
+/// Certification can never change a reported number: the exact LP derives its
+/// certificate from the same optimal basis, and the FPTAS capture is
+/// trajectory-neutral.
+pub fn evaluate(
     topo: &Topology,
     tm: &TrafficMatrix,
     cfg: &EvalConfig,
     ws: &mut SolverWorkspace,
-) -> (ThroughputBounds, SolveStatus, ThroughputCertificate) {
-    let e = evaluate_strict(topo, tm, cfg, ws, true);
-    (
-        e.bounds,
-        e.status,
-        e.certificate.expect("certificate requested"),
-    )
-}
-
-/// What [`evaluate_strict`] returns; the public evaluators are views of it.
-struct Evaluated {
-    bounds: ThroughputBounds,
-    status: SolveStatus,
-    /// Present whenever requested (the exact LP and the trivial zero produce
-    /// one either way).
-    certificate: Option<ThroughputCertificate>,
-}
-
-/// The one place the solver is chosen. An empty TM (all demands removed, e.g.
-/// after heavy fault injection) has zero throughput by definition and stops
-/// before the solvers, whose problem construction assumes at least one flow;
-/// small instances go to the exact LP, everything else (and, with a
-/// `warning:` line on stderr, an LP failure) to the FPTAS with the dense-TM
-/// aggregation threshold auto-picked from the graph size (an explicit
-/// override in `cfg.solver` wins). Strict semantics: a disconnected demand
-/// pins the result to zero.
-fn evaluate_strict(
-    topo: &Topology,
-    tm: &TrafficMatrix,
-    cfg: &EvalConfig,
-    ws: &mut SolverWorkspace,
-    want_cert: bool,
 ) -> Evaluated {
-    let done = |bounds, status, certificate| Evaluated {
+    let done = |bounds, status, certificate: Option<ThroughputCertificate>| Evaluated {
         bounds: guard_finite(bounds, topo),
         status,
-        certificate,
+        certificate: certificate.filter(|_| cfg.certify),
     };
     if tm.num_flows() == 0 {
         return done(
@@ -167,7 +138,7 @@ fn evaluate_strict(
     }
     let solver_cfg = cfg.solver.with_auto_aggregation(topo.num_switches());
     let (bounds, stats, cert) =
-        FleischerSolver::new(solver_cfg).solve_with_certificate(&topo.graph, tm, ws, want_cert);
+        FleischerSolver::new(solver_cfg).solve_in(&topo.graph, tm, ws, cfg.certify);
     let status = if stats.converged {
         SolveStatus::Converged
     } else {
@@ -201,11 +172,11 @@ fn guard_finite(b: ThroughputBounds, topo: &Topology) -> ThroughputBounds {
     b
 }
 
-/// Degradation-aware throughput evaluation: like [`evaluate_throughput_with`]
-/// but demands between disconnected switch pairs (typical after fault
-/// injection, see `tb_topology::faults`) are dropped rather than pinning the
-/// throughput at zero, and the returned [`SolveStatus`] records whether the
-/// result is exact/converged or degraded (demands dropped, budget exhausted).
+/// Degradation-aware throughput evaluation: like [`evaluate`] but demands
+/// between disconnected switch pairs (typical after fault injection, see
+/// `tb_topology::faults`) are dropped rather than pinning the throughput at
+/// zero, and the returned [`SolveStatus`] records whether the result is
+/// exact/converged or degraded (demands dropped, budget exhausted).
 ///
 /// The bounds always satisfy `lower <= upper` and are finite; an instance
 /// whose every demand is disconnected yields a well-defined zero-throughput
@@ -219,7 +190,7 @@ pub fn evaluate_throughput_status_with(
     let (kept_tm, dropped) = drop_disconnected_demands(&topo.graph, tm);
     // A TM with no surviving demand is empty: the strict evaluator's exact
     // zero, no solver call.
-    let e = evaluate_strict(topo, &kept_tm, cfg, ws, false);
+    let e = evaluate(topo, &kept_tm, cfg, ws);
     // Dropped demands take precedence in the reported status; convergence of
     // the residual solve is still visible in the bounds gap.
     let status = if dropped > 0 {
@@ -231,16 +202,6 @@ pub fn evaluate_throughput_status_with(
         e.status
     };
     (e.bounds, status)
-}
-
-/// [`evaluate_throughput_status_with`] with a fresh solver workspace.
-pub fn evaluate_throughput_status(
-    topo: &Topology,
-    tm: &TrafficMatrix,
-    cfg: &EvalConfig,
-) -> (ThroughputBounds, SolveStatus) {
-    let mut ws = SolverWorkspace::new();
-    evaluate_throughput_status_with(topo, tm, cfg, &mut ws)
 }
 
 /// The Theorem-2 lower bound derived from an already-computed all-to-all
@@ -287,6 +248,35 @@ impl RelativeThroughput {
     }
 }
 
+/// The 1 + k solves behind both relative metrics, as one fan-out so the pool
+/// can share all of them between threads: `value_on(graph, seed, ws)` is the
+/// throughput on the topology itself (index 0, seed `cfg.seed`) and on each of
+/// `cfg.random_graph_iterations` same-equipment random graphs drawn at
+/// `cfg.seed + seed_offset + i`.
+fn relative_to_random_graphs(
+    topo: &Topology,
+    cfg: &EvalConfig,
+    seed_offset: u64,
+    value_on: impl Fn(&Topology, u64, &mut SolverWorkspace) -> f64 + Sync,
+) -> RelativeThroughput {
+    let iters = cfg.random_graph_iterations.max(1);
+    let mut solves: Vec<f64> = (0..iters + 1)
+        .into_par_iter()
+        .map_init(SolverWorkspace::new, |ws, i| {
+            if i == 0 {
+                return value_on(topo, cfg.seed, ws);
+            }
+            let seed = cfg
+                .seed
+                .wrapping_add(seed_offset)
+                .wrapping_add(i as u64 - 1);
+            value_on(&same_equipment(topo, seed), seed, ws)
+        })
+        .collect();
+    let absolute = solves.remove(0);
+    RelativeThroughput::from_solves(absolute, solves)
+}
+
 /// Computes the paper's headline metric (§IV): the topology's throughput
 /// divided by the throughput of a random graph built with *exactly the same
 /// equipment*, averaged over `cfg.random_graph_iterations` random graphs.
@@ -294,24 +284,11 @@ impl RelativeThroughput {
 /// The TM is re-generated for each graph from `spec` (near-worst-case traffic
 /// is worst-case *for that graph*); pass [`TmSpec::AllToAll`] etc. as needed.
 pub fn relative_throughput(topo: &Topology, spec: &TmSpec, cfg: &EvalConfig) -> RelativeThroughput {
-    // One fan-out over the cell's 1 + k independent solves, index 0 being the
-    // topology's own, so the pool can share all of them between threads.
-    let iters = cfg.random_graph_iterations.max(1);
-    let mut solves: Vec<f64> = (0..iters + 1)
-        .into_par_iter()
-        .map_init(SolverWorkspace::new, |ws, i| {
-            if i == 0 {
-                let tm = spec.generate(topo, cfg.seed);
-                return evaluate_throughput_with(topo, &tm, cfg, ws).value();
-            }
-            let seed = cfg.seed.wrapping_add(1000).wrapping_add(i as u64 - 1);
-            let rnd = same_equipment(topo, seed);
-            let rnd_tm = spec.generate(&rnd, seed);
-            evaluate_throughput_with(&rnd, &rnd_tm, cfg, ws).value()
-        })
-        .collect();
-    let absolute = solves.remove(0);
-    RelativeThroughput::from_solves(absolute, solves)
+    relative_to_random_graphs(topo, cfg, 1000, |graph, seed, ws| {
+        evaluate(graph, &spec.generate(graph, seed), cfg, ws)
+            .bounds
+            .value()
+    })
 }
 
 /// Computes relative throughput for a *fixed* TM (real-world workloads of
@@ -322,21 +299,9 @@ pub fn relative_throughput_fixed_tm(
     tm: &TrafficMatrix,
     cfg: &EvalConfig,
 ) -> RelativeThroughput {
-    // Same 1 + k fan-out as `relative_throughput`, index 0 the topology's own.
-    let iters = cfg.random_graph_iterations.max(1);
-    let mut solves: Vec<f64> = (0..iters + 1)
-        .into_par_iter()
-        .map_init(SolverWorkspace::new, |ws, i| {
-            if i == 0 {
-                return evaluate_throughput_with(topo, tm, cfg, ws).value();
-            }
-            let seed = cfg.seed.wrapping_add(2000).wrapping_add(i as u64 - 1);
-            let rnd = same_equipment(topo, seed);
-            evaluate_throughput_with(&rnd, tm, cfg, ws).value()
-        })
-        .collect();
-    let absolute = solves.remove(0);
-    RelativeThroughput::from_solves(absolute, solves)
+    relative_to_random_graphs(topo, cfg, 2000, |graph, _, ws| {
+        evaluate(graph, tm, cfg, ws).bounds.value()
+    })
 }
 
 #[cfg(test)]
@@ -420,7 +385,8 @@ mod tests {
         g.add_edge(0, 1, 1.0);
         let topo = Topology::new("lonely", "test", g, vec![1, 1, 1]);
         let tm = TmSpec::AllToAll.generate(&topo, 1);
-        let (b, status) = evaluate_throughput_status(&topo, &tm, &cfg());
+        let (b, status) =
+            evaluate_throughput_status_with(&topo, &tm, &cfg(), &mut SolverWorkspace::new());
         assert!(b.lower > 0.0, "connected pair should still carry traffic");
         assert!(b.lower.is_finite() && b.upper.is_finite());
         match status {
@@ -438,7 +404,8 @@ mod tests {
         let g = Graph::new(2);
         let topo = Topology::new("islands", "test", g, vec![1, 1]);
         let tm = TmSpec::AllToAll.generate(&topo, 1);
-        let (b, status) = evaluate_throughput_status(&topo, &tm, &cfg());
+        let (b, status) =
+            evaluate_throughput_status_with(&topo, &tm, &cfg(), &mut SolverWorkspace::new());
         assert_eq!(b.lower, 0.0);
         assert_eq!(b.upper, 0.0);
         assert_eq!(
@@ -459,7 +426,8 @@ mod tests {
         let tm = TrafficMatrix::empty(topo.num_switches());
         let b = evaluate_throughput(&topo, &tm, &cfg());
         assert_eq!(b.value(), 0.0);
-        let (sb, status) = evaluate_throughput_status(&topo, &tm, &cfg());
+        let (sb, status) =
+            evaluate_throughput_status_with(&topo, &tm, &cfg(), &mut SolverWorkspace::new());
         assert_eq!(sb.value(), 0.0);
         assert_eq!(status, SolveStatus::Converged);
     }
@@ -467,6 +435,7 @@ mod tests {
     #[test]
     fn status_eval_matches_plain_eval_on_clean_instances() {
         let c = cfg();
+        let certifying = EvalConfig { certify: true, ..c };
         // Exact-LP path (small) and FPTAS path (large): the plain, certified
         // and status evaluators are views of one dispatch, so when nothing is
         // degraded all three report the same bits.
@@ -474,15 +443,15 @@ mod tests {
             let tm = TmSpec::AllToAll.generate(&topo, 1);
             let plain = evaluate_throughput(&topo, &tm, &c);
             let mut ws = SolverWorkspace::new();
-            let (certified, cert_status, cert) =
-                evaluate_throughput_certified_with(&topo, &tm, &c, &mut ws);
-            let (b, status) = evaluate_throughput_status(&topo, &tm, &c);
-            for view in [certified, b] {
+            let certified = evaluate(&topo, &tm, &certifying, &mut ws);
+            let (b, status) = evaluate_throughput_status_with(&topo, &tm, &c, &mut ws);
+            for view in [certified.bounds, b] {
                 assert_eq!(plain.lower.to_bits(), view.lower.to_bits());
                 assert_eq!(plain.upper.to_bits(), view.upper.to_bits());
             }
             assert_eq!(status, SolveStatus::Converged);
-            assert_eq!(cert_status, SolveStatus::Converged);
+            assert_eq!(certified.status, SolveStatus::Converged);
+            let cert = certified.certificate.expect("certificate requested");
             tb_flow::verify_certificate(&topo.graph, &tm, &cert, acceptable_certificate_gap(&c))
                 .unwrap_or_else(|e| panic!("{}: certificate failed: {e}", topo.name));
         }
@@ -492,17 +461,21 @@ mod tests {
     fn certified_eval_matches_plain_eval_and_meets_the_acceptable_gap() {
         use tb_flow::verify_certificate;
         let c = cfg();
+        let certifying = EvalConfig { certify: true, ..c };
         // Exact-LP path (small) and FPTAS path (large): certification must be
         // trajectory-neutral — bit-identical bounds — and the certificate must
-        // independently re-verify at the gap `sweep verify` enforces.
+        // independently re-verify at the gap `sweep verify` enforces. Without
+        // `certify` neither path hands one out.
         for topo in [hypercube(3, 1), hypercube(5, 1)] {
             let tm = TmSpec::AllToAll.generate(&topo, 1);
-            let plain = evaluate_throughput(&topo, &tm, &c);
             let mut ws = SolverWorkspace::new();
-            let (b, status, cert) = evaluate_throughput_certified_with(&topo, &tm, &c, &mut ws);
-            assert_eq!(plain.lower.to_bits(), b.lower.to_bits());
-            assert_eq!(plain.upper.to_bits(), b.upper.to_bits());
-            assert_eq!(status, SolveStatus::Converged);
+            let plain = evaluate(&topo, &tm, &c, &mut ws);
+            assert!(plain.certificate.is_none());
+            let e = evaluate(&topo, &tm, &certifying, &mut ws);
+            assert_eq!(plain.bounds.lower.to_bits(), e.bounds.lower.to_bits());
+            assert_eq!(plain.bounds.upper.to_bits(), e.bounds.upper.to_bits());
+            assert_eq!(e.status, SolveStatus::Converged);
+            let cert = e.certificate.expect("certificate requested");
             verify_certificate(&topo.graph, &tm, &cert, acceptable_certificate_gap(&c))
                 .unwrap_or_else(|e| panic!("{}: certificate failed: {e}", topo.name));
         }

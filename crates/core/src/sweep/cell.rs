@@ -7,8 +7,8 @@
 //! cache key is derived from `(spec, eval config)` and nothing else.
 
 use crate::eval::{
-    evaluate_throughput_certified_with, evaluate_throughput_status_with, evaluate_throughput_with,
-    relative_throughput, relative_throughput_fixed_tm, EvalConfig,
+    evaluate, evaluate_throughput_status_with, relative_throughput, relative_throughput_fixed_tm,
+    EvalConfig,
 };
 use crate::spec::TmSpec;
 use crate::stats::Stats;
@@ -518,7 +518,7 @@ fn run_search(
     let mut evaluate = |spec: &TopoSpec| -> Option<(f64, f64)> {
         let topo = spec.build()?;
         let matrix = tm.generate(&topo, tm_seed);
-        let value = evaluate_throughput_with(&topo, &matrix, cfg, ws).value();
+        let value = evaluate(&topo, &matrix, cfg, ws).bounds.value();
         evals += 1;
         Some((value, search_objective(&topo, value)))
     };
@@ -583,23 +583,18 @@ impl CellSpec {
             CellSpec::Throughput { topo, tm, tm_seed } => {
                 let topo = build_topo(topo);
                 let matrix = tm.generate(&topo, *tm_seed);
-                // The certified path solves the identical instance through
-                // the identical trajectory (capture is side-effect-free), so
-                // the pushed metrics are bit-identical with `certify` on or
-                // off — only the evidence block is added.
-                let bounds = if cfg.certify {
-                    let (bounds, status, cert) =
-                        evaluate_throughput_certified_with(&topo, &matrix, cfg, ws);
+                // Capturing the certificate is side-effect-free, so the pushed
+                // metrics are bit-identical with `certify` on or off — only the
+                // evidence block is added.
+                let e = evaluate(&topo, &matrix, cfg, ws);
+                if let Some(cert) = e.certificate {
                     out.set_certificate(CellCertificate {
                         cert,
-                        status: status.label(),
+                        status: e.status.label(),
                     });
-                    bounds
-                } else {
-                    evaluate_throughput_with(&topo, &matrix, cfg, ws)
-                };
-                out.push("lower", bounds.lower);
-                out.push("upper", bounds.upper);
+                }
+                out.push("lower", e.bounds.lower);
+                out.push("upper", e.bounds.upper);
                 out.push_text("tm_fp", format!("{:016x}", matrix.fingerprint()));
             }
             CellSpec::Relative { topo, tm } => {

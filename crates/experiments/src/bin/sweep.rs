@@ -18,18 +18,20 @@
 //! sweep verify --all results/golden/
 //! ```
 //!
-//! Unlike the per-figure binaries, `sweep` always writes (and validates) the
-//! JSON artifact `results/<scenario>.json` (filtered runs:
+//! `sweep` always writes (and validates) the JSON artifact
+//! `results/<scenario>.json` (filtered runs:
 //! `results/<scenario>.partial.json`, marked `"partial": true`) and prints a
 //! cache/solver/build summary per scenario (after a run that queued pool
 //! jobs also a `[sweep] schedule:` line on standard error: threads, jobs run,
 //! jobs run by a thread other than the one that queued them, and each
 //! thread's share of the run's wall time spent in jobs, the caller first).
-//! `--expect-cache-hot` turns a
-//! warm cache into an assertion: the run fails unless every cell came from
-//! the cache with zero solver invocations **and zero topology
-//! constructions** — CI uses this to prove that both the cache and the
-//! construction-free metadata layer work end to end.
+//! Usage errors — an unknown or repeated flag, an unknown scenario, a
+//! `--filter` that matches no cell — and failed writes under `results/` are
+//! one `error:` line on standard error and exit status 2.
+//! `--expect-cache-hot` turns a warm cache into an assertion: the run fails
+//! unless every cell came from the cache with zero solver invocations **and
+//! zero topology constructions** — CI uses this to prove that both the cache
+//! and the construction-free metadata layer work end to end.
 //!
 //! `sweep diff` compares two artifacts (or, with `--all`, two artifact
 //! directories) cell by cell: values must match bit for bit (or within
@@ -40,31 +42,8 @@
 //! by a `--certify` run: each certified cell's instance is rebuilt from its
 //! spec and the evidence re-verified bit for bit (same exit convention).
 
-use experiments::{find_scenario, registry, run_and_emit, ExtraFlag, RunOptions};
-use topobench::sweep::{diff_dirs, diff_files, pool_stats, DiffOptions, PoolStats};
-
-const EXTRA_FLAGS: [ExtraFlag; 4] = [
-    ExtraFlag {
-        name: "--list",
-        takes_value: false,
-        help: "print the scenario index and exit",
-    },
-    ExtraFlag {
-        name: "--scenario",
-        takes_value: true,
-        help: "scenario name to run (or 'all')",
-    },
-    ExtraFlag {
-        name: "--expect-cache-hot",
-        takes_value: false,
-        help: "fail unless every cell is served from the cache (zero solver calls, zero builds)",
-    },
-    ExtraFlag {
-        name: "--write-golden",
-        takes_value: false,
-        help: "also copy each complete artifact to results/golden/<name>.json",
-    },
-];
+use experiments::{find_scenario, registry, run_and_emit, RunOptions};
+use topobench::sweep::{diff_dirs, diff_files, pool_stats, DiffOptions, PoolStats, Scenario};
 
 fn print_index() {
     println!("Registered scenarios (run with --scenario <name>):\n");
@@ -263,9 +242,35 @@ fn schedule_line(before: &PoolStats, wall: std::time::Duration) -> Option<String
     ))
 }
 
+/// Ends the process the way every usage and I/O error does.
+fn fail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2);
+}
+
+/// A `--filter` that matches no cell of the scenarios about to run (`target`
+/// names them) is a usage error: it would compare, verify and
+/// `--expect-cache-hot` nothing, and pass. The message lists a few cell ids.
+fn require_a_filter_match(target: &str, scenarios: &[Scenario], opts: &RunOptions) {
+    let Some(filter) = &opts.sweep.filter else {
+        return;
+    };
+    let cells: Vec<_> = (scenarios.iter())
+        .flat_map(|scenario| (scenario.build)(&opts.sweep))
+        .collect();
+    if !cells.iter().any(|cell| cell.id.contains(filter.as_str())) {
+        let ids: Vec<&str> = cells.iter().take(3).map(|cell| cell.id.as_str()).collect();
+        fail(&format!(
+            "--filter '{filter}' matches no cell of scenario '{target}' \
+             (its cell ids look like: {})",
+            ids.join(", ")
+        ));
+    }
+}
+
 fn main() {
     // `sweep diff` / `sweep verify` are subcommands with their own argument
-    // grammar; dispatch before the shared strict option parser sees the args.
+    // grammar; dispatch before the strict option parser sees the args.
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.first().map(String::as_str) == Some("diff") {
         std::process::exit(run_diff(&raw[1..]));
@@ -274,35 +279,31 @@ fn main() {
         std::process::exit(run_verify(&raw[1..]));
     }
 
-    let (opts, extras) = RunOptions::from_args_with(&EXTRA_FLAGS);
-    let flag = |name: &str| extras.iter().find(|(n, _)| n == name);
-    if flag("--list").is_some() {
+    let opts = RunOptions::parse_or_exit(&raw);
+    if opts.list {
         print_index();
         return;
     }
-    let Some((_, target)) = flag("--scenario") else {
+    let Some(target) = &opts.scenario else {
         print_index();
-        eprintln!("\nerror: --scenario <name> (or --list) is required");
-        std::process::exit(2);
+        eprintln!();
+        fail("--scenario <name> (or --list) is required");
     };
-    let expect_cache_hot = flag("--expect-cache-hot").is_some();
-    let write_golden = flag("--write-golden").is_some();
-    if write_golden {
+    if opts.write_golden {
         // The committed goldens are complete reduced-scale seed-1 artifacts
         // (`golden_artifacts` / `engine_golden` pin them as such); anything
         // else would silently overwrite them with a different spec.
-        let refused = if opts.filter.is_some() {
+        let refused = if opts.sweep.filter.is_some() {
             Some("--filter (partial artifacts are not golden)")
-        } else if opts.full {
+        } else if opts.sweep.full {
             Some("--full (goldens are reduced-scale)")
-        } else if opts.seed != 1 {
+        } else if opts.sweep.seed != 1 {
             Some("a --seed other than 1 (goldens are seed 1)")
         } else {
             None
         };
         if let Some(why) = refused {
-            eprintln!("error: --write-golden cannot be combined with {why}");
-            std::process::exit(2);
+            fail(&format!("--write-golden cannot be combined with {why}"));
         }
     }
 
@@ -311,34 +312,25 @@ fn main() {
     } else {
         match find_scenario(target) {
             Some(s) => vec![s],
-            None => {
-                eprintln!("error: unknown scenario '{target}' (see --list)");
-                std::process::exit(2);
-            }
+            None => fail(&format!("unknown scenario '{target}' (see --list)")),
         }
     };
+    require_a_filter_match(target, &scenarios, &opts);
 
     let mut cache_cold = false;
     for scenario in &scenarios {
         let (pool_before, started) = (pool_stats(), std::time::Instant::now());
-        let (report, render, written) = run_and_emit(scenario, &opts);
+        let (report, artifact_path) =
+            run_and_emit(scenario, &opts).unwrap_or_else(|message| fail(&message));
         let schedule = schedule_line(&pool_before, started.elapsed());
-        // The per-figure binaries only write the artifact with --csv; the
-        // sweep driver always writes (and validates) it. Filtered runs land
-        // in results/<name>.partial.json via the artifact writer.
-        let artifact_path = written.unwrap_or_else(|| {
-            experiments::write_and_validate_artifact(
-                scenario,
-                &opts.sweep_options(),
-                &report,
-                &render,
-            )
-        });
-        if write_golden {
-            let golden_dir = std::path::PathBuf::from("results").join("golden");
-            std::fs::create_dir_all(&golden_dir).expect("failed to create results/golden");
+        if opts.write_golden {
+            let golden_dir = std::path::Path::new("results").join("golden");
             let golden_path = golden_dir.join(format!("{}.json", scenario.name));
-            std::fs::copy(&artifact_path, &golden_path).expect("failed to copy golden artifact");
+            if let Err(e) = std::fs::create_dir_all(&golden_dir)
+                .and_then(|()| std::fs::copy(&artifact_path, &golden_path))
+            {
+                fail(&format!("cannot write {}: {e}", golden_path.display()));
+            }
             println!("(golden: {})", golden_path.display());
         }
         println!(
@@ -368,7 +360,7 @@ fn main() {
             cache_cold = true;
         }
     }
-    if expect_cache_hot && cache_cold {
+    if opts.expect_cache_hot && cache_cold {
         eprintln!(
             "error: --expect-cache-hot but at least one cell was computed fresh \
              (or a topology was constructed)"

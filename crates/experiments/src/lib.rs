@@ -1,20 +1,21 @@
-//! Shared plumbing for the experiment harness binaries.
+//! The scenario registry and the plumbing of its one driver, `sweep`.
 //!
 //! Every figure and table of the paper is registered as a **scenario** in
 //! [`registry`]: a declarative grid of sweep cells plus a renderer (see
-//! [`topobench::sweep`]). The per-figure binaries (`fig02`, …, `table02`,
-//! `theorem1_demo`) are thin wrappers that run their scenario through the
-//! engine; the `sweep` binary drives any scenario by name, and
-//! `sweep --list` prints the authoritative figure index (replacing the old
-//! hand-maintained per-binary index).
+//! [`topobench::sweep`]). The `sweep` binary runs any scenario by name
+//! (`sweep --scenario fig02`, or `all`), and `sweep --list` prints the
+//! authoritative figure index.
 //!
-//! Command-line convention (parsed strictly; unknown flags are errors):
+//! Command-line convention (parsed strictly; unknown flags, missing values and
+//! a value flag given twice are usage errors, exit 2):
 //!
+//! * `--scenario NAME` — the scenario to run, or `all`; `--list` prints the
+//!   index instead,
 //! * `--full`     — run the paper-scale instance ladder (slow); the default
 //!   is a reduced ladder that finishes in minutes on a laptop,
 //! * `--seed N`   — change the base RNG seed,
-//! * `--csv`      — additionally write `results/<figure>.csv` per table and
-//!   the unified JSON artifact `results/<scenario>.json`,
+//! * `--csv`      — additionally write `results/<figure>.csv` per table (the
+//!   unified JSON artifact `results/<scenario>.json` is always written),
 //! * `--jobs N`   — computing threads, the calling one included (`1` forces
 //!   a fully serial run and spawns nothing). Every cell is one job of a
 //!   shared queue, and the 1+k solves of a relative cell are shared between
@@ -24,72 +25,51 @@
 //!   across workers was measured slower than serial and removed,
 //! * `--filter S` — run only cells whose id contains `S` (prints a raw cell
 //!   dump instead of the figure tables; artifacts land in
-//!   `results/<scenario>.partial.json`, marked `"partial": true`),
-//! * `--no-cache` — bypass the content-keyed result cache.
+//!   `results/<scenario>.partial.json`, marked `"partial": true`); a filter
+//!   that matches no cell is a usage error,
+//! * `--no-cache` — bypass the content-keyed result cache,
+//! * `--certify`  — attach optimality certificates (for `sweep verify`),
+//! * `--expect-cache-hot`, `--write-golden` — see the `sweep` binary's docs.
 //!
 //! Results are cached under `results/cache/`, one JSON file per unique
 //! (cell spec, eval config) pair, so re-runs and interrupted `--full`
 //! ladders resume instead of recomputing; `--seed`/`--full` changes key new
 //! cache entries automatically.
 
-use std::path::PathBuf;
-use topobench::sweep::{run_scenario, Scenario, SweepOptions, SweepReport};
-use topobench::EvalConfig;
-
-pub use tb_topology::families::Scale;
-pub use topobench::sweep::{f3, Table};
+use std::path::{Path, PathBuf};
+use topobench::sweep::{
+    artifact_filename, run_scenario, validate_artifact, write_artifact, Scenario, SweepOptions,
+    SweepReport,
+};
 
 mod scenarios;
 pub use scenarios::registry;
 pub mod verify;
 
-/// Parsed command-line options shared by all experiment binaries.
+/// The parsed command line of the `sweep` driver.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Run the paper-scale ladder instead of the reduced one.
-    pub full: bool,
-    /// Base RNG seed.
-    pub seed: u64,
-    /// Write a CSV copy of each table and the JSON artifact under `results/`.
+    /// Print the scenario index and exit.
+    pub list: bool,
+    /// Scenario to run (a registry name, or `all`).
+    pub scenario: Option<String>,
+    /// Fail unless every cell came from the cache, with no solve and no build.
+    pub expect_cache_hot: bool,
+    /// Also copy each complete artifact to `results/golden/`.
+    pub write_golden: bool,
+    /// Also write a CSV copy of each table under `results/`.
     pub csv: bool,
-    /// Worker threads for cell execution (None = all cores).
-    pub jobs: Option<usize>,
-    /// Only run cells whose id contains this substring.
-    pub filter: Option<String>,
-    /// Bypass the on-disk result cache.
-    pub no_cache: bool,
-    /// Attach optimality certificates to throughput cells (keys new cache
-    /// entries; values stay bit-identical to uncertified runs).
-    pub certify: bool,
+    /// What the engine runs with: `--full`, `--seed` (default 1), `--jobs`,
+    /// `--filter`, `--no-cache` and `--certify` land here.
+    pub sweep: SweepOptions,
 }
 
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            full: false,
-            seed: 1,
-            csv: false,
-            jobs: None,
-            filter: None,
-            no_cache: false,
-            certify: false,
-        }
-    }
-}
-
-/// An extra flag a binary accepts on top of the shared set.
-#[derive(Debug, Clone, Copy)]
-pub struct ExtraFlag {
-    /// Flag name, including the leading dashes (e.g. `"--list"`).
-    pub name: &'static str,
-    /// Whether the flag consumes a value argument.
-    pub takes_value: bool,
-    /// One-line help text.
-    pub help: &'static str,
-}
-
-const COMMON_HELP: &str =
-    "  --full           run the paper-scale instance ladder (slow; default: reduced)
+/// The option list `--help` and every usage error print.
+const HELP: &str = "  --list           print the scenario index and exit
+  --scenario <V>   scenario name to run (or 'all')
+  --expect-cache-hot  fail unless every cell is served from the cache (zero solver calls, zero builds)
+  --write-golden   also copy each complete artifact to results/golden/<name>.json
+  --full           run the paper-scale instance ladder (slow; default: reduced)
   --seed <N>       base RNG seed (default 1)
   --csv            also write results/<figure>.csv and results/<scenario>.json
   --jobs <N>       computing threads, the calling one included (1 = fully serial,
@@ -102,234 +82,136 @@ const COMMON_HELP: &str =
                    `sweep verify`; values stay bit-identical, cache keys change)
   --help           print this help";
 
-impl RunOptions {
-    /// Parses the shared options from `std::env::args`, exiting with help or
-    /// a usage error as appropriate.
-    pub fn from_args() -> Self {
-        Self::from_args_with(&[]).0
-    }
+enum ParseAbort {
+    Help,
+    Usage(String),
+}
 
-    /// Like [`RunOptions::from_args`], also accepting binary-specific flags;
-    /// returns their parsed occurrences as `(name, value)` pairs (the value
-    /// is empty for flags that take none).
-    pub fn from_args_with(extra: &[ExtraFlag]) -> (Self, Vec<(String, String)>) {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match Self::try_parse(&args, extra) {
-            Ok(parsed) => {
+impl RunOptions {
+    /// Parses the driver's arguments, exiting with the help text (`--help`,
+    /// status 0) or a usage error (status 2) as appropriate.
+    pub fn parse_or_exit(args: &[String]) -> Self {
+        match Self::parse(args) {
+            Ok(opts) => {
                 // The pool reads RAYON_NUM_THREADS once at first use; parsing
                 // happens before any parallel work, so it takes effect.
-                if let Some(jobs) = parsed.0.jobs {
+                if let Some(jobs) = opts.sweep.jobs {
                     std::env::set_var("RAYON_NUM_THREADS", jobs.to_string());
                 }
-                parsed
+                opts
             }
             Err(ParseAbort::Help) => {
-                let program = std::env::args()
-                    .next()
-                    .map(|p| {
-                        PathBuf::from(p)
-                            .file_name()
-                            .map(|n| n.to_string_lossy().into_owned())
-                            .unwrap_or_default()
-                    })
-                    .unwrap_or_default();
-                println!(
-                    "Usage: {program} [OPTIONS]\n\nOptions:\n{}",
-                    help_text(extra)
-                );
+                println!("Usage: sweep [OPTIONS]\n\nOptions:\n{HELP}");
                 std::process::exit(0);
             }
             Err(ParseAbort::Usage(msg)) => {
-                eprintln!("error: {msg}\n\nOptions:\n{}", help_text(extra));
+                eprintln!("error: {msg}\n\nOptions:\n{HELP}");
                 std::process::exit(2);
             }
         }
     }
 
-    /// Strict parser: `--help` aborts with help, any unknown flag or missing
-    /// value is a hard usage error.
-    fn try_parse(
-        args: &[String],
-        extra: &[ExtraFlag],
-    ) -> Result<(Self, Vec<(String, String)>), ParseAbort> {
-        let mut opts = RunOptions::default();
-        let mut extras = Vec::new();
-        let mut i = 0;
-        let value_of = |i: &mut usize, flag: &str| -> Result<String, ParseAbort> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| ParseAbort::Usage(format!("{flag} requires an argument")))
+    /// Strict parser: `--help` aborts with help; an unknown flag, a missing or
+    /// malformed value and a second occurrence of a value-taking flag are
+    /// usage errors.
+    fn parse(args: &[String]) -> Result<Self, ParseAbort> {
+        let mut opts = RunOptions {
+            list: false,
+            scenario: None,
+            expect_cache_hot: false,
+            write_golden: false,
+            csv: false,
+            sweep: SweepOptions::new(false, 1),
         };
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.iter();
+        let mut given: Vec<&str> = Vec::new();
+        while let Some(arg) = args.next() {
+            let flag = arg.as_str();
+            let mut value = || -> Result<&String, ParseAbort> {
+                if given.contains(&flag) {
+                    return Err(ParseAbort::Usage(format!("{flag} given more than once")));
+                }
+                given.push(flag);
+                args.next()
+                    .ok_or_else(|| ParseAbort::Usage(format!("{flag} requires an argument")))
+            };
+            match flag {
                 "--help" | "-h" => return Err(ParseAbort::Help),
-                "--full" => opts.full = true,
+                "--list" => opts.list = true,
+                "--expect-cache-hot" => opts.expect_cache_hot = true,
+                "--write-golden" => opts.write_golden = true,
+                "--full" => opts.sweep.full = true,
                 "--csv" => opts.csv = true,
-                "--no-cache" => opts.no_cache = true,
-                "--certify" => opts.certify = true,
+                "--no-cache" => opts.sweep.use_cache = false,
+                "--certify" => opts.sweep.certify = true,
+                "--scenario" => opts.scenario = Some(value()?.clone()),
+                "--filter" => opts.sweep.filter = Some(value()?.clone()),
                 "--seed" => {
-                    let v = value_of(&mut i, "--seed")?;
-                    opts.seed = v.parse().map_err(|_| {
+                    let v = value()?;
+                    opts.sweep.seed = v.parse().map_err(|_| {
                         ParseAbort::Usage(format!("--seed requires an integer, got '{v}'"))
                     })?;
                 }
                 "--jobs" => {
-                    let v = value_of(&mut i, "--jobs")?;
+                    let v = value()?;
                     let jobs: usize = v.parse().map_err(|_| {
                         ParseAbort::Usage(format!("--jobs requires an integer, got '{v}'"))
                     })?;
                     if jobs == 0 {
                         return Err(ParseAbort::Usage("--jobs must be at least 1".into()));
                     }
-                    opts.jobs = Some(jobs);
+                    opts.sweep.jobs = Some(jobs);
                 }
-                "--filter" => {
-                    let v = value_of(&mut i, "--filter")?;
-                    opts.filter = Some(v);
-                }
-                other => {
-                    if let Some(flag) = extra.iter().find(|f| f.name == other) {
-                        let value = if flag.takes_value {
-                            value_of(&mut i, flag.name)?
-                        } else {
-                            String::new()
-                        };
-                        extras.push((flag.name.to_string(), value));
-                    } else {
-                        return Err(ParseAbort::Usage(format!("unknown argument: {other}")));
-                    }
-                }
+                other => return Err(ParseAbort::Usage(format!("unknown argument: {other}"))),
             }
-            i += 1;
         }
-        Ok((opts, extras))
-    }
-
-    /// The topology instance ladder scale implied by the options.
-    pub fn scale(&self) -> Scale {
-        self.sweep_options().scale()
-    }
-
-    /// The evaluation configuration implied by the options.
-    pub fn eval_config(&self) -> EvalConfig {
-        self.sweep_options().eval_config()
-    }
-
-    /// The sweep-engine options implied by the options.
-    pub fn sweep_options(&self) -> SweepOptions {
-        let mut s = SweepOptions::new(self.full, self.seed);
-        s.jobs = self.jobs;
-        s.use_cache = !self.no_cache;
-        s.filter = self.filter.clone();
-        s.certify = self.certify;
-        s
+        Ok(opts)
     }
 }
 
-enum ParseAbort {
-    Help,
-    Usage(String),
-}
-
-fn help_text(extra: &[ExtraFlag]) -> String {
-    let mut out = String::new();
-    for flag in extra {
-        let name = if flag.takes_value {
-            format!("{} <V>", flag.name)
-        } else {
-            flag.name.to_string()
-        };
-        out.push_str(&format!("  {name:<15}  {}\n", flag.help));
-    }
-    out.push_str(COMMON_HELP);
-    out
-}
-
-/// Emits a standalone table to stdout and, if requested, to CSV (kept for
-/// ad-hoc callers; scenario output goes through [`run_and_emit`]).
-pub fn emit(table: &Table, name: &str, opts: &RunOptions) {
-    table.print();
-    if opts.csv {
-        match table.write_csv(name) {
-            Ok(path) => println!("(wrote {})", path.display()),
-            Err(e) => eprintln!("failed to write CSV: {e}"),
-        }
-    }
-}
-
-/// Runs a scenario through the engine and prints its output exactly like the
-/// pre-engine binaries did: preamble, tables (each followed by its CSV path
-/// when `--csv` is set), then the expected-shape notes. With `--csv` the
-/// unified JSON artifact is written and validated as well. Returns the run
-/// report, the rendered output and the path of the artifact if one was
-/// written (for callers that post-process them, e.g. the `sweep` driver's
-/// summary, unconditional artifact and `--write-golden` copy).
+/// Runs a scenario through the engine and prints its output: preamble, tables
+/// (with `--csv` each followed by the path of its CSV copy), the
+/// expected-shape notes, then the path of the JSON artifact, which is always
+/// written and validated against the schema (filtered runs write
+/// `results/<scenario>.partial.json`, never overwriting the complete one).
+/// Returns the run report and the artifact's path, or the message of the
+/// write that failed.
+///
+/// # Panics
+/// Panics if the written artifact fails schema validation: that is a bug in
+/// the artifact writer, not in the run or its environment.
 pub fn run_and_emit(
     scenario: &Scenario,
     opts: &RunOptions,
-) -> (SweepReport, topobench::sweep::RenderOutput, Option<PathBuf>) {
-    let sopts = opts.sweep_options();
-    let (report, render) = run_scenario(scenario, &sopts);
+) -> Result<(SweepReport, PathBuf), String> {
+    let (report, render) = run_scenario(scenario, &opts.sweep);
     for line in &render.preamble {
         println!("{line}");
     }
     for nt in &render.tables {
         nt.table.print();
         if opts.csv {
-            match nt.table.write_csv(&nt.name) {
-                Ok(path) => println!("(wrote {})", path.display()),
-                Err(e) => eprintln!("failed to write CSV: {e}"),
-            }
+            let path = (nt.table.write_csv(&nt.name))
+                .map_err(|e| format!("cannot write results/{}.csv: {e}", nt.name))?;
+            println!("(wrote {})", path.display());
         }
     }
-    let artifact_path = if opts.csv {
-        // Filtered runs write a clearly-marked partial artifact under
-        // `results/<scenario>.partial.json` (never overwriting the complete
-        // one), so `sweep diff` can still consume the subset.
-        Some(write_and_validate_artifact(
-            scenario, &sopts, &report, &render,
-        ))
-    } else {
-        None
-    };
     if !render.notes.is_empty() {
         println!("\n{}", render.notes);
     }
-    (report, render, artifact_path)
-}
-
-/// Writes the JSON artifact for a finished run and validates it against the
-/// schema, printing the path. Panics on validation failure (a bug in the
-/// artifact writer, not in the run).
-pub fn write_and_validate_artifact(
-    scenario: &Scenario,
-    sopts: &SweepOptions,
-    report: &SweepReport,
-    render: &topobench::sweep::RenderOutput,
-) -> PathBuf {
-    let path =
-        topobench::sweep::write_artifact(scenario.name, scenario.title, sopts, report, render)
-            .expect("failed to write JSON artifact");
-    let text = std::fs::read_to_string(&path).expect("failed to re-read JSON artifact");
-    topobench::sweep::validate_artifact(&text)
-        .unwrap_or_else(|e| panic!("artifact failed schema validation: {e}"));
+    let path = Path::new("results").join(artifact_filename(scenario.name, &opts.sweep));
+    write_artifact(scenario.name, scenario.title, &opts.sweep, &report, &render)
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read back {}: {e}", path.display()))?;
+    validate_artifact(&text).unwrap_or_else(|e| panic!("artifact failed schema validation: {e}"));
     println!("(wrote {}, schema valid)", path.display());
-    path
+    Ok((report, path))
 }
 
 /// Looks up a scenario by registry name.
 pub fn find_scenario(name: &str) -> Option<Scenario> {
     registry().into_iter().find(|s| s.name == name)
-}
-
-/// Entry point for the per-figure binaries: parse shared flags, run the
-/// named scenario, print its tables.
-pub fn scenario_main(name: &str) {
-    let opts = RunOptions::from_args();
-    let scenario =
-        find_scenario(name).unwrap_or_else(|| panic!("scenario '{name}' is not registered"));
-    let _ = run_and_emit(&scenario, &opts);
 }
 
 #[cfg(test)]
@@ -338,19 +220,18 @@ mod tests {
 
     fn parse(args: &[&str]) -> Result<RunOptions, String> {
         let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        match RunOptions::try_parse(&args, &[]) {
-            Ok((o, _)) => Ok(o),
-            Err(ParseAbort::Help) => Err("help".into()),
-            Err(ParseAbort::Usage(m)) => Err(m),
-        }
+        RunOptions::parse(&args).map_err(|abort| match abort {
+            ParseAbort::Help => "help".into(),
+            ParseAbort::Usage(m) => m,
+        })
     }
 
     #[test]
     fn options_default() {
-        let o = RunOptions::default();
-        assert!(!o.full);
-        assert_eq!(o.scale(), Scale::Small);
-        assert!(o.sweep_options().use_cache);
+        let o = parse(&[]).unwrap();
+        assert!(!o.list && o.scenario.is_none() && !o.csv);
+        assert!(!o.sweep.full && o.sweep.use_cache && o.sweep.jobs.is_none());
+        assert_eq!(o.sweep.seed, 1);
     }
 
     #[test]
@@ -368,19 +249,35 @@ mod tests {
             "--certify",
         ])
         .unwrap();
-        assert!(o.full && o.csv && o.no_cache);
-        assert!(o.certify && o.sweep_options().certify);
-        assert_eq!(o.seed, 9);
-        assert_eq!(o.jobs, Some(2));
-        assert_eq!(o.filter.as_deref(), Some("A2A"));
-        assert!(!o.sweep_options().use_cache);
-        assert_eq!(o.sweep_options().jobs, Some(2));
+        assert!(o.sweep.full && o.csv && !o.sweep.use_cache && o.sweep.certify);
+        assert_eq!(o.sweep.seed, 9);
+        assert_eq!(o.sweep.jobs, Some(2));
+        assert_eq!(o.sweep.filter.as_deref(), Some("A2A"));
     }
 
     #[test]
     fn unknown_flag_is_a_hard_error() {
         let err = parse(&["--frobnicate"]).unwrap_err();
         assert!(err.contains("unknown argument"), "{err}");
+    }
+
+    #[test]
+    fn repeated_value_flag_is_a_hard_error() {
+        // The first `--scenario` used to win and the last `--seed`; neither
+        // run said that an argument had been dropped.
+        for (flag, first, second) in [
+            ("--scenario", "search", "fig12"),
+            ("--seed", "1", "2"),
+            ("--jobs", "1", "2"),
+            ("--filter", "A2A", "LM"),
+        ] {
+            assert_eq!(
+                parse(&[flag, first, flag, second]).unwrap_err(),
+                format!("{flag} given more than once")
+            );
+        }
+        // Switches carry no value to drop.
+        assert!(parse(&["--full", "--full"]).unwrap().sweep.full);
     }
 
     #[test]
@@ -408,8 +305,8 @@ mod tests {
 
     #[test]
     fn worker_counts_never_key_the_cache() {
-        let serial = parse(&["--jobs", "1"]).unwrap().sweep_options();
-        let wide = parse(&["--jobs", "8"]).unwrap().sweep_options();
+        let serial = parse(&["--jobs", "1"]).unwrap().sweep;
+        let wide = parse(&["--jobs", "8"]).unwrap().sweep;
         let cells = (find_scenario("fig02").unwrap().build)(&serial);
         assert_eq!(
             topobench::sweep::cell_key(&cells[0], &serial.eval_config()),
@@ -424,28 +321,16 @@ mod tests {
 
     #[test]
     fn extra_flags_are_collected() {
-        let args: Vec<String> = ["--scenario", "fig02", "--list"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let extra = [
-            ExtraFlag {
-                name: "--scenario",
-                takes_value: true,
-                help: "",
-            },
-            ExtraFlag {
-                name: "--list",
-                takes_value: false,
-                help: "",
-            },
-        ];
-        let (_, extras) = RunOptions::try_parse(&args, &extra)
-            .map_err(|_| ())
-            .unwrap();
-        assert_eq!(extras.len(), 2);
-        assert_eq!(extras[0], ("--scenario".to_string(), "fig02".to_string()));
-        assert_eq!(extras[1].0, "--list");
+        let o = parse(&[
+            "--scenario",
+            "fig02",
+            "--list",
+            "--expect-cache-hot",
+            "--write-golden",
+        ])
+        .unwrap();
+        assert_eq!(o.scenario.as_deref(), Some("fig02"));
+        assert!(o.list && o.expect_cache_hot && o.write_golden);
     }
 
     #[test]

@@ -140,7 +140,7 @@ fn failure_sweep_survives_panic_corruption_and_disconnection() {
 /// skip it. A converged solve of the same instance is the control.
 #[test]
 fn budget_exhausted_certificates_are_unverifiable_never_certified() {
-    use topobench::eval::evaluate_throughput_certified_with;
+    use topobench::eval::evaluate;
     use topobench::flow::{SolveStatus, SolverWorkspace};
     use topobench::sweep::{verify_cell, CellCertificate, CellVerdict};
 
@@ -158,7 +158,8 @@ fn budget_exhausted_certificates_are_unverifiable_never_certified() {
     let built = topo.build().unwrap();
     let matrix = tm.generate(&built, *tm_seed);
 
-    let opts = SweepOptions::new(false, 1);
+    let mut opts = SweepOptions::new(false, 1);
+    opts.certify = true;
     let mut starved = opts.eval_config();
     // Force the FPTAS (no exact short-circuit) and strangle its budget: one
     // phase at a tight epsilon cannot saturate the MWU on an all-to-all TM,
@@ -170,8 +171,8 @@ fn budget_exhausted_certificates_are_unverifiable_never_certified() {
     starved.solver.epsilon = 0.01;
     starved.solver.target_gap = 1e-9;
     let mut ws = SolverWorkspace::new();
-    let (bounds, status, cert) =
-        evaluate_throughput_certified_with(&built, &matrix, &starved, &mut ws);
+    let e = evaluate(&built, &matrix, &starved, &mut ws);
+    let (bounds, status, cert) = (e.bounds, e.status, e.certificate.unwrap());
     assert_eq!(status, SolveStatus::BudgetExhausted, "budget must run out");
 
     // Serialize the cell the way the artifact writer would.
@@ -204,8 +205,8 @@ fn budget_exhausted_certificates_are_unverifiable_never_certified() {
 
     // Control: the same instance with a sane budget certifies cleanly.
     let sane = opts.eval_config();
-    let (bounds, status, cert) =
-        evaluate_throughput_certified_with(&built, &matrix, &sane, &mut ws);
+    let e = evaluate(&built, &matrix, &sane, &mut ws);
+    let (bounds, status, cert) = (e.bounds, e.status, e.certificate.unwrap());
     assert_eq!(status, SolveStatus::Converged);
     let cc = CellCertificate {
         cert,

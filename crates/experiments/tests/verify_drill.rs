@@ -129,3 +129,73 @@ fn write_golden_refuses_anything_but_a_complete_reduced_seed_1_run() {
     }
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn dropped_arguments_empty_filters_and_failed_writes_exit_2_without_an_artifact() {
+    let dir = temp_dir("exit-2");
+    let results = dir.join("results");
+
+    // A repeated value flag used to run the first scenario and drop the
+    // second; a filter that matches nothing used to pass, vacuously, even
+    // under --expect-cache-hot. Both stop before anything runs.
+    let repeated = ["--scenario", "search", "--scenario", "fig12", "--no-cache"];
+    let unmatched = ["--scenario", "search", "--filter", "zzz"];
+    let unmatched_hot = ["--scenario", "all", "--filter", "zzz", "--expect-cache-hot"];
+    for (args, message) in [
+        (&repeated[..], "error: --scenario given more than once"),
+        (
+            &unmatched[..],
+            "error: --filter 'zzz' matches no cell of scenario 'search' \
+             (its cell ids look like: search/jellyfish, ",
+        ),
+        (
+            &unmatched_hot[..],
+            "error: --filter 'zzz' matches no cell of scenario 'all'",
+        ),
+    ] {
+        let (code, out, err) = sweep(&dir, args);
+        assert_eq!(code, 2, "{args:?}: {err}");
+        assert!(err.starts_with(message), "{args:?}: {err}");
+        assert!(!out.contains("[sweep]"), "{args:?} ran a scenario: {out}");
+        assert!(!results.exists(), "{args:?} wrote under results/");
+    }
+
+    // `results` is a regular file: the run completes, the write fails, and
+    // that is one error line, not a panic (exit 101) with a backtrace.
+    fs::write(&results, "in the way").unwrap();
+    let extras: [&[&str]; 3] = [&[], &["--csv"], &["--write-golden"]];
+    for extra in extras {
+        let mut args = vec!["--scenario", "theorem1_demo", "--no-cache", "--jobs", "1"];
+        args.extend_from_slice(extra);
+        let (code, _, err) = sweep(&dir, &args);
+        assert_eq!(code, 2, "{extra:?}: {err}");
+        assert!(
+            err.contains("error: cannot write results/theorem1_demo.") && !err.contains("panicked"),
+            "{extra:?}: {err}"
+        );
+        assert_eq!(fs::read_to_string(&results).unwrap(), "in the way");
+    }
+
+    // A golden directory that cannot be created fails the same way, after the
+    // artifact itself was written.
+    fs::remove_file(&results).unwrap();
+    fs::create_dir(&results).unwrap();
+    fs::write(results.join("golden"), "in the way").unwrap();
+    let (code, _, err) = sweep(
+        &dir,
+        &[
+            "--scenario",
+            "theorem1_demo",
+            "--no-cache",
+            "--write-golden",
+        ],
+    );
+    assert_eq!(code, 2, "{err}");
+    assert!(
+        err.contains("error: cannot write results/golden/theorem1_demo.json: "),
+        "{err}"
+    );
+    assert!(results.join("theorem1_demo.json").is_file());
+
+    let _ = fs::remove_dir_all(&dir);
+}

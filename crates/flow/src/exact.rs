@@ -719,7 +719,7 @@ mod tests {
         let (cold, _) = solver.solve_certified(&g, &tm).unwrap();
         // Warm start from the FPTAS certificate of the same instance.
         let fptas = FleischerSolver::new(FleischerConfig::precise());
-        let outcome = fptas.solve_outcome_with(&g, &tm, &mut crate::SolverWorkspace::new());
+        let outcome = fptas.solve_outcome(&g, &tm);
         let (warm, cert) = solver
             .solve_certified_with_hint(&g, &tm, Some(&outcome.certificate))
             .unwrap();
@@ -755,7 +755,7 @@ mod tests {
         let g = hypercube(5);
         let tm = synthetic::longest_matching(&g, &vec![1usize; 32], true);
         let fptas = FleischerSolver::new(FleischerConfig::precise());
-        let outcome = fptas.solve_outcome_with(&g, &tm, &mut crate::SolverWorkspace::new());
+        let outcome = fptas.solve_outcome(&g, &tm);
         let (b, cert) = ExactLpSolver::new()
             .solve_certified_with_hint(&g, &tm, Some(&outcome.certificate))
             .unwrap();
@@ -775,7 +775,7 @@ mod tests {
         let tm = synthetic::longest_matching(&g, &vec![1usize; 64], true);
 
         let fptas = FleischerSolver::new(FleischerConfig::precise());
-        let outcome = fptas.solve_outcome_with(&g, &tm, &mut crate::SolverWorkspace::new());
+        let outcome = fptas.solve_outcome(&g, &tm);
         let t0 = std::time::Instant::now();
         let (b, cert) = ExactLpSolver::new()
             .solve_certified_with_hint(&g, &tm, Some(&outcome.certificate))

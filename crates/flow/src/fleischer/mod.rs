@@ -234,7 +234,7 @@ pub fn auto_aggregate_min_dests(num_switches: usize) -> usize {
 }
 
 /// Convergence counters of one solve, reported by
-/// [`FleischerSolver::solve_with_stats`]. The determinism and search-count
+/// [`FleischerSolver::solve_in`]. The determinism and search-count
 /// tests read these; the bench harness and `TB_SOLVER_TRACE` print them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
@@ -318,8 +318,7 @@ pub const PAR_MIN_SWEEP_WORK: usize = 1 << 17;
 /// A throughput solve's full result: the bracketing bounds, the convergence
 /// counters, the structured degradation status, and the optimality
 /// certificate backing the bounds. Returned by
-/// [`FleischerSolver::solve_outcome_with`], the degradation-aware entry
-/// point used by the failure sweeps.
+/// [`FleischerSolver::solve_outcome`], the degradation-aware entry point.
 #[derive(Debug, Clone)]
 pub struct SolveOutcome {
     /// The bracketing interval (always finite, `0 <= lower <= upper`).
@@ -355,40 +354,19 @@ impl FleischerSolver {
     /// Returns `ThroughputBounds { lower: 0.0, upper: 0.0 }` if some demand
     /// pair is disconnected (the concurrent flow is then zero).
     pub fn solve(&self, graph: &Graph, tm: &TrafficMatrix) -> ThroughputBounds {
-        let mut ws = SolverWorkspace::new();
-        self.solve_with(graph, tm, &mut ws)
+        self.solve_in(graph, tm, &mut SolverWorkspace::new(), false)
+            .0
     }
 
-    /// Like [`solve`](Self::solve), but drives a caller-provided workspace so
-    /// buffers amortize across many solves (sweeps, relative-throughput
-    /// sampling). Results are identical to [`solve`](Self::solve).
-    pub fn solve_with(
-        &self,
-        graph: &Graph,
-        tm: &TrafficMatrix,
-        ws: &mut SolverWorkspace,
-    ) -> ThroughputBounds {
-        self.solve_with_stats(graph, tm, ws).0
-    }
-
-    /// Like [`solve_with`](Self::solve_with), additionally reporting the
-    /// solve's convergence counters.
-    pub fn solve_with_stats(
-        &self,
-        graph: &Graph,
-        tm: &TrafficMatrix,
-        ws: &mut SolverWorkspace,
-    ) -> (ThroughputBounds, SolveStats) {
-        let (bounds, stats, _) = self.solve_with_certificate(graph, tm, ws, false);
-        (bounds, stats)
-    }
-
-    /// The full-evidence solve: like [`solve_with_stats`]
-    /// (Self::solve_with_stats) but optionally capturing the optimality
-    /// certificate. Capture is trajectory-neutral — bounds and stats are
-    /// bit-identical either way; it costs two `O(num_arcs)` snapshots per
-    /// bound improvement plus one canonical shortest-path sweep at the end.
-    pub fn solve_with_certificate(
+    /// The solve itself, in a caller-provided workspace so buffers amortize
+    /// across many solves (sweeps, relative-throughput sampling); results are
+    /// identical to a fresh workspace. Returns the bounds, the convergence
+    /// counters and, with `want_cert`, the optimality certificate. Capture is
+    /// trajectory-neutral — bounds and stats are bit-identical either way; it
+    /// costs two `O(num_arcs)` snapshots per bound improvement plus one
+    /// canonical shortest-path sweep at the end. Strict semantics: a
+    /// disconnected demand pins the result to zero.
+    pub fn solve_in(
         &self,
         graph: &Graph,
         tm: &TrafficMatrix,
@@ -413,45 +391,30 @@ impl FleischerSolver {
     /// comparing degraded networks). An empty or fully-disconnected TM
     /// yields an exact zero result rather than a panic. Bounds are always
     /// finite and non-negative.
-    pub fn solve_outcome_with(
-        &self,
-        graph: &Graph,
-        tm: &TrafficMatrix,
-        ws: &mut SolverWorkspace,
-    ) -> SolveOutcome {
-        let total = tm.num_flows();
-        if total == 0 {
-            return SolveOutcome {
-                bounds: ThroughputBounds::exact(0.0),
-                stats: SolveStats {
-                    converged: true,
-                    ..SolveStats::default()
-                },
-                status: crate::SolveStatus::Converged,
-                certificate: crate::ThroughputCertificate::trivial_zero(),
-            };
-        }
+    pub fn solve_outcome(&self, graph: &Graph, tm: &TrafficMatrix) -> SolveOutcome {
         let (kept_tm, dropped) = crate::drop_disconnected_demands(graph, tm);
         if kept_tm.num_flows() == 0 {
+            let status = if dropped == 0 {
+                crate::SolveStatus::Converged
+            } else {
+                crate::SolveStatus::DisconnectedDemandsDropped { dropped, kept: 0 }
+            };
             return SolveOutcome {
                 bounds: ThroughputBounds::exact(0.0),
                 stats: SolveStats {
                     converged: true,
                     ..SolveStats::default()
                 },
-                status: crate::SolveStatus::DisconnectedDemandsDropped { dropped, kept: 0 },
+                status,
                 certificate: crate::ThroughputCertificate::trivial_zero(),
             };
         }
-        let (bounds, stats, cert) = if dropped == 0 {
-            self.solve_with_certificate(graph, tm, ws, true)
-        } else {
-            self.solve_with_certificate(graph, &kept_tm, ws, true)
-        };
+        let (bounds, stats, cert) =
+            self.solve_in(graph, &kept_tm, &mut SolverWorkspace::new(), true);
         let status = if dropped > 0 {
             crate::SolveStatus::DisconnectedDemandsDropped {
                 dropped,
-                kept: total - dropped,
+                kept: kept_tm.num_flows(),
             }
         } else if stats.converged {
             crate::SolveStatus::Converged
@@ -464,13 +427,6 @@ impl FleischerSolver {
             status,
             certificate: cert.expect("certificate requested"),
         }
-    }
-
-    /// Like [`solve_outcome_with`](Self::solve_outcome_with) with a fresh
-    /// workspace.
-    pub fn solve_outcome(&self, graph: &Graph, tm: &TrafficMatrix) -> SolveOutcome {
-        let mut ws = SolverWorkspace::new();
-        self.solve_outcome_with(graph, tm, &mut ws)
     }
 }
 
@@ -931,10 +887,10 @@ mod tests {
         let fresh2 = s.solve(&g2, &tm2);
         let mut ws = SolverWorkspace::new();
         for _ in 0..3 {
-            let b1 = s.solve_with(&g1, &tm1, &mut ws);
+            let b1 = s.solve_in(&g1, &tm1, &mut ws, false).0;
             assert_eq!(b1.lower, fresh1.lower);
             assert_eq!(b1.upper, fresh1.upper);
-            let b2 = s.solve_with(&g2, &tm2, &mut ws);
+            let b2 = s.solve_in(&g2, &tm2, &mut ws, false).0;
             assert_eq!(b2.lower, fresh2.lower);
             assert_eq!(b2.upper, fresh2.upper);
         }

@@ -639,10 +639,11 @@ mod tests {
         let mut reuses = 0;
         let mut solve = |cfg: FleischerConfig, topo: &tb_topology::Topology, tm: &TrafficMatrix| {
             let cfg = cfg.with_auto_aggregation(topo.num_switches());
-            let (_, stats) = FleischerSolver::new(cfg).solve_with_stats(
+            let (_, stats, _) = FleischerSolver::new(cfg).solve_in(
                 &topo.graph,
                 tm,
                 &mut SolverWorkspace::new(),
+                false,
             );
             assert!(stats.converged, "{stats:?}");
             reuses += stats.path_reuses;

@@ -89,7 +89,7 @@ impl ThroughputBounds {
 }
 
 /// Structured status of one throughput solve, reported by
-/// [`FleischerSolver::solve_outcome_with`] alongside the bounds.
+/// [`FleischerSolver::solve_outcome`] alongside the bounds.
 ///
 /// `Converged` means the solver met its accuracy contract (the classical
 /// FPTAS termination or the target bound gap). Anything else is a *degraded*

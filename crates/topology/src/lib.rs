@@ -18,10 +18,6 @@
 //! | Natural-network stand-ins | [`natural`] | §III-B (66 natural networks) |
 //! | Theorem-1 constructions | [`expander`] | §II-B / Appendix A |
 //!
-//! Beyond the paper's ten families, the crate also provides torus/mesh
-//! ([`torus`]), Xpander ([`xpander`], cited by the paper as [44]) and
-//! leaf–spine ([`leafspine`]) generators for extension studies.
-//!
 //! Every generator returns a [`Topology`]: a switch [`Graph`](tb_graph::Graph)
 //! plus the number of servers attached to each switch. Server placement
 //! follows §III-A2: structured networks (fat tree, BCube, DCell) attach
@@ -39,14 +35,11 @@ pub mod flattened_butterfly;
 pub mod hypercube;
 pub mod hyperx;
 pub mod jellyfish;
-pub mod leafspine;
 pub mod longhop;
 pub mod meta;
 pub mod natural;
 pub mod slimfly;
 pub mod topology;
-pub mod torus;
-pub mod xpander;
 
 pub use families::{Family, ALL_FAMILIES};
 pub use meta::TopoMeta;

@@ -25,7 +25,6 @@
 pub mod facebook;
 pub mod matrix;
 pub mod ops;
-pub mod stencils;
 pub mod synthetic;
 
 pub use matrix::{Demand, TrafficMatrix};

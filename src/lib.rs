@@ -1,3 +1,3 @@
-//! Anchor crate for the workspace-level integration tests (`tests/`) and
-//! examples (`examples/`). All functionality lives in the `crates/`
-//! sub-crates; start from the `topobench` crate (`crates/core`).
+//! Anchor crate for the workspace-level integration tests (`tests/`). All
+//! functionality lives in the `crates/` sub-crates; start from the
+//! `topobench` crate (`crates/core`).

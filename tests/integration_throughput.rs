@@ -3,6 +3,7 @@
 //! paper-stated facts.
 
 use tb_flow::ExactLpSolver;
+use tb_graph::{max_flow_value, min_st_cut};
 use tb_topology::{
     fattree::fat_tree, flattened_butterfly::flattened_butterfly, hypercube::hypercube,
 };
@@ -135,4 +136,41 @@ fn tm_difficulty_ordering_matches_figure4() {
     assert!(a2a * slack >= rm5, "A2A {a2a} vs RM5 {rm5}");
     assert!(rm5 * slack >= rm1, "RM5 {rm5} vs RM1 {rm1}");
     assert!(rm1 * slack >= lm, "RM1 {rm1} vs LM {lm}");
+}
+
+#[test]
+fn min_cut_from_max_flow_bounds_two_terminal_throughput() {
+    // For a single commodity, throughput * demand = max flow = min cut: the
+    // augmenting-path max flow is an oracle that shares no code with the LP
+    // or the FPTAS. Antipodal corners of a 4-cube are joined by 4 disjoint
+    // paths; the 16 switches send the first evaluation to the exact LP, the
+    // second (exact path off) to the FPTAS.
+    let topo = hypercube(4, 1);
+    let g = &topo.graph;
+    let (cut, side) = min_st_cut(g, 0, 15);
+    let flow = max_flow_value(g, 0, 15);
+    assert_eq!(flow, 4.0);
+    assert!((cut - flow).abs() < 1e-9);
+    assert!((g.cut_capacity(&side) - cut).abs() < 1e-9);
+    let demand = tb_traffic::Demand {
+        src: 0,
+        dst: 15,
+        amount: 2.0,
+    };
+    let tm = tb_traffic::TrafficMatrix::new(g.num_nodes(), vec![demand]);
+    let exact = evaluate_throughput(&topo, &tm, &EvalConfig::default());
+    assert!((exact.value() * demand.amount - flow).abs() < 1e-9);
+    let fptas_cfg = EvalConfig {
+        exact_switch_limit: 0,
+        ..EvalConfig::default()
+    };
+    let t = evaluate_throughput(&topo, &tm, &fptas_cfg);
+    let gap = fptas_cfg.solver.target_gap;
+    assert!(
+        t.lower * demand.amount <= flow * (1.0 + 1e-9)
+            && t.upper * demand.amount >= flow * (1.0 - 1e-9)
+            && t.lower * demand.amount >= flow * (1.0 - gap),
+        "throughput {t:?} x demand {} vs max flow {flow}",
+        demand.amount
+    );
 }

@@ -80,10 +80,11 @@ fn fptas_stays_within_target_gap_of_exact_lp() {
             FleischerConfig::default(),
             FleischerConfig::precise(),
         ] {
-            let (b, stats) = FleischerSolver::new(cfg).solve_with_stats(
+            let (b, stats, _) = FleischerSolver::new(cfg).solve_in(
                 &topo.graph,
                 &tm,
                 &mut SolverWorkspace::new(),
+                false,
             );
             uppers_from_average += usize::from(stats.upper_from_average);
             // The bracket must contain the exact optimum...
@@ -144,7 +145,9 @@ fn ladder_solve_at(
             .solver
             .with_auto_aggregation(topo.num_switches())
     };
-    FleischerSolver::new(cfg).solve_with_stats(&topo.graph, &tm, &mut SolverWorkspace::new())
+    let (bounds, stats, _) =
+        FleischerSolver::new(cfg).solve_in(&topo.graph, &tm, &mut SolverWorkspace::new(), false);
+    (bounds, stats)
 }
 
 #[test]
@@ -231,7 +234,7 @@ fn reused_workspace_reproduces_fresh_results_across_instance_mix() {
     let mut ws = SolverWorkspace::new();
     for round in 0..3 {
         for ((name, topo, tm), expect) in grid.iter().zip(&fresh) {
-            let b = solver.solve_with(&topo.graph, tm, &mut ws);
+            let b = solver.solve_in(&topo.graph, tm, &mut ws, false).0;
             assert_eq!(
                 (b.lower, b.upper),
                 (expect.lower, expect.upper),
@@ -242,7 +245,7 @@ fn reused_workspace_reproduces_fresh_results_across_instance_mix() {
     // Reverse order too: workspace shrink/grow transitions in the other
     // direction.
     for ((name, topo, tm), expect) in grid.iter().zip(&fresh).rev() {
-        let b = solver.solve_with(&topo.graph, tm, &mut ws);
+        let b = solver.solve_in(&topo.graph, tm, &mut ws, false).0;
         assert_eq!(
             (b.lower, b.upper),
             (expect.lower, expect.upper),
@@ -333,7 +336,7 @@ fn pooled_sweeps_match_inline_execution_bit_for_bit() {
             prob.num_arcs()
         );
         let queued_before = rayon::pool::stats().jobs;
-        let direct = solver.solve_with_stats(&topo.graph, &tm, &mut SolverWorkspace::new());
+        let direct = solver.solve_in(&topo.graph, &tm, &mut SolverWorkspace::new(), false);
         // No other test in this binary is large enough to queue pool jobs,
         // so growth here is this solve's sweeps going through the pool.
         assert!(
@@ -341,9 +344,8 @@ fn pooled_sweeps_match_inline_execution_bit_for_bit() {
             "{name}: the solve queued no pool job at width {}",
             rayon::current_num_threads()
         );
-        let inline = rayon::serial(|| {
-            solver.solve_with_stats(&topo.graph, &tm, &mut SolverWorkspace::new())
-        });
+        let inline =
+            rayon::serial(|| solver.solve_in(&topo.graph, &tm, &mut SolverWorkspace::new(), false));
         assert_eq!(
             (direct.0.lower.to_bits(), direct.0.upper.to_bits()),
             (inline.0.lower.to_bits(), inline.0.upper.to_bits()),
