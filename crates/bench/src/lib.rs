@@ -1,22 +1,12 @@
-//! Shared helpers for the Criterion benchmarks.
+//! Shared helpers for the Criterion benchmark.
 //!
 //! `solver_microbench` tracks the raw performance of the throughput solvers
-//! (committed as `BENCH_solver.json`) and `sweep_engine` the scenario engine's
-//! own overhead; end-to-end sweep performance is measured by `benchmark/`.
+//! (committed as `BENCH_solver.json`); the scenario engine and end-to-end
+//! sweep performance are measured per layer by the harness in `benchmark/`.
 
 pub mod legacy;
 
 use tb_flow::{FleischerConfig, ThroughputBounds};
-use topobench::EvalConfig;
-
-/// The evaluation configuration used by all benches: the fast solver profile
-/// with a fixed seed so runs are comparable.
-pub fn bench_config() -> EvalConfig {
-    let mut cfg = EvalConfig::fast();
-    cfg.random_graph_iterations = 1;
-    cfg.seed = 7;
-    cfg
-}
 
 /// The kernel-equivalence contract, shared by `solver_microbench`, the
 /// `compare_kernels` example (CI's kernel smoke step), and the workspace
@@ -47,14 +37,4 @@ pub fn assert_same_quality(
         rel <= 2.0 * cfg.target_gap,
         "{name}: feasible values diverged by {rel:.4}: new {new:?} vs baseline {old:?}"
     );
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn config_is_fast_profile() {
-        let cfg = super::bench_config();
-        assert_eq!(cfg.random_graph_iterations, 1);
-        assert_eq!(cfg.seed, 7);
-    }
 }

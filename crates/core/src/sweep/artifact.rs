@@ -4,15 +4,16 @@
 //! The artifact records the full cell-level results (bit-exact, via IEEE-754
 //! bit patterns) *and* the rendered tables, so downstream tooling can either
 //! re-render figures from raw cells or diff the human-readable tables. CI
-//! validates every artifact against [`validate_artifact`].
+//! validates every artifact against [`validate_artifact`]; [`parse_artifact`]
+//! is the one reader, shared by validation, `sweep diff` and `sweep verify`.
 
-use crate::sweep::cell::SweepCell;
+use crate::sweep::cell::{decode_map, CellCertificate, CellValues};
 use crate::sweep::json::Json;
 use crate::sweep::runner::{SweepOptions, SweepReport};
 use crate::sweep::table::Table;
 use std::collections::BTreeMap;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Schema tag of the sweep artifact document.
 pub const ARTIFACT_SCHEMA: &str = "topobench-sweep/v1";
@@ -37,15 +38,6 @@ pub struct RenderOutput {
     pub notes: String,
 }
 
-fn labels_json(cell: &SweepCell) -> Json {
-    Json::Obj(
-        cell.labels
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-            .collect(),
-    )
-}
-
 /// Serializes a run (raw cells + rendered tables) to the artifact document.
 pub fn artifact_json(
     scenario: &str,
@@ -58,33 +50,15 @@ pub fn artifact_json(
         .outcomes
         .iter()
         .map(|o| {
-            let values: BTreeMap<String, Json> = o
-                .values
-                .nums()
-                .iter()
-                .map(|(name, value)| {
-                    (
-                        name.clone(),
-                        Json::obj(vec![
-                            ("bits", Json::f64_bits(*value)),
-                            ("value", Json::Num(*value)),
-                        ]),
-                    )
-                })
-                .collect();
-            let texts: BTreeMap<String, Json> = o
-                .values
-                .texts()
-                .iter()
-                .map(|(name, value)| (name.clone(), Json::str(value.clone())))
+            let labels = (o.cell.labels.iter())
+                .map(|(k, v)| (k.clone(), Json::str(v.clone())))
                 .collect();
             let mut fields = vec![
                 ("id", Json::str(o.cell.id.clone())),
                 ("cached", Json::Bool(o.cached)),
-                ("labels", labels_json(&o.cell)),
-                ("values", Json::Obj(values)),
-                ("texts", Json::Obj(texts)),
+                ("labels", Json::Obj(labels)),
             ];
+            fields.extend(o.values.to_json());
             // Only failed cells carry a status: healthy artifacts (including
             // every committed golden) stay byte-identical to the pre-status
             // schema.
@@ -92,43 +66,19 @@ pub fn artifact_json(
                 fields.push(("status", Json::str("failed")));
                 fields.push(("error", Json::str(error.clone())));
             }
-            // Likewise opt-in: only certified cells carry the evidence
-            // block, so artifacts with certification off are byte-identical
-            // to the pre-certificate schema.
-            if let Some(cert) = o.values.certificate() {
-                fields.push(("certificate", cert.to_json()));
-            }
             Json::obj(fields)
         })
         .collect();
-    let tables: Vec<Json> = render
-        .tables
-        .iter()
+    let strings = |xs: &[String]| Json::Arr(xs.iter().map(|x| Json::str(x.clone())).collect());
+    let tables = (render.tables.iter())
         .map(|nt| {
             Json::obj(vec![
                 ("name", Json::str(nt.name.clone())),
                 ("title", Json::str(nt.table.title())),
-                (
-                    "header",
-                    Json::Arr(
-                        nt.table
-                            .header()
-                            .iter()
-                            .map(|h| Json::str(h.clone()))
-                            .collect(),
-                    ),
-                ),
+                ("header", strings(nt.table.header())),
                 (
                     "rows",
-                    Json::Arr(
-                        nt.table
-                            .rows()
-                            .iter()
-                            .map(|row| {
-                                Json::Arr(row.iter().map(|c| Json::str(c.clone())).collect())
-                            })
-                            .collect(),
-                    ),
+                    Json::Arr(nt.table.rows().iter().map(|row| strings(row)).collect()),
                 ),
             ])
         })
@@ -144,13 +94,7 @@ pub fn artifact_json(
         // As a string: a u64 seed above 2^53 would silently round through a
         // JSON double, and this document promises exact reproducibility.
         ("seed", Json::str(opts.seed.to_string())),
-        (
-            "filter",
-            match &opts.filter {
-                Some(f) => Json::str(f.clone()),
-                None => Json::Null,
-            },
-        ),
+        ("filter", opts.filter.clone().map_or(Json::Null, Json::Str)),
         (
             "stats",
             Json::obj(vec![
@@ -197,140 +141,202 @@ pub fn artifact_filename(scenario: &str, opts: &SweepOptions) -> String {
     }
 }
 
-fn check(cond: bool, what: &str) -> Result<(), String> {
-    if cond {
-        Ok(())
-    } else {
-        Err(format!("artifact invalid: {what}"))
-    }
+/// One cell of a parsed artifact.
+#[derive(Debug, Clone)]
+pub struct ArtifactCell {
+    /// The cell's stable id (unique within the artifact).
+    pub id: String,
+    /// Whether the run served the cell from the cache.
+    pub cached: bool,
+    /// Display labels, by name.
+    pub labels: BTreeMap<String, String>,
+    /// Metrics and texts; the certificate stays in [`certificate`](Self::certificate).
+    pub values: CellValues,
+    /// `Some(message)` for a failed cell (`"status": "failed"`).
+    pub error: Option<String>,
+    /// The certificate block, undecoded: [`validate_artifact`] rejects an
+    /// undecodable one, while `sweep verify` reports it against its cell.
+    pub certificate: Option<Json>,
 }
 
-/// Validates an artifact document against the `topobench-sweep/v1` schema.
-pub fn validate_artifact(text: &str) -> Result<(), String> {
-    let doc = Json::parse(text).map_err(|e| format!("artifact is not JSON: {e}"))?;
-    check(
-        doc.get("schema").and_then(Json::as_str) == Some(ARTIFACT_SCHEMA),
-        "missing or wrong schema tag",
-    )?;
-    for field in ["scenario", "title"] {
-        check(
-            doc.get(field).and_then(Json::as_str).is_some(),
-            &format!("'{field}' must be a string"),
-        )?;
+/// A parsed `topobench-sweep/v1` artifact.
+#[derive(Debug, Clone)]
+pub struct Artifact {
+    /// Scenario name.
+    pub scenario: String,
+    /// Scenario title.
+    pub title: String,
+    /// Whether the run used the paper-scale ladder.
+    pub full: bool,
+    /// Whether the artifact holds only a filtered cell subset.
+    pub partial: bool,
+    /// The run's base seed.
+    pub seed: u64,
+    /// The run's cell filter, if any.
+    pub filter: Option<String>,
+    /// `stats` as recorded: cells, unique cells, cache hits, solver calls.
+    pub stats: [f64; 4],
+    /// Cells in artifact order.
+    pub cells: Vec<ArtifactCell>,
+    /// Each table's name, column count and row count.
+    pub tables: Vec<(String, usize, usize)>,
+}
+
+/// `doc[key]` read by `get`, or an error saying what it must be.
+fn field<'a, T>(
+    doc: &'a Json,
+    key: &str,
+    get: impl Fn(&'a Json) -> Option<T>,
+    what: &str,
+) -> Result<T, String> {
+    doc.get(key)
+        .and_then(get)
+        .ok_or_else(|| format!("'{key}' must be {what}"))
+}
+
+fn parse_cell(cell: Json) -> Result<ArtifactCell, String> {
+    let Json::Obj(mut cell) = cell else {
+        return Err("not an object".into());
+    };
+    let certificate = cell.remove("certificate");
+    let cell = Json::Obj(cell);
+    // 'status' is optional (healthy cells omit it); failed cells must carry
+    // an error message.
+    let error = match cell.get("status").map(Json::as_str) {
+        None | Some(Some("ok")) => None,
+        Some(Some("failed")) => {
+            Some(field(&cell, "error", Json::as_str, "a failure message")?.into())
+        }
+        Some(_) => return Err("'status' must be ok|failed".into()),
+    };
+    Ok(ArtifactCell {
+        id: field(&cell, "id", Json::as_str, "a string")?.into(),
+        cached: field(&cell, "cached", Json::as_bool, "a bool")?,
+        labels: decode_map(&cell, "labels", |v| Some(v.as_str()?.to_string()))?,
+        values: CellValues::from_json(&cell)?,
+        error,
+        certificate,
+    })
+}
+
+fn parse_table(table: &Json) -> Result<(String, usize, usize), String> {
+    let name = field(table, "name", Json::as_str, "a string")?;
+    let width = field(table, "header", Json::as_arr, "an array")?.len();
+    let rows = field(table, "rows", Json::as_arr, "an array")?;
+    if !(rows.iter()).all(|row| row.as_arr().is_some_and(|row| row.len() == width)) {
+        return Err("every row must be an array as wide as the header".into());
     }
-    check(
-        doc.get("full").and_then(Json::as_bool).is_some(),
-        "'full' must be a bool",
-    )?;
+    Ok((name.into(), width, rows.len()))
+}
+
+fn parse_doc(mut doc: BTreeMap<String, Json>) -> Result<Artifact, String> {
+    let cells = doc.remove("cells");
+    let doc = Json::Obj(doc);
+    if doc.get("schema").and_then(Json::as_str) != Some(ARTIFACT_SCHEMA) {
+        return Err("missing or wrong schema tag".into());
+    }
+    let filter = match doc.get("filter") {
+        None | Some(Json::Null) => None,
+        Some(_) => Some(field(&doc, "filter", Json::as_str, "a string or null")?.into()),
+    };
     // 'partial' is optional (absent in pre-diff artifacts) but when present
-    // must be a bool consistent with the recorded filter.
+    // must be true exactly when a filter is recorded.
     let partial = match doc.get("partial") {
         None => false,
-        Some(Json::Bool(b)) => *b,
-        Some(_) => return Err("artifact invalid: 'partial' must be a bool".into()),
+        Some(Json::Bool(b)) if *b == filter.is_some() => *b,
+        Some(_) => return Err("'partial' must be true exactly when a filter is recorded".into()),
     };
-    let filtered = matches!(doc.get("filter"), Some(Json::Str(_)));
-    check(
-        partial == filtered || doc.get("partial").is_none(),
-        "'partial' must be true exactly when a filter is recorded",
-    )?;
-    check(
-        doc.get("seed")
-            .and_then(Json::as_str)
-            .and_then(|s| s.parse::<u64>().ok())
-            .is_some(),
-        "'seed' must be a decimal string",
-    )?;
-    let stats = doc.get("stats").ok_or("missing 'stats'")?;
-    for field in ["cells", "unique_cells", "cache_hits", "solver_calls"] {
-        check(
-            stats.get(field).and_then(Json::as_num).is_some(),
-            &format!("stats.{field} must be a number"),
-        )?;
+    let mut stats = [0.0; 4];
+    let keys = ["cells", "unique_cells", "cache_hits", "solver_calls"];
+    let counts = field(&doc, "stats", Some, "an object")?;
+    for (slot, key) in stats.iter_mut().zip(keys) {
+        *slot = field(counts, key, Json::as_num, "a number").map_err(|e| format!("stats {e}"))?;
     }
-    let cells = doc
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("'cells' must be an array")?;
-    check(
-        cells.len() == stats.get("cells").and_then(Json::as_num).unwrap() as usize,
-        "stats.cells must match the cell count",
-    )?;
-    for cell in cells {
-        check(
-            cell.get("id").and_then(Json::as_str).is_some(),
-            "cell id must be a string",
-        )?;
-        check(
-            cell.get("cached").and_then(Json::as_bool).is_some(),
-            "cell 'cached' must be a bool",
-        )?;
-        // 'status' is optional (healthy cells omit it); when present it must
-        // be "ok" or "failed", and failed cells must carry an error message.
-        match cell.get("status").map(Json::as_str) {
-            None => {}
-            Some(Some("ok")) => {}
-            Some(Some("failed")) => {
-                check(
-                    cell.get("error").and_then(Json::as_str).is_some(),
-                    "failed cell must carry an 'error' string",
-                )?;
-            }
-            Some(_) => return Err("artifact invalid: cell 'status' must be ok|failed".into()),
-        }
-        // 'certificate' is optional (only certified runs emit it); when
-        // present it must be a structurally complete, decodable block.
-        if let Some(block) = cell.get("certificate") {
-            check(
-                crate::sweep::cell::CellCertificate::from_json(block).is_some(),
-                "cell 'certificate' must be a decodable certificate block",
-            )?;
-        }
-        let values = cell.get("values").ok_or("cell missing 'values'")?;
-        match values {
-            Json::Obj(map) => {
-                for (name, v) in map {
-                    check(
-                        v.get("bits").and_then(|b| b.as_f64_bits()).is_some(),
-                        &format!("value '{name}' must carry a decodable bit pattern"),
-                    )?;
-                }
-            }
-            _ => return Err("cell 'values' must be an object".into()),
-        }
+    let Some(Json::Arr(cells)) = cells else {
+        return Err("'cells' must be an array".into());
+    };
+    if cells.len() as f64 != stats[0] {
+        return Err("stats.cells must match the cell count".into());
     }
-    let tables = doc
-        .get("tables")
-        .and_then(Json::as_arr)
-        .ok_or("'tables' must be an array")?;
-    for table in tables {
-        check(
-            table.get("name").and_then(Json::as_str).is_some(),
-            "table name must be a string",
-        )?;
-        let header = table
-            .get("header")
-            .and_then(Json::as_arr)
-            .ok_or("table header must be an array")?;
-        let rows = table
-            .get("rows")
-            .and_then(Json::as_arr)
-            .ok_or("table rows must be an array")?;
-        for row in rows {
-            let row = row.as_arr().ok_or("table row must be an array")?;
-            check(
-                row.len() == header.len(),
-                "table row width must match the header",
-            )?;
+    let cells: Vec<ArtifactCell> = (cells.into_iter().enumerate())
+        .map(|(i, cell)| parse_cell(cell).map_err(|e| format!("cell {i}: {e}")))
+        .collect::<Result<_, _>>()?;
+    let mut ids = std::collections::HashSet::new();
+    if let Some(cell) = cells.iter().find(|cell| !ids.insert(cell.id.as_str())) {
+        return Err(format!("cell id '{}' is not unique", cell.id));
+    }
+    let tables = field(&doc, "tables", Json::as_arr, "an array")?;
+    let tables = (tables.iter().enumerate())
+        .map(|(i, table)| parse_table(table).map_err(|e| format!("table {i}: {e}")))
+        .collect::<Result<_, _>>()?;
+    let seed = field(
+        &doc,
+        "seed",
+        |s| s.as_str()?.parse().ok(),
+        "a decimal string",
+    )?;
+    Ok(Artifact {
+        scenario: field(&doc, "scenario", Json::as_str, "a string")?.into(),
+        title: field(&doc, "title", Json::as_str, "a string")?.into(),
+        full: field(&doc, "full", Json::as_bool, "a bool")?,
+        partial,
+        seed,
+        filter,
+        stats,
+        cells,
+        tables,
+    })
+}
+
+/// Parses an artifact document against the `topobench-sweep/v1` schema:
+/// the one reader behind [`validate_artifact`], `sweep diff` and `sweep
+/// verify`. Certificate blocks come back undecoded.
+pub fn parse_artifact(text: &str) -> Result<Artifact, String> {
+    match Json::parse(text).map_err(|e| format!("artifact is not JSON: {e}"))? {
+        Json::Obj(doc) => parse_doc(doc),
+        _ => Err("not an object".into()),
+    }
+    .map_err(|e| format!("artifact invalid: {e}"))
+}
+
+/// Validates an artifact document against the `topobench-sweep/v1` schema:
+/// [`parse_artifact`] plus decoding every certificate block.
+pub fn validate_artifact(text: &str) -> Result<(), String> {
+    for cell in parse_artifact(text)?.cells {
+        if (cell.certificate).is_some_and(|block| CellCertificate::from_json(&block).is_none()) {
+            return Err(format!(
+                "artifact invalid: cell '{}': 'certificate' must be a decodable certificate block",
+                cell.id
+            ));
         }
     }
     Ok(())
 }
 
+/// The names of the regular `*.json` files directly in `dir`, sorted: the
+/// artifacts `sweep diff --all` and `sweep verify --all` read (cache
+/// subdirectories and CSVs are skipped).
+pub fn artifact_files(dir: &Path) -> Result<Vec<String>, String> {
+    let entries = fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+    let mut names = Vec::new();
+    for entry in entries {
+        let path = entry.map_err(|e| e.to_string())?.path();
+        if path.is_file() && path.extension().is_some_and(|e| e == "json") {
+            names.extend(
+                path.file_name()
+                    .and_then(|n| n.to_str())
+                    .map(str::to_string),
+            );
+        }
+    }
+    names.sort();
+    Ok(names)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::cell::{CellSpec, CellValues};
+    use crate::sweep::cell::{CellSpec, SweepCell};
     use crate::sweep::runner::CellOutcome;
     use crate::sweep::topo::TopoSpec;
     use crate::TmSpec;
@@ -380,6 +386,43 @@ mod tests {
         };
         let doc = artifact_json("test", "Test", &opts, &sample_report(), &render);
         validate_artifact(&doc.to_string()).expect("artifact should validate");
+        let parsed = parse_artifact(&doc.to_string()).unwrap();
+        assert_eq!(parsed.tables, vec![("demo".to_string(), 2, 1)]);
+        assert_eq!(
+            (parsed.seed, parsed.partial, parsed.filter),
+            (1, false, None)
+        );
+    }
+
+    /// What the writer records, the reader returns: every cell's values bit
+    /// for bit, its labels, status and error.
+    #[test]
+    fn parse_artifact_reproduces_every_cell() {
+        let mut report = sample_report();
+        report.outcomes[0].values.push("tiny", 5e-324);
+        report.outcomes[0].values.push("neg_zero", -0.0);
+        report.outcomes.push(CellOutcome {
+            cell: SweepCell::new("dead", CellSpec::PanicProbe { fail_attempts: 2 }),
+            values: CellValues::default(),
+            cached: true,
+            error: Some("induced failure".into()),
+        });
+        report.unique_cells = 2;
+        let opts = SweepOptions::new(false, u64::MAX);
+        let text =
+            artifact_json("test", "Test", &opts, &report, &RenderOutput::default()).to_string();
+        let parsed = parse_artifact(&text).unwrap();
+        assert_eq!(parsed.seed, u64::MAX);
+        assert_eq!(parsed.cells.len(), report.outcomes.len());
+        for (cell, o) in parsed.cells.iter().zip(&report.outcomes) {
+            assert_eq!(
+                (&cell.id, cell.cached, &cell.error),
+                (&o.cell.id, o.cached, &o.error)
+            );
+            assert!(cell.values.bit_identical(&o.values), "{}", cell.id);
+            let labels: Vec<_> = cell.labels.clone().into_iter().collect();
+            assert_eq!(labels, o.cell.labels);
+        }
     }
 
     #[test]
@@ -508,5 +551,18 @@ mod tests {
         validate_artifact(&good).unwrap();
         let bad = good.replace("\"cells\":1", "\"cells\":7");
         assert!(validate_artifact(&bad).is_err(), "cell count mismatch");
+        let mut report = sample_report();
+        report.outcomes.push(report.outcomes[0].clone());
+        let twice = artifact_json("test", "Test", &opts, &report, &RenderOutput::default());
+        let err = validate_artifact(&twice.to_string()).unwrap_err();
+        assert!(err.contains("'a' is not unique"), "{err}");
+        let ragged = good.replace(
+            "\"tables\":[]",
+            "\"tables\":[{\"name\":\"t\",\"header\":[\"x\"],\"rows\":[[]]}]",
+        );
+        assert!(
+            validate_artifact(&ragged).is_err(),
+            "row narrower than the header"
+        );
     }
 }

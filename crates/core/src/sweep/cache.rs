@@ -8,19 +8,21 @@
 //! collisions harmless (they read back as misses).
 //!
 //! Layout: `<cache_dir>/<16-hex-digit-hash>.json`, one file per entry, each
-//! a `topobench-cell/v1` document. Metric floats are stored as IEEE-754 bit
-//! patterns, so a cache round trip is bit-identical to recomputation.
+//! a `topobench-cell/v2` document: the schema tag, the key, and the cell's
+//! values in [`CellValues::to_json`]'s encoding — the one an artifact cell
+//! uses. Metric floats are stored as IEEE-754 bit patterns, so a cache round
+//! trip is bit-identical to recomputation.
 //! Entries are written via a temp file + rename, so an interrupted sweep
 //! leaves either a complete entry or none — re-running resumes from whatever
 //! finished.
 
-use crate::sweep::cell::{CellCertificate, CellValues};
+use crate::sweep::cell::CellValues;
 use crate::sweep::json::Json;
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Schema tag stored in every cache entry.
-pub const CELL_SCHEMA: &str = "topobench-cell/v1";
+pub const CELL_SCHEMA: &str = "topobench-cell/v2";
 
 /// FNV-1a 64-bit hash (stable across platforms and runs).
 pub fn fnv1a(text: &str) -> u64 {
@@ -36,16 +38,6 @@ pub fn fnv1a(text: &str) -> u64 {
 #[derive(Debug, Clone)]
 pub struct ResultCache {
     dir: PathBuf,
-}
-
-/// What [`ResultCache::decode`] made of an entry's bytes.
-enum Decoded {
-    /// A healthy entry for the requested key.
-    Values(CellValues),
-    /// A healthy entry for a *different* key (hash collision): silent miss.
-    OtherKey,
-    /// Undecodable bytes; the reason feeds the quarantine log line.
-    Corrupt(&'static str),
 }
 
 impl ResultCache {
@@ -77,14 +69,21 @@ impl ResultCache {
     pub fn load(&self, key: &str) -> Option<CellValues> {
         let path = self.path_for(key);
         let text = fs::read_to_string(&path).ok()?;
-        match Self::decode(&text, key) {
-            Decoded::Values(values) => Some(values),
-            Decoded::OtherKey => None,
-            Decoded::Corrupt(why) => {
-                self.quarantine(&path, why);
-                None
+        let doc = Json::parse(&text).map_err(|e| format!("not valid JSON: {e}"));
+        let decoded = doc.and_then(|doc| {
+            if doc.get("schema").and_then(Json::as_str) != Some(CELL_SCHEMA) {
+                return Err("missing or unknown schema tag".into());
             }
-        }
+            match doc.get("key").and_then(Json::as_str) {
+                None => Err("missing key".into()),
+                Some(stored) if stored != key => Ok(None),
+                Some(_) => CellValues::from_json(&doc).map(Some),
+            }
+        });
+        decoded.unwrap_or_else(|why| {
+            self.quarantine(&path, &why);
+            None
+        })
     }
 
     /// Moves a corrupt entry aside as `<stem>.bad` (best effort: if even the
@@ -107,102 +106,15 @@ impl ResultCache {
         }
     }
 
-    fn decode(text: &str, key: &str) -> Decoded {
-        let Ok(doc) = Json::parse(text) else {
-            return Decoded::Corrupt("not valid JSON");
-        };
-        if doc.get("schema").and_then(Json::as_str) != Some(CELL_SCHEMA) {
-            return Decoded::Corrupt("missing or unknown schema tag");
-        }
-        match doc.get("key").and_then(Json::as_str) {
-            None => return Decoded::Corrupt("missing key"),
-            Some(stored) if stored != key => return Decoded::OtherKey,
-            Some(_) => {}
-        }
-        let mut values = CellValues::default();
-        let Some(nums) = doc.get("values").and_then(Json::as_arr) else {
-            return Decoded::Corrupt("missing values array");
-        };
-        for entry in nums {
-            let decoded = entry.as_arr().and_then(|items| {
-                if items.len() != 3 {
-                    return None;
-                }
-                Some((items[0].as_str()?, items[1].as_f64_bits()?))
-            });
-            match decoded {
-                Some((name, value)) => values.push(name, value),
-                None => return Decoded::Corrupt("malformed value entry"),
-            }
-        }
-        let Some(texts) = doc.get("texts").and_then(Json::as_arr) else {
-            return Decoded::Corrupt("missing texts array");
-        };
-        for entry in texts {
-            let decoded = entry.as_arr().and_then(|items| {
-                if items.len() != 2 {
-                    return None;
-                }
-                Some((items[0].as_str()?, items[1].as_str()?))
-            });
-            match decoded {
-                Some((name, value)) => values.push_text(name, value),
-                None => return Decoded::Corrupt("malformed text entry"),
-            }
-        }
-        // Optional certificate block (only certified cells store one; plain
-        // entries stay byte-identical to the pre-certificate schema).
-        if let Some(block) = doc.get("certificate") {
-            match CellCertificate::from_json(block) {
-                Some(cert) => values.set_certificate(cert),
-                None => return Decoded::Corrupt("malformed certificate block"),
-            }
-        }
-        Decoded::Values(values)
-    }
-
     /// Stores `values` under `key` (atomic write; best-effort on IO errors —
     /// a failed store only means a future miss).
     pub fn store(&self, key: &str, values: &CellValues) {
         if fs::create_dir_all(&self.dir).is_err() {
             return;
         }
-        let mut pairs = vec![
-            ("schema", Json::str(CELL_SCHEMA)),
-            ("key", Json::str(key)),
-            (
-                "values",
-                Json::Arr(
-                    values
-                        .nums()
-                        .iter()
-                        .map(|(name, value)| {
-                            Json::Arr(vec![
-                                Json::str(name.clone()),
-                                Json::f64_bits(*value),
-                                Json::Num(*value),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "texts",
-                Json::Arr(
-                    values
-                        .texts()
-                        .iter()
-                        .map(|(name, value)| {
-                            Json::Arr(vec![Json::str(name.clone()), Json::str(value.clone())])
-                        })
-                        .collect(),
-                ),
-            ),
-        ];
-        if let Some(cert) = values.certificate() {
-            pairs.push(("certificate", cert.to_json()));
-        }
-        let doc = Json::obj(pairs);
+        let mut fields = vec![("schema", Json::str(CELL_SCHEMA)), ("key", Json::str(key))];
+        fields.extend(values.to_json());
+        let doc = Json::obj(fields);
         let path = self.path_for(key);
         // Writer-unique temp name: processes sharing one cache directory may
         // store the same key concurrently, and a shared tmp path would let
@@ -217,6 +129,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::cell::CellCertificate;
 
     fn temp_cache(tag: &str) -> ResultCache {
         let dir = std::env::temp_dir().join(format!("tb-cache-test-{tag}-{}", std::process::id()));
@@ -261,7 +174,10 @@ mod tests {
         let cache = temp_cache("corrupt");
         let mut values = CellValues::default();
         values.push("x", 2.0);
-        for garbage in ["{not json", "", "{\"schema\":\"other/v9\"}"] {
+        // The last is 300,000 nested `[`: it used to overflow the parser's
+        // stack and abort the whole run instead of being quarantined.
+        let deep = "[".repeat(300_000);
+        for garbage in ["{not json", "", "{\"schema\":\"other/v9\"}", &deep] {
             cache.store("key", &values);
             let path = cache.path_for("key");
             fs::write(&path, garbage).unwrap();

@@ -14,6 +14,7 @@ use crate::spec::TmSpec;
 use crate::stats::Stats;
 use crate::sweep::json::Json;
 use crate::sweep::topo::TopoSpec;
+use std::collections::BTreeMap;
 use tb_cuts::{estimate_sparsest_cut, ALL_ESTIMATORS};
 use tb_flow::restricted::{k_shortest_path_sets, PathRestrictedSolver, SubflowCountingEstimator};
 use tb_flow::ThroughputCertificate;
@@ -260,29 +261,30 @@ impl CellCertificate {
 }
 
 /// A cell's result: named floating-point metrics (bit-exact through the
-/// cache) plus optional named text annotations, and — for certified
-/// throughput cells — the optimality certificate behind the numbers.
+/// cache) plus optional named text annotations, both in name order, and —
+/// for certified throughput cells — the optimality certificate behind the
+/// numbers.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellValues {
-    nums: Vec<(String, f64)>,
-    texts: Vec<(String, String)>,
+    nums: BTreeMap<String, f64>,
+    texts: BTreeMap<String, String>,
     certificate: Option<CellCertificate>,
 }
 
 impl CellValues {
-    /// Appends a named metric.
+    /// Sets a named metric.
     pub fn push(&mut self, name: impl Into<String>, value: f64) {
-        self.nums.push((name.into(), value));
+        self.nums.insert(name.into(), value);
     }
 
-    /// Appends a named text annotation.
+    /// Sets a named text annotation.
     pub fn push_text(&mut self, name: impl Into<String>, value: impl Into<String>) {
-        self.texts.push((name.into(), value.into()));
+        self.texts.insert(name.into(), value.into());
     }
 
     /// Looks up a metric by name.
     pub fn get(&self, name: &str) -> Option<f64> {
-        self.nums.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+        self.nums.get(name).copied()
     }
 
     /// Looks up a metric that must exist.
@@ -296,19 +298,16 @@ impl CellValues {
 
     /// Looks up a text annotation by name.
     pub fn text(&self, name: &str) -> Option<&str> {
-        self.texts
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+        self.texts.get(name).map(String::as_str)
     }
 
-    /// All metrics in insertion order.
-    pub fn nums(&self) -> &[(String, f64)] {
+    /// All metrics, by name.
+    pub fn nums(&self) -> &BTreeMap<String, f64> {
         &self.nums
     }
 
-    /// All text annotations in insertion order.
-    pub fn texts(&self) -> &[(String, String)] {
+    /// All text annotations, by name.
+    pub fn texts(&self) -> &BTreeMap<String, String> {
         &self.texts
     }
 
@@ -340,6 +339,59 @@ impl CellValues {
                 .zip(&other.nums)
                 .all(|((an, av), (bn, bv))| an == bn && av.to_bits() == bv.to_bits())
     }
+
+    /// The fields this result contributes to a cache entry or an artifact
+    /// cell (one encoding for both): `values` maps each metric to its
+    /// IEEE-754 `bits` plus a decimal `value` for human readers, `texts` each
+    /// annotation, and `certificate` is present only when one is attached,
+    /// so uncertified documents carry no such key.
+    pub fn to_json(&self) -> Vec<(&'static str, Json)> {
+        let values = (self.nums.iter())
+            .map(|(name, &x)| {
+                let metric = Json::obj(vec![("bits", Json::f64_bits(x)), ("value", Json::Num(x))]);
+                (name.clone(), metric)
+            })
+            .collect();
+        let texts = (self.texts.iter())
+            .map(|(name, text)| (name.clone(), Json::str(text.clone())))
+            .collect();
+        let mut fields = vec![("values", Json::Obj(values)), ("texts", Json::Obj(texts))];
+        if let Some(cert) = &self.certificate {
+            fields.push(("certificate", cert.to_json()));
+        }
+        fields
+    }
+
+    /// Decodes the fields [`to_json`](Self::to_json) wrote into `doc`; the
+    /// error names the first undecodable one.
+    pub fn from_json(doc: &Json) -> Result<CellValues, String> {
+        let certificate = (doc.get("certificate"))
+            .map(|block| CellCertificate::from_json(block).ok_or("'certificate' is undecodable"))
+            .transpose()?;
+        Ok(CellValues {
+            nums: decode_map(doc, "values", |v| v.get("bits")?.as_f64_bits())?,
+            texts: decode_map(doc, "texts", |v| Some(v.as_str()?.to_string()))?,
+            certificate,
+        })
+    }
+}
+
+/// The object under `key` in `doc`, each member decoded by `decode`; the
+/// error names the first member it rejects.
+pub(crate) fn decode_map<T>(
+    doc: &Json,
+    key: &str,
+    decode: impl Fn(&Json) -> Option<T>,
+) -> Result<BTreeMap<String, T>, String> {
+    let Some(Json::Obj(map)) = doc.get(key) else {
+        return Err(format!("'{key}' must be an object"));
+    };
+    (map.iter())
+        .map(|(name, v)| match decode(v) {
+            Some(x) => Ok((name.clone(), x)),
+            None => Err(format!("'{key}.{name}' is undecodable")),
+        })
+        .collect()
 }
 
 /// One schedulable cell: a stable id (unique within its scenario), display

@@ -18,7 +18,7 @@
 //! deliberately ignored: a cache-hot rerun must diff clean against its cold
 //! predecessor.
 
-use crate::sweep::json::Json;
+use crate::sweep::artifact::{artifact_files, parse_artifact, ArtifactCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -36,35 +36,6 @@ impl Default for DiffOptions {
     fn default() -> Self {
         DiffOptions { tolerance: 0.0 }
     }
-}
-
-/// One cell as recorded in an artifact: exact value bits, texts and labels.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellRecord {
-    /// Metric name → IEEE-754 bit pattern.
-    pub values: BTreeMap<String, u64>,
-    /// Text annotation name → value.
-    pub texts: BTreeMap<String, String>,
-    /// Display label name → value.
-    pub labels: BTreeMap<String, String>,
-    /// Execution status: `"ok"` (the default — healthy cells omit the field)
-    /// or `"failed"`.
-    pub status: String,
-}
-
-/// The cell-level content of a parsed artifact.
-#[derive(Debug, Clone)]
-pub struct ParsedArtifact {
-    /// Scenario name the artifact records.
-    pub scenario: String,
-    /// Seed (decimal string, exactly as stored).
-    pub seed: String,
-    /// Whether the run used the paper-scale ladder.
-    pub full: bool,
-    /// Whether the artifact holds only a filtered cell subset.
-    pub partial: bool,
-    /// Cells in artifact order.
-    pub cells: Vec<(String, CellRecord)>,
 }
 
 /// How one cell differs between two artifacts.
@@ -216,123 +187,42 @@ impl ArtifactDiff {
     }
 }
 
-fn string_map(value: Option<&Json>, what: &str) -> Result<BTreeMap<String, String>, String> {
-    match value {
-        None => Ok(BTreeMap::new()),
-        Some(Json::Obj(map)) => map
-            .iter()
-            .map(|(k, v)| {
-                v.as_str()
-                    .map(|s| (k.clone(), s.to_string()))
-                    .ok_or_else(|| format!("{what}.{k} must be a string"))
-            })
-            .collect(),
-        Some(_) => Err(format!("{what} must be an object")),
+fn status(cell: &ArtifactCell) -> &'static str {
+    if cell.error.is_some() {
+        "failed"
+    } else {
+        "ok"
     }
 }
 
-/// Parses the cell-level content of an artifact document. The document must
-/// carry the `topobench-sweep/v1` schema tag; cells without decodable value
-/// bits are rejected.
-pub fn parse_artifact_cells(text: &str) -> Result<ParsedArtifact, String> {
-    let doc = Json::parse(text).map_err(|e| format!("artifact is not JSON: {e}"))?;
-    let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema != crate::sweep::artifact::ARTIFACT_SCHEMA {
-        return Err(format!("unsupported artifact schema '{schema}'"));
-    }
-    let scenario = doc
-        .get("scenario")
-        .and_then(Json::as_str)
-        .ok_or("artifact missing 'scenario'")?
-        .to_string();
-    let seed = doc
-        .get("seed")
-        .and_then(Json::as_str)
-        .ok_or("artifact missing 'seed'")?
-        .to_string();
-    let full = doc
-        .get("full")
-        .and_then(Json::as_bool)
-        .ok_or("artifact missing 'full'")?;
-    // Absent in artifacts written before partial runs were recorded.
-    let partial = doc.get("partial").and_then(Json::as_bool).unwrap_or(false);
-    let mut cells = Vec::new();
-    for cell in doc
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("artifact missing 'cells'")?
-    {
-        let id = cell
-            .get("id")
-            .and_then(Json::as_str)
-            .ok_or("cell missing 'id'")?
-            .to_string();
-        let mut values = BTreeMap::new();
-        match cell.get("values") {
-            Some(Json::Obj(map)) => {
-                for (name, v) in map {
-                    let bits = v
-                        .get("bits")
-                        .and_then(|b| b.as_f64_bits())
-                        .ok_or_else(|| format!("cell '{id}' value '{name}' has no bits"))?;
-                    values.insert(name.clone(), bits.to_bits());
-                }
-            }
-            _ => return Err(format!("cell '{id}' missing 'values'")),
-        }
-        let texts = string_map(cell.get("texts"), "texts")?;
-        let labels = string_map(cell.get("labels"), "labels")?;
-        let status = cell
-            .get("status")
-            .and_then(Json::as_str)
-            .unwrap_or("ok")
-            .to_string();
-        cells.push((
-            id,
-            CellRecord {
-                values,
-                texts,
-                labels,
-                status,
-            },
-        ));
-    }
-    Ok(ParsedArtifact {
-        scenario,
-        seed,
-        full,
-        partial,
-        cells,
-    })
-}
-
-fn classify(old: &CellRecord, new: &CellRecord, tolerance: f64) -> ChangeKind {
+fn classify(old: &ArtifactCell, new: &ArtifactCell, tolerance: f64) -> ChangeKind {
     // A status flip outranks everything else: a newly-failed cell also lost
     // its metrics, and reporting that as a schema change would bury the
     // actual problem.
-    if old.status != new.status {
+    if status(old) != status(new) {
         return ChangeKind::StatusChange {
-            old: old.status.clone(),
-            new: new.status.clone(),
+            old: status(old).into(),
+            new: status(new).into(),
         };
     }
-    let old_metrics: Vec<&String> = old.values.keys().collect();
-    let new_metrics: Vec<&String> = new.values.keys().collect();
+    let (old_nums, new_nums) = (old.values.nums(), new.values.nums());
+    let old_metrics: Vec<&String> = old_nums.keys().collect();
+    let new_metrics: Vec<&String> = new_nums.keys().collect();
     if old_metrics != new_metrics {
         return ChangeKind::SchemaChange {
             detail: format!("metrics changed: {old_metrics:?} -> {new_metrics:?}"),
         };
     }
-    if old.texts != new.texts {
-        let changed: Vec<&str> = old
-            .texts
+    let (old_texts, new_texts) = (old.values.texts(), new.values.texts());
+    if old_texts != new_texts {
+        let changed: Vec<&str> = old_texts
             .iter()
-            .filter(|(k, v)| new.texts.get(*k) != Some(v))
+            .filter(|(k, v)| new_texts.get(*k) != Some(v))
             .map(|(k, _)| k.as_str())
             .chain(
-                new.texts
+                new_texts
                     .keys()
-                    .filter(|k| !old.texts.contains_key(*k))
+                    .filter(|k| !old_texts.contains_key(*k))
                     .map(|k| k.as_str()),
             )
             .collect();
@@ -342,12 +232,11 @@ fn classify(old: &CellRecord, new: &CellRecord, tolerance: f64) -> ChangeKind {
     }
     let mut max_rel = 0.0f64;
     let mut worst: Option<(String, f64, f64)> = None;
-    for (name, &old_bits) in &old.values {
-        let new_bits = new.values[name];
-        if old_bits == new_bits {
+    for (name, &a) in old_nums {
+        let b = new_nums[name];
+        if a.to_bits() == b.to_bits() {
             continue;
         }
-        let (a, b) = (f64::from_bits(old_bits), f64::from_bits(new_bits));
         let rel = if a == b {
             // Same value, different bits (0.0 vs -0.0): zero relative error,
             // still short of bit-exact.
@@ -398,13 +287,14 @@ fn classify(old: &CellRecord, new: &CellRecord, tolerance: f64) -> ChangeKind {
 }
 
 /// Diffs two artifact documents of the same scenario, matching cells by id.
+/// A document that fails [`parse_artifact`] is an error, not a difference.
 pub fn diff_artifacts(
     old_text: &str,
     new_text: &str,
     opts: &DiffOptions,
 ) -> Result<ArtifactDiff, String> {
-    let old = parse_artifact_cells(old_text)?;
-    let new = parse_artifact_cells(new_text)?;
+    let old = parse_artifact(old_text)?;
+    let new = parse_artifact(new_text)?;
     if old.scenario != new.scenario {
         return Err(format!(
             "artifacts record different scenarios: '{}' vs '{}'",
@@ -425,10 +315,10 @@ pub fn diff_artifacts(
         ));
     }
 
-    let old_by_id: BTreeMap<&str, &CellRecord> =
-        old.cells.iter().map(|(id, c)| (id.as_str(), c)).collect();
-    let new_by_id: BTreeMap<&str, &CellRecord> =
-        new.cells.iter().map(|(id, c)| (id.as_str(), c)).collect();
+    let old_by_id: BTreeMap<&str, &ArtifactCell> =
+        old.cells.iter().map(|c| (c.id.as_str(), c)).collect();
+    let new_by_id: BTreeMap<&str, &ArtifactCell> =
+        new.cells.iter().map(|c| (c.id.as_str(), c)).collect();
 
     let mut diff = ArtifactDiff {
         scenario: new.scenario.clone(),
@@ -440,11 +330,8 @@ pub fn diff_artifacts(
     };
     // Walk the old artifact's cell order, then the new-only cells in the
     // new artifact's order, so reports read in expansion order.
-    let mut seen = std::collections::BTreeSet::new();
-    for (id, old_cell) in &old.cells {
-        if !seen.insert(id.as_str()) {
-            continue; // duplicate id in a malformed artifact: first wins
-        }
+    for old_cell in &old.cells {
+        let id = &old_cell.id;
         match new_by_id.get(id.as_str()) {
             Some(new_cell) => {
                 diff.compared += 1;
@@ -476,10 +363,10 @@ pub fn diff_artifacts(
             }
         }
     }
-    for (id, _) in &new.cells {
-        if !old_by_id.contains_key(id.as_str()) && seen.insert(id.as_str()) {
+    for new_cell in &new.cells {
+        if !old_by_id.contains_key(new_cell.id.as_str()) {
             diff.changes.push(CellChange {
-                id: id.clone(),
+                id: new_cell.id.clone(),
                 kind: ChangeKind::Added,
                 regression: !old.partial,
             });
@@ -546,23 +433,6 @@ impl DirDiff {
         }
         out
     }
-}
-
-fn artifact_files(dir: &Path) -> Result<Vec<String>, String> {
-    let mut names = Vec::new();
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| e.to_string())?;
-        let path = entry.path();
-        if path.is_file() && path.extension().is_some_and(|e| e == "json") {
-            if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
-                names.push(name.to_string());
-            }
-        }
-    }
-    names.sort();
-    Ok(names)
 }
 
 /// Diffs every `*.json` artifact in `new_dir` against its same-named
@@ -757,6 +627,11 @@ mod tests {
         // Identically-failed cells diff clean (no false churn while broken).
         let diff = diff_artifacts(&failed, &failed, &DiffOptions::default()).unwrap();
         assert!(diff.is_clean());
+        // A status injected without an error message fails validation: an
+        // error (exit 2), not a difference.
+        let unexplained = healthy.replace("\"id\":\"a\"", "\"id\":\"a\",\"status\":\"failed\"");
+        let err = diff_artifacts(&healthy, &unexplained, &DiffOptions::default()).unwrap_err();
+        assert!(err.contains("'error' must be a failure message"), "{err}");
     }
 
     #[test]

@@ -32,8 +32,8 @@ pub mod topo;
 pub mod verify;
 
 pub use artifact::{
-    artifact_filename, artifact_json, validate_artifact, write_artifact, NamedTable, RenderOutput,
-    ARTIFACT_SCHEMA,
+    artifact_filename, artifact_files, artifact_json, parse_artifact, validate_artifact,
+    write_artifact, Artifact, ArtifactCell, NamedTable, RenderOutput, ARTIFACT_SCHEMA,
 };
 pub use cache::{fnv1a, ResultCache, CELL_SCHEMA};
 pub use cell::{CellCertificate, CellSpec, CellValues, FbMatrix, SweepCell};

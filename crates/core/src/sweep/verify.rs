@@ -20,8 +20,8 @@
 //! checked.
 
 use crate::eval::{acceptable_certificate_gap, EvalConfig};
+use crate::sweep::artifact::{Artifact, ArtifactCell};
 use crate::sweep::cell::{CellCertificate, CellSpec};
-use crate::sweep::json::Json;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use tb_flow::drop_disconnected_demands;
@@ -95,73 +95,45 @@ impl VerifyReport {
 /// vs `mu min(r_j / d_j)`), so they agree to a few ulps, never exactly.
 const VALUE_TIE_TOL: f64 = 1e-9;
 
-/// Verifies every cell of the artifact in `text` against the re-expanded
-/// cell specs in `specs` (cell id → spec) under the evaluation configuration
-/// the artifact was produced with. Returns an error only when the artifact
-/// itself is unusable (not JSON, missing fields); per-cell problems land in
-/// the report.
+/// Verifies every cell of a parsed artifact against the re-expanded cell
+/// specs in `specs` (cell id → spec) under the evaluation configuration the
+/// artifact was produced with. Certificate blocks are decoded here, cell by
+/// cell, so a tampered block is a *bad* verdict (exit 1) rather than an
+/// unusable artifact (exit 2).
 pub fn verify_artifact_cells(
-    text: &str,
+    artifact: &Artifact,
     specs: &HashMap<String, CellSpec>,
     cfg: &EvalConfig,
-) -> Result<VerifyReport, String> {
-    // No up-front `validate_artifact` pass: a tampered certificate block
-    // must surface as a per-cell *bad* verdict (exit 1), not as an
-    // artifact-level usage error (exit 2).
-    let doc = Json::parse(text).map_err(|e| format!("artifact is not JSON: {e}"))?;
-    let scenario = doc
-        .get("scenario")
-        .and_then(Json::as_str)
-        .ok_or("artifact has no scenario name")?
-        .to_string();
-    let cells = doc
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("artifact has no cells array")?;
-
+) -> VerifyReport {
     let mut report = VerifyReport {
-        scenario,
-        cells: cells.len(),
+        scenario: artifact.scenario.clone(),
+        cells: artifact.cells.len(),
         certified: 0,
         no_certificate: 0,
         bad: Vec::new(),
         unverifiable: Vec::new(),
     };
-    for cell in cells {
-        let id = cell
-            .get("id")
-            .and_then(Json::as_str)
-            .ok_or("cell without id")?
-            .to_string();
-        match verify_cell(cell, specs.get(id.as_str()), cfg) {
+    for cell in &artifact.cells {
+        let id = cell.id.clone();
+        match verify_cell(cell, specs.get(&cell.id), cfg) {
             CellVerdict::Certified => report.certified += 1,
             CellVerdict::NoCertificate => report.no_certificate += 1,
             CellVerdict::Bad(why) => report.bad.push((id, why)),
             CellVerdict::Unverifiable(why) => report.unverifiable.push((id, why)),
         }
     }
-    Ok(report)
+    report
 }
 
-/// Bit pattern of a reported metric (`values.<name>.bits`), if present.
-fn value_bits(cell: &Json, name: &str) -> Option<f64> {
-    cell.get("values")?.get(name)?.get("bits")?.as_f64_bits()
-}
-
-/// Verdict on one serialized cell. `spec` is the re-expanded spec with the
+/// Verdict on one artifact cell. `spec` is the re-expanded spec with the
 /// same id, when the scenario still has one.
-pub fn verify_cell(cell: &Json, spec: Option<&CellSpec>, cfg: &EvalConfig) -> CellVerdict {
+pub fn verify_cell(cell: &ArtifactCell, spec: Option<&CellSpec>, cfg: &EvalConfig) -> CellVerdict {
     // Failed cells first: they carry no values and no certificate, and must
     // never read as "fine" — they are unverifiable by construction.
-    if cell.get("status").and_then(Json::as_str) == Some("failed") {
-        let why = cell
-            .get("error")
-            .and_then(Json::as_str)
-            .unwrap_or("computation failed")
-            .to_string();
+    if let Some(why) = &cell.error {
         return CellVerdict::Unverifiable(format!("cell failed: {why}"));
     }
-    let Some(block) = cell.get("certificate") else {
+    let Some(block) = &cell.certificate else {
         return CellVerdict::NoCertificate;
     };
     let Some(cc) = CellCertificate::from_json(block) else {
@@ -205,7 +177,7 @@ pub fn verify_cell(cell: &Json, spec: Option<&CellSpec>, cfg: &EvalConfig) -> Ce
     // Tie the certificate to the numbers the artifact actually reports:
     // evidence that proves a *different* value certifies nothing.
     for (name, claimed) in [("lower", cc.cert.lower), ("upper", cc.cert.upper)] {
-        let Some(reported) = value_bits(cell, name) else {
+        let Some(reported) = cell.values.get(name) else {
             return CellVerdict::Bad(format!("certified cell reports no '{name}' metric"));
         };
         if (claimed - reported).abs() > VALUE_TIE_TOL * (1.0 + reported.abs()) {
@@ -221,7 +193,7 @@ pub fn verify_cell(cell: &Json, spec: Option<&CellSpec>, cfg: &EvalConfig) -> Ce
 mod tests {
     use super::*;
     use crate::spec::TmSpec;
-    use crate::sweep::artifact::artifact_json;
+    use crate::sweep::artifact::{artifact_json, parse_artifact};
     use crate::sweep::runner::{run_cells, SweepOptions};
     use crate::sweep::topo::TopoSpec;
     use crate::sweep::{RenderOutput, SweepCell};
@@ -260,11 +232,15 @@ mod tests {
         (text, specs, opts.eval_config())
     }
 
+    fn verify(text: &str, specs: &HashMap<String, CellSpec>, cfg: &EvalConfig) -> VerifyReport {
+        verify_artifact_cells(&parse_artifact(text).unwrap(), specs, cfg)
+    }
+
     #[test]
     fn certified_artifact_verifies_clean() {
         let (text, specs, cfg) = certified_artifact();
         assert!(text.contains("\"certificate\""));
-        let report = verify_artifact_cells(&text, &specs, &cfg).unwrap();
+        let report = verify(&text, &specs, &cfg);
         assert!(report.is_clean(), "{:?}", report.bad);
         assert_eq!(report.certified, 2);
         assert_eq!(report.no_certificate, 0);
@@ -283,7 +259,7 @@ mod tests {
         let report = run_cells(&opts, cells);
         let text =
             artifact_json("test", "Test", &opts, &report, &RenderOutput::default()).to_string();
-        let report = verify_artifact_cells(&text, &specs, &opts.eval_config()).unwrap();
+        let report = verify(&text, &specs, &opts.eval_config());
         assert!(report.is_clean());
         assert_eq!(report.certified, 0);
         assert_eq!(report.no_certificate, 2);
@@ -299,7 +275,7 @@ mod tests {
         let flipped = format!("{:016x}", u64::from_str_radix(hex, 16).unwrap() ^ 1);
         let mutated = text.replacen(hex, &flipped, 1);
         assert_ne!(text, mutated);
-        let report = verify_artifact_cells(&mutated, &specs, &cfg).unwrap();
+        let report = verify(&mutated, &specs, &cfg);
         assert!(!report.is_clean(), "a flipped claim bit must be rejected");
     }
 
@@ -319,7 +295,7 @@ mod tests {
         let metric = |bits: &str| format!("{{\"bits\":\"{bits}\"");
         let mutated = text.replace(&metric(hex), &metric(&other));
         assert_ne!(text, mutated);
-        let report = verify_artifact_cells(&mutated, &specs, &cfg).unwrap();
+        let report = verify(&mutated, &specs, &cfg);
         assert!(
             report.bad.iter().any(|(_, why)| why.contains("lower")),
             "{:?}",
@@ -330,26 +306,13 @@ mod tests {
     #[test]
     fn failed_cells_are_unverifiable_not_skipped() {
         let (text, specs, cfg) = certified_artifact();
-        // Reserialize the first cell as failed (no values, no certificate),
-        // the way the artifact writer records a permanently panicking cell.
-        let doc = Json::parse(&text).unwrap();
-        let mut cells = doc.get("cells").unwrap().as_arr().unwrap().to_vec();
-        let id = cells[0].get("id").unwrap().as_str().unwrap().to_string();
-        cells[0] = Json::obj(vec![
-            ("id", Json::str(id)),
-            ("cached", Json::Bool(false)),
-            ("labels", Json::obj(vec![])),
-            ("values", Json::obj(vec![])),
-            ("texts", Json::obj(vec![])),
-            ("status", Json::str("failed")),
-            ("error", Json::str("induced")),
-        ]);
-        let Json::Obj(mut map) = doc else {
-            unreachable!()
-        };
-        map.insert("cells".into(), Json::Arr(cells));
-        let mutated = Json::Obj(map).to_string();
-        let report = verify_artifact_cells(&mutated, &specs, &cfg).unwrap();
+        // Mark the first cell failed (no values, no certificate), the way
+        // the artifact writer records a permanently panicking cell.
+        let mut artifact = parse_artifact(&text).unwrap();
+        let dead = &mut artifact.cells[0];
+        (dead.values, dead.certificate) = (Default::default(), None);
+        dead.error = Some("induced".into());
+        let report = verify_artifact_cells(&artifact, &specs, &cfg);
         assert_eq!(report.unverifiable.len(), 1);
         assert!(report.unverifiable[0].1.contains("failed"));
         assert_eq!(report.certified, 1);
@@ -362,16 +325,16 @@ mod tests {
         // Re-serialize the first certificate as a genuine budget-exhausted
         // block (digest recomputed — a raw text flip of the status would be
         // rejected as tampering, which is a different, also-tested path).
-        let doc = Json::parse(&text).unwrap();
-        let block = doc.get("cells").unwrap().as_arr().unwrap()[0]
-            .get("certificate")
+        let mut artifact = parse_artifact(&text).unwrap();
+        let block = artifact.cells[0]
+            .certificate
+            .as_mut()
             .expect("certified cell has a block");
         let mut cc = CellCertificate::from_json(block).unwrap();
         assert_eq!(cc.status, "converged");
         cc.status = "budget-exhausted".into();
-        let mutated = text.replacen(&block.to_string(), &cc.to_json().to_string(), 1);
-        assert_ne!(text, mutated, "certified cells record their solve status");
-        let report = verify_artifact_cells(&mutated, &specs, &cfg).unwrap();
+        *block = cc.to_json();
+        let report = verify_artifact_cells(&artifact, &specs, &cfg);
         assert_eq!(report.unverifiable.len(), 1);
         assert!(report.unverifiable[0].1.contains("budget"));
         assert_eq!(report.certified, 1);
@@ -381,7 +344,7 @@ mod tests {
     #[test]
     fn unknown_cell_id_is_bad() {
         let (text, _, cfg) = certified_artifact();
-        let report = verify_artifact_cells(&text, &HashMap::new(), &cfg).unwrap();
+        let report = verify(&text, &HashMap::new(), &cfg);
         assert_eq!(report.bad.len(), 2);
         assert!(report.bad[0].1.contains("expansion"));
     }

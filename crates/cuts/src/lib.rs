@@ -20,9 +20,7 @@
 //! * balanced bisections (for the bisection-bandwidth metric).
 
 pub mod estimators;
-pub mod refine;
 pub mod sparsity;
 
 pub use estimators::{estimate_sparsest_cut, CutEstimate, CutReport, Estimator, ALL_ESTIMATORS};
-pub use refine::{estimate_and_refine, refine_cut};
 pub use sparsity::{bisection_bandwidth, cut_sparsity, CutEvaluator};

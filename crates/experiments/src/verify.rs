@@ -3,14 +3,15 @@
 //! The core verifier ([`topobench::sweep::verify_artifact_cells`]) is
 //! scenario-agnostic: it needs the cell specs the artifact's ids refer to.
 //! This module supplies them by re-expanding the recorded scenario from the
-//! registry with the run parameters stored in the artifact (`full`, `seed`,
-//! `filter`), exactly like the original run did — so verification rebuilds
-//! each instance from its spec and never trusts the artifact's numbers.
+//! registry with the run parameters stored in the artifact (`full`, `seed`),
+//! exactly like the original run did — so verification rebuilds each
+//! instance from its spec and never trusts the artifact's numbers.
 
 use std::collections::HashMap;
 use std::path::Path;
-use topobench::sweep::json::Json;
-use topobench::sweep::{verify_artifact_cells, CellSpec, SweepOptions, VerifyReport};
+use topobench::sweep::{
+    artifact_files, parse_artifact, verify_artifact_cells, CellSpec, SweepOptions, VerifyReport,
+};
 
 /// Re-expands the scenario recorded in an artifact and verifies every cell.
 /// Errors are unusable inputs (IO, not an artifact, unknown scenario);
@@ -18,33 +19,25 @@ use topobench::sweep::{verify_artifact_cells, CellSpec, SweepOptions, VerifyRepo
 pub fn verify_artifact_file(path: &Path) -> Result<VerifyReport, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{} is not JSON: {e}", path.display()))?;
-    let name = doc
-        .get("scenario")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{} records no scenario name", path.display()))?;
-    let full = doc
-        .get("full")
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("{} records no 'full' flag", path.display()))?;
-    let seed: u64 = doc
-        .get("seed")
-        .and_then(Json::as_str)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("{} records no usable seed", path.display()))?;
+    let artifact = parse_artifact(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let name = &artifact.scenario;
     let scenario = crate::find_scenario(name)
         .ok_or_else(|| format!("{}: scenario '{name}' is not registered", path.display()))?;
 
     // Rebuild the grid with the recorded run parameters. The filter does not
     // change any cell's spec, so expanding the unfiltered grid always yields
     // a superset of the artifact's cells — which is all the verifier needs.
-    let mut sopts = SweepOptions::new(full, seed);
+    let mut sopts = SweepOptions::new(artifact.full, artifact.seed);
     sopts.certify = true;
     let specs: HashMap<String, CellSpec> = (scenario.build)(&sopts)
         .into_iter()
         .map(|c| (c.id, c.spec))
         .collect();
-    verify_artifact_cells(&text, &specs, &sopts.eval_config())
+    Ok(verify_artifact_cells(
+        &artifact,
+        &specs,
+        &sopts.eval_config(),
+    ))
 }
 
 /// One artifact's verification outcome in a directory sweep: the file name
@@ -54,24 +47,14 @@ pub type NamedReport = (String, Result<VerifyReport, String>);
 /// Verifies every `*.json` artifact in a directory (sorted by name).
 /// Returns one [`NamedReport`] per file; an empty directory is an error.
 pub fn verify_artifact_dir(dir: &Path) -> Result<Vec<NamedReport>, String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    let mut paths: Vec<_> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    paths.sort();
-    if paths.is_empty() {
+    let names = artifact_files(dir)?;
+    if names.is_empty() {
         return Err(format!("{} contains no *.json artifacts", dir.display()));
     }
-    Ok(paths
+    Ok(names
         .into_iter()
-        .map(|p| {
-            let name = p
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            let report = verify_artifact_file(&p);
+        .map(|name| {
+            let report = verify_artifact_file(&dir.join(&name));
             (name, report)
         })
         .collect())

@@ -10,7 +10,6 @@
 
 use std::fs;
 use std::path::PathBuf;
-use topobench::sweep::json::Json;
 use topobench::sweep::{
     artifact_json, cell_key, fnv1a, run_cells, validate_artifact, CellSet, CellSpec, ResultCache,
     SweepCell, SweepOptions, TopoSpec,
@@ -142,7 +141,7 @@ fn failure_sweep_survives_panic_corruption_and_disconnection() {
 fn budget_exhausted_certificates_are_unverifiable_never_certified() {
     use topobench::eval::evaluate;
     use topobench::flow::{SolveStatus, SolverWorkspace};
-    use topobench::sweep::{verify_cell, CellCertificate, CellVerdict};
+    use topobench::sweep::{verify_cell, ArtifactCell, CellCertificate, CellValues, CellVerdict};
 
     let spec = CellSpec::Throughput {
         topo: TopoSpec::Hypercube {
@@ -175,29 +174,25 @@ fn budget_exhausted_certificates_are_unverifiable_never_certified() {
     let (bounds, status, cert) = (e.bounds, e.status, e.certificate.unwrap());
     assert_eq!(status, SolveStatus::BudgetExhausted, "budget must run out");
 
-    // Serialize the cell the way the artifact writer would.
+    // The cell as `parse_artifact` reads it back from an artifact.
+    let artifact_cell = |bounds: topobench::flow::ThroughputBounds, cc: CellCertificate| {
+        let mut values = CellValues::default();
+        values.push("lower", bounds.lower);
+        values.push("upper", bounds.upper);
+        ArtifactCell {
+            id: "probe/budget".into(),
+            cached: false,
+            labels: Default::default(),
+            values,
+            error: None,
+            certificate: Some(cc.to_json()),
+        }
+    };
     let cc = CellCertificate {
         cert,
         status: status.label(),
     };
-    let cell = Json::obj(vec![
-        ("id", Json::str("probe/budget")),
-        (
-            "values",
-            Json::obj(vec![
-                (
-                    "lower",
-                    Json::obj(vec![("bits", Json::f64_bits(bounds.lower))]),
-                ),
-                (
-                    "upper",
-                    Json::obj(vec![("bits", Json::f64_bits(bounds.upper))]),
-                ),
-            ]),
-        ),
-        ("certificate", cc.to_json()),
-    ]);
-    let verdict = verify_cell(&cell, Some(&spec), &starved);
+    let verdict = verify_cell(&artifact_cell(bounds, cc), Some(&spec), &starved);
     let CellVerdict::Unverifiable(why) = verdict else {
         panic!("budget-exhausted cell must be unverifiable, got {verdict:?}");
     };
@@ -212,25 +207,8 @@ fn budget_exhausted_certificates_are_unverifiable_never_certified() {
         cert,
         status: status.label(),
     };
-    let cell = Json::obj(vec![
-        ("id", Json::str("probe/budget")),
-        (
-            "values",
-            Json::obj(vec![
-                (
-                    "lower",
-                    Json::obj(vec![("bits", Json::f64_bits(bounds.lower))]),
-                ),
-                (
-                    "upper",
-                    Json::obj(vec![("bits", Json::f64_bits(bounds.upper))]),
-                ),
-            ]),
-        ),
-        ("certificate", cc.to_json()),
-    ]);
     assert_eq!(
-        verify_cell(&cell, Some(&spec), &sane),
+        verify_cell(&artifact_cell(bounds, cc), Some(&spec), &sane),
         CellVerdict::Certified
     );
 }

@@ -159,13 +159,6 @@ pub struct FleischerConfig {
     /// graph-size-aware value. `Some(usize::MAX)` disables aggregation, and
     /// any explicit `Some` survives the auto-pick.
     pub aggregate_min_dests: Option<usize>,
-    /// Optional wall-clock budget in milliseconds, checked on the bound
-    /// evaluation cadence. A solve that exhausts it stops and reports
-    /// [`SolveStatus::BudgetExhausted`](crate::SolveStatus) with the best
-    /// bracketed bounds so far instead of looping on a pathological
-    /// instance. `None` (the default) keeps solves fully deterministic —
-    /// [`FleischerConfig::max_phases`] is the deterministic phase budget.
-    pub time_budget_ms: Option<u64>,
 }
 
 /// The aggregation threshold used when [`FleischerConfig::aggregate_min_dests`]
@@ -182,7 +175,6 @@ impl Default for FleischerConfig {
             max_phases: 20_000,
             check_interval: 8,
             aggregate_min_dests: None,
-            time_budget_ms: None,
         }
     }
 }
@@ -571,26 +563,6 @@ mod tests {
         assert!(!out.stats.converged);
         assert_eq!(out.stats.phases, 0);
         assert!(out.bounds.lower >= 0.0 && out.bounds.upper.is_finite());
-        assert!(out.bounds.lower <= out.bounds.upper + 1e-9);
-    }
-
-    #[test]
-    fn zero_time_budget_stops_early_with_valid_bounds() {
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let tm = tb_traffic::synthetic::all_to_all(&[1usize; 6]);
-        let cfg = FleischerConfig {
-            time_budget_ms: Some(0),
-            check_interval: 1,
-            target_gap: 1e-12,
-            ..FleischerConfig::default()
-        };
-        let out = FleischerSolver::new(cfg).solve_outcome(&g, &tm);
-        assert_eq!(out.status, crate::SolveStatus::BudgetExhausted);
-        assert_eq!(
-            out.stats.phases, 1,
-            "a zero budget stops at the first check"
-        );
-        assert!(out.bounds.upper.is_finite());
         assert!(out.bounds.lower <= out.bounds.upper + 1e-9);
     }
 

@@ -190,10 +190,6 @@ pub(super) fn solve_problem(
 
     let mut stats = SolveStats::default();
 
-    // The optional wall-clock budget; checked on the bound-evaluation
-    // cadence so the deterministic trajectory is untouched when unset.
-    let solve_start = cfg.time_budget_ms.map(|_| std::time::Instant::now());
-
     let mut flow_arc = vec![0.0f64; m];
     let mut routed: Vec<Vec<f64>> = ctx.demands.iter().map(|d| vec![0.0; d.len()]).collect();
     // Best bracket, window snapshots, averaged lengths and certificate
@@ -222,9 +218,9 @@ pub(super) fn solve_problem(
     }
 
     let mut phase = 0usize;
-    // Set by the two exits taken right after a bound evaluation (so the
-    // closing evaluation below would recompute the same bounds).
-    let mut early_exit: Option<&'static str> = None;
+    // Set by the exit taken right after a bound evaluation (so the closing
+    // evaluation below would recompute the same bounds).
+    let mut gap_exit = false;
     'phases: while phase < cfg.max_phases && !mwu.saturated() {
         for (si, routed_si) in routed.iter_mut().enumerate() {
             if mwu.saturated() {
@@ -265,14 +261,8 @@ pub(super) fn solve_problem(
                 &mut stats,
             );
             if best.upper.is_finite() && best.gap() <= cfg.target_gap {
-                early_exit = Some("gap");
+                gap_exit = true;
                 break 'phases;
-            }
-            if let (Some(budget_ms), Some(start)) = (cfg.time_budget_ms, solve_start) {
-                if start.elapsed().as_millis() >= u128::from(budget_ms) {
-                    early_exit = Some("time-budget");
-                    break 'phases;
-                }
             }
             if (phase / check_interval).is_power_of_two() {
                 best.snapshot(&flow_arc, &routed);
@@ -282,7 +272,7 @@ pub(super) fn solve_problem(
     stats.phases = phase;
 
     // Closing bound evaluation (unless the exit was taken right after one).
-    if early_exit.is_none() {
+    if !gap_exit {
         best.evaluate(
             &ctx, potentials, rev_lens, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool,
             &mut stats,
@@ -304,11 +294,13 @@ pub(super) fn solve_problem(
             stats.searches,
             stats.path_reuses,
             mwu.d_l(),
-            early_exit.unwrap_or(if mwu.saturated() {
+            if gap_exit {
+                "gap"
+            } else if mwu.saturated() {
                 "saturated"
             } else {
                 "phase-budget"
-            }),
+            },
             if stats.lower_from_window {
                 "window"
             } else {
@@ -324,8 +316,8 @@ pub(super) fn solve_problem(
 
     // Converged = the accuracy contract held when the loop ended: either the
     // classical FPTAS termination (`D(l) >= 1`, the (1±ε) guarantee) or the
-    // target bound gap. A solve that merely ran out of its phase or time
-    // budget reports `converged: false`, which the outcome layer maps to
+    // target bound gap. A solve that merely ran out of its phase budget
+    // reports `converged: false`, which the outcome layer maps to
     // `SolveStatus::BudgetExhausted`.
     stats.converged = mwu.saturated() || best.upper <= 0.0 || best.gap() <= cfg.target_gap;
     // Undo the demand pre-scaling: bounds computed for demands d*scale are

@@ -100,7 +100,7 @@ impl ThroughputBounds {
 pub enum SolveStatus {
     /// The bounds bracket the optimum within the solver's accuracy contract.
     Converged,
-    /// The phase/time budget ran out first; the bounds are the best
+    /// The phase budget ran out first; the bounds are the best
     /// (1±ε)-bracketed values seen so far.
     BudgetExhausted,
     /// Some demand pairs were disconnected and dropped before solving; the
