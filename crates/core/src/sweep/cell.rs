@@ -953,8 +953,8 @@ mod tests {
     fn degradation_without_faults_is_exactly_unity() {
         let spec = degradation_spec(0.0, 0);
         let v = spec.compute(&EvalConfig::fast(), &mut SolverWorkspace::new());
-        for i in 0..3 {
-            assert_eq!(v.num(&format!("ratio_{i}")).to_bits(), 1.0f64.to_bits());
+        for ratio in ["ratio_0", "ratio_1", "ratio_2"] {
+            assert_eq!(v.num(ratio).to_bits(), 1.0f64.to_bits());
         }
         assert_eq!(v.num("rel_mean").to_bits(), 1.0f64.to_bits());
         assert_eq!(v.num("degraded_draws"), 0.0);

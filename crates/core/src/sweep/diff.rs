@@ -5,8 +5,9 @@
 //! scenario at the same seed must agree bit for bit, and any drift — a
 //! solver change, a seeding change, a reordered reduction — is visible as a
 //! classified difference. [`diff_artifacts`] matches cells by their stable
-//! ids and classifies each as bit-identical, within a relative tolerance,
-//! value drift, added, removed, or a label/schema change; [`diff_dirs`]
+//! ids and classifies each as bit-identical, value drift, added, removed, or
+//! a label/schema/status change; there is no tolerance, since results are a
+//! pure function of the spec on any machine and thread count. [`diff_dirs`]
 //! applies the comparison to whole artifact directories (e.g. a fresh
 //! `results/` against a committed baseline).
 //!
@@ -23,34 +24,14 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// Options controlling artifact comparison.
-#[derive(Debug, Clone)]
-pub struct DiffOptions {
-    /// Maximum relative difference `|new - old| / max(|old|, |new|)` under
-    /// which a non-bit-identical value still passes. `0.0` (the default)
-    /// demands bit-exact values.
-    pub tolerance: f64,
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        DiffOptions { tolerance: 0.0 }
-    }
-}
-
 /// How one cell differs between two artifacts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChangeKind {
     /// Every metric bit-identical, texts and labels equal.
     BitIdentical,
-    /// Values differ but every relative difference is within tolerance.
-    WithinTolerance {
-        /// Largest relative difference observed.
-        max_rel: f64,
-    },
-    /// At least one metric drifted beyond tolerance.
+    /// At least one metric is not bit-identical.
     ValueDrift {
-        /// The worst-drifting metric.
+        /// The metric with the largest relative change.
         metric: String,
         /// Its old value.
         old: f64,
@@ -103,8 +84,6 @@ pub struct ArtifactDiff {
     pub compared: usize,
     /// Compared cells that are bit-identical.
     pub bit_identical: usize,
-    /// Compared cells that pass only via the tolerance.
-    pub within_tolerance: usize,
     /// All non-bit-identical changes, in artifact order.
     pub changes: Vec<CellChange>,
     /// Run-configuration mismatches (seed/scale); these are regressions.
@@ -125,14 +104,12 @@ impl ArtifactDiff {
     /// Compact human-readable report.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let drifted = self.changes.iter().filter(|c| c.regression).count();
         let _ = writeln!(
             out,
-            "{}: {} cells compared | {} bit-identical, {} within tolerance | {}",
+            "{}: {} cells compared | {} bit-identical | {}",
             self.scenario,
             self.compared,
             self.bit_identical,
-            self.within_tolerance,
             if self.regressions() == 0 {
                 "OK".to_string()
             } else {
@@ -143,23 +120,9 @@ impl ArtifactDiff {
             let _ = writeln!(out, "  ! {note}");
         }
         const MAX_LISTED: usize = 40;
-        // When there are failures, drop within-tolerance entries up front so
-        // the report (and its truncation count) covers only failures.
-        let display: Vec<&CellChange> = self
-            .changes
-            .iter()
-            .filter(|c| !(matches!(c.kind, ChangeKind::WithinTolerance { .. }) && drifted > 0))
-            .collect();
-        for change in display.iter().take(MAX_LISTED) {
+        for change in self.changes.iter().take(MAX_LISTED) {
             match &change.kind {
                 ChangeKind::BitIdentical => {}
-                ChangeKind::WithinTolerance { max_rel } => {
-                    let _ = writeln!(
-                        out,
-                        "  ~ {}: within tolerance (max rel diff {max_rel:.3e})",
-                        change.id
-                    );
-                }
                 ChangeKind::ValueDrift { metric, old, new } => {
                     let _ = writeln!(out, "  ~ {}: {metric} {old:?} -> {new:?}", change.id);
                 }
@@ -180,8 +143,8 @@ impl ArtifactDiff {
                 }
             }
         }
-        if display.len() > MAX_LISTED {
-            let _ = writeln!(out, "  … and {} more", display.len() - MAX_LISTED);
+        if self.changes.len() > MAX_LISTED {
+            let _ = writeln!(out, "  … and {} more", self.changes.len() - MAX_LISTED);
         }
         out
     }
@@ -195,7 +158,7 @@ fn status(cell: &ArtifactCell) -> &'static str {
     }
 }
 
-fn classify(old: &ArtifactCell, new: &ArtifactCell, tolerance: f64) -> ChangeKind {
+fn classify(old: &ArtifactCell, new: &ArtifactCell) -> ChangeKind {
     // A status flip outranks everything else: a newly-failed cell also lost
     // its metrics, and reporting that as a schema change would bury the
     // actual problem.
@@ -252,9 +215,6 @@ fn classify(old: &ArtifactCell, new: &ArtifactCell, tolerance: f64) -> ChangeKin
         max_rel = max_rel.max(rel);
     }
     if let Some((metric, old_v, new_v)) = worst {
-        if max_rel <= tolerance {
-            return ChangeKind::WithinTolerance { max_rel };
-        }
         return ChangeKind::ValueDrift {
             metric,
             old: old_v,
@@ -288,11 +248,7 @@ fn classify(old: &ArtifactCell, new: &ArtifactCell, tolerance: f64) -> ChangeKin
 
 /// Diffs two artifact documents of the same scenario, matching cells by id.
 /// A document that fails [`parse_artifact`] is an error, not a difference.
-pub fn diff_artifacts(
-    old_text: &str,
-    new_text: &str,
-    opts: &DiffOptions,
-) -> Result<ArtifactDiff, String> {
+pub fn diff_artifacts(old_text: &str, new_text: &str) -> Result<ArtifactDiff, String> {
     let old = parse_artifact(old_text)?;
     let new = parse_artifact(new_text)?;
     if old.scenario != new.scenario {
@@ -324,7 +280,6 @@ pub fn diff_artifacts(
         scenario: new.scenario.clone(),
         compared: 0,
         bit_identical: 0,
-        within_tolerance: 0,
         changes: Vec::new(),
         notes,
     };
@@ -335,16 +290,8 @@ pub fn diff_artifacts(
         match new_by_id.get(id.as_str()) {
             Some(new_cell) => {
                 diff.compared += 1;
-                match classify(old_cell, new_cell, opts.tolerance) {
+                match classify(old_cell, new_cell) {
                     ChangeKind::BitIdentical => diff.bit_identical += 1,
-                    ChangeKind::WithinTolerance { max_rel } => {
-                        diff.within_tolerance += 1;
-                        diff.changes.push(CellChange {
-                            id: id.clone(),
-                            kind: ChangeKind::WithinTolerance { max_rel },
-                            regression: false,
-                        });
-                    }
                     kind => diff.changes.push(CellChange {
                         id: id.clone(),
                         kind,
@@ -383,12 +330,12 @@ pub fn diff_artifacts(
 }
 
 /// Diffs two artifact files.
-pub fn diff_files(old: &Path, new: &Path, opts: &DiffOptions) -> Result<ArtifactDiff, String> {
+pub fn diff_files(old: &Path, new: &Path) -> Result<ArtifactDiff, String> {
     let old_text =
         std::fs::read_to_string(old).map_err(|e| format!("cannot read {}: {e}", old.display()))?;
     let new_text =
         std::fs::read_to_string(new).map_err(|e| format!("cannot read {}: {e}", new.display()))?;
-    diff_artifacts(&old_text, &new_text, opts)
+    diff_artifacts(&old_text, &new_text)
 }
 
 /// The result of diffing two artifact directories.
@@ -438,7 +385,7 @@ impl DirDiff {
 /// Diffs every `*.json` artifact in `new_dir` against its same-named
 /// counterpart in `old_dir` (non-recursive; cache subdirectories and CSVs
 /// are ignored).
-pub fn diff_dirs(old_dir: &Path, new_dir: &Path, opts: &DiffOptions) -> Result<DirDiff, String> {
+pub fn diff_dirs(old_dir: &Path, new_dir: &Path) -> Result<DirDiff, String> {
     let old_names = artifact_files(old_dir)?;
     let new_names = artifact_files(new_dir)?;
     let mut result = DirDiff {
@@ -448,7 +395,7 @@ pub fn diff_dirs(old_dir: &Path, new_dir: &Path, opts: &DiffOptions) -> Result<D
     };
     for name in &old_names {
         if new_names.contains(name) {
-            let diff = diff_files(&old_dir.join(name), &new_dir.join(name), opts)
+            let diff = diff_files(&old_dir.join(name), &new_dir.join(name))
                 .map_err(|e| format!("{name}: {e}"))?;
             result.diffs.push((name.clone(), diff));
         } else {
@@ -517,7 +464,7 @@ mod tests {
     #[test]
     fn identical_artifacts_diff_clean() {
         let a = artifact(vec![cell("a", &[("x", 0.1 + 0.2)], &[("p", "v")])], None);
-        let diff = diff_artifacts(&a, &a, &DiffOptions::default()).unwrap();
+        let diff = diff_artifacts(&a, &a).unwrap();
         assert!(diff.is_clean());
         assert_eq!(diff.compared, 1);
         assert_eq!(diff.bit_identical, 1);
@@ -526,17 +473,19 @@ mod tests {
 
     #[test]
     fn value_drift_is_a_regression_and_tolerance_forgives() {
-        let old = artifact(vec![cell("a", &[("x", 1.0)], &[])], None);
-        let new = artifact(vec![cell("a", &[("x", 1.0 + 1e-9)], &[])], None);
-        let strict = diff_artifacts(&old, &new, &DiffOptions::default()).unwrap();
-        assert_eq!(strict.regressions(), 1);
+        // No relative difference is forgiven, however small; the report
+        // names the metric that moved the most.
+        let old = artifact(vec![cell("a", &[("x", 1.0), ("y", 1.0)], &[])], None);
+        let new = artifact(
+            vec![cell("a", &[("x", 1.0 + 1e-9), ("y", 1.0 + 1e-6)], &[])],
+            None,
+        );
+        let diff = diff_artifacts(&old, &new).unwrap();
+        assert_eq!(diff.regressions(), 1);
         assert!(matches!(
-            strict.changes[0].kind,
-            ChangeKind::ValueDrift { .. }
+            &diff.changes[0].kind,
+            ChangeKind::ValueDrift { metric, .. } if metric == "y"
         ));
-        let lax = diff_artifacts(&old, &new, &DiffOptions { tolerance: 1e-6 }).unwrap();
-        assert!(lax.is_clean());
-        assert_eq!(lax.within_tolerance, 1);
     }
 
     #[test]
@@ -549,7 +498,7 @@ mod tests {
             vec![cell("a", &[("x", 1.0)], &[]), cell("c", &[("x", 3.0)], &[])],
             None,
         );
-        let diff = diff_artifacts(&old, &new, &DiffOptions::default()).unwrap();
+        let diff = diff_artifacts(&old, &new).unwrap();
         assert_eq!(diff.regressions(), 2);
         let kinds: Vec<&ChangeKind> = diff.changes.iter().map(|c| &c.kind).collect();
         assert!(kinds.contains(&&ChangeKind::Removed));
@@ -564,11 +513,11 @@ mod tests {
         );
         let partial = artifact(vec![cell("a", &[("x", 1.0)], &[])], Some("a"));
         // Partial new side: missing 'b' is not a removal regression.
-        let diff = diff_artifacts(&complete, &partial, &DiffOptions::default()).unwrap();
+        let diff = diff_artifacts(&complete, &partial).unwrap();
         assert!(diff.is_clean(), "{}", diff.render());
         assert_eq!(diff.compared, 1);
         // Partial old side: extra 'b' in new is not an addition regression.
-        let diff = diff_artifacts(&partial, &complete, &DiffOptions::default()).unwrap();
+        let diff = diff_artifacts(&partial, &complete).unwrap();
         assert!(diff.is_clean(), "{}", diff.render());
     }
 
@@ -579,13 +528,13 @@ mod tests {
         // the diff must not report success.
         let a = artifact(vec![cell("a", &[("x", 1.0)], &[])], Some("a"));
         let b = artifact(vec![cell("b", &[("x", 2.0)], &[])], Some("b"));
-        let diff = diff_artifacts(&a, &b, &DiffOptions::default()).unwrap();
+        let diff = diff_artifacts(&a, &b).unwrap();
         assert_eq!(diff.compared, 0);
         assert!(!diff.is_clean());
         assert!(diff.render().contains("no cells in common"));
         // Two genuinely empty artifacts still diff clean.
         let empty = artifact(vec![], None);
-        let diff = diff_artifacts(&empty, &empty, &DiffOptions::default()).unwrap();
+        let diff = diff_artifacts(&empty, &empty).unwrap();
         assert!(diff.is_clean());
     }
 
@@ -593,7 +542,7 @@ mod tests {
     fn label_and_schema_changes_are_flagged() {
         let old = artifact(vec![cell("a", &[("x", 1.0)], &[("p", "old")])], None);
         let relabeled = artifact(vec![cell("a", &[("x", 1.0)], &[("p", "new")])], None);
-        let diff = diff_artifacts(&old, &relabeled, &DiffOptions::default()).unwrap();
+        let diff = diff_artifacts(&old, &relabeled).unwrap();
         assert_eq!(diff.regressions(), 1);
         assert!(matches!(
             diff.changes[0].kind,
@@ -601,7 +550,7 @@ mod tests {
         ));
 
         let reshaped = artifact(vec![cell("a", &[("y", 1.0)], &[("p", "old")])], None);
-        let diff = diff_artifacts(&old, &reshaped, &DiffOptions::default()).unwrap();
+        let diff = diff_artifacts(&old, &reshaped).unwrap();
         assert!(matches!(
             diff.changes[0].kind,
             ChangeKind::SchemaChange { .. }
@@ -614,7 +563,7 @@ mod tests {
         let mut dead = cell("a", &[], &[]);
         dead.error = Some("boom".into());
         let failed = artifact(vec![dead], None);
-        let diff = diff_artifacts(&healthy, &failed, &DiffOptions::default()).unwrap();
+        let diff = diff_artifacts(&healthy, &failed).unwrap();
         assert_eq!(diff.regressions(), 1);
         assert!(matches!(
             &diff.changes[0].kind,
@@ -622,15 +571,15 @@ mod tests {
         ));
         assert!(diff.render().contains("status ok -> failed"));
         // The reverse direction (a failure fixed) is also a flagged change.
-        let diff = diff_artifacts(&failed, &healthy, &DiffOptions::default()).unwrap();
+        let diff = diff_artifacts(&failed, &healthy).unwrap();
         assert_eq!(diff.regressions(), 1);
         // Identically-failed cells diff clean (no false churn while broken).
-        let diff = diff_artifacts(&failed, &failed, &DiffOptions::default()).unwrap();
+        let diff = diff_artifacts(&failed, &failed).unwrap();
         assert!(diff.is_clean());
         // A status injected without an error message fails validation: an
         // error (exit 2), not a difference.
         let unexplained = healthy.replace("\"id\":\"a\"", "\"id\":\"a\",\"status\":\"failed\"");
-        let err = diff_artifacts(&healthy, &unexplained, &DiffOptions::default()).unwrap_err();
+        let err = diff_artifacts(&healthy, &unexplained).unwrap_err();
         assert!(err.contains("'error' must be a failure message"), "{err}");
     }
 
@@ -648,7 +597,7 @@ mod tests {
             failed_cells: 0,
         };
         let b = artifact_json("test", "Test", &opts, &report, &RenderOutput::default()).to_string();
-        let diff = diff_artifacts(&a, &b, &DiffOptions::default()).unwrap();
+        let diff = diff_artifacts(&a, &b).unwrap();
         assert_eq!(diff.regressions(), 1);
         assert!(diff.render().contains("seeds differ"));
     }
@@ -657,8 +606,8 @@ mod tests {
     fn scenario_mismatch_is_an_error() {
         let a = artifact(vec![], None);
         let b = a.replace("\"scenario\":\"test\"", "\"scenario\":\"other\"");
-        assert!(diff_artifacts(&a, &b, &DiffOptions::default()).is_err());
-        assert!(diff_artifacts(&a, "{}", &DiffOptions::default()).is_err());
+        assert!(diff_artifacts(&a, &b).is_err());
+        assert!(diff_artifacts(&a, "{}").is_err());
     }
 
     #[test]
@@ -674,7 +623,7 @@ mod tests {
         std::fs::write(old_dir.join("gone.json"), &a).unwrap();
         std::fs::write(new_dir.join("fresh.json"), &a).unwrap();
         std::fs::write(new_dir.join("not-an-artifact.csv"), "x,y").unwrap();
-        let diff = diff_dirs(&old_dir, &new_dir, &DiffOptions::default()).unwrap();
+        let diff = diff_dirs(&old_dir, &new_dir).unwrap();
         assert_eq!(diff.diffs.len(), 1);
         assert_eq!(diff.only_old, vec!["gone.json".to_string()]);
         assert_eq!(diff.only_new, vec!["fresh.json".to_string()]);

@@ -38,8 +38,7 @@ pub use artifact::{
 pub use cache::{fnv1a, ResultCache, CELL_SCHEMA};
 pub use cell::{CellCertificate, CellSpec, CellValues, FbMatrix, SweepCell};
 pub use diff::{
-    diff_artifacts, diff_dirs, diff_files, ArtifactDiff, CellChange, ChangeKind, DiffOptions,
-    DirDiff,
+    diff_artifacts, diff_dirs, diff_files, ArtifactDiff, CellChange, ChangeKind, DirDiff,
 };
 /// The worker pool's cumulative scheduling counters (jobs run, jobs run by a
 /// thread other than the one that queued them, per-thread time in jobs), for
@@ -59,7 +58,8 @@ pub struct Scenario {
     pub title: &'static str,
     /// Expands the cell grid for the given options.
     pub build: fn(&SweepOptions) -> Vec<SweepCell>,
-    /// Renders tables from a complete (unfiltered) set of outcomes.
+    /// Renders tables from a complete, healthy set of outcomes: every cell
+    /// `build` expanded, none failed (see [`run_scenario`]).
     pub render: fn(&SweepOptions, &CellSet) -> RenderOutput,
 }
 
@@ -74,8 +74,9 @@ impl std::fmt::Debug for Scenario {
 
 /// Runs a scenario end to end: expand, execute, render.
 ///
-/// With a cell filter active the scenario renderer is skipped (it assumes a
-/// complete grid) and a generic per-cell metric dump is rendered instead.
+/// The scenario renderer only ever sees a complete, healthy grid: with a
+/// cell filter active, or when any cell failed, a generic per-cell metric
+/// dump is rendered instead (a failed cell is one `status | failed` row).
 pub fn run_scenario(scenario: &Scenario, opts: &SweepOptions) -> (SweepReport, RenderOutput) {
     // Widen the build-counter window over expansion and rendering too:
     // both run on construction-free topology metadata, so a fully cache-hot
@@ -83,8 +84,8 @@ pub fn run_scenario(scenario: &Scenario, opts: &SweepOptions) -> (SweepReport, R
     let builds_before = tb_topology::constructions();
     let cells = (scenario.build)(opts);
     let mut report = run_cells(opts, cells);
-    let render = if opts.filter.is_some() {
-        render_cell_dump(scenario, &report)
+    let render = if opts.filter.is_some() || report.failed_cells > 0 {
+        render_cell_dump(scenario, opts, &report)
     } else {
         let set = CellSet::new(&report.outcomes);
         (scenario.render)(opts, &set)
@@ -93,18 +94,32 @@ pub fn run_scenario(scenario: &Scenario, opts: &SweepOptions) -> (SweepReport, R
     (report, render)
 }
 
-fn render_cell_dump(scenario: &Scenario, report: &SweepReport) -> RenderOutput {
+fn render_cell_dump(
+    scenario: &Scenario,
+    opts: &SweepOptions,
+    report: &SweepReport,
+) -> RenderOutput {
+    let why = if opts.filter.is_some() {
+        "filtered"
+    } else {
+        "partly failed"
+    };
     let mut table = Table::new(
-        format!("{}: filtered cell results", scenario.name),
+        format!("{}: {why} cell results", scenario.name),
         &["cell", "metric", "value", "cached"],
     );
     for o in &report.outcomes {
+        let cached = o.cached.to_string();
+        if o.is_failed() {
+            let row = [&o.cell.id, "status", "failed", &cached];
+            table.row_strings(row.map(str::to_string).into());
+        }
         for (name, value) in o.values.nums() {
             table.row_strings(vec![
                 o.cell.id.clone(),
                 name.clone(),
                 format!("{value:.6}"),
-                o.cached.to_string(),
+                cached.clone(),
             ]);
         }
     }
@@ -174,5 +189,46 @@ mod tests {
         assert_eq!(report.outcomes.len(), 1);
         assert_eq!(render.tables[0].name, "test_cells");
         assert!(render.tables[0].table.num_rows() >= 1);
+    }
+
+    /// A cell that panics twice reaches no renderer (which would panic on its
+    /// missing values and lose the run): the run renders the cell dump, with
+    /// the failed cell as one `status | failed` row, and its artifact
+    /// validates.
+    #[test]
+    fn failed_cell_renders_cell_dump() {
+        let mut scenario = test_scenario();
+        scenario.build = |opts| {
+            let mut cells = (test_scenario().build)(opts);
+            cells.push(SweepCell::new(
+                "probe/dead",
+                CellSpec::PanicProbe { fail_attempts: 2 },
+            ));
+            cells
+        };
+        scenario.render = |_, set| {
+            let mut table = Table::new("t", &["v"]);
+            for o in set.outcomes() {
+                table.row_strings(vec![f3(set.num(&o.cell.id, "lower"))]);
+            }
+            RenderOutput {
+                tables: vec![NamedTable {
+                    name: "t".into(),
+                    table,
+                }],
+                ..RenderOutput::default()
+            }
+        };
+        let mut opts = SweepOptions::new(false, 1);
+        opts.use_cache = false;
+        let (report, render) = run_scenario(&scenario, &opts);
+        assert_eq!(report.failed_cells, 1);
+        let dump = &render.tables[0];
+        assert_eq!(dump.name, "test_cells");
+        assert_eq!(dump.table.title(), "test: partly failed cell results");
+        let status = ["probe/dead", "status", "failed", "false"].map(str::to_string);
+        assert!(dump.table.rows().contains(&status.to_vec()));
+        let doc = artifact_json(scenario.name, scenario.title, &opts, &report, &render);
+        validate_artifact(&doc.to_string()).expect("a run with a failed cell must validate");
     }
 }

@@ -308,7 +308,8 @@ impl<'a> CellSet<'a> {
     ///
     /// # Panics
     /// Panics when the id is unknown — a scenario wiring bug (renderers are
-    /// only invoked on unfiltered runs, so every expanded cell is present).
+    /// only invoked on unfiltered runs, so every expanded cell is present,
+    /// and on runs with no failed cell, so every one has its values).
     pub fn outcome(&self, id: &str) -> &'a CellOutcome {
         let i = *self
             .by_id
@@ -320,19 +321,6 @@ impl<'a> CellSet<'a> {
     /// Shorthand: the named metric of the cell with this id.
     pub fn num(&self, id: &str, metric: &str) -> f64 {
         self.outcome(id).values.num(metric)
-    }
-
-    /// Non-panicking [`outcome`](Self::outcome): `None` for unknown ids.
-    /// Status-aware renderers use this together with [`try_num`](Self::try_num)
-    /// so a failed cell degrades to a marked table row instead of a panic.
-    pub fn try_outcome(&self, id: &str) -> Option<&'a CellOutcome> {
-        self.by_id.get(id).map(|&i| &self.outcomes[i])
-    }
-
-    /// Non-panicking [`num`](Self::num): `None` when the cell is unknown,
-    /// failed, or lacks the metric.
-    pub fn try_num(&self, id: &str, metric: &str) -> Option<f64> {
-        self.try_outcome(id)?.values.get(metric)
     }
 }
 
@@ -409,15 +397,6 @@ mod tests {
     fn cell_set_unknown_id_panics() {
         let outcomes = [];
         CellSet::new(&outcomes).outcome("nope");
-    }
-
-    #[test]
-    fn cell_set_try_accessors_do_not_panic() {
-        let report = run_cells(&no_cache_opts(), tiny_cells());
-        let set = CellSet::new(&report.outcomes);
-        assert!(set.try_outcome("nope").is_none());
-        assert!(set.try_num("cube/A2A", "nope").is_none());
-        assert!(set.try_num("cube/A2A", "lower").unwrap() > 0.0);
     }
 
     #[test]

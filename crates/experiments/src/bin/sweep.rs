@@ -11,7 +11,6 @@
 //!
 //! sweep diff results/golden/fig02.json results/fig02.json
 //! sweep diff --all results/golden/ results/
-//! sweep diff --tolerance 1e-9 old.json new.json
 //!
 //! sweep --scenario fig02 --certify     # attach optimality certificates
 //! sweep verify results/fig02.json      # re-check the stored certificates
@@ -34,16 +33,16 @@
 //! and the construction-free metadata layer work end to end.
 //!
 //! `sweep diff` compares two artifacts (or, with `--all`, two artifact
-//! directories) cell by cell: values must match bit for bit (or within
-//! `--tolerance`), and added/removed cells, label changes and schema changes
-//! are reported. Exit status: 0 clean, 1 regressions, 2 usage/IO errors.
+//! directories) cell by cell: values must match bit for bit, and
+//! added/removed cells, label changes and schema changes are reported.
+//! Exit status: 0 clean, 1 regressions, 2 usage/IO errors.
 //!
 //! `sweep verify` independently re-checks the optimality certificates stored
 //! by a `--certify` run: each certified cell's instance is rebuilt from its
 //! spec and the evidence re-verified bit for bit (same exit convention).
 
 use experiments::{find_scenario, registry, run_and_emit, RunOptions};
-use topobench::sweep::{diff_dirs, diff_files, pool_stats, DiffOptions, PoolStats, Scenario};
+use topobench::sweep::{diff_dirs, diff_files, pool_stats, PoolStats, Scenario};
 
 fn print_index() {
     println!("Registered scenarios (run with --scenario <name>):\n");
@@ -51,36 +50,20 @@ fn print_index() {
         println!("  {:<14} {}", s.name, s.title);
     }
     println!("\nCells are cached under results/cache/; artifacts go to results/<name>.json.");
-    println!("Compare artifacts with: sweep diff [--all] [--tolerance X] <old> <new>");
+    println!("Compare artifacts with: sweep diff [--all] <old> <new>");
 }
 
 fn run_diff(args: &[String]) -> i32 {
     let mut all = false;
-    let mut tolerance = 0.0f64;
     let mut paths: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    for arg in args {
+        match arg.as_str() {
             "--all" => all = true,
-            "--tolerance" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    eprintln!("error: --tolerance requires a value");
-                    return 2;
-                };
-                match v.parse::<f64>() {
-                    Ok(t) if t >= 0.0 => tolerance = t,
-                    _ => {
-                        eprintln!("error: --tolerance requires a non-negative number, got '{v}'");
-                        return 2;
-                    }
-                }
-            }
             "--help" | "-h" => {
                 println!(
-                    "Usage: sweep diff [--all] [--tolerance X] <old> <new>\n\n\
-                     Compares two topobench-sweep/v1 artifacts cell by cell (bit-exact by\n\
-                     default). With --all, <old> and <new> are directories and every *.json\n\
+                    "Usage: sweep diff [--all] <old> <new>\n\n\
+                     Compares two topobench-sweep/v1 artifacts cell by cell, bit for bit.\n\
+                     With --all, <old> and <new> are directories and every *.json\n\
                      artifact present in both is compared; artifacts missing from <new> are\n\
                      regressions. Exit status: 0 clean, 1 regressions, 2 usage/IO errors."
                 );
@@ -92,15 +75,13 @@ fn run_diff(args: &[String]) -> i32 {
             }
             path => paths.push(path),
         }
-        i += 1;
     }
     let [old, new] = paths.as_slice() else {
         eprintln!("error: sweep diff requires exactly two paths (old, new); see sweep diff --help");
         return 2;
     };
-    let opts = DiffOptions { tolerance };
     if all {
-        match diff_dirs(old.as_ref(), new.as_ref(), &opts) {
+        match diff_dirs(old.as_ref(), new.as_ref()) {
             Ok(diff) => {
                 print!("{}", diff.render());
                 if diff.is_clean() {
@@ -117,7 +98,7 @@ fn run_diff(args: &[String]) -> i32 {
             }
         }
     } else {
-        match diff_files(old.as_ref(), new.as_ref(), &opts) {
+        match diff_files(old.as_ref(), new.as_ref()) {
             Ok(diff) => {
                 print!("{}", diff.render());
                 if diff.is_clean() {
@@ -290,8 +271,8 @@ fn main() {
         fail("--scenario <name> (or --list) is required");
     };
     if opts.write_golden {
-        // The committed goldens are complete reduced-scale seed-1 artifacts
-        // (`golden_artifacts` / `engine_golden` pin them as such); anything
+        // The committed goldens are complete, uncertified, reduced-scale
+        // seed-1 artifacts (`golden_artifacts` pins them as such); anything
         // else would silently overwrite them with a different spec.
         let refused = if opts.sweep.filter.is_some() {
             Some("--filter (partial artifacts are not golden)")
@@ -299,6 +280,8 @@ fn main() {
             Some("--full (goldens are reduced-scale)")
         } else if opts.sweep.seed != 1 {
             Some("a --seed other than 1 (goldens are seed 1)")
+        } else if opts.sweep.certify {
+            Some("--certify (goldens carry no certificates)")
         } else {
             None
         };

@@ -3,10 +3,13 @@
 //!
 //! Each scenario is a `build` function (expands the cell grid, pinning every
 //! seed from the run options) and a `render` function (turns the completed
-//! cells back into the figure's tables). Renderers only read cell results and
-//! cheap topology metadata captured as labels at expansion time — all solver
-//! work happens in the cells, where it is deduplicated, parallelized and
-//! cached.
+//! cells back into the figure's tables). Where a table's rows are
+//! consecutive cells, the grid is stated once, as a list of `Row`s: `build`
+//! emits their cells and `render` walks the same rows, looking each cell up
+//! by the id it already holds. Renderers only read cell results and cheap
+//! construction-free topology metadata — all solver work happens in the
+//! cells, where it is deduplicated, parallelized and cached — and only ever
+//! see a complete, healthy grid (the engine prints a cell dump otherwise).
 
 use tb_cuts::ALL_ESTIMATORS;
 use tb_flow::ThroughputBounds;
@@ -14,8 +17,8 @@ use tb_topology::families::ALL_FAMILIES;
 use tb_topology::hyperx::design_search;
 use tb_topology::natural::natural_meta;
 use topobench::sweep::{
-    f3, CellSet, CellSpec, FbMatrix, NamedTable, RenderOutput, Scenario, SweepCell, SweepOptions,
-    Table, TopoSpec,
+    f3, CellOutcome, CellSet, CellSpec, FbMatrix, NamedTable, RenderOutput, Scenario, SweepCell,
+    SweepOptions, Table, TopoSpec,
 };
 use topobench::{lower_bound_from, TmSpec};
 
@@ -25,7 +28,7 @@ pub fn registry() -> Vec<Scenario> {
         Scenario {
             name: "fig02",
             title: "Figure 2: absolute throughput of TM families vs topology degree",
-            build: fig02_build,
+            build: |opts| cells_of(fig02_rows(opts)),
             render: fig02_render,
         },
         Scenario {
@@ -37,7 +40,7 @@ pub fn registry() -> Vec<Scenario> {
         Scenario {
             name: "fig04",
             title: "Figure 4: throughput normalized to the theoretical lower bound",
-            build: fig04_build,
+            build: |opts| cells_of(fig04_rows(opts)),
             render: fig04_render,
         },
         Scenario {
@@ -55,31 +58,35 @@ pub fn registry() -> Vec<Scenario> {
         Scenario {
             name: "fig08",
             title: "Figure 8: Long Hop relative throughput under longest matching",
-            build: fig08_build,
+            build: |opts| cells_of(fig08_rows(opts)),
             render: fig08_render,
         },
         Scenario {
             name: "fig09",
             title: "Figure 9: Slim Fly relative throughput and relative path length",
-            build: fig09_build,
+            build: |opts| cells_of(fig09_rows(opts)),
             render: fig09_render,
         },
         Scenario {
             name: "fig10_11",
             title: "Figures 10/11: relative throughput vs percentage of large flows",
-            build: fig10_11_build,
+            build: |opts| cells_of(fig10_11_rows(opts)),
             render: fig10_11_render,
         },
         Scenario {
             name: "fig12",
             title: "Figure 12: absolute throughput vs percentage of large flows",
-            build: fig12_build,
+            build: |opts| cells_of(fig12_rows(opts)),
             render: fig12_render,
         },
         Scenario {
             name: "fig13_14",
             title: "Figures 13/14: real-world (Facebook) TMs, sampled vs shuffled placement",
-            build: fig13_14_build,
+            build: |opts| {
+                (FIG13_MATRICES.iter())
+                    .flat_map(|&(matrix, tag, _)| cells_of(fig13_14_rows(opts, matrix, tag)))
+                    .collect()
+            },
             render: fig13_14_render,
         },
         Scenario {
@@ -91,143 +98,177 @@ pub fn registry() -> Vec<Scenario> {
         Scenario {
             name: "table02",
             title: "Table II: sparsest-cut estimators vs throughput",
-            build: table02_build,
+            build: |opts| cells_of(table02_rows(opts)),
             render: table02_render,
         },
         Scenario {
             name: "theorem1_demo",
             title: "Theorem 1 demo: sparsest cut can rank networks opposite to throughput",
-            build: theorem1_build,
+            build: |opts| cells_of(theorem1_rows(opts)),
             render: theorem1_render,
         },
         Scenario {
             name: "failures",
             title: "Failure sweep: throughput degradation under random link/switch failures",
-            build: failures_build,
+            build: |opts| cells_of(failures_rows(opts)),
             render: failures_render,
         },
         Scenario {
             name: "search",
             title: "Design search: hill-climb topology parameters for throughput per cost",
-            build: search_build,
+            build: |opts| cells_of(search_rows(opts)),
             render: search_render,
         },
     ]
 }
 
-fn bounds_of(set: &CellSet, id: &str) -> ThroughputBounds {
+/// One table row: its leading display columns, then the cells whose values
+/// fill the rest, in expansion order.
+struct Row {
+    head: Vec<String>,
+    cells: Vec<SweepCell>,
+}
+
+/// The cells of `rows`, in order: the grid of a scenario stated as rows.
+fn cells_of(rows: Vec<Row>) -> Vec<SweepCell> {
+    rows.into_iter().flat_map(|row| row.cells).collect()
+}
+
+/// The table of `rows`: each row's head, then `fill` of its cells' outcomes.
+fn rows_table(
+    title: impl Into<String>,
+    header: &[&str],
+    set: &CellSet,
+    rows: Vec<Row>,
+    fill: impl Fn(&[&CellOutcome]) -> Vec<String>,
+) -> Table {
+    let mut table = Table::new(title, header);
+    for Row { mut head, cells } in rows {
+        let outcomes: Vec<&CellOutcome> = cells.iter().map(|cell| set.outcome(&cell.id)).collect();
+        head.extend(fill(&outcomes));
+        table.row_strings(head);
+    }
+    table
+}
+
+/// A render of one table and its expected-shape notes.
+fn one_table(name: &str, table: Table, notes: &str) -> RenderOutput {
+    RenderOutput {
+        preamble: Vec::new(),
+        tables: vec![NamedTable {
+            name: name.into(),
+            table,
+        }],
+        notes: notes.into(),
+    }
+}
+
+/// The bounds of a `Throughput` cell.
+fn bounds(o: &CellOutcome) -> ThroughputBounds {
     ThroughputBounds {
-        lower: set.num(id, "lower"),
-        upper: set.num(id, "upper"),
+        lower: o.values.num("lower"),
+        upper: o.values.num("upper"),
     }
 }
 
 /// The figure's reported throughput value of a `Throughput` cell.
-fn tput(set: &CellSet, id: &str) -> f64 {
-    bounds_of(set, id).value()
+fn tput(o: &CellOutcome) -> f64 {
+    bounds(o).value()
+}
+
+/// The mean and ci95 columns of a relative cell.
+fn rel(o: &CellOutcome) -> Vec<String> {
+    vec![f3(o.values.num("rel_mean")), f3(o.values.num("rel_ci95"))]
+}
+
+/// A display label the cell was expanded with.
+fn label(o: &CellOutcome, name: &str) -> String {
+    o.cell.get_label(name).expect("labeled").to_string()
+}
+
+/// A topology's parameter string, from its construction-free metadata.
+fn params(topo: &TopoSpec) -> String {
+    topo.metadata()
+        .expect("scenario topologies have metadata")
+        .params
 }
 
 // ---------------------------------------------------------------------------
 // Figure 2: TM families vs degree (hypercube / random regular / fat tree).
 // ---------------------------------------------------------------------------
 
-struct Fig02Row {
-    kind: &'static str,
-    param: String,
-    topo: TopoSpec,
-}
-
-fn fig02_rows(opts: &SweepOptions) -> Vec<Fig02Row> {
-    let mut rows = Vec::new();
-    let degrees: Vec<usize> = if opts.full {
-        (3..=9).collect()
+/// One row per network, one cell per TM series in column order.
+fn fig02_rows(opts: &SweepOptions) -> Vec<Row> {
+    let degrees = if opts.full { 3..=9 } else { 3..=6 };
+    // Same switch count as the matching hypercube for a familiar scale.
+    let rrg_switches = 1usize << if opts.full { 7 } else { 5 };
+    let fat_ks: &[usize] = if opts.full {
+        &[4, 6, 8, 10, 12]
     } else {
-        (3..=6).collect()
+        &[4, 6, 8]
     };
-    for &d in &degrees {
-        rows.push(Fig02Row {
-            kind: "hypercube",
-            param: format!("d={d}"),
-            topo: TopoSpec::Hypercube {
-                dims: d,
-                servers: 1,
-            },
-        });
-    }
-    for &d in &degrees {
-        // Same switch count as the matching hypercube for a familiar scale.
-        let n = 1usize << if opts.full { 7 } else { 5 };
-        rows.push(Fig02Row {
-            kind: "random-regular",
-            param: format!("r={d}"),
-            topo: TopoSpec::Jellyfish {
-                switches: n,
-                degree: d,
-                servers: 1,
-                seed: opts.seed,
-            },
-        });
-    }
-    let fat_ks: Vec<usize> = if opts.full {
-        vec![4, 6, 8, 10, 12]
-    } else {
-        vec![4, 6, 8]
+    let hypercubes = (degrees.clone()).map(|d| {
+        let topo = TopoSpec::Hypercube {
+            dims: d,
+            servers: 1,
+        };
+        ("hypercube", format!("d={d}"), topo)
+    });
+    let rrgs = degrees.map(|d| {
+        let topo = TopoSpec::Jellyfish {
+            switches: rrg_switches,
+            degree: d,
+            servers: 1,
+            seed: opts.seed,
+        };
+        ("random-regular", format!("r={d}"), topo)
+    });
+    let fat_trees =
+        (fat_ks.iter()).map(|&k| ("fat-tree", format!("k={k}"), TopoSpec::FatTree { k }));
+    let rm = |k| TmSpec::RandomMatching {
+        servers_per_switch: k,
     };
-    for k in fat_ks {
-        rows.push(Fig02Row {
-            kind: "fat-tree",
-            param: format!("k={k}"),
-            topo: TopoSpec::FatTree { k },
-        });
-    }
-    rows
-}
-
-/// The per-row series, in column order: (id suffix, TM spec, server override).
-fn fig02_series() -> Vec<(String, TmSpec, Option<usize>)> {
-    let mut series = vec![("A2A".to_string(), TmSpec::AllToAll, None)];
-    for k in [10usize, 2, 1] {
-        series.push((
-            format!("RM({k})"),
-            TmSpec::RandomMatching {
-                servers_per_switch: k,
-            },
-            Some(k),
-        ));
-    }
-    series.push(("Kodialam".to_string(), TmSpec::Kodialam, None));
-    series.push(("LM".to_string(), TmSpec::LongestMatching, None));
-    series
-}
-
-fn fig02_build(opts: &SweepOptions) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for row in fig02_rows(opts) {
-        for (suffix, tm, servers) in fig02_series() {
-            let topo = match servers {
-                // The RM(k) series re-attaches k servers per switch on the
-                // same switch graph, exactly like the paper's Fig. 2.
-                Some(k) => TopoSpec::WithServers {
-                    base: Box::new(row.topo.clone()),
-                    servers_per_switch: k,
-                },
-                None => row.topo.clone(),
-            };
-            cells.push(SweepCell::new(
-                format!("{}/{}/{}", row.kind, row.param, suffix),
-                CellSpec::Throughput {
-                    topo,
-                    tm,
-                    tm_seed: opts.seed,
-                },
-            ));
-        }
-    }
-    cells
+    let series = [
+        TmSpec::AllToAll,
+        rm(10),
+        rm(2),
+        rm(1),
+        TmSpec::Kodialam,
+        TmSpec::LongestMatching,
+    ];
+    (hypercubes.chain(rrgs).chain(fat_trees))
+        .map(|(kind, param, topo)| {
+            let cells = (series.iter())
+                .map(|tm| {
+                    let topo = match *tm {
+                        // The RM(k) series re-attaches k servers per switch on
+                        // the same switch graph, exactly like the paper's Fig. 2.
+                        TmSpec::RandomMatching { servers_per_switch } => TopoSpec::WithServers {
+                            base: Box::new(topo.clone()),
+                            servers_per_switch,
+                        },
+                        _ => topo.clone(),
+                    };
+                    SweepCell::new(
+                        format!("{kind}/{param}/{}", tm.label()),
+                        CellSpec::Throughput {
+                            topo,
+                            tm: tm.clone(),
+                            tm_seed: opts.seed,
+                        },
+                    )
+                })
+                .collect();
+            Row {
+                head: vec![kind.into(), param],
+                cells,
+            }
+        })
+        .collect()
 }
 
 fn fig02_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
-    let mut table = Table::new(
+    let table = rows_table(
         "Figure 2: absolute throughput of TM families vs topology degree",
         &[
             "topology",
@@ -240,145 +281,99 @@ fn fig02_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
             "LM",
             "LowerBound",
         ],
+        set,
+        fig02_rows(opts),
+        |o| {
+            let mut row: Vec<String> = o.iter().map(|o| f3(tput(o))).collect();
+            // Theorem-2 bound from the A2A result already computed above.
+            row.push(f3(lower_bound_from(bounds(o[0])).value()));
+            row
+        },
     );
-    for r in fig02_rows(opts) {
-        let id = |suffix: &str| format!("{}/{}/{}", r.kind, r.param, suffix);
-        let mut row = vec![r.kind.to_string(), r.param.clone()];
-        for (suffix, _, _) in fig02_series() {
-            row.push(f3(tput(set, &id(&suffix))));
-        }
-        // Theorem-2 bound from the A2A result already computed above.
-        row.push(f3(lower_bound_from(bounds_of(set, &id("A2A"))).value()));
-        table.row_strings(row);
-    }
-    RenderOutput {
-        preamble: Vec::new(),
-        tables: vec![NamedTable {
-            name: "fig02_tm_families".into(),
-            table,
-        }],
-        notes: "Expected shape (paper): A2A >= RM(10) >= RM(2) >= RM(1) >= Kodialam ~= LM >= lower bound;\n\
-                in hypercubes LM sits essentially on the lower bound, in fat trees LM equals A2A."
-            .into(),
-    }
+    one_table(
+        "fig02_tm_families",
+        table,
+        "Expected shape (paper): A2A >= RM(10) >= RM(2) >= RM(1) >= Kodialam ~= LM >= lower bound;\n\
+         in hypercubes LM sits essentially on the lower bound, in fat trees LM equals A2A.",
+    )
 }
 
 // ---------------------------------------------------------------------------
 // Figure 3: throughput vs sparsest cut across all families + naturals.
 // ---------------------------------------------------------------------------
 
-struct NetRow {
-    id: String,
-    group: String,
-    name: String,
-    params: String,
-    switches: usize,
-    topo: TopoSpec,
-}
-
-/// Family-ladder instances under a switch cap, then natural networks — the
-/// shared network battery of Fig. 3 and Table II (which differ in the cap).
-/// Only called at expansion time, and entirely on construction-free topology
-/// metadata: expanding the battery builds no graphs (renderers likewise read
-/// the row metadata back from cell labels).
-fn cut_battery(opts: &SweepOptions, cap: usize) -> Vec<NetRow> {
-    let mut out = Vec::new();
-    for family in ALL_FAMILIES {
-        for index in 0..family.ladder_len(opts.scale()) {
-            let Some(meta) = family.ladder_meta(opts.scale(), opts.seed, index) else {
-                continue;
-            };
-            if meta.switches <= cap {
-                out.push(NetRow {
-                    id: format!("{}/{}", family.name(), index),
-                    group: family.name().to_string(),
-                    name: meta.name,
-                    params: meta.params,
-                    switches: meta.switches,
-                    topo: TopoSpec::Ladder {
-                        family,
-                        scale: opts.scale(),
-                        index,
-                        seed: opts.seed,
-                    },
-                });
-            }
-        }
-    }
-    let count = if opts.full { 40 } else { 12 };
-    for index in 0..count {
-        let meta = natural_meta(index);
-        out.push(NetRow {
-            id: format!("natural/{index}"),
-            group: "natural".to_string(),
-            name: meta.name,
-            params: meta.params,
-            switches: meta.switches,
-            topo: TopoSpec::Natural {
+/// Family-ladder instances under a switch cap (`reduced_cap` at reduced
+/// scale, 200 at paper scale), then natural networks — the shared network
+/// battery of Fig. 3 and Table II (which differ in the cap). One row per
+/// network: its name, params and switch count, then its longest-matching
+/// throughput cell (carrying the `group` label Table II sums by) and its cut
+/// cell. Entirely construction-free: the battery builds no graphs.
+fn cut_battery(opts: &SweepOptions, reduced_cap: usize) -> Vec<Row> {
+    let cap = if opts.full { 200 } else { reduced_cap };
+    let ladders = ALL_FAMILIES.into_iter().flat_map(|family| {
+        (0..family.ladder_len(opts.scale())).filter_map(move |index| {
+            let meta = family.ladder_meta(opts.scale(), opts.seed, index)?;
+            let topo = TopoSpec::Ladder {
+                family,
+                scale: opts.scale(),
                 index,
                 seed: opts.seed,
-            },
-        });
-    }
-    out
-}
-
-fn cut_battery_cells(opts: &SweepOptions, rows: &[NetRow]) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for r in rows {
-        cells.push(
-            SweepCell::new(
-                format!("{}/tput", r.id),
+            };
+            let id = format!("{}/{index}", family.name());
+            (meta.switches <= cap).then_some((id, family.name(), meta, topo))
+        })
+    });
+    let naturals = (0..if opts.full { 40 } else { 12 }).map(|index| {
+        let topo = TopoSpec::Natural {
+            index,
+            seed: opts.seed,
+        };
+        (
+            format!("natural/{index}"),
+            "natural",
+            natural_meta(index),
+            topo,
+        )
+    });
+    (ladders.chain(naturals))
+        .map(|(id, group, meta, topo)| {
+            let head = vec![meta.name, meta.params, meta.switches.to_string()];
+            let tput = SweepCell::new(
+                format!("{id}/tput"),
                 CellSpec::Throughput {
-                    topo: r.topo.clone(),
+                    topo: topo.clone(),
                     tm: TmSpec::LongestMatching,
                     tm_seed: opts.seed,
                 },
             )
-            .label("group", r.group.clone())
-            .label("name", r.name.clone())
-            .label("params", r.params.clone())
-            .label("switches", r.switches.to_string()),
-        );
-        cells.push(SweepCell::new(
-            format!("{}/cut", r.id),
-            CellSpec::CutEstimate {
-                topo: r.topo.clone(),
-                tm: TmSpec::LongestMatching,
-                tm_seed: opts.seed,
-            },
-        ));
-    }
-    cells
+            .label("group", group)
+            .label("name", head[0].clone())
+            .label("params", head[1].clone())
+            .label("switches", head[2].clone());
+            let cut = SweepCell::new(
+                format!("{id}/cut"),
+                CellSpec::CutEstimate {
+                    topo,
+                    tm: TmSpec::LongestMatching,
+                    tm_seed: opts.seed,
+                },
+            );
+            Row {
+                head,
+                cells: vec![tput, cut],
+            }
+        })
+        .collect()
 }
 
-/// The battery's `(row id, tput outcome)` pairs in expansion order,
-/// recovered from the outcomes themselves (no topology rebuilds).
-fn battery_rows<'a>(
-    set: &'a CellSet,
-) -> impl Iterator<Item = (String, &'a topobench::sweep::CellOutcome)> {
-    set.outcomes().iter().filter_map(|o| {
-        let base = o.cell.id.strip_suffix("/tput")?;
-        if base == "fbfly-case" {
-            return None; // the Fig. 3 case study, rendered separately
-        }
-        Some((base.to_string(), o))
-    })
-}
-
-fn fig03_cap(opts: &SweepOptions) -> usize {
-    // The cut estimators include an O(n^2) two-node sweep per network; keep
-    // the scatter to moderately sized instances like the paper.
-    if opts.full {
-        200
-    } else {
-        90
-    }
+/// Fig. 3's battery. The cut estimators include an O(n^2) two-node sweep per
+/// network; keep the scatter to moderately sized instances like the paper.
+fn fig03_rows(opts: &SweepOptions) -> Vec<Row> {
+    cut_battery(opts, 90)
 }
 
 fn fig03_build(opts: &SweepOptions) -> Vec<SweepCell> {
-    let rows = cut_battery(opts, fig03_cap(opts));
-    let mut cells = cut_battery_cells(opts, &rows);
+    let mut cells = cells_of(fig03_rows(opts));
     // §III-B case study: 5-ary 3-stage flattened butterfly.
     let fbfly = TopoSpec::FlattenedButterfly { k: 5, n: 3 };
     let meta = fbfly.metadata().expect("flattened butterfly has metadata");
@@ -405,8 +400,8 @@ fn fig03_build(opts: &SweepOptions) -> Vec<SweepCell> {
     cells
 }
 
-fn fig03_render(_opts: &SweepOptions, set: &CellSet) -> RenderOutput {
-    let mut table = Table::new(
+fn fig03_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
+    let table = rows_table(
         "Figure 3: throughput vs sparse cut (longest-matching TM)",
         &[
             "network",
@@ -416,36 +411,28 @@ fn fig03_render(_opts: &SweepOptions, set: &CellSet) -> RenderOutput {
             "throughput",
             "cut/throughput",
         ],
+        set,
+        fig03_rows(opts),
+        |o| {
+            let throughput = o[0].values.num("lower");
+            let sparsity = o[1].values.num("best_sparsity");
+            let ratio = if throughput > 0.0 {
+                sparsity / throughput
+            } else {
+                f64::NAN
+            };
+            vec![f3(sparsity), f3(throughput), f3(ratio)]
+        },
     );
-    for (base, o) in battery_rows(set) {
-        let throughput = o.values.num("lower");
-        let sparsity = set.num(&format!("{base}/cut"), "best_sparsity");
-        let ratio = if throughput > 0.0 {
-            sparsity / throughput
-        } else {
-            f64::NAN
-        };
-        table.row_strings(vec![
-            o.cell.get_label("name").expect("labeled").to_string(),
-            o.cell.get_label("params").expect("labeled").to_string(),
-            o.cell.get_label("switches").expect("labeled").to_string(),
-            f3(sparsity),
-            f3(throughput),
-            f3(ratio),
-        ]);
-    }
 
     let case_cell = set.outcome("fbfly-case/tput");
-    let case_bounds = bounds_of(set, "fbfly-case/tput");
+    let case_bounds = bounds(case_cell);
     let mut case = Table::new(
         "SIII-B case study: 5-ary 3-stage flattened butterfly",
         &["metric", "value"],
     );
     for metric in ["switches", "servers"] {
-        case.row_strings(vec![
-            metric.into(),
-            case_cell.cell.get_label(metric).expect("labeled").into(),
-        ]);
+        case.row_strings(vec![metric.into(), label(case_cell, metric)]);
     }
     case.row_strings(vec![
         "sparse cut".into(),
@@ -476,85 +463,58 @@ fn fig03_render(_opts: &SweepOptions, set: &CellSet) -> RenderOutput {
 // Figure 4: TMs normalized to the Theorem-2 bound, per family representative.
 // ---------------------------------------------------------------------------
 
-fn fig04_specs() -> [(&'static str, TmSpec); 4] {
-    [
-        ("A2A", TmSpec::AllToAll),
-        (
-            "RM(5)",
-            TmSpec::RandomMatching {
-                servers_per_switch: 5,
-            },
-        ),
-        (
-            "RM(1)",
-            TmSpec::RandomMatching {
-                servers_per_switch: 1,
-            },
-        ),
-        ("LM", TmSpec::LongestMatching),
-    ]
+/// One row per family representative, one cell per TM in column order.
+fn fig04_rows(opts: &SweepOptions) -> Vec<Row> {
+    let rm = |k| TmSpec::RandomMatching {
+        servers_per_switch: k,
+    };
+    let tms = [TmSpec::AllToAll, rm(5), rm(1), TmSpec::LongestMatching];
+    (ALL_FAMILIES.into_iter())
+        .map(|family| {
+            let topo = TopoSpec::Representative {
+                family,
+                seed: opts.seed,
+            };
+            let params = params(&topo);
+            let cells = (tms.iter())
+                .map(|tm| {
+                    SweepCell::new(
+                        format!("{}/{}", family.name(), tm.label()),
+                        CellSpec::Throughput {
+                            topo: topo.clone(),
+                            tm: tm.clone(),
+                            tm_seed: opts.seed,
+                        },
+                    )
+                    .label("params", params.clone())
+                })
+                .collect();
+            Row {
+                head: vec![family.name().into(), params],
+                cells,
+            }
+        })
+        .collect()
 }
 
-fn fig04_build(opts: &SweepOptions) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for family in ALL_FAMILIES {
-        let topo = TopoSpec::Representative {
-            family,
-            seed: opts.seed,
-        };
-        let params = topo
-            .metadata()
-            .expect("representatives have metadata")
-            .params;
-        for (suffix, tm) in fig04_specs() {
-            cells.push(
-                SweepCell::new(
-                    format!("{}/{}", family.name(), suffix),
-                    CellSpec::Throughput {
-                        topo: topo.clone(),
-                        tm,
-                        tm_seed: opts.seed,
-                    },
-                )
-                .label("params", params.clone()),
-            );
-        }
-    }
-    cells
-}
-
-fn fig04_render(_opts: &SweepOptions, set: &CellSet) -> RenderOutput {
-    let mut table = Table::new(
+fn fig04_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
+    let table = rows_table(
         "Figure 4: throughput normalized to the theoretical lower bound (T_A2A/2 = 1)",
         &["topology", "params", "A2A", "RM(5)", "RM(1)", "LM"],
+        set,
+        fig04_rows(opts),
+        |o| {
+            let bound = tput(o[0]) / 2.0;
+            o.iter().map(|o| f3(tput(o) / bound)).collect()
+        },
     );
-    for family in ALL_FAMILIES {
-        let id = |suffix: &str| format!("{}/{}", family.name(), suffix);
-        let a2a = tput(set, &id("A2A"));
-        let bound = a2a / 2.0;
-        let params = set
-            .outcome(&id("A2A"))
-            .cell
-            .get_label("params")
-            .expect("labeled")
-            .to_string();
-        let mut row = vec![family.name().to_string(), params];
-        for (suffix, _) in fig04_specs() {
-            row.push(f3(tput(set, &id(suffix)) / bound));
-        }
-        table.row_strings(row);
-    }
-    RenderOutput {
-        preamble: Vec::new(),
-        tables: vec![NamedTable {
-            name: "fig04_normalized_tms".into(),
-            table,
-        }],
-        notes: "Expected shape (paper): every row satisfies 2 = A2A >= RM(5) >= RM(1) >= LM >= 1\n\
-                (up to solver tolerance); LM reaches ~1 for BCube, Hypercube, HyperX and Dragonfly,\n\
-                while in fat trees LM stays at the A2A value because the lower bound is loose there."
-            .into(),
-    }
+    one_table(
+        "fig04_normalized_tms",
+        table,
+        "Expected shape (paper): every row satisfies 2 = A2A >= RM(5) >= RM(1) >= LM >= 1\n\
+         (up to solver tolerance); LM reaches ~1 for BCube, Hypercube, HyperX and Dragonfly,\n\
+         while in fat trees LM stays at the A2A value because the lower bound is loose there.",
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -635,14 +595,14 @@ fn fig05_06_render(_opts: &SweepOptions, set: &CellSet) -> RenderOutput {
                 .iter()
                 .filter(|o| o.cell.get_label("tm") == Some(spec.label().as_str()))
             {
-                table.row_strings(vec![
+                let mut row = vec![
                     family.name().to_string(),
-                    o.cell.get_label("params").expect("labeled").to_string(),
-                    o.cell.get_label("servers").expect("labeled").to_string(),
+                    label(o, "params"),
+                    label(o, "servers"),
                     spec.label(),
-                    f3(o.values.num("rel_mean")),
-                    f3(o.values.num("rel_ci95")),
-                ]);
+                ];
+                row.extend(rel(o));
+                table.row_strings(row);
                 last = o.values.num("rel_mean");
             }
             largest_row.push(format!("{:.0}%", last * 100.0));
@@ -738,141 +698,108 @@ fn fig07_render(_opts: &SweepOptions, set: &CellSet) -> RenderOutput {
     // Expansion order is already beta-major, target-minor; iterate the
     // outcomes directly rather than repeating the design searches.
     for o in set.outcomes() {
-        table.row_strings(vec![
-            o.cell.get_label("bisection").expect("labeled").to_string(),
-            o.cell.get_label("target").expect("labeled").to_string(),
-            o.cell.get_label("design").expect("labeled").to_string(),
-            o.cell.get_label("servers").expect("labeled").to_string(),
-            o.cell.get_label("switches").expect("labeled").to_string(),
-            f3(o.values.num("rel_mean")),
-            f3(o.values.num("rel_ci95")),
-        ]);
+        let mut row: Vec<String> = ["bisection", "target", "design", "servers", "switches"]
+            .map(|name| label(o, name))
+            .into();
+        row.extend(rel(o));
+        table.row_strings(row);
     }
-    RenderOutput {
-        preamble: Vec::new(),
-        tables: vec![NamedTable {
-            name: "fig07_hyperx".into(),
-            table,
-        }],
-        notes: "Expected shape (paper): relative throughput varies widely (roughly 0.4-0.9) and\n\
-                non-monotonically with the requested size for every bisection target — high bisection\n\
-                does not imply high worst-case throughput."
-            .into(),
-    }
+    one_table(
+        "fig07_hyperx",
+        table,
+        "Expected shape (paper): relative throughput varies widely (roughly 0.4-0.9) and\n\
+         non-monotonically with the requested size for every bisection target — high bisection\n\
+         does not imply high worst-case throughput.",
+    )
 }
 
 // ---------------------------------------------------------------------------
 // Figure 8: Long Hop ladders.
 // ---------------------------------------------------------------------------
 
-fn fig08_grid(opts: &SweepOptions) -> Vec<(usize, usize)> {
-    let dims: Vec<usize> = if opts.full {
-        vec![5, 6, 7, 8]
-    } else {
-        vec![5, 6, 7]
-    };
-    let mut grid = Vec::new();
-    for d in dims {
-        // Degree and concentration grow mildly with dimension, mirroring the
-        // equipment assumptions of the instance ladder.
-        for extra in [2usize, 3, 4] {
-            grid.push((d, extra));
-        }
-    }
-    grid
-}
-
-fn fig08_build(opts: &SweepOptions) -> Vec<SweepCell> {
-    fig08_grid(opts)
-        .into_iter()
+/// One row per (dimension, degree) instance.
+fn fig08_rows(opts: &SweepOptions) -> Vec<Row> {
+    let dims = if opts.full { 5..=8 } else { 5..=7 };
+    // Degree and concentration grow mildly with dimension, mirroring the
+    // equipment assumptions of the instance ladder.
+    (dims.flat_map(|d| [2usize, 3, 4].map(|extra| (d, extra))))
         .map(|(d, extra)| {
             let topo = TopoSpec::LongHop {
                 dim: d,
                 degree: d + extra,
                 servers: (d + extra) / 3,
             };
-            let meta = topo.metadata().expect("long hop has metadata");
-            SweepCell::new(
+            let servers = (topo.metadata().expect("long hop has metadata").servers).to_string();
+            let cell = SweepCell::new(
                 format!("d{d}/extra{extra}"),
                 CellSpec::Relative {
                     topo,
                     tm: TmSpec::LongestMatching,
                 },
             )
-            .label("servers", meta.servers.to_string())
+            .label("servers", servers.clone());
+            Row {
+                head: vec![d.to_string(), (d + extra).to_string(), servers],
+                cells: vec![cell],
+            }
         })
         .collect()
 }
 
 fn fig08_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
-    let mut table = Table::new(
+    let table = rows_table(
         "Figure 8: Long Hop relative throughput under longest matching",
         &["dimension", "degree", "servers", "rel-throughput", "ci95"],
+        set,
+        fig08_rows(opts),
+        |o| rel(o[0]),
     );
-    for (d, extra) in fig08_grid(opts) {
-        let o = set.outcome(&format!("d{d}/extra{extra}"));
-        table.row_strings(vec![
-            d.to_string(),
-            (d + extra).to_string(),
-            o.cell.get_label("servers").expect("labeled").to_string(),
-            f3(o.values.num("rel_mean")),
-            f3(o.values.num("rel_ci95")),
-        ]);
-    }
-    RenderOutput {
-        preamble: Vec::new(),
-        tables: vec![NamedTable {
-            name: "fig08_longhop".into(),
-            table,
-        }],
-        notes:
-            "Expected shape (paper): relative throughput below 1 at small sizes and approaching 1\n\
-                as dimension/size grows — Long Hop networks are no better than random graphs."
-                .into(),
-    }
+    one_table(
+        "fig08_longhop",
+        table,
+        "Expected shape (paper): relative throughput below 1 at small sizes and approaching 1\n\
+         as dimension/size grows — Long Hop networks are no better than random graphs.",
+    )
 }
 
 // ---------------------------------------------------------------------------
 // Figure 9: Slim Fly relative throughput + relative path length.
 // ---------------------------------------------------------------------------
 
-fn fig09_qs(opts: &SweepOptions) -> Vec<usize> {
-    if opts.full {
-        vec![5, 13, 17]
-    } else {
-        vec![5, 13]
-    }
-}
-
-fn fig09_build(opts: &SweepOptions) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for q in fig09_qs(opts) {
-        let topo = TopoSpec::SlimFly { q };
-        let meta = topo.metadata().expect("slim fly has metadata");
-        cells.push(
-            SweepCell::new(
+/// One row per Slim Fly `q`: its relative-throughput and path-length cells.
+fn fig09_rows(opts: &SweepOptions) -> Vec<Row> {
+    let qs: &[usize] = if opts.full { &[5, 13, 17] } else { &[5, 13] };
+    (qs.iter())
+        .map(|&q| {
+            let topo = TopoSpec::SlimFly { q };
+            let meta = topo.metadata().expect("slim fly has metadata");
+            let (switches, servers) = (meta.switches.to_string(), meta.servers.to_string());
+            let rel = SweepCell::new(
                 format!("q{q}/rel"),
                 CellSpec::Relative {
                     topo: topo.clone(),
                     tm: TmSpec::LongestMatching,
                 },
             )
-            .label("switches", meta.switches.to_string())
-            .label("servers", meta.servers.to_string()),
-        );
-        cells.push(SweepCell::new(
-            format!("q{q}/apl"),
-            CellSpec::PathLengthRatio {
-                topo,
-                rnd_seed: opts.seed.wrapping_add(77),
-            },
-        ));
-    }
-    cells
+            .label("switches", switches.clone())
+            .label("servers", servers.clone());
+            let apl = SweepCell::new(
+                format!("q{q}/apl"),
+                CellSpec::PathLengthRatio {
+                    topo,
+                    rnd_seed: opts.seed.wrapping_add(77),
+                },
+            );
+            Row {
+                head: vec![q.to_string(), switches, servers],
+                cells: vec![rel, apl],
+            }
+        })
+        .collect()
 }
 
 fn fig09_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
-    let mut table = Table::new(
+    let table = rows_table(
         "Figure 9: Slim Fly relative throughput and relative path length (longest matching)",
         &[
             "q",
@@ -882,57 +809,43 @@ fn fig09_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
             "ci95",
             "rel-path-length",
         ],
+        set,
+        fig09_rows(opts),
+        |o| {
+            let mut row = rel(o[0]);
+            row.push(f3(o[1].values.num("ratio")));
+            row
+        },
     );
-    for q in fig09_qs(opts) {
-        let o = set.outcome(&format!("q{q}/rel"));
-        table.row_strings(vec![
-            q.to_string(),
-            o.cell.get_label("switches").expect("labeled").to_string(),
-            o.cell.get_label("servers").expect("labeled").to_string(),
-            f3(o.values.num("rel_mean")),
-            f3(o.values.num("rel_ci95")),
-            f3(set.num(&format!("q{q}/apl"), "ratio")),
-        ]);
-    }
-    RenderOutput {
-        preamble: Vec::new(),
-        tables: vec![NamedTable {
-            name: "fig09_slimfly".into(),
-            table,
-        }],
-        notes: "Expected shape (paper): relative path length ~0.85-0.9 (Slim Fly's paths are shorter\n\
-                than the random graph's) while relative throughput is ~1 at small scale and declines\n\
-                toward ~0.8 at the largest size under longest matching."
-            .into(),
-    }
+    one_table(
+        "fig09_slimfly",
+        table,
+        "Expected shape (paper): relative path length ~0.85-0.9 (Slim Fly's paths are shorter\n\
+         than the random graph's) while relative throughput is ~1 at small scale and declines\n\
+         toward ~0.8 at the largest size under longest matching.",
+    )
 }
 
 // ---------------------------------------------------------------------------
 // Figures 10/11: skewed LM, relative, per family representative.
 // ---------------------------------------------------------------------------
 
-fn fig10_percents(opts: &SweepOptions) -> Vec<f64> {
-    if opts.full {
-        vec![1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 75.0, 100.0]
+/// One row per (family representative, percentage of large flows).
+fn fig10_11_rows(opts: &SweepOptions) -> Vec<Row> {
+    let percents: &[f64] = if opts.full {
+        &[1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 75.0, 100.0]
     } else {
-        vec![5.0, 25.0, 100.0]
-    }
-}
-
-fn fig10_11_build(opts: &SweepOptions) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for family in ALL_FAMILIES {
-        let topo = TopoSpec::Representative {
-            family,
-            seed: opts.seed,
-        };
-        let params = topo
-            .metadata()
-            .expect("representatives have metadata")
-            .params;
-        for p in fig10_percents(opts) {
-            cells.push(
-                SweepCell::new(
+        &[5.0, 25.0, 100.0]
+    };
+    (ALL_FAMILIES.into_iter())
+        .flat_map(|family| {
+            let topo = TopoSpec::Representative {
+                family,
+                seed: opts.seed,
+            };
+            let params = params(&topo);
+            percents.iter().map(move |p| {
+                let cell = SweepCell::new(
                     format!("{}/{p:.0}", family.name()),
                     CellSpec::Relative {
                         topo: topo.clone(),
@@ -942,48 +855,39 @@ fn fig10_11_build(opts: &SweepOptions) -> Vec<SweepCell> {
                         },
                     },
                 )
-                .label("params", params.clone()),
-            );
-        }
-    }
-    cells
+                .label("params", params.clone());
+                Row {
+                    head: vec![family.name().into(), params.clone(), format!("{p:.0}")],
+                    cells: vec![cell],
+                }
+            })
+        })
+        .collect()
 }
 
 fn fig10_11_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
-    let mut table = Table::new(
+    let table = rows_table(
         "Figures 10/11: relative throughput vs percentage of large flows (weight 10, longest matching)",
         &["topology", "params", "%large", "rel-throughput", "ci95"],
+        set,
+        fig10_11_rows(opts),
+        |o| rel(o[0]),
     );
-    for family in ALL_FAMILIES {
-        for p in fig10_percents(opts) {
-            let o = set.outcome(&format!("{}/{p:.0}", family.name()));
-            table.row_strings(vec![
-                family.name().to_string(),
-                o.cell.get_label("params").expect("labeled").to_string(),
-                format!("{p:.0}"),
-                f3(o.values.num("rel_mean")),
-                f3(o.values.num("rel_ci95")),
-            ]);
-        }
-    }
-    RenderOutput {
-        preamble: Vec::new(),
-        tables: vec![NamedTable {
-            name: "fig10_11_skewed".into(),
-            table,
-        }],
-        notes: "Expected shape (paper): every family except the fat tree keeps a roughly flat relative\n\
-                throughput as the fraction of large flows grows; the fat tree dips noticeably when only\n\
-                a few flows are large because its ToR uplinks carry only locally originated traffic."
-            .into(),
-    }
+    one_table(
+        "fig10_11_skewed",
+        table,
+        "Expected shape (paper): every family except the fat tree keeps a roughly flat relative\n\
+         throughput as the fraction of large flows grows; the fat tree dips noticeably when only\n\
+         a few flows are large because its ToR uplinks carry only locally originated traffic.",
+    )
 }
 
 // ---------------------------------------------------------------------------
 // Figure 12: skewed LM, absolute, hypercube / fat tree / same-equipment RRGs.
 // ---------------------------------------------------------------------------
 
-fn fig12_networks(opts: &SweepOptions) -> Vec<(&'static str, TopoSpec)> {
+/// One row per (network, percentage of large flows).
+fn fig12_rows(opts: &SweepOptions) -> Vec<Row> {
     let cube = if opts.full {
         TopoSpec::Hypercube {
             dims: 7,
@@ -998,7 +902,7 @@ fn fig12_networks(opts: &SweepOptions) -> Vec<(&'static str, TopoSpec)> {
     let ft = TopoSpec::FatTree {
         k: if opts.full { 10 } else { 8 },
     };
-    vec![
+    let networks = [
         ("Hypercube", cube.clone()),
         ("Fat tree", ft.clone()),
         (
@@ -1015,62 +919,50 @@ fn fig12_networks(opts: &SweepOptions) -> Vec<(&'static str, TopoSpec)> {
                 seed: opts.seed.wrapping_add(12),
             },
         ),
-    ]
-}
-
-fn fig12_percents(opts: &SweepOptions) -> Vec<f64> {
-    if opts.full {
-        vec![1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0]
+    ];
+    let percents: &[f64] = if opts.full {
+        &[1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0]
     } else {
-        vec![1.0, 10.0, 100.0]
-    }
-}
-
-fn fig12_build(opts: &SweepOptions) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for (name, topo) in fig12_networks(opts) {
-        for p in fig12_percents(opts) {
-            cells.push(SweepCell::new(
-                format!("{name}/{p:.0}"),
-                CellSpec::Throughput {
-                    topo: topo.clone(),
-                    tm: TmSpec::SkewedLongestMatching {
-                        fraction: p / 100.0,
-                        weight: 10.0,
+        &[1.0, 10.0, 100.0]
+    };
+    (networks.into_iter())
+        .flat_map(|(name, topo)| {
+            percents.iter().map(move |p| {
+                let cell = SweepCell::new(
+                    format!("{name}/{p:.0}"),
+                    CellSpec::Throughput {
+                        topo: topo.clone(),
+                        tm: TmSpec::SkewedLongestMatching {
+                            fraction: p / 100.0,
+                            weight: 10.0,
+                        },
+                        tm_seed: opts.seed,
                     },
-                    tm_seed: opts.seed,
-                },
-            ));
-        }
-    }
-    cells
+                );
+                Row {
+                    head: vec![name.into(), format!("{p:.0}")],
+                    cells: vec![cell],
+                }
+            })
+        })
+        .collect()
 }
 
 fn fig12_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
-    let mut table = Table::new(
+    let table = rows_table(
         "Figure 12: absolute throughput vs percentage of large flows (weight 10, longest matching)",
         &["network", "%large", "abs-throughput"],
+        set,
+        fig12_rows(opts),
+        |o| vec![f3(tput(o[0]))],
     );
-    for (name, _) in fig12_networks(opts) {
-        for p in fig12_percents(opts) {
-            table.row_strings(vec![
-                name.to_string(),
-                format!("{p:.0}"),
-                f3(tput(set, &format!("{name}/{p:.0}"))),
-            ]);
-        }
-    }
-    RenderOutput {
-        preamble: Vec::new(),
-        tables: vec![NamedTable {
-            name: "fig12_skewed_absolute".into(),
-            table,
-        }],
-        notes: "Expected shape (paper): the fat tree's absolute throughput dips at small percentages of\n\
-                large flows and recovers at 100% (where rescaling makes the TM uniform again); the\n\
-                hypercube and both Jellyfish networks stay comparatively flat."
-            .into(),
-    }
+    one_table(
+        "fig12_skewed_absolute",
+        table,
+        "Expected shape (paper): the fat tree's absolute throughput dips at small percentages of\n\
+         large flows and recovers at 100% (where rescaling makes the TM uniform again); the\n\
+         hypercube and both Jellyfish networks stay comparatively flat.",
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1082,68 +974,62 @@ const FIG13_MATRICES: [(FbMatrix, &str, &str); 2] = [
     (FbMatrix::Frontend, "f", "Figure 14 TM-F (frontend)"),
 ];
 
-fn fig13_14_build(opts: &SweepOptions) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for (matrix, tag, _) in FIG13_MATRICES {
-        for family in ALL_FAMILIES {
+/// One matrix's table: one row per family representative, its sampled then
+/// its shuffled placement cell.
+fn fig13_14_rows(opts: &SweepOptions, matrix: FbMatrix, tag: &str) -> Vec<Row> {
+    (ALL_FAMILIES.into_iter())
+        .map(|family| {
             let topo = TopoSpec::Representative {
                 family,
                 seed: opts.seed,
             };
-            let params = topo
-                .metadata()
-                .expect("representatives have metadata")
-                .params;
-            for shuffled in [false, true] {
+            let params = params(&topo);
+            let cells = [false, true].map(|shuffled| {
                 let placement = if shuffled { "shuffled" } else { "sampled" };
-                cells.push(
-                    SweepCell::new(
-                        format!("{tag}/{}/{placement}", family.name()),
-                        CellSpec::FacebookRelative {
-                            topo: topo.clone(),
-                            matrix,
-                            shuffled,
-                            tm_seed: opts.seed,
-                            shuffle_seed: opts.seed.wrapping_add(9),
-                        },
-                    )
-                    .label("params", params.clone()),
-                );
+                SweepCell::new(
+                    format!("{tag}/{}/{placement}", family.name()),
+                    CellSpec::FacebookRelative {
+                        topo: topo.clone(),
+                        matrix,
+                        shuffled,
+                        tm_seed: opts.seed,
+                        shuffle_seed: opts.seed.wrapping_add(9),
+                    },
+                )
+                .label("params", params.clone())
+            });
+            Row {
+                head: vec![family.name().into(), params],
+                cells: cells.into(),
             }
-        }
-    }
-    cells
+        })
+        .collect()
 }
 
-fn fig13_14_render(_opts: &SweepOptions, set: &CellSet) -> RenderOutput {
-    let mut tables = Vec::new();
-    for (_, tag, name) in FIG13_MATRICES {
-        let mut table = Table::new(
-            format!(
-                "{name}: normalized throughput per topology (sampled vs shuffled rack placement)"
-            ),
-            &["topology", "params", "racks", "sampled", "shuffled"],
-        );
-        for family in ALL_FAMILIES {
-            let sampled = set.outcome(&format!("{tag}/{}/sampled", family.name()));
-            let shuffled = set.outcome(&format!("{tag}/{}/shuffled", family.name()));
-            table.row_strings(vec![
-                family.name().to_string(),
-                sampled
-                    .cell
-                    .get_label("params")
-                    .expect("labeled")
-                    .to_string(),
-                (sampled.values.num("racks") as usize).to_string(),
-                f3(sampled.values.num("rel_mean")),
-                f3(shuffled.values.num("rel_mean")),
-            ]);
-        }
-        tables.push(NamedTable {
-            name: name.to_lowercase().replace(['-', ' '], "_"),
-            table,
-        });
-    }
+fn fig13_14_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
+    let tables = (FIG13_MATRICES.iter())
+        .map(|&(matrix, tag, name)| {
+            let table = rows_table(
+                format!(
+                    "{name}: normalized throughput per topology (sampled vs shuffled rack placement)"
+                ),
+                &["topology", "params", "racks", "sampled", "shuffled"],
+                set,
+                fig13_14_rows(opts, matrix, tag),
+                |o| {
+                    vec![
+                        (o[0].values.num("racks") as usize).to_string(),
+                        f3(o[0].values.num("rel_mean")),
+                        f3(o[1].values.num("rel_mean")),
+                    ]
+                },
+            );
+            NamedTable {
+                name: name.to_lowercase().replace(['-', ' '], "_"),
+                table,
+            }
+        })
+        .collect();
     RenderOutput {
         preamble: Vec::new(),
         tables,
@@ -1210,10 +1096,7 @@ fn fig15_build(opts: &SweepOptions) -> Vec<SweepCell> {
 fn fig15_render(_opts: &SweepOptions, set: &CellSet) -> RenderOutput {
     let sizes = |id: &str| {
         let o = set.outcome(id);
-        (
-            o.cell.get_label("switches").expect("labeled").to_string(),
-            o.cell.get_label("servers").expect("labeled").to_string(),
-        )
+        (label(o, "switches"), label(o, "servers"))
     };
     let (ft_sw, ft_srv) = sizes("ft");
     let (jy_sw, jy_srv) = sizes("jf-yuan");
@@ -1271,16 +1154,9 @@ fn fig15_render(_opts: &SweepOptions, set: &CellSet) -> RenderOutput {
 // throughput?
 // ---------------------------------------------------------------------------
 
-fn table02_cap(opts: &SweepOptions) -> usize {
-    if opts.full {
-        200
-    } else {
-        70
-    }
-}
-
-fn table02_build(opts: &SweepOptions) -> Vec<SweepCell> {
-    cut_battery_cells(opts, &cut_battery(opts, table02_cap(opts)))
+/// Table II's battery: smaller networks than Fig. 3's.
+fn table02_rows(opts: &SweepOptions) -> Vec<Row> {
+    cut_battery(opts, 70)
 }
 
 #[derive(Default, Clone)]
@@ -1291,13 +1167,11 @@ struct Table02Row {
 }
 
 impl Table02Row {
-    fn account(&mut self, set: &CellSet, base: &str) {
-        let upper = set.num(&format!("{base}/tput"), "upper");
-        let cut = set.outcome(&format!("{base}/cut"));
+    fn account(&mut self, tput: &CellOutcome, cut: &CellOutcome) {
         self.total += 1;
         // "cut equals throughput" within the solver's bracketing tolerance
         // plus 2%.
-        if cut.values.num("best_sparsity") <= upper * 1.02 + 1e-9 {
+        if cut.values.num("best_sparsity") <= tput.values.num("upper") * 1.02 + 1e-9 {
             self.matches += 1;
         }
         for (i, est) in ALL_ESTIMATORS.iter().enumerate() {
@@ -1323,7 +1197,7 @@ impl Table02Row {
     }
 }
 
-fn table02_render(_opts: &SweepOptions, set: &CellSet) -> RenderOutput {
+fn table02_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
     let mut table = Table::new(
         "Table II: estimated sparsest cuts — do they match throughput, and which estimators found them?",
         &[
@@ -1331,51 +1205,45 @@ fn table02_render(_opts: &SweepOptions, set: &CellSet) -> RenderOutput {
             "Expanding regions", "Eigenvector",
         ],
     );
-    // Group the battery rows by the "group" label captured at expansion —
-    // no topology reconstruction on the render path.
-    let rows: Vec<(String, String)> = battery_rows(set)
-        .map(|(base, o)| {
-            (
-                base,
-                o.cell.get_label("group").expect("labeled").to_string(),
-            )
-        })
-        .collect();
-    let mut grand = Table02Row::default();
-    for family in ALL_FAMILIES {
+    // Sum the battery rows by the `group` label their throughput cell
+    // carries — no topology reconstruction on the render path.
+    let rows = table02_rows(opts);
+    let sum = |group: &str| {
         let mut acc = Table02Row::default();
-        for (base, _) in rows.iter().filter(|(_, g)| g == family.name()) {
-            acc.account(set, base);
+        for row in &rows {
+            let tput = set.outcome(&row.cells[0].id);
+            if label(tput, "group") == group {
+                acc.account(tput, set.outcome(&row.cells[1].id));
+            }
         }
+        acc
+    };
+    let groups = (ALL_FAMILIES.iter())
+        .map(|family| (family.name(), family.name()))
+        .chain([("natural", "Natural networks")]);
+    let mut grand = Table02Row::default();
+    for (group, name) in groups {
+        let acc = sum(group);
         grand.absorb(&acc);
-        table.row_strings(acc.cells(family.name().to_string()));
+        table.row_strings(acc.cells(name.to_string()));
     }
-    let mut nat = Table02Row::default();
-    for (base, _) in rows.iter().filter(|(_, g)| g == "natural") {
-        nat.account(set, base);
-    }
-    grand.absorb(&nat);
-    table.row_strings(nat.cells("Natural networks".to_string()));
     table.row_strings(grand.cells("Total".to_string()));
-    RenderOutput {
-        preamble: Vec::new(),
-        tables: vec![NamedTable {
-            name: "table02_cut_estimators".into(),
-            table,
-        }],
-        notes: "Expected shape (paper): the estimated cut matches throughput in only a minority of\n\
-                computer networks (throughput < cut elsewhere); the eigenvector sweep finds the winning\n\
-                cut most often, with one/two-node cuts mattering mainly for the natural networks, and\n\
-                fat trees matched by every estimator."
-            .into(),
-    }
+    one_table(
+        "table02_cut_estimators",
+        table,
+        "Expected shape (paper): the estimated cut matches throughput in only a minority of\n\
+         computer networks (throughput < cut elsewhere); the eigenvector sweep finds the winning\n\
+         cut most often, with one/two-node cuts mattering mainly for the natural networks, and\n\
+         fat trees matched by every estimator.",
+    )
 }
 
 // ---------------------------------------------------------------------------
 // Theorem 1 demo: cut and throughput can rank two graphs oppositely.
 // ---------------------------------------------------------------------------
 
-fn theorem1_graphs(opts: &SweepOptions) -> Vec<(&'static str, String, TopoSpec)> {
+/// One row per graph: its A2A throughput cell and its cut cell.
+fn theorem1_rows(opts: &SweepOptions) -> Vec<Row> {
     let n: usize = if opts.full { 128 } else { 48 };
     // Graph A: degree 2d = 6 with beta ~ alpha / log2(n).
     let graph_a = TopoSpec::ClusteredRandom {
@@ -1397,21 +1265,18 @@ fn theorem1_graphs(opts: &SweepOptions) -> Vec<(&'static str, String, TopoSpec)>
         p,
         seed: opts.seed,
     };
-    vec![
+    let graphs = [
         ("a", "A: clustered random".to_string(), graph_a),
         ("b", format!("B: subdivided expander (p={p})"), graph_b),
-    ]
-}
-
-fn theorem1_build(opts: &SweepOptions) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for (tag, _, topo) in theorem1_graphs(opts) {
-        let meta = topo.metadata().expect("theorem1 graphs have metadata");
-        let links = meta
-            .links
-            .expect("theorem1 graphs have closed-form link counts");
-        cells.push(
-            SweepCell::new(
+    ];
+    (graphs.into_iter())
+        .map(|(tag, name, topo)| {
+            let meta = topo.metadata().expect("theorem1 graphs have metadata");
+            let links = meta
+                .links
+                .expect("theorem1 graphs have closed-form link counts");
+            let (nodes, links) = (meta.switches.to_string(), links.to_string());
+            let tput = SweepCell::new(
                 format!("{tag}/tput"),
                 CellSpec::Throughput {
                     topo: topo.clone(),
@@ -1419,23 +1284,26 @@ fn theorem1_build(opts: &SweepOptions) -> Vec<SweepCell> {
                     tm_seed: opts.seed,
                 },
             )
-            .label("nodes", meta.switches.to_string())
-            .label("links", links.to_string()),
-        );
-        cells.push(SweepCell::new(
-            format!("{tag}/cut"),
-            CellSpec::CutEstimate {
-                topo,
-                tm: TmSpec::AllToAll,
-                tm_seed: opts.seed,
-            },
-        ));
-    }
-    cells
+            .label("nodes", nodes.clone())
+            .label("links", links.clone());
+            let cut = SweepCell::new(
+                format!("{tag}/cut"),
+                CellSpec::CutEstimate {
+                    topo,
+                    tm: TmSpec::AllToAll,
+                    tm_seed: opts.seed,
+                },
+            );
+            Row {
+                head: vec![name, nodes, links],
+                cells: vec![tput, cut],
+            }
+        })
+        .collect()
 }
 
 fn theorem1_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
-    let mut table = Table::new(
+    let table = rows_table(
         "Theorem 1 demo: sparsest cut can rank networks opposite to throughput",
         &[
             "graph",
@@ -1445,31 +1313,21 @@ fn theorem1_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
             "sparse cut",
             "cut/throughput",
         ],
+        set,
+        theorem1_rows(opts),
+        |o| {
+            let throughput = o[0].values.num("lower");
+            let cut = o[1].values.num("best_sparsity");
+            vec![f3(throughput), f3(cut), f3(cut / throughput)]
+        },
     );
-    for (tag, label, _) in theorem1_graphs(opts) {
-        let o = set.outcome(&format!("{tag}/tput"));
-        let throughput = o.values.num("lower");
-        let cut = set.num(&format!("{tag}/cut"), "best_sparsity");
-        table.row_strings(vec![
-            label,
-            o.cell.get_label("nodes").expect("labeled").to_string(),
-            o.cell.get_label("links").expect("labeled").to_string(),
-            f3(throughput),
-            f3(cut),
-            f3(cut / throughput),
-        ]);
-    }
-    RenderOutput {
-        preamble: Vec::new(),
-        tables: vec![NamedTable {
-            name: "theorem1_demo".into(),
-            table,
-        }],
-        notes: "Expected shape (paper, Theorem 1): graph B's cut/throughput ratio is much larger than\n\
-                graph A's — B \"looks\" better through the cut lens while delivering lower throughput per\n\
-                unit of cut, because its flows traverse p links each."
-            .into(),
-    }
+    one_table(
+        "theorem1_demo",
+        table,
+        "Expected shape (paper, Theorem 1): graph B's cut/throughput ratio is much larger than\n\
+         graph A's — B \"looks\" better through the cut lens while delivering lower throughput per\n\
+         unit of cut, because its flows traverse p links each.",
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1489,214 +1347,146 @@ fn failures_fracs(full: bool) -> Vec<f64> {
 /// Independent failure draws averaged per cell (mean ± error bars).
 const FAILURE_DRAWS: u64 = 5;
 
-fn failures_build(opts: &SweepOptions) -> Vec<SweepCell> {
-    let mut cells = Vec::new();
-    for family in ALL_FAMILIES {
-        // Fixed equipment per family: the same representative instance the
-        // other figure sweeps use. Labels come from the spec's metadata —
-        // expansion stays construction-free; faults are drawn inside the
-        // cell, at solve time.
-        let topo = TopoSpec::Representative {
-            family,
-            seed: opts.seed,
-        };
-        let params = topo
-            .metadata()
-            .expect("representatives have metadata")
-            .params;
-        let degradation = |link_fail_frac: f64, switch_failures: usize| CellSpec::Degradation {
-            topo: topo.clone(),
-            tm: TmSpec::AllToAll,
-            tm_seed: opts.seed,
-            link_fail_frac,
-            switch_failures,
-            failure_seeds: FAILURE_DRAWS,
-            seed: opts.seed.wrapping_add(90),
-        };
-        for frac in failures_fracs(opts.full) {
-            cells.push(
-                SweepCell::new(
-                    format!("{}/links={frac:.2}", family.name()),
-                    degradation(frac, 0),
-                )
-                .label("family", family.name())
-                .label("params", params.clone()),
-            );
-        }
-        cells.push(
-            SweepCell::new(format!("{}/switches=1", family.name()), degradation(0.0, 1))
-                .label("family", family.name())
-                .label("params", params.clone()),
-        );
-    }
-    cells
+/// One row per family: a cell per link-failure fraction, then one with a
+/// single switch failure.
+fn failures_rows(opts: &SweepOptions) -> Vec<Row> {
+    (ALL_FAMILIES.into_iter())
+        .map(|family| {
+            // Fixed equipment per family: the same representative instance
+            // the other figure sweeps use. Labels come from the spec's
+            // metadata — expansion stays construction-free; faults are drawn
+            // inside the cell, at solve time.
+            let topo = TopoSpec::Representative {
+                family,
+                seed: opts.seed,
+            };
+            let params = params(&topo);
+            let cell = |id: String, link_fail_frac: f64, switch_failures: usize| {
+                let spec = CellSpec::Degradation {
+                    topo: topo.clone(),
+                    tm: TmSpec::AllToAll,
+                    tm_seed: opts.seed,
+                    link_fail_frac,
+                    switch_failures,
+                    failure_seeds: FAILURE_DRAWS,
+                    seed: opts.seed.wrapping_add(90),
+                };
+                SweepCell::new(format!("{}/{id}", family.name()), spec)
+                    .label("family", family.name())
+                    .label("params", params.clone())
+            };
+            let mut cells: Vec<SweepCell> = (failures_fracs(opts.full).into_iter())
+                .map(|frac| cell(format!("links={frac:.2}"), frac, 0))
+                .collect();
+            cells.push(cell("switches=1".into(), 0.0, 1));
+            Row {
+                head: vec![family.name().into(), params],
+                cells,
+            }
+        })
+        .collect()
 }
 
-/// One degradation table entry, status-aware: failed cells render as a
-/// marked entry instead of panicking the renderer.
-fn failures_entry(set: &CellSet, id: &str) -> String {
-    let Some(o) = set.try_outcome(id) else {
-        return "-".into();
-    };
-    if o.is_failed() {
-        return "FAILED".into();
+/// One degradation table entry: mean ± ci95, marked `*` when some demand
+/// pairs were disconnected and dropped (the mean covers the surviving pairs
+/// only).
+fn failures_entry(o: &CellOutcome) -> String {
+    let (mean, ci) = (o.values.num("rel_mean"), o.values.num("rel_ci95"));
+    let mut entry = format!("{mean:.3}±{ci:.3}");
+    if o.values.num("dropped_mean") > 0.0 {
+        entry.push('*');
     }
-    match (o.values.get("rel_mean"), o.values.get("rel_ci95")) {
-        (Some(mean), Some(ci)) => {
-            let mut entry = format!("{mean:.3}±{ci:.3}");
-            if o.values.get("dropped_mean").unwrap_or(0.0) > 0.0 {
-                // Some demand pairs were disconnected and dropped: the mean
-                // covers the surviving pairs only.
-                entry.push('*');
-            }
-            entry
-        }
-        _ => "-".into(),
-    }
+    entry
 }
 
 fn failures_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
-    let fracs = failures_fracs(opts.full);
     let mut header: Vec<String> = vec!["topology".into(), "params".into()];
-    for frac in &fracs {
+    for frac in failures_fracs(opts.full) {
         header.push(format!("links -{:.0}%", frac * 100.0));
     }
     header.push("switches -1".into());
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut table = Table::new(
+    let table = rows_table(
         format!(
             "Failure sweep: relative throughput (faulted / fault-free, mean ± ci95 over {FAILURE_DRAWS} draws)"
         ),
         &header_refs,
+        set,
+        failures_rows(opts),
+        |o| o.iter().map(|o| failures_entry(o)).collect(),
     );
-    for family in ALL_FAMILIES {
-        let anchor = format!("{}/links={:.2}", family.name(), fracs[0]);
-        let params = set
-            .try_outcome(&anchor)
-            .and_then(|o| o.cell.get_label("params"))
-            .unwrap_or("-")
-            .to_string();
-        let mut row = vec![family.name().to_string(), params];
-        for frac in &fracs {
-            row.push(failures_entry(
-                set,
-                &format!("{}/links={frac:.2}", family.name()),
-            ));
-        }
-        row.push(failures_entry(
-            set,
-            &format!("{}/switches=1", family.name()),
-        ));
-        table.row_strings(row);
-    }
-    RenderOutput {
-        preamble: Vec::new(),
-        tables: vec![NamedTable {
-            name: "failures_degradation".into(),
-            table,
-        }],
-        notes: "Expected shape: the 0% column is exactly 1 (the baseline is its own ratio); throughput\n\
-                degrades gracefully — roughly proportionally to the removed capacity — rather than\n\
-                collapsing, echoing the random-graph robustness argument of the paper. Entries marked *\n\
-                dropped disconnected demand pairs before solving (degraded, not failed); FAILED marks\n\
-                cells whose computation panicked twice and was isolated (also flagged by `sweep diff`)."
-            .into(),
-    }
+    one_table(
+        "failures_degradation",
+        table,
+        "Expected shape: the 0% column is exactly 1 (the baseline is its own ratio); throughput\n\
+         degrades gracefully — roughly proportionally to the removed capacity — rather than\n\
+         collapsing, echoing the random-graph robustness argument of the paper. Entries marked *\n\
+         dropped disconnected demand pairs before solving (degraded, not failed); a cell that\n\
+         panicked twice is marked failed in the artifact and the run prints the cell dump instead.",
+    )
 }
 
 // ---------------------------------------------------------------------------
 // Design search: hill-climb topology parameters for throughput per cost.
 // ---------------------------------------------------------------------------
 
-/// The three searchable starting designs. Each is deliberately started *off*
-/// its optimum (an over- or under-provisioned link budget) so the climb has
-/// somewhere to go; equipment stays fixed along every move (see
+/// One row per searchable starting design. Each is deliberately started
+/// *off* its optimum (an over- or under-provisioned link budget) so the climb
+/// has somewhere to go; equipment stays fixed along every move (see
 /// `CellSpec::Search`).
-fn search_starts(opts: &SweepOptions) -> Vec<(&'static str, TopoSpec)> {
-    if opts.full {
-        vec![
-            (
-                "jellyfish",
-                TopoSpec::Jellyfish {
-                    switches: 40,
-                    degree: 4,
-                    servers: 6,
-                    seed: opts.seed,
-                },
-            ),
-            (
-                "longhop",
-                TopoSpec::LongHop {
-                    dim: 5,
-                    degree: 10,
-                    servers: 2,
-                },
-            ),
-            (
-                "hyperx",
-                TopoSpec::HyperX {
-                    radix: 16,
-                    min_servers: 128,
-                    bisection: 0.3,
-                },
-            ),
-        ]
-    } else {
-        vec![
-            (
-                "jellyfish",
-                TopoSpec::Jellyfish {
-                    switches: 16,
-                    degree: 4,
-                    servers: 4,
-                    seed: opts.seed,
-                },
-            ),
-            (
-                "longhop",
-                TopoSpec::LongHop {
-                    dim: 4,
-                    degree: 8,
-                    servers: 2,
-                },
-            ),
-            (
-                "hyperx",
-                TopoSpec::HyperX {
-                    radix: 10,
-                    min_servers: 48,
-                    bisection: 0.3,
-                },
-            ),
-        ]
-    }
-}
-
-fn search_build(opts: &SweepOptions) -> Vec<SweepCell> {
-    search_starts(opts)
-        .into_iter()
+fn search_rows(opts: &SweepOptions) -> Vec<Row> {
+    let pick = |full, reduced| if opts.full { full } else { reduced };
+    let starts = [
+        (
+            "jellyfish",
+            TopoSpec::Jellyfish {
+                switches: pick(40, 16),
+                degree: 4,
+                servers: pick(6, 4),
+                seed: opts.seed,
+            },
+        ),
+        (
+            "longhop",
+            TopoSpec::LongHop {
+                dim: pick(5, 4),
+                degree: pick(10, 8),
+                servers: 2,
+            },
+        ),
+        (
+            "hyperx",
+            TopoSpec::HyperX {
+                radix: pick(16, 10),
+                min_servers: pick(128, 48),
+                bisection: 0.3,
+            },
+        ),
+    ];
+    (starts.into_iter())
         .map(|(name, start)| {
-            let params = start
-                .metadata()
-                .expect("search starts have metadata")
-                .params;
-            SweepCell::new(
+            let params = params(&start);
+            let cell = SweepCell::new(
                 format!("search/{name}"),
                 CellSpec::Search {
                     start,
                     tm: TmSpec::AllToAll,
                     tm_seed: opts.seed,
-                    max_steps: if opts.full { 6 } else { 4 },
+                    max_steps: pick(6, 4),
                 },
             )
             .label("family", name)
-            .label("start_params", params)
+            .label("start_params", params);
+            Row {
+                head: vec![name.into()],
+                cells: vec![cell],
+            }
         })
         .collect()
 }
 
 fn search_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
-    let mut table = Table::new(
+    let table = rows_table(
         "Design search: throughput per unit cost (cost = links + 4/switch), fixed equipment",
         &[
             "design",
@@ -1708,47 +1498,36 @@ fn search_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
             "steps",
             "evals",
         ],
+        set,
+        search_rows(opts),
+        |o| {
+            let values = &o[0].values;
+            let start_obj = values.num("start_objective");
+            let final_obj = values.num("final_objective");
+            let gain = if start_obj > 0.0 {
+                format!("{:+.1}%", (final_obj / start_obj - 1.0) * 100.0)
+            } else {
+                "-".into()
+            };
+            vec![
+                values.text("step_0_params").unwrap_or("-").to_string(),
+                values.text("final_params").unwrap_or("-").to_string(),
+                f3(start_obj),
+                f3(final_obj),
+                gain,
+                format!("{}", values.num("steps_accepted") as u64),
+                format!("{}", values.num("evals") as u64),
+            ]
+        },
     );
-    for (name, _) in search_starts(opts) {
-        let id = format!("search/{name}");
-        let Some(o) = set.try_outcome(&id) else {
-            continue;
-        };
-        if o.is_failed() {
-            table.row_strings(vec![name.to_string(), "FAILED".into()]);
-            continue;
-        }
-        let start_obj = o.values.num("start_objective");
-        let final_obj = o.values.num("final_objective");
-        let gain = if start_obj > 0.0 {
-            format!("{:+.1}%", (final_obj / start_obj - 1.0) * 100.0)
-        } else {
-            "-".into()
-        };
-        table.row_strings(vec![
-            name.to_string(),
-            o.values.text("step_0_params").unwrap_or("-").to_string(),
-            o.values.text("final_params").unwrap_or("-").to_string(),
-            f3(start_obj),
-            f3(final_obj),
-            gain,
-            format!("{}", o.values.num("steps_accepted") as u64),
-            format!("{}", o.values.num("evals") as u64),
-        ]);
-    }
-    RenderOutput {
-        preamble: Vec::new(),
-        tables: vec![NamedTable {
-            name: "search_results".into(),
-            table,
-        }],
-        notes:
-            "Expected shape: each climb ends at a design whose throughput-per-cost is at least\n\
-                its start's (a zero-step climb means the start was already locally optimal). The\n\
-                Jellyfish and Long Hop climbs trade server/network ports and long-hop generators\n\
-                against link cost."
-                .into(),
-    }
+    one_table(
+        "search_results",
+        table,
+        "Expected shape: each climb ends at a design whose throughput-per-cost is at least\n\
+         its start's (a zero-step climb means the start was already locally optimal). The\n\
+         Jellyfish and Long Hop climbs trade server/network ports and long-hop generators\n\
+         against link cost.",
+    )
 }
 
 #[cfg(test)]
@@ -1779,14 +1558,14 @@ mod tests {
 
     #[test]
     fn fig02_grid_shape() {
-        let cells = fig02_build(&opts());
+        let cells = cells_of(fig02_rows(&opts()));
         // 4 hypercubes + 4 RRGs + 3 fat trees, 6 series each.
         assert_eq!(cells.len(), 11 * 6);
     }
 
     #[test]
     fn failures_grid_shape() {
-        let cells = failures_build(&opts());
+        let cells = cells_of(failures_rows(&opts()));
         // One cell per link-failure fraction plus one switch-failure cell,
         // for every family.
         assert_eq!(
@@ -1802,8 +1581,9 @@ mod tests {
 
     #[test]
     fn cut_battery_caps_switch_count() {
-        for r in cut_battery(&opts(), 70) {
-            assert!(r.switches <= 70, "{} exceeds the cap", r.id);
+        for row in cut_battery(&opts(), 70) {
+            let switches: usize = row.head[2].parse().unwrap();
+            assert!(switches <= 70, "{} exceeds the cap", row.cells[0].id);
         }
     }
 }

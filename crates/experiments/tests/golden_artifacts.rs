@@ -4,7 +4,9 @@
 //! using the `sweep diff` engine. Every value must match **bit for bit** —
 //! this is the process-level reproducibility guard (the class of bug it
 //! catches: per-process randomized `HashSet` iteration leaking into graph
-//! generation, as once happened to fig03/table02).
+//! generation, as once happened to fig03/table02). The rendered `tables`
+//! block must equal the golden's too, which the cell diff never looks at:
+//! a renderer that printed a wrong column would otherwise pass.
 //!
 //! Refresh after an intentional change with:
 //!
@@ -14,8 +16,9 @@
 //! ```
 
 use std::path::PathBuf;
+use topobench::sweep::json::Json;
 use topobench::sweep::{
-    artifact_json, diff_artifacts, run_scenario, validate_artifact, DiffOptions, SweepOptions,
+    artifact_json, diff_artifacts, run_scenario, validate_artifact, SweepOptions,
 };
 
 fn golden_path(name: &str) -> PathBuf {
@@ -40,8 +43,8 @@ fn check_golden(name: &str) {
             path.display()
         )
     });
-    let diff = diff_artifacts(&golden, &fresh, &DiffOptions::default())
-        .expect("golden and regenerated artifacts must both parse");
+    let diff =
+        diff_artifacts(&golden, &fresh).expect("golden and regenerated artifacts must both parse");
     assert!(diff.compared > 0, "{name}: nothing compared");
     assert_eq!(
         diff.bit_identical, diff.compared,
@@ -51,6 +54,12 @@ fn check_golden(name: &str) {
         diff.is_clean(),
         "{name} drifted from its golden artifact:\n{}",
         diff.render()
+    );
+    let tables = |text: &str| Json::parse(text).unwrap().get("tables").cloned();
+    assert_eq!(
+        tables(&fresh),
+        tables(&golden),
+        "{name}: rendered tables differ from the golden's"
     );
 }
 
@@ -77,6 +86,7 @@ golden!(golden_fig15, "fig15");
 golden!(golden_table02, "table02");
 golden!(golden_theorem1_demo, "theorem1_demo");
 golden!(golden_failures, "failures");
+golden!(golden_search, "search");
 
 /// The registry and this suite must stay in sync: a newly added scenario
 /// without a golden artifact fails here rather than silently going

@@ -14,7 +14,7 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use std::thread::ThreadId;
 use std::time::Duration;
 use topobench::sweep::{
-    artifact_json, diff_artifacts, run_scenario, validate_artifact, DiffOptions, SweepOptions,
+    artifact_json, diff_artifacts, run_scenario, validate_artifact, SweepOptions,
 };
 
 const GATE_TIMEOUT: Duration = Duration::from_secs(30);
@@ -240,8 +240,8 @@ fn fig05_06_rung0_lm_is_byte_identical_serial_and_pooled_and_matches_the_golden(
     let golden_path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/golden/fig05_06.json");
     let golden = std::fs::read_to_string(&golden_path).expect("committed golden");
-    let diff = diff_artifacts(&golden, &pooled, &DiffOptions::default())
-        .expect("golden and fresh artifacts must both parse");
+    let diff =
+        diff_artifacts(&golden, &pooled).expect("golden and fresh artifacts must both parse");
     assert!(diff.compared > 0, "nothing compared");
     assert_eq!(diff.bit_identical, diff.compared);
     assert!(

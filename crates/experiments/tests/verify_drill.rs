@@ -116,10 +116,17 @@ fn verify_usage_errors_exit_2() {
 
 #[test]
 fn write_golden_refuses_anything_but_a_complete_reduced_seed_1_run() {
-    // The committed goldens are pinned to that spec; each refusal must come
-    // before any cell runs and before `results/golden` is touched.
+    // The committed goldens are pinned to that spec, uncertified; each
+    // refusal must come before any cell runs and before `results/golden` is
+    // touched.
     let dir = temp_dir("golden-refusals");
-    for extra in [&["--filter", "LM"][..], &["--full"], &["--seed", "7"]] {
+    let refused = [
+        &["--filter", "LM"][..],
+        &["--full"],
+        &["--seed", "7"],
+        &["--certify"],
+    ];
+    for extra in refused {
         let mut args = vec!["--scenario", "fig02", "--write-golden"];
         args.extend_from_slice(extra);
         let (code, _, err) = sweep(&dir, &args);
