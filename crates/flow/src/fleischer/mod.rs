@@ -17,9 +17,9 @@
 //!   bound bounces by about ±1 % per evaluation on sparse TMs, the average
 //!   does not (see [`phase`]),
 //!
-//! and stops as soon as the two are within `target_gap` of each other (or the
-//! classical termination `D(l) >= 1` fires — since the averaged bound, the
-//! exit of 6 of the 919 FPTAS solves of the scenario suite, down from 159).
+//! and stops as soon as the two are within `target_gap` of each other, or when
+//! the classical termination `D(l) >= 1` fires first (6 of the scenario
+//! suite's 919 FPTAS solves at seed 1).
 //! On the instances the paper evaluates the bounds typically close to within
 //! a few percent long before the worst-case phase count is reached.
 //!
@@ -30,7 +30,7 @@
 //!   runs the bound-evaluation cadence;
 //! * [`route`] — the per-source routing kernels (known-path loop for a
 //!   single destination, per-destination walk, aggregated bottom-up tree),
-//!   the tree computation and the potential refresh.
+//!   the tree computation and the goal-direction potential rows.
 //!
 //! Every solve runs **one serial trajectory**: source by source, lengths
 //! updated in place. Parallelism lives one layer up (the sweep engine spreads
@@ -64,18 +64,24 @@
 //!   returned. Sound because arc lengths only ever grow, so that distance
 //!   lower-bounds the current one and the path is `(1 + eps/4)`-shortest —
 //!   the classical Fleischer argument,
-//! * **one sweep per bound evaluation**: the dual bound needs every
-//!   commodity's distance at the current lengths and the goal-directed
-//!   searches need fresh potentials at the same lengths. One reverse Dijkstra
-//!   per single-destination source's target serves both (the refreshed row is
-//!   the potential, and its entry at the source is the distance); only
-//!   multi-destination sources run a forward tree for the bound. The averaged
-//!   bound, when an evaluation takes it, adds one forward search per source.
-//!   All these sweeps are read-only over the length function and fan out with
-//!   rayon once the instance is large enough to amortize the pool.
+//! * **one sweep per bound evaluation, one row per dense turn**: the dual
+//!   bound needs every commodity's distance at the current lengths and the
+//!   goal-directed searches need potentials. One reverse Dijkstra per
+//!   single-destination source's target serves both at a bound evaluation
+//!   (the refreshed row is the potential, and its entry at the source is the
+//!   distance); only multi-destination sources run a forward tree for the
+//!   bound. The averaged bound, when an evaluation takes it, adds one forward
+//!   search per source. All these sweeps are read-only over the length
+//!   function and fan out with rayon once the instance is large enough to
+//!   amortize the pool. A row whose searches stopped pruning is re-derived,
+//!   serially, at the start of each of its source's turns as well (next
+//!   section).
 //!
 //! [`SolveStats::searches`] and [`SolveStats::path_reuses`] count, per solve,
-//! how often a step searched and how often it did not.
+//! how often a step searched and how often it did not;
+//! [`SolveStats::settles`] how much of the graph the goal-directed searches
+//! settled, and [`SolveStats::row_refreshes`] how many rows dense turns
+//! re-derived.
 //!
 //! ## Goal-directed routing and known paths for sparse TMs
 //!
@@ -84,10 +90,10 @@
 //! function, form a **consistent A\* potential** for the current lengths.
 //! For every source with a single destination — the shape of matching-style
 //! near-worst-case TMs, where each switch talks to one peer — the solver
-//! keeps reverse distances to that destination (refreshed by every bound
-//! evaluation, in parallel for large instances) and searches with the
-//! goal-directed kernel [`tb_graph::sssp_csr_goal`] instead of a full
-//! Dijkstra. Distances and routed paths remain *exact*; once the length
+//! keeps reverse distances to that destination (a *potential row*, re-derived
+//! by every bound evaluation, in parallel for large instances) and searches
+//! with the goal-directed kernel [`tb_graph::sssp_csr_goal`] instead of a
+//! full Dijkstra. Distances and routed paths remain *exact*; once the length
 //! function differentiates, the search expands little beyond the shortest
 //! path itself, instead of settling the whole graph per iteration.
 //!
@@ -108,6 +114,22 @@
 //! (searches 922,860 → 453,471; `HyperX/1/LM` 120,753 → 54,422 at an
 //! unchanged 260 phases — 152 phases and 35,875 searches since the averaged
 //! dual bound closes its gap).
+//!
+//! That makes searches rarer, not cheaper: between bound evaluations a row
+//! goes stale (every phase grows the lengths by about `1 + eps`, unevenly),
+//! and on short-diameter graphs a search under a stale row settles most of
+//! the graph anyway (`HyperX/1/LM`, 64 switches: about 50 nodes per search,
+//! first of turn or not). So a row turns **dense** for the rest of the solve
+//! once the searches of one of its source's turns settle, on average, more
+//! than half the graph, and each later turn of that source starts with one
+//! reverse Dijkstra at the turn's starting lengths: its searches then run on
+//! an exact potential (about 8 settles per search on `HyperX/1/LM`, where
+//! 9,545 of the 9,728 turns re-derive). Rows that never turn dense keep the
+//! bound cadence alone, and a solve in which no row turns dense runs, bit
+//! for bit, the trajectory it had before dense rows existed — as does every
+//! solve without single-destination sources (all-to-all). Across the `/1/LM`
+//! pass of `fig05_06` this took the goal-directed searches' settles from
+//! 4.44 M to 1.75 M at about the same search count.
 //!
 //! ## Aggregated tree routing for dense TMs
 //!
@@ -241,6 +263,13 @@ pub struct SolveStats {
     /// Routing steps of single-destination sources that went along a known
     /// path instead of searching (see the module docs).
     pub path_reuses: usize,
+    /// Potential rows re-derived at the start of a turn because they turned
+    /// dense (see the module docs); the bound evaluations' refreshes are not
+    /// counted.
+    pub row_refreshes: usize,
+    /// Nodes settled by the goal-directed searches of single-destination
+    /// sources — what the potentials save is settles per search.
+    pub settles: usize,
     /// Whether the solve met its accuracy contract (classical FPTAS
     /// termination or the target bound gap) before any budget ran out.
     pub converged: bool,
@@ -276,9 +305,7 @@ pub struct SolverWorkspace {
     path: Vec<usize>,
     /// Goal-direction potentials, one row of `num_nodes` per single-dest
     /// source (reverse distances to its destination).
-    potentials: Vec<f64>,
-    /// Reversed per-arc lengths (partner-arc view) for potential refreshes.
-    rev_lens: Vec<f64>,
+    potentials: route::PotentialRows,
     /// Per-node remaining subtree demand, folded bottom-up over the settle
     /// order by the aggregated routing kernel.
     subtree: Vec<f64>,

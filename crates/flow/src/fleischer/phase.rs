@@ -18,8 +18,11 @@
 //! and reads each single-destination term of `alpha(l)` off its row
 //! (`demand × row[src]` is the exact distance); only multi-destination
 //! sources run a forward tree. The rows are computed once more at the start
-//! of the solve, for the phases before the first evaluation. The refresh
-//! and the forward sweeps of the two dual bounds ([`sum_alpha`]) are the only
+//! of the solve, for the phases before the first evaluation. That is the
+//! whole cadence of a row until it turns dense; a dense row is also
+//! re-derived at the start of each of its source's turns, by the routing
+//! kernel and outside any evaluation (see [`super`]). The refresh and the
+//! forward sweeps of the two dual bounds ([`sum_alpha`]) are the only
 //! parallel regions (see [`PAR_MIN_SWEEP_WORK`]); their results do not depend
 //! on the thread count.
 //!
@@ -88,7 +91,7 @@
 //! accumulators — the routing trajectory and the lengths are untouched; a
 //! solve merely meets its `target_gap` earlier.
 
-use super::route::{self, RouteCtx, RouteState, SerialState};
+use super::route::{self, PotentialRows, RouteCtx, RouteState, SerialState};
 use super::{FleischerConfig, SolveStats, SolverWorkspace, PAR_MIN_SWEEP_WORK};
 use crate::certificate::{CertCapture, FlowSnapshot, ThroughputCertificate};
 use crate::instance::FlowProblem;
@@ -166,7 +169,6 @@ pub(super) fn solve_problem(
         touched,
         path,
         potentials,
-        rev_lens,
         subtree,
         cur_len,
         known_paths,
@@ -207,9 +209,8 @@ pub(super) fn solve_problem(
     known_paths.reset(ctx.num_single);
     // The rows every search of the first `check_interval` phases is
     // directed by; each bound evaluation refreshes them from then on.
-    potentials.clear();
-    potentials.resize(ctx.num_single * n, f64::INFINITY);
-    route::refresh_potentials(&ctx, mwu.lens(), rev_lens, potentials, sssp, sweep_pool);
+    potentials.reset(ctx.num_single, n);
+    potentials.refresh(&ctx, mwu.lens(), sssp, sweep_pool);
     if any_dense {
         subtree.clear();
         subtree.resize(n, 0.0);
@@ -257,8 +258,7 @@ pub(super) fn solve_problem(
         phase += 1;
         if phase.is_multiple_of(check_interval) {
             best.evaluate(
-                &ctx, potentials, rev_lens, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool,
-                &mut stats,
+                &ctx, potentials, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool, &mut stats,
             );
             if best.upper.is_finite() && best.gap() <= cfg.target_gap {
                 gap_exit = true;
@@ -274,8 +274,7 @@ pub(super) fn solve_problem(
     // Closing bound evaluation (unless the exit was taken right after one).
     if !gap_exit {
         best.evaluate(
-            &ctx, potentials, rev_lens, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool,
-            &mut stats,
+            &ctx, potentials, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool, &mut stats,
         );
     }
     // An unbounded dual (no commodity needs capacity) falls back to the
@@ -290,9 +289,11 @@ pub(super) fn solve_problem(
 
     if trace {
         eprintln!(
-            "TB_SOLVER_TRACE phases={phase} searches={} path_reuses={} d_l={:.4} exit={} lower={} upper={}",
+            "TB_SOLVER_TRACE phases={phase} searches={} path_reuses={} row_refreshes={} settles={} d_l={:.3e} exit={} lower={} upper={}",
             stats.searches,
             stats.path_reuses,
+            stats.row_refreshes,
+            stats.settles,
             mwu.d_l(),
             if gap_exit {
                 "gap"
@@ -451,8 +452,7 @@ impl BestBounds {
     fn evaluate(
         &mut self,
         ctx: &RouteCtx<'_>,
-        potentials: &mut [f64],
-        rev_lens: &mut Vec<f64>,
+        potentials: &mut PotentialRows,
         routed: &[Vec<f64>],
         flow_arc: &[f64],
         mwu: &MwuLengths,
@@ -462,7 +462,7 @@ impl BestBounds {
         stats: &mut SolveStats,
     ) {
         let num_sources = ctx.prob.sources().len();
-        let up = dual_bound(ctx, potentials, rev_lens, mwu, sssp, pool);
+        let up = dual_bound(ctx, potentials, mwu, sssp, pool);
         stats.searches += num_sources - ctx.num_single;
         if up < self.upper {
             self.upper = up;
@@ -583,20 +583,19 @@ fn rescaled_bound(
 /// Only multi-destination sources need a shortest-path tree ([`sum_alpha`]).
 fn dual_bound(
     ctx: &RouteCtx<'_>,
-    potentials: &mut [f64],
-    rev_lens: &mut Vec<f64>,
+    potentials: &mut PotentialRows,
     mwu: &MwuLengths,
     sssp: &mut SsspWorkspace,
     pool: &SsspPool,
 ) -> f64 {
     let n = ctx.prob.num_nodes();
-    route::refresh_potentials(ctx, mwu.lens(), rev_lens, potentials, sssp, pool);
+    potentials.refresh(ctx, mwu.lens(), sssp, pool);
     let potentials = &*potentials;
     let searches = ctx.prob.sources().len() - ctx.num_single;
     let alpha = sum_alpha(ctx, searches, sssp, pool, |sw, si| {
         if ctx.single_dest[si].is_some() {
             let src = ctx.prob.sources()[si].src;
-            return ctx.demands[si][0] * potentials[ctx.pot_rows[si] * n + src];
+            return ctx.demands[si][0] * potentials.row(ctx.pot_rows[si], n)[src];
         }
         tree_alpha(ctx, si, mwu.lens(), sw)
     });
@@ -693,7 +692,6 @@ mod tests {
         let SolverWorkspace {
             mwu,
             potentials,
-            rev_lens,
             sssp,
             sweep_pool,
             ..
@@ -711,10 +709,9 @@ mod tests {
         let forward = mwu.dual_bound(alpha);
 
         let queued_before = rayon::pool::stats().jobs;
-        let pooled = dual_bound(&ctx, potentials, rev_lens, mwu, sssp, sweep_pool);
+        let pooled = dual_bound(&ctx, potentials, mwu, sssp, sweep_pool);
         assert!(rayon::current_num_threads() == 1 || rayon::pool::stats().jobs > queued_before);
-        let inline =
-            rayon::serial(|| dual_bound(&ctx, potentials, rev_lens, mwu, sssp, sweep_pool));
+        let inline = rayon::serial(|| dual_bound(&ctx, potentials, mwu, sssp, sweep_pool));
         assert_eq!(pooled.to_bits(), inline.to_bits());
         assert!(
             forward.is_finite() && (pooled - forward).abs() <= 1e-12 * forward,

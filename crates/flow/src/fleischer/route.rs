@@ -9,15 +9,15 @@
 //! lengths through [`apply_update`] between capacity-limited steps — the
 //! classical Fleischer trajectory.
 //!
-//! Tree computation ([`compute_tree`]) and the goal-direction potential
-//! refresh ([`refresh_potentials`]) are shared with the dual bound evaluation
-//! in [`super::phase`].
+//! Tree computation ([`compute_tree`]) and the goal-direction potential rows
+//! ([`PotentialRows`]) are shared with the dual bound evaluation in
+//! [`super::phase`].
 
 use super::{SolveStats, PAR_MIN_SWEEP_WORK};
 use crate::instance::FlowProblem;
 use crate::lengths::{ArcLengths, MwuLengths};
 use rayon::prelude::*;
-use tb_graph::{sssp_csr, sssp_csr_goal, SsspPool, SsspWorkspace};
+use tb_graph::{sssp_csr, sssp_csr_by, sssp_csr_goal, SsspPool, SsspWorkspace};
 
 /// Per-arc routing state, interleaved so the walk/update loops touch one
 /// cache line per arc instead of separate parallel arrays. Lengths
@@ -71,7 +71,8 @@ pub(super) struct SerialState<'a> {
     pub cur_len: &'a mut [f64],
     pub sssp: &'a mut SsspWorkspace,
     pub known: &'a mut KnownPaths,
-    /// The solve's counters; the kernels count their searches and reuses.
+    /// The solve's counters; the kernels count their searches, reuses,
+    /// settles and row re-derivations.
     pub stats: &'a mut SolveStats,
 }
 
@@ -182,67 +183,112 @@ fn search_tree(ctx: &RouteCtx<'_>, si: usize, state: &mut SerialState<'_>) {
     compute_tree(ctx, si, state.mwu.lens(), state.sssp);
 }
 
-/// Refreshes the goal-direction potential rows: one full reverse SSSP per
-/// single-destination source's target, against the partner-arc length view.
-/// Row values are exact reverse distances at refresh time and remain
-/// consistent (admissible) as lengths grow. Fans out to the pool for large
-/// instances, each worker leasing an SSSP workspace from `pool`; row contents
-/// do not depend on the thread count. A no-op without such sources.
-pub(super) fn refresh_potentials(
-    ctx: &RouteCtx<'_>,
-    len: &[f64],
-    rev_lens: &mut Vec<f64>,
-    potentials: &mut [f64],
-    sssp: &mut SsspWorkspace,
-    pool: &SsspPool,
-) {
-    if ctx.num_single == 0 {
-        return;
+/// The goal-direction potential rows: for every single-destination source,
+/// the reverse distances to its destination at the lengths of the row's
+/// latest derivation — exact then, and consistent (admissible) as lengths
+/// grow. Every bound evaluation re-derives all rows, because the dual bound
+/// reads each source's distance off its row; a *dense* row is re-derived at
+/// the start of each of its source's turns as well (see [`DENSE_SETTLES`]).
+/// Rows and flags are reset per solve by [`PotentialRows::reset`], keeping
+/// the allocations.
+#[derive(Debug, Clone, Default)]
+pub(super) struct PotentialRows {
+    /// `num_nodes` values per row, rows in source order.
+    values: Vec<f64>,
+    /// Whether the row is dense.
+    dense: Vec<bool>,
+}
+
+/// A row turns dense once the goal-directed searches of one of its source's
+/// turns settle, on average, more than `1 / DENSE_SETTLES` of the graph: the
+/// row has gone so stale that one reverse Dijkstra at the start of every
+/// later turn costs less than the searches it makes exact. The rule and the
+/// constant were chosen on the `/RM(1)` and `/1/LM` passes of `fig05_06` at
+/// seed 1 (wall-clock, best of three runs on a 2-core x86 box; this rule:
+/// 2.97 s and 0.63 s): re-deriving every row every turn costs `/RM(1)` +24 %
+/// (+17 % over no dense rows at all) and `/1/LM` +5 %; a quarter or three
+/// quarters of the graph instead of half cost 2–9 % on both; re-deriving
+/// once the settles since the row's last derivation exceed the graph ties on
+/// `/RM(1)` and costs `/1/LM` +9 %.
+const DENSE_SETTLES: usize = 2;
+
+impl PotentialRows {
+    /// Makes room for `rows` rows over `n` nodes, none dense.
+    pub(super) fn reset(&mut self, rows: usize, n: usize) {
+        self.values.clear();
+        self.values.resize(rows * n, f64::INFINITY);
+        self.dense.clear();
+        self.dense.resize(rows, false);
     }
-    let n = ctx.prob.num_nodes();
-    let m = ctx.prob.num_arcs();
-    // Reverse view: arcs are created in (forward, backward) pairs, so the
-    // partner of arc `aid` is `aid ^ 1` and reverse-graph distances are plain
-    // distances under the partner's length.
-    rev_lens.clear();
-    debug_assert!(
-        (0..m).step_by(2).all(|aid| {
-            let (f, b) = (ctx.prob.arcs()[aid], ctx.prob.arcs()[aid ^ 1]);
-            f.from == b.to && f.to == b.from
-        }),
-        "FlowProblem arcs must come in (forward, backward) pairs for the partner view"
-    );
-    rev_lens.extend((0..m).map(|aid| len[aid ^ 1]));
-    let rev: &[f64] = rev_lens;
-    // Rows are handed out in source order; a source's row index from
-    // `pot_rows` matches its position in this filtered sequence.
-    let jobs: Vec<(&mut [f64], usize)> = potentials
-        .chunks_mut(n)
-        .zip(ctx.single_dest.iter().filter(|d| d.is_some()))
-        .map(|(row, d)| (row, d.expect("filtered to Some")))
-        .collect();
-    debug_assert_eq!(jobs.len(), ctx.num_single);
-    debug_assert!(ctx.pot_rows.iter().filter(|&&r| r != usize::MAX).count() == ctx.num_single);
-    if ctx.num_single * m >= PAR_MIN_SWEEP_WORK && rayon::current_num_threads() > 1 {
-        let _: Vec<()> = jobs
-            .into_par_iter()
-            .map_init(
-                || pool.lease(),
-                |sw, (row, dst)| {
-                    sssp_csr(ctx.prob.csr(), dst, rev, None, sw);
-                    for (v, slot) in row.iter_mut().enumerate() {
-                        *slot = sw.dist(v);
-                    }
-                },
-            )
-            .collect();
-    } else {
-        for (row, dst) in jobs {
-            sssp_csr(ctx.prob.csr(), dst, rev, None, sssp);
-            for (v, slot) in row.iter_mut().enumerate() {
-                *slot = sssp.dist(v);
+
+    /// Row `row` over `n` nodes.
+    pub(super) fn row(&self, row: usize, n: usize) -> &[f64] {
+        &self.values[row * n..(row + 1) * n]
+    }
+
+    /// Re-derives every row at the lengths `len`. Fans out to the pool for
+    /// large instances, each worker leasing an SSSP workspace from `pool`;
+    /// row contents do not depend on the thread count. A no-op without
+    /// single-destination sources.
+    pub(super) fn refresh(
+        &mut self,
+        ctx: &RouteCtx<'_>,
+        len: &[f64],
+        sssp: &mut SsspWorkspace,
+        pool: &SsspPool,
+    ) {
+        if ctx.num_single == 0 {
+            return;
+        }
+        let n = ctx.prob.num_nodes();
+        debug_assert!(
+            (0..ctx.prob.num_arcs()).step_by(2).all(|aid| {
+                let (f, b) = (ctx.prob.arcs()[aid], ctx.prob.arcs()[aid ^ 1]);
+                f.from == b.to && f.to == b.from
+            }),
+            "FlowProblem arcs must come in (forward, backward) pairs for the partner view"
+        );
+        // Rows are handed out in source order; a source's row index from
+        // `pot_rows` matches its position in this filtered sequence.
+        let jobs = self
+            .values
+            .chunks_mut(n)
+            .zip(ctx.single_dest.iter().filter_map(|&d| d));
+        debug_assert!(ctx.pot_rows.iter().filter(|&&r| r != usize::MAX).count() == ctx.num_single);
+        if ctx.num_single * ctx.prob.num_arcs() >= PAR_MIN_SWEEP_WORK
+            && rayon::current_num_threads() > 1
+        {
+            let jobs: Vec<(&mut [f64], usize)> = jobs.collect();
+            let _: Vec<()> = jobs
+                .into_par_iter()
+                .map_init(
+                    || pool.lease(),
+                    |sw, (row, dst)| derive_row(ctx, len, dst, row, sw),
+                )
+                .collect();
+        } else {
+            for (row, dst) in jobs {
+                derive_row(ctx, len, dst, row, sssp);
             }
         }
+    }
+}
+
+/// Writes the reverse distances to `dst` at the lengths `len` into `row`:
+/// one full Dijkstra from `dst` over the partner arcs. `FlowProblem` creates
+/// arcs in (forward, backward) pairs, so the partner of arc `aid` is
+/// `aid ^ 1` and reverse-graph distances are plain distances under the
+/// partner's length.
+fn derive_row(
+    ctx: &RouteCtx<'_>,
+    len: &[f64],
+    dst: usize,
+    row: &mut [f64],
+    sssp: &mut SsspWorkspace,
+) {
+    sssp_csr_by(ctx.prob.csr(), dst, |aid| len[aid ^ 1], None, sssp);
+    for (v, slot) in row.iter_mut().enumerate() {
+        *slot = sssp.dist(v);
     }
 }
 
@@ -268,12 +314,15 @@ fn apply_update(mwu: &mut MwuLengths, flow_arc: &mut [f64], aid: usize, u: f64) 
 /// path is `(1 + eps/4)`-shortest — the reuse argument of the tree kernels,
 /// applied to every path this source's searches have found rather than the
 /// last tree's. Only when no known path qualifies does the kernel search
-/// again, which raises `D` and records the new path. Returns `false` when
-/// `D(l)` saturated mid-source (the caller breaks the phase loop).
+/// again, which raises `D` and records the new path. A dense potential row
+/// is re-derived before the turn's first step, and a turn whose searches
+/// settled more than `1 / DENSE_SETTLES` of the graph on average makes the
+/// row dense. Returns `false` when `D(l)` saturated mid-source (the caller
+/// breaks the phase loop).
 pub(super) fn route_source_single(
     ctx: &RouteCtx<'_>,
     si: usize,
-    potentials: &[f64],
+    potentials: &mut PotentialRows,
     state: &mut SerialState<'_>,
     routed_si: &mut [f64],
 ) -> bool {
@@ -287,44 +336,59 @@ pub(super) fn route_source_single(
         return true;
     }
     let row = ctx.pot_rows[si];
-    let potential = &potentials[row * n..(row + 1) * n];
+    if potentials.dense[row] {
+        state.stats.row_refreshes += 1;
+        let values = &mut potentials.values[row * n..(row + 1) * n];
+        derive_row(ctx, state.mwu.lens(), dst, values, state.sssp);
+    }
+    let potential = potentials.row(row, n);
     // `reuse_slack × D`; nothing is reusable before the turn's first search.
     let mut reuse_bound = f64::NEG_INFINITY;
-    while remaining > 1e-15 {
-        if state.mwu.saturated() {
-            return false;
-        }
-        let len = state.mwu.lens();
-        let path = match state.known.shortest_within(row, len, reuse_bound) {
-            Some(path) => {
-                state.stats.path_reuses += 1;
-                path
+    let (mut searches, mut settles) = (0, 0);
+    let ok = 'turn: {
+        while remaining > 1e-15 {
+            if state.mwu.saturated() {
+                break 'turn false;
             }
-            None => {
-                state.stats.searches += 1;
-                sssp_csr_goal(ctx.prob.csr(), s.src, len, dst, potential, state.sssp);
-                debug_assert!(state.sssp.dist(dst).is_finite());
-                reuse_bound = ctx.reuse_slack * state.sssp.dist(dst);
-                state.known.record(row, state.sssp, s.src, dst)
+            let len = state.mwu.lens();
+            let path = match state.known.shortest_within(row, len, reuse_bound) {
+                Some(path) => {
+                    state.stats.path_reuses += 1;
+                    path
+                }
+                None => {
+                    sssp_csr_goal(ctx.prob.csr(), s.src, len, dst, potential, state.sssp);
+                    debug_assert!(state.sssp.dist(dst).is_finite());
+                    searches += 1;
+                    settles += state.sssp.settled_count();
+                    reuse_bound = ctx.reuse_slack * state.sssp.dist(dst);
+                    state.known.record(row, state.sssp, s.src, dst)
+                }
+            };
+            #[cfg(test)]
+            tests::audit_routed_path(ctx, si, len, path);
+            let bottleneck = path
+                .iter()
+                .map(|&aid| state.st[aid as usize].cap)
+                .fold(f64::INFINITY, f64::min);
+            let f = remaining.min(bottleneck);
+            if f <= 1e-15 {
+                break 'turn true; // negligible amounts are not routed
             }
-        };
-        #[cfg(test)]
-        tests::audit_routed_path(ctx, si, len, path);
-        let bottleneck = path
-            .iter()
-            .map(|&aid| state.st[aid as usize].cap)
-            .fold(f64::INFINITY, f64::min);
-        let f = remaining.min(bottleneck);
-        if f <= 1e-15 {
-            return true; // negligible amounts are not routed
+            for &aid in path {
+                apply_update(state.mwu, state.flow_arc, aid as usize, f);
+            }
+            remaining -= f;
+            routed_si[0] += f;
         }
-        for &aid in path {
-            apply_update(state.mwu, state.flow_arc, aid as usize, f);
-        }
-        remaining -= f;
-        routed_si[0] += f;
+        true
+    };
+    state.stats.searches += searches;
+    state.stats.settles += settles;
+    if DENSE_SETTLES * settles > n * searches {
+        potentials.dense[row] = true;
     }
-    true
+    ok
 }
 
 /// In-place routing of one sparse multi-destination source (per-destination
@@ -473,9 +537,9 @@ pub(super) fn route_source_tree(
     routed_si: &mut [f64],
 ) -> bool {
     let s = &ctx.prob.sources()[si];
-    // The first batch routes on a tree computed at the current lengths; its
-    // apply pass rebuilds `cur_len` top-down before the first staleness check
-    // needs it.
+    // The first batch routes on a tree computed at the current lengths; if
+    // it is capacity-limited, `cur_len` is rebuilt before the first
+    // staleness check needs it.
     search_tree(ctx, si, state);
     let mut revalidate = false;
     loop {
@@ -483,9 +547,8 @@ pub(super) fn route_source_tree(
             return false;
         }
         if revalidate {
-            // Reuse rule, tree-wide: the previous batch's apply pass left
-            // every settled node's *current* tree-path length in `cur_len`
-            // (maintained top-down for free while loading arcs); recompute
+            // Reuse rule, tree-wide: the previous batch left every settled
+            // node's *current* tree-path length in `cur_len`; recompute
             // the tree once any destination with remaining demand drifts
             // past the slack. Recorded distances lower-bound current ones
             // (lengths are monotone), so within the slack the tree paths
@@ -548,21 +611,14 @@ pub(super) fn route_source_tree(
         }
         let theta = ratio.min(1.0);
         // Apply the (scaled) batch — each tree arc is loaded exactly once,
-        // with at most its full capacity — and refresh `cur_len` (the current
-        // tree-path lengths) in the same top-down pass, so the next
-        // iteration's staleness check needs no extra walk.
+        // with at most its full capacity.
         for &v in state.sssp.settle_order() {
             let v = v as usize;
-            if v == s.src {
-                state.cur_len[v] = 0.0;
-                continue;
-            }
-            let (p, aid) = state.sssp.parent_unchecked(v);
             let load = state.subtree[v];
-            if load > 0.0 {
+            if v != s.src && load > 0.0 {
+                let (_, aid) = state.sssp.parent_unchecked(v);
                 apply_update(state.mwu, state.flow_arc, aid, theta * load);
             }
-            state.cur_len[v] = state.cur_len[p] + state.mwu.len_of(aid);
         }
         for (j, r) in state.remaining.iter_mut().enumerate() {
             if *r > 1e-15 {
@@ -576,7 +632,16 @@ pub(super) fn route_source_tree(
         }
         // A capacity-limited batch saturated the binding arc (its length grew
         // by the full 1 + eps factor); revalidate the tree before further
-        // reuse.
+        // reuse, against the current tree-path lengths, derived top-down.
+        for &v in state.sssp.settle_order() {
+            let v = v as usize;
+            state.cur_len[v] = if v == s.src {
+                0.0
+            } else {
+                let (p, aid) = state.sssp.parent_unchecked(v);
+                state.cur_len[p] + state.mwu.len_of(aid)
+            };
+        }
         revalidate = true;
     }
 }

@@ -179,35 +179,61 @@ fn queue_node(entry: u128) -> u32 {
     entry as u32
 }
 
+/// The smallest of the four entries `heap[c0..c0 + 4]` and its index, by
+/// selects rather than branches: which child is smallest is a coin flip
+/// the branch predictor loses.
+#[inline(always)]
+fn min_of_four(heap: &[u128], c0: usize) -> (usize, u128) {
+    let c = &heap[c0..c0 + 4];
+    let (i01, m01) = if c[1] < c[0] { (1, c[1]) } else { (0, c[0]) };
+    let (i23, m23) = if c[3] < c[2] { (3, c[3]) } else { (2, c[2]) };
+    let (i, m) = if m23 < m01 { (i23, m23) } else { (i01, m01) };
+    (c0 + i, m)
+}
+
 /// Sentinel for "no parent" in [`SsspWorkspace`].
 const NO_PARENT: u32 = u32::MAX;
 
-/// Reusable state for the [`sssp_csr`] kernel: distance/parent arrays, the
-/// indexed 4-ary heap, and the generation stamps that make resets O(1).
+/// Padding of the heap array past its last live entry: the pop's hole walk
+/// reads all four children of a node with at least one live child, i.e. up
+/// to three slots past the end, and finds `u128::MAX` (larger than every
+/// packed entry) there.
+const HEAP_PAD: usize = 3;
+
+/// The per-node state of a run, in one record so that relaxing an arc
+/// touches one cache line for its head.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeState {
+    /// Tentative (queued) or final (settled) distance; meaningful only when
+    /// `stamp` belongs to the current run.
+    dist: f64,
+    /// The run's generation `g` while the node is queued, `g + 1` once it is
+    /// settled; anything smaller means "not reached by this run".
+    stamp: u32,
+    /// Heap index, meaningful only while the node is queued.
+    hpos: u32,
+}
+
+/// Reusable state for the [`sssp_csr`] kernel: per-node records, parents,
+/// the indexed 4-ary heap, and the generation stamps that make resets O(1).
 ///
 /// A workspace may be reused across runs, sources, length functions, and even
-/// graphs of different sizes; each run bumps a generation counter, so stale
+/// graphs of different sizes; each run advances a generation counter, so stale
 /// entries from previous runs are never observed and never need clearing.
 /// Allocation happens only when a run needs more capacity than any before it.
 #[derive(Debug, Clone, Default)]
 pub struct SsspWorkspace {
-    /// Tentative/final distances; valid only where `seen` matches the current
-    /// generation.
-    dist: Vec<f64>,
+    /// Distance, seen/settled stamp and heap index per node.
+    nodes: Vec<NodeState>,
     /// Packed `[parent node, arc/edge length index]` per node (one cache line
-    /// access on path walks); parent `NO_PARENT` for the source.
+    /// access on path walks); parent `NO_PARENT` for the source. Valid for
+    /// nodes the current run has reached.
     parents: Vec<[u32; 2]>,
-    /// Generation stamp: `dist`/`parent_*` for a node are valid iff its stamp
-    /// equals `generation`.
-    seen: Vec<u32>,
-    /// Generation stamp marking nodes whose distance is final (popped).
-    settled: Vec<u32>,
     /// Generation stamp marking early-exit targets of the current run.
     target: Vec<u32>,
-    /// Current generation.
+    /// Generation of the current run: even, so that it and `generation + 1`
+    /// (settled) are both above every stamp an earlier run left.
     generation: u32,
-    /// Nodes settled by the last run.
-    settled_count: u32,
     /// Nodes of the last run in the order they were settled.
     order: Vec<u32>,
     /// The priority queue: an indexed 4-ary min-heap with true decrease-key
@@ -216,11 +242,18 @@ pub struct SsspWorkspace {
     /// kernel, nodes improve several times before settling; a lazy binary
     /// heap turns every improvement into an extra entry (and later a dead
     /// pop), which was measured at ~4x the cost of sifting the live entry up
-    /// in place. Entries in heap order…
+    /// in place. A pop is bottom-up: the hole left at the root walks down to
+    /// a leaf along the smallest children (a branch-free minimum of four,
+    /// the array padded with `u128::MAX` past its end, see [`HEAP_PAD`]),
+    /// and the last entry then sifts up from there — on a Dijkstra heap the
+    /// last entry belongs near the bottom, so that sift is short, and the
+    /// walk down needs no comparison against it. Entries are unique (one per
+    /// queued node), so which entry pops next is the minimum whatever the
+    /// heap's layout: the settle order does not depend on this
+    /// implementation.
     heap: Vec<u128>,
-    /// …and each node's current heap index, meaningful only while the node
-    /// is queued (seen and not settled in the current generation).
-    hpos: Vec<u32>,
+    /// Live entries at the front of `heap`.
+    heap_len: usize,
     /// Source node of the most recent run.
     src: usize,
 }
@@ -231,44 +264,46 @@ impl SsspWorkspace {
         Self::default()
     }
 
-    /// Begins a new run over `n` nodes: grows arrays if needed and bumps the
-    /// generation so all previous state is invalidated in O(1).
+    /// Begins a new run over `n` nodes: grows arrays if needed and advances
+    /// the generation so all previous state is invalidated in O(1).
     fn begin(&mut self, n: usize, src: usize) {
-        if self.dist.len() < n {
-            self.dist.resize(n, f64::INFINITY);
+        if self.nodes.len() < n {
+            self.nodes.resize(n, NodeState::default());
             self.parents.resize(n, [NO_PARENT, NO_PARENT]);
-            self.seen.resize(n, 0);
-            self.settled.resize(n, 0);
             self.target.resize(n, 0);
-            self.hpos.resize(n, 0);
         }
-        if self.generation == u32::MAX {
-            // Stamp wrap-around (once per 2^32 runs): clear stamps explicitly.
-            self.seen.fill(0);
-            self.settled.fill(0);
+        if self.generation >= u32::MAX - 2 {
+            // Stamp wrap-around (once per 2^31 runs): clear stamps explicitly.
+            for node in &mut self.nodes {
+                node.stamp = 0;
+            }
             self.target.fill(0);
             self.generation = 0;
         }
-        self.generation += 1;
-        self.settled_count = 0;
+        self.generation += 2;
         self.order.clear();
-        self.heap.clear();
+        // An early exit leaves entries queued; the padding invariant wants
+        // `u128::MAX` everywhere past the live front.
+        self.heap[..self.heap_len].fill(u128::MAX);
+        self.heap_len = 0;
         self.src = src;
     }
 
     /// Inserts `v` (not currently queued) with `key`.
     #[inline]
     fn heap_push(&mut self, v: u32, key: f64) {
-        let i = self.heap.len();
-        self.heap.push(queue_key(key, v));
-        self.hpos[v as usize] = i as u32;
-        self.sift_up(i);
+        let i = self.heap_len;
+        if self.heap.len() < i + 1 + HEAP_PAD {
+            self.heap.resize(i + 1 + HEAP_PAD, u128::MAX);
+        }
+        self.heap_len = i + 1;
+        self.sift_up(i, queue_key(key, v));
     }
 
     /// Lowers the key of a queued node and restores heap order in place.
     #[inline]
     fn heap_decrease(&mut self, v: u32, key: f64) {
-        let i = self.hpos[v as usize] as usize;
+        let i = self.nodes[v as usize].hpos as usize;
         let entry = queue_key(key, v);
         debug_assert_eq!(
             queue_node(self.heap[i]),
@@ -276,70 +311,52 @@ impl SsspWorkspace {
             "decrease-key on a node not queued"
         );
         debug_assert!(entry <= self.heap[i], "decrease-key must not raise a key");
-        self.heap[i] = entry;
-        self.sift_up(i);
+        self.sift_up(i, entry);
     }
 
     /// Removes and returns the queued node with the smallest (key, id).
     #[inline]
     fn heap_pop(&mut self) -> Option<u32> {
-        let top = *self.heap.first()?;
-        let last = self.heap.len() - 1;
-        if last > 0 {
-            self.heap.swap(0, last);
-            self.hpos[queue_node(self.heap[0]) as usize] = 0;
+        if self.heap_len == 0 {
+            return None;
         }
-        self.heap.pop();
-        if !self.heap.is_empty() {
-            self.sift_down(0);
+        let top = self.heap[0];
+        let len = self.heap_len - 1;
+        let last = std::mem::replace(&mut self.heap[len], u128::MAX);
+        self.heap_len = len;
+        if len > 0 {
+            let mut hole = 0;
+            loop {
+                let c0 = 4 * hole + 1;
+                if c0 >= len {
+                    break;
+                }
+                let (c, entry) = min_of_four(&self.heap, c0);
+                self.heap[hole] = entry;
+                self.nodes[queue_node(entry) as usize].hpos = hole as u32;
+                hole = c;
+            }
+            self.sift_up(hole, last);
         }
         Some(queue_node(top))
     }
 
-    fn sift_up(&mut self, mut i: usize) {
-        let entry = self.heap[i];
+    /// Places `entry` at slot `i` or above it, moving larger parents down.
+    #[inline]
+    fn sift_up(&mut self, mut i: usize, entry: u128) {
         while i > 0 {
             let p = (i - 1) / 4;
             let parent = self.heap[p];
             if entry < parent {
                 self.heap[i] = parent;
-                self.hpos[queue_node(parent) as usize] = i as u32;
+                self.nodes[queue_node(parent) as usize].hpos = i as u32;
                 i = p;
             } else {
                 break;
             }
         }
         self.heap[i] = entry;
-        self.hpos[queue_node(entry) as usize] = i as u32;
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let len = self.heap.len();
-        let entry = self.heap[i];
-        loop {
-            let c0 = 4 * i + 1;
-            if c0 >= len {
-                break;
-            }
-            let mut best = c0;
-            let mut bv = self.heap[c0];
-            for c in c0 + 1..(c0 + 4).min(len) {
-                let cv = self.heap[c];
-                if cv < bv {
-                    best = c;
-                    bv = cv;
-                }
-            }
-            if bv < entry {
-                self.heap[i] = bv;
-                self.hpos[queue_node(bv) as usize] = i as u32;
-                i = best;
-            } else {
-                break;
-            }
-        }
-        self.heap[i] = entry;
-        self.hpos[queue_node(entry) as usize] = i as u32;
+        self.nodes[queue_node(entry) as usize].hpos = i as u32;
     }
 
     /// Number of nodes the last run settled — how much of the graph the
@@ -347,7 +364,7 @@ impl SsspWorkspace {
     /// direction is paying off.
     #[inline]
     pub fn settled_count(&self) -> usize {
-        self.settled_count as usize
+        self.order.len()
     }
 
     /// Nodes settled by the last run, in settle order: non-decreasing
@@ -365,18 +382,24 @@ impl SsspWorkspace {
     /// was not reached, or not settled before an early exit).
     #[inline]
     pub fn dist(&self, v: usize) -> f64 {
-        if self.settled[v] == self.generation {
-            self.dist[v]
+        if self.is_settled(v) {
+            self.nodes[v].dist
         } else {
             f64::INFINITY
         }
+    }
+
+    /// Whether the last run settled `v`.
+    #[inline]
+    fn is_settled(&self, v: usize) -> bool {
+        self.nodes[v].stamp == self.generation + 1
     }
 
     /// Predecessor `(parent node, length index)` of `v` on its shortest path;
     /// `None` for the source and for unreached/unsettled nodes.
     #[inline]
     pub fn parent(&self, v: usize) -> Option<(usize, usize)> {
-        if self.settled[v] == self.generation && self.parents[v][0] != NO_PARENT {
+        if self.is_settled(v) && self.parents[v][0] != NO_PARENT {
             Some((self.parents[v][0] as usize, self.parents[v][1] as usize))
         } else {
             None
@@ -388,7 +411,7 @@ impl SsspWorkspace {
     /// one array. Debug-asserts the precondition.
     #[inline]
     pub fn parent_unchecked(&self, v: usize) -> (usize, usize) {
-        debug_assert!(self.settled[v] == self.generation && self.parents[v][0] != NO_PARENT);
+        debug_assert!(self.is_settled(v) && self.parents[v][0] != NO_PARENT);
         (self.parents[v][0] as usize, self.parents[v][1] as usize)
     }
 
@@ -398,9 +421,7 @@ impl SsspWorkspace {
         if dst == self.src {
             return Some(vec![dst]);
         }
-        if self.settled[dst] != self.generation || self.parents[dst][0] == NO_PARENT {
-            return None;
-        }
+        self.parent(dst)?;
         let mut nodes = vec![dst];
         let mut cur = dst;
         while cur != self.src {
@@ -463,15 +484,14 @@ pub fn sssp_csr_by<L: Fn(usize) -> f64>(
             return;
         }
     }
-    ws.dist[src] = 0.0;
-    ws.seen[src] = generation;
+    ws.nodes[src].dist = 0.0;
+    ws.nodes[src].stamp = generation;
     ws.parents[src] = [NO_PARENT, NO_PARENT];
     ws.heap_push(src as u32, 0.0);
     while let Some(node) = ws.heap_pop() {
         let u = node as usize;
-        debug_assert!(ws.settled[u] != generation);
-        ws.settled[u] = generation;
-        ws.settled_count += 1;
+        debug_assert_eq!(ws.nodes[u].stamp, generation);
+        ws.nodes[u].stamp = generation + 1;
         ws.order.push(node);
         if targets.is_some() && ws.target[u] == generation {
             pending -= 1;
@@ -479,27 +499,28 @@ pub fn sssp_csr_by<L: Fn(usize) -> f64>(
                 break; // every target settled; ancestors are settled too
             }
         }
-        let d = ws.dist[u];
+        let d = ws.nodes[u].dist;
         for (v, lid) in csr.neighbors(u) {
             let len = len_of(lid);
             debug_assert!(len >= 0.0, "negative arc length");
             let nd = d + len;
-            if ws.seen[v] != generation {
+            let head = ws.nodes[v];
+            if head.stamp < generation {
                 // The finiteness check mirrors the classical `nd < INFINITY`
                 // comparison against an unseen node: arcs banned with an
                 // infinite length must not enqueue (or set parents for)
                 // their heads.
                 if nd < f64::INFINITY {
-                    ws.seen[v] = generation;
-                    ws.dist[v] = nd;
+                    ws.nodes[v].stamp = generation;
+                    ws.nodes[v].dist = nd;
                     ws.parents[v] = [u as u32, lid as u32];
                     ws.heap_push(v as u32, nd);
                 }
-            } else if nd < ws.dist[v] {
+            } else if nd < head.dist {
                 // Settled nodes cannot satisfy `nd < dist` (lengths are
                 // non-negative, so their distances are final minima): this
                 // branch only ever lowers the key of a queued node.
-                ws.dist[v] = nd;
+                ws.nodes[v].dist = nd;
                 ws.parents[v] = [u as u32, lid as u32];
                 ws.heap_decrease(v as u32, nd);
             }
@@ -547,32 +568,32 @@ pub fn sssp_csr_goal_by<L: Fn(usize) -> f64>(
     if potential[src].is_infinite() {
         return; // target unreachable from src
     }
-    ws.dist[src] = 0.0;
-    ws.seen[src] = generation;
+    ws.nodes[src].dist = 0.0;
+    ws.nodes[src].stamp = generation;
     ws.parents[src] = [NO_PARENT, NO_PARENT];
     ws.heap_push(src as u32, potential[src]);
     while let Some(node) = ws.heap_pop() {
         let u = node as usize;
-        debug_assert!(ws.settled[u] != generation);
-        ws.settled[u] = generation;
-        ws.settled_count += 1;
+        debug_assert_eq!(ws.nodes[u].stamp, generation);
+        ws.nodes[u].stamp = generation + 1;
         ws.order.push(node);
         if u == target {
             break;
         }
-        let d = ws.dist[u];
+        let d = ws.nodes[u].dist;
         for (v, lid) in csr.neighbors(u) {
             let len = len_of(lid);
             debug_assert!(len >= 0.0, "negative arc length");
             let nd = d + len;
-            if ws.seen[v] != generation {
+            let head = ws.nodes[v];
+            if head.stamp < generation {
                 if nd < f64::INFINITY && !potential[v].is_infinite() {
-                    ws.seen[v] = generation;
-                    ws.dist[v] = nd;
+                    ws.nodes[v].stamp = generation;
+                    ws.nodes[v].dist = nd;
                     ws.parents[v] = [u as u32, lid as u32];
                     ws.heap_push(v as u32, nd + potential[v]);
                 }
-            } else if ws.settled[v] != generation && nd < ws.dist[v] {
+            } else if head.stamp == generation && nd < head.dist {
                 // Unlike the plain kernel, the settled check here is load-
                 // bearing: the potential is consistent up to rounding, and
                 // an ulp-level violation in a tie can make a *settled*
@@ -580,7 +601,7 @@ pub fn sssp_csr_goal_by<L: Fn(usize) -> f64>(
                 // absorbed that as a dead duplicate entry; an indexed heap
                 // must drop it (the ulp never affects reported distances
                 // beyond the tie itself).
-                ws.dist[v] = nd;
+                ws.nodes[v].dist = nd;
                 ws.parents[v] = [u as u32, lid as u32];
                 ws.heap_decrease(v as u32, nd + potential[v]);
             }
@@ -938,6 +959,179 @@ mod tests {
             assert_eq!(nodes.first(), Some(&src));
             assert_eq!(nodes.last(), Some(&target));
         }
+    }
+
+    /// What a run reports: settle order, then `dist` bits and `parent` of
+    /// every node.
+    type RunReport = (Vec<u32>, Vec<u64>, Vec<Option<(usize, usize)>>);
+
+    fn report(ws: &SsspWorkspace, n: usize) -> RunReport {
+        (
+            ws.settle_order().to_vec(),
+            (0..n).map(|v| ws.dist(v).to_bits()).collect(),
+            (0..n).map(|v| ws.parent(v)).collect(),
+        )
+    }
+
+    /// The oracle for the indexed heap: a plain lazy-`BinaryHeap` Dijkstra
+    /// with the kernel's relax rule (strict improvement only, the same packed
+    /// `(key bits, node)` order, the goal variant's settled check and
+    /// unreachable-potential skip, early exit once every target settled).
+    /// A node improved twice holds two entries; the stale one pops after the
+    /// node settled and is dropped.
+    fn oracle(
+        csr: &CsrGraph,
+        src: usize,
+        lens: &[f64],
+        targets: Option<&[usize]>,
+        goal: Option<(usize, &[f64])>,
+    ) -> RunReport {
+        use std::cmp::Reverse;
+        let n = csr.num_nodes();
+        let pot = |v: usize| goal.map_or(0.0, |(_, p)| p[v]);
+        let mut dist = vec![f64::INFINITY; n];
+        let mut parent = vec![None; n];
+        let mut seen = vec![false; n];
+        let mut settled = vec![false; n];
+        let mut order = Vec::new();
+        let mut pending: HashSet<usize> = targets.unwrap_or_default().iter().copied().collect();
+        let mut heap = BinaryHeap::new();
+        if !(targets.is_some() && pending.is_empty() || pot(src).is_infinite()) {
+            dist[src] = 0.0;
+            seen[src] = true;
+            heap.push(Reverse(queue_key(pot(src), src as u32)));
+        }
+        while let Some(Reverse(entry)) = heap.pop() {
+            let u = queue_node(entry) as usize;
+            if settled[u] {
+                continue;
+            }
+            settled[u] = true;
+            order.push(u as u32);
+            if targets.is_some() && pending.remove(&u) && pending.is_empty() {
+                break;
+            }
+            if goal.is_some_and(|(t, _)| t == u) {
+                break;
+            }
+            for (v, lid) in csr.neighbors(u) {
+                let nd = dist[u] + lens[lid];
+                let improves = if seen[v] {
+                    !settled[v] && nd < dist[v]
+                } else {
+                    nd < f64::INFINITY && pot(v).is_finite()
+                };
+                if improves {
+                    seen[v] = true;
+                    dist[v] = nd;
+                    parent[v] = Some((u, lid));
+                    heap.push(Reverse(queue_key(nd + pot(v), v as u32)));
+                }
+            }
+        }
+        (
+            order,
+            (0..n)
+                .map(|v| if settled[v] { dist[v] } else { f64::INFINITY }.to_bits())
+                .collect(),
+            (0..n).map(|v| parent[v].filter(|_| settled[v])).collect(),
+        )
+    }
+
+    /// A seeded random directed multigraph (self-loops and parallel arcs
+    /// included, some nodes unreachable), its reverse, and per-arc lengths:
+    /// all 1 (the most ties), or spread over 30 orders of magnitude.
+    fn random_instance(seed: u64, uniform: bool) -> (CsrGraph, CsrGraph, Vec<f64>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let n = rng.gen_range(2..60usize);
+        let arcs: Vec<(usize, usize, usize)> = (0..rng.gen_range(0..4 * n))
+            .map(|lid| (rng.gen_range(0..n), rng.gen_range(0..n), lid))
+            .collect();
+        let lens = arcs
+            .iter()
+            .map(|_| {
+                if uniform {
+                    1.0
+                } else {
+                    10f64.powf(30.0 * rng.gen::<f64>() - 15.0)
+                }
+            })
+            .collect();
+        let reverse = arcs.iter().map(|&(u, v, lid)| (v, u, lid));
+        (
+            CsrGraph::from_directed_arcs(n, arcs.clone()),
+            CsrGraph::from_directed_arcs(n, reverse.collect::<Vec<_>>()),
+            lens,
+        )
+    }
+
+    /// Every run of the kernel on `seed`'s instance — plain from every
+    /// source with and without targets, goal-directed towards every target
+    /// under an exact and under a stale potential — against the oracle, all
+    /// through the one workspace `ws`.
+    fn assert_kernel_matches_oracle(seed: u64, uniform: bool, ws: &mut SsspWorkspace) {
+        use rand::{Rng, SeedableRng};
+        let (csr, rev, lens) = random_instance(seed, uniform);
+        let n = csr.num_nodes();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(!seed);
+        for src in 0..n {
+            let ts: Vec<usize> = (0..rng.gen_range(1..4usize))
+                .map(|_| rng.gen_range(0..n))
+                .collect();
+            for targets in [None, Some(&ts[..])] {
+                sssp_csr(&csr, src, &lens, targets, ws);
+                let expect = oracle(&csr, src, &lens, targets, None);
+                assert_eq!(report(ws, n), expect, "seed {seed} src {src} {targets:?}");
+            }
+        }
+        // Potentials: reverse distances under the same lengths (exact, every
+        // node on a shortest path ties), and under lengths shrunk arc by arc
+        // (consistent once they grow back, as the flow solver uses them).
+        let shrunk: Vec<f64> = lens.iter().map(|l| l * rng.gen::<f64>()).collect();
+        for target in 0..n {
+            for pot_lens in [&lens, &shrunk] {
+                let pot: Vec<f64> = oracle(&rev, target, pot_lens, None, None)
+                    .1
+                    .into_iter()
+                    .map(f64::from_bits)
+                    .collect();
+                let src = rng.gen_range(0..n);
+                sssp_csr_goal(&csr, src, &lens, target, &pot, ws);
+                let expect = oracle(&csr, src, &lens, None, Some((target, &pot)));
+                assert_eq!(report(ws, n), expect, "seed {seed} goal {src} -> {target}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_a_lazy_binary_heap_dijkstra_bit_for_bit() {
+        // Entries `(key bits, node)` are unique, so any correct heap pops
+        // them in one order: the indexed bottom-up heap must settle the same
+        // nodes in the same order, with the same distance bits and parents,
+        // as the textbook lazy heap.
+        let mut ws = SsspWorkspace::new();
+        for seed in 0..40 {
+            for uniform in [true, false] {
+                assert_kernel_matches_oracle(seed, uniform, &mut ws);
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_oracle_across_a_generation_wrap_around() {
+        // Stamps restart from zero when the generation nears `u32::MAX`;
+        // runs on either side of the wrap (and state the run before it left)
+        // must not leak into one another.
+        let mut ws = SsspWorkspace::new();
+        assert_kernel_matches_oracle(1, false, &mut ws);
+        ws.generation = u32::MAX - 7;
+        for seed in 2..6 {
+            for uniform in [true, false] {
+                assert_kernel_matches_oracle(seed, uniform, &mut ws);
+            }
+        }
+        assert!(ws.generation < 1 << 16, "no wrap-around happened");
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //!   feasible value it had before either existed (that neither bound crosses
 //!   the optimum is the first bullet, at all three stock configurations);
 //! * the known-path store must keep the search count of that straggler under
-//!   its pin, and must stay out of multi-destination sources' way.
+//!   its pin, and must stay out of multi-destination sources' way;
+//! * the straggler's potential rows must turn dense (re-derived at the start
+//!   of every turn) and its searches stay small, while an all-to-all solve,
+//!   which has no row, re-derives none.
 
 use tb_flow::fleischer::PAR_MIN_SWEEP_WORK;
 use tb_flow::{ExactLpSolver, FleischerConfig, FleischerSolver, FlowProblem, SolverWorkspace};
@@ -210,13 +213,28 @@ fn known_paths_halve_the_searches_of_the_short_diameter_straggler() {
 }
 
 #[test]
+fn short_diameter_rows_turn_dense_and_their_searches_stay_small() {
+    // On the same solve a search under the bound-cadence potential settled
+    // about 50 of the 64 nodes: rows that stale turn dense and are
+    // re-derived at the start of every turn of their source (9,545 of the
+    // 152 × 64 turns when this was written), after which a search settles
+    // about 8 nodes on average — the saving is settles per search, the
+    // search and phase counts stay where the previous test pins them.
+    let (_, stats) = ladder_solve(Family::HyperX, 1, TmSpec::LongestMatching);
+    assert!(stats.row_refreshes > 0, "{stats:?}");
+    assert!(stats.settles <= 10 * stats.searches, "{stats:?}");
+}
+
+#[test]
 fn sources_with_several_destinations_never_touch_the_known_paths() {
     // All-to-all has no single-destination source: every search is a tree
     // (one per source per phase at least, plus the dual sweeps), nothing is
     // reused by path, and the bounds are those of the pre-store kernel (the
-    // committed `/A2A` goldens are bit-identical across that change).
+    // committed `/A2A` goldens are bit-identical across that change). With
+    // no potential row, no row turns dense either.
     let (_, stats) = ladder_solve(Family::DCell, 3, TmSpec::AllToAll);
     assert_eq!(stats.path_reuses, 0, "{stats:?}");
+    assert_eq!((stats.row_refreshes, stats.settles), (0, 0), "{stats:?}");
     assert!(stats.searches >= 156 * stats.phases, "{stats:?}");
 }
 
