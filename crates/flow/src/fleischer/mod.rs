@@ -10,12 +10,12 @@
 //!   phases pile up. The reported bound is the best of them; on dense TMs
 //!   the window closes the gap in about half the phases (see [`phase`]), and
 //! * a **dual upper bound** `D(l)/alpha(l)`, valid for any non-negative
-//!   lengths by LP duality, evaluated on the current length function and —
-//!   when that last iterate did not improve the best bound — on a **window
-//!   average of the normalised iterates** `l / D(l)`, which is where the
-//!   multiplicative-weights analysis actually converges: the last iterate's
-//!   bound bounces by about ±1 % per evaluation on sparse TMs, the average
-//!   does not (see [`phase`]),
+//!   lengths by LP duality, evaluated on the current length function and on
+//!   a **window average of the normalised iterates** `l / D(l)`, which is
+//!   where the multiplicative-weights analysis actually converges: the last
+//!   iterate's bound bounces by about ±1 % per evaluation on sparse TMs, the
+//!   average does not (see [`phase`]) — each only when the paths the solve
+//!   already holds say its sweep could close the gap,
 //!
 //! and stops as soon as the two are within `target_gap` of each other, or when
 //! the classical termination `D(l) >= 1` fires first (6 of the scenario
@@ -64,24 +64,35 @@
 //!   returned. Sound because arc lengths only ever grow, so that distance
 //!   lower-bounds the current one and the path is `(1 + eps/4)`-shortest —
 //!   the classical Fleischer argument,
-//! * **one sweep per bound evaluation, one row per dense turn**: the dual
-//!   bound needs every commodity's distance at the current lengths and the
-//!   goal-directed searches need potentials. One reverse Dijkstra per
+//! * **sweeps only where the gap can close, one row per dense turn**: the
+//!   dual bound needs every commodity's distance at the current lengths and
+//!   the goal-directed searches need potentials. One reverse Dijkstra per
 //!   single-destination source's target serves both at a bound evaluation
 //!   (the refreshed row is the potential, and its entry at the source is the
 //!   distance); only multi-destination sources run a forward tree for the
-//!   bound. The averaged bound, when an evaluation takes it, adds one forward
-//!   search per source. All these sweeps are read-only over the length
-//!   function and fan out with rayon once the instance is large enough to
-//!   amortize the pool. A row whose searches stopped pruning is re-derived,
-//!   serially, at the start of each of its source's turns as well (next
-//!   section).
+//!   bound, and the averaged bound adds one forward search per source. A row
+//!   whose searches stopped pruning turns *dense* and is re-derived,
+//!   serially, at the start of each of its source's turns (next section), so
+//!   an evaluation re-derives only the other rows unconditionally. The dense
+//!   rows, the forward trees and the averaged bound's searches run only when
+//!   the bound over the paths the solve already holds — a known path per
+//!   single-destination source, the last routed tree per multi-destination
+//!   one, never shorter than a shortest path — says the sweep could close
+//!   the gap, which on the `/A2A` pass of `fig05_06` skips every sweep at
+//!   822 of 1,008 evaluations (see [`phase`]). All these sweeps are
+//!   read-only over the length function and fan out with rayon once the
+//!   instance is large enough to amortize the pool,
+//! * **searches capped by the best known path**: a single-destination
+//!   source's search never queues a node keyed past the current length of
+//!   the shortest path the source already knows, which changes none of its
+//!   results ([`tb_graph::sssp_csr_goal`]).
 //!
 //! [`SolveStats::searches`] and [`SolveStats::path_reuses`] count, per solve,
 //! how often a step searched and how often it did not;
 //! [`SolveStats::settles`] how much of the graph the goal-directed searches
-//! settled, and [`SolveStats::row_refreshes`] how many rows dense turns
-//! re-derived.
+//! settled, [`SolveStats::row_refreshes`] how many rows dense turns
+//! re-derived, and [`SolveStats::evaluations`] / [`SolveStats::screened`]
+//! how many bound evaluations ran and how many of them ran no sweep.
 //!
 //! ## Goal-directed routing and known paths for sparse TMs
 //!
@@ -91,7 +102,7 @@
 //! For every source with a single destination — the shape of matching-style
 //! near-worst-case TMs, where each switch talks to one peer — the solver
 //! keeps reverse distances to that destination (a *potential row*, re-derived
-//! by every bound evaluation, in parallel for large instances) and searches
+//! by the bound evaluations, in parallel for large instances) and searches
 //! with the goal-directed kernel [`tb_graph::sssp_csr_goal`] instead of a
 //! full Dijkstra. Distances and routed paths remain *exact*; once the length
 //! function differentiates, the search expands little beyond the shortest
@@ -108,12 +119,16 @@
 //! lengths if that is within the slack of the turn's latest search distance
 //! `D`. Only when none qualifies does it search again, which raises `D` and
 //! records the path. The turn's first step always searches: across phases
-//! lengths grow by about `1 + eps`, so no old distance is a useful bound.
-//! One path per step also means no per-arc availability bookkeeping. On the
-//! `/1/LM` pass of `fig05_06` this answers 64 % of the in-turn re-searches
-//! (searches 922,860 → 453,471; `HyperX/1/LM` 120,753 → 54,422 at an
-//! unchanged 260 phases — 152 phases and 35,875 searches since the averaged
-//! dual bound closes its gap).
+//! lengths grow by about `1 + eps`, so no old distance is a useful lower
+//! bound. The known paths still give an upper one: every search queues
+//! nothing keyed past the current length of the shortest of them, which
+//! leaves its result bit for bit as it was and took the `/1/LM` pass of
+//! `fig05_06` from 620 to 572 ms (2-core x86 box). One path per step also
+//! means no per-arc availability bookkeeping. On the `/1/LM` pass this
+//! answers 64 % of the in-turn re-searches (searches 922,860 → 453,471;
+//! `HyperX/1/LM` 120,753 → 54,422 at an unchanged 260 phases — 152 phases
+//! and 34,395 searches since the averaged dual bound closes its gap and
+//! evaluations skip the sweeps that cannot).
 //!
 //! That makes searches rarer, not cheaper: between bound evaluations a row
 //! goes stale (every phase grows the lengths by about `1 + eps`, unevenly),
@@ -255,10 +270,10 @@ pub struct SolveStats {
     /// Phases executed (each phase routes every source's full demand once).
     pub phases: usize,
     /// Forward shortest-path searches run: by the routing kernels, by the
-    /// dual bound for multi-destination sources, and by the averaged dual
-    /// bound for every source. The potential refresh's reverse Dijkstras are
-    /// not counted — one per single-destination source per bound evaluation,
-    /// plus one at phase 0.
+    /// last-iterate dual bound for multi-destination sources, and by the
+    /// averaged dual bound for every source, at the evaluations that run
+    /// those sweeps. The potential refresh's reverse Dijkstras are not
+    /// counted.
     pub searches: usize,
     /// Routing steps of single-destination sources that went along a known
     /// path instead of searching (see the module docs).
@@ -270,6 +285,12 @@ pub struct SolveStats {
     /// Nodes settled by the goal-directed searches of single-destination
     /// sources — what the potentials save is settles per search.
     pub settles: usize,
+    /// Bound evaluations run, the closing one included.
+    pub evaluations: usize,
+    /// Evaluations that ran no dual sweep, because the paths the solve held
+    /// showed that neither dual candidate could close the gap (see
+    /// [`phase`]).
+    pub screened: usize,
     /// Whether the solve met its accuracy contract (classical FPTAS
     /// termination or the target bound gap) before any budget ran out.
     pub converged: bool,
@@ -312,9 +333,10 @@ pub struct SolverWorkspace {
     /// Per-node current tree-path length, re-derived top-down over the settle
     /// order when the aggregated kernel revalidates a reused tree.
     cur_len: Vec<f64>,
-    /// Paths the single-destination sources' searches have returned, emptied
-    /// at the start of every solve.
-    known_paths: route::KnownPaths,
+    /// Paths the single-destination sources' searches have returned and the
+    /// latest trees of the multi-destination sources, emptied at the start
+    /// of every solve.
+    held: route::HeldPaths,
     /// Per-worker SSSP workspaces leased by the parallel bound sweeps and
     /// potential refreshes.
     sweep_pool: SsspPool,

@@ -9,22 +9,44 @@
 //! aggregated tree at or above the aggregation threshold, the per-destination
 //! walk in between.
 //!
-//! ## One sweep per bound evaluation
+//! ## Sweeps only where the gap can close
 //!
 //! The dual bound wants every commodity's distance at the current lengths;
 //! the goal-directed searches of the following phases want potentials —
 //! reverse distances to each single-destination source's target — at those
-//! same lengths. [`dual_bound`] therefore refreshes the potential rows first
-//! and reads each single-destination term of `alpha(l)` off its row
-//! (`demand × row[src]` is the exact distance); only multi-destination
-//! sources run a forward tree. The rows are computed once more at the start
-//! of the solve, for the phases before the first evaluation. That is the
-//! whole cadence of a row until it turns dense; a dense row is also
-//! re-derived at the start of each of its source's turns, by the routing
-//! kernel and outside any evaluation (see [`super`]). The refresh and the
-//! forward sweeps of the two dual bounds ([`sum_alpha`]) are the only
-//! parallel regions (see [`PAR_MIN_SWEEP_WORK`]); their results do not depend
-//! on the thread count.
+//! same lengths. Every evaluation therefore re-derives the potential rows
+//! that are not dense (once more at the start of the solve, for the phases
+//! before the first evaluation), and [`dual_bound`] reads each
+//! single-destination term of `alpha(l)` off its row (`demand × row[src]` is
+//! the exact distance); only multi-destination sources run a forward tree. A
+//! dense row is re-derived at the start of each of its source's turns, by
+//! the routing kernel (see [`super`]), so between turns only the dual bound
+//! reads it, and [`dual_bound`] re-derives the dense rows itself.
+//!
+//! Most evaluations cannot close the gap, and the solve can tell before any
+//! sweep runs: a path it already holds for a commodity is no shorter than a
+//! shortest one, so summing every commodity's demand times the length of a
+//! held path — the shortest known path of a single-destination source (the
+//! exact row when it is not dense), the tree a multi-destination source last
+//! routed on — gives `alpha_held >= alpha`, and `D/alpha_held` is a value the
+//! sweep's bound cannot come out below ([`HeldPaths::alpha`], O(nodes) per
+//! source). An evaluation computes its primal bounds first; then each dual
+//! candidate — the last iterate `l` and the window average `l̄` below — runs
+//! its sweep (the dense rows and the forward trees for `l`, one forward
+//! search per source for `l̄`) only if that value could close the gap to
+//! `target_gap` against the best lower bound. The closing evaluation is
+//! never screened. Routing, lengths and flows are untouched, so a solve runs
+//! its trajectory to the exit; what moves is which evaluation finds the
+//! bound that closes the gap, and the reported upper bound.
+//! [`SolveStats::screened`] counts the evaluations that ran no sweep. Seed 1,
+//! `--scenario all --no-cache` against the rule this replaced (below):
+//! 73,455 → 73,043 phases, 7.75 M → 7.00 M searches, the same six saturated
+//! solves; the `/A2A` pass of `fig05_06` 4,044 → 4,032 phases and 245,807 →
+//! 207,208 searches, 822 of its 1,008 evaluations screened.
+//!
+//! The refreshes and the forward sweeps of the two dual bounds
+//! ([`sum_alpha`]) are the only parallel regions (see
+//! [`PAR_MIN_SWEEP_WORK`]); their results do not depend on the thread count.
 //!
 //! ## The dual bound and its averaged iterate
 //!
@@ -41,10 +63,10 @@
 //! normalised iterates** `l / D(l)`, not in the last one. So the loop keeps
 //! the running sum of `l / D(l)` ([`LengthAverage`]), sampled after every
 //! source's turn (O(arcs) per turn), copies it at the snapshot evaluations
-//! next to the primal window bases, and an evaluation whose last-iterate
-//! bound **did not improve** the best upper bound also evaluates
-//! `D(l̄)/alpha(l̄)` at the window average `l̄ = sum − newest base`
-//! ([`averaged_dual_bound`]: no potential rows exist at `l̄`, so every source
+//! next to the primal window bases, and an evaluation also evaluates
+//! `D(l̄)/alpha(l̄)` at the window average `l̄ = sum − newest base` when the
+//! held paths say it could close the gap (previous section;
+//! [`averaged_dual_bound`]: no potential rows exist at `l̄`, so every source
 //! runs one early-exit forward search, counted in [`SolveStats::searches`]).
 //!
 //! Validity needs nothing beyond duality. Quality: `alpha` is concave and
@@ -55,15 +77,19 @@
 //! trajectory, the potential refresh and the primal bounds are untouched, and
 //! a solve merely meets its `target_gap` earlier ([`SolveStats::upper_from_average`]
 //! says when the average set the reported bound; a certificate then carries
-//! `l̄` as its dual evidence). Three measured facts fixed the constants (seed
-//! 1, the `/1/LM` pass of `fig05_06`, parent 4,581 phases / 453,471 searches,
-//! this rule 2,144 / 198,154): evaluating the average at *every* evaluation
-//! costs the `/A2A` pass +15 % searches for no phase saved, hence the "did not
-//! improve" rule; sampling once per phase instead of once per turn leaves
-//! 2,692 phases and a solve that still saturates; the cumulative average (no
-//! window) leaves 2,807 phases, and the window from the older base 2,340
-//! (whole suite 77,471 phases / 8.18 M searches / 11 saturated solves against
-//! 73,207 / 7.74 M / 6 from the newest base). None of them is a knob.
+//! `l̄` as its dual evidence). Measured facts fixed the rest (seed 1, the
+//! `/1/LM` pass of `fig05_06`, 4,581 phases / 453,471 searches before the
+//! average existed, 2,144 / 198,154 with it): evaluating the average at
+//! *every* evaluation costs the `/A2A` pass +15 % searches for no phase
+//! saved, so it runs only where the held-path screen says it could close the
+//! gap — a rule that also skips the last iterate's sweeps, and against the
+//! "last iterate **did not improve** the best bound" trigger it replaced left
+//! `/1/LM` at 2,148 phases / 181,396 searches (from 2,136 / 195,756);
+//! sampling once per phase instead of once per turn leaves 2,692 phases and
+//! a solve that still saturates; the cumulative average (no window) leaves
+//! 2,807 phases, and the window from the older base 2,340 (whole suite
+//! 77,471 phases / 8.18 M searches / 11 saturated solves against 73,207 /
+//! 7.74 M / 6 from the newest base). None of them is a knob.
 //!
 //! ## The feasible lower bound and its suffix windows
 //!
@@ -91,7 +117,7 @@
 //! accumulators — the routing trajectory and the lengths are untouched; a
 //! solve merely meets its `target_gap` earlier.
 
-use super::route::{self, PotentialRows, RouteCtx, RouteState, SerialState};
+use super::route::{self, HeldPaths, PotentialRows, RouteCtx, RouteState, SerialState};
 use super::{FleischerConfig, SolveStats, SolverWorkspace, PAR_MIN_SWEEP_WORK};
 use crate::certificate::{CertCapture, FlowSnapshot, ThroughputCertificate};
 use crate::instance::FlowProblem;
@@ -171,7 +197,7 @@ pub(super) fn solve_problem(
         potentials,
         subtree,
         cur_len,
-        known_paths,
+        held,
         sweep_pool,
     } = ws;
     // Sources at or above the aggregation threshold route all their
@@ -196,7 +222,7 @@ pub(super) fn solve_problem(
     let mut routed: Vec<Vec<f64>> = ctx.demands.iter().map(|d| vec![0.0; d.len()]).collect();
     // Best bracket, window snapshots, averaged lengths and certificate
     // capture.
-    let mut best = BestBounds::new(m, want_cert);
+    let mut best = BestBounds::new(n, m, want_cert);
 
     mwu.reset(eps, prob.arc_caps());
     arc_state.clear();
@@ -206,11 +232,12 @@ pub(super) fn solve_problem(
         cap: a.cap,
     }));
     touched.clear();
-    known_paths.reset(ctx.num_single);
+    held.reset(&ctx);
     // The rows every search of the first `check_interval` phases is
-    // directed by; each bound evaluation refreshes them from then on.
+    // directed by (none is dense yet); each bound evaluation refreshes them
+    // from then on.
     potentials.reset(ctx.num_single, n);
-    potentials.refresh(&ctx, mwu.lens(), sssp, sweep_pool);
+    potentials.refresh(&ctx, mwu.lens(), false, sssp, sweep_pool);
     if any_dense {
         subtree.clear();
         subtree.resize(n, 0.0);
@@ -239,16 +266,20 @@ pub(super) fn solve_problem(
                 subtree: &mut subtree[..],
                 cur_len: &mut cur_len[..],
                 sssp: &mut *sssp,
-                known: &mut *known_paths,
+                known: &mut held.known,
                 stats: &mut stats,
             };
             // The kernel follows from the source's destination count.
             let ok = if ctx.single_dest[si].is_some() {
                 route::route_source_single(&ctx, si, potentials, &mut state, routed_si)
-            } else if prob.sources()[si].dests.len() >= agg_min_dests {
-                route::route_source_tree(&ctx, si, &mut state, routed_si)
             } else {
-                route::route_source_walk(&ctx, si, &mut state, routed_si)
+                let ok = if prob.sources()[si].dests.len() >= agg_min_dests {
+                    route::route_source_tree(&ctx, si, &mut state, routed_si)
+                } else {
+                    route::route_source_walk(&ctx, si, &mut state, routed_si)
+                };
+                held.hold_tree(si, sssp);
+                ok
             };
             if !ok {
                 break 'phases;
@@ -258,7 +289,17 @@ pub(super) fn solve_problem(
         phase += 1;
         if phase.is_multiple_of(check_interval) {
             best.evaluate(
-                &ctx, potentials, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool, &mut stats,
+                &ctx,
+                Some(cfg.target_gap),
+                potentials,
+                held,
+                &routed,
+                &flow_arc,
+                mwu,
+                arc_state,
+                sssp,
+                sweep_pool,
+                &mut stats,
             );
             if best.upper.is_finite() && best.gap() <= cfg.target_gap {
                 gap_exit = true;
@@ -271,10 +312,12 @@ pub(super) fn solve_problem(
     }
     stats.phases = phase;
 
-    // Closing bound evaluation (unless the exit was taken right after one).
+    // Closing bound evaluation (unless the exit was taken right after one),
+    // never screened: its bounds are the ones reported.
     if !gap_exit {
         best.evaluate(
-            &ctx, potentials, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool, &mut stats,
+            &ctx, None, potentials, held, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool,
+            &mut stats,
         );
     }
     // An unbounded dual (no commodity needs capacity) falls back to the
@@ -289,11 +332,14 @@ pub(super) fn solve_problem(
 
     if trace {
         eprintln!(
-            "TB_SOLVER_TRACE phases={phase} searches={} path_reuses={} row_refreshes={} settles={} d_l={:.3e} exit={} lower={} upper={}",
+            "TB_SOLVER_TRACE n={n} m={m} sources={} phases={phase} searches={} path_reuses={} row_refreshes={} settles={} evals={} screened={} d_l={:.3e} exit={} lower={} upper={}",
+            prob.sources().len(),
             stats.searches,
             stats.path_reuses,
             stats.row_refreshes,
             stats.settles,
+            stats.evaluations,
+            stats.screened,
             mwu.d_l(),
             if gap_exit {
                 "gap"
@@ -416,22 +462,30 @@ struct BestBounds {
     bases: Vec<WindowBase>,
     /// Running sum of `l / D(l)`, sampled after every source's turn.
     avg: LengthAverage,
-    /// The window average `l̄` of the latest averaged evaluation.
+    /// The window average `l̄` of the latest evaluation.
     avg_lens: Vec<f64>,
+    /// Per-node scratch for [`HeldPaths::alpha`].
+    node_len: Vec<f64>,
     /// Certificate capture: pure copies of the state behind each best bound,
     /// never arithmetic on solver state — the trajectory is identical with
     /// capture on or off.
     capture: Option<CertCapture>,
 }
 
+/// `alpha` over held paths and the exact `alpha` add the same kind of terms
+/// in different orders; a screen divides by the held sum times this factor,
+/// so rounding cannot make it skip a sweep that would have closed the gap.
+const HELD_ALPHA_MARGIN: f64 = 1.0 + 1e-9;
+
 impl BestBounds {
-    fn new(num_arcs: usize, want_cert: bool) -> Self {
+    fn new(num_nodes: usize, num_arcs: usize, want_cert: bool) -> Self {
         BestBounds {
             lower: 0.0,
             upper: f64::INFINITY,
             bases: Vec::with_capacity(2),
             avg: LengthAverage::new(num_arcs),
             avg_lens: Vec::new(),
+            node_len: vec![0.0; num_nodes],
             capture: want_cert.then(CertCapture::default),
         }
     }
@@ -442,17 +496,37 @@ impl BestBounds {
         (self.upper - self.lower) / self.upper
     }
 
+    /// Whether a dual sweep whose bound cannot come out below `held_up`
+    /// could still close the gap to `target_gap` against the best lower
+    /// bound — always when there is no target (the closing evaluation), and
+    /// never once the best bracket has closed it. `held_up` is 0 while some
+    /// source holds no path, which screens nothing.
+    fn worth_sweeping(&self, held_up: f64, target_gap: Option<f64>) -> bool {
+        let Some(target_gap) = target_gap else {
+            return true;
+        };
+        let closes = |upper: f64| (upper - self.lower) / upper <= target_gap;
+        !closes(self.upper) && (held_up <= 0.0 || closes(held_up))
+    }
+
     /// Evaluates both bounds on the current state and folds them into the
-    /// best bracket: the dual bound under the current lengths — and, when
-    /// that one did not improve the best, under the window average of the
-    /// normalised lengths — and the feasible bound of the cumulative flow and
-    /// of each suffix window. `stats` counts the forward searches and records
-    /// which candidate set each reported bound.
+    /// best bracket. The feasible bounds of the cumulative flow and of each
+    /// suffix window come first. Then each dual candidate — the current
+    /// lengths `l` and the window average `l̄` of the normalised lengths —
+    /// runs its sweep only if the value it would have over the paths the
+    /// solve holds ([`HeldPaths::alpha`], a lower bound on the value the
+    /// sweep finds) could close the gap to `target_gap`; `None`, at the
+    /// closing evaluation, runs both. The rows that are not dense are
+    /// re-derived either way, since routing reads them. `stats` counts the
+    /// evaluation, whether it was screened, the forward searches, and which
+    /// candidate set each reported bound.
     #[allow(clippy::too_many_arguments)]
     fn evaluate(
         &mut self,
         ctx: &RouteCtx<'_>,
+        target_gap: Option<f64>,
         potentials: &mut PotentialRows,
+        held: &HeldPaths,
         routed: &[Vec<f64>],
         flow_arc: &[f64],
         mwu: &MwuLengths,
@@ -461,18 +535,32 @@ impl BestBounds {
         pool: &SsspPool,
         stats: &mut SolveStats,
     ) {
+        stats.evaluations += 1;
+        self.fold_primal(ctx, st, flow_arc, routed, stats);
+        potentials.refresh(ctx, mwu.lens(), false, sssp, pool);
         let num_sources = ctx.prob.sources().len();
-        let up = dual_bound(ctx, potentials, mwu, sssp, pool);
-        stats.searches += num_sources - ctx.num_single;
-        if up < self.upper {
-            self.upper = up;
-            stats.upper_from_average = false;
-            if let Some(cap) = self.capture.as_mut() {
-                cap.observe_dual(mwu.lens());
+        let mut swept = false;
+
+        let held_alpha = held.alpha(ctx, mwu.lens(), Some(potentials), &mut self.node_len);
+        if self.worth_sweeping(mwu.dual_bound(held_alpha * HELD_ALPHA_MARGIN), target_gap) {
+            swept = true;
+            let up = dual_bound(ctx, potentials, mwu, sssp, pool);
+            stats.searches += num_sources - ctx.num_single;
+            if up < self.upper {
+                self.upper = up;
+                stats.upper_from_average = false;
+                if let Some(cap) = self.capture.as_mut() {
+                    cap.observe_dual(mwu.lens());
+                }
             }
-        } else {
-            let newest = self.bases.last().map(|b| &b.len_sum[..]);
-            self.avg.window(newest, &mut self.avg_lens);
+        }
+
+        let newest = self.bases.last().map(|b| &b.len_sum[..]);
+        self.avg.window(newest, &mut self.avg_lens);
+        let held_alpha = held.alpha(ctx, &self.avg_lens, None, &mut self.node_len);
+        let held_up = ratio(volume(ctx, &self.avg_lens), held_alpha * HELD_ALPHA_MARGIN);
+        if self.worth_sweeping(held_up, target_gap) {
+            swept = true;
             let up = averaged_dual_bound(ctx, &self.avg_lens, sssp, pool);
             stats.searches += num_sources;
             if up < self.upper {
@@ -483,6 +571,19 @@ impl BestBounds {
                 }
             }
         }
+        stats.screened += usize::from(!swept);
+    }
+
+    /// Folds the feasible bounds of the cumulative flow and of each suffix
+    /// window into the best lower bound.
+    fn fold_primal(
+        &mut self,
+        ctx: &RouteCtx<'_>,
+        st: &[RouteState],
+        flow_arc: &[f64],
+        routed: &[Vec<f64>],
+        stats: &mut SolveStats,
+    ) {
         // Pick the best candidate first so a capture copies at most once.
         let mut base = None;
         let (mut lo, mut mu) = primal_bound(ctx, st, flow_arc, routed, None);
@@ -575,12 +676,14 @@ fn rescaled_bound(
 /// shortest-path distances under the current lengths, in the *scaled* demand
 /// space.
 ///
-/// The potential rows are refreshed first — one reverse Dijkstra per
-/// single-destination source's target, at the current lengths — and the next
-/// `check_interval` phases search under them. A refreshed row holds exact
-/// distances *to* its destination, so a single-destination source's term of
-/// `alpha(l)` is `demand × row[src]`, read off with no search of its own.
-/// Only multi-destination sources need a shortest-path tree ([`sum_alpha`]).
+/// Every potential row must be exact at the current lengths: the caller has
+/// re-derived the rows that are not dense (the next `check_interval` phases
+/// search under them), and this re-derives the dense ones — one reverse
+/// Dijkstra per single-destination source's target. A refreshed row holds
+/// exact distances *to* its destination, so a single-destination source's
+/// term of `alpha(l)` is `demand × row[src]`, read off with no search of its
+/// own. Only multi-destination sources need a shortest-path tree
+/// ([`sum_alpha`]).
 fn dual_bound(
     ctx: &RouteCtx<'_>,
     potentials: &mut PotentialRows,
@@ -589,7 +692,7 @@ fn dual_bound(
     pool: &SsspPool,
 ) -> f64 {
     let n = ctx.prob.num_nodes();
-    potentials.refresh(ctx, mwu.lens(), sssp, pool);
+    potentials.refresh(ctx, mwu.lens(), true, sssp, pool);
     let potentials = &*potentials;
     let searches = ctx.prob.sources().len() - ctx.num_single;
     let alpha = sum_alpha(ctx, searches, sssp, pool, |sw, si| {
@@ -613,11 +716,20 @@ fn averaged_dual_bound(
     sssp: &mut SsspWorkspace,
     pool: &SsspPool,
 ) -> f64 {
-    let d_l: f64 = ctx.prob.arc_caps().zip(lens).map(|(c, l)| c * l).sum();
     let searches = ctx.prob.sources().len();
     let alpha = sum_alpha(ctx, searches, sssp, pool, |sw, si| {
         tree_alpha(ctx, si, lens, sw)
     });
+    ratio(volume(ctx, lens), alpha)
+}
+
+/// `D(lens) = Σ cap × len`, summed fresh in arc order.
+fn volume(ctx: &RouteCtx<'_>, lens: &[f64]) -> f64 {
+    ctx.prob.arc_caps().zip(lens).map(|(c, l)| c * l).sum()
+}
+
+/// The dual bound `d_l / alpha`, infinite when `alpha` is not positive.
+fn ratio(d_l: f64, alpha: f64) -> f64 {
     if alpha > 0.0 {
         d_l / alpha
     } else {
@@ -673,7 +785,8 @@ mod tests {
     fn dual_bound_read_off_the_refreshed_rows_equals_the_forward_searches() {
         // The instance of `pooled_sweeps_match_inline_execution_bit_for_bit`
         // (160 single-destination sources × 1,280 arcs, past the fan-out
-        // threshold, so the refresh below is pooled at any width above one),
+        // threshold, so the evaluation below queues pool jobs at any width
+        // above one),
         // at the differentiated lengths six phases of a real solve leave in
         // the workspace.
         let topo = tb_topology::jellyfish::jellyfish(160, 8, 1, 42);
@@ -708,10 +821,16 @@ mod tests {
         }
         let forward = mwu.dual_bound(alpha);
 
+        // An evaluation's sequence: the rows that are not dense first, then
+        // the bound, which re-derives the dense ones.
+        let mut evaluate = || {
+            potentials.refresh(&ctx, mwu.lens(), false, sssp, sweep_pool);
+            dual_bound(&ctx, potentials, mwu, sssp, sweep_pool)
+        };
         let queued_before = rayon::pool::stats().jobs;
-        let pooled = dual_bound(&ctx, potentials, mwu, sssp, sweep_pool);
+        let pooled = evaluate();
         assert!(rayon::current_num_threads() == 1 || rayon::pool::stats().jobs > queued_before);
-        let inline = rayon::serial(|| dual_bound(&ctx, potentials, mwu, sssp, sweep_pool));
+        let inline = rayon::serial(&mut evaluate);
         assert_eq!(pooled.to_bits(), inline.to_bits());
         assert!(
             forward.is_finite() && (pooled - forward).abs() <= 1e-12 * forward,
@@ -796,8 +915,87 @@ mod tests {
     }
 
     #[test]
+    fn held_paths_never_promise_a_lower_dual_bound_than_the_sweep_finds() {
+        // An evaluation skips a sweep when `D(x) / alpha` over the held paths
+        // cannot close the gap. That is sound only if this value never
+        // exceeds the bound the sweep would find at the same lengths `x`,
+        // i.e. if no held path is shorter than a shortest one. Checked at the
+        // lengths truncated solves leave, grown a little further — the last
+        // iterate `l`, with the rows that are not dense refreshed as an
+        // evaluation leaves them, and a window `l̄` of the normalised lengths
+        // — under longest matching (known paths, dense rows), all-to-all
+        // (held aggregated trees) and RM(2) (held walk-kernel trees beside
+        // single-destination sources).
+        let topo = tb_topology::jellyfish::jellyfish(40, 6, 2, 9);
+        for tm in [
+            tb_traffic::synthetic::longest_matching(&topo.graph, &topo.servers, true),
+            tb_traffic::synthetic::all_to_all(&topo.servers),
+            tb_traffic::synthetic::random_matching(&topo.servers, 2, 5),
+        ] {
+            let prob = FlowProblem::new(&topo.graph, &tm);
+            let tables = DemandTables::new(&prob, 1.0);
+            let ctx = tables.ctx(&prob, 1.0);
+            let mut ws = SolverWorkspace::new();
+            let mut avg = LengthAverage::new(prob.num_arcs());
+            let mut base = Vec::new();
+            let mut node_len = vec![0.0; prob.num_nodes()];
+            for max_phases in [3, 6, 9] {
+                let cfg = FleischerConfig {
+                    max_phases,
+                    target_gap: 0.0,
+                    ..FleischerConfig::fast().with_auto_aggregation(topo.num_switches())
+                };
+                solve_problem(&cfg, &topo.graph, &prob, &mut ws, false);
+                let SolverWorkspace {
+                    mwu,
+                    potentials,
+                    held,
+                    sssp,
+                    sweep_pool,
+                    ..
+                } = &mut ws;
+                // Lengths grow after the paths were found, as the routing
+                // between two evaluations grows them, which leaves the dense
+                // rows stale: a third of the arcs take one step each.
+                for aid in (0..prob.num_arcs()).step_by(3) {
+                    mwu.apply(aid, mwu.cap(aid));
+                }
+                potentials.refresh(&ctx, mwu.lens(), false, sssp, sweep_pool);
+                let alpha = held.alpha(&ctx, mwu.lens(), Some(potentials), &mut node_len);
+                let held_up = mwu.dual_bound(alpha * HELD_ALPHA_MARGIN);
+                let exact = dual_bound(&ctx, potentials, mwu, sssp, sweep_pool);
+                assert!(
+                    0.0 < held_up && held_up <= exact,
+                    "{} flows, {max_phases} phases: held {held_up} vs swept {exact}",
+                    tm.num_flows()
+                );
+                avg.sample(mwu);
+                if base.is_empty() {
+                    base.extend_from_slice(avg.sum());
+                }
+            }
+            let mut lens = Vec::new();
+            avg.window(Some(&base), &mut lens);
+            let SolverWorkspace {
+                held,
+                sssp,
+                sweep_pool,
+                ..
+            } = &mut ws;
+            let alpha = held.alpha(&ctx, &lens, None, &mut node_len);
+            let held_up = ratio(volume(&ctx, &lens), alpha * HELD_ALPHA_MARGIN);
+            let exact = averaged_dual_bound(&ctx, &lens, sssp, sweep_pool);
+            assert!(
+                0.0 < held_up && held_up <= exact,
+                "{} flows, window: held {held_up} vs swept {exact}",
+                tm.num_flows()
+            );
+        }
+    }
+
+    #[test]
     fn snapshots_keep_the_latest_two_older_first() {
-        let mut best = BestBounds::new(1, false);
+        let mut best = BestBounds::new(1, 1, false);
         for k in 1..=4 {
             best.snapshot(&[k as f64], &[vec![10.0 * k as f64]]);
             let held: Vec<f64> = best.bases.iter().map(|b| b.flow.flow[0]).collect();

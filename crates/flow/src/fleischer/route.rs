@@ -99,7 +99,7 @@ pub(super) struct KnownPaths {
 
 impl KnownPaths {
     /// Forgets every path and makes room for `rows` sources.
-    pub(super) fn reset(&mut self, rows: usize) {
+    fn reset(&mut self, rows: usize) {
         self.filled.clear();
         self.filled.resize(rows, 0);
         if self.slots.len() < rows * KNOWN_PATHS {
@@ -120,8 +120,20 @@ impl KnownPaths {
     }
 
     /// The shortest known path of `row` under `len` if it is no longer than
-    /// `bound`, moved to the front; the earlier slot wins a tie.
-    fn shortest_within(&mut self, row: usize, len: &[f64], bound: f64) -> Option<&[u32]> {
+    /// `bound`, moved to the front; the earlier slot wins a tie. On a miss,
+    /// the length of that shortest path (infinite when `row` has none).
+    fn shortest_within(&mut self, row: usize, len: &[f64], bound: f64) -> Result<&[u32], f64> {
+        let (shortest, k) = self.shortest(row, len);
+        if shortest <= bound {
+            Ok(self.promote(row, k))
+        } else {
+            Err(shortest)
+        }
+    }
+
+    /// The length under `len` of `row`'s shortest known path (infinite when
+    /// it has none) and its slot; the earlier slot wins a tie.
+    fn shortest(&self, row: usize, len: &[f64]) -> (f64, usize) {
         let mut best = (f64::INFINITY, 0);
         for (k, path) in self.paths(row).iter().enumerate() {
             let l: f64 = path.iter().map(|&aid| len[aid as usize]).sum();
@@ -129,7 +141,7 @@ impl KnownPaths {
                 best = (l, k);
             }
         }
-        (best.0 <= bound).then(|| self.promote(row, best.1))
+        best
     }
 
     /// Records the `src -> dst` path of the search in `sssp` as `row`'s most
@@ -156,12 +168,100 @@ impl KnownPaths {
     }
 }
 
+/// Every path the solve holds for its commodities: the known paths of the
+/// single-destination sources, and for every multi-destination source the
+/// tree of its latest routing search (settle order with each node's parent
+/// arc, root first; 8 bytes per settled node). Any such path's length under
+/// some lengths is at least the commodity's distance there, which is what
+/// [`HeldPaths::alpha`] adds up. Emptied per solve by [`HeldPaths::reset`],
+/// keeping the allocations.
+#[derive(Debug, Clone, Default)]
+pub(super) struct HeldPaths {
+    pub known: KnownPaths,
+    /// `[node, parent arc]` in settle order per source (the root's arc is
+    /// `u32::MAX`); empty for single-destination sources.
+    trees: Vec<Vec<[u32; 2]>>,
+}
+
+impl HeldPaths {
+    /// Forgets every path and makes room for `ctx`'s sources.
+    pub(super) fn reset(&mut self, ctx: &RouteCtx<'_>) {
+        self.known.reset(ctx.num_single);
+        self.trees.resize_with(ctx.prob.sources().len(), Vec::new);
+        self.trees.iter_mut().for_each(Vec::clear);
+    }
+
+    /// Keeps the tree of `sssp`'s last run as source `si`'s.
+    pub(super) fn hold_tree(&mut self, si: usize, sssp: &SsspWorkspace) {
+        let tree = &mut self.trees[si];
+        tree.clear();
+        tree.extend(sssp.settle_order().iter().map(|&v| {
+            let arc = sssp
+                .parent(v as usize)
+                .map_or(u32::MAX, |(_, aid)| aid as u32);
+            [v, arc]
+        }));
+    }
+
+    /// An upper bound on `alpha(len)`: every commodity's demand times the
+    /// length under `len` of a path held for it — the held tree's path of a
+    /// multi-destination source, the shortest known path of a
+    /// single-destination source, or that source's row in `rows` if it is
+    /// not dense (the caller passes rows only when it has just re-derived
+    /// those at `len`, so they are exact). Infinite while some source holds
+    /// nothing. `node_len` is `num_nodes` of scratch.
+    pub(super) fn alpha(
+        &self,
+        ctx: &RouteCtx<'_>,
+        len: &[f64],
+        rows: Option<&PotentialRows>,
+        node_len: &mut [f64],
+    ) -> f64 {
+        let n = ctx.prob.num_nodes();
+        let arcs = ctx.prob.arcs();
+        let mut alpha = 0.0;
+        for (si, s) in ctx.prob.sources().iter().enumerate() {
+            alpha += match ctx.single_dest[si] {
+                Some(dst) if dst == s.src => 0.0,
+                Some(_) => {
+                    let row = ctx.pot_rows[si];
+                    let dist = match rows {
+                        Some(rows) if !rows.dense[row] => rows.row(row, n)[s.src],
+                        _ => self.known.shortest(row, len).0,
+                    };
+                    ctx.demands[si][0] * dist
+                }
+                None => {
+                    // Parents precede children in settle order, and every
+                    // destination is in the tree (the search stopped only
+                    // after its last target settled).
+                    let Some((&[root, _], rest)) = self.trees[si].split_first() else {
+                        return f64::INFINITY;
+                    };
+                    node_len[root as usize] = 0.0;
+                    for &[v, aid] in rest {
+                        let from = arcs[aid as usize].from;
+                        node_len[v as usize] = node_len[from] + len[aid as usize];
+                    }
+                    s.dests
+                        .iter()
+                        .zip(&ctx.demands[si])
+                        .map(|(&(dst, _), d)| d * node_len[dst])
+                        .sum()
+                }
+            };
+        }
+        alpha
+    }
+}
+
 /// Computes the shortest-path tree of source `si` at the lengths `len`
 /// (early-exit Dijkstra over its destination set). Read-only over `len`.
-/// Multi-destination sources route on it and take their dual-bound term from
-/// it; single-destination sources search inside [`route_source_single`] and
-/// read their last-iterate dual-bound term off the potential rows, so they
-/// come here only for the averaged dual bound, where no rows exist.
+/// Multi-destination sources route on it (and hold the last one, see
+/// [`HeldPaths`]) and take their dual-bound term from it; single-destination
+/// sources search inside [`route_source_single`] and read their last-iterate
+/// dual-bound term off the potential rows, so they come here only for the
+/// averaged dual bound, where no rows exist.
 pub(super) fn compute_tree(ctx: &RouteCtx<'_>, si: usize, len: &[f64], sssp: &mut SsspWorkspace) {
     let n = ctx.prob.num_nodes();
     // Target bookkeeping only pays when the destination set is a small
@@ -186,11 +286,13 @@ fn search_tree(ctx: &RouteCtx<'_>, si: usize, state: &mut SerialState<'_>) {
 /// The goal-direction potential rows: for every single-destination source,
 /// the reverse distances to its destination at the lengths of the row's
 /// latest derivation — exact then, and consistent (admissible) as lengths
-/// grow. Every bound evaluation re-derives all rows, because the dual bound
-/// reads each source's distance off its row; a *dense* row is re-derived at
-/// the start of each of its source's turns as well (see [`DENSE_SETTLES`]).
-/// Rows and flags are reset per solve by [`PotentialRows::reset`], keeping
-/// the allocations.
+/// grow. Every bound evaluation re-derives the rows that are not dense,
+/// which the routing of the next phases reads. A *dense* row is re-derived
+/// at the start of each of its source's turns (see [`DENSE_SETTLES`]), so
+/// only the dual bound reads it between turns: an evaluation re-derives it
+/// only when it runs its last-iterate sweep, which reads each source's
+/// distance off its row. Rows and flags are reset per solve by
+/// [`PotentialRows::reset`], keeping the allocations.
 #[derive(Debug, Clone, Default)]
 pub(super) struct PotentialRows {
     /// `num_nodes` values per row, rows in source order.
@@ -226,18 +328,21 @@ impl PotentialRows {
         &self.values[row * n..(row + 1) * n]
     }
 
-    /// Re-derives every row at the lengths `len`. Fans out to the pool for
+    /// Re-derives, at the lengths `len`, every row that is dense if `dense`
+    /// is set and every row that is not otherwise. Fans out to the pool for
     /// large instances, each worker leasing an SSSP workspace from `pool`;
-    /// row contents do not depend on the thread count. A no-op without
-    /// single-destination sources.
+    /// row contents do not depend on the thread count. A no-op when no row
+    /// qualifies.
     pub(super) fn refresh(
         &mut self,
         ctx: &RouteCtx<'_>,
         len: &[f64],
+        dense: bool,
         sssp: &mut SsspWorkspace,
         pool: &SsspPool,
     ) {
-        if ctx.num_single == 0 {
+        let rows = self.dense.iter().filter(|&&d| d == dense).count();
+        if rows == 0 {
             return;
         }
         let n = ctx.prob.num_nodes();
@@ -253,11 +358,11 @@ impl PotentialRows {
         let jobs = self
             .values
             .chunks_mut(n)
-            .zip(ctx.single_dest.iter().filter_map(|&d| d));
+            .zip(ctx.single_dest.iter().filter_map(|&d| d))
+            .zip(&self.dense)
+            .filter_map(|(job, &d)| (d == dense).then_some(job));
         debug_assert!(ctx.pot_rows.iter().filter(|&&r| r != usize::MAX).count() == ctx.num_single);
-        if ctx.num_single * ctx.prob.num_arcs() >= PAR_MIN_SWEEP_WORK
-            && rayon::current_num_threads() > 1
-        {
+        if rows * ctx.prob.num_arcs() >= PAR_MIN_SWEEP_WORK && rayon::current_num_threads() > 1 {
             let jobs: Vec<(&mut [f64], usize)> = jobs.collect();
             let _: Vec<()> = jobs
                 .into_par_iter()
@@ -314,7 +419,9 @@ fn apply_update(mwu: &mut MwuLengths, flow_arc: &mut [f64], aid: usize, u: f64) 
 /// path is `(1 + eps/4)`-shortest — the reuse argument of the tree kernels,
 /// applied to every path this source's searches have found rather than the
 /// last tree's. Only when no known path qualifies does the kernel search
-/// again, which raises `D` and records the new path. A dense potential row
+/// again, which raises `D` and records the new path; the search queues
+/// nothing keyed past the shortest known path's current length, which
+/// changes none of its results. A dense potential row
 /// is re-derived before the turn's first step, and a turn whose searches
 /// settled more than `1 / DENSE_SETTLES` of the graph on average makes the
 /// row dense. Returns `false` when `D(l)` saturated mid-source (the caller
@@ -352,12 +459,24 @@ pub(super) fn route_source_single(
             }
             let len = state.mwu.lens();
             let path = match state.known.shortest_within(row, len, reuse_bound) {
-                Some(path) => {
+                Ok(path) => {
                     state.stats.path_reuses += 1;
                     path
                 }
-                None => {
-                    sssp_csr_goal(ctx.prob.csr(), s.src, len, dst, potential, state.sssp);
+                Err(shortest) => {
+                    // The shortest known path bounds the distance, so the
+                    // search never queues past it (the margin covers the
+                    // different summation order; see `sssp_csr_goal_by`).
+                    let bound = shortest * (1.0 + 1e-9);
+                    sssp_csr_goal(
+                        ctx.prob.csr(),
+                        s.src,
+                        len,
+                        dst,
+                        potential,
+                        bound,
+                        state.sssp,
+                    );
                     debug_assert!(state.sssp.dist(dst).is_finite());
                     searches += 1;
                     settles += state.sssp.settled_count();
@@ -771,9 +890,11 @@ mod tests {
         assert!(known.paths(0).iter().all(|p| *p != [1]));
         // The shortest known path is picked only within the bound.
         let len: Vec<f64> = (0..arcs).map(|a| 3.0 + a as f64).collect();
-        assert_eq!(known.shortest_within(0, &len, 2.9), None);
-        assert_eq!(known.shortest_within(0, &len, 3.0), Some(&[0u32][..]));
+        // A miss reports the shortest length, infinite with no path.
+        assert_eq!(known.shortest_within(0, &len, 2.9), Err(3.0));
+        assert_eq!(known.shortest_within(0, &len, 3.0), Ok(&[0u32][..]));
         known.reset(1);
         assert!(known.paths(0).is_empty());
+        assert_eq!(known.shortest_within(0, &len, 3.0), Err(f64::INFINITY));
     }
 }

@@ -555,12 +555,26 @@ pub fn sssp_csr(
 /// distances and parents in `ws`, like [`sssp_csr`] with an early exit at
 /// `target`; with a sharp potential the search expands little beyond the
 /// shortest path itself.
+///
+/// `bound` caps the queue: a relaxation whose key `dist + potential` exceeds
+/// it queues nothing. **Precondition:** `bound >= d(src, target)` (for a
+/// potential that is 0 at the target) with a small relative margin — the
+/// length of any known `src -> target` path times `1 + 1e-9` qualifies, and
+/// `f64::INFINITY` disables the cap. Under it the run is the uncapped run,
+/// bit for bit (settle order, distances, parents): the target pops at its
+/// distance, pops follow `(key, node)` order, so every entry that pops before
+/// it has a key within the cap, and an entry left out would only have popped
+/// after it. The margin is for rounding: a potential is consistent only up
+/// to it, so a key popped before the target can exceed the target's distance
+/// by a few ulps. Violating the precondition can leave the target
+/// unsettled.
 pub fn sssp_csr_goal_by<L: Fn(usize) -> f64>(
     csr: &CsrGraph,
     src: usize,
     len_of: L,
     target: usize,
     potential: &[f64],
+    bound: f64,
     ws: &mut SsspWorkspace,
 ) {
     ws.begin(csr.num_nodes(), src);
@@ -587,11 +601,15 @@ pub fn sssp_csr_goal_by<L: Fn(usize) -> f64>(
             let nd = d + len;
             let head = ws.nodes[v];
             if head.stamp < generation {
-                if nd < f64::INFINITY && !potential[v].is_infinite() {
+                // A node left unqueued here stays unseen, so a later, shorter
+                // relaxation within the cap queues it as the uncapped run's
+                // decrease-key would have.
+                let key = nd + potential[v];
+                if nd < f64::INFINITY && !potential[v].is_infinite() && key <= bound {
                     ws.nodes[v].stamp = generation;
                     ws.nodes[v].dist = nd;
                     ws.parents[v] = [u as u32, lid as u32];
-                    ws.heap_push(v as u32, nd + potential[v]);
+                    ws.heap_push(v as u32, key);
                 }
             } else if head.stamp == generation && nd < head.dist {
                 // Unlike the plain kernel, the settled check here is load-
@@ -600,7 +618,8 @@ pub fn sssp_csr_goal_by<L: Fn(usize) -> f64>(
                 // node's distance look improvable. The old lazy heap
                 // absorbed that as a dead duplicate entry; an indexed heap
                 // must drop it (the ulp never affects reported distances
-                // beyond the tie itself).
+                // beyond the tie itself). A queued key is within the cap,
+                // and this only lowers it.
                 ws.nodes[v].dist = nd;
                 ws.parents[v] = [u as u32, lid as u32];
                 ws.heap_decrease(v as u32, nd + potential[v]);
@@ -609,16 +628,18 @@ pub fn sssp_csr_goal_by<L: Fn(usize) -> f64>(
     }
 }
 
-/// [`sssp_csr_goal_by`] with lengths in a plain slice.
+/// [`sssp_csr_goal_by`] with lengths in a plain slice. The same precondition
+/// holds: `bound >= d(src, target)` for a potential that is 0 at `target`.
 pub fn sssp_csr_goal(
     csr: &CsrGraph,
     src: usize,
     lens: &[f64],
     target: usize,
     potential: &[f64],
+    bound: f64,
     ws: &mut SsspWorkspace,
 ) {
-    sssp_csr_goal_by(csr, src, |lid| lens[lid], target, potential, ws)
+    sssp_csr_goal_by(csr, src, |lid| lens[lid], target, potential, bound, ws)
 }
 
 /// Dijkstra's algorithm from `src` under the per-edge length function
@@ -946,7 +967,7 @@ mod tests {
         let mut ws_goal = SsspWorkspace::new();
         let mut ws_plain = SsspWorkspace::new();
         for src in 0..5 {
-            sssp_csr_goal(&csr, src, &lens1, target, &pot, &mut ws_goal);
+            sssp_csr_goal(&csr, src, &lens1, target, &pot, f64::INFINITY, &mut ws_goal);
             sssp_csr(&csr, src, &lens1, Some(&[target]), &mut ws_plain);
             assert!(
                 (ws_goal.dist(target) - ws_plain.dist(target)).abs() < 1e-12,
@@ -1068,8 +1089,9 @@ mod tests {
 
     /// Every run of the kernel on `seed`'s instance — plain from every
     /// source with and without targets, goal-directed towards every target
-    /// under an exact and under a stale potential — against the oracle, all
-    /// through the one workspace `ws`.
+    /// under an exact and under a stale potential, uncapped and capped at the
+    /// distance plus the rounding margin the precondition asks for — against
+    /// the uncapped oracle, all through the one workspace `ws`.
     fn assert_kernel_matches_oracle(seed: u64, uniform: bool, ws: &mut SsspWorkspace) {
         use rand::{Rng, SeedableRng};
         let (csr, rev, lens) = random_instance(seed, uniform);
@@ -1097,9 +1119,16 @@ mod tests {
                     .map(f64::from_bits)
                     .collect();
                 let src = rng.gen_range(0..n);
-                sssp_csr_goal(&csr, src, &lens, target, &pot, ws);
                 let expect = oracle(&csr, src, &lens, None, Some((target, &pot)));
-                assert_eq!(report(ws, n), expect, "seed {seed} goal {src} -> {target}");
+                let dist = f64::from_bits(expect.1[target]);
+                for bound in [f64::INFINITY, dist * (1.0 + 1e-9)] {
+                    sssp_csr_goal(&csr, src, &lens, target, &pot, bound, ws);
+                    assert_eq!(
+                        report(ws, n),
+                        expect,
+                        "seed {seed} goal {src} -> {target} bound {bound}"
+                    );
+                }
             }
         }
     }

@@ -24,7 +24,10 @@
 //!   its pin, and must stay out of multi-destination sources' way;
 //! * the straggler's potential rows must turn dense (re-derived at the start
 //!   of every turn) and its searches stay small, while an all-to-all solve,
-//!   which has no row, re-derives none.
+//!   which has no row, re-derives none;
+//! * bound evaluations that skip their dual sweeps (the held paths say no
+//!   sweep could close the gap) must leave routing, lengths and flows exactly
+//!   as they were before evaluations were screened.
 
 use tb_flow::fleischer::PAR_MIN_SWEEP_WORK;
 use tb_flow::{ExactLpSolver, FleischerConfig, FleischerSolver, FlowProblem, SolverWorkspace};
@@ -138,12 +141,25 @@ fn ladder_solve_at(
     tm: TmSpec,
     target_gap: f64,
 ) -> (tb_flow::ThroughputBounds, tb_flow::SolveStats) {
+    let max_phases = EvalConfig::fast().solver.max_phases;
+    ladder_solve_for(family, rung, tm, target_gap, max_phases)
+}
+
+/// [`ladder_solve_at`] with the phase budget moved to `max_phases`.
+fn ladder_solve_for(
+    family: Family,
+    rung: usize,
+    tm: TmSpec,
+    target_gap: f64,
+    max_phases: usize,
+) -> (tb_flow::ThroughputBounds, tb_flow::SolveStats) {
     let topo = family
         .ladder_instance(Scale::Small, 1, rung)
         .expect("ladder rung builds");
     let tm = tm.generate(&topo, 1);
     let cfg = FleischerConfig {
         target_gap,
+        max_phases,
         ..EvalConfig::fast()
             .solver
             .with_auto_aggregation(topo.num_switches())
@@ -181,11 +197,59 @@ fn suffix_windows_leave_a_saturating_trajectory_alone() {
     assert_eq!(stats.phases, 260, "{stats:?}");
     assert_eq!(b.lower.to_bits(), 0x3fe2_3b40_91da_048f, "{b:?}");
     assert!(b.lower <= b.upper, "{b:?}");
-    // Routing searched 54,422 times at that commit (pinned at <= 65,000);
-    // what is added is one forward search per source (64) per averaged
-    // evaluation, of which there is at most one per bound evaluation (66).
+    // Routing searched 54,422 times at that commit (pinned at <= 65,000) and
+    // 54,223 times since dense rows broke some ties differently; what is
+    // added is one forward search per source (64) per averaged evaluation,
+    // of which there is at most one per bound evaluation (66). With no gap
+    // to close, every periodic evaluation is screened, and only the closing
+    // one adds its 64 (the floor counts them).
     assert!(stats.searches <= 65_000 + 66 * 64, "{stats:?}");
-    assert!(stats.searches > 54_422, "{stats:?}");
+    assert!(stats.searches > 54_223, "{stats:?}");
+    assert_eq!((stats.evaluations, stats.screened), (66, 65), "{stats:?}");
+}
+
+#[test]
+fn screened_evaluations_leave_the_routing_trajectory_alone() {
+    // A screened evaluation skips dual sweeps only: the rows that are not
+    // dense are re-derived at every evaluation as before (routing reads
+    // them), and a dense row is re-derived at the start of each of its
+    // source's turns anyway. With the gap exit switched off no candidate can
+    // close the gap, so every periodic evaluation is screened and only the
+    // closing one sweeps — and routing, lengths and flows must be those of
+    // the commit before screening existed. Pinned from that commit: the
+    // feasible value's bits and the routing counters, after 40 phases of
+    // the dense straggler (aggregated trees, held trees for the screen) and
+    // of the sparse one (known paths and dense rows).
+    for (family, rung, tm, lower, routing) in [
+        (
+            Family::DCell,
+            3,
+            TmSpec::AllToAll,
+            0x3fe3_e137_eb7a_9ba5_u64,
+            (0, 0, 0),
+        ),
+        (
+            Family::HyperX,
+            1,
+            TmSpec::LongestMatching,
+            0x3fe1_745d_1745_d174,
+            (8_257, 2_377, 92_586),
+        ),
+    ] {
+        let (b, stats) = ladder_solve_for(family, rung, tm, 0.0, 40);
+        assert_eq!(stats.phases, 40, "{family:?}: {stats:?}");
+        assert_eq!(b.lower.to_bits(), lower, "{family:?}: {b:?}");
+        assert_eq!(
+            (stats.path_reuses, stats.row_refreshes, stats.settles),
+            routing,
+            "{family:?}: {stats:?}"
+        );
+        assert_eq!(
+            (stats.evaluations, stats.screened),
+            (11, 10),
+            "{family:?}: {stats:?}"
+        );
+    }
 }
 
 #[test]
