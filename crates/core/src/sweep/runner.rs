@@ -129,10 +129,16 @@ pub struct SweepReport {
 }
 
 /// The canonical cache key of a cell under an evaluation configuration: the
-/// full debug rendering of both. Every seed and solver knob is part of the
-/// string, so distinct computations can never share a key.
+/// solver revision ([`tb_flow::SOLVER_REVISION`]) and the full debug
+/// rendering of both. Every seed and solver knob is part of the string, so
+/// distinct computations can never share a key, and a solver change that
+/// moves values without a config change re-keys every cell.
 pub fn cell_key(cell: &SweepCell, cfg: &EvalConfig) -> String {
-    format!("{:?}|{:?}", cell.spec, cfg)
+    key_at_revision(cell, cfg, tb_flow::SOLVER_REVISION)
+}
+
+fn key_at_revision(cell: &SweepCell, cfg: &EvalConfig, revision: u32) -> String {
+    format!("r{revision}|{:?}|{:?}", cell.spec, cfg)
 }
 
 /// Renders a `catch_unwind` payload as text for [`CellOutcome::error`].
@@ -430,6 +436,41 @@ mod tests {
         // The healthy cells around it still computed.
         assert!(report.outcomes[1].values.num("lower") > 0.0);
         assert!(report.outcomes[2].values.num("lower") > 0.0);
+    }
+
+    #[test]
+    fn an_entry_of_the_previous_solver_revision_is_a_silent_miss() {
+        let dir = std::env::temp_dir().join(format!(
+            "tb-runner-revision-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut opts = SweepOptions::new(false, 1);
+        opts.cache_dir.clone_from(&dir);
+        let cell = tiny_cells().remove(0);
+        let cfg = opts.eval_config();
+        // An entry the previous solver stored for the same spec and config.
+        let stale_key = key_at_revision(&cell, &cfg, tb_flow::SOLVER_REVISION - 1);
+        assert_ne!(stale_key, cell_key(&cell, &cfg));
+        let mut stale = CellValues::default();
+        stale.push("lower", -1.0);
+        let cache = crate::sweep::cache::ResultCache::new(&dir);
+        cache.store(&stale_key, &stale);
+
+        let report = run_cells(&opts, vec![cell.clone()]);
+        assert_eq!(report.cache_hits, 0);
+        assert!(report.outcomes[0].values.num("lower") > 0.0, "recomputed");
+        assert!(
+            cache.load(&stale_key).is_some(),
+            "the old entry is left alone"
+        );
+        let quarantined = std::fs::read_dir(&dir)
+            .unwrap()
+            .any(|e| e.unwrap().path().extension().is_some_and(|x| x == "bad"));
+        assert!(!quarantined, "a stale revision is a miss, not corruption");
+        assert_eq!(run_cells(&opts, vec![cell]).cache_hits, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

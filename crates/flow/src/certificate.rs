@@ -3,8 +3,8 @@
 //! A [`ThroughputCertificate`] is a compact, self-contained record of *why*
 //! a solve's bracketing bounds are correct: the rescaled feasible flow behind
 //! the lower bound (per-arc aggregate + per-commodity delivered amounts; the
-//! FPTAS stores whichever flow set its best bound — everything routed since
-//! phase 0 or a suffix window of it, both checked the same way) and
+//! FPTAS stores the mix of its flow blocks that set its best bound, with the
+//! amount every commodity is served at least) and
 //! the dual length function behind the upper bound (`upper = D(l)/alpha(l)`,
 //! valid for **any** non-negative lengths by LP duality; the FPTAS stores the
 //! lengths of the evaluation that set its best bound, or the window average
@@ -425,57 +425,20 @@ pub fn verify_certificate(
     Ok(())
 }
 
-/// A copy of the solver's flow accumulators — per-arc flow and per-commodity
-/// routed amounts, in the solver-internal scaled demand space — or the
-/// difference of two such copies. The phase loop keeps them as the bases of
-/// its suffix windows; [`CertCapture`] keeps the one behind the best lower
-/// bound.
-#[derive(Debug, Default)]
-pub(crate) struct FlowSnapshot {
-    /// Per-arc flow.
-    pub flow: Vec<f64>,
-    /// Per-commodity routed amounts, source-major (the solver's per-source
-    /// rows flattened — the layout of [`ThroughputCertificate::served`]).
-    pub served: Vec<f64>,
-}
-
-impl FlowSnapshot {
-    /// Overwrites `self` with the accumulators `flow` / `routed` minus `base`
-    /// (the accumulators themselves when `base` is `None`), reusing the
-    /// allocations. Subtracting an earlier snapshot of the same accumulators
-    /// yields the flow routed since it was taken: deposits are non-negative,
-    /// so every entry stays `>= 0`.
-    pub fn assign(&mut self, flow: &[f64], routed: &[Vec<f64>], base: Option<&FlowSnapshot>) {
-        self.flow.clear();
-        self.served.clear();
-        let served = routed.iter().flatten();
-        match base {
-            None => {
-                self.flow.extend_from_slice(flow);
-                self.served.extend(served);
-            }
-            Some(base) => {
-                let minus = |(x, b): (&f64, &f64)| x - b;
-                self.flow.extend(flow.iter().zip(&base.flow).map(minus));
-                self.served.extend(served.zip(&base.served).map(minus));
-            }
-        }
-    }
-}
-
 /// Snapshot capture used by the solver's phase loop: copies of the length
 /// function behind the best upper bound (the lengths at that evaluation, or
 /// the window average of the normalised lengths) and of the flow behind the
-/// best lower bound (the accumulated flow, or a suffix window of it). Copies are
-/// trajectory-neutral (no arithmetic feeds back into solver state), so
-/// enabling capture cannot change any solved number.
+/// best lower bound (a mix of the flow blocks). Copies are trajectory-neutral
+/// (no arithmetic feeds back into solver state), so enabling capture cannot
+/// change any solved number.
 #[derive(Debug, Default)]
 pub(crate) struct CertCapture {
     /// The length function that achieved the best upper bound.
     pub lens: Vec<f64>,
-    /// The flow behind the best lower bound: the accumulators at that
-    /// evaluation, minus the window base when a suffix window set the bound.
-    pub primal: FlowSnapshot,
+    /// The per-arc flow behind the best lower bound, before its rescale.
+    pub flow: Vec<f64>,
+    /// Per-commodity amounts that flow serves at least, source-major.
+    pub served: Vec<f64>,
     /// The capacity-rescale factor `mu` of that flow.
     pub mu: f64,
 }
@@ -487,16 +450,15 @@ impl CertCapture {
         self.lens.extend_from_slice(lens);
     }
 
-    /// Records the flow behind a new best lower bound: the accumulators minus
-    /// `base` (see [`FlowSnapshot::assign`]) and its rescale factor `mu`.
-    pub fn observe_primal(
-        &mut self,
-        flow_arc: &[f64],
-        routed: &[Vec<f64>],
-        base: Option<&FlowSnapshot>,
-        mu: f64,
-    ) {
-        self.primal.assign(flow_arc, routed, base);
+    /// Records the flow behind a new best lower bound: the per-arc `flow`,
+    /// which serves every commodity at least `ratio` times its (scaled)
+    /// demand in `demands`, and its rescale factor `mu`.
+    pub fn observe_primal(&mut self, flow: &[f64], demands: &[Vec<f64>], ratio: f64, mu: f64) {
+        self.flow.clear();
+        self.flow.extend_from_slice(flow);
+        self.served.clear();
+        self.served
+            .extend(demands.iter().flatten().map(|d| ratio * d));
         self.mu = mu;
     }
 
@@ -513,15 +475,15 @@ impl CertCapture {
         } else {
             1.0
         };
-        let flow = if self.primal.flow.is_empty() {
+        let flow = if self.flow.is_empty() {
             vec![0.0; m]
         } else {
-            self.primal.flow.iter().map(|f| f * mu).collect()
+            self.flow.iter().map(|f| f * mu).collect()
         };
-        let served = if self.primal.served.is_empty() {
+        let served = if self.served.is_empty() {
             vec![0.0; commodities]
         } else {
-            self.primal.served.iter().map(|x| x * mu).collect()
+            self.served.iter().map(|x| x * mu).collect()
         };
         let lengths = if self.lens.is_empty() {
             vec![1.0; m]
@@ -634,22 +596,6 @@ mod tests {
             verify_certificate(&g, &tm, &rebuilt, f64::INFINITY),
             Err(CertificateError::ConservationViolated { .. })
         ));
-    }
-
-    #[test]
-    fn flow_snapshot_assign_copies_or_differences_in_place() {
-        let mut snap = FlowSnapshot::default();
-        snap.assign(&[1.0, 2.0], &[vec![3.0], vec![4.0, 5.0]], None);
-        assert_eq!(snap.flow, [1.0, 2.0]);
-        assert_eq!(snap.served, [3.0, 4.0, 5.0]);
-        let mut window = FlowSnapshot::default();
-        window.assign(&[4.0, 2.0], &[vec![5.0], vec![4.0, 9.0]], Some(&snap));
-        assert_eq!(window.flow, [3.0, 0.0]);
-        assert_eq!(window.served, [2.0, 0.0, 4.0]);
-        // Re-assigning overwrites rather than appends.
-        window.assign(&[7.0, 8.0], &[vec![1.0], vec![2.0, 3.0]], None);
-        assert_eq!(window.flow, [7.0, 8.0]);
-        assert_eq!(window.served, [1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! exact row when it is not dense), the tree a multi-destination source last
 //! routed on — gives `alpha_held >= alpha`, and `D/alpha_held` is a value the
 //! sweep's bound cannot come out below ([`HeldPaths::alpha`], O(nodes) per
-//! source). An evaluation computes its primal bounds first; then each dual
+//! source). An evaluation computes its feasible bound first; then each dual
 //! candidate — the last iterate `l` and the window average `l̄` below — runs
 //! its sweep (the dense rows and the forward trees for `l`, one forward
 //! search per source for `l̄`) only if that value could close the gap to
@@ -62,19 +62,20 @@
 //! multiplicative-weights regret bound — converges in the **average of the
 //! normalised iterates** `l / D(l)`, not in the last one. So the loop keeps
 //! the running sum of `l / D(l)` ([`LengthAverage`]), sampled after every
-//! source's turn (O(arcs) per turn), copies it at the snapshot evaluations
-//! next to the primal window bases, and an evaluation also evaluates
-//! `D(l̄)/alpha(l̄)` at the window average `l̄ = sum − newest base` when the
-//! held paths say it could close the gap (previous section;
-//! [`averaged_dual_bound`]: no potential rows exist at `l̄`, so every source
-//! runs one early-exit forward search, counted in [`SolveStats::searches`]).
+//! source's turn (O(arcs) per turn), copies it at the evaluations whose
+//! index `phase / check_interval` is a power of two (the window base), and an
+//! evaluation also evaluates `D(l̄)/alpha(l̄)` at the window average
+//! `l̄ = sum − base` when the held paths say it could close the gap
+//! (previous section; [`averaged_dual_bound`]: no potential rows exist at
+//! `l̄`, so every source runs one early-exit forward search, counted in
+//! [`SolveStats::searches`]).
 //!
 //! Validity needs nothing beyond duality. Quality: `alpha` is concave and
 //! positively homogeneous and `D` is linear, so the bound at a sum of length
 //! functions is at most the `alpha`-weighted mean of their bounds — the
 //! average is never worse than its samples are on (weighted) average, and it
 //! cancels the bounce. The averaged bound only reads: routing, the length
-//! trajectory, the potential refresh and the primal bounds are untouched, and
+//! trajectory, the potential refresh and the feasible bound are untouched, and
 //! a solve merely meets its `target_gap` earlier ([`SolveStats::upper_from_average`]
 //! says when the average set the reported bound; a certificate then carries
 //! `l̄` as its dual evidence). Measured facts fixed the rest (seed 1, the
@@ -91,35 +92,63 @@
 //! 77,471 phases / 8.18 M searches / 11 saturated solves against 73,207 /
 //! 7.74 M / 6 from the newest base). None of them is a knob.
 //!
-//! ## The feasible lower bound and its suffix windows
+//! ## The feasible lower bound: the best mix of the flow blocks
 //!
 //! Rescaling a multicommodity flow by `mu = min cap/flow` makes it capacity
 //! feasible, and its worst-served commodity is then a valid concurrent
-//! throughput ([`primal_bound`]). The classical analysis rescales the flow
-//! accumulated **since phase 0**, and that bound stays — the `D(l) >= 1`
-//! guarantee is stated for it. But the first phases route on near-uniform
-//! lengths and pile congestion on a few arcs that the running average never
-//! forgets, so the cumulative bound crawls up like `p/(p + c)` long after the
-//! dual bound has settled. A **suffix window** drops that cold start: the
-//! difference of the accumulators at two bound evaluations is itself a
-//! multicommodity flow (every path deposit adds the same amount to its arcs
-//! and to its commodity's routed total, so conservation holds for any
-//! difference, and served amounts are absolute), hence feasible after the
-//! same `mu` rescale. Every evaluation — periodic and closing — takes the
-//! maximum of the cumulative bound and the window bounds.
+//! throughput. The classical analysis rescales the flow accumulated since
+//! phase 0 — the `D(l) >= 1` guarantee is stated for it — but the first
+//! phases route on near-uniform lengths and pile congestion on a few arcs
+//! that the running total never forgets, so that bound crawls up like
+//! `p/(p + c)` long after the dual bound has settled.
 //!
-//! The schedule is fixed: the accumulators (and the length sum of the
-//! previous section) are snapshotted at the evaluations whose index
-//! `phase / check_interval` is a power of two, and the latest two snapshots
-//! are kept, so the older window always spans at least half the run. Memory
-//! cost: `2 · (2 · arcs + commodities)` f64 per solve for the bases, `2 · arcs`
-//! for the running length sum and its window. Windows only read the
-//! accumulators — the routing trajectory and the lengths are untouched; a
-//! solve merely meets its `target_gap` earlier.
+//! So every evaluation closes a *block* ([`Blocks`]): the per-arc flow `F_b`
+//! routed since the previous evaluation, and one scalar, its worst-served
+//! ratio `t_b = min_j served_b(j) / d_j` (up to rounding the number of phases
+//! in it: a complete phase routes every demand once). Every path deposit adds
+//! the same amount to its arcs and to its commodity's routed total, so each
+//! block, and any combination of blocks with weights `w >= 0`, is again a
+//! multicommodity flow; the combination serves every commodity at least
+//! `Σ_b w_b t_b` times its demand, so `Σ_b w_b t_b` divided by its
+//! congestion `max_a Σ_b w_b F_b(a) / cap_a` is a feasible value for **any**
+//! `w >= 0`. The cumulative flow is the weighting by ones, a suffix window of
+//! it the weighting by ones on the newest blocks; an evaluation takes the
+//! best weighting instead, from the packing LP "maximise `Σ_b t_b w_b`
+//! subject to `Σ_b w_b F_b(a) <= cap_a`". Its rows are added lazily: seeded
+//! with the most congested arcs of the first block, then every arc the
+//! optimum overloads, most overloaded first, and kept for the rest of the
+//! solve. The published value is rescaled by the congestion over *every*
+//! arc, so an LP that stops short costs tightness, never soundness. Past
+//! [`MAX_BLOCKS`](super::blocks) blocks the two oldest merge (flows add, `t`
+//! adds). A certificate stores the mix's load rescaled by `mu` and claims
+//! `mu Σ_b w_b t_b d_j` for every commodity — never more than that flow
+//! delivers.
+//!
+//! The LP is a [`tb_lp::Packing`]: a dense dual simplex tableau kept open for
+//! the whole solve, in which a new block is a new dual row and a new arc a
+//! new dual column, so an evaluation pays a few pivots of
+//! `O(blocks × (rows + blocks))` rather than a solve from scratch. That is
+//! what lets it run at every evaluation. Measured at seed 1 on the `/1/LM`
+//! pass of `fig05_06` (2-core x86 box): through the general sparse simplex
+//! (`tb_lp::solve`, 16 blocks) the LP took 121 ms of a 540 ms pass solved
+//! cold and 91 ms warm-started — the pivots fell from 16,892 to 7,032, but two
+//! factorizations per solve remained — while the open tableau takes 12 ms of
+//! the pass's 331 ms of FPTAS solves (3.5 %; the `/A2A` pass 7 of 968 ms).
+//! Solving at every second or fourth evaluation instead, the others scoring
+//! the last weights, costs that pass 1,700 or 1,772 phases against 1,672 (64
+//! blocks). Against the cumulative and suffix-window bounds this replaced
+//! (seed 1, `--scenario all --no-cache`): 73,043 → 57,579 phases, 7.00 M →
+//! 5.24 M searches, saturated solves 6 → 1; the `/1/LM` pass 2,148 → 1,676
+//! phases and 181,396 → 136,154 searches, the `/A2A` pass 4,032 → 3,320
+//! phases. Memory: `MAX_BLOCKS × arcs` f64 for the blocks and
+//! `blocks × (rows + blocks)` for the tableau. The blocks only read the
+//! accumulators — routing and the lengths are untouched; a solve merely
+//! meets its `target_gap` earlier.
 
+use super::blocks::Blocks;
 use super::route::{self, HeldPaths, PotentialRows, RouteCtx, RouteState, SerialState};
 use super::{FleischerConfig, SolveStats, SolverWorkspace, PAR_MIN_SWEEP_WORK};
-use crate::certificate::{CertCapture, FlowSnapshot, ThroughputCertificate};
+use crate::certificate::{CertCapture, ThroughputCertificate};
 use crate::instance::FlowProblem;
 use crate::lengths::{LengthAverage, MwuLengths};
 use crate::ThroughputBounds;
@@ -132,6 +161,9 @@ pub(super) struct Solved {
     pub stats: SolveStats,
     /// Present iff a certificate was requested.
     pub cert: Option<ThroughputCertificate>,
+    /// The flow blocks and the mix the closing evaluation left.
+    #[cfg(test)]
+    pub blocks: Blocks,
 }
 
 /// Runs the full solve: setup, the phase loop, and the closing bound
@@ -161,6 +193,8 @@ pub(super) fn solve_problem(
             let commodities = prob.sources().iter().map(|s| s.dests.len()).sum();
             ThroughputCertificate::build(prob, vec![0.0; m], vec![0.0; commodities], vec![1.0; m])
         }),
+        #[cfg(test)]
+        blocks: Blocks::default(),
     };
     if m == 0 {
         return trivial();
@@ -220,9 +254,9 @@ pub(super) fn solve_problem(
 
     let mut flow_arc = vec![0.0f64; m];
     let mut routed: Vec<Vec<f64>> = ctx.demands.iter().map(|d| vec![0.0; d.len()]).collect();
-    // Best bracket, window snapshots, averaged lengths and certificate
-    // capture.
-    let mut best = BestBounds::new(n, m, want_cert);
+    // Best bracket, flow blocks, averaged lengths and certificate capture.
+    let commodities = routed.iter().map(Vec::len).sum();
+    let mut best = BestBounds::new(n, m, commodities, want_cert);
 
     mwu.reset(eps, prob.arc_caps());
     arc_state.clear();
@@ -296,7 +330,6 @@ pub(super) fn solve_problem(
                 &routed,
                 &flow_arc,
                 mwu,
-                arc_state,
                 sssp,
                 sweep_pool,
                 &mut stats,
@@ -306,7 +339,7 @@ pub(super) fn solve_problem(
                 break 'phases;
             }
             if (phase / check_interval).is_power_of_two() {
-                best.snapshot(&flow_arc, &routed);
+                best.snapshot();
             }
         }
     }
@@ -316,10 +349,10 @@ pub(super) fn solve_problem(
     // never screened: its bounds are the ones reported.
     if !gap_exit {
         best.evaluate(
-            &ctx, None, potentials, held, &routed, &flow_arc, mwu, arc_state, sssp, sweep_pool,
-            &mut stats,
+            &ctx, None, potentials, held, &routed, &flow_arc, mwu, sssp, sweep_pool, &mut stats,
         );
     }
+    stats.blocks = best.blocks.len();
     // An unbounded dual (no commodity needs capacity) falls back to the
     // feasible value; so does a dual that rounding left a few ulps under it
     // (a non-blocking fat tree under LM: `lower = 1`, `D(l)/alpha(l)` =
@@ -332,7 +365,7 @@ pub(super) fn solve_problem(
 
     if trace {
         eprintln!(
-            "TB_SOLVER_TRACE n={n} m={m} sources={} phases={phase} searches={} path_reuses={} row_refreshes={} settles={} evals={} screened={} d_l={:.3e} exit={} lower={} upper={}",
+            "TB_SOLVER_TRACE n={n} m={m} sources={} phases={phase} searches={} path_reuses={} row_refreshes={} settles={} evals={} screened={} lp_solves={} lp_pivots={} blocks={} d_l={:.3e} exit={} upper={}",
             prob.sources().len(),
             stats.searches,
             stats.path_reuses,
@@ -340,6 +373,9 @@ pub(super) fn solve_problem(
             stats.settles,
             stats.evaluations,
             stats.screened,
+            stats.lp_solves,
+            stats.lp_pivots,
+            stats.blocks,
             mwu.d_l(),
             if gap_exit {
                 "gap"
@@ -347,11 +383,6 @@ pub(super) fn solve_problem(
                 "saturated"
             } else {
                 "phase-budget"
-            },
-            if stats.lower_from_window {
-                "window"
-            } else {
-                "prefix"
             },
             if stats.upper_from_average {
                 "average"
@@ -378,6 +409,8 @@ pub(super) fn solve_problem(
         },
         stats,
         cert: best.capture.map(|cap| cap.into_certificate(prob)),
+        #[cfg(test)]
+        blocks: best.blocks,
     }
 }
 
@@ -443,25 +476,18 @@ impl DemandTables {
     }
 }
 
-/// What a suffix window starts from: copies, taken at one bound evaluation,
-/// of the flow accumulators (primal side) and of the running sum of
-/// normalised lengths (dual side).
-#[derive(Default)]
-struct WindowBase {
-    flow: FlowSnapshot,
-    len_sum: Vec<f64>,
-}
-
 /// A solve's bound bookkeeping: the best bracket so far (in the *scaled*
-/// demand space), the suffix-window snapshots, the averaged length function
-/// and the certificate capture.
+/// demand space), the flow blocks behind the feasible bound, the averaged
+/// length function and its window base, and the certificate capture.
 struct BestBounds {
     lower: f64,
     upper: f64,
-    /// The latest two window bases, older first (see the module docs).
-    bases: Vec<WindowBase>,
+    /// The flow routed between evaluations and the best mix of it.
+    blocks: Blocks,
     /// Running sum of `l / D(l)`, sampled after every source's turn.
     avg: LengthAverage,
+    /// The sum at the latest snapshot: the averaged bound's window base.
+    len_base: Option<Vec<f64>>,
     /// The window average `l̄` of the latest evaluation.
     avg_lens: Vec<f64>,
     /// Per-node scratch for [`HeldPaths::alpha`].
@@ -478,12 +504,13 @@ struct BestBounds {
 const HELD_ALPHA_MARGIN: f64 = 1.0 + 1e-9;
 
 impl BestBounds {
-    fn new(num_nodes: usize, num_arcs: usize, want_cert: bool) -> Self {
+    fn new(num_nodes: usize, num_arcs: usize, commodities: usize, want_cert: bool) -> Self {
         BestBounds {
             lower: 0.0,
             upper: f64::INFINITY,
-            bases: Vec::with_capacity(2),
+            blocks: Blocks::new(num_arcs, commodities),
             avg: LengthAverage::new(num_arcs),
+            len_base: None,
             avg_lens: Vec::new(),
             node_len: vec![0.0; num_nodes],
             capture: want_cert.then(CertCapture::default),
@@ -510,16 +537,17 @@ impl BestBounds {
     }
 
     /// Evaluates both bounds on the current state and folds them into the
-    /// best bracket. The feasible bounds of the cumulative flow and of each
-    /// suffix window come first. Then each dual candidate — the current
-    /// lengths `l` and the window average `l̄` of the normalised lengths —
-    /// runs its sweep only if the value it would have over the paths the
-    /// solve holds ([`HeldPaths::alpha`], a lower bound on the value the
-    /// sweep finds) could close the gap to `target_gap`; `None`, at the
-    /// closing evaluation, runs both. The rows that are not dense are
-    /// re-derived either way, since routing reads them. `stats` counts the
-    /// evaluation, whether it was screened, the forward searches, and which
-    /// candidate set each reported bound.
+    /// best bracket. The feasible side comes first: the flow routed since the
+    /// previous evaluation closes a block, and the block LP re-weights the
+    /// blocks. Then each dual candidate — the current lengths `l` and the
+    /// window average `l̄` of the normalised lengths — runs its sweep only if
+    /// the value it would have over the paths the solve holds
+    /// ([`HeldPaths::alpha`], a lower bound on the value the sweep finds)
+    /// could close the gap to `target_gap`; `None`, at the closing
+    /// evaluation, runs both. The rows that are not dense are re-derived
+    /// either way, since routing reads them. `stats` counts the evaluation,
+    /// whether it was screened, the forward searches, the LP solves and
+    /// pivots, and which candidate set the reported upper bound.
     #[allow(clippy::too_many_arguments)]
     fn evaluate(
         &mut self,
@@ -530,13 +558,12 @@ impl BestBounds {
         routed: &[Vec<f64>],
         flow_arc: &[f64],
         mwu: &MwuLengths,
-        st: &[RouteState],
         sssp: &mut SsspWorkspace,
         pool: &SsspPool,
         stats: &mut SolveStats,
     ) {
         stats.evaluations += 1;
-        self.fold_primal(ctx, st, flow_arc, routed, stats);
+        self.fold_primal(ctx, routed, flow_arc, mwu.caps(), stats);
         potentials.refresh(ctx, mwu.lens(), false, sssp, pool);
         let num_sources = ctx.prob.sources().len();
         let mut swept = false;
@@ -555,8 +582,8 @@ impl BestBounds {
             }
         }
 
-        let newest = self.bases.last().map(|b| &b.len_sum[..]);
-        self.avg.window(newest, &mut self.avg_lens);
+        self.avg
+            .window(self.len_base.as_deref(), &mut self.avg_lens);
         let held_alpha = held.alpha(ctx, &self.avg_lens, None, &mut self.node_len);
         let held_up = ratio(volume(ctx, &self.avg_lens), held_alpha * HELD_ALPHA_MARGIN);
         if self.worth_sweeping(held_up, target_gap) {
@@ -574,101 +601,33 @@ impl BestBounds {
         stats.screened += usize::from(!swept);
     }
 
-    /// Folds the feasible bounds of the cumulative flow and of each suffix
-    /// window into the best lower bound.
+    /// Closes the block routed since the previous evaluation, re-weights the
+    /// blocks by the block LP and folds the feasible value of the mix into
+    /// the best lower bound.
     fn fold_primal(
         &mut self,
         ctx: &RouteCtx<'_>,
-        st: &[RouteState],
-        flow_arc: &[f64],
         routed: &[Vec<f64>],
+        flow_arc: &[f64],
+        caps: &[f64],
         stats: &mut SolveStats,
     ) {
-        // Pick the best candidate first so a capture copies at most once.
-        let mut base = None;
-        let (mut lo, mut mu) = primal_bound(ctx, st, flow_arc, routed, None);
-        for b in &self.bases {
-            let (w_lo, w_mu) = primal_bound(ctx, st, flow_arc, routed, Some(&b.flow));
-            if w_lo > lo {
-                (lo, mu, base) = (w_lo, w_mu, Some(&b.flow));
-            }
-        }
-        if lo > self.lower {
-            self.lower = lo;
-            stats.lower_from_window = base.is_some();
+        self.blocks.close(flow_arc, routed, ctx.demands);
+        let mix = self.blocks.solve(caps, stats);
+        if mix.value > self.lower {
+            self.lower = mix.value;
             if let Some(cap) = self.capture.as_mut() {
-                cap.observe_primal(flow_arc, routed, base, mu);
+                let ratio = self.blocks.served_ratio();
+                cap.observe_primal(self.blocks.load(), ctx.demands, ratio, mix.mu);
             }
         }
     }
 
-    /// Makes the current accumulators and length sum the newest window base,
-    /// dropping the oldest once two are held.
-    fn snapshot(&mut self, flow_arc: &[f64], routed: &[Vec<f64>]) {
-        if self.bases.len() == 2 {
-            self.bases.rotate_left(1);
-        } else {
-            self.bases.push(WindowBase::default());
-        }
-        if let Some(newest) = self.bases.last_mut() {
-            newest.flow.assign(flow_arc, routed, None);
-            newest.len_sum.clear();
-            newest.len_sum.extend_from_slice(self.avg.sum());
-        }
-    }
-}
-
-/// The feasible lower bound of the flow `flow - base` (the cumulative flow
-/// when `base` is `None`, a suffix window otherwise; see the module docs).
-/// Returns `(lower, mu)` in the *scaled* demand space; the differences are
-/// formed on the fly, never materialised.
-fn primal_bound(
-    ctx: &RouteCtx<'_>,
-    st: &[RouteState],
-    flow_arc: &[f64],
-    routed: &[Vec<f64>],
-    base: Option<&FlowSnapshot>,
-) -> (f64, f64) {
-    let flow = flow_arc.iter().copied();
-    let served = routed.iter().flatten().copied();
-    match base {
-        None => rescaled_bound(ctx, st, flow, served),
-        Some(b) => rescaled_bound(
-            ctx,
-            st,
-            flow.zip(&b.flow).map(|(f, b)| f - b),
-            served.zip(&b.served).map(|(r, b)| r - b),
-        ),
-    }
-}
-
-/// Scales a flow (per-arc amounts `flow`, per-commodity served amounts
-/// `served`, source-major) down by `mu = min cap/flow` so that no arc exceeds
-/// its capacity; the worst-served commodity then determines the concurrent
-/// throughput. Returns `(lower, mu)`.
-fn rescaled_bound(
-    ctx: &RouteCtx<'_>,
-    st: &[RouteState],
-    flow: impl Iterator<Item = f64>,
-    served: impl Iterator<Item = f64>,
-) -> (f64, f64) {
-    let mut mu = f64::INFINITY;
-    for (f, arc) in flow.zip(st) {
-        if f > 1e-15 {
-            mu = mu.min(arc.cap / f);
-        }
-    }
-    if !mu.is_finite() {
-        return (0.0, mu);
-    }
-    let mut worst = f64::INFINITY;
-    for (r, d) in served.zip(ctx.demands.iter().flatten()) {
-        worst = worst.min(r / d);
-    }
-    if worst.is_finite() {
-        (worst * mu, mu)
-    } else {
-        (0.0, mu)
+    /// Makes the current length sum the averaged bound's window base.
+    fn snapshot(&mut self) {
+        let base = self.len_base.get_or_insert_with(Vec::new);
+        base.clear();
+        base.extend_from_slice(self.avg.sum());
     }
 }
 
@@ -994,14 +953,24 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_keep_the_latest_two_older_first() {
-        let mut best = BestBounds::new(1, 1, false);
-        for k in 1..=4 {
-            best.snapshot(&[k as f64], &[vec![10.0 * k as f64]]);
-            let held: Vec<f64> = best.bases.iter().map(|b| b.flow.flow[0]).collect();
-            let expect: Vec<f64> = (k.max(2) - 1..=k).map(|x| x as f64).collect();
-            assert_eq!(held, expect);
-            assert_eq!(best.bases.last().unwrap().flow.served, [10.0 * k as f64]);
+    fn snapshots_replace_the_averaged_bound_window_base() {
+        // The averaged dual bound's window starts at the latest snapshot:
+        // each one makes the running length sum at that moment the base.
+        let mut mwu = MwuLengths::new();
+        mwu.reset(0.1, [1.0, 2.0]);
+        let mut best = BestBounds::new(1, 2, 1, false);
+        assert!(best.len_base.is_none());
+        for k in 1..=3 {
+            best.avg.sample(&mwu);
+            mwu.apply(0, 1.0);
+            best.snapshot();
+            assert_eq!(
+                best.len_base.as_deref(),
+                Some(best.avg.sum()),
+                "snapshot {k}"
+            );
         }
+        best.avg.sample(&mwu);
+        assert_ne!(best.len_base.as_deref(), Some(best.avg.sum()));
     }
 }

@@ -19,7 +19,7 @@
 //!   trajectory. The regret analysis behind the Garg–Könemann / Fleischer
 //!   guarantee converges in the average of those iterates, not in the last
 //!   one; the Fleischer phase loop bounds from a suffix window of this sum
-//!   when the last iterate stops improving (see `fleischer::phase`).
+//!   when it could close the gap (see `fleischer::phase`).
 //!
 //! There is one update form, [`apply`](MwuLengths::apply): it multiplies by
 //! the cached reciprocal capacity, because the update loops run once per

@@ -40,6 +40,13 @@ use tb_graph::connectivity::connected_components;
 use tb_graph::Graph;
 use tb_traffic::{Demand, TrafficMatrix};
 
+/// Revision of what the solvers compute, folded into every sweep cache key:
+/// bump it with any change that moves a solved value while leaving every
+/// configuration field alone, so that a warm cache cannot serve the previous
+/// solver's numbers. Revision 2 is the block-mix feasible bound of the FPTAS
+/// (revision 1, its suffix windows).
+pub const SOLVER_REVISION: u32 = 2;
+
 /// Process-wide count of throughput-solver invocations (FPTAS, exact LP and
 /// path-restricted). The sweep engine's cache tests read deltas of this
 /// counter to prove that cache-hot runs perform zero solves.

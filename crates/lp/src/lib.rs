@@ -11,6 +11,13 @@
 //! that certify 64-switch bench shapes against the true optimum — and
 //! through it the tests that validate the FPTAS.
 //!
+//! [`Packing`] is the crate's second solver, for one shape only: packing
+//! programs (`max sum v` subject to `A v <= 1`, `A >= 0`) with few variables,
+//! held as an open dense tableau that takes added variables and constraints
+//! between solves. The FPTAS mixes its flow blocks with it at every bound
+//! evaluation, where a solve through [`solve`] would pay a factorization of
+//! the whole basis each time.
+//!
 //! The solver handles problems of the form
 //!
 //! ```text
@@ -26,7 +33,10 @@
 //! a caller's guess of the solution ([`solve_with_hint`]) and reports dual
 //! values and its own pivot counters on every [`Solution`].
 
+mod packing;
 mod simplex;
+
+pub use packing::{Packing, PackingError};
 
 pub use simplex::{
     solve, solve_with_hint, Constraint, ConstraintOp, LinearProgram, LpError, LpResult, Solution,

@@ -13,13 +13,13 @@
 //!   walk within the FPTAS gap on every dense instance of the grid;
 //! * the pooled dual-bound sweep and potential refresh must reproduce their
 //!   inline execution bit-for-bit on an instance large enough to fan out;
-//! * the suffix-window lower bound must cut the phase count of a dense
-//!   gap-exit solve (a deterministic counter), and the averaged dual iterate
-//!   that of the sparse straggler (`HyperX/1/LM`, which the last iterate left
-//!   running to `D(l) >= 1`); both only read the solver's state, so with the
-//!   gap exit switched off the same solve saturates at the phase and with the
-//!   feasible value it had before either existed (that neither bound crosses
-//!   the optimum is the first bullet, at all three stock configurations);
+//! * the block-mix lower bound must cut the phase count of a dense gap-exit
+//!   solve (a deterministic counter), and the averaged dual iterate that of
+//!   the sparse straggler (`HyperX/1/LM`, which the last iterate left running
+//!   to `D(l) >= 1`); both only read the solver's state, so with the gap exit
+//!   switched off the same solve saturates at the phase it did before either
+//!   existed (that neither bound crosses the optimum is the first bullet, at
+//!   all three stock configurations);
 //! * the known-path store must keep the search count of that straggler under
 //!   its pin, and must stay out of multi-destination sources' way;
 //! * the straggler's potential rows must turn dense (re-derived at the start
@@ -35,7 +35,7 @@ use tb_topology::families::Scale;
 use tb_topology::hypercube::hypercube;
 use tb_topology::jellyfish::jellyfish;
 use tb_topology::{Family, Topology};
-use tb_traffic::synthetic::{all_to_all, longest_matching, random_permutation};
+use tb_traffic::synthetic::{all_to_all, longest_matching, random_matching, random_permutation};
 use tb_traffic::TrafficMatrix;
 use topobench::{EvalConfig, TmSpec};
 
@@ -57,6 +57,7 @@ fn instances() -> Vec<(String, Topology, TrafficMatrix)> {
                 longest_matching(&topo.graph, &topo.servers, true),
             ),
             ("random_permutation", random_permutation(&topo.servers, 3)),
+            ("random_matching_2", random_matching(&topo.servers, 2, 5)),
         ];
         for (mname, tm) in tms {
             out.push((format!("{tname}/{mname}"), topo.clone(), tm));
@@ -69,10 +70,10 @@ fn instances() -> Vec<(String, Topology, TrafficMatrix)> {
 fn fptas_stays_within_target_gap_of_exact_lp() {
     // Every instance of the mix has at most 16 switches, so the exact LP is
     // the referee — at every stock configuration: each has its own bound
-    // evaluation cadence and therefore its own suffix-window schedule, and a
-    // window bound that overshoots the optimum — or an averaged-length bound
-    // that undershoots it — is the failure those features could introduce.
-    // The second is only tested if some reported `upper` did come from the
+    // evaluation cadence and therefore its own flow blocks, and a block mix
+    // that overshoots the optimum — or an averaged-length bound that
+    // undershoots it — is the failure those features could introduce. The
+    // second is only tested if some reported `upper` did come from the
     // average, which is counted.
     let mut uppers_from_average = 0;
     for (name, topo, tm) in instances() {
@@ -170,13 +171,14 @@ fn ladder_solve_for(
 }
 
 #[test]
-fn suffix_windows_halve_the_phases_of_a_dense_gap_exit_solve() {
+fn block_mix_cuts_the_phases_of_a_dense_gap_exit_solve() {
     // DCell rung 3 (208 nodes, 156 sources) under all-to-all was the
     // straggler of the dense pass: 124 phases on the cumulative bound alone,
-    // 68 with suffix windows. Phase counts are machine-independent.
+    // 68 with suffix windows of it, 56 with the LP's mix of the blocks routed
+    // between evaluations. Phase counts are machine-independent.
     let (b, stats) = ladder_solve(Family::DCell, 3, TmSpec::AllToAll);
     assert!(stats.converged, "{stats:?}");
-    assert!(stats.phases <= 80, "{stats:?}");
+    assert!(stats.phases <= 60, "{stats:?}");
     assert!(
         0.0 < b.lower && b.lower <= b.upper && b.gap() <= FleischerConfig::fast().target_gap,
         "{b:?}"
@@ -188,14 +190,15 @@ fn suffix_windows_leave_a_saturating_trajectory_alone() {
     // HyperX rung 1 under longest matching used to end by `D(l) >= 1` after
     // 260 phases; the averaged dual iterate now closes its gap first (next
     // test). With the gap exit switched off the solve still runs to
-    // saturation, and because windows and averages only read the accumulators
-    // and the lengths, it gets there on exactly the trajectory it had before
-    // either existed: the same phase, and the same feasible value to the bit
-    // (`lower` of the commit before the averaged bound, 0.56973293768546).
+    // saturation, and because the length windows, the averages and the block
+    // mix only read the accumulators and the lengths, it gets there on
+    // exactly the trajectory it had before any of them existed: the same
+    // phase. The feasible value is the block mix's (pinned to the bit; the
+    // suffix windows it replaced reached 0.56973293768546 on the same flow).
     let (b, stats) = ladder_solve_at(Family::HyperX, 1, TmSpec::LongestMatching, 0.0);
     assert!(stats.converged, "{stats:?}");
     assert_eq!(stats.phases, 260, "{stats:?}");
-    assert_eq!(b.lower.to_bits(), 0x3fe2_3b40_91da_048f, "{b:?}");
+    assert_eq!(b.lower.to_bits(), 0x3fe2_3fff_5041_47cb, "{b:?}");
     assert!(b.lower <= b.upper, "{b:?}");
     // Routing searched 54,422 times at that commit (pinned at <= 65,000) and
     // 54,223 times since dense rows broke some ties differently; what is
@@ -225,14 +228,14 @@ fn screened_evaluations_leave_the_routing_trajectory_alone() {
             Family::DCell,
             3,
             TmSpec::AllToAll,
-            0x3fe3_e137_eb7a_9ba5_u64,
+            0x3fe3_fad8_0a4f_ea11_u64,
             (0, 0, 0),
         ),
         (
             Family::HyperX,
             1,
             TmSpec::LongestMatching,
-            0x3fe1_745d_1745_d174,
+            0x3fe2_006b_2c2a_b37a,
             (8_257, 2_377, 92_586),
         ),
     ] {
@@ -262,11 +265,12 @@ fn known_paths_halve_the_searches_of_the_short_diameter_straggler() {
     // refreshed potential rows, left 54,422. Those 260 phases ended by
     // saturation with the bracket 7.8 % wide, because the dual bound at the
     // last iterate bounces by ±1 % per evaluation; the window average of the
-    // normalised lengths does not, and the solve now stops by its gap after
-    // 152 phases (re-pinned from 260 with that change; the phase count is
-    // machine-independent).
+    // normalised lengths does not, and the solve stopped by its gap after
+    // 152 phases (re-pinned from 260 with that change), and after 116 since
+    // the block mix replaced the suffix windows on the feasible side (the
+    // phase count is machine-independent).
     let (b, stats) = ladder_solve(Family::HyperX, 1, TmSpec::LongestMatching);
-    assert_eq!(stats.phases, 152, "{stats:?}");
+    assert_eq!(stats.phases, 116, "{stats:?}");
     assert!(stats.searches <= 40_000, "{stats:?}");
     assert!(stats.path_reuses > stats.searches / 3, "{stats:?}");
     assert!(stats.converged && stats.upper_from_average, "{stats:?}");
