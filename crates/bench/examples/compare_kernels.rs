@@ -3,8 +3,9 @@
 //! shapes, for picking and sanity-checking the committed benchmark instances.
 //! Every pair also asserts the bounds stayed equal-quality, so this doubles
 //! as the kernel-equivalence check: `--quick` runs a reduced shape set (a few
-//! seconds, including the skewed Facebook TM-F) and is wired into CI to catch
-//! drift between the kernels on every PR.
+//! seconds, including the skewed Facebook TM-F and the few-destination RM(5)
+//! and Kodialam shapes) and is wired into CI to catch drift between the
+//! kernels on every PR.
 //!
 //! Every solve additionally emits its [`ThroughputCertificate`] and re-checks
 //! it on the spot (`verify_certificate` re-derives feasibility and the dual
@@ -28,7 +29,9 @@ use tb_graph::Graph;
 use tb_topology::expander::subdivided_expander;
 use tb_topology::hypercube::hypercube;
 use tb_topology::jellyfish::jellyfish;
-use tb_traffic::synthetic::{all_to_all, longest_matching, random_permutation};
+use tb_traffic::synthetic::{
+    all_to_all, kodialam, longest_matching, random_matching, random_permutation,
+};
 use tb_traffic::TrafficMatrix;
 
 fn time<F: FnMut()>(mut f: F, reps: usize) -> f64 {
@@ -41,9 +44,10 @@ fn time<F: FnMut()>(mut f: F, reps: usize) -> f64 {
 }
 
 fn compare(name: &str, g: &Graph, tm: &TrafficMatrix, reps: usize) {
-    // Mirror the eval plumbing: the aggregation threshold is auto-picked from
-    // the graph size, so dense TMs exercise the aggregated tree kernel.
-    let cfg = FleischerConfig::fast().with_auto_aggregation(g.num_nodes());
+    // The sweep's stock configuration: every source with several
+    // destinations routes on the aggregated tree, against legacy's
+    // per-destination walk.
+    let cfg = FleischerConfig::fast();
     let solver = FleischerSolver::new(cfg);
     let outcome = solver.solve_outcome(g, tm);
     let new_b = outcome.bounds;
@@ -137,6 +141,21 @@ fn main() {
         "jellyfish64x6/tmf",
         &j64.graph,
         &tb_traffic::facebook::tm_f(64, 7),
+        if quick { 2 } else { 3 },
+    );
+    // Sources with a few destinations, which route on the aggregated tree as
+    // the dense ones do: five each at random (RM(5)), and Kodialam's
+    // farthest-first spread of four servers per switch, at unequal distances.
+    compare(
+        "jellyfish64x6/rm5",
+        &j64.graph,
+        &random_matching(&j64.servers, 5, 3),
+        if quick { 2 } else { 3 },
+    );
+    compare(
+        "jellyfish64x6/kodialam",
+        &j64.graph,
+        &kodialam(&j64.graph, &vec![4; j64.num_switches()]),
         if quick { 2 } else { 3 },
     );
 

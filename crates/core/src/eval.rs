@@ -99,9 +99,8 @@ pub struct Evaluated {
 /// definition and stops before the solvers, whose problem construction
 /// assumes at least one flow; small instances go to the exact LP, everything
 /// else (and, with a `warning:` line on stderr, an LP failure) to the FPTAS
-/// with the dense-TM aggregation threshold auto-picked from the graph size
-/// (an explicit override in `cfg.solver` wins). Strict semantics: a
-/// disconnected demand is not dropped, it pins the result to zero.
+/// under `cfg.solver`. Strict semantics: a disconnected demand is not
+/// dropped, it pins the result to zero.
 ///
 /// Certification can never change a reported number: the exact LP derives its
 /// certificate from the same optimal basis, and the FPTAS capture is
@@ -136,9 +135,8 @@ pub fn evaluate(
             ),
         }
     }
-    let solver_cfg = cfg.solver.with_auto_aggregation(topo.num_switches());
     let (bounds, stats, cert) =
-        FleischerSolver::new(solver_cfg).solve_in(&topo.graph, tm, ws, cfg.certify);
+        FleischerSolver::new(cfg.solver).solve_in(&topo.graph, tm, ws, cfg.certify);
     let status = if stats.converged {
         SolveStatus::Converged
     } else {

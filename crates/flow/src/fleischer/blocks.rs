@@ -334,7 +334,7 @@ pub(super) mod tests {
                 longest_matching(&hyperx.graph, &hyperx.servers, true),
             ),
         ] {
-            let cfg = FleischerConfig::fast().with_auto_aggregation(topo.num_switches());
+            let cfg = FleischerConfig::fast();
             let (_, stats, _) = FleischerSolver::new(cfg).solve_in(
                 &topo.graph,
                 &tm,
@@ -360,7 +360,7 @@ pub(super) mod tests {
         let topo = jellyfish(24, 5, 1, 3);
         let tm = all_to_all(&topo.servers);
         let prob = FlowProblem::new(&topo.graph, &tm);
-        let cfg = FleischerConfig::fast().with_auto_aggregation(topo.num_switches());
+        let cfg = FleischerConfig::fast();
         let solved =
             phase::solve_problem(&cfg, &topo.graph, &prob, &mut SolverWorkspace::new(), true);
         let mut blocks = solved.blocks;

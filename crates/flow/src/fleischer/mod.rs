@@ -33,9 +33,9 @@
 //!   runs the bound-evaluation cadence;
 //! * [`blocks`] — the flow blocks and the LP that mixes them into the
 //!   feasible bound;
-//! * [`route`] — the per-source routing kernels (known-path loop for a
-//!   single destination, per-destination walk, aggregated bottom-up tree),
-//!   the tree computation and the goal-direction potential rows.
+//! * [`route`] — the two per-source routing kernels (known-path loop for a
+//!   single destination, aggregated bottom-up tree for several), the tree
+//!   computation and the goal-direction potential rows.
 //!
 //! Every solve runs **one serial trajectory**: source by source, lengths
 //! updated in place. Parallelism lives one layer up (the sweep engine spreads
@@ -54,9 +54,9 @@
 //! * arcs live in a CSR view ([`FlowProblem::csr`]); no nested adjacency
 //!   vectors are chased,
 //! * all per-iteration state (Dijkstra arrays and heap, remaining demand,
-//!   availability bookkeeping, the recorded routing path, the known paths)
-//!   lives in a [`SolverWorkspace`] that is allocated once and reset in O(1)
-//!   via generation counters (the known paths in O(sources), at the start of
+//!   the tree kernel's per-node buffers, the known paths) lives in a
+//!   [`SolverWorkspace`] that is allocated once and reset in O(1) via
+//!   generation counters (the known paths in O(sources), at the start of
 //!   every solve); parallel regions lease per-worker scratch from the
 //!   workspace's [`tb_graph::SsspPool`] instead of allocating,
 //! * every SSSP call passes the source's destination set, so Dijkstra stops
@@ -153,24 +153,24 @@
 //! pass of `fig05_06` this took the goal-directed searches' settles from
 //! 4.44 M to 1.75 M at about the same search count.
 //!
-//! ## Aggregated tree routing for dense TMs
+//! ## Aggregated tree routing for sources with several destinations
 //!
-//! At the opposite end of the TM spectrum (all-to-all and friends, where one
-//! source talks to most of the graph), walking every destination's path
-//! individually costs O(sum of path lengths) per tree iteration and re-touches
-//! the arcs near the source once per destination. Sources whose destination
-//! count reaches [`FleischerConfig::aggregate_min_dests`] instead route *all*
-//! remaining demands in one bottom-up pass: the SSSP workspace exposes its
-//! settle order ([`tb_graph::SsspWorkspace::settle_order`]), a reverse walk
-//! over that order folds per-node subtree demand into the parent, and each
-//! tree arc is loaded exactly once with its aggregate. If some arc's
-//! aggregate load exceeds its capacity, the whole batch is scaled by the
-//! binding `cap/load` ratio and the tree iteration repeats, so the
-//! per-iteration length-update factor stays within `1 + eps` exactly as in
-//! the per-destination walk. Sources below the threshold keep the
-//! per-destination walk (several destinations) or the known-path loop (one);
-//! `tb_core`'s evaluation plumbing auto-picks the threshold from the graph
-//! size via [`FleischerConfig::with_auto_aggregation`].
+//! Every source with two or more destinations — all-to-all and friends,
+//! where one source talks to most of the graph, and random matchings of
+//! degree two alike — routes *all* its remaining demands in one bottom-up pass
+//! over its shortest-path tree instead of walking each destination's path
+//! (O(sum of path lengths) per tree iteration, re-touching the arcs near the
+//! source once per destination): the SSSP workspace exposes its settle order
+//! ([`tb_graph::SsspWorkspace::settle_order`]), a reverse walk over that
+//! order folds per-node subtree demand into the parent, and each tree arc is
+//! loaded exactly once with its aggregate. If some arc's aggregate load
+//! exceeds its capacity, the whole batch is scaled by the binding `cap/load`
+//! ratio and the tree iteration repeats, so the per-iteration length-update
+//! factor stays within `1 + eps`. The kernel follows from the destination
+//! count alone, with no threshold: a per-destination walk for sources below
+//! a graph-size-derived one ran the scenario suite at seed 1 in 57,579
+//! phases, the tree for all of them in 57,547. The frozen per-destination
+//! walk of `tb_bench::legacy` is what the tests compare the tree against.
 
 mod blocks;
 mod phase;
@@ -195,22 +195,7 @@ pub struct FleischerConfig {
     /// How many phases to run between bound evaluations (each of which also
     /// refreshes the goal-direction potentials).
     pub check_interval: usize,
-    /// Route a source's demands with the aggregated bottom-up tree kernel
-    /// (one pass over the settle order per tree iteration instead of one
-    /// parent walk per destination) once its destination count reaches this.
-    /// `None` means "unset": the solver falls back to
-    /// [`DEFAULT_AGGREGATE_MIN_DESTS`], and
-    /// [`FleischerConfig::with_auto_aggregation`] may fill in a
-    /// graph-size-aware value. `Some(usize::MAX)` disables aggregation, and
-    /// any explicit `Some` survives the auto-pick.
-    pub aggregate_min_dests: Option<usize>,
 }
-
-/// The aggregation threshold used when [`FleischerConfig::aggregate_min_dests`]
-/// is unset: aggregation starts to pay once a source's destination count is a
-/// sizable fraction of the graph (the tree then covers most settled nodes, so
-/// per-destination walks re-touch the same arcs many times over).
-pub const DEFAULT_AGGREGATE_MIN_DESTS: usize = 32;
 
 impl Default for FleischerConfig {
     fn default() -> Self {
@@ -219,7 +204,6 @@ impl Default for FleischerConfig {
             target_gap: 0.03,
             max_phases: 20_000,
             check_interval: 8,
-            aggregate_min_dests: None,
         }
     }
 }
@@ -245,29 +229,13 @@ impl FleischerConfig {
         }
     }
 
-    /// Returns this configuration with an unset aggregation threshold picked
-    /// for a graph of `num_switches` switches ([`auto_aggregate_min_dests`]).
-    /// Once a source talks to that fraction of the graph, its shortest-path
-    /// tree spans most settled nodes and the bottom-up kernel is strictly
-    /// less work than per-destination walks. An explicit `Some` threshold
-    /// (tests forcing one kernel, callers that tuned their own) is left
-    /// untouched.
-    pub fn with_auto_aggregation(self, num_switches: usize) -> Self {
-        if self.aggregate_min_dests.is_some() {
-            return self;
-        }
-        FleischerConfig {
-            aggregate_min_dests: Some(auto_aggregate_min_dests(num_switches)),
-            ..self
-        }
+    /// Returns this configuration unchanged. The routing kernel follows from
+    /// each source's destination count alone (see the module docs), so there
+    /// is no aggregation threshold left to pick; the identity stays only for
+    /// callers written against the graph-size-aware threshold.
+    pub fn with_auto_aggregation(self, _num_switches: usize) -> Self {
+        self
     }
-}
-
-/// The auto-picked aggregation threshold for a graph of `num_switches`
-/// switches: a quarter of the switch count, clamped to
-/// `[8, DEFAULT_AGGREGATE_MIN_DESTS]`.
-pub fn auto_aggregate_min_dests(num_switches: usize) -> usize {
-    (num_switches / 4).clamp(8, DEFAULT_AGGREGATE_MIN_DESTS)
 }
 
 /// Convergence counters of one solve, reported by
@@ -330,12 +298,6 @@ pub struct SolverWorkspace {
     remaining: Vec<f64>,
     /// Multiplicative-weights lengths + capacities + incremental `D(l)`.
     mwu: MwuLengths,
-    /// Interleaved per-arc routing state (availability, use, capacity).
-    arc_state: Vec<route::RouteState>,
-    /// Arcs touched in the current tree iteration (sparse undo list).
-    touched: Vec<usize>,
-    /// Arc ids of the path being routed (recorded once, applied linearly).
-    path: Vec<usize>,
     /// Goal-direction potentials, one row of `num_nodes` per single-dest
     /// source (reverse distances to its destination).
     potentials: route::PotentialRows,
@@ -696,7 +658,7 @@ mod tests {
         // The closing clamp lifts `upper` to `lower`.
         let topo = tb_topology::fattree::fat_tree(6);
         let tm = tb_traffic::synthetic::longest_matching(&topo.graph, &topo.servers, true);
-        let cfg = FleischerConfig::fast().with_auto_aggregation(topo.num_switches());
+        let cfg = FleischerConfig::fast();
         let b = FleischerSolver::new(cfg).solve(&topo.graph, &tm);
         assert_eq!(b.lower, 1.0);
         assert!(b.lower <= b.upper && b.gap() >= 0.0, "{b:?}");
@@ -716,7 +678,7 @@ mod tests {
             .expect("ladder rung builds");
         let tm = tb_traffic::synthetic::longest_matching(&topo.graph, &topo.servers, true);
         let prob = FlowProblem::new(&topo.graph, &tm);
-        let cfg = FleischerConfig::fast().with_auto_aggregation(topo.num_switches());
+        let cfg = FleischerConfig::fast();
         let mut ws = SolverWorkspace::new();
         let solved = phase::solve_problem(&cfg, &topo.graph, &prob, &mut ws, true);
         assert!(solved.stats.upper_from_average, "{:?}", solved.stats);
@@ -854,56 +816,6 @@ mod tests {
         let b = FleischerSolver::new(FleischerConfig::fast()).solve(&g, &tm);
         assert!(b.lower <= 0.5 + 1e-9);
         assert!(b.upper >= 0.5 - 1e-9);
-    }
-
-    #[test]
-    fn auto_aggregation_threshold_scales_with_graph_size() {
-        // A quarter of the switch count, clamped to [8, default].
-        let base = FleischerConfig::default();
-        assert_eq!(base.with_auto_aggregation(16).aggregate_min_dests, Some(8));
-        assert_eq!(base.with_auto_aggregation(64).aggregate_min_dests, Some(16));
-        assert_eq!(
-            base.with_auto_aggregation(4096).aggregate_min_dests,
-            Some(DEFAULT_AGGREGATE_MIN_DESTS)
-        );
-        // Explicit settings — disabled, forced, or exactly the default value —
-        // survive the auto-pick.
-        for explicit in [usize::MAX, 2, DEFAULT_AGGREGATE_MIN_DESTS] {
-            let cfg = FleischerConfig {
-                aggregate_min_dests: Some(explicit),
-                ..base
-            };
-            assert_eq!(
-                cfg.with_auto_aggregation(64).aggregate_min_dests,
-                Some(explicit)
-            );
-        }
-    }
-
-    #[test]
-    fn aggregated_ring_a2a_matches_per_destination_walk() {
-        // Small dense instance driven through both routing kernels: when no
-        // capacity binds within a tree iteration the two are arithmetically
-        // identical, so the bounds must agree to the last bit here.
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let servers = vec![1usize; 6];
-        let tm = tb_traffic::synthetic::all_to_all(&servers);
-        let agg = FleischerSolver::new(FleischerConfig {
-            aggregate_min_dests: Some(2),
-            ..FleischerConfig::precise()
-        })
-        .solve(&g, &tm);
-        let walk = FleischerSolver::new(FleischerConfig {
-            aggregate_min_dests: Some(usize::MAX),
-            ..FleischerConfig::precise()
-        })
-        .solve(&g, &tm);
-        assert!(agg.lower > 0.0);
-        assert!(
-            (agg.lower - walk.lower).abs() <= 1e-12 * walk.lower
-                && (agg.upper - walk.upper).abs() <= 1e-12 * walk.upper,
-            "aggregated {agg:?} vs per-destination {walk:?}"
-        );
     }
 
     #[test]

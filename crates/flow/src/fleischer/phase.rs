@@ -6,8 +6,7 @@
 //! `D(l) >= 1` fires, or the phase cap is hit, with a bound evaluation every
 //! `check_interval` phases. Each source is routed by the kernel its
 //! destination count selects: the known-path loop for one destination, the
-//! aggregated tree at or above the aggregation threshold, the per-destination
-//! walk in between.
+//! aggregated tree for several.
 //!
 //! ## Sweeps only where the gap can close
 //!
@@ -146,7 +145,7 @@
 //! meets its `target_gap` earlier.
 
 use super::blocks::Blocks;
-use super::route::{self, HeldPaths, PotentialRows, RouteCtx, RouteState, SerialState};
+use super::route::{self, HeldPaths, PotentialRows, RouteCtx, SerialState};
 use super::{FleischerConfig, SolveStats, SolverWorkspace, PAR_MIN_SWEEP_WORK};
 use crate::certificate::{CertCapture, ThroughputCertificate};
 use crate::instance::FlowProblem;
@@ -225,27 +224,12 @@ pub(super) fn solve_problem(
         sssp,
         remaining,
         mwu,
-        arc_state,
-        touched,
-        path,
         potentials,
         subtree,
         cur_len,
         held,
         sweep_pool,
     } = ws;
-    // Sources at or above the aggregation threshold route all their
-    // remaining demands in one bottom-up pass over the tree's settle
-    // order instead of one parent walk per destination (see module docs).
-    let agg_min_dests = cfg
-        .aggregate_min_dests
-        .unwrap_or(super::DEFAULT_AGGREGATE_MIN_DESTS)
-        .max(1);
-    let any_dense = prob
-        .sources()
-        .iter()
-        .any(|s| s.dests.len() >= agg_min_dests);
-
     // A zero `check_interval` would otherwise silently disable every
     // mid-run bound evaluation (and with it early termination).
     let check_interval = cfg.check_interval.max(1);
@@ -259,20 +243,15 @@ pub(super) fn solve_problem(
     let mut best = BestBounds::new(n, m, commodities, want_cert);
 
     mwu.reset(eps, prob.arc_caps());
-    arc_state.clear();
-    arc_state.extend(prob.arcs().iter().map(|a| RouteState {
-        avail: a.cap,
-        used: 0.0,
-        cap: a.cap,
-    }));
-    touched.clear();
     held.reset(&ctx);
     // The rows every search of the first `check_interval` phases is
     // directed by (none is dense yet); each bound evaluation refreshes them
     // from then on.
     potentials.reset(ctx.num_single, n);
     potentials.refresh(&ctx, mwu.lens(), false, sssp, sweep_pool);
-    if any_dense {
+    // The tree kernel's per-node buffers, for sources with several
+    // destinations.
+    if ctx.num_single < prob.sources().len() {
         subtree.clear();
         subtree.resize(n, 0.0);
         cur_len.clear();
@@ -288,15 +267,10 @@ pub(super) fn solve_problem(
             if mwu.saturated() {
                 break 'phases;
             }
-            remaining.clear();
-            remaining.extend_from_slice(&ctx.demands[si]);
             let mut state = SerialState {
                 mwu: &mut *mwu,
-                st: &mut arc_state[..],
                 flow_arc: &mut flow_arc,
                 remaining: &mut *remaining,
-                touched: &mut *touched,
-                path: &mut *path,
                 subtree: &mut subtree[..],
                 cur_len: &mut cur_len[..],
                 sssp: &mut *sssp,
@@ -307,11 +281,7 @@ pub(super) fn solve_problem(
             let ok = if ctx.single_dest[si].is_some() {
                 route::route_source_single(&ctx, si, potentials, &mut state, routed_si)
             } else {
-                let ok = if prob.sources()[si].dests.len() >= agg_min_dests {
-                    route::route_source_tree(&ctx, si, &mut state, routed_si)
-                } else {
-                    route::route_source_walk(&ctx, si, &mut state, routed_si)
-                };
+                let ok = route::route_source_tree(&ctx, si, &mut state, routed_si);
                 held.hold_tree(si, sssp);
                 ok
             };
@@ -816,7 +786,7 @@ mod tests {
             for max_phases in [2, 4, 6] {
                 let cfg = FleischerConfig {
                     max_phases,
-                    ..FleischerConfig::fast().with_auto_aggregation(topo.num_switches())
+                    ..FleischerConfig::fast()
                 };
                 solve_problem(&cfg, &topo.graph, &prob, &mut ws, false);
                 avg.sample(&ws.mwu);
@@ -883,8 +853,8 @@ mod tests {
         // iterate `l`, with the rows that are not dense refreshed as an
         // evaluation leaves them, and a window `l̄` of the normalised lengths
         // — under longest matching (known paths, dense rows), all-to-all
-        // (held aggregated trees) and RM(2) (held walk-kernel trees beside
-        // single-destination sources).
+        // (held trees) and RM(2) (held trees of two-destination sources
+        // beside single-destination ones).
         let topo = tb_topology::jellyfish::jellyfish(40, 6, 2, 9);
         for tm in [
             tb_traffic::synthetic::longest_matching(&topo.graph, &topo.servers, true),
@@ -902,7 +872,7 @@ mod tests {
                 let cfg = FleischerConfig {
                     max_phases,
                     target_gap: 0.0,
-                    ..FleischerConfig::fast().with_auto_aggregation(topo.num_switches())
+                    ..FleischerConfig::fast()
                 };
                 solve_problem(&cfg, &topo.graph, &prob, &mut ws, false);
                 let SolverWorkspace {

@@ -1,13 +1,12 @@
 //! The per-source routing kernels.
 //!
-//! Three kernels serve the three TM shapes (see the module docs on
-//! [`super`]): the known-path loop over goal-directed searches for a source
-//! with one destination ([`route_source_single`]), the per-destination
-//! parent walk ([`route_source_walk`]), and the aggregated bottom-up tree
-//! fold for dense destination sets ([`route_source_tree`]). Each routes a
-//! source's full demand in place, running its own searches and updating
-//! lengths through [`apply_update`] between capacity-limited steps — the
-//! classical Fleischer trajectory.
+//! Two kernels, chosen by the source's destination count (see the module
+//! docs on [`super`]): the known-path loop over goal-directed searches for a
+//! source with one destination ([`route_source_single`]), and the aggregated
+//! bottom-up tree fold for a source with several ([`route_source_tree`]).
+//! Each routes a source's full demand in place, running its own searches and
+//! updating lengths through [`apply_update`] between capacity-limited steps —
+//! the classical Fleischer trajectory.
 //!
 //! Tree computation ([`compute_tree`]) and the goal-direction potential rows
 //! ([`PotentialRows`]) are shared with the dual bound evaluation in
@@ -18,21 +17,6 @@ use crate::instance::FlowProblem;
 use crate::lengths::{ArcLengths, MwuLengths};
 use rayon::prelude::*;
 use tb_graph::{sssp_csr, sssp_csr_by, sssp_csr_goal, SsspPool, SsspWorkspace};
-
-/// Per-arc routing state, interleaved so the walk/update loops touch one
-/// cache line per arc instead of separate parallel arrays. Lengths
-/// deliberately stay in the dense `MwuLengths` vector: the SSSP relax loop
-/// reads *every* arc's length and wants 8 of them per cache line, while only
-/// routed-path arcs touch this struct.
-#[derive(Debug, Clone, Copy, Default)]
-pub(super) struct RouteState {
-    /// Capacity still available within the current tree iteration.
-    pub avail: f64,
-    /// Flow placed within the current tree iteration.
-    pub used: f64,
-    /// Arc capacity.
-    pub cap: f64,
-}
 
 /// The read-only per-solve context shared by every routing kernel: the
 /// instance, the demand tables, and the goal-direction bookkeeping. One
@@ -56,17 +40,14 @@ pub(super) struct RouteCtx<'a> {
     pub reuse_slack: f64,
 }
 
-/// The mutable solver state threaded through the routing kernels: lengths,
-/// per-arc routing state, accumulated flow, and the scratch buffers. All
+/// The mutable solver state threaded through the routing kernels: lengths
+/// (and capacities), accumulated flow, and the scratch buffers. All
 /// fields borrow distinct pieces of the [`super::SolverWorkspace`] (or
 /// per-solve locals), so the kernels can hold several at once.
 pub(super) struct SerialState<'a> {
     pub mwu: &'a mut MwuLengths,
-    pub st: &'a mut [RouteState],
     pub flow_arc: &'a mut [f64],
     pub remaining: &'a mut Vec<f64>,
-    pub touched: &'a mut Vec<usize>,
-    pub path: &'a mut Vec<usize>,
     pub subtree: &'a mut [f64],
     pub cur_len: &'a mut [f64],
     pub sssp: &'a mut SsspWorkspace,
@@ -409,7 +390,7 @@ fn apply_update(mwu: &mut MwuLengths, flow_arc: &mut [f64], aid: usize, u: f64) 
 }
 
 /// In-place routing of one single-destination source: one path per step, so
-/// a step needs no `touched`/`avail` bookkeeping — it routes
+/// a step needs no per-arc load bookkeeping — it routes
 /// `min(remaining, bottleneck capacity)` and every length-update factor stays
 /// <= 1 + eps. The turn's first step searches (goal-directed, exact). After a
 /// capacity-limited step the source's known paths are summed under the
@@ -488,7 +469,7 @@ pub(super) fn route_source_single(
             tests::audit_routed_path(ctx, si, len, path);
             let bottleneck = path
                 .iter()
-                .map(|&aid| state.st[aid as usize].cap)
+                .map(|&aid| state.mwu.cap(aid as usize))
                 .fold(f64::INFINITY, f64::min);
             let f = remaining.min(bottleneck);
             if f <= 1e-15 {
@@ -510,140 +491,14 @@ pub(super) fn route_source_single(
     ok
 }
 
-/// In-place routing of one sparse multi-destination source (per-destination
-/// parent walk with optimistic single-pass application and tree reuse under
-/// the staleness slack — the classical trajectory). `state.remaining` must
-/// hold the source's remaining demands. Returns `false` when `D(l)`
-/// saturated mid-source (the caller breaks the phase loop).
-pub(super) fn route_source_walk(
-    ctx: &RouteCtx<'_>,
-    si: usize,
-    state: &mut SerialState<'_>,
-    routed_si: &mut [f64],
-) -> bool {
-    let s = &ctx.prob.sources()[si];
-    search_tree(ctx, si, state);
-    let mut tree_exact = true;
-    loop {
-        if state.mwu.saturated() {
-            return false;
-        }
-        // Route every destination with remaining demand along the tree, never
-        // exceeding any arc's full capacity within this single tree iteration
-        // (so each length update factor stays <= 1 + eps).
-        let mut progressed = false;
-        let mut need_fresh = false;
-        {
-            let len = state.mwu.lens();
-            for (j, &(dst, _)) in s.dests.iter().enumerate() {
-                if state.remaining[j] <= 1e-15 {
-                    continue;
-                }
-                if dst == s.src {
-                    // A self-demand consumes no capacity.
-                    routed_si[j] += state.remaining[j];
-                    state.remaining[j] = 0.0;
-                    progressed = true;
-                    continue;
-                }
-                let tree_dist = state.sssp.dist(dst);
-                debug_assert!(tree_dist.is_finite());
-                // Optimistic single-pass walk: apply the full remaining
-                // demand while chasing parents (recording the arc ids),
-                // tracking the bottleneck as it was *before* this
-                // application. If the bottleneck turns out to bind — rare,
-                // demands are small against capacities — a linear corrective
-                // pass over the recorded arcs removes the excess, so the
-                // committed amounts equal the classic
-                // `min(remaining, bottleneck)` exactly.
-                state.path.clear();
-                let f0 = state.remaining[j];
-                let mut path_len = 0.0;
-                let mut bottleneck = f64::INFINITY;
-                let mut cur = dst;
-                while cur != s.src {
-                    let (p, aid) = state.sssp.parent_unchecked(cur);
-                    state.path.push(aid);
-                    if !tree_exact {
-                        path_len += len[aid];
-                    }
-                    let a = &mut state.st[aid];
-                    if a.used == 0.0 {
-                        state.touched.push(aid);
-                    }
-                    bottleneck = bottleneck.min(a.avail);
-                    a.avail -= f0;
-                    a.used += f0;
-                    cur = p;
-                }
-                // Reuse rule: `tree_dist` lower-bounds the current shortest
-                // distance (lengths are monotone), so within the slack this
-                // path is approximately shortest. Past it, undo this
-                // application and recompute. Exact (just-computed) trees skip
-                // the check — float noise must not re-trigger it.
-                if !tree_exact && path_len > ctx.reuse_slack * tree_dist {
-                    for &aid in state.path.iter() {
-                        let a = &mut state.st[aid];
-                        a.avail += f0;
-                        a.used -= f0;
-                    }
-                    need_fresh = true;
-                    break;
-                }
-                let f = f0.min(bottleneck);
-                // Commit `min(remaining, bottleneck)` exactly as the classic
-                // two-pass scheme would; negligible amounts are rolled back
-                // entirely. Stray `touched` entries left with zero `used` are
-                // benign in the update loop below.
-                let commit = if f > 1e-15 { f } else { 0.0 };
-                if commit < f0 {
-                    let excess = f0 - commit;
-                    for &aid in state.path.iter() {
-                        let a = &mut state.st[aid];
-                        a.avail += excess;
-                        a.used -= excess;
-                    }
-                }
-                if commit == 0.0 {
-                    continue;
-                }
-                state.remaining[j] -= commit;
-                routed_si[j] += commit;
-                progressed = true;
-            }
-        }
-        // Apply multiplicative length updates for the arcs used in this tree
-        // iteration and restore the scratch buffers.
-        for &aid in state.touched.iter() {
-            apply_update(state.mwu, state.flow_arc, aid, state.st[aid].used);
-            let a = &mut state.st[aid];
-            a.used = 0.0;
-            a.avail = a.cap;
-        }
-        state.touched.clear();
-        if need_fresh {
-            search_tree(ctx, si, state);
-            tree_exact = true;
-            continue;
-        }
-        if !progressed || state.remaining.iter().all(|&r| r <= 1e-15) {
-            return true;
-        }
-        // Routing moved the lengths; the tree must pass the staleness check
-        // before further reuse.
-        tree_exact = false;
-    }
-}
-
-/// In-place routing of one dense source (aggregated bottom-up tree):
-/// instead of chasing parents once per destination (O(sum of path lengths)
-/// per tree iteration), fold each node's remaining subtree demand over the
-/// settle order in reverse and load every tree arc exactly once. When some
-/// arc's aggregate load exceeds its capacity, the whole batch is scaled by
-/// the binding `cap/load` ratio and the loop repeats, so no arc exceeds its
-/// capacity within one tree iteration and every length-update factor stays
-/// <= 1 + eps — the same invariant the per-destination walk maintains.
-/// (Persisting these trees across phases behind cheap revalidation was tried
+/// In-place routing of one source with several destinations (aggregated
+/// bottom-up tree): instead of chasing parents once per destination (O(sum
+/// of path lengths) per tree iteration), fold each node's remaining subtree
+/// demand over the settle order in reverse and load every tree arc exactly
+/// once. When some arc's aggregate load exceeds its capacity, the whole
+/// batch is scaled by the binding `cap/load` ratio and the loop repeats, so
+/// no arc exceeds its capacity within one tree iteration and every
+/// length-update factor stays <= 1 + eps. (Persisting these trees across phases behind cheap revalidation was tried
 /// and reverted: a phase's average arc utilization is ~1, so lengths drift
 /// enough per phase that any slack loose enough to admit reuse measurably
 /// slowed the multiplicative-weights convergence — the same trade the
@@ -656,6 +511,8 @@ pub(super) fn route_source_tree(
     routed_si: &mut [f64],
 ) -> bool {
     let s = &ctx.prob.sources()[si];
+    state.remaining.clear();
+    state.remaining.extend_from_slice(&ctx.demands[si]);
     // The first batch routes on a tree computed at the current lengths; if
     // it is capacity-limited, `cur_len` is rebuilt before the first
     // staleness check needs it.
@@ -671,8 +528,8 @@ pub(super) fn route_source_tree(
             // the tree once any destination with remaining demand drifts
             // past the slack. Recorded distances lower-bound current ones
             // (lengths are monotone), so within the slack the tree paths
-            // remain approximately shortest — exactly the per-destination
-            // reuse argument.
+            // remain approximately shortest — the reuse argument of the
+            // known-path loop, applied to every destination at once.
             let stale = s.dests.iter().enumerate().any(|(j, &(dst, _))| {
                 state.remaining[j] > 1e-15
                     && state.cur_len[dst] > ctx.reuse_slack * state.sssp.dist(dst)
@@ -723,7 +580,7 @@ pub(super) fn route_source_tree(
             }
             let (p, aid) = state.sssp.parent_unchecked(v);
             state.subtree[p] += load;
-            let cap = state.st[aid].cap;
+            let cap = state.mwu.cap(aid);
             if load > cap {
                 ratio = ratio.min(cap / load);
             }
@@ -822,7 +679,6 @@ mod tests {
         // of this crate's unit tests; here it must have seen reused paths.
         let mut reuses = 0;
         let mut solve = |cfg: FleischerConfig, topo: &tb_topology::Topology, tm: &TrafficMatrix| {
-            let cfg = cfg.with_auto_aggregation(topo.num_switches());
             let (_, stats, _) = FleischerSolver::new(cfg).solve_in(
                 &topo.graph,
                 tm,

@@ -43,9 +43,11 @@ use tb_traffic::{Demand, TrafficMatrix};
 /// Revision of what the solvers compute, folded into every sweep cache key:
 /// bump it with any change that moves a solved value while leaving every
 /// configuration field alone, so that a warm cache cannot serve the previous
-/// solver's numbers. Revision 2 is the block-mix feasible bound of the FPTAS
-/// (revision 1, its suffix windows).
-pub const SOLVER_REVISION: u32 = 2;
+/// solver's numbers. Revision 3 routes every FPTAS source with several
+/// destinations on the aggregated tree (revision 2, the per-destination walk
+/// below a graph-size threshold; revision 1, suffix windows instead of the
+/// block-mix feasible bound).
+pub const SOLVER_REVISION: u32 = 3;
 
 /// Process-wide count of throughput-solver invocations (FPTAS, exact LP and
 /// path-restricted). The sweep engine's cache tests read deltas of this

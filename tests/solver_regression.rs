@@ -6,11 +6,14 @@
 //!   configured `target_gap` of it, across topology and TM families with
 //!   very different sparsity (A2A: dense; longest-matching and
 //!   random-permutation: one destination per source — the early-exit fast
-//!   path);
+//!   path; random matching of degree two and Kodialam: a few destinations per
+//!   source, the latter at unequal distances);
 //! * repeated solves through one reused [`SolverWorkspace`] must reproduce
 //!   fresh-workspace results bit-for-bit, in any interleaving order;
-//! * the aggregated dense-TM routing kernel must match the per-destination
-//!   walk within the FPTAS gap on every dense instance of the grid;
+//! * the solver must match the frozen per-destination walk of
+//!   `tb_bench::legacy` within the FPTAS gap on every instance of the grid
+//!   with a source of several destinations (those route on the aggregated
+//!   tree);
 //! * the pooled dual-bound sweep and potential refresh must reproduce their
 //!   inline execution bit-for-bit on an instance large enough to fan out;
 //! * the block-mix lower bound must cut the phase count of a dense gap-exit
@@ -35,7 +38,9 @@ use tb_topology::families::Scale;
 use tb_topology::hypercube::hypercube;
 use tb_topology::jellyfish::jellyfish;
 use tb_topology::{Family, Topology};
-use tb_traffic::synthetic::{all_to_all, longest_matching, random_matching, random_permutation};
+use tb_traffic::synthetic::{
+    all_to_all, kodialam, longest_matching, random_matching, random_permutation,
+};
 use tb_traffic::TrafficMatrix;
 use topobench::{EvalConfig, TmSpec};
 
@@ -58,6 +63,14 @@ fn instances() -> Vec<(String, Topology, TrafficMatrix)> {
             ),
             ("random_permutation", random_permutation(&topo.servers, 3)),
             ("random_matching_2", random_matching(&topo.servers, 2, 5)),
+            // Three servers per switch, sent farthest first: on the
+            // jellyfish graphs most sources spread them over two or three
+            // destinations, often at unequal distances (a hypercube's
+            // antipode takes all three).
+            (
+                "kodialam",
+                kodialam(&topo.graph, &vec![3; topo.num_switches()]),
+            ),
         ];
         for (mname, tm) in tms {
             out.push((format!("{tname}/{mname}"), topo.clone(), tm));
@@ -126,7 +139,7 @@ fn fptas_stays_within_target_gap_of_exact_lp() {
 }
 
 /// The solve the sweep engine runs for a ladder rung's FPTAS cell at seed 1:
-/// `EvalConfig::fast()` with the auto-picked aggregation threshold.
+/// `EvalConfig::fast()`'s solver configuration.
 fn ladder_solve(
     family: Family,
     rung: usize,
@@ -161,9 +174,7 @@ fn ladder_solve_for(
     let cfg = FleischerConfig {
         target_gap,
         max_phases,
-        ..EvalConfig::fast()
-            .solver
-            .with_auto_aggregation(topo.num_switches())
+        ..EvalConfig::fast().solver
     };
     let (bounds, stats, _) =
         FleischerSolver::new(cfg).solve_in(&topo.graph, &tm, &mut SolverWorkspace::new(), false);
@@ -342,31 +353,27 @@ fn reused_workspace_reproduces_fresh_results_across_instance_mix() {
 
 #[test]
 fn aggregated_kernel_matches_per_destination_walk_on_dense_tms() {
-    // The aggregated bottom-up routing kernel (sources past
-    // `aggregate_min_dests` route all demands in one pass over the settle
-    // order) must produce bounds of the same quality as the per-destination
-    // parent walk on dense TMs. When no arc's capacity binds within a tree
-    // iteration the two are arithmetically identical; when a batch is scaled
-    // by the binding `cap/load` ratio the trajectories may diverge within
-    // the FPTAS gap, so the shared `tb_bench` kernel-equivalence contract
-    // applies: overlapping brackets, no lost gap quality, and feasible
-    // values within twice the target gap.
-    for cfg0 in [FleischerConfig::default(), FleischerConfig::fast()] {
+    // Every source with several destinations routes all its demands in one
+    // pass over the settle order of its tree. Against the frozen
+    // per-destination parent walk of `tb_bench::legacy`, the trajectories
+    // may diverge within the FPTAS gap (a batch is scaled by its binding
+    // `cap/load` ratio, the legacy walk caps each destination at the
+    // bottleneck left to it, and the legacy feasible bound is the cumulative
+    // flow's), so the shared kernel-equivalence contract applies:
+    // overlapping brackets, no lost gap quality, and feasible values within
+    // twice the target gap. Every instance of the grid on which some source
+    // routes on the tree counts, down to the two- and three-destination
+    // sources of random matching and Kodialam; a TM of single-destination
+    // sources only never reaches the tree kernel.
+    for cfg in [FleischerConfig::default(), FleischerConfig::fast()] {
         for (name, topo, tm) in instances() {
-            if tm.num_flows() < 2 * topo.num_switches() {
-                continue; // only dense TMs exercise both kernels meaningfully
+            let prob = FlowProblem::new(&topo.graph, &tm);
+            if prob.sources().iter().all(|s| s.dests.len() == 1) {
+                continue;
             }
-            let aggregated = FleischerSolver::new(FleischerConfig {
-                aggregate_min_dests: Some(2),
-                ..cfg0
-            })
-            .solve(&topo.graph, &tm);
-            let per_dest = FleischerSolver::new(FleischerConfig {
-                aggregate_min_dests: Some(usize::MAX),
-                ..cfg0
-            })
-            .solve(&topo.graph, &tm);
-            tb_bench::assert_same_quality(&name, &cfg0, aggregated, per_dest);
+            let tree = FleischerSolver::new(cfg).solve(&topo.graph, &tm);
+            let walk = tb_bench::legacy::solve(&cfg, &topo.graph, &tm);
+            tb_bench::assert_same_quality(&name, &cfg, tree, walk);
         }
     }
 }
@@ -403,8 +410,7 @@ fn pooled_sweeps_match_inline_execution_bit_for_bit() {
     // sources (one destination each under LM, so every source also owns a
     // potential row), giving 160 × 1,280 = 204,800 >= 2^17 = 131,072.
     let topo = jellyfish(160, 8, 1, 42);
-    let cfg = FleischerConfig::fast().with_auto_aggregation(topo.num_switches());
-    let solver = FleischerSolver::new(cfg);
+    let solver = FleischerSolver::new(FleischerConfig::fast());
     for (name, tm) in [
         (
             "longest_matching",
