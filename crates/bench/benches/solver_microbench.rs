@@ -27,13 +27,18 @@
 //! * `rel_cold_jellyfish64_lm`: one relative-throughput cell (the topology's
 //!   own solve plus its same-equipment samples, fanned out over the pool) —
 //!   the production path of every `Relative` sweep cell.
+//!
+//! `sssp_full_dcell3_a2a` / `sssp_repair_dcell3_a2a` time the SSSP layer
+//! alone: one shortest-path tree per all-to-all source of `DCell/3` at the
+//! lengths of its solve's certificate, by full Dijkstra and by repairing the
+//! tree at the certificate of the same solve stopped a few phases earlier.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tb_bench::{assert_same_quality, legacy};
-use tb_flow::{ExactLpSolver, FleischerConfig, FleischerSolver};
+use tb_flow::{ExactLpSolver, FleischerConfig, FleischerSolver, FlowProblem};
 use tb_graph::matching::max_weight_assignment;
 use tb_graph::shortest_path::apsp_unweighted;
-use tb_graph::Graph;
+use tb_graph::{sssp_csr, sssp_csr_repair_by, Graph, SsspWorkspace};
 use tb_topology::families::{Family, Scale};
 use tb_topology::{
     hypercube::hypercube, hyperx::hyperx, jellyfish::jellyfish, jellyfish::same_equipment,
@@ -161,6 +166,61 @@ fn bench(c: &mut Criterion) {
 
     group.bench_function("same_equipment_hypercube_d6", |b| {
         b.iter(|| same_equipment(&medium, 5))
+    });
+
+    // Tree repair against full Dijkstra on the 208-switch DCell rung that
+    // dominates the all-to-all pass: one tree per source (156) per
+    // iteration, at the lengths the solve's certificate holds, each
+    // repaired from the tree at the certificate of the same solve stopped
+    // four phases earlier (an earlier best dual; the repair must return
+    // Dijkstra's tree bit for bit, checked first).
+    let dcell = Family::DCell
+        .ladder_instance(Scale::Small, 1, 3)
+        .expect("rung 3 exists");
+    let dcell_a2a = all_to_all(&dcell.servers);
+    let certificate = |max_phases| {
+        FleischerSolver::new(FleischerConfig {
+            max_phases,
+            ..cfg_fast
+        })
+        .solve_outcome(&dcell.graph, &dcell_a2a)
+    };
+    let end = certificate(cfg_fast.max_phases);
+    let earlier = certificate(end.stats.phases - 4).certificate.lengths;
+    let lens = end.certificate.lengths;
+    assert_ne!(earlier, lens, "the two certificates hold the same lengths");
+    let prob = FlowProblem::new(&dcell.graph, &dcell_a2a);
+    let csr = prob.csr();
+    let srcs: Vec<usize> = prob.sources().iter().map(|s| s.src).collect();
+    let (mut ws, mut full) = (SsspWorkspace::new(), SsspWorkspace::new());
+    let trees: Vec<Vec<u32>> = srcs
+        .iter()
+        .map(|&src| {
+            sssp_csr(csr, src, &earlier, None, &mut ws);
+            ws.settle_order().to_vec()
+        })
+        .collect();
+    for (&src, tree) in srcs.iter().zip(&trees) {
+        sssp_csr(csr, src, &lens, None, &mut full);
+        sssp_csr_repair_by(csr, src, |aid| lens[aid], tree.iter().copied(), &mut ws);
+        assert_eq!(ws.settle_order(), full.settle_order(), "source {src}");
+        assert!((0..prob.num_nodes())
+            .all(|v| ws.dist(v).to_bits() == full.dist(v).to_bits()
+                && ws.parent(v) == full.parent(v)));
+    }
+    group.bench_function("sssp_full_dcell3_a2a", |b| {
+        b.iter(|| {
+            for &src in &srcs {
+                sssp_csr(csr, src, &lens, None, &mut ws);
+            }
+        })
+    });
+    group.bench_function("sssp_repair_dcell3_a2a", |b| {
+        b.iter(|| {
+            for (&src, tree) in srcs.iter().zip(&trees) {
+                sssp_csr_repair_by(csr, src, |aid| lens[aid], tree.iter().copied(), &mut ws);
+            }
+        })
     });
     group.finish();
 

@@ -90,10 +90,29 @@
 //! * **searches capped by the best known path**: a single-destination
 //!   source's search never queues a node keyed past the current length of
 //!   the shortest path the source already knows, which changes none of its
-//!   results ([`tb_graph::sssp_csr_goal`]).
+//!   results ([`tb_graph::sssp_csr_goal`]),
+//! * **trees repaired, not recomputed**: a multi-destination source with at
+//!   least half the graph as destinations settles the whole graph every
+//!   search, and only its first tree of a solve runs Dijkstra. Every later
+//!   one is repaired ([`tb_graph::sssp_csr_repair_by`]) from a tree the
+//!   source already has — the first search of a turn from the tree it held
+//!   since its last turn, a capacity-limited re-search from the turn's own,
+//!   and the dual sweeps from the held trees: one relaxation pass over the
+//!   arcs in the old tree's order, a Dijkstra run over the few nodes whose
+//!   label fell after their turn, and an insertion sort of the settle order.
+//!   The repair returns Dijkstra's tree bit for bit (settle order, distances,
+//!   parents), so the trajectory is the one plain Dijkstra gives; between
+//!   two turns of a source about 6 parents of a ~100-node tree change. On
+//!   the `/A2A` pass of `fig05_06` 132,176 of the 170,708 searches repair.
+//!   Early-exit searches (fewer destinations than half the graph) and
+//!   single-destination ones stay on Dijkstra, and so do the potential rows:
+//!   repairing a dense row from the tree of its previous derivation was
+//!   bit-identical on the `/1/LM` pass (37,743 re-derivations) but saved no
+//!   more than the run-to-run spread of their ~180 ms.
 //!
 //! [`SolveStats::searches`] and [`SolveStats::path_reuses`] count, per solve,
 //! how often a step searched and how often it did not;
+//! [`SolveStats::repairs`] how many of those searches repaired a tree;
 //! [`SolveStats::settles`] how much of the graph the goal-directed searches
 //! settled, [`SolveStats::row_refreshes`] how many rows dense turns
 //! re-derived, and [`SolveStats::evaluations`] / [`SolveStats::screened`]
@@ -251,6 +270,10 @@ pub struct SolveStats {
     /// those sweeps. The potential refresh's reverse Dijkstras are not
     /// counted.
     pub searches: usize,
+    /// Of those searches, the full-sweep trees of multi-destination sources
+    /// that were repaired from a tree the source held rather than computed
+    /// from scratch (see the module docs); the same trees, bit for bit.
+    pub repairs: usize,
     /// Routing steps of single-destination sources that went along a known
     /// path instead of searching (see the module docs).
     pub path_reuses: usize,

@@ -145,7 +145,7 @@
 //! meets its `target_gap` earlier.
 
 use super::blocks::Blocks;
-use super::route::{self, HeldPaths, PotentialRows, RouteCtx, SerialState};
+use super::route::{self, HeldPaths, PotentialRows, RouteCtx, SerialState, TreeSeed};
 use super::{FleischerConfig, SolveStats, SolverWorkspace, PAR_MIN_SWEEP_WORK};
 use crate::certificate::{CertCapture, ThroughputCertificate};
 use crate::instance::FlowProblem;
@@ -275,6 +275,7 @@ pub(super) fn solve_problem(
                 cur_len: &mut cur_len[..],
                 sssp: &mut *sssp,
                 known: &mut held.known,
+                trees: &held.trees,
                 stats: &mut stats,
             };
             // The kernel follows from the source's destination count.
@@ -335,9 +336,10 @@ pub(super) fn solve_problem(
 
     if trace {
         eprintln!(
-            "TB_SOLVER_TRACE n={n} m={m} sources={} phases={phase} searches={} path_reuses={} row_refreshes={} settles={} evals={} screened={} lp_solves={} lp_pivots={} blocks={} d_l={:.3e} exit={} upper={}",
+            "TB_SOLVER_TRACE n={n} m={m} sources={} phases={phase} searches={} repairs={} path_reuses={} row_refreshes={} settles={} evals={} screened={} lp_solves={} lp_pivots={} blocks={} d_l={:.3e} exit={} upper={}",
             prob.sources().len(),
             stats.searches,
+            stats.repairs,
             stats.path_reuses,
             stats.row_refreshes,
             stats.settles,
@@ -541,8 +543,9 @@ impl BestBounds {
         let held_alpha = held.alpha(ctx, mwu.lens(), Some(potentials), &mut self.node_len);
         if self.worth_sweeping(mwu.dual_bound(held_alpha * HELD_ALPHA_MARGIN), target_gap) {
             swept = true;
-            let up = dual_bound(ctx, potentials, mwu, sssp, pool);
+            let up = dual_bound(ctx, potentials, held, mwu, sssp, pool);
             stats.searches += num_sources - ctx.num_single;
+            stats.repairs += held.repairable(ctx);
             if up < self.upper {
                 self.upper = up;
                 stats.upper_from_average = false;
@@ -558,8 +561,9 @@ impl BestBounds {
         let held_up = ratio(volume(ctx, &self.avg_lens), held_alpha * HELD_ALPHA_MARGIN);
         if self.worth_sweeping(held_up, target_gap) {
             swept = true;
-            let up = averaged_dual_bound(ctx, &self.avg_lens, sssp, pool);
+            let up = averaged_dual_bound(ctx, &self.avg_lens, held, sssp, pool);
             stats.searches += num_sources;
+            stats.repairs += held.repairable(ctx);
             if up < self.upper {
                 self.upper = up;
                 stats.upper_from_average = true;
@@ -616,6 +620,7 @@ impl BestBounds {
 fn dual_bound(
     ctx: &RouteCtx<'_>,
     potentials: &mut PotentialRows,
+    held: &HeldPaths,
     mwu: &MwuLengths,
     sssp: &mut SsspWorkspace,
     pool: &SsspPool,
@@ -629,7 +634,7 @@ fn dual_bound(
             let src = ctx.prob.sources()[si].src;
             return ctx.demands[si][0] * potentials.row(ctx.pot_rows[si], n)[src];
         }
-        tree_alpha(ctx, si, mwu.lens(), sw)
+        tree_alpha(ctx, si, mwu.lens(), held, sw)
     });
     mwu.dual_bound(alpha)
 }
@@ -642,12 +647,13 @@ fn dual_bound(
 fn averaged_dual_bound(
     ctx: &RouteCtx<'_>,
     lens: &[f64],
+    held: &HeldPaths,
     sssp: &mut SsspWorkspace,
     pool: &SsspPool,
 ) -> f64 {
     let searches = ctx.prob.sources().len();
     let alpha = sum_alpha(ctx, searches, sssp, pool, |sw, si| {
-        tree_alpha(ctx, si, lens, sw)
+        tree_alpha(ctx, si, lens, held, sw)
     });
     ratio(volume(ctx, lens), alpha)
 }
@@ -667,9 +673,16 @@ fn ratio(d_l: f64, alpha: f64) -> f64 {
 }
 
 /// Source `si`'s term of `alpha`: its demand-weighted distances under `lens`,
-/// from one early-exit forward search.
-fn tree_alpha(ctx: &RouteCtx<'_>, si: usize, lens: &[f64], sw: &mut SsspWorkspace) -> f64 {
-    route::compute_tree(ctx, si, lens, sw);
+/// from one forward search (early-exit, or a repair of the tree `held` keeps
+/// for the source).
+fn tree_alpha(
+    ctx: &RouteCtx<'_>,
+    si: usize,
+    lens: &[f64],
+    held: &HeldPaths,
+    sw: &mut SsspWorkspace,
+) -> f64 {
+    route::compute_tree(ctx, si, lens, TreeSeed::Held(held.tree(si)), sw);
     let dests = &ctx.prob.sources()[si].dests;
     dests
         .iter()
@@ -734,6 +747,7 @@ mod tests {
         let SolverWorkspace {
             mwu,
             potentials,
+            held,
             sssp,
             sweep_pool,
             ..
@@ -754,7 +768,7 @@ mod tests {
         // the bound, which re-derives the dense ones.
         let mut evaluate = || {
             potentials.refresh(&ctx, mwu.lens(), false, sssp, sweep_pool);
-            dual_bound(&ctx, potentials, mwu, sssp, sweep_pool)
+            dual_bound(&ctx, potentials, held, mwu, sssp, sweep_pool)
         };
         let queued_before = rayon::pool::stats().jobs;
         let pooled = evaluate();
@@ -803,7 +817,10 @@ mod tests {
             let tables = DemandTables::new(&prob, 1.0);
             let ctx = tables.ctx(&prob, 1.0);
             let SolverWorkspace {
-                sssp, sweep_pool, ..
+                held,
+                sssp,
+                sweep_pool,
+                ..
             } = &mut ws;
             let d_l: f64 = prob.arcs().iter().zip(&lens).map(|(a, l)| a.cap * l).sum();
             assert!((d_l - 2.0).abs() < 1e-9, "two samples of D = 1, got {d_l}");
@@ -817,9 +834,9 @@ mod tests {
             let independent = d_l / alpha;
 
             let queued_before = rayon::pool::stats().jobs;
-            let pooled = averaged_dual_bound(&ctx, &lens, sssp, sweep_pool);
+            let pooled = averaged_dual_bound(&ctx, &lens, held, sssp, sweep_pool);
             assert!(rayon::current_num_threads() == 1 || rayon::pool::stats().jobs > queued_before);
-            let inline = rayon::serial(|| averaged_dual_bound(&ctx, &lens, sssp, sweep_pool));
+            let inline = rayon::serial(|| averaged_dual_bound(&ctx, &lens, held, sssp, sweep_pool));
             assert_eq!(pooled.to_bits(), inline.to_bits());
             assert!(
                 independent.is_finite() && (pooled - independent).abs() <= 1e-12 * independent,
@@ -837,6 +854,7 @@ mod tests {
         let up = averaged_dual_bound(
             &tables.ctx(&prob, 1.0),
             &empty,
+            &ws.held,
             &mut ws.sssp,
             &ws.sweep_pool,
         );
@@ -892,7 +910,7 @@ mod tests {
                 potentials.refresh(&ctx, mwu.lens(), false, sssp, sweep_pool);
                 let alpha = held.alpha(&ctx, mwu.lens(), Some(potentials), &mut node_len);
                 let held_up = mwu.dual_bound(alpha * HELD_ALPHA_MARGIN);
-                let exact = dual_bound(&ctx, potentials, mwu, sssp, sweep_pool);
+                let exact = dual_bound(&ctx, potentials, held, mwu, sssp, sweep_pool);
                 assert!(
                     0.0 < held_up && held_up <= exact,
                     "{} flows, {max_phases} phases: held {held_up} vs swept {exact}",
@@ -913,7 +931,7 @@ mod tests {
             } = &mut ws;
             let alpha = held.alpha(&ctx, &lens, None, &mut node_len);
             let held_up = ratio(volume(&ctx, &lens), alpha * HELD_ALPHA_MARGIN);
-            let exact = averaged_dual_bound(&ctx, &lens, sssp, sweep_pool);
+            let exact = averaged_dual_bound(&ctx, &lens, held, sssp, sweep_pool);
             assert!(
                 0.0 < held_up && held_up <= exact,
                 "{} flows, window: held {held_up} vs swept {exact}",

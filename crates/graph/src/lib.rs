@@ -44,5 +44,5 @@ pub use maxflow::{max_flow_value, min_st_cut, MaxFlow};
 pub use pool::{PooledWorkspace, SsspPool, WorkspacePool};
 pub use shortest_path::{
     apsp_unweighted, bfs_distances, dijkstra, sssp_csr, sssp_csr_by, sssp_csr_goal,
-    sssp_csr_goal_by, ShortestPathTree, SsspWorkspace,
+    sssp_csr_goal_by, sssp_csr_repair_by, sssp_csr_repair_own_by, ShortestPathTree, SsspWorkspace,
 };

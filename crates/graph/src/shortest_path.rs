@@ -18,7 +18,10 @@
 //! known target set, the search stops as soon as the last target is settled.
 //! For sparse traffic matrices (e.g. longest-matching, where each source has
 //! a single destination) this prunes most of the graph from every inner
-//! solver iteration.
+//! solver iteration. For dense ones, where a source's whole tree is wanted
+//! again and again under slowly changing lengths, [`sssp_csr_repair_by`]
+//! re-derives the tree from an earlier one and leaves the workspace exactly
+//! as the kernel would.
 
 use crate::csr::CsrGraph;
 use crate::graph::Graph;
@@ -231,11 +234,17 @@ pub struct SsspWorkspace {
     parents: Vec<[u32; 2]>,
     /// Generation stamp marking early-exit targets of the current run.
     target: Vec<u32>,
-    /// Generation of the current run: even, so that it and `generation + 1`
-    /// (settled) are both above every stamp an earlier run left.
+    /// Generation of the current run: it and `generation + 1` (settled) are
+    /// both above every stamp an earlier run left.
     generation: u32,
     /// Nodes of the last run in the order they were settled.
     order: Vec<u32>,
+    /// The previous settle order while [`sssp_csr_repair_own_by`] repairs
+    /// from it; empty otherwise, keeping its allocation.
+    spare: Vec<u32>,
+    /// A repair's settle order as packed `(dist bits, node)` keys while it
+    /// is sorted (see [`queue_key`]).
+    keys: Vec<u128>,
     /// The priority queue: an indexed 4-ary min-heap with true decrease-key
     /// over packed `(key bits, node)` entries (see [`queue_key`]). Under the
     /// wide-dynamic-range length functions the flow solver feeds this
@@ -265,14 +274,17 @@ impl SsspWorkspace {
     }
 
     /// Begins a new run over `n` nodes: grows arrays if needed and advances
-    /// the generation so all previous state is invalidated in O(1).
-    fn begin(&mut self, n: usize, src: usize) {
+    /// the generation by `span` so all previous state is invalidated in O(1).
+    /// A Dijkstra run takes a span of 2 (its generation and the settled stamp
+    /// above it); a repair takes 3, the extra stamp below its generation
+    /// marking nodes labeled before their turn (see [`sssp_csr_repair_by`]).
+    fn begin(&mut self, n: usize, src: usize, span: u32) {
         if self.nodes.len() < n {
             self.nodes.resize(n, NodeState::default());
             self.parents.resize(n, [NO_PARENT, NO_PARENT]);
             self.target.resize(n, 0);
         }
-        if self.generation >= u32::MAX - 2 {
+        if self.generation >= u32::MAX - span {
             // Stamp wrap-around (once per 2^31 runs): clear stamps explicitly.
             for node in &mut self.nodes {
                 node.stamp = 0;
@@ -280,7 +292,7 @@ impl SsspWorkspace {
             self.target.fill(0);
             self.generation = 0;
         }
-        self.generation += 2;
+        self.generation += span;
         self.order.clear();
         // An early exit leaves entries queued; the padding invariant wants
         // `u128::MAX` everywhere past the live front.
@@ -315,7 +327,9 @@ impl SsspWorkspace {
     }
 
     /// Removes and returns the queued node with the smallest (key, id).
-    #[inline]
+    /// Always inlined: it is the kernels' inner loop, and left to itself the
+    /// compiler calls it from `sssp_csr_by` once the repair adds call sites.
+    #[inline(always)]
     fn heap_pop(&mut self) -> Option<u32> {
         if self.heap_len == 0 {
             return None;
@@ -470,7 +484,7 @@ pub fn sssp_csr_by<L: Fn(usize) -> f64>(
     targets: Option<&[usize]>,
     ws: &mut SsspWorkspace,
 ) {
-    ws.begin(csr.num_nodes(), src);
+    ws.begin(csr.num_nodes(), src, 2);
     let generation = ws.generation;
     let mut pending = 0usize;
     if let Some(ts) = targets {
@@ -539,6 +553,287 @@ pub fn sssp_csr(
     sssp_csr_by(csr, src, |lid| lens[lid], targets, ws)
 }
 
+/// What a repair's relaxation passes note (see [`sssp_csr_repair_by`]).
+#[derive(Debug, Default)]
+struct RepairNotes {
+    /// Nodes given a label while unlabeled (the root included).
+    labeled: usize,
+    /// Nodes that held a label at their turn in the tree pass.
+    turned: usize,
+    /// Whether some relaxation reached its head's label without adding to
+    /// its tail's, or tied the label over a parallel arc of the tail that
+    /// set it: the ties the passes cannot resolve as they go.
+    ties: bool,
+}
+
+impl SsspWorkspace {
+    /// Relaxes every out-arc of `u` with the label `d` for a repair run
+    /// (generation `g`): an unlabeled head (stamp below `g - 1`) gets the
+    /// label and stamp `g - 1`, its turn still to come; a head whose arcs
+    /// already went out (stamp `g + 1`) is queued when its label falls, and
+    /// a queued one (stamp `g`) has its key lowered. A relaxation that ties
+    /// the head's label takes the parent over if its tail's key `(label,
+    /// node)` is the smaller (the tail Dijkstra would settle first).
+    #[inline(always)]
+    fn repair_relax<L: Fn(usize) -> f64>(
+        &mut self,
+        csr: &CsrGraph,
+        u: usize,
+        d: f64,
+        len_of: &L,
+        notes: &mut RepairNotes,
+    ) {
+        let generation = self.generation;
+        for (v, lid) in csr.neighbors(u) {
+            let len = len_of(lid);
+            debug_assert!(len >= 0.0, "negative arc length");
+            let nd = d + len;
+            let head = self.nodes[v];
+            if head.stamp < generation - 1 {
+                if nd < f64::INFINITY {
+                    notes.ties |= nd == d;
+                    notes.labeled += 1;
+                    self.nodes[v].stamp = generation - 1;
+                    self.nodes[v].dist = nd;
+                    self.parents[v] = [u as u32, lid as u32];
+                }
+            } else if nd <= head.dist {
+                notes.ties |= nd == d;
+                if nd < head.dist {
+                    self.nodes[v].dist = nd;
+                    self.parents[v] = [u as u32, lid as u32];
+                    if head.stamp == generation + 1 {
+                        self.nodes[v].stamp = generation;
+                        self.heap_push(v as u32, nd);
+                    } else if head.stamp == generation {
+                        self.heap_decrease(v as u32, nd);
+                    }
+                } else if nd != d && nd < f64::INFINITY {
+                    // A tie between distinct tails (the root, whose label
+                    // only a zero arc ties, has no parent to compare).
+                    let [p, arc] = self.parents[v];
+                    if p == u as u32 {
+                        notes.ties |= arc != lid as u32;
+                    } else if queue_key(d, u as u32) < queue_key(self.nodes[p as usize].dist, p) {
+                        self.parents[v] = [u as u32, lid as u32];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Step 4 of a repair, as the tree pass goes: inserts `key` into the
+    /// sorted keys of the nodes that had their turn. An insertion sort over
+    /// one contiguous array, which costs one comparison per node plus one per
+    /// place a node moves: between two turns of a flow solver's source nodes
+    /// trade many places among near-equal distances (about 6 per node on a
+    /// 64-switch HyperX), and a move that read its key through the node's
+    /// record each time cost more than the repair saved.
+    #[inline(always)]
+    fn insert_key(&mut self, key: u128) {
+        let keys = &mut self.keys;
+        let mut j = keys.len();
+        keys.push(key);
+        while j > 0 && keys[j - 1] > key {
+            keys[j] = keys[j - 1];
+            j -= 1;
+        }
+        keys[j] = key;
+    }
+
+    /// Step 4 again, when the keys the tree pass sorted are not all final:
+    /// some label fell after its node's turn, or a node had no label at its
+    /// turn (those are in `order`). Re-keys every node at its final label,
+    /// drops the nodes the current lengths leave unreached, and sorts.
+    fn rekey_repaired(&mut self) {
+        for i in 0..self.keys.len() {
+            let v = queue_node(self.keys[i]);
+            self.keys[i] = queue_key(self.nodes[v as usize].dist, v);
+        }
+        for i in 0..self.order.len() {
+            let v = self.order[i];
+            let dist = self.nodes[v as usize].dist;
+            if dist < f64::INFINITY {
+                self.keys.push(queue_key(dist, v));
+            } else {
+                self.nodes[v as usize].stamp = 0;
+            }
+        }
+        self.order.clear();
+        self.keys.sort_unstable();
+    }
+
+    /// Step 5 of a repair, run only when a tie was noted: rebuilds the
+    /// settle order and the parents from the final distances as Dijkstra
+    /// settles them. Nodes pop by `(dist bits, node)` once queued, and a node
+    /// is queued, with its parent, by the first arc that reaches its distance
+    /// exactly from a popped tail — the earliest-ranked tail, and among
+    /// parallel arcs the first in CSR order. Dijkstra queues a node with its
+    /// final key at that same relaxation, and never pops a node whose key is
+    /// not final yet (an ancestor on its shortest path is queued below it).
+    fn settle_ties<L: Fn(usize) -> f64>(&mut self, csr: &CsrGraph, src: usize, len_of: &L) {
+        let generation = self.generation;
+        for &key in &self.keys {
+            self.nodes[queue_node(key) as usize].stamp = generation - 1;
+        }
+        self.nodes[src].stamp = generation;
+        self.heap_push(src as u32, 0.0);
+        while let Some(node) = self.heap_pop() {
+            let u = node as usize;
+            self.nodes[u].stamp = generation + 1;
+            self.order.push(node);
+            let d = self.nodes[u].dist;
+            for (v, lid) in csr.neighbors(u) {
+                let head = self.nodes[v];
+                if head.stamp == generation - 1 && d + len_of(lid) == head.dist {
+                    self.nodes[v].stamp = generation;
+                    self.parents[v] = [u as u32, lid as u32];
+                    self.heap_push(v as u32, head.dist);
+                }
+            }
+        }
+    }
+}
+
+/// The tree-repair kernel: leaves `ws` exactly as `sssp_csr_by(csr, src,
+/// len_of, None, ws)` would — the same settle order, the same `dist` bits
+/// and the same parents, for any non-negative lengths — starting from an
+/// earlier tree of `src` rather than from scratch.
+///
+/// `tree` lists the nodes of a spanning tree of the nodes reachable from
+/// `src`, parents before their children: typically the settle order of an
+/// earlier run from `src` under other lengths. Where only a few parents
+/// changed since (about 6 of a 100-node tree between two turns of a flow
+/// solver's all-to-all source, on the `/A2A` pass of `fig05_06`), the
+/// repair is one pass over the arcs with next to no heap work. Nodes `tree`
+/// lists that the current lengths leave unreachable are dropped; a `tree`
+/// that misses a reachable node or lists one twice makes the call a plain
+/// run.
+///
+/// Five steps, all on the workspace's own records and heap:
+///
+/// 1. every label is infinite, the root's 0;
+/// 2. one pass over `tree` relaxes every out-arc of each node once, with the
+///    node's label at its turn;
+/// 3. the nodes whose label fell after their turn — their arcs went out with
+///    a label that is not final — seed a Dijkstra run, which relaxes their
+///    arcs again and queues every node whose label it lowers after that
+///    node's arcs went out;
+/// 4. the settle order is `tree`'s order re-sorted by `(dist bits, node)`,
+///    with an insertion sort that runs along the pass of step 2 and costs
+///    what the nodes moved (the nodes of step 3 are re-keyed after it);
+/// 5. only when the passes noted a tie they cannot resolve as they go, order
+///    and parents are rebuilt the way Dijkstra settles them
+///    ([`SsspWorkspace::settle_ties`]).
+///
+/// **The labels are Dijkstra's distances, bit for bit.** A label is only
+/// ever set to `label(u) + len` over an arc `u -> v`, so each is the
+/// (rounded) length of a real walk from `src`, never below Dijkstra's
+/// distance. And every arc is relaxed with its tail's final label unless the
+/// tail is still queued: a node whose label does not fall after its turn
+/// relaxed its arcs with its final label, and the heap pops each queued node
+/// once, at its final label (pops are non-decreasing, and no relaxation
+/// lowers a label below the one it comes from). So once the heap is empty,
+/// `label(v) <= label(u) + len` holds on every arc, and by induction along
+/// Dijkstra's tree path — rounded addition is monotone — no label is above
+/// Dijkstra's distance either.
+///
+/// **So are the order and the parents.** Dijkstra settles by `(dist bits,
+/// node)` among the nodes it has queued, and keeps as a node's parent the
+/// first arc that reaches the node's final distance, by its tail's settle
+/// rank and then CSR order. Unless an arc reaches its head's distance
+/// without adding to its tail's (`label(u) + len == label(u)`), every node
+/// lies strictly above its parent, so each is queued before any node of its
+/// distance settles: the settle order is the sorted one, and the
+/// earliest-ranked tail is the one with the smallest key `(dist bits,
+/// node)`. The passes keep, among the arcs that reach a node's label, the
+/// one from the smallest tail key: a relaxation that ties the label takes
+/// the parent over if its tail's key is the smaller. A key only falls with
+/// its label, and every arc that reaches a node's final distance is
+/// relaxed with its tail's final label at or after the relaxation that
+/// first set that distance, so the parent left is Dijkstra's. Two cases are
+/// not resolved on the way, and note a tie for step 5: an arc that adds
+/// nothing, and two parallel arcs from one tail reaching the same label
+/// (which comes first in CSR order is not known there). A relaxation from a
+/// label that was not final can note a tie that is not there, which costs
+/// time, never bits.
+pub fn sssp_csr_repair_by<L: Fn(usize) -> f64>(
+    csr: &CsrGraph,
+    src: usize,
+    len_of: L,
+    tree: impl IntoIterator<Item = u32>,
+    ws: &mut SsspWorkspace,
+) {
+    // Stamps: `g - 1` labeled with the turn to come, `g` queued, `g + 1`
+    // arcs relaxed with the current label (settled once the run is over).
+    ws.begin(csr.num_nodes(), src, 3);
+    let generation = ws.generation;
+    ws.nodes[src].dist = 0.0;
+    ws.nodes[src].stamp = generation - 1;
+    ws.parents[src] = [NO_PARENT, NO_PARENT];
+    let mut notes = RepairNotes {
+        labeled: 1,
+        ..RepairNotes::default()
+    };
+    // Nodes with a label at their turn go into the sorted keys, those
+    // without into `order`.
+    ws.keys.clear();
+    let mut listed_twice = false;
+    for u in tree {
+        let node = ws.nodes[u as usize];
+        if node.stamp >= generation {
+            listed_twice = true;
+            continue;
+        }
+        ws.nodes[u as usize].stamp = generation + 1;
+        if node.stamp == generation - 1 {
+            notes.turned += 1;
+            ws.insert_key(queue_key(node.dist, u));
+            ws.repair_relax(csr, u as usize, node.dist, &len_of, &mut notes);
+        } else {
+            ws.nodes[u as usize].dist = f64::INFINITY;
+            ws.order.push(u);
+        }
+    }
+    let mut fell = false;
+    while let Some(node) = ws.heap_pop() {
+        let u = node as usize;
+        fell = true;
+        ws.nodes[u].stamp = generation + 1;
+        let d = ws.nodes[u].dist;
+        ws.repair_relax(csr, u, d, &len_of, &mut notes);
+    }
+    // Every labeled node had its turn iff `tree` covered the reachable set.
+    if listed_twice || notes.labeled != notes.turned {
+        sssp_csr_by(csr, src, len_of, None, ws);
+        return;
+    }
+    if fell || !ws.order.is_empty() {
+        ws.rekey_repaired();
+    }
+    if notes.ties {
+        ws.settle_ties(csr, src, &len_of);
+    } else {
+        ws.order.extend(ws.keys.iter().map(|&key| queue_node(key)));
+    }
+}
+
+/// [`sssp_csr_repair_by`] from the tree of the workspace's own last run
+/// (its settle order), which should have been a run from `src` that settled
+/// the whole reachable set; one that stopped early makes this a plain run.
+pub fn sssp_csr_repair_own_by<L: Fn(usize) -> f64>(
+    csr: &CsrGraph,
+    src: usize,
+    len_of: L,
+    ws: &mut SsspWorkspace,
+) {
+    let mut tree = std::mem::take(&mut ws.spare);
+    std::mem::swap(&mut tree, &mut ws.order);
+    sssp_csr_repair_by(csr, src, len_of, tree.iter().copied(), ws);
+    tree.clear();
+    ws.spare = tree;
+}
+
 /// Goal-directed variant of the kernel (A* with a feasible potential):
 /// single-source shortest path from `src` to one `target`, expanding nodes in
 /// order of `dist + potential[node]`.
@@ -577,7 +872,7 @@ pub fn sssp_csr_goal_by<L: Fn(usize) -> f64>(
     bound: f64,
     ws: &mut SsspWorkspace,
 ) {
-    ws.begin(csr.num_nodes(), src);
+    ws.begin(csr.num_nodes(), src, 2);
     let generation = ws.generation;
     if potential[src].is_infinite() {
         return; // target unreachable from src
@@ -1131,6 +1426,78 @@ mod tests {
                 }
             }
         }
+        assert_repairs_match_oracle(seed, &csr, &lens, &mut rng, ws);
+    }
+
+    /// Repairs from every source of `csr` to `lens`, against the oracle:
+    /// seeded with the tree at `lens` itself, at an independent random
+    /// length function, and at `lens` grown on a random third of the arcs,
+    /// each through the tree form and the in-place form; then from trees
+    /// that miss a reachable node or list one twice (a plain run), and from
+    /// the tree at `lens` to lengths that ban a fifth of the arcs (nodes
+    /// drop out).
+    fn assert_repairs_match_oracle(
+        seed: u64,
+        csr: &CsrGraph,
+        lens: &[f64],
+        rng: &mut impl rand::Rng,
+        ws: &mut SsspWorkspace,
+    ) {
+        let n = csr.num_nodes();
+        let random: Vec<f64> = lens
+            .iter()
+            .map(|_| 10f64.powf(30.0 * rng.gen::<f64>() - 15.0))
+            .collect();
+        let grown: Vec<f64> = lens
+            .iter()
+            .map(|&l| {
+                if rng.gen_range(0..3u32) == 0 {
+                    l * (1.0 + 4.0 * rng.gen::<f64>())
+                } else {
+                    l
+                }
+            })
+            .collect();
+        let banned: Vec<f64> = lens
+            .iter()
+            .map(|&l| {
+                if rng.gen_range(0..5u32) == 0 {
+                    f64::INFINITY
+                } else {
+                    l
+                }
+            })
+            .collect();
+        let repair = |tree: &[u32], src: usize, to: &[f64], ws: &mut SsspWorkspace| {
+            sssp_csr_repair_by(csr, src, |lid| to[lid], tree.iter().copied(), ws);
+            report(ws, n)
+        };
+        for src in 0..n {
+            let expect = oracle(csr, src, lens, None, None);
+            for (name, old) in [("same", lens), ("random", &random), ("grown", &grown)] {
+                sssp_csr(csr, src, old, None, ws);
+                let tree = ws.settle_order().to_vec();
+                let at = format!("seed {seed} src {src} from the {name} tree");
+                assert_eq!(repair(&tree, src, lens, ws), expect, "{at}");
+                sssp_csr(csr, src, old, None, ws);
+                sssp_csr_repair_own_by(csr, src, |lid| lens[lid], ws);
+                assert_eq!(report(ws, n), expect, "{at}, in place");
+            }
+            sssp_csr(csr, src, lens, None, ws);
+            let tree = ws.settle_order().to_vec();
+            let at = format!("seed {seed} src {src}");
+            if let [rest @ .., _] = &tree[..] {
+                assert_eq!(repair(rest, src, lens, ws), expect, "{at}, missing a node");
+            }
+            let twice: Vec<u32> = tree
+                .iter()
+                .chain(&tree[tree.len() / 2..])
+                .copied()
+                .collect();
+            assert_eq!(repair(&twice, src, lens, ws), expect, "{at}, listed twice");
+            let expect = oracle(csr, src, &banned, None, None);
+            assert_eq!(repair(&tree, src, &banned, ws), expect, "{at}, banned arcs");
+        }
     }
 
     #[test]
@@ -1138,13 +1505,32 @@ mod tests {
         // Entries `(key bits, node)` are unique, so any correct heap pops
         // them in one order: the indexed bottom-up heap must settle the same
         // nodes in the same order, with the same distance bits and parents,
-        // as the textbook lazy heap.
+        // as the textbook lazy heap — and so must a repair, whatever tree it
+        // starts from.
         let mut ws = SsspWorkspace::new();
         for seed in 0..40 {
             for uniform in [true, false] {
                 assert_kernel_matches_oracle(seed, uniform, &mut ws);
             }
         }
+    }
+
+    #[test]
+    fn repair_breaks_a_tie_between_parallel_arcs_by_csr_order() {
+        // Node 1's label falls from 1 + 2^-52 to 1 after its turn (via node
+        // 3, which comes last). At the stale label the second of its two
+        // parallel arcs to node 2 is the shorter (ties round to even:
+        // 1 + 2^-52 + 1 = 2, 1 + 2^-52 + 1 + 2^-52 = 2 + 2^-51); at the final
+        // label both reach 2, and Dijkstra keeps the first in CSR order.
+        let over = 1.0 + f64::EPSILON;
+        let arcs = [(0, 1, 0), (0, 3, 1), (3, 1, 2), (1, 2, 3), (1, 2, 4)];
+        let lens = [over, 0.5, 0.5, over, 1.0];
+        let csr = CsrGraph::from_directed_arcs(4, arcs);
+        let mut ws = SsspWorkspace::new();
+        sssp_csr_repair_by(&csr, 0, |lid| lens[lid], [0, 1, 2, 3], &mut ws);
+        let repaired = report(&ws, 4);
+        assert_eq!(repaired, oracle(&csr, 0, &lens, None, None));
+        assert_eq!(ws.parent(2), Some((1, 3)));
     }
 
     #[test]

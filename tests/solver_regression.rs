@@ -310,11 +310,16 @@ fn sources_with_several_destinations_never_touch_the_known_paths() {
     // (one per source per phase at least, plus the dual sweeps), nothing is
     // reused by path, and the bounds are those of the pre-store kernel (the
     // committed `/A2A` goldens are bit-identical across that change). With
-    // no potential row, no row turns dense either.
+    // no potential row, no row turns dense either. Every source settles the
+    // whole graph, so after its first search each of its trees is repaired
+    // from one it held (the same tree, bit for bit); the 156 first searches
+    // run Dijkstra.
     let (_, stats) = ladder_solve(Family::DCell, 3, TmSpec::AllToAll);
     assert_eq!(stats.path_reuses, 0, "{stats:?}");
     assert_eq!((stats.row_refreshes, stats.settles), (0, 0), "{stats:?}");
     assert!(stats.searches >= 156 * stats.phases, "{stats:?}");
+    assert!(stats.repairs > 0, "{stats:?}");
+    assert!(stats.repairs + 156 <= stats.searches, "{stats:?}");
 }
 
 #[test]
