@@ -152,7 +152,7 @@ pub fn evaluate(
 /// the target. `sweep verify` accepts certificates up to this gap; anything
 /// wider on a converged cell means the recorded bounds do not support the
 /// accuracy the configuration promises.
-pub fn acceptable_certificate_gap(cfg: &EvalConfig) -> f64 {
+pub(crate) fn acceptable_certificate_gap(cfg: &EvalConfig) -> f64 {
     (3.0 * cfg.solver.epsilon).max(cfg.solver.target_gap)
 }
 
@@ -179,7 +179,7 @@ fn guard_finite(b: ThroughputBounds, topo: &Topology) -> ThroughputBounds {
 /// The bounds always satisfy `lower <= upper` and are finite; an instance
 /// whose every demand is disconnected yields a well-defined zero-throughput
 /// result, never a panic or NaN.
-pub fn evaluate_throughput_status_with(
+pub(crate) fn evaluate_throughput_status_with(
     topo: &Topology,
     tm: &TrafficMatrix,
     cfg: &EvalConfig,

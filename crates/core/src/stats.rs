@@ -22,7 +22,7 @@ impl Stats {
     ///
     /// # Panics
     /// Panics on an empty slice.
-    pub fn from_samples(values: &[f64]) -> Self {
+    pub(crate) fn from_samples(values: &[f64]) -> Self {
         assert!(!values.is_empty(), "no samples");
         let n = values.len() as f64;
         let mean = values.iter().sum::<f64>() / n;

@@ -2,7 +2,7 @@
 //!
 //! A [`CellSpec`] declares one computation — a topology recipe, a traffic
 //! recipe and a metric kind — with every random seed pinned inside the spec.
-//! Together with the run's [`EvalConfig`](crate::EvalConfig) it fully
+//! Together with the run's [`EvalConfig`] it fully
 //! determines the result, which is what makes the on-disk cache sound: the
 //! cache key is derived from `(spec, eval config)` and nothing else.
 
@@ -150,8 +150,8 @@ pub enum CellSpec {
 }
 
 /// An optimality certificate attached to one cell's result: the solver's
-/// [`ThroughputCertificate`] plus the [`SolveStatus`](tb_flow::SolveStatus)
-/// label it was recorded under. The status travels with the evidence because
+/// [`ThroughputCertificate`] plus the [`SolveStatus`] label it was recorded
+/// under. The status travels with the evidence because
 /// the verifier's contract depends on it: a `budget-exhausted` cell is
 /// *unverifiable* (its bounds are valid but meet no accuracy contract), never
 /// silently certified.
@@ -220,7 +220,7 @@ impl CellCertificate {
     /// field, undecodable bit pattern, non-integral dimension) or when the
     /// stored digest does not match the evidence — any single-bit mutation
     /// of the block fails here.
-    pub fn from_json(doc: &Json) -> Option<Self> {
+    pub(crate) fn from_json(doc: &Json) -> Option<Self> {
         let dim = |key: &str| -> Option<usize> {
             let x = doc.get(key)?.as_num()?;
             (x.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&x)).then_some(x as usize)
@@ -278,7 +278,7 @@ impl CellValues {
     }
 
     /// Sets a named text annotation.
-    pub fn push_text(&mut self, name: impl Into<String>, value: impl Into<String>) {
+    pub(crate) fn push_text(&mut self, name: impl Into<String>, value: impl Into<String>) {
         self.texts.insert(name.into(), value.into());
     }
 
@@ -302,17 +302,17 @@ impl CellValues {
     }
 
     /// All metrics, by name.
-    pub fn nums(&self) -> &BTreeMap<String, f64> {
+    pub(crate) fn nums(&self) -> &BTreeMap<String, f64> {
         &self.nums
     }
 
     /// All text annotations, by name.
-    pub fn texts(&self) -> &BTreeMap<String, String> {
+    pub(crate) fn texts(&self) -> &BTreeMap<String, String> {
         &self.texts
     }
 
     /// Attaches an optimality certificate to this result.
-    pub fn set_certificate(&mut self, cert: CellCertificate) {
+    pub(crate) fn set_certificate(&mut self, cert: CellCertificate) {
         self.certificate = Some(cert);
     }
 
@@ -364,7 +364,7 @@ impl CellValues {
 
     /// Decodes the fields [`to_json`](Self::to_json) wrote into `doc`; the
     /// error names the first undecodable one.
-    pub fn from_json(doc: &Json) -> Result<CellValues, String> {
+    pub(crate) fn from_json(doc: &Json) -> Result<CellValues, String> {
         let certificate = (doc.get("certificate"))
             .map(|block| CellCertificate::from_json(block).ok_or("'certificate' is undecodable"))
             .transpose()?;
@@ -624,7 +624,7 @@ impl CellSpec {
     /// the runner's fault-isolation retry path. Every production cell ignores
     /// it (results are attempt-independent); only [`CellSpec::PanicProbe`]
     /// keys its induced failure on it.
-    pub fn compute_attempt(
+    pub(crate) fn compute_attempt(
         &self,
         cfg: &EvalConfig,
         ws: &mut SolverWorkspace,

@@ -6,7 +6,7 @@
 //! the engine emits: objects, arrays, strings, f64 numbers, booleans and
 //! null. Cache round-trips additionally need *bit-exact* floats, which JSON
 //! decimal notation cannot guarantee, so values that must survive exactly are
-//! stored as hex-encoded IEEE-754 bit patterns (see [`Json::f64_bits`]).
+//! stored as hex-encoded IEEE-754 bit patterns (see `Json::f64_bits`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -45,7 +45,7 @@ impl Json {
     }
 
     /// Encodes an f64 as its hex bit pattern (bit-exact round trip).
-    pub fn f64_bits(x: f64) -> Json {
+    pub(crate) fn f64_bits(x: f64) -> Json {
         Json::Str(format!("{:016x}", x.to_bits()))
     }
 
@@ -54,7 +54,7 @@ impl Json {
     /// else (a plain JSON number, wrong length, uppercase, a `+` sign
     /// `from_str_radix` would tolerate) is `None`, so a lossy decimal can
     /// never masquerade as a bit-exact value.
-    pub fn as_f64_bits(&self) -> Option<f64> {
+    pub(crate) fn as_f64_bits(&self) -> Option<f64> {
         match self {
             Json::Str(s)
                 if s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) =>
@@ -82,7 +82,7 @@ impl Json {
     }
 
     /// Numeric payload, if a number.
-    pub fn as_num(&self) -> Option<f64> {
+    pub(crate) fn as_num(&self) -> Option<f64> {
         match self {
             Json::Num(x) => Some(*x),
             _ => None,
@@ -90,7 +90,7 @@ impl Json {
     }
 
     /// Array payload, if an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub(crate) fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(v) => Some(v),
             _ => None,
@@ -98,7 +98,7 @@ impl Json {
     }
 
     /// Boolean payload, if a bool.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
@@ -162,7 +162,7 @@ impl Json {
     }
 
     /// Parses a JSON document (must consume the full input, nested at most
-    /// [`MAX_DEPTH`] levels).
+    /// `MAX_DEPTH` levels).
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;

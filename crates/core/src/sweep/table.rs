@@ -97,11 +97,6 @@ impl Table {
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows
     }
-
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
 }
 
 /// Convenience: format a float with 3 decimal places.
@@ -118,7 +113,7 @@ mod tests {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(&[&1, &"x"]);
         t.row_strings(vec!["2".into(), "y".into()]);
-        assert_eq!(t.num_rows(), 2);
+        assert_eq!(t.rows().len(), 2);
         assert_eq!(t.header(), &["a".to_string(), "b".to_string()]);
         assert_eq!(t.rows()[1], vec!["2".to_string(), "y".to_string()]);
         t.print();

@@ -88,7 +88,7 @@ impl CutReport {
 
 /// Budget for the capped brute-force estimator (the paper caps it at 10,000
 /// cuts on large networks).
-pub const BRUTE_FORCE_CUT_BUDGET: usize = 10_000;
+pub(crate) const BRUTE_FORCE_CUT_BUDGET: usize = 10_000;
 
 fn better(best: &mut (f64, Vec<bool>), sparsity: f64, cut: &[bool]) {
     if sparsity < best.0 {

@@ -36,7 +36,7 @@ impl<'a> CutEvaluator<'a> {
     }
 
     /// Demand crossing the cut in the more loaded direction.
-    pub fn crossing_demand(&self, in_set: &[bool]) -> f64 {
+    pub(crate) fn crossing_demand(&self, in_set: &[bool]) -> f64 {
         let mut fwd = 0.0;
         let mut rev = 0.0;
         for &(src, dst, amount) in &self.demands {
@@ -62,7 +62,7 @@ impl<'a> CutEvaluator<'a> {
     }
 
     /// True if the cut is a valid bipartition (neither side empty).
-    pub fn is_proper(&self, in_set: &[bool]) -> bool {
+    pub(crate) fn is_proper(&self, in_set: &[bool]) -> bool {
         let k = in_set.iter().filter(|&&b| b).count();
         k > 0 && k < in_set.len()
     }

@@ -18,7 +18,7 @@
 //!
 //! The certificate's scalar claims (`d_l`, `lower`, `upper`) are *derived*
 //! values: at emission time they are computed by the same canonical,
-//! fully-sequential routines ([`derive_claims`]) the verifier runs, **from
+//! fully-sequential routines (`derive_claims`) the verifier runs, **from
 //! the certificate's own stored vectors**, never copied out of the solver's
 //! incremental state. Because both sides run identical IEEE-754 arithmetic
 //! on identical inputs, the verifier compares the scalars *bit for bit*: a

@@ -11,13 +11,13 @@
 //!   for) and its suffix windows are particular weightings; the LP's mix
 //!   forgets the congestion the uniform-length first phases pile up and
 //!   closes the gap in about 20 % fewer phases than the best of those (see
-//!   [`phase`]), and
+//!   the `phase` module), and
 //! * a **dual upper bound** `D(l)/alpha(l)`, valid for any non-negative
 //!   lengths by LP duality, evaluated on the current length function and on
 //!   a **window average of the normalised iterates** `l / D(l)`, which is
 //!   where the multiplicative-weights analysis actually converges: the last
 //!   iterate's bound bounces by about ±1 % per evaluation on sparse TMs, the
-//!   average does not (see [`phase`]) — each only when the paths the solve
+//!   average does not (see `phase`) — each only when the paths the solve
 //!   already holds say its sweep could close the gap,
 //!
 //! and stops as soon as the two are within `target_gap` of each other, or when
@@ -28,22 +28,29 @@
 //!
 //! ## Layout
 //!
-//! * [`phase`] — the phase loop: owns the multiplicative-weights length
-//!   state ([`crate::MwuLengths`]), routes every source once per phase and
-//!   runs the bound-evaluation cadence;
-//! * [`blocks`] — the flow blocks and the LP that mixes them into the
+//! * `phase` — the solve in three parts: setup, the phase loop (every source
+//!   routed once per phase, bound evaluations on a fixed cadence) and the
+//!   closing evaluation; the bound bookkeeping and the dual sweeps;
+//! * `blocks` — the flow blocks and the LP that mixes them into the
 //!   feasible bound;
-//! * [`route`] — the two per-source routing kernels (known-path loop for a
-//!   single destination, aggregated bottom-up tree for several), the tree
+//! * `route` — the per-solve context `RouteCtx` (the instance and its
+//!   demand tables), the two per-source routing kernels (known-path loop for
+//!   a single destination, aggregated bottom-up tree for several), the tree
 //!   computation and the goal-direction potential rows.
+//!
+//! A solve passes two values around: the read-only `RouteCtx`, and the
+//! [`SolverWorkspace`], which holds everything the solve mutates — lengths,
+//! SSSP scratch, the kernels' buffers, potential rows, held paths, the flow
+//! per arc and per commodity and the [`SolveStats`] counters. The kernels and
+//! the bound evaluation take `(ctx, what the call is about, ws)`.
 //!
 //! Every solve runs **one serial trajectory**: source by source, lengths
 //! updated in place. Parallelism lives one layer up (the sweep engine spreads
 //! cells, and a relative cell's 1+k solves, over the shared pool) and in the
-//! two read-only fan-outs below. Intra-solve batching of the routing itself
-//! (fixed rounds, work-stealing chunks, bounded staleness) was built, measured
-//! slower than this trajectory on every shape at one and two workers, and
-//! removed — CHANGES.md (PR 14) keeps the numbers.
+//! read-only sweeps of a bound evaluation below. Intra-solve batching of the
+//! routing itself (fixed rounds, work-stealing chunks, bounded staleness) was
+//! built, measured slower than this trajectory on every shape at one and two
+//! workers, and removed; CHANGES.md keeps the numbers.
 //!
 //! ## Hot-path machinery
 //!
@@ -54,11 +61,12 @@
 //! * arcs live in a CSR view ([`FlowProblem::csr`]); no nested adjacency
 //!   vectors are chased,
 //! * all per-iteration state (Dijkstra arrays and heap, remaining demand,
-//!   the tree kernel's per-node buffers, the known paths) lives in a
-//!   [`SolverWorkspace`] that is allocated once and reset in O(1) via
-//!   generation counters (the known paths in O(sources), at the start of
-//!   every solve); parallel regions lease per-worker scratch from the
-//!   workspace's [`tb_graph::SsspPool`] instead of allocating,
+//!   the tree kernel's per-node buffers, the known paths) lives in the
+//!   [`SolverWorkspace`], allocated once and reset in O(1) via generation
+//!   counters (the known paths in O(sources), at the start of every solve).
+//!   A sweep that fans out gives each block of sources a fresh SSSP
+//!   workspace; it fans out only past [`PAR_MIN_SWEEP_WORK`] (sources ×
+//!   arcs), where that allocation is small beside the block's searches,
 //! * every SSSP call passes the source's destination set, so Dijkstra stops
 //!   as soon as the last relevant node is settled,
 //! * **reuse under the slack**: after a capacity-limited step a source routes
@@ -84,7 +92,7 @@
 //!   single-destination source, the last routed tree per multi-destination
 //!   one, never shorter than a shortest path — says the sweep could close
 //!   the gap, which on the `/A2A` pass of `fig05_06` skips every sweep at
-//!   822 of 1,008 evaluations (see [`phase`]). All these sweeps are
+//!   822 of 1,008 evaluations (see `phase`). All these sweeps are
 //!   read-only over the length function and fan out with rayon once the
 //!   instance is large enough to amortize the pool,
 //! * **searches capped by the best known path**: a single-destination
@@ -108,7 +116,10 @@
 //!   single-destination ones stay on Dijkstra, and so do the potential rows:
 //!   repairing a dense row from the tree of its previous derivation was
 //!   bit-identical on the `/1/LM` pass (37,743 re-derivations) but saved no
-//!   more than the run-to-run spread of their ~180 ms.
+//!   more than the run-to-run spread of their ~180 ms. Early exit itself
+//!   stays too: settling the whole graph and repairing for every
+//!   multi-destination source was bit-identical but 3 % slower on the `/A2A`
+//!   pass, its five early-exit cells losing time.
 //!
 //! [`SolveStats::searches`] and [`SolveStats::path_reuses`] count, per solve,
 //! how often a step searched and how often it did not;
@@ -138,7 +149,7 @@
 //! within the pair's distance — while a source's turn needs many steps: each
 //! capacity-limited step multiplies its bottleneck arc by `1 + eps`, which
 //! puts the path just routed past the slack. So such a source routes with
-//! its own loop (`route::route_source_single`): it keeps the last 16 distinct
+//! its own loop (`route_source_single`): it keeps the last 16 distinct
 //! paths its searches returned (a fixed, measured capacity; least recently
 //! routed evicted; kept across phases, emptied per solve), and after a
 //! capacity-limited step routes along the shortest of them under the current
@@ -150,11 +161,9 @@
 //! nothing keyed past the current length of the shortest of them, which
 //! leaves its result bit for bit as it was and took the `/1/LM` pass of
 //! `fig05_06` from 620 to 572 ms (2-core x86 box). One path per step also
-//! means no per-arc availability bookkeeping. On the `/1/LM` pass this
-//! answers 64 % of the in-turn re-searches (searches 922,860 → 453,471;
-//! `HyperX/1/LM` 120,753 → 54,422 at an unchanged 260 phases — 152 phases
-//! and 34,395 searches since the averaged dual bound closes its gap and
-//! evaluations skip the sweeps that cannot).
+//! means no per-arc availability bookkeeping. On the `/1/LM` pass the known
+//! paths answer 64 % of the in-turn re-searches (searches 922,860 → 453,471
+//! when they were introduced).
 //!
 //! That makes searches rarer, not cheaper: between bound evaluations a row
 //! goes stale (every phase grows the lengths by about `1 + eps`, unevenly),
@@ -166,10 +175,10 @@
 //! reverse Dijkstra at the turn's starting lengths: its searches then run on
 //! an exact potential (about 8 settles per search on `HyperX/1/LM`, where
 //! 9,545 of the 9,728 turns re-derive). Rows that never turn dense keep the
-//! bound cadence alone, and a solve in which no row turns dense runs, bit
-//! for bit, the trajectory it had before dense rows existed — as does every
-//! solve without single-destination sources (all-to-all). Across the `/1/LM`
-//! pass of `fig05_06` this took the goal-directed searches' settles from
+//! bound cadence alone; a solve in which no row turns dense — every solve
+//! without single-destination sources (all-to-all) among them — never
+//! re-derives a row at the start of a turn. Across the `/1/LM` pass of
+//! `fig05_06` dense rows took the goal-directed searches' settles from
 //! 4.44 M to 1.75 M at about the same search count.
 //!
 //! ## Aggregated tree routing for sources with several destinations
@@ -198,7 +207,7 @@ mod route;
 use crate::instance::FlowProblem;
 use crate::lengths::MwuLengths;
 use crate::ThroughputBounds;
-use tb_graph::{Graph, SsspPool, SsspWorkspace};
+use tb_graph::{Graph, SsspWorkspace};
 use tb_traffic::TrafficMatrix;
 
 /// Tuning knobs for the FPTAS.
@@ -287,11 +296,11 @@ pub struct SolveStats {
     /// Bound evaluations run, the closing one included.
     pub evaluations: usize,
     /// Evaluations that ran no dual sweep, because the paths the solve held
-    /// showed that neither dual candidate could close the gap (see
-    /// [`phase`]).
+    /// showed that neither dual candidate could close the gap (see the
+    /// module docs).
     pub screened: usize,
     /// Block LP solves run by the bound evaluations: one per round of
-    /// lazily added rows (see [`phase`]).
+    /// lazily added rows.
     pub lp_solves: usize,
     /// Simplex pivots of those LP solves.
     pub lp_pivots: usize,
@@ -305,13 +314,14 @@ pub struct SolveStats {
     pub upper_from_average: bool,
 }
 
-/// Reusable scratch state for [`FleischerSolver`]: the SSSP workspace, the
+/// Everything a [`FleischerSolver`] solve mutates: the SSSP workspace, the
 /// multiplicative-weights length state, the per-iteration buffers, and the
-/// per-worker scratch pool for parallel regions. Sized lazily and reusable
-/// across `solve` calls: once the largest instance has been seen, the buffers
-/// held here stop allocating (per-solve setup such as the `FlowProblem` arc
-/// view and demand tables still allocates), and results are identical to
-/// fresh-workspace runs (see the determinism tests).
+/// per-solve accumulators (flow per arc and per commodity, the counters).
+/// The routing kernels and the bound evaluation take it whole. Sized lazily
+/// and reusable across `solve` calls: once the largest instance has been
+/// seen, the buffers held here stop allocating (per-solve setup such as the
+/// `FlowProblem` arc view and demand tables still allocates), and results are
+/// identical to fresh-workspace runs (see the determinism tests).
 #[derive(Debug, Clone, Default)]
 pub struct SolverWorkspace {
     /// Dijkstra state shared by routing iterations and sequential bound
@@ -334,9 +344,14 @@ pub struct SolverWorkspace {
     /// latest trees of the multi-destination sources, emptied at the start
     /// of every solve.
     held: route::HeldPaths,
-    /// Per-worker SSSP workspaces leased by the parallel bound sweeps and
-    /// potential refreshes.
-    sweep_pool: SsspPool,
+    /// Flow routed per arc since the start of the solve.
+    flow_arc: Vec<f64>,
+    /// Demand routed per commodity since the start of the solve, per source
+    /// in destination order.
+    routed: Vec<Vec<f64>>,
+    /// The solve's counters; the kernels count their searches, repairs,
+    /// reuses, settles and row re-derivations, the evaluations the rest.
+    stats: SolveStats,
 }
 
 impl SolverWorkspace {
@@ -349,8 +364,8 @@ impl SolverWorkspace {
 
 /// Fan SSSP sweeps out to the thread pool only when `sweeps * num_arcs`
 /// clears this much work — below it, pool handoff costs more than it saves.
-/// Public so the regression test that compares the pooled and inline sweeps
-/// can assert its instance is on the pooled side.
+/// Public so the regression test that compares the fanned-out and inline
+/// sweeps can assert its instance is on the fanned-out side.
 pub const PAR_MIN_SWEEP_WORK: usize = 1 << 17;
 
 /// A throughput solve's full result: the bracketing bounds, the convergence
@@ -368,9 +383,9 @@ pub struct SolveOutcome {
     /// disconnected-demands-dropped.
     pub status: crate::SolveStatus,
     /// The optimality certificate for the solved instance. When demands
-    /// were dropped ([`SolveStatus::DisconnectedDemandsDropped`]
-    /// (crate::SolveStatus::DisconnectedDemandsDropped)), it describes the
-    /// surviving sub-TM — verify it against
+    /// were dropped
+    /// ([`DisconnectedDemandsDropped`](crate::SolveStatus::DisconnectedDemandsDropped)),
+    /// it describes the surviving sub-TM — verify it against
     /// [`crate::drop_disconnected_demands`]' output.
     pub certificate: crate::ThroughputCertificate,
 }

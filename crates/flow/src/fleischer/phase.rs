@@ -1,4 +1,6 @@
-//! The phase loop: owns the multiplicative-weights trajectory.
+//! The solve in three parts: setup (demand scaling, the context, the
+//! workspace reset), the phase loop that owns the multiplicative-weights
+//! trajectory, and the closing bound evaluation with its trace line.
 //!
 //! A *phase* routes every source's full (pre-scaled) demand once, source by
 //! source, lengths updated in place — the classical Fleischer trajectory.
@@ -37,15 +39,16 @@
 //! never screened. Routing, lengths and flows are untouched, so a solve runs
 //! its trajectory to the exit; what moves is which evaluation finds the
 //! bound that closes the gap, and the reported upper bound.
-//! [`SolveStats::screened`] counts the evaluations that ran no sweep. Seed 1,
-//! `--scenario all --no-cache` against the rule this replaced (below):
-//! 73,455 → 73,043 phases, 7.75 M → 7.00 M searches, the same six saturated
-//! solves; the `/A2A` pass of `fig05_06` 4,044 → 4,032 phases and 245,807 →
-//! 207,208 searches, 822 of its 1,008 evaluations screened.
+//! [`SolveStats::screened`] counts the evaluations that ran no sweep. Against
+//! the rule the screen replaced (run the averaged sweep when the last iterate
+//! did not improve the best bound), seed 1, `--scenario all --no-cache`:
+//! 73,455 → 73,043 phases and 7.75 M → 7.00 M searches; the `/A2A` pass of
+//! `fig05_06` ran no sweep at 822 of its 1,008 evaluations.
 //!
-//! The refreshes and the forward sweeps of the two dual bounds
-//! ([`sum_alpha`]) are the only parallel regions (see
-//! [`PAR_MIN_SWEEP_WORK`]); their results do not depend on the thread count.
+//! The refreshes and the one α sweep both dual bounds share ([`sweep_alpha`],
+//! which also counts the trees it repaired) are the only parallel regions
+//! (see [`PAR_MIN_SWEEP_WORK`]); each block of a fan-out runs on an SSSP
+//! workspace of its own, and no result depends on the thread count.
 //!
 //! ## The dual bound and its averaged iterate
 //!
@@ -78,18 +81,14 @@
 //! a solve merely meets its `target_gap` earlier ([`SolveStats::upper_from_average`]
 //! says when the average set the reported bound; a certificate then carries
 //! `l̄` as its dual evidence). Measured facts fixed the rest (seed 1, the
-//! `/1/LM` pass of `fig05_06`, 4,581 phases / 453,471 searches before the
-//! average existed, 2,144 / 198,154 with it): evaluating the average at
-//! *every* evaluation costs the `/A2A` pass +15 % searches for no phase
-//! saved, so it runs only where the held-path screen says it could close the
-//! gap — a rule that also skips the last iterate's sweeps, and against the
-//! "last iterate **did not improve** the best bound" trigger it replaced left
-//! `/1/LM` at 2,148 phases / 181,396 searches (from 2,136 / 195,756);
-//! sampling once per phase instead of once per turn leaves 2,692 phases and
-//! a solve that still saturates; the cumulative average (no window) leaves
-//! 2,807 phases, and the window from the older base 2,340 (whole suite
-//! 77,471 phases / 8.18 M searches / 11 saturated solves against 73,207 /
-//! 7.74 M / 6 from the newest base). None of them is a knob.
+//! `/1/LM` pass of `fig05_06`: 4,581 phases without the average, 2,144 with
+//! it): evaluating the average at *every* evaluation costs the `/A2A` pass
+//! +15 % searches for no phase saved, so it runs only where the held-path
+//! screen says it could close the gap; sampling once per phase instead of
+//! once per turn leaves 2,692 phases and a solve that still saturates; the
+//! cumulative average (no window) leaves 2,807 phases, and the window from
+//! the older base 2,340 (whole suite 77,471 phases / 11 saturated solves
+//! against 73,207 / 6 from the newest base). None of them is a knob.
 //!
 //! ## The feasible lower bound: the best mix of the flow blocks
 //!
@@ -135,24 +134,22 @@
 //! the pass's 331 ms of FPTAS solves (3.5 %; the `/A2A` pass 7 of 968 ms).
 //! Solving at every second or fourth evaluation instead, the others scoring
 //! the last weights, costs that pass 1,700 or 1,772 phases against 1,672 (64
-//! blocks). Against the cumulative and suffix-window bounds this replaced
+//! blocks). Against the cumulative and suffix-window bounds it replaced
 //! (seed 1, `--scenario all --no-cache`): 73,043 → 57,579 phases, 7.00 M →
-//! 5.24 M searches, saturated solves 6 → 1; the `/1/LM` pass 2,148 → 1,676
-//! phases and 181,396 → 136,154 searches, the `/A2A` pass 4,032 → 3,320
-//! phases. Memory: `MAX_BLOCKS × arcs` f64 for the blocks and
-//! `blocks × (rows + blocks)` for the tableau. The blocks only read the
-//! accumulators — routing and the lengths are untouched; a solve merely
-//! meets its `target_gap` earlier.
+//! 5.24 M searches, saturated solves 6 → 1. Memory: `MAX_BLOCKS × arcs` f64
+//! for the blocks and `blocks × (rows + blocks)` for the tableau. The blocks
+//! only read the accumulators — routing and the lengths are untouched; a
+//! solve merely meets its `target_gap` earlier.
 
 use super::blocks::Blocks;
-use super::route::{self, HeldPaths, PotentialRows, RouteCtx, SerialState, TreeSeed};
+use super::route::{self, HeldPaths, PotentialRows, RouteCtx, TreeSeed};
 use super::{FleischerConfig, SolveStats, SolverWorkspace, PAR_MIN_SWEEP_WORK};
 use crate::certificate::{CertCapture, ThroughputCertificate};
 use crate::instance::FlowProblem;
-use crate::lengths::{LengthAverage, MwuLengths};
+use crate::lengths::LengthAverage;
 use crate::ThroughputBounds;
 use rayon::prelude::*;
-use tb_graph::{Graph, SsspPool, SsspWorkspace};
+use tb_graph::{Graph, SsspWorkspace};
 
 /// What [`solve_problem`] hands back to the public entry points.
 pub(super) struct Solved {
@@ -174,34 +171,54 @@ pub(super) fn solve_problem(
     ws: &mut SolverWorkspace,
     want_cert: bool,
 ) -> Solved {
+    let Some((ctx, scale)) = setup(cfg, graph, prob, ws) else {
+        // Trivial exits certify their zero with empty evidence at the
+        // instance's real dimensions: zero flow, zero served amounts, unit
+        // lengths (under which a disconnected pair drives the dual bound to
+        // an exact zero).
+        let m = prob.num_arcs();
+        return Solved {
+            bounds: ThroughputBounds::exact(0.0),
+            stats: SolveStats {
+                converged: true,
+                ..SolveStats::default()
+            },
+            cert: want_cert.then(|| {
+                let commodities = prob.sources().iter().map(|s| s.dests.len()).sum();
+                ThroughputCertificate::build(
+                    prob,
+                    vec![0.0; m],
+                    vec![0.0; commodities],
+                    vec![1.0; m],
+                )
+            }),
+            #[cfg(test)]
+            blocks: Blocks::default(),
+        };
+    };
+    // Best bracket, flow blocks, averaged lengths and certificate capture.
+    let commodities = ws.routed.iter().map(Vec::len).sum();
+    let mut best = BestBounds::new(prob.num_nodes(), prob.num_arcs(), commodities, want_cert);
+    let gap_exit = run_phases(cfg, &ctx, &mut best, ws);
+    close(cfg, &ctx, best, gap_exit, ws, scale)
+}
+
+/// Readies `ws` for a solve of `prob` and returns its context and demand
+/// scale, or `None` when the throughput is trivially zero (no arc, or a
+/// disconnected demand pair).
+fn setup<'a>(
+    cfg: &FleischerConfig,
+    graph: &Graph,
+    prob: &'a FlowProblem,
+    ws: &mut SolverWorkspace,
+) -> Option<(RouteCtx<'a>, f64)> {
     let n = prob.num_nodes();
     let m = prob.num_arcs();
     let eps = cfg.epsilon;
     assert!(eps > 0.0 && eps < 0.5, "epsilon must be in (0, 0.5)");
-    // Trivial exits certify their zero with empty evidence at the
-    // instance's real dimensions: zero flow, zero served amounts, unit
-    // lengths (under which a disconnected pair drives the dual bound to an
-    // exact zero).
-    let trivial = || Solved {
-        bounds: ThroughputBounds::exact(0.0),
-        stats: SolveStats {
-            converged: true,
-            ..SolveStats::default()
-        },
-        cert: want_cert.then(|| {
-            let commodities = prob.sources().iter().map(|s| s.dests.len()).sum();
-            ThroughputCertificate::build(prob, vec![0.0; m], vec![0.0; commodities], vec![1.0; m])
-        }),
-        #[cfg(test)]
-        blocks: Blocks::default(),
-    };
     if m == 0 {
-        return trivial();
+        return None;
     }
-    // Set TB_SOLVER_TRACE=1 to print per-solve convergence counters when
-    // tuning the kernel.
-    let trace = std::env::var_os("TB_SOLVER_TRACE").is_some();
-
     // Pre-scale demands so the scaled optimum is near 1; this keeps the
     // phase count predictable regardless of the raw demand magnitudes.
     // The estimate doubles as the reachability check (0 iff some demand
@@ -209,102 +226,77 @@ pub(super) fn solve_problem(
     // instead of the former two.
     let est = prob.volumetric_estimate(graph);
     if est <= 0.0 {
-        return trivial();
+        return None;
     }
     let scale = est.max(1e-12);
     // Reuse a tree or known path across a source's capacity-limited steps
     // while its current length is within this factor of a lower bound on the
     // current distance; a quarter step keeps routed paths well inside the
     // slack the analysis absorbs.
-    let reuse_slack = 1.0 + 0.25 * eps;
-    let tables = DemandTables::new(prob, scale);
-    let ctx = tables.ctx(prob, reuse_slack);
+    let ctx = RouteCtx::new(prob, scale, 1.0 + 0.25 * eps);
 
-    let SolverWorkspace {
-        sssp,
-        remaining,
-        mwu,
-        potentials,
-        subtree,
-        cur_len,
-        held,
-        sweep_pool,
-    } = ws;
-    // A zero `check_interval` would otherwise silently disable every
-    // mid-run bound evaluation (and with it early termination).
-    let check_interval = cfg.check_interval.max(1);
-
-    let mut stats = SolveStats::default();
-
-    let mut flow_arc = vec![0.0f64; m];
-    let mut routed: Vec<Vec<f64>> = ctx.demands.iter().map(|d| vec![0.0; d.len()]).collect();
-    // Best bracket, flow blocks, averaged lengths and certificate capture.
-    let commodities = routed.iter().map(Vec::len).sum();
-    let mut best = BestBounds::new(n, m, commodities, want_cert);
-
-    mwu.reset(eps, prob.arc_caps());
-    held.reset(&ctx);
+    ws.stats = SolveStats::default();
+    ws.flow_arc.clear();
+    ws.flow_arc.resize(m, 0.0);
+    ws.routed.resize_with(ctx.demands.len(), Vec::new);
+    for (routed, demands) in ws.routed.iter_mut().zip(&ctx.demands) {
+        routed.clear();
+        routed.resize(demands.len(), 0.0);
+    }
+    ws.mwu.reset(eps, prob.arc_caps());
+    ws.held.reset(&ctx);
     // The rows every search of the first `check_interval` phases is
     // directed by (none is dense yet); each bound evaluation refreshes them
     // from then on.
-    potentials.reset(ctx.num_single, n);
-    potentials.refresh(&ctx, mwu.lens(), false, sssp, sweep_pool);
+    ws.potentials.reset(ctx.num_single, n);
+    ws.potentials
+        .refresh(&ctx, ws.mwu.lens(), false, &mut ws.sssp);
     // The tree kernel's per-node buffers, for sources with several
     // destinations.
     if ctx.num_single < prob.sources().len() {
-        subtree.clear();
-        subtree.resize(n, 0.0);
-        cur_len.clear();
-        cur_len.resize(n, 0.0);
+        ws.subtree.clear();
+        ws.subtree.resize(n, 0.0);
+        ws.cur_len.clear();
+        ws.cur_len.resize(n, 0.0);
     }
+    Some((ctx, scale))
+}
 
+/// Runs phases until the bound gap closes, `D(l)` saturates or the phase
+/// budget runs out, with a bound evaluation every `check_interval` phases.
+/// Returns whether it stopped on the gap, right after an evaluation.
+fn run_phases(
+    cfg: &FleischerConfig,
+    ctx: &RouteCtx<'_>,
+    best: &mut BestBounds,
+    ws: &mut SolverWorkspace,
+) -> bool {
+    // A zero `check_interval` would otherwise silently disable every
+    // mid-run bound evaluation (and with it early termination).
+    let check_interval = cfg.check_interval.max(1);
     let mut phase = 0usize;
-    // Set by the exit taken right after a bound evaluation (so the closing
-    // evaluation below would recompute the same bounds).
     let mut gap_exit = false;
-    'phases: while phase < cfg.max_phases && !mwu.saturated() {
-        for (si, routed_si) in routed.iter_mut().enumerate() {
-            if mwu.saturated() {
+    'phases: while phase < cfg.max_phases && !ws.mwu.saturated() {
+        for si in 0..ctx.demands.len() {
+            if ws.mwu.saturated() {
                 break 'phases;
             }
-            let mut state = SerialState {
-                mwu: &mut *mwu,
-                flow_arc: &mut flow_arc,
-                remaining: &mut *remaining,
-                subtree: &mut subtree[..],
-                cur_len: &mut cur_len[..],
-                sssp: &mut *sssp,
-                known: &mut held.known,
-                trees: &held.trees,
-                stats: &mut stats,
-            };
             // The kernel follows from the source's destination count.
             let ok = if ctx.single_dest[si].is_some() {
-                route::route_source_single(&ctx, si, potentials, &mut state, routed_si)
+                route::route_source_single(ctx, si, ws)
             } else {
-                let ok = route::route_source_tree(&ctx, si, &mut state, routed_si);
-                held.hold_tree(si, sssp);
+                let ok = route::route_source_tree(ctx, si, ws);
+                ws.held.hold_tree(si, &ws.sssp);
                 ok
             };
             if !ok {
                 break 'phases;
             }
-            best.avg.sample(mwu);
+            best.avg.sample(&ws.mwu);
         }
         phase += 1;
         if phase.is_multiple_of(check_interval) {
-            best.evaluate(
-                &ctx,
-                Some(cfg.target_gap),
-                potentials,
-                held,
-                &routed,
-                &flow_arc,
-                mwu,
-                sssp,
-                sweep_pool,
-                &mut stats,
-            );
+            best.evaluate(ctx, Some(cfg.target_gap), ws);
             if best.upper.is_finite() && best.gap() <= cfg.target_gap {
                 gap_exit = true;
                 break 'phases;
@@ -314,16 +306,24 @@ pub(super) fn solve_problem(
             }
         }
     }
-    stats.phases = phase;
+    ws.stats.phases = phase;
+    gap_exit
+}
 
-    // Closing bound evaluation (unless the exit was taken right after one),
-    // never screened: its bounds are the ones reported.
+/// The closing bound evaluation (unless the exit was taken right after one),
+/// the published bracket in original demand units, and the trace line.
+fn close(
+    cfg: &FleischerConfig,
+    ctx: &RouteCtx<'_>,
+    mut best: BestBounds,
+    gap_exit: bool,
+    ws: &mut SolverWorkspace,
+    scale: f64,
+) -> Solved {
+    // Never screened: its bounds are the ones reported.
     if !gap_exit {
-        best.evaluate(
-            &ctx, None, potentials, held, &routed, &flow_arc, mwu, sssp, sweep_pool, &mut stats,
-        );
+        best.evaluate(ctx, None, ws);
     }
-    stats.blocks = best.blocks.len();
     // An unbounded dual (no commodity needs capacity) falls back to the
     // feasible value; so does a dual that rounding left a few ulps under it
     // (a non-blocking fat tree under LM: `lower = 1`, `D(l)/alpha(l)` =
@@ -333,11 +333,25 @@ pub(super) fn solve_problem(
     } else {
         best.lower
     };
+    let stats = &mut ws.stats;
+    stats.blocks = best.blocks.len();
+    // Converged = the accuracy contract held when the loop ended: either the
+    // classical FPTAS termination (`D(l) >= 1`, the (1±ε) guarantee) or the
+    // target bound gap. A solve that merely ran out of its phase budget
+    // reports `converged: false`, which the outcome layer maps to
+    // `SolveStatus::BudgetExhausted`.
+    let saturated = ws.mwu.saturated();
+    stats.converged = saturated || best.upper <= 0.0 || best.gap() <= cfg.target_gap;
 
-    if trace {
+    // Set TB_SOLVER_TRACE=1 to print per-solve convergence counters when
+    // tuning the kernel.
+    if std::env::var_os("TB_SOLVER_TRACE").is_some() {
         eprintln!(
-            "TB_SOLVER_TRACE n={n} m={m} sources={} phases={phase} searches={} repairs={} path_reuses={} row_refreshes={} settles={} evals={} screened={} lp_solves={} lp_pivots={} blocks={} d_l={:.3e} exit={} upper={}",
-            prob.sources().len(),
+            "TB_SOLVER_TRACE n={} m={} sources={} phases={} searches={} repairs={} path_reuses={} row_refreshes={} settles={} evals={} screened={} lp_solves={} lp_pivots={} blocks={} d_l={:.3e} exit={} upper={}",
+            ctx.prob.num_nodes(),
+            ctx.prob.num_arcs(),
+            ctx.prob.sources().len(),
+            stats.phases,
             stats.searches,
             stats.repairs,
             stats.path_reuses,
@@ -348,10 +362,10 @@ pub(super) fn solve_problem(
             stats.lp_solves,
             stats.lp_pivots,
             stats.blocks,
-            mwu.d_l(),
+            ws.mwu.d_l(),
             if gap_exit {
                 "gap"
-            } else if mwu.saturated() {
+            } else if saturated {
                 "saturated"
             } else {
                 "phase-budget"
@@ -364,12 +378,6 @@ pub(super) fn solve_problem(
         );
     }
 
-    // Converged = the accuracy contract held when the loop ended: either the
-    // classical FPTAS termination (`D(l) >= 1`, the (1±ε) guarantee) or the
-    // target bound gap. A solve that merely ran out of its phase budget
-    // reports `converged: false`, which the outcome layer maps to
-    // `SolveStatus::BudgetExhausted`.
-    stats.converged = mwu.saturated() || best.upper <= 0.0 || best.gap() <= cfg.target_gap;
     // Undo the demand pre-scaling: bounds computed for demands d*scale are
     // 1/scale times the bounds for d. The certificate needs no scale field:
     // its flow and served amounts are absolute, so the canonical claims come
@@ -379,72 +387,10 @@ pub(super) fn solve_problem(
             lower: best.lower * scale,
             upper: best.upper * scale,
         },
-        stats,
-        cert: best.capture.map(|cap| cap.into_certificate(prob)),
+        stats: *stats,
+        cert: best.capture.map(|cap| cap.into_certificate(ctx.prob)),
         #[cfg(test)]
         blocks: best.blocks,
-    }
-}
-
-/// The per-solve tables a [`RouteCtx`] borrows.
-struct DemandTables {
-    demands: Vec<Vec<f64>>,
-    targets: Vec<Vec<usize>>,
-    single_dest: Vec<Option<usize>>,
-    pot_rows: Vec<usize>,
-    num_single: usize,
-}
-
-impl DemandTables {
-    /// Builds the tables for `prob` with every demand multiplied by `scale`.
-    fn new(prob: &FlowProblem, scale: f64) -> Self {
-        let sources = prob.sources();
-        // Goal-direction bookkeeping: sources with exactly one destination
-        // get an A* potential row (see module docs), numbered in source order.
-        let single_dest: Vec<Option<usize>> = sources
-            .iter()
-            .map(|s| match s.dests[..] {
-                [(dst, _)] => Some(dst),
-                _ => None,
-            })
-            .collect();
-        let mut num_single = 0usize;
-        let pot_rows = single_dest
-            .iter()
-            .map(|d| {
-                if d.is_some() {
-                    num_single += 1;
-                    num_single - 1
-                } else {
-                    usize::MAX
-                }
-            })
-            .collect();
-        DemandTables {
-            demands: sources
-                .iter()
-                .map(|s| s.dests.iter().map(|&(_, d)| d * scale).collect())
-                .collect(),
-            targets: sources
-                .iter()
-                .map(|s| s.dests.iter().map(|&(dst, _)| dst).collect())
-                .collect(),
-            single_dest,
-            pot_rows,
-            num_single,
-        }
-    }
-
-    fn ctx<'a>(&'a self, prob: &'a FlowProblem, reuse_slack: f64) -> RouteCtx<'a> {
-        RouteCtx {
-            prob,
-            demands: &self.demands,
-            targets: &self.targets,
-            single_dest: &self.single_dest,
-            pot_rows: &self.pot_rows,
-            num_single: self.num_single,
-            reuse_slack,
-        }
     }
 }
 
@@ -508,7 +454,7 @@ impl BestBounds {
         !closes(self.upper) && (held_up <= 0.0 || closes(held_up))
     }
 
-    /// Evaluates both bounds on the current state and folds them into the
+    /// Evaluates both bounds on the state in `ws` and folds them into the
     /// best bracket. The feasible side comes first: the flow routed since the
     /// previous evaluation closes a block, and the block LP re-weights the
     /// blocks. Then each dual candidate — the current lengths `l` and the
@@ -517,82 +463,63 @@ impl BestBounds {
     /// ([`HeldPaths::alpha`], a lower bound on the value the sweep finds)
     /// could close the gap to `target_gap`; `None`, at the closing
     /// evaluation, runs both. The rows that are not dense are re-derived
-    /// either way, since routing reads them. `stats` counts the evaluation,
-    /// whether it was screened, the forward searches, the LP solves and
-    /// pivots, and which candidate set the reported upper bound.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate(
-        &mut self,
-        ctx: &RouteCtx<'_>,
-        target_gap: Option<f64>,
-        potentials: &mut PotentialRows,
-        held: &HeldPaths,
-        routed: &[Vec<f64>],
-        flow_arc: &[f64],
-        mwu: &MwuLengths,
-        sssp: &mut SsspWorkspace,
-        pool: &SsspPool,
-        stats: &mut SolveStats,
-    ) {
-        stats.evaluations += 1;
-        self.fold_primal(ctx, routed, flow_arc, mwu.caps(), stats);
-        potentials.refresh(ctx, mwu.lens(), false, sssp, pool);
-        let num_sources = ctx.prob.sources().len();
+    /// either way, since routing reads them. The counters in `ws` record the
+    /// evaluation, whether it was screened, the forward searches, the LP
+    /// solves and pivots, and which candidate set the reported upper bound.
+    fn evaluate(&mut self, ctx: &RouteCtx<'_>, target_gap: Option<f64>, ws: &mut SolverWorkspace) {
+        ws.stats.evaluations += 1;
+        self.fold_primal(ctx, ws);
+        ws.potentials
+            .refresh(ctx, ws.mwu.lens(), false, &mut ws.sssp);
         let mut swept = false;
 
-        let held_alpha = held.alpha(ctx, mwu.lens(), Some(potentials), &mut self.node_len);
-        if self.worth_sweeping(mwu.dual_bound(held_alpha * HELD_ALPHA_MARGIN), target_gap) {
+        let held_alpha =
+            ws.held
+                .alpha(ctx, ws.mwu.lens(), Some(&ws.potentials), &mut self.node_len);
+        if self.worth_sweeping(
+            ws.mwu.dual_bound(held_alpha * HELD_ALPHA_MARGIN),
+            target_gap,
+        ) {
             swept = true;
-            let up = dual_bound(ctx, potentials, held, mwu, sssp, pool);
-            stats.searches += num_sources - ctx.num_single;
-            stats.repairs += held.repairable(ctx);
+            let up = dual_bound(ctx, ws);
             if up < self.upper {
                 self.upper = up;
-                stats.upper_from_average = false;
+                ws.stats.upper_from_average = false;
                 if let Some(cap) = self.capture.as_mut() {
-                    cap.observe_dual(mwu.lens());
+                    cap.observe_dual(ws.mwu.lens());
                 }
             }
         }
 
         self.avg
             .window(self.len_base.as_deref(), &mut self.avg_lens);
-        let held_alpha = held.alpha(ctx, &self.avg_lens, None, &mut self.node_len);
+        let held_alpha = ws.held.alpha(ctx, &self.avg_lens, None, &mut self.node_len);
         let held_up = ratio(volume(ctx, &self.avg_lens), held_alpha * HELD_ALPHA_MARGIN);
         if self.worth_sweeping(held_up, target_gap) {
             swept = true;
-            let up = averaged_dual_bound(ctx, &self.avg_lens, held, sssp, pool);
-            stats.searches += num_sources;
-            stats.repairs += held.repairable(ctx);
+            let up = averaged_dual_bound(ctx, &self.avg_lens, ws);
             if up < self.upper {
                 self.upper = up;
-                stats.upper_from_average = true;
+                ws.stats.upper_from_average = true;
                 if let Some(cap) = self.capture.as_mut() {
                     cap.observe_dual(&self.avg_lens);
                 }
             }
         }
-        stats.screened += usize::from(!swept);
+        ws.stats.screened += usize::from(!swept);
     }
 
     /// Closes the block routed since the previous evaluation, re-weights the
     /// blocks by the block LP and folds the feasible value of the mix into
     /// the best lower bound.
-    fn fold_primal(
-        &mut self,
-        ctx: &RouteCtx<'_>,
-        routed: &[Vec<f64>],
-        flow_arc: &[f64],
-        caps: &[f64],
-        stats: &mut SolveStats,
-    ) {
-        self.blocks.close(flow_arc, routed, ctx.demands);
-        let mix = self.blocks.solve(caps, stats);
+    fn fold_primal(&mut self, ctx: &RouteCtx<'_>, ws: &mut SolverWorkspace) {
+        self.blocks.close(&ws.flow_arc, &ws.routed, &ctx.demands);
+        let mix = self.blocks.solve(ws.mwu.caps(), &mut ws.stats);
         if mix.value > self.lower {
             self.lower = mix.value;
             if let Some(cap) = self.capture.as_mut() {
                 let ratio = self.blocks.served_ratio();
-                cap.observe_primal(self.blocks.load(), ctx.demands, ratio, mix.mu);
+                cap.observe_primal(self.blocks.load(), &ctx.demands, ratio, mix.mu);
             }
         }
     }
@@ -616,27 +543,15 @@ impl BestBounds {
 /// exact distances *to* its destination, so a single-destination source's
 /// term of `alpha(l)` is `demand × row[src]`, read off with no search of its
 /// own. Only multi-destination sources need a shortest-path tree
-/// ([`sum_alpha`]).
-fn dual_bound(
-    ctx: &RouteCtx<'_>,
-    potentials: &mut PotentialRows,
-    held: &HeldPaths,
-    mwu: &MwuLengths,
-    sssp: &mut SsspWorkspace,
-    pool: &SsspPool,
-) -> f64 {
-    let n = ctx.prob.num_nodes();
-    potentials.refresh(ctx, mwu.lens(), true, sssp, pool);
-    let potentials = &*potentials;
-    let searches = ctx.prob.sources().len() - ctx.num_single;
-    let alpha = sum_alpha(ctx, searches, sssp, pool, |sw, si| {
-        if ctx.single_dest[si].is_some() {
-            let src = ctx.prob.sources()[si].src;
-            return ctx.demands[si][0] * potentials.row(ctx.pot_rows[si], n)[src];
-        }
-        tree_alpha(ctx, si, mwu.lens(), held, sw)
-    });
-    mwu.dual_bound(alpha)
+/// ([`sweep_alpha`]).
+fn dual_bound(ctx: &RouteCtx<'_>, ws: &mut SolverWorkspace) -> f64 {
+    ws.potentials
+        .refresh(ctx, ws.mwu.lens(), true, &mut ws.sssp);
+    let rows = Some(&ws.potentials);
+    let (alpha, repairs) = sweep_alpha(ctx, ws.mwu.lens(), rows, &ws.held, &mut ws.sssp);
+    ws.stats.searches += ctx.prob.sources().len() - ctx.num_single;
+    ws.stats.repairs += repairs;
+    ws.mwu.dual_bound(alpha)
 }
 
 /// The dual upper bound `D(l̄) / alpha(l̄)` at an arbitrary non-negative
@@ -644,17 +559,10 @@ fn dual_bound(
 /// (see the module docs). No potential rows exist at `l̄`, so every source
 /// runs one early-exit forward search, and `D` is summed fresh in arc order.
 /// Infinite when `alpha` is not positive (an empty window is all zeros).
-fn averaged_dual_bound(
-    ctx: &RouteCtx<'_>,
-    lens: &[f64],
-    held: &HeldPaths,
-    sssp: &mut SsspWorkspace,
-    pool: &SsspPool,
-) -> f64 {
-    let searches = ctx.prob.sources().len();
-    let alpha = sum_alpha(ctx, searches, sssp, pool, |sw, si| {
-        tree_alpha(ctx, si, lens, held, sw)
-    });
+fn averaged_dual_bound(ctx: &RouteCtx<'_>, lens: &[f64], ws: &mut SolverWorkspace) -> f64 {
+    let (alpha, repairs) = sweep_alpha(ctx, lens, None, &ws.held, &mut ws.sssp);
+    ws.stats.searches += ctx.prob.sources().len();
+    ws.stats.repairs += repairs;
     ratio(volume(ctx, lens), alpha)
 }
 
@@ -672,56 +580,67 @@ fn ratio(d_l: f64, alpha: f64) -> f64 {
     }
 }
 
-/// Source `si`'s term of `alpha`: its demand-weighted distances under `lens`,
-/// from one forward search (early-exit, or a repair of the tree `held` keeps
-/// for the source).
-fn tree_alpha(
-    ctx: &RouteCtx<'_>,
-    si: usize,
-    lens: &[f64],
-    held: &HeldPaths,
-    sw: &mut SsspWorkspace,
-) -> f64 {
-    route::compute_tree(ctx, si, lens, TreeSeed::Held(held.tree(si)), sw);
-    let dests = &ctx.prob.sources()[si].dests;
-    dests
-        .iter()
-        .zip(&ctx.demands[si])
-        .map(|(&(dst, _), d)| d * sw.dist(dst))
-        .sum()
-}
-
-/// Sums `alpha_of` over the sources, in source order. The sweep is read-only
-/// over the lengths, so once its `searches` forward searches clear
-/// [`PAR_MIN_SWEEP_WORK`] it fans out across threads (each worker leasing its
-/// own SSSP workspace from `pool`), with a fixed summation order keeping the
+/// The α sweep of both dual bounds: `alpha(lens)`, summed in source order,
+/// and how many trees it repaired. A single-destination source's term is
+/// read off its row when `rows` holds rows exact at `lens`; every other
+/// source runs one forward search (early-exit, or a repair of the tree
+/// `held` keeps for it, see [`route::compute_tree`]). The sweep is read-only
+/// over the lengths, so once its forward searches clear
+/// [`PAR_MIN_SWEEP_WORK`] it fans out across threads, each block of sources
+/// on an SSSP workspace of its own, with a fixed summation order keeping the
 /// result independent of thread count.
-fn sum_alpha(
+fn sweep_alpha(
     ctx: &RouteCtx<'_>,
-    searches: usize,
+    lens: &[f64],
+    rows: Option<&PotentialRows>,
+    held: &HeldPaths,
     sssp: &mut SsspWorkspace,
-    pool: &SsspPool,
-    alpha_of: impl Fn(&mut SsspWorkspace, usize) -> f64 + Sync,
-) -> f64 {
-    let num_sources = ctx.prob.sources().len();
+) -> (f64, usize) {
+    let n = ctx.prob.num_nodes();
+    let sources = ctx.prob.sources();
+    let term = |sw: &mut SsspWorkspace, si: usize| -> (f64, bool) {
+        if let (Some(rows), Some(_)) = (rows, ctx.single_dest[si]) {
+            let row = rows.row(ctx.pot_rows[si], n);
+            return (ctx.demands[si][0] * row[sources[si].src], false);
+        }
+        let repaired = route::compute_tree(ctx, si, lens, TreeSeed::Held(held.tree(si)), sw);
+        let alpha = sources[si]
+            .dests
+            .iter()
+            .zip(&ctx.demands[si])
+            .map(|(&(dst, _), d)| d * sw.dist(dst))
+            .sum();
+        (alpha, repaired)
+    };
+    let searches = sources.len() - rows.map_or(0, |_| ctx.num_single);
     if searches * ctx.prob.num_arcs() >= PAR_MIN_SWEEP_WORK && rayon::current_num_threads() > 1 {
-        // Materialize per-source alphas, then sum sequentially in source
+        // Materialize per-source terms, then sum sequentially in source
         // order: the thread-count bit-identity contract must not lean on
         // any rayon implementation's `sum()` reduction order (the vendored
         // stand-in happens to be ordered; real rayon's split tree is not).
-        let per_source: Vec<f64> = (0..num_sources)
+        let per_source: Vec<(f64, bool)> = (0..sources.len())
             .into_par_iter()
-            .map_init(|| pool.lease(), |sw, si| alpha_of(sw, si))
+            .map_init(SsspWorkspace::new, term)
             .collect();
-        per_source.iter().sum()
+        let alpha = per_source.iter().map(|&(alpha, _)| alpha).sum();
+        (alpha, per_source.iter().filter(|&&(_, r)| r).count())
     } else {
-        (0..num_sources).map(|si| alpha_of(sssp, si)).sum()
+        let mut repairs = 0;
+        let alpha = (0..sources.len())
+            .map(|si| {
+                let (alpha, repaired) = term(sssp, si);
+                repairs += usize::from(repaired);
+                alpha
+            })
+            .sum();
+        (alpha, repairs)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lengths::MwuLengths;
 
     #[test]
     fn dual_bound_read_off_the_refreshed_rows_equals_the_forward_searches() {
@@ -741,34 +660,28 @@ mod tests {
         };
         let mut ws = SolverWorkspace::new();
         solve_problem(&cfg, &topo.graph, &prob, &mut ws, false);
-        let tables = DemandTables::new(&prob, 1.0);
-        let ctx = tables.ctx(&prob, 1.0);
+        let ctx = RouteCtx::new(&prob, 1.0, 1.0);
         assert_eq!(ctx.num_single, 160);
-        let SolverWorkspace {
-            mwu,
-            potentials,
-            held,
-            sssp,
-            sweep_pool,
-            ..
-        } = &mut ws;
-        assert!(mwu.lens().iter().any(|&l| l != mwu.lens()[0]));
+        let lens = ws.mwu.lens();
+        assert!(lens.iter().any(|&l| l != lens[0]));
 
         // alpha(l) the way the previous sweep computed it: one forward
         // search per source.
         let mut alpha = 0.0;
-        for (s, demands) in prob.sources().iter().zip(ctx.demands) {
+        let mut sssp = SsspWorkspace::new();
+        for (s, demands) in prob.sources().iter().zip(&ctx.demands) {
             let dst = s.dests[0].0;
-            tb_graph::sssp_csr(prob.csr(), s.src, mwu.lens(), Some(&[dst]), sssp);
+            tb_graph::sssp_csr(prob.csr(), s.src, lens, Some(&[dst]), &mut sssp);
             alpha += demands[0] * sssp.dist(dst);
         }
-        let forward = mwu.dual_bound(alpha);
+        let forward = ws.mwu.dual_bound(alpha);
 
         // An evaluation's sequence: the rows that are not dense first, then
         // the bound, which re-derives the dense ones.
         let mut evaluate = || {
-            potentials.refresh(&ctx, mwu.lens(), false, sssp, sweep_pool);
-            dual_bound(&ctx, potentials, held, mwu, sssp, sweep_pool)
+            ws.potentials
+                .refresh(&ctx, ws.mwu.lens(), false, &mut ws.sssp);
+            dual_bound(&ctx, &mut ws)
         };
         let queued_before = rayon::pool::stats().jobs;
         let pooled = evaluate();
@@ -814,19 +727,13 @@ mod tests {
 
             // Independently: `D` summed fresh, one plain full Dijkstra per
             // source.
-            let tables = DemandTables::new(&prob, 1.0);
-            let ctx = tables.ctx(&prob, 1.0);
-            let SolverWorkspace {
-                held,
-                sssp,
-                sweep_pool,
-                ..
-            } = &mut ws;
+            let ctx = RouteCtx::new(&prob, 1.0, 1.0);
             let d_l: f64 = prob.arcs().iter().zip(&lens).map(|(a, l)| a.cap * l).sum();
             assert!((d_l - 2.0).abs() < 1e-9, "two samples of D = 1, got {d_l}");
             let mut alpha = 0.0;
+            let mut sssp = SsspWorkspace::new();
             for s in prob.sources() {
-                tb_graph::sssp_csr(prob.csr(), s.src, &lens, None, sssp);
+                tb_graph::sssp_csr(prob.csr(), s.src, &lens, None, &mut sssp);
                 for &(dst, demand) in &s.dests {
                     alpha += demand * sssp.dist(dst);
                 }
@@ -834,9 +741,9 @@ mod tests {
             let independent = d_l / alpha;
 
             let queued_before = rayon::pool::stats().jobs;
-            let pooled = averaged_dual_bound(&ctx, &lens, held, sssp, sweep_pool);
+            let pooled = averaged_dual_bound(&ctx, &lens, &mut ws);
             assert!(rayon::current_num_threads() == 1 || rayon::pool::stats().jobs > queued_before);
-            let inline = rayon::serial(|| averaged_dual_bound(&ctx, &lens, held, sssp, sweep_pool));
+            let inline = rayon::serial(|| averaged_dual_bound(&ctx, &lens, &mut ws));
             assert_eq!(pooled.to_bits(), inline.to_bits());
             assert!(
                 independent.is_finite() && (pooled - independent).abs() <= 1e-12 * independent,
@@ -848,16 +755,9 @@ mod tests {
             &topo.graph,
             &tb_traffic::synthetic::all_to_all(&topo.servers),
         );
-        let tables = DemandTables::new(&prob, 1.0);
         let mut ws = SolverWorkspace::new();
         let empty = vec![0.0; prob.num_arcs()];
-        let up = averaged_dual_bound(
-            &tables.ctx(&prob, 1.0),
-            &empty,
-            &ws.held,
-            &mut ws.sssp,
-            &ws.sweep_pool,
-        );
+        let up = averaged_dual_bound(&RouteCtx::new(&prob, 1.0, 1.0), &empty, &mut ws);
         assert_eq!(up, f64::INFINITY);
     }
 
@@ -880,8 +780,7 @@ mod tests {
             tb_traffic::synthetic::random_matching(&topo.servers, 2, 5),
         ] {
             let prob = FlowProblem::new(&topo.graph, &tm);
-            let tables = DemandTables::new(&prob, 1.0);
-            let ctx = tables.ctx(&prob, 1.0);
+            let ctx = RouteCtx::new(&prob, 1.0, 1.0);
             let mut ws = SolverWorkspace::new();
             let mut avg = LengthAverage::new(prob.num_arcs());
             let mut base = Vec::new();
@@ -893,45 +792,33 @@ mod tests {
                     ..FleischerConfig::fast()
                 };
                 solve_problem(&cfg, &topo.graph, &prob, &mut ws, false);
-                let SolverWorkspace {
-                    mwu,
-                    potentials,
-                    held,
-                    sssp,
-                    sweep_pool,
-                    ..
-                } = &mut ws;
                 // Lengths grow after the paths were found, as the routing
                 // between two evaluations grows them, which leaves the dense
                 // rows stale: a third of the arcs take one step each.
                 for aid in (0..prob.num_arcs()).step_by(3) {
-                    mwu.apply(aid, mwu.cap(aid));
+                    ws.mwu.apply(aid, ws.mwu.cap(aid));
                 }
-                potentials.refresh(&ctx, mwu.lens(), false, sssp, sweep_pool);
-                let alpha = held.alpha(&ctx, mwu.lens(), Some(potentials), &mut node_len);
-                let held_up = mwu.dual_bound(alpha * HELD_ALPHA_MARGIN);
-                let exact = dual_bound(&ctx, potentials, held, mwu, sssp, sweep_pool);
+                ws.potentials
+                    .refresh(&ctx, ws.mwu.lens(), false, &mut ws.sssp);
+                let rows = Some(&ws.potentials);
+                let alpha = ws.held.alpha(&ctx, ws.mwu.lens(), rows, &mut node_len);
+                let held_up = ws.mwu.dual_bound(alpha * HELD_ALPHA_MARGIN);
+                let exact = dual_bound(&ctx, &mut ws);
                 assert!(
                     0.0 < held_up && held_up <= exact,
                     "{} flows, {max_phases} phases: held {held_up} vs swept {exact}",
                     tm.num_flows()
                 );
-                avg.sample(mwu);
+                avg.sample(&ws.mwu);
                 if base.is_empty() {
                     base.extend_from_slice(avg.sum());
                 }
             }
             let mut lens = Vec::new();
             avg.window(Some(&base), &mut lens);
-            let SolverWorkspace {
-                held,
-                sssp,
-                sweep_pool,
-                ..
-            } = &mut ws;
-            let alpha = held.alpha(&ctx, &lens, None, &mut node_len);
+            let alpha = ws.held.alpha(&ctx, &lens, None, &mut node_len);
             let held_up = ratio(volume(&ctx, &lens), alpha * HELD_ALPHA_MARGIN);
-            let exact = averaged_dual_bound(&ctx, &lens, held, sssp, sweep_pool);
+            let exact = averaged_dual_bound(&ctx, &lens, &mut ws);
             assert!(
                 0.0 < held_up && held_up <= exact,
                 "{} flows, window: held {held_up} vs swept {exact}",

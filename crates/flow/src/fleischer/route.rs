@@ -1,40 +1,42 @@
-//! The per-source routing kernels.
+//! The per-solve context and the per-source routing kernels.
 //!
-//! Two kernels, chosen by the source's destination count (see the module
-//! docs on [`super`]): the known-path loop over goal-directed searches for a
-//! source with one destination ([`route_source_single`]), and the aggregated
-//! bottom-up tree fold for a source with several ([`route_source_tree`]).
-//! Each routes a source's full demand in place, running its own searches and
-//! updating lengths through [`apply_update`] between capacity-limited steps —
-//! the classical Fleischer trajectory.
+//! [`RouteCtx`] owns the demand tables of one solve; the kernels read it and
+//! run in the [`SolverWorkspace`] they are handed. Two kernels, chosen by the
+//! source's destination count (see the module docs on [`super`]): the
+//! known-path loop over goal-directed searches for a source with one
+//! destination ([`route_source_single`]), and the aggregated bottom-up tree
+//! fold for a source with several ([`route_source_tree`]). Each routes a
+//! source's full demand in place, running its own searches, updating lengths
+//! and flows through [`apply_update`] between capacity-limited steps — the
+//! classical Fleischer trajectory — and counting its work in the workspace's
+//! [`SolveStats`](super::SolveStats).
 //!
 //! Tree computation ([`compute_tree`]) and the goal-direction potential rows
 //! ([`PotentialRows`]) are shared with the dual bound evaluation in
 //! [`super::phase`].
 
-use super::{SolveStats, PAR_MIN_SWEEP_WORK};
+use super::{SolverWorkspace, PAR_MIN_SWEEP_WORK};
 use crate::instance::FlowProblem;
 use crate::lengths::{ArcLengths, MwuLengths};
 use rayon::prelude::*;
 use tb_graph::{
-    sssp_csr, sssp_csr_by, sssp_csr_goal, sssp_csr_repair_by, sssp_csr_repair_own_by, SsspPool,
-    SsspWorkspace,
+    sssp_csr, sssp_csr_by, sssp_csr_goal, sssp_csr_repair_by, sssp_csr_repair_own_by, SsspWorkspace,
 };
 
 /// The read-only per-solve context shared by every routing kernel: the
-/// instance, the demand tables, and the goal-direction bookkeeping. One
-/// instance is built per solve and borrowed everywhere, keeping kernel
-/// signatures at "context + what this call mutates".
+/// instance, the demand tables, and the goal-direction bookkeeping. One is
+/// built per solve and borrowed everywhere, keeping kernel signatures at
+/// "context, what the call is about, the workspace it runs in".
 pub(super) struct RouteCtx<'a> {
     pub prob: &'a FlowProblem,
     /// Pre-scaled demands per source (mirrors `prob.sources()` order).
-    pub demands: &'a [Vec<f64>],
+    pub demands: Vec<Vec<f64>>,
     /// Destination node list per source, for early-exit SSSP.
-    pub targets: &'a [Vec<usize>],
+    pub targets: Vec<Vec<usize>>,
     /// The destination of each single-destination source.
-    pub single_dest: &'a [Option<usize>],
+    pub single_dest: Vec<Option<usize>>,
     /// Potential row index per source (`usize::MAX` for multi-dest sources).
-    pub pot_rows: &'a [usize],
+    pub pot_rows: Vec<usize>,
     /// Number of single-destination sources (= potential rows).
     pub num_single: usize,
     /// Reuse slack of the kernels (`1 + eps/4`): a tree or known path is
@@ -43,24 +45,47 @@ pub(super) struct RouteCtx<'a> {
     pub reuse_slack: f64,
 }
 
-/// The mutable solver state threaded through the routing kernels: lengths
-/// (and capacities), accumulated flow, and the scratch buffers. All
-/// fields borrow distinct pieces of the [`super::SolverWorkspace`] (or
-/// per-solve locals), so the kernels can hold several at once.
-pub(super) struct SerialState<'a> {
-    pub mwu: &'a mut MwuLengths,
-    pub flow_arc: &'a mut [f64],
-    pub remaining: &'a mut Vec<f64>,
-    pub subtree: &'a mut [f64],
-    pub cur_len: &'a mut [f64],
-    pub sssp: &'a mut SsspWorkspace,
-    pub known: &'a mut KnownPaths,
-    /// The trees [`HeldPaths`] holds, which the tree kernel repairs the first
-    /// tree of a turn from.
-    pub trees: &'a [Vec<[u32; 2]>],
-    /// The solve's counters; the kernels count their searches, repairs,
-    /// reuses, settles and row re-derivations.
-    pub stats: &'a mut SolveStats,
+impl<'a> RouteCtx<'a> {
+    /// The context of `prob` with every demand multiplied by `scale`.
+    pub(super) fn new(prob: &'a FlowProblem, scale: f64, reuse_slack: f64) -> Self {
+        let sources = prob.sources();
+        // Goal-direction bookkeeping: sources with exactly one destination
+        // get an A* potential row (see module docs), numbered in source order.
+        let single_dest: Vec<Option<usize>> = sources
+            .iter()
+            .map(|s| match s.dests[..] {
+                [(dst, _)] => Some(dst),
+                _ => None,
+            })
+            .collect();
+        let mut num_single = 0usize;
+        let pot_rows = single_dest
+            .iter()
+            .map(|d| {
+                if d.is_some() {
+                    num_single += 1;
+                    num_single - 1
+                } else {
+                    usize::MAX
+                }
+            })
+            .collect();
+        RouteCtx {
+            prob,
+            demands: sources
+                .iter()
+                .map(|s| s.dests.iter().map(|&(_, d)| d * scale).collect())
+                .collect(),
+            targets: sources
+                .iter()
+                .map(|s| s.dests.iter().map(|&(dst, _)| dst).collect())
+                .collect(),
+            single_dest,
+            pot_rows,
+            num_single,
+            reuse_slack,
+        }
+    }
 }
 
 /// Paths kept per single-destination source. Measured on the `/1/LM` pass of
@@ -183,14 +208,6 @@ impl HeldPaths {
     /// empty if it holds none.
     pub(super) fn tree(&self, si: usize) -> &[[u32; 2]] {
         self.trees.get(si).map_or(&[], Vec::as_slice)
-    }
-
-    /// How many of `ctx`'s sources' tree computations repair a held tree
-    /// (see [`compute_tree`]) — those of the sweeps in a bound evaluation.
-    pub(super) fn repairable(&self, ctx: &RouteCtx<'_>) -> usize {
-        (0..ctx.prob.sources().len())
-            .filter(|&si| settles_all(ctx, si) && !self.tree(si).is_empty())
-            .count()
     }
 
     /// Keeps the tree of `sssp`'s last run as source `si`'s.
@@ -322,15 +339,15 @@ fn settles_all(ctx: &RouteCtx<'_>, si: usize) -> bool {
 /// [`compute_tree`] at the current lengths into the routing workspace,
 /// counted: the first search of a turn repairs the tree the source held
 /// since its last turn, a later one the turn's own.
-fn search_tree(ctx: &RouteCtx<'_>, si: usize, first: bool, state: &mut SerialState<'_>) {
-    state.stats.searches += 1;
+fn search_tree(ctx: &RouteCtx<'_>, si: usize, first: bool, ws: &mut SolverWorkspace) {
+    ws.stats.searches += 1;
     let seed = if first {
-        TreeSeed::Held(&state.trees[si])
+        TreeSeed::Held(ws.held.tree(si))
     } else {
         TreeSeed::Own
     };
-    if compute_tree(ctx, si, state.mwu.lens(), seed, state.sssp) {
-        state.stats.repairs += 1;
+    if compute_tree(ctx, si, ws.mwu.lens(), seed, &mut ws.sssp) {
+        ws.stats.repairs += 1;
     }
 }
 
@@ -381,7 +398,7 @@ impl PotentialRows {
 
     /// Re-derives, at the lengths `len`, every row that is dense if `dense`
     /// is set and every row that is not otherwise. Fans out to the pool for
-    /// large instances, each worker leasing an SSSP workspace from `pool`;
+    /// large instances, each block of rows on an SSSP workspace of its own;
     /// row contents do not depend on the thread count. A no-op when no row
     /// qualifies.
     pub(super) fn refresh(
@@ -390,7 +407,6 @@ impl PotentialRows {
         len: &[f64],
         dense: bool,
         sssp: &mut SsspWorkspace,
-        pool: &SsspPool,
     ) {
         let rows = self.dense.iter().filter(|&&d| d == dense).count();
         if rows == 0 {
@@ -417,10 +433,9 @@ impl PotentialRows {
             let jobs: Vec<(&mut [f64], usize)> = jobs.collect();
             let _: Vec<()> = jobs
                 .into_par_iter()
-                .map_init(
-                    || pool.lease(),
-                    |sw, (row, dst)| derive_row(ctx, len, dst, row, sw),
-                )
+                .map_init(SsspWorkspace::new, |sw, (row, dst)| {
+                    derive_row(ctx, len, dst, row, sw)
+                })
                 .collect();
         } else {
             for (row, dst) in jobs {
@@ -477,41 +492,36 @@ fn apply_update(mwu: &mut MwuLengths, flow_arc: &mut [f64], aid: usize, u: f64) 
 /// settled more than `1 / DENSE_SETTLES` of the graph on average makes the
 /// row dense. Returns `false` when `D(l)` saturated mid-source (the caller
 /// breaks the phase loop).
-pub(super) fn route_source_single(
-    ctx: &RouteCtx<'_>,
-    si: usize,
-    potentials: &mut PotentialRows,
-    state: &mut SerialState<'_>,
-    routed_si: &mut [f64],
-) -> bool {
+pub(super) fn route_source_single(ctx: &RouteCtx<'_>, si: usize, ws: &mut SolverWorkspace) -> bool {
     let n = ctx.prob.num_nodes();
     let s = &ctx.prob.sources()[si];
     let dst = s.dests[0].0;
     let mut remaining = ctx.demands[si][0];
+    let routed = &mut ws.routed[si][0];
     if dst == s.src {
         // A self-demand consumes no capacity.
-        routed_si[0] += remaining;
+        *routed += remaining;
         return true;
     }
     let row = ctx.pot_rows[si];
-    if potentials.dense[row] {
-        state.stats.row_refreshes += 1;
-        let values = &mut potentials.values[row * n..(row + 1) * n];
-        derive_row(ctx, state.mwu.lens(), dst, values, state.sssp);
+    if ws.potentials.dense[row] {
+        ws.stats.row_refreshes += 1;
+        let values = &mut ws.potentials.values[row * n..(row + 1) * n];
+        derive_row(ctx, ws.mwu.lens(), dst, values, &mut ws.sssp);
     }
-    let potential = potentials.row(row, n);
+    let potential = ws.potentials.row(row, n);
     // `reuse_slack × D`; nothing is reusable before the turn's first search.
     let mut reuse_bound = f64::NEG_INFINITY;
     let (mut searches, mut settles) = (0, 0);
     let ok = 'turn: {
         while remaining > 1e-15 {
-            if state.mwu.saturated() {
+            if ws.mwu.saturated() {
                 break 'turn false;
             }
-            let len = state.mwu.lens();
-            let path = match state.known.shortest_within(row, len, reuse_bound) {
+            let len = ws.mwu.lens();
+            let path = match ws.held.known.shortest_within(row, len, reuse_bound) {
                 Ok(path) => {
-                    state.stats.path_reuses += 1;
+                    ws.stats.path_reuses += 1;
                     path
                 }
                 Err(shortest) => {
@@ -526,37 +536,37 @@ pub(super) fn route_source_single(
                         dst,
                         potential,
                         bound,
-                        state.sssp,
+                        &mut ws.sssp,
                     );
-                    debug_assert!(state.sssp.dist(dst).is_finite());
+                    debug_assert!(ws.sssp.dist(dst).is_finite());
                     searches += 1;
-                    settles += state.sssp.settled_count();
-                    reuse_bound = ctx.reuse_slack * state.sssp.dist(dst);
-                    state.known.record(row, state.sssp, s.src, dst)
+                    settles += ws.sssp.settled_count();
+                    reuse_bound = ctx.reuse_slack * ws.sssp.dist(dst);
+                    ws.held.known.record(row, &ws.sssp, s.src, dst)
                 }
             };
             #[cfg(test)]
             tests::audit_routed_path(ctx, si, len, path);
             let bottleneck = path
                 .iter()
-                .map(|&aid| state.mwu.cap(aid as usize))
+                .map(|&aid| ws.mwu.cap(aid as usize))
                 .fold(f64::INFINITY, f64::min);
             let f = remaining.min(bottleneck);
             if f <= 1e-15 {
                 break 'turn true; // negligible amounts are not routed
             }
             for &aid in path {
-                apply_update(state.mwu, state.flow_arc, aid as usize, f);
+                apply_update(&mut ws.mwu, &mut ws.flow_arc, aid as usize, f);
             }
             remaining -= f;
-            routed_si[0] += f;
+            *routed += f;
         }
         true
     };
-    state.stats.searches += searches;
-    state.stats.settles += settles;
+    ws.stats.searches += searches;
+    ws.stats.settles += settles;
     if DENSE_SETTLES * settles > n * searches {
-        potentials.dense[row] = true;
+        ws.potentials.dense[row] = true;
     }
     ok
 }
@@ -568,29 +578,24 @@ pub(super) fn route_source_single(
 /// once. When some arc's aggregate load exceeds its capacity, the whole
 /// batch is scaled by the binding `cap/load` ratio and the loop repeats, so
 /// no arc exceeds its capacity within one tree iteration and every
-/// length-update factor stays <= 1 + eps. (Persisting these trees across phases behind cheap revalidation was tried
-/// and reverted: a phase's average arc utilization is ~1, so lengths drift
-/// enough per phase that any slack loose enough to admit reuse measurably
-/// slowed the multiplicative-weights convergence — the same trade the
-/// phase-blocked stale-tree experiment hit.)
-/// Returns `false` when `D(l)` saturated mid-source.
-pub(super) fn route_source_tree(
-    ctx: &RouteCtx<'_>,
-    si: usize,
-    state: &mut SerialState<'_>,
-    routed_si: &mut [f64],
-) -> bool {
+/// length-update factor stays <= 1 + eps. Routing on the tree held since
+/// the source's previous turn without re-deriving it measurably slowed the
+/// multiplicative-weights convergence: a phase's average arc utilization is
+/// ~1, so lengths drift enough per phase that any slack loose enough to admit
+/// that reuse costs phases. The held tree only seeds the repair of the turn's
+/// first tree. Returns `false` when `D(l)` saturated mid-source.
+pub(super) fn route_source_tree(ctx: &RouteCtx<'_>, si: usize, ws: &mut SolverWorkspace) -> bool {
     let s = &ctx.prob.sources()[si];
-    state.remaining.clear();
-    state.remaining.extend_from_slice(&ctx.demands[si]);
+    ws.remaining.clear();
+    ws.remaining.extend_from_slice(&ctx.demands[si]);
     // The first batch routes on a tree computed at the current lengths,
     // repaired from the one the source held since its last turn; if it is
     // capacity-limited, `cur_len` is rebuilt before the first staleness
     // check needs it.
-    search_tree(ctx, si, true, state);
+    search_tree(ctx, si, true, ws);
     let mut revalidate = false;
     loop {
-        if state.mwu.saturated() {
+        if ws.mwu.saturated() {
             return false;
         }
         if revalidate {
@@ -602,32 +607,31 @@ pub(super) fn route_source_tree(
             // remain approximately shortest — the reuse argument of the
             // known-path loop, applied to every destination at once.
             let stale = s.dests.iter().enumerate().any(|(j, &(dst, _))| {
-                state.remaining[j] > 1e-15
-                    && state.cur_len[dst] > ctx.reuse_slack * state.sssp.dist(dst)
+                ws.remaining[j] > 1e-15 && ws.cur_len[dst] > ctx.reuse_slack * ws.sssp.dist(dst)
             });
             if stale {
-                search_tree(ctx, si, false, state);
+                search_tree(ctx, si, false, ws);
             }
         }
         // Deposit remaining demands at their destinations.
-        for &v in state.sssp.settle_order() {
-            state.subtree[v as usize] = 0.0;
+        for &v in ws.sssp.settle_order() {
+            ws.subtree[v as usize] = 0.0;
         }
         let mut pending = false;
         for (j, &(dst, _)) in s.dests.iter().enumerate() {
-            if state.remaining[j] <= 1e-15 {
+            if ws.remaining[j] <= 1e-15 {
                 continue;
             }
             if dst == s.src {
                 // A self-demand consumes no capacity.
-                routed_si[j] += state.remaining[j];
-                state.remaining[j] = 0.0;
+                ws.routed[si][j] += ws.remaining[j];
+                ws.remaining[j] = 0.0;
             } else {
                 // Every destination is a target of the tree computation, so
                 // it is always settled (early exit stops only after the last
                 // target).
-                debug_assert!(state.sssp.dist(dst).is_finite());
-                state.subtree[dst] += state.remaining[j];
+                debug_assert!(ws.sssp.dist(dst).is_finite());
+                ws.subtree[dst] += ws.remaining[j];
                 pending = true;
             }
         }
@@ -640,18 +644,18 @@ pub(super) fn route_source_tree(
         // Only arcs whose load exceeds capacity can bind, so the `cap/load`
         // divide is confined to them.
         let mut ratio = f64::INFINITY;
-        for &v in state.sssp.settle_order().iter().rev() {
+        for &v in ws.sssp.settle_order().iter().rev() {
             let v = v as usize;
             if v == s.src {
                 continue;
             }
-            let load = state.subtree[v];
+            let load = ws.subtree[v];
             if load <= 0.0 {
                 continue;
             }
-            let (p, aid) = state.sssp.parent_unchecked(v);
-            state.subtree[p] += load;
-            let cap = state.mwu.cap(aid);
+            let (p, aid) = ws.sssp.parent_unchecked(v);
+            ws.subtree[p] += load;
+            let cap = ws.mwu.cap(aid);
             if load > cap {
                 ratio = ratio.min(cap / load);
             }
@@ -659,18 +663,18 @@ pub(super) fn route_source_tree(
         let theta = ratio.min(1.0);
         // Apply the (scaled) batch — each tree arc is loaded exactly once,
         // with at most its full capacity.
-        for &v in state.sssp.settle_order() {
+        for &v in ws.sssp.settle_order() {
             let v = v as usize;
-            let load = state.subtree[v];
+            let load = ws.subtree[v];
             if v != s.src && load > 0.0 {
-                let (_, aid) = state.sssp.parent_unchecked(v);
-                apply_update(state.mwu, state.flow_arc, aid, theta * load);
+                let (_, aid) = ws.sssp.parent_unchecked(v);
+                apply_update(&mut ws.mwu, &mut ws.flow_arc, aid, theta * load);
             }
         }
-        for (j, r) in state.remaining.iter_mut().enumerate() {
+        for (r, routed) in ws.remaining.iter_mut().zip(&mut ws.routed[si]) {
             if *r > 1e-15 {
                 let commit = theta * *r;
-                routed_si[j] += commit;
+                *routed += commit;
                 *r -= commit;
             }
         }
@@ -680,13 +684,13 @@ pub(super) fn route_source_tree(
         // A capacity-limited batch saturated the binding arc (its length grew
         // by the full 1 + eps factor); revalidate the tree before further
         // reuse, against the current tree-path lengths, derived top-down.
-        for &v in state.sssp.settle_order() {
+        for &v in ws.sssp.settle_order() {
             let v = v as usize;
-            state.cur_len[v] = if v == s.src {
+            ws.cur_len[v] = if v == s.src {
                 0.0
             } else {
-                let (p, aid) = state.sssp.parent_unchecked(v);
-                state.cur_len[p] + state.mwu.len_of(aid)
+                let (p, aid) = ws.sssp.parent_unchecked(v);
+                ws.cur_len[p] + ws.mwu.len_of(aid)
             };
         }
         revalidate = true;

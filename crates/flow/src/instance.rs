@@ -133,7 +133,7 @@ impl FlowProblem {
     }
 
     /// Total number of commodities (flows).
-    pub fn num_commodities(&self) -> usize {
+    pub(crate) fn num_commodities(&self) -> usize {
         self.sources.iter().map(|s| s.dests.len()).sum()
     }
 
@@ -146,12 +146,12 @@ impl FlowProblem {
     /// initialize their length/constraint state from (the FPTAS feeds it to
     /// [`tb_flow::lengths::MwuLengths`](crate::MwuLengths), the exact LP
     /// builds its capacity rows from it).
-    pub fn arc_caps(&self) -> impl Iterator<Item = f64> + '_ {
+    pub(crate) fn arc_caps(&self) -> impl Iterator<Item = f64> + '_ {
         self.arcs.iter().map(|a| a.cap)
     }
 
     /// Total directed capacity (sum of arc capacities).
-    pub fn total_capacity(&self) -> f64 {
+    pub(crate) fn total_capacity(&self) -> f64 {
         self.arcs.iter().map(|a| a.cap).sum()
     }
 

@@ -12,7 +12,7 @@
 //!   Implemented by plain `[f64]` slices and [`MwuLengths`].
 //! * [`MwuLengths`] — the owned state: lengths, capacities (plus cached
 //!   reciprocals), the step size and the incrementally-maintained
-//!   `D(l) = Σ_a len_a · cap_a`. [`reset`](MwuLengths::reset) re-initializes
+//!   `D(l) = Σ_a len_a · cap_a`. `MwuLengths::reset` re-initializes
 //!   in place so a solver workspace reuses the buffers across solves.
 //! * `LengthAverage` (crate-internal) — the running sum of the *normalised*
 //!   length function `l / D(l)`, sampled along a multiplicative-weights
@@ -57,7 +57,7 @@ pub struct MwuLengths {
 }
 
 impl MwuLengths {
-    /// Creates empty state; call [`reset`](MwuLengths::reset) before use.
+    /// Creates empty state; call `reset` before use.
     pub fn new() -> Self {
         Self::default()
     }
@@ -70,7 +70,7 @@ impl MwuLengths {
     ///
     /// # Panics
     /// Panics if `eps` is outside `(0, 0.5)` (the FPTAS step-size range).
-    pub fn reset<I: IntoIterator<Item = f64>>(&mut self, eps: f64, caps: I) {
+    pub(crate) fn reset<I: IntoIterator<Item = f64>>(&mut self, eps: f64, caps: I) {
         assert!(eps > 0.0 && eps < 0.5, "epsilon must be in (0, 0.5)");
         self.eps = eps;
         self.caps.clear();
@@ -140,7 +140,7 @@ impl MwuLengths {
     /// The dual throughput bound `D(l) / alpha` for a demand-weighted
     /// shortest-path sum `alpha` computed under these lengths (infinite when
     /// `alpha` is not positive).
-    pub fn dual_bound(&self, alpha: f64) -> f64 {
+    pub(crate) fn dual_bound(&self, alpha: f64) -> f64 {
         if alpha > 0.0 {
             self.d_l / alpha
         } else {

@@ -56,7 +56,7 @@ fn path_links(path: &[usize]) -> Vec<(usize, usize)> {
 /// split into equal subflows (one per path); a subflow's rate is the inverse
 /// of the maximum number of subflows crossing any link on its path; a
 /// commodity's throughput is the sum of its subflows' rates; the estimator
-/// reports the *average* commodity throughput (that is what [48] measured).
+/// reports the *average* commodity throughput (that is what reference \[48\] of the paper measured).
 #[derive(Debug, Clone, Default)]
 pub struct SubflowCountingEstimator;
 
@@ -108,40 +108,24 @@ impl SubflowCountingEstimator {
 /// shared [`MwuLengths`] state (delta init, multiplicative updates,
 /// incremental `D(l)`, path pricing) — but with the shortest-path oracle
 /// replaced by "cheapest allowed path".
-#[derive(Debug, Clone)]
-pub struct PathRestrictedSolver {
-    /// Multiplicative step size; must lie in `(0, 0.5)` (the shared
-    /// [`MwuLengths`] state asserts the FPTAS step-size range, where the
-    /// pre-`MwuLengths` code silently accepted out-of-range values).
-    pub epsilon: f64,
-    /// Target relative gap between the feasible value and the dual bound.
-    pub target_gap: f64,
-    /// Phase cap.
-    pub max_phases: usize,
-}
+#[derive(Debug, Clone, Default)]
+pub struct PathRestrictedSolver;
 
-impl Default for PathRestrictedSolver {
-    fn default() -> Self {
-        PathRestrictedSolver {
-            epsilon: 0.05,
-            target_gap: 0.03,
-            max_phases: 20_000,
-        }
-    }
-}
+/// Multiplicative step size of [`PathRestrictedSolver`].
+const EPSILON: f64 = 0.05;
+/// Target relative gap between the feasible value and the dual bound.
+const TARGET_GAP: f64 = 0.03;
+/// Phase cap.
+const MAX_PHASES: usize = 20_000;
 
 impl PathRestrictedSolver {
     /// Creates a solver with default settings.
     pub fn new() -> Self {
-        Self::default()
+        PathRestrictedSolver
     }
 
     /// Computes throughput bounds when each commodity may only use its listed
     /// paths. Commodities with no path make the throughput zero.
-    ///
-    /// # Panics
-    /// Panics if [`epsilon`](PathRestrictedSolver::epsilon) is outside
-    /// `(0, 0.5)`.
     pub fn solve(&self, graph: &Graph, commodities: &[CommodityPaths]) -> ThroughputBounds {
         crate::record_solver_invocation();
         if commodities.is_empty() {
@@ -182,12 +166,11 @@ impl PathRestrictedSolver {
             paths_as_links.push(plinks);
         }
         let m = link_caps.len();
-        let eps = self.epsilon;
         // The shared MWU length state (delta init, multiplicative updates,
         // incremental D(l)) — the same machinery the Fleischer solver runs
         // on, in its quotient-update form (see `lengths::MwuLengths`).
         let mut mwu = MwuLengths::new();
-        mwu.reset(eps, link_caps.iter().copied());
+        mwu.reset(EPSILON, link_caps.iter().copied());
         let mut flow_link = vec![0.0f64; m];
         let mut routed = vec![0.0f64; commodities.len()];
 
@@ -214,7 +197,7 @@ impl PathRestrictedSolver {
         let mut best_lower = 0.0f64;
         let mut best_upper = f64::INFINITY;
         let mut phase = 0usize;
-        'phases: while phase < self.max_phases && !mwu.saturated() {
+        'phases: while phase < MAX_PHASES && !mwu.saturated() {
             for (ci, plinks) in paths_as_links.iter().enumerate() {
                 let mut remaining = demands[ci];
                 while remaining > 1e-15 {
@@ -256,9 +239,7 @@ impl PathRestrictedSolver {
                 let (lo, up) = self.bounds(&paths_as_links, &demands, &routed, &flow_link, &mwu);
                 best_lower = best_lower.max(lo);
                 best_upper = best_upper.min(up);
-                if best_upper.is_finite()
-                    && (best_upper - best_lower) / best_upper <= self.target_gap
-                {
+                if best_upper.is_finite() && (best_upper - best_lower) / best_upper <= TARGET_GAP {
                     break 'phases;
                 }
             }

@@ -30,7 +30,7 @@ pub fn connected_components(g: &Graph) -> Vec<usize> {
 }
 
 /// Number of connected components.
-pub fn num_components(g: &Graph) -> usize {
+pub(crate) fn num_components(g: &Graph) -> usize {
     if g.num_nodes() == 0 {
         return 0;
     }

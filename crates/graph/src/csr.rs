@@ -1,7 +1,7 @@
 //! Compressed sparse row (CSR) adjacency: the flat arc layout shared by every
 //! shortest-path consumer in the workspace.
 //!
-//! The general-purpose [`Graph`](crate::Graph) stores adjacency as
+//! The general-purpose [`Graph`] stores adjacency as
 //! `Vec<Vec<(usize, usize)>>`, which is convenient to build incrementally but
 //! pointer-chasing to traverse. Hot paths (the Fleischer solver's inner
 //! Dijkstra, the k-shortest-path router) instead traverse a [`CsrGraph`]: one

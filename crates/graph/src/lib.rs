@@ -20,10 +20,7 @@
 //!   configuration-model graphs matching an arbitrary degree sequence
 //!   (the "same equipment" normalizer), and the natural-network stand-ins
 //!   (Erdős–Rényi, Watts–Strogatz, Barabási–Albert, stochastic block model),
-//! * connectivity utilities ([`connectivity`]),
-//! * a per-worker scratch pool ([`pool`]) — [`WorkspacePool`] leases reusable
-//!   workspaces (e.g. [`SsspWorkspace`]) to parallel regions so repeated
-//!   fan-outs stop allocating.
+//! * connectivity utilities ([`connectivity`]).
 //!
 //! All randomized constructions take an explicit seed and are deterministic for
 //! a given seed, so experiments are reproducible.
@@ -33,7 +30,6 @@ pub mod csr;
 pub mod graph;
 pub mod matching;
 pub mod maxflow;
-pub mod pool;
 pub mod random;
 pub mod shortest_path;
 pub mod spectral;
@@ -41,7 +37,6 @@ pub mod spectral;
 pub use csr::CsrGraph;
 pub use graph::{Edge, Graph};
 pub use maxflow::{max_flow_value, min_st_cut, MaxFlow};
-pub use pool::{PooledWorkspace, SsspPool, WorkspacePool};
 pub use shortest_path::{
     apsp_unweighted, bfs_distances, dijkstra, sssp_csr, sssp_csr_by, sssp_csr_goal,
     sssp_csr_goal_by, sssp_csr_repair_by, sssp_csr_repair_own_by, ShortestPathTree, SsspWorkspace,

@@ -121,7 +121,7 @@ impl MaxFlow {
 
     /// Computes the maximum s–t flow value. Can be called once per instance
     /// (flows accumulate).
-    pub fn max_flow(&mut self, s: usize, t: usize) -> f64 {
+    pub(crate) fn max_flow(&mut self, s: usize, t: usize) -> f64 {
         assert!(s != t);
         let mut total = 0.0;
         while let Some(level) = self.bfs_levels(s, t) {
@@ -139,7 +139,7 @@ impl MaxFlow {
 
     /// After [`max_flow`], returns the source side of a minimum s–t cut
     /// (nodes reachable from `s` in the residual graph).
-    pub fn min_cut_side(&self, s: usize) -> Vec<bool> {
+    pub(crate) fn min_cut_side(&self, s: usize) -> Vec<bool> {
         let mut seen = vec![false; self.n];
         let mut q = VecDeque::new();
         seen[s] = true;

@@ -116,44 +116,6 @@ pub struct ShortestPathTree {
     pub parent: Vec<Option<(usize, usize)>>,
 }
 
-impl ShortestPathTree {
-    /// Reconstructs the path from the source to `dst` as a list of edge ids
-    /// (source-to-destination order). Returns `None` if `dst` is unreachable.
-    pub fn path_edges(&self, dst: usize) -> Option<Vec<usize>> {
-        if dst == self.src {
-            return Some(Vec::new());
-        }
-        self.parent[dst]?;
-        let mut edges = Vec::new();
-        let mut cur = dst;
-        while cur != self.src {
-            let (p, e) = self.parent[cur]?;
-            edges.push(e);
-            cur = p;
-        }
-        edges.reverse();
-        Some(edges)
-    }
-
-    /// Reconstructs the path from the source to `dst` as a node sequence
-    /// (including both endpoints).
-    pub fn path_nodes(&self, dst: usize) -> Option<Vec<usize>> {
-        if dst == self.src {
-            return Some(vec![dst]);
-        }
-        self.parent[dst]?;
-        let mut nodes = vec![dst];
-        let mut cur = dst;
-        while cur != self.src {
-            let (p, _) = self.parent[cur]?;
-            nodes.push(p);
-            cur = p;
-        }
-        nodes.reverse();
-        Some(nodes)
-    }
-}
-
 /// Packed priority-queue entry: the key's IEEE bit pattern in the high bits,
 /// the node id in the low 32, so one unsigned comparison orders by (key,
 /// node). Keys are finite non-negative non-NaN by construction (tentative
@@ -431,7 +393,7 @@ impl SsspWorkspace {
 
     /// Reconstructs the path from the last run's source to `dst` as a node
     /// sequence (both endpoints included); `None` if unreached.
-    pub fn path_nodes(&self, dst: usize) -> Option<Vec<usize>> {
+    pub(crate) fn path_nodes(&self, dst: usize) -> Option<Vec<usize>> {
         if dst == self.src {
             return Some(vec![dst]);
         }
@@ -724,7 +686,7 @@ impl SsspWorkspace {
 ///    what the nodes moved (the nodes of step 3 are re-keyed after it);
 /// 5. only when the passes noted a tie they cannot resolve as they go, order
 ///    and parents are rebuilt the way Dijkstra settles them
-///    ([`SsspWorkspace::settle_ties`]).
+///    (`SsspWorkspace::settle_ties`).
 ///
 /// **The labels are Dijkstra's distances, bit for bit.** A label is only
 /// ever set to `label(u) + len` over an arc `u -> v`, so each is the
@@ -1097,16 +1059,16 @@ mod tests {
         len[e02] = 5.0;
         let t = dijkstra(&g, 0, &len);
         assert!((t.dist[2] - 2.0).abs() < 1e-12);
-        assert_eq!(t.path_nodes(2).unwrap(), vec![0, 1, 2]);
-        assert_eq!(t.path_edges(2).unwrap().len(), 2);
+        assert_eq!(t.parent[2], Some((1, e12)));
+        assert_eq!(t.parent[1], Some((0, e01)));
     }
 
     #[test]
     fn dijkstra_path_to_self_is_empty() {
         let g = path_graph(3);
         let t = dijkstra(&g, 1, &vec![1.0; g.num_edges()]);
-        assert_eq!(t.path_edges(1).unwrap(), Vec::<usize>::new());
-        assert_eq!(t.path_nodes(1).unwrap(), vec![1]);
+        assert_eq!(t.dist[1], 0.0);
+        assert_eq!(t.parent[1], None);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::topology::Topology;
 use tb_graph::Graph;
 
 /// Construction-free metadata for [`bcube`].
-pub fn bcube_meta(n: usize, k: usize) -> TopoMeta {
+pub(crate) fn bcube_meta(n: usize, k: usize) -> TopoMeta {
     let num_servers = n.pow(k as u32 + 1);
     let num_switches = (k + 1) * n.pow(k as u32);
     TopoMeta {

@@ -20,7 +20,7 @@ use tb_graph::Graph;
 /// `DCell_{l-1}` plus one link per cell pair (`g_l = t_{l-1} + 1`). At each
 /// level every server of a cell carries exactly one inter-cell link, so the
 /// server relay degree is `level + 1` and the mini-switch degree is `n`.
-pub fn dcell_meta(n: usize, level: usize) -> TopoMeta {
+pub(crate) fn dcell_meta(n: usize, level: usize) -> TopoMeta {
     let mut t = n;
     let mut links = n;
     for _ in 0..level {
@@ -40,7 +40,7 @@ pub fn dcell_meta(n: usize, level: usize) -> TopoMeta {
 }
 
 /// Number of servers in a `DCell_level` built from `n`-port mini-switches.
-pub fn dcell_servers(n: usize, level: usize) -> usize {
+pub(crate) fn dcell_servers(n: usize, level: usize) -> usize {
     let mut t = n;
     for _ in 0..level {
         t = t * (t + 1);

@@ -11,7 +11,7 @@ use crate::topology::Topology;
 use tb_graph::Graph;
 
 /// Construction-free metadata for [`dragonfly`].
-pub fn dragonfly_meta(p: usize, a: usize, h: usize) -> TopoMeta {
+pub(crate) fn dragonfly_meta(p: usize, a: usize, h: usize) -> TopoMeta {
     let groups = a * h + 1;
     let n = groups * a;
     TopoMeta {
@@ -27,14 +27,14 @@ pub fn dragonfly_meta(p: usize, a: usize, h: usize) -> TopoMeta {
 }
 
 /// Construction-free metadata for [`balanced_dragonfly`].
-pub fn balanced_dragonfly_meta(h: usize) -> TopoMeta {
+pub(crate) fn balanced_dragonfly_meta(h: usize) -> TopoMeta {
     dragonfly_meta(h, 2 * h, h)
 }
 
 /// Builds a dragonfly from its three defining parameters:
 /// `p` servers per router, `a` routers per group, `h` global links per router.
 /// The number of groups is `a*h + 1` (one global link between each group pair).
-pub fn dragonfly(p: usize, a: usize, h: usize) -> Topology {
+pub(crate) fn dragonfly(p: usize, a: usize, h: usize) -> Topology {
     assert!(
         a >= 1 && h >= 1,
         "need at least one router and one global link"
@@ -74,7 +74,7 @@ pub fn dragonfly(p: usize, a: usize, h: usize) -> Topology {
 }
 
 /// Builds the canonical balanced dragonfly with `a = 2h`, `p = h`.
-pub fn balanced_dragonfly(h: usize) -> Topology {
+pub(crate) fn balanced_dragonfly(h: usize) -> Topology {
     dragonfly(h, 2 * h, h)
 }
 

@@ -18,7 +18,7 @@ pub fn flattened_butterfly_meta(k: usize, n_stages: usize) -> TopoMeta {
 }
 
 /// Construction-free metadata for [`flattened_butterfly_with_servers`].
-pub fn flattened_butterfly_with_servers_meta(
+pub(crate) fn flattened_butterfly_with_servers_meta(
     k: usize,
     n_stages: usize,
     servers_per_switch: usize,
@@ -45,7 +45,7 @@ pub fn flattened_butterfly(k: usize, n_stages: usize) -> Topology {
 
 /// Same as [`flattened_butterfly`] but with an explicit concentration
 /// (servers per switch).
-pub fn flattened_butterfly_with_servers(
+pub(crate) fn flattened_butterfly_with_servers(
     k: usize,
     n_stages: usize,
     servers_per_switch: usize,

@@ -16,7 +16,7 @@ use crate::topology::Topology;
 use tb_graph::Graph;
 
 /// Construction-free metadata for [`hyperx`].
-pub fn hyperx_meta(dims: usize, s: usize, k: usize, t: usize) -> TopoMeta {
+pub(crate) fn hyperx_meta(dims: usize, s: usize, k: usize, t: usize) -> TopoMeta {
     let n = s.pow(dims as u32);
     let degree = (s - 1) * dims * k;
     TopoMeta {

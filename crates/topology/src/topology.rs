@@ -58,7 +58,7 @@ impl Topology {
     }
 
     /// Creates a topology with the same number of servers on every switch.
-    pub fn with_uniform_servers(
+    pub(crate) fn with_uniform_servers(
         name: impl Into<String>,
         params: impl Into<String>,
         graph: Graph,

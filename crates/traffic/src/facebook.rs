@@ -103,9 +103,10 @@ pub fn tm_f(racks: usize, seed: u64) -> TrafficMatrix {
     TrafficMatrix::new(racks, demands)
 }
 
-/// Skew statistic used by tests and experiment logs: ratio of the mean demand
-/// of the heaviest 10% of flows to the mean demand of the lightest 10%.
-pub fn skew_ratio(tm: &TrafficMatrix) -> f64 {
+/// Skew statistic of the tests: ratio of the mean demand of the heaviest 10%
+/// of flows to the mean demand of the lightest 10%.
+#[cfg(test)]
+pub(crate) fn skew_ratio(tm: &TrafficMatrix) -> f64 {
     let mut amounts: Vec<f64> = tm.demands().iter().map(|d| d.amount).collect();
     amounts.sort_by(f64::total_cmp);
     let k = (amounts.len() / 10).max(1);

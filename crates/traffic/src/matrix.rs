@@ -96,7 +96,7 @@ impl TrafficMatrix {
     }
 
     /// Total demand originating at each switch.
-    pub fn out_demand(&self) -> Vec<f64> {
+    pub(crate) fn out_demand(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.n];
         for d in &self.demands {
             out[d.src] += d.amount;
@@ -105,7 +105,7 @@ impl TrafficMatrix {
     }
 
     /// Total demand terminating at each switch.
-    pub fn in_demand(&self) -> Vec<f64> {
+    pub(crate) fn in_demand(&self) -> Vec<f64> {
         let mut inn = vec![0.0; self.n];
         for d in &self.demands {
             inn[d.dst] += d.amount;
@@ -172,7 +172,8 @@ impl TrafficMatrix {
     }
 
     /// Looks up the demand between a pair of switches (0 if absent).
-    pub fn demand_between(&self, src: usize, dst: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn demand_between(&self, src: usize, dst: usize) -> f64 {
         self.demands
             .iter()
             .find(|d| d.src == src && d.dst == dst)

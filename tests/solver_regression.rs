@@ -33,7 +33,10 @@
 //!   as they were before evaluations were screened.
 
 use tb_flow::fleischer::PAR_MIN_SWEEP_WORK;
-use tb_flow::{ExactLpSolver, FleischerConfig, FleischerSolver, FlowProblem, SolverWorkspace};
+use tb_flow::{
+    ExactLpSolver, FleischerConfig, FleischerSolver, FlowProblem, SolverWorkspace,
+    ThroughputCertificate,
+};
 use tb_topology::families::Scale;
 use tb_topology::hypercube::hypercube;
 use tb_topology::jellyfish::jellyfish;
@@ -322,38 +325,72 @@ fn sources_with_several_destinations_never_touch_the_known_paths() {
     assert!(stats.repairs + 156 <= stats.searches, "{stats:?}");
 }
 
+/// Every float of a certificate as its bit pattern, beside its dimensions.
+fn certificate_bits(cert: &ThroughputCertificate) -> (usize, usize, Vec<u64>) {
+    let scalars = [cert.d_l, cert.lower, cert.upper];
+    let floats = cert.flow.iter().chain(&cert.served).chain(&cert.lengths);
+    let bits = floats.chain(&scalars).map(|x| x.to_bits()).collect();
+    (cert.num_nodes, cert.num_arcs, bits)
+}
+
 #[test]
 fn reused_workspace_reproduces_fresh_results_across_instance_mix() {
     // One workspace is driven across the whole instance grid three times
-    // (growing and shrinking between topologies); every result must equal the
-    // fresh-workspace solve bit-for-bit.
+    // (growing and shrinking between topologies), once more in reverse, and
+    // last through the 160-switch instance of
+    // `pooled_sweeps_match_inline_execution_bit_for_bit`, whose bound sweeps
+    // fan out past `PAR_MIN_SWEEP_WORK`. Certificate capture alternates from
+    // one solve to the next. Every solve must equal its fresh-workspace solve
+    // bit for bit: bounds, the whole `SolveStats` and, when captured, the
+    // certificate.
     let solver = FleischerSolver::new(FleischerConfig::default());
     let grid = instances();
-    let fresh: Vec<_> = grid
-        .iter()
-        .map(|(_, t, tm)| solver.solve(&t.graph, tm))
-        .collect();
+    let big = jellyfish(160, 8, 1, 42);
+    let big_tm = longest_matching(&big.graph, &big.servers, true);
+    let big_prob = FlowProblem::new(&big.graph, &big_tm);
+    assert!(big_prob.sources().len() * big_prob.num_arcs() >= PAR_MIN_SWEEP_WORK);
+    let fresh_solve = |topo: &Topology, tm: &TrafficMatrix| {
+        solver.solve_in(&topo.graph, tm, &mut SolverWorkspace::new(), true)
+    };
+    let fresh: Vec<_> = grid.iter().map(|(_, t, tm)| fresh_solve(t, tm)).collect();
+    let big_fresh = fresh_solve(&big, &big_tm);
+
     let mut ws = SolverWorkspace::new();
-    for round in 0..3 {
-        for ((name, topo, tm), expect) in grid.iter().zip(&fresh) {
-            let b = solver.solve_in(&topo.graph, tm, &mut ws, false).0;
+    let mut check =
+        |pass: &str, name: &str, topo: &Topology, tm: &TrafficMatrix, expect: &_, want_cert| {
+            let (b, stats, cert) = solver.solve_in(&topo.graph, tm, &mut ws, want_cert);
+            let (eb, estats, ecert): &(tb_flow::ThroughputBounds, _, Option<_>) = expect;
             assert_eq!(
-                (b.lower, b.upper),
-                (expect.lower, expect.upper),
-                "{name}: reused-workspace solve diverged in round {round}"
+                (b.lower.to_bits(), b.upper.to_bits()),
+                (eb.lower.to_bits(), eb.upper.to_bits()),
+                "{name}: reused-workspace bounds diverged in {pass}"
             );
-        }
+            assert_eq!(
+                stats, *estats,
+                "{name}: reused-workspace stats diverged in {pass}"
+            );
+            let expect_cert = ecert.as_ref().expect("fresh solves capture");
+            match cert {
+                Some(cert) => assert!(
+                    certificate_bits(&cert) == certificate_bits(expect_cert),
+                    "{name}: reused-workspace certificate diverged in {pass}"
+                ),
+                None => assert!(!want_cert, "{name}: requested certificate missing"),
+            }
+        };
+    // Three rounds forward, then the reverse order: workspace shrink/grow
+    // transitions in the other direction.
+    let forward =
+        (0..3).flat_map(|round| (0..grid.len()).map(move |i| (format!("round {round}"), i)));
+    let reverse = (0..grid.len())
+        .rev()
+        .map(|i| ("the reverse sweep".to_string(), i));
+    for (k, (pass, i)) in forward.chain(reverse).enumerate() {
+        let (name, topo, tm) = &grid[i];
+        check(&pass, name, topo, tm, &fresh[i], k % 2 == 0);
     }
-    // Reverse order too: workspace shrink/grow transitions in the other
-    // direction.
-    for ((name, topo, tm), expect) in grid.iter().zip(&fresh).rev() {
-        let b = solver.solve_in(&topo.graph, tm, &mut ws, false).0;
-        assert_eq!(
-            (b.lower, b.upper),
-            (expect.lower, expect.upper),
-            "{name}: reused-workspace solve diverged in reverse sweep"
-        );
-    }
+    let name = "jellyfish_160x8/longest_matching";
+    check("the fan-out solve", name, &big, &big_tm, &big_fresh, true);
 }
 
 #[test]
@@ -434,8 +471,9 @@ fn pooled_sweeps_match_inline_execution_bit_for_bit() {
         );
         let queued_before = rayon::pool::stats().jobs;
         let direct = solver.solve_in(&topo.graph, &tm, &mut SolverWorkspace::new(), false);
-        // No other test in this binary is large enough to queue pool jobs,
-        // so growth here is this solve's sweeps going through the pool.
+        // The only other test in this binary large enough to queue pool jobs
+        // solves this instance too, so growth here is sweeps of this solve or
+        // of its twin going through the pool.
         assert!(
             rayon::current_num_threads() == 1 || rayon::pool::stats().jobs > queued_before,
             "{name}: the solve queued no pool job at width {}",
