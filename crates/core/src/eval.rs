@@ -3,7 +3,6 @@
 
 use crate::spec::TmSpec;
 use crate::stats::Stats;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use tb_flow::{
     drop_disconnected_demands, ExactLpSolver, FleischerConfig, FleischerSolver, SolveStatus,
@@ -258,19 +257,16 @@ fn relative_to_random_graphs(
     value_on: impl Fn(&Topology, u64, &mut SolverWorkspace) -> f64 + Sync,
 ) -> RelativeThroughput {
     let iters = cfg.random_graph_iterations.max(1);
-    let mut solves: Vec<f64> = (0..iters + 1)
-        .into_par_iter()
-        .map_init(SolverWorkspace::new, |ws, i| {
-            if i == 0 {
-                return value_on(topo, cfg.seed, ws);
-            }
-            let seed = cfg
-                .seed
-                .wrapping_add(seed_offset)
-                .wrapping_add(i as u64 - 1);
-            value_on(&same_equipment(topo, seed), seed, ws)
-        })
-        .collect();
+    let mut solves = rayon::map_init(0..iters + 1, SolverWorkspace::new, |ws, i| {
+        if i == 0 {
+            return value_on(topo, cfg.seed, ws);
+        }
+        let seed = cfg
+            .seed
+            .wrapping_add(seed_offset)
+            .wrapping_add(i as u64 - 1);
+        value_on(&same_equipment(topo, seed), seed, ws)
+    });
     let absolute = solves.remove(0);
     RelativeThroughput::from_solves(absolute, solves)
 }

@@ -14,8 +14,8 @@
 //! * serves repeat computations from a content-keyed on-disk cache
 //!   ([`ResultCache`], default `results/cache/`), so re-runs and interrupted
 //!   `--full` ladders resume instead of recomputing, and
-//! * writes one unified JSON artifact per run ([`write_artifact`]) alongside
-//!   the per-table CSVs.
+//! * writes one unified JSON artifact per run ([`write_artifact`]), and the
+//!   per-table CSVs when asked to (`--csv`).
 //!
 //! Scenario definitions (the 13 figure/table registrations plus the
 //! `failures` degradation sweep and the `search` design optimizer) live in

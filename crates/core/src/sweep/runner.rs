@@ -13,7 +13,6 @@
 use crate::eval::EvalConfig;
 use crate::sweep::cache::ResultCache;
 use crate::sweep::cell::{CellValues, SweepCell};
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use tb_flow::SolverWorkspace;
@@ -192,10 +191,7 @@ fn map_units<T: Send, U: Send>(
         let mut ws = SolverWorkspace::new();
         units.into_iter().map(|unit| f(&mut ws, unit)).collect()
     } else {
-        units
-            .into_par_iter()
-            .map_init(SolverWorkspace::new, f)
-            .collect()
+        rayon::map_init(units, SolverWorkspace::new, f)
     }
 }
 

@@ -71,7 +71,7 @@ const HELP: &str = "  --list           print the scenario index and exit
   --write-golden   also copy each complete artifact to results/golden/<name>.json
   --full           run the paper-scale instance ladder (slow; default: reduced)
   --seed <N>       base RNG seed (default 1)
-  --csv            also write results/<figure>.csv and results/<scenario>.json
+  --csv            also write results/<figure>.csv (results/<scenario>.json is always written)
   --jobs <N>       computing threads, the calling one included (1 = fully serial,
                    no thread spawned; default: all cores). Every cell is one job
                    of a shared queue and the 1+k solves of a relative cell are

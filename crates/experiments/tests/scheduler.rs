@@ -8,7 +8,6 @@
 //! nothing is concurrent, so the concurrency cases assert the inline order
 //! instead.
 
-use rayon::prelude::*;
 use std::collections::HashSet;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::thread::ThreadId;
@@ -71,19 +70,27 @@ fn nested_tasks_of_one_outer_item_meet_on_two_threads() {
     let _exclusive = exclusive();
     let n = rayon::current_num_threads();
     let gate = Gate::new(Vec::<String>::new());
-    (0..4 * n).into_par_iter().for_each(|item| {
-        gate.update(|trace| trace.push(format!("outer {item}")));
-        if item == 0 {
-            (0..2usize).into_par_iter().for_each(|task| {
-                gate.update(|trace| trace.push(format!("nested {task}")));
-                if n > 1 {
-                    gate.wait("both nested tasks run at once", |trace| {
-                        trace.iter().filter(|e| e.starts_with("nested")).count() == 2
-                    });
-                }
-            });
-        }
-    });
+    rayon::map_init(
+        0..4 * n,
+        || (),
+        |_, item| {
+            gate.update(|trace| trace.push(format!("outer {item}")));
+            if item == 0 {
+                rayon::map_init(
+                    0..2,
+                    || (),
+                    |_, task| {
+                        gate.update(|trace| trace.push(format!("nested {task}")));
+                        if n > 1 {
+                            gate.wait("both nested tasks run at once", |trace| {
+                                trace.iter().filter(|e| e.starts_with("nested")).count() == 2
+                            });
+                        }
+                    },
+                );
+            }
+        },
+    );
     let trace = gate.state.into_inner().unwrap();
     assert_eq!(trace.len(), 4 * n + 2);
     if n == 1 {
@@ -143,29 +150,33 @@ fn a_thread_waiting_on_a_helper_starts_another_outer_item() {
             );
         }
     };
-    (0..2 * n + 2).into_par_iter().for_each(|item| {
-        gate.update(|s| s.trace.push(format!("outer {item}")));
-        if item == 0 {
-            gate.update(|s| s.owner = Some(me()));
-            (0..2usize).into_par_iter().for_each(nested_task);
-            return;
-        }
-        gate.wait("outer item 0 start first", |s| s.owner.is_some());
-        let (on_owner, first) = gate.update(|s| {
-            let on_owner = s.owner == Some(me());
-            s.owner_started_another_item |= on_owner;
-            (on_owner, s.seen.insert(me()))
-        });
-        if n > 1 && !on_owner {
-            if first {
-                gate.wait("outer item 0 fan out", |s| s.nested_started > 0);
-            } else {
-                gate.wait("the owner start another outer item", |s| {
-                    s.owner_started_another_item
-                });
+    rayon::map_init(
+        0..2 * n + 2,
+        || (),
+        |_, item| {
+            gate.update(|s| s.trace.push(format!("outer {item}")));
+            if item == 0 {
+                gate.update(|s| s.owner = Some(me()));
+                rayon::map_init(0..2, || (), |_, task| nested_task(task));
+                return;
             }
-        }
-    });
+            gate.wait("outer item 0 start first", |s| s.owner.is_some());
+            let (on_owner, first) = gate.update(|s| {
+                let on_owner = s.owner == Some(me());
+                s.owner_started_another_item |= on_owner;
+                (on_owner, s.seen.insert(me()))
+            });
+            if n > 1 && !on_owner {
+                if first {
+                    gate.wait("outer item 0 fan out", |s| s.nested_started > 0);
+                } else {
+                    gate.wait("the owner start another outer item", |s| {
+                        s.owner_started_another_item
+                    });
+                }
+            }
+        },
+    );
     let s = gate.state.into_inner().unwrap();
     assert_eq!(s.trace.len(), 2 * n + 4);
     assert_eq!(s.nested_started, 2);
@@ -189,19 +200,17 @@ fn results_are_placed_by_index_for_every_block_shape() {
     let n = rayon::current_num_threads();
     for len in [0, 1, 4 * n, 4 * n + 1] {
         let input: Vec<usize> = (0..len).map(|i| 7 * i + 3).collect();
-        let mapped: Vec<usize> = input.par_iter().map(|&x| x + 1).collect();
+        let mapped = rayon::map_init(&input, || (), |_, &x| x + 1);
         assert_eq!(mapped, input.iter().map(|&x| x + 1).collect::<Vec<_>>());
 
-        let counted: Vec<(usize, usize)> = (0..len)
-            .into_par_iter()
-            .map_init(
-                || 0usize,
-                |count, i| {
-                    *count += 1;
-                    (i, *count)
-                },
-            )
-            .collect();
+        let counted = rayon::map_init(
+            0..len,
+            || 0usize,
+            |count, i| {
+                *count += 1;
+                (i, *count)
+            },
+        );
         let block = if n == 1 || len <= 1 {
             len.max(1)
         } else {

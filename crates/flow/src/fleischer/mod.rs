@@ -93,8 +93,8 @@
 //!   one, never shorter than a shortest path — says the sweep could close
 //!   the gap, which on the `/A2A` pass of `fig05_06` skips every sweep at
 //!   822 of 1,008 evaluations (see `phase`). All these sweeps are
-//!   read-only over the length function and fan out with rayon once the
-//!   instance is large enough to amortize the pool,
+//!   read-only over the length function and fan out to the pool once the
+//!   instance is large enough to amortize it,
 //! * **searches capped by the best known path**: a single-destination
 //!   source's search never queues a node keyed past the current length of
 //!   the shortest path the source already knows, which changes none of its
@@ -367,6 +367,23 @@ impl SolverWorkspace {
 /// Public so the regression test that compares the fanned-out and inline
 /// sweeps can assert its instance is on the fanned-out side.
 pub const PAR_MIN_SWEEP_WORK: usize = 1 << 17;
+
+/// Runs one read-only sweep, `f` over `items` in order: on the pool, each
+/// block on a fresh SSSP workspace, once `work` (searches × arcs) clears
+/// [`PAR_MIN_SWEEP_WORK`] and the pool is wider than one thread; otherwise
+/// inline on `sssp`. Results come back in input order either way.
+fn sweep_fan_out<T: Send, U: Send>(
+    work: usize,
+    items: impl IntoIterator<Item = T>,
+    sssp: &mut SsspWorkspace,
+    f: impl Fn(&mut SsspWorkspace, T) -> U + Sync,
+) -> Vec<U> {
+    if work >= PAR_MIN_SWEEP_WORK && rayon::current_num_threads() > 1 {
+        rayon::map_init(items, SsspWorkspace::new, f)
+    } else {
+        items.into_iter().map(|x| f(sssp, x)).collect()
+    }
+}
 
 /// A throughput solve's full result: the bracketing bounds, the convergence
 /// counters, the structured degradation status, and the optimality

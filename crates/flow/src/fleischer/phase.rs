@@ -46,8 +46,8 @@
 //! `fig05_06` ran no sweep at 822 of its 1,008 evaluations.
 //!
 //! The refreshes and the one α sweep both dual bounds share ([`sweep_alpha`],
-//! which also counts the trees it repaired) are the only parallel regions
-//! (see [`PAR_MIN_SWEEP_WORK`]); each block of a fan-out runs on an SSSP
+//! which also counts the trees it repaired) are the only parallel regions,
+//! both through [`sweep_fan_out`]; each block of a fan-out runs on an SSSP
 //! workspace of its own, and no result depends on the thread count.
 //!
 //! ## The dual bound and its averaged iterate
@@ -143,12 +143,11 @@
 
 use super::blocks::Blocks;
 use super::route::{self, HeldPaths, PotentialRows, RouteCtx, TreeSeed};
-use super::{FleischerConfig, SolveStats, SolverWorkspace, PAR_MIN_SWEEP_WORK};
+use super::{sweep_fan_out, FleischerConfig, SolveStats, SolverWorkspace};
 use crate::certificate::{CertCapture, ThroughputCertificate};
 use crate::instance::FlowProblem;
 use crate::lengths::LengthAverage;
 use crate::ThroughputBounds;
-use rayon::prelude::*;
 use tb_graph::{Graph, SsspWorkspace};
 
 /// What [`solve_problem`] hands back to the public entry points.
@@ -585,10 +584,9 @@ fn ratio(d_l: f64, alpha: f64) -> f64 {
 /// read off its row when `rows` holds rows exact at `lens`; every other
 /// source runs one forward search (early-exit, or a repair of the tree
 /// `held` keeps for it, see [`route::compute_tree`]). The sweep is read-only
-/// over the lengths, so once its forward searches clear
-/// [`PAR_MIN_SWEEP_WORK`] it fans out across threads, each block of sources
-/// on an SSSP workspace of its own, with a fixed summation order keeping the
-/// result independent of thread count.
+/// over the lengths, so it fans out like the refreshes ([`sweep_fan_out`]);
+/// the terms come back in source order and are summed here, serially, so
+/// the result does not depend on the thread count.
 fn sweep_alpha(
     ctx: &RouteCtx<'_>,
     lens: &[f64],
@@ -613,33 +611,15 @@ fn sweep_alpha(
         (alpha, repaired)
     };
     let searches = sources.len() - rows.map_or(0, |_| ctx.num_single);
-    if searches * ctx.prob.num_arcs() >= PAR_MIN_SWEEP_WORK && rayon::current_num_threads() > 1 {
-        // Materialize per-source terms, then sum sequentially in source
-        // order: the thread-count bit-identity contract must not lean on
-        // any rayon implementation's `sum()` reduction order (the vendored
-        // stand-in happens to be ordered; real rayon's split tree is not).
-        let per_source: Vec<(f64, bool)> = (0..sources.len())
-            .into_par_iter()
-            .map_init(SsspWorkspace::new, term)
-            .collect();
-        let alpha = per_source.iter().map(|&(alpha, _)| alpha).sum();
-        (alpha, per_source.iter().filter(|&&(_, r)| r).count())
-    } else {
-        let mut repairs = 0;
-        let alpha = (0..sources.len())
-            .map(|si| {
-                let (alpha, repaired) = term(sssp, si);
-                repairs += usize::from(repaired);
-                alpha
-            })
-            .sum();
-        (alpha, repairs)
-    }
+    let per_source = sweep_fan_out(searches * ctx.prob.num_arcs(), 0..sources.len(), sssp, term);
+    let alpha = per_source.iter().map(|&(alpha, _)| alpha).sum();
+    (alpha, per_source.iter().filter(|&&(_, r)| r).count())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleischer::PAR_MIN_SWEEP_WORK;
     use crate::lengths::MwuLengths;
 
     #[test]

@@ -15,10 +15,9 @@
 //! ([`PotentialRows`]) are shared with the dual bound evaluation in
 //! [`super::phase`].
 
-use super::{SolverWorkspace, PAR_MIN_SWEEP_WORK};
+use super::{sweep_fan_out, SolverWorkspace};
 use crate::instance::FlowProblem;
-use crate::lengths::{ArcLengths, MwuLengths};
-use rayon::prelude::*;
+use crate::lengths::MwuLengths;
 use tb_graph::{
     sssp_csr, sssp_csr_by, sssp_csr_goal, sssp_csr_repair_by, sssp_csr_repair_own_by, SsspWorkspace,
 };
@@ -429,19 +428,9 @@ impl PotentialRows {
             .zip(&self.dense)
             .filter_map(|(job, &d)| (d == dense).then_some(job));
         debug_assert!(ctx.pot_rows.iter().filter(|&&r| r != usize::MAX).count() == ctx.num_single);
-        if rows * ctx.prob.num_arcs() >= PAR_MIN_SWEEP_WORK && rayon::current_num_threads() > 1 {
-            let jobs: Vec<(&mut [f64], usize)> = jobs.collect();
-            let _: Vec<()> = jobs
-                .into_par_iter()
-                .map_init(SsspWorkspace::new, |sw, (row, dst)| {
-                    derive_row(ctx, len, dst, row, sw)
-                })
-                .collect();
-        } else {
-            for (row, dst) in jobs {
-                derive_row(ctx, len, dst, row, sssp);
-            }
-        }
+        sweep_fan_out(rows * ctx.prob.num_arcs(), jobs, sssp, |sw, (row, dst)| {
+            derive_row(ctx, len, dst, row, sw)
+        });
     }
 }
 
@@ -527,7 +516,7 @@ pub(super) fn route_source_single(ctx: &RouteCtx<'_>, si: usize, ws: &mut Solver
                 Err(shortest) => {
                     // The shortest known path bounds the distance, so the
                     // search never queues past it (the margin covers the
-                    // different summation order; see `sssp_csr_goal_by`).
+                    // different summation order; see `sssp_csr_goal`).
                     let bound = shortest * (1.0 + 1e-9);
                     sssp_csr_goal(
                         ctx.prob.csr(),
@@ -690,7 +679,7 @@ pub(super) fn route_source_tree(ctx: &RouteCtx<'_>, si: usize, ws: &mut SolverWo
                 0.0
             } else {
                 let (p, aid) = ws.sssp.parent_unchecked(v);
-                ws.cur_len[p] + ws.mwu.len_of(aid)
+                ws.cur_len[p] + ws.mwu.lens()[aid]
             };
         }
         revalidate = true;

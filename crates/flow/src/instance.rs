@@ -9,7 +9,6 @@
 //! length indices are the arc ids, so the shared `tb_graph` SSSP kernel runs
 //! directly over it with the solver's per-arc length function.
 
-use rayon::prelude::*;
 use tb_graph::{CsrGraph, Graph};
 use tb_traffic::TrafficMatrix;
 
@@ -45,11 +44,6 @@ pub struct FlowProblem {
     /// Total demand over all commodities.
     total_demand: f64,
 }
-
-/// Run the per-source pre-pass in parallel only past this source count (the
-/// vendored rayon spawns scoped threads per call, so tiny instances are
-/// cheaper sequentially).
-const PAR_SOURCES_MIN: usize = 32;
 
 impl FlowProblem {
     /// Builds the arc view of `graph` with the demands of `tm`.
@@ -178,8 +172,8 @@ impl FlowProblem {
     /// *not* a valid bound by itself (paths may be longer than shortest).
     ///
     /// Returns `0.0` iff some demand pair is disconnected — the solver uses
-    /// this to fold the reachability check into the same BFS sweep (which
-    /// runs across sources in parallel for larger instances).
+    /// this to fold the reachability check into the same BFS sweep: one BFS
+    /// per source, summed serially in source order.
     pub fn volumetric_estimate(&self, graph: &Graph) -> f64 {
         let per_source = |s: &SourceDemands| -> f64 {
             let dist = tb_graph::bfs_distances(graph, s.src);
@@ -193,11 +187,7 @@ impl FlowProblem {
             }
             hops
         };
-        let weighted_hops: f64 = if self.sources.len() >= PAR_SOURCES_MIN {
-            self.sources.par_iter().map(per_source).sum()
-        } else {
-            self.sources.iter().map(per_source).sum()
-        };
+        let weighted_hops: f64 = self.sources.iter().map(per_source).sum();
         if weighted_hops.is_nan() {
             return 0.0;
         }

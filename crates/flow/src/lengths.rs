@@ -2,14 +2,8 @@
 //!
 //! Every solver in this crate prices routes against a *length function*: a
 //! positive weight per directed arc (Fleischer, exact-LP validation sweeps) or
-//! per link (the path-restricted solver). Before this module, each solver
-//! carried its own copy of the same machinery — `delta` initialization,
-//! the multiplicative update, the incremental `D(l)` potential, and ad-hoc
-//! closures summing lengths along a path. They now all read lengths through
-//! one interface:
+//! per link (the path-restricted solver). This module holds that state:
 //!
-//! * [`ArcLengths`] — the read side: `len_of` plus derived `path_cost`.
-//!   Implemented by plain `[f64]` slices and [`MwuLengths`].
 //! * [`MwuLengths`] — the owned state: lengths, capacities (plus cached
 //!   reciprocals), the step size and the incrementally-maintained
 //!   `D(l) = Σ_a len_a · cap_a`. `MwuLengths::reset` re-initializes
@@ -24,24 +18,6 @@
 //! There is one update form, [`apply`](MwuLengths::apply): it multiplies by
 //! the cached reciprocal capacity, because the update loops run once per
 //! loaded arc and a multiply measurably beats a divide there.
-
-/// Read access to a per-arc (or per-link) length function.
-pub trait ArcLengths {
-    /// The length of arc/link `id`.
-    fn len_of(&self, id: usize) -> f64;
-
-    /// Sum of lengths along a path given as length indices.
-    fn path_cost<I: IntoIterator<Item = usize>>(&self, ids: I) -> f64 {
-        ids.into_iter().map(|id| self.len_of(id)).sum()
-    }
-}
-
-impl ArcLengths for [f64] {
-    #[inline]
-    fn len_of(&self, id: usize) -> f64 {
-        self[id]
-    }
-}
 
 /// Multiplicative-weights length state: lengths + capacities + step size +
 /// the incrementally maintained potential `D(l) = Σ_a len_a · cap_a`.
@@ -149,13 +125,6 @@ impl MwuLengths {
     }
 }
 
-impl ArcLengths for MwuLengths {
-    #[inline]
-    fn len_of(&self, id: usize) -> f64 {
-        self.lens[id]
-    }
-}
-
 /// Running sum of the normalised length function `l / D(l)` over the samples
 /// taken along one solve (each sample has `D = 1`, so every iterate weighs
 /// the same). Any difference of two states of the sum is a non-negative
@@ -208,8 +177,8 @@ mod tests {
         let mut mwu = MwuLengths::new();
         mwu.reset(0.1, [1.0, 2.0, 4.0]);
         let delta = (3.0f64 / 0.9).powf(-10.0);
-        assert_eq!(mwu.len_of(0), delta);
-        assert_eq!(mwu.len_of(1), delta / 2.0);
+        assert_eq!(mwu.lens()[0], delta);
+        assert_eq!(mwu.lens()[1], delta / 2.0);
         assert_eq!(mwu.num_arcs(), 3);
         // d_l = sum len*cap = 3 * delta exactly (each term is delta).
         assert!((mwu.d_l() - 3.0 * delta).abs() <= f64::EPSILON * 3.0 * delta);

@@ -32,7 +32,7 @@ pub use certificate::{verify_certificate, CertificateError, ThroughputCertificat
 pub use exact::ExactLpSolver;
 pub use fleischer::{FleischerConfig, FleischerSolver, SolveOutcome, SolveStats, SolverWorkspace};
 pub use instance::FlowProblem;
-pub use lengths::{ArcLengths, MwuLengths};
+pub use lengths::MwuLengths;
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};

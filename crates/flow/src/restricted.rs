@@ -14,7 +14,7 @@
 //! * [`PathRestrictedSolver`] — maximum concurrent flow restricted to the
 //!   given path sets (multiplicative-weights FPTAS over the path sets).
 
-use crate::lengths::{ArcLengths, MwuLengths};
+use crate::lengths::MwuLengths;
 use crate::ThroughputBounds;
 use std::collections::HashMap;
 use tb_graph::shortest_path::k_shortest_paths;
@@ -210,7 +210,7 @@ impl PathRestrictedSolver {
                     // empty set still must not panic: skip the commodity.
                     let Some((best_path, _)) = plinks
                         .iter()
-                        .map(|ids| (ids, mwu.path_cost(ids.iter().copied())))
+                        .map(|ids| (ids, ids.iter().map(|&id| mwu.lens()[id]).sum::<f64>()))
                         .min_by(|a, b| a.1.total_cmp(&b.1))
                     else {
                         break;
@@ -288,7 +288,7 @@ impl PathRestrictedSolver {
         for (ci, plinks) in paths_as_links.iter().enumerate() {
             let min_cost = plinks
                 .iter()
-                .map(|ids| mwu.path_cost(ids.iter().copied()))
+                .map(|ids| ids.iter().map(|&id| mwu.lens()[id]).sum::<f64>())
                 .fold(f64::INFINITY, f64::min);
             alpha += demands[ci] * min_cost;
         }

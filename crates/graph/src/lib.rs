@@ -38,6 +38,6 @@ pub use csr::CsrGraph;
 pub use graph::{Edge, Graph};
 pub use maxflow::{max_flow_value, min_st_cut, MaxFlow};
 pub use shortest_path::{
-    apsp_unweighted, bfs_distances, dijkstra, sssp_csr, sssp_csr_by, sssp_csr_goal,
-    sssp_csr_goal_by, sssp_csr_repair_by, sssp_csr_repair_own_by, ShortestPathTree, SsspWorkspace,
+    apsp_unweighted, bfs_distances, sssp_csr, sssp_csr_by, sssp_csr_goal, sssp_csr_repair_by,
+    sssp_csr_repair_own_by, ShortestPathTree, SsspWorkspace,
 };

@@ -10,12 +10,12 @@
 //! * the expanding-region cut estimator needs BFS balls.
 //!
 //! The weighted case is served by **one** Dijkstra kernel, [`sssp_csr`],
-//! shared by this crate (the [`dijkstra`] wrapper, [`k_shortest_paths`]) and
-//! by `tb_flow`'s solvers. The kernel runs over a flat [`CsrGraph`] view,
-//! keeps all of its state in a reusable [`SsspWorkspace`] (no allocation per
-//! call — a generation counter invalidates old state in O(1)), and supports
-//! destination-aware early exit: when the caller only needs distances to a
-//! known target set, the search stops as soon as the last target is settled.
+//! shared by this crate ([`k_shortest_paths`]) and by `tb_flow`'s solvers.
+//! The kernel runs over a flat [`CsrGraph`] view, keeps all of its state in a
+//! reusable [`SsspWorkspace`] (no allocation per call — a generation counter
+//! invalidates old state in O(1)), and supports destination-aware early
+//! exit: when the caller only needs distances to a known target set, the
+//! search stops as soon as the last target is settled.
 //! For sparse traffic matrices (e.g. longest-matching, where each source has
 //! a single destination) this prunes most of the graph from every inner
 //! solver iteration. For dense ones, where a source's whole tree is wanted
@@ -25,7 +25,6 @@
 
 use crate::csr::CsrGraph;
 use crate::graph::Graph;
-use rayon::prelude::*;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
 
 /// Distance value used to mark unreachable nodes in BFS results.
@@ -52,12 +51,9 @@ pub fn bfs_distances(g: &Graph, src: usize) -> Vec<u32> {
 }
 
 /// All-pairs unweighted shortest path lengths (hop counts), row `u` is the BFS
-/// distance vector from `u`. Runs the per-source BFS in parallel with rayon.
+/// distance vector from `u`. Runs the per-source BFS on the pool.
 pub fn apsp_unweighted(g: &Graph) -> Vec<Vec<u32>> {
-    (0..g.num_nodes())
-        .into_par_iter()
-        .map(|u| bfs_distances(g, u))
-        .collect()
+    rayon::map_init(0..g.num_nodes(), || (), |_, u| bfs_distances(g, u))
 }
 
 /// Average shortest path length over all ordered pairs of distinct nodes.
@@ -797,8 +793,9 @@ pub fn sssp_csr_repair_own_by<L: Fn(usize) -> f64>(
 }
 
 /// Goal-directed variant of the kernel (A* with a feasible potential):
-/// single-source shortest path from `src` to one `target`, expanding nodes in
-/// order of `dist + potential[node]`.
+/// single-source shortest path from `src` to one `target` under `lens`
+/// (indexed by each arc's length index), expanding nodes in order of
+/// `dist + potential[node]`.
 ///
 /// `potential` must be **consistent** for the current lengths:
 /// `potential[u] <= lens[lid] + potential[v]` for every arc `u -> v`, and
@@ -825,10 +822,10 @@ pub fn sssp_csr_repair_own_by<L: Fn(usize) -> f64>(
 /// to it, so a key popped before the target can exceed the target's distance
 /// by a few ulps. Violating the precondition can leave the target
 /// unsettled.
-pub fn sssp_csr_goal_by<L: Fn(usize) -> f64>(
+pub fn sssp_csr_goal(
     csr: &CsrGraph,
     src: usize,
-    len_of: L,
+    lens: &[f64],
     target: usize,
     potential: &[f64],
     bound: f64,
@@ -853,7 +850,7 @@ pub fn sssp_csr_goal_by<L: Fn(usize) -> f64>(
         }
         let d = ws.nodes[u].dist;
         for (v, lid) in csr.neighbors(u) {
-            let len = len_of(lid);
+            let len = lens[lid];
             debug_assert!(len >= 0.0, "negative arc length");
             let nd = d + len;
             let head = ws.nodes[v];
@@ -883,35 +880,6 @@ pub fn sssp_csr_goal_by<L: Fn(usize) -> f64>(
             }
         }
     }
-}
-
-/// [`sssp_csr_goal_by`] with lengths in a plain slice. The same precondition
-/// holds: `bound >= d(src, target)` for a potential that is 0 at `target`.
-pub fn sssp_csr_goal(
-    csr: &CsrGraph,
-    src: usize,
-    lens: &[f64],
-    target: usize,
-    potential: &[f64],
-    bound: f64,
-    ws: &mut SsspWorkspace,
-) {
-    sssp_csr_goal_by(csr, src, |lid| lens[lid], target, potential, bound, ws)
-}
-
-/// Dijkstra's algorithm from `src` under the per-edge length function
-/// `edge_len` (indexed by edge id; all lengths must be non-negative).
-///
-/// Convenience wrapper over the shared [`sssp_csr`] kernel that builds a
-/// one-shot CSR view and materializes the full tree. Repeated callers should
-/// build a [`CsrGraph`] once and drive the kernel with a reused
-/// [`SsspWorkspace`] instead.
-pub fn dijkstra(g: &Graph, src: usize, edge_len: &[f64]) -> ShortestPathTree {
-    assert_eq!(edge_len.len(), g.num_edges());
-    let csr = CsrGraph::from_graph(g);
-    let mut ws = SsspWorkspace::new();
-    sssp_csr(&csr, src, edge_len, None, &mut ws);
-    ws.to_tree(g.num_nodes())
 }
 
 /// Yen-style K shortest (simple) paths between `src` and `dst` by hop count,
@@ -994,6 +962,17 @@ pub fn k_shortest_paths(g: &Graph, src: usize, dst: usize, k: usize) -> Vec<Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Dijkstra's algorithm from `src` under the per-edge lengths `edge_len`
+    /// (indexed by edge id): the kernel on a one-shot CSR view, as a full
+    /// tree.
+    fn dijkstra(g: &Graph, src: usize, edge_len: &[f64]) -> ShortestPathTree {
+        assert_eq!(edge_len.len(), g.num_edges());
+        let csr = CsrGraph::from_graph(g);
+        let mut ws = SsspWorkspace::new();
+        sssp_csr(&csr, src, edge_len, None, &mut ws);
+        ws.to_tree(g.num_nodes())
+    }
 
     fn path_graph(n: usize) -> Graph {
         let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
