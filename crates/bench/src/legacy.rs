@@ -4,10 +4,11 @@
 //! a cloned `remaining` vector per source per phase, no destination-aware
 //! SSSP pruning, and a sequential dual-bound sweep.
 //!
-//! This exists **only** so `solver_microbench` can report the refactor's
-//! speedup against its true baseline; no library code uses it (the
-//! workspace's single production Dijkstra is `tb_graph::sssp_csr`). Treat it
-//! as a measurement artifact, not an implementation to extend.
+//! This exists **only** as the reference `solver_regression` compares the
+//! current kernel against (within the FPTAS gap, [`crate::assert_same_quality`]);
+//! no library code uses it (the workspace's single production Dijkstra is
+//! `tb_graph::sssp_csr`). Treat it as a test oracle, not an implementation to
+//! extend.
 
 use tb_flow::{FlowProblem, ThroughputBounds};
 use tb_graph::Graph;

@@ -1,20 +1,18 @@
-//! Shared helpers for the Criterion benchmark.
-//!
-//! `solver_microbench` tracks the raw performance of the throughput solvers
-//! (committed as `BENCH_solver.json`); the scenario engine and end-to-end
-//! sweep performance are measured per layer by the harness in `benchmark/`.
+//! The reference the workspace's `solver_regression` tests compare the
+//! Fleischer kernel against: a frozen copy of the pre-refactor kernel
+//! ([`legacy`]) and the contract two kernels must meet on one instance
+//! ([`assert_same_quality`]). Performance is measured by the harness in
+//! `benchmark/`, not here.
 
 pub mod legacy;
 
 use tb_flow::{FleischerConfig, ThroughputBounds};
 
-/// The kernel-equivalence contract, shared by `solver_microbench`, the
-/// `compare_kernels` example (CI's kernel smoke step), and the workspace
-/// regression tests so the three enforcers cannot drift apart: two solver
-/// kernels (or the current kernel and `legacy`) run on the same instance must
-/// report no worse a gap than each other (small slack for their differing —
-/// equally valid — routing choices), overlapping brackets, and feasible
-/// values within twice the configured target gap.
+/// The kernel-equivalence contract: two solver kernels (here the current
+/// kernel and `legacy`) run on the same instance must report no worse a gap
+/// than each other (small slack for their differing — equally valid —
+/// routing choices), overlapping brackets, and feasible values within twice
+/// the configured target gap.
 ///
 /// # Panics
 /// Panics with `name` in the message when any of the three checks fails.

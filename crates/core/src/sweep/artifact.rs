@@ -402,7 +402,7 @@ mod tests {
         report.outcomes[0].values.push("tiny", 5e-324);
         report.outcomes[0].values.push("neg_zero", -0.0);
         report.outcomes.push(CellOutcome {
-            cell: SweepCell::new("dead", CellSpec::PanicProbe { fail_attempts: 2 }),
+            cell: SweepCell::new("dead", report.outcomes[0].cell.spec.clone()),
             values: CellValues::default(),
             cached: true,
             error: Some("induced failure".into()),
@@ -463,7 +463,7 @@ mod tests {
         let opts = SweepOptions::new(false, 1);
         let mut report = sample_report();
         report.outcomes.push(CellOutcome {
-            cell: SweepCell::new("dead", CellSpec::PanicProbe { fail_attempts: 2 }),
+            cell: SweepCell::new("dead", report.outcomes[0].cell.spec.clone()),
             values: CellValues::default(),
             cached: false,
             error: Some("induced failure".into()),

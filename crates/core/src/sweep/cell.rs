@@ -137,16 +137,6 @@ pub enum CellSpec {
         /// Maximum accepted moves before the climb stops.
         max_steps: usize,
     },
-    /// Test-only probe that panics on its first `fail_attempts` executions
-    /// and succeeds afterwards. Exercises the runner's per-cell fault
-    /// isolation (`catch_unwind` + one retry) end to end; never part of a
-    /// registered scenario.
-    PanicProbe {
-        /// Attempts that panic: attempt indices `< fail_attempts` unwind.
-        /// `1` fails once and succeeds on the retry; `2` fails permanently
-        /// (the runner retries once).
-        fail_attempts: usize,
-    },
 }
 
 /// An optimality certificate attached to one cell's result: the solver's
@@ -617,19 +607,6 @@ impl CellSpec {
     /// Runs the computation. `ws` amortizes solver scratch allocations across
     /// cells on the same worker; results are identical to a fresh workspace.
     pub fn compute(&self, cfg: &EvalConfig, ws: &mut SolverWorkspace) -> CellValues {
-        self.compute_attempt(cfg, ws, 0)
-    }
-
-    /// [`compute`](Self::compute) with an execution-attempt index, passed by
-    /// the runner's fault-isolation retry path. Every production cell ignores
-    /// it (results are attempt-independent); only [`CellSpec::PanicProbe`]
-    /// keys its induced failure on it.
-    pub(crate) fn compute_attempt(
-        &self,
-        cfg: &EvalConfig,
-        ws: &mut SolverWorkspace,
-        attempt: usize,
-    ) -> CellValues {
         let mut out = CellValues::default();
         match self {
             CellSpec::Throughput { topo, tm, tm_seed } => {
@@ -788,14 +765,6 @@ impl CellSpec {
                 max_steps,
             } => {
                 run_search(start, tm, *tm_seed, *max_steps, cfg, ws, &mut out);
-            }
-            CellSpec::PanicProbe { fail_attempts } => {
-                assert!(
-                    attempt >= *fail_attempts,
-                    "PanicProbe: induced failure on attempt {attempt} (first {fail_attempts} fail)"
-                );
-                out.push("attempt", attempt as f64);
-                out.push("ok", 1.0);
             }
         }
         out
@@ -959,20 +928,5 @@ mod tests {
         assert_eq!(v.num("rel_mean").to_bits(), 1.0f64.to_bits());
         assert_eq!(v.num("degraded_draws"), 0.0);
         assert_eq!(v.text("baseline_status"), Some("converged"));
-    }
-
-    #[test]
-    #[should_panic(expected = "induced failure")]
-    fn panic_probe_fails_first_attempt() {
-        let spec = CellSpec::PanicProbe { fail_attempts: 1 };
-        spec.compute(&EvalConfig::fast(), &mut SolverWorkspace::new());
-    }
-
-    #[test]
-    fn panic_probe_succeeds_once_past_its_failing_attempts() {
-        let spec = CellSpec::PanicProbe { fail_attempts: 1 };
-        let v = spec.compute_attempt(&EvalConfig::fast(), &mut SolverWorkspace::new(), 1);
-        assert_eq!(v.num("ok"), 1.0);
-        assert_eq!(v.num("attempt"), 1.0);
     }
 }

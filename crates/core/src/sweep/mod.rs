@@ -137,6 +137,7 @@ fn render_cell_dump(
 mod tests {
     use super::*;
     use crate::TmSpec;
+    use tb_topology::families::{Family, Scale};
 
     fn test_scenario() -> Scenario {
         Scenario {
@@ -191,10 +192,10 @@ mod tests {
         assert!(!render.tables[0].table.rows().is_empty());
     }
 
-    /// A cell that panics twice reaches no renderer (which would panic on its
-    /// missing values and lose the run): the run renders the cell dump, with
-    /// the failed cell as one `status | failed` row, and its artifact
-    /// validates.
+    /// A cell that panics (the hypercube ladder has no rung 99) reaches no
+    /// renderer (which would panic on its missing values and lose the run):
+    /// the run renders the cell dump, with the failed cell as one
+    /// `status | failed` row, and its artifact validates.
     #[test]
     fn failed_cell_renders_cell_dump() {
         let mut scenario = test_scenario();
@@ -202,7 +203,16 @@ mod tests {
             let mut cells = (test_scenario().build)(opts);
             cells.push(SweepCell::new(
                 "probe/dead",
-                CellSpec::PanicProbe { fail_attempts: 2 },
+                CellSpec::Throughput {
+                    topo: TopoSpec::Ladder {
+                        family: Family::Hypercube,
+                        scale: Scale::Small,
+                        index: 99,
+                        seed: 1,
+                    },
+                    tm: TmSpec::AllToAll,
+                    tm_seed: 1,
+                },
             ));
             cells
         };

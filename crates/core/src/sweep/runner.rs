@@ -90,14 +90,14 @@ pub struct CellOutcome {
     pub values: CellValues,
     /// Whether the result came from the cache.
     pub cached: bool,
-    /// `Some(panic message)` when the cell's computation panicked on both
-    /// its first attempt and the retry. Failed cells carry no values, are
-    /// never cached, and serialize with `"status": "failed"` in artifacts.
+    /// `Some(panic message)` when the cell's computation panicked. Failed
+    /// cells carry no values, are never cached, and serialize with
+    /// `"status": "failed"` in artifacts.
     pub error: Option<String>,
 }
 
 impl CellOutcome {
-    /// True when the cell's computation failed (panicked twice).
+    /// True when the cell's computation failed (panicked).
     pub fn is_failed(&self) -> bool {
         self.error.is_some()
     }
@@ -121,7 +121,7 @@ pub struct SweepReport {
     /// reads a process-global counter, so exact-zero assertions belong in
     /// single-test binaries.
     pub topo_builds: u64,
-    /// Unique computations that failed (panicked twice; see
+    /// Unique computations that failed (panicked; see
     /// [`CellOutcome::error`]). The sweep completes anyway — failed cells are
     /// isolated, marked in the artifact, and flagged by `sweep diff`.
     pub failed_cells: usize,
@@ -151,29 +151,24 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Executes one cell under fault isolation: a panicking computation is caught
-/// and retried once on a fresh workspace (the unwound attempt may have left
-/// `ws` mid-update, so it is replaced before anything else uses it). A second
-/// panic marks the cell failed instead of aborting the sweep.
+/// Executes one cell under fault isolation: a panicking computation marks
+/// the cell failed, with the panic text, instead of aborting the sweep. A
+/// cell is a pure function of its spec and the evaluation configuration, so
+/// it is tried once: a retry would panic again. The unwound computation may
+/// have left `ws` mid-update, so it is replaced before the next cell uses it.
 fn compute_isolated(
     cell: &SweepCell,
     cfg: &EvalConfig,
     ws: &mut SolverWorkspace,
 ) -> (CellValues, Option<String>) {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    match catch_unwind(AssertUnwindSafe(|| cell.spec.compute_attempt(cfg, ws, 0))) {
+    match catch_unwind(AssertUnwindSafe(|| cell.spec.compute(cfg, ws))) {
         Ok(values) => (values, None),
-        Err(_) => {
+        Err(payload) => {
             *ws = SolverWorkspace::new();
-            eprintln!("warning: cell '{}' panicked; retrying once", cell.id);
-            match catch_unwind(AssertUnwindSafe(|| cell.spec.compute_attempt(cfg, ws, 1))) {
-                Ok(values) => (values, None),
-                Err(payload) => {
-                    let error = panic_text(payload.as_ref());
-                    eprintln!("warning: cell '{}' failed permanently: {error}", cell.id);
-                    (CellValues::default(), Some(error))
-                }
-            }
+            let error = panic_text(payload.as_ref());
+            eprintln!("warning: cell '{}' failed: {error}", cell.id);
+            (CellValues::default(), Some(error))
         }
     }
 }
@@ -231,8 +226,8 @@ pub fn run_cells(opts: &SweepOptions, cells: Vec<SweepCell>) -> SweepReport {
     }
 
     // Compute the misses, one pool job per cell. Each cell runs under fault
-    // isolation (`compute_isolated`): a panicking cell is retried once and
-    // then marked failed, never cached, never fatal.
+    // isolation (`compute_isolated`): a panicking cell is marked failed,
+    // never cached, never fatal.
     let missing: Vec<usize> = results
         .iter()
         .enumerate()
@@ -332,6 +327,25 @@ mod tests {
     use crate::spec::TmSpec;
     use crate::sweep::cell::CellSpec;
     use crate::sweep::topo::TopoSpec;
+    use tb_topology::Family;
+
+    /// A cell that really fails: the hypercube ladder has no rung 99, so
+    /// building its topology panics.
+    fn unbuildable_cell() -> SweepCell {
+        SweepCell::new(
+            "probe/dead",
+            CellSpec::Throughput {
+                topo: TopoSpec::Ladder {
+                    family: Family::Hypercube,
+                    scale: Scale::Small,
+                    index: 99,
+                    seed: 1,
+                },
+                tm: TmSpec::AllToAll,
+                tm_seed: 1,
+            },
+        )
+    }
 
     fn tiny_cells() -> Vec<SweepCell> {
         [TmSpec::AllToAll, TmSpec::LongestMatching]
@@ -402,31 +416,15 @@ mod tests {
     }
 
     #[test]
-    fn panicking_cell_recovers_on_retry() {
-        let mut cells = tiny_cells();
-        cells.push(SweepCell::new(
-            "probe/retry",
-            CellSpec::PanicProbe { fail_attempts: 1 },
-        ));
-        let report = run_cells(&no_cache_opts(), cells);
-        let probe = &report.outcomes[2];
-        assert!(!probe.is_failed(), "one retry must absorb a single panic");
-        assert_eq!(probe.values.num("attempt"), 1.0);
-        assert_eq!(report.failed_cells, 0);
-    }
-
-    #[test]
     fn permanently_failing_cell_is_isolated_not_fatal() {
         let mut cells = tiny_cells();
-        cells.insert(
-            0,
-            SweepCell::new("probe/dead", CellSpec::PanicProbe { fail_attempts: 2 }),
-        );
+        cells.insert(0, unbuildable_cell());
         let report = run_cells(&no_cache_opts(), cells);
         assert_eq!(report.outcomes.len(), 3);
         let dead = &report.outcomes[0];
         assert!(dead.is_failed());
-        assert!(dead.error.as_deref().unwrap().contains("induced failure"));
+        let error = dead.error.as_deref().unwrap();
+        assert!(error.contains("unsatisfiable topology spec"), "{error}");
         assert!(dead.values.nums().is_empty());
         assert_eq!(report.failed_cells, 1);
         // The healthy cells around it still computed.
@@ -479,7 +477,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut opts = SweepOptions::new(false, 1);
         opts.cache_dir.clone_from(&dir);
-        let cell = SweepCell::new("probe/dead", CellSpec::PanicProbe { fail_attempts: 2 });
+        let cell = unbuildable_cell();
         let key = cell_key(&cell, &opts.eval_config());
         let report = run_cells(&opts, vec![cell]);
         assert!(report.outcomes[0].is_failed());

@@ -1422,7 +1422,7 @@ fn failures_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
          degrades gracefully — roughly proportionally to the removed capacity — rather than\n\
          collapsing, echoing the random-graph robustness argument of the paper. Entries marked *\n\
          dropped disconnected demand pairs before solving (degraded, not failed); a cell that\n\
-         panicked twice is marked failed in the artifact and the run prints the cell dump instead.",
+         panicked is marked failed in the artifact and the run prints the cell dump instead.",
     )
 }
 

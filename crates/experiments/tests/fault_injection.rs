@@ -10,6 +10,7 @@
 
 use std::fs;
 use std::path::PathBuf;
+use tb_topology::families::{Family, Scale};
 use topobench::sweep::{
     artifact_json, cell_key, fnv1a, run_cells, validate_artifact, CellSet, CellSpec, ResultCache,
     SweepCell, SweepOptions, TopoSpec,
@@ -37,10 +38,10 @@ fn disconnected_spec() -> TopoSpec {
 }
 
 /// Acceptance drill for the failure-sweep subsystem: one full `failures`
-/// run completes and its artifact validates even when (a) one cell panics
-/// permanently, (b) one cached entry is corrupted on disk, and (c) one
-/// instance is disconnected — affected cells are marked by status, every
-/// other cell is bit-identical to the clean run.
+/// run completes and its artifact validates even when (a) one cell panics,
+/// (b) one cached entry is corrupted on disk, and (c) one instance is
+/// disconnected — affected cells are marked by status, every other cell is
+/// bit-identical to the clean run.
 #[test]
 fn failure_sweep_survives_panic_corruption_and_disconnection() {
     let scenario = experiments::find_scenario("failures").expect("failures scenario registered");
@@ -59,12 +60,22 @@ fn failure_sweep_survives_panic_corruption_and_disconnection() {
     assert!(victim_path.exists(), "clean run must populate the cache");
     fs::write(&victim_path, "{truncated garbage").unwrap();
 
-    // (a) A permanently panicking probe and (c) a degradation cell whose
-    // baseline instance is disconnected by its own fault injection.
+    // (a) A cell that panics (the hypercube ladder has no rung 99) and (c)
+    // a degradation cell whose baseline instance is disconnected by its own
+    // fault injection.
     let mut perturbed = cells.clone();
     perturbed.push(SweepCell::new(
         "probe/panic",
-        CellSpec::PanicProbe { fail_attempts: 2 },
+        CellSpec::Throughput {
+            topo: TopoSpec::Ladder {
+                family: Family::Hypercube,
+                scale: Scale::Small,
+                index: 99,
+                seed: 1,
+            },
+            tm: TmSpec::AllToAll,
+            tm_seed: 1,
+        },
     ));
     perturbed.push(SweepCell::new(
         "probe/disconnected",
@@ -80,7 +91,7 @@ fn failure_sweep_survives_panic_corruption_and_disconnection() {
     ));
     let report = run_cells(&opts, perturbed);
 
-    // The sweep completed; exactly the panic probe failed.
+    // The sweep completed; exactly the panicking cell failed.
     assert_eq!(report.failed_cells, 1);
     let by_id = |id: &str| {
         report
@@ -91,7 +102,8 @@ fn failure_sweep_survives_panic_corruption_and_disconnection() {
     };
     let dead = by_id("probe/panic");
     assert!(dead.is_failed());
-    assert!(dead.error.as_deref().unwrap().contains("induced failure"));
+    let error = dead.error.as_deref().unwrap();
+    assert!(error.contains("unsatisfiable topology spec"), "{error}");
 
     // (c) The disconnected instance is absorbed and marked by status text.
     let disc = by_id("probe/disconnected");
@@ -123,7 +135,8 @@ fn failure_sweep_survives_panic_corruption_and_disconnection() {
         );
     }
 
-    // The artifact still writes and validates, with only the probe marked.
+    // The artifact still writes and validates, with only the panicking cell
+    // marked.
     let render = (scenario.render)(&opts, &CellSet::new(&report.outcomes));
     let doc = artifact_json(scenario.name, scenario.title, &opts, &report, &render).to_string();
     validate_artifact(&doc).expect("artifact with a failed cell must validate");

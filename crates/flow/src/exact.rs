@@ -17,8 +17,8 @@
 //!   restricted master over path variables — capacity rows plus one coverage
 //!   row `sum_{p in P_j} x_p = t * d_j` per commodity — grown by shortest-path
 //!   pricing under the capacity duals. The master has `m + k` rows instead of
-//!   the arc LP's `m + |dests| · (n-1)`, which is what makes the 64-switch
-//!   bench shapes tractable: hypercube-64 under a matching TM is 448 rows
+//!   the arc LP's `m + |dests| · (n-1)`, which is what makes 64-switch
+//!   shapes tractable: hypercube-64 under a matching TM is 448 rows
 //!   instead of 4416 (45 masters, 2.2 s in all).
 //!   Convergence is certified, not assumed: each round derives the dual bound
 //!   `D(l)/alpha(l)` from the clamped capacity duals — the exact quantity the
@@ -562,6 +562,8 @@ mod tests {
     use crate::certificate::verify_certificate;
     use crate::fleischer::{FleischerConfig, FleischerSolver};
     use tb_graph::Graph;
+    use tb_topology::hypercube::hypercube;
+    use tb_topology::jellyfish::jellyfish;
     use tb_traffic::{synthetic, Demand, TrafficMatrix};
 
     fn demand(src: usize, dst: usize, amount: f64) -> Demand {
@@ -730,29 +732,14 @@ mod tests {
         assert!(outcome.bounds.upper >= cold.lower - 1e-6);
     }
 
-    /// Builds a `dim`-dimensional hypercube with one server per switch.
-    fn hypercube(dim: usize) -> Graph {
-        let n = 1usize << dim;
-        let mut edges = Vec::new();
-        for v in 0..n {
-            for b in 0..dim {
-                let u = v ^ (1 << b);
-                if v < u {
-                    edges.push((v, u));
-                }
-            }
-        }
-        Graph::from_edges(n, &edges)
-    }
-
     /// hypercube-32 under a longest matching sits past `ARC_LP_VAR_LIMIT`
     /// with few commodities, so this exercises the column-generation path on
-    /// every test run (the 64-switch shape stays an ignored release test).
+    /// every test run (the 64-switch shapes stay an ignored release test).
     /// The colgen optimum must be bracketed by precise FPTAS bounds and its
     /// certificate must verify at the colgen gap.
     #[test]
     fn column_generation_certifies_hypercube_32() {
-        let g = hypercube(5);
+        let g = hypercube(5, 1).graph;
         let tm = synthetic::longest_matching(&g, &vec![1usize; 32], true);
         let fptas = FleischerSolver::new(FleischerConfig::precise());
         let outcome = fptas.solve_outcome(&g, &tm);
@@ -766,33 +753,41 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "64-switch certification; run with --release in CI"]
+    #[ignore = "64-switch certifications; run with --release in CI"]
     fn certifies_hypercube_64_against_the_fptas() {
-        // hypercube-64 (dimension 6), longest-matching TM: the bench shape
-        // the acceptance gate names. Built inline to keep tb_flow free of a
-        // topology dependency.
-        let g = hypercube(6);
-        let tm = synthetic::longest_matching(&g, &vec![1usize; 64], true);
-
-        let fptas = FleischerSolver::new(FleischerConfig::precise());
-        let outcome = fptas.solve_outcome(&g, &tm);
-        let t0 = std::time::Instant::now();
-        let (b, cert) = ExactLpSolver::new()
-            .solve_certified_with_hint(&g, &tm, Some(&outcome.certificate))
-            .unwrap();
-        let secs = t0.elapsed().as_secs_f64();
-        verify_certificate(&g, &tm, &cert, 1e-4).unwrap();
-        assert!(
-            outcome.bounds.lower <= b.lower + 1e-6 && outcome.bounds.upper >= b.lower - 1e-6,
-            "FPTAS bounds [{}, {}] do not bracket the LP optimum {}",
-            outcome.bounds.lower,
-            outcome.bounds.upper,
-            b.lower
-        );
-        println!(
-            "hypercube-64/lm: exact t* = {:.6}, certified in {secs:.2}s (FPTAS bracket [{:.6}, {:.6}])",
-            b.lower, outcome.bounds.lower, outcome.bounds.upper
-        );
+        // One longest-matching instance per 64-switch family that column
+        // generation certifies in seconds: the hypercube of dimension 6 and a
+        // 6-regular Jellyfish. The LP optimum is ground truth independent of
+        // both FPTAS kernels, so this catches a bug they share: its
+        // certificate verifies at a near-exact gap, and the precise FPTAS
+        // bounds that warm-started it must bracket it.
+        for (name, topo) in [
+            ("hypercube64/lm", hypercube(6, 1)),
+            ("jellyfish64/lm", jellyfish(64, 6, 1, 42)),
+        ] {
+            let g = &topo.graph;
+            let tm = synthetic::longest_matching(g, &topo.servers, true);
+            let fptas = FleischerSolver::new(FleischerConfig::precise());
+            let outcome = fptas.solve_outcome(g, &tm);
+            let t0 = std::time::Instant::now();
+            let (b, cert) = ExactLpSolver::new()
+                .solve_certified_with_hint(g, &tm, Some(&outcome.certificate))
+                .unwrap_or_else(|e| panic!("{name}: exact certification failed: {e}"));
+            let secs = t0.elapsed().as_secs_f64();
+            verify_certificate(g, &tm, &cert, 1e-6)
+                .unwrap_or_else(|e| panic!("{name}: exact certificate failed verification: {e}"));
+            assert!(
+                outcome.bounds.lower <= b.lower + 1e-6 && outcome.bounds.upper >= b.lower - 1e-6,
+                "{name}: FPTAS bounds [{}, {}] do not bracket the LP optimum {}",
+                outcome.bounds.lower,
+                outcome.bounds.upper,
+                b.lower
+            );
+            println!(
+                "{name}: exact t* = {:.6}, certified in {secs:.2}s (FPTAS bracket [{:.6}, {:.6}])",
+                b.lower, outcome.bounds.lower, outcome.bounds.upper
+            );
+        }
     }
 
     /// The sweep's longest-matching TM of `topo` (hose-normalized).

@@ -197,8 +197,10 @@
 //! factor stays within `1 + eps`. The kernel follows from the destination
 //! count alone, with no threshold: a per-destination walk for sources below
 //! a graph-size-derived one ran the scenario suite at seed 1 in 57,579
-//! phases, the tree for all of them in 57,547. The frozen per-destination
-//! walk of `tb_bench::legacy` is what the tests compare the tree against.
+//! phases, the tree for all of them in 57,547. `solver_regression` holds the
+//! tree to the frozen per-destination walk of `tb_bench::legacy` (within the
+//! FPTAS gap, certificates verified) on its small grid and on five 64-switch
+//! multi-destination shapes.
 
 mod blocks;
 mod phase;
@@ -268,7 +270,7 @@ impl FleischerConfig {
 
 /// Convergence counters of one solve, reported by
 /// [`FleischerSolver::solve_in`]. The determinism and search-count
-/// tests read these; the bench harness and `TB_SOLVER_TRACE` print them.
+/// tests read these; the `benchmark/` harness and `TB_SOLVER_TRACE` print them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Phases executed (each phase routes every source's full demand once).

@@ -75,7 +75,7 @@ pub const ALL_FAMILIES: [Family; 10] = [
 /// How large an instance ladder to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scale {
-    /// Small instances only (tests, smoke runs, criterion benches).
+    /// Small instances only (tests, smoke runs, the sweep benchmark).
     Small,
     /// The full ladder used to regenerate the paper's scaling figures.
     Full,

@@ -11,7 +11,7 @@
 //! the construction (Cayley graph over `Z_2^D`, hypercube generators + extra
 //! long-hop generators) but chooses the extra generators with a deterministic
 //! greedy rule that maximizes the minimum pairwise Hamming distance of the
-//! generator set — the coding-theoretic criterion Tomic's codes optimize.
+//! generator set — the coding-theoretic measure Tomic's codes optimize.
 //! The substitution is recorded in `DESIGN.md`.
 
 use crate::meta::TopoMeta;

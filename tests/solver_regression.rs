@@ -11,9 +11,11 @@
 //! * repeated solves through one reused [`SolverWorkspace`] must reproduce
 //!   fresh-workspace results bit-for-bit, in any interleaving order;
 //! * the solver must match the frozen per-destination walk of
-//!   `tb_bench::legacy` within the FPTAS gap on every instance of the grid
-//!   with a source of several destinations (those route on the aggregated
-//!   tree);
+//!   `tb_bench::legacy` within the FPTAS gap, with its certificate verified,
+//!   on every instance of the grid with a source of several destinations
+//!   (those route on the aggregated tree) and on five 64-switch
+//!   multi-destination shapes (all-to-all, the skewed Facebook TM-F, random
+//!   matching, Kodialam);
 //! * the pooled dual-bound sweep and potential refresh must reproduce their
 //!   inline execution bit-for-bit on an instance large enough to fan out;
 //! * the block-mix lower bound must cut the phase count of a dense gap-exit
@@ -34,13 +36,15 @@
 
 use tb_flow::fleischer::PAR_MIN_SWEEP_WORK;
 use tb_flow::{
-    ExactLpSolver, FleischerConfig, FleischerSolver, FlowProblem, SolverWorkspace,
-    ThroughputCertificate,
+    verify_certificate, ExactLpSolver, FleischerConfig, FleischerSolver, FlowProblem,
+    SolverWorkspace, ThroughputCertificate,
 };
+use tb_graph::Graph;
 use tb_topology::families::Scale;
 use tb_topology::hypercube::hypercube;
 use tb_topology::jellyfish::jellyfish;
 use tb_topology::{Family, Topology};
+use tb_traffic::facebook::tm_f;
 use tb_traffic::synthetic::{
     all_to_all, kodialam, longest_matching, random_matching, random_permutation,
 };
@@ -393,6 +397,23 @@ fn reused_workspace_reproduces_fresh_results_across_instance_mix() {
     check("the fan-out solve", name, &big, &big_tm, &big_fresh, true);
 }
 
+/// Solves `tm` on `g` through the aggregated-tree kernel, verifies the
+/// solve's certificate at the gap the evaluation layer accepts, and holds the
+/// bounds to the kernel-equivalence contract against the frozen
+/// per-destination walk of `tb_bench::legacy`.
+fn assert_tree_matches_walk(name: &str, cfg: FleischerConfig, g: &Graph, tm: &TrafficMatrix) {
+    let outcome = FleischerSolver::new(cfg).solve_outcome(g, tm);
+    verify_certificate(
+        g,
+        tm,
+        &outcome.certificate,
+        (3.0 * cfg.epsilon).max(cfg.target_gap),
+    )
+    .unwrap_or_else(|e| panic!("{name}: certificate failed verification: {e}"));
+    let walk = tb_bench::legacy::solve(&cfg, g, tm);
+    tb_bench::assert_same_quality(name, &cfg, outcome.bounds, walk);
+}
+
 #[test]
 fn aggregated_kernel_matches_per_destination_walk_on_dense_tms() {
     // Every source with several destinations routes all its demands in one
@@ -413,10 +434,28 @@ fn aggregated_kernel_matches_per_destination_walk_on_dense_tms() {
             if prob.sources().iter().all(|s| s.dests.len() == 1) {
                 continue;
             }
-            let tree = FleischerSolver::new(cfg).solve(&topo.graph, &tm);
-            let walk = tb_bench::legacy::solve(&cfg, &topo.graph, &tm);
-            tb_bench::assert_same_quality(&name, &cfg, tree, walk);
+            assert_tree_matches_walk(&name, cfg, &topo.graph, &tm);
         }
+    }
+    // The 64-switch shapes at the sweep's stock configuration: both graphs
+    // under all-to-all, and the Jellyfish under the skewed Facebook TM-F
+    // (hose-normalized, as the sweep places it: raw, it solves to about
+    // 1e-7), random matching of five servers per switch and Kodialam's
+    // farthest-first spread of four, whose few destinations sit at unequal
+    // distances.
+    let cfg = FleischerConfig::fast();
+    let cube = hypercube(6, 1);
+    let cube_a2a = all_to_all(&cube.servers);
+    assert_tree_matches_walk("hypercube64/a2a", cfg, &cube.graph, &cube_a2a);
+    let jf = jellyfish(64, 6, 1, 42);
+    let (tmf, _) = tm_f(64, 7).normalized_to_hose(&jf.servers);
+    for (name, tm) in [
+        ("jellyfish64/a2a", all_to_all(&jf.servers)),
+        ("jellyfish64/tmf", tmf),
+        ("jellyfish64/rm5", random_matching(&jf.servers, 5, 3)),
+        ("jellyfish64/kodialam", kodialam(&jf.graph, &[4; 64])),
+    ] {
+        assert_tree_matches_walk(name, cfg, &jf.graph, &tm);
     }
 }
 
