@@ -6,7 +6,7 @@ use crate::stats::Stats;
 use serde::{Deserialize, Serialize};
 use tb_flow::{
     drop_disconnected_demands, ExactLpSolver, FleischerConfig, FleischerSolver, SolveStatus,
-    SolverWorkspace, ThroughputBounds, ThroughputCertificate,
+    ThroughputBounds, ThroughputCertificate,
 };
 use tb_topology::jellyfish::same_equipment;
 use tb_topology::Topology;
@@ -68,18 +68,6 @@ impl EvalConfig {
     }
 }
 
-/// Computes the throughput of `tm` on `topo` (§II-A): the maximum `t` such
-/// that `tm · t` is feasible. Small instances use the exact LP; larger ones
-/// the FPTAS with bracketing bounds. The bounds of [`evaluate`] in a fresh
-/// workspace.
-pub fn evaluate_throughput(
-    topo: &Topology,
-    tm: &TrafficMatrix,
-    cfg: &EvalConfig,
-) -> ThroughputBounds {
-    evaluate(topo, tm, cfg, &mut SolverWorkspace::new()).bounds
-}
-
 /// What [`evaluate`] returns.
 #[derive(Debug, Clone)]
 pub struct Evaluated {
@@ -92,11 +80,14 @@ pub struct Evaluated {
     pub certificate: Option<ThroughputCertificate>,
 }
 
-/// The one place the solver is chosen; `ws` amortizes the FPTAS's scratch
-/// allocations across the instances a sweep evaluates. An empty TM (all
-/// demands removed, e.g. after heavy fault injection) has zero throughput by
-/// definition and stops before the solvers, whose problem construction
-/// assumes at least one flow; small instances go to the exact LP, everything
+/// Computes the throughput of `tm` on `topo` (§II-A): the maximum `t` such
+/// that `tm · t` is feasible, as bracketing bounds, with the solve's status
+/// and, under [`EvalConfig::certify`], its certificate.
+///
+/// The one place the solver is chosen. An empty TM (all demands removed,
+/// e.g. after heavy fault injection) has zero throughput by definition and
+/// stops before the solvers, whose problem construction assumes at least one
+/// flow; small instances go to the exact LP, everything
 /// else (and, with a `warning:` line on stderr, an LP failure) to the FPTAS
 /// under `cfg.solver`. Strict semantics: a disconnected demand is not
 /// dropped, it pins the result to zero.
@@ -104,12 +95,7 @@ pub struct Evaluated {
 /// Certification can never change a reported number: the exact LP derives its
 /// certificate from the same optimal basis, and the FPTAS capture is
 /// trajectory-neutral.
-pub fn evaluate(
-    topo: &Topology,
-    tm: &TrafficMatrix,
-    cfg: &EvalConfig,
-    ws: &mut SolverWorkspace,
-) -> Evaluated {
+pub fn evaluate(topo: &Topology, tm: &TrafficMatrix, cfg: &EvalConfig) -> Evaluated {
     let done = |bounds, status, certificate: Option<ThroughputCertificate>| Evaluated {
         bounds: guard_finite(bounds, topo),
         status,
@@ -135,7 +121,7 @@ pub fn evaluate(
         }
     }
     let (bounds, stats, cert) =
-        FleischerSolver::new(cfg.solver).solve_in(&topo.graph, tm, ws, cfg.certify);
+        FleischerSolver::new(cfg.solver).solve_in(&topo.graph, tm, cfg.certify);
     let status = if stats.converged {
         SolveStatus::Converged
     } else {
@@ -182,12 +168,11 @@ pub(crate) fn evaluate_throughput_status_with(
     topo: &Topology,
     tm: &TrafficMatrix,
     cfg: &EvalConfig,
-    ws: &mut SolverWorkspace,
 ) -> (ThroughputBounds, SolveStatus) {
     let (kept_tm, dropped) = drop_disconnected_demands(&topo.graph, tm);
     // A TM with no surviving demand is empty: the strict evaluator's exact
     // zero, no solver call.
-    let e = evaluate(topo, &kept_tm, cfg, ws);
+    let e = evaluate(topo, &kept_tm, cfg);
     // Dropped demands take precedence in the reported status; convergence of
     // the residual solve is still visible in the bounds gap.
     let status = if dropped > 0 {
@@ -217,7 +202,7 @@ pub fn lower_bound_from(a2a: ThroughputBounds) -> ThroughputBounds {
 /// instance; use [`lower_bound_from`] when an A2A result is already at hand.
 pub fn lower_bound(topo: &Topology, cfg: &EvalConfig) -> ThroughputBounds {
     let tm = TmSpec::AllToAll.generate(topo, cfg.seed);
-    lower_bound_from(evaluate_throughput(topo, &tm, cfg))
+    lower_bound_from(evaluate(topo, &tm, cfg).bounds)
 }
 
 /// Result of a relative-throughput evaluation.
@@ -246,7 +231,7 @@ impl RelativeThroughput {
 }
 
 /// The 1 + k solves behind both relative metrics, as one fan-out so the pool
-/// can share all of them between threads: `value_on(graph, seed, ws)` is the
+/// can share all of them between threads: `value_on(graph, seed)` is the
 /// throughput on the topology itself (index 0, seed `cfg.seed`) and on each of
 /// `cfg.random_graph_iterations` same-equipment random graphs drawn at
 /// `cfg.seed + seed_offset + i`.
@@ -254,19 +239,23 @@ fn relative_to_random_graphs(
     topo: &Topology,
     cfg: &EvalConfig,
     seed_offset: u64,
-    value_on: impl Fn(&Topology, u64, &mut SolverWorkspace) -> f64 + Sync,
+    value_on: impl Fn(&Topology, u64) -> f64 + Sync,
 ) -> RelativeThroughput {
     let iters = cfg.random_graph_iterations.max(1);
-    let mut solves = rayon::map_init(0..iters + 1, SolverWorkspace::new, |ws, i| {
-        if i == 0 {
-            return value_on(topo, cfg.seed, ws);
-        }
-        let seed = cfg
-            .seed
-            .wrapping_add(seed_offset)
-            .wrapping_add(i as u64 - 1);
-        value_on(&same_equipment(topo, seed), seed, ws)
-    });
+    let mut solves = rayon::map_init(
+        0..iters + 1,
+        || (),
+        |(), i| {
+            if i == 0 {
+                return value_on(topo, cfg.seed);
+            }
+            let seed = cfg
+                .seed
+                .wrapping_add(seed_offset)
+                .wrapping_add(i as u64 - 1);
+            value_on(&same_equipment(topo, seed), seed)
+        },
+    );
     let absolute = solves.remove(0);
     RelativeThroughput::from_solves(absolute, solves)
 }
@@ -278,8 +267,8 @@ fn relative_to_random_graphs(
 /// The TM is re-generated for each graph from `spec` (near-worst-case traffic
 /// is worst-case *for that graph*); pass [`TmSpec::AllToAll`] etc. as needed.
 pub fn relative_throughput(topo: &Topology, spec: &TmSpec, cfg: &EvalConfig) -> RelativeThroughput {
-    relative_to_random_graphs(topo, cfg, 1000, |graph, seed, ws| {
-        evaluate(graph, &spec.generate(graph, seed), cfg, ws)
+    relative_to_random_graphs(topo, cfg, 1000, |graph, seed| {
+        evaluate(graph, &spec.generate(graph, seed), cfg)
             .bounds
             .value()
     })
@@ -293,8 +282,8 @@ pub fn relative_throughput_fixed_tm(
     tm: &TrafficMatrix,
     cfg: &EvalConfig,
 ) -> RelativeThroughput {
-    relative_to_random_graphs(topo, cfg, 2000, |graph, _, ws| {
-        evaluate(graph, tm, cfg, ws).bounds.value()
+    relative_to_random_graphs(topo, cfg, 2000, |graph, _| {
+        evaluate(graph, tm, cfg).bounds.value()
     })
 }
 
@@ -315,7 +304,7 @@ mod tests {
     fn a2a_throughput_of_small_hypercube_is_positive() {
         let topo = hypercube(3, 1);
         let tm = TmSpec::AllToAll.generate(&topo, 1);
-        let b = evaluate_throughput(&topo, &tm, &cfg());
+        let b = evaluate(&topo, &tm, &cfg()).bounds;
         assert!(b.lower > 0.0);
         assert!(b.lower <= b.upper + 1e-9);
     }
@@ -324,8 +313,8 @@ mod tests {
     fn longest_matching_not_better_than_a2a() {
         let topo = hypercube(4, 1);
         let c = cfg();
-        let a2a = evaluate_throughput(&topo, &TmSpec::AllToAll.generate(&topo, 1), &c);
-        let lm = evaluate_throughput(&topo, &TmSpec::LongestMatching.generate(&topo, 1), &c);
+        let a2a = evaluate(&topo, &TmSpec::AllToAll.generate(&topo, 1), &c).bounds;
+        let lm = evaluate(&topo, &TmSpec::LongestMatching.generate(&topo, 1), &c).bounds;
         assert!(
             lm.lower <= a2a.upper + 0.05,
             "LM {} should not beat A2A {}",
@@ -339,7 +328,7 @@ mod tests {
         let topo = hypercube(4, 1);
         let c = cfg();
         let lb = lower_bound(&topo, &c);
-        let lm = evaluate_throughput(&topo, &TmSpec::LongestMatching.generate(&topo, 1), &c);
+        let lm = evaluate(&topo, &TmSpec::LongestMatching.generate(&topo, 1), &c).bounds;
         // LM throughput must be at least T_A2A / 2 (allowing solver slack).
         assert!(
             lm.upper >= lb.lower * 0.93,
@@ -354,7 +343,7 @@ mod tests {
         let topo = hypercube(3, 1);
         let c = cfg();
         let direct = lower_bound(&topo, &c);
-        let a2a = evaluate_throughput(&topo, &TmSpec::AllToAll.generate(&topo, c.seed), &c);
+        let a2a = evaluate(&topo, &TmSpec::AllToAll.generate(&topo, c.seed), &c).bounds;
         let derived = lower_bound_from(a2a);
         assert_eq!(direct.lower.to_bits(), derived.lower.to_bits());
         assert_eq!(direct.upper.to_bits(), derived.upper.to_bits());
@@ -379,8 +368,7 @@ mod tests {
         g.add_edge(0, 1, 1.0);
         let topo = Topology::new("lonely", "test", g, vec![1, 1, 1]);
         let tm = TmSpec::AllToAll.generate(&topo, 1);
-        let (b, status) =
-            evaluate_throughput_status_with(&topo, &tm, &cfg(), &mut SolverWorkspace::new());
+        let (b, status) = evaluate_throughput_status_with(&topo, &tm, &cfg());
         assert!(b.lower > 0.0, "connected pair should still carry traffic");
         assert!(b.lower.is_finite() && b.upper.is_finite());
         match status {
@@ -398,8 +386,7 @@ mod tests {
         let g = Graph::new(2);
         let topo = Topology::new("islands", "test", g, vec![1, 1]);
         let tm = TmSpec::AllToAll.generate(&topo, 1);
-        let (b, status) =
-            evaluate_throughput_status_with(&topo, &tm, &cfg(), &mut SolverWorkspace::new());
+        let (b, status) = evaluate_throughput_status_with(&topo, &tm, &cfg());
         assert_eq!(b.lower, 0.0);
         assert_eq!(b.upper, 0.0);
         assert_eq!(
@@ -410,7 +397,7 @@ mod tests {
             }
         );
         // The strict evaluator also stays finite (zero) on this instance.
-        let strict = evaluate_throughput(&topo, &tm, &cfg());
+        let strict = evaluate(&topo, &tm, &cfg()).bounds;
         assert!(strict.lower.is_finite() && strict.upper.is_finite());
     }
 
@@ -418,10 +405,9 @@ mod tests {
     fn empty_tm_evaluates_to_zero_without_panicking() {
         let topo = hypercube(3, 1);
         let tm = TrafficMatrix::empty(topo.num_switches());
-        let b = evaluate_throughput(&topo, &tm, &cfg());
+        let b = evaluate(&topo, &tm, &cfg()).bounds;
         assert_eq!(b.value(), 0.0);
-        let (sb, status) =
-            evaluate_throughput_status_with(&topo, &tm, &cfg(), &mut SolverWorkspace::new());
+        let (sb, status) = evaluate_throughput_status_with(&topo, &tm, &cfg());
         assert_eq!(sb.value(), 0.0);
         assert_eq!(status, SolveStatus::Converged);
     }
@@ -435,10 +421,9 @@ mod tests {
         // degraded all three report the same bits.
         for topo in [hypercube(3, 1), hypercube(5, 1)] {
             let tm = TmSpec::AllToAll.generate(&topo, 1);
-            let plain = evaluate_throughput(&topo, &tm, &c);
-            let mut ws = SolverWorkspace::new();
-            let certified = evaluate(&topo, &tm, &certifying, &mut ws);
-            let (b, status) = evaluate_throughput_status_with(&topo, &tm, &c, &mut ws);
+            let plain = evaluate(&topo, &tm, &c).bounds;
+            let certified = evaluate(&topo, &tm, &certifying);
+            let (b, status) = evaluate_throughput_status_with(&topo, &tm, &c);
             for view in [certified.bounds, b] {
                 assert_eq!(plain.lower.to_bits(), view.lower.to_bits());
                 assert_eq!(plain.upper.to_bits(), view.upper.to_bits());
@@ -462,10 +447,9 @@ mod tests {
         // `certify` neither path hands one out.
         for topo in [hypercube(3, 1), hypercube(5, 1)] {
             let tm = TmSpec::AllToAll.generate(&topo, 1);
-            let mut ws = SolverWorkspace::new();
-            let plain = evaluate(&topo, &tm, &c, &mut ws);
+            let plain = evaluate(&topo, &tm, &c);
             assert!(plain.certificate.is_none());
-            let e = evaluate(&topo, &tm, &certifying, &mut ws);
+            let e = evaluate(&topo, &tm, &certifying);
             assert_eq!(plain.bounds.lower.to_bits(), e.bounds.lower.to_bits());
             assert_eq!(plain.bounds.upper.to_bits(), e.bounds.upper.to_bits());
             assert_eq!(e.status, SolveStatus::Converged);

@@ -8,7 +8,7 @@
 //!
 //! 1. *What throughput does it sustain under a given traffic matrix?*
 //!    Throughput is the maximum concurrent flow (§II-A of the paper),
-//!    computed here by [`evaluate_throughput`] with either the exact LP
+//!    computed here by [`evaluate`] with either the exact LP
 //!    (small instances) or a bounded-gap FPTAS.
 //! 2. *How does that compare to a random graph built from exactly the same
 //!    equipment?* [`relative_throughput`] builds same-equipment random graphs
@@ -21,13 +21,13 @@
 //! ## Quick example
 //!
 //! ```
-//! use topobench::{evaluate_throughput, lower_bound, EvalConfig, TmSpec};
+//! use topobench::{evaluate, lower_bound, EvalConfig, TmSpec};
 //! use tb_topology::hypercube::hypercube;
 //!
 //! let topo = hypercube(4, 1);
 //! let cfg = EvalConfig::default();
 //! let tm = TmSpec::LongestMatching.generate(&topo, 1);
-//! let worst = evaluate_throughput(&topo, &tm, &cfg);
+//! let worst = evaluate(&topo, &tm, &cfg).bounds;
 //! let bound = lower_bound(&topo, &cfg);
 //! assert!(worst.lower >= bound.lower - 0.05);
 //! ```
@@ -43,8 +43,8 @@ pub mod stats;
 pub mod sweep;
 
 pub use eval::{
-    evaluate, evaluate_throughput, lower_bound, lower_bound_from, relative_throughput,
-    relative_throughput_fixed_tm, EvalConfig, Evaluated, RelativeThroughput,
+    evaluate, lower_bound, lower_bound_from, relative_throughput, relative_throughput_fixed_tm,
+    EvalConfig, Evaluated, RelativeThroughput,
 };
 pub use spec::TmSpec;
 pub use stats::Stats;

@@ -17,8 +17,8 @@ use crate::sweep::topo::TopoSpec;
 use std::collections::BTreeMap;
 use tb_cuts::{estimate_sparsest_cut, ALL_ESTIMATORS};
 use tb_flow::restricted::{k_shortest_path_sets, PathRestrictedSolver, SubflowCountingEstimator};
+use tb_flow::SolveStatus;
 use tb_flow::ThroughputCertificate;
-use tb_flow::{SolveStatus, SolverWorkspace};
 use tb_graph::shortest_path::average_path_length;
 use tb_topology::faults::{apply_faults, FaultPlan};
 use tb_topology::jellyfish::same_equipment;
@@ -553,14 +553,13 @@ fn run_search(
     tm_seed: u64,
     max_steps: usize,
     cfg: &EvalConfig,
-    ws: &mut SolverWorkspace,
     out: &mut CellValues,
 ) {
     let mut evals = 0usize;
     let mut evaluate = |spec: &TopoSpec| -> Option<(f64, f64)> {
         let topo = spec.build()?;
         let matrix = tm.generate(&topo, tm_seed);
-        let value = evaluate(&topo, &matrix, cfg, ws).bounds.value();
+        let value = evaluate(&topo, &matrix, cfg).bounds.value();
         evals += 1;
         Some((value, search_objective(&topo, value)))
     };
@@ -604,9 +603,8 @@ fn run_search(
 }
 
 impl CellSpec {
-    /// Runs the computation. `ws` amortizes solver scratch allocations across
-    /// cells on the same worker; results are identical to a fresh workspace.
-    pub fn compute(&self, cfg: &EvalConfig, ws: &mut SolverWorkspace) -> CellValues {
+    /// Runs the computation.
+    pub fn compute(&self, cfg: &EvalConfig) -> CellValues {
         let mut out = CellValues::default();
         match self {
             CellSpec::Throughput { topo, tm, tm_seed } => {
@@ -615,7 +613,7 @@ impl CellSpec {
                 // Capturing the certificate is side-effect-free, so the pushed
                 // metrics are bit-identical with `certify` on or off — only the
                 // evidence block is added.
-                let e = evaluate(&topo, &matrix, cfg, ws);
+                let e = evaluate(&topo, &matrix, cfg);
                 if let Some(cert) = e.certificate {
                     out.set_certificate(CellCertificate {
                         cert,
@@ -714,8 +712,7 @@ impl CellSpec {
             } => {
                 let base = build_topo(topo);
                 let base_tm = tm.generate(&base, *tm_seed);
-                let (baseline, base_status) =
-                    evaluate_throughput_status_with(&base, &base_tm, cfg, ws);
+                let (baseline, base_status) = evaluate_throughput_status_with(&base, &base_tm, cfg);
                 let base_value = baseline.value();
                 let link_failures =
                     (link_fail_frac * base.num_links() as f64).round().max(0.0) as usize;
@@ -734,7 +731,7 @@ impl CellSpec {
                     // carry no servers, so their pairs drop out of the grid.
                     let faulted_tm = tm.generate(&faulted, *tm_seed);
                     let (bounds, status) =
-                        evaluate_throughput_status_with(&faulted, &faulted_tm, cfg, ws);
+                        evaluate_throughput_status_with(&faulted, &faulted_tm, cfg);
                     let ratio = if base_value > 0.0 {
                         bounds.value() / base_value
                     } else {
@@ -764,7 +761,7 @@ impl CellSpec {
                 tm_seed,
                 max_steps,
             } => {
-                run_search(start, tm, *tm_seed, *max_steps, cfg, ws, &mut out);
+                run_search(start, tm, *tm_seed, *max_steps, cfg, &mut out);
             }
         }
         out
@@ -786,11 +783,10 @@ mod tests {
             tm_seed: 1,
         };
         let cfg = EvalConfig::fast();
-        let mut ws = SolverWorkspace::new();
-        let v = spec.compute(&cfg, &mut ws);
+        let v = spec.compute(&cfg);
         let topo = tb_topology::hypercube::hypercube(3, 1);
         let tm = TmSpec::AllToAll.generate(&topo, 1);
-        let direct = crate::evaluate_throughput(&topo, &tm, &cfg);
+        let direct = evaluate(&topo, &tm, &cfg).bounds;
         assert_eq!(v.num("lower").to_bits(), direct.lower.to_bits());
         assert_eq!(v.num("upper").to_bits(), direct.upper.to_bits());
     }
@@ -904,8 +900,8 @@ mod tests {
     fn degradation_cell_is_deterministic_and_bounded() {
         let spec = degradation_spec(0.125, 1);
         let cfg = EvalConfig::fast();
-        let a = spec.compute(&cfg, &mut SolverWorkspace::new());
-        let b = spec.compute(&cfg, &mut SolverWorkspace::new());
+        let a = spec.compute(&cfg);
+        let b = spec.compute(&cfg);
         assert!(a.bit_identical(&b), "degradation draws must be seeded");
         assert!(a.num("baseline") > 0.0);
         let mean = a.num("rel_mean");
@@ -921,7 +917,7 @@ mod tests {
     #[test]
     fn degradation_without_faults_is_exactly_unity() {
         let spec = degradation_spec(0.0, 0);
-        let v = spec.compute(&EvalConfig::fast(), &mut SolverWorkspace::new());
+        let v = spec.compute(&EvalConfig::fast());
         for ratio in ["ratio_0", "ratio_1", "ratio_2"] {
             assert_eq!(v.num(ratio).to_bits(), 1.0f64.to_bits());
         }

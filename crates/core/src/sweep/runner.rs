@@ -3,19 +3,15 @@
 //! Execution is embarrassingly parallel over *unique* cell computations
 //! (cells with identical cache keys are computed once and share the result):
 //! each is one job on the pool's shared queue, and the solves a cell fans out
-//! are shared between threads the same way. A [`SolverWorkspace`] is reused
-//! across the cells of one block (all of them when run serially); workspace
-//! reuse is result-identical to fresh workspaces (asserted by the solver's
-//! determinism tests), and every random seed is pinned inside the cell spec,
-//! so results are bit-identical regardless of thread count or execution
-//! order.
+//! are shared between threads the same way. Every solve builds its own state
+//! and every random seed is pinned inside the cell spec, so results are
+//! bit-identical regardless of thread count or execution order.
 
 use crate::eval::EvalConfig;
 use crate::sweep::cache::ResultCache;
 use crate::sweep::cell::{CellValues, SweepCell};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use tb_flow::SolverWorkspace;
 use tb_topology::families::Scale;
 
 /// Options shared by every cell of a sweep run.
@@ -154,18 +150,12 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// Executes one cell under fault isolation: a panicking computation marks
 /// the cell failed, with the panic text, instead of aborting the sweep. A
 /// cell is a pure function of its spec and the evaluation configuration, so
-/// it is tried once: a retry would panic again. The unwound computation may
-/// have left `ws` mid-update, so it is replaced before the next cell uses it.
-fn compute_isolated(
-    cell: &SweepCell,
-    cfg: &EvalConfig,
-    ws: &mut SolverWorkspace,
-) -> (CellValues, Option<String>) {
+/// it is tried once: a retry would panic again.
+fn compute_isolated(cell: &SweepCell, cfg: &EvalConfig) -> (CellValues, Option<String>) {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    match catch_unwind(AssertUnwindSafe(|| cell.spec.compute(cfg, ws))) {
+    match catch_unwind(AssertUnwindSafe(|| cell.spec.compute(cfg))) {
         Ok(values) => (values, None),
         Err(payload) => {
-            *ws = SolverWorkspace::new();
             let error = panic_text(payload.as_ref());
             eprintln!("warning: cell '{}' failed: {error}", cell.id);
             (CellValues::default(), Some(error))
@@ -175,18 +165,16 @@ fn compute_isolated(
 
 /// Runs `f` over the units of work of a sweep (its uncached cells), in
 /// order: one after another on the calling thread with `jobs == Some(1)`,
-/// otherwise as one pool job each. A [`SolverWorkspace`] is handed along the
-/// units that run together.
+/// otherwise as one pool job each.
 fn map_units<T: Send, U: Send>(
     opts: &SweepOptions,
     units: Vec<T>,
-    f: impl Fn(&mut SolverWorkspace, T) -> U + Sync,
+    f: impl Fn(T) -> U + Sync,
 ) -> Vec<U> {
     if opts.jobs == Some(1) {
-        let mut ws = SolverWorkspace::new();
-        units.into_iter().map(|unit| f(&mut ws, unit)).collect()
+        units.into_iter().map(f).collect()
     } else {
-        rayon::map_init(units, SolverWorkspace::new, f)
+        rayon::map_init(units, || (), |(), unit| f(unit))
     }
 }
 
@@ -233,9 +221,9 @@ pub fn run_cells(opts: &SweepOptions, cells: Vec<SweepCell>) -> SweepReport {
         .enumerate()
         .filter_map(|(u, r)| r.is_none().then_some(u))
         .collect();
-    let run_cell = |ws: &mut SolverWorkspace, u: usize| {
+    let run_cell = |u: usize| {
         let cell_idx = unique_indices[u];
-        let (values, error) = compute_isolated(&cells[cell_idx], &cfg, ws);
+        let (values, error) = compute_isolated(&cells[cell_idx], &cfg);
         if opts.use_cache && error.is_none() {
             // Stored as each cell finishes so interrupted runs
             // resume from whatever completed.

@@ -24,7 +24,6 @@ use crate::sweep::artifact::{Artifact, ArtifactCell};
 use crate::sweep::cell::{CellCertificate, CellSpec};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use tb_flow::drop_disconnected_demands;
 
 /// The verdict on one artifact cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,16 +159,9 @@ pub fn verify_cell(cell: &ArtifactCell, spec: Option<&CellSpec>, cfg: &EvalConfi
     let Some(topo) = topo.build() else {
         return CellVerdict::Bad("unsatisfiable topology spec".into());
     };
+    // The certified evaluation path is strict (it never drops demands), so
+    // the certificate describes the whole TM.
     let matrix = tm.generate(&topo, *tm_seed);
-    // The certified evaluation path is strict (it never drops demands), but
-    // a certificate recorded under a dropped-demands status describes the
-    // surviving sub-TM — re-apply the same reachability partition before
-    // checking, so the layouts line up.
-    let matrix = if cc.status.starts_with("dropped-") {
-        drop_disconnected_demands(&topo.graph, &matrix).0
-    } else {
-        matrix
-    };
     let eps = acceptable_certificate_gap(cfg);
     if let Err(e) = tb_flow::verify_certificate(&topo.graph, &matrix, &cc.cert, eps) {
         return CellVerdict::Bad(e.to_string());

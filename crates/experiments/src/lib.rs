@@ -17,7 +17,7 @@
 //! * `--csv`      — additionally write `results/<figure>.csv` per table (the
 //!   unified JSON artifact `results/<scenario>.json` is always written),
 //! * `--jobs N`   — computing threads, the calling one included (`1` forces
-//!   a fully serial run and spawns nothing). Every cell is one job of a
+//!   a fully serial run and spawns nothing; at most [`MAX_JOBS`]). Every cell is one job of a
 //!   shared queue, and the 1+k solves of a relative cell are shared between
 //!   the threads too; results are bit-identical for any `N`. This is the
 //!   only parallelism knob: inside a solve only the read-only bound sweeps
@@ -64,6 +64,12 @@ pub struct RunOptions {
     pub sweep: SweepOptions,
 }
 
+/// The largest `--jobs` the parser accepts. The pool spawns `N - 1` workers
+/// (8 MiB stacks) on its first batch and cannot run without them, so a count
+/// the system refuses to spawn aborts the process mid-run; a count above
+/// this ceiling is a usage error instead, before anything runs.
+pub const MAX_JOBS: usize = 256;
+
 /// The option list `--help` and every usage error print.
 const HELP: &str = "  --list           print the scenario index and exit
   --scenario <V>   scenario name to run (or 'all')
@@ -72,8 +78,8 @@ const HELP: &str = "  --list           print the scenario index and exit
   --full           run the paper-scale instance ladder (slow; default: reduced)
   --seed <N>       base RNG seed (default 1)
   --csv            also write results/<figure>.csv (results/<scenario>.json is always written)
-  --jobs <N>       computing threads, the calling one included (1 = fully serial,
-                   no thread spawned; default: all cores). Every cell is one job
+  --jobs <N>       computing threads, the calling one included, 1 to 256 (1 = fully
+                   serial, no thread spawned; default: all cores). Every cell is one job
                    of a shared queue and the 1+k solves of a relative cell are
                    shared between the threads too; results do not depend on N
   --filter <S>     only run cells whose id contains S (prints a raw cell dump)
@@ -159,6 +165,11 @@ impl RunOptions {
                     })?;
                     if jobs == 0 {
                         return Err(ParseAbort::Usage("--jobs must be at least 1".into()));
+                    }
+                    if jobs > MAX_JOBS {
+                        return Err(ParseAbort::Usage(format!(
+                            "--jobs must be at most {MAX_JOBS}, got {jobs}"
+                        )));
                     }
                     opts.sweep.jobs = Some(jobs);
                 }
@@ -285,6 +296,20 @@ mod tests {
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["--seed", "xyz"]).is_err());
         assert!(parse(&["--jobs", "0"]).is_err());
+    }
+
+    #[test]
+    fn jobs_above_the_ceiling_are_a_usage_error() {
+        // A count the system cannot spawn must be refused before the pool
+        // tries to spawn it.
+        let max = MAX_JOBS.to_string();
+        assert_eq!(parse(&["--jobs", &max]).unwrap().sweep.jobs, Some(MAX_JOBS));
+        let over = (MAX_JOBS + 1).to_string();
+        assert_eq!(
+            parse(&["--jobs", &over]).unwrap_err(),
+            format!("--jobs must be at most {MAX_JOBS}, got {over}")
+        );
+        assert!(parse(&["--jobs", "100000"]).is_err());
     }
 
     #[test]

@@ -153,7 +153,7 @@ fn failure_sweep_survives_panic_corruption_and_disconnection() {
 #[test]
 fn budget_exhausted_certificates_are_unverifiable_never_certified() {
     use topobench::eval::evaluate;
-    use topobench::flow::{SolveStatus, SolverWorkspace};
+    use topobench::flow::SolveStatus;
     use topobench::sweep::{verify_cell, ArtifactCell, CellCertificate, CellValues, CellVerdict};
 
     let spec = CellSpec::Throughput {
@@ -182,8 +182,7 @@ fn budget_exhausted_certificates_are_unverifiable_never_certified() {
     starved.solver.check_interval = 1;
     starved.solver.epsilon = 0.01;
     starved.solver.target_gap = 1e-9;
-    let mut ws = SolverWorkspace::new();
-    let e = evaluate(&built, &matrix, &starved, &mut ws);
+    let e = evaluate(&built, &matrix, &starved);
     let (bounds, status, cert) = (e.bounds, e.status, e.certificate.unwrap());
     assert_eq!(status, SolveStatus::BudgetExhausted, "budget must run out");
 
@@ -213,7 +212,7 @@ fn budget_exhausted_certificates_are_unverifiable_never_certified() {
 
     // Control: the same instance with a sane budget certifies cleanly.
     let sane = opts.eval_config();
-    let e = evaluate(&built, &matrix, &sane, &mut ws);
+    let e = evaluate(&built, &matrix, &sane);
     let (bounds, status, cert) = (e.bounds, e.status, e.certificate.unwrap());
     assert_eq!(status, SolveStatus::Converged);
     let cc = CellCertificate {

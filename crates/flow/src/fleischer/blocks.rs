@@ -263,7 +263,7 @@ impl Blocks {
 pub(super) mod tests {
     use super::*;
     use crate::certificate::CertCapture;
-    use crate::fleischer::{phase, FleischerConfig, FleischerSolver, SolverWorkspace};
+    use crate::fleischer::{phase, FleischerConfig, FleischerSolver};
     use crate::instance::FlowProblem;
     use std::cell::Cell;
     use tb_topology::families::Scale;
@@ -335,12 +335,7 @@ pub(super) mod tests {
             ),
         ] {
             let cfg = FleischerConfig::fast();
-            let (_, stats, _) = FleischerSolver::new(cfg).solve_in(
-                &topo.graph,
-                &tm,
-                &mut SolverWorkspace::new(),
-                false,
-            );
+            let (_, stats, _) = FleischerSolver::new(cfg).solve_in(&topo.graph, &tm, false);
             assert!(
                 stats.evaluations > 0 && stats.lp_solves >= stats.evaluations,
                 "{stats:?}"
@@ -361,8 +356,7 @@ pub(super) mod tests {
         let tm = all_to_all(&topo.servers);
         let prob = FlowProblem::new(&topo.graph, &tm);
         let cfg = FleischerConfig::fast();
-        let solved =
-            phase::solve_problem(&cfg, &topo.graph, &prob, &mut SolverWorkspace::new(), true);
+        let solved = phase::solve_problem(&cfg, &topo.graph, &prob, true);
         let mut blocks = solved.blocks;
         assert!(blocks.len() > 1, "{:?}", solved.stats);
         let caps: Vec<f64> = prob.arc_caps().collect();

@@ -39,10 +39,11 @@
 //!   computation and the goal-direction potential rows.
 //!
 //! A solve passes two values around: the read-only `RouteCtx`, and the
-//! [`SolverWorkspace`], which holds everything the solve mutates — lengths,
+//! `SolverWorkspace`, which holds everything the solve mutates — lengths,
 //! SSSP scratch, the kernels' buffers, potential rows, held paths, the flow
-//! per arc and per commodity and the [`SolveStats`] counters. The kernels and
-//! the bound evaluation take `(ctx, what the call is about, ws)`.
+//! per arc and per commodity and the [`SolveStats`] counters. The solve
+//! builds both for its instance and drops them when it returns. The kernels
+//! and the bound evaluation take `(ctx, what the call is about, ws)`.
 //!
 //! Every solve runs **one serial trajectory**: source by source, lengths
 //! updated in place. Parallelism lives one layer up (the sweep engine spreads
@@ -62,9 +63,9 @@
 //!   vectors are chased,
 //! * all per-iteration state (Dijkstra arrays and heap, remaining demand,
 //!   the tree kernel's per-node buffers, the known paths) lives in the
-//!   [`SolverWorkspace`], allocated once and reset in O(1) via generation
-//!   counters (the known paths in O(sources), at the start of every solve).
-//!   A sweep that fans out gives each block of sources a fresh SSSP
+//!   solve's workspace, allocated once per solve; the SSSP workspace inside
+//!   it resets in O(1) between searches via generation counters. A sweep
+//!   that fans out gives each block of sources a fresh SSSP
 //!   workspace; it fans out only past [`PAR_MIN_SWEEP_WORK`] (sources ×
 //!   arcs), where that allocation is small beside the block's searches,
 //! * every SSSP call passes the source's destination set, so Dijkstra stops
@@ -151,7 +152,7 @@
 //! puts the path just routed past the slack. So such a source routes with
 //! its own loop (`route_source_single`): it keeps the last 16 distinct
 //! paths its searches returned (a fixed, measured capacity; least recently
-//! routed evicted; kept across phases, emptied per solve), and after a
+//! routed evicted; kept across the phases of one solve), and after a
 //! capacity-limited step routes along the shortest of them under the current
 //! lengths if that is within the slack of the turn's latest search distance
 //! `D`. Only when none qualifies does it search again, which raises `D` and
@@ -269,7 +270,7 @@ impl FleischerConfig {
 }
 
 /// Convergence counters of one solve, reported by
-/// [`FleischerSolver::solve_in`]. The determinism and search-count
+/// [`FleischerSolver::solve_in`] and [`SolveOutcome`]. The determinism and search-count
 /// tests read these; the `benchmark/` harness and `TB_SOLVER_TRACE` print them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
@@ -319,13 +320,10 @@ pub struct SolveStats {
 /// Everything a [`FleischerSolver`] solve mutates: the SSSP workspace, the
 /// multiplicative-weights length state, the per-iteration buffers, and the
 /// per-solve accumulators (flow per arc and per commodity, the counters).
-/// The routing kernels and the bound evaluation take it whole. Sized lazily
-/// and reusable across `solve` calls: once the largest instance has been
-/// seen, the buffers held here stop allocating (per-solve setup such as the
-/// `FlowProblem` arc view and demand tables still allocates), and results are
-/// identical to fresh-workspace runs (see the determinism tests).
-#[derive(Debug, Clone, Default)]
-pub struct SolverWorkspace {
+/// The routing kernels and the bound evaluation take it whole. Each solve
+/// builds its own, sized for its instance.
+#[derive(Debug)]
+struct SolverWorkspace {
     /// Dijkstra state shared by routing iterations and sequential bound
     /// sweeps.
     sssp: SsspWorkspace,
@@ -343,8 +341,7 @@ pub struct SolverWorkspace {
     /// order when the aggregated kernel revalidates a reused tree.
     cur_len: Vec<f64>,
     /// Paths the single-destination sources' searches have returned and the
-    /// latest trees of the multi-destination sources, emptied at the start
-    /// of every solve.
+    /// latest trees of the multi-destination sources.
     held: route::HeldPaths,
     /// Flow routed per arc since the start of the solve.
     flow_arc: Vec<f64>,
@@ -357,10 +354,24 @@ pub struct SolverWorkspace {
 }
 
 impl SolverWorkspace {
-    /// Creates an empty workspace; buffers are sized lazily by the first
-    /// solve.
-    pub fn new() -> Self {
-        Self::default()
+    /// The state a solve of `ctx`'s instance starts from: lengths at the
+    /// classical initial value for step size `eps`, no flow, no held path,
+    /// every potential row unset and none dense.
+    fn new(ctx: &route::RouteCtx<'_>, eps: f64) -> Self {
+        let prob = ctx.prob;
+        let n = prob.num_nodes();
+        SolverWorkspace {
+            sssp: SsspWorkspace::new(),
+            remaining: Vec::new(),
+            mwu: MwuLengths::new(eps, prob.arc_caps()),
+            potentials: route::PotentialRows::new(ctx.num_single, n),
+            subtree: vec![0.0; n],
+            cur_len: vec![0.0; n],
+            held: route::HeldPaths::new(ctx),
+            flow_arc: vec![0.0; prob.num_arcs()],
+            routed: ctx.demands.iter().map(|d| vec![0.0; d.len()]).collect(),
+            stats: SolveStats::default(),
+        }
     }
 }
 
@@ -426,14 +437,11 @@ impl FleischerSolver {
     /// Returns `ThroughputBounds { lower: 0.0, upper: 0.0 }` if some demand
     /// pair is disconnected (the concurrent flow is then zero).
     pub fn solve(&self, graph: &Graph, tm: &TrafficMatrix) -> ThroughputBounds {
-        self.solve_in(graph, tm, &mut SolverWorkspace::new(), false)
-            .0
+        self.solve_in(graph, tm, false).0
     }
 
-    /// The solve itself, in a caller-provided workspace so buffers amortize
-    /// across many solves (sweeps, relative-throughput sampling); results are
-    /// identical to a fresh workspace. Returns the bounds, the convergence
-    /// counters and, with `want_cert`, the optimality certificate. Capture is
+    /// The solve itself: the bounds, the convergence counters and, with
+    /// `want_cert`, the optimality certificate. Capture is
     /// trajectory-neutral — bounds and stats are bit-identical either way; it
     /// costs two `O(num_arcs)` snapshots per bound improvement plus one
     /// canonical shortest-path sweep at the end. Strict semantics: a
@@ -442,7 +450,6 @@ impl FleischerSolver {
         &self,
         graph: &Graph,
         tm: &TrafficMatrix,
-        ws: &mut SolverWorkspace,
         want_cert: bool,
     ) -> (
         ThroughputBounds,
@@ -451,7 +458,7 @@ impl FleischerSolver {
     ) {
         crate::record_solver_invocation();
         let prob = FlowProblem::new(graph, tm);
-        let solved = phase::solve_problem(&self.config, graph, &prob, ws, want_cert);
+        let solved = phase::solve_problem(&self.config, graph, &prob, want_cert);
         (solved.bounds, solved.stats, solved.cert)
     }
 
@@ -481,8 +488,7 @@ impl FleischerSolver {
                 certificate: crate::ThroughputCertificate::trivial_zero(),
             };
         }
-        let (bounds, stats, cert) =
-            self.solve_in(graph, &kept_tm, &mut SolverWorkspace::new(), true);
+        let (bounds, stats, cert) = self.solve_in(graph, &kept_tm, true);
         let status = if dropped > 0 {
             crate::SolveStatus::DisconnectedDemandsDropped {
                 dropped,
@@ -682,8 +688,7 @@ mod tests {
         let tm = tb_traffic::synthetic::all_to_all(&vec![1usize; n]);
         let prob = FlowProblem::new(&g, &tm);
         let cfg = FleischerConfig::default();
-        let mut ws = SolverWorkspace::new();
-        let solved = phase::solve_problem(&cfg, &g, &prob, &mut ws, true);
+        let solved = phase::solve_problem(&cfg, &g, &prob, true);
         let stats = solved.stats;
         assert!(stats.converged && stats.blocks > 1, "{stats:?}");
         assert!(stats.lp_solves >= stats.evaluations, "{stats:?}");
@@ -700,7 +705,7 @@ mod tests {
             "{b:?} vs exact {exact}"
         );
         // Capture stays trajectory-neutral when it copies a mix.
-        let plain = phase::solve_problem(&cfg, &g, &prob, &mut ws, false);
+        let plain = phase::solve_problem(&cfg, &g, &prob, false);
         assert_eq!(plain.bounds.lower.to_bits(), b.lower.to_bits());
         assert_eq!(plain.bounds.upper.to_bits(), b.upper.to_bits());
         assert_eq!(plain.stats, stats);
@@ -736,8 +741,7 @@ mod tests {
         let tm = tb_traffic::synthetic::longest_matching(&topo.graph, &topo.servers, true);
         let prob = FlowProblem::new(&topo.graph, &tm);
         let cfg = FleischerConfig::fast();
-        let mut ws = SolverWorkspace::new();
-        let solved = phase::solve_problem(&cfg, &topo.graph, &prob, &mut ws, true);
+        let solved = phase::solve_problem(&cfg, &topo.graph, &prob, true);
         assert!(solved.stats.upper_from_average, "{:?}", solved.stats);
         assert!(solved.stats.converged);
         let b = solved.bounds;
@@ -751,7 +755,7 @@ mod tests {
         // not an iterate of the trajectory (`D(l) < 1` until saturation).
         assert!(cert.d_l > 2.0, "D(l̄) = {}", cert.d_l);
         // Capture stays trajectory-neutral when it copies the average.
-        let plain = phase::solve_problem(&cfg, &topo.graph, &prob, &mut ws, false);
+        let plain = phase::solve_problem(&cfg, &topo.graph, &prob, false);
         assert_eq!(plain.bounds.lower.to_bits(), b.lower.to_bits());
         assert_eq!(plain.bounds.upper.to_bits(), b.upper.to_bits());
         assert_eq!(plain.stats, solved.stats);
@@ -873,29 +877,5 @@ mod tests {
         let b = FleischerSolver::new(FleischerConfig::fast()).solve(&g, &tm);
         assert!(b.lower <= 0.5 + 1e-9);
         assert!(b.upper >= 0.5 - 1e-9);
-    }
-
-    #[test]
-    fn reused_workspace_matches_fresh_solves() {
-        // A single workspace driven across different graphs and TMs (of
-        // different sizes, in both directions) must reproduce fresh-workspace
-        // results bit-for-bit.
-        let g1 = Graph::from_edges(3, &[(0, 1), (1, 2)]);
-        let tm1 = TrafficMatrix::new(3, vec![demand(0, 2, 1.0), demand(1, 2, 1.0)]);
-        let g2 = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let servers = vec![1usize; 4];
-        let tm2 = tb_traffic::synthetic::all_to_all(&servers);
-        let s = solver();
-        let fresh1 = s.solve(&g1, &tm1);
-        let fresh2 = s.solve(&g2, &tm2);
-        let mut ws = SolverWorkspace::new();
-        for _ in 0..3 {
-            let b1 = s.solve_in(&g1, &tm1, &mut ws, false).0;
-            assert_eq!(b1.lower, fresh1.lower);
-            assert_eq!(b1.upper, fresh1.upper);
-            let b2 = s.solve_in(&g2, &tm2, &mut ws, false).0;
-            assert_eq!(b2.lower, fresh2.lower);
-            assert_eq!(b2.upper, fresh2.upper);
-        }
     }
 }

@@ -1,6 +1,7 @@
 //! The solve in three parts: setup (demand scaling, the context, the
-//! workspace reset), the phase loop that owns the multiplicative-weights
-//! trajectory, and the closing bound evaluation with its trace line.
+//! workspace built for the instance), the phase loop that owns the
+//! multiplicative-weights trajectory, and the closing bound evaluation with
+//! its trace line.
 //!
 //! A *phase* routes every source's full (pre-scaled) demand once, source by
 //! source, lengths updated in place — the classical Fleischer trajectory.
@@ -159,6 +160,9 @@ pub(super) struct Solved {
     /// The flow blocks and the mix the closing evaluation left.
     #[cfg(test)]
     pub blocks: Blocks,
+    /// The state the solve ended in; `None` after a trivial exit.
+    #[cfg(test)]
+    pub ws: Option<SolverWorkspace>,
 }
 
 /// Runs the full solve: setup, the phase loop, and the closing bound
@@ -167,10 +171,9 @@ pub(super) fn solve_problem(
     cfg: &FleischerConfig,
     graph: &Graph,
     prob: &FlowProblem,
-    ws: &mut SolverWorkspace,
     want_cert: bool,
 ) -> Solved {
-    let Some((ctx, scale)) = setup(cfg, graph, prob, ws) else {
+    let Some((ctx, scale, mut ws)) = setup(cfg, graph, prob) else {
         // Trivial exits certify their zero with empty evidence at the
         // instance's real dimensions: zero flow, zero served amounts, unit
         // lengths (under which a disconnected pair drives the dual bound to
@@ -193,25 +196,25 @@ pub(super) fn solve_problem(
             }),
             #[cfg(test)]
             blocks: Blocks::default(),
+            #[cfg(test)]
+            ws: None,
         };
     };
     // Best bracket, flow blocks, averaged lengths and certificate capture.
     let commodities = ws.routed.iter().map(Vec::len).sum();
     let mut best = BestBounds::new(prob.num_nodes(), prob.num_arcs(), commodities, want_cert);
-    let gap_exit = run_phases(cfg, &ctx, &mut best, ws);
+    let gap_exit = run_phases(cfg, &ctx, &mut best, &mut ws);
     close(cfg, &ctx, best, gap_exit, ws, scale)
 }
 
-/// Readies `ws` for a solve of `prob` and returns its context and demand
-/// scale, or `None` when the throughput is trivially zero (no arc, or a
-/// disconnected demand pair).
+/// The context, demand scale and workspace of a solve of `prob`, or `None`
+/// when the throughput is trivially zero (no arc, or a disconnected demand
+/// pair).
 fn setup<'a>(
     cfg: &FleischerConfig,
     graph: &Graph,
     prob: &'a FlowProblem,
-    ws: &mut SolverWorkspace,
-) -> Option<(RouteCtx<'a>, f64)> {
-    let n = prob.num_nodes();
+) -> Option<(RouteCtx<'a>, f64, SolverWorkspace)> {
     let m = prob.num_arcs();
     let eps = cfg.epsilon;
     assert!(eps > 0.0 && eps < 0.5, "epsilon must be in (0, 0.5)");
@@ -233,32 +236,13 @@ fn setup<'a>(
     // current distance; a quarter step keeps routed paths well inside the
     // slack the analysis absorbs.
     let ctx = RouteCtx::new(prob, scale, 1.0 + 0.25 * eps);
-
-    ws.stats = SolveStats::default();
-    ws.flow_arc.clear();
-    ws.flow_arc.resize(m, 0.0);
-    ws.routed.resize_with(ctx.demands.len(), Vec::new);
-    for (routed, demands) in ws.routed.iter_mut().zip(&ctx.demands) {
-        routed.clear();
-        routed.resize(demands.len(), 0.0);
-    }
-    ws.mwu.reset(eps, prob.arc_caps());
-    ws.held.reset(&ctx);
+    let mut ws = SolverWorkspace::new(&ctx, eps);
     // The rows every search of the first `check_interval` phases is
     // directed by (none is dense yet); each bound evaluation refreshes them
     // from then on.
-    ws.potentials.reset(ctx.num_single, n);
     ws.potentials
         .refresh(&ctx, ws.mwu.lens(), false, &mut ws.sssp);
-    // The tree kernel's per-node buffers, for sources with several
-    // destinations.
-    if ctx.num_single < prob.sources().len() {
-        ws.subtree.clear();
-        ws.subtree.resize(n, 0.0);
-        ws.cur_len.clear();
-        ws.cur_len.resize(n, 0.0);
-    }
-    Some((ctx, scale))
+    Some((ctx, scale, ws))
 }
 
 /// Runs phases until the bound gap closes, `D(l)` saturates or the phase
@@ -316,12 +300,12 @@ fn close(
     ctx: &RouteCtx<'_>,
     mut best: BestBounds,
     gap_exit: bool,
-    ws: &mut SolverWorkspace,
+    mut ws: SolverWorkspace,
     scale: f64,
 ) -> Solved {
     // Never screened: its bounds are the ones reported.
     if !gap_exit {
-        best.evaluate(ctx, None, ws);
+        best.evaluate(ctx, None, &mut ws);
     }
     // An unbounded dual (no commodity needs capacity) falls back to the
     // feasible value; so does a dual that rounding left a few ulps under it
@@ -390,6 +374,8 @@ fn close(
         cert: best.capture.map(|cap| cap.into_certificate(ctx.prob)),
         #[cfg(test)]
         blocks: best.blocks,
+        #[cfg(test)]
+        ws: Some(ws),
     }
 }
 
@@ -638,8 +624,9 @@ mod tests {
             max_phases: 6,
             ..FleischerConfig::fast()
         };
-        let mut ws = SolverWorkspace::new();
-        solve_problem(&cfg, &topo.graph, &prob, &mut ws, false);
+        let mut ws = solve_problem(&cfg, &topo.graph, &prob, false)
+            .ws
+            .expect("a non-trivial instance");
         let ctx = RouteCtx::new(&prob, 1.0, 1.0);
         assert_eq!(ctx.num_single, 160);
         let lens = ws.mwu.lens();
@@ -687,20 +674,23 @@ mod tests {
         ] {
             let prob = FlowProblem::new(&topo.graph, &tm);
             assert!(prob.sources().len() * prob.num_arcs() >= PAR_MIN_SWEEP_WORK);
-            let mut ws = SolverWorkspace::new();
             let mut avg = LengthAverage::new(prob.num_arcs());
             let mut base = Vec::new();
+            let mut last = None;
             for max_phases in [2, 4, 6] {
                 let cfg = FleischerConfig {
                     max_phases,
                     ..FleischerConfig::fast()
                 };
-                solve_problem(&cfg, &topo.graph, &prob, &mut ws, false);
+                let solved = solve_problem(&cfg, &topo.graph, &prob, false);
+                let ws = last.insert(solved.ws.expect("a non-trivial instance"));
                 avg.sample(&ws.mwu);
                 if base.is_empty() {
                     base.extend_from_slice(avg.sum());
                 }
             }
+            // The averaged sweep repairs from the trees the last solve held.
+            let mut ws = last.expect("three solves ran");
             let mut lens = Vec::new();
             avg.window(Some(&base), &mut lens);
             assert!(lens.iter().any(|&l| l != lens[0]));
@@ -735,9 +725,10 @@ mod tests {
             &topo.graph,
             &tb_traffic::synthetic::all_to_all(&topo.servers),
         );
-        let mut ws = SolverWorkspace::new();
+        let ctx = RouteCtx::new(&prob, 1.0, 1.0);
+        let mut ws = SolverWorkspace::new(&ctx, FleischerConfig::fast().epsilon);
         let empty = vec![0.0; prob.num_arcs()];
-        let up = averaged_dual_bound(&RouteCtx::new(&prob, 1.0, 1.0), &empty, &mut ws);
+        let up = averaged_dual_bound(&ctx, &empty, &mut ws);
         assert_eq!(up, f64::INFINITY);
     }
 
@@ -761,7 +752,7 @@ mod tests {
         ] {
             let prob = FlowProblem::new(&topo.graph, &tm);
             let ctx = RouteCtx::new(&prob, 1.0, 1.0);
-            let mut ws = SolverWorkspace::new();
+            let mut last = None;
             let mut avg = LengthAverage::new(prob.num_arcs());
             let mut base = Vec::new();
             let mut node_len = vec![0.0; prob.num_nodes()];
@@ -771,7 +762,8 @@ mod tests {
                     target_gap: 0.0,
                     ..FleischerConfig::fast()
                 };
-                solve_problem(&cfg, &topo.graph, &prob, &mut ws, false);
+                let solved = solve_problem(&cfg, &topo.graph, &prob, false);
+                let ws = last.insert(solved.ws.expect("a non-trivial instance"));
                 // Lengths grow after the paths were found, as the routing
                 // between two evaluations grows them, which leaves the dense
                 // rows stale: a third of the arcs take one step each.
@@ -783,7 +775,7 @@ mod tests {
                 let rows = Some(&ws.potentials);
                 let alpha = ws.held.alpha(&ctx, ws.mwu.lens(), rows, &mut node_len);
                 let held_up = ws.mwu.dual_bound(alpha * HELD_ALPHA_MARGIN);
-                let exact = dual_bound(&ctx, &mut ws);
+                let exact = dual_bound(&ctx, ws);
                 assert!(
                     0.0 < held_up && held_up <= exact,
                     "{} flows, {max_phases} phases: held {held_up} vs swept {exact}",
@@ -796,9 +788,10 @@ mod tests {
             }
             let mut lens = Vec::new();
             avg.window(Some(&base), &mut lens);
+            let ws = last.as_mut().expect("three solves ran");
             let alpha = ws.held.alpha(&ctx, &lens, None, &mut node_len);
             let held_up = ratio(volume(&ctx, &lens), alpha * HELD_ALPHA_MARGIN);
-            let exact = averaged_dual_bound(&ctx, &lens, &mut ws);
+            let exact = averaged_dual_bound(&ctx, &lens, ws);
             assert!(
                 0.0 < held_up && held_up <= exact,
                 "{} flows, window: held {held_up} vs swept {exact}",
@@ -811,8 +804,7 @@ mod tests {
     fn snapshots_replace_the_averaged_bound_window_base() {
         // The averaged dual bound's window starts at the latest snapshot:
         // each one makes the running length sum at that moment the base.
-        let mut mwu = MwuLengths::new();
-        mwu.reset(0.1, [1.0, 2.0]);
+        let mut mwu = MwuLengths::new(0.1, [1.0, 2.0]);
         let mut best = BestBounds::new(1, 2, 1, false);
         assert!(best.len_base.is_none());
         for k in 1..=3 {

@@ -1,7 +1,7 @@
 //! The per-solve context and the per-source routing kernels.
 //!
 //! [`RouteCtx`] owns the demand tables of one solve; the kernels read it and
-//! run in the [`SolverWorkspace`] they are handed. Two kernels, chosen by the
+//! run in the solve's `SolverWorkspace`. Two kernels, chosen by the
 //! source's destination count (see the module docs on [`super`]): the
 //! known-path loop over goal-directed searches for a source with one
 //! destination ([`route_source_single`]), and the aggregated bottom-up tree
@@ -96,9 +96,8 @@ const KNOWN_PATHS: usize = 16;
 /// (arc-id lists, dst-to-src order; arc ids fit `u32`, which building the
 /// problem's `CsrGraph` asserts), at most [`KNOWN_PATHS`] per source,
 /// least recently routed evicted first. Kept across the phases of one
-/// solve; [`KnownPaths::reset`] empties it in O(sources), keeping the
-/// allocations.
-#[derive(Debug, Clone, Default)]
+/// solve.
+#[derive(Debug, Clone)]
 pub(super) struct KnownPaths {
     /// `KNOWN_PATHS` slots per potential row, most recently routed first.
     slots: Vec<Vec<u32>>,
@@ -109,12 +108,12 @@ pub(super) struct KnownPaths {
 }
 
 impl KnownPaths {
-    /// Forgets every path and makes room for `rows` sources.
-    fn reset(&mut self, rows: usize) {
-        self.filled.clear();
-        self.filled.resize(rows, 0);
-        if self.slots.len() < rows * KNOWN_PATHS {
-            self.slots.resize_with(rows * KNOWN_PATHS, Vec::new);
+    /// No path yet for any of `rows` sources.
+    fn new(rows: usize) -> Self {
+        KnownPaths {
+            slots: vec![Vec::new(); rows * KNOWN_PATHS],
+            filled: vec![0; rows],
+            walked: Vec::new(),
         }
     }
 
@@ -185,9 +184,8 @@ impl KnownPaths {
 /// arc, root first; 8 bytes per settled node), which its next tree is
 /// repaired from (see [`compute_tree`]). Any such path's length under
 /// some lengths is at least the commodity's distance there, which is what
-/// [`HeldPaths::alpha`] adds up. Emptied per solve by [`HeldPaths::reset`],
-/// keeping the allocations.
-#[derive(Debug, Clone, Default)]
+/// [`HeldPaths::alpha`] adds up.
+#[derive(Debug, Clone)]
 pub(super) struct HeldPaths {
     pub known: KnownPaths,
     /// `[node, parent arc]` in settle order per source (the root's arc is
@@ -196,17 +194,18 @@ pub(super) struct HeldPaths {
 }
 
 impl HeldPaths {
-    /// Forgets every path and makes room for `ctx`'s sources.
-    pub(super) fn reset(&mut self, ctx: &RouteCtx<'_>) {
-        self.known.reset(ctx.num_single);
-        self.trees.resize_with(ctx.prob.sources().len(), Vec::new);
-        self.trees.iter_mut().for_each(Vec::clear);
+    /// No path yet for any of `ctx`'s sources.
+    pub(super) fn new(ctx: &RouteCtx<'_>) -> Self {
+        HeldPaths {
+            known: KnownPaths::new(ctx.num_single),
+            trees: vec![Vec::new(); ctx.prob.sources().len()],
+        }
     }
 
     /// The tree held for source `si`: `[node, parent arc]` in settle order,
     /// empty if it holds none.
     pub(super) fn tree(&self, si: usize) -> &[[u32; 2]] {
-        self.trees.get(si).map_or(&[], Vec::as_slice)
+        &self.trees[si]
     }
 
     /// Keeps the tree of `sssp`'s last run as source `si`'s.
@@ -358,9 +357,8 @@ fn search_tree(ctx: &RouteCtx<'_>, si: usize, first: bool, ws: &mut SolverWorksp
 /// at the start of each of its source's turns (see [`DENSE_SETTLES`]), so
 /// only the dual bound reads it between turns: an evaluation re-derives it
 /// only when it runs its last-iterate sweep, which reads each source's
-/// distance off its row. Rows and flags are reset per solve by
-/// [`PotentialRows::reset`], keeping the allocations.
-#[derive(Debug, Clone, Default)]
+/// distance off its row.
+#[derive(Debug, Clone)]
 pub(super) struct PotentialRows {
     /// `num_nodes` values per row, rows in source order.
     values: Vec<f64>,
@@ -382,12 +380,12 @@ pub(super) struct PotentialRows {
 const DENSE_SETTLES: usize = 2;
 
 impl PotentialRows {
-    /// Makes room for `rows` rows over `n` nodes, none dense.
-    pub(super) fn reset(&mut self, rows: usize, n: usize) {
-        self.values.clear();
-        self.values.resize(rows * n, f64::INFINITY);
-        self.dense.clear();
-        self.dense.resize(rows, false);
+    /// `rows` rows over `n` nodes, none derived yet and none dense.
+    pub(super) fn new(rows: usize, n: usize) -> Self {
+        PotentialRows {
+            values: vec![f64::INFINITY; rows * n],
+            dense: vec![false; rows],
+        }
     }
 
     /// Row `row` over `n` nodes.
@@ -689,7 +687,7 @@ pub(super) fn route_source_tree(ctx: &RouteCtx<'_>, si: usize, ws: &mut SolverWo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleischer::{FleischerConfig, FleischerSolver, SolverWorkspace};
+    use crate::fleischer::{FleischerConfig, FleischerSolver};
     use std::cell::{Cell, RefCell};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use tb_topology::families::Scale;
@@ -744,12 +742,8 @@ mod tests {
         // sweeps alike), plus a degree-two random matching, whose sources
         // have fewer destinations than half the graph and never repair.
         let solve = |topo: &tb_topology::Topology, tm: &TrafficMatrix| {
-            let (_, stats, _) = FleischerSolver::new(FleischerConfig::fast()).solve_in(
-                &topo.graph,
-                tm,
-                &mut SolverWorkspace::new(),
-                false,
-            );
+            let (_, stats, _) =
+                FleischerSolver::new(FleischerConfig::fast()).solve_in(&topo.graph, tm, false);
             assert!(stats.converged, "{stats:?}");
             assert!(stats.repairs < stats.searches, "{stats:?}");
             stats.repairs
@@ -812,12 +806,7 @@ mod tests {
         // of this crate's unit tests; here it must have seen reused paths.
         let mut reuses = 0;
         let mut solve = |cfg: FleischerConfig, topo: &tb_topology::Topology, tm: &TrafficMatrix| {
-            let (_, stats, _) = FleischerSolver::new(cfg).solve_in(
-                &topo.graph,
-                tm,
-                &mut SolverWorkspace::new(),
-                false,
-            );
+            let (_, stats, _) = FleischerSolver::new(cfg).solve_in(&topo.graph, tm, false);
             assert!(stats.converged, "{stats:?}");
             reuses += stats.path_reuses;
         };
@@ -856,8 +845,7 @@ mod tests {
         let arcs = KNOWN_PATHS + 1;
         let csr = tb_graph::CsrGraph::from_directed_arcs(2, (0..arcs).map(|aid| (0, 1, aid)));
         let mut sssp = SsspWorkspace::new();
-        let mut known = KnownPaths::default();
-        known.reset(1);
+        let mut known = KnownPaths::new(1);
         let mut search = |known: &mut KnownPaths, favoured: usize| {
             let len: Vec<f64> = (0..arcs)
                 .map(|a| if a == favoured { 1.0 } else { 2.0 })
@@ -882,8 +870,8 @@ mod tests {
         // A miss reports the shortest length, infinite with no path.
         assert_eq!(known.shortest_within(0, &len, 2.9), Err(3.0));
         assert_eq!(known.shortest_within(0, &len, 3.0), Ok(&[0u32][..]));
-        known.reset(1);
-        assert!(known.paths(0).is_empty());
-        assert_eq!(known.shortest_within(0, &len, 3.0), Err(f64::INFINITY));
+        let mut none = KnownPaths::new(1);
+        assert!(none.paths(0).is_empty());
+        assert_eq!(none.shortest_within(0, &len, 3.0), Err(f64::INFINITY));
     }
 }

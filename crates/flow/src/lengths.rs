@@ -6,8 +6,7 @@
 //!
 //! * [`MwuLengths`] — the owned state: lengths, capacities (plus cached
 //!   reciprocals), the step size and the incrementally-maintained
-//!   `D(l) = Σ_a len_a · cap_a`. `MwuLengths::reset` re-initializes
-//!   in place so a solver workspace reuses the buffers across solves.
+//!   `D(l) = Σ_a len_a · cap_a`, built per solve by [`MwuLengths::new`].
 //! * `LengthAverage` (crate-internal) — the running sum of the *normalised*
 //!   length function `l / D(l)`, sampled along a multiplicative-weights
 //!   trajectory. The regret analysis behind the Garg–Könemann / Fleischer
@@ -21,7 +20,7 @@
 
 /// Multiplicative-weights length state: lengths + capacities + step size +
 /// the incrementally maintained potential `D(l) = Σ_a len_a · cap_a`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MwuLengths {
     lens: Vec<f64>,
     caps: Vec<f64>,
@@ -33,36 +32,26 @@ pub struct MwuLengths {
 }
 
 impl MwuLengths {
-    /// Creates empty state; call `reset` before use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// (Re-)initializes for a new solve over the given capacities: every
-    /// length starts at `delta / cap` with the classical
-    /// `delta = (m / (1 - eps))^(-1/eps)`, and `D(l)` is summed fresh.
-    /// Buffers are reused, so repeated resets stop allocating once the
-    /// largest instance has been seen.
+    /// The state a solve over the given capacities starts from: every
+    /// length at `delta / cap` with the classical
+    /// `delta = (m / (1 - eps))^(-1/eps)`, and `D(l)` summed fresh.
     ///
     /// # Panics
     /// Panics if `eps` is outside `(0, 0.5)` (the FPTAS step-size range).
-    pub(crate) fn reset<I: IntoIterator<Item = f64>>(&mut self, eps: f64, caps: I) {
+    pub fn new<I: IntoIterator<Item = f64>>(eps: f64, caps: I) -> Self {
         assert!(eps > 0.0 && eps < 0.5, "epsilon must be in (0, 0.5)");
-        self.eps = eps;
-        self.caps.clear();
-        self.caps.extend(caps);
-        let m = self.caps.len();
-        let delta = (m as f64 / (1.0 - eps)).powf(-1.0 / eps);
-        self.inv_caps.clear();
-        self.inv_caps.extend(self.caps.iter().map(|c| 1.0 / c));
-        self.lens.clear();
-        self.lens.extend(self.caps.iter().map(|c| delta / c));
-        self.d_l = self
-            .lens
-            .iter()
-            .zip(self.caps.iter())
-            .map(|(l, c)| l * c)
-            .sum();
+        let caps: Vec<f64> = caps.into_iter().collect();
+        let delta = (caps.len() as f64 / (1.0 - eps)).powf(-1.0 / eps);
+        let inv_caps = caps.iter().map(|c| 1.0 / c).collect();
+        let lens: Vec<f64> = caps.iter().map(|c| delta / c).collect();
+        let d_l = lens.iter().zip(&caps).map(|(l, c)| l * c).sum();
+        MwuLengths {
+            lens,
+            caps,
+            inv_caps,
+            eps,
+            d_l,
+        }
     }
 
     /// Number of arcs/links the state covers.
@@ -174,8 +163,7 @@ mod tests {
 
     #[test]
     fn reset_matches_classical_init() {
-        let mut mwu = MwuLengths::new();
-        mwu.reset(0.1, [1.0, 2.0, 4.0]);
+        let mwu = MwuLengths::new(0.1, [1.0, 2.0, 4.0]);
         let delta = (3.0f64 / 0.9).powf(-10.0);
         assert_eq!(mwu.lens()[0], delta);
         assert_eq!(mwu.lens()[1], delta / 2.0);
@@ -187,8 +175,7 @@ mod tests {
 
     #[test]
     fn apply_tracks_d_l_incrementally() {
-        let mut mwu = MwuLengths::new();
-        mwu.reset(0.2, [1.0, 2.0]);
+        let mut mwu = MwuLengths::new(0.2, [1.0, 2.0]);
         mwu.apply(0, 0.5);
         mwu.apply(1, 0.25);
         let direct: f64 = mwu.lens().iter().zip(mwu.caps()).map(|(l, c)| l * c).sum();
@@ -197,8 +184,7 @@ mod tests {
 
     #[test]
     fn length_average_sums_normalised_samples_and_differences_windows() {
-        let mut mwu = MwuLengths::new();
-        mwu.reset(0.2, [1.0, 2.0]);
+        let mut mwu = MwuLengths::new(0.2, [1.0, 2.0]);
         let mut avg = LengthAverage::new(2);
         assert_eq!(avg.sum(), [0.0, 0.0]);
         avg.sample(&mwu);
@@ -223,24 +209,8 @@ mod tests {
     }
 
     #[test]
-    fn reset_reuses_buffers_across_sizes() {
-        let mut mwu = MwuLengths::new();
-        mwu.reset(0.1, (0..16).map(|_| 1.0));
-        let big = mwu.d_l();
-        mwu.reset(0.1, (0..4).map(|_| 2.0));
-        assert_eq!(mwu.num_arcs(), 4);
-        assert_ne!(mwu.d_l(), big);
-        // Same init as a fresh state.
-        let mut fresh = MwuLengths::new();
-        fresh.reset(0.1, (0..4).map(|_| 2.0));
-        assert_eq!(mwu.lens(), fresh.lens());
-        assert_eq!(mwu.d_l().to_bits(), fresh.d_l().to_bits());
-    }
-
-    #[test]
     fn dual_bound_guards_nonpositive_alpha() {
-        let mut mwu = MwuLengths::new();
-        mwu.reset(0.1, [1.0]);
+        let mwu = MwuLengths::new(0.1, [1.0]);
         assert!(mwu.dual_bound(0.0).is_infinite());
         assert!(mwu.dual_bound(2.0) > 0.0);
     }
@@ -248,6 +218,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn bad_epsilon_rejected() {
-        MwuLengths::new().reset(0.7, [1.0]);
+        MwuLengths::new(0.7, [1.0]);
     }
 }

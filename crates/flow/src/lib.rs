@@ -30,7 +30,7 @@ pub mod restricted;
 
 pub use certificate::{verify_certificate, CertificateError, ThroughputCertificate};
 pub use exact::ExactLpSolver;
-pub use fleischer::{FleischerConfig, FleischerSolver, SolveOutcome, SolveStats, SolverWorkspace};
+pub use fleischer::{FleischerConfig, FleischerSolver, SolveOutcome, SolveStats};
 pub use instance::FlowProblem;
 pub use lengths::MwuLengths;
 
@@ -97,8 +97,11 @@ impl ThroughputBounds {
     }
 }
 
-/// Structured status of one throughput solve, reported by
-/// [`FleischerSolver::solve_outcome`] alongside the bounds.
+/// Structured status of one throughput solve, reported alongside the bounds
+/// by [`FleischerSolver::solve_outcome`] and by the evaluation layer above
+/// this crate: `topobench::evaluate` (converged or budget-exhausted; it never
+/// drops a demand) and the sweep engine's degradation cells, which drop
+/// disconnected demands first.
 ///
 /// `Converged` means the solver met its accuracy contract (the classical
 /// FPTAS termination or the target bound gap). Anything else is a *degraded*

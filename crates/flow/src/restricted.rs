@@ -169,8 +169,7 @@ impl PathRestrictedSolver {
         // The shared MWU length state (delta init, multiplicative updates,
         // incremental D(l)) — the same machinery the Fleischer solver runs
         // on, in its quotient-update form (see `lengths::MwuLengths`).
-        let mut mwu = MwuLengths::new();
-        mwu.reset(EPSILON, link_caps.iter().copied());
+        let mut mwu = MwuLengths::new(EPSILON, link_caps.iter().copied());
         let mut flow_link = vec![0.0f64; m];
         let mut routed = vec![0.0f64; commodities.len()];
 

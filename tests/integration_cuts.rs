@@ -5,7 +5,7 @@ use tb_cuts::{bisection_bandwidth, estimate_sparsest_cut};
 use tb_topology::families::{Family, Scale};
 use tb_topology::flattened_butterfly::flattened_butterfly;
 use tb_topology::natural::natural_networks;
-use topobench::{evaluate_throughput, EvalConfig, TmSpec};
+use topobench::{evaluate, EvalConfig, TmSpec};
 
 fn cfg() -> EvalConfig {
     EvalConfig::fast()
@@ -26,7 +26,7 @@ fn sparse_cut_upper_bounds_throughput_everywhere() {
     networks.extend(natural_networks(6, 3));
     for topo in networks {
         let tm = TmSpec::LongestMatching.generate(&topo, 3);
-        let throughput = evaluate_throughput(&topo, &tm, &c);
+        let throughput = evaluate(&topo, &tm, &c).bounds;
         let cut = estimate_sparsest_cut(&topo.graph, &tm).best_sparsity;
         assert!(
             cut >= throughput.lower * 0.99 - 1e-9,
@@ -44,7 +44,7 @@ fn flattened_butterfly_case_study_throughput_below_cut() {
     // has worst-case throughput strictly below its sparsest cut.
     let topo = flattened_butterfly(5, 3);
     let tm = TmSpec::LongestMatching.generate(&topo, 1);
-    let throughput = evaluate_throughput(&topo, &tm, &EvalConfig::default());
+    let throughput = evaluate(&topo, &tm, &EvalConfig::default()).bounds;
     let cut = estimate_sparsest_cut(&topo.graph, &tm).best_sparsity;
     assert!(
         throughput.upper < cut * 0.99,

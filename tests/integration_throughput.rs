@@ -7,7 +7,7 @@ use tb_graph::{max_flow_value, min_st_cut};
 use tb_topology::{
     fattree::fat_tree, flattened_butterfly::flattened_butterfly, hypercube::hypercube,
 };
-use topobench::{evaluate_throughput, lower_bound, EvalConfig, TmSpec};
+use topobench::{evaluate, lower_bound, EvalConfig, TmSpec};
 
 fn cfg() -> EvalConfig {
     EvalConfig {
@@ -22,7 +22,7 @@ fn fat_tree_is_nonblocking_under_a2a() {
     // (each server can send its full unit).
     let topo = fat_tree(4);
     let tm = TmSpec::AllToAll.generate(&topo, 1);
-    let t = evaluate_throughput(&topo, &tm, &cfg());
+    let t = evaluate(&topo, &tm, &cfg()).bounds;
     assert!(t.upper >= 0.99, "fat tree A2A upper {}", t.upper);
     assert!(t.lower >= 0.90, "fat tree A2A lower {}", t.lower);
     // And it cannot exceed 1 because edge uplink capacity equals server count.
@@ -35,8 +35,8 @@ fn fat_tree_longest_matching_equals_a2a() {
     // equal (all symmetric TMs look the same from the ToR uplinks).
     let topo = fat_tree(4);
     let c = cfg();
-    let a2a = evaluate_throughput(&topo, &TmSpec::AllToAll.generate(&topo, 1), &c);
-    let lm = evaluate_throughput(&topo, &TmSpec::LongestMatching.generate(&topo, 1), &c);
+    let a2a = evaluate(&topo, &TmSpec::AllToAll.generate(&topo, 1), &c).bounds;
+    let lm = evaluate(&topo, &TmSpec::LongestMatching.generate(&topo, 1), &c).bounds;
     assert!(
         (a2a.lower - lm.lower).abs() / a2a.lower < 0.08,
         "A2A {} vs LM {}",
@@ -52,7 +52,7 @@ fn hypercube_longest_matching_hits_the_volumetric_limit() {
     // links, so throughput is ~1 (with one server per switch).
     let topo = hypercube(4, 1);
     let tm = TmSpec::LongestMatching.generate(&topo, 1);
-    let t = evaluate_throughput(&topo, &tm, &cfg());
+    let t = evaluate(&topo, &tm, &cfg()).bounds;
     assert!((t.lower - 1.0).abs() < 0.07, "got {}", t.lower);
 }
 
@@ -62,8 +62,8 @@ fn hypercube_a2a_is_twice_the_longest_matching() {
     // throughput is ~2 while LM is ~1 (d=4, one server per switch).
     let topo = hypercube(4, 1);
     let c = cfg();
-    let a2a = evaluate_throughput(&topo, &TmSpec::AllToAll.generate(&topo, 1), &c);
-    let lm = evaluate_throughput(&topo, &TmSpec::LongestMatching.generate(&topo, 1), &c);
+    let a2a = evaluate(&topo, &TmSpec::AllToAll.generate(&topo, 1), &c).bounds;
+    let lm = evaluate(&topo, &TmSpec::LongestMatching.generate(&topo, 1), &c).bounds;
     let ratio = a2a.lower / lm.lower;
     assert!((ratio - 2.0).abs() < 0.35, "A2A/LM ratio {}", ratio);
 }
@@ -81,7 +81,7 @@ fn theorem2_bound_is_valid_across_tms_and_topologies() {
             TmSpec::Kodialam,
         ] {
             let tm = spec.generate(&topo, 3);
-            let t = evaluate_throughput(&topo, &tm, &c);
+            let t = evaluate(&topo, &tm, &c).bounds;
             assert!(
                 t.upper >= bound.lower * 0.92,
                 "{} under {} ({}) below the Theorem-2 bound ({})",
@@ -102,7 +102,7 @@ fn exact_and_fptas_agree_on_a_real_topology() {
     let exact = ExactLpSolver::new()
         .solve(&topo.graph, &tm)
         .expect("LP solves");
-    let approx = evaluate_throughput(&topo, &tm, &EvalConfig::fast());
+    let approx = evaluate(&topo, &tm, &EvalConfig::fast()).bounds;
     assert!(approx.lower <= exact.lower * 1.01 + 1e-9);
     assert!(approx.upper >= exact.lower * 0.99 - 1e-9);
 }
@@ -112,8 +112,10 @@ fn tm_difficulty_ordering_matches_figure4() {
     // Figure 4: T_A2A >= T_RM(5) >= T_RM(1) >= T_LM (allowing solver slack).
     let topo = hypercube(5, 1);
     let c = cfg();
-    let a2a = evaluate_throughput(&topo, &TmSpec::AllToAll.generate(&topo, 1), &c).lower;
-    let rm5 = evaluate_throughput(
+    let a2a = evaluate(&topo, &TmSpec::AllToAll.generate(&topo, 1), &c)
+        .bounds
+        .lower;
+    let rm5 = evaluate(
         &topo,
         &TmSpec::RandomMatching {
             servers_per_switch: 5,
@@ -121,8 +123,9 @@ fn tm_difficulty_ordering_matches_figure4() {
         .generate(&topo, 1),
         &c,
     )
+    .bounds
     .lower;
-    let rm1 = evaluate_throughput(
+    let rm1 = evaluate(
         &topo,
         &TmSpec::RandomMatching {
             servers_per_switch: 1,
@@ -130,8 +133,11 @@ fn tm_difficulty_ordering_matches_figure4() {
         .generate(&topo, 1),
         &c,
     )
+    .bounds
     .lower;
-    let lm = evaluate_throughput(&topo, &TmSpec::LongestMatching.generate(&topo, 1), &c).lower;
+    let lm = evaluate(&topo, &TmSpec::LongestMatching.generate(&topo, 1), &c)
+        .bounds
+        .lower;
     let slack = 1.07;
     assert!(a2a * slack >= rm5, "A2A {a2a} vs RM5 {rm5}");
     assert!(rm5 * slack >= rm1, "RM5 {rm5} vs RM1 {rm1}");
@@ -158,13 +164,13 @@ fn min_cut_from_max_flow_bounds_two_terminal_throughput() {
         amount: 2.0,
     };
     let tm = tb_traffic::TrafficMatrix::new(g.num_nodes(), vec![demand]);
-    let exact = evaluate_throughput(&topo, &tm, &EvalConfig::default());
+    let exact = evaluate(&topo, &tm, &EvalConfig::default()).bounds;
     assert!((exact.value() * demand.amount - flow).abs() < 1e-9);
     let fptas_cfg = EvalConfig {
         exact_switch_limit: 0,
         ..EvalConfig::default()
     };
-    let t = evaluate_throughput(&topo, &tm, &fptas_cfg);
+    let t = evaluate(&topo, &tm, &fptas_cfg).bounds;
     let gap = fptas_cfg.solver.target_gap;
     assert!(
         t.lower * demand.amount <= flow * (1.0 + 1e-9)

@@ -3,7 +3,7 @@
 //! matchings, and no hose-model TM may fall below the Theorem-2 bound.
 
 use tb_topology::families::{Family, ALL_FAMILIES};
-use topobench::{evaluate_throughput, lower_bound, EvalConfig, TmSpec};
+use topobench::{evaluate, lower_bound, EvalConfig, TmSpec};
 
 fn cfg() -> EvalConfig {
     EvalConfig::fast()
@@ -28,8 +28,12 @@ fn longest_matching_is_the_hardest_synthetic_tm() {
         let topo = family
             .instances(tb_topology::families::Scale::Small, 2)
             .remove(0);
-        let a2a = evaluate_throughput(&topo, &TmSpec::AllToAll.generate(&topo, 2), &c).lower;
-        let lm = evaluate_throughput(&topo, &TmSpec::LongestMatching.generate(&topo, 2), &c).lower;
+        let a2a = evaluate(&topo, &TmSpec::AllToAll.generate(&topo, 2), &c)
+            .bounds
+            .lower;
+        let lm = evaluate(&topo, &TmSpec::LongestMatching.generate(&topo, 2), &c)
+            .bounds
+            .lower;
         assert!(
             lm <= a2a * 1.08,
             "{}: LM ({lm}) should not exceed A2A ({a2a})",
@@ -46,7 +50,9 @@ fn longest_matching_respects_theorem2_for_all_families() {
             .instances(tb_topology::families::Scale::Small, 2)
             .remove(0);
         let bound = lower_bound(&topo, &c).lower;
-        let lm = evaluate_throughput(&topo, &TmSpec::LongestMatching.generate(&topo, 2), &c).upper;
+        let lm = evaluate(&topo, &TmSpec::LongestMatching.generate(&topo, 2), &c)
+            .bounds
+            .upper;
         assert!(
             lm >= bound * 0.90,
             "{}: LM ({lm}) fell below the Theorem-2 bound ({bound})",
@@ -66,8 +72,8 @@ fn kodialam_and_longest_matching_are_comparable() {
     let lm_tm = TmSpec::LongestMatching.generate(&topo, 1);
     let kd_tm = TmSpec::Kodialam.generate(&topo, 1);
     assert!(lm_tm.num_flows() <= kd_tm.num_flows());
-    let lm = evaluate_throughput(&topo, &lm_tm, &c).lower;
-    let kd = evaluate_throughput(&topo, &kd_tm, &c).lower;
+    let lm = evaluate(&topo, &lm_tm, &c).bounds.lower;
+    let kd = evaluate(&topo, &kd_tm, &c).bounds.lower;
     assert!(
         (lm - kd).abs() / kd.max(lm) < 0.35,
         "LM {lm} and Kodialam {kd} should be comparable"
@@ -82,12 +88,14 @@ fn skewed_tm_at_100_percent_matches_uniform_longest_matching() {
     // positive and finite.
     let c = cfg();
     let topo = Family::Hypercube.representative(1);
-    let uniform = evaluate_throughput(&topo, &TmSpec::LongestMatching.generate(&topo, 1), &c).lower;
+    let uniform = evaluate(&topo, &TmSpec::LongestMatching.generate(&topo, 1), &c)
+        .bounds
+        .lower;
     let full = TmSpec::SkewedLongestMatching {
         fraction: 1.0,
         weight: 10.0,
     };
-    let skewed_full = evaluate_throughput(&topo, &full.generate(&topo, 1), &c).lower;
+    let skewed_full = evaluate(&topo, &full.generate(&topo, 1), &c).bounds.lower;
     assert!(
         (skewed_full - uniform).abs() / uniform < 0.08,
         "100% large flows ({skewed_full}) should equal the uniform LM ({uniform})"
@@ -97,7 +105,7 @@ fn skewed_tm_at_100_percent_matches_uniform_longest_matching() {
             fraction,
             weight: 10.0,
         };
-        let skewed = evaluate_throughput(&topo, &spec.generate(&topo, 1), &c).lower;
+        let skewed = evaluate(&topo, &spec.generate(&topo, 1), &c).bounds.lower;
         assert!(
             skewed.is_finite() && skewed > 0.0,
             "skewed({fraction}) = {skewed}"
@@ -117,10 +125,14 @@ fn fat_tree_is_vulnerable_to_a_few_large_flows() {
         fraction: 0.05,
         weight: 10.0,
     };
-    let ft_uniform = evaluate_throughput(&ft, &TmSpec::LongestMatching.generate(&ft, 1), &c).lower;
-    let ft_skewed = evaluate_throughput(&ft, &spec.generate(&ft, 1), &c).lower;
-    let hc_uniform = evaluate_throughput(&hc, &TmSpec::LongestMatching.generate(&hc, 1), &c).lower;
-    let hc_skewed = evaluate_throughput(&hc, &spec.generate(&hc, 1), &c).lower;
+    let ft_uniform = evaluate(&ft, &TmSpec::LongestMatching.generate(&ft, 1), &c)
+        .bounds
+        .lower;
+    let ft_skewed = evaluate(&ft, &spec.generate(&ft, 1), &c).bounds.lower;
+    let hc_uniform = evaluate(&hc, &TmSpec::LongestMatching.generate(&hc, 1), &c)
+        .bounds
+        .lower;
+    let hc_skewed = evaluate(&hc, &spec.generate(&hc, 1), &c).bounds.lower;
     let ft_drop = ft_skewed / ft_uniform;
     let hc_drop = hc_skewed / hc_uniform;
     assert!(

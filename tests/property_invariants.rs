@@ -1,6 +1,7 @@
 //! Property-based tests over the core invariants of the framework: hose-model
 //! validity of generated TMs, solver bracketing, cut/throughput ordering,
-//! Theorem 2, and graph-model guarantees.
+//! Theorem 2, invariance under renaming the switches, and graph-model
+//! guarantees.
 //!
 //! The original version of this suite used `proptest`; the offline build has
 //! no crates.io access, so the same properties are exercised by an explicit
@@ -212,5 +213,72 @@ fn throughput_scales_linearly_with_capacity() {
             (ratio - factor).abs() / factor < 0.08,
             "case {case}: expected ~{factor}, got {ratio}"
         );
+    }
+}
+
+/// `graph` and `tm` with every node id `v` renamed to `perm[v]`: the same
+/// links in the same order, the same demands in the same order.
+fn relabeled(graph: &Graph, tm: &TrafficMatrix, perm: &[usize]) -> (Graph, TrafficMatrix) {
+    let mut g = Graph::new(graph.num_nodes());
+    for e in graph.edges() {
+        g.add_edge(perm[e.u], perm[e.v], e.cap);
+    }
+    let demands = tm.demands().iter().map(|d| Demand {
+        src: perm[d.src],
+        dst: perm[d.dst],
+        amount: d.amount,
+    });
+    (g, TrafficMatrix::new(tm.num_switches(), demands))
+}
+
+#[test]
+fn throughput_is_invariant_under_relabeling() {
+    // Throughput is a property of the network and its traffic, not of how
+    // the switches are numbered: renaming the nodes of a graph together with
+    // its TM must leave the exact LP value unchanged, and the FPTAS bracket
+    // of the renamed instance must contain it. The renaming reorders the
+    // solver's sources, arcs and potential rows, so its trajectory differs.
+    use rand::seq::SliceRandom;
+    use tb_topology::{fattree::fat_tree, hypercube::hypercube, jellyfish::jellyfish};
+    let hypercube = hypercube(4, 1);
+    let jellyfish = jellyfish(12, 4, 1, 11);
+    let fat_tree = fat_tree(4);
+    let instances = [
+        (
+            "hypercube_d4/longest_matching",
+            &hypercube.graph,
+            longest_matching(&hypercube.graph, &hypercube.servers, true),
+        ),
+        (
+            "jellyfish_12x4/a2a",
+            &jellyfish.graph,
+            all_to_all(&jellyfish.servers),
+        ),
+        (
+            "fat_tree_k4/longest_matching",
+            &fat_tree.graph,
+            longest_matching(&fat_tree.graph, &fat_tree.servers, true),
+        ),
+    ];
+    let solver = FleischerSolver::new(FleischerConfig::default());
+    for (case, (name, graph, tm)) in instances.iter().enumerate() {
+        let exact = ExactLpSolver::new().solve(graph, tm).unwrap().lower;
+        assert!(exact > 0.0, "{name}");
+        for draw in 0..2 {
+            let mut rng = ChaCha8Rng::seed_from_u64(0x1C0 + 2 * case as u64 + draw);
+            let mut perm: Vec<usize> = (0..graph.num_nodes()).collect();
+            perm.shuffle(&mut rng);
+            let (g, t) = relabeled(graph, tm, &perm);
+            let renamed = ExactLpSolver::new().solve(&g, &t).unwrap().lower;
+            assert!(
+                (renamed - exact).abs() <= 1e-9 * exact,
+                "{name}, draw {draw}: exact {renamed} after renaming, {exact} before"
+            );
+            let b = solver.solve(&g, &t);
+            assert!(
+                b.lower <= exact * (1.0 + 1e-9) && b.upper >= exact * (1.0 - 1e-9),
+                "{name}, draw {draw}: FPTAS {b:?} misses the exact {exact}"
+            );
+        }
     }
 }

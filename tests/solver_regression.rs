@@ -1,5 +1,5 @@
 //! Cross-solver regression tests guarding the Fleischer hot-path refactor
-//! (CSR arcs, reusable workspace, early-exit SSSP, parallel dual bounds):
+//! (CSR arcs, early-exit SSSP, parallel dual bounds):
 //!
 //! * on small instances where the exact arc LP is tractable, the FPTAS
 //!   brackets must contain the exact optimum and close to within the
@@ -8,8 +8,9 @@
 //!   random-permutation: one destination per source — the early-exit fast
 //!   path; random matching of degree two and Kodialam: a few destinations per
 //!   source, the latter at unequal distances);
-//! * repeated solves through one reused [`SolverWorkspace`] must reproduce
-//!   fresh-workspace results bit-for-bit, in any interleaving order;
+//! * certificate capture must leave the bounds and every counter bit for
+//!   bit as a solve without it has them, on the grid and on an instance
+//!   whose bound sweeps fan out;
 //! * the solver must match the frozen per-destination walk of
 //!   `tb_bench::legacy` within the FPTAS gap, with its certificate verified,
 //!   on every instance of the grid with a source of several destinations
@@ -35,10 +36,7 @@
 //!   as they were before evaluations were screened.
 
 use tb_flow::fleischer::PAR_MIN_SWEEP_WORK;
-use tb_flow::{
-    verify_certificate, ExactLpSolver, FleischerConfig, FleischerSolver, FlowProblem,
-    SolverWorkspace, ThroughputCertificate,
-};
+use tb_flow::{verify_certificate, ExactLpSolver, FleischerConfig, FleischerSolver, FlowProblem};
 use tb_graph::Graph;
 use tb_topology::families::Scale;
 use tb_topology::hypercube::hypercube;
@@ -107,12 +105,7 @@ fn fptas_stays_within_target_gap_of_exact_lp() {
             FleischerConfig::default(),
             FleischerConfig::precise(),
         ] {
-            let (b, stats, _) = FleischerSolver::new(cfg).solve_in(
-                &topo.graph,
-                &tm,
-                &mut SolverWorkspace::new(),
-                false,
-            );
+            let (b, stats, _) = FleischerSolver::new(cfg).solve_in(&topo.graph, &tm, false);
             uppers_from_average += usize::from(stats.upper_from_average);
             // The bracket must contain the exact optimum...
             assert!(
@@ -183,8 +176,7 @@ fn ladder_solve_for(
         max_phases,
         ..EvalConfig::fast().solver
     };
-    let (bounds, stats, _) =
-        FleischerSolver::new(cfg).solve_in(&topo.graph, &tm, &mut SolverWorkspace::new(), false);
+    let (bounds, stats, _) = FleischerSolver::new(cfg).solve_in(&topo.graph, &tm, false);
     (bounds, stats)
 }
 
@@ -329,72 +321,32 @@ fn sources_with_several_destinations_never_touch_the_known_paths() {
     assert!(stats.repairs + 156 <= stats.searches, "{stats:?}");
 }
 
-/// Every float of a certificate as its bit pattern, beside its dimensions.
-fn certificate_bits(cert: &ThroughputCertificate) -> (usize, usize, Vec<u64>) {
-    let scalars = [cert.d_l, cert.lower, cert.upper];
-    let floats = cert.flow.iter().chain(&cert.served).chain(&cert.lengths);
-    let bits = floats.chain(&scalars).map(|x| x.to_bits()).collect();
-    (cert.num_nodes, cert.num_arcs, bits)
-}
-
 #[test]
-fn reused_workspace_reproduces_fresh_results_across_instance_mix() {
-    // One workspace is driven across the whole instance grid three times
-    // (growing and shrinking between topologies), once more in reverse, and
-    // last through the 160-switch instance of
-    // `pooled_sweeps_match_inline_execution_bit_for_bit`, whose bound sweeps
-    // fan out past `PAR_MIN_SWEEP_WORK`. Certificate capture alternates from
-    // one solve to the next. Every solve must equal its fresh-workspace solve
-    // bit for bit: bounds, the whole `SolveStats` and, when captured, the
-    // certificate.
+fn certificate_capture_is_trajectory_neutral_across_instance_mix() {
+    // Capture only copies the state behind each best bound, so a solve that
+    // captures must equal the one that does not bit for bit — bounds and the
+    // whole `SolveStats` — on every instance of the grid and on the
+    // 160-switch instance of `pooled_sweeps_match_inline_execution_bit_for_bit`,
+    // whose bound sweeps fan out past `PAR_MIN_SWEEP_WORK`.
     let solver = FleischerSolver::new(FleischerConfig::default());
-    let grid = instances();
     let big = jellyfish(160, 8, 1, 42);
     let big_tm = longest_matching(&big.graph, &big.servers, true);
     let big_prob = FlowProblem::new(&big.graph, &big_tm);
     assert!(big_prob.sources().len() * big_prob.num_arcs() >= PAR_MIN_SWEEP_WORK);
-    let fresh_solve = |topo: &Topology, tm: &TrafficMatrix| {
-        solver.solve_in(&topo.graph, tm, &mut SolverWorkspace::new(), true)
-    };
-    let fresh: Vec<_> = grid.iter().map(|(_, t, tm)| fresh_solve(t, tm)).collect();
-    let big_fresh = fresh_solve(&big, &big_tm);
-
-    let mut ws = SolverWorkspace::new();
-    let mut check =
-        |pass: &str, name: &str, topo: &Topology, tm: &TrafficMatrix, expect: &_, want_cert| {
-            let (b, stats, cert) = solver.solve_in(&topo.graph, tm, &mut ws, want_cert);
-            let (eb, estats, ecert): &(tb_flow::ThroughputBounds, _, Option<_>) = expect;
-            assert_eq!(
-                (b.lower.to_bits(), b.upper.to_bits()),
-                (eb.lower.to_bits(), eb.upper.to_bits()),
-                "{name}: reused-workspace bounds diverged in {pass}"
-            );
-            assert_eq!(
-                stats, *estats,
-                "{name}: reused-workspace stats diverged in {pass}"
-            );
-            let expect_cert = ecert.as_ref().expect("fresh solves capture");
-            match cert {
-                Some(cert) => assert!(
-                    certificate_bits(&cert) == certificate_bits(expect_cert),
-                    "{name}: reused-workspace certificate diverged in {pass}"
-                ),
-                None => assert!(!want_cert, "{name}: requested certificate missing"),
-            }
-        };
-    // Three rounds forward, then the reverse order: workspace shrink/grow
-    // transitions in the other direction.
-    let forward =
-        (0..3).flat_map(|round| (0..grid.len()).map(move |i| (format!("round {round}"), i)));
-    let reverse = (0..grid.len())
-        .rev()
-        .map(|i| ("the reverse sweep".to_string(), i));
-    for (k, (pass, i)) in forward.chain(reverse).enumerate() {
-        let (name, topo, tm) = &grid[i];
-        check(&pass, name, topo, tm, &fresh[i], k % 2 == 0);
+    let mut cases = instances();
+    cases.push(("jellyfish_160x8/longest_matching".into(), big, big_tm));
+    for (name, topo, tm) in &cases {
+        let (b, stats, cert) = solver.solve_in(&topo.graph, tm, true);
+        assert!(cert.is_some(), "{name}: requested certificate missing");
+        let (plain, plain_stats, none) = solver.solve_in(&topo.graph, tm, false);
+        assert!(none.is_none(), "{name}: certificate without a request");
+        assert_eq!(
+            (b.lower.to_bits(), b.upper.to_bits()),
+            (plain.lower.to_bits(), plain.upper.to_bits()),
+            "{name}: capture moved the bounds"
+        );
+        assert_eq!(stats, plain_stats, "{name}: capture moved the stats");
     }
-    let name = "jellyfish_160x8/longest_matching";
-    check("the fan-out solve", name, &big, &big_tm, &big_fresh, true);
 }
 
 /// Solves `tm` on `g` through the aggregated-tree kernel, verifies the
@@ -509,7 +461,7 @@ fn pooled_sweeps_match_inline_execution_bit_for_bit() {
             prob.num_arcs()
         );
         let queued_before = rayon::pool::stats().jobs;
-        let direct = solver.solve_in(&topo.graph, &tm, &mut SolverWorkspace::new(), false);
+        let direct = solver.solve_in(&topo.graph, &tm, false);
         // The only other test in this binary large enough to queue pool jobs
         // solves this instance too, so growth here is sweeps of this solve or
         // of its twin going through the pool.
@@ -518,8 +470,7 @@ fn pooled_sweeps_match_inline_execution_bit_for_bit() {
             "{name}: the solve queued no pool job at width {}",
             rayon::current_num_threads()
         );
-        let inline =
-            rayon::serial(|| solver.solve_in(&topo.graph, &tm, &mut SolverWorkspace::new(), false));
+        let inline = rayon::serial(|| solver.solve_in(&topo.graph, &tm, false));
         assert_eq!(
             (direct.0.lower.to_bits(), direct.0.upper.to_bits()),
             (inline.0.lower.to_bits(), inline.0.upper.to_bits()),
