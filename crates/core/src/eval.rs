@@ -25,13 +25,6 @@ pub struct EvalConfig {
     pub random_graph_iterations: usize,
     /// Base RNG seed; every randomized step derives from it deterministically.
     pub seed: u64,
-    /// Emit optimality certificates for throughput cells (see
-    /// [`Evaluated::certificate`]). Capture is
-    /// trajectory-neutral — the solved values are bit-identical either way —
-    /// but certified cells carry the extra evidence block through the cache
-    /// and artifacts, so the flag is part of the cell cache key. Default off:
-    /// committed goldens stay byte-identical.
-    pub certify: bool,
 }
 
 impl Default for EvalConfig {
@@ -41,7 +34,6 @@ impl Default for EvalConfig {
             exact_switch_limit: 16,
             random_graph_iterations: 3,
             seed: 1,
-            certify: false,
         }
     }
 }
@@ -75,14 +67,10 @@ pub struct Evaluated {
     pub bounds: ThroughputBounds,
     /// Converged, or budget-exhausted with the best bounds so far.
     pub status: SolveStatus,
-    /// The optimality certificate (see `tb_flow::certificate`), present iff
-    /// [`EvalConfig::certify`]. It describes the full instance.
-    pub certificate: Option<ThroughputCertificate>,
 }
 
 /// Computes the throughput of `tm` on `topo` (§II-A): the maximum `t` such
-/// that `tm · t` is feasible, as bracketing bounds, with the solve's status
-/// and, under [`EvalConfig::certify`], its certificate.
+/// that `tm · t` is feasible, as bracketing bounds, with the solve's status.
 ///
 /// The one place the solver is chosen. An empty TM (all demands removed,
 /// e.g. after heavy fault injection) has zero throughput by definition and
@@ -91,15 +79,27 @@ pub struct Evaluated {
 /// else (and, with a `warning:` line on stderr, an LP failure) to the FPTAS
 /// under `cfg.solver`. Strict semantics: a disconnected demand is not
 /// dropped, it pins the result to zero.
-///
-/// Certification can never change a reported number: the exact LP derives its
-/// certificate from the same optimal basis, and the FPTAS capture is
-/// trajectory-neutral.
 pub fn evaluate(topo: &Topology, tm: &TrafficMatrix, cfg: &EvalConfig) -> Evaluated {
-    let done = |bounds, status, certificate: Option<ThroughputCertificate>| Evaluated {
-        bounds: guard_finite(bounds, topo),
-        status,
-        certificate: certificate.filter(|_| cfg.certify),
+    solve(topo, tm, cfg, false).0
+}
+
+/// [`evaluate`], plus the optimality certificate of the full instance (see
+/// `tb_flow::certificate`) when `capture` is set; `sweep verify` is the one
+/// caller that sets it. Capture can never change a reported number: the
+/// exact LP derives its certificate from the same optimal basis, and the
+/// FPTAS capture is trajectory-neutral.
+pub(crate) fn solve(
+    topo: &Topology,
+    tm: &TrafficMatrix,
+    cfg: &EvalConfig,
+    capture: bool,
+) -> (Evaluated, Option<ThroughputCertificate>) {
+    let done = |bounds, status, certificate: Option<ThroughputCertificate>| {
+        let bounds = guard_finite(bounds, topo);
+        (
+            Evaluated { bounds, status },
+            certificate.filter(|_| capture),
+        )
     };
     if tm.num_flows() == 0 {
         return done(
@@ -120,8 +120,7 @@ pub fn evaluate(topo: &Topology, tm: &TrafficMatrix, cfg: &EvalConfig) -> Evalua
             ),
         }
     }
-    let (bounds, stats, cert) =
-        FleischerSolver::new(cfg.solver).solve_in(&topo.graph, tm, cfg.certify);
+    let (bounds, stats, cert) = FleischerSolver::new(cfg.solver).solve_in(&topo.graph, tm, capture);
     let status = if stats.converged {
         SolveStatus::Converged
     } else {
@@ -415,24 +414,19 @@ mod tests {
     #[test]
     fn status_eval_matches_plain_eval_on_clean_instances() {
         let c = cfg();
-        let certifying = EvalConfig { certify: true, ..c };
-        // Exact-LP path (small) and FPTAS path (large): the plain, certified
-        // and status evaluators are views of one dispatch, so when nothing is
-        // degraded all three report the same bits.
+        // Exact-LP path (small) and FPTAS path (large): the plain and status
+        // evaluators are views of one dispatch, so when nothing is degraded
+        // both report the same bits.
         for topo in [hypercube(3, 1), hypercube(5, 1)] {
             let tm = TmSpec::AllToAll.generate(&topo, 1);
-            let plain = evaluate(&topo, &tm, &c).bounds;
-            let certified = evaluate(&topo, &tm, &certifying);
+            let plain = evaluate(&topo, &tm, &c);
             let (b, status) = evaluate_throughput_status_with(&topo, &tm, &c);
-            for view in [certified.bounds, b] {
-                assert_eq!(plain.lower.to_bits(), view.lower.to_bits());
-                assert_eq!(plain.upper.to_bits(), view.upper.to_bits());
-            }
-            assert_eq!(status, SolveStatus::Converged);
-            assert_eq!(certified.status, SolveStatus::Converged);
-            let cert = certified.certificate.expect("certificate requested");
-            tb_flow::verify_certificate(&topo.graph, &tm, &cert, acceptable_certificate_gap(&c))
-                .unwrap_or_else(|e| panic!("{}: certificate failed: {e}", topo.name));
+            assert_eq!(plain.bounds.lower.to_bits(), b.lower.to_bits());
+            assert_eq!(plain.bounds.upper.to_bits(), b.upper.to_bits());
+            assert_eq!(
+                (status, plain.status),
+                (SolveStatus::Converged, SolveStatus::Converged)
+            );
         }
     }
 
@@ -440,20 +434,19 @@ mod tests {
     fn certified_eval_matches_plain_eval_and_meets_the_acceptable_gap() {
         use tb_flow::verify_certificate;
         let c = cfg();
-        let certifying = EvalConfig { certify: true, ..c };
-        // Exact-LP path (small) and FPTAS path (large): certification must be
+        // Exact-LP path (small) and FPTAS path (large): capture must be
         // trajectory-neutral — bit-identical bounds — and the certificate must
         // independently re-verify at the gap `sweep verify` enforces. Without
-        // `certify` neither path hands one out.
+        // `capture` neither path hands one out.
         for topo in [hypercube(3, 1), hypercube(5, 1)] {
             let tm = TmSpec::AllToAll.generate(&topo, 1);
-            let plain = evaluate(&topo, &tm, &c);
-            assert!(plain.certificate.is_none());
-            let e = evaluate(&topo, &tm, &certifying);
+            let (plain, none) = solve(&topo, &tm, &c, false);
+            assert!(none.is_none());
+            let (e, cert) = solve(&topo, &tm, &c, true);
             assert_eq!(plain.bounds.lower.to_bits(), e.bounds.lower.to_bits());
             assert_eq!(plain.bounds.upper.to_bits(), e.bounds.upper.to_bits());
             assert_eq!(e.status, SolveStatus::Converged);
-            let cert = e.certificate.expect("certificate requested");
+            let cert = cert.expect("certificate requested");
             verify_certificate(&topo.graph, &tm, &cert, acceptable_certificate_gap(&c))
                 .unwrap_or_else(|e| panic!("{}: certificate failed: {e}", topo.name));
         }

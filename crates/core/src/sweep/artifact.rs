@@ -7,7 +7,7 @@
 //! validates every artifact against [`validate_artifact`]; [`parse_artifact`]
 //! is the one reader, shared by validation, `sweep diff` and `sweep verify`.
 
-use crate::sweep::cell::{decode_map, CellCertificate, CellValues};
+use crate::sweep::cell::{decode_map, CellValues};
 use crate::sweep::json::Json;
 use crate::sweep::runner::{SweepOptions, SweepReport};
 use crate::sweep::table::Table;
@@ -150,13 +150,10 @@ pub struct ArtifactCell {
     pub cached: bool,
     /// Display labels, by name.
     pub labels: BTreeMap<String, String>,
-    /// Metrics and texts; the certificate stays in [`certificate`](Self::certificate).
+    /// Metrics and texts.
     pub values: CellValues,
     /// `Some(message)` for a failed cell (`"status": "failed"`).
     pub error: Option<String>,
-    /// The certificate block, undecoded: [`validate_artifact`] rejects an
-    /// undecodable one, while `sweep verify` reports it against its cell.
-    pub certificate: Option<Json>,
 }
 
 /// A parsed `topobench-sweep/v1` artifact.
@@ -194,28 +191,25 @@ fn field<'a, T>(
         .ok_or_else(|| format!("'{key}' must be {what}"))
 }
 
-fn parse_cell(cell: Json) -> Result<ArtifactCell, String> {
-    let Json::Obj(mut cell) = cell else {
+fn parse_cell(cell: &Json) -> Result<ArtifactCell, String> {
+    if !matches!(cell, Json::Obj(_)) {
         return Err("not an object".into());
-    };
-    let certificate = cell.remove("certificate");
-    let cell = Json::Obj(cell);
+    }
     // 'status' is optional (healthy cells omit it); failed cells must carry
     // an error message.
     let error = match cell.get("status").map(Json::as_str) {
         None | Some(Some("ok")) => None,
         Some(Some("failed")) => {
-            Some(field(&cell, "error", Json::as_str, "a failure message")?.into())
+            Some(field(cell, "error", Json::as_str, "a failure message")?.into())
         }
         Some(_) => return Err("'status' must be ok|failed".into()),
     };
     Ok(ArtifactCell {
-        id: field(&cell, "id", Json::as_str, "a string")?.into(),
-        cached: field(&cell, "cached", Json::as_bool, "a bool")?,
-        labels: decode_map(&cell, "labels", |v| Some(v.as_str()?.to_string()))?,
-        values: CellValues::from_json(&cell)?,
+        id: field(cell, "id", Json::as_str, "a string")?.into(),
+        cached: field(cell, "cached", Json::as_bool, "a bool")?,
+        labels: decode_map(cell, "labels", |v| Some(v.as_str()?.to_string()))?,
+        values: CellValues::from_json(cell)?,
         error,
-        certificate,
     })
 }
 
@@ -229,15 +223,13 @@ fn parse_table(table: &Json) -> Result<(String, usize, usize), String> {
     Ok((name.into(), width, rows.len()))
 }
 
-fn parse_doc(mut doc: BTreeMap<String, Json>) -> Result<Artifact, String> {
-    let cells = doc.remove("cells");
-    let doc = Json::Obj(doc);
+fn parse_doc(doc: &Json) -> Result<Artifact, String> {
     if doc.get("schema").and_then(Json::as_str) != Some(ARTIFACT_SCHEMA) {
         return Err("missing or wrong schema tag".into());
     }
     let filter = match doc.get("filter") {
         None | Some(Json::Null) => None,
-        Some(_) => Some(field(&doc, "filter", Json::as_str, "a string or null")?.into()),
+        Some(_) => Some(field(doc, "filter", Json::as_str, "a string or null")?.into()),
     };
     // 'partial' is optional (absent in pre-diff artifacts) but when present
     // must be true exactly when a filter is recorded.
@@ -248,37 +240,35 @@ fn parse_doc(mut doc: BTreeMap<String, Json>) -> Result<Artifact, String> {
     };
     let mut stats = [0.0; 4];
     let keys = ["cells", "unique_cells", "cache_hits", "solver_calls"];
-    let counts = field(&doc, "stats", Some, "an object")?;
+    let counts = field(doc, "stats", Some, "an object")?;
     for (slot, key) in stats.iter_mut().zip(keys) {
         *slot = field(counts, key, Json::as_num, "a number").map_err(|e| format!("stats {e}"))?;
     }
-    let Some(Json::Arr(cells)) = cells else {
-        return Err("'cells' must be an array".into());
-    };
+    let cells = field(doc, "cells", Json::as_arr, "an array")?;
     if cells.len() as f64 != stats[0] {
         return Err("stats.cells must match the cell count".into());
     }
-    let cells: Vec<ArtifactCell> = (cells.into_iter().enumerate())
+    let cells: Vec<ArtifactCell> = (cells.iter().enumerate())
         .map(|(i, cell)| parse_cell(cell).map_err(|e| format!("cell {i}: {e}")))
         .collect::<Result<_, _>>()?;
     let mut ids = std::collections::HashSet::new();
     if let Some(cell) = cells.iter().find(|cell| !ids.insert(cell.id.as_str())) {
         return Err(format!("cell id '{}' is not unique", cell.id));
     }
-    let tables = field(&doc, "tables", Json::as_arr, "an array")?;
+    let tables = field(doc, "tables", Json::as_arr, "an array")?;
     let tables = (tables.iter().enumerate())
         .map(|(i, table)| parse_table(table).map_err(|e| format!("table {i}: {e}")))
         .collect::<Result<_, _>>()?;
     let seed = field(
-        &doc,
+        doc,
         "seed",
         |s| s.as_str()?.parse().ok(),
         "a decimal string",
     )?;
     Ok(Artifact {
-        scenario: field(&doc, "scenario", Json::as_str, "a string")?.into(),
-        title: field(&doc, "title", Json::as_str, "a string")?.into(),
-        full: field(&doc, "full", Json::as_bool, "a bool")?,
+        scenario: field(doc, "scenario", Json::as_str, "a string")?.into(),
+        title: field(doc, "title", Json::as_str, "a string")?.into(),
+        full: field(doc, "full", Json::as_bool, "a bool")?,
         partial,
         seed,
         filter,
@@ -290,27 +280,18 @@ fn parse_doc(mut doc: BTreeMap<String, Json>) -> Result<Artifact, String> {
 
 /// Parses an artifact document against the `topobench-sweep/v1` schema:
 /// the one reader behind [`validate_artifact`], `sweep diff` and `sweep
-/// verify`. Certificate blocks come back undecoded.
+/// verify`.
 pub fn parse_artifact(text: &str) -> Result<Artifact, String> {
     match Json::parse(text).map_err(|e| format!("artifact is not JSON: {e}"))? {
-        Json::Obj(doc) => parse_doc(doc),
+        doc @ Json::Obj(_) => parse_doc(&doc),
         _ => Err("not an object".into()),
     }
     .map_err(|e| format!("artifact invalid: {e}"))
 }
 
-/// Validates an artifact document against the `topobench-sweep/v1` schema:
-/// [`parse_artifact`] plus decoding every certificate block.
+/// Validates an artifact document against the `topobench-sweep/v1` schema.
 pub fn validate_artifact(text: &str) -> Result<(), String> {
-    for cell in parse_artifact(text)?.cells {
-        if (cell.certificate).is_some_and(|block| CellCertificate::from_json(&block).is_none()) {
-            return Err(format!(
-                "artifact invalid: cell '{}': 'certificate' must be a decodable certificate block",
-                cell.id
-            ));
-        }
-    }
-    Ok(())
+    parse_artifact(text).map(drop)
 }
 
 /// The names of the regular `*.json` files directly in `dir`, sorted: the
@@ -483,56 +464,6 @@ mod tests {
         // Unknown status strings are rejected.
         let bogus = text.replace("\"status\":\"failed\"", "\"status\":\"meh\"");
         assert!(validate_artifact(&bogus).is_err());
-    }
-
-    /// A certified cell serializes its certificate block, validates, and a
-    /// broken block (one flipped evidence bit) fails `validate_artifact` —
-    /// the schema treats an undecodable block as a structural defect.
-    #[test]
-    fn certified_cells_validate_and_broken_blocks_are_rejected() {
-        use crate::sweep::cell::CellCertificate;
-        let opts = SweepOptions::new(false, 1);
-        let mut report = sample_report();
-        report.outcomes[0].values.set_certificate(CellCertificate {
-            cert: tb_flow::ThroughputCertificate {
-                num_nodes: 8,
-                num_arcs: 24,
-                flow: vec![0.5; 24],
-                served: vec![0.25; 4],
-                lengths: vec![1.0; 24],
-                d_l: 24.0,
-                lower: 0.5,
-                upper: 1.0,
-            },
-            status: "converged".into(),
-        });
-        let text =
-            artifact_json("test", "Test", &opts, &report, &RenderOutput::default()).to_string();
-        assert!(text.contains("\"certificate\""));
-        validate_artifact(&text).expect("certified artifact must validate");
-
-        // Flip one bit of stored evidence: structural validation fails.
-        let tag = "\"d_l\":\"";
-        let at = text.find(tag).unwrap() + tag.len();
-        let hex = &text[at..at + 16];
-        let flipped = format!("{:016x}", u64::from_str_radix(hex, 16).unwrap() ^ 1);
-        let mutated = text.replacen(hex, &flipped, 1);
-        assert!(
-            validate_artifact(&mutated).is_err(),
-            "a flipped certificate bit must fail artifact validation"
-        );
-
-        // Certificates off: not a single certificate key in the document
-        // (golden byte-stability for uncertified runs).
-        let plain = artifact_json(
-            "test",
-            "Test",
-            &opts,
-            &sample_report(),
-            &RenderOutput::default(),
-        )
-        .to_string();
-        assert!(!plain.contains("certificate"));
     }
 
     #[test]

@@ -129,7 +129,6 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::cell::CellCertificate;
 
     fn temp_cache(tag: &str) -> ResultCache {
         let dir = std::env::temp_dir().join(format!("tb-cache-test-{tag}-{}", std::process::id()));
@@ -175,9 +174,14 @@ mod tests {
         let mut values = CellValues::default();
         values.push("x", 2.0);
         // The last is 300,000 nested `[`: it used to overflow the parser's
-        // stack and abort the whole run instead of being quarantined.
+        // stack and abort the whole run instead of being quarantined. The
+        // one before it reads 123 where its bits say 2.
         let deep = "[".repeat(300_000);
-        for garbage in ["{not json", "", "{\"schema\":\"other/v9\"}", &deep] {
+        let edited = format!(
+            "{{\"schema\":\"{CELL_SCHEMA}\",\"key\":\"key\",\"texts\":{{}},\
+             \"values\":{{\"x\":{{\"bits\":\"4000000000000000\",\"value\":123.0}}}}}}"
+        );
+        for garbage in ["{not json", "", "{\"schema\":\"other/v9\"}", &edited, &deep] {
             cache.store("key", &values);
             let path = cache.path_for("key");
             fs::write(&path, garbage).unwrap();
@@ -206,76 +210,6 @@ mod tests {
         fs::write(&path, &full[..full.len() / 2]).unwrap();
         assert!(cache.load("key").is_none());
         assert!(path.with_extension("bad").exists());
-        let _ = fs::remove_dir_all(cache.dir());
-    }
-
-    /// A plausible certified cell for round-trip tests (the cache does not
-    /// re-verify semantics — that is `sweep verify`'s job — so hand-built
-    /// evidence is fine here).
-    fn test_certificate() -> CellCertificate {
-        CellCertificate {
-            cert: tb_flow::ThroughputCertificate {
-                num_nodes: 3,
-                num_arcs: 4,
-                flow: vec![0.5, 1.0, 0.0, 0.25],
-                served: vec![0.5, 0.5],
-                lengths: vec![1.0, 0.125, 1.0, 1.0],
-                d_l: 4.0,
-                lower: 0.5,
-                upper: 4.0 / 3.0,
-            },
-            status: "converged".into(),
-        }
-    }
-
-    #[test]
-    fn certificate_roundtrips_bit_exact_and_plain_entries_are_unchanged() {
-        let cache = temp_cache("certrt");
-        let mut plain = CellValues::default();
-        plain.push("lower", 1.0 / 3.0);
-        cache.store("plain", &plain);
-        let bytes = fs::read_to_string(cache.path_for("plain")).unwrap();
-        assert!(
-            !bytes.contains("certificate"),
-            "plain entries must stay on the pre-certificate schema"
-        );
-
-        let mut certified = CellValues::default();
-        certified.push("lower", 0.5);
-        certified.set_certificate(test_certificate());
-        cache.store("certified", &certified);
-        let back = cache.load("certified").expect("certified entry loads");
-        assert!(
-            certified.bit_identical(&back),
-            "certificate must round-trip bit-exactly"
-        );
-        assert!(back.certificate().is_some());
-        let _ = fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
-    fn flipped_certificate_bit_is_quarantined_not_served() {
-        let cache = temp_cache("certbad");
-        let mut values = CellValues::default();
-        values.push("lower", 0.5);
-        values.set_certificate(test_certificate());
-        cache.store("key", &values);
-        let path = cache.path_for("key");
-        let text = fs::read_to_string(&path).unwrap();
-        // Flip the lowest bit of the first stored flow value.
-        let tag = "\"flow\":[\"";
-        let at = text.find(tag).expect("certificate stores flow bits") + tag.len();
-        let hex = &text[at..at + 16];
-        let flipped = format!("{:016x}", u64::from_str_radix(hex, 16).unwrap() ^ 1);
-        fs::write(&path, text.replacen(hex, &flipped, 1)).unwrap();
-
-        assert!(
-            cache.load("key").is_none(),
-            "a flipped evidence bit must never be served"
-        );
-        assert!(path.with_extension("bad").exists());
-        cache.store("key", &values);
-        assert!(cache.load("key").is_some(), "re-store must recover");
         let _ = fs::remove_dir_all(cache.dir());
     }
 

@@ -18,7 +18,6 @@ use std::collections::BTreeMap;
 use tb_cuts::{estimate_sparsest_cut, ALL_ESTIMATORS};
 use tb_flow::restricted::{k_shortest_path_sets, PathRestrictedSolver, SubflowCountingEstimator};
 use tb_flow::SolveStatus;
-use tb_flow::ThroughputCertificate;
 use tb_graph::shortest_path::average_path_length;
 use tb_topology::faults::{apply_faults, FaultPlan};
 use tb_topology::jellyfish::same_equipment;
@@ -139,126 +138,12 @@ pub enum CellSpec {
     },
 }
 
-/// An optimality certificate attached to one cell's result: the solver's
-/// [`ThroughputCertificate`] plus the [`SolveStatus`] label it was recorded
-/// under. The status travels with the evidence because
-/// the verifier's contract depends on it: a `budget-exhausted` cell is
-/// *unverifiable* (its bounds are valid but meet no accuracy contract), never
-/// silently certified.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellCertificate {
-    /// The self-contained certificate (flow, lengths, derived claims).
-    pub cert: ThroughputCertificate,
-    /// The solve-status label (`"converged"`, `"budget-exhausted"`, …).
-    pub status: String,
-}
-
-fn bits_arr(xs: &[f64]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::f64_bits(x)).collect())
-}
-
-fn arr_bits(doc: &Json, key: &str) -> Option<Vec<f64>> {
-    doc.get(key)?
-        .as_arr()?
-        .iter()
-        .map(Json::as_f64_bits)
-        .collect()
-}
-
-impl CellCertificate {
-    /// Canonical FNV-1a digest of every stored bit pattern, in serialization
-    /// order. Stored in the block as `"fnv"` and re-checked on parse, making
-    /// serialized evidence tamper-evident bit-for-bit: the semantic verifier
-    /// necessarily tolerates sub-tolerance perturbations of the flow vector
-    /// (a one-ulp nudge violates no constraint), so integrity of the stored
-    /// bytes is pinned separately from validity of the proven bounds.
-    fn evidence_digest(&self) -> u64 {
-        let mut text = format!("{}|{}|", self.cert.num_nodes, self.cert.num_arcs);
-        for xs in [&self.cert.flow, &self.cert.served, &self.cert.lengths] {
-            for x in xs.iter() {
-                text.push_str(&format!("{:016x},", x.to_bits()));
-            }
-            text.push('|');
-        }
-        for x in [self.cert.d_l, self.cert.lower, self.cert.upper] {
-            text.push_str(&format!("{:016x},", x.to_bits()));
-        }
-        text.push('|');
-        text.push_str(&self.status);
-        crate::sweep::cache::fnv1a(&text)
-    }
-
-    /// Serializes the certificate block (all floats as IEEE-754 bit
-    /// patterns, so cache and artifact round trips are bit-exact; the
-    /// `"fnv"` field is the evidence digest checked on parse).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("nodes", Json::Num(self.cert.num_nodes as f64)),
-            ("arcs", Json::Num(self.cert.num_arcs as f64)),
-            ("flow", bits_arr(&self.cert.flow)),
-            ("served", bits_arr(&self.cert.served)),
-            ("lengths", bits_arr(&self.cert.lengths)),
-            ("d_l", Json::f64_bits(self.cert.d_l)),
-            ("lower", Json::f64_bits(self.cert.lower)),
-            ("upper", Json::f64_bits(self.cert.upper)),
-            ("status", Json::str(self.status.clone())),
-            ("fnv", Json::str(format!("{:016x}", self.evidence_digest()))),
-        ])
-    }
-
-    /// Parses a certificate block; `None` on any structural defect (missing
-    /// field, undecodable bit pattern, non-integral dimension) or when the
-    /// stored digest does not match the evidence — any single-bit mutation
-    /// of the block fails here.
-    pub(crate) fn from_json(doc: &Json) -> Option<Self> {
-        let dim = |key: &str| -> Option<usize> {
-            let x = doc.get(key)?.as_num()?;
-            (x.fract() == 0.0 && (0.0..=u32::MAX as f64).contains(&x)).then_some(x as usize)
-        };
-        let parsed = CellCertificate {
-            cert: ThroughputCertificate {
-                num_nodes: dim("nodes")?,
-                num_arcs: dim("arcs")?,
-                flow: arr_bits(doc, "flow")?,
-                served: arr_bits(doc, "served")?,
-                lengths: arr_bits(doc, "lengths")?,
-                d_l: doc.get("d_l")?.as_f64_bits()?,
-                lower: doc.get("lower")?.as_f64_bits()?,
-                upper: doc.get("upper")?.as_f64_bits()?,
-            },
-            status: doc.get("status")?.as_str()?.to_string(),
-        };
-        let stored = doc.get("fnv")?.as_str()?;
-        (stored == format!("{:016x}", parsed.evidence_digest())).then_some(parsed)
-    }
-
-    /// True when every stored float matches bit-for-bit (and the status and
-    /// dimensions match exactly).
-    pub fn bit_identical(&self, other: &CellCertificate) -> bool {
-        let eq_bits = |a: &[f64], b: &[f64]| {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-        };
-        self.status == other.status
-            && self.cert.num_nodes == other.cert.num_nodes
-            && self.cert.num_arcs == other.cert.num_arcs
-            && eq_bits(&self.cert.flow, &other.cert.flow)
-            && eq_bits(&self.cert.served, &other.cert.served)
-            && eq_bits(&self.cert.lengths, &other.cert.lengths)
-            && self.cert.d_l.to_bits() == other.cert.d_l.to_bits()
-            && self.cert.lower.to_bits() == other.cert.lower.to_bits()
-            && self.cert.upper.to_bits() == other.cert.upper.to_bits()
-    }
-}
-
 /// A cell's result: named floating-point metrics (bit-exact through the
-/// cache) plus optional named text annotations, both in name order, and —
-/// for certified throughput cells — the optimality certificate behind the
-/// numbers.
+/// cache) plus optional named text annotations, both in name order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellValues {
     nums: BTreeMap<String, f64>,
     texts: BTreeMap<String, String>,
-    certificate: Option<CellCertificate>,
 }
 
 impl CellValues {
@@ -301,27 +186,10 @@ impl CellValues {
         &self.texts
     }
 
-    /// Attaches an optimality certificate to this result.
-    pub(crate) fn set_certificate(&mut self, cert: CellCertificate) {
-        self.certificate = Some(cert);
-    }
-
-    /// The attached certificate, if any.
-    pub fn certificate(&self) -> Option<&CellCertificate> {
-        self.certificate.as_ref()
-    }
-
     /// True when every metric of `self` and `other` matches bit-for-bit (and
-    /// texts match exactly, and certificates are bitwise-equal or both
-    /// absent).
+    /// texts match exactly).
     pub fn bit_identical(&self, other: &CellValues) -> bool {
-        let certs_match = match (&self.certificate, &other.certificate) {
-            (None, None) => true,
-            (Some(a), Some(b)) => a.bit_identical(b),
-            _ => false,
-        };
-        certs_match
-            && self.nums.len() == other.nums.len()
+        self.nums.len() == other.nums.len()
             && self.texts == other.texts
             && self
                 .nums
@@ -332,9 +200,8 @@ impl CellValues {
 
     /// The fields this result contributes to a cache entry or an artifact
     /// cell (one encoding for both): `values` maps each metric to its
-    /// IEEE-754 `bits` plus a decimal `value` for human readers, `texts` each
-    /// annotation, and `certificate` is present only when one is attached,
-    /// so uncertified documents carry no such key.
+    /// IEEE-754 `bits` plus a decimal `value` for human readers (`null` for a
+    /// non-finite one), and `texts` each annotation.
     pub fn to_json(&self) -> Vec<(&'static str, Json)> {
         let values = (self.nums.iter())
             .map(|(name, &x)| {
@@ -345,23 +212,25 @@ impl CellValues {
         let texts = (self.texts.iter())
             .map(|(name, text)| (name.clone(), Json::str(text.clone())))
             .collect();
-        let mut fields = vec![("values", Json::Obj(values)), ("texts", Json::Obj(texts))];
-        if let Some(cert) = &self.certificate {
-            fields.push(("certificate", cert.to_json()));
-        }
-        fields
+        vec![("values", Json::Obj(values)), ("texts", Json::Obj(texts))]
     }
 
     /// Decodes the fields [`to_json`](Self::to_json) wrote into `doc`; the
-    /// error names the first undecodable one.
+    /// error names the first undecodable one. A metric's decimal `value` must
+    /// say what its `bits` say — readers see the decimal, the engine the bits.
     pub(crate) fn from_json(doc: &Json) -> Result<CellValues, String> {
-        let certificate = (doc.get("certificate"))
-            .map(|block| CellCertificate::from_json(block).ok_or("'certificate' is undecodable"))
-            .transpose()?;
+        let metric = |v: &Json| {
+            let x = v.get("bits")?.as_f64_bits()?;
+            let shown = match v.get("value")? {
+                Json::Num(shown) => shown.to_bits() == x.to_bits(),
+                Json::Null => !x.is_finite(),
+                _ => false,
+            };
+            shown.then_some(x)
+        };
         Ok(CellValues {
-            nums: decode_map(doc, "values", |v| v.get("bits")?.as_f64_bits())?,
+            nums: decode_map(doc, "values", metric)?,
             texts: decode_map(doc, "texts", |v| Some(v.as_str()?.to_string()))?,
-            certificate,
         })
     }
 }
@@ -610,16 +479,7 @@ impl CellSpec {
             CellSpec::Throughput { topo, tm, tm_seed } => {
                 let topo = build_topo(topo);
                 let matrix = tm.generate(&topo, *tm_seed);
-                // Capturing the certificate is side-effect-free, so the pushed
-                // metrics are bit-identical with `certify` on or off — only the
-                // evidence block is added.
                 let e = evaluate(&topo, &matrix, cfg);
-                if let Some(cert) = e.certificate {
-                    out.set_certificate(CellCertificate {
-                        cert,
-                        status: e.status.label(),
-                    });
-                }
                 out.push("lower", e.bounds.lower);
                 out.push("upper", e.bounds.upper);
                 out.push_text("tm_fp", format!("{:016x}", matrix.fingerprint()));
@@ -811,74 +671,29 @@ mod tests {
         CellValues::default().num("nope");
     }
 
-    fn sample_certificate() -> CellCertificate {
-        CellCertificate {
-            cert: tb_flow::ThroughputCertificate {
-                num_nodes: 4,
-                num_arcs: 3,
-                // Deliberately awkward bit patterns: subnormal, a value with
-                // no short decimal form, and an exact dyadic.
-                flow: vec![5e-324, 1.0 / 3.0, 0.25],
-                served: vec![0.5, 0.125],
-                lengths: vec![1.0, 0.1, 2.0],
-                d_l: 3.1,
-                lower: 0.5,
-                upper: 0.6180339887498949,
-            },
-            status: "converged".into(),
-        }
-    }
-
+    /// A metric whose decimal `value` disagrees with its `bits` is rejected:
+    /// readers would see one number while the engine compares another.
     #[test]
-    fn certificate_json_roundtrip_is_bit_exact() {
-        let cc = sample_certificate();
-        let text = cc.to_json().to_string();
-        let back = CellCertificate::from_json(&Json::parse(&text).unwrap())
-            .expect("round trip must decode");
-        assert!(cc.bit_identical(&back));
-        assert_eq!(back.status, "converged");
-    }
-
-    /// Every field of the serialized block is load-bearing: flipping the low
-    /// bit of any stored float, editing the status, or dropping the digest
-    /// makes `from_json` reject the block.
-    #[test]
-    fn certificate_digest_makes_every_stored_bit_load_bearing() {
-        let cc = sample_certificate();
-        let text = cc.to_json().to_string();
-        // Flip the low bit of every 16-hex-digit bit pattern in the block,
-        // one at a time (this covers flow, served, lengths, d_l, lower,
-        // upper — and the digest itself).
-        let bytes = text.as_bytes();
-        let mut flips = 0;
-        for at in 0..bytes.len().saturating_sub(17) {
-            if bytes[at] != b'"' || bytes[at + 17] != b'"' {
-                continue;
-            }
-            let hex = &text[at + 1..at + 17];
-            let Ok(v) = u64::from_str_radix(hex, 16) else {
-                continue;
-            };
-            let mutated = text.replacen(hex, &format!("{:016x}", v ^ 1), 1);
-            assert!(
-                CellCertificate::from_json(&Json::parse(&mutated).unwrap()).is_none(),
-                "flipping the value at byte {at} went undetected"
-            );
-            flips += 1;
-        }
-        assert!(
-            flips >= 11,
-            "expected to flip every stored pattern, got {flips}"
-        );
-        // Status text is covered by the digest too.
-        let mutated = text.replacen("converged", "Converged", 1);
-        assert!(CellCertificate::from_json(&Json::parse(&mutated).unwrap()).is_none());
-        // And a block with the digest stripped is structurally invalid.
-        let Json::Obj(mut map) = cc.to_json() else {
-            unreachable!()
-        };
-        map.remove("fnv");
-        assert!(CellCertificate::from_json(&Json::Obj(map)).is_none());
+    fn metric_value_must_match_its_bits() {
+        let mut v = CellValues::default();
+        v.push("lower", 0.1 + 0.2);
+        v.push("upper", f64::INFINITY);
+        let text = Json::obj(v.to_json()).to_string();
+        let decode = |text: &str| CellValues::from_json(&Json::parse(text).unwrap());
+        assert!(decode(&text).unwrap().bit_identical(&v));
+        // The decimal edited, the bits left alone.
+        let edited = text.replace("0.30000000000000004", "123.0");
+        assert_ne!(edited, text);
+        let err = decode(&edited).unwrap_err();
+        assert_eq!(err, "'values.lower' is undecodable");
+        // A `null` only stands for a non-finite value.
+        let nulled = text.replace("0.30000000000000004", "null");
+        assert!(decode(&nulled).is_err());
+        // A non-finite value must be `null`, and the decimal is not optional.
+        let shown = text.replace("\"value\":null", "\"value\":1e308");
+        assert!(decode(&shown).is_err());
+        let missing = text.replace(",\"value\":null", "");
+        assert!(decode(&missing).is_err());
     }
 
     fn degradation_spec(link_fail_frac: f64, switch_failures: usize) -> CellSpec {

@@ -12,8 +12,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Deepest nesting [`Json::parse`] accepts. The writers nest at most 5
-/// levels (artifact → cells → cell → values → metric, or → certificate →
-/// flow); the limit only keeps hostile input from overflowing the stack.
+/// levels (artifact → cells → cell → values → metric); the limit only keeps
+/// hostile input from overflowing the stack.
 const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
@@ -374,7 +374,7 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// Every bit pattern a certificate can store — quiet/signaling/negative
+    /// Every bit pattern a metric can store — quiet/signaling/negative
     /// NaNs, signed zeros, subnormals, infinities, extremes, plus a few
     /// thousand arbitrary patterns — survives a full document write→parse
     /// round trip bit-exactly.
@@ -400,8 +400,7 @@ mod tests {
         for bits in patterns {
             let x = f64::from_bits(bits);
             // Through the whole document pipeline, not just the scalar: the
-            // value rides inside an array inside an object, like a stored
-            // certificate block does.
+            // value rides inside an array inside an object.
             let doc = Json::obj(vec![("flow", Json::Arr(vec![Json::f64_bits(x)]))]);
             let back = Json::parse(&doc.to_string()).unwrap();
             let dec = back.get("flow").unwrap().as_arr().unwrap()[0]

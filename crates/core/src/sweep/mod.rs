@@ -36,7 +36,7 @@ pub use artifact::{
     write_artifact, Artifact, ArtifactCell, NamedTable, RenderOutput, ARTIFACT_SCHEMA,
 };
 pub use cache::{fnv1a, ResultCache, CELL_SCHEMA};
-pub use cell::{CellCertificate, CellSpec, CellValues, FbMatrix, SweepCell};
+pub use cell::{CellSpec, CellValues, FbMatrix, SweepCell};
 pub use diff::{
     diff_artifacts, diff_dirs, diff_files, ArtifactDiff, CellChange, ChangeKind, DirDiff,
 };

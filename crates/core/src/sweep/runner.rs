@@ -33,12 +33,6 @@ pub struct SweepOptions {
     pub cache_dir: PathBuf,
     /// If set, only run cells whose id contains this substring.
     pub filter: Option<String>,
-    /// Emit optimality certificates for throughput cells (`--certify`).
-    /// Values are bit-identical either way; certified cells additionally
-    /// carry the evidence block through the cache and artifacts (and key
-    /// separate cache entries, since the stored payload differs). Off by
-    /// default so committed goldens stay byte-identical.
-    pub certify: bool,
 }
 
 impl SweepOptions {
@@ -51,7 +45,6 @@ impl SweepOptions {
             use_cache: true,
             cache_dir: PathBuf::from("results/cache"),
             filter: None,
-            certify: false,
         }
     }
 
@@ -72,7 +65,6 @@ impl SweepOptions {
             EvalConfig::fast()
         };
         cfg.seed = self.seed;
-        cfg.certify = self.certify;
         cfg
     }
 }

@@ -1,42 +1,43 @@
-//! Artifact re-verification: independently re-check every certified cell of
-//! a `topobench-sweep/v1` artifact.
+//! Artifact re-verification: certify every throughput cell of a
+//! `topobench-sweep/v1` artifact by solving it again.
 //!
-//! The verifier never trusts the numbers in the artifact. For each cell that
-//! carries a `"certificate"` block it rebuilds the instance from the cell's
-//! spec (looked up in the scenario's re-expanded grid), hands the stored
-//! evidence to [`tb_flow::verify_certificate`] — which re-derives primal
-//! feasibility and the dual bound from shortest paths under the stored
-//! lengths — and cross-checks the artifact's reported `lower`/`upper`
-//! metrics against the certificate's claims. A single flipped bit anywhere
-//! in the stored evidence fails the bit-exact claim re-derivation and the
-//! cell is reported *bad*.
+//! The verifier never trusts the numbers in the artifact. For each
+//! `Throughput` cell it rebuilds the instance from the cell's spec (looked up
+//! in the scenario's re-expanded grid), checks that the spec still generates
+//! the TM the cell recorded (`tm_fp`), re-solves it through the evaluator's
+//! one dispatch with certificate capture on, hands the certificate to
+//! [`tb_flow::verify_certificate`] — which re-derives primal feasibility and
+//! the dual bound from shortest paths under the certificate's lengths — and
+//! ties the certificate's `lower`/`upper` to the metrics the artifact
+//! reports. Results are a pure function of the spec and the configuration,
+//! so the evidence need not be stored: it is derived again.
 //!
 //! Status interplay (the part that is easy to get wrong): cells serialized
-//! with `"status": "failed"` and cells whose certificate records a
-//! `budget-exhausted` solve are **unverifiable** — their bounds are valid
-//! but meet no accuracy contract, so they are reported as such, never
-//! certified and never silently skipped. Cells without a certificate (plain
-//! uncertified artifacts, non-throughput metrics) are counted but not
-//! checked.
+//! with `"status": "failed"` and cells whose re-solve exhausts its budget are
+//! **unverifiable** — their bounds are valid but meet no accuracy contract,
+//! so they are reported as such, never certified and never silently
+//! skipped. Cells of other kinds (relative throughput, cuts, path lengths, …)
+//! are counted but not checked.
 
-use crate::eval::{acceptable_certificate_gap, EvalConfig};
+use crate::eval::{acceptable_certificate_gap, solve, EvalConfig};
 use crate::sweep::artifact::{Artifact, ArtifactCell};
-use crate::sweep::cell::{CellCertificate, CellSpec};
+use crate::sweep::cell::CellSpec;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use tb_flow::SolveStatus;
 
 /// The verdict on one artifact cell.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellVerdict {
-    /// The certificate re-verified against the rebuilt instance.
+    /// The re-solve's certificate verified and backs the reported values.
     Certified,
-    /// The certificate (or its tie to the reported values) is wrong.
+    /// The certificate, its tie to the reported values, or the cell's tie to
+    /// its spec is wrong.
     Bad(String),
     /// The cell cannot be held to an accuracy contract (failed, or
     /// budget-exhausted) — reported, never certified, never skipped.
     Unverifiable(String),
-    /// The cell carries no certificate (uncertified run or a metric kind
-    /// that has none).
+    /// The cell is not a throughput cell, so there is nothing to certify.
     NoCertificate,
 }
 
@@ -47,20 +48,20 @@ pub struct VerifyReport {
     pub scenario: String,
     /// Total cells examined.
     pub cells: usize,
-    /// Cells whose certificate re-verified.
+    /// Cells whose certificate verified.
     pub certified: usize,
-    /// Cells with no certificate block.
+    /// Cells that are not throughput cells.
     pub no_certificate: usize,
-    /// `(cell id, reason)` for every rejected certificate.
+    /// `(cell id, reason)` for every rejected cell.
     pub bad: Vec<(String, String)>,
     /// `(cell id, reason)` for every unverifiable cell.
     pub unverifiable: Vec<(String, String)>,
 }
 
 impl VerifyReport {
-    /// True when no certificate was rejected. (Unverifiable cells do not
-    /// make an artifact unclean — they are reported, and whether "nothing
-    /// was certified at all" is acceptable is the caller's policy.)
+    /// True when no cell was rejected. (Unverifiable cells do not make an
+    /// artifact unclean — they are reported, and whether "nothing was
+    /// certified at all" is acceptable is the caller's policy.)
     pub fn is_clean(&self) -> bool {
         self.bad.is_empty()
     }
@@ -96,9 +97,7 @@ const VALUE_TIE_TOL: f64 = 1e-9;
 
 /// Verifies every cell of a parsed artifact against the re-expanded cell
 /// specs in `specs` (cell id → spec) under the evaluation configuration the
-/// artifact was produced with. Certificate blocks are decoded here, cell by
-/// cell, so a tampered block is a *bad* verdict (exit 1) rather than an
-/// unusable artifact (exit 2).
+/// artifact was produced with.
 pub fn verify_artifact_cells(
     artifact: &Artifact,
     specs: &HashMap<String, CellSpec>,
@@ -127,50 +126,45 @@ pub fn verify_artifact_cells(
 /// Verdict on one artifact cell. `spec` is the re-expanded spec with the
 /// same id, when the scenario still has one.
 pub fn verify_cell(cell: &ArtifactCell, spec: Option<&CellSpec>, cfg: &EvalConfig) -> CellVerdict {
-    // Failed cells first: they carry no values and no certificate, and must
-    // never read as "fine" — they are unverifiable by construction.
+    // Failed cells first: they carry no values, and must never read as
+    // "fine" — they are unverifiable by construction.
     if let Some(why) = &cell.error {
         return CellVerdict::Unverifiable(format!("cell failed: {why}"));
-    }
-    let Some(block) = &cell.certificate else {
-        return CellVerdict::NoCertificate;
-    };
-    let Some(cc) = CellCertificate::from_json(block) else {
-        return CellVerdict::Bad("undecodable certificate block".into());
-    };
-    // Budget-exhausted bounds are valid but meet no accuracy contract:
-    // report, do not certify, do not skip.
-    if cc.status == "budget-exhausted" {
-        return CellVerdict::Unverifiable(
-            "solver budget exhausted; bounds carry no accuracy contract".into(),
-        );
     }
     let Some(spec) = spec else {
         return CellVerdict::Bad("no matching cell in the scenario's expansion".into());
     };
     let CellSpec::Throughput { topo, tm, tm_seed } = spec else {
-        return CellVerdict::Bad(format!(
-            "certificate on a non-throughput cell spec ({spec:?})"
-        ));
+        return CellVerdict::NoCertificate;
     };
 
     // Rebuild the instance from the spec — seeds are pinned inside it, so
-    // this is the exact graph and traffic matrix the certified solve saw.
+    // this is the exact graph and traffic matrix the reported solve saw.
     let Some(topo) = topo.build() else {
         return CellVerdict::Bad("unsatisfiable topology spec".into());
     };
-    // The certified evaluation path is strict (it never drops demands), so
-    // the certificate describes the whole TM.
     let matrix = tm.generate(&topo, *tm_seed);
+    if cell.values.text("tm_fp") != Some(format!("{:016x}", matrix.fingerprint()).as_str()) {
+        return CellVerdict::Bad("spec re-expands to a different TM".into());
+    }
+    let (e, cert) = solve(&topo, &matrix, cfg, true);
+    // Budget-exhausted bounds are valid but meet no accuracy contract:
+    // report, do not certify, do not skip.
+    if e.status == SolveStatus::BudgetExhausted {
+        return CellVerdict::Unverifiable(
+            "solver budget exhausted; bounds carry no accuracy contract".into(),
+        );
+    }
+    let cert = cert.expect("a capturing solve returns its certificate");
     let eps = acceptable_certificate_gap(cfg);
-    if let Err(e) = tb_flow::verify_certificate(&topo.graph, &matrix, &cc.cert, eps) {
+    if let Err(e) = tb_flow::verify_certificate(&topo.graph, &matrix, &cert, eps) {
         return CellVerdict::Bad(e.to_string());
     }
     // Tie the certificate to the numbers the artifact actually reports:
     // evidence that proves a *different* value certifies nothing.
-    for (name, claimed) in [("lower", cc.cert.lower), ("upper", cc.cert.upper)] {
+    for (name, claimed) in [("lower", cert.lower), ("upper", cert.upper)] {
         let Some(reported) = cell.values.get(name) else {
-            return CellVerdict::Bad(format!("certified cell reports no '{name}' metric"));
+            return CellVerdict::Bad(format!("throughput cell reports no '{name}' metric"));
         };
         if (claimed - reported).abs() > VALUE_TIE_TOL * (1.0 + reported.abs()) {
             return CellVerdict::Bad(format!(
@@ -209,11 +203,11 @@ mod tests {
             .collect()
     }
 
-    fn certified_artifact() -> (String, HashMap<String, CellSpec>, EvalConfig) {
+    /// The artifact text of a plain run of `cells`, with the specs and the
+    /// configuration the verifier needs.
+    fn artifact_of(cells: Vec<SweepCell>) -> (String, HashMap<String, CellSpec>, EvalConfig) {
         let mut opts = SweepOptions::new(false, 1);
         opts.use_cache = false;
-        opts.certify = true;
-        let cells = throughput_cells();
         let specs: HashMap<String, CellSpec> = cells
             .iter()
             .map(|c| (c.id.clone(), c.spec.clone()))
@@ -230,8 +224,7 @@ mod tests {
 
     #[test]
     fn certified_artifact_verifies_clean() {
-        let (text, specs, cfg) = certified_artifact();
-        assert!(text.contains("\"certificate\""));
+        let (text, specs, cfg) = artifact_of(throughput_cells());
         let report = verify(&text, &specs, &cfg);
         assert!(report.is_clean(), "{:?}", report.bad);
         assert_eq!(report.certified, 2);
@@ -239,70 +232,67 @@ mod tests {
         assert!(report.unverifiable.is_empty());
     }
 
+    /// Cells that are not throughput cells have nothing to certify: they are
+    /// counted, not checked, and the artifact stays clean.
     #[test]
     fn uncertified_artifact_reports_no_certificates() {
-        let mut opts = SweepOptions::new(false, 1);
-        opts.use_cache = false;
-        let cells = throughput_cells();
-        let specs: HashMap<String, CellSpec> = cells
-            .iter()
-            .map(|c| (c.id.clone(), c.spec.clone()))
+        let cells = (1..3)
+            .map(|rnd_seed| {
+                let topo = TopoSpec::Hypercube {
+                    dims: 3,
+                    servers: 1,
+                };
+                SweepCell::new(
+                    format!("cube/apl/{rnd_seed}"),
+                    CellSpec::PathLengthRatio { topo, rnd_seed },
+                )
+            })
             .collect();
-        let report = run_cells(&opts, cells);
-        let text =
-            artifact_json("test", "Test", &opts, &report, &RenderOutput::default()).to_string();
-        let report = verify(&text, &specs, &opts.eval_config());
+        let (text, specs, cfg) = artifact_of(cells);
+        let report = verify(&text, &specs, &cfg);
         assert!(report.is_clean());
         assert_eq!(report.certified, 0);
         assert_eq!(report.no_certificate, 2);
     }
 
+    /// A cell whose recorded TM is not the one its spec generates reports
+    /// numbers for some other instance.
     #[test]
-    fn single_bit_flip_in_stored_evidence_is_rejected() {
-        let (text, specs, cfg) = certified_artifact();
-        // Flip the low bit of the first stored d_l claim.
-        let tag = "\"d_l\":\"";
-        let at = text.find(tag).expect("certificate block present") + tag.len();
-        let hex = &text[at..at + 16];
-        let flipped = format!("{:016x}", u64::from_str_radix(hex, 16).unwrap() ^ 1);
-        let mutated = text.replacen(hex, &flipped, 1);
-        assert_ne!(text, mutated);
-        let report = verify(&mutated, &specs, &cfg);
-        assert!(!report.is_clean(), "a flipped claim bit must be rejected");
+    fn edited_tm_fingerprint_is_bad() {
+        let (text, specs, cfg) = artifact_of(throughput_cells());
+        let mut artifact = parse_artifact(&text).unwrap();
+        let values = &mut artifact.cells[0].values;
+        let fp = u64::from_str_radix(values.text("tm_fp").unwrap(), 16).unwrap();
+        values.push_text("tm_fp", format!("{:016x}", fp ^ 1));
+        let report = verify_artifact_cells(&artifact, &specs, &cfg);
+        assert_eq!(report.bad.len(), 1, "{:?}", report.bad);
+        assert_eq!(report.bad[0].1, "spec re-expands to a different TM");
+        assert_eq!(report.certified, 1);
     }
 
     #[test]
     fn certificate_proving_a_different_value_is_rejected() {
-        let (text, specs, cfg) = certified_artifact();
-        // Mutate the cell's reported lower metric (both decimal and bits
-        // forms stay self-consistent) so the certificate no longer backs the
-        // number the artifact reports.
-        let tag = "\"lower\":{\"bits\":\"";
-        let at = text.find(tag).expect("lower metric present") + tag.len();
-        let hex = &text[at..at + 16];
-        let other = format!("{:016x}", 2.5f64.to_bits());
-        // Only the metric form `{"bits":"…"`: an exact solve's certificate can
-        // claim the very same bits, and mutating the evidence too would test
-        // the digest instead.
-        let metric = |bits: &str| format!("{{\"bits\":\"{bits}\"");
-        let mutated = text.replace(&metric(hex), &metric(&other));
+        let (text, specs, cfg) = artifact_of(throughput_cells());
+        // Change the cell's reported lower metric, its bits and its decimal
+        // together (the artifact stays valid), so the re-derived certificate
+        // no longer backs the number the artifact reports.
+        let lower = parse_artifact(&text).unwrap().cells[0].values.num("lower");
+        let metric = |x: f64| format!("{{\"bits\":\"{:016x}\",\"value\":{x:?}}}", x.to_bits());
+        let mutated = text.replacen(&metric(lower), &metric(2.5), 1);
         assert_ne!(text, mutated);
         let report = verify(&mutated, &specs, &cfg);
-        assert!(
-            report.bad.iter().any(|(_, why)| why.contains("lower")),
-            "{:?}",
-            report.bad
-        );
+        assert_eq!(report.bad.len(), 1, "{:?}", report.bad);
+        assert!(report.bad[0].1.contains("lower"), "{:?}", report.bad);
     }
 
     #[test]
     fn failed_cells_are_unverifiable_not_skipped() {
-        let (text, specs, cfg) = certified_artifact();
-        // Mark the first cell failed (no values, no certificate), the way
-        // the artifact writer records a permanently panicking cell.
+        let (text, specs, cfg) = artifact_of(throughput_cells());
         let mut artifact = parse_artifact(&text).unwrap();
+        // Mark the first cell failed (no values), the way the artifact
+        // writer records a permanently panicking cell.
         let dead = &mut artifact.cells[0];
-        (dead.values, dead.certificate) = (Default::default(), None);
+        dead.values = Default::default();
         dead.error = Some("induced".into());
         let report = verify_artifact_cells(&artifact, &specs, &cfg);
         assert_eq!(report.unverifiable.len(), 1);
@@ -313,29 +303,25 @@ mod tests {
 
     #[test]
     fn budget_exhausted_certificates_are_unverifiable() {
-        let (text, specs, cfg) = certified_artifact();
-        // Re-serialize the first certificate as a genuine budget-exhausted
-        // block (digest recomputed — a raw text flip of the status would be
-        // rejected as tampering, which is a different, also-tested path).
-        let mut artifact = parse_artifact(&text).unwrap();
-        let block = artifact.cells[0]
-            .certificate
-            .as_mut()
-            .expect("certified cell has a block");
-        let mut cc = CellCertificate::from_json(block).unwrap();
-        assert_eq!(cc.status, "converged");
-        cc.status = "budget-exhausted".into();
-        *block = cc.to_json();
-        let report = verify_artifact_cells(&artifact, &specs, &cfg);
-        assert_eq!(report.unverifiable.len(), 1);
-        assert!(report.unverifiable[0].1.contains("budget"));
-        assert_eq!(report.certified, 1);
+        let (text, specs, mut cfg) = artifact_of(throughput_cells());
+        // Re-solve on the FPTAS with one phase and an unreachable gap: on
+        // the all-to-all cell the solve stops on its phase cap.
+        cfg.exact_switch_limit = 0;
+        cfg.solver.max_phases = 1;
+        cfg.solver.check_interval = 1;
+        cfg.solver.epsilon = 0.01;
+        cfg.solver.target_gap = 1e-9;
+        let report = verify(&text, &specs, &cfg);
+        let (_, why) = (report.unverifiable.iter())
+            .find(|(id, _)| id == "cube/A2A")
+            .expect("the starved all-to-all re-solve is unverifiable");
+        assert!(why.contains("budget"), "{why}");
         assert!(report.is_clean(), "unverifiable is not bad");
     }
 
     #[test]
     fn unknown_cell_id_is_bad() {
-        let (text, _, cfg) = certified_artifact();
+        let (text, _, cfg) = artifact_of(throughput_cells());
         let report = verify(&text, &HashMap::new(), &cfg);
         assert_eq!(report.bad.len(), 2);
         assert!(report.bad[0].1.contains("expansion"));

@@ -28,7 +28,6 @@
 //!   `results/<scenario>.partial.json`, marked `"partial": true`); a filter
 //!   that matches no cell is a usage error,
 //! * `--no-cache` — bypass the content-keyed result cache,
-//! * `--certify`  — attach optimality certificates (for `sweep verify`),
 //! * `--expect-cache-hot`, `--write-golden` — see the `sweep` binary's docs.
 //!
 //! Results are cached under `results/cache/`, one JSON file per unique
@@ -60,7 +59,7 @@ pub struct RunOptions {
     /// Also write a CSV copy of each table under `results/`.
     pub csv: bool,
     /// What the engine runs with: `--full`, `--seed` (default 1), `--jobs`,
-    /// `--filter`, `--no-cache` and `--certify` land here.
+    /// `--filter` and `--no-cache` land here.
     pub sweep: SweepOptions,
 }
 
@@ -84,8 +83,6 @@ const HELP: &str = "  --list           print the scenario index and exit
                    shared between the threads too; results do not depend on N
   --filter <S>     only run cells whose id contains S (prints a raw cell dump)
   --no-cache       do not read or write results/cache/
-  --certify        attach optimality certificates to throughput cells (for
-                   `sweep verify`; values stay bit-identical, cache keys change)
   --help           print this help";
 
 enum ParseAbort {
@@ -149,7 +146,6 @@ impl RunOptions {
                 "--full" => opts.sweep.full = true,
                 "--csv" => opts.csv = true,
                 "--no-cache" => opts.sweep.use_cache = false,
-                "--certify" => opts.sweep.certify = true,
                 "--scenario" => opts.scenario = Some(value()?.clone()),
                 "--filter" => opts.sweep.filter = Some(value()?.clone()),
                 "--seed" => {
@@ -257,10 +253,9 @@ mod tests {
             "--filter",
             "A2A",
             "--no-cache",
-            "--certify",
         ])
         .unwrap();
-        assert!(o.sweep.full && o.csv && !o.sweep.use_cache && o.sweep.certify);
+        assert!(o.sweep.full && o.csv && !o.sweep.use_cache);
         assert_eq!(o.sweep.seed, 9);
         assert_eq!(o.sweep.jobs, Some(2));
         assert_eq!(o.sweep.filter.as_deref(), Some("A2A"));
@@ -326,6 +321,15 @@ mod tests {
     fn warm_flag_is_rejected() {
         // Removed with the warm-start feature, not kept as a no-op.
         assert_eq!(parse(&["--warm"]).unwrap_err(), "unknown argument: --warm");
+    }
+
+    #[test]
+    fn certify_flag_is_rejected() {
+        // `sweep verify` re-derives every certificate, so none is stored.
+        assert_eq!(
+            parse(&["--certify"]).unwrap_err(),
+            "unknown argument: --certify"
+        );
     }
 
     #[test]

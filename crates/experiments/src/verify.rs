@@ -1,4 +1,4 @@
-//! `sweep verify` — re-check the certificates stored in an artifact.
+//! `sweep verify` — certify an artifact's throughput cells by re-solving them.
 //!
 //! The core verifier ([`topobench::sweep::verify_artifact_cells`]) is
 //! scenario-agnostic: it needs the cell specs the artifact's ids refer to.
@@ -27,8 +27,7 @@ pub fn verify_artifact_file(path: &Path) -> Result<VerifyReport, String> {
     // Rebuild the grid with the recorded run parameters. The filter does not
     // change any cell's spec, so expanding the unfiltered grid always yields
     // a superset of the artifact's cells — which is all the verifier needs.
-    let mut sopts = SweepOptions::new(artifact.full, artifact.seed);
-    sopts.certify = true;
+    let sopts = SweepOptions::new(artifact.full, artifact.seed);
     let specs: HashMap<String, CellSpec> = (scenario.build)(&sopts)
         .into_iter()
         .map(|c| (c.id, c.spec))

@@ -1,9 +1,10 @@
 //! End-to-end drill for the certificate pipeline: run a scenario through the
-//! real `sweep` binary with `--certify`, re-check the artifact with
-//! `sweep verify`, then flip a single bit of stored evidence and watch the
-//! verifier reject it. This is the user-facing contract: exit 0 means every
-//! stored certificate independently re-verified against a rebuilt instance,
-//! and any mutation of the evidence — one bit is enough — means exit 1.
+//! real `sweep` binary, certify its artifact with `sweep verify` (which
+//! re-solves every throughput cell with certificate capture on), then change
+//! one reported bound and watch the verifier reject it. This is the
+//! user-facing contract: exit 0 means every throughput cell's certificate
+//! verified and backs the reported numbers, and a reported bound the
+//! re-derived evidence does not back means exit 1.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -29,67 +30,75 @@ fn sweep(cwd: &Path, args: &[&str]) -> (i32, String, String) {
     )
 }
 
+/// A metric as the artifact writer encodes it: bits, then the decimal.
+fn metric(name: &str, bits: u64) -> String {
+    let value = f64::from_bits(bits);
+    format!("\"{name}\":{{\"bits\":\"{bits:016x}\",\"value\":{value:?}}}")
+}
+
 #[test]
 fn certified_artifact_verifies_and_one_flipped_bit_fails() {
     let dir = temp_dir("roundtrip");
 
-    // Produce a certified artifact with the real driver.
-    let (code, _, err) = sweep(
-        &dir,
-        &["--scenario", "theorem1_demo", "--certify", "--jobs", "1"],
-    );
-    assert_eq!(code, 0, "certified run failed: {err}");
+    // Produce an artifact with the real driver.
+    let (code, _, err) = sweep(&dir, &["--scenario", "theorem1_demo", "--jobs", "1"]);
+    assert_eq!(code, 0, "run failed: {err}");
     let artifact = dir.join("results").join("theorem1_demo.json");
     let text = fs::read_to_string(&artifact).unwrap();
-    assert!(
-        text.contains("\"certificate\""),
-        "--certify must store certificate blocks"
-    );
 
     // The pristine artifact verifies clean, both singly and via --all.
     let (code, out, err) = sweep(&dir, &["verify", artifact.to_str().unwrap()]);
     assert_eq!(code, 0, "verify failed on a pristine artifact: {out}{err}");
+    assert!(out.contains("2 certified"), "{out}");
     let results = dir.join("results");
     let (code, out, _) = sweep(&dir, &["verify", "--all", results.to_str().unwrap()]);
     assert_eq!(code, 0, "verify --all failed on a pristine tree: {out}");
-    assert!(out.contains("certificate(s) verified"), "{out}");
+    assert!(out.contains("2 certificate(s) verified"), "{out}");
 
-    // Flip the lowest bit of the first stored flow value: exit 1.
-    let tag = "\"flow\":[\"";
-    let at = text.find(tag).expect("certificate stores flow bits") + tag.len();
-    let hex = &text[at..at + 16];
-    let flipped = format!("{:016x}", u64::from_str_radix(hex, 16).unwrap() ^ 1);
-    fs::write(&artifact, text.replacen(hex, &flipped, 1)).unwrap();
+    // Flip the top mantissa bit of the first reported lower bound, in its
+    // bits and its decimal alike (the artifact stays valid): exit 1.
+    let tag = "\"lower\":{\"bits\":\"";
+    let at = text.find(tag).expect("a throughput cell reports lower") + tag.len();
+    let bits = u64::from_str_radix(&text[at..at + 16], 16).unwrap();
+    let flipped = text.replacen(&metric("lower", bits), &metric("lower", bits ^ 1 << 51), 1);
+    assert_ne!(flipped, text);
+    fs::write(&artifact, &flipped).unwrap();
     let (code, _, err) = sweep(&dir, &["verify", artifact.to_str().unwrap()]);
-    assert_eq!(code, 1, "a flipped evidence bit must fail verification");
+    assert_eq!(code, 1, "a changed bound must fail verification: {err}");
     assert!(err.contains("FAILED"), "{err}");
     let (code, _, _) = sweep(&dir, &["verify", "--all", results.to_str().unwrap()]);
     assert_eq!(code, 1, "verify --all must propagate the rejection");
+
+    // A decimal that disagrees with its bits makes the artifact invalid:
+    // readers would see a number the engine never compared.
+    let shown = format!("{:?}", f64::from_bits(bits));
+    let edited = text.replacen(&format!("\"value\":{shown}}}"), "\"value\":123.0}", 1);
+    assert_ne!(edited, text);
+    fs::write(&artifact, &edited).unwrap();
+    let (code, _, err) = sweep(&dir, &["verify", artifact.to_str().unwrap()]);
+    assert_eq!(code, 2, "{err}");
+    assert!(err.contains("'values.lower' is undecodable"), "{err}");
 
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn uncertified_tree_is_vacuous_under_verify_all() {
+    // The committed fig05_06 golden holds relative cells only: there is no
+    // throughput cell to certify.
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/golden/fig05_06.json");
     let dir = temp_dir("vacuous");
-    let (code, _, err) = sweep(&dir, &["--scenario", "theorem1_demo", "--jobs", "1"]);
-    assert_eq!(code, 0, "plain run failed: {err}");
-    let artifact = dir.join("results").join("theorem1_demo.json");
-    assert!(
-        !fs::read_to_string(&artifact)
-            .unwrap()
-            .contains("\"certificate\""),
-        "plain runs must not store certificates"
-    );
+    let results = dir.join("results");
+    fs::create_dir_all(&results).unwrap();
+    fs::copy(&golden, results.join("fig05_06.json")).unwrap();
 
     // Zero certificates is a vacuous success and must fail — for one
-    // artifact exactly as for a whole tree — so an accidentally uncertified
-    // run or golden refresh cannot pass CI.
-    let (code, out, err) = sweep(&dir, &["verify", artifact.to_str().unwrap()]);
+    // artifact exactly as for a whole tree — so an artifact or tree with
+    // nothing to certify cannot pass CI.
+    let (code, out, err) = sweep(&dir, &["verify", golden.to_str().unwrap()]);
     assert!(out.contains("0 certified"), "{out}");
     assert_eq!(code, 1, "zero certificates must not read as verified");
     assert!(err.contains("no certificates"), "{err}");
-    let results = dir.join("results");
     let (code, _, err) = sweep(&dir, &["verify", "--all", results.to_str().unwrap()]);
     assert_eq!(code, 1, "zero certificates must not read as verified");
     assert!(err.contains("no certificates"), "{err}");
@@ -116,16 +125,10 @@ fn verify_usage_errors_exit_2() {
 
 #[test]
 fn write_golden_refuses_anything_but_a_complete_reduced_seed_1_run() {
-    // The committed goldens are pinned to that spec, uncertified; each
-    // refusal must come before any cell runs and before `results/golden` is
-    // touched.
+    // The committed goldens are pinned to that spec; each refusal must come
+    // before any cell runs and before `results/golden` is touched.
     let dir = temp_dir("golden-refusals");
-    let refused = [
-        &["--filter", "LM"][..],
-        &["--full"],
-        &["--seed", "7"],
-        &["--certify"],
-    ];
+    let refused = [&["--filter", "LM"][..], &["--full"], &["--seed", "7"]];
     for extra in refused {
         let mut args = vec!["--scenario", "fig02", "--write-golden"];
         args.extend_from_slice(extra);

@@ -167,9 +167,11 @@ impl FlowProblem {
     }
 
     /// The volumetric throughput estimate of §II-B: total capacity divided by
-    /// (total demand × average hop length of the demands). Used to pre-scale
-    /// the instance so the FPTAS runs a predictable number of phases; it is
-    /// *not* a valid bound by itself (paths may be longer than shortest).
+    /// (total demand × average hop length of the demands), `C / Σ d·hops`.
+    /// It is an upper bound on throughput: routing `t·d` for every demand
+    /// over paths no shorter than shortest uses at least `t·Σ d·hops` of the
+    /// total capacity `C`. Used to pre-scale the instance so the FPTAS runs a
+    /// predictable number of phases.
     ///
     /// Returns `0.0` iff some demand pair is disconnected — the solver uses
     /// this to fold the reachability check into the same BFS sweep: one BFS

@@ -12,7 +12,7 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use tb_cuts::estimate_sparsest_cut;
-use tb_flow::{ExactLpSolver, FleischerConfig, FleischerSolver};
+use tb_flow::{ExactLpSolver, FleischerConfig, FleischerSolver, FlowProblem};
 use tb_graph::matching::{greedy_assignment, max_weight_assignment};
 use tb_graph::random::random_regular_graph;
 use tb_graph::Graph;
@@ -81,6 +81,18 @@ fn fptas_brackets_are_ordered_and_positive() {
     }
 }
 
+/// The path-length bound `C / Σ d·hops` (`FlowProblem::volumetric_estimate`):
+/// routed flow uses at least `t·Σ d·hops` of the total capacity `C`, so no
+/// throughput exceeds it. Returns the bound after checking `exact` against it.
+fn path_length_bound(name: &str, graph: &Graph, tm: &TrafficMatrix, exact: f64) -> f64 {
+    let bound = FlowProblem::new(graph, tm).volumetric_estimate(graph);
+    assert!(
+        exact <= bound * (1.0 + 1e-9),
+        "{name}: exact {exact} above the path-length bound {bound}"
+    );
+    bound
+}
+
 #[test]
 fn fptas_never_exceeds_exact_lp() {
     for case in 0..CASES {
@@ -89,6 +101,7 @@ fn fptas_never_exceeds_exact_lp() {
         let servers = vec![1usize; 8];
         let tm = longest_matching(&graph, &servers, true);
         let exact = ExactLpSolver::new().solve(&graph, &tm).unwrap();
+        path_length_bound(&format!("case {case}"), &graph, &tm, exact.lower);
         let approx = FleischerSolver::new(FleischerConfig::default()).solve(&graph, &tm);
         assert!(approx.lower <= exact.lower + 1e-6, "case {case}");
         assert!(approx.upper >= exact.lower - 1e-6, "case {case}");
@@ -264,12 +277,14 @@ fn throughput_is_invariant_under_relabeling() {
     for (case, (name, graph, tm)) in instances.iter().enumerate() {
         let exact = ExactLpSolver::new().solve(graph, tm).unwrap().lower;
         assert!(exact > 0.0, "{name}");
+        path_length_bound(name, graph, tm, exact);
         for draw in 0..2 {
             let mut rng = ChaCha8Rng::seed_from_u64(0x1C0 + 2 * case as u64 + draw);
             let mut perm: Vec<usize> = (0..graph.num_nodes()).collect();
             perm.shuffle(&mut rng);
             let (g, t) = relabeled(graph, tm, &perm);
             let renamed = ExactLpSolver::new().solve(&g, &t).unwrap().lower;
+            path_length_bound(name, &g, &t, renamed);
             assert!(
                 (renamed - exact).abs() <= 1e-9 * exact,
                 "{name}, draw {draw}: exact {renamed} after renaming, {exact} before"
@@ -280,5 +295,33 @@ fn throughput_is_invariant_under_relabeling() {
                 "{name}, draw {draw}: FPTAS {b:?} misses the exact {exact}"
             );
         }
+    }
+}
+
+#[test]
+fn hypercube_all_to_all_meets_the_path_length_bound() {
+    // Under hose-normalized all-to-all traffic (each server sends 1/(S-1) to
+    // every other) a hypercube can route every demand along shortest paths
+    // with every link full, so the bound is the throughput: 24 arcs /
+    // (8 · 12/7 hops) = 1.75 and 64 / (16 · 32/15) = 1.875.
+    use tb_topology::hypercube::hypercube;
+    for (dims, expected) in [(3, 1.75), (4, 1.875)] {
+        let topo = hypercube(dims, 1);
+        let tm = all_to_all(&topo.servers)
+            .normalized_to_hose(&topo.servers)
+            .0;
+        let name = format!("hypercube_d{dims}/a2a");
+        let exact = ExactLpSolver::new().solve(&topo.graph, &tm).unwrap().lower;
+        let bound = path_length_bound(&name, &topo.graph, &tm, exact);
+        assert!(
+            (bound - expected).abs() <= 1e-9 * expected,
+            "{name}: bound {bound}"
+        );
+        assert!(
+            (exact - bound).abs() <= 1e-9 * bound,
+            "{name}: exact {exact}"
+        );
+        let b = FleischerSolver::new(FleischerConfig::default()).solve(&topo.graph, &tm);
+        assert!(b.lower <= bound * (1.0 + 1e-9), "{name}: FPTAS {b:?}");
     }
 }
