@@ -87,7 +87,9 @@ pub enum CellSpec {
     },
     /// Path-restricted throughput: LLSKR-style k-shortest-path sets under
     /// all-to-all traffic, reporting both the Yuan et al. subflow-counting
-    /// estimate and the exact LP value (Fig. 15).
+    /// estimate and the LP throughput over the same paths (Fig. 15). The
+    /// latter is [`PathRestrictedSolver`]'s feasible lower bound at its 3 %
+    /// target gap, not the LP optimum, which lies at most 3 % above it.
     PathRestricted {
         /// Topology recipe.
         topo: TopoSpec,

@@ -23,9 +23,10 @@
 //! jobs also a `[sweep] schedule:` line on standard error: threads, jobs run,
 //! jobs run by a thread other than the one that queued them, and each
 //! thread's share of the run's wall time spent in jobs, the caller first).
-//! Usage errors — an unknown or repeated flag, an unknown scenario, a
-//! `--filter` that matches no cell — and failed writes under `results/` are
-//! one `error:` line on standard error and exit status 2.
+//! Usage errors — an unknown or repeated flag, an unknown scenario, an empty
+//! `--filter` or one that matches no cell, a `--jobs` (or, without it, a
+//! `RAYON_NUM_THREADS`) outside 1 to 256 — and failed writes under
+//! `results/` are one `error:` line on standard error and exit status 2.
 //! `--expect-cache-hot` turns a warm cache into an assertion: the run fails
 //! unless every cell came from the cache with zero solver invocations **and
 //! zero topology constructions** — CI uses this to prove that both the cache

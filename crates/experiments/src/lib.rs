@@ -17,16 +17,18 @@
 //! * `--csv`      — additionally write `results/<figure>.csv` per table (the
 //!   unified JSON artifact `results/<scenario>.json` is always written),
 //! * `--jobs N`   — computing threads, the calling one included (`1` forces
-//!   a fully serial run and spawns nothing; at most [`MAX_JOBS`]). Every cell is one job of a
-//!   shared queue, and the 1+k solves of a relative cell are shared between
-//!   the threads too; results are bit-identical for any `N`. This is the
-//!   only parallelism knob: inside a solve only the read-only bound sweeps
-//!   fan out (on the same pool), and splitting the routing of one solve
-//!   across workers was measured slower than serial and removed,
+//!   a fully serial run and spawns nothing; at most [`MAX_JOBS`]; without
+//!   it, `RAYON_NUM_THREADS` if set, held to the same rule, else all cores).
+//!   Every cell is one job of a shared queue, and the 1+k solves of a
+//!   relative cell are shared between the threads too; results are
+//!   bit-identical for any `N`. This is the only parallelism knob: every
+//!   solve is one serial trajectory, its bound sweeps included, and
+//!   splitting the routing of one solve across workers was measured slower
+//!   than serial and removed,
 //! * `--filter S` — run only cells whose id contains `S` (prints a raw cell
 //!   dump instead of the figure tables; artifacts land in
-//!   `results/<scenario>.partial.json`, marked `"partial": true`); a filter
-//!   that matches no cell is a usage error,
+//!   `results/<scenario>.partial.json`, marked `"partial": true`); an empty
+//!   filter, or one that matches no cell, is a usage error,
 //! * `--no-cache` — bypass the content-keyed result cache,
 //! * `--expect-cache-hot`, `--write-golden` — see the `sweep` binary's docs.
 //!
@@ -69,6 +71,21 @@ pub struct RunOptions {
 /// this ceiling is a usage error instead, before anything runs.
 pub const MAX_JOBS: usize = 256;
 
+/// `--jobs`'s rule, which `RAYON_NUM_THREADS` is held to as well: an integer
+/// from 1 to [`MAX_JOBS`]. `name` is where `v` came from, for the message.
+fn parse_jobs(name: &str, v: &str) -> Result<usize, String> {
+    let jobs: usize = v
+        .parse()
+        .map_err(|_| format!("{name} requires an integer, got '{v}'"))?;
+    if jobs == 0 {
+        return Err(format!("{name} must be at least 1"));
+    }
+    if jobs > MAX_JOBS {
+        return Err(format!("{name} must be at most {MAX_JOBS}, got {jobs}"));
+    }
+    Ok(jobs)
+}
+
 /// The option list `--help` and every usage error print.
 const HELP: &str = "  --list           print the scenario index and exit
   --scenario <V>   scenario name to run (or 'all')
@@ -78,9 +95,10 @@ const HELP: &str = "  --list           print the scenario index and exit
   --seed <N>       base RNG seed (default 1)
   --csv            also write results/<figure>.csv (results/<scenario>.json is always written)
   --jobs <N>       computing threads, the calling one included, 1 to 256 (1 = fully
-                   serial, no thread spawned; default: all cores). Every cell is one job
-                   of a shared queue and the 1+k solves of a relative cell are
-                   shared between the threads too; results do not depend on N
+                   serial, no thread spawned; default: RAYON_NUM_THREADS, same range,
+                   else all cores). Every cell is one job of a shared queue and the
+                   1+k solves of a relative cell are shared between the threads too;
+                   each solve runs on one thread; results do not depend on N
   --filter <S>     only run cells whose id contains S (prints a raw cell dump)
   --no-cache       do not read or write results/cache/
   --help           print this help";
@@ -94,15 +112,8 @@ impl RunOptions {
     /// Parses the driver's arguments, exiting with the help text (`--help`,
     /// status 0) or a usage error (status 2) as appropriate.
     pub fn parse_or_exit(args: &[String]) -> Self {
-        match Self::parse(args) {
-            Ok(opts) => {
-                // The pool reads RAYON_NUM_THREADS once at first use; parsing
-                // happens before any parallel work, so it takes effect.
-                if let Some(jobs) = opts.sweep.jobs {
-                    std::env::set_var("RAYON_NUM_THREADS", jobs.to_string());
-                }
-                opts
-            }
+        match Self::parse(args).and_then(Self::pin_pool_width) {
+            Ok(opts) => opts,
             Err(ParseAbort::Help) => {
                 println!("Usage: sweep [OPTIONS]\n\nOptions:\n{HELP}");
                 std::process::exit(0);
@@ -114,9 +125,27 @@ impl RunOptions {
         }
     }
 
+    /// Fixes the pool's width before any parallel work: the pool reads
+    /// `RAYON_NUM_THREADS` once at first use, so `--jobs` is written there.
+    /// Without `--jobs`, a value already set must pass `--jobs`'s rule: the
+    /// pool itself takes any count, and reads a malformed one as all cores.
+    fn pin_pool_width(self) -> Result<Self, ParseAbort> {
+        match self.sweep.jobs {
+            Some(jobs) => std::env::set_var("RAYON_NUM_THREADS", jobs.to_string()),
+            None => {
+                if let Some(v) = std::env::var_os("RAYON_NUM_THREADS") {
+                    parse_jobs("RAYON_NUM_THREADS", &v.to_string_lossy())
+                        .map_err(ParseAbort::Usage)?;
+                }
+            }
+        }
+        Ok(self)
+    }
+
     /// Strict parser: `--help` aborts with help; an unknown flag, a missing or
     /// malformed value and a second occurrence of a value-taking flag are
-    /// usage errors.
+    /// usage errors, and so is an empty `--filter`, which would match every
+    /// cell.
     fn parse(args: &[String]) -> Result<Self, ParseAbort> {
         let mut opts = RunOptions {
             list: false,
@@ -147,7 +176,15 @@ impl RunOptions {
                 "--csv" => opts.csv = true,
                 "--no-cache" => opts.sweep.use_cache = false,
                 "--scenario" => opts.scenario = Some(value()?.clone()),
-                "--filter" => opts.sweep.filter = Some(value()?.clone()),
+                "--filter" => {
+                    let v = value()?;
+                    if v.is_empty() {
+                        return Err(ParseAbort::Usage(
+                            "--filter requires a non-empty string".into(),
+                        ));
+                    }
+                    opts.sweep.filter = Some(v.clone());
+                }
                 "--seed" => {
                     let v = value()?;
                     opts.sweep.seed = v.parse().map_err(|_| {
@@ -155,18 +192,7 @@ impl RunOptions {
                     })?;
                 }
                 "--jobs" => {
-                    let v = value()?;
-                    let jobs: usize = v.parse().map_err(|_| {
-                        ParseAbort::Usage(format!("--jobs requires an integer, got '{v}'"))
-                    })?;
-                    if jobs == 0 {
-                        return Err(ParseAbort::Usage("--jobs must be at least 1".into()));
-                    }
-                    if jobs > MAX_JOBS {
-                        return Err(ParseAbort::Usage(format!(
-                            "--jobs must be at most {MAX_JOBS}, got {jobs}"
-                        )));
-                    }
+                    let jobs = parse_jobs("--jobs", value()?).map_err(ParseAbort::Usage)?;
                     opts.sweep.jobs = Some(jobs);
                 }
                 other => return Err(ParseAbort::Usage(format!("unknown argument: {other}"))),
@@ -305,6 +331,40 @@ mod tests {
             format!("--jobs must be at most {MAX_JOBS}, got {over}")
         );
         assert!(parse(&["--jobs", "100000"]).is_err());
+    }
+
+    #[test]
+    fn rayon_num_threads_is_held_to_the_jobs_rule() {
+        // Without `--jobs` the pool takes its width from the variable, which
+        // it would accept at any size and read as all cores when malformed.
+        let env = |v: &str| parse_jobs("RAYON_NUM_THREADS", v);
+        assert_eq!(env("1"), Ok(1));
+        assert_eq!(env(&MAX_JOBS.to_string()), Ok(MAX_JOBS));
+        assert_eq!(
+            env("100000"),
+            Err(format!(
+                "RAYON_NUM_THREADS must be at most {MAX_JOBS}, got 100000"
+            ))
+        );
+        assert_eq!(env("0"), Err("RAYON_NUM_THREADS must be at least 1".into()));
+        for malformed in ["abc", "", " 2", "-1", "2.0"] {
+            assert_eq!(
+                env(malformed),
+                Err(format!(
+                    "RAYON_NUM_THREADS requires an integer, got '{malformed}'"
+                ))
+            );
+        }
+    }
+
+    #[test]
+    fn empty_filter_is_a_usage_error() {
+        // An empty filter is a substring of every cell id: it used to run
+        // the whole scenario as a partial, filtered run.
+        assert_eq!(
+            parse(&["--scenario", "theorem1_demo", "--filter", ""]).unwrap_err(),
+            "--filter requires a non-empty string"
+        );
     }
 
     #[test]

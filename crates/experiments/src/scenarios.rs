@@ -1141,10 +1141,11 @@ fn fig15_render(_opts: &SweepOptions, set: &CellSet) -> RenderOutput {
             table,
         }],
         notes: "Expected shape (paper): the subflow-counting heuristic (Comparison 1) misjudges the two\n\
-                networks as roughly comparable; switching to exact LP throughput under the same path\n\
+                networks as roughly comparable; switching to LP throughput under the same path\n\
                 restriction (Comparison 2) reveals a clear Jellyfish advantage, and equalizing equipment\n\
                 (Comparison 3) widens it further — the ordering C1 < C2 < C3 in the Jellyfish/FatTree\n\
-                column is the reproduction target."
+                column is the reproduction target. The LP columns are the path-restricted FPTAS's\n\
+                feasible lower bound at a 3% target gap, not the LP optimum."
             .into(),
     }
 }

@@ -46,12 +46,15 @@
 //! and the bound evaluation take `(ctx, what the call is about, ws)`.
 //!
 //! Every solve runs **one serial trajectory**: source by source, lengths
-//! updated in place. Parallelism lives one layer up (the sweep engine spreads
-//! cells, and a relative cell's 1+k solves, over the shared pool) and in the
-//! read-only sweeps of a bound evaluation below. Intra-solve batching of the
-//! routing itself (fixed rounds, work-stealing chunks, bounded staleness) was
-//! built, measured slower than this trajectory on every shape at one and two
-//! workers, and removed; CHANGES.md keeps the numbers.
+//! updated in place, and its bound evaluations' sweeps in source order on
+//! the solve's own SSSP workspace. Parallelism lives one layer up only: the
+//! sweep engine spreads cells, and a relative cell's 1+k solves, over the
+//! shared pool. Intra-solve batching of the routing (fixed rounds,
+//! work-stealing chunks, bounded staleness) was built, measured slower than
+//! this trajectory on every shape at one and two workers, and removed; so
+//! was fanning the bound sweeps out to the pool past 2^17 searches × arcs,
+//! which no benchmark workload reached and which measured inside the noise
+//! of `fig09 --jobs 2` (CHANGES.md keeps the numbers).
 //!
 //! ## Hot-path machinery
 //!
@@ -64,10 +67,7 @@
 //! * all per-iteration state (Dijkstra arrays and heap, remaining demand,
 //!   the tree kernel's per-node buffers, the known paths) lives in the
 //!   solve's workspace, allocated once per solve; the SSSP workspace inside
-//!   it resets in O(1) between searches via generation counters. A sweep
-//!   that fans out gives each block of sources a fresh SSSP
-//!   workspace; it fans out only past [`PAR_MIN_SWEEP_WORK`] (sources ×
-//!   arcs), where that allocation is small beside the block's searches,
+//!   it resets in O(1) between searches via generation counters,
 //! * every SSSP call passes the source's destination set, so Dijkstra stops
 //!   as soon as the last relevant node is settled,
 //! * **reuse under the slack**: after a capacity-limited step a source routes
@@ -93,9 +93,7 @@
 //!   single-destination source, the last routed tree per multi-destination
 //!   one, never shorter than a shortest path — says the sweep could close
 //!   the gap, which on the `/A2A` pass of `fig05_06` skips every sweep at
-//!   822 of 1,008 evaluations (see `phase`). All these sweeps are
-//!   read-only over the length function and fan out to the pool once the
-//!   instance is large enough to amortize it,
+//!   822 of 1,008 evaluations (see `phase`),
 //! * **searches capped by the best known path**: a single-destination
 //!   source's search never queues a node keyed past the current length of
 //!   the shortest path the source already knows, which changes none of its
@@ -140,7 +138,7 @@
 //! For every source with a single destination — the shape of matching-style
 //! near-worst-case TMs, where each switch talks to one peer — the solver
 //! keeps reverse distances to that destination (a *potential row*, re-derived
-//! by the bound evaluations, in parallel for large instances) and searches
+//! by the bound evaluations) and searches
 //! with the goal-directed kernel [`tb_graph::sssp_csr_goal`] instead of a
 //! full Dijkstra. Distances and routed paths remain *exact*; once the length
 //! function differentiates, the search expands little beyond the shortest
@@ -372,29 +370,6 @@ impl SolverWorkspace {
             routed: ctx.demands.iter().map(|d| vec![0.0; d.len()]).collect(),
             stats: SolveStats::default(),
         }
-    }
-}
-
-/// Fan SSSP sweeps out to the thread pool only when `sweeps * num_arcs`
-/// clears this much work — below it, pool handoff costs more than it saves.
-/// Public so the regression test that compares the fanned-out and inline
-/// sweeps can assert its instance is on the fanned-out side.
-pub const PAR_MIN_SWEEP_WORK: usize = 1 << 17;
-
-/// Runs one read-only sweep, `f` over `items` in order: on the pool, each
-/// block on a fresh SSSP workspace, once `work` (searches × arcs) clears
-/// [`PAR_MIN_SWEEP_WORK`] and the pool is wider than one thread; otherwise
-/// inline on `sssp`. Results come back in input order either way.
-fn sweep_fan_out<T: Send, U: Send>(
-    work: usize,
-    items: impl IntoIterator<Item = T>,
-    sssp: &mut SsspWorkspace,
-    f: impl Fn(&mut SsspWorkspace, T) -> U + Sync,
-) -> Vec<U> {
-    if work >= PAR_MIN_SWEEP_WORK && rayon::current_num_threads() > 1 {
-        rayon::map_init(items, SsspWorkspace::new, f)
-    } else {
-        items.into_iter().map(|x| f(sssp, x)).collect()
     }
 }
 

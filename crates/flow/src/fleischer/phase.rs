@@ -47,9 +47,8 @@
 //! `fig05_06` ran no sweep at 822 of its 1,008 evaluations.
 //!
 //! The refreshes and the one α sweep both dual bounds share ([`sweep_alpha`],
-//! which also counts the trees it repaired) are the only parallel regions,
-//! both through [`sweep_fan_out`]; each block of a fan-out runs on an SSSP
-//! workspace of its own, and no result depends on the thread count.
+//! which also counts the trees it repaired) run serially, in source order, on
+//! the solve's own SSSP workspace, like the routing.
 //!
 //! ## The dual bound and its averaged iterate
 //!
@@ -144,7 +143,7 @@
 
 use super::blocks::Blocks;
 use super::route::{self, HeldPaths, PotentialRows, RouteCtx, TreeSeed};
-use super::{sweep_fan_out, FleischerConfig, SolveStats, SolverWorkspace};
+use super::{FleischerConfig, SolveStats, SolverWorkspace};
 use crate::certificate::{CertCapture, ThroughputCertificate};
 use crate::instance::FlowProblem;
 use crate::lengths::LengthAverage;
@@ -569,10 +568,8 @@ fn ratio(d_l: f64, alpha: f64) -> f64 {
 /// and how many trees it repaired. A single-destination source's term is
 /// read off its row when `rows` holds rows exact at `lens`; every other
 /// source runs one forward search (early-exit, or a repair of the tree
-/// `held` keeps for it, see [`route::compute_tree`]). The sweep is read-only
-/// over the lengths, so it fans out like the refreshes ([`sweep_fan_out`]);
-/// the terms come back in source order and are summed here, serially, so
-/// the result does not depend on the thread count.
+/// `held` keeps for it, see [`route::compute_tree`]). The terms are summed
+/// in source order.
 fn sweep_alpha(
     ctx: &RouteCtx<'_>,
     lens: &[f64],
@@ -582,44 +579,39 @@ fn sweep_alpha(
 ) -> (f64, usize) {
     let n = ctx.prob.num_nodes();
     let sources = ctx.prob.sources();
-    let term = |sw: &mut SsspWorkspace, si: usize| -> (f64, bool) {
-        if let (Some(rows), Some(_)) = (rows, ctx.single_dest[si]) {
-            let row = rows.row(ctx.pot_rows[si], n);
-            return (ctx.demands[si][0] * row[sources[si].src], false);
-        }
-        let repaired = route::compute_tree(ctx, si, lens, TreeSeed::Held(held.tree(si)), sw);
-        let alpha = sources[si]
-            .dests
-            .iter()
-            .zip(&ctx.demands[si])
-            .map(|(&(dst, _), d)| d * sw.dist(dst))
-            .sum();
-        (alpha, repaired)
-    };
-    let searches = sources.len() - rows.map_or(0, |_| ctx.num_single);
-    let per_source = sweep_fan_out(searches * ctx.prob.num_arcs(), 0..sources.len(), sssp, term);
-    let alpha = per_source.iter().map(|&(alpha, _)| alpha).sum();
-    (alpha, per_source.iter().filter(|&&(_, r)| r).count())
+    let mut repairs = 0;
+    let alpha = (0..sources.len())
+        .map(|si| {
+            if let (Some(rows), Some(_)) = (rows, ctx.single_dest[si]) {
+                let row = rows.row(ctx.pot_rows[si], n);
+                return ctx.demands[si][0] * row[sources[si].src];
+            }
+            let seed = TreeSeed::Held(held.tree(si));
+            repairs += usize::from(route::compute_tree(ctx, si, lens, seed, sssp));
+            sources[si]
+                .dests
+                .iter()
+                .zip(&ctx.demands[si])
+                .map(|(&(dst, _), d)| d * sssp.dist(dst))
+                .sum::<f64>()
+        })
+        .sum();
+    (alpha, repairs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleischer::PAR_MIN_SWEEP_WORK;
     use crate::lengths::MwuLengths;
 
     #[test]
     fn dual_bound_read_off_the_refreshed_rows_equals_the_forward_searches() {
-        // The instance of `pooled_sweeps_match_inline_execution_bit_for_bit`
-        // (160 single-destination sources × 1,280 arcs, past the fan-out
-        // threshold, so the evaluation below queues pool jobs at any width
-        // above one),
-        // at the differentiated lengths six phases of a real solve leave in
-        // the workspace.
+        // A 160-switch Jellyfish under longest matching (160
+        // single-destination sources × 1,280 arcs), at the differentiated
+        // lengths six phases of a real solve leave in the workspace.
         let topo = tb_topology::jellyfish::jellyfish(160, 8, 1, 42);
         let tm = tb_traffic::synthetic::longest_matching(&topo.graph, &topo.servers, true);
         let prob = FlowProblem::new(&topo.graph, &tm);
-        assert!(prob.sources().len() * prob.num_arcs() >= PAR_MIN_SWEEP_WORK);
         let cfg = FleischerConfig {
             max_phases: 6,
             ..FleischerConfig::fast()
@@ -645,35 +637,27 @@ mod tests {
 
         // An evaluation's sequence: the rows that are not dense first, then
         // the bound, which re-derives the dense ones.
-        let mut evaluate = || {
-            ws.potentials
-                .refresh(&ctx, ws.mwu.lens(), false, &mut ws.sssp);
-            dual_bound(&ctx, &mut ws)
-        };
-        let queued_before = rayon::pool::stats().jobs;
-        let pooled = evaluate();
-        assert!(rayon::current_num_threads() == 1 || rayon::pool::stats().jobs > queued_before);
-        let inline = rayon::serial(&mut evaluate);
-        assert_eq!(pooled.to_bits(), inline.to_bits());
+        ws.potentials
+            .refresh(&ctx, ws.mwu.lens(), false, &mut ws.sssp);
+        let rows = dual_bound(&ctx, &mut ws);
         assert!(
-            forward.is_finite() && (pooled - forward).abs() <= 1e-12 * forward,
-            "rows {pooled} vs forward searches {forward}"
+            forward.is_finite() && (rows - forward).abs() <= 1e-12 * forward,
+            "rows {rows} vs forward searches {forward}"
         );
     }
 
     #[test]
     fn averaged_dual_bound_equals_an_independent_recomputation() {
-        // The same 160-switch instance (past the fan-out threshold under both
-        // TMs: 160 sources × 1,280 arcs), at a window of the normalised
-        // lengths three truncated solves leave in the workspace: the sample
-        // of the first is the window base, the other two are the window.
+        // The same 160-switch instance under longest matching and
+        // all-to-all, at a window of the normalised lengths three truncated
+        // solves leave in the workspace: the sample of the first is the
+        // window base, the other two are the window.
         let topo = tb_topology::jellyfish::jellyfish(160, 8, 1, 42);
         for tm in [
             tb_traffic::synthetic::longest_matching(&topo.graph, &topo.servers, true),
             tb_traffic::synthetic::all_to_all(&topo.servers),
         ] {
             let prob = FlowProblem::new(&topo.graph, &tm);
-            assert!(prob.sources().len() * prob.num_arcs() >= PAR_MIN_SWEEP_WORK);
             let mut avg = LengthAverage::new(prob.num_arcs());
             let mut base = Vec::new();
             let mut last = None;
@@ -710,14 +694,10 @@ mod tests {
             }
             let independent = d_l / alpha;
 
-            let queued_before = rayon::pool::stats().jobs;
-            let pooled = averaged_dual_bound(&ctx, &lens, &mut ws);
-            assert!(rayon::current_num_threads() == 1 || rayon::pool::stats().jobs > queued_before);
-            let inline = rayon::serial(|| averaged_dual_bound(&ctx, &lens, &mut ws));
-            assert_eq!(pooled.to_bits(), inline.to_bits());
+            let averaged = averaged_dual_bound(&ctx, &lens, &mut ws);
             assert!(
-                independent.is_finite() && (pooled - independent).abs() <= 1e-12 * independent,
-                "averaged sweep {pooled} vs independent {independent}"
+                independent.is_finite() && (averaged - independent).abs() <= 1e-12 * independent,
+                "averaged sweep {averaged} vs independent {independent}"
             );
         }
         // An empty window is no evidence, not a zero bound.

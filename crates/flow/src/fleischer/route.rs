@@ -15,7 +15,7 @@
 //! ([`PotentialRows`]) are shared with the dual bound evaluation in
 //! [`super::phase`].
 
-use super::{sweep_fan_out, SolverWorkspace};
+use super::SolverWorkspace;
 use crate::instance::FlowProblem;
 use crate::lengths::MwuLengths;
 use tb_graph::{
@@ -394,10 +394,8 @@ impl PotentialRows {
     }
 
     /// Re-derives, at the lengths `len`, every row that is dense if `dense`
-    /// is set and every row that is not otherwise. Fans out to the pool for
-    /// large instances, each block of rows on an SSSP workspace of its own;
-    /// row contents do not depend on the thread count. A no-op when no row
-    /// qualifies.
+    /// is set and every row that is not otherwise, in source order on
+    /// `sssp`. A no-op when no row qualifies.
     pub(super) fn refresh(
         &mut self,
         ctx: &RouteCtx<'_>,
@@ -405,10 +403,6 @@ impl PotentialRows {
         dense: bool,
         sssp: &mut SsspWorkspace,
     ) {
-        let rows = self.dense.iter().filter(|&&d| d == dense).count();
-        if rows == 0 {
-            return;
-        }
         let n = ctx.prob.num_nodes();
         debug_assert!(
             (0..ctx.prob.num_arcs()).step_by(2).all(|aid| {
@@ -417,18 +411,18 @@ impl PotentialRows {
             }),
             "FlowProblem arcs must come in (forward, backward) pairs for the partner view"
         );
-        // Rows are handed out in source order; a source's row index from
+        // Rows are stored in source order; a source's row index from
         // `pot_rows` matches its position in this filtered sequence.
-        let jobs = self
+        let rows = self
             .values
             .chunks_mut(n)
             .zip(ctx.single_dest.iter().filter_map(|&d| d))
             .zip(&self.dense)
-            .filter_map(|(job, &d)| (d == dense).then_some(job));
+            .filter_map(|(row, &d)| (d == dense).then_some(row));
         debug_assert!(ctx.pot_rows.iter().filter(|&&r| r != usize::MAX).count() == ctx.num_single);
-        sweep_fan_out(rows * ctx.prob.num_arcs(), jobs, sssp, |sw, (row, dst)| {
-            derive_row(ctx, len, dst, row, sw)
-        });
+        for (row, dst) in rows {
+            derive_row(ctx, len, dst, row, sssp);
+        }
     }
 }
 
@@ -689,7 +683,6 @@ mod tests {
     use super::*;
     use crate::fleischer::{FleischerConfig, FleischerSolver};
     use std::cell::{Cell, RefCell};
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use tb_topology::families::Scale;
     use tb_topology::{hypercube::hypercube, jellyfish::jellyfish, Family};
     use tb_traffic::synthetic::{longest_matching, random_permutation};
@@ -698,11 +691,8 @@ mod tests {
     thread_local! {
         static AUDIT_SSSP: RefCell<SsspWorkspace> = RefCell::default();
         static AUDITED: Cell<usize> = const { Cell::new(0) };
+        static AUDITED_TREES: Cell<usize> = const { Cell::new(0) };
     }
-
-    /// Repaired trees audited so far, on any thread (the dual sweeps repair
-    /// on pool workers).
-    static AUDITED_TREES: AtomicUsize = AtomicUsize::new(0);
 
     /// The test-build hook of [`compute_tree`]: `sssp` holds a tree of source
     /// `si` repaired to the lengths `len`. An independent plain Dijkstra (its
@@ -731,7 +721,7 @@ mod tests {
                 );
             }
         });
-        AUDITED_TREES.fetch_add(1, Ordering::Relaxed);
+        AUDITED_TREES.set(AUDITED_TREES.get() + 1);
     }
 
     #[test]
@@ -758,10 +748,7 @@ mod tests {
         let topo = jellyfish(24, 4, 1, 3);
         let tm = tb_traffic::synthetic::random_matching(&topo.servers, 2, 5);
         assert_eq!(solve(&topo, &tm), 0);
-        assert!(
-            AUDITED_TREES.load(Ordering::Relaxed) > 0,
-            "the audit hook did not run"
-        );
+        assert!(AUDITED_TREES.get() > 0, "the audit hook did not run");
     }
 
     /// The test-build hook of [`route_source_single`]: `path` is about to be

@@ -1,5 +1,5 @@
 //! Cross-solver regression tests guarding the Fleischer hot-path refactor
-//! (CSR arcs, early-exit SSSP, parallel dual bounds):
+//! (CSR arcs, early-exit SSSP, dual bounds read off the potential rows):
 //!
 //! * on small instances where the exact arc LP is tractable, the FPTAS
 //!   brackets must contain the exact optimum and close to within the
@@ -9,16 +9,14 @@
 //!   path; random matching of degree two and Kodialam: a few destinations per
 //!   source, the latter at unequal distances);
 //! * certificate capture must leave the bounds and every counter bit for
-//!   bit as a solve without it has them, on the grid and on an instance
-//!   whose bound sweeps fan out;
+//!   bit as a solve without it has them, on the grid and on a 160-switch
+//!   instance;
 //! * the solver must match the frozen per-destination walk of
 //!   `tb_bench::legacy` within the FPTAS gap, with its certificate verified,
 //!   on every instance of the grid with a source of several destinations
 //!   (those route on the aggregated tree) and on five 64-switch
 //!   multi-destination shapes (all-to-all, the skewed Facebook TM-F, random
 //!   matching, Kodialam);
-//! * the pooled dual-bound sweep and potential refresh must reproduce their
-//!   inline execution bit-for-bit on an instance large enough to fan out;
 //! * the block-mix lower bound must cut the phase count of a dense gap-exit
 //!   solve (a deterministic counter), and the averaged dual iterate that of
 //!   the sparse straggler (`HyperX/1/LM`, which the last iterate left running
@@ -35,7 +33,6 @@
 //!   sweep could close the gap) must leave routing, lengths and flows exactly
 //!   as they were before evaluations were screened.
 
-use tb_flow::fleischer::PAR_MIN_SWEEP_WORK;
 use tb_flow::{verify_certificate, ExactLpSolver, FleischerConfig, FleischerSolver, FlowProblem};
 use tb_graph::Graph;
 use tb_topology::families::Scale;
@@ -325,14 +322,11 @@ fn sources_with_several_destinations_never_touch_the_known_paths() {
 fn certificate_capture_is_trajectory_neutral_across_instance_mix() {
     // Capture only copies the state behind each best bound, so a solve that
     // captures must equal the one that does not bit for bit — bounds and the
-    // whole `SolveStats` — on every instance of the grid and on the
-    // 160-switch instance of `pooled_sweeps_match_inline_execution_bit_for_bit`,
-    // whose bound sweeps fan out past `PAR_MIN_SWEEP_WORK`.
+    // whole `SolveStats` — on every instance of the grid and on a
+    // 160-switch Jellyfish under longest matching (160 sources × 1,280 arcs).
     let solver = FleischerSolver::new(FleischerConfig::default());
     let big = jellyfish(160, 8, 1, 42);
     let big_tm = longest_matching(&big.graph, &big.servers, true);
-    let big_prob = FlowProblem::new(&big.graph, &big_tm);
-    assert!(big_prob.sources().len() * big_prob.num_arcs() >= PAR_MIN_SWEEP_WORK);
     let mut cases = instances();
     cases.push(("jellyfish_160x8/longest_matching".into(), big, big_tm));
     for (name, topo, tm) in &cases {
@@ -426,63 +420,4 @@ fn sparse_and_dense_tms_agree_with_exact_on_jellyfish() {
         "lower {} vs exact {exact}",
         b.lower
     );
-}
-
-#[test]
-fn pooled_sweeps_match_inline_execution_bit_for_bit() {
-    // The only parallel regions inside a solve are the dual-bound sweep (one
-    // SSSP per source) and the goal-direction potential refresh (one reverse
-    // SSSP per single-destination source); both fan out once
-    // `sources × arcs >= PAR_MIN_SWEEP_WORK` and the pool is wider than one
-    // thread. Inside `rayon::serial` the same regions run inline and in order
-    // on the calling thread, so direct == serial pins the pooled execution to
-    // the inline one. Run at RAYON_NUM_THREADS=1/2/8 in CI.
-    //
-    // Threshold arithmetic: 160 switches of degree 8 are 640 links = 1,280
-    // arcs; longest matching and all-to-all both have all 160 switches as
-    // sources (one destination each under LM, so every source also owns a
-    // potential row), giving 160 × 1,280 = 204,800 >= 2^17 = 131,072.
-    let topo = jellyfish(160, 8, 1, 42);
-    let solver = FleischerSolver::new(FleischerConfig::fast());
-    for (name, tm) in [
-        (
-            "longest_matching",
-            longest_matching(&topo.graph, &topo.servers, true),
-        ),
-        ("a2a", all_to_all(&topo.servers)),
-    ] {
-        // The solver's own view of the instance, gated exactly as it gates.
-        let prob = FlowProblem::new(&topo.graph, &tm);
-        assert!(
-            prob.sources().len() * prob.num_arcs() >= PAR_MIN_SWEEP_WORK,
-            "{name}: {} sources × {} arcs no longer reaches the pooled branch \
-             (PAR_MIN_SWEEP_WORK = {PAR_MIN_SWEEP_WORK}); grow the instance",
-            prob.sources().len(),
-            prob.num_arcs()
-        );
-        let queued_before = rayon::pool::stats().jobs;
-        let direct = solver.solve_in(&topo.graph, &tm, false);
-        // The only other test in this binary large enough to queue pool jobs
-        // solves this instance too, so growth here is sweeps of this solve or
-        // of its twin going through the pool.
-        assert!(
-            rayon::current_num_threads() == 1 || rayon::pool::stats().jobs > queued_before,
-            "{name}: the solve queued no pool job at width {}",
-            rayon::current_num_threads()
-        );
-        let inline = rayon::serial(|| solver.solve_in(&topo.graph, &tm, false));
-        assert_eq!(
-            (direct.0.lower.to_bits(), direct.0.upper.to_bits()),
-            (inline.0.lower.to_bits(), inline.0.upper.to_bits()),
-            "{name}: pooled {:?} vs inline {:?}",
-            direct.0,
-            inline.0
-        );
-        assert_eq!(direct.1, inline.1, "{name}: solve stats diverged");
-        assert!(
-            direct.1.converged && direct.1.phases > 0,
-            "{name}: {:?}",
-            direct.1
-        );
-    }
 }
