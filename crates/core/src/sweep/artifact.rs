@@ -319,8 +319,8 @@ mod tests {
     use super::*;
     use crate::sweep::cell::{CellSpec, SweepCell};
     use crate::sweep::runner::CellOutcome;
-    use crate::sweep::topo::TopoSpec;
     use crate::TmSpec;
+    use tb_topology::TopoSpec;
 
     fn sample_report() -> SweepReport {
         let mut values = CellValues::default();

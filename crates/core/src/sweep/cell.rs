@@ -13,7 +13,6 @@ use crate::eval::{
 use crate::spec::TmSpec;
 use crate::stats::Stats;
 use crate::sweep::json::Json;
-use crate::sweep::topo::TopoSpec;
 use std::collections::BTreeMap;
 use tb_cuts::{estimate_sparsest_cut, ALL_ESTIMATORS};
 use tb_flow::restricted::{k_shortest_path_sets, PathRestrictedSolver, SubflowCountingEstimator};
@@ -21,7 +20,7 @@ use tb_flow::SolveStatus;
 use tb_graph::shortest_path::average_path_length;
 use tb_topology::faults::{apply_faults, FaultPlan};
 use tb_topology::jellyfish::same_equipment;
-use tb_topology::Topology;
+use tb_topology::{TopoSpec, Topology};
 use tb_traffic::{facebook, ops, TrafficMatrix};
 
 /// Which of the two synthetic Facebook rack-level matrices a cell uses.
@@ -89,7 +88,10 @@ pub enum CellSpec {
     /// all-to-all traffic, reporting both the Yuan et al. subflow-counting
     /// estimate and the LP throughput over the same paths (Fig. 15). The
     /// latter is [`PathRestrictedSolver`]'s feasible lower bound at its 3 %
-    /// target gap, not the LP optimum, which lies at most 3 % above it.
+    /// target gap, not the LP optimum. The gap is relative to the dual upper
+    /// bound (`(upper - lower) / upper <= 0.03`), so once the solve closes it
+    /// the optimum lies at most `1/0.97 - 1` ≈ 3.09 % above the published
+    /// value (the exact path LP of the seed-1 `jf-yuan` cell is 3.04 % above).
     PathRestricted {
         /// Topology recipe.
         topo: TopoSpec,

@@ -416,8 +416,8 @@ mod tests {
     use crate::sweep::artifact::{artifact_json, RenderOutput};
     use crate::sweep::cell::{CellSpec, CellValues, SweepCell};
     use crate::sweep::runner::{CellOutcome, SweepOptions, SweepReport};
-    use crate::sweep::topo::TopoSpec;
     use crate::TmSpec;
+    use tb_topology::TopoSpec;
 
     fn cell(id: &str, nums: &[(&str, f64)], labels: &[(&str, &str)]) -> CellOutcome {
         let mut values = CellValues::default();

@@ -28,7 +28,6 @@ pub mod diff;
 pub mod json;
 pub mod runner;
 pub mod table;
-pub mod topo;
 pub mod verify;
 
 pub use artifact::{
@@ -46,7 +45,7 @@ pub use diff::{
 pub use rayon::pool::{stats as pool_stats, Stats as PoolStats};
 pub use runner::{cell_key, run_cells, CellOutcome, CellSet, SweepOptions, SweepReport};
 pub use table::{f3, Table};
-pub use topo::TopoSpec;
+pub use tb_topology::TopoSpec;
 pub use verify::{verify_artifact_cells, verify_cell, CellVerdict, VerifyReport};
 
 /// A registered experiment: a named, declarative sweep plus its renderer.
@@ -137,7 +136,6 @@ fn render_cell_dump(
 mod tests {
     use super::*;
     use crate::TmSpec;
-    use tb_topology::families::{Family, Scale};
 
     fn test_scenario() -> Scenario {
         Scenario {
@@ -192,9 +190,9 @@ mod tests {
         assert!(!render.tables[0].table.rows().is_empty());
     }
 
-    /// A cell that panics (the hypercube ladder has no rung 99) reaches no
-    /// renderer (which would panic on its missing values and lose the run):
-    /// the run renders the cell dump, with the failed cell as one
+    /// A cell that panics (no radix-2 HyperX design has a million servers)
+    /// reaches no renderer (which would panic on its missing values and lose
+    /// the run): the run renders the cell dump, with the failed cell as one
     /// `status | failed` row, and its artifact validates.
     #[test]
     fn failed_cell_renders_cell_dump() {
@@ -204,11 +202,10 @@ mod tests {
             cells.push(SweepCell::new(
                 "probe/dead",
                 CellSpec::Throughput {
-                    topo: TopoSpec::Ladder {
-                        family: Family::Hypercube,
-                        scale: Scale::Small,
-                        index: 99,
-                        seed: 1,
+                    topo: TopoSpec::HyperX {
+                        radix: 2,
+                        min_servers: 1_000_000,
+                        bisection: 0.4,
                     },
                     tm: TmSpec::AllToAll,
                     tm_seed: 1,

@@ -306,20 +306,18 @@ mod tests {
     use super::*;
     use crate::spec::TmSpec;
     use crate::sweep::cell::CellSpec;
-    use crate::sweep::topo::TopoSpec;
-    use tb_topology::Family;
+    use tb_topology::{Family, TopoSpec};
 
-    /// A cell that really fails: the hypercube ladder has no rung 99, so
-    /// building its topology panics.
+    /// A cell that really fails: no radix-2 HyperX design has a million
+    /// servers, so building its topology panics.
     fn unbuildable_cell() -> SweepCell {
         SweepCell::new(
             "probe/dead",
             CellSpec::Throughput {
-                topo: TopoSpec::Ladder {
-                    family: Family::Hypercube,
-                    scale: Scale::Small,
-                    index: 99,
-                    seed: 1,
+                topo: TopoSpec::HyperX {
+                    radix: 2,
+                    min_servers: 1_000_000,
+                    bisection: 0.4,
                 },
                 tm: TmSpec::AllToAll,
                 tm_seed: 1,
@@ -369,6 +367,43 @@ mod tests {
         assert!(report.outcomes[0]
             .values
             .bit_identical(&report.outcomes[2].values));
+    }
+
+    /// A representative that is also a ladder rung is one spec, so the two
+    /// cells share a key and solve once.
+    #[test]
+    fn a_representative_and_its_ladder_rung_compute_once() {
+        let cell = |id: &str, topo: TopoSpec| {
+            SweepCell::new(
+                id,
+                CellSpec::Throughput {
+                    topo,
+                    tm: TmSpec::LongestMatching,
+                    tm_seed: 1,
+                },
+            )
+        };
+        let rep = cell("rep", Family::Hypercube.representative_spec(1));
+        let rung = Family::Hypercube.ladder_spec(Scale::Small, 1, 2).unwrap();
+        assert_eq!(
+            rung,
+            TopoSpec::Hypercube {
+                dims: 6,
+                servers: 3
+            }
+        );
+        let rung = cell("rung", rung);
+        let opts = no_cache_opts();
+        assert_eq!(
+            cell_key(&rep, &opts.eval_config()),
+            cell_key(&rung, &opts.eval_config())
+        );
+        let report = run_cells(&opts, vec![rep, rung]);
+        assert_eq!(report.unique_cells, 1);
+        assert!(report.outcomes[0].values.num("lower") > 0.0);
+        assert!(report.outcomes[0]
+            .values
+            .bit_identical(&report.outcomes[1].values));
     }
 
     #[test]

@@ -181,8 +181,8 @@ mod tests {
     use crate::spec::TmSpec;
     use crate::sweep::artifact::{artifact_json, parse_artifact};
     use crate::sweep::runner::{run_cells, SweepOptions};
-    use crate::sweep::topo::TopoSpec;
     use crate::sweep::{RenderOutput, SweepCell};
+    use tb_topology::TopoSpec;
 
     fn throughput_cells() -> Vec<SweepCell> {
         [TmSpec::AllToAll, TmSpec::LongestMatching]

@@ -13,9 +13,10 @@
 
 use tb_cuts::ALL_ESTIMATORS;
 use tb_flow::ThroughputBounds;
-use tb_topology::families::ALL_FAMILIES;
+use tb_topology::families::{Family, ALL_FAMILIES};
 use tb_topology::hyperx::design_search;
 use tb_topology::natural::natural_meta;
+use tb_topology::TopoMeta;
 use topobench::sweep::{
     f3, CellOutcome, CellSet, CellSpec, FbMatrix, NamedTable, RenderOutput, Scenario, SweepCell,
     SweepOptions, Table, TopoSpec,
@@ -193,6 +194,20 @@ fn params(topo: &TopoSpec) -> String {
         .params
 }
 
+/// The rungs of a family's ladder at the run's scale that have a topology
+/// (an infeasible HyperX design search has none): index, recipe and
+/// construction-free metadata.
+fn ladder_rungs(
+    family: Family,
+    opts: &SweepOptions,
+) -> impl Iterator<Item = (usize, TopoSpec, TopoMeta)> + '_ {
+    (0..family.ladder_len(opts.scale())).filter_map(move |index| {
+        let topo = family.ladder_spec(opts.scale(), opts.seed, index)?;
+        let meta = topo.metadata()?;
+        Some((index, topo, meta))
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Figure 2: TM families vs degree (hypercube / random regular / fat tree).
 // ---------------------------------------------------------------------------
@@ -311,14 +326,7 @@ fn fig02_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
 fn cut_battery(opts: &SweepOptions, reduced_cap: usize) -> Vec<Row> {
     let cap = if opts.full { 200 } else { reduced_cap };
     let ladders = ALL_FAMILIES.into_iter().flat_map(|family| {
-        (0..family.ladder_len(opts.scale())).filter_map(move |index| {
-            let meta = family.ladder_meta(opts.scale(), opts.seed, index)?;
-            let topo = TopoSpec::Ladder {
-                family,
-                scale: opts.scale(),
-                index,
-                seed: opts.seed,
-            };
+        ladder_rungs(family, opts).filter_map(move |(index, topo, meta)| {
             let id = format!("{}/{index}", family.name());
             (meta.switches <= cap).then_some((id, family.name(), meta, topo))
         })
@@ -471,10 +479,7 @@ fn fig04_rows(opts: &SweepOptions) -> Vec<Row> {
     let tms = [TmSpec::AllToAll, rm(5), rm(1), TmSpec::LongestMatching];
     (ALL_FAMILIES.into_iter())
         .map(|family| {
-            let topo = TopoSpec::Representative {
-                family,
-                seed: opts.seed,
-            };
+            let topo = family.representative_spec(opts.seed);
             let params = params(&topo);
             let cells = (tms.iter())
                 .map(|tm| {
@@ -534,22 +539,14 @@ fn fig05_specs() -> [TmSpec; 3] {
 fn fig05_06_build(opts: &SweepOptions) -> Vec<SweepCell> {
     let mut cells = Vec::new();
     for family in ALL_FAMILIES {
-        for index in 0..family.ladder_len(opts.scale()) {
-            let Some(meta) = family.ladder_meta(opts.scale(), opts.seed, index) else {
-                continue;
-            };
+        for (index, topo, meta) in ladder_rungs(family, opts) {
             for spec in fig05_specs() {
                 let tm_label = spec.label();
                 cells.push(
                     SweepCell::new(
                         format!("{}/{}/{}", family.name(), index, tm_label),
                         CellSpec::Relative {
-                            topo: TopoSpec::Ladder {
-                                family,
-                                scale: opts.scale(),
-                                index,
-                                seed: opts.seed,
-                            },
+                            topo: topo.clone(),
                             tm: spec,
                         },
                     )
@@ -839,10 +836,7 @@ fn fig10_11_rows(opts: &SweepOptions) -> Vec<Row> {
     };
     (ALL_FAMILIES.into_iter())
         .flat_map(|family| {
-            let topo = TopoSpec::Representative {
-                family,
-                seed: opts.seed,
-            };
+            let topo = family.representative_spec(opts.seed);
             let params = params(&topo);
             percents.iter().map(move |p| {
                 let cell = SweepCell::new(
@@ -979,10 +973,7 @@ const FIG13_MATRICES: [(FbMatrix, &str, &str); 2] = [
 fn fig13_14_rows(opts: &SweepOptions, matrix: FbMatrix, tag: &str) -> Vec<Row> {
     (ALL_FAMILIES.into_iter())
         .map(|family| {
-            let topo = TopoSpec::Representative {
-                family,
-                seed: opts.seed,
-            };
+            let topo = family.representative_spec(opts.seed);
             let params = params(&topo);
             let cells = [false, true].map(|shuffled| {
                 let placement = if shuffled { "shuffled" } else { "sampled" };
@@ -1357,10 +1348,7 @@ fn failures_rows(opts: &SweepOptions) -> Vec<Row> {
             // the other figure sweeps use. Labels come from the spec's
             // metadata — expansion stays construction-free; faults are drawn
             // inside the cell, at solve time.
-            let topo = TopoSpec::Representative {
-                family,
-                seed: opts.seed,
-            };
+            let topo = family.representative_spec(opts.seed);
             let params = params(&topo);
             let cell = |id: String, link_fail_frac: f64, switch_failures: usize| {
                 let spec = CellSpec::Degradation {

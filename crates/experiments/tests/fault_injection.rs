@@ -3,14 +3,16 @@
 //! production: a panicking cell, a corrupted on-disk cache entry, and an
 //! instance whose demands are disconnected by injected faults.
 //!
-//! The `Faulted` determinism tests pin the surviving graph to a fingerprint
-//! constant, so re-running this binary under different `RAYON_NUM_THREADS`
-//! (CI runs widths 1, 2 and 8) proves failure draws are process- and
-//! thread-count-independent, not merely stable within one process.
+//! The failure-draw determinism test pins the surviving graph to a
+//! fingerprint constant, so re-running this binary under different
+//! `RAYON_NUM_THREADS` (CI runs widths 1, 2 and 8) proves failure draws are
+//! process- and thread-count-independent, not merely stable within one
+//! process.
 
 use std::fs;
 use std::path::PathBuf;
-use tb_topology::families::{Family, Scale};
+use tb_topology::faults::{apply_faults, FaultPlan};
+use tb_topology::Topology;
 use topobench::sweep::{
     artifact_json, cell_key, fnv1a, run_cells, validate_artifact, CellSet, CellSpec, ResultCache,
     SweepCell, SweepOptions, TopoSpec,
@@ -23,19 +25,22 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A `Faulted` spec over a hypercube whose heavy switch/link losses leave
-/// alive-but-disconnected servers, so the baseline solve must drop demands.
-fn disconnected_spec() -> TopoSpec {
-    TopoSpec::Faulted {
-        base: Box::new(TopoSpec::Hypercube {
-            dims: 3,
-            servers: 1,
-        }),
-        link_failures: 8,
-        switch_failures: 2,
-        seed: 5,
+/// A 3-cube with one server per switch: failing 8 of its 12 links and 2
+/// switches at draw seed 5 leaves alive-but-disconnected servers, so the
+/// faulted solve must drop demands.
+fn cube3() -> TopoSpec {
+    TopoSpec::Hypercube {
+        dims: 3,
+        servers: 1,
     }
 }
+
+/// The failure draw of the disconnected probe.
+const DISCONNECTING_PLAN: FaultPlan = FaultPlan {
+    link_failures: 8,
+    switch_failures: 2,
+    seed: 5,
+};
 
 /// Acceptance drill for the failure-sweep subsystem: one full `failures`
 /// run completes and its artifact validates even when (a) one cell panics,
@@ -60,18 +65,17 @@ fn failure_sweep_survives_panic_corruption_and_disconnection() {
     assert!(victim_path.exists(), "clean run must populate the cache");
     fs::write(&victim_path, "{truncated garbage").unwrap();
 
-    // (a) A cell that panics (the hypercube ladder has no rung 99) and (c)
-    // a degradation cell whose baseline instance is disconnected by its own
-    // fault injection.
+    // (a) A cell that panics (no radix-2 HyperX design has a million
+    // servers) and (c) a degradation cell whose one failure draw
+    // disconnects the instance.
     let mut perturbed = cells.clone();
     perturbed.push(SweepCell::new(
         "probe/panic",
         CellSpec::Throughput {
-            topo: TopoSpec::Ladder {
-                family: Family::Hypercube,
-                scale: Scale::Small,
-                index: 99,
-                seed: 1,
+            topo: TopoSpec::HyperX {
+                radix: 2,
+                min_servers: 1_000_000,
+                bisection: 0.4,
             },
             tm: TmSpec::AllToAll,
             tm_seed: 1,
@@ -80,13 +84,13 @@ fn failure_sweep_survives_panic_corruption_and_disconnection() {
     perturbed.push(SweepCell::new(
         "probe/disconnected",
         CellSpec::Degradation {
-            topo: disconnected_spec(),
+            topo: cube3(),
             tm: TmSpec::AllToAll,
             tm_seed: 1,
-            link_fail_frac: 0.0,
-            switch_failures: 0,
+            link_fail_frac: DISCONNECTING_PLAN.link_failures as f64 / 12.0,
+            switch_failures: DISCONNECTING_PLAN.switch_failures,
             failure_seeds: 1,
-            seed: 7,
+            seed: DISCONNECTING_PLAN.seed,
         },
     ));
     let report = run_cells(&opts, perturbed);
@@ -105,13 +109,13 @@ fn failure_sweep_survives_panic_corruption_and_disconnection() {
     let error = dead.error.as_deref().unwrap();
     assert!(error.contains("unsatisfiable topology spec"), "{error}");
 
-    // (c) The disconnected instance is absorbed and marked by status text.
+    // (c) The disconnected draw is absorbed and counted as degraded.
     let disc = by_id("probe/disconnected");
     assert!(!disc.is_failed(), "disconnection must degrade, not fail");
-    let status = disc.values.text("baseline_status").unwrap();
+    assert_eq!(disc.values.num("degraded_draws"), 1.0);
     assert!(
-        status.starts_with("dropped-"),
-        "expected dropped-demands status, got '{status}'"
+        disc.values.num("dropped_mean") > 0.0,
+        "demands were dropped"
     );
 
     // (b) The corrupt entry was quarantined (bytes kept as .bad) and the
@@ -195,10 +199,9 @@ fn budget_exhausted_certificates_are_unverifiable_never_certified() {
     );
 }
 
-/// Canonical fingerprint of a built topology: surviving edge list + server
+/// Canonical fingerprint of a topology: surviving edge list + server
 /// placement, hashed. Bit-identical graphs ⇒ equal fingerprints.
-fn graph_fingerprint(spec: &TopoSpec) -> u64 {
-    let topo = spec.build().expect("spec must build");
+fn graph_fingerprint(topo: &Topology) -> u64 {
     let mut text = String::new();
     for e in topo.graph.edges() {
         text.push_str(&format!("{},{};", e.u, e.v));
@@ -210,33 +213,43 @@ fn graph_fingerprint(spec: &TopoSpec) -> u64 {
     fnv1a(&text)
 }
 
-/// `Faulted` failure draws are a pure function of the spec: repeat builds
+/// The fingerprint of `base` after the failure draw `plan`.
+fn faulted_fingerprint(base: &TopoSpec, plan: &FaultPlan) -> u64 {
+    let base = base.build().expect("spec must build");
+    graph_fingerprint(&apply_faults(&base, plan).0)
+}
+
+/// Failure draws are a pure function of the base and the plan: repeat draws
 /// are bit-identical, and the pinned constants make re-runs of this binary
 /// under `RAYON_NUM_THREADS` 1/2/8 (and on other machines) prove
 /// process-level determinism rather than in-process stability.
 #[test]
 fn faulted_build_fingerprint_is_pinned() {
-    let spec = TopoSpec::Faulted {
-        base: Box::new(TopoSpec::Hypercube {
-            dims: 4,
-            servers: 2,
-        }),
+    let cube4 = TopoSpec::Hypercube {
+        dims: 4,
+        servers: 2,
+    };
+    let plan = FaultPlan {
         link_failures: 5,
         switch_failures: 1,
         seed: 42,
     };
-    let reference = graph_fingerprint(&spec);
+    let reference = faulted_fingerprint(&cube4, &plan);
     for _ in 0..3 {
-        assert_eq!(graph_fingerprint(&spec), reference, "repeat build drifted");
+        assert_eq!(
+            faulted_fingerprint(&cube4, &plan),
+            reference,
+            "repeat draw drifted"
+        );
     }
     assert_eq!(
         reference, 0x7710_E5B4_1B48_623A,
         "faulted hypercube drifted"
     );
     assert_eq!(
-        graph_fingerprint(&disconnected_spec()),
+        faulted_fingerprint(&cube3(), &DISCONNECTING_PLAN),
         0x2BBB_4EFE_1AB6_C63B,
-        "disconnected probe spec drifted"
+        "disconnected probe draw drifted"
     );
 }
 
@@ -249,10 +262,7 @@ fn degradation_cells_are_bit_identical_serial_vs_parallel() {
             SweepCell::new(
                 format!("deg/{i}"),
                 CellSpec::Degradation {
-                    topo: TopoSpec::Hypercube {
-                        dims: 3,
-                        servers: 1,
-                    },
+                    topo: cube3(),
                     tm: TmSpec::AllToAll,
                     tm_seed: 1,
                     link_fail_frac: 0.15,

@@ -51,9 +51,9 @@ pub fn bfs_distances(g: &Graph, src: usize) -> Vec<u32> {
 }
 
 /// All-pairs unweighted shortest path lengths (hop counts), row `u` is the BFS
-/// distance vector from `u`. Runs the per-source BFS on the pool.
+/// distance vector from `u`.
 pub fn apsp_unweighted(g: &Graph) -> Vec<Vec<u32>> {
-    rayon::map_init(0..g.num_nodes(), || (), |_, u| bfs_distances(g, u))
+    (0..g.num_nodes()).map(|u| bfs_distances(g, u)).collect()
 }
 
 /// Average shortest path length over all ordered pairs of distinct nodes.

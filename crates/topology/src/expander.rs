@@ -64,7 +64,7 @@ pub fn clustered_random(n: usize, alpha: usize, beta: usize, seed: u64) -> Topol
 /// Construction-free metadata for [`clustered_random`]: degrees are met
 /// exactly (alpha-regular layers plus beta cross matchings), so the link
 /// count is closed-form.
-pub fn clustered_random_meta(n: usize, alpha: usize, beta: usize) -> TopoMeta {
+pub(crate) fn clustered_random_meta(n: usize, alpha: usize, beta: usize) -> TopoMeta {
     TopoMeta {
         name: "clustered random (Graph A)".into(),
         params: format!("n={n}, alpha={alpha}, beta={beta}"),
@@ -78,7 +78,7 @@ pub fn clustered_random_meta(n: usize, alpha: usize, beta: usize) -> TopoMeta {
 
 /// Construction-free metadata for [`subdivided_expander`]: the base expander
 /// has `base_nodes * d` edges, each subdivided into a path of `p` links.
-pub fn subdivided_expander_meta(base_nodes: usize, d: usize, p: usize) -> TopoMeta {
+pub(crate) fn subdivided_expander_meta(base_nodes: usize, d: usize, p: usize) -> TopoMeta {
     let base_edges = base_nodes * d;
     TopoMeta {
         name: "subdivided expander (Graph B)".into(),

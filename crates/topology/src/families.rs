@@ -7,24 +7,11 @@
 //! tens-to-thousands-of-servers range the paper plots while staying solvable
 //! with the bundled LP/FPTAS solvers on a single machine.
 
-use crate::{
-    bcube::{bcube, bcube_meta},
-    dcell::{dcell, dcell_meta},
-    dragonfly::{balanced_dragonfly, balanced_dragonfly_meta},
-    fattree::{fat_tree, fat_tree_meta},
-    flattened_butterfly::{flattened_butterfly, flattened_butterfly_meta},
-    hypercube::{hypercube, hypercube_meta},
-    hyperx::{build_design, design_meta, design_search},
-    jellyfish::{jellyfish, jellyfish_meta},
-    longhop::{long_hop, long_hop_meta},
-    meta::TopoMeta,
-    slimfly::{canonical_servers_per_router, slim_fly, slim_fly_meta},
-    topology::Topology,
-};
+use crate::spec::TopoSpec;
+use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 
-// Per-rung parameter tables shared by `ladder_instance` (which builds) and
-// `ladder_meta` (which must describe the same instance without building).
+// Per-rung parameter tables of `Family::ladder_spec`.
 const BCUBE_RUNGS: [(usize, usize); 6] = [(2, 2), (2, 3), (4, 1), (4, 2), (2, 5), (4, 3)];
 const DCELL_RUNGS: [(usize, usize); 6] = [(3, 1), (4, 1), (5, 1), (3, 2), (4, 2), (5, 2)];
 const FATTREE_RUNGS: [usize; 6] = [4, 6, 8, 10, 12, 14];
@@ -199,10 +186,10 @@ impl Family {
         }
     }
 
-    /// Builds the `index`-th rung of the instance ladder without constructing
-    /// the other rungs — the lazy per-cell entry point the sweep engine uses.
-    /// `None` for an out-of-range index or an infeasible design search.
-    pub fn ladder_instance(&self, scale: Scale, seed: u64, index: usize) -> Option<Topology> {
+    /// The recipe of the `index`-th rung of the instance ladder — the one
+    /// place a rung is defined. `None` for an out-of-range index; a HyperX
+    /// rung whose design search fails is a spec that builds `None`.
+    pub fn ladder_spec(&self, scale: Scale, seed: u64, index: usize) -> Option<TopoSpec> {
         if index >= self.ladder_len(scale) {
             return None;
         }
@@ -210,80 +197,57 @@ impl Family {
         Some(match self {
             Family::BCube => {
                 let (n, k) = BCUBE_RUNGS[index];
-                bcube(n, k)
+                TopoSpec::BCube { n, k }
             }
             Family::DCell => {
-                let (n, k) = DCELL_RUNGS[index];
-                dcell(n, k)
+                let (n, level) = DCELL_RUNGS[index];
+                TopoSpec::DCell { n, level }
             }
-            Family::Dragonfly => balanced_dragonfly(index + 1),
-            Family::FatTree => fat_tree(FATTREE_RUNGS[index]),
-            Family::FlattenedButterfly => flattened_butterfly(FBFLY_RUNGS[index], 3),
+            Family::Dragonfly => TopoSpec::Dragonfly { h: index + 1 },
+            Family::FatTree => TopoSpec::FatTree {
+                k: FATTREE_RUNGS[index],
+            },
+            Family::FlattenedButterfly => TopoSpec::FlattenedButterfly {
+                k: FBFLY_RUNGS[index],
+                n: 3,
+            },
             Family::Hypercube => {
-                let (d, s) = HYPERCUBE_RUNGS[index];
-                hypercube(d, s)
+                let (dims, servers) = HYPERCUBE_RUNGS[index];
+                TopoSpec::Hypercube { dims, servers }
             }
-            Family::HyperX => {
-                let n = Self::hyperx_targets(full)[index];
-                return design_search(24, n, 0.4).map(|d| build_design(&d));
-            }
+            Family::HyperX => TopoSpec::HyperX {
+                radix: 24,
+                min_servers: Self::hyperx_targets(full)[index],
+                bisection: 0.4,
+            },
             Family::Jellyfish => {
-                let (n, r, s) = Self::jellyfish_params(full)[index];
-                jellyfish(n, r, s, seed.wrapping_add(index as u64))
+                let (switches, degree, servers) = Self::jellyfish_params(full)[index];
+                TopoSpec::Jellyfish {
+                    switches,
+                    degree,
+                    servers,
+                    seed: seed.wrapping_add(index as u64),
+                }
             }
             Family::LongHop => {
-                let (d, deg, s) = LONGHOP_RUNGS[index];
-                long_hop(d, deg, s)
+                let (dim, degree, servers) = LONGHOP_RUNGS[index];
+                TopoSpec::LongHop {
+                    dim,
+                    degree,
+                    servers,
+                }
             }
-            Family::SlimFly => {
-                let q = SLIMFLY_RUNGS[index];
-                slim_fly(q, canonical_servers_per_router(q))
-            }
+            Family::SlimFly => TopoSpec::SlimFly {
+                q: SLIMFLY_RUNGS[index],
+            },
         })
     }
 
-    /// Construction-free metadata for the `index`-th ladder rung — describes
-    /// exactly the instance [`Family::ladder_instance`] would build (pinned
-    /// by the `metadata_equiv` property test) without constructing a graph.
-    /// `None` under the same conditions `ladder_instance` returns `None`.
-    pub fn ladder_meta(&self, scale: Scale, seed: u64, index: usize) -> Option<TopoMeta> {
-        if index >= self.ladder_len(scale) {
-            return None;
-        }
-        let full = scale == Scale::Full;
-        Some(match self {
-            Family::BCube => {
-                let (n, k) = BCUBE_RUNGS[index];
-                bcube_meta(n, k)
-            }
-            Family::DCell => {
-                let (n, k) = DCELL_RUNGS[index];
-                dcell_meta(n, k)
-            }
-            Family::Dragonfly => balanced_dragonfly_meta(index + 1),
-            Family::FatTree => fat_tree_meta(FATTREE_RUNGS[index]),
-            Family::FlattenedButterfly => flattened_butterfly_meta(FBFLY_RUNGS[index], 3),
-            Family::Hypercube => {
-                let (d, s) = HYPERCUBE_RUNGS[index];
-                hypercube_meta(d, s)
-            }
-            Family::HyperX => {
-                let n = Self::hyperx_targets(full)[index];
-                return design_search(24, n, 0.4).map(|d| design_meta(&d));
-            }
-            Family::Jellyfish => {
-                let (n, r, s) = Self::jellyfish_params(full)[index];
-                jellyfish_meta(n, r, s, seed.wrapping_add(index as u64))
-            }
-            Family::LongHop => {
-                let (d, deg, s) = LONGHOP_RUNGS[index];
-                long_hop_meta(d, deg, s)
-            }
-            Family::SlimFly => {
-                let q = SLIMFLY_RUNGS[index];
-                slim_fly_meta(q, canonical_servers_per_router(q))
-            }
-        })
+    /// Builds the `index`-th rung of the instance ladder without constructing
+    /// the other rungs. `None` for an out-of-range index or an infeasible
+    /// design search.
+    pub fn ladder_instance(&self, scale: Scale, seed: u64, index: usize) -> Option<Topology> {
+        self.ladder_spec(scale, seed, index)?.build()
     }
 
     /// The successfully built rungs of the ladder, paired with their stable
@@ -303,41 +267,45 @@ impl Family {
             .collect()
     }
 
-    /// A representative mid-size instance used by the per-family (non-scaling)
-    /// experiments: Fig 4, Figs 10–14 and Table II.
-    pub fn representative(&self, seed: u64) -> Topology {
+    /// The recipe of the representative mid-size instance used by the
+    /// per-family (non-scaling) experiments: Fig 4, Figs 10–14 and Table II.
+    /// For every family but Jellyfish it is also a rung of the reduced ladder.
+    pub fn representative_spec(&self, seed: u64) -> TopoSpec {
         match self {
-            Family::BCube => bcube(4, 2),
-            Family::DCell => dcell(4, 1),
-            Family::Dragonfly => balanced_dragonfly(2),
-            Family::FatTree => fat_tree(8),
-            Family::FlattenedButterfly => flattened_butterfly(5, 3),
-            Family::Hypercube => hypercube(6, 3),
-            Family::HyperX => design_search(24, 256, 0.4)
-                .map(|d| build_design(&d))
-                .expect("HyperX design search must succeed for the representative size"),
-            Family::Jellyfish => jellyfish(64, 8, 4, seed),
-            Family::LongHop => long_hop(6, 9, 3),
-            Family::SlimFly => slim_fly(5, canonical_servers_per_router(5)),
+            Family::BCube => TopoSpec::BCube { n: 4, k: 2 },
+            Family::DCell => TopoSpec::DCell { n: 4, level: 1 },
+            Family::Dragonfly => TopoSpec::Dragonfly { h: 2 },
+            Family::FatTree => TopoSpec::FatTree { k: 8 },
+            Family::FlattenedButterfly => TopoSpec::FlattenedButterfly { k: 5, n: 3 },
+            Family::Hypercube => TopoSpec::Hypercube {
+                dims: 6,
+                servers: 3,
+            },
+            Family::HyperX => TopoSpec::HyperX {
+                radix: 24,
+                min_servers: 256,
+                bisection: 0.4,
+            },
+            Family::Jellyfish => TopoSpec::Jellyfish {
+                switches: 64,
+                degree: 8,
+                servers: 4,
+                seed,
+            },
+            Family::LongHop => TopoSpec::LongHop {
+                dim: 6,
+                degree: 9,
+                servers: 3,
+            },
+            Family::SlimFly => TopoSpec::SlimFly { q: 5 },
         }
     }
 
-    /// Construction-free metadata for [`Family::representative`].
-    pub fn representative_meta(&self, seed: u64) -> TopoMeta {
-        match self {
-            Family::BCube => bcube_meta(4, 2),
-            Family::DCell => dcell_meta(4, 1),
-            Family::Dragonfly => balanced_dragonfly_meta(2),
-            Family::FatTree => fat_tree_meta(8),
-            Family::FlattenedButterfly => flattened_butterfly_meta(5, 3),
-            Family::Hypercube => hypercube_meta(6, 3),
-            Family::HyperX => design_search(24, 256, 0.4)
-                .map(|d| design_meta(&d))
-                .expect("HyperX design search must succeed for the representative size"),
-            Family::Jellyfish => jellyfish_meta(64, 8, 4, seed),
-            Family::LongHop => long_hop_meta(6, 9, 3),
-            Family::SlimFly => slim_fly_meta(5, canonical_servers_per_router(5)),
-        }
+    /// Builds [`Family::representative_spec`].
+    pub fn representative(&self, seed: u64) -> Topology {
+        self.representative_spec(seed)
+            .build()
+            .expect("HyperX design search must succeed for the representative size")
     }
 }
 
@@ -413,6 +381,16 @@ mod tests {
                 "{} representative too large",
                 f.name()
             );
+        }
+    }
+
+    #[test]
+    fn representatives_other_than_jellyfish_are_reduced_ladder_rungs() {
+        for f in ALL_FAMILIES {
+            let rep = f.representative_spec(3);
+            let on_ladder = (0..f.ladder_len(Scale::Small))
+                .any(|i| f.ladder_spec(Scale::Small, 3, i).as_ref() == Some(&rep));
+            assert_eq!(on_ladder, f != Family::Jellyfish, "{}", f.name());
         }
     }
 

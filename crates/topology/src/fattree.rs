@@ -11,7 +11,7 @@ use crate::topology::Topology;
 use tb_graph::Graph;
 
 /// Construction-free metadata for [`fat_tree`].
-pub fn fat_tree_meta(k: usize) -> TopoMeta {
+pub(crate) fn fat_tree_meta(k: usize) -> TopoMeta {
     let half = k / 2;
     let num_edge = k * half;
     TopoMeta {

@@ -13,7 +13,7 @@ use crate::topology::Topology;
 use tb_graph::Graph;
 
 /// Construction-free metadata for [`flattened_butterfly`].
-pub fn flattened_butterfly_meta(k: usize, n_stages: usize) -> TopoMeta {
+pub(crate) fn flattened_butterfly_meta(k: usize, n_stages: usize) -> TopoMeta {
     flattened_butterfly_with_servers_meta(k, n_stages, k)
 }
 

@@ -9,7 +9,7 @@ use crate::topology::Topology;
 use tb_graph::Graph;
 
 /// Construction-free metadata for [`hypercube`].
-pub fn hypercube_meta(dim: usize, servers_per_switch: usize) -> TopoMeta {
+pub(crate) fn hypercube_meta(dim: usize, servers_per_switch: usize) -> TopoMeta {
     let n = 1usize << dim;
     TopoMeta {
         name: "hypercube".into(),

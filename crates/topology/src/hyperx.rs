@@ -31,7 +31,7 @@ pub(crate) fn hyperx_meta(dims: usize, s: usize, k: usize, t: usize) -> TopoMeta
 }
 
 /// Construction-free metadata for [`build_design`].
-pub fn design_meta(d: &HyperXDesign) -> TopoMeta {
+pub(crate) fn design_meta(d: &HyperXDesign) -> TopoMeta {
     hyperx_meta(d.dims, d.s, d.k, d.t)
 }
 

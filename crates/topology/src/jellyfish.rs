@@ -14,7 +14,7 @@ use tb_graph::random::{configuration_model, configuration_model_multigraph, rand
 /// Construction-free metadata for [`jellyfish`]: the random wiring varies
 /// with the seed, but the equipment (and the `r`-regular link count) does
 /// not.
-pub fn jellyfish_meta(
+pub(crate) fn jellyfish_meta(
     switches: usize,
     degree: usize,
     servers_per_switch: usize,
@@ -33,7 +33,7 @@ pub fn jellyfish_meta(
 
 /// Construction-free metadata for [`same_equipment`], derived from the
 /// reference topology's metadata: the rewiring preserves every count.
-pub fn same_equipment_meta(reference: &TopoMeta, seed: u64) -> TopoMeta {
+pub(crate) fn same_equipment_meta(reference: &TopoMeta, seed: u64) -> TopoMeta {
     TopoMeta {
         name: "Jellyfish (same equipment)".into(),
         params: format!("of {} [{}], seed={seed}", reference.name, reference.params),

@@ -22,7 +22,8 @@
 //! plus the number of servers attached to each switch. Server placement
 //! follows §III-A2: structured networks (fat tree, BCube, DCell) attach
 //! servers only at their prescribed locations; all other networks attach
-//! servers to every switch.
+//! servers to every switch. A [`TopoSpec`] names one instance as a
+//! deterministic recipe; the family ladders and representatives are specs.
 
 pub mod bcube;
 pub mod dcell;
@@ -39,8 +40,10 @@ pub mod longhop;
 pub mod meta;
 pub mod natural;
 pub mod slimfly;
+pub mod spec;
 pub mod topology;
 
 pub use families::{Family, ALL_FAMILIES};
 pub use meta::TopoMeta;
+pub use spec::TopoSpec;
 pub use topology::{constructions, Topology};

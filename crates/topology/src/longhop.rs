@@ -21,7 +21,7 @@ use tb_graph::Graph;
 /// Construction-free metadata for [`long_hop`]: each of the `degree`
 /// generators is a distinct nonzero XOR mask, contributing exactly `2^dim/2`
 /// edges, so the Cayley graph is `degree`-regular by construction.
-pub fn long_hop_meta(dim: usize, degree: usize, servers_per_switch: usize) -> TopoMeta {
+pub(crate) fn long_hop_meta(dim: usize, degree: usize, servers_per_switch: usize) -> TopoMeta {
     let n = 1usize << dim;
     TopoMeta {
         name: "Long Hop".into(),

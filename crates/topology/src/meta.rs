@@ -2,10 +2,11 @@
 //!
 //! A [`TopoMeta`] describes a topology instance — its display labels, switch
 //! and server counts, and (where closed-form) link count and degree cap —
-//! without building the graph. Every generator module exposes a `*_meta`
-//! companion (e.g. [`crate::hypercube::hypercube_meta`]) whose output is
-//! guaranteed to match the constructed [`Topology`](crate::Topology) exactly;
-//! the contract is pinned by the `metadata_equiv` property test.
+//! without building the graph. Every generator module has a `*_meta`
+//! companion whose output matches the constructed
+//! [`Topology`](crate::Topology) exactly; [`TopoSpec::metadata`](crate::TopoSpec::metadata)
+//! reaches them, and the contract is pinned by the `metadata_equiv`
+//! property test.
 //!
 //! The sweep engine uses this layer to expand scenario grids and render
 //! tables without constructing a single graph, which is what makes fully

@@ -21,7 +21,7 @@ use tb_graph::Graph;
 
 /// Construction-free metadata for [`slim_fly`]: the MMS graph on `2q^2`
 /// routers is `k' = (3q-1)/2`-regular.
-pub fn slim_fly_meta(q: usize, servers_per_router: usize) -> TopoMeta {
+pub(crate) fn slim_fly_meta(q: usize, servers_per_router: usize) -> TopoMeta {
     let n = 2 * q * q;
     let degree = network_degree(q);
     TopoMeta {

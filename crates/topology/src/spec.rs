@@ -1,30 +1,55 @@
-//! Declarative topology specifications for sweep cells.
+//! Declarative topology specifications.
 //!
 //! A [`TopoSpec`] is a recipe that deterministically rebuilds a topology from
 //! scratch: every randomized constructor takes its seed from the spec itself,
 //! so the same spec always yields the same graph regardless of when, where or
-//! on which thread it is built. The spec's `Debug` representation is part of
-//! the sweep cache key, which is why specs carry explicit seeds rather than
-//! reading any ambient configuration.
+//! on which thread it is built. The family ladders and representatives
+//! ([`Family::ladder_spec`](crate::Family::ladder_spec),
+//! [`Family::representative_spec`](crate::Family::representative_spec)) are
+//! specs too, so one instance has one spelling. The spec's `Debug`
+//! representation is part of the sweep cache key, which is why specs carry
+//! explicit seeds rather than reading any ambient configuration.
 
-use tb_topology::expander::{
+use crate::bcube::{bcube, bcube_meta};
+use crate::dcell::{dcell, dcell_meta};
+use crate::dragonfly::{balanced_dragonfly, balanced_dragonfly_meta};
+use crate::expander::{
     clustered_random, clustered_random_meta, subdivided_expander, subdivided_expander_meta,
 };
-use tb_topology::families::{Family, Scale};
-use tb_topology::fattree::{fat_tree, fat_tree_meta};
-use tb_topology::faults::{apply_faults, FaultPlan};
-use tb_topology::flattened_butterfly::{flattened_butterfly, flattened_butterfly_meta};
-use tb_topology::hypercube::{hypercube, hypercube_meta};
-use tb_topology::hyperx::{build_design, design_meta, design_search};
-use tb_topology::jellyfish::{jellyfish, jellyfish_meta, same_equipment, same_equipment_meta};
-use tb_topology::longhop::{long_hop, long_hop_meta};
-use tb_topology::natural::{natural_meta, natural_network};
-use tb_topology::slimfly::{canonical_servers_per_router, slim_fly, slim_fly_meta};
-use tb_topology::{TopoMeta, Topology};
+use crate::fattree::{fat_tree, fat_tree_meta};
+use crate::flattened_butterfly::{flattened_butterfly, flattened_butterfly_meta};
+use crate::hypercube::{hypercube, hypercube_meta};
+use crate::hyperx::{build_design, design_meta, design_search};
+use crate::jellyfish::{jellyfish, jellyfish_meta, same_equipment, same_equipment_meta};
+use crate::longhop::{long_hop, long_hop_meta};
+use crate::natural::{natural_meta, natural_network};
+use crate::slimfly::{canonical_servers_per_router, slim_fly, slim_fly_meta};
+use crate::{TopoMeta, Topology};
 
 /// A deterministic recipe for building one topology instance.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TopoSpec {
+    /// `BCube_k` with `n`-port switches (server relay nodes count as
+    /// switches).
+    BCube {
+        /// Switch port count.
+        n: usize,
+        /// Highest level (`k + 1` levels).
+        k: usize,
+    },
+    /// `DCell_level` with `n` servers per `DCell_0`.
+    DCell {
+        /// Servers per `DCell_0`.
+        n: usize,
+        /// Recursion level.
+        level: usize,
+    },
+    /// Balanced dragonfly: `h` global links and `h` servers per router,
+    /// `2h` routers per group.
+    Dragonfly {
+        /// Global links per router.
+        h: usize,
+    },
     /// `d`-dimensional hypercube with `servers` servers per switch.
     Hypercube {
         /// Dimension.
@@ -91,24 +116,6 @@ pub enum TopoSpec {
         /// Target bisection ratio.
         bisection: f64,
     },
-    /// One rung of a family's scaling ladder (see [`Family::ladder_instance`]).
-    Ladder {
-        /// Topology family.
-        family: Family,
-        /// Ladder scale.
-        scale: Scale,
-        /// Rung index.
-        index: usize,
-        /// Ladder seed.
-        seed: u64,
-    },
-    /// A family's representative mid-size instance.
-    Representative {
-        /// Topology family.
-        family: Family,
-        /// Construction seed.
-        seed: u64,
-    },
     /// The `index`-th natural-network stand-in (see
     /// [`natural_network`]`(index, seed)`; instances are independent of how
     /// many the scenario asks for).
@@ -156,28 +163,16 @@ pub enum TopoSpec {
         /// New per-switch server count.
         servers_per_switch: usize,
     },
-    /// `base` after a deterministic failure draw: `switch_failures` switches
-    /// lose all links and servers (ids stay stable), then `link_failures`
-    /// more surviving links are removed (both saturate at what exists; see
-    /// [`tb_topology::faults::apply_faults`]). The draw is a pure function
-    /// of `seed`, so the surviving graph is bit-identical in any process.
-    Faulted {
-        /// The intact topology the faults apply to.
-        base: Box<TopoSpec>,
-        /// Surviving links to fail beyond those lost to switch failures.
-        link_failures: usize,
-        /// Switches to fail.
-        switch_failures: usize,
-        /// Failure-draw seed.
-        seed: u64,
-    },
 }
 
 impl TopoSpec {
-    /// Builds the topology. `None` when the spec is unsatisfiable (failed
-    /// HyperX design search, out-of-range ladder or natural-network index).
+    /// Builds the topology. `None` when the spec is unsatisfiable (a failed
+    /// HyperX design search).
     pub fn build(&self) -> Option<Topology> {
         match self {
+            TopoSpec::BCube { n, k } => Some(bcube(*n, *k)),
+            TopoSpec::DCell { n, level } => Some(dcell(*n, *level)),
+            TopoSpec::Dragonfly { h } => Some(balanced_dragonfly(*h)),
             TopoSpec::Hypercube { dims, servers } => Some(hypercube(*dims, *servers)),
             TopoSpec::FatTree { k } => Some(fat_tree(*k)),
             TopoSpec::Jellyfish {
@@ -216,13 +211,6 @@ impl TopoSpec {
                 min_servers,
                 bisection,
             } => design_search(*radix, *min_servers, *bisection).map(|d| build_design(&d)),
-            TopoSpec::Ladder {
-                family,
-                scale,
-                index,
-                seed,
-            } => family.ladder_instance(*scale, *seed, *index),
-            TopoSpec::Representative { family, seed } => Some(family.representative(*seed)),
             TopoSpec::Natural { index, seed } => Some(natural_network(*index, *seed)),
             TopoSpec::ClusteredRandom {
                 n,
@@ -241,19 +229,6 @@ impl TopoSpec {
                 base,
                 servers_per_switch,
             } => Some(base.build()?.with_servers_per_switch(*servers_per_switch)),
-            TopoSpec::Faulted {
-                base,
-                link_failures,
-                switch_failures,
-                seed,
-            } => {
-                let plan = FaultPlan {
-                    link_failures: *link_failures,
-                    switch_failures: *switch_failures,
-                    seed: *seed,
-                };
-                Some(apply_faults(&base.build()?, &plan).0)
-            }
         }
     }
 
@@ -264,6 +239,9 @@ impl TopoSpec {
     /// run entirely on this, which is what makes cache-hot sweeps build-free.
     pub fn metadata(&self) -> Option<TopoMeta> {
         match self {
+            TopoSpec::BCube { n, k } => Some(bcube_meta(*n, *k)),
+            TopoSpec::DCell { n, level } => Some(dcell_meta(*n, *level)),
+            TopoSpec::Dragonfly { h } => Some(balanced_dragonfly_meta(*h)),
             TopoSpec::Hypercube { dims, servers } => Some(hypercube_meta(*dims, *servers)),
             TopoSpec::FatTree { k } => Some(fat_tree_meta(*k)),
             TopoSpec::Jellyfish {
@@ -298,13 +276,6 @@ impl TopoSpec {
                 min_servers,
                 bisection,
             } => design_search(*radix, *min_servers, *bisection).map(|d| design_meta(&d)),
-            TopoSpec::Ladder {
-                family,
-                scale,
-                index,
-                seed,
-            } => family.ladder_meta(*scale, *seed, *index),
-            TopoSpec::Representative { family, seed } => Some(family.representative_meta(*seed)),
             TopoSpec::Natural { index, seed: _ } => Some(natural_meta(*index)),
             TopoSpec::ClusteredRandom {
                 n,
@@ -337,27 +308,6 @@ impl TopoSpec {
                     ..base
                 })
             }
-            // Which switches/links survive depends on the draw and on the
-            // base wiring, so there is no closed form: this is the one spec
-            // whose metadata is derived by building. Scenario expansion must
-            // therefore label failure cells from the *base*'s metadata (plus
-            // the fault parameters) to stay construction-free.
-            TopoSpec::Faulted { .. } => {
-                let built = self.build()?;
-                let max_degree = (0..built.num_switches())
-                    .map(|u| built.graph.degree(u))
-                    .max()
-                    .unwrap_or(0);
-                Some(TopoMeta {
-                    name: built.name.clone(),
-                    params: built.params.clone(),
-                    switches: built.num_switches(),
-                    servers: built.num_servers(),
-                    server_switches: built.server_switches().len(),
-                    links: Some(built.num_links()),
-                    degree: Some(max_degree),
-                })
-            }
         }
     }
 }
@@ -365,6 +315,7 @@ impl TopoSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::families::Scale;
 
     #[test]
     fn build_is_deterministic() {
@@ -416,19 +367,14 @@ mod tests {
         };
         assert!(spec.build().is_none());
         assert!(spec.metadata().is_none(), "metadata must mirror build");
-        let ladder = TopoSpec::Ladder {
-            family: Family::Hypercube,
-            scale: Scale::Small,
-            index: 99,
-            seed: 1,
-        };
-        assert!(ladder.build().is_none());
-        assert!(ladder.metadata().is_none());
     }
 
     /// Every spec shape used by the scenarios, for the metadata contract.
     fn spec_zoo(seed: u64) -> Vec<TopoSpec> {
         let mut specs = vec![
+            TopoSpec::BCube { n: 3, k: 1 },
+            TopoSpec::DCell { n: 3, level: 1 },
+            TopoSpec::Dragonfly { h: 1 },
             TopoSpec::Hypercube {
                 dims: 4,
                 servers: 2,
@@ -484,67 +430,16 @@ mod tests {
                 base: Box::new(TopoSpec::FatTree { k: 4 }),
                 servers_per_switch: 5,
             },
-            TopoSpec::Faulted {
-                base: Box::new(TopoSpec::Hypercube {
-                    dims: 4,
-                    servers: 2,
-                }),
-                link_failures: 3,
-                switch_failures: 1,
-                seed,
-            },
-            TopoSpec::Faulted {
-                base: Box::new(TopoSpec::FatTree { k: 4 }),
-                link_failures: 0,
-                switch_failures: 2,
-                seed,
-            },
         ];
         for index in [0usize, 1, 2, 3, 6] {
             specs.push(TopoSpec::Natural { index, seed });
         }
-        for family in tb_topology::ALL_FAMILIES {
-            specs.push(TopoSpec::Representative { family, seed });
-            specs.push(TopoSpec::Ladder {
-                family,
-                scale: Scale::Small,
-                index: 1.min(family.ladder_len(Scale::Small) - 1),
-                seed,
-            });
+        for family in crate::ALL_FAMILIES {
+            specs.push(family.representative_spec(seed));
+            let rung = 1.min(family.ladder_len(Scale::Small) - 1);
+            specs.extend(family.ladder_spec(Scale::Small, seed, rung));
         }
         specs
-    }
-
-    #[test]
-    fn faulted_spec_is_deterministic_and_unsatisfiable_when_base_is() {
-        let spec = TopoSpec::Faulted {
-            base: Box::new(TopoSpec::Hypercube {
-                dims: 4,
-                servers: 1,
-            }),
-            link_failures: 4,
-            switch_failures: 2,
-            seed: 13,
-        };
-        let a = spec.build().unwrap();
-        let b = spec.build().unwrap();
-        let ea: Vec<(usize, usize)> = a.graph.edges().iter().map(|e| (e.u, e.v)).collect();
-        let eb: Vec<(usize, usize)> = b.graph.edges().iter().map(|e| (e.u, e.v)).collect();
-        assert_eq!(ea, eb);
-        assert_eq!(a.servers, b.servers);
-        // An unsatisfiable base propagates: no build, no metadata.
-        let dead = TopoSpec::Faulted {
-            base: Box::new(TopoSpec::HyperX {
-                radix: 2,
-                min_servers: 1_000_000,
-                bisection: 0.4,
-            }),
-            link_failures: 1,
-            switch_failures: 0,
-            seed: 1,
-        };
-        assert!(dead.build().is_none());
-        assert!(dead.metadata().is_none());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The metadata contract, property-tested: for every family, every ladder
-//! rung, every representative and every natural-network stand-in, across
-//! scales and seeds, the construction-free metadata must describe the
+//! rung spec, every representative spec and every natural-network stand-in,
+//! across scales and seeds, the construction-free metadata must describe the
 //! constructed topology *exactly* — names, params, switch/server counts,
 //! link counts and degree caps. The sweep engine's zero-build cache-hot path
 //! depends on this equivalence.
@@ -12,7 +12,7 @@
 
 use tb_topology::families::{Scale, ALL_FAMILIES};
 use tb_topology::natural::{natural_meta, natural_network};
-use tb_topology::{constructions, TopoMeta, Topology};
+use tb_topology::{constructions, TopoMeta, TopoSpec, Topology};
 
 const SEEDS: [u64; 3] = [1, 7, 1_000_003];
 const NATURAL_INDICES: usize = 16;
@@ -43,74 +43,54 @@ fn assert_meta_matches(meta: &TopoMeta, built: &Topology, what: &str) {
 fn metadata_is_construction_free_and_exact() {
     // Phase 1: collect every metadata record without building anything.
     let builds_before = constructions();
-    let mut metas: Vec<(String, Option<TopoMeta>)> = Vec::new();
+    let mut specs: Vec<(String, TopoSpec)> = Vec::new();
     for family in ALL_FAMILIES {
         for scale in [Scale::Small, Scale::Full] {
             for seed in SEEDS {
                 for index in 0..family.ladder_len(scale) {
-                    metas.push((
-                        format!("{}/{scale:?}/{seed}/{index}", family.name()),
-                        family.ladder_meta(scale, seed, index),
-                    ));
+                    let spec = family
+                        .ladder_spec(scale, seed, index)
+                        .expect("in-range rungs have a spec");
+                    specs.push((format!("{}/{scale:?}/{seed}/{index}", family.name()), spec));
                 }
-                // Out-of-range rungs must have no metadata.
+                // Out-of-range rungs have no spec.
                 assert!(family
-                    .ladder_meta(scale, seed, family.ladder_len(scale) + 3)
+                    .ladder_spec(scale, seed, family.ladder_len(scale) + 3)
                     .is_none());
             }
         }
         for seed in SEEDS {
-            metas.push((
+            specs.push((
                 format!("{}/representative/{seed}", family.name()),
-                Some(family.representative_meta(seed)),
+                family.representative_spec(seed),
             ));
         }
     }
-    for index in 0..NATURAL_INDICES {
-        metas.push((format!("natural/{index}"), Some(natural_meta(index))));
-    }
+    let metas: Vec<Option<TopoMeta>> = specs.iter().map(|(_, spec)| spec.metadata()).collect();
+    let naturals: Vec<TopoMeta> = (0..NATURAL_INDICES).map(natural_meta).collect();
     assert_eq!(
         constructions() - builds_before,
         0,
         "metadata lookups must not construct topologies"
     );
 
-    // Phase 2: build each instance and compare. Rung feasibility must agree
-    // between metadata and construction.
+    // Phase 2: build each instance and compare. Feasibility (an infeasible
+    // HyperX design search) must agree between metadata and construction.
     let mut checked = 0usize;
-    for family in ALL_FAMILIES {
-        for scale in [Scale::Small, Scale::Full] {
-            for seed in SEEDS {
-                for index in 0..family.ladder_len(scale) {
-                    let what = format!("{}/{scale:?}/{seed}/{index}", family.name());
-                    let meta = metas
-                        .iter()
-                        .find(|(k, _)| *k == what)
-                        .map(|(_, m)| m.clone())
-                        .expect("collected above");
-                    match family.ladder_instance(scale, seed, index) {
-                        Some(built) => {
-                            let meta =
-                                meta.unwrap_or_else(|| panic!("{what}: builds but no metadata"));
-                            assert_meta_matches(&meta, &built, &what);
-                            checked += 1;
-                        }
-                        None => assert!(meta.is_none(), "{what}: metadata without a build"),
-                    }
-                }
+    for ((what, spec), meta) in specs.iter().zip(metas) {
+        match spec.build() {
+            Some(built) => {
+                let meta = meta.unwrap_or_else(|| panic!("{what}: builds but no metadata"));
+                assert_meta_matches(&meta, &built, what);
+                checked += 1;
             }
-        }
-        for seed in SEEDS {
-            let what = format!("{}/representative/{seed}", family.name());
-            let built = family.representative(seed);
-            assert_meta_matches(&family.representative_meta(seed), &built, &what);
-            checked += 1;
+            None => assert!(meta.is_none(), "{what}: metadata without a build"),
         }
     }
-    for index in 0..NATURAL_INDICES {
+    for (index, meta) in naturals.iter().enumerate() {
         for seed in SEEDS {
             let built = natural_network(index, seed);
-            assert_meta_matches(&natural_meta(index), &built, &format!("natural/{index}"));
+            assert_meta_matches(meta, &built, &format!("natural/{index}"));
             checked += 1;
         }
     }
