@@ -43,8 +43,8 @@ pub mod stats;
 pub mod sweep;
 
 pub use eval::{
-    evaluate, lower_bound, lower_bound_from, relative_throughput, relative_throughput_fixed_tm,
-    EvalConfig, Evaluated, RelativeThroughput,
+    evaluate, lower_bound, lower_bound_from, relative_throughput, EvalConfig, Evaluated,
+    RelativeThroughput,
 };
 pub use spec::TmSpec;
 pub use stats::Stats;

@@ -16,7 +16,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Schema tag of the sweep artifact document.
-pub const ARTIFACT_SCHEMA: &str = "topobench-sweep/v1";
+pub(crate) const ARTIFACT_SCHEMA: &str = "topobench-sweep/v1";
 
 /// A rendered table plus the file stem its CSV is written under.
 #[derive(Debug, Clone)]

@@ -22,7 +22,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Schema tag stored in every cache entry.
-pub const CELL_SCHEMA: &str = "topobench-cell/v2";
+pub(crate) const CELL_SCHEMA: &str = "topobench-cell/v2";
 
 /// FNV-1a 64-bit hash (stable across platforms and runs).
 pub fn fnv1a(text: &str) -> u64 {

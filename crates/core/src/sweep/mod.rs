@@ -32,9 +32,9 @@ pub mod verify;
 
 pub use artifact::{
     artifact_filename, artifact_files, artifact_json, parse_artifact, validate_artifact,
-    write_artifact, Artifact, ArtifactCell, NamedTable, RenderOutput, ARTIFACT_SCHEMA,
+    write_artifact, Artifact, ArtifactCell, NamedTable, RenderOutput,
 };
-pub use cache::{fnv1a, ResultCache, CELL_SCHEMA};
+pub use cache::{fnv1a, ResultCache};
 pub use cell::{CellSpec, CellValues, FbMatrix, SweepCell};
 pub use diff::{
     diff_artifacts, diff_dirs, diff_files, ArtifactDiff, CellChange, ChangeKind, DirDiff,

@@ -23,4 +23,4 @@ pub mod estimators;
 pub mod sparsity;
 
 pub use estimators::{estimate_sparsest_cut, CutEstimate, CutReport, Estimator, ALL_ESTIMATORS};
-pub use sparsity::{bisection_bandwidth, cut_sparsity, CutEvaluator};
+pub use sparsity::{bisection_bandwidth, CutEvaluator};

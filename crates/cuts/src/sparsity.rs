@@ -68,11 +68,6 @@ impl<'a> CutEvaluator<'a> {
     }
 }
 
-/// Sparsity of a single cut (convenience wrapper around [`CutEvaluator`]).
-pub fn cut_sparsity(graph: &Graph, tm: &TrafficMatrix, in_set: &[bool]) -> f64 {
-    CutEvaluator::new(graph, tm).sparsity(in_set)
-}
-
 /// Bisection bandwidth with respect to a TM: the minimum sparsity over cuts
 /// that split the switches into two (near-)equal halves.
 ///
@@ -157,7 +152,7 @@ mod tests {
         // capacity 1, demand 1 -> sparsity 1.
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let tm = TrafficMatrix::new(4, vec![demand(0, 3, 1.0)]);
-        let s = cut_sparsity(&g, &tm, &[true, true, false, false]);
+        let s = CutEvaluator::new(&g, &tm).sparsity(&[true, true, false, false]);
         assert!((s - 1.0).abs() < 1e-12);
     }
 
@@ -165,7 +160,7 @@ mod tests {
     fn cut_with_no_crossing_demand_is_infinite() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let tm = TrafficMatrix::new(4, vec![demand(0, 1, 1.0)]);
-        let s = cut_sparsity(&g, &tm, &[true, true, false, false]);
+        let s = CutEvaluator::new(&g, &tm).sparsity(&[true, true, false, false]);
         assert!(s.is_infinite());
     }
 

@@ -758,9 +758,9 @@ mod tests {
         // One longest-matching instance per 64-switch family that column
         // generation certifies in seconds: the hypercube of dimension 6 and a
         // 6-regular Jellyfish. The LP optimum is ground truth independent of
-        // both FPTAS kernels, so this catches a bug they share: its
-        // certificate verifies at a near-exact gap, and the precise FPTAS
-        // bounds that warm-started it must bracket it.
+        // the FPTAS, so this catches a bug the FPTAS and its own certificate
+        // agree on: its certificate verifies at a near-exact gap, and the
+        // precise FPTAS bounds that warm-started it must bracket it.
         for (name, topo) in [
             ("hypercube64/lm", hypercube(6, 1)),
             ("jellyfish64/lm", jellyfish(64, 6, 1, 42)),

@@ -22,7 +22,7 @@
 //!
 //! and stops as soon as the two are within `target_gap` of each other, or when
 //! the classical termination `D(l) >= 1` fires first (1 of the scenario
-//! suite's 919 FPTAS solves at seed 1).
+//! suite's 918 FPTAS solves at seed 1).
 //! On the instances the paper evaluates the bounds typically close to within
 //! a few percent long before the worst-case phase count is reached.
 //!
@@ -197,9 +197,9 @@
 //! count alone, with no threshold: a per-destination walk for sources below
 //! a graph-size-derived one ran the scenario suite at seed 1 in 57,579
 //! phases, the tree for all of them in 57,547. `solver_regression` holds the
-//! tree to the frozen per-destination walk of `tb_bench::legacy` (within the
-//! FPTAS gap, certificates verified) on its small grid and on five 64-switch
-//! multi-destination shapes.
+//! tree to the exact LP optimum on its small grid, and to its own certificate,
+//! verified at `target_gap`, there and on five 64-switch multi-destination
+//! shapes.
 
 mod blocks;
 mod phase;

@@ -229,6 +229,71 @@ fn throughput_scales_linearly_with_capacity() {
     }
 }
 
+#[test]
+fn throughput_scales_inversely_with_demand() {
+    // `T(c·tm) = T(tm)/c`: the LP's optimum scales exactly, and the FPTAS
+    // works on demand-normalised lengths and flows, so at a power-of-two `c`
+    // (exact in floating point) its bounds must scale bit for bit. A solve
+    // that drifts here has grown a threshold that depends on the demand
+    // scale.
+    for case in 0..CASES {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x1E0 + case);
+        let graph = arb_connected_graph(&mut rng);
+        let tm = arb_tm(&mut rng, graph.num_nodes());
+        if tm.num_flows() == 0 {
+            continue;
+        }
+        let exact = ExactLpSolver::new().solve(&graph, &tm).unwrap().lower;
+        for c in [0.25, 1024.0] {
+            let scaled = tm.scaled(c);
+            let t = ExactLpSolver::new().solve(&graph, &scaled).unwrap().lower;
+            assert!(
+                (t * c - exact).abs() <= 1e-12 * exact,
+                "case {case}, c {c}: exact {t} scaled, {exact} unscaled"
+            );
+            for cfg in [
+                FleischerConfig::fast(),
+                FleischerConfig::default(),
+                FleischerConfig::precise(),
+            ] {
+                let solver = FleischerSolver::new(cfg);
+                let base = solver.solve(&graph, &tm);
+                let b = solver.solve(&graph, &scaled);
+                assert_eq!(
+                    ((b.lower * c).to_bits(), (b.upper * c).to_bits()),
+                    (base.lower.to_bits(), base.upper.to_bits()),
+                    "case {case}, c {c}, eps {}: {b:?} scaled, {base:?} unscaled",
+                    cfg.epsilon
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn adding_a_link_never_lowers_exact_throughput() {
+    // Every flow of the smaller network is feasible in the larger one.
+    for case in 0..CASES {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x200 + case);
+        let graph = arb_connected_graph(&mut rng);
+        let n = graph.num_nodes();
+        let tm = arb_tm(&mut rng, n);
+        if tm.num_flows() == 0 {
+            continue;
+        }
+        let u = rng.gen_range(0..n);
+        let v = (u + rng.gen_range(1..n)) % n;
+        let mut grown = graph.clone();
+        grown.add_edge(u, v, 1.0);
+        let before = ExactLpSolver::new().solve(&graph, &tm).unwrap().lower;
+        let after = ExactLpSolver::new().solve(&grown, &tm).unwrap().lower;
+        assert!(
+            after >= before * (1.0 - 1e-9),
+            "case {case}: link {u}-{v} lowered throughput {before} to {after}"
+        );
+    }
+}
+
 /// `graph` and `tm` with every node id `v` renamed to `perm[v]`: the same
 /// links in the same order, the same demands in the same order.
 fn relabeled(graph: &Graph, tm: &TrafficMatrix, perm: &[usize]) -> (Graph, TrafficMatrix) {
