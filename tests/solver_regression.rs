@@ -114,6 +114,51 @@ fn solve_certified(
     (b, stats)
 }
 
+/// Solves `tm` on `topo` at every stock configuration and holds each solve to
+/// the exact LP optimum: the bracket must contain it, the feasible value must
+/// be within `target_gap` of it (plus a small slack for the gap being measured
+/// against `upper`, not the optimum), and the solve must stop by its gap with
+/// a certificate that verifies at it (`solve_certified`). Returns how many of
+/// the solves reported an upper bound from the averaged lengths.
+fn assert_brackets_exact_lp(name: &str, topo: &Topology, tm: &TrafficMatrix) -> usize {
+    let exact = ExactLpSolver::new()
+        .solve(&topo.graph, tm)
+        .unwrap_or_else(|e| panic!("{name}: exact LP failed: {e:?}"))
+        .lower;
+    assert!(exact > 0.0, "{name}: exact throughput not positive");
+    let mut uppers_from_average = 0;
+    for cfg in [
+        FleischerConfig::fast(),
+        FleischerConfig::default(),
+        FleischerConfig::precise(),
+    ] {
+        let (b, stats) = solve_certified(name, cfg, &topo.graph, tm);
+        uppers_from_average += usize::from(stats.upper_from_average);
+        // The bracket must contain the exact optimum...
+        assert!(
+            b.lower <= exact * (1.0 + 1e-9),
+            "{name}: feasible bound {} exceeds exact optimum {exact} (eps {})",
+            b.lower,
+            cfg.epsilon
+        );
+        assert!(
+            b.upper >= exact * (1.0 - 1e-6),
+            "{name}: dual bound {} below exact optimum {exact}",
+            b.upper
+        );
+        // ...and the feasible value must be within the configured gap of it.
+        let rel_err = (exact - b.lower) / exact;
+        assert!(
+            rel_err <= cfg.target_gap + 0.005,
+            "{name}: FPTAS lower bound {} misses exact {exact} by {rel_err:.4} \
+             (target_gap {})",
+            b.lower,
+            cfg.target_gap
+        );
+    }
+    uppers_from_average
+}
+
 #[test]
 fn fptas_stays_within_target_gap_of_exact_lp() {
     // Every instance of the mix has at most 16 switches, so the exact LP is
@@ -122,51 +167,28 @@ fn fptas_stays_within_target_gap_of_exact_lp() {
     // that overshoots the optimum — or an averaged-length bound that
     // undershoots it — is the failure those features could introduce. The
     // second is only tested if some reported `upper` did come from the
-    // average, which is counted. Each solve must also stop by its gap with a
-    // certificate that verifies at it (`solve_certified`).
+    // average, which is counted.
     let mut uppers_from_average = 0;
     for (name, topo, tm) in instances() {
-        let exact = ExactLpSolver::new()
-            .solve(&topo.graph, &tm)
-            .unwrap_or_else(|e| panic!("{name}: exact LP failed: {e:?}"))
-            .lower;
-        assert!(exact > 0.0, "{name}: exact throughput not positive");
-        for cfg in [
-            FleischerConfig::fast(),
-            FleischerConfig::default(),
-            FleischerConfig::precise(),
-        ] {
-            let (b, stats) = solve_certified(&name, cfg, &topo.graph, &tm);
-            uppers_from_average += usize::from(stats.upper_from_average);
-            // The bracket must contain the exact optimum...
-            assert!(
-                b.lower <= exact * (1.0 + 1e-9),
-                "{name}: feasible bound {} exceeds exact optimum {exact} (eps {})",
-                b.lower,
-                cfg.epsilon
-            );
-            assert!(
-                b.upper >= exact * (1.0 - 1e-6),
-                "{name}: dual bound {} below exact optimum {exact}",
-                b.upper
-            );
-            // ...and the feasible value must be within the configured gap of
-            // it (small slack for the gap being measured against `upper`, not
-            // `exact`).
-            let rel_err = (exact - b.lower) / exact;
-            assert!(
-                rel_err <= cfg.target_gap + 0.005,
-                "{name}: FPTAS lower bound {} misses exact {exact} by {rel_err:.4} \
-                 (target_gap {})",
-                b.lower,
-                cfg.target_gap
-            );
-        }
+        uppers_from_average += assert_brackets_exact_lp(&name, &topo, &tm);
     }
     assert!(
         uppers_from_average > 0,
         "no solve of the mix reported an upper bound from the averaged lengths"
     );
+}
+
+#[test]
+fn sparse_and_dense_tms_agree_with_exact_on_jellyfish() {
+    // One irregular random graph under both ends of the sparsity range: the
+    // grid's sparse permutation (one destination per source, the early-exit
+    // fast path) and all-to-all on the same graph (every source routes on
+    // the aggregated tree), each held to the grid's exact-LP checks.
+    let topo = jellyfish(14, 4, 1, 3);
+    let sparse = random_permutation(&topo.servers, 9);
+    let dense = all_to_all(&topo.servers);
+    assert_brackets_exact_lp("jellyfish_14x4/random_permutation_9", &topo, &sparse);
+    assert_brackets_exact_lp("jellyfish_14x4/a2a", &topo, &dense);
 }
 
 /// The solve the sweep engine runs for a ladder rung's FPTAS cell at seed 1:
