@@ -216,47 +216,72 @@ pub struct RelativeThroughput {
 }
 
 impl RelativeThroughput {
-    fn from_solves(absolute: f64, random_graph_samples: Vec<f64>) -> Self {
-        let ratios: Vec<f64> = random_graph_samples
+    /// Combines a relative metric's [`relative_solves`] in index order: the
+    /// topology's own throughput first, then each random graph's.
+    pub(crate) fn from_solves(mut solves: Vec<f64>) -> Self {
+        let absolute = solves.remove(0);
+        let ratios: Vec<f64> = solves
             .iter()
             .map(|&r| if r > 0.0 { absolute / r } else { f64::INFINITY })
             .collect();
         RelativeThroughput {
             absolute,
             relative: Stats::from_samples(&ratios),
-            random_graph_samples,
+            random_graph_samples: solves,
         }
     }
 }
 
-/// The 1 + k solves behind both relative metrics, as one fan-out so the pool
-/// can share all of them between threads: `value_on(graph, seed)` is the
-/// throughput on the topology itself (index 0, seed `cfg.seed`) and on each of
-/// `cfg.random_graph_iterations` same-equipment random graphs drawn at
-/// `cfg.seed + seed_offset + i`.
+/// The traffic behind a relative metric's solves.
+#[derive(Debug, Clone)]
+pub(crate) enum RelativeTm {
+    /// Re-generated from the spec for each graph, at that graph's seed
+    /// ([`relative_throughput`]).
+    PerGraph(TmSpec),
+    /// One matrix for every graph ([`relative_throughput_fixed_tm`]).
+    Fixed(TrafficMatrix),
+}
+
+/// How many solves a relative metric takes under `cfg`: the topology's own
+/// and one per same-equipment random graph.
+pub(crate) fn relative_solves(cfg: &EvalConfig) -> usize {
+    cfg.random_graph_iterations.max(1) + 1
+}
+
+/// Solve `i` of a relative metric's [`relative_solves`]: the throughput on
+/// the topology itself (`i = 0`, seed `cfg.seed`) or on the same-equipment
+/// random graph drawn at `cfg.seed + offset + i - 1`, where the offset is
+/// 1000 for per-graph traffic and 2000 for a fixed matrix. The solves are
+/// independent, so the sweep engine queues each as a unit of its own.
+pub(crate) fn relative_solve(topo: &Topology, tm: &RelativeTm, cfg: &EvalConfig, i: usize) -> f64 {
+    let value_on = |graph: &Topology, seed: u64| {
+        let e = match tm {
+            RelativeTm::PerGraph(spec) => evaluate(graph, &spec.generate(graph, seed), cfg),
+            RelativeTm::Fixed(tm) => evaluate(graph, tm, cfg),
+        };
+        e.bounds.value()
+    };
+    if i == 0 {
+        return value_on(topo, cfg.seed);
+    }
+    let offset = match tm {
+        RelativeTm::PerGraph(_) => 1000,
+        RelativeTm::Fixed(_) => 2000,
+    };
+    let seed = cfg.seed.wrapping_add(offset).wrapping_add(i as u64 - 1);
+    value_on(&same_equipment(topo, seed), seed)
+}
+
+/// All of a relative metric's solves, one after another.
 fn relative_to_random_graphs(
     topo: &Topology,
+    tm: &RelativeTm,
     cfg: &EvalConfig,
-    seed_offset: u64,
-    value_on: impl Fn(&Topology, u64) -> f64 + Sync,
 ) -> RelativeThroughput {
-    let iters = cfg.random_graph_iterations.max(1);
-    let mut solves = rayon::map_init(
-        0..iters + 1,
-        || (),
-        |(), i| {
-            if i == 0 {
-                return value_on(topo, cfg.seed);
-            }
-            let seed = cfg
-                .seed
-                .wrapping_add(seed_offset)
-                .wrapping_add(i as u64 - 1);
-            value_on(&same_equipment(topo, seed), seed)
-        },
-    );
-    let absolute = solves.remove(0);
-    RelativeThroughput::from_solves(absolute, solves)
+    let solves = (0..relative_solves(cfg))
+        .map(|i| relative_solve(topo, tm, cfg, i))
+        .collect();
+    RelativeThroughput::from_solves(solves)
 }
 
 /// Computes the paper's headline metric (§IV): the topology's throughput
@@ -266,11 +291,7 @@ fn relative_to_random_graphs(
 /// The TM is re-generated for each graph from `spec` (near-worst-case traffic
 /// is worst-case *for that graph*); pass [`TmSpec::AllToAll`] etc. as needed.
 pub fn relative_throughput(topo: &Topology, spec: &TmSpec, cfg: &EvalConfig) -> RelativeThroughput {
-    relative_to_random_graphs(topo, cfg, 1000, |graph, seed| {
-        evaluate(graph, &spec.generate(graph, seed), cfg)
-            .bounds
-            .value()
-    })
+    relative_to_random_graphs(topo, &RelativeTm::PerGraph(spec.clone()), cfg)
 }
 
 /// Computes relative throughput for a *fixed* TM (real-world workloads of
@@ -281,9 +302,7 @@ pub fn relative_throughput_fixed_tm(
     tm: &TrafficMatrix,
     cfg: &EvalConfig,
 ) -> RelativeThroughput {
-    relative_to_random_graphs(topo, cfg, 2000, |graph, _| {
-        evaluate(graph, tm, cfg).bounds.value()
-    })
+    relative_to_random_graphs(topo, &RelativeTm::Fixed(tm.clone()), cfg)
 }
 
 #[cfg(test)]

@@ -37,6 +37,8 @@
 //! declarative [`sweep`] engine (parallel cell execution, content-keyed
 //! result caching, unified JSON artifacts).
 
+#![forbid(unsafe_code)]
+
 pub mod eval;
 pub mod spec;
 pub mod stats;

@@ -349,6 +349,7 @@ mod tests {
             solver_calls: 1,
             topo_builds: 1,
             failed_cells: 0,
+            schedule: None,
         }
     }
 

@@ -68,8 +68,10 @@ impl ResultCache {
     ///   the broken bytes stay on disk for diagnosis.
     pub fn load(&self, key: &str) -> Option<CellValues> {
         let path = self.path_for(key);
-        let text = fs::read_to_string(&path).ok()?;
-        let doc = Json::parse(&text).map_err(|e| format!("not valid JSON: {e}"));
+        let bytes = fs::read(&path).ok()?;
+        let text = String::from_utf8(bytes).map_err(|_| "not UTF-8".to_string());
+        let doc =
+            text.and_then(|text| Json::parse(&text).map_err(|e| format!("not valid JSON: {e}")));
         let decoded = doc.and_then(|doc| {
             if doc.get("schema").and_then(Json::as_str) != Some(CELL_SCHEMA) {
                 return Err("missing or unknown schema tag".into());

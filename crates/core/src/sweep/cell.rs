@@ -1,14 +1,20 @@
-//! Sweep cells: the unit of scheduling, caching and result storage.
+//! Sweep cells: the unit of caching and result storage.
 //!
 //! A [`CellSpec`] declares one computation — a topology recipe, a traffic
 //! recipe and a metric kind — with every random seed pinned inside the spec.
 //! Together with the run's [`EvalConfig`] it fully
 //! determines the result, which is what makes the on-disk cache sound: the
 //! cache key is derived from `(spec, eval config)` and nothing else.
+//!
+//! A cell runs as one or more *units*, the runner's unit of scheduling: a
+//! relative cell is its 1 + k independent solves, every other kind is one
+//! unit. The units share the cell's [`Base`] (the built topology) and
+//! combine in index order into the cell's values; [`CellSpec::compute`] runs
+//! them one after another.
 
 use crate::eval::{
-    evaluate, evaluate_throughput_status_with, relative_throughput, relative_throughput_fixed_tm,
-    EvalConfig,
+    evaluate, evaluate_throughput_status_with, relative_solve, relative_solves, EvalConfig,
+    RelativeThroughput, RelativeTm,
 };
 use crate::spec::TmSpec;
 use crate::stats::Stats;
@@ -46,7 +52,8 @@ pub enum CellSpec {
     },
     /// Relative throughput vs same-equipment random graphs (the TM is
     /// regenerated per graph from the spec; seeds derive from the eval
-    /// config, exactly as [`relative_throughput`] always has).
+    /// config, exactly as [`relative_throughput`](crate::relative_throughput)
+    /// always has).
     Relative {
         /// Topology recipe.
         topo: TopoSpec,
@@ -475,9 +482,128 @@ fn run_search(
     out.push_text("final_spec", format!("{incumbent:?}"));
 }
 
+/// What the units of one cell share, made once per cell by
+/// [`CellSpec::base`].
+pub enum Base {
+    /// A one-unit cell makes everything inside its unit.
+    Whole,
+    /// A relative cell's built topology and the traffic of its solves.
+    Relative(RelativeBase),
+}
+
+/// A relative cell's topology, the traffic of its solves, and a Facebook
+/// cell's rack count.
+pub struct RelativeBase {
+    topo: Topology,
+    tm: RelativeTm,
+    racks: Option<usize>,
+}
+
+/// What one unit of a cell yields ([`CellSpec::unit`]).
+pub enum Unit {
+    /// A one-unit cell's values.
+    Whole(CellValues),
+    /// One of a relative cell's solves.
+    Solve(f64),
+}
+
 impl CellSpec {
-    /// Runs the computation.
+    /// How many units the cell runs as under `cfg`: a relative cell's 1 + k
+    /// solves, or one.
+    pub fn units(&self, cfg: &EvalConfig) -> usize {
+        match self {
+            CellSpec::Relative { .. } | CellSpec::FacebookRelative { .. } => relative_solves(cfg),
+            _ => 1,
+        }
+    }
+
+    /// Makes what the cell's units share: a relative cell builds its
+    /// topology (and places a Facebook cell's matrix on it).
+    pub fn base(&self) -> Base {
+        match self {
+            CellSpec::Relative { topo, tm } => Base::Relative(RelativeBase {
+                topo: build_topo(topo),
+                tm: RelativeTm::PerGraph(tm.clone()),
+                racks: None,
+            }),
+            CellSpec::FacebookRelative {
+                topo,
+                matrix,
+                shuffled,
+                tm_seed,
+                shuffle_seed,
+            } => {
+                let topo = build_topo(topo);
+                let tm = match matrix {
+                    FbMatrix::Hadoop => facebook::tm_h(facebook::FACEBOOK_RACKS, *tm_seed),
+                    FbMatrix::Frontend => facebook::tm_f(facebook::FACEBOOK_RACKS, *tm_seed),
+                };
+                let racks = topo.server_switches().len().min(tm.num_switches());
+                let placed = if *shuffled {
+                    let shuffled_tm =
+                        ops::shuffle(&ops::downsample(&tm, racks.max(2)), *shuffle_seed);
+                    place_rack_tm(&shuffled_tm, &topo)
+                } else {
+                    place_rack_tm(&tm, &topo)
+                };
+                Base::Relative(RelativeBase {
+                    topo,
+                    tm: RelativeTm::Fixed(placed),
+                    racks: Some(racks),
+                })
+            }
+            _ => Base::Whole,
+        }
+    }
+
+    /// Runs unit `i` of the cell on its `base`.
+    pub fn unit(&self, base: &Base, cfg: &EvalConfig, i: usize) -> Unit {
+        match base {
+            Base::Whole => Unit::Whole(self.compute_whole(cfg)),
+            Base::Relative(r) => Unit::Solve(relative_solve(&r.topo, &r.tm, cfg, i)),
+        }
+    }
+
+    /// Combines the cell's units, in index order, into its values.
+    pub fn combine(&self, base: &Base, units: Vec<Unit>) -> CellValues {
+        let mut solves = Vec::with_capacity(units.len());
+        for unit in units {
+            match unit {
+                Unit::Whole(values) => return values,
+                Unit::Solve(value) => solves.push(value),
+            }
+        }
+        let r = RelativeThroughput::from_solves(solves);
+        let mut out = CellValues::default();
+        if let Base::Relative(RelativeBase {
+            racks: Some(racks), ..
+        }) = base
+        {
+            out.push("racks", *racks as f64);
+        }
+        out.push("absolute", r.absolute);
+        out.push("rel_mean", r.relative.mean);
+        out.push("rel_ci95", r.relative.ci95);
+        if let CellSpec::Relative { .. } = self {
+            out.push("rel_std", r.relative.std_dev);
+            for (i, s) in r.random_graph_samples.iter().enumerate() {
+                out.push(format!("sample_{i}"), *s);
+            }
+        }
+        out
+    }
+
+    /// Runs the computation: every unit in order on one base.
     pub fn compute(&self, cfg: &EvalConfig) -> CellValues {
+        let base = self.base();
+        let units = (0..self.units(cfg))
+            .map(|i| self.unit(&base, cfg, i))
+            .collect();
+        self.combine(&base, units)
+    }
+
+    /// A one-unit cell's computation.
+    fn compute_whole(&self, cfg: &EvalConfig) -> CellValues {
         let mut out = CellValues::default();
         match self {
             CellSpec::Throughput { topo, tm, tm_seed } => {
@@ -487,17 +613,6 @@ impl CellSpec {
                 out.push("lower", e.bounds.lower);
                 out.push("upper", e.bounds.upper);
                 out.push_text("tm_fp", format!("{:016x}", matrix.fingerprint()));
-            }
-            CellSpec::Relative { topo, tm } => {
-                let topo = build_topo(topo);
-                let r = relative_throughput(&topo, tm, cfg);
-                out.push("absolute", r.absolute);
-                out.push("rel_mean", r.relative.mean);
-                out.push("rel_std", r.relative.std_dev);
-                out.push("rel_ci95", r.relative.ci95);
-                for (i, s) in r.random_graph_samples.iter().enumerate() {
-                    out.push(format!("sample_{i}"), *s);
-                }
             }
             CellSpec::CutEstimate { topo, tm, tm_seed } => {
                 let topo = build_topo(topo);
@@ -521,32 +636,6 @@ impl CellSpec {
                 out.push("apl_topo", apl_topo);
                 out.push("apl_rnd", apl_rnd);
                 out.push("ratio", apl_topo / apl_rnd);
-            }
-            CellSpec::FacebookRelative {
-                topo,
-                matrix,
-                shuffled,
-                tm_seed,
-                shuffle_seed,
-            } => {
-                let topo = build_topo(topo);
-                let tm = match matrix {
-                    FbMatrix::Hadoop => facebook::tm_h(facebook::FACEBOOK_RACKS, *tm_seed),
-                    FbMatrix::Frontend => facebook::tm_f(facebook::FACEBOOK_RACKS, *tm_seed),
-                };
-                let racks = topo.server_switches().len().min(tm.num_switches());
-                let placed = if *shuffled {
-                    let shuffled_tm =
-                        ops::shuffle(&ops::downsample(&tm, racks.max(2)), *shuffle_seed);
-                    place_rack_tm(&shuffled_tm, &topo)
-                } else {
-                    place_rack_tm(&tm, &topo)
-                };
-                let r = relative_throughput_fixed_tm(&topo, &placed, cfg);
-                out.push("racks", racks as f64);
-                out.push("absolute", r.absolute);
-                out.push("rel_mean", r.relative.mean);
-                out.push("rel_ci95", r.relative.ci95);
             }
             CellSpec::PathRestricted {
                 topo,
@@ -626,6 +715,9 @@ impl CellSpec {
                 max_steps,
             } => {
                 run_search(start, tm, *tm_seed, *max_steps, cfg, &mut out);
+            }
+            CellSpec::Relative { .. } | CellSpec::FacebookRelative { .. } => {
+                unreachable!("a relative cell runs as its solves")
             }
         }
         out

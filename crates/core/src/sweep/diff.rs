@@ -457,6 +457,7 @@ mod tests {
             solver_calls: 0,
             topo_builds: 0,
             failed_cells,
+            schedule: None,
         };
         artifact_json("test", "Test", &opts, &report, &RenderOutput::default()).to_string()
     }
@@ -595,6 +596,7 @@ mod tests {
             solver_calls: 0,
             topo_builds: 0,
             failed_cells: 0,
+            schedule: None,
         };
         let b = artifact_json("test", "Test", &opts, &report, &RenderOutput::default()).to_string();
         let diff = diff_artifacts(&a, &b).unwrap();

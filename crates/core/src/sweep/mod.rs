@@ -8,9 +8,9 @@
 //! * expands a [`Scenario`] into [`SweepCell`]s (all seeds pinned at
 //!   expansion time, derived from the base seed — never from execution
 //!   order),
-//! * executes unique cells in parallel, one pool job per cell with the
-//!   solves a cell fans out shared between threads ([`run_cells`]),
-//!   bit-identical to a serial run,
+//! * executes unique cells in parallel, every unit of every missing cell
+//!   (a relative cell's 1 + k solves, one unit for any other kind) one item
+//!   of one flat queue ([`run_cells`]), bit-identical to a serial run,
 //! * serves repeat computations from a content-keyed on-disk cache
 //!   ([`ResultCache`], default `results/cache/`), so re-runs and interrupted
 //!   `--full` ladders resume instead of recomputing, and
@@ -39,10 +39,10 @@ pub use cell::{CellSpec, CellValues, FbMatrix, SweepCell};
 pub use diff::{
     diff_artifacts, diff_dirs, diff_files, ArtifactDiff, CellChange, ChangeKind, DirDiff,
 };
-/// The worker pool's cumulative scheduling counters (jobs run, jobs run by a
-/// thread other than the one that queued them, per-thread time in jobs), for
-/// drivers that report how a run was scheduled.
-pub use rayon::pool::{stats as pool_stats, Stats as PoolStats};
+/// How a run's unit queue ran ([`SweepReport::schedule`]): threads, units
+/// run, units run off the calling thread, per-thread busy time and the
+/// longest unit, for drivers that report how a run was scheduled.
+pub use rayon::Schedule;
 pub use runner::{cell_key, run_cells, CellOutcome, CellSet, SweepOptions, SweepReport};
 pub use table::{f3, Table};
 pub use tb_topology::TopoSpec;

@@ -1,17 +1,21 @@
 //! The sweep runner: expands, deduplicates, caches and executes cells.
 //!
 //! Execution is embarrassingly parallel over *unique* cell computations
-//! (cells with identical cache keys are computed once and share the result):
-//! each is one job on the pool's shared queue, and the solves a cell fans out
-//! are shared between threads the same way. Every solve builds its own state
-//! and every random seed is pinned inside the cell spec, so results are
-//! bit-identical regardless of thread count or execution order.
+//! (cells with identical cache keys are computed once and share the result).
+//! Every unit of every missing cell — a relative cell's 1 + k solves, one
+//! unit for any other kind — is one item of one flat queue that
+//! [`rayon::map`] hands out one at a time; nothing nests. Every solve builds
+//! its own state and every random seed is pinned inside the cell spec, so
+//! results are bit-identical regardless of thread count or execution order.
 
 use crate::eval::EvalConfig;
 use crate::sweep::cache::ResultCache;
-use crate::sweep::cell::{CellValues, SweepCell};
+use crate::sweep::cell::{Base, CellValues, SweepCell, Unit};
+use rayon::Schedule;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 use tb_topology::families::Scale;
 
 /// Options shared by every cell of a sweep run.
@@ -21,11 +25,10 @@ pub struct SweepOptions {
     pub full: bool,
     /// Base RNG seed; scenario expansion derives every cell seed from it.
     pub seed: u64,
-    /// `Some(1)` runs the cells one after another on the calling thread; any
-    /// other value makes each cell a job of the process-wide pool. (The
-    /// pool's size — computing threads, the caller included — is fixed at
-    /// first use from `RAYON_NUM_THREADS`; the `sweep` binary's `--jobs` flag
-    /// sets that variable before the pool spins up.)
+    /// Threads that run the unit queue, the calling one included: `Some(1)`
+    /// runs every unit in order on the calling thread and spawns nothing;
+    /// `None` takes `RAYON_NUM_THREADS`, else one thread per core
+    /// ([`rayon::default_width`]). The `sweep` binary's `--jobs` lands here.
     pub jobs: Option<usize>,
     /// Consult and populate the on-disk result cache.
     pub use_cache: bool,
@@ -113,6 +116,8 @@ pub struct SweepReport {
     /// [`CellOutcome::error`]). The sweep completes anyway — failed cells are
     /// isolated, marked in the artifact, and flagged by `sweep diff`.
     pub failed_cells: usize,
+    /// How the unit queue ran; `None` when every cell came from the cache.
+    pub schedule: Option<Schedule>,
 }
 
 /// The canonical cache key of a cell under an evaluation configuration: the
@@ -139,34 +144,59 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Executes one cell under fault isolation: a panicking computation marks
-/// the cell failed, with the panic text, instead of aborting the sweep. A
-/// cell is a pure function of its spec and the evaluation configuration, so
-/// it is tried once: a retry would panic again.
-fn compute_isolated(cell: &SweepCell, cfg: &EvalConfig) -> (CellValues, Option<String>) {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    match catch_unwind(AssertUnwindSafe(|| cell.spec.compute(cfg))) {
-        Ok(values) => (values, None),
-        Err(payload) => {
-            let error = panic_text(payload.as_ref());
-            eprintln!("warning: cell '{}' failed: {error}", cell.id);
-            (CellValues::default(), Some(error))
-        }
-    }
+/// Runs `f` under fault isolation: a panic becomes its text.
+fn isolated<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| panic_text(payload.as_ref()))
 }
 
-/// Runs `f` over the units of work of a sweep (its uncached cells), in
-/// order: one after another on the calling thread with `jobs == Some(1)`,
-/// otherwise as one pool job each.
-fn map_units<T: Send, U: Send>(
-    opts: &SweepOptions,
-    units: Vec<T>,
-    f: impl Fn(T) -> U + Sync,
-) -> Vec<U> {
-    if opts.jobs == Some(1) {
-        units.into_iter().map(f).collect()
-    } else {
-        rayon::map_init(units, || (), |(), unit| f(unit))
+/// A missing cell while its units run.
+struct OpenCell<'a> {
+    cell: &'a SweepCell,
+    key: &'a str,
+    /// What the units share: made by the first unit to run, released by the
+    /// unit that completes the cell; `Err` holds the text of the panic that
+    /// making it raised.
+    base: Mutex<Option<Result<Arc<Base>, String>>>,
+    /// Each unit's result by index (`Err`: its panic text) until the cell
+    /// completes.
+    units: Mutex<Vec<Option<Result<Unit, String>>>>,
+}
+
+impl<'a> OpenCell<'a> {
+    fn new(cell: &'a SweepCell, key: &'a str, units: usize) -> Self {
+        OpenCell {
+            cell,
+            key,
+            base: Mutex::new(None),
+            units: Mutex::new((0..units).map(|_| None).collect()),
+        }
+    }
+
+    /// Runs unit `i` under fault isolation. The unit that completes the cell
+    /// returns its values, or the panic text of its lowest-indexed failed
+    /// unit: a cell is a pure function of its spec and the evaluation
+    /// configuration, so a failed unit is tried once, and its cell fails.
+    fn run(&self, cfg: &EvalConfig, i: usize) -> Option<Result<CellValues, String>> {
+        let base = (self.base.lock().expect("base lock poisoned"))
+            .get_or_insert_with(|| isolated(|| self.cell.spec.base()).map(Arc::new))
+            .clone();
+        let result = base.and_then(|base| isolated(|| self.cell.spec.unit(&base, cfg, i)));
+        let units = {
+            let mut units = self.units.lock().expect("unit lock poisoned");
+            units[i] = Some(result);
+            if units.iter().any(Option::is_none) {
+                return None;
+            }
+            std::mem::take(&mut *units)
+        };
+        let base = (self.base.lock().expect("base lock poisoned"))
+            .take()
+            .expect("the first unit made the base");
+        let units: Result<Vec<Unit>, String> = units.into_iter().flatten().collect();
+        Some(base.and_then(|base| {
+            let units = units?;
+            isolated(|| self.cell.spec.combine(&base, units))
+        }))
     }
 }
 
@@ -205,27 +235,40 @@ pub fn run_cells(opts: &SweepOptions, cells: Vec<SweepCell>) -> SweepReport {
         }
     }
 
-    // Compute the misses, one pool job per cell. Each cell runs under fault
-    // isolation (`compute_isolated`): a panicking cell is marked failed,
-    // never cached, never fatal.
+    // Compute the misses: every unit of every missing cell is one item of
+    // one queue. A panicking unit fails its cell, which is never cached and
+    // never fatal.
     let missing: Vec<usize> = results
         .iter()
         .enumerate()
         .filter_map(|(u, r)| r.is_none().then_some(u))
         .collect();
-    let run_cell = |u: usize| {
+    let mut open = Vec::with_capacity(missing.len());
+    let mut queue = Vec::new();
+    for (m, &u) in missing.iter().enumerate() {
         let cell_idx = unique_indices[u];
-        let (values, error) = compute_isolated(&cells[cell_idx], &cfg);
-        if opts.use_cache && error.is_none() {
-            // Stored as each cell finishes so interrupted runs
-            // resume from whatever completed.
-            cache.store(&keys[cell_idx], &values);
+        let units = cells[cell_idx].spec.units(&cfg);
+        open.push(OpenCell::new(&cells[cell_idx], &keys[cell_idx], units));
+        queue.extend((0..units).map(|i| (m, i)));
+    }
+    let width = opts.jobs.unwrap_or_else(rayon::default_width);
+    let (completed, schedule) = rayon::map(width, queue, |(m, i)| {
+        let cell = &open[m];
+        let done = cell.run(&cfg, i)?;
+        match &done {
+            // Stored as each cell completes, so an interrupted run resumes
+            // from whatever completed.
+            Ok(values) if opts.use_cache => cache.store(cell.key, values),
+            Ok(_) => {}
+            Err(error) => eprintln!("warning: cell '{}' failed: {error}", cell.cell.id),
         }
-        (u, values, error)
-    };
-    let computed = map_units(opts, missing, run_cell);
-    for (u, values, error) in computed {
-        results[u] = Some((values, false, error));
+        Some((m, done))
+    });
+    for (m, done) in completed.into_iter().flatten() {
+        results[missing[m]] = Some(match done {
+            Ok(values) => (values, false, None),
+            Err(error) => (CellValues::default(), false, Some(error)),
+        });
     }
 
     let cache_hits = results.iter().flatten().filter(|(_, hit, _)| *hit).count();
@@ -255,6 +298,7 @@ pub fn run_cells(opts: &SweepOptions, cells: Vec<SweepCell>) -> SweepReport {
         solver_calls: tb_flow::solver_invocations() - solver_before,
         topo_builds: tb_topology::constructions() - builds_before,
         failed_cells,
+        schedule: (schedule.items > 0).then_some(schedule),
     }
 }
 
@@ -480,6 +524,76 @@ mod tests {
         assert!(!quarantined, "a stale revision is a miss, not corruption");
         assert_eq!(run_cells(&opts, vec![cell]).cache_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn relative_cell(id: &str, servers: usize) -> SweepCell {
+        SweepCell::new(
+            id,
+            CellSpec::Relative {
+                topo: TopoSpec::Jellyfish {
+                    switches: 8,
+                    degree: 3,
+                    servers,
+                    seed: 1,
+                },
+                tm: TmSpec::AllToAll,
+            },
+        )
+    }
+
+    /// Units may complete in any order: the last one in combines the cell,
+    /// exactly as a serial run does, and releases its base topology.
+    #[test]
+    fn the_unit_that_completes_a_cell_combines_it_and_releases_its_base() {
+        let cell = relative_cell("jf/relative", 1);
+        let cfg = no_cache_opts().eval_config();
+        let key = cell_key(&cell, &cfg);
+        let units = cell.spec.units(&cfg);
+        assert_eq!(units, cfg.random_graph_iterations + 1);
+        let open = OpenCell::new(&cell, &key, units);
+        for i in (0..units).rev() {
+            let done = open.run(&cfg, i);
+            assert_eq!(done.is_some(), i == 0, "unit {i}");
+            assert_eq!(open.base.lock().unwrap().is_some(), i != 0, "unit {i}");
+            if let Some(done) = done {
+                assert!(done.unwrap().bit_identical(&cell.spec.compute(&cfg)));
+            }
+        }
+    }
+
+    /// Every unit of a serverless cell panics (all-to-all traffic needs two
+    /// servers): that cell fails with the unit's panic text at any width,
+    /// is not cached, and the cells around it complete and are cached.
+    #[test]
+    fn a_panicking_unit_fails_only_its_own_cell_and_is_never_cached() {
+        for jobs in [1, 2] {
+            let dir = std::env::temp_dir().join(format!(
+                "tb-runner-unit-panic-{}-{jobs}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut opts = SweepOptions::new(false, 1);
+            opts.cache_dir.clone_from(&dir);
+            opts.jobs = Some(jobs);
+            let cells = vec![
+                relative_cell("jf/healthy", 1),
+                relative_cell("jf/serverless", 0),
+                tiny_cells().remove(0),
+            ];
+            let keys: Vec<String> = (cells.iter())
+                .map(|c| cell_key(c, &opts.eval_config()))
+                .collect();
+            let report = run_cells(&opts, cells);
+            assert_eq!(report.failed_cells, 1);
+            let error = report.outcomes[1].error.as_deref().unwrap();
+            assert_eq!(error, "all-to-all needs at least two servers");
+            assert!(report.outcomes[0].values.num("rel_mean") > 0.0);
+            assert!(report.outcomes[2].values.num("lower") > 0.0);
+            let cache = ResultCache::new(&dir);
+            let stored: Vec<bool> = keys.iter().map(|k| cache.path_for(k).exists()).collect();
+            assert_eq!(stored, [true, false, true], "at width {jobs}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

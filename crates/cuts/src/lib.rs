@@ -19,6 +19,8 @@
 //! * an eigenvector sweep of the normalized-Laplacian second eigenvector,
 //! * balanced bisections (for the bisection-bandwidth metric).
 
+#![forbid(unsafe_code)]
+
 pub mod estimators;
 pub mod sparsity;
 

@@ -19,10 +19,11 @@
 //! `sweep` always writes (and validates) the JSON artifact
 //! `results/<scenario>.json` (filtered runs:
 //! `results/<scenario>.partial.json`, marked `"partial": true`) and prints a
-//! cache/solver/build summary per scenario (after a run that queued pool
-//! jobs also a `[sweep] schedule:` line on standard error: threads, jobs run,
-//! jobs run by a thread other than the one that queued them, and each
-//! thread's share of the run's wall time spent in jobs, the caller first).
+//! cache/solver/build summary per scenario (after a run that computed any
+//! unit also a `[sweep] schedule:` line on standard error: threads, units
+//! run, units run off the calling thread, each thread's share of the unit
+//! queue's wall time spent in units, the caller first, and the longest unit's
+//! seconds and share of that wall time).
 //! Usage errors — an unknown or repeated flag, an unknown scenario, an empty
 //! `--filter` or one that matches no cell, a `--jobs` (or, without it, a
 //! `RAYON_NUM_THREADS`) outside 1 to 256 — and failed writes under
@@ -42,8 +43,10 @@
 //! capture on, the certificate is checked, and its bounds must match the
 //! reported ones (same exit convention).
 
+#![forbid(unsafe_code)]
+
 use experiments::{find_scenario, registry, run_and_emit, RunOptions};
-use topobench::sweep::{diff_dirs, diff_files, pool_stats, PoolStats, Scenario};
+use topobench::sweep::{diff_dirs, diff_files, Scenario, Schedule};
 
 fn print_index() {
     println!("Registered scenarios (run with --scenario <name>):\n");
@@ -201,26 +204,25 @@ fn run_verify(args: &[String]) -> i32 {
     0
 }
 
-/// The `[sweep] schedule:` line for the pool activity since `before`, taken
-/// `wall` ago; `None` when nothing was queued (always so on one thread).
-fn schedule_line(before: &PoolStats, wall: std::time::Duration) -> Option<String> {
-    let now = pool_stats();
-    if now.jobs == before.jobs {
-        return None;
-    }
-    // `before` has no per-thread entries if the pool had not started yet.
-    let busy_before = before.busy_ns.iter().chain(std::iter::repeat(&0));
-    let busy: Vec<String> = (now.busy_ns.iter().zip(busy_before))
-        .map(|(now, before)| (now - before) as f64 / wall.as_nanos() as f64)
-        .map(|share| format!("{:.0}%", 100.0 * share.min(1.0)))
-        .collect();
-    Some(format!(
-        "[sweep] schedule: threads={} jobs={} helped={} busy={}",
-        busy.len(),
-        now.jobs - before.jobs,
-        now.helped - before.helped,
-        busy.join(",")
-    ))
+/// The `[sweep] schedule:` line of a run's unit queue: threads (the caller
+/// included), units run, units run off the calling thread, each thread's
+/// share of the queue's wall time spent in units (the caller first), and the
+/// longest unit with its share of that wall time.
+fn schedule_line(s: &Schedule) -> String {
+    let share = |d: std::time::Duration| {
+        let share = d.as_secs_f64() / s.wall.as_secs_f64().max(f64::MIN_POSITIVE);
+        format!("{:.0}%", 100.0 * share.min(1.0))
+    };
+    let busy: Vec<String> = s.busy.iter().map(|&d| share(d)).collect();
+    format!(
+        "[sweep] schedule: threads={} units={} off_caller={} busy={} longest={:.3}s ({})",
+        s.busy.len(),
+        s.items,
+        s.off_caller,
+        busy.join(","),
+        s.longest.as_secs_f64(),
+        share(s.longest)
+    )
 }
 
 /// Ends the process the way every usage and I/O error does.
@@ -300,10 +302,8 @@ fn main() {
 
     let mut cache_cold = false;
     for scenario in &scenarios {
-        let (pool_before, started) = (pool_stats(), std::time::Instant::now());
         let (report, artifact_path) =
             run_and_emit(scenario, &opts).unwrap_or_else(|message| fail(&message));
-        let schedule = schedule_line(&pool_before, started.elapsed());
         if opts.write_golden {
             let golden_dir = std::path::Path::new("results").join("golden");
             let golden_path = golden_dir.join(format!("{}.json", scenario.name));
@@ -323,8 +323,8 @@ fn main() {
             report.solver_calls,
             report.topo_builds
         );
-        if let Some(line) = schedule {
-            eprintln!("{line}");
+        if let Some(schedule) = &report.schedule {
+            eprintln!("{}", schedule_line(schedule));
         }
         if report.failed_cells > 0 {
             // Failed cells are isolated, not fatal: the artifact records them

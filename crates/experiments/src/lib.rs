@@ -19,12 +19,12 @@
 //! * `--jobs N`   — computing threads, the calling one included (`1` forces
 //!   a fully serial run and spawns nothing; at most [`MAX_JOBS`]; without
 //!   it, `RAYON_NUM_THREADS` if set, held to the same rule, else all cores).
-//!   Every cell is one job of a shared queue, and the 1+k solves of a
-//!   relative cell are shared between the threads too; results are
-//!   bit-identical for any `N`. This is the only parallelism knob: every
-//!   solve is one serial trajectory, its bound sweeps included, and
-//!   splitting the routing of one solve across workers was measured slower
-//!   than serial and removed,
+//!   Every unit of work is one item of one flat queue: a relative cell's
+//!   1+k solves are a unit each, any other cell is one unit, and nothing
+//!   nests; results are bit-identical for any `N`. This is the only
+//!   parallelism knob: every solve is one serial trajectory, its bound
+//!   sweeps included, and splitting the routing of one solve across workers
+//!   was measured slower than serial and removed,
 //! * `--filter S` — run only cells whose id contains `S` (prints a raw cell
 //!   dump instead of the figure tables; artifacts land in
 //!   `results/<scenario>.partial.json`, marked `"partial": true`); an empty
@@ -36,6 +36,8 @@
 //! (cell spec, eval config) pair, so re-runs and interrupted `--full`
 //! ladders resume instead of recomputing; `--seed`/`--full` changes key new
 //! cache entries automatically.
+
+#![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 use topobench::sweep::{
@@ -65,10 +67,10 @@ pub struct RunOptions {
     pub sweep: SweepOptions,
 }
 
-/// The largest `--jobs` the parser accepts. The pool spawns `N - 1` workers
-/// (8 MiB stacks) on its first batch and cannot run without them, so a count
-/// the system refuses to spawn aborts the process mid-run; a count above
-/// this ceiling is a usage error instead, before anything runs.
+/// The largest `--jobs` the parser accepts. The unit queue spawns up to
+/// `N - 1` threads (8 MiB stacks) and cannot run without them, so a count
+/// the system refuses to spawn would abort the process mid-run; a count
+/// above this ceiling is a usage error instead, before anything runs.
 pub const MAX_JOBS: usize = 256;
 
 /// `--jobs`'s rule, which `RAYON_NUM_THREADS` is held to as well: an integer
@@ -96,8 +98,8 @@ const HELP: &str = "  --list           print the scenario index and exit
   --csv            also write results/<figure>.csv (results/<scenario>.json is always written)
   --jobs <N>       computing threads, the calling one included, 1 to 256 (1 = fully
                    serial, no thread spawned; default: RAYON_NUM_THREADS, same range,
-                   else all cores). Every cell is one job of a shared queue and the
-                   1+k solves of a relative cell are shared between the threads too;
+                   else all cores). Every unit of work is one item of one queue: each
+                   of a relative cell's 1+k solves, or a whole cell of any other kind;
                    each solve runs on one thread; results do not depend on N
   --filter <S>     only run cells whose id contains S (prints a raw cell dump)
   --no-cache       do not read or write results/cache/
@@ -112,7 +114,7 @@ impl RunOptions {
     /// Parses the driver's arguments, exiting with the help text (`--help`,
     /// status 0) or a usage error (status 2) as appropriate.
     pub fn parse_or_exit(args: &[String]) -> Self {
-        match Self::parse(args).and_then(Self::pin_pool_width) {
+        match Self::parse(args).and_then(Self::check_width_env) {
             Ok(opts) => opts,
             Err(ParseAbort::Help) => {
                 println!("Usage: sweep [OPTIONS]\n\nOptions:\n{HELP}");
@@ -125,18 +127,13 @@ impl RunOptions {
         }
     }
 
-    /// Fixes the pool's width before any parallel work: the pool reads
-    /// `RAYON_NUM_THREADS` once at first use, so `--jobs` is written there.
-    /// Without `--jobs`, a value already set must pass `--jobs`'s rule: the
-    /// pool itself takes any count, and reads a malformed one as all cores.
-    fn pin_pool_width(self) -> Result<Self, ParseAbort> {
-        match self.sweep.jobs {
-            Some(jobs) => std::env::set_var("RAYON_NUM_THREADS", jobs.to_string()),
-            None => {
-                if let Some(v) = std::env::var_os("RAYON_NUM_THREADS") {
-                    parse_jobs("RAYON_NUM_THREADS", &v.to_string_lossy())
-                        .map_err(ParseAbort::Usage)?;
-                }
+    /// Without `--jobs` the engine takes its width from `RAYON_NUM_THREADS`,
+    /// which must then pass `--jobs`'s rule: the unit queue itself takes
+    /// any count, and reads a malformed one as all cores.
+    fn check_width_env(self) -> Result<Self, ParseAbort> {
+        if self.sweep.jobs.is_none() {
+            if let Some(v) = std::env::var_os("RAYON_NUM_THREADS") {
+                parse_jobs("RAYON_NUM_THREADS", &v.to_string_lossy()).map_err(ParseAbort::Usage)?;
             }
         }
         Ok(self)
@@ -321,7 +318,7 @@ mod tests {
 
     #[test]
     fn jobs_above_the_ceiling_are_a_usage_error() {
-        // A count the system cannot spawn must be refused before the pool
+        // A count the system cannot spawn must be refused before the queue
         // tries to spawn it.
         let max = MAX_JOBS.to_string();
         assert_eq!(parse(&["--jobs", &max]).unwrap().sweep.jobs, Some(MAX_JOBS));
@@ -335,8 +332,9 @@ mod tests {
 
     #[test]
     fn rayon_num_threads_is_held_to_the_jobs_rule() {
-        // Without `--jobs` the pool takes its width from the variable, which
-        // it would accept at any size and read as all cores when malformed.
+        // Without `--jobs` the engine takes its width from the variable,
+        // which the queue would accept at any size and read as all cores
+        // when malformed.
         let env = |v: &str| parse_jobs("RAYON_NUM_THREADS", v);
         assert_eq!(env("1"), Ok(1));
         assert_eq!(env(&MAX_JOBS.to_string()), Ok(MAX_JOBS));

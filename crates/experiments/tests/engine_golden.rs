@@ -75,7 +75,7 @@ fn mixed_cells(seed: u64) -> Vec<SweepCell> {
 }
 
 /// The tentpole determinism guarantee: a fully serial run (one workspace,
-/// one thread) and a pooled parallel run produce bit-identical metrics for
+/// one thread) and a parallel run produce bit-identical metrics for
 /// every cell, in the same order.
 #[test]
 fn parallel_and_serial_sweeps_are_bit_identical() {

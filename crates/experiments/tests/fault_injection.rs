@@ -254,7 +254,7 @@ fn faulted_build_fingerprint_is_pinned() {
 }
 
 /// Degradation cells (whose faulted builds happen inside worker threads)
-/// are bit-identical between fully serial and pool-parallel execution.
+/// are bit-identical between fully serial and parallel execution.
 #[test]
 fn degradation_cells_are_bit_identical_serial_vs_parallel() {
     let cells: Vec<SweepCell> = (0..4)

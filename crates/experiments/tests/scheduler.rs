@@ -1,32 +1,34 @@
-//! Scheduling contracts of the work-sharing pool, free of timing: every
+//! Scheduling contracts of the flat unit queue, free of timing: the one
 //! interleaving a case needs is forced by a gate (mutex + condvar), so a case
-//! passes or fails the same way on any machine. A scheduler that lacks the
+//! passes or fails the same way on any machine. A queue that lacks the
 //! property leaves a thread at a gate that never opens; the gate then fails
 //! the test after [`GATE_TIMEOUT`] instead of hanging it.
 //!
-//! CI runs this binary at `RAYON_NUM_THREADS` 1, 2 and 8. On one thread
-//! nothing is concurrent, so the concurrency cases assert the inline order
-//! instead.
+//! CI runs this binary at `RAYON_NUM_THREADS` 1, 2 and 8, which sets the
+//! width `rayon::default_width` gives and the engine uses without `--jobs`.
+//! On one thread nothing is concurrent, so the concurrency case asserts the
+//! inline order instead.
 
-use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::thread::ThreadId;
 use std::time::Duration;
 use topobench::sweep::{
-    artifact_json, diff_artifacts, run_scenario, validate_artifact, SweepOptions,
+    artifact_json, diff_artifacts, run_cells, run_scenario, validate_artifact, CellSpec, SweepCell,
+    SweepOptions, TopoSpec,
 };
+use topobench::TmSpec;
 
 const GATE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// The cases block pool threads on purpose, and the pool is one per process:
-/// they run one at a time.
+/// An artifact records the process-wide solver-call counter, so the cases
+/// that solve run one at a time.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn exclusive() -> MutexGuard<'static, ()> {
     ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Shared state the jobs of one case update and wait on.
+/// Shared state the items of one case update and wait on.
 struct Gate<S> {
     state: Mutex<S>,
     changed: Condvar,
@@ -53,177 +55,107 @@ impl<S> Gate<S> {
             .changed
             .wait_timeout_while(state, GATE_TIMEOUT, |s| !open(s))
             .unwrap();
-        assert!(!timeout.timed_out(), "the scheduler never let {what}");
+        assert!(!timeout.timed_out(), "the queue never let {what}");
     }
 }
 
-fn me() -> ThreadId {
-    std::thread::current().id()
-}
-
-/// (a) Nested work is shared: the two nested tasks of one outer item meet at
-/// a two-party rendezvous while the other outer items are queued. With nested
-/// tasks run inline by the thread that issued them, the first would wait for
-/// the second forever.
+/// (a) Results land at their item's index and every item runs exactly once,
+/// at width 1, at the run's default width and wider than the list.
 #[test]
-fn nested_tasks_of_one_outer_item_meet_on_two_threads() {
-    let _exclusive = exclusive();
-    let n = rayon::current_num_threads();
-    let gate = Gate::new(Vec::<String>::new());
-    rayon::map_init(
-        0..4 * n,
-        || (),
-        |_, item| {
-            gate.update(|trace| trace.push(format!("outer {item}")));
-            if item == 0 {
-                rayon::map_init(
-                    0..2,
-                    || (),
-                    |_, task| {
-                        gate.update(|trace| trace.push(format!("nested {task}")));
-                        if n > 1 {
-                            gate.wait("both nested tasks run at once", |trace| {
-                                trace.iter().filter(|e| e.starts_with("nested")).count() == 2
-                            });
-                        }
-                    },
-                );
-            }
-        },
-    );
-    let trace = gate.state.into_inner().unwrap();
-    assert_eq!(trace.len(), 4 * n + 2);
-    if n == 1 {
-        let inline = [
-            "outer 0", "nested 0", "nested 1", "outer 1", "outer 2", "outer 3",
-        ];
-        assert_eq!(trace, inline);
-    }
-}
-
-#[derive(Default)]
-struct Straggler {
-    /// The thread running outer item 0, whose nested batch is held open.
-    owner: Option<ThreadId>,
-    nested_started: usize,
-    nested_on_helper: bool,
-    owner_started_another_item: bool,
-    /// Threads other than the owner that have taken an outer item.
-    seen: HashSet<ThreadId>,
-    trace: Vec<String>,
-}
-
-/// (b) A waiting thread takes new outer work: a helper holds the last nested
-/// task of outer item 0 open until the thread that owns item 0 has *started
-/// another outer item*. With an owner that only waits (or only runs its own
-/// nested tasks), the helper would hold forever.
-///
-/// The gates leave one way through. A thread other than the owner returns
-/// from its first outer item once a nested task has started (the nested
-/// tasks are then at the front of the queue, so its next job is one of them
-/// if any is left), and stays in any later outer item until the owner has
-/// started one: such threads take at most 2(N−1) of the 2N+1 other items, so
-/// one is left for the owner. The owner's own nested task returns only once
-/// a sibling runs on another thread, so the batch cannot finish on the owner.
-#[test]
-fn a_thread_waiting_on_a_helper_starts_another_outer_item() {
-    let _exclusive = exclusive();
-    let n = rayon::current_num_threads();
-    let gate = Gate::new(Straggler::default());
-    let nested_task = |task: usize| {
-        let on_owner = gate.update(|s| {
-            s.trace.push(format!("nested {task}"));
-            s.nested_started += 1;
-            let on_owner = s.owner == Some(me());
-            s.nested_on_helper |= !on_owner;
-            on_owner
-        });
-        if n == 1 {
-            return;
-        }
-        if on_owner {
-            gate.wait("another thread take a nested task", |s| s.nested_on_helper);
-        } else {
-            gate.wait(
-                "the owner start another outer item while its nested task is held",
-                |s| s.owner_started_another_item,
-            );
-        }
-    };
-    rayon::map_init(
-        0..2 * n + 2,
-        || (),
-        |_, item| {
-            gate.update(|s| s.trace.push(format!("outer {item}")));
-            if item == 0 {
-                gate.update(|s| s.owner = Some(me()));
-                rayon::map_init(0..2, || (), |_, task| nested_task(task));
-                return;
-            }
-            gate.wait("outer item 0 start first", |s| s.owner.is_some());
-            let (on_owner, first) = gate.update(|s| {
-                let on_owner = s.owner == Some(me());
-                s.owner_started_another_item |= on_owner;
-                (on_owner, s.seen.insert(me()))
+fn results_land_in_input_order_and_each_item_runs_once() {
+    let n = rayon::default_width();
+    for width in [1, n, 2 * n + 1] {
+        for len in [0, 1, n, 4 * n + 1] {
+            let runs: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+            let input: Vec<usize> = (0..len).map(|i| 7 * i + 3).collect();
+            let (mapped, schedule) = rayon::map(width, input.clone(), |x| {
+                runs[(x - 3) / 7].fetch_add(1, Ordering::SeqCst);
+                x + 1
             });
-            if n > 1 && !on_owner {
-                if first {
-                    gate.wait("outer item 0 fan out", |s| s.nested_started > 0);
-                } else {
-                    gate.wait("the owner start another outer item", |s| {
-                        s.owner_started_another_item
-                    });
-                }
-            }
-        },
-    );
-    let s = gate.state.into_inner().unwrap();
-    assert_eq!(s.trace.len(), 2 * n + 4);
-    assert_eq!(s.nested_started, 2);
-    assert!(s.owner_started_another_item);
-    if n == 1 {
-        let inline = [
-            "outer 0", "nested 0", "nested 1", "outer 1", "outer 2", "outer 3",
-        ];
-        assert_eq!(s.trace, inline);
-    } else {
-        assert!(s.nested_on_helper);
+            assert_eq!(mapped, input.iter().map(|&x| x + 1).collect::<Vec<_>>());
+            assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1));
+            assert_eq!(schedule.items, len, "width {width}");
+            assert_eq!(schedule.busy.len(), width.min(len).max(1), "width {width}");
+        }
     }
 }
 
-/// (c) Results land at their item's index whatever the block size: lists of
-/// 0, 1, 4N (one item per block) and 4N+1 (two per block) items. `map_init`
-/// state is made once per block (once per list when run inline).
+/// (b) Width 1 runs the items inline, on the calling thread, in order.
 #[test]
-fn results_are_placed_by_index_for_every_block_shape() {
-    let _exclusive = exclusive();
-    let n = rayon::current_num_threads();
-    for len in [0, 1, 4 * n, 4 * n + 1] {
-        let input: Vec<usize> = (0..len).map(|i| 7 * i + 3).collect();
-        let mapped = rayon::map_init(&input, || (), |_, &x| x + 1);
-        assert_eq!(mapped, input.iter().map(|&x| x + 1).collect::<Vec<_>>());
+fn width_one_runs_the_items_inline_in_order() {
+    let me = std::thread::current().id();
+    let order = Mutex::new(Vec::new());
+    let (_, schedule) = rayon::map(1, (0..12).collect(), |i: usize| {
+        assert_eq!(std::thread::current().id(), me);
+        order.lock().unwrap().push(i);
+    });
+    assert_eq!(*order.lock().unwrap(), (0..12).collect::<Vec<_>>());
+    assert_eq!((schedule.busy.len(), schedule.off_caller), (1, 0));
+}
 
-        let counted = rayon::map_init(
-            0..len,
-            || 0usize,
-            |count, i| {
-                *count += 1;
-                (i, *count)
+/// A relative cell small enough to solve in milliseconds.
+fn relative_cell() -> SweepCell {
+    SweepCell::new(
+        "cube/relative/LM",
+        CellSpec::Relative {
+            topo: TopoSpec::Hypercube {
+                dims: 3,
+                servers: 1,
             },
+            tm: TmSpec::LongestMatching,
+        },
+    )
+}
+
+/// (c) A relative cell's solves are units of their own: two of them meet at
+/// a two-party rendezvous, each on its own thread, so neither waits for the
+/// cell. The gated units combine to the values the engine's run gives, and
+/// the engine queues the cell as its 1 + k units.
+#[test]
+fn two_units_of_one_relative_cell_meet_on_two_threads() {
+    let _exclusive = exclusive();
+    let n = rayon::default_width();
+    let cell = relative_cell();
+    let mut opts = SweepOptions::new(false, 1);
+    opts.use_cache = false;
+    let cfg = opts.eval_config();
+    let units = cell.spec.units(&cfg);
+    assert_eq!(units, cfg.random_graph_iterations + 1);
+
+    let base = cell.spec.base();
+    let gate = Gate::new(Vec::<(usize, std::thread::ThreadId)>::new());
+    let (solved, _) = rayon::map(n, (0..units).collect(), |i| {
+        gate.update(|arrived| arrived.push((i, std::thread::current().id())));
+        if n > 1 {
+            gate.wait("two units of one cell run at once", |arrived| {
+                arrived.len() >= 2
+            });
+        }
+        cell.spec.unit(&base, &cfg, i)
+    });
+    let arrived = gate.state.into_inner().unwrap();
+    if n == 1 {
+        let order: Vec<usize> = arrived.iter().map(|&(i, _)| i).collect();
+        assert_eq!(order, (0..units).collect::<Vec<_>>());
+    } else {
+        assert_ne!(
+            arrived[0].1, arrived[1].1,
+            "the first two units met on one thread"
         );
-        let block = if n == 1 || len <= 1 {
-            len.max(1)
-        } else {
-            len.div_ceil(4 * n)
-        };
-        let expected: Vec<(usize, usize)> = (0..len).map(|i| (i, i % block + 1)).collect();
-        assert_eq!(counted, expected, "len {len} at width {n}");
     }
+    let gated = cell.spec.combine(&base, solved);
+
+    let report = run_cells(&opts, vec![cell]);
+    assert!(report.outcomes[0].values.bit_identical(&gated));
+    let schedule = report.schedule.expect("the cell was computed");
+    assert_eq!(schedule.items, units);
+    assert_eq!(schedule.busy.len(), n.min(units));
 }
 
 /// (d) The engine end to end: rung 0 of every family under longest matching
-/// (relative cells, so 1+k shared solves each) gives the same artifact, byte
-/// for byte, forced serial and on the pool, and matches the committed golden.
+/// (relative cells, so 1+k units each) gives the same artifact, byte for
+/// byte, at width 1 and at the run's default width, and matches the
+/// committed golden.
 #[test]
 fn fig05_06_rung0_lm_is_byte_identical_serial_and_pooled_and_matches_the_golden() {
     let _exclusive = exclusive();
@@ -236,21 +168,18 @@ fn fig05_06_rung0_lm_is_byte_identical_serial_and_pooled_and_matches_the_golden(
         assert_eq!(report.failed_cells, 0);
         artifact_json(scenario.name, scenario.title, opts, &report, &render).to_string()
     };
-    let pooled = artifact(&opts);
-    let serial = rayon::serial(|| {
-        artifact(&SweepOptions {
-            jobs: Some(1),
-            ..opts.clone()
-        })
+    let wide = artifact(&opts);
+    let serial = artifact(&SweepOptions {
+        jobs: Some(1),
+        ..opts.clone()
     });
-    assert_eq!(pooled, serial, "pool width changed the artifact");
-    validate_artifact(&pooled).expect("artifact must validate");
+    assert_eq!(wide, serial, "the width changed the artifact");
+    validate_artifact(&wide).expect("artifact must validate");
 
     let golden_path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/golden/fig05_06.json");
     let golden = std::fs::read_to_string(&golden_path).expect("committed golden");
-    let diff =
-        diff_artifacts(&golden, &pooled).expect("golden and fresh artifacts must both parse");
+    let diff = diff_artifacts(&golden, &wide).expect("golden and fresh artifacts must both parse");
     assert!(diff.compared > 0, "nothing compared");
     assert_eq!(diff.bit_identical, diff.compared);
     assert!(
@@ -258,4 +187,50 @@ fn fig05_06_rung0_lm_is_byte_identical_serial_and_pooled_and_matches_the_golden(
         "drifted from the golden:\n{}",
         diff.render()
     );
+}
+
+/// (e) The `--jobs` ceiling holds without starting a thread: a width at the
+/// ceiling spawns nothing for a single item, and a width past it — from
+/// `--jobs` or from `RAYON_NUM_THREADS` — is a usage error (exit 2) before
+/// the driver runs anything.
+#[test]
+fn the_jobs_ceiling_is_checked_without_starting_a_thread() {
+    let (_, schedule) = rayon::map(experiments::MAX_JOBS, vec![1], |x: i32| x);
+    assert_eq!(schedule.busy.len(), 1);
+
+    let cwd = std::env::temp_dir().join(format!("tb-scheduler-ceiling-{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).unwrap();
+    let over = (experiments::MAX_JOBS + 1).to_string();
+    let sweep = || {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_sweep"));
+        cmd.current_dir(&cwd).env_remove("RAYON_NUM_THREADS");
+        cmd.args(["--scenario", "theorem1_demo"]);
+        cmd
+    };
+    for (what, mut cmd) in [
+        ("--jobs", {
+            let mut cmd = sweep();
+            cmd.args(["--jobs", &over]);
+            cmd
+        }),
+        ("RAYON_NUM_THREADS", {
+            let mut cmd = sweep();
+            cmd.env("RAYON_NUM_THREADS", &over);
+            cmd
+        }),
+    ] {
+        let out = cmd.output().expect("sweep starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+        let expected = format!(
+            "{what} must be at most {}, got {over}",
+            experiments::MAX_JOBS
+        );
+        assert!(stderr.contains(&expected), "{what}: {stderr}");
+    }
+    assert!(
+        !cwd.join("results").exists(),
+        "a refused width ran something"
+    );
+    let _ = std::fs::remove_dir_all(&cwd);
 }

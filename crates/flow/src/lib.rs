@@ -21,6 +21,8 @@
 //! All solvers consume a [`tb_graph::Graph`] (switch-level, per-direction edge
 //! capacities) and a [`tb_traffic::TrafficMatrix`].
 
+#![forbid(unsafe_code)]
+
 pub mod certificate;
 pub mod exact;
 pub mod fleischer;

@@ -25,6 +25,8 @@
 //! All randomized constructions take an explicit seed and are deterministic for
 //! a given seed, so experiments are reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod connectivity;
 pub mod csr;
 pub mod graph;

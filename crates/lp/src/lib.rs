@@ -33,6 +33,8 @@
 //! a caller's guess of the solution ([`solve_with_hint`]) and reports dual
 //! values and its own pivot counters on every [`Solution`].
 
+#![forbid(unsafe_code)]
+
 mod packing;
 mod simplex;
 

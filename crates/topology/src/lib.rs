@@ -25,6 +25,8 @@
 //! servers to every switch. A [`TopoSpec`] names one instance as a
 //! deterministic recipe; the family ladders and representatives are specs.
 
+#![forbid(unsafe_code)]
+
 pub mod bcube;
 pub mod dcell;
 pub mod dragonfly;

@@ -22,6 +22,8 @@
 //!   TMs of Figs 13–14 (Hadoop-like TM-H, frontend-like TM-F),
 //! * [`ops`] — shuffling, downsampling and mapping TMs onto topologies.
 
+#![forbid(unsafe_code)]
+
 pub mod facebook;
 pub mod matrix;
 pub mod ops;

@@ -230,6 +230,47 @@ fn throughput_scales_linearly_with_capacity() {
 }
 
 #[test]
+fn throughput_scales_exactly_with_capacity() {
+    // `T(c·caps) = c·T`: the LP's optimum scales exactly, and the FPTAS
+    // works on capacity-normalised lengths and flows, so at a power-of-two
+    // `c` (exact in floating point) its bounds must scale bit for bit. A
+    // solve that drifts here has grown a threshold that depends on the
+    // capacity scale; the random-factor case above only bounds such a drift.
+    for case in 0..CASES {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x1D0 + case);
+        let graph = arb_connected_graph(&mut rng);
+        let tm = arb_tm(&mut rng, graph.num_nodes());
+        if tm.num_flows() == 0 {
+            continue;
+        }
+        let exact = ExactLpSolver::new().solve(&graph, &tm).unwrap().lower;
+        for c in [0.25, 1024.0] {
+            let scaled = graph.scaled_capacities(c);
+            let t = ExactLpSolver::new().solve(&scaled, &tm).unwrap().lower;
+            assert!(
+                (t / c - exact).abs() <= 1e-12 * exact,
+                "case {case}, c {c}: exact {t} scaled, {exact} unscaled"
+            );
+            for cfg in [
+                FleischerConfig::fast(),
+                FleischerConfig::default(),
+                FleischerConfig::precise(),
+            ] {
+                let solver = FleischerSolver::new(cfg);
+                let base = solver.solve(&graph, &tm);
+                let b = solver.solve(&scaled, &tm);
+                assert_eq!(
+                    (b.lower.to_bits(), b.upper.to_bits()),
+                    ((base.lower * c).to_bits(), (base.upper * c).to_bits()),
+                    "case {case}, c {c}, eps {}: {b:?} scaled, {base:?} unscaled",
+                    cfg.epsilon
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn throughput_scales_inversely_with_demand() {
     // `T(c·tm) = T(tm)/c`: the LP's optimum scales exactly, and the FPTAS
     // works on demand-normalised lengths and flows, so at a power-of-two `c`
