@@ -167,7 +167,7 @@ pub(crate) fn evaluate_throughput_status_with(
     topo: &Topology,
     tm: &TrafficMatrix,
     cfg: &EvalConfig,
-) -> (ThroughputBounds, SolveStatus) {
+) -> Evaluated {
     let (kept_tm, dropped) = drop_disconnected_demands(&topo.graph, tm);
     // A TM with no surviving demand is empty: the strict evaluator's exact
     // zero, no solver call.
@@ -182,7 +182,7 @@ pub(crate) fn evaluate_throughput_status_with(
     } else {
         e.status
     };
-    (e.bounds, status)
+    Evaluated { status, ..e }
 }
 
 /// The Theorem-2 lower bound derived from an already-computed all-to-all
@@ -253,23 +253,25 @@ pub(crate) fn relative_solves(cfg: &EvalConfig) -> usize {
 /// random graph drawn at `cfg.seed + offset + i - 1`, where the offset is
 /// 1000 for per-graph traffic and 2000 for a fixed matrix. The solves are
 /// independent, so the sweep engine queues each as a unit of its own.
-pub(crate) fn relative_solve(topo: &Topology, tm: &RelativeTm, cfg: &EvalConfig, i: usize) -> f64 {
-    let value_on = |graph: &Topology, seed: u64| {
-        let e = match tm {
-            RelativeTm::PerGraph(spec) => evaluate(graph, &spec.generate(graph, seed), cfg),
-            RelativeTm::Fixed(tm) => evaluate(graph, tm, cfg),
-        };
-        e.bounds.value()
+pub(crate) fn relative_solve(
+    topo: &Topology,
+    tm: &RelativeTm,
+    cfg: &EvalConfig,
+    i: usize,
+) -> Evaluated {
+    let solve_on = |graph: &Topology, seed: u64| match tm {
+        RelativeTm::PerGraph(spec) => evaluate(graph, &spec.generate(graph, seed), cfg),
+        RelativeTm::Fixed(tm) => evaluate(graph, tm, cfg),
     };
     if i == 0 {
-        return value_on(topo, cfg.seed);
+        return solve_on(topo, cfg.seed);
     }
     let offset = match tm {
         RelativeTm::PerGraph(_) => 1000,
         RelativeTm::Fixed(_) => 2000,
     };
     let seed = cfg.seed.wrapping_add(offset).wrapping_add(i as u64 - 1);
-    value_on(&same_equipment(topo, seed), seed)
+    solve_on(&same_equipment(topo, seed), seed)
 }
 
 /// All of a relative metric's solves, one after another.
@@ -279,7 +281,7 @@ fn relative_to_random_graphs(
     cfg: &EvalConfig,
 ) -> RelativeThroughput {
     let solves = (0..relative_solves(cfg))
-        .map(|i| relative_solve(topo, tm, cfg, i))
+        .map(|i| relative_solve(topo, tm, cfg, i).bounds.value())
         .collect();
     RelativeThroughput::from_solves(solves)
 }
@@ -386,7 +388,7 @@ mod tests {
         g.add_edge(0, 1, 1.0);
         let topo = Topology::new("lonely", "test", g, vec![1, 1, 1]);
         let tm = TmSpec::AllToAll.generate(&topo, 1);
-        let (b, status) = evaluate_throughput_status_with(&topo, &tm, &cfg());
+        let Evaluated { bounds: b, status } = evaluate_throughput_status_with(&topo, &tm, &cfg());
         assert!(b.lower > 0.0, "connected pair should still carry traffic");
         assert!(b.lower.is_finite() && b.upper.is_finite());
         match status {
@@ -404,7 +406,7 @@ mod tests {
         let g = Graph::new(2);
         let topo = Topology::new("islands", "test", g, vec![1, 1]);
         let tm = TmSpec::AllToAll.generate(&topo, 1);
-        let (b, status) = evaluate_throughput_status_with(&topo, &tm, &cfg());
+        let Evaluated { bounds: b, status } = evaluate_throughput_status_with(&topo, &tm, &cfg());
         assert_eq!(b.lower, 0.0);
         assert_eq!(b.upper, 0.0);
         assert_eq!(
@@ -425,7 +427,7 @@ mod tests {
         let tm = TrafficMatrix::empty(topo.num_switches());
         let b = evaluate(&topo, &tm, &cfg()).bounds;
         assert_eq!(b.value(), 0.0);
-        let (sb, status) = evaluate_throughput_status_with(&topo, &tm, &cfg());
+        let Evaluated { bounds: sb, status } = evaluate_throughput_status_with(&topo, &tm, &cfg());
         assert_eq!(sb.value(), 0.0);
         assert_eq!(status, SolveStatus::Converged);
     }
@@ -439,7 +441,7 @@ mod tests {
         for topo in [hypercube(3, 1), hypercube(5, 1)] {
             let tm = TmSpec::AllToAll.generate(&topo, 1);
             let plain = evaluate(&topo, &tm, &c);
-            let (b, status) = evaluate_throughput_status_with(&topo, &tm, &c);
+            let Evaluated { bounds: b, status } = evaluate_throughput_status_with(&topo, &tm, &c);
             assert_eq!(plain.bounds.lower.to_bits(), b.lower.to_bits());
             assert_eq!(plain.bounds.upper.to_bits(), b.upper.to_bits());
             assert_eq!(

@@ -6,19 +6,23 @@
 //! determines the result, which is what makes the on-disk cache sound: the
 //! cache key is derived from `(spec, eval config)` and nothing else.
 //!
-//! A cell runs as one or more *units*, the runner's unit of scheduling: a
-//! relative cell is its 1 + k independent solves, every other kind is one
-//! unit. The units share the cell's [`Base`] (the built topology) and
-//! combine in index order into the cell's values; [`CellSpec::compute`] runs
-//! them one after another.
+//! A cell runs as one or more *units*, the runner's unit of scheduling. A
+//! multi-solve cell is a reference solve plus k comparison solves, one unit
+//! each: a relative cell's topology and its k same-equipment random graphs,
+//! a degradation cell's unfaulted baseline and its k fault draws. Every
+//! other kind is one unit; only the design search loops over solves inside
+//! it, since each step of its climb depends on the last. The units share the
+//! cell's [`Base`] (the built topology) and combine in index order into the
+//! cell's values; [`CellSpec::compute`] runs them one after another.
 
 use crate::eval::{
     evaluate, evaluate_throughput_status_with, relative_solve, relative_solves, EvalConfig,
-    RelativeThroughput, RelativeTm,
+    Evaluated, RelativeThroughput, RelativeTm,
 };
 use crate::spec::TmSpec;
 use crate::stats::Stats;
 use crate::sweep::json::Json;
+use crate::sweep::search::run_search;
 use std::collections::BTreeMap;
 use tb_cuts::{estimate_sparsest_cut, ALL_ESTIMATORS};
 use tb_flow::restricted::{k_shortest_path_sets, PathRestrictedSolver, SubflowCountingEstimator};
@@ -321,167 +325,6 @@ fn place_rack_tm(tm: &TrafficMatrix, topo: &Topology) -> TrafficMatrix {
     mapped.normalized_to_hose(&topo.servers).0
 }
 
-/// Same-equipment neighbor moves of a searchable design, in a fixed
-/// deterministic order. Only the three searchable families produce neighbors;
-/// everything else is a fixed point (the climb stops immediately).
-fn search_neighbors(spec: &TopoSpec) -> Vec<TopoSpec> {
-    match *spec {
-        // Fixed `degree + servers` ports per switch: trade server ports
-        // against network ports.
-        TopoSpec::Jellyfish {
-            switches,
-            degree,
-            servers,
-            seed,
-        } => {
-            let mut out = Vec::new();
-            if degree > 3 {
-                out.push(TopoSpec::Jellyfish {
-                    switches,
-                    degree: degree - 1,
-                    servers: servers + 1,
-                    seed,
-                });
-            }
-            if servers > 1 && degree + 1 < switches {
-                out.push(TopoSpec::Jellyfish {
-                    switches,
-                    degree: degree + 1,
-                    servers: servers - 1,
-                    seed,
-                });
-            }
-            out
-        }
-        // Same radix and server floor; nudging the target bisection moves the
-        // design search to a different lattice shape.
-        TopoSpec::HyperX {
-            radix,
-            min_servers,
-            bisection,
-        } => [bisection - 0.1, bisection + 0.1]
-            .into_iter()
-            .filter(|b| (0.05..=1.0).contains(b))
-            .map(|bisection| TopoSpec::HyperX {
-                radix,
-                min_servers,
-                bisection,
-            })
-            .collect(),
-        // Long-hop link budget: one generator more or fewer on the same
-        // hypercube skeleton.
-        TopoSpec::LongHop {
-            dim,
-            degree,
-            servers,
-        } => {
-            let mut out = Vec::new();
-            if degree > dim {
-                out.push(TopoSpec::LongHop {
-                    dim,
-                    degree: degree - 1,
-                    servers,
-                });
-            }
-            if degree + 1 < (1usize << dim) {
-                out.push(TopoSpec::LongHop {
-                    dim,
-                    degree: degree + 1,
-                    servers,
-                });
-            }
-            out
-        }
-        _ => Vec::new(),
-    }
-}
-
-/// The search objective: aggregate admitted demand (hose-normalized
-/// throughput × servers) per unit equipment cost. The cost model charges one
-/// unit per link plus four per switch — crude, but deterministic and enough
-/// to make the link-budget trade-offs (Long Hop, HyperX) genuine.
-fn search_objective(topo: &Topology, throughput: f64) -> f64 {
-    let cost = topo.num_links() as f64 + 4.0 * topo.num_switches() as f64;
-    if cost > 0.0 {
-        throughput * topo.num_servers() as f64 / cost
-    } else {
-        0.0
-    }
-}
-
-/// A compact parameter label for search-trajectory reporting.
-fn search_params(spec: &TopoSpec) -> String {
-    match spec {
-        TopoSpec::Jellyfish {
-            switches,
-            degree,
-            servers,
-            ..
-        } => format!("N={switches} r={degree} s={servers}"),
-        TopoSpec::HyperX { bisection, .. } => format!("beta={bisection:.2}"),
-        TopoSpec::LongHop { dim, degree, .. } => format!("dim={dim} r={degree}"),
-        other => format!("{other:?}"),
-    }
-}
-
-/// The deterministic hill climb behind [`CellSpec::Search`]. Evaluates the
-/// start design, then repeatedly moves to the best strictly-improving
-/// neighbor until no neighbor improves or `max_steps` moves were accepted.
-fn run_search(
-    start: &TopoSpec,
-    tm: &TmSpec,
-    tm_seed: u64,
-    max_steps: usize,
-    cfg: &EvalConfig,
-    out: &mut CellValues,
-) {
-    let mut evals = 0usize;
-    let mut evaluate = |spec: &TopoSpec| -> Option<(f64, f64)> {
-        let topo = spec.build()?;
-        let matrix = tm.generate(&topo, tm_seed);
-        let value = evaluate(&topo, &matrix, cfg).bounds.value();
-        evals += 1;
-        Some((value, search_objective(&topo, value)))
-    };
-
-    let mut incumbent = start.clone();
-    let (start_value, start_objective) =
-        evaluate(&incumbent).unwrap_or_else(|| panic!("unsatisfiable search start {start:?}"));
-    let mut value = start_value;
-    let mut objective = start_objective;
-    let mut accepted = 0usize;
-    out.push("step_0_objective", objective);
-    out.push_text("step_0_params", search_params(&incumbent));
-    while accepted < max_steps {
-        let mut best: Option<(TopoSpec, f64, f64)> = None;
-        for neighbor in search_neighbors(&incumbent) {
-            let Some((v, obj)) = evaluate(&neighbor) else {
-                continue; // unsatisfiable neighbor (e.g. no HyperX design)
-            };
-            if obj > objective && best.as_ref().is_none_or(|(_, _, b)| obj > *b) {
-                best = Some((neighbor, v, obj));
-            }
-        }
-        let Some((next, v, obj)) = best else {
-            break; // local optimum
-        };
-        incumbent = next;
-        value = v;
-        objective = obj;
-        accepted += 1;
-        out.push(format!("step_{accepted}_objective"), objective);
-        out.push_text(format!("step_{accepted}_params"), search_params(&incumbent));
-    }
-    out.push("start_value", start_value);
-    out.push("start_objective", start_objective);
-    out.push("final_value", value);
-    out.push("final_objective", objective);
-    out.push("steps_accepted", accepted as f64);
-    out.push("evals", evals as f64);
-    out.push_text("final_params", search_params(&incumbent));
-    out.push_text("final_spec", format!("{incumbent:?}"));
-}
-
 /// What the units of one cell share, made once per cell by
 /// [`CellSpec::base`].
 pub enum Base {
@@ -489,6 +332,9 @@ pub enum Base {
     Whole,
     /// A relative cell's built topology and the traffic of its solves.
     Relative(RelativeBase),
+    /// A degradation cell's unfaulted topology, which its baseline solves
+    /// and each of its fault draws starts from.
+    Degradation(Topology),
 }
 
 /// A relative cell's topology, the traffic of its solves, and a Facebook
@@ -503,22 +349,24 @@ pub struct RelativeBase {
 pub enum Unit {
     /// A one-unit cell's values.
     Whole(CellValues),
-    /// One of a relative cell's solves.
-    Solve(f64),
+    /// One solve of a multi-solve cell: its bounds and status.
+    Solve(Evaluated),
 }
 
 impl CellSpec {
     /// How many units the cell runs as under `cfg`: a relative cell's 1 + k
-    /// solves, or one.
+    /// solves, a degradation cell's baseline and `failure_seeds` draws, or
+    /// one.
     pub fn units(&self, cfg: &EvalConfig) -> usize {
         match self {
             CellSpec::Relative { .. } | CellSpec::FacebookRelative { .. } => relative_solves(cfg),
+            CellSpec::Degradation { failure_seeds, .. } => 1 + (*failure_seeds).max(1) as usize,
             _ => 1,
         }
     }
 
-    /// Makes what the cell's units share: a relative cell builds its
-    /// topology (and places a Facebook cell's matrix on it).
+    /// Makes what the cell's units share: a relative or degradation cell
+    /// builds its topology (and places a Facebook cell's matrix on it).
     pub fn base(&self) -> Base {
         match self {
             CellSpec::Relative { topo, tm } => Base::Relative(RelativeBase {
@@ -552,6 +400,7 @@ impl CellSpec {
                     racks: Some(racks),
                 })
             }
+            CellSpec::Degradation { topo, .. } => Base::Degradation(build_topo(topo)),
             _ => Base::Whole,
         }
     }
@@ -561,7 +410,38 @@ impl CellSpec {
         match base {
             Base::Whole => Unit::Whole(self.compute_whole(cfg)),
             Base::Relative(r) => Unit::Solve(relative_solve(&r.topo, &r.tm, cfg, i)),
+            Base::Degradation(topo) => Unit::Solve(self.degradation_solve(topo, cfg, i)),
         }
+    }
+
+    /// Solve `i` of a degradation cell on its unfaulted `base`: the baseline
+    /// (`i = 0`) or fault draw `seed + i - 1`, each through the
+    /// degradation-aware evaluator.
+    fn degradation_solve(&self, base: &Topology, cfg: &EvalConfig, i: usize) -> Evaluated {
+        let CellSpec::Degradation {
+            tm,
+            tm_seed,
+            link_fail_frac,
+            switch_failures,
+            seed,
+            ..
+        } = self
+        else {
+            unreachable!("only a degradation cell has a degradation base")
+        };
+        if i == 0 {
+            return evaluate_throughput_status_with(base, &tm.generate(base, *tm_seed), cfg);
+        }
+        let plan = FaultPlan {
+            link_failures: (link_fail_frac * base.num_links() as f64).round().max(0.0) as usize,
+            switch_failures: *switch_failures,
+            seed: seed.wrapping_add(i as u64 - 1),
+        };
+        let (faulted, _report) = apply_faults(base, &plan);
+        // Re-stencil the TM on the survivors: failed switches carry no
+        // servers, so their pairs drop out of the grid.
+        let faulted_tm = tm.generate(&faulted, *tm_seed);
+        evaluate_throughput_status_with(&faulted, &faulted_tm, cfg)
     }
 
     /// Combines the cell's units, in index order, into its values.
@@ -570,10 +450,13 @@ impl CellSpec {
         for unit in units {
             match unit {
                 Unit::Whole(values) => return values,
-                Unit::Solve(value) => solves.push(value),
+                Unit::Solve(solve) => solves.push(solve),
             }
         }
-        let r = RelativeThroughput::from_solves(solves);
+        if let Base::Degradation(_) = base {
+            return degradation_values(&solves);
+        }
+        let r = RelativeThroughput::from_solves(solves.iter().map(|e| e.bounds.value()).collect());
         let mut out = CellValues::default();
         if let Base::Relative(RelativeBase {
             racks: Some(racks), ..
@@ -654,60 +537,6 @@ impl CellSpec {
                 out.push("counting", counting);
                 out.push("lp", lp.value());
             }
-            CellSpec::Degradation {
-                topo,
-                tm,
-                tm_seed,
-                link_fail_frac,
-                switch_failures,
-                failure_seeds,
-                seed,
-            } => {
-                let base = build_topo(topo);
-                let base_tm = tm.generate(&base, *tm_seed);
-                let (baseline, base_status) = evaluate_throughput_status_with(&base, &base_tm, cfg);
-                let base_value = baseline.value();
-                let link_failures =
-                    (link_fail_frac * base.num_links() as f64).round().max(0.0) as usize;
-                let draws = (*failure_seeds).max(1);
-                let mut ratios = Vec::with_capacity(draws as usize);
-                let mut dropped_total = 0usize;
-                let mut degraded = 0u64;
-                for i in 0..draws {
-                    let plan = FaultPlan {
-                        link_failures,
-                        switch_failures: *switch_failures,
-                        seed: seed.wrapping_add(i),
-                    };
-                    let (faulted, _report) = apply_faults(&base, &plan);
-                    // Re-stencil the TM on the survivors: failed switches
-                    // carry no servers, so their pairs drop out of the grid.
-                    let faulted_tm = tm.generate(&faulted, *tm_seed);
-                    let (bounds, status) =
-                        evaluate_throughput_status_with(&faulted, &faulted_tm, cfg);
-                    let ratio = if base_value > 0.0 {
-                        bounds.value() / base_value
-                    } else {
-                        0.0
-                    };
-                    ratios.push(ratio);
-                    out.push(format!("ratio_{i}"), ratio);
-                    if let SolveStatus::DisconnectedDemandsDropped { dropped, .. } = status {
-                        dropped_total += dropped;
-                    }
-                    if status.is_degraded() {
-                        degraded += 1;
-                    }
-                }
-                let stats = Stats::from_samples(&ratios);
-                out.push("baseline", base_value);
-                out.push("rel_mean", stats.mean);
-                out.push("rel_std", stats.std_dev);
-                out.push("rel_ci95", stats.ci95);
-                out.push("dropped_mean", dropped_total as f64 / draws as f64);
-                out.push("degraded_draws", degraded as f64);
-                out.push_text("baseline_status", base_status.label());
-            }
             CellSpec::Search {
                 start,
                 tm,
@@ -716,12 +545,50 @@ impl CellSpec {
             } => {
                 run_search(start, tm, *tm_seed, *max_steps, cfg, &mut out);
             }
-            CellSpec::Relative { .. } | CellSpec::FacebookRelative { .. } => {
-                unreachable!("a relative cell runs as its solves")
+            CellSpec::Relative { .. }
+            | CellSpec::FacebookRelative { .. }
+            | CellSpec::Degradation { .. } => {
+                unreachable!("a multi-solve cell runs as its solves")
             }
         }
         out
     }
+}
+
+/// Combines a degradation cell's solves, the baseline first, in index
+/// order: each draw's throughput relative to the baseline, their statistics,
+/// and how many demands and draws the faults degraded.
+fn degradation_values(solves: &[Evaluated]) -> CellValues {
+    let (baseline, draws) = solves.split_first().expect("a baseline solve");
+    let base_value = baseline.bounds.value();
+    let mut out = CellValues::default();
+    let mut ratios = Vec::with_capacity(draws.len());
+    let mut dropped_total = 0usize;
+    let mut degraded = 0u64;
+    for (i, draw) in draws.iter().enumerate() {
+        let ratio = if base_value > 0.0 {
+            draw.bounds.value() / base_value
+        } else {
+            0.0
+        };
+        ratios.push(ratio);
+        out.push(format!("ratio_{i}"), ratio);
+        if let SolveStatus::DisconnectedDemandsDropped { dropped, .. } = draw.status {
+            dropped_total += dropped;
+        }
+        if draw.status.is_degraded() {
+            degraded += 1;
+        }
+    }
+    let stats = Stats::from_samples(&ratios);
+    out.push("baseline", base_value);
+    out.push("rel_mean", stats.mean);
+    out.push("rel_std", stats.std_dev);
+    out.push("rel_ci95", stats.ci95);
+    out.push("dropped_mean", dropped_total as f64 / draws.len() as f64);
+    out.push("degraded_draws", degraded as f64);
+    out.push_text("baseline_status", baseline.status.label());
+    out
 }
 
 #[cfg(test)]

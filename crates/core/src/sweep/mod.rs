@@ -9,8 +9,10 @@
 //!   expansion time, derived from the base seed — never from execution
 //!   order),
 //! * executes unique cells in parallel, every unit of every missing cell
-//!   (a relative cell's 1 + k solves, one unit for any other kind) one item
-//!   of one flat queue ([`run_cells`]), bit-identical to a serial run,
+//!   (each of the 1 + k solves of a relative or degradation cell, one unit
+//!   for any other kind) one item of one flat queue ([`run_cells`]),
+//!   bit-identical to a serial run, and counts the solves and topology
+//!   builds of that run alone ([`SweepReport`]),
 //! * serves repeat computations from a content-keyed on-disk cache
 //!   ([`ResultCache`], default `results/cache/`), so re-runs and interrupted
 //!   `--full` ladders resume instead of recomputing, and
@@ -27,6 +29,7 @@ pub mod cell;
 pub mod diff;
 pub mod json;
 pub mod runner;
+mod search;
 pub mod table;
 pub mod verify;
 
@@ -43,6 +46,7 @@ pub use diff::{
 /// run, units run off the calling thread, per-thread busy time and the
 /// longest unit, for drivers that report how a run was scheduled.
 pub use rayon::Schedule;
+use runner::counted;
 pub use runner::{cell_key, run_cells, CellOutcome, CellSet, SweepOptions, SweepReport};
 pub use table::{f3, Table};
 pub use tb_topology::TopoSpec;
@@ -77,19 +81,22 @@ impl std::fmt::Debug for Scenario {
 /// cell filter active, or when any cell failed, a generic per-cell metric
 /// dump is rendered instead (a failed cell is one `status | failed` row).
 pub fn run_scenario(scenario: &Scenario, opts: &SweepOptions) -> (SweepReport, RenderOutput) {
-    // Widen the build-counter window over expansion and rendering too:
-    // both run on construction-free topology metadata, so a fully cache-hot
-    // scenario run must report zero topology constructions end to end.
-    let builds_before = tb_topology::constructions();
-    let cells = (scenario.build)(opts);
+    // Count expansion and rendering too, each on its own (units that run
+    // inline on this thread are counted by `run_cells`): both run on
+    // construction-free topology metadata, so a fully cache-hot scenario
+    // run must report zero topology constructions end to end.
+    let (cells, expanded) = counted(|| (scenario.build)(opts));
     let mut report = run_cells(opts, cells);
-    let render = if opts.filter.is_some() || report.failed_cells > 0 {
-        render_cell_dump(scenario, opts, &report)
-    } else {
-        let set = CellSet::new(&report.outcomes);
-        (scenario.render)(opts, &set)
-    };
-    report.topo_builds = tb_topology::constructions() - builds_before;
+    let (render, rendered) = counted(|| {
+        if opts.filter.is_some() || report.failed_cells > 0 {
+            render_cell_dump(scenario, opts, &report)
+        } else {
+            let set = CellSet::new(&report.outcomes);
+            (scenario.render)(opts, &set)
+        }
+    });
+    report.solver_calls += expanded.solves + rendered.solves;
+    report.topo_builds += expanded.builds + rendered.builds;
     (report, render)
 }
 

@@ -2,11 +2,17 @@
 //!
 //! Execution is embarrassingly parallel over *unique* cell computations
 //! (cells with identical cache keys are computed once and share the result).
-//! Every unit of every missing cell — a relative cell's 1 + k solves, one
-//! unit for any other kind — is one item of one flat queue that
-//! [`rayon::map`] hands out one at a time; nothing nests. Every solve builds
-//! its own state and every random seed is pinned inside the cell spec, so
-//! results are bit-identical regardless of thread count or execution order.
+//! Every unit of every missing cell — each of the 1 + k solves of a relative
+//! or degradation cell, one unit for any other kind — is one item of one
+//! flat queue that [`rayon::map`] hands out one at a time; nothing nests.
+//! Every solve builds its own state and every random seed is pinned inside
+//! the cell spec, so results are bit-identical regardless of thread count or
+//! execution order.
+//!
+//! A run counts its own solves and topology builds: a unit runs start to
+//! finish on one thread, so the solver and build counters of that thread,
+//! read around the unit, give exactly its work, whatever else the process
+//! runs meanwhile.
 
 use crate::eval::EvalConfig;
 use crate::sweep::cache::ResultCache;
@@ -103,14 +109,14 @@ pub struct SweepReport {
     pub unique_cells: usize,
     /// Unique computations served from the cache.
     pub cache_hits: usize,
-    /// Throughput-solver invocations performed during this run.
+    /// Throughput-solver invocations made by this run's units (other runs
+    /// in the same process are not counted).
     pub solver_calls: u64,
-    /// Topology constructions performed during this run. [`run_cells`]
-    /// measures its own execution; [`run_scenario`](crate::sweep::run_scenario)
-    /// widens the window to cover scenario expansion and rendering too, so a
-    /// fully cache-hot scenario run reports zero. Like `solver_calls` this
-    /// reads a process-global counter, so exact-zero assertions belong in
-    /// single-test binaries.
+    /// Topology constructions made by this run. [`run_cells`] counts its
+    /// units'; [`run_scenario`](crate::sweep::run_scenario) adds what
+    /// scenario expansion and rendering built on the calling thread, so a
+    /// fully cache-hot scenario run reports zero. Other runs in the same
+    /// process are not counted.
     pub topo_builds: u64,
     /// Unique computations that failed (panicked; see
     /// [`CellOutcome::error`]). The sweep completes anyway — failed cells are
@@ -147,6 +153,25 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// Runs `f` under fault isolation: a panic becomes its text.
 fn isolated<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| panic_text(payload.as_ref()))
+}
+
+/// Solver calls and topology builds.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Work {
+    pub(crate) solves: u64,
+    pub(crate) builds: u64,
+}
+
+/// Runs `f` and returns, with its result, the solves and builds it made on
+/// the calling thread.
+pub(crate) fn counted<R>(f: impl FnOnce() -> R) -> (R, Work) {
+    let (solves, builds) = (tb_flow::solver_invocations(), tb_topology::constructions());
+    let r = f();
+    let work = Work {
+        solves: tb_flow::solver_invocations() - solves,
+        builds: tb_topology::constructions() - builds,
+    };
+    (r, work)
 }
 
 /// A missing cell while its units run.
@@ -207,8 +232,6 @@ pub fn run_cells(opts: &SweepOptions, cells: Vec<SweepCell>) -> SweepReport {
         Some(f) => cells.into_iter().filter(|c| c.id.contains(f)).collect(),
         None => cells,
     };
-    let solver_before = tb_flow::solver_invocations();
-    let builds_before = tb_topology::constructions();
 
     // Deduplicate: identical specs (same key) are computed once per run.
     let keys: Vec<String> = cells.iter().map(|c| cell_key(c, &cfg)).collect();
@@ -237,7 +260,7 @@ pub fn run_cells(opts: &SweepOptions, cells: Vec<SweepCell>) -> SweepReport {
 
     // Compute the misses: every unit of every missing cell is one item of
     // one queue. A panicking unit fails its cell, which is never cached and
-    // never fatal.
+    // never fatal. Each item returns the solves and builds its unit made.
     let missing: Vec<usize> = results
         .iter()
         .enumerate()
@@ -254,17 +277,21 @@ pub fn run_cells(opts: &SweepOptions, cells: Vec<SweepCell>) -> SweepReport {
     let width = opts.jobs.unwrap_or_else(rayon::default_width);
     let (completed, schedule) = rayon::map(width, queue, |(m, i)| {
         let cell = &open[m];
-        let done = cell.run(&cfg, i)?;
+        let (done, work) = counted(|| cell.run(&cfg, i));
         match &done {
             // Stored as each cell completes, so an interrupted run resumes
             // from whatever completed.
-            Ok(values) if opts.use_cache => cache.store(cell.key, values),
-            Ok(_) => {}
-            Err(error) => eprintln!("warning: cell '{}' failed: {error}", cell.cell.id),
+            Some(Ok(values)) if opts.use_cache => cache.store(cell.key, values),
+            Some(Err(error)) => eprintln!("warning: cell '{}' failed: {error}", cell.cell.id),
+            _ => {}
         }
-        Some((m, done))
+        (work, done.map(|done| (m, done)))
     });
-    for (m, done) in completed.into_iter().flatten() {
+    let mut work = Work::default();
+    for (unit, done) in completed {
+        work.solves += unit.solves;
+        work.builds += unit.builds;
+        let Some((m, done)) = done else { continue };
         results[missing[m]] = Some(match done {
             Ok(values) => (values, false, None),
             Err(error) => (CellValues::default(), false, Some(error)),
@@ -295,8 +322,8 @@ pub fn run_cells(opts: &SweepOptions, cells: Vec<SweepCell>) -> SweepReport {
         outcomes,
         unique_cells,
         cache_hits,
-        solver_calls: tb_flow::solver_invocations() - solver_before,
-        topo_builds: tb_topology::constructions() - builds_before,
+        solver_calls: work.solves,
+        topo_builds: work.builds,
         failed_cells,
         schedule: (schedule.items > 0).then_some(schedule),
     }
@@ -403,11 +430,8 @@ mod tests {
         let report = run_cells(&no_cache_opts(), cells);
         assert_eq!(report.outcomes.len(), 3);
         assert_eq!(report.unique_cells, 2);
-        // NOTE: report.solver_calls reads a process-global counter, so other
-        // tests solving concurrently can inflate it — assert only a lower
-        // bound here (the exact zero-call contract is tested in the
-        // single-test `engine_cache` binary, where the counter is quiet).
-        assert!(report.solver_calls >= 2);
+        // Two exact-LP hypercube solves; the duplicate solves nothing.
+        assert_eq!(report.solver_calls, 2);
         assert!(report.outcomes[0]
             .values
             .bit_identical(&report.outcomes[2].values));
@@ -541,22 +565,50 @@ mod tests {
         )
     }
 
+    /// A degradation cell small enough to solve in milliseconds: a baseline
+    /// and three fault draws that each fail two links and a switch.
+    fn degradation_cell() -> SweepCell {
+        SweepCell::new(
+            "cube/faults",
+            CellSpec::Degradation {
+                topo: TopoSpec::Hypercube {
+                    dims: 4,
+                    servers: 1,
+                },
+                tm: TmSpec::AllToAll,
+                tm_seed: 1,
+                link_fail_frac: 0.0625,
+                switch_failures: 1,
+                failure_seeds: 3,
+                seed: 7,
+            },
+        )
+    }
+
     /// Units may complete in any order: the last one in combines the cell,
     /// exactly as a serial run does, and releases its base topology.
     #[test]
     fn the_unit_that_completes_a_cell_combines_it_and_releases_its_base() {
-        let cell = relative_cell("jf/relative", 1);
         let cfg = no_cache_opts().eval_config();
-        let key = cell_key(&cell, &cfg);
-        let units = cell.spec.units(&cfg);
-        assert_eq!(units, cfg.random_graph_iterations + 1);
-        let open = OpenCell::new(&cell, &key, units);
-        for i in (0..units).rev() {
-            let done = open.run(&cfg, i);
-            assert_eq!(done.is_some(), i == 0, "unit {i}");
-            assert_eq!(open.base.lock().unwrap().is_some(), i != 0, "unit {i}");
-            if let Some(done) = done {
-                assert!(done.unwrap().bit_identical(&cell.spec.compute(&cfg)));
+        let relative = relative_cell("jf/relative", 1);
+        let degradation = degradation_cell();
+        for (cell, expected_units) in [
+            (relative, cfg.random_graph_iterations + 1),
+            (degradation, 1 + 3),
+        ] {
+            let key = cell_key(&cell, &cfg);
+            let units = cell.spec.units(&cfg);
+            assert_eq!(units, expected_units, "{}", cell.id);
+            let open = OpenCell::new(&cell, &key, units);
+            for i in (0..units).rev() {
+                let done = open.run(&cfg, i);
+                assert_eq!(done.is_some(), i == 0, "{} unit {i}", cell.id);
+                let held = open.base.lock().unwrap().is_some();
+                assert_eq!(held, i != 0, "{} unit {i}", cell.id);
+                if let Some(done) = done {
+                    let serial = cell.spec.compute(&cfg);
+                    assert!(done.unwrap().bit_identical(&serial), "{}", cell.id);
+                }
             }
         }
     }

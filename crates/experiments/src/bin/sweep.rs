@@ -32,6 +32,9 @@
 //! unless every cell came from the cache with zero solver invocations **and
 //! zero topology constructions** — CI uses this to prove that both the cache
 //! and the construction-free metadata layer work end to end.
+//! `--write-golden` copies each complete artifact to `results/golden/`; a
+//! scenario with a failed cell is refused with exit status 1 and its golden
+//! is left untouched.
 //!
 //! `sweep diff` compares two artifacts (or, with `--all`, two artifact
 //! directories) cell by cell: values must match bit for bit, and
@@ -45,7 +48,7 @@
 
 #![forbid(unsafe_code)]
 
-use experiments::{find_scenario, registry, run_and_emit, RunOptions};
+use experiments::{find_scenario, registry, run_and_emit, write_golden, RunOptions};
 use topobench::sweep::{diff_dirs, diff_files, Scenario, Schedule};
 
 fn print_index() {
@@ -306,13 +309,15 @@ fn main() {
             run_and_emit(scenario, &opts).unwrap_or_else(|message| fail(&message));
         if opts.write_golden {
             let golden_dir = std::path::Path::new("results").join("golden");
-            let golden_path = golden_dir.join(format!("{}.json", scenario.name));
-            if let Err(e) = std::fs::create_dir_all(&golden_dir)
-                .and_then(|()| std::fs::copy(&artifact_path, &golden_path))
-            {
-                fail(&format!("cannot write {}: {e}", golden_path.display()));
+            match write_golden(scenario.name, &report, &artifact_path, &golden_dir) {
+                Ok(golden_path) => println!("(golden: {})", golden_path.display()),
+                // Not a usage or I/O error: the run itself cannot be a golden.
+                Err(message) if report.failed_cells > 0 => {
+                    eprintln!("error: --write-golden refused: {message}");
+                    std::process::exit(1);
+                }
+                Err(message) => fail(&message),
             }
-            println!("(golden: {})", golden_path.display());
         }
         println!(
             "\n[sweep] {}: {} cells ({} unique), {} cache hits, {} solver calls, {} topology builds",

@@ -19,9 +19,9 @@
 //! * `--jobs N`   — computing threads, the calling one included (`1` forces
 //!   a fully serial run and spawns nothing; at most [`MAX_JOBS`]; without
 //!   it, `RAYON_NUM_THREADS` if set, held to the same rule, else all cores).
-//!   Every unit of work is one item of one flat queue: a relative cell's
-//!   1+k solves are a unit each, any other cell is one unit, and nothing
-//!   nests; results are bit-identical for any `N`. This is the only
+//!   Every unit of work is one item of one flat queue: the 1+k solves of a
+//!   relative or degradation cell are a unit each, any other cell is one
+//!   unit, and nothing nests; results are bit-identical for any `N`. This is the only
 //!   parallelism knob: every solve is one serial trajectory, its bound
 //!   sweeps included, and splitting the routing of one solve across workers
 //!   was measured slower than serial and removed,
@@ -58,7 +58,7 @@ pub struct RunOptions {
     pub scenario: Option<String>,
     /// Fail unless every cell came from the cache, with no solve and no build.
     pub expect_cache_hot: bool,
-    /// Also copy each complete artifact to `results/golden/`.
+    /// Also copy each complete artifact to `results/golden/` ([`write_golden`]).
     pub write_golden: bool,
     /// Also write a CSV copy of each table under `results/`.
     pub csv: bool,
@@ -99,8 +99,9 @@ const HELP: &str = "  --list           print the scenario index and exit
   --jobs <N>       computing threads, the calling one included, 1 to 256 (1 = fully
                    serial, no thread spawned; default: RAYON_NUM_THREADS, same range,
                    else all cores). Every unit of work is one item of one queue: each
-                   of a relative cell's 1+k solves, or a whole cell of any other kind;
-                   each solve runs on one thread; results do not depend on N
+                   of a relative or degradation cell's 1+k solves, or a whole cell of
+                   any other kind; each solve runs on one thread; results do not
+                   depend on N
   --filter <S>     only run cells whose id contains S (prints a raw cell dump)
   --no-cache       do not read or write results/cache/
   --help           print this help";
@@ -237,6 +238,30 @@ pub fn run_and_emit(
     validate_artifact(&text).unwrap_or_else(|e| panic!("artifact failed schema validation: {e}"));
     println!("(wrote {}, schema valid)", path.display());
     Ok((report, path))
+}
+
+/// Copies the artifact a run of `scenario` wrote at `artifact` to
+/// `<golden_dir>/<scenario>.json` and returns the golden's path. A run with a
+/// failed cell is refused and leaves the golden untouched: a golden pins
+/// every cell's values, and a failed cell has none. The error is a message.
+pub fn write_golden(
+    scenario: &str,
+    report: &SweepReport,
+    artifact: &Path,
+    golden_dir: &Path,
+) -> Result<PathBuf, String> {
+    let golden = golden_dir.join(format!("{scenario}.json"));
+    if report.failed_cells > 0 {
+        return Err(format!(
+            "{} cell(s) of {scenario} failed; {} left untouched",
+            report.failed_cells,
+            golden.display()
+        ));
+    }
+    std::fs::create_dir_all(golden_dir)
+        .and_then(|()| std::fs::copy(artifact, &golden))
+        .map_err(|e| format!("cannot write {}: {e}", golden.display()))?;
+    Ok(golden)
 }
 
 /// Looks up a scenario by registry name.
@@ -418,6 +443,58 @@ mod tests {
         .unwrap();
         assert_eq!(o.scenario.as_deref(), Some("fig02"));
         assert!(o.list && o.expect_cache_hot && o.write_golden);
+    }
+
+    /// A run with a failed cell (no radix-2 HyperX design has a million
+    /// servers) never reaches the golden; a healthy run is copied there.
+    #[test]
+    fn write_golden_refuses_a_run_with_a_failed_cell() {
+        use topobench::sweep::{run_cells, CellSpec, SweepCell, TopoSpec};
+        use topobench::TmSpec;
+        let dir = std::env::temp_dir().join(format!("tb-write-golden-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let golden_dir = dir.join("golden");
+        std::fs::create_dir_all(&golden_dir).unwrap();
+        let golden = golden_dir.join("probe.json");
+        std::fs::write(&golden, "the committed golden").unwrap();
+        let artifact = dir.join("probe.json");
+        std::fs::write(&artifact, "a fresh artifact").unwrap();
+        let cell = |id: &str, topo| {
+            let tm = TmSpec::AllToAll;
+            SweepCell::new(
+                id,
+                CellSpec::Throughput {
+                    topo,
+                    tm,
+                    tm_seed: 1,
+                },
+            )
+        };
+        let cube = TopoSpec::Hypercube {
+            dims: 2,
+            servers: 1,
+        };
+        let dead = TopoSpec::HyperX {
+            radix: 2,
+            min_servers: 1_000_000,
+            bisection: 0.4,
+        };
+        let mut opts = SweepOptions::new(false, 1);
+        opts.use_cache = false;
+
+        let failed = run_cells(&opts, vec![cell("cube", cube.clone()), cell("dead", dead)]);
+        assert_eq!(failed.failed_cells, 1);
+        let err = write_golden("probe", &failed, &artifact, &golden_dir).unwrap_err();
+        assert!(err.starts_with("1 cell(s) of probe failed"), "{err}");
+        let kept = std::fs::read_to_string(&golden).unwrap();
+        assert_eq!(kept, "the committed golden");
+
+        let healthy = run_cells(&opts, vec![cell("cube", cube)]);
+        let written = write_golden("probe", &healthy, &artifact, &golden_dir).unwrap();
+        assert_eq!(written, golden);
+        let copied = std::fs::read_to_string(&golden).unwrap();
+        assert_eq!(copied, "a fresh artifact");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

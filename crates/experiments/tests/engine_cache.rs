@@ -3,9 +3,9 @@
 //! (expansion, execution and rendering all run on construction-free
 //! metadata) and returns bit-identical results.
 //!
-//! This lives in its own integration-test binary (with a single test) so the
-//! process-wide solver-invocation and topology-construction counters are not
-//! perturbed by concurrent tests.
+//! A run counts only its own solves and builds, and the expansion check
+//! reads the construction counter of its own thread, so the exact zeros hold
+//! whatever other tests run beside this one.
 
 use experiments::find_scenario;
 use topobench::sweep::{artifact_json, run_scenario, validate_artifact, SweepOptions};

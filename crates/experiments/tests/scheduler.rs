@@ -7,26 +7,19 @@
 //! CI runs this binary at `RAYON_NUM_THREADS` 1, 2 and 8, which sets the
 //! width `rayon::default_width` gives and the engine uses without `--jobs`.
 //! On one thread nothing is concurrent, so the concurrency case asserts the
-//! inline order instead.
+//! inline order instead. A run counts only its own solves and builds, so
+//! the cases that solve run side by side.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 use topobench::sweep::{
     artifact_json, diff_artifacts, run_cells, run_scenario, validate_artifact, CellSpec, SweepCell,
     SweepOptions, TopoSpec,
 };
-use topobench::TmSpec;
+use topobench::{evaluate, EvalConfig, TmSpec};
 
 const GATE_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// An artifact records the process-wide solver-call counter, so the cases
-/// that solve run one at a time.
-static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-
-fn exclusive() -> MutexGuard<'static, ()> {
-    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Shared state the items of one case update and wait on.
 struct Gate<S> {
@@ -113,7 +106,6 @@ fn relative_cell() -> SweepCell {
 /// the engine queues the cell as its 1 + k units.
 #[test]
 fn two_units_of_one_relative_cell_meet_on_two_threads() {
-    let _exclusive = exclusive();
     let n = rayon::default_width();
     let cell = relative_cell();
     let mut opts = SweepOptions::new(false, 1);
@@ -152,13 +144,77 @@ fn two_units_of_one_relative_cell_meet_on_two_threads() {
     assert_eq!(schedule.busy.len(), n.min(units));
 }
 
-/// (d) The engine end to end: rung 0 of every family under longest matching
+/// A degradation cell small enough to solve in milliseconds: its baseline
+/// and two fault draws of one link each.
+fn degradation_cell() -> SweepCell {
+    SweepCell::new(
+        "cube/faults/A2A",
+        CellSpec::Degradation {
+            topo: TopoSpec::Hypercube {
+                dims: 3,
+                servers: 1,
+            },
+            tm: TmSpec::AllToAll,
+            tm_seed: 1,
+            link_fail_frac: 0.1,
+            switch_failures: 0,
+            failure_seeds: 2,
+            seed: 1,
+        },
+    )
+}
+
+/// (d) A run counts its own solves and topology builds only: while another
+/// thread keeps building and solving small instances, a run reports what
+/// the same run reports alone. The run is repeated until two of the other
+/// thread's solves finished inside it, so the second of them began there.
+#[test]
+fn a_run_counts_only_its_own_solves_and_builds_while_another_thread_solves() {
+    let mut opts = SweepOptions::new(false, 1);
+    opts.use_cache = false;
+    let cells = || vec![relative_cell(), degradation_cell()];
+    let alone = run_cells(&opts, cells());
+    assert_eq!(alone.failed_cells, 0);
+    assert!(alone.solver_calls > 0 && alone.topo_builds > 0);
+
+    let stop = AtomicBool::new(false);
+    let solved = AtomicUsize::new(0);
+    let beside = std::thread::scope(|s| {
+        s.spawn(|| {
+            let spec = TopoSpec::Hypercube {
+                dims: 2,
+                servers: 1,
+            };
+            let cfg = EvalConfig::fast();
+            while !stop.load(Ordering::SeqCst) {
+                let topo = spec.build().expect("a square builds");
+                evaluate(&topo, &TmSpec::AllToAll.generate(&topo, 1), &cfg);
+                solved.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        let beside = (0..100).find_map(|_| {
+            let before = solved.load(Ordering::SeqCst);
+            let report = run_cells(&opts, cells());
+            (solved.load(Ordering::SeqCst) >= before + 2).then_some(report)
+        });
+        stop.store(true, Ordering::SeqCst);
+        beside.expect("no run overlapped a solve of the other thread")
+    });
+    assert_eq!(
+        (beside.solver_calls, beside.topo_builds),
+        (alone.solver_calls, alone.topo_builds)
+    );
+    for (a, b) in alone.outcomes.iter().zip(&beside.outcomes) {
+        assert!(a.values.bit_identical(&b.values), "{}", a.cell.id);
+    }
+}
+
+/// (e) The engine end to end: rung 0 of every family under longest matching
 /// (relative cells, so 1+k units each) gives the same artifact, byte for
 /// byte, at width 1 and at the run's default width, and matches the
 /// committed golden.
 #[test]
 fn fig05_06_rung0_lm_is_byte_identical_serial_and_pooled_and_matches_the_golden() {
-    let _exclusive = exclusive();
     let scenario = experiments::find_scenario("fig05_06").expect("scenario registered");
     let mut opts = SweepOptions::new(false, 1);
     opts.use_cache = false;
@@ -189,7 +245,7 @@ fn fig05_06_rung0_lm_is_byte_identical_serial_and_pooled_and_matches_the_golden(
     );
 }
 
-/// (e) The `--jobs` ceiling holds without starting a thread: a width at the
+/// (f) The `--jobs` ceiling holds without starting a thread: a width at the
 /// ceiling spawns nothing for a single item, and a width past it — from
 /// `--jobs` or from `RAYON_NUM_THREADS` — is a usage error (exit 2) before
 /// the driver runs anything.

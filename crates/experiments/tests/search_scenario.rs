@@ -4,9 +4,8 @@
 //! cell cache, and expansion + rendering run on construction-free metadata),
 //! and returns bit-identical results.
 //!
-//! This lives in its own integration-test binary (with a single test) so the
-//! process-wide solver-invocation and topology-construction counters are not
-//! perturbed by concurrent tests.
+//! A run counts only its own solves and builds, so the exact zeros hold
+//! whatever other tests run beside this one.
 
 use experiments::find_scenario;
 use topobench::sweep::{artifact_json, run_scenario, validate_artifact, SweepOptions};
@@ -54,8 +53,7 @@ fn search_cache_rerun_is_solver_free_and_bit_identical() {
     }
 
     // Cache-hot re-run: zero solver calls, zero constructions, identical
-    // bits — the build counter is asserted exactly because this binary holds
-    // a single test.
+    // bits.
     let (hot, hot_render) = run_scenario(&scenario, &opts);
     assert_eq!(hot.cache_hits, hot.unique_cells);
     assert_eq!(

@@ -48,8 +48,8 @@
 //! Every solve runs **one serial trajectory**: source by source, lengths
 //! updated in place, and its bound evaluations' sweeps in source order on
 //! the solve's own SSSP workspace. Parallelism lives one layer up only: the
-//! sweep engine's flat unit queue, where each of a relative cell's 1+k
-//! solves is a unit of its own. Intra-solve batching of the routing (fixed rounds,
+//! sweep engine's flat unit queue, where each of the 1+k solves of a
+//! relative or degradation cell is a unit of its own. Intra-solve batching of the routing (fixed rounds,
 //! work-stealing chunks, bounded staleness) was built, measured slower than
 //! this trajectory on every shape at one and two workers, and removed; so
 //! was fanning the bound sweeps out to the thread pool past 2^17 searches × arcs,

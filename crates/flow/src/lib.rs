@@ -37,7 +37,7 @@ pub use instance::FlowProblem;
 pub use lengths::MwuLengths;
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use tb_graph::connectivity::connected_components;
 use tb_graph::Graph;
 use tb_traffic::{Demand, TrafficMatrix};
@@ -51,18 +51,22 @@ use tb_traffic::{Demand, TrafficMatrix};
 /// block-mix feasible bound).
 pub const SOLVER_REVISION: u32 = 3;
 
-/// Process-wide count of throughput-solver invocations (FPTAS, exact LP and
-/// path-restricted). The sweep engine's cache tests read deltas of this
-/// counter to prove that cache-hot runs perform zero solves.
-static SOLVE_COUNT: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Throughput-solver invocations (FPTAS, exact LP and path-restricted)
+    /// on this thread. A solve runs start to finish on the thread that calls
+    /// it, so this counts exactly the solves that thread did.
+    static SOLVES: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Returns the cumulative number of solver invocations in this process.
+/// Returns the number of solver invocations made on the calling thread so
+/// far. The sweep engine reads it around each unit of work to count a run's
+/// own solves, whatever other threads of the process solve meanwhile.
 pub fn solver_invocations() -> u64 {
-    SOLVE_COUNT.load(Ordering::Relaxed)
+    SOLVES.get()
 }
 
 pub(crate) fn record_solver_invocation() {
-    SOLVE_COUNT.fetch_add(1, Ordering::Relaxed);
+    SOLVES.set(SOLVES.get() + 1);
 }
 
 /// The result of a throughput computation: a bracketing interval around the

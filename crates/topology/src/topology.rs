@@ -1,19 +1,22 @@
 //! The [`Topology`] type: a switch graph plus server attachments.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use tb_graph::Graph;
 
-/// Process-wide count of [`Topology`] constructions.
-static CONSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// [`Topology`] constructions on this thread.
+    static CONSTRUCTIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Number of [`Topology`] values constructed by this process so far (every
-/// generator funnels through [`Topology::new`]). The sweep engine reads this
-/// before and after a run to prove that cache-hot runs build **zero**
-/// topologies end to end; like the solver-invocation counter in `tb_flow`,
-/// it is global, so exact-zero assertions belong in single-test binaries.
+/// Number of [`Topology`] values constructed on the calling thread so far
+/// (every generator funnels through [`Topology::new`]). The sweep engine
+/// reads it around each unit of work, and around scenario expansion and
+/// rendering, to count a run's own builds and to prove that cache-hot runs
+/// build **zero** topologies end to end, whatever other threads of the
+/// process build meanwhile.
 pub fn constructions() -> u64 {
-    CONSTRUCTIONS.load(Ordering::Relaxed)
+    CONSTRUCTIONS.get()
 }
 
 /// A network topology under evaluation: the switch-level graph, the number of
@@ -48,7 +51,7 @@ impl Topology {
             graph.num_nodes(),
             "servers vector must have one entry per switch"
         );
-        CONSTRUCTIONS.fetch_add(1, Ordering::Relaxed);
+        CONSTRUCTIONS.set(CONSTRUCTIONS.get() + 1);
         Topology {
             name: name.into(),
             params: params.into(),

@@ -5,10 +5,9 @@
 //! link counts and degree caps. The sweep engine's zero-build cache-hot path
 //! depends on this equivalence.
 //!
-//! This binary holds a single test on purpose: it first proves that the
-//! metadata pass constructs **zero** topologies (reading the process-global
-//! construction counter), which would race against any sibling test that
-//! builds graphs concurrently.
+//! The test first proves that the metadata pass constructs **zero**
+//! topologies, reading the construction counter of its own thread, so
+//! sibling tests that build graphs concurrently cannot disturb it.
 
 use tb_topology::families::{Scale, ALL_FAMILIES};
 use tb_topology::natural::{natural_meta, natural_network};
