@@ -67,6 +67,23 @@ pub struct Evaluated {
     pub bounds: ThroughputBounds,
     /// Converged, or budget-exhausted with the best bounds so far.
     pub status: SolveStatus,
+    /// With certificate capture on, the verdict on the solve's own
+    /// certificate; `None` with capture off.
+    pub certification: Option<Certification>,
+}
+
+/// The verdict on the optimality certificate of one solve (see
+/// `tb_flow::certificate`).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Certification {
+    /// The certificate verified at the gap the configuration promises, and
+    /// it proves exactly the solve's bounds.
+    Certified,
+    /// The solve exhausted its budget: its bounds are valid but meet no
+    /// accuracy contract, so there is nothing to certify.
+    Unverifiable,
+    /// The certificate failed to verify, or proves other bounds.
+    Bad(String),
 }
 
 /// Computes the throughput of `tm` on `topo` (§II-A): the maximum `t` such
@@ -80,26 +97,29 @@ pub struct Evaluated {
 /// under `cfg.solver`. Strict semantics: a disconnected demand is not
 /// dropped, it pins the result to zero.
 pub fn evaluate(topo: &Topology, tm: &TrafficMatrix, cfg: &EvalConfig) -> Evaluated {
-    solve(topo, tm, cfg, false).0
+    solve(topo, tm, cfg, false)
 }
 
-/// [`evaluate`], plus the optimality certificate of the full instance (see
-/// `tb_flow::certificate`) when `capture` is set; `sweep verify` is the one
-/// caller that sets it. Capture can never change a reported number: the
-/// exact LP derives its certificate from the same optimal basis, and the
-/// FPTAS capture is trajectory-neutral.
+/// [`evaluate`], and with `capture` set (`sweep verify` re-runs a cell's
+/// units so) the verdict on the solve's own certificate ([`certify`]).
+/// Capture can never change a reported number: the exact LP derives its
+/// certificate from the same optimal basis, and the FPTAS capture is
+/// trajectory-neutral.
 pub(crate) fn solve(
     topo: &Topology,
     tm: &TrafficMatrix,
     cfg: &EvalConfig,
     capture: bool,
-) -> (Evaluated, Option<ThroughputCertificate>) {
-    let done = |bounds, status, certificate: Option<ThroughputCertificate>| {
+) -> Evaluated {
+    let done = |bounds, status, cert: Option<ThroughputCertificate>| {
         let bounds = guard_finite(bounds, topo);
-        (
-            Evaluated { bounds, status },
-            certificate.filter(|_| capture),
-        )
+        let certification =
+            (cert.filter(|_| capture)).map(|cert| certify(topo, tm, cfg, bounds, status, &cert));
+        Evaluated {
+            bounds,
+            status,
+            certification,
+        }
     };
     if tm.num_flows() == 0 {
         return done(
@@ -129,6 +149,46 @@ pub(crate) fn solve(
     done(bounds, status, cert)
 }
 
+/// Relative slack when tying a certificate's `lower`/`upper` claims to the
+/// solve's bounds. The two are computed by arithmetically equivalent but
+/// differently-ordered expressions (e.g. `min(r_j mu / d_j)` vs
+/// `mu min(r_j / d_j)`), so they agree to a few ulps, not always exactly.
+const CLAIM_TIE_TOL: f64 = 1e-9;
+
+/// The verdict on `cert`, the certificate of the solve of `tm` on `topo`
+/// that reported `bounds` with `status`. Budget-exhausted bounds meet no
+/// accuracy contract: unverifiable, never certified. Otherwise
+/// [`tb_flow::verify_certificate`] re-derives primal feasibility and the
+/// dual bound from the instance at [`acceptable_certificate_gap`], and the
+/// certificate's `lower`/`upper` must be the solve's bounds (to
+/// [`CLAIM_TIE_TOL`]): evidence that proves a *different* value certifies
+/// nothing.
+fn certify(
+    topo: &Topology,
+    tm: &TrafficMatrix,
+    cfg: &EvalConfig,
+    bounds: ThroughputBounds,
+    status: SolveStatus,
+    cert: &ThroughputCertificate,
+) -> Certification {
+    if status == SolveStatus::BudgetExhausted {
+        return Certification::Unverifiable;
+    }
+    let eps = acceptable_certificate_gap(cfg);
+    if let Err(e) = tb_flow::verify_certificate(&topo.graph, tm, cert, eps) {
+        return Certification::Bad(e.to_string());
+    }
+    let tied =
+        |claim: f64, bound: f64| (claim - bound).abs() <= CLAIM_TIE_TOL * (1.0 + bound.abs());
+    if tied(cert.lower, bounds.lower) && tied(cert.upper, bounds.upper) {
+        return Certification::Certified;
+    }
+    Certification::Bad(format!(
+        "certificate [{:?}, {:?}] does not back the solve's [{:?}, {:?}]",
+        cert.lower, cert.upper, bounds.lower, bounds.upper
+    ))
+}
+
 /// The widest duality gap a *converged* solve under `cfg` may legitimately
 /// certify: the configured target gap, or the classical Fleischer guarantee
 /// (a `(1-eps)^3` primal/dual ratio, i.e. a relative gap of at most about
@@ -136,7 +196,7 @@ pub(crate) fn solve(
 /// the target. `sweep verify` accepts certificates up to this gap; anything
 /// wider on a converged cell means the recorded bounds do not support the
 /// accuracy the configuration promises.
-pub(crate) fn acceptable_certificate_gap(cfg: &EvalConfig) -> f64 {
+fn acceptable_certificate_gap(cfg: &EvalConfig) -> f64 {
     (3.0 * cfg.solver.epsilon).max(cfg.solver.target_gap)
 }
 
@@ -162,16 +222,18 @@ fn guard_finite(b: ThroughputBounds, topo: &Topology) -> ThroughputBounds {
 ///
 /// The bounds always satisfy `lower <= upper` and are finite; an instance
 /// whose every demand is disconnected yields a well-defined zero-throughput
-/// result, never a panic or NaN.
+/// result, never a panic or NaN. With `capture` set, the certificate checked
+/// is that of the kept demands, the instance actually solved.
 pub(crate) fn evaluate_throughput_status_with(
     topo: &Topology,
     tm: &TrafficMatrix,
     cfg: &EvalConfig,
+    capture: bool,
 ) -> Evaluated {
     let (kept_tm, dropped) = drop_disconnected_demands(&topo.graph, tm);
     // A TM with no surviving demand is empty: the strict evaluator's exact
     // zero, no solver call.
-    let e = evaluate(topo, &kept_tm, cfg);
+    let e = solve(topo, &kept_tm, cfg, capture);
     // Dropped demands take precedence in the reported status; convergence of
     // the residual solve is still visible in the bounds gap.
     let status = if dropped > 0 {
@@ -238,7 +300,7 @@ pub(crate) enum RelativeTm {
     /// Re-generated from the spec for each graph, at that graph's seed
     /// ([`relative_throughput`]).
     PerGraph(TmSpec),
-    /// One matrix for every graph ([`relative_throughput_fixed_tm`]).
+    /// One matrix for every graph (a Facebook cell's placed matrix).
     Fixed(TrafficMatrix),
 }
 
@@ -258,10 +320,11 @@ pub(crate) fn relative_solve(
     tm: &RelativeTm,
     cfg: &EvalConfig,
     i: usize,
+    capture: bool,
 ) -> Evaluated {
     let solve_on = |graph: &Topology, seed: u64| match tm {
-        RelativeTm::PerGraph(spec) => evaluate(graph, &spec.generate(graph, seed), cfg),
-        RelativeTm::Fixed(tm) => evaluate(graph, tm, cfg),
+        RelativeTm::PerGraph(spec) => solve(graph, &spec.generate(graph, seed), cfg, capture),
+        RelativeTm::Fixed(tm) => solve(graph, tm, cfg, capture),
     };
     if i == 0 {
         return solve_on(topo, cfg.seed);
@@ -274,18 +337,6 @@ pub(crate) fn relative_solve(
     solve_on(&same_equipment(topo, seed), seed)
 }
 
-/// All of a relative metric's solves, one after another.
-fn relative_to_random_graphs(
-    topo: &Topology,
-    tm: &RelativeTm,
-    cfg: &EvalConfig,
-) -> RelativeThroughput {
-    let solves = (0..relative_solves(cfg))
-        .map(|i| relative_solve(topo, tm, cfg, i).bounds.value())
-        .collect();
-    RelativeThroughput::from_solves(solves)
-}
-
 /// Computes the paper's headline metric (§IV): the topology's throughput
 /// divided by the throughput of a random graph built with *exactly the same
 /// equipment*, averaged over `cfg.random_graph_iterations` random graphs.
@@ -293,18 +344,11 @@ fn relative_to_random_graphs(
 /// The TM is re-generated for each graph from `spec` (near-worst-case traffic
 /// is worst-case *for that graph*); pass [`TmSpec::AllToAll`] etc. as needed.
 pub fn relative_throughput(topo: &Topology, spec: &TmSpec, cfg: &EvalConfig) -> RelativeThroughput {
-    relative_to_random_graphs(topo, &RelativeTm::PerGraph(spec.clone()), cfg)
-}
-
-/// Computes relative throughput for a *fixed* TM (real-world workloads of
-/// Figs 13–14): the same matrix is applied to the topology and to every
-/// same-equipment random graph.
-pub fn relative_throughput_fixed_tm(
-    topo: &Topology,
-    tm: &TrafficMatrix,
-    cfg: &EvalConfig,
-) -> RelativeThroughput {
-    relative_to_random_graphs(topo, &RelativeTm::Fixed(tm.clone()), cfg)
+    let tm = RelativeTm::PerGraph(spec.clone());
+    let solves = (0..relative_solves(cfg))
+        .map(|i| relative_solve(topo, &tm, cfg, i, false).bounds.value())
+        .collect();
+    RelativeThroughput::from_solves(solves)
 }
 
 #[cfg(test)]
@@ -388,7 +432,9 @@ mod tests {
         g.add_edge(0, 1, 1.0);
         let topo = Topology::new("lonely", "test", g, vec![1, 1, 1]);
         let tm = TmSpec::AllToAll.generate(&topo, 1);
-        let Evaluated { bounds: b, status } = evaluate_throughput_status_with(&topo, &tm, &cfg());
+        let Evaluated {
+            bounds: b, status, ..
+        } = evaluate_throughput_status_with(&topo, &tm, &cfg(), false);
         assert!(b.lower > 0.0, "connected pair should still carry traffic");
         assert!(b.lower.is_finite() && b.upper.is_finite());
         match status {
@@ -406,7 +452,9 @@ mod tests {
         let g = Graph::new(2);
         let topo = Topology::new("islands", "test", g, vec![1, 1]);
         let tm = TmSpec::AllToAll.generate(&topo, 1);
-        let Evaluated { bounds: b, status } = evaluate_throughput_status_with(&topo, &tm, &cfg());
+        let Evaluated {
+            bounds: b, status, ..
+        } = evaluate_throughput_status_with(&topo, &tm, &cfg(), false);
         assert_eq!(b.lower, 0.0);
         assert_eq!(b.upper, 0.0);
         assert_eq!(
@@ -427,7 +475,9 @@ mod tests {
         let tm = TrafficMatrix::empty(topo.num_switches());
         let b = evaluate(&topo, &tm, &cfg()).bounds;
         assert_eq!(b.value(), 0.0);
-        let Evaluated { bounds: sb, status } = evaluate_throughput_status_with(&topo, &tm, &cfg());
+        let Evaluated {
+            bounds: sb, status, ..
+        } = evaluate_throughput_status_with(&topo, &tm, &cfg(), false);
         assert_eq!(sb.value(), 0.0);
         assert_eq!(status, SolveStatus::Converged);
     }
@@ -441,7 +491,9 @@ mod tests {
         for topo in [hypercube(3, 1), hypercube(5, 1)] {
             let tm = TmSpec::AllToAll.generate(&topo, 1);
             let plain = evaluate(&topo, &tm, &c);
-            let Evaluated { bounds: b, status } = evaluate_throughput_status_with(&topo, &tm, &c);
+            let Evaluated {
+                bounds: b, status, ..
+            } = evaluate_throughput_status_with(&topo, &tm, &c, false);
             assert_eq!(plain.bounds.lower.to_bits(), b.lower.to_bits());
             assert_eq!(plain.bounds.upper.to_bits(), b.upper.to_bits());
             assert_eq!(
@@ -453,32 +505,59 @@ mod tests {
 
     #[test]
     fn certified_eval_matches_plain_eval_and_meets_the_acceptable_gap() {
-        use tb_flow::verify_certificate;
         let c = cfg();
         // Exact-LP path (small) and FPTAS path (large): capture must be
         // trajectory-neutral — bit-identical bounds — and the certificate must
         // independently re-verify at the gap `sweep verify` enforces. Without
-        // `capture` neither path hands one out.
+        // `capture` there is no verdict.
         for topo in [hypercube(3, 1), hypercube(5, 1)] {
             let tm = TmSpec::AllToAll.generate(&topo, 1);
-            let (plain, none) = solve(&topo, &tm, &c, false);
-            assert!(none.is_none());
-            let (e, cert) = solve(&topo, &tm, &c, true);
+            let plain = solve(&topo, &tm, &c, false);
+            assert_eq!(plain.certification, None);
+            let e = solve(&topo, &tm, &c, true);
             assert_eq!(plain.bounds.lower.to_bits(), e.bounds.lower.to_bits());
             assert_eq!(plain.bounds.upper.to_bits(), e.bounds.upper.to_bits());
             assert_eq!(e.status, SolveStatus::Converged);
-            let cert = cert.expect("certificate requested");
-            verify_certificate(&topo.graph, &tm, &cert, acceptable_certificate_gap(&c))
-                .unwrap_or_else(|e| panic!("{}: certificate failed: {e}", topo.name));
+            assert_eq!(
+                e.certification,
+                Some(Certification::Certified),
+                "{}",
+                topo.name
+            );
         }
     }
 
+    /// A certificate that does not verify, or that proves other bounds than
+    /// the solve's, is bad; a budget-exhausted solve is unverifiable.
     #[test]
-    fn relative_throughput_fixed_tm_runs() {
-        let topo = hypercube(4, 1);
+    fn certify_rejects_tampered_evidence_and_unbacked_bounds() {
+        let c = cfg();
+        let topo = hypercube(3, 1);
         let tm = TmSpec::AllToAll.generate(&topo, 1);
-        let r = relative_throughput_fixed_tm(&topo, &tm, &cfg());
-        assert!(r.relative.mean > 0.0);
-        assert_eq!(r.random_graph_samples.len(), 2);
+        let (bounds, cert) = ExactLpSolver::new()
+            .solve_certified(&topo.graph, &tm)
+            .unwrap();
+        let verdict = |bounds, status, cert: &ThroughputCertificate| {
+            certify(&topo, &tm, &c, bounds, status, cert)
+        };
+        assert_eq!(
+            verdict(bounds, SolveStatus::Converged, &cert),
+            Certification::Certified
+        );
+        let mut tampered = cert.clone();
+        tampered.lower *= 1.5;
+        let Certification::Bad(why) = verdict(bounds, SolveStatus::Converged, &tampered) else {
+            panic!("a claim its evidence does not derive must be bad");
+        };
+        assert!(why.contains("lower"), "{why}");
+        let other = ThroughputBounds::exact(bounds.lower * 0.5);
+        let Certification::Bad(why) = verdict(other, SolveStatus::Converged, &cert) else {
+            panic!("a certificate of other bounds must be bad");
+        };
+        assert!(why.contains("does not back"), "{why}");
+        assert_eq!(
+            verdict(bounds, SolveStatus::BudgetExhausted, &cert),
+            Certification::Unverifiable
+        );
     }
 }

@@ -6,18 +6,20 @@
 //! determines the result, which is what makes the on-disk cache sound: the
 //! cache key is derived from `(spec, eval config)` and nothing else.
 //!
-//! A cell runs as one or more *units*, the runner's unit of scheduling. A
-//! multi-solve cell is a reference solve plus k comparison solves, one unit
-//! each: a relative cell's topology and its k same-equipment random graphs,
-//! a degradation cell's unfaulted baseline and its k fault draws. Every
-//! other kind is one unit; only the design search loops over solves inside
-//! it, since each step of its climb depends on the last. The units share the
-//! cell's [`Base`] (the built topology) and combine in index order into the
-//! cell's values; [`CellSpec::compute`] runs them one after another.
+//! A cell runs as one or more *units*, the runner's unit of scheduling.
+//! Every solve but the design search's is a unit of its own: a throughput
+//! cell's one solve, and a multi-solve cell's reference solve plus k
+//! comparison solves — a relative cell's topology and its k same-equipment
+//! random graphs, a degradation cell's unfaulted baseline and its k fault
+//! draws. Every other kind is one unit; only the design search loops over
+//! solves inside it, since each step of its climb depends on the last. The
+//! units share the cell's [`Base`] (the built topology) and combine in index
+//! order into the cell's values; [`CellSpec::compute`] runs them one after
+//! another, and `sweep verify` runs them again with certificate capture on.
 
 use crate::eval::{
-    evaluate, evaluate_throughput_status_with, relative_solve, relative_solves, EvalConfig,
-    Evaluated, RelativeThroughput, RelativeTm,
+    evaluate_throughput_status_with, relative_solve, relative_solves, solve, EvalConfig, Evaluated,
+    RelativeThroughput, RelativeTm,
 };
 use crate::spec::TmSpec;
 use crate::stats::Stats;
@@ -328,8 +330,11 @@ fn place_rack_tm(tm: &TrafficMatrix, topo: &Topology) -> TrafficMatrix {
 /// What the units of one cell share, made once per cell by
 /// [`CellSpec::base`].
 pub enum Base {
-    /// A one-unit cell makes everything inside its unit.
+    /// A cell that solves nothing, or (the design search) solves inside its
+    /// one unit, makes everything inside it.
     Whole,
+    /// A throughput cell's built topology and its traffic matrix.
+    Throughput(Topology, TrafficMatrix),
     /// A relative cell's built topology and the traffic of its solves.
     Relative(RelativeBase),
     /// A degradation cell's unfaulted topology, which its baseline solves
@@ -365,10 +370,16 @@ impl CellSpec {
         }
     }
 
-    /// Makes what the cell's units share: a relative or degradation cell
-    /// builds its topology (and places a Facebook cell's matrix on it).
+    /// Makes what the cell's units share: a throughput, relative or
+    /// degradation cell builds its topology (and generates a throughput
+    /// cell's matrix, or places a Facebook cell's matrix, on it).
     pub fn base(&self) -> Base {
         match self {
+            CellSpec::Throughput { topo, tm, tm_seed } => {
+                let topo = build_topo(topo);
+                let matrix = tm.generate(&topo, *tm_seed);
+                Base::Throughput(topo, matrix)
+            }
             CellSpec::Relative { topo, tm } => Base::Relative(RelativeBase {
                 topo: build_topo(topo),
                 tm: RelativeTm::PerGraph(tm.clone()),
@@ -405,19 +416,28 @@ impl CellSpec {
         }
     }
 
-    /// Runs unit `i` of the cell on its `base`.
-    pub fn unit(&self, base: &Base, cfg: &EvalConfig, i: usize) -> Unit {
+    /// Runs unit `i` of the cell on its `base`. With `capture` set, each
+    /// solve also returns the verdict on its own certificate
+    /// ([`Evaluated::certification`]); a run passes `false`.
+    pub fn unit(&self, base: &Base, cfg: &EvalConfig, i: usize, capture: bool) -> Unit {
         match base {
             Base::Whole => Unit::Whole(self.compute_whole(cfg)),
-            Base::Relative(r) => Unit::Solve(relative_solve(&r.topo, &r.tm, cfg, i)),
-            Base::Degradation(topo) => Unit::Solve(self.degradation_solve(topo, cfg, i)),
+            Base::Throughput(topo, tm) => Unit::Solve(solve(topo, tm, cfg, capture)),
+            Base::Relative(r) => Unit::Solve(relative_solve(&r.topo, &r.tm, cfg, i, capture)),
+            Base::Degradation(topo) => Unit::Solve(self.degradation_solve(topo, cfg, i, capture)),
         }
     }
 
     /// Solve `i` of a degradation cell on its unfaulted `base`: the baseline
     /// (`i = 0`) or fault draw `seed + i - 1`, each through the
     /// degradation-aware evaluator.
-    fn degradation_solve(&self, base: &Topology, cfg: &EvalConfig, i: usize) -> Evaluated {
+    fn degradation_solve(
+        &self,
+        base: &Topology,
+        cfg: &EvalConfig,
+        i: usize,
+        capture: bool,
+    ) -> Evaluated {
         let CellSpec::Degradation {
             tm,
             tm_seed,
@@ -429,19 +449,18 @@ impl CellSpec {
         else {
             unreachable!("only a degradation cell has a degradation base")
         };
-        if i == 0 {
-            return evaluate_throughput_status_with(base, &tm.generate(base, *tm_seed), cfg);
-        }
-        let plan = FaultPlan {
-            link_failures: (link_fail_frac * base.num_links() as f64).round().max(0.0) as usize,
-            switch_failures: *switch_failures,
-            seed: seed.wrapping_add(i as u64 - 1),
-        };
-        let (faulted, _report) = apply_faults(base, &plan);
-        // Re-stencil the TM on the survivors: failed switches carry no
-        // servers, so their pairs drop out of the grid.
-        let faulted_tm = tm.generate(&faulted, *tm_seed);
-        evaluate_throughput_status_with(&faulted, &faulted_tm, cfg)
+        let faulted = (i > 0).then(|| {
+            let plan = FaultPlan {
+                link_failures: (link_fail_frac * base.num_links() as f64).round().max(0.0) as usize,
+                switch_failures: *switch_failures,
+                seed: seed.wrapping_add(i as u64 - 1),
+            };
+            apply_faults(base, &plan).0
+        });
+        let topo = faulted.as_ref().unwrap_or(base);
+        // A draw re-stencils the TM on the survivors: failed switches carry
+        // no servers, so their pairs drop out of the grid.
+        evaluate_throughput_status_with(topo, &tm.generate(topo, *tm_seed), cfg, capture)
     }
 
     /// Combines the cell's units, in index order, into its values.
@@ -453,11 +472,19 @@ impl CellSpec {
                 Unit::Solve(solve) => solves.push(solve),
             }
         }
-        if let Base::Degradation(_) = base {
-            return degradation_values(&solves);
+        let mut out = CellValues::default();
+        match base {
+            Base::Throughput(_, tm) => {
+                let bounds = solves[0].bounds;
+                out.push("lower", bounds.lower);
+                out.push("upper", bounds.upper);
+                out.push_text("tm_fp", format!("{:016x}", tm.fingerprint()));
+                return out;
+            }
+            Base::Degradation(_) => return degradation_values(&solves),
+            Base::Whole | Base::Relative(_) => {}
         }
         let r = RelativeThroughput::from_solves(solves.iter().map(|e| e.bounds.value()).collect());
-        let mut out = CellValues::default();
         if let Base::Relative(RelativeBase {
             racks: Some(racks), ..
         }) = base
@@ -480,7 +507,7 @@ impl CellSpec {
     pub fn compute(&self, cfg: &EvalConfig) -> CellValues {
         let base = self.base();
         let units = (0..self.units(cfg))
-            .map(|i| self.unit(&base, cfg, i))
+            .map(|i| self.unit(&base, cfg, i, false))
             .collect();
         self.combine(&base, units)
     }
@@ -489,14 +516,6 @@ impl CellSpec {
     fn compute_whole(&self, cfg: &EvalConfig) -> CellValues {
         let mut out = CellValues::default();
         match self {
-            CellSpec::Throughput { topo, tm, tm_seed } => {
-                let topo = build_topo(topo);
-                let matrix = tm.generate(&topo, *tm_seed);
-                let e = evaluate(&topo, &matrix, cfg);
-                out.push("lower", e.bounds.lower);
-                out.push("upper", e.bounds.upper);
-                out.push_text("tm_fp", format!("{:016x}", matrix.fingerprint()));
-            }
             CellSpec::CutEstimate { topo, tm, tm_seed } => {
                 let topo = build_topo(topo);
                 let matrix = tm.generate(&topo, *tm_seed);
@@ -545,10 +564,11 @@ impl CellSpec {
             } => {
                 run_search(start, tm, *tm_seed, *max_steps, cfg, &mut out);
             }
-            CellSpec::Relative { .. }
+            CellSpec::Throughput { .. }
+            | CellSpec::Relative { .. }
             | CellSpec::FacebookRelative { .. }
             | CellSpec::Degradation { .. } => {
-                unreachable!("a multi-solve cell runs as its solves")
+                unreachable!("a solving cell runs as its solves")
             }
         }
         out
@@ -595,6 +615,8 @@ fn degradation_values(solves: &[Evaluated]) -> CellValues {
 mod tests {
     use super::*;
 
+    use crate::eval::evaluate;
+
     #[test]
     fn throughput_cell_matches_direct_evaluation() {
         let spec = CellSpec::Throughput {
@@ -612,6 +634,30 @@ mod tests {
         let direct = evaluate(&topo, &tm, &cfg).bounds;
         assert_eq!(v.num("lower").to_bits(), direct.lower.to_bits());
         assert_eq!(v.num("upper").to_bits(), direct.upper.to_bits());
+    }
+
+    /// A Facebook cell places one fixed matrix on the topology and on every
+    /// same-equipment random graph.
+    #[test]
+    fn facebook_relative_cell_runs() {
+        let spec = CellSpec::FacebookRelative {
+            topo: TopoSpec::Hypercube {
+                dims: 4,
+                servers: 1,
+            },
+            matrix: FbMatrix::Hadoop,
+            shuffled: false,
+            tm_seed: 1,
+            shuffle_seed: 1,
+        };
+        let v = spec.compute(&EvalConfig::fast());
+        assert_eq!(v.num("racks"), 16.0);
+        assert!(v.num("absolute") > 0.0);
+        assert!(v.num("rel_mean") > 0.0);
+        assert!(
+            v.get("sample_0").is_none(),
+            "a Facebook cell keeps no samples"
+        );
     }
 
     #[test]

@@ -158,7 +158,7 @@ fn status(cell: &ArtifactCell) -> &'static str {
     }
 }
 
-fn classify(old: &ArtifactCell, new: &ArtifactCell) -> ChangeKind {
+pub(crate) fn classify(old: &ArtifactCell, new: &ArtifactCell) -> ChangeKind {
     // A status flip outranks everything else: a newly-failed cell also lost
     // its metrics, and reporting that as a schema change would bury the
     // actual problem.

@@ -151,7 +151,7 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs `f` under fault isolation: a panic becomes its text.
-fn isolated<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+pub(crate) fn isolated<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| panic_text(payload.as_ref()))
 }
 
@@ -205,7 +205,7 @@ impl<'a> OpenCell<'a> {
         let base = (self.base.lock().expect("base lock poisoned"))
             .get_or_insert_with(|| isolated(|| self.cell.spec.base()).map(Arc::new))
             .clone();
-        let result = base.and_then(|base| isolated(|| self.cell.spec.unit(&base, cfg, i)));
+        let result = base.and_then(|base| isolated(|| self.cell.spec.unit(&base, cfg, i, false)));
         let units = {
             let mut units = self.units.lock().expect("unit lock poisoned");
             units[i] = Some(result);

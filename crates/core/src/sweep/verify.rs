@@ -1,56 +1,66 @@
-//! Artifact re-verification: certify every throughput cell of a
-//! `topobench-sweep/v1` artifact by solving it again.
+//! Artifact re-verification: certify every cell of a `topobench-sweep/v1`
+//! artifact that solves throughput LPs, by running it again.
 //!
-//! The verifier never trusts the numbers in the artifact. For each
-//! `Throughput` cell it rebuilds the instance from the cell's spec (looked up
-//! in the scenario's re-expanded grid), checks that the spec still generates
-//! the TM the cell recorded (`tm_fp`), re-solves it through the evaluator's
-//! one dispatch with certificate capture on, hands the certificate to
-//! [`tb_flow::verify_certificate`] — which re-derives primal feasibility and
-//! the dual bound from shortest paths under the certificate's lengths — and
-//! ties the certificate's `lower`/`upper` to the metrics the artifact
-//! reports. Results are a pure function of the spec and the configuration,
-//! so the evidence need not be stored: it is derived again.
+//! The verifier never trusts the numbers in the artifact. It looks each
+//! cell's spec up in the scenario's re-expanded grid and runs the cell again
+//! through the engine's own path — [`CellSpec::base`], every
+//! [`CellSpec::unit`], [`CellSpec::combine`] — with certificate capture on.
+//! Each solve checks its own certificate ([`tb_flow::verify_certificate`]
+//! re-derives primal feasibility and the dual bound from shortest paths under
+//! the certificate's lengths) and ties the certificate's `lower`/`upper` to
+//! its bounds; a degradation draw's certificate is that of the demands it
+//! kept. The recombined values must then be bit-identical to the artifact's,
+//! which also re-checks that a cell is a pure function of its spec and the
+//! configuration. A certified cell stands on one certificate per solve: one
+//! for a throughput cell, 1 + k for a relative or degradation cell. The
+//! evidence is never stored: it is derived again.
 //!
 //! Status interplay (the part that is easy to get wrong): cells serialized
-//! with `"status": "failed"` and cells whose re-solve exhausts its budget are
-//! **unverifiable** — their bounds are valid but meet no accuracy contract,
-//! so they are reported as such, never certified and never silently
-//! skipped. Cells of other kinds (relative throughput, cuts, path lengths, …)
-//! are counted but not checked.
+//! with `"status": "failed"` and cells any of whose solves exhausts its
+//! budget are **unverifiable** — their bounds are valid but meet no accuracy
+//! contract, so they are reported as such, never certified and never
+//! silently skipped. Cells whose kind has no certificate (cuts, path
+//! lengths, path-restricted throughput, the design search) are counted but
+//! not checked. An artifact's cells run on [`rayon::map`] at its default
+//! width.
 
-use crate::eval::{acceptable_certificate_gap, solve, EvalConfig};
+use crate::eval::{Certification, EvalConfig};
 use crate::sweep::artifact::{Artifact, ArtifactCell};
-use crate::sweep::cell::CellSpec;
+use crate::sweep::cell::{Base, CellSpec, Unit};
+use crate::sweep::diff::classify;
+use crate::sweep::runner::isolated;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use tb_flow::SolveStatus;
 
 /// The verdict on one artifact cell.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellVerdict {
-    /// The re-solve's certificate verified and backs the reported values.
-    Certified,
-    /// The certificate, its tie to the reported values, or the cell's tie to
-    /// its spec is wrong.
+    /// The re-run's values are the artifact's, and every one of its solves'
+    /// certificates (their number) verified.
+    Certified(usize),
+    /// A certificate, or the re-run's tie to the reported values or to the
+    /// spec, is wrong.
     Bad(String),
     /// The cell cannot be held to an accuracy contract (failed, or
     /// budget-exhausted) — reported, never certified, never skipped.
     Unverifiable(String),
-    /// The cell is not a throughput cell, so there is nothing to certify.
+    /// The cell's kind solves no throughput LP, so there is nothing to
+    /// certify.
     NoCertificate,
 }
 
 /// The verification outcome of one artifact.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct VerifyReport {
     /// The artifact's scenario name.
     pub scenario: String,
     /// Total cells examined.
     pub cells: usize,
-    /// Cells whose certificate verified.
+    /// Cells whose certificates verified.
     pub certified: usize,
-    /// Cells that are not throughput cells.
+    /// The certificates behind the certified cells, one per solve.
+    pub certificates: usize,
+    /// Cells whose kind has no certificate.
     pub no_certificate: usize,
     /// `(cell id, reason)` for every rejected cell.
     pub bad: Vec<(String, String)>,
@@ -71,10 +81,12 @@ impl VerifyReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{}: {} cell(s) — {} certified, {} without certificate, {} unverifiable, {} bad",
+            "{}: {} cell(s) — {} certified by {} certificate(s), {} without certificate, \
+             {} unverifiable, {} bad",
             self.scenario,
             self.cells,
             self.certified,
+            self.certificates,
             self.no_certificate,
             self.unverifiable.len(),
             self.bad.len()
@@ -89,12 +101,6 @@ impl VerifyReport {
     }
 }
 
-/// Relative slack when tying the artifact's reported `lower`/`upper` metrics
-/// to the certificate's claims. The two are computed by arithmetically
-/// equivalent but differently-ordered expressions (e.g. `min(r_j mu / d_j)`
-/// vs `mu min(r_j / d_j)`), so they agree to a few ulps, never exactly.
-const VALUE_TIE_TOL: f64 = 1e-9;
-
 /// Verifies every cell of a parsed artifact against the re-expanded cell
 /// specs in `specs` (cell id → spec) under the evaluation configuration the
 /// artifact was produced with.
@@ -106,15 +112,18 @@ pub fn verify_artifact_cells(
     let mut report = VerifyReport {
         scenario: artifact.scenario.clone(),
         cells: artifact.cells.len(),
-        certified: 0,
-        no_certificate: 0,
-        bad: Vec::new(),
-        unverifiable: Vec::new(),
+        ..VerifyReport::default()
     };
-    for cell in &artifact.cells {
-        let id = cell.id.clone();
-        match verify_cell(cell, specs.get(&cell.id), cfg) {
-            CellVerdict::Certified => report.certified += 1,
+    let cells: Vec<&ArtifactCell> = artifact.cells.iter().collect();
+    let (verdicts, _) = rayon::map(rayon::default_width(), cells, |cell| {
+        (cell.id.clone(), verify_cell(cell, specs.get(&cell.id), cfg))
+    });
+    for (id, verdict) in verdicts {
+        match verdict {
+            CellVerdict::Certified(certificates) => {
+                report.certified += 1;
+                report.certificates += certificates;
+            }
             CellVerdict::NoCertificate => report.no_certificate += 1,
             CellVerdict::Bad(why) => report.bad.push((id, why)),
             CellVerdict::Unverifiable(why) => report.unverifiable.push((id, why)),
@@ -134,45 +143,50 @@ pub fn verify_cell(cell: &ArtifactCell, spec: Option<&CellSpec>, cfg: &EvalConfi
     let Some(spec) = spec else {
         return CellVerdict::Bad("no matching cell in the scenario's expansion".into());
     };
-    let CellSpec::Throughput { topo, tm, tm_seed } = spec else {
-        return CellVerdict::NoCertificate;
+    // Run the cell again, the way a run does, with certificate capture on.
+    let rerun = isolated(|| {
+        let base = spec.base();
+        if let Base::Whole = base {
+            return None;
+        }
+        let units: Vec<Unit> = (0..spec.units(cfg))
+            .map(|i| spec.unit(&base, cfg, i, true))
+            .collect();
+        let verdicts: Vec<Certification> = (units.iter())
+            .map(|unit| match unit {
+                Unit::Solve(e) => e.certification.clone().expect("capture is on"),
+                Unit::Whole(_) => unreachable!("the units of a solving cell are solves"),
+            })
+            .collect();
+        Some((verdicts, spec.combine(&base, units)))
+    });
+    let (verdicts, values) = match rerun {
+        Ok(Some(rerun)) => rerun,
+        Ok(None) => return CellVerdict::NoCertificate,
+        Err(why) => return CellVerdict::Bad(format!("the re-run panicked: {why}")),
     };
-
-    // Rebuild the instance from the spec — seeds are pinned inside it, so
-    // this is the exact graph and traffic matrix the reported solve saw.
-    let Some(topo) = topo.build() else {
-        return CellVerdict::Bad("unsatisfiable topology spec".into());
-    };
-    let matrix = tm.generate(&topo, *tm_seed);
-    if cell.values.text("tm_fp") != Some(format!("{:016x}", matrix.fingerprint()).as_str()) {
-        return CellVerdict::Bad("spec re-expands to a different TM".into());
-    }
-    let (e, cert) = solve(&topo, &matrix, cfg, true);
     // Budget-exhausted bounds are valid but meet no accuracy contract:
     // report, do not certify, do not skip.
-    if e.status == SolveStatus::BudgetExhausted {
+    if verdicts.contains(&Certification::Unverifiable) {
         return CellVerdict::Unverifiable(
             "solver budget exhausted; bounds carry no accuracy contract".into(),
         );
     }
-    let cert = cert.expect("a capturing solve returns its certificate");
-    let eps = acceptable_certificate_gap(cfg);
-    if let Err(e) = tb_flow::verify_certificate(&topo.graph, &matrix, &cert, eps) {
-        return CellVerdict::Bad(e.to_string());
-    }
-    // Tie the certificate to the numbers the artifact actually reports:
-    // evidence that proves a *different* value certifies nothing.
-    for (name, claimed) in [("lower", cert.lower), ("upper", cert.upper)] {
-        let Some(reported) = cell.values.get(name) else {
-            return CellVerdict::Bad(format!("throughput cell reports no '{name}' metric"));
+    // Tie the certificates to the numbers the artifact actually reports:
+    // evidence that proves *different* values certifies nothing.
+    if !values.bit_identical(&cell.values) {
+        let rerun = ArtifactCell {
+            values,
+            ..cell.clone()
         };
-        if (claimed - reported).abs() > VALUE_TIE_TOL * (1.0 + reported.abs()) {
-            return CellVerdict::Bad(format!(
-                "certificate {name} {claimed} does not match the reported metric {reported}"
-            ));
+        return CellVerdict::Bad(format!("its re-run differs: {:?}", classify(cell, &rerun)));
+    }
+    for (i, verdict) in verdicts.iter().enumerate() {
+        if let Certification::Bad(why) = verdict {
+            return CellVerdict::Bad(format!("solve {i}: {why}"));
         }
     }
-    CellVerdict::Certified
+    CellVerdict::Certified(verdicts.len())
 }
 
 #[cfg(test)]
@@ -228,12 +242,13 @@ mod tests {
         let report = verify(&text, &specs, &cfg);
         assert!(report.is_clean(), "{:?}", report.bad);
         assert_eq!(report.certified, 2);
+        assert_eq!(report.certificates, 2);
         assert_eq!(report.no_certificate, 0);
         assert!(report.unverifiable.is_empty());
     }
 
-    /// Cells that are not throughput cells have nothing to certify: they are
-    /// counted, not checked, and the artifact stays clean.
+    /// Cells whose kind solves no throughput LP have nothing to certify:
+    /// they are counted, not checked, and the artifact stays clean.
     #[test]
     fn uncertified_artifact_reports_no_certificates() {
         let cells = (1..3)
@@ -256,7 +271,7 @@ mod tests {
     }
 
     /// A cell whose recorded TM is not the one its spec generates reports
-    /// numbers for some other instance.
+    /// numbers for some other instance: its re-run's values differ.
     #[test]
     fn edited_tm_fingerprint_is_bad() {
         let (text, specs, cfg) = artifact_of(throughput_cells());
@@ -266,7 +281,7 @@ mod tests {
         values.push_text("tm_fp", format!("{:016x}", fp ^ 1));
         let report = verify_artifact_cells(&artifact, &specs, &cfg);
         assert_eq!(report.bad.len(), 1, "{:?}", report.bad);
-        assert_eq!(report.bad[0].1, "spec re-expands to a different TM");
+        assert!(report.bad[0].1.contains("tm_fp"), "{:?}", report.bad);
         assert_eq!(report.certified, 1);
     }
 
@@ -317,6 +332,114 @@ mod tests {
             .expect("the starved all-to-all re-solve is unverifiable");
         assert!(why.contains("budget"), "{why}");
         assert!(report.is_clean(), "unverifiable is not bad");
+    }
+
+    /// A relative cell of a small Jellyfish: its own solve and two random
+    /// graphs'.
+    fn relative_cell() -> SweepCell {
+        SweepCell::new(
+            "jf/relative",
+            CellSpec::Relative {
+                topo: TopoSpec::Jellyfish {
+                    switches: 8,
+                    degree: 3,
+                    servers: 1,
+                    seed: 1,
+                },
+                tm: TmSpec::AllToAll,
+            },
+        )
+    }
+
+    /// A 4-cube's baseline and three fault draws that each fail a switch
+    /// and `link_fail_frac` of its 32 links.
+    fn degradation_cell(link_fail_frac: f64) -> SweepCell {
+        SweepCell::new(
+            "cube/faults",
+            CellSpec::Degradation {
+                topo: TopoSpec::Hypercube {
+                    dims: 4,
+                    servers: 1,
+                },
+                tm: TmSpec::AllToAll,
+                tm_seed: 1,
+                link_fail_frac,
+                switch_failures: 1,
+                failure_seeds: 3,
+                seed: 7,
+            },
+        )
+    }
+
+    /// `text` with the top mantissa bit of `metric` flipped in its bits and
+    /// its decimal alike, so the artifact stays valid.
+    fn flip(text: &str, metric: &str) -> String {
+        let artifact = parse_artifact(text).unwrap();
+        let x = (artifact.cells.iter())
+            .find_map(|cell| cell.values.get(metric))
+            .unwrap();
+        let encode = |x: f64| {
+            format!(
+                "\"{metric}\":{{\"bits\":\"{:016x}\",\"value\":{x:?}}}",
+                x.to_bits()
+            )
+        };
+        let flipped = text.replacen(
+            &encode(x),
+            &encode(f64::from_bits(x.to_bits() ^ 1 << 51)),
+            1,
+        );
+        assert_ne!(flipped, text, "{metric}");
+        flipped
+    }
+
+    /// Every solve of a relative or degradation cell is certified, and a
+    /// number the re-run does not give back is bad.
+    #[test]
+    fn a_flipped_relative_sample_or_degradation_ratio_is_bad() {
+        let (text, specs, cfg) = artifact_of(vec![relative_cell(), degradation_cell(0.0625)]);
+        let report = verify(&text, &specs, &cfg);
+        assert!(report.is_clean(), "{:?}", report.bad);
+        assert_eq!(report.certified, 2);
+        assert_eq!(report.certificates, (1 + 2) + (1 + 3));
+        for (id, metric) in [("jf/relative", "sample_1"), ("cube/faults", "ratio_0")] {
+            let report = verify(&flip(&text, metric), &specs, &cfg);
+            assert_eq!(report.bad.len(), 1, "{metric}: {:?}", report.bad);
+            let (bad, why) = &report.bad[0];
+            assert_eq!(bad, id);
+            assert!(why.contains(metric), "{why}");
+            assert_eq!(report.certified, 1);
+        }
+    }
+
+    #[test]
+    fn a_starved_relative_cell_is_unverifiable() {
+        let (text, specs, mut cfg) = artifact_of(vec![relative_cell()]);
+        // As in `budget_exhausted_certificates_are_unverifiable`: its solves
+        // stop on their phase cap. Which values they give does not matter.
+        cfg.exact_switch_limit = 0;
+        cfg.solver.max_phases = 1;
+        cfg.solver.check_interval = 1;
+        cfg.solver.epsilon = 0.01;
+        cfg.solver.target_gap = 1e-9;
+        let report = verify(&text, &specs, &cfg);
+        assert_eq!(report.unverifiable.len(), 1, "{:?}", report.bad);
+        assert!(report.unverifiable[0].1.contains("budget"));
+        assert!(report.is_clean(), "unverifiable is not bad");
+    }
+
+    /// A draw that drops demands is certified on the demands it kept, the
+    /// instance its solve actually saw. A failed switch alone drops none
+    /// (the TM is re-stenciled on the surviving servers); failing 12 of the
+    /// 32 links as well cuts switches off in every draw.
+    #[test]
+    fn a_degradation_draw_that_drops_demands_certifies_against_its_kept_tm() {
+        let (text, specs, cfg) = artifact_of(vec![degradation_cell(0.375)]);
+        let values = &parse_artifact(&text).unwrap().cells[0].values;
+        assert!(values.num("dropped_mean") > 0.0, "no draw dropped a demand");
+        let report = verify(&text, &specs, &cfg);
+        assert!(report.is_clean(), "{:?}", report.bad);
+        assert_eq!((report.certified, report.certificates), (1, 4));
     }
 
     #[test]

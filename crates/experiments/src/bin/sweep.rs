@@ -12,7 +12,7 @@
 //! sweep diff results/golden/fig02.json results/fig02.json
 //! sweep diff --all results/golden/ results/
 //!
-//! sweep verify results/fig02.json      # certify each throughput cell by re-solving it
+//! sweep verify results/fig02.json      # certify each solving cell by running it again
 //! sweep verify --all results/golden/
 //! ```
 //!
@@ -41,15 +41,16 @@
 //! added/removed cells, label changes and schema changes are reported.
 //! Exit status: 0 clean, 1 regressions, 2 usage/IO errors.
 //!
-//! `sweep verify` certifies an artifact's throughput cells: each cell's
-//! instance is rebuilt from its spec and solved again with certificate
-//! capture on, the certificate is checked, and its bounds must match the
-//! reported ones (same exit convention).
+//! `sweep verify` certifies every cell of an artifact that solves throughput
+//! LPs: each cell runs again from its spec with certificate capture on, every
+//! solve's certificate is checked and must prove that solve's bounds, and the
+//! re-run's values must be bit-identical to the reported ones (same exit
+//! convention).
 
 #![forbid(unsafe_code)]
 
 use experiments::{find_scenario, registry, run_and_emit, write_golden, RunOptions};
-use topobench::sweep::{diff_dirs, diff_files, Scenario, Schedule};
+use topobench::sweep::{diff_dirs, diff_files, DirDiff, Scenario, Schedule};
 
 fn print_index() {
     println!("Registered scenarios (run with --scenario <name>):\n");
@@ -60,124 +61,92 @@ fn print_index() {
     println!("Compare artifacts with: sweep diff [--all] <old> <new>");
 }
 
-fn run_diff(args: &[String]) -> i32 {
+/// A subcommand's arguments: whether `--all` was given, and its paths.
+/// `--help` prints `usage` and exits 0; an unknown flag is a usage error.
+fn subcommand_args<'a>(args: &'a [String], usage: &str) -> (bool, Vec<&'a str>) {
     let mut all = false;
-    let mut paths: Vec<&str> = Vec::new();
+    let mut paths = Vec::new();
     for arg in args {
         match arg.as_str() {
             "--all" => all = true,
             "--help" | "-h" => {
-                println!(
-                    "Usage: sweep diff [--all] <old> <new>\n\n\
-                     Compares two topobench-sweep/v1 artifacts cell by cell, bit for bit.\n\
-                     With --all, <old> and <new> are directories and every *.json\n\
-                     artifact present in both is compared; artifacts missing from <new> are\n\
-                     regressions. Exit status: 0 clean, 1 regressions, 2 usage/IO errors."
-                );
-                return 0;
+                println!("{usage}");
+                std::process::exit(0);
             }
-            flag if flag.starts_with("--") => {
-                eprintln!("error: unknown argument: {flag}");
-                return 2;
-            }
+            flag if flag.starts_with("--") => fail(&format!("unknown argument: {flag}")),
             path => paths.push(path),
         }
     }
+    (all, paths)
+}
+
+fn run_diff(args: &[String]) -> i32 {
+    let (all, paths) = subcommand_args(
+        args,
+        "Usage: sweep diff [--all] <old> <new>\n\n\
+         Compares two topobench-sweep/v1 artifacts cell by cell, bit for bit.\n\
+         With --all, <old> and <new> are directories and every *.json\n\
+         artifact present in both is compared; artifacts missing from <new> are\n\
+         regressions. Exit status: 0 clean, 1 regressions, 2 usage/IO errors.",
+    );
     let [old, new] = paths.as_slice() else {
-        eprintln!("error: sweep diff requires exactly two paths (old, new); see sweep diff --help");
-        return 2;
+        fail("sweep diff requires exactly two paths (old, new); see sweep diff --help");
     };
-    if all {
-        match diff_dirs(old.as_ref(), new.as_ref()) {
-            Ok(diff) => {
-                print!("{}", diff.render());
-                if diff.is_clean() {
-                    println!("[sweep diff] OK: {} artifact(s) compared", diff.diffs.len());
-                    0
-                } else {
-                    eprintln!("[sweep diff] FAILED: {} regression(s)", diff.regressions());
-                    1
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                2
-            }
-        }
+    // One artifact is a tree of one: the same rules and messages apply.
+    let diff = if all {
+        diff_dirs(old.as_ref(), new.as_ref())
     } else {
-        match diff_files(old.as_ref(), new.as_ref()) {
-            Ok(diff) => {
-                print!("{}", diff.render());
-                if diff.is_clean() {
-                    0
-                } else {
-                    eprintln!("[sweep diff] FAILED: {} regression(s)", diff.regressions());
-                    1
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                2
-            }
-        }
+        diff_files(old.as_ref(), new.as_ref()).map(|diff| DirDiff {
+            diffs: vec![(new.to_string(), diff)],
+            only_old: Vec::new(),
+            only_new: Vec::new(),
+        })
+    };
+    let diff = diff.unwrap_or_else(|e| fail(&e));
+    print!("{}", diff.render());
+    if !diff.is_clean() {
+        eprintln!("[sweep diff] FAILED: {} regression(s)", diff.regressions());
+        return 1;
     }
+    println!("[sweep diff] OK: {} artifact(s) compared", diff.diffs.len());
+    0
 }
 
 fn run_verify(args: &[String]) -> i32 {
-    let mut all = false;
-    let mut paths: Vec<&str> = Vec::new();
-    for arg in args {
-        match arg.as_str() {
-            "--all" => all = true,
-            "--help" | "-h" => {
-                println!(
-                    "Usage: sweep verify [--all] <artifact|dir>\n\n\
-                     Certifies the throughput cells of a topobench-sweep/v1 artifact: each\n\
-                     cell's instance is rebuilt from its spec (its TM fingerprint must match),\n\
-                     solved again with certificate capture on, the optimality certificate is\n\
-                     checked at the gap the configuration promises, and its bounds must match\n\
-                     the reported ones. Failed cells and re-solves that exhaust their budget\n\
-                     are reported as unverifiable, never certified; cells of other kinds are\n\
-                     counted, not checked. With --all, every *.json artifact in the directory\n\
-                     is verified. At least one cell must be certified overall (an artifact or\n\
-                     tree with no throughput cell must not read as clean).\n\
-                     Exit status: 0 verified clean, 1 bad cell or nothing certified,\n\
-                     2 usage/IO errors."
-                );
-                return 0;
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("error: unknown argument: {flag}");
-                return 2;
-            }
-            path => paths.push(path),
-        }
-    }
+    let (all, paths) = subcommand_args(
+        args,
+        "Usage: sweep verify [--all] <artifact|dir>\n\n\
+         Certifies the cells of a topobench-sweep/v1 artifact that solve throughput\n\
+         LPs (throughput, relative, Facebook-relative and degradation cells): each\n\
+         cell runs again from its spec, every solve with certificate capture on;\n\
+         each solve's optimality certificate is checked at the gap the\n\
+         configuration promises and must prove that solve's bounds, and the\n\
+         re-run's values must be bit-identical to the reported ones. Failed cells\n\
+         and cells with a solve that exhausts its budget are reported as\n\
+         unverifiable, never certified; cells of other kinds are counted, not\n\
+         checked. Cells run on RAYON_NUM_THREADS threads (1 to 256), else one per\n\
+         core. With --all, every *.json artifact in the directory is verified. At\n\
+         least one cell must be certified overall (an artifact or tree with no\n\
+         solving cell must not read as clean).\n\
+         Exit status: 0 verified clean, 1 bad cell or nothing certified,\n\
+         2 usage/IO errors.",
+    );
     let [path] = paths.as_slice() else {
-        eprintln!("error: sweep verify requires exactly one path; see sweep verify --help");
-        return 2;
+        fail("sweep verify requires exactly one path; see sweep verify --help");
     };
-    // One artifact is a tree of one: the same rules and messages apply.
-    let results = if all {
-        match experiments::verify::verify_artifact_dir(path.as_ref()) {
-            Ok(results) => results,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        }
-    } else {
-        let report = experiments::verify::verify_artifact_file(path.as_ref());
-        vec![(path.to_string(), report)]
-    };
+    experiments::check_width_env().unwrap_or_else(|e| fail(&e));
+    let results =
+        experiments::verify::verify_artifacts(path.as_ref(), all).unwrap_or_else(|e| fail(&e));
     let mut certified = 0usize;
+    let mut certificates = 0usize;
     let mut bad = 0usize;
     let mut io_errors = 0usize;
-    for (_, result) in &results {
+    for result in &results {
         match result {
             Ok(report) => {
                 print!("{}", report.render());
                 certified += report.certified;
+                certificates += report.certificates;
                 bad += report.bad.len();
             }
             Err(e) => {
@@ -196,12 +165,13 @@ fn run_verify(args: &[String]) -> i32 {
     }
     if certified == 0 {
         // Zero certificates verify nothing; succeeding here would let an
-        // artifact or tree without a throughput cell pass CI.
-        eprintln!("[sweep verify] FAILED: no certificates in {path} (no throughput cell)");
+        // artifact or tree without a solving cell pass CI.
+        eprintln!("[sweep verify] FAILED: no certificates in {path} (no solving cell)");
         return 1;
     }
     println!(
-        "[sweep verify] OK: {certified} certificate(s) verified across {} artifact(s)",
+        "[sweep verify] OK: {certified} cell(s) certified by {certificates} certificate(s) \
+         across {} artifact(s)",
         results.len()
     );
     0

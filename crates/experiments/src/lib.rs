@@ -88,6 +88,16 @@ fn parse_jobs(name: &str, v: &str) -> Result<usize, String> {
     Ok(jobs)
 }
 
+/// `RAYON_NUM_THREADS`, when set, must pass `--jobs`'s rule: it is the width
+/// of a run without `--jobs`, and of `sweep verify`. (The unit queue itself
+/// takes any count, and reads a malformed one as all cores.)
+pub fn check_width_env() -> Result<(), String> {
+    match std::env::var_os("RAYON_NUM_THREADS") {
+        Some(v) => parse_jobs("RAYON_NUM_THREADS", &v.to_string_lossy()).map(drop),
+        None => Ok(()),
+    }
+}
+
 /// The option list `--help` and every usage error print.
 const HELP: &str = "  --list           print the scenario index and exit
   --scenario <V>   scenario name to run (or 'all')
@@ -115,7 +125,12 @@ impl RunOptions {
     /// Parses the driver's arguments, exiting with the help text (`--help`,
     /// status 0) or a usage error (status 2) as appropriate.
     pub fn parse_or_exit(args: &[String]) -> Self {
-        match Self::parse(args).and_then(Self::check_width_env) {
+        // Without `--jobs` the engine takes its width from `RAYON_NUM_THREADS`.
+        let width_env = |opts: Self| match opts.sweep.jobs {
+            Some(_) => Ok(opts),
+            None => check_width_env().map(|()| opts).map_err(ParseAbort::Usage),
+        };
+        match Self::parse(args).and_then(width_env) {
             Ok(opts) => opts,
             Err(ParseAbort::Help) => {
                 println!("Usage: sweep [OPTIONS]\n\nOptions:\n{HELP}");
@@ -126,18 +141,6 @@ impl RunOptions {
                 std::process::exit(2);
             }
         }
-    }
-
-    /// Without `--jobs` the engine takes its width from `RAYON_NUM_THREADS`,
-    /// which must then pass `--jobs`'s rule: the unit queue itself takes
-    /// any count, and reads a malformed one as all cores.
-    fn check_width_env(self) -> Result<Self, ParseAbort> {
-        if self.sweep.jobs.is_none() {
-            if let Some(v) = std::env::var_os("RAYON_NUM_THREADS") {
-                parse_jobs("RAYON_NUM_THREADS", &v.to_string_lossy()).map_err(ParseAbort::Usage)?;
-            }
-        }
-        Ok(self)
     }
 
     /// Strict parser: `--help` aborts with help; an unknown flag, a missing or

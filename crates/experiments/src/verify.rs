@@ -1,11 +1,11 @@
-//! `sweep verify` — certify an artifact's throughput cells by re-solving them.
+//! `sweep verify` — certify an artifact's solving cells by running them again.
 //!
 //! The core verifier ([`topobench::sweep::verify_artifact_cells`]) is
 //! scenario-agnostic: it needs the cell specs the artifact's ids refer to.
 //! This module supplies them by re-expanding the recorded scenario from the
 //! registry with the run parameters stored in the artifact (`full`, `seed`),
-//! exactly like the original run did — so verification rebuilds each
-//! instance from its spec and never trusts the artifact's numbers.
+//! exactly like the original run did — so verification runs each cell again
+//! from its spec and never trusts the artifact's numbers.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -39,22 +39,23 @@ pub fn verify_artifact_file(path: &Path) -> Result<VerifyReport, String> {
     ))
 }
 
-/// One artifact's verification outcome in a directory sweep: the file name
-/// plus either its report or the reason it could not be verified at all.
-pub type NamedReport = (String, Result<VerifyReport, String>);
-
-/// Verifies every `*.json` artifact in a directory (sorted by name).
-/// Returns one [`NamedReport`] per file; an empty directory is an error.
-pub fn verify_artifact_dir(dir: &Path) -> Result<Vec<NamedReport>, String> {
-    let names = artifact_files(dir)?;
+/// Verifies the artifact at `path` or, with `all`, every `*.json` artifact
+/// in the directory `path`, sorted by name: one artifact is a tree of one.
+/// Each artifact yields its report or the reason it could not be verified
+/// at all, which names the file; a directory without artifacts is an error.
+pub fn verify_artifacts(
+    path: &Path,
+    all: bool,
+) -> Result<Vec<Result<VerifyReport, String>>, String> {
+    if !all {
+        return Ok(vec![verify_artifact_file(path)]);
+    }
+    let names = artifact_files(path)?;
     if names.is_empty() {
-        return Err(format!("{} contains no *.json artifacts", dir.display()));
+        return Err(format!("{} contains no *.json artifacts", path.display()));
     }
     Ok(names
-        .into_iter()
-        .map(|name| {
-            let report = verify_artifact_file(&dir.join(&name));
-            (name, report)
-        })
+        .iter()
+        .map(|name| verify_artifact_file(&path.join(name)))
         .collect())
 }

@@ -150,7 +150,7 @@ fn failure_sweep_survives_panic_corruption_and_disconnection() {
 }
 
 /// Forced-budget-exhaustion drill for the certificate layer: when the
-/// verifier's re-solve runs out of phases, its bounds are real but meet no
+/// verifier's re-run runs out of phases, its bounds are real but meet no
 /// accuracy contract, so `sweep verify` must classify the cell as
 /// *unverifiable* — never as certified, and never silently skip it. The same
 /// cell verified under a sane budget is the control.
@@ -192,10 +192,11 @@ fn budget_exhausted_certificates_are_unverifiable_never_certified() {
     };
     assert!(why.contains("budget"), "{why}");
 
-    // Control: the same cell under the configuration that produced it.
+    // Control: the same cell under the configuration that produced it,
+    // certified by its one solve's certificate.
     assert_eq!(
         verify_cell(&cell, Some(&spec), &sane),
-        CellVerdict::Certified
+        CellVerdict::Certified(1)
     );
 }
 

@@ -123,7 +123,7 @@ fn two_units_of_one_relative_cell_meet_on_two_threads() {
                 arrived.len() >= 2
             });
         }
-        cell.spec.unit(&base, &cfg, i)
+        cell.spec.unit(&base, &cfg, i, false)
     });
     let arrived = gate.state.into_inner().unwrap();
     if n == 1 {

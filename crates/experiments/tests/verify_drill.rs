@@ -1,10 +1,10 @@
 //! End-to-end drill for the certificate pipeline: run a scenario through the
-//! real `sweep` binary, certify its artifact with `sweep verify` (which
-//! re-solves every throughput cell with certificate capture on), then change
-//! one reported bound and watch the verifier reject it. This is the
-//! user-facing contract: exit 0 means every throughput cell's certificate
-//! verified and backs the reported numbers, and a reported bound the
-//! re-derived evidence does not back means exit 1.
+//! real `sweep` binary, certify its artifact with `sweep verify` (which runs
+//! every solving cell again with certificate capture on), then change one
+//! reported bound and watch the verifier reject it. This is the user-facing
+//! contract: exit 0 means every solve's certificate verified and the re-run
+//! gives back the reported numbers, and a reported bound the re-derived
+//! evidence does not back means exit 1.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -53,7 +53,10 @@ fn certified_artifact_verifies_and_one_flipped_bit_fails() {
     let results = dir.join("results");
     let (code, out, _) = sweep(&dir, &["verify", "--all", results.to_str().unwrap()]);
     assert_eq!(code, 0, "verify --all failed on a pristine tree: {out}");
-    assert!(out.contains("2 certificate(s) verified"), "{out}");
+    assert!(
+        out.contains("OK: 2 cell(s) certified by 2 certificate(s)"),
+        "{out}"
+    );
 
     // Flip the top mantissa bit of the first reported lower bound, in its
     // bits and its decimal alike (the artifact stays valid): exit 1.
@@ -84,13 +87,13 @@ fn certified_artifact_verifies_and_one_flipped_bit_fails() {
 
 #[test]
 fn uncertified_tree_is_vacuous_under_verify_all() {
-    // The committed fig05_06 golden holds relative cells only: there is no
-    // throughput cell to certify.
-    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/golden/fig05_06.json");
+    // The committed fig15 golden holds path-restricted cells only, which
+    // have no certificate.
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/golden/fig15.json");
     let dir = temp_dir("vacuous");
     let results = dir.join("results");
     fs::create_dir_all(&results).unwrap();
-    fs::copy(&golden, results.join("fig05_06.json")).unwrap();
+    fs::copy(&golden, results.join("fig15.json")).unwrap();
 
     // Zero certificates is a vacuous success and must fail — for one
     // artifact exactly as for a whole tree — so an artifact or tree with
@@ -120,6 +123,20 @@ fn verify_usage_errors_exit_2() {
         &["verify", "--all", dir.join("empty").to_str().unwrap()],
     );
     assert_eq!(code, 2, "missing directory is an IO error");
+    // Verify runs on the width a run without --jobs takes, held to its rule.
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/golden/fig15.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args(["verify", golden.to_str().unwrap()])
+        .env("RAYON_NUM_THREADS", "0")
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "a zero width is a usage error");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("RAYON_NUM_THREADS must be at least 1"),
+        "{err}"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 
