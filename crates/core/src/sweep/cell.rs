@@ -14,8 +14,9 @@
 //! draws. Every other kind is one unit; only the design search loops over
 //! solves inside it, since each step of its climb depends on the last. The
 //! units share the cell's [`Base`] (the built topology) and combine in index
-//! order into the cell's values; [`CellSpec::compute`] runs them one after
-//! another, and `sweep verify` runs them again with certificate capture on.
+//! order into the cell's values. The runner's unit queue runs them, for a
+//! sweep and, with certificate capture on, for `sweep verify`;
+//! [`CellSpec::compute`] runs them one after another as a serial reference.
 
 use crate::eval::{
     evaluate_throughput_status_with, relative_solve, relative_solves, solve, EvalConfig, Evaluated,
@@ -370,6 +371,20 @@ impl CellSpec {
         }
     }
 
+    /// True when each unit of the cell is one solve with a certificate of its
+    /// own: a throughput, relative or degradation cell. Any other kind makes
+    /// everything inside its one unit ([`Base::Whole`]) and has no
+    /// certificate.
+    pub fn solves(&self) -> bool {
+        matches!(
+            self,
+            CellSpec::Throughput { .. }
+                | CellSpec::Relative { .. }
+                | CellSpec::FacebookRelative { .. }
+                | CellSpec::Degradation { .. }
+        )
+    }
+
     /// Makes what the cell's units share: a throughput, relative or
     /// degradation cell builds its topology (and generates a throughput
     /// cell's matrix, or places a Facebook cell's matrix, on it).
@@ -564,12 +579,7 @@ impl CellSpec {
             } => {
                 run_search(start, tm, *tm_seed, *max_steps, cfg, &mut out);
             }
-            CellSpec::Throughput { .. }
-            | CellSpec::Relative { .. }
-            | CellSpec::FacebookRelative { .. }
-            | CellSpec::Degradation { .. } => {
-                unreachable!("a solving cell runs as its solves")
-            }
+            _ => unreachable!("a solving cell runs as its solves"),
         }
         out
     }

@@ -50,7 +50,7 @@ use runner::counted;
 pub use runner::{cell_key, run_cells, CellOutcome, CellSet, SweepOptions, SweepReport};
 pub use table::{f3, Table};
 pub use tb_topology::TopoSpec;
-pub use verify::{verify_artifact_cells, verify_cell, CellVerdict, VerifyReport};
+pub use verify::{verify_artifact_cells, VerifyReport};
 
 /// A registered experiment: a named, declarative sweep plus its renderer.
 #[derive(Clone)]

@@ -5,6 +5,9 @@
 //! Every unit of every missing cell — each of the 1 + k solves of a relative
 //! or degradation cell, one unit for any other kind — is one item of one
 //! flat queue that [`rayon::map`] hands out one at a time; nothing nests.
+//! `sweep verify` re-runs cells on the same queue with certificate capture
+//! on, so this module holds the only code that runs a cell's units outside
+//! [`CellSpec::compute`], the serial reference.
 //! Every solve builds its own state and every random seed is pinned inside
 //! the cell spec, so results are bit-identical regardless of thread count or
 //! execution order.
@@ -14,9 +17,9 @@
 //! read around the unit, give exactly its work, whatever else the process
 //! runs meanwhile.
 
-use crate::eval::EvalConfig;
+use crate::eval::{Certification, EvalConfig};
 use crate::sweep::cache::ResultCache;
-use crate::sweep::cell::{Base, CellValues, SweepCell, Unit};
+use crate::sweep::cell::{Base, CellSpec, CellValues, SweepCell, Unit};
 use rayon::Schedule;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -151,7 +154,7 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs `f` under fault isolation: a panic becomes its text.
-pub(crate) fn isolated<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+fn isolated<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| panic_text(payload.as_ref()))
 }
 
@@ -174,10 +177,14 @@ pub(crate) fn counted<R>(f: impl FnOnce() -> R) -> (R, Work) {
     (r, work)
 }
 
-/// A missing cell while its units run.
+/// A cell's run: its values and the verdict on each solve's certificate
+/// (none with capture off), or the text of the panic that failed it.
+pub(crate) type CellRun = Result<(CellValues, Vec<Certification>), String>;
+
+/// A cell while its units run.
 struct OpenCell<'a> {
-    cell: &'a SweepCell,
-    key: &'a str,
+    spec: &'a CellSpec,
+    cfg: &'a EvalConfig,
     /// What the units share: made by the first unit to run, released by the
     /// unit that completes the cell; `Err` holds the text of the panic that
     /// making it raised.
@@ -188,24 +195,24 @@ struct OpenCell<'a> {
 }
 
 impl<'a> OpenCell<'a> {
-    fn new(cell: &'a SweepCell, key: &'a str, units: usize) -> Self {
+    fn new(spec: &'a CellSpec, cfg: &'a EvalConfig, units: usize) -> Self {
         OpenCell {
-            cell,
-            key,
+            spec,
+            cfg,
             base: Mutex::new(None),
             units: Mutex::new((0..units).map(|_| None).collect()),
         }
     }
 
     /// Runs unit `i` under fault isolation. The unit that completes the cell
-    /// returns its values, or the panic text of its lowest-indexed failed
-    /// unit: a cell is a pure function of its spec and the evaluation
+    /// returns its run, or the panic text of its lowest-indexed failed unit:
+    /// a cell is a pure function of its spec and the evaluation
     /// configuration, so a failed unit is tried once, and its cell fails.
-    fn run(&self, cfg: &EvalConfig, i: usize) -> Option<Result<CellValues, String>> {
+    fn run(&self, i: usize, capture: bool) -> Option<CellRun> {
         let base = (self.base.lock().expect("base lock poisoned"))
-            .get_or_insert_with(|| isolated(|| self.cell.spec.base()).map(Arc::new))
+            .get_or_insert_with(|| isolated(|| self.spec.base()).map(Arc::new))
             .clone();
-        let result = base.and_then(|base| isolated(|| self.cell.spec.unit(&base, cfg, i, false)));
+        let result = base.and_then(|base| isolated(|| self.spec.unit(&base, self.cfg, i, capture)));
         let units = {
             let mut units = self.units.lock().expect("unit lock poisoned");
             units[i] = Some(result);
@@ -220,9 +227,51 @@ impl<'a> OpenCell<'a> {
         let units: Result<Vec<Unit>, String> = units.into_iter().flatten().collect();
         Some(base.and_then(|base| {
             let units = units?;
-            isolated(|| self.cell.spec.combine(&base, units))
+            let certifications = (units.iter())
+                .filter_map(|unit| match unit {
+                    Unit::Solve(e) => e.certification.clone(),
+                    Unit::Whole(_) => None,
+                })
+                .collect();
+            isolated(|| (self.spec.combine(&base, units), certifications))
         }))
     }
+}
+
+/// Runs `cells` — each a spec under its evaluation configuration — on one
+/// queue of `width` threads: every unit of every cell is one item, handed
+/// out one at a time, and a cell completes on the thread that runs its last
+/// unit, which then calls `done` with the cell's index and its run. With
+/// `capture` on, every solve checks its own certificate. Returns each cell's
+/// run in input order, the solves and builds the units made, and how the
+/// queue ran (`None` when it ran no unit).
+pub(crate) fn run_units(
+    cells: &[(&CellSpec, &EvalConfig)],
+    capture: bool,
+    width: usize,
+    done: impl Fn(usize, &CellRun) + Sync,
+) -> (Vec<CellRun>, Work, Option<Schedule>) {
+    let mut open = Vec::with_capacity(cells.len());
+    let mut queue = Vec::new();
+    for (c, &(spec, cfg)) in cells.iter().enumerate() {
+        let units = spec.units(cfg);
+        open.push(OpenCell::new(spec, cfg, units));
+        queue.extend((0..units).map(|i| (c, i)));
+    }
+    let (completed, schedule) = rayon::map(width, queue, |(c, i)| {
+        let (run, work) = counted(|| open[c].run(i, capture));
+        (work, run.inspect(|run| done(c, run)).map(|run| (c, run)))
+    });
+    let mut work = Work::default();
+    let mut runs = Vec::with_capacity(cells.len());
+    for (unit, run) in completed {
+        work.solves += unit.solves;
+        work.builds += unit.builds;
+        runs.extend(run);
+    }
+    runs.sort_by_key(|&(c, _)| c);
+    let runs = runs.into_iter().map(|(_, run)| run).collect();
+    (runs, work, (schedule.items > 0).then_some(schedule))
 }
 
 /// Runs `cells` under `opts`, returning per-cell outcomes in input order.
@@ -233,81 +282,50 @@ pub fn run_cells(opts: &SweepOptions, cells: Vec<SweepCell>) -> SweepReport {
         None => cells,
     };
 
-    // Deduplicate: identical specs (same key) are computed once per run.
+    // Deduplicate: identical specs (same key) are computed once per run, as
+    // the first cell with that key.
     let keys: Vec<String> = cells.iter().map(|c| cell_key(c, &cfg)).collect();
-    let mut unique_of_key: HashMap<&str, usize> = HashMap::new();
-    let mut unique_indices: Vec<usize> = Vec::new(); // index into `cells`
-    let mut cell_to_unique: Vec<usize> = Vec::with_capacity(cells.len());
-    for (i, key) in keys.iter().enumerate() {
-        let next = unique_indices.len();
-        let u = *unique_of_key.entry(key.as_str()).or_insert(next);
-        if u == next {
-            unique_indices.push(i);
-        }
-        cell_to_unique.push(u);
-    }
+    let mut first_of_key: HashMap<&str, usize> = HashMap::new();
+    let first: Vec<usize> = (keys.iter().enumerate())
+        .map(|(i, key)| *first_of_key.entry(key).or_insert(i))
+        .collect();
+    // Every unique cell is missing until the cache serves it.
+    let mut missing: Vec<usize> = (0..cells.len()).filter(|&i| first[i] == i).collect();
 
     type UniqueResult = (CellValues, bool, Option<String>);
     let cache = ResultCache::new(&opts.cache_dir);
-    let mut results: Vec<Option<UniqueResult>> = vec![None; unique_indices.len()];
+    let mut results: Vec<Option<UniqueResult>> = vec![None; cells.len()];
     if opts.use_cache {
-        for (slot, &cell_idx) in results.iter_mut().zip(&unique_indices) {
-            if let Some(values) = cache.load(&keys[cell_idx]) {
-                *slot = Some((values, true, None));
-            }
+        for &i in &missing {
+            results[i] = cache.load(&keys[i]).map(|values| (values, true, None));
         }
     }
 
-    // Compute the misses: every unit of every missing cell is one item of
-    // one queue. A panicking unit fails its cell, which is never cached and
-    // never fatal. Each item returns the solves and builds its unit made.
-    let missing: Vec<usize> = results
-        .iter()
-        .enumerate()
-        .filter_map(|(u, r)| r.is_none().then_some(u))
-        .collect();
-    let mut open = Vec::with_capacity(missing.len());
-    let mut queue = Vec::new();
-    for (m, &u) in missing.iter().enumerate() {
-        let cell_idx = unique_indices[u];
-        let units = cells[cell_idx].spec.units(&cfg);
-        open.push(OpenCell::new(&cells[cell_idx], &keys[cell_idx], units));
-        queue.extend((0..units).map(|i| (m, i)));
-    }
+    // Compute the misses on one unit queue. A panicking unit fails its cell,
+    // which is never cached and never fatal.
+    missing.retain(|&i| results[i].is_none());
+    let specs: Vec<(&CellSpec, &EvalConfig)> =
+        missing.iter().map(|&i| (&cells[i].spec, &cfg)).collect();
     let width = opts.jobs.unwrap_or_else(rayon::default_width);
-    let (completed, schedule) = rayon::map(width, queue, |(m, i)| {
-        let cell = &open[m];
-        let (done, work) = counted(|| cell.run(&cfg, i));
-        match &done {
-            // Stored as each cell completes, so an interrupted run resumes
-            // from whatever completed.
-            Some(Ok(values)) if opts.use_cache => cache.store(cell.key, values),
-            Some(Err(error)) => eprintln!("warning: cell '{}' failed: {error}", cell.cell.id),
-            _ => {}
-        }
-        (work, done.map(|done| (m, done)))
+    let (runs, work, schedule) = run_units(&specs, false, width, |m, run| match run {
+        // Stored as each cell completes, so an interrupted run resumes from
+        // whatever completed.
+        Ok((values, _)) if opts.use_cache => cache.store(&keys[missing[m]], values),
+        Err(error) => eprintln!("warning: cell '{}' failed: {error}", cells[missing[m]].id),
+        _ => {}
     });
-    let mut work = Work::default();
-    for (unit, done) in completed {
-        work.solves += unit.solves;
-        work.builds += unit.builds;
-        let Some((m, done)) = done else { continue };
-        results[missing[m]] = Some(match done {
-            Ok(values) => (values, false, None),
+    for (&i, run) in missing.iter().zip(runs) {
+        results[i] = Some(match run {
+            Ok((values, _)) => (values, false, None),
             Err(error) => (CellValues::default(), false, Some(error)),
         });
     }
 
-    let cache_hits = results.iter().flatten().filter(|(_, hit, _)| *hit).count();
-    let failed_cells = results
-        .iter()
-        .flatten()
-        .filter(|(_, _, err)| err.is_some())
-        .count();
-    let unique_cells = results.len();
-    let outcomes: Vec<CellOutcome> = cells
-        .into_iter()
-        .zip(cell_to_unique)
+    let resolved = results.iter().flatten();
+    let unique_cells = resolved.clone().count();
+    let cache_hits = resolved.clone().filter(|r| r.1).count();
+    let failed_cells = resolved.filter(|r| r.2.is_some()).count();
+    let outcomes: Vec<CellOutcome> = (cells.into_iter().zip(first))
         .map(|(cell, u)| {
             let (values, cached, error) = results[u].clone().expect("every unique cell resolved");
             CellOutcome {
@@ -325,7 +343,7 @@ pub fn run_cells(opts: &SweepOptions, cells: Vec<SweepCell>) -> SweepReport {
         solver_calls: work.solves,
         topo_builds: work.builds,
         failed_cells,
-        schedule: (schedule.items > 0).then_some(schedule),
+        schedule,
     }
 }
 
@@ -596,18 +614,19 @@ mod tests {
             (relative, cfg.random_graph_iterations + 1),
             (degradation, 1 + 3),
         ] {
-            let key = cell_key(&cell, &cfg);
             let units = cell.spec.units(&cfg);
             assert_eq!(units, expected_units, "{}", cell.id);
-            let open = OpenCell::new(&cell, &key, units);
+            let open = OpenCell::new(&cell.spec, &cfg, units);
             for i in (0..units).rev() {
-                let done = open.run(&cfg, i);
+                let done = open.run(i, false);
                 assert_eq!(done.is_some(), i == 0, "{} unit {i}", cell.id);
                 let held = open.base.lock().unwrap().is_some();
                 assert_eq!(held, i != 0, "{} unit {i}", cell.id);
                 if let Some(done) = done {
                     let serial = cell.spec.compute(&cfg);
-                    assert!(done.unwrap().bit_identical(&serial), "{}", cell.id);
+                    let (values, certifications) = done.unwrap();
+                    assert!(values.bit_identical(&serial), "{}", cell.id);
+                    assert!(certifications.is_empty(), "capture is off");
                 }
             }
         }

@@ -1,19 +1,21 @@
-//! Artifact re-verification: certify every cell of a `topobench-sweep/v1`
-//! artifact that solves throughput LPs, by running it again.
+//! Artifact re-verification: certify every cell of a set of
+//! `topobench-sweep/v1` artifacts that solves throughput LPs, by running it
+//! again.
 //!
-//! The verifier never trusts the numbers in the artifact. It looks each
-//! cell's spec up in the scenario's re-expanded grid and runs the cell again
-//! through the engine's own path — [`CellSpec::base`], every
-//! [`CellSpec::unit`], [`CellSpec::combine`] — with certificate capture on.
-//! Each solve checks its own certificate ([`tb_flow::verify_certificate`]
-//! re-derives primal feasibility and the dual bound from shortest paths under
-//! the certificate's lengths) and ties the certificate's `lower`/`upper` to
-//! its bounds; a degradation draw's certificate is that of the demands it
-//! kept. The recombined values must then be bit-identical to the artifact's,
-//! which also re-checks that a cell is a pure function of its spec and the
-//! configuration. A certified cell stands on one certificate per solve: one
-//! for a throughput cell, 1 + k for a relative or degradation cell. The
-//! evidence is never stored: it is derived again.
+//! The verifier never trusts the numbers in an artifact. It looks each
+//! cell's spec up in its scenario's re-expanded grid and runs the cell again
+//! on the sweep runner's own unit queue — [`CellSpec::base`], every
+//! [`CellSpec::unit`], [`CellSpec::combine`], exactly as a run does — with
+//! certificate capture on. Each solve checks its own certificate
+//! ([`tb_flow::verify_certificate`] re-derives primal feasibility and the
+//! dual bound from shortest paths under the certificate's lengths) and ties
+//! the certificate's `lower`/`upper` to its bounds; a degradation draw's
+//! certificate is that of the demands it kept. The recombined values must
+//! then be bit-identical to the artifact's, which also re-checks that a cell
+//! is a pure function of its spec and the configuration. A certified cell
+//! stands on one certificate per solve: one for a throughput cell, 1 + k for
+//! a relative or degradation cell. The evidence is never stored, and no
+//! cache is read: it is derived again.
 //!
 //! Status interplay (the part that is easy to get wrong): cells serialized
 //! with `"status": "failed"` and cells any of whose solves exhausts its
@@ -21,20 +23,23 @@
 //! contract, so they are reported as such, never certified and never
 //! silently skipped. Cells whose kind has no certificate (cuts, path
 //! lengths, path-restricted throughput, the design search) are counted but
-//! not checked. An artifact's cells run on [`rayon::map`] at its default
-//! width.
+//! not checked. Those verdicts, and a cell the scenario no longer expands,
+//! are given before anything runs; the solving cells of every artifact then
+//! share one queue at the default width ([`rayon::default_width`]), so a slow
+//! cell of one artifact overlaps the others.
 
 use crate::eval::{Certification, EvalConfig};
 use crate::sweep::artifact::{Artifact, ArtifactCell};
-use crate::sweep::cell::{Base, CellSpec, Unit};
+use crate::sweep::cell::CellSpec;
 use crate::sweep::diff::classify;
-use crate::sweep::runner::isolated;
+use crate::sweep::runner::{run_units, CellRun};
+use rayon::Schedule;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// The verdict on one artifact cell.
 #[derive(Debug, Clone, PartialEq)]
-pub enum CellVerdict {
+enum CellVerdict {
     /// The re-run's values are the artifact's, and every one of its solves'
     /// certificates (their number) verified.
     Certified(usize),
@@ -50,7 +55,7 @@ pub enum CellVerdict {
 }
 
 /// The verification outcome of one artifact.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct VerifyReport {
     /// The artifact's scenario name.
     pub scenario: String,
@@ -101,68 +106,73 @@ impl VerifyReport {
     }
 }
 
-/// Verifies every cell of a parsed artifact against the re-expanded cell
-/// specs in `specs` (cell id → spec) under the evaluation configuration the
-/// artifact was produced with.
+/// Verifies every cell of every artifact, each against the re-expanded cell
+/// specs of its scenario (cell id → spec) under the evaluation configuration
+/// it was produced with, and returns one report per artifact, in input
+/// order, with how the queue of re-runs ran (`None` when nothing ran).
 pub fn verify_artifact_cells(
-    artifact: &Artifact,
-    specs: &HashMap<String, CellSpec>,
-    cfg: &EvalConfig,
-) -> VerifyReport {
-    let mut report = VerifyReport {
-        scenario: artifact.scenario.clone(),
-        cells: artifact.cells.len(),
-        ..VerifyReport::default()
-    };
-    let cells: Vec<&ArtifactCell> = artifact.cells.iter().collect();
-    let (verdicts, _) = rayon::map(rayon::default_width(), cells, |cell| {
-        (cell.id.clone(), verify_cell(cell, specs.get(&cell.id), cfg))
-    });
-    for (id, verdict) in verdicts {
-        match verdict {
-            CellVerdict::Certified(certificates) => {
-                report.certified += 1;
-                report.certificates += certificates;
+    artifacts: &[(Artifact, HashMap<String, CellSpec>, EvalConfig)],
+) -> (Vec<VerifyReport>, Option<Schedule>) {
+    let queue: Vec<(&CellSpec, &EvalConfig)> = (artifacts.iter())
+        .flat_map(|(artifact, specs, cfg)| {
+            (artifact.cells.iter()).filter_map(move |cell| Some((to_rerun(cell, specs).ok()?, cfg)))
+        })
+        .collect();
+    let (runs, _, schedule) = run_units(&queue, true, rayon::default_width(), |_, _| {});
+    let mut runs = runs.into_iter();
+    let reports = (artifacts.iter())
+        .map(|(artifact, specs, _)| {
+            let mut report = VerifyReport {
+                scenario: artifact.scenario.clone(),
+                cells: artifact.cells.len(),
+                ..VerifyReport::default()
+            };
+            for cell in &artifact.cells {
+                let verdict = match to_rerun(cell, specs) {
+                    Ok(_) => judge(cell, runs.next().expect("one run per queued cell")),
+                    Err(verdict) => verdict,
+                };
+                let id = cell.id.clone();
+                match verdict {
+                    CellVerdict::Certified(certificates) => {
+                        report.certified += 1;
+                        report.certificates += certificates;
+                    }
+                    CellVerdict::NoCertificate => report.no_certificate += 1,
+                    CellVerdict::Bad(why) => report.bad.push((id, why)),
+                    CellVerdict::Unverifiable(why) => report.unverifiable.push((id, why)),
+                }
             }
-            CellVerdict::NoCertificate => report.no_certificate += 1,
-            CellVerdict::Bad(why) => report.bad.push((id, why)),
-            CellVerdict::Unverifiable(why) => report.unverifiable.push((id, why)),
-        }
-    }
-    report
+            report
+        })
+        .collect();
+    (reports, schedule)
 }
 
-/// Verdict on one artifact cell. `spec` is the re-expanded spec with the
-/// same id, when the scenario still has one.
-pub fn verify_cell(cell: &ArtifactCell, spec: Option<&CellSpec>, cfg: &EvalConfig) -> CellVerdict {
+/// The spec to run `cell` again by, or its verdict when there is nothing to
+/// run.
+fn to_rerun<'a>(
+    cell: &ArtifactCell,
+    specs: &'a HashMap<String, CellSpec>,
+) -> Result<&'a CellSpec, CellVerdict> {
     // Failed cells first: they carry no values, and must never read as
     // "fine" — they are unverifiable by construction.
     if let Some(why) = &cell.error {
-        return CellVerdict::Unverifiable(format!("cell failed: {why}"));
+        return Err(CellVerdict::Unverifiable(format!("cell failed: {why}")));
     }
-    let Some(spec) = spec else {
-        return CellVerdict::Bad("no matching cell in the scenario's expansion".into());
-    };
-    // Run the cell again, the way a run does, with certificate capture on.
-    let rerun = isolated(|| {
-        let base = spec.base();
-        if let Base::Whole = base {
-            return None;
-        }
-        let units: Vec<Unit> = (0..spec.units(cfg))
-            .map(|i| spec.unit(&base, cfg, i, true))
-            .collect();
-        let verdicts: Vec<Certification> = (units.iter())
-            .map(|unit| match unit {
-                Unit::Solve(e) => e.certification.clone().expect("capture is on"),
-                Unit::Whole(_) => unreachable!("the units of a solving cell are solves"),
-            })
-            .collect();
-        Some((verdicts, spec.combine(&base, units)))
-    });
-    let (verdicts, values) = match rerun {
-        Ok(Some(rerun)) => rerun,
-        Ok(None) => return CellVerdict::NoCertificate,
+    match specs.get(&cell.id) {
+        None => Err(CellVerdict::Bad(
+            "no matching cell in the scenario's expansion".into(),
+        )),
+        Some(spec) if !spec.solves() => Err(CellVerdict::NoCertificate),
+        Some(spec) => Ok(spec),
+    }
+}
+
+/// The verdict on `cell` from its re-run with certificate capture on.
+fn judge(cell: &ArtifactCell, run: CellRun) -> CellVerdict {
+    let (values, verdicts) = match run {
+        Ok(run) => run,
         Err(why) => return CellVerdict::Bad(format!("the re-run panicked: {why}")),
     };
     // Budget-exhausted bounds are valid but meet no accuracy contract:
@@ -220,7 +230,15 @@ mod tests {
     /// The artifact text of a plain run of `cells`, with the specs and the
     /// configuration the verifier needs.
     fn artifact_of(cells: Vec<SweepCell>) -> (String, HashMap<String, CellSpec>, EvalConfig) {
-        let mut opts = SweepOptions::new(false, 1);
+        artifact_at(cells, 1)
+    }
+
+    /// [`artifact_of`] at base seed `seed`.
+    fn artifact_at(
+        cells: Vec<SweepCell>,
+        seed: u64,
+    ) -> (String, HashMap<String, CellSpec>, EvalConfig) {
+        let mut opts = SweepOptions::new(false, seed);
         opts.use_cache = false;
         let specs: HashMap<String, CellSpec> = cells
             .iter()
@@ -233,7 +251,18 @@ mod tests {
     }
 
     fn verify(text: &str, specs: &HashMap<String, CellSpec>, cfg: &EvalConfig) -> VerifyReport {
-        verify_artifact_cells(&parse_artifact(text).unwrap(), specs, cfg)
+        verify_one(&parse_artifact(text).unwrap(), specs, cfg)
+    }
+
+    /// A call of its own over one artifact.
+    fn verify_one(
+        artifact: &Artifact,
+        specs: &HashMap<String, CellSpec>,
+        cfg: &EvalConfig,
+    ) -> VerifyReport {
+        verify_artifact_cells(&[(artifact.clone(), specs.clone(), *cfg)])
+            .0
+            .remove(0)
     }
 
     #[test]
@@ -279,7 +308,7 @@ mod tests {
         let values = &mut artifact.cells[0].values;
         let fp = u64::from_str_radix(values.text("tm_fp").unwrap(), 16).unwrap();
         values.push_text("tm_fp", format!("{:016x}", fp ^ 1));
-        let report = verify_artifact_cells(&artifact, &specs, &cfg);
+        let report = verify_one(&artifact, &specs, &cfg);
         assert_eq!(report.bad.len(), 1, "{:?}", report.bad);
         assert!(report.bad[0].1.contains("tm_fp"), "{:?}", report.bad);
         assert_eq!(report.certified, 1);
@@ -309,7 +338,7 @@ mod tests {
         let dead = &mut artifact.cells[0];
         dead.values = Default::default();
         dead.error = Some("induced".into());
-        let report = verify_artifact_cells(&artifact, &specs, &cfg);
+        let report = verify_one(&artifact, &specs, &cfg);
         assert_eq!(report.unverifiable.len(), 1);
         assert!(report.unverifiable[0].1.contains("failed"));
         assert_eq!(report.certified, 1);
@@ -440,6 +469,49 @@ mod tests {
         let report = verify(&text, &specs, &cfg);
         assert!(report.is_clean(), "{:?}", report.bad);
         assert_eq!((report.certified, report.certificates), (1, 4));
+    }
+
+    /// One call over two artifacts built at different seeds reports each as
+    /// a call of its own does, and a value flipped in one of them makes only
+    /// that artifact's cell bad.
+    #[test]
+    fn one_queue_over_two_artifacts_reports_each_as_alone() {
+        let built: Vec<_> = [1, 2]
+            .into_iter()
+            .map(|seed| {
+                let mut cells = throughput_cells();
+                cells.push(relative_cell());
+                artifact_at(cells, seed)
+            })
+            .collect();
+        let parsed: Vec<Artifact> = (built.iter())
+            .map(|(text, ..)| parse_artifact(text).unwrap())
+            .collect();
+        let sample = |a: &Artifact| a.cells[2].values.num("sample_0");
+        assert_ne!(sample(&parsed[0]), sample(&parsed[1]), "the seeds differ");
+        let inputs = |second: &Artifact| {
+            let artifacts: Vec<_> = [&parsed[0], second]
+                .into_iter()
+                .zip(&built)
+                .map(|(artifact, (_, specs, cfg))| (artifact.clone(), specs.clone(), *cfg))
+                .collect();
+            verify_artifact_cells(&artifacts)
+        };
+        let alone: Vec<VerifyReport> = (parsed.iter().zip(&built))
+            .map(|(artifact, (_, specs, cfg))| verify_one(artifact, specs, cfg))
+            .collect();
+        let (together, schedule) = inputs(&parsed[1]);
+        assert_eq!(together, alone);
+        assert!(together.iter().all(|r| r.is_clean() && r.certified == 3));
+        // Two throughput solves and a relative cell's three, per artifact.
+        assert_eq!(schedule.unwrap().items, 2 * (2 + 3));
+
+        let flipped = parse_artifact(&flip(&built[1].0, "sample_1")).unwrap();
+        let (reports, _) = inputs(&flipped);
+        assert_eq!(reports[0], alone[0]);
+        assert_eq!(reports[1].bad.len(), 1, "{:?}", reports[1].bad);
+        assert_eq!(reports[1].bad[0].0, "jf/relative");
+        assert_eq!(reports[1].certified, 2);
     }
 
     #[test]

@@ -45,12 +45,13 @@
 //! LPs: each cell runs again from its spec with certificate capture on, every
 //! solve's certificate is checked and must prove that solve's bounds, and the
 //! re-run's values must be bit-identical to the reported ones (same exit
-//! convention).
+//! convention). The cells of every artifact it is given run on one unit
+//! queue, whose `[sweep] schedule:` line goes to standard error.
 
 #![forbid(unsafe_code)]
 
 use experiments::{find_scenario, registry, run_and_emit, write_golden, RunOptions};
-use topobench::sweep::{diff_dirs, diff_files, DirDiff, Scenario, Schedule};
+use topobench::sweep::{diff_dirs, diff_files, DirDiff, Scenario, Schedule, VerifyReport};
 
 fn print_index() {
     println!("Registered scenarios (run with --scenario <name>):\n");
@@ -124,45 +125,32 @@ fn run_verify(args: &[String]) -> i32 {
          re-run's values must be bit-identical to the reported ones. Failed cells\n\
          and cells with a solve that exhausts its budget are reported as\n\
          unverifiable, never certified; cells of other kinds are counted, not\n\
-         checked. Cells run on RAYON_NUM_THREADS threads (1 to 256), else one per\n\
-         core. With --all, every *.json artifact in the directory is verified. At\n\
-         least one cell must be certified overall (an artifact or tree with no\n\
-         solving cell must not read as clean).\n\
+         checked. With --all, every *.json artifact in the directory is verified.\n\
+         Every solve of every artifact is one item of one queue on RAYON_NUM_THREADS\n\
+         threads (1 to 256), else one per core. At least one cell must be certified\n\
+         overall (an artifact or tree with no solving cell must not read as clean).\n\
          Exit status: 0 verified clean, 1 bad cell or nothing certified,\n\
-         2 usage/IO errors.",
+         2 usage/IO errors (every artifact is read before any cell runs).",
     );
     let [path] = paths.as_slice() else {
         fail("sweep verify requires exactly one path; see sweep verify --help");
     };
     experiments::check_width_env().unwrap_or_else(|e| fail(&e));
-    let results =
+    let (reports, schedule) =
         experiments::verify::verify_artifacts(path.as_ref(), all).unwrap_or_else(|e| fail(&e));
-    let mut certified = 0usize;
-    let mut certificates = 0usize;
-    let mut bad = 0usize;
-    let mut io_errors = 0usize;
-    for result in &results {
-        match result {
-            Ok(report) => {
-                print!("{}", report.render());
-                certified += report.certified;
-                certificates += report.certificates;
-                bad += report.bad.len();
-            }
-            Err(e) => {
-                // Every such error names the file it is about.
-                eprintln!("error: {e}");
-                io_errors += 1;
-            }
-        }
+    if let Some(schedule) = &schedule {
+        eprintln!("{}", schedule_line(schedule));
     }
-    if io_errors > 0 {
-        return 2;
+    for report in &reports {
+        print!("{}", report.render());
     }
+    let sum = |count: fn(&VerifyReport) -> usize| reports.iter().map(count).sum::<usize>();
+    let bad = sum(|report| report.bad.len());
     if bad > 0 {
         eprintln!("[sweep verify] FAILED: {bad} bad cell(s)");
         return 1;
     }
+    let certified = sum(|report| report.certified);
     if certified == 0 {
         // Zero certificates verify nothing; succeeding here would let an
         // artifact or tree without a solving cell pass CI.
@@ -170,9 +158,10 @@ fn run_verify(args: &[String]) -> i32 {
         return 1;
     }
     println!(
-        "[sweep verify] OK: {certified} cell(s) certified by {certificates} certificate(s) \
+        "[sweep verify] OK: {certified} cell(s) certified by {} certificate(s) \
          across {} artifact(s)",
-        results.len()
+        sum(|report| report.certificates),
+        reports.len()
     );
     0
 }

@@ -156,7 +156,9 @@ fn failure_sweep_survives_panic_corruption_and_disconnection() {
 /// cell verified under a sane budget is the control.
 #[test]
 fn budget_exhausted_certificates_are_unverifiable_never_certified() {
-    use topobench::sweep::{verify_cell, ArtifactCell, CellVerdict};
+    use std::collections::HashMap;
+    use topobench::sweep::{verify_artifact_cells, Artifact, ArtifactCell, VerifyReport};
+    use topobench::EvalConfig;
 
     let spec = CellSpec::Throughput {
         topo: TopoSpec::Hypercube {
@@ -175,6 +177,22 @@ fn budget_exhausted_certificates_are_unverifiable_never_certified() {
         values: spec.compute(&sane),
         error: None,
     };
+    let artifact = Artifact {
+        scenario: "probe".into(),
+        title: String::new(),
+        full: false,
+        partial: false,
+        seed: 1,
+        filter: None,
+        stats: [1.0, 1.0, 0.0, 1.0],
+        cells: vec![cell.clone()],
+        tables: Vec::new(),
+    };
+    let specs = HashMap::from([(cell.id.clone(), spec)]);
+    let verify = |cfg: EvalConfig| -> VerifyReport {
+        let input = (artifact.clone(), specs.clone(), cfg);
+        verify_artifact_cells(&[input]).0.remove(0)
+    };
 
     let mut starved = sane;
     // Force the FPTAS (no exact short-circuit) and strangle its budget: one
@@ -186,18 +204,17 @@ fn budget_exhausted_certificates_are_unverifiable_never_certified() {
     starved.solver.check_interval = 1;
     starved.solver.epsilon = 0.01;
     starved.solver.target_gap = 1e-9;
-    let verdict = verify_cell(&cell, Some(&spec), &starved);
-    let CellVerdict::Unverifiable(why) = verdict else {
-        panic!("budget-exhausted cell must be unverifiable, got {verdict:?}");
+    let report = verify(starved);
+    let [(_, why)] = report.unverifiable.as_slice() else {
+        panic!("budget-exhausted cell must be unverifiable, got {report:?}");
     };
     assert!(why.contains("budget"), "{why}");
+    assert_eq!(report.certified, 0);
 
     // Control: the same cell under the configuration that produced it,
     // certified by its one solve's certificate.
-    assert_eq!(
-        verify_cell(&cell, Some(&spec), &sane),
-        CellVerdict::Certified(1)
-    );
+    let report = verify(sane);
+    assert_eq!((report.certified, report.certificates), (1, 1));
 }
 
 /// Canonical fingerprint of a topology: surviving edge list + server

@@ -6,7 +6,9 @@
 //! catches: per-process randomized `HashSet` iteration leaking into graph
 //! generation, as once happened to fig03/table02). The rendered `tables`
 //! block must equal the golden's too, which the cell diff never looks at:
-//! a renderer that printed a wrong column would otherwise pass.
+//! a renderer that printed a wrong column would otherwise pass. So must the
+//! `stats` block: a hermetic run counts only its own cells, solves and
+//! cache hits, so a golden whose counts a fresh run no longer gives is stale.
 //!
 //! Refresh after an intentional change with:
 //!
@@ -55,11 +57,16 @@ fn check_golden(name: &str) {
         "{name} drifted from its golden artifact:\n{}",
         diff.render()
     );
-    let tables = |text: &str| Json::parse(text).unwrap().get("tables").cloned();
+    let block = |text: &str, key: &str| Json::parse(text).unwrap().get(key).cloned();
     assert_eq!(
-        tables(&fresh),
-        tables(&golden),
+        block(&fresh, "tables"),
+        block(&golden, "tables"),
         "{name}: rendered tables differ from the golden's"
+    );
+    assert_eq!(
+        block(&fresh, "stats"),
+        block(&golden, "stats"),
+        "{name}: stats differ from the golden's"
     );
 }
 
