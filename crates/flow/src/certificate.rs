@@ -5,14 +5,17 @@
 //! the lower bound (per-arc aggregate + per-commodity delivered amounts; the
 //! FPTAS stores the mix of its flow blocks that set its best bound, with the
 //! amount every commodity is served at least) and
-//! the dual length function behind the upper bound (`upper = D(l)/alpha(l)`,
-//! valid for **any** non-negative lengths by LP duality; the FPTAS stores the
-//! lengths of the evaluation that set its best bound, or the window average
-//! of its normalised iterates when that did). Everything needed
-//! to re-check the claim is stored in the certificate itself, so
-//! [`verify_certificate`] re-derives both sides from scratch — shortest
-//! paths under the stored lengths, capacity and conservation residuals of
-//! the stored flow — and never trusts solver state.
+//! the evidence behind the upper bound: a dual length function
+//! (`D(l)/alpha(l)`, valid for **any** non-negative lengths by LP duality;
+//! the FPTAS stores the lengths of the evaluation that set its best dual
+//! bound, or the window average of its normalised iterates when that did)
+//! and a cut's node set (`cap/demand` across the cut, each way; the FPTAS
+//! stores the best cut its sweeps found), the claimed `upper` being the
+//! smaller of the two. Everything needed to re-check the claim is stored in
+//! the certificate itself, so [`verify_certificate`] re-derives both sides
+//! from scratch — shortest paths under the stored lengths, the cut's
+//! crossing capacity and demand, capacity and conservation residuals of the
+//! stored flow — and never trusts solver state.
 //!
 //! ## Canonical derivation and bit-exact re-checking
 //!
@@ -29,8 +32,12 @@
 //! ## What is and is not proven
 //!
 //! * The **upper bound is sound**: `t* <= D(l)/alpha(l)` holds for any
-//!   non-negative length function, so a verified upper bound is a true bound
-//!   regardless of how the solver behaved.
+//!   non-negative length function, and `t* <= cap(S→S̄)/d(S→S̄)` (and the
+//!   other way) for any node set `S`, since every unit of demand from `S` to
+//!   `S̄` crosses the arcs from `S` to `S̄`. So a verified upper bound is a
+//!   true bound regardless of how the solver behaved. Evidence that bounds
+//!   nothing — zero lengths and no cut — proves nothing, and is rejected
+//!   unless no commodity needs capacity.
 //! * The **lower bound is checked as a flow summary**: capacity feasibility
 //!   and per-node aggregate conservation residuals are necessary conditions,
 //!   but an aggregate multicommodity flow need not decompose per commodity,
@@ -78,13 +85,19 @@ pub struct ThroughputCertificate {
     /// function at which the solver's best upper bound was achieved — an
     /// iterate of its trajectory, or an average of normalised iterates.
     pub lengths: Vec<f64>,
+    /// The node set `S` of a cut behind the upper bound, ascending node ids;
+    /// empty when there is none. All demand from `S` to its complement
+    /// crosses the arcs from `S` to `S̄`, so `cap(S→S̄)/d(S→S̄)` bounds the
+    /// throughput, and likewise the other way. The FPTAS stores the best cut
+    /// its sweeps found.
+    pub cut: Vec<usize>,
     /// `D(l) = sum_a cap[a] * lengths[a]`, canonically derived.
     pub d_l: f64,
     /// The certified feasible value, canonically derived from `served`.
     pub lower: f64,
-    /// The certified dual bound `D(l)/alpha(l)`, canonically derived from
-    /// `lengths` (equal to `lower` when `alpha(l) = 0`, i.e. no commodity
-    /// needs any capacity).
+    /// The certified upper bound, canonically derived: the smaller of the
+    /// dual bound `D(l)/alpha(l)` of `lengths` and the bound of `cut` (equal
+    /// to `lower` when no commodity needs any capacity).
     pub upper: f64,
 }
 
@@ -99,6 +112,7 @@ impl ThroughputCertificate {
             flow: Vec::new(),
             served: Vec::new(),
             lengths: Vec::new(),
+            cut: Vec::new(),
             d_l: 0.0,
             lower: 0.0,
             upper: 0.0,
@@ -107,15 +121,26 @@ impl ThroughputCertificate {
 
     /// Builds a certificate from raw evidence, deriving the scalar claims
     /// canonically (see the module docs). `flow`, `served` and `lengths`
-    /// must follow `prob`'s layouts.
-    pub fn build(prob: &FlowProblem, flow: Vec<f64>, served: Vec<f64>, lengths: Vec<f64>) -> Self {
-        let claims = derive_claims(prob, &served, &lengths);
+    /// must follow `prob`'s layouts, and `cut` holds ascending node ids
+    /// (empty for no cut).
+    ///
+    /// # Panics
+    /// Panics if a node id in `cut` is not below `prob.num_nodes()`.
+    pub fn build(
+        prob: &FlowProblem,
+        flow: Vec<f64>,
+        served: Vec<f64>,
+        lengths: Vec<f64>,
+        cut: Vec<usize>,
+    ) -> Self {
+        let claims = derive_claims(prob, &served, &lengths, &cut);
         ThroughputCertificate {
             num_nodes: prob.num_nodes(),
             num_arcs: prob.num_arcs(),
             flow,
             served,
             lengths,
+            cut,
             d_l: claims.d_l,
             lower: claims.lower,
             upper: claims.upper,
@@ -146,14 +171,24 @@ pub(crate) struct DerivedClaims {
 /// * `lower` — minimum over commodities (source-major order) of
 ///   `served / demand`, zero-demand commodities skipped, `0` when nothing
 ///   was served or no commodity has positive demand;
-/// * `upper` — `d_l / alpha` with `alpha` the demand-weighted sum of
-///   single-source shortest-path distances under `lengths` (source order,
-///   destination order within a source; Dijkstra is run per source by the
-///   shared `tb_graph` kernel). A disconnected pair makes `alpha` infinite
-///   and the bound `0`; `alpha = 0` (only self-demands, or none) makes the
-///   dual bound vacuous and `upper` falls back to `lower`, mirroring the
-///   solver's convention for an unbounded dual.
-pub(crate) fn derive_claims(prob: &FlowProblem, served: &[f64], lengths: &[f64]) -> DerivedClaims {
+/// * `upper` — the smaller of `d_l / alpha`, with `alpha` the
+///   demand-weighted sum of single-source shortest-path distances under
+///   `lengths` (source order, destination order within a source; Dijkstra is
+///   run per source by the shared `tb_graph` kernel), and the bound of the
+///   cut `cut` ([`FlowProblem::cut_bound`], infinite for no cut). A
+///   disconnected pair makes `alpha` infinite and the dual bound `0`.
+///   When neither bounds anything, `upper` falls back to `lower` if no
+///   commodity needs capacity (only self-demands), mirroring the solver's
+///   convention for an unbounded dual, and is infinite otherwise — which
+///   [`verify_certificate`] rejects: zero lengths and no cut are no proof.
+///
+/// `cut` must hold node ids below `prob.num_nodes()`.
+pub(crate) fn derive_claims(
+    prob: &FlowProblem,
+    served: &[f64],
+    lengths: &[f64],
+    cut: &[usize],
+) -> DerivedClaims {
     let mut d_l = 0.0f64;
     for (arc, &len) in prob.arcs().iter().zip(lengths) {
         d_l += arc.cap * len;
@@ -185,8 +220,30 @@ pub(crate) fn derive_claims(prob: &FlowProblem, served: &[f64], lengths: &[f64])
             alpha += demand * dist[dst];
         }
     }
-    let dual = d_l / alpha;
-    let upper = if dual.is_finite() { dual } else { lower };
+    let cut = if cut.is_empty() {
+        f64::INFINITY
+    } else {
+        let mut in_set = vec![false; prob.num_nodes()];
+        for &v in cut {
+            in_set[v] = true;
+        }
+        prob.cut_bound(&in_set, 1.0)
+    };
+    // A 0/0 dual is NaN, and `min` then takes the cut. Evidence that bounds
+    // nothing proves nothing: only when no commodity needs capacity at all
+    // does the claim fall back to `lower`; otherwise it stays infinite, and
+    // the verifier rejects it.
+    let bound = (d_l / alpha).min(cut);
+    let needs_capacity = prob.sources().iter().any(|s| {
+        s.dests
+            .iter()
+            .any(|&(dst, demand)| dst != s.src && demand > 0.0)
+    });
+    let upper = if bound.is_finite() || needs_capacity {
+        bound
+    } else {
+        lower
+    };
     DerivedClaims { d_l, lower, upper }
 }
 
@@ -356,6 +413,15 @@ pub fn verify_certificate(
             cert.served.len()
         )));
     }
+    if let Some(i) = (0..cert.cut.len()).find(|&i| {
+        let v = cert.cut[i];
+        v >= n || (i > 0 && cert.cut[i - 1] >= v)
+    }) {
+        return Err(CertificateError::InvalidValue(format!(
+            "cut[{i}] = {} is not an ascending node id below {n}",
+            cert.cut[i]
+        )));
+    }
 
     // Primal side: capacity, then per-node aggregate conservation. The
     // expected net supply at a node is what the served amounts say leaves
@@ -397,7 +463,7 @@ pub fn verify_certificate(
 
     // Dual side + scalar claims: canonical re-derivation, compared bit for
     // bit (emission ran the exact same routine on the exact same inputs).
-    let claims = derive_claims(&prob, &cert.served, &cert.lengths);
+    let claims = derive_claims(&prob, &cert.served, &cert.lengths, &cert.cut);
     for (claim, stored, derived) in [
         ("d_l", cert.d_l, claims.d_l),
         ("lower", cert.lower, claims.lower),
@@ -426,15 +492,17 @@ pub fn verify_certificate(
 }
 
 /// Snapshot capture used by the solver's phase loop: copies of the length
-/// function behind the best upper bound (the lengths at that evaluation, or
-/// the window average of the normalised lengths) and of the flow behind the
-/// best lower bound (a mix of the flow blocks). Copies are trajectory-neutral
-/// (no arithmetic feeds back into solver state), so enabling capture cannot
-/// change any solved number.
+/// function behind the best dual bound (the lengths at that evaluation, or
+/// the window average of the normalised lengths), of the best cut, and of
+/// the flow behind the best lower bound (a mix of the flow blocks). Copies
+/// are trajectory-neutral (no arithmetic feeds back into solver state), so
+/// enabling capture cannot change any solved number.
 #[derive(Debug, Default)]
 pub(crate) struct CertCapture {
-    /// The length function that achieved the best upper bound.
+    /// The length function that achieved the best dual bound.
     pub lens: Vec<f64>,
+    /// The best cut's node set, ascending.
+    pub cut: Vec<usize>,
     /// The per-arc flow behind the best lower bound, before its rescale.
     pub flow: Vec<f64>,
     /// Per-commodity amounts that flow serves at least, source-major.
@@ -448,6 +516,17 @@ impl CertCapture {
     pub fn observe_dual(&mut self, lens: &[f64]) {
         self.lens.clear();
         self.lens.extend_from_slice(lens);
+    }
+
+    /// Records the membership of a new best cut.
+    pub fn observe_cut(&mut self, in_set: &[bool]) {
+        self.cut.clear();
+        self.cut.extend(
+            in_set
+                .iter()
+                .enumerate()
+                .filter_map(|(v, &x)| x.then_some(v)),
+        );
     }
 
     /// Records the flow behind a new best lower bound: the per-arc `flow`,
@@ -466,7 +545,11 @@ impl CertCapture {
     /// demand units (the rescale `mu` makes the flow capacity-feasible; the
     /// demand pre-scale cancels because served amounts are absolute) and
     /// derives the canonical claims. Defaults cover solves that never
-    /// captured (zero flow, unit lengths).
+    /// captured: zero flow, and zero lengths when no dual bound ever set the
+    /// upper bound — a vacuous dual (`D = alpha = 0`), so the claimed upper
+    /// bound is the cut's, or `lower` without one, as the solver's is. (Any
+    /// positive lengths would claim a dual bound the solve never found, which
+    /// can undercut the bound it reports.)
     pub fn into_certificate(self, prob: &FlowProblem) -> ThroughputCertificate {
         let m = prob.num_arcs();
         let commodities: usize = prob.sources().iter().map(|s| s.dests.len()).sum();
@@ -486,11 +569,11 @@ impl CertCapture {
             self.served.iter().map(|x| x * mu).collect()
         };
         let lengths = if self.lens.is_empty() {
-            vec![1.0; m]
+            vec![0.0; m]
         } else {
             self.lens
         };
-        ThroughputCertificate::build(prob, flow, served, lengths)
+        ThroughputCertificate::build(prob, flow, served, lengths, self.cut)
     }
 }
 
@@ -524,7 +607,7 @@ mod tests {
         }
         let served = vec![0.5, 0.5];
         let lengths = vec![1.0; prob.num_arcs()];
-        ThroughputCertificate::build(&prob, flow, served, lengths)
+        ThroughputCertificate::build(&prob, flow, served, lengths, Vec::new())
     }
 
     #[test]
@@ -591,6 +674,7 @@ mod tests {
             cert.flow.clone(),
             cert.served.clone(),
             cert.lengths.clone(),
+            Vec::new(),
         );
         assert!(matches!(
             verify_certificate(&g, &tm, &rebuilt, f64::INFINITY),
@@ -616,6 +700,64 @@ mod tests {
     }
 
     #[test]
+    fn cut_certificate_on_a_tight_bridge_verifies_and_pins_its_cut() {
+        // Both demands of the path enter node 2 over the bridge 1->2: the cut
+        // {0, 1} bounds the throughput by 1/2, which the hand-built flow
+        // attains. Zero lengths are no dual evidence, so the cut alone sets
+        // `upper`, and the bracket closes.
+        let (g, tm) = path3();
+        let hand = hand_cert(&g, &tm);
+        let prob = FlowProblem::new(&g, &tm);
+        let zero = vec![0.0; prob.num_arcs()];
+        let cert = ThroughputCertificate::build(&prob, hand.flow, hand.served, zero, vec![0, 1]);
+        assert_eq!((cert.lower, cert.upper, cert.d_l), (0.5, 0.5, 0.0));
+        verify_certificate(&g, &tm, &cert, 0.0).unwrap();
+        // With unit lengths beside it, the smaller bound is claimed.
+        let units = vec![1.0; prob.num_arcs()];
+        let both = ThroughputCertificate::build(
+            &prob,
+            cert.flow.clone(),
+            cert.served.clone(),
+            units,
+            vec![0, 1],
+        );
+        assert_eq!(both.upper, 0.5);
+        // Another node set re-derives another bound, and a raised claim
+        // mismatches its re-derivation.
+        for cut in [vec![0], vec![1], vec![0, 1, 2]] {
+            // ({0, 1, 2} separates nothing: with zero lengths beside it,
+            // nothing bounds the throughput, and the claim is infinite.)
+            let flipped = ThroughputCertificate {
+                cut,
+                ..cert.clone()
+            };
+            assert!(matches!(
+                verify_certificate(&g, &tm, &flipped, f64::INFINITY),
+                Err(CertificateError::ClaimMismatch { claim: "upper", .. })
+            ));
+        }
+        let raised = ThroughputCertificate {
+            upper: f64::from_bits(cert.upper.to_bits() + 1),
+            ..cert.clone()
+        };
+        assert!(matches!(
+            verify_certificate(&g, &tm, &raised, f64::INFINITY),
+            Err(CertificateError::ClaimMismatch { claim: "upper", .. })
+        ));
+        // Node ids must be ascending and in range.
+        for cut in [vec![1, 0], vec![0, 0], vec![3]] {
+            let bad = ThroughputCertificate {
+                cut,
+                ..cert.clone()
+            };
+            assert!(matches!(
+                verify_certificate(&g, &tm, &bad, f64::INFINITY),
+                Err(CertificateError::InvalidValue(_))
+            ));
+        }
+    }
+
+    #[test]
     fn trivial_zero_verifies_only_on_empty_tms() {
         let g = Graph::from_edges(2, &[(0, 1)]);
         let empty = TrafficMatrix::new(2, Vec::new());
@@ -632,7 +774,13 @@ mod tests {
         let tm = TrafficMatrix::new(4, vec![demand(0, 3, 1.0)]);
         let prob = FlowProblem::new(&g, &tm);
         let m = prob.num_arcs();
-        let cert = ThroughputCertificate::build(&prob, vec![0.0; m], vec![0.0; 1], vec![1.0; m]);
+        let cert = ThroughputCertificate::build(
+            &prob,
+            vec![0.0; m],
+            vec![0.0; 1],
+            vec![1.0; m],
+            Vec::new(),
+        );
         // A disconnected pair makes alpha infinite, so the dual bound is an
         // exact zero — the strict concurrent-flow semantics.
         assert_eq!(cert.lower, 0.0);

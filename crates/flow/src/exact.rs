@@ -194,6 +194,7 @@ impl ExactLpSolver {
                 vec![0.0; prob.num_arcs()],
                 vec![0.0; commodities],
                 vec![1.0; prob.num_arcs()],
+                Vec::new(),
             )
         };
         if real.is_empty() {
@@ -233,7 +234,7 @@ impl ExactLpSolver {
         work.trace();
 
         let bounds = ThroughputBounds::exact(t);
-        let mut cert = ThroughputCertificate::build(&prob, flow, served, lengths);
+        let mut cert = ThroughputCertificate::build(&prob, flow, served, lengths, Vec::new());
         // Simplex rounding can leave the derived dual bound a few ulps below
         // the primal value; shrink the served amounts minimally until the
         // bracket orders. The shift is O(gap) ~ 1e-12 relative, far inside
@@ -244,7 +245,7 @@ impl ExactLpSolver {
             }
             let scale = (cert.upper / cert.lower) * (1.0 - 1e-12);
             let served: Vec<f64> = cert.served.iter().map(|x| x * scale).collect();
-            cert = ThroughputCertificate::build(&prob, cert.flow, served, cert.lengths);
+            cert = ThroughputCertificate::build(&prob, cert.flow, served, cert.lengths, cert.cut);
         }
         Ok((bounds, cert))
     }

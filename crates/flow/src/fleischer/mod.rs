@@ -12,19 +12,32 @@
 //!   forgets the congestion the uniform-length first phases pile up and
 //!   closes the gap in about 20 % fewer phases than the best of those (see
 //!   the `phase` module), and
+//! * a **cut upper bound**: every cut's capacity over the demand crossing it
+//!   bounds the throughput (§II-B), and each bound evaluation sweeps the
+//!   nested prefixes of one distance order the solve already holds — a
+//!   routed tree's settle order, or the reverse Dijkstra behind a potential
+//!   row — as cuts, keeping the best for the whole solve (see `cut`). The
+//!   feasible side typically sits within a fraction of a percent of the
+//!   optimum long before the dual side gets within the gap, and a bottleneck
+//!   cut proves that at once: seed 1, `--scenario all --no-cache`, 57,467 →
+//!   37,484 phases, with the cut setting 402 of the 918 reported upper
+//!   bounds, and
 //! * a **dual upper bound** `D(l)/alpha(l)`, valid for any non-negative
 //!   lengths by LP duality, evaluated on the current length function and on
 //!   a **window average of the normalised iterates** `l / D(l)`, which is
 //!   where the multiplicative-weights analysis actually converges: the last
 //!   iterate's bound bounces by about ±1 % per evaluation on sparse TMs, the
 //!   average does not (see `phase`) — each only when the paths the solve
-//!   already holds say its sweep could close the gap,
+//!   already holds say its sweep could close the gap, and never once a cut
+//!   has closed it,
 //!
-//! and stops as soon as the two are within `target_gap` of each other, or when
-//! the classical termination `D(l) >= 1` fires first (1 of the scenario
-//! suite's 918 FPTAS solves at seed 1).
-//! On the instances the paper evaluates the bounds typically close to within
-//! a few percent long before the worst-case phase count is reached.
+//! and stops as soon as the feasible bound is within `target_gap` of the
+//! smaller upper bound, or when the classical termination `D(l) >= 1` fires
+//! first (none of the scenario suite's 918 FPTAS solves at seed 1; one before
+//! the cuts). On the instances the paper evaluates the bounds typically close
+//! to within a few percent long before the worst-case phase count is
+//! reached. Where no swept cut comes near the optimum — expander-like
+//! graphs, DCell, Slim Fly — the dual side still decides.
 //!
 //! ## Layout
 //!
@@ -33,6 +46,7 @@
 //!   closing evaluation; the bound bookkeeping and the dual sweeps;
 //! * `blocks` — the flow blocks and the LP that mixes them into the
 //!   feasible bound;
+//! * `cut` — the cut sweep along one distance order and the best cut;
 //! * `route` — the per-solve context `RouteCtx` (the instance and its
 //!   demand tables), the two per-source routing kernels (known-path loop for
 //!   a single destination, aggregated bottom-up tree for several), the tree
@@ -92,8 +106,9 @@
 //!   the bound over the paths the solve already holds — a known path per
 //!   single-destination source, the last routed tree per multi-destination
 //!   one, never shorter than a shortest path — says the sweep could close
-//!   the gap, which on the `/A2A` pass of `fig05_06` skips every sweep at
-//!   822 of 1,008 evaluations (see `phase`),
+//!   the gap, which on the `/A2A` pass of `fig05_06` skipped every sweep at
+//!   822 of 1,008 evaluations (see `phase`; 428 of 475 since a cut bounds
+//!   every solve),
 //! * **searches capped by the best known path**: a single-destination
 //!   source's search never queues a node keyed past the current length of
 //!   the shortest path the source already knows, which changes none of its
@@ -126,7 +141,7 @@
 //! [`SolveStats::settles`] how much of the graph the goal-directed searches
 //! settled, [`SolveStats::row_refreshes`] how many rows dense turns
 //! re-derived, and [`SolveStats::evaluations`] / [`SolveStats::screened`]
-//! how many bound evaluations ran and how many of them ran no sweep;
+//! how many bound evaluations ran and how many of them ran no dual sweep;
 //! [`SolveStats::lp_solves`], [`SolveStats::lp_pivots`] and
 //! [`SolveStats::blocks`] what the feasible bound's LP cost.
 //!
@@ -202,6 +217,7 @@
 //! shapes.
 
 mod blocks;
+mod cut;
 mod phase;
 mod route;
 
@@ -310,9 +326,21 @@ pub struct SolveStats {
     /// Whether the solve met its accuracy contract (classical FPTAS
     /// termination or the target bound gap) before any budget ran out.
     pub converged: bool,
-    /// Whether the window average of the normalised lengths (rather than the
-    /// lengths at some evaluation) set the reported upper bound.
-    pub upper_from_average: bool,
+    /// The evidence that set the reported upper bound.
+    pub upper_from: UpperEvidence,
+}
+
+/// What set a solve's reported upper bound (see the module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum UpperEvidence {
+    /// The dual bound `D(l)/alpha(l)` at the lengths of some evaluation (also
+    /// reported when no evaluation ran).
+    #[default]
+    LastIterate,
+    /// The dual bound at the window average of the normalised lengths.
+    Average,
+    /// A cut swept along one of the solve's distance orders.
+    Cut,
 }
 
 /// Everything a [`FleischerSolver`] solve mutates: the SSSP workspace, the
@@ -717,7 +745,12 @@ mod tests {
         let prob = FlowProblem::new(&topo.graph, &tm);
         let cfg = FleischerConfig::fast();
         let solved = phase::solve_problem(&cfg, &topo.graph, &prob, true);
-        assert!(solved.stats.upper_from_average, "{:?}", solved.stats);
+        assert_eq!(
+            solved.stats.upper_from,
+            UpperEvidence::Average,
+            "{:?}",
+            solved.stats
+        );
         assert!(solved.stats.converged);
         let b = solved.bounds;
         assert!(b.gap() <= cfg.target_gap, "{b:?}");
@@ -734,6 +767,66 @@ mod tests {
         assert_eq!(plain.bounds.lower.to_bits(), b.lower.to_bits());
         assert_eq!(plain.bounds.upper.to_bits(), b.upper.to_bits());
         assert_eq!(plain.stats, solved.stats);
+    }
+
+    #[test]
+    fn cut_upper_bound_certifies_on_a_tight_bridge() {
+        // Two 4-cliques joined by one link under all-to-all: 16 pairs of
+        // demand 1/8 cross the bridge each way, so its cut bounds the
+        // throughput by exactly 1/2, which routing attains. A cut swept along
+        // a tree's settle order finds it and sets the reported upper bound;
+        // the certificate carries its node set, which the independent
+        // verifier re-derives bit for bit. One node more or less, or one ulp
+        // more claimed, and it fails.
+        let mut edges = Vec::new();
+        for side in [0, 4] {
+            for u in side..side + 4 {
+                edges.extend((u + 1..side + 4).map(|v| (u, v)));
+            }
+        }
+        edges.push((3, 4));
+        let g = Graph::from_edges(8, &edges);
+        let tm = tb_traffic::synthetic::all_to_all(&[1usize; 8]);
+        let cfg = FleischerConfig::default();
+        let (b, stats, cert) = FleischerSolver::new(cfg).solve_in(&g, &tm, true);
+        let cert = cert.expect("certificate requested");
+        assert_eq!(stats.upper_from, UpperEvidence::Cut, "{stats:?}");
+        assert!(stats.converged && b.gap() <= cfg.target_gap, "{b:?}");
+        assert!((b.upper - 0.5).abs() <= 1e-12, "{b:?}");
+        assert!(
+            cert.cut == [0, 1, 2, 3] || cert.cut == [4, 5, 6, 7],
+            "{:?}",
+            cert.cut
+        );
+        crate::verify_certificate(&g, &tm, &cert, cfg.target_gap + 1e-9)
+            .expect("a cut is an upper bound");
+        assert_eq!(cert.upper, 0.5);
+        for v in [0, 3, 4, 7] {
+            let mut cut = cert.cut.clone();
+            match cut.binary_search(&v) {
+                Ok(i) => {
+                    cut.remove(i);
+                }
+                Err(i) => cut.insert(i, v),
+            }
+            let flipped = crate::ThroughputCertificate {
+                cut,
+                ..cert.clone()
+            };
+            assert!(
+                crate::verify_certificate(&g, &tm, &flipped, f64::INFINITY).is_err(),
+                "node {v} flipped"
+            );
+        }
+        let raised = crate::ThroughputCertificate {
+            upper: f64::from_bits(cert.upper.to_bits() + 1),
+            ..cert.clone()
+        };
+        assert!(crate::verify_certificate(&g, &tm, &raised, f64::INFINITY).is_err());
+        // Capture stays trajectory-neutral when it copies a cut.
+        let (plain, plain_stats, _) = FleischerSolver::new(cfg).solve_in(&g, &tm, false);
+        assert_eq!(plain.upper.to_bits(), b.upper.to_bits());
+        assert_eq!(plain_stats, stats);
     }
 
     #[test]

@@ -32,23 +32,47 @@
 //! exact row when it is not dense), the tree a multi-destination source last
 //! routed on — gives `alpha_held >= alpha`, and `D/alpha_held` is a value the
 //! sweep's bound cannot come out below ([`HeldPaths::alpha`], O(nodes) per
-//! source). An evaluation computes its feasible bound first; then each dual
+//! source). An evaluation computes its feasible bound first, then sweeps one
+//! cut (next section), which may lower the best upper bound; then each dual
 //! candidate — the last iterate `l` and the window average `l̄` below — runs
 //! its sweep (the dense rows and the forward trees for `l`, one forward
 //! search per source for `l̄`) only if that value could close the gap to
-//! `target_gap` against the best lower bound. The closing evaluation is
-//! never screened. Routing, lengths and flows are untouched, so a solve runs
-//! its trajectory to the exit; what moves is which evaluation finds the
+//! `target_gap` against the best lower bound, and none runs once the best
+//! bracket — a cut's bound included — has closed it. The closing evaluation
+//! is never screened. Routing, lengths and flows are untouched, so a solve
+//! runs its trajectory to the exit; what moves is which evaluation finds the
 //! bound that closes the gap, and the reported upper bound.
-//! [`SolveStats::screened`] counts the evaluations that ran no sweep. Against
-//! the rule the screen replaced (run the averaged sweep when the last iterate
-//! did not improve the best bound), seed 1, `--scenario all --no-cache`:
-//! 73,455 → 73,043 phases and 7.75 M → 7.00 M searches; the `/A2A` pass of
-//! `fig05_06` ran no sweep at 822 of its 1,008 evaluations.
+//! [`SolveStats::screened`] counts the evaluations that ran no dual sweep.
+//! Against the rule the screen replaced (run the averaged sweep when the last
+//! iterate did not improve the best bound), seed 1, `--scenario all
+//! --no-cache`: 73,455 → 73,043 phases and 7.75 M → 7.00 M searches; the
+//! `/A2A` pass of `fig05_06` ran no sweep at 822 of its 1,008 evaluations.
 //!
 //! The refreshes and the one α sweep both dual bounds share ([`sweep_alpha`],
 //! which also counts the trees it repaired) run serially, in source order, on
 //! the solve's own SSSP workspace, like the routing.
+//!
+//! ## The cut along one distance order
+//!
+//! Evaluation `k` (counted from 1) sweeps the cuts of source `k mod
+//! sources` ([`BestBounds::sweep_cut`], [`super::cut`]): the nested prefixes
+//! of the settle order of the tree that source last routed on, if it has
+//! several destinations, or of the reverse Dijkstra that derived its
+//! potential row, if it has one — the refresh that precedes the sweep keeps
+//! that order, and a dense row, which the refresh skips, costs one extra
+//! reverse Dijkstra. The best cut of the solve is kept, and the best upper
+//! bound is the smaller of it and the best dual bound. O(arcs + commodities)
+//! per evaluation, serial like the rest. Measured at seed 1, `--scenario all
+//! --no-cache`: 57,467 → 37,484 phases and 5.24 M → 3.96 M searches, the
+//! saturated solve gone, the cut setting 402 of the 918 reported upper
+//! bounds; `fig05_06`'s `/A2A` pass 3,328 → 1,900 phases and its `/1/LM`
+//! pass 1,676 → 1,108 (the counts a probe that kept every trajectory as it
+//! was had predicted to the digit). That probe also chose the design: every
+//! source's order at every evaluation cut the `/A2A` pass's solve time by
+//! 26.1 % against 25.7 % for one order, at `sources` times the sweep cost,
+//! and the static estimators of `tb_cuts` (one-node cuts, expanding
+//! regions, the eigenvector order) added 0.9 points on top of the swept
+//! cut, so the solver runs none of them.
 //!
 //! ## The dual bound and its averaged iterate
 //!
@@ -78,7 +102,7 @@
 //! average is never worse than its samples are on (weighted) average, and it
 //! cancels the bounce. The averaged bound only reads: routing, the length
 //! trajectory, the potential refresh and the feasible bound are untouched, and
-//! a solve merely meets its `target_gap` earlier ([`SolveStats::upper_from_average`]
+//! a solve merely meets its `target_gap` earlier ([`SolveStats::upper_from`]
 //! says when the average set the reported bound; a certificate then carries
 //! `l̄` as its dual evidence). Measured facts fixed the rest (seed 1, the
 //! `/1/LM` pass of `fig05_06`: 4,581 phases without the average, 2,144 with
@@ -142,8 +166,9 @@
 //! solve merely meets its `target_gap` earlier.
 
 use super::blocks::Blocks;
+use super::cut::CutSweep;
 use super::route::{self, HeldPaths, PotentialRows, RouteCtx, TreeSeed};
-use super::{FleischerConfig, SolveStats, SolverWorkspace};
+use super::{FleischerConfig, SolveStats, SolverWorkspace, UpperEvidence};
 use crate::certificate::{CertCapture, ThroughputCertificate};
 use crate::instance::FlowProblem;
 use crate::lengths::LengthAverage;
@@ -191,6 +216,7 @@ pub(super) fn solve_problem(
                     vec![0.0; m],
                     vec![0.0; commodities],
                     vec![1.0; m],
+                    Vec::new(),
                 )
             }),
             #[cfg(test)]
@@ -240,7 +266,7 @@ fn setup<'a>(
     // directed by (none is dense yet); each bound evaluation refreshes them
     // from then on.
     ws.potentials
-        .refresh(&ctx, ws.mwu.lens(), false, &mut ws.sssp);
+        .refresh(&ctx, ws.mwu.lens(), false, &mut ws.sssp, None);
     Some((ctx, scale, ws))
 }
 
@@ -352,10 +378,10 @@ fn close(
             } else {
                 "phase-budget"
             },
-            if stats.upper_from_average {
-                "average"
-            } else {
-                "last"
+            match stats.upper_from {
+                UpperEvidence::LastIterate => "last",
+                UpperEvidence::Average => "average",
+                UpperEvidence::Cut => "cut",
             },
         );
     }
@@ -379,13 +405,16 @@ fn close(
 }
 
 /// A solve's bound bookkeeping: the best bracket so far (in the *scaled*
-/// demand space), the flow blocks behind the feasible bound, the averaged
-/// length function and its window base, and the certificate capture.
+/// demand space), the flow blocks behind the feasible bound, the best cut,
+/// the averaged length function and its window base, and the certificate
+/// capture.
 struct BestBounds {
     lower: f64,
     upper: f64,
     /// The flow routed between evaluations and the best mix of it.
     blocks: Blocks,
+    /// The best cut swept so far and the sweeps' scratch.
+    cut: CutSweep,
     /// Running sum of `l / D(l)`, sampled after every source's turn.
     avg: LengthAverage,
     /// The sum at the latest snapshot: the averaged bound's window base.
@@ -411,6 +440,7 @@ impl BestBounds {
             lower: 0.0,
             upper: f64::INFINITY,
             blocks: Blocks::new(num_arcs, commodities),
+            cut: CutSweep::new(num_nodes),
             avg: LengthAverage::new(num_arcs),
             len_base: None,
             avg_lens: Vec::new(),
@@ -438,23 +468,28 @@ impl BestBounds {
         !closes(self.upper) && (held_up <= 0.0 || closes(held_up))
     }
 
-    /// Evaluates both bounds on the state in `ws` and folds them into the
+    /// Evaluates the bounds on the state in `ws` and folds them into the
     /// best bracket. The feasible side comes first: the flow routed since the
     /// previous evaluation closes a block, and the block LP re-weights the
-    /// blocks. Then each dual candidate — the current lengths `l` and the
-    /// window average `l̄` of the normalised lengths — runs its sweep only if
-    /// the value it would have over the paths the solve holds
-    /// ([`HeldPaths::alpha`], a lower bound on the value the sweep finds)
-    /// could close the gap to `target_gap`; `None`, at the closing
-    /// evaluation, runs both. The rows that are not dense are re-derived
-    /// either way, since routing reads them. The counters in `ws` record the
-    /// evaluation, whether it was screened, the forward searches, the LP
-    /// solves and pivots, and which candidate set the reported upper bound.
+    /// blocks. Then one cut sweep ([`Self::sweep_cut`]) runs along a distance
+    /// order of the source whose turn it is. Then each dual candidate — the
+    /// current lengths `l` and the window average `l̄` of the normalised
+    /// lengths — runs its sweep only if the value it would have over the
+    /// paths the solve holds ([`HeldPaths::alpha`], a lower bound on the
+    /// value the sweep finds) could close the gap to `target_gap`; `None`, at
+    /// the closing evaluation, runs both. A cut that closes the gap thereby
+    /// skips both. The rows that are not dense are re-derived either way,
+    /// since routing reads them. The counters in `ws` record the evaluation,
+    /// whether it was screened, the forward searches, the LP solves and
+    /// pivots, and which evidence set the reported upper bound.
     fn evaluate(&mut self, ctx: &RouteCtx<'_>, target_gap: Option<f64>, ws: &mut SolverWorkspace) {
         ws.stats.evaluations += 1;
+        let si = ws.stats.evaluations % ctx.prob.sources().len();
         self.fold_primal(ctx, ws);
+        let keep = ctx.single_dest[si].map(|_| (ctx.pot_rows[si], &mut self.cut.order));
         ws.potentials
-            .refresh(ctx, ws.mwu.lens(), false, &mut ws.sssp);
+            .refresh(ctx, ws.mwu.lens(), false, &mut ws.sssp, keep);
+        self.sweep_cut(ctx, si, ws);
         let mut swept = false;
 
         let held_alpha =
@@ -468,7 +503,7 @@ impl BestBounds {
             let up = dual_bound(ctx, ws);
             if up < self.upper {
                 self.upper = up;
-                ws.stats.upper_from_average = false;
+                ws.stats.upper_from = UpperEvidence::LastIterate;
                 if let Some(cap) = self.capture.as_mut() {
                     cap.observe_dual(ws.mwu.lens());
                 }
@@ -484,13 +519,45 @@ impl BestBounds {
             let up = averaged_dual_bound(ctx, &self.avg_lens, ws);
             if up < self.upper {
                 self.upper = up;
-                ws.stats.upper_from_average = true;
+                ws.stats.upper_from = UpperEvidence::Average;
                 if let Some(cap) = self.capture.as_mut() {
                     cap.observe_dual(&self.avg_lens);
                 }
             }
         }
         ws.stats.screened += usize::from(!swept);
+    }
+
+    /// Sweeps the nested prefixes of one order of source `si` as cuts and
+    /// folds the best cut of the solve into the best upper bound. The order
+    /// is the settle order of a tree the solve has at hand: the tree a
+    /// multi-destination source last routed on, or the reverse Dijkstra that
+    /// derived a single-destination source's potential row at this
+    /// evaluation — which the caller's refresh left in `self.cut.order`, and
+    /// which runs here, once, when the row is dense and was not derived.
+    fn sweep_cut(&mut self, ctx: &RouteCtx<'_>, si: usize, ws: &mut SolverWorkspace) {
+        let order = &mut self.cut.order;
+        match ctx.single_dest[si] {
+            None => {
+                order.clear();
+                order.extend(ws.held.tree(si).iter().map(|&[v, _]| v));
+            }
+            Some(dst) if order.is_empty() => {
+                route::reverse_tree(ctx, ws.mwu.lens(), dst, &mut ws.sssp);
+                order.extend_from_slice(ws.sssp.settle_order());
+            }
+            Some(_) => {}
+        }
+        if !self.cut.sweep(ctx) {
+            return;
+        }
+        if let Some(cap) = self.capture.as_mut() {
+            cap.observe_cut(&self.cut.in_set);
+        }
+        if self.cut.value < self.upper {
+            self.upper = self.cut.value;
+            ws.stats.upper_from = UpperEvidence::Cut;
+        }
     }
 
     /// Closes the block routed since the previous evaluation, re-weights the
@@ -530,7 +597,7 @@ impl BestBounds {
 /// ([`sweep_alpha`]).
 fn dual_bound(ctx: &RouteCtx<'_>, ws: &mut SolverWorkspace) -> f64 {
     ws.potentials
-        .refresh(ctx, ws.mwu.lens(), true, &mut ws.sssp);
+        .refresh(ctx, ws.mwu.lens(), true, &mut ws.sssp, None);
     let rows = Some(&ws.potentials);
     let (alpha, repairs) = sweep_alpha(ctx, ws.mwu.lens(), rows, &ws.held, &mut ws.sssp);
     ws.stats.searches += ctx.prob.sources().len() - ctx.num_single;
@@ -638,7 +705,7 @@ mod tests {
         // An evaluation's sequence: the rows that are not dense first, then
         // the bound, which re-derives the dense ones.
         ws.potentials
-            .refresh(&ctx, ws.mwu.lens(), false, &mut ws.sssp);
+            .refresh(&ctx, ws.mwu.lens(), false, &mut ws.sssp, None);
         let rows = dual_bound(&ctx, &mut ws);
         assert!(
             forward.is_finite() && (rows - forward).abs() <= 1e-12 * forward,
@@ -751,7 +818,7 @@ mod tests {
                     ws.mwu.apply(aid, ws.mwu.cap(aid));
                 }
                 ws.potentials
-                    .refresh(&ctx, ws.mwu.lens(), false, &mut ws.sssp);
+                    .refresh(&ctx, ws.mwu.lens(), false, &mut ws.sssp, None);
                 let rows = Some(&ws.potentials);
                 let alpha = ws.held.alpha(&ctx, ws.mwu.lens(), rows, &mut node_len);
                 let held_up = ws.mwu.dual_bound(alpha * HELD_ALPHA_MARGIN);

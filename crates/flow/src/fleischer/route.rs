@@ -42,6 +42,15 @@ pub(super) struct RouteCtx<'a> {
     /// routed on again while its current length stays within this factor of
     /// a lower bound on the current distance.
     pub reuse_slack: f64,
+    /// The demand scale `demands` carry.
+    pub scale: f64,
+    /// Per node, `(destination, scaled demand)` of every commodity it sends,
+    /// self-demands left out: with `entering`, what a node brings to the
+    /// crossing demands of a cut it joins (see `super::cut`).
+    pub leaving: Vec<Vec<(u32, f64)>>,
+    /// Per node, `(source, scaled demand)` of every commodity it receives,
+    /// self-demands left out.
+    pub entering: Vec<Vec<(u32, f64)>>,
 }
 
 impl<'a> RouteCtx<'a> {
@@ -69,12 +78,24 @@ impl<'a> RouteCtx<'a> {
                 }
             })
             .collect();
+        let demands: Vec<Vec<f64>> = sources
+            .iter()
+            .map(|s| s.dests.iter().map(|&(_, d)| d * scale).collect())
+            .collect();
+        let n = prob.num_nodes();
+        let mut leaving = vec![Vec::new(); n];
+        let mut entering = vec![Vec::new(); n];
+        for (s, scaled) in sources.iter().zip(&demands) {
+            for (&(dst, _), &d) in s.dests.iter().zip(scaled) {
+                if dst != s.src {
+                    leaving[s.src].push((dst as u32, d));
+                    entering[dst].push((s.src as u32, d));
+                }
+            }
+        }
         RouteCtx {
             prob,
-            demands: sources
-                .iter()
-                .map(|s| s.dests.iter().map(|&(_, d)| d * scale).collect())
-                .collect(),
+            demands,
             targets: sources
                 .iter()
                 .map(|s| s.dests.iter().map(|&(dst, _)| dst).collect())
@@ -83,6 +104,9 @@ impl<'a> RouteCtx<'a> {
             pot_rows,
             num_single,
             reuse_slack,
+            scale,
+            leaving,
+            entering,
         }
     }
 }
@@ -395,14 +419,20 @@ impl PotentialRows {
 
     /// Re-derives, at the lengths `len`, every row that is dense if `dense`
     /// is set and every row that is not otherwise, in source order on
-    /// `sssp`. A no-op when no row qualifies.
+    /// `sssp`. A no-op when no row qualifies. With `keep = Some((row,
+    /// order))`, `order` is left holding the settle order of `row`'s reverse
+    /// Dijkstra if this call derived it, and empty otherwise.
     pub(super) fn refresh(
         &mut self,
         ctx: &RouteCtx<'_>,
         len: &[f64],
         dense: bool,
         sssp: &mut SsspWorkspace,
+        mut keep: Option<(usize, &mut Vec<u32>)>,
     ) {
+        if let Some((_, order)) = keep.as_mut() {
+            order.clear();
+        }
         let n = ctx.prob.num_nodes();
         debug_assert!(
             (0..ctx.prob.num_arcs()).step_by(2).all(|aid| {
@@ -418,10 +448,14 @@ impl PotentialRows {
             .chunks_mut(n)
             .zip(ctx.single_dest.iter().filter_map(|&d| d))
             .zip(&self.dense)
-            .filter_map(|(row, &d)| (d == dense).then_some(row));
+            .enumerate()
+            .filter_map(|(r, (row, &d))| (d == dense).then_some((r, row)));
         debug_assert!(ctx.pot_rows.iter().filter(|&&r| r != usize::MAX).count() == ctx.num_single);
-        for (row, dst) in rows {
+        for (r, (row, dst)) in rows {
             derive_row(ctx, len, dst, row, sssp);
+            if let Some((_, order)) = keep.as_mut().filter(|(k, _)| *k == r) {
+                order.extend_from_slice(sssp.settle_order());
+            }
         }
     }
 }
@@ -438,10 +472,16 @@ fn derive_row(
     row: &mut [f64],
     sssp: &mut SsspWorkspace,
 ) {
-    sssp_csr_by(ctx.prob.csr(), dst, |aid| len[aid ^ 1], None, sssp);
+    reverse_tree(ctx, len, dst, sssp);
     for (v, slot) in row.iter_mut().enumerate() {
         *slot = sssp.dist(v);
     }
+}
+
+/// One full Dijkstra from `dst` over the partner arcs at the lengths `len`:
+/// the search behind a potential row (see [`derive_row`]).
+pub(super) fn reverse_tree(ctx: &RouteCtx<'_>, len: &[f64], dst: usize, sssp: &mut SsspWorkspace) {
+    sssp_csr_by(ctx.prob.csr(), dst, |aid| len[aid ^ 1], None, sssp);
 }
 
 /// The multiplicative-weights update for routing `u` units over arc `aid`:

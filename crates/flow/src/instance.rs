@@ -198,6 +198,46 @@ impl FlowProblem {
         }
         self.total_capacity() / weighted_hops
     }
+
+    /// The throughput bound of the cut between the node set `in_set` and its
+    /// complement, with every demand multiplied by `scale` (§II-B): all
+    /// demand from `S` to `S̄` crosses the arcs from `S` to `S̄`, so
+    /// `t <= cap(S→S̄) / d(S→S̄)`, and likewise the other way. Returns the
+    /// smaller of the two, infinite when no demand crosses either way. Summed
+    /// in a fixed order — arcs in arc order, commodities source-major — so
+    /// the solver and the certificate verifier agree bit for bit; no
+    /// symmetry of capacities or demands is assumed.
+    pub(crate) fn cut_bound(&self, in_set: &[bool], scale: f64) -> f64 {
+        let (mut cap_out, mut cap_in) = (0.0f64, 0.0f64);
+        for a in &self.arcs {
+            match (in_set[a.from], in_set[a.to]) {
+                (true, false) => cap_out += a.cap,
+                (false, true) => cap_in += a.cap,
+                _ => {}
+            }
+        }
+        let (mut d_out, mut d_in) = (0.0f64, 0.0f64);
+        for s in &self.sources {
+            for &(dst, d) in &s.dests {
+                match (in_set[s.src], in_set[dst]) {
+                    (true, false) => d_out += d * scale,
+                    (false, true) => d_in += d * scale,
+                    _ => {}
+                }
+            }
+        }
+        cut_ratio(cap_out, d_out).min(cut_ratio(cap_in, d_in))
+    }
+}
+
+/// One direction's cut bound: crossing capacity over crossing demand,
+/// infinite when no demand crosses.
+fn cut_ratio(cap: f64, demand: f64) -> f64 {
+    if demand > 0.0 {
+        cap / demand
+    } else {
+        f64::INFINITY
+    }
 }
 
 #[cfg(test)]
@@ -298,6 +338,18 @@ mod tests {
         );
         let p = FlowProblem::new(&g, &tm);
         assert_eq!(p.volumetric_estimate(&g), 0.0);
+    }
+
+    #[test]
+    fn cut_bound_takes_the_tighter_direction() {
+        // S = {0}: one unit of capacity each way, demand 1.0 out and 0.5 in.
+        let (g, tm) = tiny();
+        let p = FlowProblem::new(&g, &tm);
+        assert_eq!(p.cut_bound(&[true, false, false], 1.0), 1.0);
+        assert_eq!(p.cut_bound(&[true, false, false], 2.0), 0.5);
+        // S = {1} separates no demand pair; S = V is no cut.
+        assert_eq!(p.cut_bound(&[false, true, false], 1.0), f64::INFINITY);
+        assert_eq!(p.cut_bound(&[true; 3], 1.0), f64::INFINITY);
     }
 
     #[test]

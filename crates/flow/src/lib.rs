@@ -32,7 +32,7 @@ pub mod restricted;
 
 pub use certificate::{verify_certificate, CertificateError, ThroughputCertificate};
 pub use exact::ExactLpSolver;
-pub use fleischer::{FleischerConfig, FleischerSolver, SolveOutcome, SolveStats};
+pub use fleischer::{FleischerConfig, FleischerSolver, SolveOutcome, SolveStats, UpperEvidence};
 pub use instance::FlowProblem;
 pub use lengths::MwuLengths;
 
@@ -45,11 +45,12 @@ use tb_traffic::{Demand, TrafficMatrix};
 /// Revision of what the solvers compute, folded into every sweep cache key:
 /// bump it with any change that moves a solved value while leaving every
 /// configuration field alone, so that a warm cache cannot serve the previous
-/// solver's numbers. Revision 3 routes every FPTAS source with several
-/// destinations on the aggregated tree (revision 2, the per-destination walk
-/// below a graph-size threshold; revision 1, suffix windows instead of the
-/// block-mix feasible bound).
-pub const SOLVER_REVISION: u32 = 3;
+/// solver's numbers. Revision 4 also bounds every FPTAS solve from above by
+/// cuts swept along its own distance orders, so solves stop earlier
+/// (revision 3, every source with several destinations on the aggregated
+/// tree; revision 2, the per-destination walk below a graph-size threshold;
+/// revision 1, suffix windows instead of the block-mix feasible bound).
+pub const SOLVER_REVISION: u32 = 4;
 
 thread_local! {
     /// Throughput-solver invocations (FPTAS, exact LP and path-restricted)

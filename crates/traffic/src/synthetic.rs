@@ -39,11 +39,14 @@ pub fn all_to_all(servers: &[usize]) -> TrafficMatrix {
 }
 
 /// The random-matching TM with `servers_per_switch` flows per endpoint switch
-/// ("Random Matching - k" in Fig 2): each of the `k` server slots on every
-/// endpoint switch sends one unit of traffic to a server slot chosen by a
-/// random perfect matching over slots. Self-demands (matching a slot to a slot
-/// on the same switch) are retried a bounded number of times and then dropped,
-/// matching the behaviour of the reference implementation.
+/// ("Random Matching - k" in Fig 2): `k = servers_per_switch` rounds, each a
+/// random permutation of the endpoint switches (switches with servers) in
+/// which every endpoint switch sends one unit to its image. A round shuffles
+/// the switches, then walks them in order and repairs each fixed point by
+/// one swap with the next position (cyclically); a fixed point that
+/// survives the walk sends nothing that round. The unit does not depend on
+/// the switch's server count, and a pair drawn in several rounds appears as
+/// several demands.
 pub fn random_matching(servers: &[usize], servers_per_switch: usize, seed: u64) -> TrafficMatrix {
     let n = servers.len();
     let eps = endpoint_switches(servers);

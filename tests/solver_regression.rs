@@ -37,7 +37,7 @@
 
 use tb_flow::{
     verify_certificate, ExactLpSolver, FleischerConfig, FleischerSolver, SolveStats,
-    ThroughputBounds,
+    ThroughputBounds, UpperEvidence,
 };
 use tb_graph::Graph;
 use tb_topology::families::Scale;
@@ -119,21 +119,23 @@ fn solve_certified(
 /// be within `target_gap` of it (plus a small slack for the gap being measured
 /// against `upper`, not the optimum), and the solve must stop by its gap with
 /// a certificate that verifies at it (`solve_certified`). Returns how many of
-/// the solves reported an upper bound from the averaged lengths.
-fn assert_brackets_exact_lp(name: &str, topo: &Topology, tm: &TrafficMatrix) -> usize {
+/// the solves reported an upper bound from the averaged lengths, and how many
+/// from a cut.
+fn assert_brackets_exact_lp(name: &str, topo: &Topology, tm: &TrafficMatrix) -> (usize, usize) {
     let exact = ExactLpSolver::new()
         .solve(&topo.graph, tm)
         .unwrap_or_else(|e| panic!("{name}: exact LP failed: {e:?}"))
         .lower;
     assert!(exact > 0.0, "{name}: exact throughput not positive");
-    let mut uppers_from_average = 0;
+    let (mut uppers_from_average, mut uppers_from_cut) = (0, 0);
     for cfg in [
         FleischerConfig::fast(),
         FleischerConfig::default(),
         FleischerConfig::precise(),
     ] {
         let (b, stats) = solve_certified(name, cfg, &topo.graph, tm);
-        uppers_from_average += usize::from(stats.upper_from_average);
+        uppers_from_average += usize::from(stats.upper_from == UpperEvidence::Average);
+        uppers_from_cut += usize::from(stats.upper_from == UpperEvidence::Cut);
         // The bracket must contain the exact optimum...
         assert!(
             b.lower <= exact * (1.0 + 1e-9),
@@ -156,7 +158,7 @@ fn assert_brackets_exact_lp(name: &str, topo: &Topology, tm: &TrafficMatrix) -> 
             cfg.target_gap
         );
     }
-    uppers_from_average
+    (uppers_from_average, uppers_from_cut)
 }
 
 #[test]
@@ -164,17 +166,23 @@ fn fptas_stays_within_target_gap_of_exact_lp() {
     // Every instance of the mix has at most 16 switches, so the exact LP is
     // the referee — at every stock configuration: each has its own bound
     // evaluation cadence and therefore its own flow blocks, and a block mix
-    // that overshoots the optimum — or an averaged-length bound that
-    // undershoots it — is the failure those features could introduce. The
-    // second is only tested if some reported `upper` did come from the
-    // average, which is counted.
-    let mut uppers_from_average = 0;
+    // that overshoots the optimum — or an averaged-length bound or a swept
+    // cut that undershoots it — is the failure those features could
+    // introduce. The last two are only tested if some reported `upper` did
+    // come from the average, and some from a cut, which is counted.
+    let (mut uppers_from_average, mut uppers_from_cut) = (0, 0);
     for (name, topo, tm) in instances() {
-        uppers_from_average += assert_brackets_exact_lp(&name, &topo, &tm);
+        let (average, cut) = assert_brackets_exact_lp(&name, &topo, &tm);
+        uppers_from_average += average;
+        uppers_from_cut += cut;
     }
     assert!(
         uppers_from_average > 0,
         "no solve of the mix reported an upper bound from the averaged lengths"
+    );
+    assert!(
+        uppers_from_cut > 0,
+        "no solve of the mix reported an upper bound from a cut"
     );
 }
 
@@ -332,7 +340,8 @@ fn known_paths_halve_the_searches_of_the_short_diameter_straggler() {
     assert_eq!(stats.phases, 116, "{stats:?}");
     assert!(stats.searches <= 40_000, "{stats:?}");
     assert!(stats.path_reuses > stats.searches / 3, "{stats:?}");
-    assert!(stats.converged && stats.upper_from_average, "{stats:?}");
+    assert!(stats.converged, "{stats:?}");
+    assert_eq!(stats.upper_from, UpperEvidence::Average, "{stats:?}");
     assert!(
         0.0 < b.lower && b.gap() <= FleischerConfig::fast().target_gap,
         "{b:?}"
@@ -421,4 +430,81 @@ fn aggregated_kernel_certifies_its_gap_on_dense_64_switch_tms() {
     ] {
         solve_certified(name, cfg, &jf.graph, &tm);
     }
+}
+
+#[test]
+fn swept_cut_bounds_equal_an_independent_sparsity_recomputation() {
+    // Every solve's certificate carries the best cut its sweeps found. On
+    // random regular graphs of 12 to 40 switches, intact and under seeded
+    // fault draws (a tenth of the links, and one switch every other draw:
+    // isolated nodes, and demands that only the degradation path keeps
+    // solvable), under all-to-all, a random permutation and a random
+    // matching of two, that cut's bound must be what `tb_cuts` computes for
+    // the same node set (capacities are symmetric here, which its
+    // one-capacity-per-link sparsity assumes), the certificate must claim
+    // no less, and where the cut set the reported upper bound the solver's
+    // recorded value must be that sparsity (47 of the 60 solves when this
+    // was written).
+    use rand::{Rng, SeedableRng};
+    use tb_cuts::CutEvaluator;
+    use tb_topology::faults::{apply_faults, FaultPlan};
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(51);
+    let (mut cuts, mut cut_uppers) = (0, 0);
+    for draw in 0..10u64 {
+        let n = 2 * rng.gen_range(6..=20usize);
+        let degree = rng.gen_range(3..=5usize);
+        let intact = jellyfish(n, degree, 1, rng.gen_range(0..1_000u64));
+        let faulted = apply_faults(
+            &intact,
+            &FaultPlan {
+                link_failures: intact.num_links() / 10,
+                switch_failures: usize::from(draw % 2 == 1),
+                seed: draw,
+            },
+        )
+        .0;
+        for topo in [&intact, &faulted] {
+            for tm in [
+                all_to_all(&topo.servers),
+                random_permutation(&topo.servers, draw),
+                random_matching(&topo.servers, 2, draw),
+            ] {
+                let out =
+                    FleischerSolver::new(FleischerConfig::fast()).solve_outcome(&topo.graph, &tm);
+                let (kept, _) = tb_flow::drop_disconnected_demands(&topo.graph, &tm);
+                let cert = &out.certificate;
+                verify_certificate(&topo.graph, &kept, cert, f64::INFINITY)
+                    .unwrap_or_else(|e| panic!("draw {draw}: {e}"));
+                if kept.num_flows() == 0 {
+                    continue;
+                }
+                // Every evaluation sweeps an order whose first node sends or
+                // receives demand, so every solve finds some cut.
+                assert!(!cert.cut.is_empty(), "draw {draw}: no cut");
+                cuts += 1;
+                let mut in_set = vec![false; topo.num_switches()];
+                for &v in &cert.cut {
+                    in_set[v] = true;
+                }
+                let sparsity = CutEvaluator::new(&topo.graph, &kept).sparsity(&in_set);
+                assert!(
+                    sparsity.is_finite() && cert.upper <= sparsity * (1.0 + 1e-12),
+                    "draw {draw}: certificate claims {} over a cut of sparsity {sparsity}",
+                    cert.upper
+                );
+                if out.stats.upper_from == UpperEvidence::Cut {
+                    cut_uppers += 1;
+                    let upper = out.bounds.upper;
+                    assert!(
+                        (upper - sparsity).abs() <= 1e-12 * sparsity,
+                        "draw {draw}: solver's cut {upper} vs sparsity {sparsity}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        cuts == 60 && cut_uppers >= 20,
+        "{cuts} solves, {cut_uppers} uppers from a cut"
+    );
 }
