@@ -1295,6 +1295,16 @@ fn theorem1_rows(opts: &SweepOptions) -> Vec<Row> {
 }
 
 fn theorem1_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
+    let rows = theorem1_rows(opts);
+    // cut / throughput of a row's two cells.
+    let ratio = |o: &[&CellOutcome]| o[1].values.num("best_sparsity") / o[0].values.num("lower");
+    let ratios: Vec<f64> = (rows.iter())
+        .map(|row| {
+            let outcomes: Vec<&CellOutcome> =
+                row.cells.iter().map(|c| set.outcome(&c.id)).collect();
+            ratio(&outcomes)
+        })
+        .collect();
     let table = rows_table(
         "Theorem 1 demo: sparsest cut can rank networks opposite to throughput",
         &[
@@ -1306,19 +1316,39 @@ fn theorem1_render(opts: &SweepOptions, set: &CellSet) -> RenderOutput {
             "cut/throughput",
         ],
         set,
-        theorem1_rows(opts),
+        rows,
         |o| {
             let throughput = o[0].values.num("lower");
             let cut = o[1].values.num("best_sparsity");
-            vec![f3(throughput), f3(cut), f3(cut / throughput)]
+            vec![f3(throughput), f3(cut), f3(ratio(o))]
         },
     );
-    one_table(
-        "theorem1_demo",
-        table,
-        "Expected shape (paper, Theorem 1): graph B's cut/throughput ratio is much larger than\n\
+    one_table("theorem1_demo", table, &theorem1_note(ratios[0], ratios[1]))
+}
+
+/// The demo's expected-shape note, with what the run shows read off the
+/// cut/throughput ratios of graphs A and B: Theorem 1 predicts B's to be the
+/// larger.
+fn theorem1_note(ratio_a: f64, ratio_b: f64) -> String {
+    let seen = if ratio_b > ratio_a {
+        format!(
+            "Here B's ratio ({}) is {:.2}x A's ({}), as predicted.",
+            f3(ratio_b),
+            ratio_b / ratio_a,
+            f3(ratio_a)
+        )
+    } else {
+        format!(
+            "Here B's ratio ({}) is not larger than A's ({}): at the sizes run here the demo\n\
+             does not show Theorem 1's gap.",
+            f3(ratio_b),
+            f3(ratio_a)
+        )
+    };
+    format!(
+        "Expected shape (paper, Theorem 1): graph B's cut/throughput ratio is larger than\n\
          graph A's — B \"looks\" better through the cut lens while delivering lower throughput per\n\
-         unit of cut, because its flows traverse p links each.",
+         unit of cut, because its flows traverse p links each.\n{seen}"
     )
 }
 
@@ -1566,6 +1596,25 @@ mod tests {
             .all(|c| matches!(c.spec, CellSpec::Degradation { .. })));
         // The curve is anchored at zero failures.
         assert!(cells.iter().any(|c| c.id.ends_with("links=0.00")));
+    }
+
+    #[test]
+    fn theorem1_note_says_whether_the_run_shows_the_gap() {
+        // The committed seed-1 table: A 1.011, B 1.000 (B's one-node cut is
+        // tight), so the run does not show the predicted ordering.
+        let note = theorem1_note(1.9583333333333504 / 1.9367513176808775, 1.0);
+        assert!(
+            note.contains("B's ratio (1.000) is not larger than A's (1.011)")
+                && note.contains("does not show Theorem 1's gap"),
+            "{note}"
+        );
+        assert!(!note.contains("as predicted"), "{note}");
+        let note = theorem1_note(1.011, 3.5);
+        assert!(
+            note.contains("B's ratio (3.500) is 3.46x A's (1.011), as predicted."),
+            "{note}"
+        );
+        assert!(!note.contains("does not show"), "{note}");
     }
 
     #[test]

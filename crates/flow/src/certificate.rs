@@ -492,8 +492,8 @@ pub fn verify_certificate(
 }
 
 /// Snapshot capture used by the solver's phase loop: copies of the length
-/// function behind the best dual bound (the lengths at that evaluation, or
-/// the window average of the normalised lengths), of the best cut, and of
+/// function behind the best dual bound (a window average of the normalised
+/// lengths), of the best cut, and of
 /// the flow behind the best lower bound (a mix of the flow blocks). Copies
 /// are trajectory-neutral (no arithmetic feeds back into solver state), so
 /// enabling capture cannot change any solved number.

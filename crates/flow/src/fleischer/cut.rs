@@ -1,5 +1,5 @@
-//! Cuts swept along the solve's own distance orders: the third source of
-//! upper bounds, beside the two dual candidates of [`super::phase`].
+//! Cuts swept along the solve's own distance orders: the second source of
+//! upper bounds, beside the dual bound of [`super::phase`].
 //!
 //! Every cut bounds the throughput from above (§II-B): all demand from a node
 //! set `S` to its complement crosses the arcs from `S` to `S̄`, so

@@ -23,13 +23,13 @@
 //!   37,484 phases, with the cut setting 402 of the 918 reported upper
 //!   bounds, and
 //! * a **dual upper bound** `D(l)/alpha(l)`, valid for any non-negative
-//!   lengths by LP duality, evaluated on the current length function and on
-//!   a **window average of the normalised iterates** `l / D(l)`, which is
-//!   where the multiplicative-weights analysis actually converges: the last
-//!   iterate's bound bounces by about ±1 % per evaluation on sparse TMs, the
-//!   average does not (see `phase`) — each only when the paths the solve
-//!   already holds say its sweep could close the gap, and never once a cut
-//!   has closed it,
+//!   lengths by LP duality, evaluated on a **window average of the
+//!   normalised iterates** `l / D(l)`, which is where the
+//!   multiplicative-weights analysis actually converges: the bound at the
+//!   current lengths bounces by about ±1 % per evaluation on sparse TMs, the
+//!   average does not (see `phase`) — only when the paths the solve already
+//!   holds say its sweep could close the gap, and never once a cut has
+//!   closed it,
 //!
 //! and stops as soon as the feasible bound is within `target_gap` of the
 //! smaller upper bound, or when the classical termination `D(l) >= 1` fires
@@ -43,7 +43,7 @@
 //!
 //! * `phase` — the solve in three parts: setup, the phase loop (every source
 //!   routed once per phase, bound evaluations on a fixed cadence) and the
-//!   closing evaluation; the bound bookkeeping and the dual sweeps;
+//!   closing evaluation; the bound bookkeeping and the dual sweep;
 //! * `blocks` — the flow blocks and the LP that mixes them into the
 //!   feasible bound;
 //! * `cut` — the cut sweep along one distance order and the best cut;
@@ -93,22 +93,16 @@
 //!   lower-bounds the current one and the path is `(1 + eps/4)`-shortest —
 //!   the classical Fleischer argument,
 //! * **sweeps only where the gap can close, one row per dense turn**: the
-//!   dual bound needs every commodity's distance at the current lengths and
-//!   the goal-directed searches need potentials. One reverse Dijkstra per
-//!   single-destination source's target serves both at a bound evaluation
-//!   (the refreshed row is the potential, and its entry at the source is the
-//!   distance); only multi-destination sources run a forward tree for the
-//!   bound, and the averaged bound adds one forward search per source. A row
-//!   whose searches stopped pruning turns *dense* and is re-derived,
-//!   serially, at the start of each of its source's turns (next section), so
-//!   an evaluation re-derives only the other rows unconditionally. The dense
-//!   rows, the forward trees and the averaged bound's searches run only when
-//!   the bound over the paths the solve already holds — a known path per
-//!   single-destination source, the last routed tree per multi-destination
-//!   one, never shorter than a shortest path — says the sweep could close
-//!   the gap, which on the `/A2A` pass of `fig05_06` skipped every sweep at
-//!   822 of 1,008 evaluations (see `phase`; 428 of 475 since a cut bounds
-//!   every solve),
+//!   goal-directed searches need potentials, one reverse Dijkstra per
+//!   single-destination source's target, re-derived at every bound
+//!   evaluation. A row whose searches stopped pruning turns *dense* and is
+//!   re-derived, serially, at the start of each of its source's turns (next
+//!   section) instead, so an evaluation re-derives only the other rows. The
+//!   dual bound's sweep — one forward search per source at the averaged
+//!   lengths — runs only when the bound over the paths the solve already
+//!   holds — a known path per single-destination source, the last routed
+//!   tree per multi-destination one, never shorter than a shortest path —
+//!   says it could close the gap (see `phase`),
 //! * **searches capped by the best known path**: a single-destination
 //!   source's search never queues a node keyed past the current length of
 //!   the shortest path the source already knows, which changes none of its
@@ -119,7 +113,7 @@
 //!   one is repaired ([`tb_graph::sssp_csr_repair_by`]) from a tree the
 //!   source already has — the first search of a turn from the tree it held
 //!   since its last turn, a capacity-limited re-search from the turn's own,
-//!   and the dual sweeps from the held trees: one relaxation pass over the
+//!   and the dual sweep from the held trees: one relaxation pass over the
 //!   arcs in the old tree's order, a Dijkstra run over the few nodes whose
 //!   label fell after their turn, and an insertion sort of the settle order.
 //!   The repair returns Dijkstra's tree bit for bit (settle order, distances,
@@ -290,11 +284,9 @@ impl FleischerConfig {
 pub struct SolveStats {
     /// Phases executed (each phase routes every source's full demand once).
     pub phases: usize,
-    /// Forward shortest-path searches run: by the routing kernels, by the
-    /// last-iterate dual bound for multi-destination sources, and by the
-    /// averaged dual bound for every source, at the evaluations that run
-    /// those sweeps. The potential refresh's reverse Dijkstras are not
-    /// counted.
+    /// Forward shortest-path searches run: by the routing kernels, and by
+    /// the dual bound, one per source at the evaluations that run its sweep.
+    /// The potential refresh's reverse Dijkstras are not counted.
     pub searches: usize,
     /// Of those searches, the full-sweep trees of multi-destination sources
     /// that were repaired from a tree the source held rather than computed
@@ -313,8 +305,7 @@ pub struct SolveStats {
     /// Bound evaluations run, the closing one included.
     pub evaluations: usize,
     /// Evaluations that ran no dual sweep, because the paths the solve held
-    /// showed that neither dual candidate could close the gap (see the
-    /// module docs).
+    /// showed that it could not close the gap (see the module docs).
     pub screened: usize,
     /// Block LP solves run by the bound evaluations: one per round of
     /// lazily added rows.
@@ -333,11 +324,9 @@ pub struct SolveStats {
 /// What set a solve's reported upper bound (see the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum UpperEvidence {
-    /// The dual bound `D(l)/alpha(l)` at the lengths of some evaluation (also
-    /// reported when no evaluation ran).
+    /// The dual bound `D(l̄)/alpha(l̄)` at the window average `l̄` of the
+    /// normalised lengths (also reported when no evaluation ran).
     #[default]
-    LastIterate,
-    /// The dual bound at the window average of the normalised lengths.
     Average,
     /// A cut swept along one of the solve's distance orders.
     Cut,
@@ -639,8 +628,8 @@ mod tests {
     #[test]
     fn exhausted_phase_budget_reports_degraded_status() {
         // A zero phase budget leaves the bound gap wide open; the result
-        // still carries valid best-so-far bounds (lower 0, the initial dual
-        // certificate as upper).
+        // still carries valid best-so-far bounds (lower 0, the dual bound at
+        // the initial lengths as upper), which bracket the optimum.
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let tm = tb_traffic::synthetic::all_to_all(&[1usize; 4]);
         let cfg = FleischerConfig {
@@ -653,6 +642,12 @@ mod tests {
         assert_eq!(out.stats.phases, 0);
         assert!(out.bounds.lower >= 0.0 && out.bounds.upper.is_finite());
         assert!(out.bounds.lower <= out.bounds.upper + 1e-9);
+        let exact = crate::ExactLpSolver::new().solve(&g, &tm).unwrap().lower;
+        assert!(
+            out.bounds.lower <= exact && exact <= out.bounds.upper,
+            "{:?} vs exact {exact}",
+            out.bounds
+        );
     }
 
     #[test]

@@ -13,44 +13,37 @@
 //!
 //! ## Sweeps only where the gap can close
 //!
-//! The dual bound wants every commodity's distance at the current lengths;
-//! the goal-directed searches of the following phases want potentials —
-//! reverse distances to each single-destination source's target — at those
-//! same lengths. Every evaluation therefore re-derives the potential rows
+//! The goal-directed searches of the following phases want potentials —
+//! reverse distances to each single-destination source's target — at the
+//! current lengths. Every evaluation therefore re-derives the potential rows
 //! that are not dense (once more at the start of the solve, for the phases
-//! before the first evaluation), and [`dual_bound`] reads each
-//! single-destination term of `alpha(l)` off its row (`demand × row[src]` is
-//! the exact distance); only multi-destination sources run a forward tree. A
-//! dense row is re-derived at the start of each of its source's turns, by
-//! the routing kernel (see [`super`]), so between turns only the dual bound
-//! reads it, and [`dual_bound`] re-derives the dense rows itself.
+//! before the first evaluation); a dense row is re-derived at the start of
+//! each of its source's turns, by the routing kernel (see [`super`]).
 //!
-//! Most evaluations cannot close the gap, and the solve can tell before any
-//! sweep runs: a path it already holds for a commodity is no shorter than a
-//! shortest one, so summing every commodity's demand times the length of a
-//! held path — the shortest known path of a single-destination source (the
-//! exact row when it is not dense), the tree a multi-destination source last
-//! routed on — gives `alpha_held >= alpha`, and `D/alpha_held` is a value the
-//! sweep's bound cannot come out below ([`HeldPaths::alpha`], O(nodes) per
-//! source). An evaluation computes its feasible bound first, then sweeps one
-//! cut (next section), which may lower the best upper bound; then each dual
-//! candidate — the last iterate `l` and the window average `l̄` below — runs
-//! its sweep (the dense rows and the forward trees for `l`, one forward
-//! search per source for `l̄`) only if that value could close the gap to
-//! `target_gap` against the best lower bound, and none runs once the best
-//! bracket — a cut's bound included — has closed it. The closing evaluation
-//! is never screened. Routing, lengths and flows are untouched, so a solve
-//! runs its trajectory to the exit; what moves is which evaluation finds the
-//! bound that closes the gap, and the reported upper bound.
-//! [`SolveStats::screened`] counts the evaluations that ran no dual sweep.
-//! Against the rule the screen replaced (run the averaged sweep when the last
-//! iterate did not improve the best bound), seed 1, `--scenario all
-//! --no-cache`: 73,455 → 73,043 phases and 7.75 M → 7.00 M searches; the
-//! `/A2A` pass of `fig05_06` ran no sweep at 822 of its 1,008 evaluations.
+//! Most evaluations cannot close the gap, and the solve can tell before the
+//! dual sweep runs: a path it already holds for a commodity is no shorter
+//! than a shortest one, so summing every commodity's demand times the length
+//! of a held path — the shortest known path of a single-destination source,
+//! the tree a multi-destination source last routed on — gives
+//! `alpha_held >= alpha`, and `D/alpha_held` is a value the sweep's bound
+//! cannot come out below ([`route::HeldPaths::alpha`], O(nodes) per source).
+//! An evaluation computes its feasible bound first, then sweeps one cut (next
+//! section), which may lower the best upper bound; then the dual bound at the
+//! window average `l̄` (below) runs its sweep, one forward search per source,
+//! only if that value could close the gap to `target_gap` against the best
+//! lower bound, and not at all once the best bracket — a cut's bound included
+//! — has closed it. The closing evaluation is never screened. Routing,
+//! lengths and flows are untouched, so a solve runs its trajectory to the
+//! exit; what moves is which evaluation finds the bound that closes the gap,
+//! and the reported upper bound. [`SolveStats::screened`] counts the
+//! evaluations that ran no dual sweep. Running the sweep at every evaluation
+//! the cut leaves open instead costs the `/1/LM` pass of `fig05_06` +10 %
+//! searches and its `/A2A` pass +15 %, which saves the latter 12 of its 1,908
+//! phases (seed 1).
 //!
-//! The refreshes and the one α sweep both dual bounds share ([`sweep_alpha`],
-//! which also counts the trees it repaired) run serially, in source order, on
-//! the solve's own SSSP workspace, like the routing.
+//! The refreshes and the dual sweep (which also counts the trees it
+//! repaired) run serially, in source order, on the solve's own SSSP
+//! workspace, like the routing.
 //!
 //! ## The cut along one distance order
 //!
@@ -74,27 +67,32 @@
 //! regions, the eigenvector order) added 0.9 points on top of the swept
 //! cut, so the solver runs none of them.
 //!
-//! ## The dual bound and its averaged iterate
+//! ## The dual bound at the averaged iterate
 //!
 //! `D(l)/alpha(l)` bounds the throughput from above for **any** non-negative
 //! length function `l` (LP duality), so the solver is free to choose where to
-//! evaluate it. At the *last* iterate — the current lengths — the bound is a
-//! noisy sequence: on a sparse TM over a short-diameter graph it bounces by
-//! about ±1 % from one evaluation to the next (`HyperX/1/LM`: 0.6219, 0.6258,
-//! 0.6265, 0.6330, 0.6248, …), the best-so-far is the running minimum of that
-//! noise, and a solve whose feasible side sat 1.0–1.4 % under the optimum
-//! stalled with its dual side 4.0–7.2 % over it until `D(l) >= 1` ended it.
-//! The Garg–Könemann / Fleischer analysis — like the generic
+//! evaluate it. At the current lengths the bound is a noisy sequence: on a
+//! sparse TM over a short-diameter graph it bounces by about ±1 % from one
+//! evaluation to the next (`HyperX/1/LM`: 0.6219, 0.6258, 0.6265, 0.6330,
+//! 0.6248, …). The Garg–Könemann / Fleischer analysis — like the generic
 //! multiplicative-weights regret bound — converges in the **average of the
 //! normalised iterates** `l / D(l)`, not in the last one. So the loop keeps
-//! the running sum of `l / D(l)` ([`LengthAverage`]), sampled after every
-//! source's turn (O(arcs) per turn), copies it at the evaluations whose
-//! index `phase / check_interval` is a power of two (the window base), and an
-//! evaluation also evaluates `D(l̄)/alpha(l̄)` at the window average
-//! `l̄ = sum − base` when the held paths say it could close the gap
-//! (previous section; [`averaged_dual_bound`]: no potential rows exist at
-//! `l̄`, so every source runs one early-exit forward search, counted in
-//! [`SolveStats::searches`]).
+//! the running sum of `l / D(l)` ([`LengthAverage`]), sampled once at the
+//! initial lengths and then after every source's turn (O(arcs) per turn),
+//! copies it at the evaluations whose index `phase / check_interval` is a
+//! power of two (the window base), and an evaluation's dual bound is
+//! `D(l̄)/alpha(l̄)` at the window average `l̄ = sum − base`, when the held
+//! paths say it could close the gap (previous section;
+//! [`averaged_dual_bound`]: no potential rows exist at `l̄`, so every source
+//! runs one early-exit forward search, counted in [`SolveStats::searches`]).
+//! The initial sample keeps the window of an evaluation with no phase behind
+//! it (a zero phase budget) from being empty: an all-zero window bounds
+//! nothing, and with no cut either the solve would publish `[0, 0]` as
+//! converged.
+//! The bound at the current lengths is no second candidate: beside the
+//! window average and the swept cut it saves the seed-1 suite 72 of its
+//! 37,556 phases, for one more sweep at every evaluation it is not screened
+//! out of.
 //!
 //! Validity needs nothing beyond duality. Quality: `alpha` is concave and
 //! positively homogeneous and `D` is linear, so the bound at a sum of length
@@ -104,15 +102,14 @@
 //! trajectory, the potential refresh and the feasible bound are untouched, and
 //! a solve merely meets its `target_gap` earlier ([`SolveStats::upper_from`]
 //! says when the average set the reported bound; a certificate then carries
-//! `l̄` as its dual evidence). Measured facts fixed the rest (seed 1, the
-//! `/1/LM` pass of `fig05_06`: 4,581 phases without the average, 2,144 with
-//! it): evaluating the average at *every* evaluation costs the `/A2A` pass
-//! +15 % searches for no phase saved, so it runs only where the held-path
-//! screen says it could close the gap; sampling once per phase instead of
-//! once per turn leaves 2,692 phases and a solve that still saturates; the
-//! cumulative average (no window) leaves 2,807 phases, and the window from
-//! the older base 2,340 (whole suite 77,471 phases / 11 saturated solves
-//! against 73,207 / 6 from the newest base). None of them is a knob.
+//! `l̄` as its dual evidence). Measured facts fixed the window when the
+//! average was introduced (seed 1, the `/1/LM` pass of `fig05_06`: 4,581
+//! phases with the bound at the current lengths alone, 2,144 with the
+//! average beside it): sampling once per phase instead of once per turn
+//! leaves 2,692 phases and a solve that still saturates; the cumulative
+//! average (no window) leaves 2,807 phases, and the window from the older
+//! base 2,340 (whole suite 77,471 phases / 11 saturated solves against
+//! 73,207 / 6 from the newest base). None of them is a knob.
 //!
 //! ## The feasible lower bound: the best mix of the flow blocks
 //!
@@ -167,13 +164,13 @@
 
 use super::blocks::Blocks;
 use super::cut::CutSweep;
-use super::route::{self, HeldPaths, PotentialRows, RouteCtx, TreeSeed};
+use super::route::{self, RouteCtx, TreeSeed};
 use super::{FleischerConfig, SolveStats, SolverWorkspace, UpperEvidence};
 use crate::certificate::{CertCapture, ThroughputCertificate};
 use crate::instance::FlowProblem;
 use crate::lengths::LengthAverage;
 use crate::ThroughputBounds;
-use tb_graph::{Graph, SsspWorkspace};
+use tb_graph::Graph;
 
 /// What [`solve_problem`] hands back to the public entry points.
 pub(super) struct Solved {
@@ -228,6 +225,9 @@ pub(super) fn solve_problem(
     // Best bracket, flow blocks, averaged lengths and certificate capture.
     let commodities = ws.routed.iter().map(Vec::len).sum();
     let mut best = BestBounds::new(prob.num_nodes(), prob.num_arcs(), commodities, want_cert);
+    // The initial lengths are the window's first sample, so an evaluation
+    // with no phase behind it still has a dual bound.
+    best.avg.sample(&ws.mwu);
     let gap_exit = run_phases(cfg, &ctx, &mut best, &mut ws);
     close(cfg, &ctx, best, gap_exit, ws, scale)
 }
@@ -266,7 +266,7 @@ fn setup<'a>(
     // directed by (none is dense yet); each bound evaluation refreshes them
     // from then on.
     ws.potentials
-        .refresh(&ctx, ws.mwu.lens(), false, &mut ws.sssp, None);
+        .refresh(&ctx, ws.mwu.lens(), &mut ws.sssp, None);
     Some((ctx, scale, ws))
 }
 
@@ -379,7 +379,6 @@ fn close(
                 "phase-budget"
             },
             match stats.upper_from {
-                UpperEvidence::LastIterate => "last",
                 UpperEvidence::Average => "average",
                 UpperEvidence::Cut => "cut",
             },
@@ -421,7 +420,7 @@ struct BestBounds {
     len_base: Option<Vec<f64>>,
     /// The window average `l̄` of the latest evaluation.
     avg_lens: Vec<f64>,
-    /// Per-node scratch for [`HeldPaths::alpha`].
+    /// Per-node scratch for [`route::HeldPaths::alpha`].
     node_len: Vec<f64>,
     /// Certificate capture: pure copies of the state behind each best bound,
     /// never arithmetic on solver state — the trajectory is identical with
@@ -471,61 +470,42 @@ impl BestBounds {
     /// Evaluates the bounds on the state in `ws` and folds them into the
     /// best bracket. The feasible side comes first: the flow routed since the
     /// previous evaluation closes a block, and the block LP re-weights the
-    /// blocks. Then one cut sweep ([`Self::sweep_cut`]) runs along a distance
-    /// order of the source whose turn it is. Then each dual candidate — the
-    /// current lengths `l` and the window average `l̄` of the normalised
-    /// lengths — runs its sweep only if the value it would have over the
-    /// paths the solve holds ([`HeldPaths::alpha`], a lower bound on the
-    /// value the sweep finds) could close the gap to `target_gap`; `None`, at
-    /// the closing evaluation, runs both. A cut that closes the gap thereby
-    /// skips both. The rows that are not dense are re-derived either way,
-    /// since routing reads them. The counters in `ws` record the evaluation,
-    /// whether it was screened, the forward searches, the LP solves and
-    /// pivots, and which evidence set the reported upper bound.
+    /// blocks. Then the rows that are not dense are re-derived, since routing
+    /// reads them, and one cut sweep ([`Self::sweep_cut`]) runs along a
+    /// distance order of the source whose turn it is. Then the dual bound at
+    /// the window average `l̄` of the normalised lengths runs its sweep only if
+    /// the value it would have over the paths the solve holds
+    /// ([`route::HeldPaths::alpha`], a lower bound on the value the sweep
+    /// finds) could close the gap to `target_gap`; `None`, at the closing
+    /// evaluation, always runs it. A cut that closes the gap thereby skips
+    /// it. The counters in `ws` record the evaluation, whether it was
+    /// screened, the forward searches, the LP solves and pivots, and which
+    /// evidence set the reported upper bound.
     fn evaluate(&mut self, ctx: &RouteCtx<'_>, target_gap: Option<f64>, ws: &mut SolverWorkspace) {
         ws.stats.evaluations += 1;
         let si = ws.stats.evaluations % ctx.prob.sources().len();
         self.fold_primal(ctx, ws);
         let keep = ctx.single_dest[si].map(|_| (ctx.pot_rows[si], &mut self.cut.order));
         ws.potentials
-            .refresh(ctx, ws.mwu.lens(), false, &mut ws.sssp, keep);
+            .refresh(ctx, ws.mwu.lens(), &mut ws.sssp, keep);
         self.sweep_cut(ctx, si, ws);
-        let mut swept = false;
-
-        let held_alpha =
-            ws.held
-                .alpha(ctx, ws.mwu.lens(), Some(&ws.potentials), &mut self.node_len);
-        if self.worth_sweeping(
-            ws.mwu.dual_bound(held_alpha * HELD_ALPHA_MARGIN),
-            target_gap,
-        ) {
-            swept = true;
-            let up = dual_bound(ctx, ws);
-            if up < self.upper {
-                self.upper = up;
-                ws.stats.upper_from = UpperEvidence::LastIterate;
-                if let Some(cap) = self.capture.as_mut() {
-                    cap.observe_dual(ws.mwu.lens());
-                }
-            }
-        }
 
         self.avg
             .window(self.len_base.as_deref(), &mut self.avg_lens);
-        let held_alpha = ws.held.alpha(ctx, &self.avg_lens, None, &mut self.node_len);
+        let held_alpha = ws.held.alpha(ctx, &self.avg_lens, &mut self.node_len);
         let held_up = ratio(volume(ctx, &self.avg_lens), held_alpha * HELD_ALPHA_MARGIN);
-        if self.worth_sweeping(held_up, target_gap) {
-            swept = true;
-            let up = averaged_dual_bound(ctx, &self.avg_lens, ws);
-            if up < self.upper {
-                self.upper = up;
-                ws.stats.upper_from = UpperEvidence::Average;
-                if let Some(cap) = self.capture.as_mut() {
-                    cap.observe_dual(&self.avg_lens);
-                }
+        if !self.worth_sweeping(held_up, target_gap) {
+            ws.stats.screened += 1;
+            return;
+        }
+        let up = averaged_dual_bound(ctx, &self.avg_lens, ws);
+        if up < self.upper {
+            self.upper = up;
+            ws.stats.upper_from = UpperEvidence::Average;
+            if let Some(cap) = self.capture.as_mut() {
+                cap.observe_dual(&self.avg_lens);
             }
         }
-        ws.stats.screened += usize::from(!swept);
     }
 
     /// Sweeps the nested prefixes of one order of source `si` as cuts and
@@ -583,37 +563,27 @@ impl BestBounds {
     }
 }
 
-/// The dual upper bound `D(l) / alpha(l)` with `alpha(l)` the demand-weighted
-/// shortest-path distances under the current lengths, in the *scaled* demand
-/// space.
-///
-/// Every potential row must be exact at the current lengths: the caller has
-/// re-derived the rows that are not dense (the next `check_interval` phases
-/// search under them), and this re-derives the dense ones — one reverse
-/// Dijkstra per single-destination source's target. A refreshed row holds
-/// exact distances *to* its destination, so a single-destination source's
-/// term of `alpha(l)` is `demand × row[src]`, read off with no search of its
-/// own. Only multi-destination sources need a shortest-path tree
-/// ([`sweep_alpha`]).
-fn dual_bound(ctx: &RouteCtx<'_>, ws: &mut SolverWorkspace) -> f64 {
-    ws.potentials
-        .refresh(ctx, ws.mwu.lens(), true, &mut ws.sssp, None);
-    let rows = Some(&ws.potentials);
-    let (alpha, repairs) = sweep_alpha(ctx, ws.mwu.lens(), rows, &ws.held, &mut ws.sssp);
-    ws.stats.searches += ctx.prob.sources().len() - ctx.num_single;
-    ws.stats.repairs += repairs;
-    ws.mwu.dual_bound(alpha)
-}
-
 /// The dual upper bound `D(l̄) / alpha(l̄)` at an arbitrary non-negative
 /// length function `lens` — the window average of the normalised iterates
 /// (see the module docs). No potential rows exist at `l̄`, so every source
-/// runs one early-exit forward search, and `D` is summed fresh in arc order.
-/// Infinite when `alpha` is not positive (an empty window is all zeros).
+/// runs one forward search (early-exit, or a repair of the tree `ws.held`
+/// keeps for it, see [`route::compute_tree`]); the terms of `alpha` are
+/// summed in source order, and `D` is summed fresh in arc order. Infinite
+/// when `alpha` is not positive (an empty window is all zeros).
 fn averaged_dual_bound(ctx: &RouteCtx<'_>, lens: &[f64], ws: &mut SolverWorkspace) -> f64 {
-    let (alpha, repairs) = sweep_alpha(ctx, lens, None, &ws.held, &mut ws.sssp);
-    ws.stats.searches += ctx.prob.sources().len();
-    ws.stats.repairs += repairs;
+    let sources = ctx.prob.sources();
+    let mut alpha = 0.0;
+    for (si, (s, demands)) in sources.iter().zip(&ctx.demands).enumerate() {
+        let seed = TreeSeed::Held(ws.held.tree(si));
+        ws.stats.repairs += usize::from(route::compute_tree(ctx, si, lens, seed, &mut ws.sssp));
+        alpha += s
+            .dests
+            .iter()
+            .zip(demands)
+            .map(|(&(dst, _), d)| d * ws.sssp.dist(dst))
+            .sum::<f64>();
+    }
+    ws.stats.searches += sources.len();
     ratio(volume(ctx, lens), alpha)
 }
 
@@ -631,87 +601,11 @@ fn ratio(d_l: f64, alpha: f64) -> f64 {
     }
 }
 
-/// The α sweep of both dual bounds: `alpha(lens)`, summed in source order,
-/// and how many trees it repaired. A single-destination source's term is
-/// read off its row when `rows` holds rows exact at `lens`; every other
-/// source runs one forward search (early-exit, or a repair of the tree
-/// `held` keeps for it, see [`route::compute_tree`]). The terms are summed
-/// in source order.
-fn sweep_alpha(
-    ctx: &RouteCtx<'_>,
-    lens: &[f64],
-    rows: Option<&PotentialRows>,
-    held: &HeldPaths,
-    sssp: &mut SsspWorkspace,
-) -> (f64, usize) {
-    let n = ctx.prob.num_nodes();
-    let sources = ctx.prob.sources();
-    let mut repairs = 0;
-    let alpha = (0..sources.len())
-        .map(|si| {
-            if let (Some(rows), Some(_)) = (rows, ctx.single_dest[si]) {
-                let row = rows.row(ctx.pot_rows[si], n);
-                return ctx.demands[si][0] * row[sources[si].src];
-            }
-            let seed = TreeSeed::Held(held.tree(si));
-            repairs += usize::from(route::compute_tree(ctx, si, lens, seed, sssp));
-            sources[si]
-                .dests
-                .iter()
-                .zip(&ctx.demands[si])
-                .map(|(&(dst, _), d)| d * sssp.dist(dst))
-                .sum::<f64>()
-        })
-        .sum();
-    (alpha, repairs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lengths::MwuLengths;
-
-    #[test]
-    fn dual_bound_read_off_the_refreshed_rows_equals_the_forward_searches() {
-        // A 160-switch Jellyfish under longest matching (160
-        // single-destination sources × 1,280 arcs), at the differentiated
-        // lengths six phases of a real solve leave in the workspace.
-        let topo = tb_topology::jellyfish::jellyfish(160, 8, 1, 42);
-        let tm = tb_traffic::synthetic::longest_matching(&topo.graph, &topo.servers, true);
-        let prob = FlowProblem::new(&topo.graph, &tm);
-        let cfg = FleischerConfig {
-            max_phases: 6,
-            ..FleischerConfig::fast()
-        };
-        let mut ws = solve_problem(&cfg, &topo.graph, &prob, false)
-            .ws
-            .expect("a non-trivial instance");
-        let ctx = RouteCtx::new(&prob, 1.0, 1.0);
-        assert_eq!(ctx.num_single, 160);
-        let lens = ws.mwu.lens();
-        assert!(lens.iter().any(|&l| l != lens[0]));
-
-        // alpha(l) the way the previous sweep computed it: one forward
-        // search per source.
-        let mut alpha = 0.0;
-        let mut sssp = SsspWorkspace::new();
-        for (s, demands) in prob.sources().iter().zip(&ctx.demands) {
-            let dst = s.dests[0].0;
-            tb_graph::sssp_csr(prob.csr(), s.src, lens, Some(&[dst]), &mut sssp);
-            alpha += demands[0] * sssp.dist(dst);
-        }
-        let forward = ws.mwu.dual_bound(alpha);
-
-        // An evaluation's sequence: the rows that are not dense first, then
-        // the bound, which re-derives the dense ones.
-        ws.potentials
-            .refresh(&ctx, ws.mwu.lens(), false, &mut ws.sssp, None);
-        let rows = dual_bound(&ctx, &mut ws);
-        assert!(
-            forward.is_finite() && (rows - forward).abs() <= 1e-12 * forward,
-            "rows {rows} vs forward searches {forward}"
-        );
-    }
+    use tb_graph::SsspWorkspace;
 
     #[test]
     fn averaged_dual_bound_equals_an_independent_recomputation() {
@@ -781,14 +675,12 @@ mod tests {
 
     #[test]
     fn held_paths_never_promise_a_lower_dual_bound_than_the_sweep_finds() {
-        // An evaluation skips a sweep when `D(x) / alpha` over the held paths
-        // cannot close the gap. That is sound only if this value never
-        // exceeds the bound the sweep would find at the same lengths `x`,
-        // i.e. if no held path is shorter than a shortest one. Checked at the
-        // lengths truncated solves leave, grown a little further — the last
-        // iterate `l`, with the rows that are not dense refreshed as an
-        // evaluation leaves them, and a window `l̄` of the normalised lengths
-        // — under longest matching (known paths, dense rows), all-to-all
+        // An evaluation skips the dual sweep when `D(l̄) / alpha` over the
+        // held paths cannot close the gap. That is sound only if this value
+        // never exceeds the bound the sweep would find at the same lengths,
+        // i.e. if no held path is shorter than a shortest one. Checked at a
+        // window `l̄` of the normalised lengths truncated solves leave, grown
+        // a little further, under longest matching (known paths), all-to-all
         // (held trees) and RM(2) (held trees of two-destination sources
         // beside single-destination ones).
         let topo = tb_topology::jellyfish::jellyfish(40, 6, 2, 9);
@@ -812,22 +704,11 @@ mod tests {
                 let solved = solve_problem(&cfg, &topo.graph, &prob, false);
                 let ws = last.insert(solved.ws.expect("a non-trivial instance"));
                 // Lengths grow after the paths were found, as the routing
-                // between two evaluations grows them, which leaves the dense
-                // rows stale: a third of the arcs take one step each.
+                // between two evaluations grows them: a third of the arcs
+                // take one step each.
                 for aid in (0..prob.num_arcs()).step_by(3) {
                     ws.mwu.apply(aid, ws.mwu.cap(aid));
                 }
-                ws.potentials
-                    .refresh(&ctx, ws.mwu.lens(), false, &mut ws.sssp, None);
-                let rows = Some(&ws.potentials);
-                let alpha = ws.held.alpha(&ctx, ws.mwu.lens(), rows, &mut node_len);
-                let held_up = ws.mwu.dual_bound(alpha * HELD_ALPHA_MARGIN);
-                let exact = dual_bound(&ctx, ws);
-                assert!(
-                    0.0 < held_up && held_up <= exact,
-                    "{} flows, {max_phases} phases: held {held_up} vs swept {exact}",
-                    tm.num_flows()
-                );
                 avg.sample(&ws.mwu);
                 if base.is_empty() {
                     base.extend_from_slice(avg.sum());
@@ -836,7 +717,7 @@ mod tests {
             let mut lens = Vec::new();
             avg.window(Some(&base), &mut lens);
             let ws = last.as_mut().expect("three solves ran");
-            let alpha = ws.held.alpha(&ctx, &lens, None, &mut node_len);
+            let alpha = ws.held.alpha(&ctx, &lens, &mut node_len);
             let held_up = ratio(volume(&ctx, &lens), alpha * HELD_ALPHA_MARGIN);
             let exact = averaged_dual_bound(&ctx, &lens, ws);
             assert!(

@@ -247,31 +247,15 @@ impl HeldPaths {
     /// An upper bound on `alpha(len)`: every commodity's demand times the
     /// length under `len` of a path held for it — the held tree's path of a
     /// multi-destination source, the shortest known path of a
-    /// single-destination source, or that source's row in `rows` if it is
-    /// not dense (the caller passes rows only when it has just re-derived
-    /// those at `len`, so they are exact). Infinite while some source holds
-    /// nothing. `node_len` is `num_nodes` of scratch.
-    pub(super) fn alpha(
-        &self,
-        ctx: &RouteCtx<'_>,
-        len: &[f64],
-        rows: Option<&PotentialRows>,
-        node_len: &mut [f64],
-    ) -> f64 {
-        let n = ctx.prob.num_nodes();
+    /// single-destination source. Infinite while some source holds nothing.
+    /// `node_len` is `num_nodes` of scratch.
+    pub(super) fn alpha(&self, ctx: &RouteCtx<'_>, len: &[f64], node_len: &mut [f64]) -> f64 {
         let arcs = ctx.prob.arcs();
         let mut alpha = 0.0;
         for (si, s) in ctx.prob.sources().iter().enumerate() {
             alpha += match ctx.single_dest[si] {
                 Some(dst) if dst == s.src => 0.0,
-                Some(_) => {
-                    let row = ctx.pot_rows[si];
-                    let dist = match rows {
-                        Some(rows) if !rows.dense[row] => rows.row(row, n)[s.src],
-                        _ => self.known.shortest(row, len).0,
-                    };
-                    ctx.demands[si][0] * dist
-                }
+                Some(_) => ctx.demands[si][0] * self.known.shortest(ctx.pot_rows[si], len).0,
                 None => {
                     // Parents precede children in settle order, and every
                     // destination is in the tree (the search stopped only
@@ -309,10 +293,9 @@ pub(super) enum TreeSeed<'a> {
 
 /// Computes the shortest-path tree of source `si` at the lengths `len`.
 /// Read-only over `len`. Multi-destination sources route on it (and hold
-/// the last one, see [`HeldPaths`]) and take their dual-bound term from it;
-/// single-destination sources search inside [`route_source_single`] and read
-/// their last-iterate dual-bound term off the potential rows, so they come
-/// here only for the averaged dual bound, where no rows exist.
+/// the last one, see [`HeldPaths`]); every source takes its term of the dual
+/// bound from it, and single-destination sources, which route inside
+/// [`route_source_single`], come here for that alone.
 ///
 /// A source with fewer destinations than half the graph runs an early-exit
 /// Dijkstra over its destination set. Any other source settles the whole
@@ -378,10 +361,8 @@ fn search_tree(ctx: &RouteCtx<'_>, si: usize, first: bool, ws: &mut SolverWorksp
 /// latest derivation — exact then, and consistent (admissible) as lengths
 /// grow. Every bound evaluation re-derives the rows that are not dense,
 /// which the routing of the next phases reads. A *dense* row is re-derived
-/// at the start of each of its source's turns (see [`DENSE_SETTLES`]), so
-/// only the dual bound reads it between turns: an evaluation re-derives it
-/// only when it runs its last-iterate sweep, which reads each source's
-/// distance off its row.
+/// at the start of each of its source's turns (see [`DENSE_SETTLES`]) and
+/// read by nothing else.
 #[derive(Debug, Clone)]
 pub(super) struct PotentialRows {
     /// `num_nodes` values per row, rows in source order.
@@ -417,16 +398,14 @@ impl PotentialRows {
         &self.values[row * n..(row + 1) * n]
     }
 
-    /// Re-derives, at the lengths `len`, every row that is dense if `dense`
-    /// is set and every row that is not otherwise, in source order on
-    /// `sssp`. A no-op when no row qualifies. With `keep = Some((row,
-    /// order))`, `order` is left holding the settle order of `row`'s reverse
-    /// Dijkstra if this call derived it, and empty otherwise.
+    /// Re-derives, at the lengths `len`, every row that is not dense, in
+    /// source order on `sssp`. A no-op when every row is dense. With `keep =
+    /// Some((row, order))`, `order` is left holding the settle order of
+    /// `row`'s reverse Dijkstra if this call derived it, and empty otherwise.
     pub(super) fn refresh(
         &mut self,
         ctx: &RouteCtx<'_>,
         len: &[f64],
-        dense: bool,
         sssp: &mut SsspWorkspace,
         mut keep: Option<(usize, &mut Vec<u32>)>,
     ) {
@@ -449,7 +428,7 @@ impl PotentialRows {
             .zip(ctx.single_dest.iter().filter_map(|&d| d))
             .zip(&self.dense)
             .enumerate()
-            .filter_map(|(r, (row, &d))| (d == dense).then_some((r, row)));
+            .filter_map(|(r, (row, &dense))| (!dense).then_some((r, row)));
         debug_assert!(ctx.pot_rows.iter().filter(|&&r| r != usize::MAX).count() == ctx.num_single);
         for (r, (row, dst)) in rows {
             derive_row(ctx, len, dst, row, sssp);

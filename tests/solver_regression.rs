@@ -1,5 +1,5 @@
 //! Cross-solver regression tests guarding the Fleischer hot-path refactor
-//! (CSR arcs, early-exit SSSP, dual bounds read off the potential rows). The
+//! (CSR arcs, early-exit SSSP, goal-directed searches on potential rows). The
 //! reference is the max-concurrent-flow LP itself: its exact optimum where
 //! the arc LP is tractable, and LP duality — each solve's own certificate,
 //! re-derived by `verify_certificate` — everywhere:
@@ -31,7 +31,7 @@
 //! * the straggler's potential rows must turn dense (re-derived at the start
 //!   of every turn) and its searches stay small, while an all-to-all solve,
 //!   which has no row, re-derives none;
-//! * bound evaluations that skip their dual sweeps (the held paths say no
+//! * bound evaluations that skip their dual sweep (the held paths say no
 //!   sweep could close the gap) must leave routing, lengths and flows exactly
 //!   as they were before evaluations were screened.
 
@@ -280,7 +280,7 @@ fn suffix_windows_leave_a_saturating_trajectory_alone() {
 
 #[test]
 fn screened_evaluations_leave_the_routing_trajectory_alone() {
-    // A screened evaluation skips dual sweeps only: the rows that are not
+    // A screened evaluation skips the dual sweep only: the rows that are not
     // dense are re-derived at every evaluation as before (routing reads
     // them), and a dense row is re-derived at the start of each of its
     // source's turns anyway. With the gap exit switched off no candidate can
@@ -364,7 +364,7 @@ fn short_diameter_rows_turn_dense_and_their_searches_stay_small() {
 #[test]
 fn sources_with_several_destinations_never_touch_the_known_paths() {
     // All-to-all has no single-destination source: every search is a tree
-    // (one per source per phase at least, plus the dual sweeps), nothing is
+    // (one per source per phase at least, plus the dual sweep's), nothing is
     // reused by path, and the bounds are those of the pre-store kernel (the
     // committed `/A2A` goldens are bit-identical across that change). With
     // no potential row, no row turns dense either. Every source settles the
