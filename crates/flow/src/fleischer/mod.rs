@@ -128,6 +128,22 @@
 //!   stays too: settling the whole graph and repairing for every
 //!   multi-destination source was bit-identical but 3 % slower on the `/A2A`
 //!   pass, its five early-exit cells losing time.
+//! * **half the trees on symmetric instances**: a repaired tree costs little
+//!   more than one relaxation pass over the arcs, so what is left to save is
+//!   trees. When every commodity `(s, t, d)` has a reverse `(t, s)` of
+//!   bit-identical demand and every source has several destinations
+//!   (all-to-all), the solve routes *mirrored*: each
+//!   tree also carries its source's in-commodities, every tree arc's partner
+//!   `aid ^ 1` taking the arc's load and every commit credited to the
+//!   commodity and to its reverse (`RouteCtx::reverse` in `route`). The
+//!   lengths stay symmetric bit for bit, so the reversed out-tree is a
+//!   shortest in-tree, and a phase routes every commodity twice for the
+//!   trees of one. Seed 1, the `/A2A` pass of `fig05_06`: 1,908 → 1,096
+//!   phases and 111,230 → 63,089 searches; the whole suite 37,556 → 33,844
+//!   phases. Single-destination sources are never mirrored (their known-path
+//!   loop does not aggregate, and mirroring them cost two of the three
+//!   symmetric `/1/LM` solves phases, 4 → 12 each);
+//!   [`SolveStats::mirrored`] says whether a solve was.
 //!
 //! [`SolveStats::searches`] and [`SolveStats::path_reuses`] count, per solve,
 //! how often a step searched and how often it did not;
@@ -282,7 +298,8 @@ impl FleischerConfig {
 /// tests read these; the `benchmark/` harness and `TB_SOLVER_TRACE` print them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Phases executed (each phase routes every source's full demand once).
+    /// Phases executed (each phase routes every source's full demand once,
+    /// and in a mirrored solve every commodity twice).
     pub phases: usize,
     /// Forward shortest-path searches run: by the routing kernels, and by
     /// the dual bound, one per source at the evaluations that run its sweep.
@@ -319,6 +336,11 @@ pub struct SolveStats {
     pub converged: bool,
     /// The evidence that set the reported upper bound.
     pub upper_from: UpperEvidence,
+    /// Whether the solve routed mirrored: each tree carrying its source's
+    /// in-commodities reversed beside its out-commodities, on a symmetric
+    /// instance whose every source has several destinations (see the module
+    /// docs).
+    pub mirrored: bool,
 }
 
 /// What set a solve's reported upper bound (see the module docs).
@@ -385,7 +407,10 @@ impl SolverWorkspace {
             held: route::HeldPaths::new(ctx),
             flow_arc: vec![0.0; prob.num_arcs()],
             routed: ctx.demands.iter().map(|d| vec![0.0; d.len()]).collect(),
-            stats: SolveStats::default(),
+            stats: SolveStats {
+                mirrored: ctx.reverse.is_some(),
+                ..SolveStats::default()
+            },
         }
     }
 }

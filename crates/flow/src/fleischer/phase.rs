@@ -4,7 +4,10 @@
 //! its trace line.
 //!
 //! A *phase* routes every source's full (pre-scaled) demand once, source by
-//! source, lengths updated in place — the classical Fleischer trajectory.
+//! source, lengths updated in place — the classical Fleischer trajectory. In
+//! a mirrored solve each source's tree also carries its in-commodities, so a
+//! phase routes every commodity twice (see `route::route_source_tree`); the
+//! bounds below assume no routing rule and need no change for it.
 //! The loop runs phases until the bound gap closes, the classical termination
 //! `D(l) >= 1` fires, or the phase cap is hit, with a bound evaluation every
 //! `check_interval` phases. Each source is routed by the kernel its
@@ -124,7 +127,8 @@
 //! So every evaluation closes a *block* ([`Blocks`]): the per-arc flow `F_b`
 //! routed since the previous evaluation, and one scalar, its worst-served
 //! ratio `t_b = min_j served_b(j) / d_j` (up to rounding the number of phases
-//! in it: a complete phase routes every demand once). Every path deposit adds
+//! in it: a complete phase routes every demand once, twice in a mirrored
+//! solve). Every path deposit adds
 //! the same amount to its arcs and to its commodity's routed total, so each
 //! block, and any combination of blocks with weights `w >= 0`, is again a
 //! multicommodity flow; the combination serves every commodity at least
@@ -355,7 +359,7 @@ fn close(
     // tuning the kernel.
     if std::env::var_os("TB_SOLVER_TRACE").is_some() {
         eprintln!(
-            "TB_SOLVER_TRACE n={} m={} sources={} phases={} searches={} repairs={} path_reuses={} row_refreshes={} settles={} evals={} screened={} lp_solves={} lp_pivots={} blocks={} d_l={:.3e} exit={} upper={}",
+            "TB_SOLVER_TRACE n={} m={} sources={} phases={} searches={} repairs={} path_reuses={} row_refreshes={} settles={} evals={} screened={} lp_solves={} lp_pivots={} blocks={} d_l={:.3e} exit={} upper={} mirrored={}",
             ctx.prob.num_nodes(),
             ctx.prob.num_arcs(),
             ctx.prob.sources().len(),
@@ -382,6 +386,7 @@ fn close(
                 UpperEvidence::Average => "average",
                 UpperEvidence::Cut => "cut",
             },
+            u8::from(stats.mirrored),
         );
     }
 

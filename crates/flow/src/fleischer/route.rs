@@ -51,6 +51,30 @@ pub(super) struct RouteCtx<'a> {
     /// Per node, `(source, scaled demand)` of every commodity it receives,
     /// self-demands left out.
     pub entering: Vec<Vec<(u32, f64)>>,
+    /// In a mirrored solve, the reverse of every commodity as `[source
+    /// index, destination index]`, per source in destination order; `None`
+    /// when the solve routes one direction per tree.
+    ///
+    /// A solve is mirrored when its instance is symmetric — every commodity
+    /// `(s, t, d)` has a reverse `(t, s)` of bit-identical demand, and every
+    /// arc `aid` a partner `aid ^ 1` of equal capacity, which `FlowProblem`
+    /// builds for every link — and every source has at least two
+    /// destinations. The reverse of any feasible flow is then feasible, so
+    /// the LP has a symmetric optimum, and a source's tree can carry its
+    /// in-commodities as well as its out-commodities: [`route_source_tree`]
+    /// loads each tree arc's partner with the arc's load and credits every
+    /// commit to the commodity and to its reverse. Every update then lands
+    /// on both arcs of a pair alike, so the lengths stay symmetric bit for
+    /// bit and the reverse of a shortest out-tree is a shortest in-tree.
+    ///
+    /// Single-destination sources are left out because mirroring them costs
+    /// phases: their known-path loop routes one path per step and never
+    /// aggregates, and on the symmetric longest-matching rungs mirroring them
+    /// took `BCube/1` and `Hypercube/1` from 4 to 12 phases each (it took
+    /// `Fat tree/1` from 24 to 12). So one such source keeps the whole solve
+    /// on one direction per tree, and the check stops after a pass over the
+    /// sources.
+    pub reverse: Option<Vec<Vec<[u32; 2]>>>,
 }
 
 impl<'a> RouteCtx<'a> {
@@ -93,6 +117,16 @@ impl<'a> RouteCtx<'a> {
                 }
             }
         }
+        // The partner view — reverse rows, the cut sweep, mirrored routing —
+        // reads arc `aid ^ 1` as the reverse of arc `aid`; mirrored routing
+        // also needs the two of equal capacity.
+        debug_assert!(
+            prob.arcs().chunks(2).all(|pair| {
+                let [f, b] = pair else { return false };
+                f.from == b.to && f.to == b.from && f.cap.to_bits() == b.cap.to_bits()
+            }),
+            "FlowProblem arcs must come in (forward, backward) pairs of equal capacity"
+        );
         RouteCtx {
             prob,
             demands,
@@ -107,8 +141,44 @@ impl<'a> RouteCtx<'a> {
             scale,
             leaving,
             entering,
+            reverse: reverse_commodities(prob),
         }
     }
+}
+
+/// The reverse of every commodity of `prob` (see [`RouteCtx::reverse`]) if
+/// every source has at least two destinations and every commodity `(s, t,
+/// d)` has a reverse `(t, s)` of bit-identical demand; `None` otherwise. A
+/// source with a single destination ends the check after one pass over the
+/// sources. `TrafficMatrix` merges and sorts its demands, so each source's
+/// destinations strictly increase: one binary search finds a reverse, and
+/// the reverse of a reverse is the commodity itself.
+fn reverse_commodities(prob: &FlowProblem) -> Option<Vec<Vec<[u32; 2]>>> {
+    let sources = prob.sources();
+    if sources.iter().any(|s| s.dests.len() < 2) {
+        return None;
+    }
+    debug_assert!(sources
+        .iter()
+        .all(|s| s.dests.windows(2).all(|w| w[0].0 < w[1].0)));
+    let mut source_of = vec![u32::MAX; prob.num_nodes()];
+    for (si, s) in sources.iter().enumerate() {
+        source_of[s.src] = si as u32;
+    }
+    sources
+        .iter()
+        .map(|s| {
+            s.dests
+                .iter()
+                .map(|&(dst, d)| {
+                    let ri = source_of[dst];
+                    let back = &sources.get(ri as usize)?.dests;
+                    let rj = back.binary_search_by_key(&s.src, |&(t, _)| t).ok()?;
+                    (back[rj].1.to_bits() == d.to_bits()).then_some([ri, rj as u32])
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Paths kept per single-destination source. Measured on the `/1/LM` pass of
@@ -413,13 +483,6 @@ impl PotentialRows {
             order.clear();
         }
         let n = ctx.prob.num_nodes();
-        debug_assert!(
-            (0..ctx.prob.num_arcs()).step_by(2).all(|aid| {
-                let (f, b) = (ctx.prob.arcs()[aid], ctx.prob.arcs()[aid ^ 1]);
-                f.from == b.to && f.to == b.from
-            }),
-            "FlowProblem arcs must come in (forward, backward) pairs for the partner view"
-        );
         // Rows are stored in source order; a source's row index from
         // `pot_rows` matches its position in this filtered sequence.
         let rows = self
@@ -472,6 +535,17 @@ pub(super) fn reverse_tree(ctx: &RouteCtx<'_>, len: &[f64], dst: usize, sssp: &m
 fn apply_update(mwu: &mut MwuLengths, flow_arc: &mut [f64], aid: usize, u: f64) {
     flow_arc[aid] += u;
     mwu.apply(aid, u);
+}
+
+/// Credits `amount` to commodity `j` of source `si` in `routed` and, in a
+/// mirrored solve, to its reverse (a self-demand, its own reverse, twice).
+#[inline]
+fn credit(ctx: &RouteCtx<'_>, routed: &mut [Vec<f64>], si: usize, j: usize, amount: f64) {
+    routed[si][j] += amount;
+    if let Some(reverse) = &ctx.reverse {
+        let [ri, rj] = reverse[si][j];
+        routed[ri as usize][rj as usize] += amount;
+    }
 }
 
 /// In-place routing of one single-destination source: one path per step, so
@@ -584,8 +658,24 @@ pub(super) fn route_source_single(ctx: &RouteCtx<'_>, si: usize, ws: &mut Solver
 /// ~1, so lengths drift enough per phase that any slack loose enough to admit
 /// that reuse costs phases. The held tree only seeds the repair of the turn's
 /// first tree. Returns `false` when `D(l)` saturated mid-source.
+///
+/// In a mirrored solve ([`RouteCtx::reverse`]) the tree also carries the
+/// source's in-commodities, reversed: each tree arc's partner `aid ^ 1` gets
+/// the arc's scaled load, and every commit — a self-demand's included — is
+/// credited to the commodity and to its reverse. That is sound because the
+/// lengths are symmetric: every update so far landed on both arcs of a pair
+/// alike, so the reverse of a tree path is as long as the path, and the
+/// reverse of a shortest (or slack-shortest) `s -> t` path is a shortest (or
+/// slack-shortest) `t -> s` path. A tree never holds both arcs of a pair
+/// (that would be a two-cycle), so every partner takes exactly one load of
+/// at most its capacity and no arc exceeds capacity within a batch. A phase
+/// then routes every commodity twice — once on its source's tree, once
+/// reversed on its destination's — for the trees of one; crediting a
+/// self-demand twice keeps it served as often as the rest, or a block's
+/// worst-served ratio would halve.
 pub(super) fn route_source_tree(ctx: &RouteCtx<'_>, si: usize, ws: &mut SolverWorkspace) -> bool {
     let s = &ctx.prob.sources()[si];
+    let mirrored = ctx.reverse.is_some();
     ws.remaining.clear();
     ws.remaining.extend_from_slice(&ctx.demands[si]);
     // The first batch routes on a tree computed at the current lengths,
@@ -624,7 +714,7 @@ pub(super) fn route_source_tree(ctx: &RouteCtx<'_>, si: usize, ws: &mut SolverWo
             }
             if dst == s.src {
                 // A self-demand consumes no capacity.
-                ws.routed[si][j] += ws.remaining[j];
+                credit(ctx, &mut ws.routed, si, j, ws.remaining[j]);
                 ws.remaining[j] = 0.0;
             } else {
                 // Every destination is a target of the tree computation, so
@@ -669,13 +759,17 @@ pub(super) fn route_source_tree(ctx: &RouteCtx<'_>, si: usize, ws: &mut SolverWo
             if v != s.src && load > 0.0 {
                 let (_, aid) = ws.sssp.parent_unchecked(v);
                 apply_update(&mut ws.mwu, &mut ws.flow_arc, aid, theta * load);
+                if mirrored {
+                    apply_update(&mut ws.mwu, &mut ws.flow_arc, aid ^ 1, theta * load);
+                }
             }
         }
-        for (r, routed) in ws.remaining.iter_mut().zip(&mut ws.routed[si]) {
-            if *r > 1e-15 {
-                let commit = theta * *r;
-                *routed += commit;
-                *r -= commit;
+        for j in 0..ws.remaining.len() {
+            let r = ws.remaining[j];
+            if r > 1e-15 {
+                let commit = theta * r;
+                credit(ctx, &mut ws.routed, si, j, commit);
+                ws.remaining[j] = r - commit;
             }
         }
         if theta == 1.0 {
@@ -842,6 +936,119 @@ mod tests {
         solve(FleischerConfig::fast(), &hyperx, &tm);
         assert!(reuses > 0, "no step reused a known path");
         assert!(AUDITED.get() > reuses, "the audit hook did not run");
+    }
+
+    /// The workspace a solve of `tm` on `graph` truncated after `max_phases`
+    /// phases leaves (the gap exit off).
+    fn truncated(
+        graph: &tb_graph::Graph,
+        tm: &TrafficMatrix,
+        max_phases: usize,
+    ) -> SolverWorkspace {
+        let prob = FlowProblem::new(graph, tm);
+        let cfg = FleischerConfig {
+            max_phases,
+            target_gap: 0.0,
+            ..FleischerConfig::fast()
+        };
+        crate::fleischer::phase::solve_problem(&cfg, graph, &prob, false)
+            .ws
+            .expect("a non-trivial instance")
+    }
+
+    #[test]
+    fn mirrored_solves_keep_lengths_flows_and_served_amounts_symmetric_bit_for_bit() {
+        // All-to-all on a Jellyfish and on a faulted copy of it (two
+        // switches and six links down, the pairs the faults disconnect
+        // dropped): every update lands on both arcs of a pair and every
+        // commit on both directions of a pair, so after any number of phases
+        // each arc's length and flow equal its partner's, and each
+        // commodity's routed amount its reverse's, to the bit.
+        let topo = jellyfish(40, 6, 2, 9);
+        let plan = tb_topology::faults::FaultPlan {
+            link_failures: 6,
+            switch_failures: 2,
+            seed: 3,
+        };
+        let (faulted, _) = tb_topology::faults::apply_faults(&topo, &plan);
+        for (name, topo) in [("jellyfish", &topo), ("faulted", &faulted)] {
+            let tm = tb_traffic::synthetic::all_to_all(&topo.servers);
+            let (tm, _) = crate::drop_disconnected_demands(&topo.graph, &tm);
+            for max_phases in [1, 5] {
+                let ws = truncated(&topo.graph, &tm, max_phases);
+                assert!(ws.stats.mirrored, "{name}: {:?}", ws.stats);
+                assert_eq!(ws.stats.phases, max_phases, "{name}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let (lens, flow) = (bits(ws.mwu.lens()), bits(&ws.flow_arc));
+                for aid in (0..lens.len()).step_by(2) {
+                    assert_eq!(lens[aid], lens[aid + 1], "{name}: length of arc {aid}");
+                    assert_eq!(flow[aid], flow[aid + 1], "{name}: flow on arc {aid}");
+                }
+                assert!(
+                    ws.flow_arc.iter().any(|&f| f > 0.0),
+                    "{name}: nothing routed"
+                );
+                let prob = FlowProblem::new(&topo.graph, &tm);
+                let reverse = RouteCtx::new(&prob, 1.0, 1.0).reverse.expect("symmetric");
+                for (si, rev) in reverse.iter().enumerate() {
+                    for (j, &[ri, rj]) in rev.iter().enumerate() {
+                        let back = ws.routed[ri as usize][rj as usize];
+                        assert_eq!(
+                            ws.routed[si][j].to_bits(),
+                            back.to_bits(),
+                            "{name}: commodity {j} of source {si}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_destination_sources_and_asymmetric_demands_are_not_mirrored() {
+        let solve = |topo: &tb_topology::Topology, tm: &TrafficMatrix| {
+            let (_, stats, _) =
+                FleischerSolver::new(FleischerConfig::fast()).solve_in(&topo.graph, tm, false);
+            assert!(stats.converged, "{stats:?}");
+            stats.mirrored
+        };
+        let symmetric = |tm: &TrafficMatrix| {
+            let pairs: std::collections::HashMap<_, _> = tm
+                .demands()
+                .iter()
+                .map(|d| ((d.src, d.dst), d.amount.to_bits()))
+                .collect();
+            pairs
+                .iter()
+                .all(|(&(s, t), a)| pairs.get(&(t, s)) == Some(a))
+        };
+        // A hypercube's longest matching pairs every switch with its
+        // antipode, an involution: symmetric, but one destination per source.
+        let cube = hypercube(3, 1);
+        let lm = longest_matching(&cube.graph, &cube.servers, true);
+        assert!(symmetric(&lm));
+        assert!(!solve(&cube, &lm));
+        // All-to-all between two endpoint switches: symmetric, one
+        // destination each.
+        let mut two = cube.clone();
+        two.servers = (0..8).map(|u| usize::from(u == 0 || u == 7)).collect();
+        let pair = tb_traffic::synthetic::all_to_all(&two.servers);
+        assert!(symmetric(&pair) && pair.num_flows() == 2);
+        assert!(!solve(&two, &pair));
+        // Two rounds of random matching: most sources have two destinations,
+        // but the pairs have no reverse.
+        let topo = jellyfish(24, 4, 1, 3);
+        let rm = tb_traffic::synthetic::random_matching(&topo.servers, 2, 5);
+        assert!(!symmetric(&rm));
+        assert!(!solve(&topo, &rm));
+        // All-to-all is mirrored; one demand an ulp off its reverse is not.
+        let a2a = tb_traffic::synthetic::all_to_all(&topo.servers);
+        assert!(solve(&topo, &a2a));
+        let mut demands = a2a.demands().to_vec();
+        demands[0].amount = f64::from_bits(demands[0].amount.to_bits() + 1);
+        let skewed = TrafficMatrix::new(a2a.num_switches(), demands);
+        assert!(!symmetric(&skewed));
+        assert!(!solve(&topo, &skewed));
     }
 
     #[test]

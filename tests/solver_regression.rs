@@ -119,15 +119,19 @@ fn solve_certified(
 /// be within `target_gap` of it (plus a small slack for the gap being measured
 /// against `upper`, not the optimum), and the solve must stop by its gap with
 /// a certificate that verifies at it (`solve_certified`). Returns how many of
-/// the solves reported an upper bound from the averaged lengths, and how many
-/// from a cut.
-fn assert_brackets_exact_lp(name: &str, topo: &Topology, tm: &TrafficMatrix) -> (usize, usize) {
+/// the solves reported an upper bound from the averaged lengths, how many
+/// from a cut, and how many routed mirrored.
+fn assert_brackets_exact_lp(
+    name: &str,
+    topo: &Topology,
+    tm: &TrafficMatrix,
+) -> (usize, usize, usize) {
     let exact = ExactLpSolver::new()
         .solve(&topo.graph, tm)
         .unwrap_or_else(|e| panic!("{name}: exact LP failed: {e:?}"))
         .lower;
     assert!(exact > 0.0, "{name}: exact throughput not positive");
-    let (mut uppers_from_average, mut uppers_from_cut) = (0, 0);
+    let (mut uppers_from_average, mut uppers_from_cut, mut mirrored) = (0, 0, 0);
     for cfg in [
         FleischerConfig::fast(),
         FleischerConfig::default(),
@@ -136,6 +140,7 @@ fn assert_brackets_exact_lp(name: &str, topo: &Topology, tm: &TrafficMatrix) -> 
         let (b, stats) = solve_certified(name, cfg, &topo.graph, tm);
         uppers_from_average += usize::from(stats.upper_from == UpperEvidence::Average);
         uppers_from_cut += usize::from(stats.upper_from == UpperEvidence::Cut);
+        mirrored += usize::from(stats.mirrored);
         // The bracket must contain the exact optimum...
         assert!(
             b.lower <= exact * (1.0 + 1e-9),
@@ -158,7 +163,7 @@ fn assert_brackets_exact_lp(name: &str, topo: &Topology, tm: &TrafficMatrix) -> 
             cfg.target_gap
         );
     }
-    (uppers_from_average, uppers_from_cut)
+    (uppers_from_average, uppers_from_cut, mirrored)
 }
 
 #[test]
@@ -169,12 +174,15 @@ fn fptas_stays_within_target_gap_of_exact_lp() {
     // that overshoots the optimum — or an averaged-length bound or a swept
     // cut that undershoots it — is the failure those features could
     // introduce. The last two are only tested if some reported `upper` did
-    // come from the average, and some from a cut, which is counted.
-    let (mut uppers_from_average, mut uppers_from_cut) = (0, 0);
+    // come from the average, and some from a cut, which is counted; so is
+    // mirrored routing (each tree carrying its source's in-commodities too),
+    // which the mix's all-to-all instances take.
+    let (mut uppers_from_average, mut uppers_from_cut, mut mirrored) = (0, 0, 0);
     for (name, topo, tm) in instances() {
-        let (average, cut) = assert_brackets_exact_lp(&name, &topo, &tm);
+        let (average, cut, mirror) = assert_brackets_exact_lp(&name, &topo, &tm);
         uppers_from_average += average;
         uppers_from_cut += cut;
+        mirrored += mirror;
     }
     assert!(
         uppers_from_average > 0,
@@ -184,6 +192,7 @@ fn fptas_stays_within_target_gap_of_exact_lp() {
         uppers_from_cut > 0,
         "no solve of the mix reported an upper bound from a cut"
     );
+    assert!(mirrored > 0, "no solve of the mix routed mirrored");
 }
 
 #[test]
@@ -242,10 +251,12 @@ fn block_mix_cuts_the_phases_of_a_dense_gap_exit_solve() {
     // DCell rung 3 (208 nodes, 156 sources) under all-to-all was the
     // straggler of the dense pass: 124 phases on the cumulative bound alone,
     // 68 with suffix windows of it, 56 with the LP's mix of the blocks routed
-    // between evaluations. Phase counts are machine-independent.
+    // between evaluations, 28 since each tree also carries its source's
+    // in-commodities (the instance is symmetric, so the solve is mirrored).
+    // Phase counts are machine-independent.
     let (b, stats) = ladder_solve(Family::DCell, 3, TmSpec::AllToAll);
-    assert!(stats.converged, "{stats:?}");
-    assert!(stats.phases <= 60, "{stats:?}");
+    assert!(stats.converged && stats.mirrored, "{stats:?}");
+    assert!(stats.phases <= 28, "{stats:?}");
     assert!(
         0.0 < b.lower && b.lower <= b.upper && b.gap() <= FleischerConfig::fast().target_gap,
         "{b:?}"
@@ -289,13 +300,17 @@ fn screened_evaluations_leave_the_routing_trajectory_alone() {
     // the commit before screening existed. Pinned from that commit: the
     // feasible value's bits and the routing counters, after 40 phases of
     // the dense straggler (aggregated trees, held trees for the screen) and
-    // of the sparse one (known paths and dense rows).
+    // of the sparse one (known paths and dense rows). The dense straggler's
+    // bits were re-pinned once, from the commit that made its solve mirrored
+    // (each tree also carries its source's in-commodities, a new trajectory);
+    // the sparse pins are unchanged, since a source with one destination
+    // keeps its solve unmirrored.
     for (family, rung, tm, lower, routing) in [
         (
             Family::DCell,
             3,
             TmSpec::AllToAll,
-            0x3fe3_fad8_0a4f_ea11_u64,
+            0x3fe4_b140_ac88_63ba_u64,
             (0, 0, 0),
         ),
         (
@@ -306,8 +321,10 @@ fn screened_evaluations_leave_the_routing_trajectory_alone() {
             (8_257, 2_377, 92_586),
         ),
     ] {
+        let dense = tm == TmSpec::AllToAll;
         let (b, stats) = ladder_solve_for(family, rung, tm, 0.0, 40);
         assert_eq!(stats.phases, 40, "{family:?}: {stats:?}");
+        assert_eq!(stats.mirrored, dense, "{family:?}: {stats:?}");
         assert_eq!(b.lower.to_bits(), lower, "{family:?}: {b:?}");
         assert_eq!(
             (stats.path_reuses, stats.row_refreshes, stats.settles),
