@@ -1,17 +1,17 @@
 //! The battery of sparsest-cut estimators from Appendix C of the paper, and
 //! the combined estimate (the best cut found by any of them).
 
-use crate::sparsity::CutEvaluator;
+use crate::sparsity::{instance, Best};
 use serde::{Deserialize, Serialize};
-use tb_graph::shortest_path::bfs_distances;
+use tb_graph::shortest_path::{bfs_distances, UNREACHABLE};
 use tb_graph::Graph;
 use tb_traffic::TrafficMatrix;
 
 /// Which heuristic produced a cut.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Estimator {
-    /// Exhaustive enumeration (complete only for small graphs, otherwise
-    /// capped at a cut budget).
+    /// Exhaustive enumeration, capped at a budget of 10,000 cuts: complete
+    /// (all `2^(n-1) - 1` cuts) only up to 14 nodes.
     BruteForce,
     /// Cuts isolating a single node.
     OneNode,
@@ -90,108 +90,71 @@ impl CutReport {
 /// cuts on large networks).
 pub(crate) const BRUTE_FORCE_CUT_BUDGET: usize = 10_000;
 
-fn better(best: &mut (f64, Vec<bool>), sparsity: f64, cut: &[bool]) {
-    if sparsity < best.0 {
-        best.0 = sparsity;
-        best.1 = cut.to_vec();
+/// Offers the cuts of masks `1..=min(budget, 2^(n-1) - 1)` over every node
+/// but the last (which stays outside): all `2^(n-1) - 1` cuts of a graph of
+/// at most 14 nodes under the default budget, the low-index subsets up to
+/// the budget otherwise (the paper's "limited brute-force computation ...
+/// capping the computation at 10,000 cuts").
+fn brute_force(best: &mut Best, n: usize, budget: usize) {
+    let bits = n.saturating_sub(1).min(u64::BITS as usize);
+    let cuts = 1u64.checked_shl(bits as u32).map_or(u64::MAX, |p| p - 1);
+    let mut cut = vec![false; n];
+    for mask in 1..=cuts.min(budget as u64) {
+        for (u, c) in cut[..bits].iter_mut().enumerate() {
+            *c = (mask >> u) & 1 == 1;
+        }
+        best.offer(&cut);
     }
 }
 
-fn brute_force(ev: &CutEvaluator, budget: usize) -> (f64, Vec<bool>) {
-    let n = ev.graph().num_nodes();
-    let mut best = (f64::INFINITY, vec![false; n]);
-    if n < 2 {
-        return best;
-    }
-    if n <= 20 {
-        let limit: u64 = 1u64 << (n - 1); // fix node n-1 outside the set
-        for mask in (1..limit).take(budget) {
-            let mut cut = vec![false; n];
-            for (u, c) in cut.iter_mut().enumerate().take(n - 1) {
-                *c = (mask >> u) & 1 == 1;
-            }
-            let s = ev.sparsity(&cut);
-            better(&mut best, s, &cut);
-        }
-    } else {
-        // Capped exploration: enumerate low-index subsets up to the budget
-        // (mirrors the paper's "limited brute-force computation ... capping
-        // the computation at 10,000 cuts").
-        let mut examined = 0usize;
-        let mut mask: u64 = 1;
-        while examined < budget {
-            let mut cut = vec![false; n];
-            for (u, c) in cut.iter_mut().enumerate().take(63.min(n)) {
-                *c = (mask >> u) & 1 == 1;
-            }
-            if cut.iter().any(|&b| b) && !cut.iter().all(|&b| b) {
-                let s = ev.sparsity(&cut);
-                better(&mut best, s, &cut);
-            }
-            mask += 1;
-            examined += 1;
-        }
-    }
-    best
-}
-
-fn one_node_cuts(ev: &CutEvaluator) -> (f64, Vec<bool>) {
-    let n = ev.graph().num_nodes();
-    let mut best = (f64::INFINITY, vec![false; n]);
+fn one_node_cuts(best: &mut Best, n: usize) {
     let mut cut = vec![false; n];
     for u in 0..n {
         cut[u] = true;
-        better(&mut best, ev.sparsity(&cut), &cut);
+        best.offer(&cut);
         cut[u] = false;
     }
-    best
 }
 
-fn two_node_cuts(ev: &CutEvaluator) -> (f64, Vec<bool>) {
-    let n = ev.graph().num_nodes();
-    let mut best = (f64::INFINITY, vec![false; n]);
+fn two_node_cuts(best: &mut Best, n: usize) {
     let mut cut = vec![false; n];
     for u in 0..n {
         cut[u] = true;
         for v in u + 1..n {
             cut[v] = true;
-            better(&mut best, ev.sparsity(&cut), &cut);
+            best.offer(&cut);
             cut[v] = false;
         }
         cut[u] = false;
     }
-    best
 }
 
-fn expanding_region_cuts(ev: &CutEvaluator, graph: &Graph) -> (f64, Vec<bool>) {
-    let n = graph.num_nodes();
-    let mut best = (f64::INFINITY, vec![false; n]);
-    for start in 0..n {
+/// Offers every BFS ball around every node that stops short of the node's
+/// farthest layer: it holds its centre and misses that layer, so it is a
+/// proper cut.
+fn expanding_region_cuts(best: &mut Best, graph: &Graph) {
+    for start in 0..graph.num_nodes() {
         let dist = bfs_distances(graph, start);
         let max_d = dist
             .iter()
-            .filter(|&&d| d != tb_graph::shortest_path::UNREACHABLE)
+            .filter(|&&d| d != UNREACHABLE)
             .copied()
             .max()
             .unwrap_or(0);
         for radius in 0..max_d {
             let cut: Vec<bool> = dist
                 .iter()
-                .map(|&d| d != tb_graph::shortest_path::UNREACHABLE && d <= radius)
+                .map(|&d| d != UNREACHABLE && d <= radius)
                 .collect();
-            if ev.is_proper(&cut) {
-                better(&mut best, ev.sparsity(&cut), &cut);
-            }
+            best.offer(&cut);
         }
     }
-    best
 }
 
-fn eigenvector_sweep(ev: &CutEvaluator, graph: &Graph) -> (f64, Vec<bool>) {
+fn eigenvector_sweep(best: &mut Best, graph: &Graph) {
     let n = graph.num_nodes();
-    let mut best = (f64::INFINITY, vec![false; n]);
     if n < 2 {
-        return best;
+        return;
     }
     let spec = tb_graph::spectral::second_smallest_normalized_laplacian(graph, 500);
     let mut order: Vec<usize> = (0..n).collect();
@@ -199,30 +162,34 @@ fn eigenvector_sweep(ev: &CutEvaluator, graph: &Graph) -> (f64, Vec<bool>) {
     let mut cut = vec![false; n];
     for &u in order.iter().take(n - 1) {
         cut[u] = true;
-        better(&mut best, ev.sparsity(&cut), &cut);
+        best.offer(&cut);
     }
-    best
 }
 
 /// Runs every estimator and reports the sparsest cut any of them found
-/// (the paper's "sparse cut", §III-B).
+/// (the paper's "sparse cut", §III-B). Every estimate is infinite, with an
+/// all-false cut, under a TM without demands.
 pub fn estimate_sparsest_cut(graph: &Graph, tm: &TrafficMatrix) -> CutReport {
-    let ev = CutEvaluator::new(graph, tm);
-    let mut estimates = Vec::with_capacity(ALL_ESTIMATORS.len());
-    for est in ALL_ESTIMATORS {
-        let (sparsity, cut) = match est {
-            Estimator::BruteForce => brute_force(&ev, BRUTE_FORCE_CUT_BUDGET),
-            Estimator::OneNode => one_node_cuts(&ev),
-            Estimator::TwoNode => two_node_cuts(&ev),
-            Estimator::ExpandingRegion => expanding_region_cuts(&ev, graph),
-            Estimator::Eigenvector => eigenvector_sweep(&ev, graph),
-        };
-        estimates.push(CutEstimate {
-            estimator: est,
-            sparsity,
-            cut,
-        });
-    }
+    let n = graph.num_nodes();
+    let prob = instance(graph, tm);
+    let estimates: Vec<CutEstimate> = ALL_ESTIMATORS
+        .iter()
+        .map(|&estimator| {
+            let mut best = Best::new(prob.as_ref(), n);
+            match estimator {
+                Estimator::BruteForce => brute_force(&mut best, n, BRUTE_FORCE_CUT_BUDGET),
+                Estimator::OneNode => one_node_cuts(&mut best, n),
+                Estimator::TwoNode => two_node_cuts(&mut best, n),
+                Estimator::ExpandingRegion => expanding_region_cuts(&mut best, graph),
+                Estimator::Eigenvector => eigenvector_sweep(&mut best, graph),
+            }
+            CutEstimate {
+                estimator,
+                sparsity: best.sparsity,
+                cut: best.cut,
+            }
+        })
+        .collect();
     let best = estimates
         .iter()
         .min_by(|a, b| a.sparsity.total_cmp(&b.sparsity))
@@ -237,7 +204,7 @@ pub fn estimate_sparsest_cut(graph: &Graph, tm: &TrafficMatrix) -> CutReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tb_traffic::synthetic::all_to_all;
+    use tb_traffic::synthetic::{all_to_all, longest_matching, random_matching};
     use tb_traffic::{Demand, TrafficMatrix};
 
     fn demand(src: usize, dst: usize, amount: f64) -> Demand {
@@ -307,6 +274,86 @@ mod tests {
         let tm = all_to_all(&[1usize; 12]);
         let report = estimate_sparsest_cut(&g, &tm);
         assert!(!report.found_by(1e-9).is_empty());
+    }
+
+    /// The undirected sparsity: the links crossing `cut` over the heavier
+    /// direction's crossing demand, infinite when none crosses.
+    fn undirected_sparsity(graph: &Graph, tm: &TrafficMatrix, cut: &[bool]) -> f64 {
+        let (mut fwd, mut rev) = (0.0f64, 0.0f64);
+        for d in tm.demands() {
+            match (cut[d.src], cut[d.dst]) {
+                (true, false) => fwd += d.amount,
+                (false, true) => rev += d.amount,
+                _ => {}
+            }
+        }
+        let demand = fwd.max(rev);
+        if demand > 0.0 {
+            graph.cut_capacity(cut) / demand
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    #[test]
+    fn every_estimate_is_the_cut_bound_of_its_cut() {
+        // Seeded random regular graphs, intact and with a tenth of the links
+        // gone (every other draw also isolates a switch, whose demands are
+        // dropped as disconnected), under LM, A2A and RM(2): each estimate's
+        // sparsity is the solver's cut bound of its cut, bit for bit, and on
+        // these symmetric capacities also the undirected formula's.
+        for draw in 0..4u64 {
+            let n = 12 + 4 * draw as usize;
+            let intact = tb_graph::random::random_regular_graph(n, 3 + draw as usize % 3, draw);
+            let isolated = (draw % 2 == 1).then_some(draw as usize);
+            let mut faulted = Graph::new(n);
+            for (i, e) in intact.edges().iter().enumerate() {
+                let gone =
+                    i % 10 == draw as usize || isolated.is_some_and(|v| e.u == v || e.v == v);
+                if !gone {
+                    faulted.add_edge(e.u, e.v, e.cap);
+                }
+            }
+            let servers = vec![1usize; n];
+            for graph in [&intact, &faulted] {
+                for tm in [
+                    longest_matching(graph, &servers, true),
+                    all_to_all(&servers),
+                    random_matching(&servers, 2, draw),
+                ] {
+                    let (tm, _) = tb_flow::drop_disconnected_demands(graph, &tm);
+                    let prob = tb_flow::FlowProblem::new(graph, &tm);
+                    let report = estimate_sparsest_cut(graph, &tm);
+                    for e in &report.estimates {
+                        let at = format!("draw {draw}, {:?}", e.estimator);
+                        let bound = prob.cut_bound(&e.cut, 1.0);
+                        assert_eq!(e.sparsity.to_bits(), bound.to_bits(), "{at}");
+                        let undirected = undirected_sparsity(graph, &tm, &e.cut);
+                        assert_eq!(e.sparsity.to_bits(), undirected.to_bits(), "{at}");
+                    }
+                    let min = report
+                        .estimates
+                        .iter()
+                        .map(|e| e.sparsity)
+                        .fold(f64::INFINITY, f64::min);
+                    assert_eq!(report.best_sparsity.to_bits(), min.to_bits());
+                    assert!(min.is_finite() && min > 0.0, "draw {draw}: {min}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_tm_bounds_nothing() {
+        let g = tb_graph::random::random_regular_graph(12, 3, 1);
+        let report = estimate_sparsest_cut(&g, &TrafficMatrix::empty(12));
+        assert_eq!(report.estimates.len(), ALL_ESTIMATORS.len());
+        for e in &report.estimates {
+            assert_eq!(e.sparsity, f64::INFINITY);
+            assert_eq!(e.cut, vec![false; 12]);
+        }
+        assert_eq!(report.best_sparsity, f64::INFINITY);
+        assert!(report.found_by(1e-9).is_empty());
     }
 
     #[test]

@@ -13,11 +13,16 @@
 //! battery of heuristics and takes the best cut any of them finds; this crate
 //! reproduces that battery:
 //!
-//! * brute force (complete for ≤ ~20 nodes, capped at a cut budget otherwise),
+//! * brute force, capped at 10,000 cuts (every cut of a graph of at most 14
+//!   nodes, the low-index subsets beyond),
 //! * one-node and two-node cuts,
 //! * expanding-region cuts (BFS balls around every node),
 //! * an eigenvector sweep of the normalized-Laplacian second eigenvector,
 //! * balanced bisections (for the bisection-bandwidth metric).
+//!
+//! Every estimator scores its cuts with [`tb_flow::FlowProblem::cut_bound`],
+//! the routine the FPTAS's swept cuts and the certificate verifier use, so
+//! one sum serves every cut bound in the workspace.
 
 #![forbid(unsafe_code)]
 
@@ -25,4 +30,4 @@ pub mod estimators;
 pub mod sparsity;
 
 pub use estimators::{estimate_sparsest_cut, CutEstimate, CutReport, Estimator, ALL_ESTIMATORS};
-pub use sparsity::{bisection_bandwidth, CutEvaluator};
+pub use sparsity::bisection_bandwidth;

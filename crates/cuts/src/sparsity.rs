@@ -1,113 +1,81 @@
 //! Sparsity of a cut with respect to a traffic matrix, and bisection
 //! bandwidth.
+//!
+//! Every cut is scored by [`FlowProblem::cut_bound`], the routine the FPTAS's
+//! swept cuts and the certificate verifier sum cuts with, so a cut's sparsity
+//! here is the same bits as its bound there.
 
+use tb_flow::FlowProblem;
 use tb_graph::Graph;
 use tb_traffic::TrafficMatrix;
 
-/// Precomputed cut evaluator: evaluates the sparsity of arbitrary cuts of one
-/// (graph, TM) pair without rescanning the TM's demand list from scratch.
-#[derive(Debug, Clone)]
-pub struct CutEvaluator<'a> {
-    graph: &'a Graph,
-    demands: Vec<(usize, usize, f64)>,
+/// The arc view of `(graph, tm)` that scores cuts; `None` for a TM without
+/// demands, under which every cut's sparsity is infinite.
+///
+/// # Panics
+/// Panics if the TM does not match the graph's size.
+pub(crate) fn instance(graph: &Graph, tm: &TrafficMatrix) -> Option<FlowProblem> {
+    assert_eq!(graph.num_nodes(), tm.num_switches());
+    (tm.num_flows() > 0).then(|| FlowProblem::new(graph, tm))
 }
 
-impl<'a> CutEvaluator<'a> {
-    /// Creates an evaluator for the given graph and TM.
-    pub fn new(graph: &'a Graph, tm: &TrafficMatrix) -> Self {
-        assert_eq!(graph.num_nodes(), tm.num_switches());
-        let demands = tm
-            .demands()
-            .iter()
-            .map(|d| (d.src, d.dst, d.amount))
-            .collect();
-        CutEvaluator { graph, demands }
-    }
+/// The sparsest of the cuts offered so far.
+#[derive(Debug)]
+pub(crate) struct Best<'a> {
+    prob: Option<&'a FlowProblem>,
+    /// Its sparsity (crossing capacity over crossing demand, in the tighter
+    /// direction); infinite while no offered cut has crossing demand.
+    pub sparsity: f64,
+    /// Its membership vector (all false before any).
+    pub cut: Vec<bool>,
+}
 
-    /// The graph under evaluation.
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
-    /// Capacity crossing the cut (each undirected link counted once — the
-    /// per-direction capacity available to flow crossing the cut one way).
-    pub fn cut_capacity(&self, in_set: &[bool]) -> f64 {
-        self.graph.cut_capacity(in_set)
-    }
-
-    /// Demand crossing the cut in the more loaded direction.
-    pub(crate) fn crossing_demand(&self, in_set: &[bool]) -> f64 {
-        let mut fwd = 0.0;
-        let mut rev = 0.0;
-        for &(src, dst, amount) in &self.demands {
-            match (in_set[src], in_set[dst]) {
-                (true, false) => fwd += amount,
-                (false, true) => rev += amount,
-                _ => {}
-            }
-        }
-        fwd.max(rev)
-    }
-
-    /// Sparsity of the cut: crossing capacity / crossing demand. Returns
-    /// `f64::INFINITY` when no demand crosses (such cuts never constrain
-    /// throughput).
-    pub fn sparsity(&self, in_set: &[bool]) -> f64 {
-        let demand = self.crossing_demand(in_set);
-        if demand <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.cut_capacity(in_set) / demand
+impl<'a> Best<'a> {
+    /// No cut yet over `n` nodes, scored against `prob`.
+    pub(crate) fn new(prob: Option<&'a FlowProblem>, n: usize) -> Self {
+        Best {
+            prob,
+            sparsity: f64::INFINITY,
+            cut: vec![false; n],
         }
     }
 
-    /// True if the cut is a valid bipartition (neither side empty).
-    pub(crate) fn is_proper(&self, in_set: &[bool]) -> bool {
-        let k = in_set.iter().filter(|&&b| b).count();
-        k > 0 && k < in_set.len()
+    /// Keeps `cut` if it is strictly sparser than the best so far.
+    pub(crate) fn offer(&mut self, cut: &[bool]) {
+        let Some(prob) = self.prob else { return };
+        let sparsity = prob.cut_bound(cut, 1.0);
+        if sparsity < self.sparsity {
+            self.sparsity = sparsity;
+            self.cut.copy_from_slice(cut);
+        }
     }
 }
 
 /// Bisection bandwidth with respect to a TM: the minimum sparsity over cuts
 /// that split the switches into two (near-)equal halves.
 ///
-/// Exact (brute force) for graphs of at most `brute_force_limit` nodes;
-/// otherwise a heuristic search over eigenvector-sweep balanced cuts and
-/// random balanced partitions is used.
+/// Exact (brute force over every half holding node 0) for graphs of at most
+/// `brute_force_limit` nodes and at most 24; otherwise the best of an
+/// eigenvector-sweep balanced cut and two fixed balanced partitions.
 pub fn bisection_bandwidth(graph: &Graph, tm: &TrafficMatrix, brute_force_limit: usize) -> f64 {
     let n = graph.num_nodes();
-    let ev = CutEvaluator::new(graph, tm);
+    let prob = instance(graph, tm);
+    let mut best = Best::new(prob.as_ref(), n);
     let half = n / 2;
-    let mut best = f64::INFINITY;
     if n <= brute_force_limit && n <= 24 {
-        // Enumerate all subsets of size floor(n/2) that contain node 0 (to
-        // halve the symmetry).
-        let mut indices: Vec<usize> = (0..half).collect();
-        loop {
-            let mut in_set = vec![false; n];
-            for &i in &indices {
-                in_set[i] = true;
-            }
-            if in_set[0] {
-                let s = ev.sparsity(&in_set);
-                best = best.min(s);
-            }
-            // next combination
-            let mut i = half;
-            loop {
-                if i == 0 {
-                    return best;
+        // Every half that holds node 0 (to halve the symmetry): node 0 plus
+        // `half - 1` of the others, as set bits of a mask over nodes 1..n.
+        let mut in_set = vec![false; n];
+        for mask in 0u32..1 << n.saturating_sub(1) {
+            if mask.count_ones() as usize + 1 == half {
+                in_set[0] = true;
+                for (u, c) in in_set[1..].iter_mut().enumerate() {
+                    *c = (mask >> u) & 1 == 1;
                 }
-                i -= 1;
-                if indices[i] != i + n - half {
-                    indices[i] += 1;
-                    for j in i + 1..half {
-                        indices[j] = indices[j - 1] + 1;
-                    }
-                    break;
-                }
+                best.offer(&in_set);
             }
         }
+        return best.sparsity;
     }
     // Heuristic: eigenvector sweep balanced cut plus deterministic rotations.
     let spec = tb_graph::spectral::second_smallest_normalized_laplacian(graph, 300);
@@ -121,19 +89,19 @@ pub fn bisection_bandwidth(graph: &Graph, tm: &TrafficMatrix, brute_force_limit:
     for &u in order.iter().take(half) {
         in_set[u] = true;
     }
-    best = best.min(ev.sparsity(&in_set));
+    best.offer(&in_set);
     // A few deterministic alternative balanced cuts (index parity, blocks).
     let mut alt = vec![false; n];
     for (u, a) in alt.iter_mut().enumerate() {
         *a = u % 2 == 0;
     }
-    best = best.min(ev.sparsity(&alt));
+    best.offer(&alt);
     let mut block = vec![false; n];
     for (u, b) in block.iter_mut().enumerate() {
         *b = u < half;
     }
-    best = best.min(ev.sparsity(&block));
-    best
+    best.offer(&block);
+    best.sparsity
 }
 
 #[cfg(test)]
@@ -146,13 +114,21 @@ mod tests {
         Demand { src, dst, amount }
     }
 
+    /// The sparsity of `cut` alone.
+    fn sparsity(g: &Graph, tm: &TrafficMatrix, cut: &[bool]) -> f64 {
+        let prob = instance(g, tm);
+        let mut best = Best::new(prob.as_ref(), g.num_nodes());
+        best.offer(cut);
+        best.sparsity
+    }
+
     #[test]
     fn sparsity_of_a_path_cut() {
         // Path 0-1-2-3 with demand 1 from 0 to 3: cutting the middle link has
         // capacity 1, demand 1 -> sparsity 1.
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let tm = TrafficMatrix::new(4, vec![demand(0, 3, 1.0)]);
-        let s = CutEvaluator::new(&g, &tm).sparsity(&[true, true, false, false]);
+        let s = sparsity(&g, &tm, &[true, true, false, false]);
         assert!((s - 1.0).abs() < 1e-12);
     }
 
@@ -160,17 +136,18 @@ mod tests {
     fn cut_with_no_crossing_demand_is_infinite() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let tm = TrafficMatrix::new(4, vec![demand(0, 1, 1.0)]);
-        let s = CutEvaluator::new(&g, &tm).sparsity(&[true, true, false, false]);
+        let s = sparsity(&g, &tm, &[true, true, false, false]);
         assert!(s.is_infinite());
     }
 
     #[test]
     fn crossing_demand_takes_heavier_direction() {
+        // 3 units cross one way and 1 the other over one link each way: the
+        // heavier direction binds.
         let g = Graph::from_edges(2, &[(0, 1)]);
         let tm = TrafficMatrix::new(2, vec![demand(0, 1, 3.0), demand(1, 0, 1.0)]);
-        let ev = CutEvaluator::new(&g, &tm);
-        assert_eq!(ev.crossing_demand(&[true, false]), 3.0);
-        assert!((ev.sparsity(&[true, false]) - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(sparsity(&g, &tm, &[true, false]), 1.0 / 3.0);
+        assert_eq!(sparsity(&g, &tm, &[false, true]), 1.0 / 3.0);
     }
 
     #[test]
@@ -202,12 +179,10 @@ mod tests {
     }
 
     #[test]
-    fn proper_cut_detection() {
-        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
-        let tm = TrafficMatrix::new(3, vec![demand(0, 2, 1.0)]);
-        let ev = CutEvaluator::new(&g, &tm);
-        assert!(!ev.is_proper(&[false, false, false]));
-        assert!(!ev.is_proper(&[true, true, true]));
-        assert!(ev.is_proper(&[true, false, false]));
+    fn empty_tm_bisects_to_infinity() {
+        let g = tb_graph::random::random_regular_graph(12, 3, 1);
+        let tm = TrafficMatrix::empty(12);
+        assert_eq!(bisection_bandwidth(&g, &tm, 24), f64::INFINITY);
+        assert_eq!(bisection_bandwidth(&g, &tm, 0), f64::INFINITY);
     }
 }

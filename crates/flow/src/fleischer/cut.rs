@@ -26,7 +26,7 @@
 //! the certificate verifier runs, and a rounding slip can cost a better cut,
 //! never soundness.
 //!
-//! [`FlowProblem::cut_bound`]: crate::FlowProblem
+//! [`FlowProblem::cut_bound`]: crate::FlowProblem::cut_bound
 
 use super::route::RouteCtx;
 

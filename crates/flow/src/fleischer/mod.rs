@@ -110,12 +110,12 @@
 //! * **trees repaired, not recomputed**: a multi-destination source with at
 //!   least half the graph as destinations settles the whole graph every
 //!   search, and only its first tree of a solve runs Dijkstra. Every later
-//!   one is repaired ([`tb_graph::sssp_csr_repair_by`]) from a tree the
-//!   source already has — the first search of a turn from the tree it held
-//!   since its last turn, a capacity-limited re-search from the turn's own,
-//!   and the dual sweep from the held trees: one relaxation pass over the
-//!   arcs in the old tree's order, a Dijkstra run over the few nodes whose
-//!   label fell after their turn, and an insertion sort of the settle order.
+//!   one is repaired ([`tb_graph::sssp_csr_repair_by`]) from the tree the
+//!   source holds — its latest routing tree, held as soon as it is computed,
+//!   which seeds its next routing search and the dual sweep alike: one
+//!   relaxation pass over the arcs in the old tree's order, a Dijkstra run
+//!   over the few nodes whose label fell after their turn, and an insertion
+//!   sort of the settle order.
 //!   The repair returns Dijkstra's tree bit for bit (settle order, distances,
 //!   parents), so the trajectory is the one plain Dijkstra gives; between
 //!   two turns of a source about 6 parents of a ~100-node tree change. On

@@ -168,7 +168,7 @@
 
 use super::blocks::Blocks;
 use super::cut::CutSweep;
-use super::route::{self, RouteCtx, TreeSeed};
+use super::route::{self, RouteCtx};
 use super::{FleischerConfig, SolveStats, SolverWorkspace, UpperEvidence};
 use crate::certificate::{CertCapture, ThroughputCertificate};
 use crate::instance::FlowProblem;
@@ -297,9 +297,7 @@ fn run_phases(
             let ok = if ctx.single_dest[si].is_some() {
                 route::route_source_single(ctx, si, ws)
             } else {
-                let ok = route::route_source_tree(ctx, si, ws);
-                ws.held.hold_tree(si, &ws.sssp);
-                ok
+                route::route_source_tree(ctx, si, ws)
             };
             if !ok {
                 break 'phases;
@@ -579,8 +577,8 @@ fn averaged_dual_bound(ctx: &RouteCtx<'_>, lens: &[f64], ws: &mut SolverWorkspac
     let sources = ctx.prob.sources();
     let mut alpha = 0.0;
     for (si, (s, demands)) in sources.iter().zip(&ctx.demands).enumerate() {
-        let seed = TreeSeed::Held(ws.held.tree(si));
-        ws.stats.repairs += usize::from(route::compute_tree(ctx, si, lens, seed, &mut ws.sssp));
+        let held = ws.held.tree(si);
+        ws.stats.repairs += usize::from(route::compute_tree(ctx, si, lens, held, &mut ws.sssp));
         alpha += s
             .dests
             .iter()

@@ -18,9 +18,7 @@
 use super::SolverWorkspace;
 use crate::instance::FlowProblem;
 use crate::lengths::MwuLengths;
-use tb_graph::{
-    sssp_csr, sssp_csr_by, sssp_csr_goal, sssp_csr_repair_by, sssp_csr_repair_own_by, SsspWorkspace,
-};
+use tb_graph::{sssp_csr, sssp_csr_by, sssp_csr_goal, sssp_csr_repair_by, SsspWorkspace};
 
 /// The read-only per-solve context shared by every routing kernel: the
 /// instance, the demand tables, and the goal-direction bookkeeping. One is
@@ -350,17 +348,6 @@ impl HeldPaths {
     }
 }
 
-/// What a tree computation may repair instead of running Dijkstra (see
-/// [`compute_tree`]).
-#[derive(Debug, Clone, Copy)]
-pub(super) enum TreeSeed<'a> {
-    /// A tree [`HeldPaths`] keeps for the source; empty when it holds none.
-    Held(&'a [[u32; 2]]),
-    /// The tree of the workspace's last run, a full sweep from the same
-    /// source.
-    Own,
-}
-
 /// Computes the shortest-path tree of source `si` at the lengths `len`.
 /// Read-only over `len`. Multi-destination sources route on it (and hold
 /// the last one, see [`HeldPaths`]); every source takes its term of the dual
@@ -369,7 +356,8 @@ pub(super) enum TreeSeed<'a> {
 ///
 /// A source with fewer destinations than half the graph runs an early-exit
 /// Dijkstra over its destination set. Any other source settles the whole
-/// graph, and if `seed` has a tree for it, that tree is repaired
+/// graph, and if `held` is a tree of it (the one [`HeldPaths`] keeps for
+/// the source; empty when it holds none), that tree is repaired
 /// ([`tb_graph::sssp_csr_repair_by`]) rather than recomputed: the same
 /// settle order, distances and parents, bit for bit, since between two
 /// turns of a source only a handful of its tree's parents change. That cut
@@ -380,7 +368,7 @@ pub(super) fn compute_tree(
     ctx: &RouteCtx<'_>,
     si: usize,
     len: &[f64],
-    seed: TreeSeed<'_>,
+    held: &[[u32; 2]],
     sssp: &mut SsspWorkspace,
 ) -> bool {
     let csr = ctx.prob.csr();
@@ -389,16 +377,11 @@ pub(super) fn compute_tree(
         sssp_csr(csr, src, len, Some(&ctx.targets[si]), sssp);
         return false;
     }
-    match seed {
-        TreeSeed::Held([]) => {
-            sssp_csr(csr, src, len, None, sssp);
-            return false;
-        }
-        TreeSeed::Held(tree) => {
-            sssp_csr_repair_by(csr, src, |aid| len[aid], tree.iter().map(|e| e[0]), sssp)
-        }
-        TreeSeed::Own => sssp_csr_repair_own_by(csr, src, |aid| len[aid], sssp),
+    if held.is_empty() {
+        sssp_csr(csr, src, len, None, sssp);
+        return false;
     }
+    sssp_csr_repair_by(csr, src, |aid| len[aid], held.iter().map(|e| e[0]), sssp);
     #[cfg(test)]
     tests::audit_repaired_tree(ctx, si, len, sssp);
     true
@@ -412,18 +395,14 @@ fn settles_all(ctx: &RouteCtx<'_>, si: usize) -> bool {
 }
 
 /// [`compute_tree`] at the current lengths into the routing workspace,
-/// counted: the first search of a turn repairs the tree the source held
-/// since its last turn, a later one the turn's own.
-fn search_tree(ctx: &RouteCtx<'_>, si: usize, first: bool, ws: &mut SolverWorkspace) {
+/// counted, repaired from the tree the source holds — its previous one — and
+/// then held in its place.
+fn search_tree(ctx: &RouteCtx<'_>, si: usize, ws: &mut SolverWorkspace) {
     ws.stats.searches += 1;
-    let seed = if first {
-        TreeSeed::Held(ws.held.tree(si))
-    } else {
-        TreeSeed::Own
-    };
-    if compute_tree(ctx, si, ws.mwu.lens(), seed, &mut ws.sssp) {
+    if compute_tree(ctx, si, ws.mwu.lens(), ws.held.tree(si), &mut ws.sssp) {
         ws.stats.repairs += 1;
     }
+    ws.held.hold_tree(si, &ws.sssp);
 }
 
 /// The goal-direction potential rows: for every single-destination source,
@@ -656,8 +635,8 @@ pub(super) fn route_source_single(ctx: &RouteCtx<'_>, si: usize, ws: &mut Solver
 /// the source's previous turn without re-deriving it measurably slowed the
 /// multiplicative-weights convergence: a phase's average arc utilization is
 /// ~1, so lengths drift enough per phase that any slack loose enough to admit
-/// that reuse costs phases. The held tree only seeds the repair of the turn's
-/// first tree. Returns `false` when `D(l)` saturated mid-source.
+/// that reuse costs phases. The held tree only seeds the repair of the next
+/// tree. Returns `false` when `D(l)` saturated mid-source.
 ///
 /// In a mirrored solve ([`RouteCtx::reverse`]) the tree also carries the
 /// source's in-commodities, reversed: each tree arc's partner `aid ^ 1` gets
@@ -682,7 +661,7 @@ pub(super) fn route_source_tree(ctx: &RouteCtx<'_>, si: usize, ws: &mut SolverWo
     // repaired from the one the source held since its last turn; if it is
     // capacity-limited, `cur_len` is rebuilt before the first staleness
     // check needs it.
-    search_tree(ctx, si, true, ws);
+    search_tree(ctx, si, ws);
     let mut revalidate = false;
     loop {
         if ws.mwu.saturated() {
@@ -700,7 +679,7 @@ pub(super) fn route_source_tree(ctx: &RouteCtx<'_>, si: usize, ws: &mut SolverWo
                 ws.remaining[j] > 1e-15 && ws.cur_len[dst] > ctx.reuse_slack * ws.sssp.dist(dst)
             });
             if stale {
-                search_tree(ctx, si, false, ws);
+                search_tree(ctx, si, ws);
             }
         }
         // Deposit remaining demands at their destinations.

@@ -205,21 +205,31 @@ impl FlowProblem {
     /// `t <= cap(S→S̄) / d(S→S̄)`, and likewise the other way. Returns the
     /// smaller of the two, infinite when no demand crosses either way. Summed
     /// in a fixed order — arcs in arc order, commodities source-major — so
-    /// the solver and the certificate verifier agree bit for bit; no
-    /// symmetry of capacities or demands is assumed.
-    pub(crate) fn cut_bound(&self, in_set: &[bool], scale: f64) -> f64 {
+    /// the solver, the certificate verifier and the sparsest-cut estimators
+    /// of `tb_cuts` agree bit for bit; no symmetry of capacities or demands
+    /// is assumed. This is the one routine that sums a cut.
+    pub fn cut_bound(&self, in_set: &[bool], scale: f64) -> f64 {
         let (mut cap_out, mut cap_in) = (0.0f64, 0.0f64);
-        for a in &self.arcs {
-            match (in_set[a.from], in_set[a.to]) {
-                (true, false) => cap_out += a.cap,
-                (false, true) => cap_in += a.cap,
+        // Arcs come in (forward, backward) pairs, one pair per link.
+        for pair in self.arcs.chunks_exact(2) {
+            let (fwd, bwd) = (&pair[0], &pair[1]);
+            match (in_set[fwd.from], in_set[fwd.to]) {
+                (true, false) => {
+                    cap_out += fwd.cap;
+                    cap_in += bwd.cap;
+                }
+                (false, true) => {
+                    cap_in += fwd.cap;
+                    cap_out += bwd.cap;
+                }
                 _ => {}
             }
         }
         let (mut d_out, mut d_in) = (0.0f64, 0.0f64);
         for s in &self.sources {
+            let inside = in_set[s.src];
             for &(dst, d) in &s.dests {
-                match (in_set[s.src], in_set[dst]) {
+                match (inside, in_set[dst]) {
                     (true, false) => d_out += d * scale,
                     (false, true) => d_in += d * scale,
                     _ => {}

@@ -41,5 +41,5 @@ pub use graph::{Edge, Graph};
 pub use maxflow::{max_flow_value, min_st_cut, MaxFlow};
 pub use shortest_path::{
     apsp_unweighted, bfs_distances, sssp_csr, sssp_csr_by, sssp_csr_goal, sssp_csr_repair_by,
-    sssp_csr_repair_own_by, ShortestPathTree, SsspWorkspace,
+    ShortestPathTree, SsspWorkspace,
 };

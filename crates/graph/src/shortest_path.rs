@@ -197,9 +197,6 @@ pub struct SsspWorkspace {
     generation: u32,
     /// Nodes of the last run in the order they were settled.
     order: Vec<u32>,
-    /// The previous settle order while [`sssp_csr_repair_own_by`] repairs
-    /// from it; empty otherwise, keeping its allocation.
-    spare: Vec<u32>,
     /// A repair's settle order as packed `(dist bits, node)` keys while it
     /// is sorted (see [`queue_key`]).
     keys: Vec<u128>,
@@ -774,22 +771,6 @@ pub fn sssp_csr_repair_by<L: Fn(usize) -> f64>(
     } else {
         ws.order.extend(ws.keys.iter().map(|&key| queue_node(key)));
     }
-}
-
-/// [`sssp_csr_repair_by`] from the tree of the workspace's own last run
-/// (its settle order), which should have been a run from `src` that settled
-/// the whole reachable set; one that stopped early makes this a plain run.
-pub fn sssp_csr_repair_own_by<L: Fn(usize) -> f64>(
-    csr: &CsrGraph,
-    src: usize,
-    len_of: L,
-    ws: &mut SsspWorkspace,
-) {
-    let mut tree = std::mem::take(&mut ws.spare);
-    std::mem::swap(&mut tree, &mut ws.order);
-    sssp_csr_repair_by(csr, src, len_of, tree.iter().copied(), ws);
-    tree.clear();
-    ws.spare = tree;
 }
 
 /// Goal-directed variant of the kernel (A* with a feasible potential):
@@ -1372,8 +1353,8 @@ mod tests {
 
     /// Repairs from every source of `csr` to `lens`, against the oracle:
     /// seeded with the tree at `lens` itself, at an independent random
-    /// length function, and at `lens` grown on a random third of the arcs,
-    /// each through the tree form and the in-place form; then from trees
+    /// length function, and at `lens` grown on a random third of the arcs;
+    /// then from trees
     /// that miss a reachable node or list one twice (a plain run), and from
     /// the tree at `lens` to lengths that ban a fifth of the arcs (nodes
     /// drop out).
@@ -1420,9 +1401,6 @@ mod tests {
                 let tree = ws.settle_order().to_vec();
                 let at = format!("seed {seed} src {src} from the {name} tree");
                 assert_eq!(repair(&tree, src, lens, ws), expect, "{at}");
-                sssp_csr(csr, src, old, None, ws);
-                sssp_csr_repair_own_by(csr, src, |lid| lens[lid], ws);
-                assert_eq!(report(ws, n), expect, "{at}, in place");
             }
             sssp_csr(csr, src, lens, None, ws);
             let tree = ws.settle_order().to_vec();

@@ -456,14 +456,14 @@ fn swept_cut_bounds_equal_an_independent_sparsity_recomputation() {
     // fault draws (a tenth of the links, and one switch every other draw:
     // isolated nodes, and demands that only the degradation path keeps
     // solvable), under all-to-all, a random permutation and a random
-    // matching of two, that cut's bound must be what `tb_cuts` computes for
-    // the same node set (capacities are symmetric here, which its
-    // one-capacity-per-link sparsity assumes), the certificate must claim
+    // matching of two, that cut's bound must be its undirected sparsity —
+    // the links crossing it over the heavier direction's crossing demand,
+    // summed here apart from `tb_flow` (capacities are symmetric here, which
+    // one capacity per link assumes) — the certificate must claim
     // no less, and where the cut set the reported upper bound the solver's
     // recorded value must be that sparsity (47 of the 60 solves when this
     // was written).
     use rand::{Rng, SeedableRng};
-    use tb_cuts::CutEvaluator;
     use tb_topology::faults::{apply_faults, FaultPlan};
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(51);
     let (mut cuts, mut cut_uppers) = (0, 0);
@@ -503,7 +503,15 @@ fn swept_cut_bounds_equal_an_independent_sparsity_recomputation() {
                 for &v in &cert.cut {
                     in_set[v] = true;
                 }
-                let sparsity = CutEvaluator::new(&topo.graph, &kept).sparsity(&in_set);
+                let (mut fwd, mut rev) = (0.0f64, 0.0f64);
+                for d in kept.demands() {
+                    match (in_set[d.src], in_set[d.dst]) {
+                        (true, false) => fwd += d.amount,
+                        (false, true) => rev += d.amount,
+                        _ => {}
+                    }
+                }
+                let sparsity = topo.graph.cut_capacity(&in_set) / fwd.max(rev);
                 assert!(
                     sparsity.is_finite() && cert.upper <= sparsity * (1.0 + 1e-12),
                     "draw {draw}: certificate claims {} over a cut of sparsity {sparsity}",
