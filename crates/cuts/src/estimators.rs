@@ -1,7 +1,7 @@
 //! The battery of sparsest-cut estimators from Appendix C of the paper, and
 //! the combined estimate (the best cut found by any of them).
 
-use crate::sparsity::{instance, Best};
+use crate::sparsity::{instance, Best, GrownSet};
 use serde::{Deserialize, Serialize};
 use tb_graph::shortest_path::{bfs_distances, UNREACHABLE};
 use tb_graph::Graph;
@@ -94,64 +94,70 @@ pub(crate) const BRUTE_FORCE_CUT_BUDGET: usize = 10_000;
 /// but the last (which stays outside): all `2^(n-1) - 1` cuts of a graph of
 /// at most 14 nodes under the default budget, the low-index subsets up to
 /// the budget otherwise (the paper's "limited brute-force computation ...
-/// capping the computation at 10,000 cuts").
-fn brute_force(best: &mut Best, n: usize, budget: usize) {
+/// capping the computation at 10,000 cuts"). Members join in decreasing
+/// index order, so going from `mask - 1` to `mask` (its trailing ones clear,
+/// the bit above them sets) removes the last to join and adds one node.
+fn brute_force(best: &mut Best, set: &mut GrownSet, n: usize, budget: usize) {
     let bits = n.saturating_sub(1).min(u64::BITS as usize);
     let cuts = 1u64.checked_shl(bits as u32).map_or(u64::MAX, |p| p - 1);
-    let mut cut = vec![false; n];
     for mask in 1..=cuts.min(budget as u64) {
-        for (u, c) in cut[..bits].iter_mut().enumerate() {
-            *c = (mask >> u) & 1 == 1;
+        let low = (mask - 1).trailing_ones();
+        for _ in 0..low {
+            set.pop();
         }
-        best.offer(&cut);
+        set.push(low as usize);
+        best.offer_grown(set);
+    }
+    set.clear();
+}
+
+fn one_node_cuts(best: &mut Best, set: &mut GrownSet, n: usize) {
+    for u in 0..n {
+        set.push(u);
+        best.offer_grown(set);
+        set.pop();
     }
 }
 
-fn one_node_cuts(best: &mut Best, n: usize) {
-    let mut cut = vec![false; n];
+fn two_node_cuts(best: &mut Best, set: &mut GrownSet, n: usize) {
     for u in 0..n {
-        cut[u] = true;
-        best.offer(&cut);
-        cut[u] = false;
-    }
-}
-
-fn two_node_cuts(best: &mut Best, n: usize) {
-    let mut cut = vec![false; n];
-    for u in 0..n {
-        cut[u] = true;
+        set.push(u);
         for v in u + 1..n {
-            cut[v] = true;
-            best.offer(&cut);
-            cut[v] = false;
+            set.push(v);
+            best.offer_grown(set);
+            set.pop();
         }
-        cut[u] = false;
+        set.pop();
     }
 }
 
 /// Offers every BFS ball around every node that stops short of the node's
 /// farthest layer: it holds its centre and misses that layer, so it is a
-/// proper cut.
-fn expanding_region_cuts(best: &mut Best, graph: &Graph) {
+/// proper cut. A ball grows from the previous radius's by one layer.
+fn expanding_region_cuts(best: &mut Best, set: &mut GrownSet, graph: &Graph) {
     for start in 0..graph.num_nodes() {
         let dist = bfs_distances(graph, start);
-        let max_d = dist
-            .iter()
-            .filter(|&&d| d != UNREACHABLE)
-            .copied()
-            .max()
-            .unwrap_or(0);
+        let mut layers: Vec<usize> = (0..dist.len())
+            .filter(|&v| dist[v] != UNREACHABLE)
+            .collect();
+        layers.sort_by_key(|&v| dist[v]);
+        let max_d = layers.last().map_or(0, |&v| dist[v]);
+        let mut next = layers.iter().peekable();
         for radius in 0..max_d {
-            let cut: Vec<bool> = dist
-                .iter()
-                .map(|&d| d != UNREACHABLE && d <= radius)
-                .collect();
-            best.offer(&cut);
+            while let Some(&&v) = next.peek() {
+                if dist[v] > radius {
+                    break;
+                }
+                set.push(v);
+                next.next();
+            }
+            best.offer_grown(set);
         }
+        set.clear();
     }
 }
 
-fn eigenvector_sweep(best: &mut Best, graph: &Graph) {
+fn eigenvector_sweep(best: &mut Best, set: &mut GrownSet, graph: &Graph) {
     let n = graph.num_nodes();
     if n < 2 {
         return;
@@ -159,11 +165,11 @@ fn eigenvector_sweep(best: &mut Best, graph: &Graph) {
     let spec = tb_graph::spectral::second_smallest_normalized_laplacian(graph, 500);
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| spec.eigenvector[a].total_cmp(&spec.eigenvector[b]));
-    let mut cut = vec![false; n];
     for &u in order.iter().take(n - 1) {
-        cut[u] = true;
-        best.offer(&cut);
+        set.push(u);
+        best.offer_grown(set);
     }
+    set.clear();
 }
 
 /// Runs every estimator and reports the sparsest cut any of them found
@@ -172,16 +178,19 @@ fn eigenvector_sweep(best: &mut Best, graph: &Graph) {
 pub fn estimate_sparsest_cut(graph: &Graph, tm: &TrafficMatrix) -> CutReport {
     let n = graph.num_nodes();
     let prob = instance(graph, tm);
+    let mut set = prob.as_ref().map(GrownSet::new);
     let estimates: Vec<CutEstimate> = ALL_ESTIMATORS
         .iter()
         .map(|&estimator| {
             let mut best = Best::new(prob.as_ref(), n);
-            match estimator {
-                Estimator::BruteForce => brute_force(&mut best, n, BRUTE_FORCE_CUT_BUDGET),
-                Estimator::OneNode => one_node_cuts(&mut best, n),
-                Estimator::TwoNode => two_node_cuts(&mut best, n),
-                Estimator::ExpandingRegion => expanding_region_cuts(&mut best, graph),
-                Estimator::Eigenvector => eigenvector_sweep(&mut best, graph),
+            if let Some(set) = &mut set {
+                match estimator {
+                    Estimator::BruteForce => brute_force(&mut best, set, n, BRUTE_FORCE_CUT_BUDGET),
+                    Estimator::OneNode => one_node_cuts(&mut best, set, n),
+                    Estimator::TwoNode => two_node_cuts(&mut best, set, n),
+                    Estimator::ExpandingRegion => expanding_region_cuts(&mut best, set, graph),
+                    Estimator::Eigenvector => eigenvector_sweep(&mut best, set, graph),
+                }
             }
             CutEstimate {
                 estimator,

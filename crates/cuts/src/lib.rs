@@ -22,7 +22,10 @@
 //!
 //! Every estimator scores its cuts with [`tb_flow::FlowProblem::cut_bound`],
 //! the routine the FPTAS's swept cuts and the certificate verifier use, so
-//! one sum serves every cut bound in the workspace.
+//! one sum serves every cut bound in the workspace. The estimators grow their
+//! candidates one node at a time with running crossing sums, as the swept
+//! cuts do, and re-sum only the candidates those sums put within reach of
+//! the best so far.
 
 #![forbid(unsafe_code)]
 

@@ -4,8 +4,17 @@
 //! Every cut is scored by [`FlowProblem::cut_bound`], the routine the FPTAS's
 //! swept cuts and the certificate verifier sum cuts with, so a cut's sparsity
 //! here is the same bits as its bound there.
+//!
+//! The estimators build their candidates one node at a time in a
+//! `GrownSet`, which keeps the capacity and demand crossing the set each way
+//! as running sums, as the FPTAS's swept cuts do: a node joins in
+//! O(degree + its flows) instead of the O(arcs + commodities) of a sum from
+//! scratch. The running bound only screens: a candidate within
+//! `RESUM_MARGIN` of the best so far is re-summed by `cut_bound`, and only
+//! that value is compared and kept, so every reported cut and sparsity is the
+//! one scoring every candidate from scratch would give.
 
-use tb_flow::FlowProblem;
+use tb_flow::{CutCrossing, FlowProblem};
 use tb_graph::Graph;
 use tb_traffic::TrafficMatrix;
 
@@ -17,6 +26,105 @@ use tb_traffic::TrafficMatrix;
 pub(crate) fn instance(graph: &Graph, tm: &TrafficMatrix) -> Option<FlowProblem> {
     assert_eq!(graph.num_nodes(), tm.num_switches());
     (tm.num_flows() > 0).then(|| FlowProblem::new(graph, tm))
+}
+
+/// How far (relative) above the best sparsity so far a candidate's running
+/// bound may lie and still be re-summed. The running sums of a set of `n`
+/// nodes take at most a few `n · degree` additions, whose rounding stays
+/// many orders of magnitude below this, so no candidate whose exact
+/// sparsity beats the best is screened out.
+const RESUM_MARGIN: f64 = 1e-9;
+
+/// A node set grown and shrunk one node at a time, last in first out, with
+/// the capacity and demand crossing it each way kept as running sums.
+/// Shrinking restores the sums saved when the node joined, so the sums of a
+/// set are always those of adding its members, in the order they joined, to
+/// the empty set: rounding never builds up over a long enumeration.
+#[derive(Debug)]
+pub(crate) struct GrownSet<'a> {
+    prob: &'a FlowProblem,
+    /// Per node, the demands it sends (destination, amount) and receives
+    /// (source, amount), self-demands left out.
+    leaving: Vec<Vec<(usize, f64)>>,
+    entering: Vec<Vec<(usize, f64)>>,
+    in_set: Vec<bool>,
+    /// What crosses out of the set and into it.
+    out: CutCrossing,
+    into: CutCrossing,
+    /// The members in the order they joined, each with the crossings from
+    /// before it joined.
+    joined: Vec<(usize, CutCrossing, CutCrossing)>,
+}
+
+impl<'a> GrownSet<'a> {
+    /// The empty set over `prob`'s nodes.
+    pub(crate) fn new(prob: &'a FlowProblem) -> Self {
+        let n = prob.num_nodes();
+        let mut leaving = vec![Vec::new(); n];
+        let mut entering = vec![Vec::new(); n];
+        for s in prob.sources() {
+            for &(dst, d) in s.dests.iter().filter(|&&(dst, _)| dst != s.src) {
+                leaving[s.src].push((dst, d));
+                entering[dst].push((s.src, d));
+            }
+        }
+        GrownSet {
+            prob,
+            leaving,
+            entering,
+            in_set: vec![false; n],
+            out: CutCrossing::default(),
+            into: CutCrossing::default(),
+            joined: Vec::new(),
+        }
+    }
+
+    /// Adds `v`, which must not be a member.
+    pub(crate) fn push(&mut self, v: usize) {
+        debug_assert!(!self.in_set[v]);
+        self.joined.push((v, self.out, self.into));
+        let arcs = self.prob.arcs();
+        for (w, aid) in self.prob.out_arcs(v) {
+            let (cap, back) = (arcs[aid].cap, arcs[aid ^ 1].cap);
+            if self.in_set[w] {
+                self.into.remove_arc(cap);
+                self.out.remove_arc(back);
+            } else {
+                self.out.add_arc(cap);
+                self.into.add_arc(back);
+            }
+        }
+        for &(w, d) in &self.leaving[v] {
+            if self.in_set[w] {
+                self.into.remove_flow(d);
+            } else {
+                self.out.add_flow(d);
+            }
+        }
+        for &(u, d) in &self.entering[v] {
+            if self.in_set[u] {
+                self.out.remove_flow(d);
+            } else {
+                self.into.add_flow(d);
+            }
+        }
+        self.in_set[v] = true;
+    }
+
+    /// Removes the member that joined last.
+    pub(crate) fn pop(&mut self) {
+        let (v, out, into) = self.joined.pop().expect("a member to remove");
+        self.in_set[v] = false;
+        self.out = out;
+        self.into = into;
+    }
+
+    /// Removes every member.
+    pub(crate) fn clear(&mut self) {
+        while !self.joined.is_empty() {
+            self.pop();
+        }
+    }
 }
 
 /// The sparsest of the cuts offered so far.
@@ -38,6 +146,20 @@ impl<'a> Best<'a> {
             sparsity: f64::INFINITY,
             cut: vec![false; n],
         }
+    }
+
+    /// Keeps the current members of `set` if they cut strictly sparser than
+    /// the best so far: the running sums screen, [`FlowProblem::cut_bound`]
+    /// decides.
+    pub(crate) fn offer_grown(&mut self, set: &GrownSet<'_>) {
+        if set.out.no_flows() && set.into.no_flows() {
+            return;
+        }
+        let estimate = set.out.bound().min(set.into.bound());
+        if estimate > self.sparsity * (1.0 + RESUM_MARGIN) {
+            return;
+        }
+        self.offer(&set.in_set);
     }
 
     /// Keeps `cut` if it is strictly sparser than the best so far.

@@ -217,6 +217,52 @@ fn budget_exhausted_certificates_are_unverifiable_never_certified() {
     assert_eq!((report.certified, report.certificates), (1, 1));
 }
 
+/// Zero faults are the base: `apply_faults` with no link and no switch
+/// failure returns the base's graph (edge order and capacities included) and
+/// servers, reports nothing failed, and solving it gives the base's bounds
+/// bit for bit, on the exact path (16 switches) and the FPTAS's (32), under
+/// every draw seed.
+#[test]
+fn zero_faults_leave_the_base_and_its_bounds_unchanged() {
+    let cfg = topobench::EvalConfig::default();
+    for spec in [
+        TopoSpec::Hypercube {
+            dims: 4,
+            servers: 2,
+        },
+        TopoSpec::Hypercube {
+            dims: 5,
+            servers: 1,
+        },
+    ] {
+        let base = spec.build().expect("spec must build");
+        let edges = |topo: &Topology| -> Vec<(usize, usize, u64)> {
+            let edges = topo.graph.edges().iter();
+            edges.map(|e| (e.u, e.v, e.cap.to_bits())).collect()
+        };
+        for seed in [0, 7] {
+            let plan = FaultPlan {
+                link_failures: 0,
+                switch_failures: 0,
+                seed,
+            };
+            let (faulted, report) = apply_faults(&base, &plan);
+            assert_eq!(faulted.num_switches(), base.num_switches());
+            assert_eq!(edges(&faulted), edges(&base), "{spec:?}");
+            assert_eq!(faulted.servers, base.servers, "{spec:?}");
+            assert!(report.failed_switches.is_empty() && report.failed_links.is_empty());
+            assert_eq!(report.surviving_links, base.num_links());
+            for tm in [TmSpec::LongestMatching, TmSpec::AllToAll] {
+                let solve = |topo: &Topology| {
+                    let b = topobench::evaluate(topo, &tm.generate(topo, 1), &cfg).bounds;
+                    (b.lower.to_bits(), b.upper.to_bits())
+                };
+                assert_eq!(solve(&faulted), solve(&base), "{spec:?} {tm:?} seed {seed}");
+            }
+        }
+    }
+}
+
 /// Canonical fingerprint of a topology: surviving edge list + server
 /// placement, hashed. Bit-identical graphs ⇒ equal fingerprints.
 fn graph_fingerprint(topo: &Topology) -> u64 {

@@ -1,33 +1,38 @@
 //! Exact throughput via linear programming, solved with the bundled revised
 //! simplex (`tb-lp`). Two formulations share one certificate epilogue; the
-//! solver picks per instance:
+//! solver takes whichever LP has fewer rows (`path_master_is_smaller`):
 //!
-//! * **Arc LP** (small shapes): `x[d][a]` = flow destined to switch `d` on
+//! * **Arc LP** (all-to-all): `x[d][a]` = flow destined to switch `d` on
 //!   arc `a`, plus the throughput scalar `t`; capacity rows
 //!   `sum_d x[d][a] <= cap(a)` and per-(destination, node) conservation rows
 //!   `outflow_d(v) - inflow_d(v) = t * T(v, d)`. This is the paper's Gurobi
 //!   LP aggregated by destination (`O(n · m)` variables instead of
-//!   `O(n^2 · m)`), and what the evaluation layer's exact path solves: 75 of
-//!   the suite's solves at seed 1, 17,470 simplex pivots in all and at most
-//!   1,161 in one (PR 23; 97,206 and 21,999 before it). The simplex starts
-//!   from the vertex the LP's shape hands out — every demand routed along the
-//!   hop-count in-tree of its destination — so phase 1 never runs.
+//!   `O(n^2 · m)`). The simplex starts from the vertex the LP's shape hands
+//!   out — every demand routed along the hop-count in-tree of its
+//!   destination — so phase 1 never runs.
 //!
-//! * **Path column generation** (large shapes with few commodities): a
+//! * **Path column generation** (every TM with fewer commodities than the
+//!   arc LP has conservation rows: matchings, random matchings): a
 //!   restricted master over path variables — capacity rows plus one coverage
 //!   row `sum_{p in P_j} x_p = t * d_j` per commodity — grown by shortest-path
 //!   pricing under the capacity duals. The master has `m + k` rows instead of
-//!   the arc LP's `m + |dests| · (n-1)`, which is what makes 64-switch
-//!   shapes tractable: hypercube-64 under a matching TM is 448 rows
-//!   instead of 4416 (45 masters, 2.2 s in all).
+//!   the arc LP's `m + |dests| · (n-1)`: 112 instead of 336 for a 16-switch
+//!   flattened butterfly under longest matching, 448 instead of 4416 for
+//!   hypercube-64. It is built once and kept open ([`tb_lp::OpenLp`]): each
+//!   round appends the paths it priced as columns at value zero and resumes
+//!   primal simplex from the previous optimum's basis and factors.
 //!   Convergence is certified, not assumed: each round derives the dual bound
 //!   `D(l)/alpha(l)` from the clamped capacity duals — the exact quantity the
 //!   emitted [`ThroughputCertificate`] carries — and the loop only terminates
 //!   successfully once that bound closes onto the master value to within
 //!   `COLGEN_GAP`. A hint (a certificate of the same instance, e.g. the
 //!   FPTAS's) seeds the column pool with shortest paths under its length
-//!   function (near-optimal duals); each master starts from the previous
-//!   one's optimum.
+//!   function (near-optimal duals).
+//!
+//! At seed 1 the sweep suite's exact path (at most 16 switches and 64 flows)
+//! runs 75 solves: 71 by column generation and the four all-to-all ones as
+//! arc LPs. The three `Flattened BF/1/LM` instances, 336-row arc LPs of 471,
+//! 990 and 1,161 pivots before, are 112-row masters now.
 //!
 //! Degenerate inputs short-circuit *before* any LP is built: an empty traffic
 //! matrix (or one with only self-demands / zero amounts) leaves `t` entirely
@@ -42,13 +47,6 @@ use tb_graph::connectivity::connected_components;
 use tb_graph::Graph;
 use tb_lp::{ConstraintOp, LinearProgram, LpError};
 use tb_traffic::TrafficMatrix;
-
-/// Above this many arc-LP variables (`|dests| · m`), and provided the path
-/// master would have strictly fewer rows, the solver switches to column
-/// generation. Small instances keep the arc LP: it needs no pricing loop
-/// (one LP of 336 rows and 1,537 variables for a 16-switch flattened
-/// butterfly under longest matching, 471 pivots and 10 ms).
-const ARC_LP_VAR_LIMIT: usize = 8192;
 
 /// What a variable proposed as basic at level zero carries in a
 /// [`tb_lp::solve_with_hint`] guess: positive, and nothing when added up.
@@ -74,38 +72,42 @@ const COLGEN_MAX_ROUNDS: usize = 400;
 type Evidence = (f64, Vec<f64>, Vec<f64>, Vec<f64>);
 
 /// What one exact solve cost: the formulation, the size of its (last) LP, and
-/// the simplex counters summed over the LPs solved.
-#[derive(Default)]
+/// the simplex counters of the LP it solved.
 struct SimplexWork {
     /// `arc` or `colgen`.
     form: &'static str,
     rows: usize,
     vars: usize,
-    /// LPs solved: one for the arc LP, one per master for column generation.
+    /// LPs optimized: one for the arc LP; for column generation, the rounds,
+    /// each a resolve of the master after adding the paths not yet in it.
     rounds: usize,
     pivots: usize,
     degenerate: usize,
     refactors: usize,
-    /// Of the last LP.
+    /// Of the last refactorization.
     factor_nnz: usize,
 }
 
 impl SimplexWork {
-    fn new(form: &'static str) -> Self {
+    /// The counters `s` reports for an LP of `rows` rows and `vars`
+    /// variables, optimized `rounds` times.
+    fn new(
+        form: &'static str,
+        rows: usize,
+        vars: usize,
+        rounds: usize,
+        s: &tb_lp::Solution,
+    ) -> Self {
         SimplexWork {
             form,
-            ..Default::default()
+            rows,
+            vars,
+            rounds,
+            pivots: s.pivots,
+            degenerate: s.degenerate_pivots,
+            refactors: s.refactorizations,
+            factor_nnz: s.factor_nonzeros,
         }
-    }
-
-    fn add(&mut self, lp: &LinearProgram, s: &tb_lp::Solution) {
-        self.rows = lp.constraints.len();
-        self.vars = lp.num_vars;
-        self.rounds += 1;
-        self.pivots += s.pivots;
-        self.degenerate += s.degenerate_pivots;
-        self.refactors += s.refactorizations;
-        self.factor_nnz = s.factor_nonzeros;
     }
 
     /// With `TB_SOLVER_TRACE` set, prints the solve's line in the style of
@@ -211,26 +213,15 @@ impl ExactLpSolver {
         }
 
         let prob = FlowProblem::new(graph, tm);
-        let n = prob.num_nodes();
-        let m = prob.num_arcs();
-        let num_dest = {
-            let mut d: Vec<usize> = tm.demands().iter().map(|d| d.dst).collect();
-            d.sort_unstable();
-            d.dedup();
-            d.len()
+        // Formulation rule: the smaller LP. The path master has a row per
+        // commodity, the arc LP a conservation row per (destination, other
+        // node); column generation takes every instance whose master is the
+        // smaller (matching-style TMs), the arc LP the rest (all-to-all).
+        let ((t, flow, served, lengths), work) = if path_master_is_smaller(&prob) {
+            self.solve_path_colgen(&prob, hint)?
+        } else {
+            self.solve_arc_lp(&prob, tm)?
         };
-        // Formulation gate: column generation wins exactly when the arc grid
-        // is too big for the simplex *and* the path master genuinely has
-        // fewer rows (few commodities relative to the destination grid —
-        // matching-style TMs, not all-to-all).
-        let arc_vars = num_dest * m + 1;
-        let k = prob.num_commodities();
-        let ((t, flow, served, lengths), work) =
-            if arc_vars > ARC_LP_VAR_LIMIT && k < num_dest * (n - 1) {
-                self.solve_path_colgen(&prob, hint)?
-            } else {
-                self.solve_arc_lp(&prob, tm)?
-            };
         work.trace();
 
         let bounds = ThroughputBounds::exact(t);
@@ -363,8 +354,7 @@ impl ExactLpSolver {
         guess[t_var] = t0;
         let solution = tb_lp::solve_with_hint(&lp, &guess)?;
         let t = solution.values[t_var];
-        let mut work = SimplexWork::new("arc");
-        work.add(&lp, &solution);
+        let work = SimplexWork::new("arc", lp.constraints.len(), lp.num_vars, 1, &solution);
 
         // Certificate evidence straight from the LP optimum: aggregate flow,
         // proportional served amounts, capacity duals as lengths (clamped at
@@ -385,7 +375,7 @@ impl ExactLpSolver {
         Ok(((t, flow, served, lengths), work))
     }
 
-    /// Path-formulation column generation for large, commodity-sparse shapes.
+    /// Path-formulation column generation for commodity-sparse shapes.
     ///
     /// Master (restricted to the current path pool `P`): maximize `t` s.t.
     /// `sum_{p ni a} x_p <= cap(a)` per arc and
@@ -434,44 +424,34 @@ impl ExactLpSolver {
             admit(&mut pool, shortest_paths(prob, &h.lengths).1);
         }
 
-        let mut prev: Option<Vec<f64>> = None;
-        let mut work = SimplexWork::new("colgen");
-        for round in 0..COLGEN_MAX_ROUNDS {
-            // Build the restricted master over the current pool. Variable 0
-            // is `t`; path variables follow in pool order. Capacity rows come
-            // first so `duals[0..m]` is the length function, matching the arc
-            // LP's convention.
-            let mut lp = LinearProgram::new(1 + pool.len());
-            lp.set_objective(0, 1.0);
-            let mut arc_cols: Vec<Vec<usize>> = vec![Vec::new(); m];
-            let mut cov_cols: Vec<Vec<usize>> = vec![Vec::new(); k];
-            for (p, (j, arcs)) in pool.iter().enumerate() {
-                cov_cols[*j].push(1 + p);
-                for &a in arcs {
-                    arc_cols[a as usize].push(1 + p);
-                }
-            }
-            for (a, cap) in prob.arc_caps().enumerate() {
-                let coeffs: Vec<(usize, f64)> = arc_cols[a].iter().map(|&v| (v, 1.0)).collect();
-                lp.add_constraint(coeffs, ConstraintOp::Le, cap);
-            }
-            for (j, cols) in cov_cols.iter().enumerate() {
-                let mut coeffs: Vec<(usize, f64)> = cols.iter().map(|&v| (v, 1.0)).collect();
-                coeffs.push((0, -demands[j]));
-                lp.add_constraint(coeffs, ConstraintOp::Eq, 0.0);
-            }
-
-            // Warm-start each resolve from the previous round's point (new
-            // columns enter at zero); `t = 0, x = 0` keeps round one cold.
-            let solution = match &prev {
-                Some(vals) => {
-                    let mut guess = vals.clone();
-                    guess.resize(1 + pool.len(), 0.0);
-                    tb_lp::solve_with_hint(&lp, &guess)?
-                }
-                None => tb_lp::solve(&lp)?,
-            };
-            work.add(&lp, &solution);
+        // The restricted master: variable 0 is `t`, path variables follow in
+        // pool order. Capacity rows come first so `duals[0..m]` is the
+        // length function, matching the arc LP's convention. It is built once,
+        // over `t` alone (`t = 0` is its optimum), and kept open: every round
+        // adds the paths not yet in it as columns and resumes from the
+        // previous optimum.
+        let mut lp = LinearProgram::new(1);
+        lp.set_objective(0, 1.0);
+        for cap in prob.arc_caps() {
+            lp.add_constraint(Vec::new(), ConstraintOp::Le, cap);
+        }
+        for &d in &demands {
+            lp.add_constraint(vec![(0, -d)], ConstraintOp::Eq, 0.0);
+        }
+        let mut master = tb_lp::OpenLp::solve(&lp, None)?;
+        for round in 1..=COLGEN_MAX_ROUNDS {
+            let columns: Vec<_> = pool[master.num_vars() - 1..]
+                .iter()
+                .map(|(j, arcs)| {
+                    let mut coeffs: Vec<(usize, f64)> =
+                        arcs.iter().map(|&a| (a as usize, 1.0)).collect();
+                    coeffs.push((m + j, 1.0));
+                    (0.0, coeffs)
+                })
+                .collect();
+            master.add_columns(&columns);
+            master.resolve()?;
+            let solution = master.solution();
             let t = solution.values[0];
             let lengths: Vec<f64> = solution.duals[..m].iter().map(|d| d.max(0.0)).collect();
 
@@ -501,6 +481,7 @@ impl ExactLpSolver {
                         flow[a as usize] += x;
                     }
                 }
+                let work = SimplexWork::new("colgen", m + k, master.num_vars(), round, &solution);
                 return Ok(((t, flow, served, lengths), work));
             }
 
@@ -514,17 +495,32 @@ impl ExactLpSolver {
                     .iter()
                     .enumerate()
                     .map(|(a, &l)| {
-                        l + scale * (((a + 1) * (round + 1)) as f64 * 0.618_033_988_749_895).fract()
+                        l + scale * (((a + 1) * round) as f64 * 0.618_033_988_749_895).fract()
                     })
                     .collect();
                 if admit(&mut pool, shortest_paths(prob, &jitter).1) == 0 {
                     return Err(LpError::IterationLimit);
                 }
             }
-            prev = Some(solution.values);
         }
         Err(LpError::IterationLimit)
     }
+}
+
+/// Whether the path master of `prob` has fewer rows than its arc LP: one
+/// coverage row per commodity against one conservation row per destination
+/// and node other than it (both share the capacity rows). True for every
+/// matching-style TM; false for all-to-all among every switch, where each of
+/// the `n` destinations has `n - 1` sources.
+fn path_master_is_smaller(prob: &FlowProblem) -> bool {
+    let mut dests: Vec<usize> = prob
+        .sources()
+        .iter()
+        .flat_map(|s| s.dests.iter().map(|&(d, _)| d))
+        .collect();
+    dests.sort_unstable();
+    dests.dedup();
+    prob.num_commodities() < dests.len() * (prob.num_nodes() - 1)
 }
 
 /// One Dijkstra per source under `lengths`: returns the demand-weighted
@@ -733,10 +729,10 @@ mod tests {
         assert!(outcome.bounds.upper >= cold.lower - 1e-6);
     }
 
-    /// hypercube-32 under a longest matching sits past `ARC_LP_VAR_LIMIT`
-    /// with few commodities, so this exercises the column-generation path on
-    /// every test run (the 64-switch shapes stay an ignored release test).
-    /// The colgen optimum must be bracketed by precise FPTAS bounds and its
+    /// hypercube-32 under a longest matching, warm-started from the FPTAS's
+    /// certificate: a master of 160 arc and 32 coverage rows grown from the
+    /// hint's paths (the 64-switch shapes stay an ignored release test). The
+    /// colgen optimum must be bracketed by precise FPTAS bounds and its
     /// certificate must verify at the colgen gap.
     #[test]
     fn column_generation_certifies_hypercube_32() {
@@ -856,41 +852,72 @@ mod tests {
         }
     }
 
-    /// Every ladder instance the sweep's gate sends to the exact path (rungs
-    /// 0 and 1, at most 16 switches) under LM and RM(1): the arc LP and
-    /// column generation, forced here on shapes the dispatch gives to the arc
-    /// LP, must agree to 1e-8, inside the FPTAS bracket.
+    /// Every shape the formulation rule sends to column generation on the
+    /// sweep's exact path: the ladder rungs of at most 16 switches under LM,
+    /// RM(1) and RM(4), each beside its first two same-equipment samples
+    /// (seeds 1001 and 1002), and fig07's K12 with the same two. The rule
+    /// must pick column generation for every matching TM, and the arc LP for
+    /// all-to-all unless some switch holds no server (DCell's rung 0, whose
+    /// 132 all-to-all flows keep it off the exact path); the open
+    /// master and the arc LP, forced, must agree to 1e-12 relative, inside
+    /// the FPTAS bracket.
     #[test]
     fn arc_lp_and_column_generation_agree_on_the_small_ladder_instances() {
         use tb_topology::families::{Scale, ALL_FAMILIES};
-        let mut checked = 0;
+        use tb_topology::jellyfish::same_equipment;
+        let mut bases = vec![("K12".to_string(), tb_topology::hyperx::hyperx(1, 12, 1, 11))];
         for family in ALL_FAMILIES {
             for rung in 0..2 {
-                let Some(topo) = family.ladder_instance(Scale::Small, 1, rung) else {
-                    continue;
-                };
-                if topo.num_switches() > 16 {
-                    continue;
+                match family.ladder_instance(Scale::Small, 1, rung) {
+                    Some(topo) if topo.num_switches() <= 16 => {
+                        bases.push((format!("{}/{rung}", family.name()), topo))
+                    }
+                    _ => {}
                 }
-                let rm = synthetic::random_matching(&topo.servers, 1, 1)
-                    .normalized_to_hose(&topo.servers)
-                    .0;
-                for (label, tm) in [("LM", sweep_lm(&topo)), ("RM(1)", rm)] {
-                    let (arc, _) = checked_arc_lp(&topo.graph, &tm);
+            }
+        }
+        let (mut checked, mut a2a_arc) = (0, 0);
+        for (name, base) in bases {
+            let samples = [1001, 1002]
+                .map(|seed| (format!("{name} sample {seed}"), same_equipment(&base, seed)));
+            for (name, topo) in std::iter::once((name, base)).chain(samples) {
+                let hose = |tm: TrafficMatrix| tm.normalized_to_hose(&topo.servers).0;
+                // All-to-all among `s` of the `n` switches has `s (s - 1)`
+                // commodities against `s (n - 1)` conservation rows.
+                let a2a = hose(synthetic::all_to_all(&topo.servers));
+                let serverless = topo.servers.contains(&0);
+                let prob = FlowProblem::new(&topo.graph, &a2a);
+                assert_eq!(path_master_is_smaller(&prob), serverless, "{name}/A2A");
+                a2a_arc += usize::from(!serverless);
+                for (label, tm) in [
+                    ("LM", sweep_lm(&topo)),
+                    (
+                        "RM(1)",
+                        hose(synthetic::random_matching(&topo.servers, 1, 1)),
+                    ),
+                    (
+                        "RM(4)",
+                        hose(synthetic::random_matching(&topo.servers, 4, 1)),
+                    ),
+                ] {
                     let prob = FlowProblem::new(&topo.graph, &tm);
+                    assert!(path_master_is_smaller(&prob), "{name}/{label}");
+                    let (arc, _) = checked_arc_lp(&topo.graph, &tm);
                     let ((colgen, ..), work) = ExactLpSolver::new()
                         .solve_path_colgen(&prob, None)
-                        .unwrap_or_else(|e| panic!("{}/{rung}/{label}: {e}", family.name()));
+                        .unwrap_or_else(|e| panic!("{name}/{label}: {e}"));
                     assert_eq!(work.form, "colgen");
                     assert!(
-                        (arc - colgen).abs() <= 1e-8 * arc.max(1.0),
-                        "{}/{rung}/{label}: arc LP {arc} vs column generation {colgen}",
-                        family.name()
+                        (arc - colgen).abs() <= 1e-12 * arc.abs(),
+                        "{name}/{label}: arc LP {arc} vs column generation {colgen}"
                     );
                     checked += 1;
                 }
             }
         }
-        assert!(checked >= 8, "only {checked} instances were small enough");
+        assert!(
+            checked >= 54 && a2a_arc >= 15,
+            "{checked} matching, {a2a_arc} all-to-all instances"
+        );
     }
 }

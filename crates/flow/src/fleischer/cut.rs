@@ -29,6 +29,7 @@
 //! [`FlowProblem::cut_bound`]: crate::FlowProblem::cut_bound
 
 use super::route::RouteCtx;
+use crate::instance::CutCrossing;
 
 /// The best cut of a solve and the scratch its sweeps run in.
 #[derive(Debug)]
@@ -63,7 +64,7 @@ impl CutSweep {
         let in_set = &mut self.in_set;
         in_set.fill(false);
         // Crossings from the set out and into it.
-        let (mut out, mut into) = (Crossing::default(), Crossing::default());
+        let (mut out, mut into) = (CutCrossing::default(), CutCrossing::default());
         let mut best = (self.value, 0);
         let prefixes = self.order.len().min(n - 1);
         for (k, &v) in self.order[..prefixes].iter().enumerate() {
@@ -111,52 +112,6 @@ impl CutSweep {
             self.value = bound;
         }
         improved
-    }
-}
-
-/// One direction's running crossing sums. The counts make "nothing crosses"
-/// exact, which sums that add and cancel are not: a prefix that grows to a
-/// whole component would otherwise divide a rounding residue by another.
-#[derive(Debug, Default)]
-struct Crossing {
-    cap: f64,
-    arcs: usize,
-    demand: f64,
-    flows: usize,
-}
-
-impl Crossing {
-    fn add_arc(&mut self, cap: f64) {
-        self.arcs += 1;
-        self.cap += cap;
-    }
-
-    fn remove_arc(&mut self, cap: f64) {
-        self.arcs -= 1;
-        self.cap = if self.arcs == 0 { 0.0 } else { self.cap - cap };
-    }
-
-    fn add_flow(&mut self, demand: f64) {
-        self.flows += 1;
-        self.demand += demand;
-    }
-
-    fn remove_flow(&mut self, demand: f64) {
-        self.flows -= 1;
-        self.demand = if self.flows == 0 {
-            0.0
-        } else {
-            self.demand - demand
-        };
-    }
-
-    /// This direction's cut bound, infinite when no commodity crosses.
-    fn bound(&self) -> f64 {
-        if self.flows == 0 {
-            f64::INFINITY
-        } else {
-            self.cap / self.demand
-        }
     }
 }
 

@@ -240,6 +240,65 @@ impl FlowProblem {
     }
 }
 
+/// One direction's running crossing sums of a node set grown (and, by its
+/// users, shrunk) one node at a time: the capacity of the arcs crossing and
+/// the demand of the commodities crossing, each with a count of what
+/// crosses. The counts make "nothing crosses" exact, which sums that add and
+/// cancel are not: a prefix that grows to a whole component would otherwise
+/// divide a rounding residue by another. The sums only *pick* cuts; a cut
+/// that is kept is re-summed by [`FlowProblem::cut_bound`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CutCrossing {
+    cap: f64,
+    arcs: usize,
+    demand: f64,
+    flows: usize,
+}
+
+impl CutCrossing {
+    /// An arc of capacity `cap` starts crossing.
+    pub fn add_arc(&mut self, cap: f64) {
+        self.arcs += 1;
+        self.cap += cap;
+    }
+
+    /// An arc of capacity `cap` stops crossing.
+    pub fn remove_arc(&mut self, cap: f64) {
+        self.arcs -= 1;
+        self.cap = if self.arcs == 0 { 0.0 } else { self.cap - cap };
+    }
+
+    /// A commodity of demand `demand` starts crossing.
+    pub fn add_flow(&mut self, demand: f64) {
+        self.flows += 1;
+        self.demand += demand;
+    }
+
+    /// A commodity of demand `demand` stops crossing.
+    pub fn remove_flow(&mut self, demand: f64) {
+        self.flows -= 1;
+        self.demand = if self.flows == 0 {
+            0.0
+        } else {
+            self.demand - demand
+        };
+    }
+
+    /// Whether no commodity crosses.
+    pub fn no_flows(&self) -> bool {
+        self.flows == 0
+    }
+
+    /// This direction's cut bound, infinite when no commodity crosses.
+    pub fn bound(&self) -> f64 {
+        if self.flows == 0 {
+            f64::INFINITY
+        } else {
+            self.cap / self.demand
+        }
+    }
+}
+
 /// One direction's cut bound: crossing capacity over crossing demand,
 /// infinite when no demand crosses.
 fn cut_ratio(cap: f64, demand: f64) -> f64 {

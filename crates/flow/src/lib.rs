@@ -33,7 +33,7 @@ pub mod restricted;
 pub use certificate::{verify_certificate, CertificateError, ThroughputCertificate};
 pub use exact::ExactLpSolver;
 pub use fleischer::{FleischerConfig, FleischerSolver, SolveOutcome, SolveStats, UpperEvidence};
-pub use instance::FlowProblem;
+pub use instance::{CutCrossing, FlowProblem};
 pub use lengths::MwuLengths;
 
 use serde::{Deserialize, Serialize};
@@ -45,15 +45,19 @@ use tb_traffic::{Demand, TrafficMatrix};
 /// Revision of what the solvers compute, folded into every sweep cache key:
 /// bump it with any change that moves a solved value while leaving every
 /// configuration field alone, so that a warm cache cannot serve the previous
-/// solver's numbers. Revision 6 routes a symmetric instance whose every
-/// source has several destinations mirrored, each tree carrying its source's
-/// in-commodities beside its out-commodities (revision 5, one direction per
-/// tree, took every FPTAS dual bound at the window average of the normalised
-/// lengths only; revision 4, also at the current lengths, beside the cuts
+/// solver's numbers. Revision 7 solves every exact instance whose path
+/// master has fewer rows than its arc LP (every matching-style TM) by column
+/// generation on one open master, which moves those optima by rounding only
+/// (revision 6 solved them as arc LPs below 8,192 arc variables, and routes
+/// a symmetric instance whose every source has several destinations
+/// mirrored, each tree carrying its source's in-commodities beside its
+/// out-commodities; revision 5, one direction per tree, took every FPTAS
+/// dual bound at the window average of the normalised lengths only;
+/// revision 4, also at the current lengths, beside the cuts
 /// swept along the solve's distance orders; revision 3, no swept cuts;
 /// revision 2, the per-destination walk below a graph-size threshold;
 /// revision 1, suffix windows instead of the block-mix feasible bound).
-pub const SOLVER_REVISION: u32 = 6;
+pub const SOLVER_REVISION: u32 = 7;
 
 thread_local! {
     /// Throughput-solver invocations (FPTAS, exact LP and path-restricted)

@@ -6,10 +6,19 @@
 //! two components: a combinatorial FPTAS (in `tb-flow`) for large instances and
 //! this exact **two-phase revised primal simplex**. Its one caller is
 //! `tb_flow::exact`, which builds the two throughput LPs it solves — the
-//! destination-aggregated arc LP of every instance small enough for the
-//! sweep's exact path, and the restricted masters of path column generation
-//! that certify 64-switch bench shapes against the true optimum — and
-//! through it the tests that validate the FPTAS.
+//! destination-aggregated arc LP of all-to-all instances small enough for
+//! the sweep's exact path, and the restricted master of path column
+//! generation for every matching-style one (and for the 64-switch bench
+//! shapes the FPTAS is certified against) — and through it the tests that
+//! validate the FPTAS.
+//!
+//! [`OpenLp`] is the same simplex kept open after it solves: the basis, its
+//! LU and eta factors and the pricing state stay in place, structural
+//! columns can be appended at value zero (the basis stays primal feasible)
+//! and [`OpenLp::resolve`] resumes primal simplex from the last optimum.
+//! Column generation builds its master once and grows it so, round by round,
+//! instead of building and crashing a new LP each round; [`solve`] is an
+//! `OpenLp` solved and read once.
 //!
 //! [`Packing`] is the crate's second solver, for one shape only: packing
 //! programs (`max sum v` subject to `A v <= 1`, `A >= 0`) with few variables,
@@ -41,5 +50,6 @@ mod simplex;
 pub use packing::{Packing, PackingError};
 
 pub use simplex::{
-    solve, solve_with_hint, Constraint, ConstraintOp, LinearProgram, LpError, LpResult, Solution,
+    solve, solve_with_hint, Constraint, ConstraintOp, LinearProgram, LpError, LpResult, OpenLp,
+    Solution,
 };

@@ -249,55 +249,18 @@ impl StdLp {
         }
 
         // Row-major structural matrix: each row sorted by column, duplicate
-        // (row, var) coefficients summed, exact zeros dropped.
+        // (row, var) coefficients summed, exact zeros dropped; and its
+        // transpose, column-major.
         let mut row_ptr = vec![0usize; m + 1];
         let mut col_idx = Vec::new();
         let mut row_vals = Vec::new();
         for (r, c) in lp.constraints.iter().enumerate() {
             let sign = if row_negated[r] { -1.0 } else { 1.0 };
-            let mut entries: Vec<(usize, f64)> =
-                c.coeffs.iter().map(|&(v, a)| (v, a * sign)).collect();
-            entries.sort_by_key(|&(v, _)| v);
-            let start = col_idx.len();
-            for (v, a) in entries {
-                if col_idx.len() > start && *col_idx.last().expect("nonempty") == v {
-                    *row_vals.last_mut().expect("nonempty") += a;
-                } else {
-                    col_idx.push(v);
-                    row_vals.push(a);
-                }
-            }
-            let mut write = start;
-            for k in start..col_idx.len() {
-                if row_vals[k] != 0.0 {
-                    col_idx[write] = col_idx[k];
-                    row_vals[write] = row_vals[k];
-                    write += 1;
-                }
-            }
-            col_idx.truncate(write);
-            row_vals.truncate(write);
-            row_ptr[r + 1] = write;
+            let entries = c.coeffs.iter().map(|&(v, a)| (v, a * sign)).collect();
+            push_merged(&mut col_idx, &mut row_vals, entries);
+            row_ptr[r + 1] = col_idx.len();
         }
-        // Its transpose, column-major.
-        let mut col_ptr = vec![0usize; n + 1];
-        for &v in &col_idx {
-            col_ptr[v + 1] += 1;
-        }
-        for j in 0..n {
-            col_ptr[j + 1] += col_ptr[j];
-        }
-        let mut row_idx = vec![0usize; col_idx.len()];
-        let mut vals = vec![0.0f64; col_idx.len()];
-        let mut cursor = col_ptr.clone();
-        for r in 0..m {
-            for k in row_ptr[r]..row_ptr[r + 1] {
-                let slot = &mut cursor[col_idx[k]];
-                row_idx[*slot] = r;
-                vals[*slot] = row_vals[k];
-                *slot += 1;
-            }
-        }
+        let (col_ptr, row_idx, vals) = transpose(&row_ptr, &col_idx, &row_vals, n);
 
         let mut slack = Vec::new();
         let mut art = Vec::new();
@@ -346,6 +309,39 @@ impl StdLp {
         }
     }
 
+    /// Appends structural columns (objective coefficient, entries by row)
+    /// after the existing ones, in the orientation of the normalized rows
+    /// and merged as [`StdLp::build`] merges its rows. The slack and
+    /// artificial columns keep their order behind them, so their ids move up
+    /// by the number added; the row-wise copy is built again from the
+    /// columns.
+    fn append_columns(&mut self, columns: &[(f64, Vec<(usize, f64)>)]) {
+        for (cost, coeffs) in columns {
+            let entries = coeffs
+                .iter()
+                .map(|&(r, a)| {
+                    assert!(r < self.m, "column references unknown constraint {r}");
+                    (r, if self.row_negated[r] { -a } else { a })
+                })
+                .collect();
+            push_merged(&mut self.row_idx, &mut self.vals, entries);
+            self.col_ptr.push(self.row_idx.len());
+            self.objective.push(*cost);
+        }
+        let added = columns.len();
+        self.n += added;
+        self.slack_base += added;
+        self.art_base += added;
+        self.total_cols += added;
+        for j in self.row_slack.iter_mut().chain(&mut self.row_logical) {
+            if *j != NONE {
+                *j += added;
+            }
+        }
+        (self.row_ptr, self.col_idx, self.row_vals) =
+            transpose(&self.col_ptr, &self.row_idx, &self.vals, self.m);
+    }
+
     /// Calls `f(row, value)` for every nonzero of column `j`.
     fn for_col(&self, j: usize, mut f: impl FnMut(usize, f64)) {
         if j < self.n {
@@ -371,6 +367,61 @@ impl StdLp {
         self.for_col(j, |r, a| s += y[r] * a);
         s
     }
+}
+
+/// Appends `entries` to the list `(idx, vals)` in index order, the values of
+/// a repeated index summed and exact zeros dropped.
+fn push_merged(idx: &mut Vec<usize>, vals: &mut Vec<f64>, mut entries: Vec<(usize, f64)>) {
+    entries.sort_by_key(|&(i, _)| i);
+    let start = idx.len();
+    for (i, a) in entries {
+        if idx.len() > start && idx.last() == Some(&i) {
+            *vals.last_mut().expect("nonempty") += a;
+        } else {
+            idx.push(i);
+            vals.push(a);
+        }
+    }
+    let mut write = start;
+    for k in start..idx.len() {
+        if vals[k] != 0.0 {
+            idx[write] = idx[k];
+            vals[write] = vals[k];
+            write += 1;
+        }
+    }
+    idx.truncate(write);
+    vals.truncate(write);
+}
+
+/// The transpose of the compressed matrix `(ptr, idx, vals)` whose entries
+/// index `0..width`: `width` lists, each in the order of the lines it
+/// gathers from.
+fn transpose(
+    ptr: &[usize],
+    idx: &[usize],
+    vals: &[f64],
+    width: usize,
+) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+    let mut t_ptr = vec![0usize; width + 1];
+    for &i in idx {
+        t_ptr[i + 1] += 1;
+    }
+    for i in 0..width {
+        t_ptr[i + 1] += t_ptr[i];
+    }
+    let mut t_idx = vec![0usize; idx.len()];
+    let mut t_vals = vec![0.0f64; idx.len()];
+    let mut cursor = t_ptr.clone();
+    for line in 0..ptr.len() - 1 {
+        for k in ptr[line]..ptr[line + 1] {
+            let slot = &mut cursor[idx[k]];
+            t_idx[*slot] = line;
+            t_vals[*slot] = vals[k];
+            *slot += 1;
+        }
+    }
+    (t_ptr, t_idx, t_vals)
 }
 
 /// A sparse matrix stored as a run of index/value lists.
@@ -778,8 +829,8 @@ impl Factor {
 /// Revised-simplex state: the basis, its factorization, the basic values and
 /// the pricing state (reduced costs and Devex weights of every structural and
 /// slack column; artificial columns never re-enter and are not priced).
-struct Solver<'a> {
-    std: &'a StdLp,
+struct Solver {
+    std: StdLp,
     /// Column basic at each row.
     basis: Vec<usize>,
     in_basis: Vec<bool>,
@@ -811,22 +862,31 @@ struct Solver<'a> {
     refactorizations: usize,
 }
 
-impl<'a> Solver<'a> {
-    /// Starts from the basis proposed by `candidates` (completed with logical
-    /// columns; none proposed is the all-logical start), or `None` when that
-    /// basis is not primal feasible.
-    fn start(std: &'a StdLp, candidates: &[usize]) -> Option<Solver<'a>> {
+impl Solver {
+    /// Factorizes the basis proposed by `candidates` (completed with logical
+    /// columns; none proposed is the all-logical start) and computes its
+    /// basic values, or `None` when that basis is not primal feasible.
+    fn start(std: &StdLp, candidates: &[usize]) -> Option<(Factor, Vec<usize>, Vec<f64>)> {
         let mut factor = Factor::default();
         let basis = factor.factorize(std, candidates, true).ok()?;
+        let mut xb = std.rhs.clone();
+        factor.ftran(&mut xb);
+        if xb.iter().any(|&x| x < -1e-7) {
+            return None;
+        }
+        Some((factor, basis, xb))
+    }
+
+    /// The solver at a start [`Solver::start`] found feasible.
+    fn new(std: StdLp, (factor, basis, xb): (Factor, Vec<usize>, Vec<f64>)) -> Solver {
         let mut in_basis = vec![false; std.total_cols];
         for &b in &basis {
             in_basis[b] = true;
         }
         let mut solver = Solver {
-            std,
             basis,
             in_basis,
-            xb: vec![0.0; std.m],
+            xb,
             rhs: std.rhs.clone(),
             factor,
             d: vec![0.0; std.art_base],
@@ -837,23 +897,20 @@ impl<'a> Solver<'a> {
             alpha: vec![0.0; std.art_base],
             touched: Vec::new(),
             degenerate_step: 0.0,
-            max_pivots: MAX_PIVOTS_PER_ROW * std.m + std.art_base + 1000,
+            max_pivots: pivot_budget(&std),
             pivots: 0,
             degenerate_pivots: 0,
             refactorizations: 0,
+            std,
         };
-        solver.recompute_xb();
-        if solver.xb.iter().any(|&x| x < -1e-7) {
-            return None;
-        }
         solver.clamp_xb();
-        Some(solver)
+        solver
     }
 
-    /// The start a caller's guess of the variable values implies: every
+    /// The basis a caller's guess of the variable values proposes: every
     /// structural column with a positive guess and every slack the guess
-    /// leaves positive is proposed as basic.
-    fn crash(std: &'a StdLp, hint: &[f64]) -> Option<Solver<'a>> {
+    /// leaves positive.
+    fn crash(std: &StdLp, hint: &[f64]) -> Option<Vec<usize>> {
         if hint.len() != std.n {
             return None;
         }
@@ -869,7 +926,7 @@ impl<'a> Solver<'a> {
                 candidates.push(std.slack_base + k);
             }
         }
-        Solver::start(std, &candidates)
+        Some(candidates)
     }
 
     /// `xb = B^{-1} rhs` under the current factorization.
@@ -888,7 +945,7 @@ impl<'a> Solver<'a> {
     /// are basic at) and recomputes the basic values.
     fn refactorize(&mut self) -> Result<(), LpError> {
         let cols = std::mem::take(&mut self.basis);
-        self.basis = self.factor.factorize(self.std, &cols, false)?;
+        self.basis = self.factor.factorize(&self.std, &cols, false)?;
         self.refactorizations += 1;
         self.recompute_xb();
         Ok(())
@@ -930,9 +987,20 @@ impl<'a> Solver<'a> {
     /// priced columns, following the nonzeros of `B^{-T} e_r` through the
     /// row-wise matrix.
     fn load_row(&mut self, r: usize) {
-        let std = self.std;
+        let std = &self.std;
         self.rho[r] = 1.0;
         self.factor.btran(&mut self.rho);
+        // `alpha_j += v`, listing `j` as touched. A column whose entry
+        // cancels to exactly zero and fills again is listed twice, which is
+        // harmless: the price update takes each value and leaves zero
+        // behind, so the second visit changes nothing.
+        let (alpha, touched) = (&mut self.alpha, &mut self.touched);
+        let mut add_to_row = |j: usize, v: f64| {
+            if alpha[j] == 0.0 {
+                touched.push(j);
+            }
+            alpha[j] += v;
+        };
         for i in 0..std.m {
             let p = self.rho[i];
             if p == 0.0 {
@@ -941,25 +1009,13 @@ impl<'a> Solver<'a> {
             self.rho[i] = 0.0;
             let row = std.row_ptr[i]..std.row_ptr[i + 1];
             for (&j, &a) in std.col_idx[row.clone()].iter().zip(&std.row_vals[row]) {
-                self.add_to_row(j, p * a);
+                add_to_row(j, p * a);
             }
             let slack = std.row_slack[i];
             if slack != NONE {
-                self.add_to_row(slack, p * std.slack[slack - std.slack_base].1);
+                add_to_row(slack, p * std.slack[slack - std.slack_base].1);
             }
         }
-    }
-
-    /// `alpha_j += v`, listing `j` as touched. A column whose entry cancels
-    /// to exactly zero and fills again is listed twice, which is harmless:
-    /// the price update takes each value and leaves zero behind, so the
-    /// second visit changes nothing.
-    #[inline]
-    fn add_to_row(&mut self, j: usize, v: f64) {
-        if self.alpha[j] == 0.0 {
-            self.touched.push(j);
-        }
-        self.alpha[j] += v;
     }
 
     /// Reduced-cost and Devex updates for the pivot that brings `q` (reduced
@@ -1106,7 +1162,7 @@ impl<'a> Solver<'a> {
     }
 }
 
-impl Solver<'_> {
+impl Solver {
     /// Dual simplex under the costs `c`, from a basis whose reduced costs
     /// admit no entering column but whose basic values may be negative — the
     /// state removing the perturbation can leave. Each step takes the most
@@ -1184,7 +1240,7 @@ impl Solver<'_> {
     /// basis both primal and dual feasible for the unperturbed problem.
     /// Artificials outside phase 1 are pinned at zero and not perturbed.
     fn optimize(&mut self, c: &[f64], phase1: bool) -> Result<(), LpError> {
-        let std = self.std;
+        let std = &self.std;
         let largest = std.rhs.iter().fold(0.0f64, |a, &b| a.max(b));
         let scale = if largest > 0.0 { largest } else { 1.0 };
         self.degenerate_step = DEGENERATE_STEP * scale;
@@ -1199,7 +1255,7 @@ impl Solver<'_> {
         self.weight.fill(1.0);
         self.primal(c, phase1)?;
 
-        self.rhs.copy_from_slice(&std.rhs);
+        self.rhs.copy_from_slice(&self.std.rhs);
         self.refactorize()?;
         self.dual(c)?;
         self.clamp_xb();
@@ -1218,67 +1274,159 @@ impl Solver<'_> {
     }
 }
 
-/// Extracts the primal/dual solution from an optimal phase-2 state.
-fn extract(lp: &LinearProgram, std: &StdLp, solver: &Solver<'_>) -> Solution {
-    let mut values = vec![0.0; std.n];
-    for (&b, &x) in solver.basis.iter().zip(&solver.xb) {
-        if b < std.n {
-            values[b] = x;
-        }
-    }
-    let objective = lp.objective.iter().zip(&values).map(|(c, x)| c * x).sum();
+/// The pivot budget of one optimization of `std`: [`MAX_PIVOTS_PER_ROW`] per
+/// row, one per column and a constant.
+fn pivot_budget(std: &StdLp) -> usize {
+    MAX_PIVOTS_PER_ROW * std.m + std.art_base + 1000
+}
 
-    // Duals of the normalized rows, restored to the caller's orientation.
-    let mut y: Vec<f64> = solver
-        .basis
-        .iter()
-        .map(|&b| if b < std.n { std.objective[b] } else { 0.0 })
-        .collect();
-    solver.factor.btran(&mut y);
-    for (dual, &negated) in y.iter_mut().zip(&std.row_negated) {
-        if negated {
-            *dual = -*dual;
-        }
+impl Solver {
+    /// Phase 2's costs: the objective on the structural columns, zero on
+    /// the logical ones.
+    fn costs(&self) -> Vec<f64> {
+        let mut c = vec![0.0; self.std.total_cols];
+        c[..self.std.n].copy_from_slice(&self.std.objective);
+        c
     }
-    Solution {
-        objective,
-        values,
-        duals: y,
-        pivots: solver.pivots,
-        degenerate_pivots: solver.degenerate_pivots,
-        refactorizations: solver.refactorizations,
-        factor_nonzeros: solver.factor.nnz,
+
+    /// Appends structural columns and renumbers the logical ones behind
+    /// them. The basis matrix and its factorization do not change.
+    fn add_columns(&mut self, columns: &[(f64, Vec<(usize, f64)>)]) {
+        let old = self.std.n;
+        self.std.append_columns(columns);
+        let added = self.std.n - old;
+        for b in &mut self.basis {
+            if *b >= old {
+                *b += added;
+            }
+        }
+        let at = old..old;
+        self.in_basis
+            .splice(at.clone(), std::iter::repeat_n(false, added));
+        self.d.splice(at.clone(), std::iter::repeat_n(0.0, added));
+        self.weight
+            .splice(at.clone(), std::iter::repeat_n(1.0, added));
+        self.alpha.splice(at, std::iter::repeat_n(0.0, added));
+    }
+
+    /// The primal and dual solution of the current basis.
+    fn solution(&self) -> Solution {
+        let std = &self.std;
+        let mut values = vec![0.0; std.n];
+        for (&b, &x) in self.basis.iter().zip(&self.xb) {
+            if b < std.n {
+                values[b] = x;
+            }
+        }
+        let objective = std.objective.iter().zip(&values).map(|(c, x)| c * x).sum();
+
+        // Duals of the normalized rows, restored to the caller's orientation.
+        let mut y: Vec<f64> = self
+            .basis
+            .iter()
+            .map(|&b| if b < std.n { std.objective[b] } else { 0.0 })
+            .collect();
+        self.factor.btran(&mut y);
+        for (dual, &negated) in y.iter_mut().zip(&std.row_negated) {
+            if negated {
+                *dual = -*dual;
+            }
+        }
+        Solution {
+            objective,
+            values,
+            duals: y,
+            pivots: self.pivots,
+            degenerate_pivots: self.degenerate_pivots,
+            refactorizations: self.refactorizations,
+            factor_nonzeros: self.factor.nnz,
+        }
     }
 }
 
-fn run(lp: &LinearProgram, hint: Option<&[f64]>) -> LpResult {
-    let std = StdLp::build(lp);
-    let mut solver = hint
-        .and_then(|h| Solver::crash(&std, h))
-        .or_else(|| Solver::start(&std, &[]))
-        .expect("the all-logical basis is the identity and feasible");
+/// A linear program solved to optimality and kept open: its basis, the LU
+/// and eta factors of the basis and the pricing state stay in place, so
+/// structural columns can be added ([`add_columns`](Self::add_columns)) and
+/// the optimum found again from where the last one left off
+/// ([`resolve`](Self::resolve)) instead of building and solving the grown
+/// program afresh.
+///
+/// A new column enters nonbasic, at value zero: the basic values do not
+/// move, so the basis stays primal feasible, and primal simplex resumes
+/// from it with every column priced from the current duals. This is the
+/// restricted master of a column-generation loop.
+pub struct OpenLp {
+    solver: Solver,
+}
 
-    // Phase 1: drive the artificial mass to zero (maximize its negation).
-    if solver.artificial_mass() > 1e-9 {
-        let mut c1 = vec![0.0; std.total_cols];
-        c1[std.art_base..].fill(-1.0);
-        solver.optimize(&c1, true)?;
-        if solver.artificial_mass() > 1e-6 {
-            return Err(LpError::Infeasible);
+impl OpenLp {
+    /// Solves `lp` with the two-phase revised simplex method, from the basis
+    /// `hint` implies when one is given (see [`solve_with_hint`]), and keeps
+    /// it open.
+    pub fn solve(lp: &LinearProgram, hint: Option<&[f64]>) -> Result<OpenLp, LpError> {
+        let std = StdLp::build(lp);
+        let start = hint
+            .and_then(|h| Solver::crash(&std, h))
+            .and_then(|c| Solver::start(&std, &c))
+            .or_else(|| Solver::start(&std, &[]))
+            .expect("the all-logical basis is the identity and feasible");
+        let mut solver = Solver::new(std, start);
+
+        // Phase 1: drive the artificial mass to zero (maximize its negation).
+        if solver.artificial_mass() > 1e-9 {
+            let mut c1 = vec![0.0; solver.std.total_cols];
+            c1[solver.std.art_base..].fill(-1.0);
+            solver.optimize(&c1, true)?;
+            if solver.artificial_mass() > 1e-6 {
+                return Err(LpError::Infeasible);
+            }
         }
+
+        // Phase 2: the real objective; artificials may neither enter nor move.
+        let c2 = solver.costs();
+        solver.optimize(&c2, false)?;
+        Ok(OpenLp { solver })
     }
 
-    // Phase 2: the real objective; artificials may neither enter nor move.
-    let mut c2 = vec![0.0; std.total_cols];
-    c2[..std.n].copy_from_slice(&std.objective);
-    solver.optimize(&c2, false)?;
+    /// Number of structural variables, the added columns included.
+    pub fn num_vars(&self) -> usize {
+        self.solver.std.n
+    }
 
-    Ok(extract(lp, &std, &solver))
+    /// Appends one structural variable per entry of `columns`, each given as
+    /// its objective coefficient and its coefficients by constraint index
+    /// (in input order; duplicates are summed). They are numbered after the
+    /// existing variables, in order, and enter at value zero; the optimum is
+    /// stale until the next [`resolve`](Self::resolve).
+    ///
+    /// # Panics
+    /// Panics if a coefficient names a constraint that does not exist.
+    pub fn add_columns(&mut self, columns: &[(f64, Vec<(usize, f64)>)]) {
+        self.solver.add_columns(columns);
+    }
+
+    /// Resumes primal simplex from the current basis until the program,
+    /// added columns included, is optimal again. It runs on the perturbed
+    /// problem and cleans up as a first solve does, under a fresh pivot
+    /// budget. After an error the program must not be used again.
+    pub fn resolve(&mut self) -> Result<(), LpError> {
+        let solver = &mut self.solver;
+        solver.max_pivots = solver.pivots + pivot_budget(&solver.std);
+        let c2 = solver.costs();
+        solver.optimize(&c2, false)
+    }
+
+    /// The current optimum. Its counters add up every pivot, degenerate
+    /// pivot and refactorization since the program was opened; its factor
+    /// size is the last refactorization's.
+    pub fn solution(&self) -> Solution {
+        self.solver.solution()
+    }
 }
 
 /// Solves the linear program with the two-phase revised simplex method.
 pub fn solve(lp: &LinearProgram) -> LpResult {
-    run(lp, None)
+    Ok(OpenLp::solve(lp, None)?.solution())
 }
 
 /// Like [`solve`], but starts from the basis `hint` implies. `hint` is a
@@ -1290,7 +1438,7 @@ pub fn solve(lp: &LinearProgram) -> LpResult {
 /// falls back to the cold start, so the optimum is the same either way — only
 /// the iteration count changes.
 pub fn solve_with_hint(lp: &LinearProgram, hint: &[f64]) -> LpResult {
-    run(lp, Some(hint))
+    Ok(OpenLp::solve(lp, Some(hint))?.solution())
 }
 
 #[cfg(test)]
@@ -1712,6 +1860,94 @@ mod tests {
             lp.add_constraint(coeffs, op, rhs);
         }
         lp
+    }
+
+    /// The seeded programs again, each opened on its first variables only
+    /// (the others dropped from every row) and then grown to the whole
+    /// program by [`OpenLp::add_columns`] in two batches, resolving after
+    /// each: the open LP must end where a solve of the whole program does.
+    #[test]
+    fn an_open_lp_grown_column_by_column_ends_at_the_whole_programs_optimum() {
+        let (mut grown, mut unbounded) = (0, 0);
+        for seed in 0..3000u64 {
+            let lp = random_program(seed);
+            let n = lp.num_vars;
+            if n < 2 {
+                continue;
+            }
+            let keep = n / 2;
+            let mut part = LinearProgram::new(keep);
+            part.objective.copy_from_slice(&lp.objective[..keep]);
+            for c in &lp.constraints {
+                let coeffs = c
+                    .coeffs
+                    .iter()
+                    .filter(|&&(v, _)| v < keep)
+                    .copied()
+                    .collect();
+                part.add_constraint(coeffs, c.op, c.rhs);
+            }
+            let Ok(mut open) = OpenLp::solve(&part, None) else {
+                continue;
+            };
+            let column = |v: usize| {
+                let coeffs = lp.constraints.iter().enumerate().flat_map(|(r, c)| {
+                    c.coeffs
+                        .iter()
+                        .filter(move |&&(u, _)| u == v)
+                        .map(move |&(_, a)| (r, a))
+                });
+                (lp.objective[v], coeffs.collect::<Vec<_>>())
+            };
+            let reference = bland_tableau(&lp);
+            let mut outcome = Ok(());
+            for batch in [keep..keep + 1, keep + 1..n] {
+                let columns: Vec<_> = batch.map(column).collect();
+                open.add_columns(&columns);
+                outcome = open.resolve();
+                if outcome.is_err() {
+                    break;
+                }
+            }
+            match (reference, outcome) {
+                (Ok(want), Ok(())) => {
+                    grown += 1;
+                    assert_eq!(open.num_vars(), n);
+                    let s = open.solution();
+                    let tol = 1e-9 * (1.0 + want.abs());
+                    assert!(
+                        (s.objective - want).abs() <= tol,
+                        "seed {seed}: {s:?} vs {want}"
+                    );
+                    assert!(s.values.iter().all(|&x| x >= 0.0), "seed {seed}");
+                    for c in &lp.constraints {
+                        let lhs: f64 = c.coeffs.iter().map(|&(v, a)| a * s.values[v]).sum();
+                        let slack = match c.op {
+                            ConstraintOp::Le => c.rhs - lhs,
+                            ConstraintOp::Ge => lhs - c.rhs,
+                            ConstraintOp::Eq => -(lhs - c.rhs).abs(),
+                        };
+                        assert!(slack >= -1e-7, "seed {seed}: row violated by {slack}");
+                    }
+                    let dual_objective: f64 = lp
+                        .constraints
+                        .iter()
+                        .zip(&s.duals)
+                        .map(|(c, y)| y * c.rhs)
+                        .sum();
+                    assert!(
+                        (dual_objective - s.objective).abs() <= 1e-7 * (1.0 + want.abs()),
+                        "seed {seed}: duals give {dual_objective}, primal {}",
+                        s.objective
+                    );
+                }
+                (Err(LpError::Unbounded), Err(LpError::Unbounded)) => unbounded += 1,
+                (reference, outcome) => {
+                    panic!("seed {seed}: reference {reference:?}, open LP {outcome:?}")
+                }
+            }
+        }
+        assert!(grown > 1000 && unbounded > 50, "{grown} {unbounded}");
     }
 
     #[test]
